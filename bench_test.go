@@ -465,15 +465,15 @@ func BenchmarkTrainStepBatched(b *testing.B) {
 // float path's throughput-oriented 32.
 const quantTrainBatch = 4
 
-// BenchmarkQuantTrainStep measures one fixed-point TD update on the
-// int16 training engine (internal/qnn): per-sample Q-format forward and
-// backward passes, stochastic-rounding weight update, and the STT-MRAM
-// energy charge for the weight write-back.
-func BenchmarkQuantTrainStep(b *testing.B) {
-	a := rl.NewAgent(nn.NavNetSpec(), nn.E2E,
-		rl.Options{Seed: 17, BatchSize: quantTrainBatch, TrainBackend: "quant-train"})
+// benchQuantTrainStep times one fixed-point TD update on the int16 training
+// engine (internal/qnn) through rl.Agent.TrainStep: batched Q-format
+// forward and backward passes, stochastic-rounding weight update, and the
+// STT-MRAM energy charge for the weight write-back.
+func benchQuantTrainStep(b *testing.B, cfg nn.Config, batch int) {
+	a := rl.NewAgent(nn.NavNetSpec(), cfg,
+		rl.Options{Seed: 17, BatchSize: batch, TrainBackend: "quant-train"})
 	rng := rand.New(rand.NewSource(18))
-	for i := 0; i < 2*quantTrainBatch; i++ {
+	for i := 0; i < 2*batch; i++ {
 		s := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
 		s.RandN(rng, 1)
 		next := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
@@ -483,12 +483,26 @@ func BenchmarkQuantTrainStep(b *testing.B) {
 	if err := a.ActivateTrainBackend(); err != nil {
 		b.Fatal(err)
 	}
-	a.TrainStep() // warm the stacking arena so allocs/op reflects steady state
+	a.TrainStep() // warm the stacking arena and workspace so allocs/op reflects steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.TrainStep()
 	}
+}
+
+// BenchmarkQuantTrainStep is the every-layer-trained update at the
+// serial-dataflow batch: E2E, batch 4.
+func BenchmarkQuantTrainStep(b *testing.B) {
+	benchQuantTrainStep(b, nn.E2E, quantTrainBatch)
+}
+
+// BenchmarkQuantTrainStepL3 is the update in the shape the on-board loop
+// deploys (benchmark workload online-l3-quant): L3, batch 32 — the frozen
+// CONV1/CONV2/FC1 prefix streamed once over the 64 stacked state and next
+// rows, FC2–FC4 trained.
+func BenchmarkQuantTrainStepL3(b *testing.B) {
+	benchQuantTrainStep(b, nn.L3, 32)
 }
 
 // quantInferBatch is the stack size of the batched quant-inference

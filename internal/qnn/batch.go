@@ -35,13 +35,16 @@ import (
 // shared across calls. Give each goroutine its own compiled Network, exactly
 // as the serving workers and swarm fleets do.
 
-// batchWorkspace is the grow-only slot pool behind the batched path: one
-// int16 panel, one int32 accumulator panel and one word panel per layer
-// index, plus the quantized input stack. Slices are resliced, never shrunk,
-// so steady-state batches of any size allocate nothing.
+// batchWorkspace is the grow-only slot pool behind the batched paths: int16
+// panels, int32 accumulator panels and word panels indexed by slot (the layer
+// index here; the training engine, train.go, keys several panels per layer
+// and adds 64-bit gradient accumulators), plus the quantized input stack.
+// Slices are resliced, never shrunk, so steady-state batches of any size
+// allocate nothing.
 type batchWorkspace struct {
 	i16   [][]int16
 	i32   [][]int32
+	i64   [][]int64
 	words []fixed.Vec
 	in    fixed.Vec
 }
@@ -66,6 +69,16 @@ func (ws *batchWorkspace) get32(slot, n int) []int32 {
 	return ws.i32[slot][:n]
 }
 
+func (ws *batchWorkspace) get64(slot, n int) []int64 {
+	for slot >= len(ws.i64) {
+		ws.i64 = append(ws.i64, nil)
+	}
+	if cap(ws.i64[slot]) < n {
+		ws.i64[slot] = make([]int64, n)
+	}
+	return ws.i64[slot][:n]
+}
+
 func (ws *batchWorkspace) getWords(slot, n int) fixed.Vec {
 	for slot >= len(ws.words) {
 		ws.words = append(ws.words, nil)
@@ -74,6 +87,77 @@ func (ws *batchWorkspace) getWords(slot, n int) fixed.Vec {
 		ws.words[slot] = make(fixed.Vec, n)
 	}
 	return ws.words[slot][:n]
+}
+
+// gemmRowLen is the conv panels' row stride: the receptive-field width colw
+// rounded up to the int16 dot kernel's 16-lane step, the tail filled with
+// zero words on both GEMM operands. Zero products add nothing to a
+// wrap-around sum, so every output word is unchanged; what changes is that
+// NavNet's 25- and 72-tap reductions run wholly in the vector loop instead
+// of finishing 9 and 8 taps one by one (about half the cost of a dot product
+// that short). The scalar fallback pays the extra taps, 11-28 % more conv
+// MACs on non-AVX2 hosts.
+func gemmRowLen(colw int) int { return (colw + 15) &^ 15 }
+
+// padRows copies the (rows x colw) row-major matrix src into dst at row
+// stride rowLen, zeroing each row's tail: the weight-side twin of the
+// im2col panel layout.
+func padRows[T ~int16](dst []int16, src []T, colw, rowLen int) {
+	for r := 0; r*colw < len(src); r++ {
+		row := dst[r*rowLen : (r+1)*rowLen]
+		for i, v := range src[r*colw : (r+1)*colw] {
+			row[i] = int16(v)
+		}
+		clear(row[colw:])
+	}
+}
+
+// im2colPatchMajor expands bsz stacked CHW samples into the patch-major int16
+// GEMM panel both integer engines convolve through (inference here, training
+// in train.go): row s*np+p, at stride gemmRowLen, holds output pixel p of
+// sample s's receptive field in the serial loop's (ic, ky, kx) order, with
+// padding taps and the row tail materialized as zero words. Each (ic, ky)
+// line of a patch is one contiguous run of a source row, so the expansion is
+// a clipped copy per line rather than a bounds test per tap.
+func im2colPatchMajor[T ~int16](panel []int16, src []T, bsz, inC, h, w, k, stride, pad int) {
+	oh := (h+2*pad-k)/stride + 1
+	ow := (w+2*pad-k)/stride + 1
+	colw := inC * k * k
+	rowLen := gemmRowLen(colw)
+	chw := inC * h * w
+	for s := 0; s < bsz; s++ {
+		img := src[s*chw : (s+1)*chw]
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*stride - pad
+			kyLo, kyHi := max(0, -iy0), min(k, h-iy0)
+			for ox := 0; ox < ow; ox++ {
+				ix0 := ox*stride - pad
+				kxLo, kxHi := max(0, -ix0), min(k, w-ix0)
+				row := panel[:rowLen]
+				panel = panel[rowLen:]
+				// Taps [kyLo,kyHi) x [kxLo,kxHi) of every channel fall
+				// inside the image; a clipped patch starts from all zeros.
+				n := kxHi - kxLo
+				if n == k && kyHi-kyLo == k {
+					clear(row[colw:])
+				} else {
+					clear(row)
+				}
+				if n <= 0 {
+					continue
+				}
+				for ic := 0; ic < inC; ic++ {
+					for ky := kyLo; ky < kyHi; ky++ {
+						line := img[(ic*h+iy0+ky)*w+ix0+kxLo:][:n]
+						dst := row[(ic*k+ky)*k+kxLo:][:n]
+						for i := range dst {
+							dst[i] = int16(line[i])
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // batchLayer is the batched hook every builtin Layer implements: forward B
@@ -87,17 +171,16 @@ type batchLayer interface {
 }
 
 // ensureGEMM builds the conv layer's GEMM-side weight image — the quantized
-// words re-typed for the int16 kernel — and the bias rescaled into the output
-// format, computed once: compiled weights are immutable (a policy reload
-// compiles a fresh backend).
+// words re-typed for the int16 kernel at the panel's padded row stride — and
+// the bias rescaled into the output format, computed once: compiled weights
+// are immutable (a policy reload compiles a fresh backend).
 func (c *Conv2D) ensureGEMM() {
 	if c.wGemm != nil {
 		return
 	}
-	c.wGemm = make([]int16, len(c.W))
-	for i, w := range c.W {
-		c.wGemm[i] = int16(w)
-	}
+	colw := c.InC * c.K * c.K
+	c.wGemm = make([]int16, c.OutC*gemmRowLen(colw))
+	padRows(c.wGemm, c.W, colw, gemmRowLen(colw))
 	c.bOut = make(fixed.Vec, len(c.B))
 	for i, b := range c.B {
 		c.bOut[i] = rescale(b, c.WFmt, c.OutFmt)
@@ -115,39 +198,15 @@ func (c *Conv2D) forwardBatch(in QTensor, ws *batchWorkspace, slot int) QTensor 
 	oh := (h+2*c.Pad-c.K)/c.Stride + 1
 	ow := (w+2*c.Pad-c.K)/c.Stride + 1
 	np := oh * ow
-	colw := c.InC * c.K * c.K
+	rowLen := gemmRowLen(c.InC * c.K * c.K)
 	c.ensureGEMM()
-	panel := ws.get16(slot, bsz*np*colw)
-	chw := c.InC * h * w
-	for s := 0; s < bsz; s++ {
-		src := in.Data[s*chw : (s+1)*chw]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				row := panel[(s*np+oy*ow+ox)*colw : (s*np+oy*ow+ox+1)*colw]
-				p := 0
-				for ic := 0; ic < c.InC; ic++ {
-					base := ic * h * w
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								row[p] = int16(src[base+iy*w+ix])
-							} else {
-								row[p] = 0
-							}
-							p++
-						}
-					}
-				}
-			}
-		}
-	}
+	panel := ws.get16(slot, bsz*np*rowLen)
+	im2colPatchMajor(panel, in.Data, bsz, c.InC, h, w, c.K, c.Stride, c.Pad)
 	// One GEMM for the whole batch: acc (B*np x OutC) = panel x Wᵀ, then the
 	// serial path's single narrow + bias add per output pixel, scattered from
 	// patch-major back to batch-major CHW.
 	acc := ws.get32(slot, bsz*np*c.OutC)
-	tensor.MatMul16T(acc, panel, c.wGemm, bsz*np, colw, c.OutC)
+	tensor.MatMul16T(acc, panel, c.wGemm, bsz*np, rowLen, c.OutC)
 	if len(c.bShape) != 4 {
 		c.bShape = make([]int, 4)
 	}

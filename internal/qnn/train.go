@@ -10,14 +10,27 @@ import (
 
 // Fixed-point training engine: forward, backward and weight update executed
 // in the accelerator's integer arithmetic, the regime Roy et al. study for
-// MRAM training scratchpads (PAPERS.md). Where the inference engine
-// (qnn.go) saturates every MAC — the PE datapath's behaviour — the training
-// engine follows the int16 GEMM kernels' contract (tensor/int16.go):
-// products widen into wrap-around accumulators and saturate exactly once at
-// the final narrow, which is what lets the Dense hot path run on the
-// vectorized Dot16/MatVec16 kernels. Gradients accumulate in 64-bit
-// Q-format scratchpads (the "sum of weight and bias gradients" scratchpad
-// of Section V, widened so batch accumulation cannot wrap), and the weight
+// MRAM training scratchpads (PAPERS.md). Every kernel is batched — one
+// int16 GEMM (tensor.MatMul16T) per weighted layer per minibatch, conv
+// through the im2col panel it shares with the inference engine (batch.go) —
+// and a single sample is a batch of one.
+//
+// Accumulation. Where the serial inference engine (qnn.go) saturates every
+// MAC — the PE datapath's behaviour — every forward pass here, Dense *and*
+// Conv, follows the int16 GEMM kernels' contract (tensor/int16.go): products
+// widen into wrap-around int32 accumulators and saturate exactly once, at
+// the final narrow, after the bias has joined the sum in 64 bits. That
+// equals a 64-bit accumulation on every output word as long as the true sum
+// of products fits int32. The precondition is asserted, not assumed:
+// TestTrainAccumulatorHeadroom shadows every conv and dense accumulator in
+// 64 bits over real depth frames on the meta-trained NavNet and holds the
+// largest |sum| 8 bits under the horizon, TestTrainConvMatchesScalarReference
+// compares the GEMM convolution with the scalar int64 loops it replaced word
+// for word, and TestTrainBackendGolden pins whole TD schedules to hashes that
+// loop produced. Gradients are the other direction: they accumulate in
+// 64-bit Q-format scratchpads (the "sum of weight and bias gradients"
+// scratchpad of Section V, widened so batch accumulation cannot wrap) with
+// plain 64-bit loops, so their sums are exact in any order. The weight
 // update applies lr·grad with *stochastic* rounding (fixed.SR): a
 // deterministic round would silently drop every update below half a weight
 // LSB — most late-training updates — where the stochastic round is correct
@@ -85,13 +98,17 @@ func narrow64(v int64, shift uint) int16 {
 	return sat16(v)
 }
 
-// tLayer is one stage of the fixed-point training pipeline. forward caches
-// whatever backward needs for the same sample; backward accumulates
-// gradient scratchpads and returns the input gradient in GradFmt.
+// tLayer is one stage of the fixed-point training pipeline. Every kernel is
+// batched: forwardBatch runs bsz stacked samples (row-major, one CHW block
+// per sample) and caches whatever backwardBatch needs for the same rows;
+// backwardBatch accumulates the gradient scratchpads over the whole batch
+// and returns the stacked input gradient in GradFmt. Panels are staged in
+// the network's grow-only workspace under the layer's slot and stay valid
+// until the layer's next call. A single sample is a batch of one.
 type tLayer interface {
 	name() string
-	forward(in []int16, shape [3]int) ([]int16, [3]int)
-	backward(g []int16, needInput bool) []int16
+	forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int)
+	backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slot int) []int16
 	// update applies the accumulated gradients with the given fixed-point
 	// learning rate and clears the scratchpads; stateless layers no-op.
 	update(lrFixed int64, lrFrac uint, sr *fixed.SR)
@@ -104,132 +121,156 @@ type tLayer interface {
 	weightBits() int64
 }
 
-// tConv is the fixed-point trainable convolution (CHW, square kernel).
+// Workspace panels per layer slot: the int16 pool holds four kinds per
+// layer, the int64 pool two.
+const (
+	wsPanel   = iota // conv im2col panel
+	wsWeights        // conv weight image at the panel's row stride
+	wsOut            // forward output words
+	wsGin            // narrowed input gradient
+	ws16Kinds
+)
+
+const (
+	wsGin64 = iota // one sample's input-gradient accumulators
+	wsCol64        // one output pixel's column-gradient accumulators (conv)
+	ws64Kinds
+)
+
+// tConv is the fixed-point trainable convolution (CHW, square kernel). Its
+// forward pass is one im2col expansion and one int16 GEMM for the whole
+// batch, over the same patch-major panel the inference engine builds
+// (batch.go); the panel is kept for the backward pass, whose 64-bit
+// accumulation reads it back row by row.
 type tConv struct {
-	layerName            string
-	inC, outC            int
-	k, stride, pad       int
-	w, b                 []int16
-	gw, gb               []int64
-	aFrac, wFrac, gFrac  uint
-	in                   []int16
-	inH, inW, outH, outW int
-	out                  []int16
-	gin                  []int64
-	ginW                 []int16
+	layerName           string
+	inC, outC           int
+	k, stride, pad      int
+	w, b                []int16
+	gw, gb              []int64
+	aFrac, wFrac, gFrac uint
+	bsz, inH, inW       int
+	panel               []int16
 }
 
 func (c *tConv) name() string      { return c.layerName }
 func (c *tConv) weightBits() int64 { return int64(len(c.w)+len(c.b)) * 16 }
 
-func (c *tConv) forward(in []int16, shape [3]int) ([]int16, [3]int) {
-	h, w := shape[1], shape[2]
-	oh := (h+2*c.pad-c.k)/c.stride + 1
-	ow := (w+2*c.pad-c.k)/c.stride + 1
-	c.in, c.inH, c.inW, c.outH, c.outW = in, h, w, oh, ow
-	if cap(c.out) < c.outC*oh*ow {
-		c.out = make([]int16, c.outC*oh*ow)
-	}
-	c.out = c.out[:c.outC*oh*ow]
+func (c *tConv) outHW() (int, int) {
+	return (c.inH+2*c.pad-c.k)/c.stride + 1, (c.inW+2*c.pad-c.k)/c.stride + 1
+}
+
+func (c *tConv) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
+	c.bsz, c.inH, c.inW = bsz, shape[1], shape[2]
+	oh, ow := c.outHW()
+	np := oh * ow
 	colw := c.inC * c.k * c.k
-	for oc := 0; oc < c.outC; oc++ {
-		wrow := c.w[oc*colw : (oc+1)*colw]
-		bias := int64(c.b[oc]) << c.aFrac // to the 2^(a+w) product scale
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				acc := bias
-				p := 0
-				for ic := 0; ic < c.inC; ic++ {
-					base := ic * h * w
-					for ky := 0; ky < c.k; ky++ {
-						iy := oy*c.stride - c.pad + ky
-						for kx := 0; kx < c.k; kx++ {
-							ix := ox*c.stride - c.pad + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								acc += int64(in[base+iy*w+ix]) * int64(wrow[p])
-							}
-							p++
-						}
-					}
-				}
-				c.out[oc*oh*ow+oy*ow+ox] = narrow64(acc, c.wFrac)
+	rowLen := gemmRowLen(colw)
+	c.panel = ws.get16(slot*ws16Kinds+wsPanel, bsz*np*rowLen)
+	im2colPatchMajor(c.panel, in, bsz, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
+	// The weight image at the panel's row stride is rebuilt every pass — a
+	// few hundred words — because Update and CopyWeightsFrom rewrite c.w.
+	wGemm := ws.get16(slot*ws16Kinds+wsWeights, c.outC*rowLen)
+	padRows(wGemm, c.w, colw, rowLen)
+	// acc (B*np x outC) = panel x Wᵀ, then one narrow per output word with
+	// the bias joined at the 2^(a+w) product scale, scattered from
+	// patch-major back to per-sample CHW.
+	acc := ws.get32(slot, bsz*np*c.outC)
+	tensor.MatMul16T(acc, c.panel, wGemm, bsz*np, rowLen, c.outC)
+	out := ws.get16(slot*ws16Kinds+wsOut, bsz*c.outC*np)
+	for s := 0; s < bsz; s++ {
+		for oc := 0; oc < c.outC; oc++ {
+			bias := int64(c.b[oc]) << c.aFrac
+			dst := out[(s*c.outC+oc)*np : (s*c.outC+oc+1)*np]
+			arow := acc[s*np*c.outC+oc:]
+			for p := range dst {
+				dst[p] = narrow64(int64(arow[p*c.outC])+bias, c.wFrac)
 			}
 		}
 	}
-	return c.out, [3]int{c.outC, oh, ow}
+	return out, [3]int{c.outC, oh, ow}
 }
 
-func (c *tConv) backward(g []int16, needInput bool) []int16 {
-	h, w, oh, ow := c.inH, c.inW, c.outH, c.outW
+func (c *tConv) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slot int) []int16 {
+	h, w := c.inH, c.inW
+	oh, ow := c.outHW()
+	np := oh * ow
 	colw := c.inC * c.k * c.k
+	rowLen := gemmRowLen(colw)
+	chw := c.inC * h * w
+	var ginW []int16
+	var gin, gcol []int64
 	if needInput {
-		if cap(c.gin) < c.inC*h*w {
-			c.gin = make([]int64, c.inC*h*w)
-		}
-		c.gin = c.gin[:c.inC*h*w]
-		for i := range c.gin {
-			c.gin[i] = 0
-		}
+		ginW = ws.get16(slot*ws16Kinds+wsGin, c.bsz*chw)
+		gin = ws.get64(slot*ws64Kinds+wsGin64, chw)
+		gcol = ws.get64(slot*ws64Kinds+wsCol64, colw)
 	}
-	for oc := 0; oc < c.outC; oc++ {
-		wrow := c.w[oc*colw : (oc+1)*colw]
-		grow := c.gw[oc*colw : (oc+1)*colw]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				gv := int64(g[oc*oh*ow+oy*ow+ox])
+	for s := 0; s < c.bsz; s++ {
+		gs := g[s*c.outC*np : (s+1)*c.outC*np]
+		clear(gin)
+		for pix := 0; pix < np; pix++ {
+			// The panel row is this pixel's receptive field, padding taps as
+			// zero words: they add nothing to the weight gradient.
+			patch := c.panel[(s*np+pix)*rowLen:][:colw]
+			touched := false
+			for oc := 0; oc < c.outC; oc++ {
+				gv := int64(gs[oc*np+pix])
 				if gv == 0 {
 					continue
 				}
 				c.gb[oc] += gv
-				p := 0
-				for ic := 0; ic < c.inC; ic++ {
-					base := ic * h * w
-					for ky := 0; ky < c.k; ky++ {
-						iy := oy*c.stride - c.pad + ky
-						for kx := 0; kx < c.k; kx++ {
-							ix := ox*c.stride - c.pad + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								pix := base + iy*w + ix
-								grow[p] += gv * int64(c.in[pix])
-								if needInput {
-									c.gin[pix] += gv * int64(wrow[p])
-								}
-							}
-							p++
-						}
+				grow := c.gw[oc*colw : (oc+1)*colw]
+				for p, x := range patch {
+					grow[p] += gv * int64(x)
+				}
+				if needInput {
+					if !touched {
+						clear(gcol)
+						touched = true
+					}
+					for p, wv := range c.w[oc*colw : (oc+1)*colw] {
+						gcol[p] += gv * int64(wv)
 					}
 				}
 			}
+			if touched {
+				c.col2im(gin, gcol, pix/ow, pix%ow)
+			}
+		}
+		if needInput {
+			dst := ginW[s*chw : (s+1)*chw]
+			for i, v := range gin {
+				dst[i] = narrow64(v, c.wFrac) // scale g+w -> g
+			}
 		}
 	}
-	if !needInput {
-		return nil
+	return ginW
+}
+
+// col2im adds one output pixel's column gradient into the sample's input
+// gradient, skipping the padding taps.
+func (c *tConv) col2im(gin, gcol []int64, oy, ox int) {
+	h, w := c.inH, c.inW
+	ix0 := ox*c.stride - c.pad
+	lo, hi := max(0, -ix0), min(c.k, w-ix0)
+	p := 0
+	for ic := 0; ic < c.inC; ic++ {
+		for ky := 0; ky < c.k; ky++ {
+			iy := oy*c.stride - c.pad + ky
+			if iy >= 0 && iy < h {
+				base := (ic*h+iy)*w + ix0
+				for kx := lo; kx < hi; kx++ {
+					gin[base+kx] += gcol[p+kx]
+				}
+			}
+			p += c.k
+		}
 	}
-	if cap(c.ginW) < len(c.gin) {
-		c.ginW = make([]int16, len(c.gin))
-	}
-	c.ginW = c.ginW[:len(c.gin)]
-	for i, v := range c.gin {
-		c.ginW[i] = narrow64(v, c.wFrac) // scale g+w -> g
-	}
-	return c.ginW
 }
 
 func (c *tConv) update(lrFixed int64, lrFrac uint, sr *fixed.SR) {
-	wShift := c.gFrac + c.aFrac + lrFrac - c.wFrac
-	for i, gv := range c.gw {
-		if gv != 0 {
-			c.w[i] = sat16(int64(c.w[i]) - sr.Round(gv*lrFixed, wShift))
-		}
-		c.gw[i] = 0
-	}
-	bShift := c.gFrac + lrFrac - c.wFrac
-	for i, gv := range c.gb {
-		if gv != 0 {
-			c.b[i] = sat16(int64(c.b[i]) - sr.Round(gv*lrFixed, bShift))
-		}
-		c.gb[i] = 0
-	}
+	applySR(c.w, c.gw, lrFixed, c.gFrac+c.aFrac+lrFrac-c.wFrac, sr)
+	applySR(c.b, c.gb, lrFixed, c.gFrac+lrFrac-c.wFrac, sr)
 }
 
 func (c *tConv) gradMaxAbs() float64 {
@@ -242,7 +283,7 @@ func (c *tConv) scaleGrads(sFixed int64) {
 }
 
 // tDense is the fixed-point trainable fully-connected layer. Its forward
-// pass runs on the int16 GEMM kernels: one MatVec16 (wrap-around int32
+// pass is one int16 GEMM for the whole batch (wrap-around int32
 // accumulation, AVX2 VPMADDWD on amd64) and a single narrow per output.
 type tDense struct {
 	layerName           string
@@ -250,83 +291,72 @@ type tDense struct {
 	w, b                []int16
 	gw, gb              []int64
 	aFrac, wFrac, gFrac uint
+	bsz                 int
 	x                   []int16
-	acc                 []int32
-	outW                []int16
-	gin                 []int64
-	ginW                []int16
 }
 
 func (d *tDense) name() string      { return d.layerName }
 func (d *tDense) weightBits() int64 { return int64(len(d.w)+len(d.b)) * 16 }
 
-func (d *tDense) forward(in []int16, shape [3]int) ([]int16, [3]int) {
-	if len(in) != d.in {
-		panic(fmt.Sprintf("qnn: %s expects %d inputs, got %d", d.layerName, d.in, len(in)))
+func (d *tDense) forwardBatch(in []int16, bsz int, _ [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
+	if len(in) != bsz*d.in {
+		panic(fmt.Sprintf("qnn: %s expects %d inputs per sample, got %d", d.layerName, d.in, len(in)/bsz))
 	}
-	d.x = in
-	if cap(d.acc) < d.out {
-		d.acc = make([]int32, d.out)
-		d.outW = make([]int16, d.out)
+	d.x, d.bsz = in, bsz
+	acc := ws.get32(slot, bsz*d.out)
+	tensor.MatMul16T(acc, in, d.w, bsz, d.in, d.out)
+	out := ws.get16(slot*ws16Kinds+wsOut, bsz*d.out)
+	for s := 0; s < bsz; s++ {
+		for j, a := range acc[s*d.out : (s+1)*d.out] {
+			out[s*d.out+j] = narrow64(int64(a)+int64(d.b[j])<<d.aFrac, d.wFrac)
+		}
 	}
-	d.acc, d.outW = d.acc[:d.out], d.outW[:d.out]
-	tensor.MatVec16(d.acc, d.w, in)
-	for j, a := range d.acc {
-		d.outW[j] = narrow64(int64(a)+int64(d.b[j])<<d.aFrac, d.wFrac)
-	}
-	return d.outW, [3]int{d.out, 1, 1}
+	return out, [3]int{d.out, 1, 1}
 }
 
-func (d *tDense) backward(g []int16, needInput bool) []int16 {
-	if needInput {
-		if cap(d.gin) < d.in {
-			d.gin = make([]int64, d.in)
-			d.ginW = make([]int16, d.in)
-		}
-		d.gin, d.ginW = d.gin[:d.in], d.ginW[:d.in]
-		for i := range d.gin {
-			d.gin[i] = 0
-		}
-	}
+func (d *tDense) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slot int) []int16 {
+	// Weight gradients one output row at a time, so each 64-bit scratchpad
+	// row stays hot while the batch's activations stream past it.
 	for j := 0; j < d.out; j++ {
-		gv := int64(g[j])
-		if gv == 0 {
-			continue
-		}
-		d.gb[j] += gv
-		wrow := d.w[j*d.in : (j+1)*d.in]
 		grow := d.gw[j*d.in : (j+1)*d.in]
-		for i, xv := range d.x {
-			grow[i] += gv * int64(xv)
-			if needInput {
-				d.gin[i] += gv * int64(wrow[i])
+		for s := 0; s < d.bsz; s++ {
+			gv := int64(g[s*d.out+j])
+			if gv == 0 {
+				continue
+			}
+			d.gb[j] += gv
+			for i, xv := range d.x[s*d.in : (s+1)*d.in] {
+				grow[i] += gv * int64(xv)
 			}
 		}
 	}
 	if !needInput {
 		return nil
 	}
-	for i, v := range d.gin {
-		d.ginW[i] = narrow64(v, d.wFrac)
+	ginW := ws.get16(slot*ws16Kinds+wsGin, d.bsz*d.in)
+	gin := ws.get64(slot*ws64Kinds+wsGin64, d.in)
+	for s := 0; s < d.bsz; s++ {
+		clear(gin)
+		for j, gw := range g[s*d.out : (s+1)*d.out] {
+			if gw == 0 {
+				continue
+			}
+			gv := int64(gw)
+			for i, wv := range d.w[j*d.in : (j+1)*d.in] {
+				gin[i] += gv * int64(wv)
+			}
+		}
+		dst := ginW[s*d.in : (s+1)*d.in]
+		for i, v := range gin {
+			dst[i] = narrow64(v, d.wFrac)
+		}
 	}
-	return d.ginW
+	return ginW
 }
 
 func (d *tDense) update(lrFixed int64, lrFrac uint, sr *fixed.SR) {
-	wShift := d.gFrac + d.aFrac + lrFrac - d.wFrac
-	for i, gv := range d.gw {
-		if gv != 0 {
-			d.w[i] = sat16(int64(d.w[i]) - sr.Round(gv*lrFixed, wShift))
-		}
-		d.gw[i] = 0
-	}
-	bShift := d.gFrac + lrFrac - d.wFrac
-	for i, gv := range d.gb {
-		if gv != 0 {
-			d.b[i] = sat16(int64(d.b[i]) - sr.Round(gv*lrFixed, bShift))
-		}
-		d.gb[i] = 0
-	}
+	applySR(d.w, d.gw, lrFixed, d.gFrac+d.aFrac+lrFrac-d.wFrac, sr)
+	applySR(d.b, d.gb, lrFixed, d.gFrac+lrFrac-d.wFrac, sr)
 }
 
 func (d *tDense) gradMaxAbs() float64 {
@@ -338,33 +368,37 @@ func (d *tDense) scaleGrads(sFixed int64) {
 	scaleInts(d.gb, sFixed)
 }
 
+// applySR is the stochastically-rounded SGD step on one parameter vector:
+// every word with a nonzero gradient moves by Round(g·lr / 2^shift), drawing
+// from the rounding stream in word order, and the scratchpad is cleared.
+func applySR(w []int16, g []int64, lrFixed int64, shift uint, sr *fixed.SR) {
+	for i, gv := range g {
+		if gv != 0 {
+			w[i] = sat16(int64(w[i]) - sr.Round(gv*lrFixed, shift))
+		}
+		g[i] = 0
+	}
+}
+
 // tReLU is the integer rectifier; backward masks by the cached input sign.
 type tReLU struct {
 	layerName string
 	in        []int16
-	out       []int16
 }
 
 func (r *tReLU) name() string      { return r.layerName }
 func (r *tReLU) weightBits() int64 { return 0 }
 
-func (r *tReLU) forward(in []int16, shape [3]int) ([]int16, [3]int) {
+func (r *tReLU) forwardBatch(in []int16, _ int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
 	r.in = in
-	if cap(r.out) < len(in) {
-		r.out = make([]int16, len(in))
-	}
-	r.out = r.out[:len(in)]
+	out := ws.get16(slot*ws16Kinds+wsOut, len(in))
 	for i, v := range in {
-		if v > 0 {
-			r.out[i] = v
-		} else {
-			r.out[i] = 0
-		}
+		out[i] = max(v, 0)
 	}
-	return r.out, shape
+	return out, shape
 }
 
-func (r *tReLU) backward(g []int16, needInput bool) []int16 {
+func (r *tReLU) backwardBatch(g []int16, needInput bool, _ *batchWorkspace, _ int) []int16 {
 	if !needInput {
 		return nil
 	}
@@ -381,87 +415,84 @@ func (r *tReLU) gradMaxAbs() float64           { return 0 }
 func (r *tReLU) scaleGrads(int64)              {}
 
 // tPool is integer max pooling; backward routes gradients to the cached
-// argmax positions (summed in 32-bit where windows overlap, one narrow).
+// argmax positions (summed wide where windows overlap, one narrow).
 type tPool struct {
-	layerName string
-	k, stride int
-	arg       []int32
-	inLen     int
-	shape     [3]int
-	out       []int16
-	gin32     []int32
-	ginW      []int16
+	layerName  string
+	k, stride  int
+	arg        []int32 // per output word, the winning index within its sample
+	bsz, inLen int
 }
 
 func (m *tPool) name() string      { return m.layerName }
 func (m *tPool) weightBits() int64 { return 0 }
 
-func (m *tPool) forward(in []int16, shape [3]int) ([]int16, [3]int) {
+func (m *tPool) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
 	c, h, w := shape[0], shape[1], shape[2]
 	oh := (h-m.k)/m.stride + 1
 	ow := (w-m.k)/m.stride + 1
-	m.inLen, m.shape = len(in), shape
-	if cap(m.out) < c*oh*ow {
-		m.out = make([]int16, c*oh*ow)
-		m.arg = make([]int32, c*oh*ow)
-	}
-	m.out, m.arg = m.out[:c*oh*ow], m.arg[:c*oh*ow]
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				bi := base + oy*m.stride*w + ox*m.stride
-				best, bestIdx := in[bi], int32(bi)
-				for ky := 0; ky < m.k; ky++ {
-					for kx := 0; kx < m.k; kx++ {
-						idx := base + (oy*m.stride+ky)*w + ox*m.stride + kx
-						if in[idx] > best {
-							best, bestIdx = in[idx], int32(idx)
+	m.bsz, m.inLen = bsz, c*h*w
+	outLen := c * oh * ow
+	out := ws.get16(slot*ws16Kinds+wsOut, bsz*outLen)
+	m.arg = ws.get32(slot, bsz*outLen)
+	for s := 0; s < bsz; s++ {
+		img := in[s*m.inLen : (s+1)*m.inLen]
+		for ch := 0; ch < c; ch++ {
+			base := ch * h * w
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					bi := base + oy*m.stride*w + ox*m.stride
+					best, bestIdx := img[bi], int32(bi)
+					for ky := 0; ky < m.k; ky++ {
+						for kx := 0; kx < m.k; kx++ {
+							idx := base + (oy*m.stride+ky)*w + ox*m.stride + kx
+							if img[idx] > best {
+								best, bestIdx = img[idx], int32(idx)
+							}
 						}
 					}
+					o := s*outLen + ch*oh*ow + oy*ow + ox
+					out[o], m.arg[o] = best, bestIdx
 				}
-				o := ch*oh*ow + oy*ow + ox
-				m.out[o], m.arg[o] = best, bestIdx
 			}
 		}
 	}
-	return m.out, [3]int{c, oh, ow}
+	return out, [3]int{c, oh, ow}
 }
 
-func (m *tPool) backward(g []int16, needInput bool) []int16 {
+func (m *tPool) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slot int) []int16 {
 	if !needInput {
 		return nil
 	}
-	if cap(m.gin32) < m.inLen {
-		m.gin32 = make([]int32, m.inLen)
-		m.ginW = make([]int16, m.inLen)
+	ginW := ws.get16(slot*ws16Kinds+wsGin, m.bsz*m.inLen)
+	gin := ws.get64(slot*ws64Kinds+wsGin64, m.inLen)
+	outLen := len(m.arg) / m.bsz
+	for s := 0; s < m.bsz; s++ {
+		clear(gin)
+		for o, idx := range m.arg[s*outLen : (s+1)*outLen] {
+			gin[idx] += int64(g[s*outLen+o])
+		}
+		dst := ginW[s*m.inLen : (s+1)*m.inLen]
+		for i, v := range gin {
+			dst[i] = sat16(v)
+		}
 	}
-	m.gin32, m.ginW = m.gin32[:m.inLen], m.ginW[:m.inLen]
-	for i := range m.gin32 {
-		m.gin32[i] = 0
-	}
-	for o, idx := range m.arg {
-		m.gin32[idx] += int32(g[o])
-	}
-	for i, v := range m.gin32 {
-		m.ginW[i] = sat16(int64(v))
-	}
-	return m.ginW
+	return ginW
 }
 
 func (m *tPool) update(int64, uint, *fixed.SR) {}
 func (m *tPool) gradMaxAbs() float64           { return 0 }
 func (m *tPool) scaleGrads(int64)              {}
 
-// tFlatten is a shape change only.
+// tFlatten is a shape change only: stacked CHW blocks are already flat per
+// sample.
 type tFlatten struct{ layerName string }
 
 func (f *tFlatten) name() string      { return f.layerName }
 func (f *tFlatten) weightBits() int64 { return 0 }
-func (f *tFlatten) forward(in []int16, shape [3]int) ([]int16, [3]int) {
-	return in, [3]int{len(in), 1, 1}
+func (f *tFlatten) forwardBatch(in []int16, bsz int, _ [3]int, _ *batchWorkspace, _ int) ([]int16, [3]int) {
+	return in, [3]int{len(in) / bsz, 1, 1}
 }
-func (f *tFlatten) backward(g []int16, needInput bool) []int16 {
+func (f *tFlatten) backwardBatch(g []int16, needInput bool, _ *batchWorkspace, _ int) []int16 {
 	if !needInput {
 		return nil
 	}
@@ -503,9 +534,13 @@ type TrainNetwork struct {
 	trainFrom int
 	opts      TrainOptions
 	sr        *fixed.SR
-	qin       []int16
-	gq        []int16
-	outF      []float32
+	// ws holds every activation and gradient panel, grown on the first
+	// batch of a given size and reused from then on: a steady-state step
+	// allocates nothing.
+	ws   batchWorkspace
+	qin  []int16
+	gq   []int16
+	outF []float32
 }
 
 // CompileTrainable converts a float network into the fixed-point training
@@ -520,7 +555,14 @@ func CompileTrainable(src *nn.Network, opts TrainOptions) (*TrainNetwork, error)
 		sr:        fixed.NewSR(opts.Seed),
 	}
 	aFrac, wFrac, gFrac := opts.ActFmt.Frac, opts.WeightFmt.Frac, opts.GradFmt.Frac
-	for _, l := range src.Layers {
+	for i, l := range src.Layers {
+		// Frozen layers never see a gradient: no scratchpads.
+		scratch := func(n int) []int64 {
+			if i < tn.trainFrom {
+				return nil
+			}
+			return make([]int64, n)
+		}
 		switch t := l.(type) {
 		case *nn.Conv2D:
 			if t.KH != t.KW {
@@ -532,8 +574,8 @@ func CompileTrainable(src *nn.Network, opts TrainOptions) (*TrainNetwork, error)
 				k: t.KH, stride: t.Stride, pad: t.Pad,
 				w:     quantize16(t.Weight.W.Data(), opts.WeightFmt),
 				b:     quantize16(t.Bias.W.Data(), opts.WeightFmt),
-				gw:    make([]int64, t.Weight.W.Len()),
-				gb:    make([]int64, t.Bias.W.Len()),
+				gw:    scratch(t.Weight.W.Len()),
+				gb:    scratch(t.Bias.W.Len()),
 				aFrac: aFrac, wFrac: wFrac, gFrac: gFrac,
 			})
 		case *nn.Dense:
@@ -542,8 +584,8 @@ func CompileTrainable(src *nn.Network, opts TrainOptions) (*TrainNetwork, error)
 				in:        t.In, out: t.Out,
 				w:     quantize16(t.Weight.W.Data(), opts.WeightFmt),
 				b:     quantize16(t.Bias.W.Data(), opts.WeightFmt),
-				gw:    make([]int64, t.Weight.W.Len()),
-				gb:    make([]int64, t.Bias.W.Len()),
+				gw:    scratch(t.Weight.W.Len()),
+				gb:    scratch(t.Bias.W.Len()),
 				aFrac: aFrac, wFrac: wFrac, gFrac: gFrac,
 			})
 		case *nn.ReLU:
@@ -569,51 +611,81 @@ func quantize16(xs []float32, f fixed.Format) []int16 {
 	return out
 }
 
-// Forward quantizes a float CHW observation, runs the integer pipeline
-// caching per-layer state for Backward, and returns the dequantized
-// Q-values. The returned slice is reused by the next call.
+// grow16 reslices *buf to n words, reallocating only when it must grow.
+func grow16(buf *[]int16, n int) []int16 {
+	if cap(*buf) < n {
+		*buf = make([]int16, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// quantize encodes float activations into ActFmt words, round to nearest.
+func (tn *TrainNetwork) quantize(dst []int16, src []float32) {
+	for i, v := range src {
+		dst[i] = int16(tn.opts.ActFmt.FromFloat(float64(v)))
+	}
+}
+
+// dequantize decodes one ActFmt word.
+func (tn *TrainNetwork) dequantize(w int16) float32 {
+	return float32(tn.opts.ActFmt.ToFloat(fixed.Word(w)))
+}
+
+// quantizeGrad encodes one float output gradient into GradFmt
+// *stochastically* — so TD errors below the gradient format's half-LSB still
+// inject signal in expectation. Zero draws nothing from the rounding stream.
+func (tn *TrainNetwork) quantizeGrad(v float32) int16 {
+	if v == 0 {
+		return 0
+	}
+	return int16(tn.opts.GradFmt.FromFloatStochastic(float64(v), tn.sr))
+}
+
+// forwardLayers runs bsz stacked samples through layers [from, to), one
+// batched kernel per layer, caching per-layer state for backward.
+func (tn *TrainNetwork) forwardLayers(from, to int, x []int16, bsz int, shape [3]int) ([]int16, [3]int) {
+	for i := from; i < to; i++ {
+		x, shape = tn.layers[i].forwardBatch(x, bsz, shape, &tn.ws, i)
+	}
+	return x, shape
+}
+
+// backward backpropagates the stacked GradFmt output gradient of the rows
+// last run through forwardLayers down to the training boundary, accumulating
+// the integer gradient scratchpads.
+func (tn *TrainNetwork) backward(g []int16) {
+	for i := len(tn.layers) - 1; i >= tn.trainFrom; i-- {
+		g = tn.layers[i].backwardBatch(g, i > tn.trainFrom, &tn.ws, i)
+	}
+}
+
+// Forward quantizes a float CHW observation, runs the integer pipeline as a
+// batch of one caching per-layer state for Backward, and returns the
+// dequantized Q-values. The returned slice is reused by the next call.
 func (tn *TrainNetwork) Forward(data []float32, shape [3]int) []float32 {
-	if cap(tn.qin) < len(data) {
-		tn.qin = make([]int16, len(data))
-	}
-	tn.qin = tn.qin[:len(data)]
-	for i, v := range data {
-		tn.qin[i] = int16(tn.opts.ActFmt.FromFloat(float64(v)))
-	}
-	x, sh := tn.qin, shape
-	for _, l := range tn.layers {
-		x, sh = l.forward(x, sh)
-	}
+	qin := grow16(&tn.qin, len(data))
+	tn.quantize(qin, data)
+	x, _ := tn.forwardLayers(0, len(tn.layers), qin, 1, shape)
 	if cap(tn.outF) < len(x) {
 		tn.outF = make([]float32, len(x))
 	}
 	tn.outF = tn.outF[:len(x)]
 	for i, w := range x {
-		tn.outF[i] = float32(tn.opts.ActFmt.ToFloat(fixed.Word(w)))
+		tn.outF[i] = tn.dequantize(w)
 	}
 	return tn.outF
 }
 
-// Backward quantizes the float output gradient *stochastically* — so TD
-// errors below the gradient format's half-LSB still inject signal in
-// expectation — and backpropagates down to the training boundary,
-// accumulating the integer gradient scratchpads. Must follow a Forward call
-// on the same sample.
+// Backward quantizes the float output gradient stochastically and
+// backpropagates it down to the training boundary. Must follow a Forward
+// call on the same sample.
 func (tn *TrainNetwork) Backward(gradF []float32) {
-	if cap(tn.gq) < len(gradF) {
-		tn.gq = make([]int16, len(gradF))
-	}
-	g := tn.gq[:len(gradF)]
+	g := grow16(&tn.gq, len(gradF))
 	for i, v := range gradF {
-		if v != 0 {
-			g[i] = int16(tn.opts.GradFmt.FromFloatStochastic(float64(v), tn.sr))
-		} else {
-			g[i] = 0
-		}
+		g[i] = tn.quantizeGrad(v)
 	}
-	for i := len(tn.layers) - 1; i >= tn.trainFrom; i-- {
-		g = tn.layers[i].backward(g, i > tn.trainFrom)
-	}
+	tn.backward(g)
 }
 
 // Update clips the accumulated gradients to the given L-infinity limit
@@ -687,14 +759,16 @@ func layerWeights(l tLayer) (w, b []int16) {
 	return nil, nil
 }
 
-// CopyWeightsFrom copies every weight word from an identically-compiled
-// network — the target-sync primitive.
+// CopyWeightsFrom copies every trainable weight word from an
+// identically-compiled network — the target-sync primitive. Frozen layers
+// are skipped: a Clone shares their words with its source (see Clone), and
+// Update never writes them, so there is nothing to copy.
 func (tn *TrainNetwork) CopyWeightsFrom(src *TrainNetwork) {
-	if len(tn.layers) != len(src.layers) {
+	if len(tn.layers) != len(src.layers) || tn.trainFrom != src.trainFrom {
 		panic("qnn: CopyWeightsFrom across different architectures")
 	}
-	for i, l := range tn.layers {
-		w, b := layerWeights(l)
+	for i := tn.trainFrom; i < len(tn.layers); i++ {
+		w, b := layerWeights(tn.layers[i])
 		sw, sb := layerWeights(src.layers[i])
 		copy(w, sw)
 		copy(b, sb)
@@ -738,24 +812,35 @@ func dequantize16(dst []float32, src []int16, f fixed.Format) {
 	}
 }
 
-// Clone deep-copies the network's weights into a fresh instance sharing no
-// state — the bootstrap target construction. Gradient scratchpads and
-// caches start empty; the clone gets its own rounding stream.
+// Clone builds the bootstrap target: a fresh instance with its own copy of
+// every trainable weight word, its own gradient scratchpads, workspace and
+// rounding stream — and the *same* frozen-prefix weight slices as tn. The
+// sharing is safe because nothing ever writes a frozen word: Update and
+// CopyWeightsFrom start at the training boundary, which is fixed at compile
+// time. It makes "the online and target prefixes compute the same features"
+// a fact the batched TD step can rely on rather than a coincidence of two
+// copies never diverging.
 func (tn *TrainNetwork) Clone() *TrainNetwork {
 	out := &TrainNetwork{
 		opts:      tn.opts,
 		trainFrom: tn.trainFrom,
 		sr:        fixed.NewSR(tn.opts.Seed + 0x5DEECE66D),
 	}
-	for _, l := range tn.layers {
+	for i, l := range tn.layers {
+		words := func(ws []int16) []int16 {
+			if i < tn.trainFrom {
+				return ws
+			}
+			return append([]int16(nil), ws...)
+		}
 		switch t := l.(type) {
 		case *tConv:
 			out.layers = append(out.layers, &tConv{
 				layerName: t.layerName,
 				inC:       t.inC, outC: t.outC,
 				k: t.k, stride: t.stride, pad: t.pad,
-				w:     append([]int16(nil), t.w...),
-				b:     append([]int16(nil), t.b...),
+				w:     words(t.w),
+				b:     words(t.b),
 				gw:    make([]int64, len(t.gw)),
 				gb:    make([]int64, len(t.gb)),
 				aFrac: t.aFrac, wFrac: t.wFrac, gFrac: t.gFrac,
@@ -764,8 +849,8 @@ func (tn *TrainNetwork) Clone() *TrainNetwork {
 			out.layers = append(out.layers, &tDense{
 				layerName: t.layerName,
 				in:        t.in, out: t.out,
-				w:     append([]int16(nil), t.w...),
-				b:     append([]int16(nil), t.b...),
+				w:     words(t.w),
+				b:     words(t.b),
 				gw:    make([]int64, len(t.gw)),
 				gb:    make([]int64, len(t.gb)),
 				aFrac: t.aFrac, wFrac: t.wFrac, gFrac: t.gFrac,

@@ -2,6 +2,7 @@ package qnn
 
 import (
 	"fmt"
+	"slices"
 
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
@@ -36,8 +37,10 @@ type TrainBackend struct {
 	// gradClip mirrors the float path's default L-infinity clip.
 	gradClip float64
 
-	out  []float32
-	grad []float32
+	// stack is the quantized [States; live Nexts] input of one TD step and
+	// grad its stacked output-gradient words; both grow once.
+	stack []int16
+	grad  []int16
 }
 
 // NewTrainBackend compiles a float network into the fixed-point training
@@ -89,70 +92,127 @@ func (b *TrainBackend) Infer(obs *tensor.Tensor) []float32 {
 	return q
 }
 
-// Train implements nn.TrainableBackend: one minibatch TD(0) update run
-// sample by sample through the integer engine (the accelerator's serial
-// per-image dataflow, Fig. 3(b)) with one stochastically-rounded weight
-// update at the end. Returns the batch-mean squared TD error.
+// checkBatch validates every field of a TD minibatch before Train touches
+// any state, so a malformed batch leaves the gradient scratchpads, the
+// rounding stream and the ledger exactly as they were. It returns the
+// per-sample CHW shape.
+func (b *TrainBackend) checkBatch(batch nn.TrainBatch) [3]int {
+	n := len(batch.Actions)
+	if batch.States == nil || batch.States.Rank() != 4 {
+		panic(fmt.Sprintf("qnn: TrainBatch States must be NCHW, got %v", shapeOf(batch.States)))
+	}
+	sh := batch.States.Shape()
+	if sh[0] != n {
+		panic(fmt.Sprintf("qnn: TrainBatch States stacks %d rows for %d Actions", sh[0], n))
+	}
+	if nsh := shapeOf(batch.Nexts); !slices.Equal(nsh, sh) {
+		panic(fmt.Sprintf("qnn: TrainBatch Nexts shape %v differs from States %v", nsh, sh))
+	}
+	if len(batch.Rewards) != n {
+		panic(fmt.Sprintf("qnn: TrainBatch Rewards has %d entries for %d Actions", len(batch.Rewards), n))
+	}
+	if len(batch.Done) != n {
+		panic(fmt.Sprintf("qnn: TrainBatch Done has %d entries for %d Actions", len(batch.Done), n))
+	}
+	actions := b.online.OutDim()
+	for s, a := range batch.Actions {
+		if a < 0 || a >= actions {
+			panic(fmt.Sprintf("qnn: TrainBatch Actions[%d] = %d outside the %d-action output", s, a, actions))
+		}
+	}
+	return [3]int{sh[1], sh[2], sh[3]}
+}
+
+func shapeOf(t *tensor.Tensor) []int {
+	if t == nil {
+		return nil
+	}
+	return t.Shape()
+}
+
+// Train implements nn.TrainableBackend: one minibatch TD(0) update with one
+// batched kernel per layer. States and the live (non-terminal) Nexts are
+// quantized into a single stack and the frozen prefix runs over it *once* —
+// the online and target prefixes are the same words (TrainNetwork.Clone) —
+// then the target tail bootstraps from the next-rows, the online tail scores
+// the state-rows, the TD errors are rounded into gradient words in sample
+// order, and one batched backward and one stochastically-rounded Update
+// finish the step. The ledger still charges the accelerator's serial
+// per-image dataflow (Fig. 3(b)): one full weight stream per image per
+// forward pass, one trainable-weight re-read per image for backward.
+// Returns the batch-mean squared TD error.
 func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 	n := len(batch.Actions)
 	if n == 0 {
 		return 0
 	}
-	sh := batch.States.Shape()
-	if len(sh) != 4 {
-		panic(fmt.Sprintf("qnn: TrainBatch states must be NCHW, got %v", sh))
+	shape := b.checkBatch(batch)
+	chw := shape[0] * shape[1] * shape[2]
+	live := 0
+	for _, done := range batch.Done {
+		if !done {
+			live++
+		}
 	}
-	shape := [3]int{sh[1], sh[2], sh[3]}
-	chw := sh[1] * sh[2] * sh[3]
-	sd, nd := batch.States.Data(), batch.Nexts.Data()
-	actions := b.online.OutDim()
-	if cap(b.grad) < actions {
-		b.grad = make([]float32, actions)
+	on := b.online
+	stack := grow16(&b.stack, (n+live)*chw)
+	on.quantize(stack[:n*chw], batch.States.Data())
+	nd := batch.Nexts.Data()
+	for s, row := 0, n; s < n; s++ {
+		if !batch.Done[s] {
+			on.quantize(stack[row*chw:(row+1)*chw], nd[s*chw:(s+1)*chw])
+			row++
+		}
 	}
-	grad := b.grad[:actions]
 
-	full := b.online.WeightBits()
-	trainable := b.online.TrainableWeightBits()
-	var readBits int64
+	last := len(on.layers)
+	feat, fshape := on.forwardLayers(0, on.trainFrom, stack, n+live, shape)
+	flen := len(feat) / (n + live)
+	var qn []int16
+	if live > 0 {
+		qn, _ = b.target.forwardLayers(on.trainFrom, last, feat[n*flen:], live, fshape)
+	}
+	q, _ := on.forwardLayers(on.trainFrom, last, feat[:n*flen], n, fshape)
+
+	actions := len(q) / n
+	grad := grow16(&b.grad, n*actions)
+	clear(grad)
 	var mse float64
-	for s := 0; s < n; s++ {
+	for s, row := 0, 0; s < n; s++ {
 		target := batch.Rewards[s]
 		if !batch.Done[s] {
-			qn := b.target.Forward(nd[s*chw:(s+1)*chw], shape)
-			best := qn[0]
-			for _, v := range qn[1:] {
-				if v > best {
-					best = v
-				}
-			}
-			target += batch.Gamma * float64(best)
-			readBits += full
+			// Dequantization is monotone: the best word is the best Q-value.
+			best := slices.Max(qn[row*actions : (row+1)*actions])
+			row++
+			// The explicit conversions keep a fusing compiler (arm64) from
+			// contracting these into FMAs: the step must round the same
+			// way on every architecture.
+			target += float64(batch.Gamma * float64(on.dequantize(best)))
 		}
-		q := b.online.Forward(sd[s*chw:(s+1)*chw], shape)
-		readBits += full
-		td := float64(q[batch.Actions[s]]) - target
-		mse += td * td
-		for i := range grad {
-			grad[i] = 0
-		}
-		grad[batch.Actions[s]] = float32(td)
-		b.online.Backward(grad)
-		readBits += trainable
+		a := batch.Actions[s]
+		td := float64(on.dequantize(q[s*actions+a])) - target
+		mse += float64(td * td)
+		grad[s*actions+a] = on.quantizeGrad(float32(td))
 	}
-	b.charge(mem.Read, readBits)
-	b.online.Update(batch.LR, n, b.gradClip)
+	on.backward(grad)
+
+	full, trainable := on.WeightBits(), on.TrainableWeightBits()
+	b.charge(mem.Read, int64(n+live)*full+int64(n)*trainable)
+	on.Update(batch.LR, n, b.gradClip)
 	// The weight update is the paper's expensive direction: every trainable
 	// word rewritten at Table 1 STT-MRAM write cost.
 	b.charge(mem.Write, trainable)
 	b.steps++
-	if err := b.online.WriteBack(b.float); err != nil {
+	if err := on.WriteBack(b.float); err != nil {
 		panic("qnn: TrainBackend write-back failed: " + err.Error())
 	}
 	return mse / float64(n)
 }
 
 // SyncTarget implements nn.TrainableBackend: the online weight words are
-// copied into the target store, charged as a full-store write.
+// copied into the target store, charged as a full-store write — the
+// hardware model's target is a whole second image in the stack, even though
+// the host copy only moves the trainable words (the frozen ones are shared).
 func (b *TrainBackend) SyncTarget() {
 	b.target.CopyWeightsFrom(b.online)
 	b.charge(mem.Write, b.target.WeightBits())

@@ -1,6 +1,6 @@
 package tensor
 
-// Int16 GEMM kernels for the quantized training path.
+// Int16 GEMM kernels for the quantized training and batched inference paths.
 //
 // Accumulation contract — deliberately different from the inference kernels
 // in internal/fixed: products are widened to int32 and summed with
@@ -11,14 +11,20 @@ package tensor
 // bit-identical to the scalar left-to-right loop — the property the
 // unconditional asm-vs-scalar identity tests assert. Per-step saturating
 // accumulation (fixed.MAC) has no such reordering freedom, which is why the
-// inference path cannot be vectorized this way and the training layers use
-// these kernels instead.
+// serial inference path (qnn.go) cannot be vectorized this way; the training
+// layers and the batched inference path use these kernels instead.
 //
-// The range discipline callers must uphold: with Q7.8 activations and Q2.13
-// weights every product is < 2^30, so a row needs ~2^2 terms to overflow in
-// the worst case but > 2^17 terms under the trained-weight magnitudes the
-// qnn package bounds; the training layers keep rows well under that and the
-// tolerance-banded convergence tests cover the claim end to end.
+// The range discipline callers must uphold: the wrapped int32 equals the
+// true sum exactly when the true sum fits int32 (intermediate wraps cancel).
+// With Q7.8 activations and Q2.13 weights every product is < 2^30, so a row
+// needs ~2^2 terms to overflow in the worst case but > 2^17 terms under the
+// trained-weight magnitudes the qnn package bounds. Every forward reduction
+// of the quantized engines now runs under this contract — Dense and, since
+// the training engine's convolution moved from a scalar int64 loop onto
+// MatMul16T, Conv too, in training as in batched inference — and qnn states
+// the precondition as a test rather than a comment:
+// TestTrainAccumulatorHeadroom measures the true 64-bit sums of every layer
+// on real frames and holds them 8 bits under the int32 horizon.
 
 // Dot16 returns the dot product of a and b widened to int32 with
 // wrap-around accumulation. b must be at least as long as a; extra elements
