@@ -17,7 +17,9 @@
 // automatically — delete the file to start over — and new checkpoints are
 // written there atomically; each save is charged to the energy ledger as an
 // STT-MRAM write. SIGINT/SIGTERM stops the run; with -checkpoint the next
-// invocation resumes it.
+// invocation resumes it. The exit line and the stats JSON after it break the
+// sessions the learner had to drop down by cause (DropReasons: timeout,
+// truncated, corrupt, rejected experience).
 package main
 
 import (
@@ -124,9 +126,9 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("dronerl-learner: done in %v; env=%d train=%d publishes=%d checkpoints=%d "+
-		"connects=%d resumes=%d disconnects=%d sfd=%.2f checkpoint_energy=%.3fmJ\n",
+		"connects=%d resumes=%d disconnects=%d drops=%+v sfd=%.2f checkpoint_energy=%.3fmJ\n",
 		time.Since(start).Round(time.Millisecond), st.EnvSteps, st.TrainSteps, st.Publishes,
-		st.Checkpoints, st.Connects, st.Resumes, st.Disconnects,
+		st.Checkpoints, st.Connects, st.Resumes, st.Disconnects, st.DropReasons,
 		tracker.SafeFlightDistance(), ledger.TotalEnergyPJ()/1e9)
 	if err := json.NewEncoder(os.Stdout).Encode(st); err != nil {
 		fmt.Fprintln(os.Stderr, "dronerl-learner:", err)

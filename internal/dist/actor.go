@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"dronerl/internal/env"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
+	"dronerl/internal/tensor"
 )
 
 // ActorConfig assembles a remote actor. Spec, World and Steps are required;
@@ -124,12 +126,14 @@ func (s *session) kill() {
 	})
 }
 
-// pendingPolicy is the newest policy snapshot received and not yet
-// installed.
+// pendingPolicy is the policy received and not yet installed: full is a
+// full-weight snapshot (a reconnect's handshake policy), tail the newest
+// trainable-region publish that followed it. Adoption installs full, then
+// tail. A publish replaces tail but never drops a staged full: while one
+// waits, the actor's frozen prefix is not known to be the learner's, and
+// maybeFlush withholds boundary features.
 type pendingPolicy struct {
-	snap    *nn.Snapshot
-	version uint64
-	full    bool
+	full, tail *nn.Snapshot
 }
 
 // actor is the running state of RunActor.
@@ -150,6 +154,13 @@ type actor struct {
 
 	sess    atomic.Pointer[session]
 	pending atomic.Pointer[pendingPolicy]
+	// learnerDone flips when the learner announces its run complete (a bye
+	// from its side): there is nothing left to reconnect to, deliver to or
+	// say goodbye to.
+	learnerDone atomic.Bool
+	// byeMu is held by sendBye from before the bye is written until the
+	// reconnect loop has been told to stop.
+	byeMu sync.Mutex
 	// globalEnv estimates the fleet-wide env-step count: seeded by the
 	// welcome, bumped per local step, re-based by learner heartbeats. It
 	// only drives the epsilon schedule, so "roughly synchronized" is
@@ -157,10 +168,12 @@ type actor struct {
 	globalEnv atomic.Int64
 
 	// ring is the local experience buffer; single-goroutine (the stepping
-	// loop), so unlocked.
+	// loop), so unlocked. frame is that goroutine's reusable outgoing frame:
+	// every flush and heartbeat is encoded, sealed and written from it.
 	ring     []Experience
 	ringHead int
 	dropped  int
+	frame    []byte
 
 	connects  atomic.Int64
 	lastWrite time.Time
@@ -178,7 +191,12 @@ func RunActor(ctx context.Context, cfg ActorConfig) (ActorStats, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return ActorStats{}, err
 	}
-	a := &actor{
+	return newActor(cfg).run(ctx)
+}
+
+// newActor builds the running state for a config that has its defaults.
+func newActor(cfg ActorConfig) *actor {
+	return &actor{
 		cfg:        cfg,
 		net:        cfg.Spec.Build(),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
@@ -186,7 +204,10 @@ func RunActor(ctx context.Context, cfg ActorConfig) (ActorStats, error) {
 		ring:       make([]Experience, 0, cfg.BufferCap),
 		id:         cfg.ActorID,
 	}
+}
 
+// run is RunActor on a built actor; tests build their own to watch its state.
+func (a *actor) run(ctx context.Context) (ActorStats, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -195,8 +216,11 @@ func RunActor(ctx context.Context, cfg ActorConfig) (ActorStats, error) {
 		return a.snapshotStats(), err
 	}
 	// From here on, reconnects run in the background while the actor keeps
-	// flying; reconnectLoop exits when runCtx cancels.
-	go a.reconnectLoop(runCtx)
+	// flying; reconnectLoop exits when its context cancels — with the run,
+	// or as soon as the bye is on the wire.
+	reconnCtx, stopReconnect := context.WithCancel(runCtx)
+	defer stopReconnect()
+	go a.reconnectLoop(reconnCtx)
 
 	err := a.fly(runCtx)
 	if err == nil {
@@ -208,7 +232,7 @@ func RunActor(ctx context.Context, cfg ActorConfig) (ActorStats, error) {
 	// for the restart, and the learner's idle timeout covers the case where
 	// no restart ever comes.
 	if err == nil {
-		a.sendBye(runCtx)
+		a.sendBye(runCtx, stopReconnect)
 	}
 	cancel()
 	if s := a.sess.Load(); s != nil {
@@ -228,35 +252,59 @@ func (a *actor) snapshotStats() ActorStats {
 
 // fly is the stepping loop: epsilon-greedy action on the local policy,
 // world step, ring push, opportunistic flush, episode-boundary adoption.
+// Under a transfer topology the forward splits at the training boundary like
+// rl.OnlineLoop.runExact: the frozen prefix runs once per captured frame —
+// right after the step that produced it, exploration steps included — and
+// its activation serves three times: the greedy action's tail pass, this
+// transition's NextFeat, the next transition's Feat. This drone is the only
+// place the prefix of its frames is ever evaluated.
 func (a *actor) fly(ctx context.Context) error {
 	w := a.cfg.World
+	boundary, last := a.net.TrainFrom(), len(a.net.Layers)
+	prefix := func(obs *tensor.Tensor) *tensor.Tensor {
+		if boundary == 0 {
+			return nil
+		}
+		return a.net.ForwardRange(0, boundary, obs.Clone())
+	}
 	obs := env.DepthImage(w.Depths(), w.Camera.MaxRange)
+	feat := prefix(obs)
 	for k := 0; k < a.cfg.Steps; k++ {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		t := a.globalEnv.Add(1)
 		var action int
-		if a.rng.Float64() < a.schedule.EpsilonAt(t) {
+		switch {
+		case a.rng.Float64() < a.schedule.EpsilonAt(t):
 			action = a.rng.Intn(a.actions())
-		} else {
+		case feat != nil:
+			action = a.net.ForwardRange(boundary, last, feat).ArgMax()
+		default:
 			action = a.net.Forward(obs.Clone()).ArgMax()
 		}
 		res := w.Step(env.Action(action))
 		next := env.DepthImage(res.Depths, w.Camera.MaxRange)
+		nextFeat := prefix(next)
 		a.push(Experience{
 			T: rl.Transition{
 				State: obs, Action: action, Reward: res.Reward,
 				Next: next, Done: res.Crashed,
+				Feat: feat, NextFeat: nextFeat,
 			},
 			Dist: res.FlightDistance,
 		})
 		a.stats.Steps++
 		a.maybeFlush(false)
-		if res.Crashed {
-			a.adoptPending()
+		if res.Crashed && a.adoptPending() {
+			// A full snapshot replaced the prefix: what the old one computed
+			// is void, in the backlog and for the frame in hand.
+			for i := a.ringHead; i < len(a.ring); i++ {
+				a.ring[i].T.Feat, a.ring[i].T.NextFeat = nil, nil
+			}
+			nextFeat = prefix(next)
 		}
-		obs = next
+		obs, feat = next, nextFeat
 	}
 	return nil
 }
@@ -297,13 +345,8 @@ func (a *actor) maybeFlush(force bool) {
 	backlog := len(a.ring) - a.ringHead
 	if backlog < a.cfg.FlushEvery && !force {
 		if backlog == 0 && time.Since(a.lastWrite) > a.cfg.HeartbeatEvery {
-			var hb [8]byte
-			putUint64(hb[:], uint64(a.globalEnv.Load()))
-			if err := writeFrame(s.conn, frameHeartbeat, hb[:]); err != nil {
-				s.kill()
-				return
-			}
-			a.lastWrite = time.Now()
+			a.frame = binary.BigEndian.AppendUint64(beginFrame(a.frame, frameHeartbeat), uint64(a.globalEnv.Load()))
+			a.send(s)
 		}
 		return
 	}
@@ -316,7 +359,9 @@ func (a *actor) maybeFlush(force bool) {
 		if n > a.cfg.FlushEvery {
 			n = a.cfg.FlushEvery
 		}
-		payload, err := encodeExperience(a.ring[a.ringHead : a.ringHead+n])
+		var err error
+		a.frame, err = appendExperience(beginFrame(a.frame, frameTransitions),
+			a.ring[a.ringHead:a.ringHead+n], a.prefixTrusted())
 		if err != nil {
 			// Unencodable experience is a programming error on this side;
 			// drop the batch rather than wedge the ring forever.
@@ -324,31 +369,60 @@ func (a *actor) maybeFlush(force bool) {
 			a.dropped += n
 			continue
 		}
-		if err := writeFrame(s.conn, frameTransitions, payload); err != nil {
-			s.kill()
+		if !a.send(s) {
 			return
 		}
 		a.ringHead += n
 		a.stats.Sent += n
-		a.lastWrite = time.Now()
 	}
 }
 
-// adoptPending installs the newest received policy, if any.
-func (a *actor) adoptPending() {
+// prefixTrusted reports whether boundary features may go out: not while a
+// reconnect's full snapshot waits for adoption. Until it is installed this
+// actor's prefix may not be the one the learner holds, so the learner gets
+// frames only and recomputes.
+func (a *actor) prefixTrusted() bool {
+	p := a.pending.Load()
+	return p == nil || p.full == nil
+}
+
+// send seals the frame begun in a.frame and writes it to the session,
+// killing the session when that fails.
+func (a *actor) send(s *session) bool {
+	var err error
+	if a.frame, err = endFrame(a.frame); err == nil {
+		_, err = s.conn.Write(a.frame)
+	}
+	if err != nil {
+		s.kill()
+		return false
+	}
+	a.lastWrite = time.Now()
+	return true
+}
+
+// adoptPending installs the staged policy, if any, and reports whether a
+// full snapshot went in — the only adoption that can change the frozen
+// prefix. A full snapshot that fails to install stays staged (features stay
+// withheld) unless a newer policy arrived meanwhile.
+func (a *actor) adoptPending() (prefixReplaced bool) {
 	p := a.pending.Swap(nil)
 	if p == nil {
-		return
+		return false
 	}
-	var err error
-	if p.full {
-		err = p.snap.Restore(a.net)
-	} else {
-		err = installTrainable(a.net, p.snap)
+	if p.full != nil {
+		if err := p.full.Restore(a.net); err != nil {
+			a.pending.CompareAndSwap(nil, p)
+			return false
+		}
 	}
-	if err == nil {
-		a.stats.Adoptions++
+	if p.tail != nil {
+		if err := installTrainable(a.net, p.tail); err != nil {
+			return p.full != nil
+		}
 	}
+	a.stats.Adoptions++
+	return p.full != nil
 }
 
 // drain delivers the final backlog: keep flushing (and waiting for
@@ -360,7 +434,7 @@ func (a *actor) drain(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if time.Now().After(deadline) {
+		if time.Now().After(deadline) || a.learnerDone.Load() {
 			return nil // undelivered tail reported in stats
 		}
 		a.maybeFlush(true)
@@ -374,11 +448,22 @@ func (a *actor) drain(ctx context.Context) error {
 // sendBye announces a clean departure, retrying briefly across reconnects:
 // the bye is what lets the learner finish without waiting for experience
 // that will never come, so it is worth a short wait for a live session.
-func (a *actor) sendBye(ctx context.Context) {
+func (a *actor) sendBye(ctx context.Context, stopReconnect func()) {
 	deadline := time.Now().Add(time.Second)
 	for {
 		if s := a.sess.Load(); s != nil {
-			if writeFrame(s.conn, frameBye, nil) == nil {
+			// The learner answers a bye by closing the session. That is the
+			// departure completing, not a link to re-establish: a redial
+			// would sign the departed actor back in. byeMu makes the write
+			// and the stop one step as the reconnect loop sees them — the
+			// learner can close faster than this goroutine gets to run again.
+			a.byeMu.Lock()
+			err := writeFrame(s.conn, frameBye, nil)
+			if err == nil {
+				stopReconnect()
+			}
+			a.byeMu.Unlock()
+			if err == nil {
 				// Let the learner close first. Slamming our side shut with
 				// unread learner heartbeats still in the receive buffer turns
 				// the close into a TCP reset, which can destroy the bye (and
@@ -397,7 +482,7 @@ func (a *actor) sendBye(ctx context.Context) {
 			}
 			s.kill()
 		}
-		if ctx.Err() != nil || time.Now().After(deadline) {
+		if ctx.Err() != nil || time.Now().After(deadline) || a.learnerDone.Load() {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -445,7 +530,7 @@ func (a *actor) reconnectLoop(ctx context.Context) {
 	for {
 		s := a.sess.Load()
 		if s == nil {
-			if ctx.Err() != nil {
+			if ctx.Err() != nil || a.learnerDone.Load() {
 				return
 			}
 			if err := a.connect(ctx); err != nil {
@@ -457,7 +542,11 @@ func (a *actor) reconnectLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-s.dead:
+			// Wait out a bye in flight: if this session died of one, ctx is
+			// cancelled by the time the lock is free.
+			a.byeMu.Lock()
 			a.sess.CompareAndSwap(s, nil)
+			a.byeMu.Unlock()
 		}
 	}
 }
@@ -497,7 +586,7 @@ func (a *actor) dialOnce(ctx context.Context) error {
 	if err != nil || typ != frameWelcome {
 		conn.Close()
 		switch {
-		case errors.Is(err, io.EOF):
+		case err == io.EOF:
 			// A clean close right after our hello is the learner refusing
 			// it; connect gives up after a few of these in a row.
 			err = fmt.Errorf("%w: connection closed after hello", errRefused)
@@ -549,9 +638,9 @@ func (a *actor) dialOnce(ctx context.Context) error {
 			return err
 		}
 	} else {
-		// Reconnect mid-flight: stage the fresh policy like any other
-		// publish, to be installed at the next episode boundary.
-		a.pending.Store(&pendingPolicy{snap: snap, version: 0, full: true})
+		// Reconnect mid-flight: stage the fresh policy, superseding anything
+		// older, to be installed at the next episode boundary.
+		a.pending.Store(&pendingPolicy{full: snap})
 		if welcome.EnvSteps > a.globalEnv.Load() {
 			a.globalEnv.Store(welcome.EnvSteps)
 		}
@@ -593,10 +682,27 @@ func (a *actor) readLoop(s *session) {
 			if err != nil {
 				return // truncated/corrupt policy: the conn lost sync, drop it
 			}
-			if version >= lastVersion {
-				lastVersion = version
-				a.pending.Store(&pendingPolicy{snap: snap, version: version, full: full})
+			if version < lastVersion {
+				continue
 			}
+			lastVersion = version
+			if full {
+				a.pending.Store(&pendingPolicy{full: snap})
+				continue
+			}
+			for {
+				prev := a.pending.Load()
+				next := &pendingPolicy{tail: snap}
+				if prev != nil {
+					next.full = prev.full
+				}
+				if a.pending.CompareAndSwap(prev, next) {
+					break
+				}
+			}
+		case frameBye:
+			a.learnerDone.Store(true)
+			return
 		default:
 			return // the learner has no business sending anything else
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
@@ -83,9 +84,13 @@ func decodeSnapshotFrame(payload []byte) (s *nn.Snapshot, version uint64, full b
 }
 
 // Experience is one environment step as it travels the wire: the replay
-// transition plus the flight distance the learner's tracker wants. Boundary
-// features are never sent — the learner's TrainStep recomputes missing
-// features bit-identically, so the wire stays compact.
+// transition plus the flight distance the learner's tracker wants. Under a
+// transfer topology T.Feat and T.NextFeat carry the frozen prefix's boundary
+// activations of the two frames, computed once on the actor that captured
+// them, so the learner's TrainStep runs the trainable FC tail only. The
+// frames travel too: an E2E learner trains on them, and a transition whose
+// features were withheld falls back to the learner's own prefix pass, which
+// is bit-identical.
 type Experience struct {
 	T    rl.Transition
 	Dist float64
@@ -93,88 +98,128 @@ type Experience struct {
 
 // Transition batch encoding, little-endian:
 //
-//	u16 count | u8 ndims | u32 dim... (shared observation shape)
+//	u16 count | u8 ndims | u32 dim... (shared observation shape) |
+//	u32 width (shared boundary-feature length, 0 when no row carries one)
 //	per transition:
-//	  u8 flags (bit0 done, bit1 has-next) | u16 action | f64 reward |
-//	  f64 flight-distance | f32*n state | [f32*n next]
+//	  u8 flags (bit0 done, bit1 has-next, bit2 has-feat, bit3 has-next-feat) |
+//	  u16 action | f64 reward | f64 flight-distance |
+//	  f32*n state | [f32*n next] | [f32*width feat] | [f32*width next-feat]
 //
-// The shape header is shared because one actor's camera never changes shape
-// mid-run; integrity is the enclosing frame's CRC.
+// The shape and width are shared because one actor's camera and training
+// boundary never change mid-run; integrity is the enclosing frame's CRC. At
+// L3 on NavNet a transition is 8 KB of frames plus 1 KB of features.
 const (
-	expFlagDone    = 1 << 0
-	expFlagHasNext = 1 << 1
+	expFlagDone = 1 << iota
+	expFlagHasNext
+	expFlagHasFeat
+	expFlagHasNextFeat
+	expFlagsKnown = expFlagHasNextFeat<<1 - 1
 )
 
-// encodeExperience packs a batch into a frameTransitions payload.
-func encodeExperience(batch []Experience) ([]byte, error) {
+// expFixedLen is the fixed part of one encoded transition: flags, action,
+// reward, flight distance.
+const expFixedLen = 1 + 2 + 8 + 8
+
+// appendExperience appends a batch as a frameTransitions payload. With
+// features false the boundary features stay behind and only the frames go
+// out. On error dst is returned as it came.
+func appendExperience(dst []byte, batch []Experience, features bool) ([]byte, error) {
 	if len(batch) == 0 || len(batch) > math.MaxUint16 {
-		return nil, fmt.Errorf("dist: experience batch of %d (want 1..%d)", len(batch), math.MaxUint16)
+		return dst, fmt.Errorf("dist: experience batch of %d (want 1..%d)", len(batch), math.MaxUint16)
+	}
+	// sent picks the feature rows of one transition that travel.
+	sent := func(t *rl.Transition) [2]*tensor.Tensor {
+		if !features {
+			return [2]*tensor.Tensor{}
+		}
+		return [2]*tensor.Tensor{t.Feat, t.NextFeat}
 	}
 	shape := batch[0].T.State.Shape()
 	n := batch[0].T.State.Len()
-	size := 2 + 1 + 4*len(shape)
-	for _, e := range batch {
-		size += 1 + 2 + 8 + 8 + 4*n
-		if e.T.Next != nil {
+	width := 0
+	size := 2 + 1 + 4*len(shape) + 4
+	for i := range batch {
+		t := &batch[i].T
+		if t.State.Len() != n || (t.Next != nil && t.Next.Len() != n) {
+			return dst, fmt.Errorf("dist: experience batch mixes observation shapes")
+		}
+		if t.Next == nil && !t.Done {
+			return dst, fmt.Errorf("dist: experience has nil Next but Done is false")
+		}
+		if t.Action < 0 || t.Action > math.MaxUint16 {
+			return dst, fmt.Errorf("dist: action %d out of wire range", t.Action)
+		}
+		size += expFixedLen + 4*n
+		if t.Next != nil {
 			size += 4 * n
 		}
+		for _, f := range sent(t) {
+			if f == nil {
+				continue
+			}
+			if width == 0 {
+				width = f.Len()
+			}
+			if f.Len() != width || width == 0 {
+				return dst, fmt.Errorf("dist: experience batch has boundary features of mixed or zero width")
+			}
+			size += 4 * width
+		}
 	}
-	out := make([]byte, 0, size)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint16(scratch[:2], uint16(len(batch)))
-	out = append(out, scratch[:2]...)
+	out := slices.Grow(dst, size)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(batch)))
 	out = append(out, byte(len(shape)))
 	for _, d := range shape {
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(d))
-		out = append(out, scratch[:4]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(d))
 	}
-	for _, e := range batch {
-		if e.T.State.Len() != n {
-			return nil, fmt.Errorf("dist: experience batch mixes observation shapes")
-		}
+	out = binary.LittleEndian.AppendUint32(out, uint32(width))
+	for i := range batch {
+		e := &batch[i]
+		feats := sent(&e.T)
 		var flags byte
 		if e.T.Done {
 			flags |= expFlagDone
 		}
 		if e.T.Next != nil {
 			flags |= expFlagHasNext
-			if e.T.Next.Len() != n {
-				return nil, fmt.Errorf("dist: experience batch mixes observation shapes")
-			}
-		} else if !e.T.Done {
-			return nil, fmt.Errorf("dist: experience has nil Next but Done is false")
 		}
-		if e.T.Action < 0 || e.T.Action > math.MaxUint16 {
-			return nil, fmt.Errorf("dist: action %d out of wire range", e.T.Action)
+		if feats[0] != nil {
+			flags |= expFlagHasFeat
+		}
+		if feats[1] != nil {
+			flags |= expFlagHasNextFeat
 		}
 		out = append(out, flags)
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(e.T.Action))
-		out = append(out, scratch[:2]...)
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(e.T.Reward))
-		out = append(out, scratch[:]...)
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(e.Dist))
-		out = append(out, scratch[:]...)
-		out = appendF32(out, e.T.State.Data())
-		if e.T.Next != nil {
-			out = appendF32(out, e.T.Next.Data())
+		out = binary.LittleEndian.AppendUint16(out, uint16(e.T.Action))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(e.T.Reward))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(e.Dist))
+		for _, row := range [4]*tensor.Tensor{e.T.State, e.T.Next, feats[0], feats[1]} {
+			if row != nil {
+				out = appendF32(out, row.Data())
+			}
 		}
 	}
 	return out, nil
 }
 
+// appendF32 appends src as little-endian f32 words: one grow, then a store
+// per word into the reserved tail.
 func appendF32(dst []byte, src []float32) []byte {
-	var b [4]byte
-	for _, v := range src {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		dst = append(dst, b[:]...)
+	at := len(dst)
+	dst = slices.Grow(dst, 4*len(src))[:at+4*len(src)]
+	tail := dst[at:]
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(tail[4*i:], math.Float32bits(v))
 	}
 	return dst
 }
 
 // decodeExperience unpacks a frameTransitions payload. Every structural
-// inconsistency — short payload, absurd shape, trailing garbage — reports
-// ErrFrameCorrupt; the frame CRC already caught bit flips, so a failure
-// here means the peer speaks a different dialect.
+// inconsistency — short payload, absurd shape, a feature flag under a zero
+// width, trailing garbage — reports ErrFrameCorrupt; the frame CRC already
+// caught bit flips, so a failure here means the peer speaks a different
+// dialect. Whether the shapes fit the served network is the learner's check,
+// not the codec's.
 func decodeExperience(payload []byte) ([]Experience, error) {
 	p := payload
 	take := func(n int) ([]byte, error) {
@@ -206,33 +251,61 @@ func decodeExperience(payload []byte) ([]Experience, error) {
 		}
 		shape[i] = d
 		n *= d
+		if n > 1<<24 {
+			return nil, fmt.Errorf("%w: experience observation of %d values", ErrFrameCorrupt, n)
+		}
 	}
-	if n > 1<<24 {
-		return nil, fmt.Errorf("%w: experience observation of %d values", ErrFrameCorrupt, n)
+	if b, err = take(4); err != nil {
+		return nil, err
+	}
+	width := int(binary.LittleEndian.Uint32(b))
+	if width > 1<<24 {
+		return nil, fmt.Errorf("%w: experience boundary feature of %d values", ErrFrameCorrupt, width)
+	}
+	featShape := []int{width}
+	// row reads one f32 row of n values, nil when it is absent.
+	row := func(present bool, n int, shape []int) (*tensor.Tensor, error) {
+		if !present {
+			return nil, nil
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("%w: experience flags a boundary feature under width 0", ErrFrameCorrupt)
+		}
+		b, err := take(4 * n)
+		if err != nil {
+			return nil, err
+		}
+		return tensorFromBytes(b, shape), nil
 	}
 	out := make([]Experience, 0, count)
 	for i := 0; i < count; i++ {
-		if b, err = take(1 + 2 + 8 + 8); err != nil {
+		if b, err = take(expFixedLen); err != nil {
 			return nil, err
 		}
 		flags := b[0]
+		if flags&^expFlagsKnown != 0 {
+			return nil, fmt.Errorf("%w: experience flags %#x", ErrFrameCorrupt, flags)
+		}
 		e := Experience{T: rl.Transition{
 			Action: int(binary.LittleEndian.Uint16(b[1:3])),
 			Reward: math.Float64frombits(binary.LittleEndian.Uint64(b[3:11])),
 			Done:   flags&expFlagDone != 0,
 		}}
 		e.Dist = math.Float64frombits(binary.LittleEndian.Uint64(b[11:19]))
-		if b, err = take(4 * n); err != nil {
+		if flags&expFlagHasNext == 0 && !e.T.Done {
+			return nil, fmt.Errorf("%w: live experience without next state", ErrFrameCorrupt)
+		}
+		if e.T.State, err = row(true, n, shape); err != nil {
 			return nil, err
 		}
-		e.T.State = tensorFromBytes(b, shape)
-		if flags&expFlagHasNext != 0 {
-			if b, err = take(4 * n); err != nil {
-				return nil, err
-			}
-			e.T.Next = tensorFromBytes(b, shape)
-		} else if !e.T.Done {
-			return nil, fmt.Errorf("%w: live experience without next state", ErrFrameCorrupt)
+		if e.T.Next, err = row(flags&expFlagHasNext != 0, n, shape); err != nil {
+			return nil, err
+		}
+		if e.T.Feat, err = row(flags&expFlagHasFeat != 0, width, featShape); err != nil {
+			return nil, err
+		}
+		if e.T.NextFeat, err = row(flags&expFlagHasNextFeat != 0, width, featShape); err != nil {
+			return nil, err
 		}
 		out = append(out, e)
 	}

@@ -62,19 +62,31 @@ func FuzzExperienceDecode(f *testing.F) {
 		state.Data()[i] = float32(i)
 		next.Data()[i] = float32(i) * 0.5
 	}
-	valid, err := encodeExperience([]Experience{
-		{T: rl.Transition{State: state, Action: 1, Reward: 0.25, Next: next}, Dist: 3.5},
-		{T: rl.Transition{State: state, Action: 0, Reward: -1, Done: true}, Dist: 0.5},
-	})
+	feat := tensor.FromSlice([]float32{0.5, -0.5, 2}, 3)
+	batch := []Experience{
+		{T: rl.Transition{State: state, Action: 1, Reward: 0.25, Next: next, Feat: feat, NextFeat: feat}, Dist: 3.5},
+		{T: rl.Transition{State: state, Action: 0, Reward: -1, Done: true, Feat: feat}, Dist: 0.5},
+	}
+	// v2 seeds: the same batch with its boundary features and stripped to
+	// frames, so the mutator starts on both sides of every feature flag.
+	valid, err := appendExperience(nil, batch, true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	frames, err := appendExperience(nil, batch, false)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	f.Add(frames)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{0, 0, 0})
 	truncCount := append([]byte(nil), valid...)
 	truncCount[0] = 0xff // count promises far more transitions than exist
 	f.Add(truncCount)
+	zeroWidth := append([]byte(nil), valid...)
+	copy(zeroWidth[2+1+3*4:], []byte{0, 0, 0, 0}) // feature flags under width 0
+	f.Add(zeroWidth)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		batch, err := decodeExperience(payload)
@@ -84,7 +96,7 @@ func FuzzExperienceDecode(f *testing.F) {
 			}
 			return
 		}
-		if _, err := encodeExperience(batch); err != nil {
+		if _, err := appendExperience(nil, batch, true); err != nil {
 			t.Fatalf("decoded batch failed to re-encode: %v", err)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -319,9 +320,12 @@ func TestDistLearnerCrashResume(t *testing.T) {
 
 // TestDistChaosLinks runs the fleet over links that randomly die mid-frame
 // and delay every operation. The run must keep making progress through the
-// reconnect storm and never corrupt a transition (a corrupt frame entering
-// a shard would panic TrainStep on malformed shapes; the CRC + structural
-// checks drop the connection instead).
+// reconnect storm and never corrupt a transition (the CRC, the structural
+// checks and the learner's validation drop the connection instead). Every
+// reconnect stages a full snapshot, so the storm is also where the feature
+// safety rule earns its keep: a tap on each actor's link asserts that what
+// leaves between a reconnect and the adoption of its snapshot is frames
+// only, and that features flow otherwise.
 func TestDistChaosLinks(t *testing.T) {
 	f := newFleet(t, 91, nn.L3)
 
@@ -368,13 +372,28 @@ func TestDistChaosLinks(t *testing.T) {
 		err error
 	}
 	outs := make(chan actorOut, 2)
+	var withheld, shipped atomic.Int64
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			cfg := f.actorConfig(93+int64(i), 150)
 			cfg.HeartbeatTimeout = 500 * time.Millisecond
 			cfg.DrainTimeout = 2 * time.Second
-			cfg.Dial = chaos.Dialer("tcp", f.addr, faults)
-			st, err := RunActor(ctx, cfg)
+			var a *actor
+			dial := chaos.Dialer("tcp", f.addr, faults)
+			cfg.Dial = func(ctx context.Context) (net.Conn, error) {
+				conn, err := dial(ctx)
+				if err != nil {
+					return nil, err
+				}
+				return &featureTap{Conn: conn, t: t, trusted: func() bool { return a.prefixTrusted() },
+					withheld: &withheld, shipped: &shipped}, nil
+			}
+			if err := cfg.withDefaults(); err != nil {
+				outs <- actorOut{err: err}
+				return
+			}
+			a = newActor(cfg)
+			st, err := a.run(ctx)
 			outs <- actorOut{st, err}
 		}(i)
 	}
@@ -392,6 +411,10 @@ func TestDistChaosLinks(t *testing.T) {
 	}
 	if reconnects <= 2 {
 		t.Errorf("fleet connected %d times total; chaos should force reconnects", reconnects)
+	}
+	if withheld.Load() == 0 || shipped.Load() == 0 {
+		t.Errorf("%d transitions left without features awaiting an adoption, %d left with them; want both",
+			withheld.Load(), shipped.Load())
 	}
 
 	lcancel()

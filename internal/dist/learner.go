@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"dronerl/internal/metrics"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
+	"dronerl/internal/tensor"
 )
 
 // LearnerConfig assembles a Learner. Agent, Spec and Listener are required;
@@ -121,6 +125,16 @@ type LearnerStats struct {
 	// accepted handshake, every dropped connection, and how many handshakes
 	// reclaimed an existing shard slot.
 	Connects, Disconnects, Resumes int
+	// DropReasons breaks the abnormal session ends down by cause.
+	DropReasons DropReasons
+}
+
+// DropReasons counts sessions the learner dropped for a fault, one class per
+// session: the link went silent past HeartbeatTimeout, died mid-frame, sent
+// a frame that fails its CRC or structure, or delivered well-framed
+// experience the served network cannot train on.
+type DropReasons struct {
+	Timeout, Truncated, Corrupt, RejectedExperience int
 }
 
 // Learner is the distributed pipeline's central trainer: it accepts actor
@@ -160,6 +174,15 @@ type Learner struct {
 	connects    atomic.Int64
 	disconnects atomic.Int64
 	resumes     atomic.Int64
+	// One counter per DropReasons field.
+	dropTimeout, dropTruncated, dropCorrupt, dropRejected atomic.Int64
+
+	// What every incoming transition must look like: the served observation
+	// shape, the action count, and the boundary-feature length TrainStep's
+	// frozen-prefix path expects (0 when it trains every layer).
+	obsShape  []int
+	actions   int
+	featWidth int
 }
 
 // learnerConn is one live actor session.
@@ -199,6 +222,13 @@ func NewLearner(cfg LearnerConfig) (*Learner, error) {
 		conns:    make(map[uint64]*learnerConn),
 		slots:    make(map[uint64]int),
 		departed: make(map[uint64]bool),
+		obsShape: []int{cfg.Spec.InputC, cfg.Spec.InputH, cfg.Spec.InputW},
+		actions:  cfg.Spec.FCs[len(cfg.Spec.FCs)-1].Out,
+	}
+	if net := cfg.Agent.Net; net.TrainFrom() > 0 {
+		if d, ok := net.Layers[net.TrainFrom()].(*nn.Dense); ok {
+			l.featWidth = d.In
+		}
 	}
 	if cfg.Resume != nil {
 		if err := cfg.Resume.RestoreInto(cfg.Agent, cfg.Spec.Name, l.shards); err != nil {
@@ -306,6 +336,9 @@ func (l *Learner) Run(ctx context.Context) (LearnerStats, error) {
 		// Clean completion: leave a final resume point behind.
 		err = l.checkpoint(&stats)
 	}
+	if err == nil {
+		l.announceDone()
+	}
 	cancel()
 	l.shutdown(&acceptWG)
 	<-wake
@@ -319,6 +352,12 @@ func (l *Learner) finish(stats LearnerStats, envStart, trainStart int64) Learner
 	stats.Connects = int(l.connects.Load())
 	stats.Disconnects = int(l.disconnects.Load())
 	stats.Resumes = int(l.resumes.Load())
+	stats.DropReasons = DropReasons{
+		Timeout:            int(l.dropTimeout.Load()),
+		Truncated:          int(l.dropTruncated.Load()),
+		Corrupt:            int(l.dropCorrupt.Load()),
+		RejectedExperience: int(l.dropRejected.Load()),
+	}
 	return stats
 }
 
@@ -359,6 +398,23 @@ func (l *Learner) watchIdle(ctx context.Context, clock *rl.Clock) {
 			clock.Wake()
 			return
 		}
+	}
+}
+
+// announceDone tells every live actor the run completed, best effort: the
+// sessions close right after, and an actor that knows why neither redials a
+// learner that is gone nor waits out a reconnect window to say goodbye to
+// it. A crashed learner announces nothing, and its actors keep redialing.
+func (l *Learner) announceDone() {
+	l.connMu.Lock()
+	live := make([]*learnerConn, 0, len(l.conns))
+	for _, lc := range l.conns {
+		live = append(live, lc)
+	}
+	l.connMu.Unlock()
+	for _, lc := range live {
+		lc.conn.SetWriteDeadline(time.Now().Add(l.cfg.HeartbeatEvery))
+		_ = writeFrame(lc.conn, frameBye, nil) // the close that follows says the same, less precisely
 	}
 }
 
@@ -642,7 +698,12 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 		switch typ {
 		case frameTransitions:
 			batch, err := decodeExperience(payload)
+			if err == nil {
+				err = l.validate(batch)
+			}
 			if err != nil {
+				// Nothing of a bad frame enters the shard, and the session
+				// that sent it is not to be trusted with the next one.
 				l.disconnectReason(err)
 				return
 			}
@@ -675,9 +736,54 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 	}
 }
 
-// disconnectReason is the single counter hook for abnormal session ends
-// (kept separate so tests and future logging can observe causes).
-func (l *Learner) disconnectReason(error) {}
+// errRejected marks well-framed experience that does not fit the served
+// network. It is an ErrFrameCorrupt — the session is dropped the same way —
+// with its own count in DropReasons.
+var errRejected = fmt.Errorf("%w: experience rejected", ErrFrameCorrupt)
+
+// validate checks a decoded batch against what TrainStep will assume of it:
+// observations of the served shape, actions inside the Q row, finite reward
+// and distance, boundary features of the trainable tail's input length. The
+// CRC vouches for the bytes, not for the peer's arithmetic; any of these let
+// through would panic the training loop or poison the weights.
+func (l *Learner) validate(batch []Experience) error {
+	for i := range batch {
+		e := &batch[i]
+		for _, obs := range [2]*tensor.Tensor{e.T.State, e.T.Next} {
+			if obs != nil && !slices.Equal(obs.Shape(), l.obsShape) {
+				return fmt.Errorf("%w: observation shape %v, serving %v", errRejected, obs.Shape(), l.obsShape)
+			}
+		}
+		if e.T.Action >= l.actions {
+			return fmt.Errorf("%w: action %d of %d", errRejected, e.T.Action, l.actions)
+		}
+		if math.IsNaN(e.T.Reward) || math.IsInf(e.T.Reward, 0) || math.IsNaN(e.Dist) || math.IsInf(e.Dist, 0) {
+			return fmt.Errorf("%w: reward %v, flight distance %v", errRejected, e.T.Reward, e.Dist)
+		}
+		for _, f := range [2]*tensor.Tensor{e.T.Feat, e.T.NextFeat} {
+			if f != nil && f.Len() != l.featWidth {
+				return fmt.Errorf("%w: boundary feature of %d values, training boundary takes %d", errRejected, f.Len(), l.featWidth)
+			}
+		}
+	}
+	return nil
+}
+
+// disconnectReason counts an abnormal session end under its class. A read
+// deadline surfaces from readFrame as a truncation, so the timeout test
+// comes first.
+func (l *Learner) disconnectReason(err error) {
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		l.dropTimeout.Add(1)
+	case errors.Is(err, errRejected):
+		l.dropRejected.Add(1)
+	case errors.Is(err, ErrFrameCorrupt):
+		l.dropCorrupt.Add(1)
+	default:
+		l.dropTruncated.Add(1)
+	}
+}
 
 func putUint64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {

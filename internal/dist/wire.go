@@ -9,14 +9,35 @@
 //
 // The regime is the paper's: resource-constrained edge actors (drones)
 // feeding a central learner over an unreliable link (Anwar & Raychowdhury,
-// arXiv:1910.05547, make exactly this split for edge transfer learning).
-// Failure is therefore the design center, not an afterthought:
+// arXiv:1910.05547, make exactly this split for edge transfer learning:
+// the frozen layers on the edge, the trainable ones off it). The wire
+// carries that split. Under a transfer topology the meta-model below the
+// training boundary is frozen, so the boundary activation of a camera frame
+// is a constant: the drone that captured the frame runs the frozen prefix on
+// it once — it needs the result to pick its own action anyway — and ships
+// the activation beside the frame. The learner trains the FC tail on what
+// arrives and never evaluates the prefix at all (rl.Agent.TrainStep's fully
+// cached path), bit-identical to recomputing it from the frames, which is
+// what it still does for any transition that arrives without features.
+//
+// Failure is the design center, not an afterthought:
 //
 //   - Framing. Every message is a length-prefixed frame carrying a type
 //     byte, a payload and a CRC-32 of both. A dropped connection can only
 //     produce a short read (ErrFrameTruncated) or a checksum mismatch
 //     (ErrFrameCorrupt) — never a silently mis-parsed transition or a
 //     half-restored policy.
+//   - Validation. The CRC vouches for the bytes, not for the peer. The
+//     learner checks every decoded transition against the served network —
+//     observation shape, action range, finite reward, boundary-feature
+//     length — before it enters a shard; a violation drops the session
+//     (ErrFrameCorrupt, counted in LearnerStats.DropReasons) instead of
+//     panicking the training loop or poisoning the weights.
+//   - Feature provenance. A feature is only worth shipping if the learner's
+//     prefix would have computed the same bits. After a reconnect hands the
+//     actor a fresh full snapshot, it sends frames only until that snapshot
+//     is installed, so no feature ever comes from a prefix the learner did
+//     not send.
 //   - Actor resilience. Actors keep flying when the learner is unreachable:
 //     transitions buffer into a bounded local ring and replay on reconnect,
 //     and reconnection runs exponential backoff with jitter so a rebooting
@@ -66,16 +87,18 @@ const (
 	// directions; the learner's heartbeats carry the global env-step count
 	// so actors keep their epsilon schedule roughly synchronized.
 	frameHeartbeat
-	// frameBye announces a clean departure (actor → learner): the actor
-	// finished its share; its shard stays sampleable but no more experience
-	// is coming.
+	// frameBye announces a clean departure. From an actor: it finished its
+	// share; its shard stays sampleable but no more experience is coming.
+	// From the learner: the run completed, and the close that follows is
+	// not an outage to reconnect through.
 	frameBye
 )
 
-// protoVersion is the wire-protocol revision. Hellos carrying any other
-// value are rejected at handshake so incompatible builds fail loudly
-// instead of mis-framing each other's streams.
-const protoVersion = 1
+// protoVersion is the wire-protocol revision: 2 added boundary features to
+// the transition batch and the learner's run-complete bye. Hellos carrying
+// any other value are rejected at handshake so incompatible builds fail
+// loudly instead of mis-framing each other's streams.
+const protoVersion = 2
 
 // maxFrame bounds a single frame. The largest legitimate frame is a full
 // E2E policy snapshot (~tens of MB for the paper's network); 256 MB leaves
@@ -99,22 +122,40 @@ var (
 // crcTable is the IEEE table shared by every frame checksum.
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// writeFrame emits one frame: a 4-byte big-endian length (covering type +
-// payload + CRC), the type byte, the payload, and a CRC-32 of type and
-// payload. Writes go out in one buffer so a concurrent writer on the same
-// connection cannot interleave (callers still serialize writers per conn).
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	n := 1 + len(payload) + 4
+// A frame is a 4-byte big-endian length (covering type + payload + CRC), the
+// type byte, the payload, and a CRC-32 of type and payload. beginFrame and
+// endFrame build one in place around a payload the caller appends between
+// them, so a sender that keeps its buffer encodes and frames without a copy.
+//
+// beginFrame starts a frame in dst's storage, discarding what dst held, with
+// the length left blank for endFrame.
+func beginFrame(dst []byte, typ byte) []byte {
+	return append(dst[:0], 0, 0, 0, 0, typ)
+}
+
+// endFrame seals a frame begun by beginFrame: it fills in the length and
+// appends the CRC.
+func endFrame(buf []byte) ([]byte, error) {
+	// The length word covers type + payload + CRC: the 4 bytes it occupies
+	// itself stand in for the CRC still to come.
+	n := len(buf)
 	if n > maxFrame {
-		return fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrFrameCorrupt, n, maxFrame)
+		return buf, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrFrameCorrupt, n, maxFrame)
 	}
-	buf := make([]byte, 4+n)
 	binary.BigEndian.PutUint32(buf[0:4], uint32(n))
-	buf[4] = typ
-	copy(buf[5:], payload)
-	crc := crc32.Checksum(buf[4:4+1+len(payload)], crcTable)
-	binary.BigEndian.PutUint32(buf[len(buf)-4:], crc)
-	_, err := w.Write(buf)
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[4:], crcTable)), nil
+}
+
+// writeFrame emits one frame. Writes go out in one buffer so a concurrent
+// writer on the same connection cannot interleave (callers still serialize
+// writers per conn).
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	buf := beginFrame(make([]byte, 0, 4+1+len(payload)+4), typ)
+	buf, err := endFrame(append(buf, payload...))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
 	return err
 }
 
@@ -127,7 +168,7 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
-		return 0, nil, fmt.Errorf("%w: reading header: %v", ErrFrameTruncated, err)
+		return 0, nil, fmt.Errorf("%w: reading header: %w", ErrFrameTruncated, err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n < 5 || n > maxFrame {
@@ -135,7 +176,7 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading body: %v", ErrFrameTruncated, err)
+		return 0, nil, fmt.Errorf("%w: reading body: %w", ErrFrameTruncated, err)
 	}
 	want := binary.BigEndian.Uint32(body[n-4:])
 	if got := crc32.Checksum(body[:n-4], crcTable); got != want {

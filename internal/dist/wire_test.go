@@ -2,6 +2,8 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
@@ -105,68 +107,198 @@ func obsTensor(seed int64) *tensor.Tensor {
 	return tensor.FromSlice(data, 2, 5, 5)
 }
 
-func TestExperienceCodecRoundTrip(t *testing.T) {
-	batch := []Experience{
+// featTensor is a boundary-feature row of the given width.
+func featTensor(seed int64, width int) *tensor.Tensor {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]float32, width)
+	for i := range data {
+		data[i] = rng.Float32() - 0.5
+	}
+	return tensor.FromSlice(data, width)
+}
+
+// sameRow reports whether two optional f32 rows are both absent or carry the
+// same bits.
+func sameRow(a, b *tensor.Tensor) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return bytes.Equal(f32bytes(a.Data()), f32bytes(b.Data()))
+}
+
+func f32bytes(v []float32) []byte {
+	return appendF32(nil, v)
+}
+
+// codecBatches are the three shapes a flush can take: frames only (E2E, or
+// features withheld), every row with both features (the steady state under
+// a transfer topology), and a mix (a backlog stripped at an adoption flushed
+// together with fresh rows).
+func codecBatches() map[string][]Experience {
+	plain := []Experience{
 		{T: rl.Transition{State: obsTensor(1), Action: 2, Reward: -0.25, Next: obsTensor(2)}, Dist: 1.5},
 		{T: rl.Transition{State: obsTensor(3), Action: 0, Reward: 1.0, Done: true}, Dist: 0},
 		{T: rl.Transition{State: obsTensor(4), Action: 6, Reward: -1, Next: obsTensor(5), Done: true}, Dist: 7.25},
 	}
-	payload, err := encodeExperience(batch)
-	if err != nil {
-		t.Fatal(err)
+	featured := make([]Experience, len(plain))
+	mixed := make([]Experience, len(plain))
+	for i, e := range plain {
+		e.T.Feat, e.T.NextFeat = featTensor(int64(10+i), 6), featTensor(int64(20+i), 6)
+		featured[i] = e
+		mixed[i] = e
 	}
-	got, err := decodeExperience(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(batch) {
-		t.Fatalf("decoded %d transitions, want %d", len(got), len(batch))
-	}
-	for i, e := range got {
-		want := batch[i]
-		if e.T.Action != want.T.Action || e.T.Reward != want.T.Reward ||
-			e.T.Done != want.T.Done || e.Dist != want.Dist {
-			t.Fatalf("transition %d: %+v, want %+v", i, e, want)
-		}
-		if !bytes.Equal(f32bytes(e.T.State.Data()), f32bytes(want.T.State.Data())) {
-			t.Fatalf("transition %d: state mismatch", i)
-		}
-		if (e.T.Next == nil) != (want.T.Next == nil) {
-			t.Fatalf("transition %d: next presence mismatch", i)
-		}
-		if e.T.Next != nil && !bytes.Equal(f32bytes(e.T.Next.Data()), f32bytes(want.T.Next.Data())) {
-			t.Fatalf("transition %d: next mismatch", i)
-		}
-	}
+	mixed[0].T.Feat, mixed[0].T.NextFeat = nil, nil
+	mixed[1].T.NextFeat = nil
+	return map[string][]Experience{"frames": plain, "features": featured, "mixed": mixed}
 }
 
-func f32bytes(v []float32) []byte {
-	out := make([]byte, 0, 4*len(v))
-	return appendF32(out, v)
+func TestExperienceCodecRoundTrip(t *testing.T) {
+	for name, batch := range codecBatches() {
+		for _, features := range []bool{true, false} {
+			payload, err := appendExperience(nil, batch, features)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := decodeExperience(payload)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(got) != len(batch) {
+				t.Fatalf("%s: decoded %d transitions, want %d", name, len(got), len(batch))
+			}
+			for i, e := range got {
+				want := batch[i]
+				if !features {
+					want.T.Feat, want.T.NextFeat = nil, nil
+				}
+				if e.T.Action != want.T.Action || e.T.Reward != want.T.Reward ||
+					e.T.Done != want.T.Done || e.Dist != want.Dist {
+					t.Fatalf("%s transition %d: %+v, want %+v", name, i, e, want)
+				}
+				if !sameRow(e.T.State, want.T.State) || !sameRow(e.T.Next, want.T.Next) {
+					t.Fatalf("%s transition %d: frames differ", name, i)
+				}
+				if !sameRow(e.T.Feat, want.T.Feat) || !sameRow(e.T.NextFeat, want.T.NextFeat) {
+					t.Fatalf("%s transition %d (features %v): boundary features differ", name, i, features)
+				}
+			}
+		}
+	}
+	// Appending after existing bytes leaves them alone.
+	prefix := []byte{0xAA, 0xBB}
+	out, err := appendExperience(prefix, codecBatches()["features"], true)
+	if err != nil || !bytes.Equal(out[:2], prefix) {
+		t.Fatalf("append onto a prefix: %v, head %x", err, out[:2])
+	}
+	if _, err := decodeExperience(out[2:]); err != nil {
+		t.Fatalf("payload appended after a prefix: %v", err)
+	}
 }
 
 func TestExperienceCodecRejectsDamage(t *testing.T) {
-	batch := []Experience{
-		{T: rl.Transition{State: obsTensor(6), Action: 1, Reward: 0.5, Next: obsTensor(7)}, Dist: 2},
-	}
-	payload, err := encodeExperience(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Truncations at every offset and trailing garbage must all fail with
 	// ErrFrameCorrupt — the CRC layer already passed, so structural checks
 	// are the last line against a dialect mismatch.
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeExperience(payload[:cut]); !errors.Is(err, ErrFrameCorrupt) {
-			t.Fatalf("cut at %d: %v, want ErrFrameCorrupt", cut, err)
+	for name, batch := range codecBatches() {
+		payload, err := appendExperience(nil, batch[:1], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := decodeExperience(payload[:cut]); !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("%s cut at %d: %v, want ErrFrameCorrupt", name, cut, err)
+			}
+		}
+		if _, err := decodeExperience(append(append([]byte(nil), payload...), 0xEE)); !errors.Is(err, ErrFrameCorrupt) {
+			t.Fatalf("%s trailing byte: %v, want ErrFrameCorrupt", name, err)
 		}
 	}
-	if _, err := decodeExperience(append(append([]byte(nil), payload...), 0xEE)); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("trailing byte: %v, want ErrFrameCorrupt", err)
+
+	// The header of these payloads is count(2) ndims(1) dims(3*4) width(4);
+	// the first transition's flags byte follows.
+	const widthAt, flagsAt = 2 + 1 + 3*4, 2 + 1 + 3*4 + 4
+	featured, err := appendExperience(nil, codecBatches()["features"][:1], true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A live transition without a next state must not encode.
-	if _, err := encodeExperience([]Experience{{T: rl.Transition{State: obsTensor(8)}}}); err == nil {
-		t.Fatal("encoded live transition with nil Next")
+	damage := map[string]func(p []byte){
+		// A feature flag under width 0 promises a row of nothing.
+		"zero width with feature flag": func(p []byte) { binary.LittleEndian.PutUint32(p[widthAt:], 0) },
+		// A wider width than was sent runs the feature rows off the end...
+		"short feature rows": func(p []byte) { binary.LittleEndian.PutUint32(p[widthAt:], 7) },
+		// ...and a narrower one leaves bytes over.
+		"long feature rows": func(p []byte) { binary.LittleEndian.PutUint32(p[widthAt:], 5) },
+		"absurd width":      func(p []byte) { binary.LittleEndian.PutUint32(p[widthAt:], 1<<30) },
+		"unknown flag bit":  func(p []byte) { p[flagsAt] |= 0x80 },
+		// Dropping a feature flag orphans its row.
+		"feature row without its flag": func(p []byte) { p[flagsAt] &^= expFlagHasNextFeat },
+	}
+	for name, hurt := range damage {
+		p := append([]byte(nil), featured...)
+		hurt(p)
+		if _, err := decodeExperience(p); !errors.Is(err, ErrFrameCorrupt) {
+			t.Errorf("%s: %v, want ErrFrameCorrupt", name, err)
+		}
+	}
+
+	// What must not encode: a live transition without a next state, feature
+	// rows of two widths in one batch.
+	if _, err := appendExperience(nil, []Experience{{T: rl.Transition{State: obsTensor(8)}}}, true); err == nil {
+		t.Error("encoded live transition with nil Next")
+	}
+	twoWidths := codecBatches()["features"]
+	twoWidths[1].T.Feat = featTensor(30, 5)
+	if _, err := appendExperience(nil, twoWidths, true); err == nil {
+		t.Error("encoded a batch mixing boundary-feature widths")
+	}
+	if _, err := appendExperience(nil, twoWidths, false); err != nil {
+		t.Errorf("mixed widths must not matter when features stay behind: %v", err)
+	}
+}
+
+// TestTransitionsFrameGoldenBytes pins one whole v2 transitions frame, from
+// length prefix to CRC, and that the in-place builder the actor flushes
+// through emits the same bytes writeFrame does for the same payload — the
+// encoder changed how the frame is assembled, not what is on the wire.
+func TestTransitionsFrameGoldenBytes(t *testing.T) {
+	batch := []Experience{{
+		T: rl.Transition{
+			State: tensor.FromSlice([]float32{1, -2}, 1, 1, 2), Action: 3, Reward: 0.5,
+			Next: tensor.FromSlice([]float32{0.25, 4}, 1, 1, 2),
+			Feat: tensor.FromSlice([]float32{8}, 1), NextFeat: tensor.FromSlice([]float32{-0.5}, 1),
+		},
+		Dist: 2,
+	}}
+	const golden = "00000043" + "04" + // length, frameTransitions
+		"0100" + "03" + "01000000" + "01000000" + "02000000" + "01000000" + // count, ndims, 1x1x2, width 1
+		"0e" + "0300" + "000000000000e03f" + "0000000000000040" + // has-next|feat|next-feat, action 3, 0.5, 2.0
+		"0000803f" + "000000c0" + "0000803e" + "00008040" + // state, next
+		"00000041" + "000000bf" + // feat, next-feat
+		"8778a00e" // CRC-32 (IEEE) of type + payload, checked against zlib
+	frame, err := appendExperience(beginFrame(nil, frameTransitions), batch, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame, err = endFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(frame); got != golden {
+		t.Fatalf("frame bytes\n got %s\nwant %s", got, golden)
+	}
+	payload, err := appendExperience(nil, batch, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaWriter bytes.Buffer
+	if err := writeFrame(&viaWriter, frameTransitions, payload); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaWriter.Bytes(), frame) {
+		t.Fatal("writeFrame and the in-place builder disagree on the frame bytes")
+	}
+	typ, back, err := readFrame(bytes.NewReader(frame))
+	if err != nil || typ != frameTransitions || !bytes.Equal(back, payload) {
+		t.Fatalf("readFrame of the golden frame: type %d, err %v", typ, err)
 	}
 }
 
