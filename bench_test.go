@@ -269,6 +269,8 @@ func alexConv2() (*nn.Conv2D, *tensor.Tensor) {
 	}
 	fill(c.Weight.W.Data())
 	fill(c.Bias.W.Data())
+	c.Weight.MarkChanged()
+	c.Bias.MarkChanged()
 	fill(in.Data())
 	return c, in
 }
@@ -656,6 +658,33 @@ func BenchmarkConvBackwardBatchGEMM(b *testing.B) {
 		c.BackwardBatch(grad, true)
 	}
 }
+
+// benchmarkDenseForwardBatchFC1 times Dense.ForwardBatch on NavNet's FC1
+// (1024 -> 128, 96 % of the FC weights and frozen under L2/L3/L4) with the
+// weights left unchanged between calls, so the layer's cached (In x Out)
+// layout is read, never rebuilt: the GEMM alone. Batch 2 is the prefix
+// server's flush and the serving pool's typical batch, 32 the training
+// minibatch. About half the activations are zero, as after a ReLU.
+func benchmarkDenseForwardBatchFC1(b *testing.B, batch int) {
+	rng := rand.New(rand.NewSource(14))
+	d := nn.NewDense("FC1", 1024, 128)
+	d.Init(rng)
+	x := tensor.New(batch, 1024)
+	x.RandN(rng, 1)
+	tensor.ReluInto(x, x)
+	d.ForwardBatch(x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.ForwardBatch(x)
+	}
+}
+
+// BenchmarkDenseForwardBatchFC1B2 is FC1 at the flush/serving batch size.
+func BenchmarkDenseForwardBatchFC1B2(b *testing.B) { benchmarkDenseForwardBatchFC1(b, 2) }
+
+// BenchmarkDenseForwardBatchFC1B32 is FC1 at the training minibatch size.
+func BenchmarkDenseForwardBatchFC1B32(b *testing.B) { benchmarkDenseForwardBatchFC1(b, 32) }
 
 // BenchmarkNavNetForward measures the software CNN's inference throughput
 // (the quantity the PE array accelerates in hardware).

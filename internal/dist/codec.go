@@ -339,6 +339,7 @@ func installTrainable(net *nn.Network, s *nn.Snapshot) error {
 			return fmt.Errorf("dist: policy param %q has %d values, want %d", p.Name, len(s.Data[i]), p.W.Len())
 		}
 		copy(p.W.Data(), s.Data[i])
+		p.MarkChanged()
 	}
 	return nil
 }

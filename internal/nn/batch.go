@@ -17,6 +17,11 @@ import (
 // goroutines whose closures allocate; the zero-alloc contract is exact on
 // the single-threaded schedule.)
 //
+// One piece of storage outlives a pass: Dense keeps the (In x Out) transpose
+// of its weights, shared by Forward and ForwardBatch, and rebuilds it only
+// when the weights were marked changed. The contract that keeps it fresh:
+// whoever writes Param.W calls MarkChanged.
+//
 // Beyond amortizing per-call overheads, batching is what unlocks SIMD: the
 // stacked layouts (transposed im2col panels, minibatch rows) make the
 // non-reduction axis of every GEMM long and unit-stride, so the layers below
@@ -195,31 +200,25 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.
 const (
 	denseSlotOut = iota
 	denseSlotDin
-	denseSlotWT
 )
 
 // ForwardBatch implements BatchLayer: Y (B x Out) = X x W^T + bias in one
-// GEMM, replacing B matrix-vector products. The weight matrix is transposed
-// into the layer workspace first so the GEMM runs as saxpy updates over
+// GEMM, replacing B matrix-vector products. The GEMM reads the layer's cached
+// (In x Out) weight layout (Dense.weightT) so it runs as saxpy updates over
 // Out-wide rows — vectorized, with whole rows skipped wherever a ReLU zeroed
-// the activation — while each output element keeps the serial matrix-vector
-// product's ascending reduction order (the bias is still added only after the
-// full reduction, as the serial path does). The transpose is redone every
-// call by design: it costs a few percent of the pass, and caching it would
-// require invalidation hooks at every site that mutates Weight.W (Step,
-// CopyWeightsFrom, Init, snapshot restore, quantization) — a staleness bug
-// waiting to happen for a marginal win.
+// the activation — while each output element keeps the ascending reduction
+// order of a matrix-vector product (the bias is added only after the full
+// reduction). The cached layout is as fresh as the last MarkChanged: whoever
+// writes Param.W calls MarkChanged.
 func (d *Dense) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 2 || in.Dim(1) != d.In {
 		panic(fmt.Sprintf("nn: %s expects (B, %d) input, got %v", d.LayerName, d.In, in.Shape()))
 	}
 	b := in.Dim(0)
 	d.bIn = in
-	wt := d.bArena.Get(denseSlotWT, d.In, d.Out)
-	tensor.TransposeInto(wt, d.Weight.W)
 	out := d.bArena.Get(denseSlotOut, b, d.Out)
 	out.Zero()
-	tensor.MatMulAccumVec(out, in, wt)
+	tensor.MatMulAccumVec(out, in, d.weightT())
 	od := out.Data()
 	bd := d.Bias.W.Data()
 	for s := 0; s < b; s++ {

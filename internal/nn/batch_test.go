@@ -172,6 +172,10 @@ func TestForwardBatchZeroAllocSteadyState(t *testing.T) {
 		if avg := testing.AllocsPerRun(10, func() { net.ForwardBatch(x) }); avg != 0 {
 			t.Errorf("%s: steady-state ForwardBatch allocates %v times per call, want 0", spec.Name, avg)
 		}
+		// Dense's cached weight layout is rebuilt in place after an update.
+		if avg := testing.AllocsPerRun(10, func() { net.Step(1e-3, 8); net.ForwardBatch(x) }); avg != 0 {
+			t.Errorf("%s: ForwardBatch after a Step allocates %v times per call, want 0", spec.Name, avg)
+		}
 	}
 }
 

@@ -66,10 +66,13 @@ func checkLayerGradients(t *testing.T, layers []Layer, x *tensor.Tensor, tol flo
 			for i := 0; i < len(w); i += stride {
 				orig := w[i]
 				w[i] = orig + h
+				p.MarkChanged()
 				lp := lossThrough(layers, x.Clone(), seed)
 				w[i] = orig - h
+				p.MarkChanged()
 				lm := lossThrough(layers, x.Clone(), seed)
 				w[i] = orig
+				p.MarkChanged()
 				numeric := (lp - lm) / (2 * h)
 				analytic := float64(g[i])
 				if math.Abs(numeric-analytic) > tol*(1+math.Abs(numeric)) {

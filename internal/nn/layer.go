@@ -16,11 +16,17 @@ import (
 )
 
 // Param is a learnable tensor together with its gradient accumulator.
+// Whoever writes W calls MarkChanged afterwards: layers keep derived layouts
+// of W (Dense's transpose) that are rebuilt only when the counter has moved.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
 	G    *tensor.Tensor
+	gen  uint64
 }
+
+// MarkChanged records that W's contents were written.
+func (p *Param) MarkChanged() { p.gen++ }
 
 func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
@@ -90,6 +96,8 @@ func (c *Conv2D) Init(rng *rand.Rand) {
 	fanIn := float64(c.InC * c.KH * c.KW)
 	c.Weight.W.RandN(rng, math.Sqrt(2/fanIn))
 	c.Bias.W.Zero()
+	c.Weight.MarkChanged()
+	c.Bias.MarkChanged()
 }
 
 // Forward implements Layer.
@@ -168,6 +176,13 @@ type Dense struct {
 	Bias      *Param
 	lastIn    *tensor.Tensor
 
+	// wT is the (In x Out) transpose of Weight.W that both forward paths
+	// multiply against, wTGen the Weight counter value it was built from and
+	// wTBuilds how many times it was built (see weightT).
+	wT       *tensor.Tensor
+	wTGen    uint64
+	wTBuilds int
+
 	bArena tensor.Arena
 	bIn    *tensor.Tensor
 }
@@ -196,16 +211,36 @@ func (d *Dense) WeightCount() int { return d.In*d.Out + d.Out }
 func (d *Dense) Init(rng *rand.Rand) {
 	d.Weight.W.RandN(rng, math.Sqrt(2/float64(d.In)))
 	d.Bias.W.Zero()
+	d.Weight.MarkChanged()
+	d.Bias.MarkChanged()
 }
 
-// Forward implements Layer.
+// weightT returns Weight.W laid out (In x Out), the operand shape that lets
+// the forward GEMM run as saxpy updates over Out-wide rows. The layout is
+// written once and read until Weight is marked changed — the frozen FC layers
+// are never transposed again after the first pass.
+func (d *Dense) weightT() *tensor.Tensor {
+	if d.wT == nil {
+		d.wT = tensor.New(d.In, d.Out)
+	} else if d.wTGen == d.Weight.gen {
+		return d.wT
+	}
+	tensor.TransposeInto(d.wT, d.Weight.W)
+	d.wTGen = d.Weight.gen
+	d.wTBuilds++
+	return d.wT
+}
+
+// Forward implements Layer: the batch-of-one case of ForwardBatch's GEMM on
+// the same cached layout.
 func (d *Dense) Forward(in *tensor.Tensor) *tensor.Tensor {
 	if in.Len() != d.In {
 		panic(fmt.Sprintf("nn: %s expects %d inputs, got %v", d.LayerName, d.In, in.Shape()))
 	}
-	flat := in.Reshape(in.Len())
-	d.lastIn = flat
-	y := tensor.MatVec(d.Weight.W, flat.Data())
+	d.lastIn = in.Reshape(1, d.In)
+	out := tensor.New(1, d.Out)
+	tensor.MatMulAccumVec(out, d.lastIn, d.weightT())
+	y := out.Data()
 	bd := d.Bias.W.Data()
 	for i := range y {
 		y[i] += bd[i]

@@ -253,6 +253,7 @@ func (n *Network) Step(lr float64, batch int) {
 	scale := float32(-lr / float64(batch))
 	for _, p := range n.TrainableParams() {
 		p.W.AddScaled(p.G, scale)
+		p.MarkChanged()
 		p.G.Zero()
 	}
 }
@@ -290,6 +291,7 @@ func (n *Network) CopyWeightsFrom(src *Network) error {
 			return fmt.Errorf("nn: parameter %q size mismatch %d vs %d", p.Name, p.W.Len(), srcPs[i].W.Len())
 		}
 		copy(p.W.Data(), srcPs[i].W.Data())
+		p.MarkChanged()
 	}
 	return nil
 }

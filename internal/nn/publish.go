@@ -126,6 +126,7 @@ func (b *PolicyBoard) Adopt(dst *Network, lastSeen uint64) (uint64, bool, error)
 				p.Name, len(e.snap.Data[i]), p.W.Len())
 		}
 		copy(p.W.Data(), e.snap.Data[i])
+		p.MarkChanged()
 	}
 	return e.version, true, nil
 }

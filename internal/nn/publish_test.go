@@ -57,6 +57,7 @@ func TestPolicyBoardPublishAdopt(t *testing.T) {
 	}
 	// A second publish bumps the version and swaps buffers.
 	pub.TrainableParams()[0].W.Data()[0] += 1
+	pub.TrainableParams()[0].MarkChanged()
 	if v := b.Publish(pub, "NavNet"); v != 2 {
 		t.Fatalf("second publish has version %d", v)
 	}
@@ -104,6 +105,7 @@ func TestPolicyBoardConcurrent(t *testing.T) {
 				for i := range d {
 					d[i] = float32(round)
 				}
+				p.MarkChanged()
 			}
 			b.Publish(pub, "NavNet")
 		}
@@ -172,6 +174,7 @@ func TestPolicyBoardConcurrentPublishers(t *testing.T) {
 					for i := range d {
 						d[i] = tag
 					}
+					param.MarkChanged()
 				}
 				b.Publish(pub, "NavNet")
 			}

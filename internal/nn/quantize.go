@@ -18,6 +18,7 @@ func QuantizeParams(n *Network, f fixed.Format) {
 		for i, v := range d {
 			d[i] = float32(f.Quantize(float64(v)))
 		}
+		p.MarkChanged()
 	}
 }
 

@@ -18,6 +18,12 @@ import (
 // zero-weighted network.
 var ErrSnapshotTruncated = errors.New("nn: snapshot stream truncated")
 
+// ErrSnapshotNonFinite marks a snapshot holding a NaN or ±Inf weight. The
+// vector kernels skip zero-activation rows, which equals the full reduction
+// only for finite weights (0 x Inf is NaN, not 0), so Restore refuses such a
+// snapshot whole.
+var ErrSnapshotNonFinite = errors.New("nn: snapshot holds a non-finite weight")
+
 // SnapshotVersion is the serialization layout this build writes and reads.
 // ReadSnapshot rejects any other version so a future layout change fails
 // loudly at load time instead of restoring garbage weights into a flying
@@ -54,12 +60,13 @@ func TakeSnapshot(n *Network, arch string) *Snapshot {
 }
 
 // Restore writes the snapshot's weights into n. The parameter list must
-// match by name and size; any mismatch leaves an error, never a silently
-// corrupted network.
+// match by name and size and every value must be finite; everything is
+// checked before anything is written, so an error leaves n untouched, never
+// a partly restored network.
 func (s *Snapshot) Restore(n *Network) error {
 	ps := n.Params()
-	if len(ps) != len(s.Names) {
-		return fmt.Errorf("nn: snapshot has %d params, network has %d", len(s.Names), len(ps))
+	if len(ps) != len(s.Names) || len(ps) != len(s.Data) {
+		return fmt.Errorf("nn: snapshot has %d params (%d data rows), network has %d", len(s.Names), len(s.Data), len(ps))
 	}
 	for i, p := range ps {
 		if p.Name != s.Names[i] {
@@ -68,7 +75,15 @@ func (s *Snapshot) Restore(n *Network) error {
 		if len(s.Data[i]) != p.W.Len() {
 			return fmt.Errorf("nn: snapshot param %q has %d values, want %d", p.Name, len(s.Data[i]), p.W.Len())
 		}
+		for j, v := range s.Data[i] {
+			if v-v != 0 { // NaN or ±Inf
+				return fmt.Errorf("%w: param %q value %d is %v", ErrSnapshotNonFinite, p.Name, j, v)
+			}
+		}
+	}
+	for i, p := range ps {
 		copy(p.W.Data(), s.Data[i])
+		p.MarkChanged()
 	}
 	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -148,5 +150,27 @@ func TestRestoreRejectsArchMismatch(t *testing.T) {
 	resized.Data[0] = resized.Data[0][:len(resized.Data[0])-1]
 	if err := resized.Restore(n); err == nil {
 		t.Error("param-size mismatch must fail")
+	}
+}
+
+// TestRestoreRejectsNonFinite: a NaN or ±Inf anywhere in the snapshot draws
+// ErrSnapshotNonFinite and nothing is installed — the bad value sits in the
+// last parameter, after everything a write-as-you-go restore would have
+// replaced.
+func TestRestoreRejectsNonFinite(t *testing.T) {
+	n := snapshotNet(t, 7)
+	before := TakeSnapshot(n, "NavNet")
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		bad := TakeSnapshot(snapshotNet(t, 8), "NavNet")
+		last := bad.Data[len(bad.Data)-1]
+		last[len(last)-1] = v
+		if err := bad.Restore(n); !errors.Is(err, ErrSnapshotNonFinite) {
+			t.Errorf("restoring %v: error %v, want ErrSnapshotNonFinite", v, err)
+		}
+		for i, p := range n.Params() {
+			if !slices.Equal(p.W.Data(), before.Data[i]) {
+				t.Fatalf("restoring %v: rejected snapshot overwrote %s", v, p.Name)
+			}
+		}
 	}
 }

@@ -30,6 +30,7 @@ func TestDenseQuantizationErrorBound(t *testing.T) {
 		for i := range layer.Weight.W.Data() {
 			layer.Weight.W.Data()[i] = float32(r.NormFloat64() * 0.5)
 		}
+		layer.Weight.MarkChanged()
 		net := nn.NewNetwork(layer)
 		q, errC := Compile(net, opts)
 		if errC != nil {
@@ -71,6 +72,7 @@ func TestIntegerOutputsAlwaysInRange(t *testing.T) {
 				p.W.Data()[i] *= 50
 			}
 		}
+		p.MarkChanged()
 	}
 	q, err := Compile(net, Options{})
 	if err != nil {

@@ -788,20 +788,23 @@ func (tn *TrainNetwork) WriteBack(dst *nn.Network) error {
 		if w == nil {
 			continue
 		}
-		var pw, pb []float32
+		var weight, bias *nn.Param
 		switch t := dst.Layers[i].(type) {
 		case *nn.Conv2D:
-			pw, pb = t.Weight.W.Data(), t.Bias.W.Data()
+			weight, bias = t.Weight, t.Bias
 		case *nn.Dense:
-			pw, pb = t.Weight.W.Data(), t.Bias.W.Data()
+			weight, bias = t.Weight, t.Bias
 		default:
 			return fmt.Errorf("qnn: WriteBack layer %d type mismatch (%T)", i, dst.Layers[i])
 		}
+		pw, pb := weight.W.Data(), bias.W.Data()
 		if len(pw) != len(w) || len(pb) != len(b) {
 			return fmt.Errorf("qnn: WriteBack layer %d size mismatch", i)
 		}
 		dequantize16(pw, w, tn.opts.WeightFmt)
 		dequantize16(pb, b, tn.opts.WeightFmt)
+		weight.MarkChanged()
+		bias.MarkChanged()
 	}
 	return nil
 }

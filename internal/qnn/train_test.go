@@ -859,3 +859,46 @@ func TestQuantTrainStepZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryWeightMutatorInvalidatesDenseCache is this package's case of the
+// internal/nn test of the same name: WriteBack writes float weights that
+// nn.Dense has a cached transpose of, so after it both forward paths must
+// equal a freshly built network restored from the same weights.
+func TestEveryWeightMutatorInvalidatesDenseCache(t *testing.T) {
+	net := tinyNet(31)
+	rng := rand.New(rand.NewSource(32))
+	xb := tensor.New(32, 1, 2, 2)
+	xb.RandN(rng, 1)
+	x := tensor.FromSlice(append([]float32(nil), xb.Data()[:4]...), 1, 2, 2)
+	net.ForwardBatch(xb)
+	before := net.Forward(x.Clone())
+
+	tn, err := CompileTrainable(net, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 4; step++ {
+		q := tn.Forward(x.Data(), [3]int{1, 2, 2})
+		tn.Backward([]float32{q[0] - 1, q[1] + 1})
+		tn.Update(0.1, 1, 1)
+	}
+	if err := tn.WriteBack(net); err != nil {
+		t.Fatal(err)
+	}
+	if net.Forward(x.Clone()).Equal(before) {
+		t.Fatal("WriteBack left the output unchanged: the case proves nothing")
+	}
+	fresh := tinyNet(33)
+	if err := nn.TakeSnapshot(net, "tiny").Restore(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !net.Forward(x.Clone()).Equal(fresh.Forward(x.Clone())) {
+		t.Error("Forward reads a stale weight layout after WriteBack")
+	}
+	for _, b := range []int{1, 2, 32} {
+		in := tensor.FromSlice(xb.Data()[:b*4], b, 1, 2, 2)
+		if !net.ForwardBatch(in).Equal(fresh.ForwardBatch(in)) {
+			t.Errorf("ForwardBatch(batch %d) reads a stale weight layout after WriteBack", b)
+		}
+	}
+}

@@ -87,8 +87,13 @@ func (s *Server) handlePolicyPost(w http.ResponseWriter, r *http.Request) {
 	v, err := s.Reload(snap)
 	if err != nil {
 		// Decoded fine but does not fit this service: architecture or
-		// parameter-topology conflict.
-		writeError(w, http.StatusConflict, err)
+		// parameter-topology conflict (409). Non-finite weights fit no
+		// service: 400.
+		status := http.StatusConflict
+		if errors.Is(err, nn.ErrSnapshotNonFinite) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]uint64{"policy_version": v})

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +124,71 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	if st := s.Stats(); st.Reloads != 1 || st.PolicyVersion != 2 || st.AdoptFailures != 0 {
 		t.Errorf("stats after reload: reloads %d version %d adopt failures %d",
 			st.Reloads, st.PolicyVersion, st.AdoptFailures)
+	}
+}
+
+// TestReloadRejectsNonFinite: a snapshot holding NaN or ±Inf never reaches
+// the serving policy, in process or over POST /v1/policy (400, not the 409 of
+// a topology conflict). The bad value sits in the last parameter, so a
+// restore that wrote as it went would already have replaced every earlier
+// one: the version must stay put and replies must still be the old policy's,
+// bit for bit.
+func TestReloadRejectsNonFinite(t *testing.T) {
+	snapA, refA := freshPolicy(t, 26)
+	s, err := New(Config{Snapshot: snapA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Start()
+
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		bad, _ := freshPolicy(t, 27)
+		last := bad.Data[len(bad.Data)-1]
+		last[len(last)-1] = v
+		if _, err := s.Reload(bad); !errors.Is(err, nn.ErrSnapshotNonFinite) {
+			t.Errorf("Reload with %v: error %v, want nn.ErrSnapshotNonFinite", v, err)
+		}
+		var body bytes.Buffer
+		if err := bad.Encode(&body); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/policy", &body))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "non-finite") {
+			t.Errorf("POST /v1/policy with %v: %d %s, want 400 naming the non-finite weight", v, rec.Code, rec.Body)
+		}
+	}
+
+	if st := s.Stats(); st.PolicyVersion != 1 || st.Reloads != 0 {
+		t.Errorf("rejected snapshots left version %d after %d reloads, want 1 and 0", st.PolicyVersion, st.Reloads)
+	}
+	obs := randObs(rand.New(rand.NewSource(28)))
+	rep, err := s.Infer(context.Background(), obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := forwardQ(refA, obs)
+	for i, got := range rep.Q {
+		if got != want[i] {
+			t.Fatalf("Q[%d] = %v, want %v: part of a rejected snapshot was installed", i, got, want[i])
+		}
+	}
+	// The master copy is clean too: the next good reload publishes exactly
+	// what it was given.
+	snapB, refB := freshPolicy(t, 29)
+	if _, err := s.Reload(snapB); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = s.Infer(context.Background(), obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = forwardQ(refB, obs)
+	for i, got := range rep.Q {
+		if rep.PolicyVersion != 2 || got != want[i] {
+			t.Fatalf("after a good reload: version %d Q[%d] = %v, want version 2 and %v", rep.PolicyVersion, i, got, want[i])
+		}
 	}
 }
 

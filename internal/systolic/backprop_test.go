@@ -28,6 +28,7 @@ func TestConvBackwardGEMMMatchesAutograd(t *testing.T) {
 		// Reference: the autograd layer.
 		layer := nn.NewConv2D(s.Name, s.InC, s.OutC, s.K, s.K, s.Stride, s.Pad)
 		copy(layer.Weight.W.Data(), w.Data())
+		layer.Weight.MarkChanged()
 		out := layer.Forward(in.Clone())
 		grad := tensor.New(out.Shape()...)
 		grad.RandN(rng, 1)

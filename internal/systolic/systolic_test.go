@@ -187,7 +187,7 @@ func TestFCForwardMatchesMatVec(t *testing.T) {
 	}
 	arr := New(DefaultArray())
 	got := arr.FCForward(w, x, b)
-	want := tensor.MatVec(w, x)
+	want := tensor.MatMul(w, tensor.FromSlice(x, 70, 1)).Data()
 	for i := range want {
 		want[i] += b[i]
 	}

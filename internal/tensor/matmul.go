@@ -236,53 +236,6 @@ func tnRows(cd, ad, bd []float32, r, m, n, lo, hi int) {
 	}
 }
 
-// MatVec computes y = A x v for a 2-D tensor A (m x k) and a length-k
-// vector, returning a length-m vector. Four rows are reduced per pass over v.
-func MatVec(a *Tensor, v []float32) []float32 {
-	if a.Rank() != 2 {
-		panic("tensor: MatVec requires a rank-2 tensor")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	if len(v) != k {
-		panic(fmt.Sprintf("tensor: MatVec length mismatch %d vs %d", len(v), k))
-	}
-	y := make([]float32, m)
-	ad := a.data
-	if serialRows(m, m*k) {
-		matVecRows(y, ad, v, k, 0, m)
-	} else {
-		parallelRows(m, func(lo, hi int) { matVecRows(y, ad, v, k, lo, hi) })
-	}
-	return y
-}
-
-// matVecRows reduces the output rows [lo, hi) of the A*v kernel.
-func matVecRows(y, ad, v []float32, k, lo, hi int) {
-	i := lo
-	for ; i+3 < hi; i += 4 {
-		r0 := ad[i*k : (i+1)*k]
-		r1 := ad[(i+1)*k : (i+2)*k]
-		r2 := ad[(i+2)*k : (i+3)*k]
-		r3 := ad[(i+3)*k : (i+4)*k]
-		var s0, s1, s2, s3 float32
-		for j, vv := range v {
-			s0 += r0[j] * vv
-			s1 += r1[j] * vv
-			s2 += r2[j] * vv
-			s3 += r3[j] * vv
-		}
-		y[i], y[i+1], y[i+2], y[i+3] = s0, s1, s2, s3
-	}
-	for ; i < hi; i++ {
-		row := ad[i*k : (i+1)*k]
-		var s float32
-		for j, w := range row {
-			s += w * v[j]
-		}
-		y[i] = s
-	}
-}
-
 // MatVecT computes y = A^T x v for a 2-D tensor A (m x k) and a length-m
 // vector, returning a length-k vector. This is the vector-transposed-matrix
 // product the PE array performs during FC backpropagation (paper Fig. 8)

@@ -151,8 +151,9 @@ func TestMatMulDimMismatchPanics(t *testing.T) {
 
 func TestMatVecAndTransposedConsistency(t *testing.T) {
 	// For any A, v, u: u^T (A v) == (A^T u)^T v. Verifies MatVecT is the
-	// true adjoint of MatVec, the invariant behind the systolic
-	// transposed-matrix dataflow of paper Fig. 8.
+	// true adjoint of the matrix-vector product (A x v as a k x 1 MatMul),
+	// the invariant behind the systolic transposed-matrix dataflow of paper
+	// Fig. 8.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		m := 1 + rng.Intn(8)
@@ -167,7 +168,7 @@ func TestMatVecAndTransposedConsistency(t *testing.T) {
 		for i := range u {
 			u[i] = float32(rng.NormFloat64())
 		}
-		av := MatVec(a, v)
+		av := MatMul(a, FromSlice(v, k, 1)).Data()
 		atu := MatVecT(a, u)
 		var lhs, rhs float64
 		for i := range u {
