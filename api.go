@@ -10,6 +10,7 @@ import (
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
 	"dronerl/internal/scen"
+	"dronerl/internal/transfer"
 )
 
 // This file is the composable experiment API: a Spec built from functional
@@ -436,8 +437,7 @@ func (s *Spec) ScenarioNames() []string {
 // Flight builds the Fig. 10/11 flight experiment over the Spec's scenarios:
 // meta-train one model per environment kind, deploy into every scenario
 // under all four topologies, learn online, evaluate greedily. Execute it
-// with Run; with default options it reproduces RunFlightExperiment bit for
-// bit.
+// with Run.
 func (s *Spec) Flight() (*FlightExperiment, error) {
 	e, err := core.NewFlightExperiment(s.scale, s.scenarios...)
 	if err != nil {
@@ -516,5 +516,5 @@ func (s *Spec) Agent() (*rl.Agent, error) {
 // Spec's topology, with the Spec's hyper-parameters.
 func (s *Spec) Deploy(snapshot *nn.Snapshot) (*rl.Agent, error) {
 	opts := rl.Options{Seed: s.scale.Seed}.Merge(s.overrides)
-	return transferDeploy(snapshot, s.topology, opts)
+	return transfer.Deploy(snapshot, nn.NavNetSpec(), s.topology, opts)
 }

@@ -82,37 +82,6 @@ func TestNewAPIReproducesQuickScaleBitForBit(t *testing.T) {
 	}
 }
 
-// TestSpecFlightMatchesDeprecatedWrapper checks the wrapper contract at a
-// cheap scale: RunFlightExperiment and the Spec/Run path emit identical
-// reports, serial and parallel alike.
-func TestSpecFlightMatchesDeprecatedWrapper(t *testing.T) {
-	iters := 16
-	if testing.Short() {
-		iters = 8
-	}
-	scale := dronerl.FlightScale{MetaIters: iters, OnlineIters: iters, EvalSteps: iters, Seed: 19}
-	old, err := dronerl.RunFlightExperiment(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := dronerl.New(
-		dronerl.WithScale(scale),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := spec.Flight()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dronerl.Run(context.Background(), exp, dronerl.WithWorkers(3)); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := fingerprintReport(old), fingerprintReport(exp.Report()); a != b {
-		t.Errorf("deprecated wrapper and Spec.Flight diverge: %s vs %s", a, b)
-	}
-}
-
 func TestNewRejectsInvalidSpecs(t *testing.T) {
 	cases := []struct {
 		name string

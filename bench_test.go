@@ -183,11 +183,7 @@ func BenchmarkFig10Learning(b *testing.B) {
 func BenchmarkFig11SafeFlight(b *testing.B) {
 	scale := core.FlightScale{MetaIters: 250, OnlineIters: 200, EvalSteps: 200, Seed: 5}
 	for i := 0; i < b.N; i++ {
-		rep, err := core.RunFlightExperiment(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		forest := rep.Envs[2]
+		forest := runFlightBench(b, scale).Envs[2]
 		if run, ok := forest.Run(nn.L2); ok {
 			b.ReportMetric(run.NormalizedSFD, "L2-normSFD")
 		}
@@ -201,11 +197,11 @@ func BenchmarkFig11SafeFlight(b *testing.B) {
 func BenchmarkAblationRicherMeta(b *testing.B) {
 	scale := core.FlightScale{MetaIters: 300, OnlineIters: 250, EvalSteps: 300, Seed: 9}
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunRicherMetaAblation(scale)
-		if err != nil {
+		e := core.NewRicherMetaExperiment(scale)
+		if err := core.Run(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.ImprovementPct, "town-SFD-gain-%")
+		b.ReportMetric(e.Result().ImprovementPct, "town-SFD-gain-%")
 	}
 }
 
@@ -237,11 +233,11 @@ func BenchmarkAblationWriteLatency(b *testing.B) {
 func BenchmarkAblationStereoNoise(b *testing.B) {
 	scale := core.FlightScale{MetaIters: 300, OnlineIters: 250, EvalSteps: 300, Seed: 10}
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunStereoAblation(scale)
-		if err != nil {
+		e := core.NewStereoExperiment(scale)
+		if err := core.Run(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
-		if res.SFDIdeal > 0 {
+		if res := e.Result(); res.SFDIdeal > 0 {
 			b.ReportMetric(res.SFDStereo/res.SFDIdeal, "stereo/ideal-SFD")
 		}
 	}
@@ -316,13 +312,15 @@ func BenchmarkConvForwardNaive(b *testing.B) {
 	convGFLOPS(b, c, 27, 27, b.Elapsed().Seconds())
 }
 
-// BenchmarkConvForwardGEMM measures the blocked, register-tiled GEMM path
-// (Conv2D.Forward). Acceptance target: >= 2x over BenchmarkConvForwardNaive.
+// BenchmarkConvForwardGEMM measures the GEMM path at batch one
+// (Conv2D.ForwardBatch). Acceptance target: >= 2x over
+// BenchmarkConvForwardNaive.
 func BenchmarkConvForwardGEMM(b *testing.B) {
 	c, in := alexConv2()
+	one := in.Reshape(1, 96, 27, 27)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Forward(in)
+		c.ForwardBatch(one)
 	}
 	convGFLOPS(b, c, 27, 27, b.Elapsed().Seconds())
 }
@@ -383,13 +381,24 @@ func flightBenchScale(workers int) core.FlightScale {
 	return core.FlightScale{MetaIters: 60, OnlineIters: 60, EvalSteps: 60, Seed: 7, Workers: workers}
 }
 
+// runFlightBench runs the flight experiment at scale on scale.Workers workers.
+func runFlightBench(b *testing.B, scale core.FlightScale) *core.FlightReport {
+	b.Helper()
+	e, err := core.NewFlightExperiment(scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := core.Run(context.Background(), e, core.WithWorkers(scale.Workers)); err != nil {
+		b.Fatal(err)
+	}
+	return e.Report()
+}
+
 // BenchmarkFlightEngineSerial runs the experiment on the serial schedule
 // (Workers = 1).
 func BenchmarkFlightEngineSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFlightExperiment(flightBenchScale(1)); err != nil {
-			b.Fatal(err)
-		}
+		runFlightBench(b, flightBenchScale(1))
 	}
 }
 
@@ -399,19 +408,14 @@ func BenchmarkFlightEngineSerial(b *testing.B) {
 // scheduling gain (1x on a single-core runner, ~Nx on N cores).
 func BenchmarkFlightEngineParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFlightExperiment(flightBenchScale(0)); err != nil {
-			b.Fatal(err)
-		}
+		runFlightBench(b, flightBenchScale(0))
 	}
 }
 
 // --- Batched training-path benchmarks -----------------------------------
 //
-// PR 2's hot path: rl.Agent.TrainStep rebuilt on the batched forward/backward
-// stack (one GEMM per layer per batch, arena-backed workspaces). The Serial
-// variant is the per-sample reference path kept verbatim from before the
-// rewrite; both produce bit-identical training (asserted in internal/rl), so
-// the delta is pure speed:
+// PR 2's hot path: rl.Agent.TrainStep on the batched forward/backward stack
+// (one GEMM per layer per batch, arena-backed workspaces):
 //
 //	go test -bench='TrainStep|ConvForwardBatch|ConvBackward' -benchmem
 //
@@ -419,7 +423,7 @@ func BenchmarkFlightEngineParallel(b *testing.B) {
 
 // trainBenchAgent builds a NavNet agent with a replay buffer of live
 // (non-terminal) transitions so every sampled minibatch pays the full
-// bootstrap-forward cost in both paths.
+// bootstrap-forward cost.
 func trainBenchAgent(batch int) *rl.Agent {
 	a := rl.NewAgent(nn.NavNetSpec(), nn.E2E, rl.Options{Seed: 17, BatchSize: batch})
 	rng := rand.New(rand.NewSource(18))
@@ -437,20 +441,8 @@ func trainBenchAgent(batch int) *rl.Agent {
 // accelerator sweeps batch 1-32 (Fig. 13(a)) and this is its largest point.
 const trainBatch = 32
 
-// BenchmarkTrainStepSerial is the "before" baseline: ~3N single-sample
-// network passes per update with freshly allocated intermediates.
-func BenchmarkTrainStepSerial(b *testing.B) {
-	a := trainBenchAgent(trainBatch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.TrainStepSerial()
-	}
-}
-
-// BenchmarkTrainStepBatched measures the batched path: one GEMM per layer
-// per batch, zero steady-state allocations. Acceptance target: >= 3x over
-// BenchmarkTrainStepSerial at batch 32.
+// BenchmarkTrainStepBatched measures the TD update at batch 32: one GEMM per
+// layer per batch, zero steady-state allocations.
 func BenchmarkTrainStepBatched(b *testing.B) {
 	a := trainBenchAgent(trainBatch)
 	a.TrainStep() // warm the workspaces so allocs/op reflects steady state
@@ -571,33 +563,20 @@ func quantInferWorkload(b *testing.B) (nn.Backend, *tensor.Tensor) {
 const convBatch = 8
 
 // alexConv2Batch stacks convBatch copies of the AlexNet CONV2 workload.
-func alexConv2Batch() (*nn.Conv2D, *tensor.Tensor, *tensor.Tensor) {
+func alexConv2Batch() (*nn.Conv2D, *tensor.Tensor) {
 	c, in := alexConv2()
 	batch := tensor.New(convBatch, 96, 27, 27)
 	for s := 0; s < convBatch; s++ {
 		copy(batch.Data()[s*in.Len():(s+1)*in.Len()], in.Data())
 	}
-	return c, in, batch
+	return c, batch
 }
 
-// BenchmarkConvForwardPerSample runs the AlexNet-sized CONV2 forward as
-// convBatch single-sample GEMM passes — the serial path's cost for a batch.
-func BenchmarkConvForwardPerSample(b *testing.B) {
-	c, in, _ := alexConv2Batch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < convBatch; s++ {
-			c.Forward(in)
-		}
-	}
-	convGFLOPS(b, c, 27, 27, b.Elapsed().Seconds()/convBatch)
-}
-
-// BenchmarkConvForwardBatchGEMM runs the same work as one batched im2col +
-// one GEMM over the stacked patches, writing into reused workspaces.
+// BenchmarkConvForwardBatchGEMM runs the AlexNet-sized CONV2 forward over
+// convBatch stacked samples: one batched im2col + one GEMM over the stacked
+// patches, writing into reused workspaces.
 func BenchmarkConvForwardBatchGEMM(b *testing.B) {
-	c, _, batch := alexConv2Batch()
+	c, batch := alexConv2Batch()
 	c.ForwardBatch(batch)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -607,48 +586,10 @@ func BenchmarkConvForwardBatchGEMM(b *testing.B) {
 	convGFLOPS(b, c, 27, 27, b.Elapsed().Seconds()/convBatch)
 }
 
-// BenchmarkFusedConv measures tensor.ConvGEMMFused on the same stacked
-// CONV2 workload: the batched GEMM convolution walking virtual im2colT rows
-// straight out of the NCHW input, with no materialized patch panel. This is
-// the memory-bounded mode's kernel (Conv2D.DisableColsCaching): it trades
-// the blocked GEMM's cache tiling for a zero-panel footprint, so it runs
-// slower than BenchmarkConvForwardBatchGEMM by design — the benchjson gate
-// pins that price so it can only shrink. Bit-identity with the materialized
-// path is asserted in internal/tensor.
-func BenchmarkFusedConv(b *testing.B) {
-	c, _, batch := alexConv2Batch()
-	oh := tensor.ConvOutDim(27, c.KH, c.Stride, c.Pad)
-	ow := tensor.ConvOutDim(27, c.KW, c.Stride, c.Pad)
-	dst := tensor.New(c.OutC, convBatch*oh*ow)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Zero()
-		tensor.ConvGEMMFused(dst, c.Weight.W, batch, c.KH, c.KW, c.Stride, c.Pad)
-	}
-	convGFLOPS(b, c, oh, ow, b.Elapsed().Seconds()/convBatch)
-}
-
-// BenchmarkConvBackwardPerSample measures the per-sample backward pass
-// (weight, bias and input gradients) over a batch of convBatch samples.
-func BenchmarkConvBackwardPerSample(b *testing.B) {
-	c, in, _ := alexConv2Batch()
-	out := c.Forward(in)
-	grad := out.Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < convBatch; s++ {
-			c.Forward(in)
-			c.Backward(grad, true)
-		}
-	}
-}
-
 // BenchmarkConvBackwardBatchGEMM measures the batched backward: one dW GEMM
 // and one dCols GEMM for the whole batch.
 func BenchmarkConvBackwardBatchGEMM(b *testing.B) {
-	c, _, batch := alexConv2Batch()
+	c, batch := alexConv2Batch()
 	out := c.ForwardBatch(batch)
 	grad := out.Clone()
 	b.ReportAllocs()
@@ -693,7 +634,7 @@ func BenchmarkNavNetForward(b *testing.B) {
 	x := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x.Clone())
+		net.Forward(x)
 	}
 }
 
@@ -768,7 +709,7 @@ func onlineBenchOpts(actors int) rl.Options {
 }
 
 // BenchmarkOnlineLearningSerial is the "before" baseline: the synchronous
-// act→store→train loop (transfer.RunOnlineSerial's schedule).
+// act→store→train loop (rl.Trainer.Run).
 func BenchmarkOnlineLearningSerial(b *testing.B) {
 	snap := onlineBenchSnapshot(b)
 	spec := nn.NavNetSpec()
@@ -967,13 +908,9 @@ func BenchmarkServeQPSSystolicSingleFlight(b *testing.B) { benchmarkServeQPS(b, 
 // BenchmarkServeQPSSystolicBatched coalesces on the modeled accelerator.
 func BenchmarkServeQPSSystolicBatched(b *testing.B) { benchmarkServeQPS(b, "systolic", 32) }
 
-// Swarm-mission throughput: the multi-drone driver's headline comparison.
-// Both variants fly the same fleet of world clones sharing one frozen policy
-// over the same generated world; Serial runs one single-row forward per
-// drone per tick, the batched path stacks the fleet's observations into one
-// GEMM per layer and steps the worlds concurrently. The two paths return
-// bit-identical per-drone stats (asserted in internal/scen), so the steps/s
-// delta is pure batching and scheduling gain.
+// Swarm-mission throughput: a fleet of world clones sharing one frozen policy
+// over one generated world, the fleet's observations stacked into one GEMM
+// per layer per tick and the worlds stepped concurrently.
 
 // swarmBenchDrones and swarmBenchSteps size the swarm benchmarks' mission.
 const (
@@ -981,7 +918,9 @@ const (
 	swarmBenchSteps  = 64
 )
 
-func benchmarkSwarmSteps(b *testing.B, batched bool) {
+// BenchmarkSwarmSteps flies the fleet in lockstep: one GEMM per layer per
+// tick for the whole swarm.
+func BenchmarkSwarmSteps(b *testing.B) {
 	snap := onlineBenchSnapshot(b)
 	agent, err := transfer.Deploy(snap, nn.NavNetSpec(), nn.L3, onlineBenchOpts(1))
 	if err != nil {
@@ -993,16 +932,10 @@ func benchmarkSwarmSteps(b *testing.B, batched bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scen.FlySwarm(agent.Net, world, swarmBenchDrones, swarmBenchSteps, 1007, batched)
+		scen.FlySwarm(agent.Net, world, swarmBenchDrones, swarmBenchSteps, 1007)
 	}
 	b.ReportMetric(float64(swarmBenchDrones*swarmBenchSteps*b.N)/b.Elapsed().Seconds(), "steps/s")
 }
-
-// BenchmarkSwarmStepsSerial is the per-drone single-row reference path.
-func BenchmarkSwarmStepsSerial(b *testing.B) { benchmarkSwarmSteps(b, false) }
-
-// BenchmarkSwarmSteps is the batched path: one GEMM per layer for the fleet.
-func BenchmarkSwarmSteps(b *testing.B) { benchmarkSwarmSteps(b, true) }
 
 // BenchmarkGenerateWorld measures the procedural scenario generator and
 // doubles as its CI determinism gate: every generated world must hash

@@ -21,8 +21,8 @@
 // ledgers from the hardware model), and a unified context-aware engine
 // (Run, WithWorkers, WithProgress) that executes any Experiment with
 // deterministic, worker-count-independent results. See README.md for a
-// tour, the MIGRATION section there for the old entry points, and
-// EXPERIMENTS.md for the paper-vs-model comparison.
+// tour, the MIGRATION section there for the removed one-shot entry points,
+// and EXPERIMENTS.md for the paper-vs-model comparison.
 package dronerl
 
 import (
@@ -61,18 +61,6 @@ func FullScale() FlightScale { return core.FullScale() }
 // QuickScale returns a CI-sized iteration budget.
 func QuickScale() FlightScale { return core.QuickScale() }
 
-// RunFlightExperiment reproduces the learning-quality evaluation
-// (Fig. 10 cumulative reward / return curves, Fig. 11 safe flight
-// distance) across the four test environments and four topologies.
-//
-// Deprecated: build the experiment with New(...).Flight() and execute it
-// with Run, which adds context cancellation, scenario selection, agent
-// hyper-parameter overrides and progress streaming. This wrapper remains
-// for existing call sites and produces bit-identical output.
-func RunFlightExperiment(scale FlightScale) (*FlightReport, error) {
-	return core.RunFlightExperiment(scale)
-}
-
 // RunHardwareExperiment evaluates the hardware performance model,
 // regenerating the per-layer cost tables (Fig. 12), the FPS and summary
 // charts (Fig. 13), the minimum-FPS table (Fig. 1) and the memory mapping
@@ -85,41 +73,10 @@ func RunHardwareExperiment() *HardwareReport {
 // for custom studies (sweeps over batch size, SRAM capacity, devices).
 func NewHardwareModel() *hw.Model { return hw.NewModel() }
 
-// NewAgent builds a Q-learning agent over the scaled NavNet architecture,
-// ready to fly in any environment from the scenario catalog.
-//
-// Deprecated: use New(WithTopology(cfg), ...).Agent(), whose option layer
-// validates hyper-parameters and distinguishes explicit zeros from unset
-// fields (an rl.Options literal cannot express EpsEnd=0 or GradClip=0).
-func NewAgent(cfg Config, opts rl.Options) *rl.Agent {
-	return rl.NewAgent(nn.NavNetSpec(), cfg, opts)
-}
-
-// TestEnvironments returns the four test worlds (indoor apartment, indoor
-// house, outdoor forest, outdoor town).
-//
-// Deprecated: the worlds are scenarios now — Scenarios lists the catalog
-// and each entry builds with its own seed. This wrapper keeps the
-// historical quartet (and its exact seed derivation) alive.
-func TestEnvironments(seed int64) []*env.World { return env.TestEnvironments(seed) }
-
 // MetaTrain trains an end-to-end model on the meta-environment matching
 // the given world's kind and returns the transferable snapshot.
 func MetaTrain(test *env.World, iterations int, opts rl.Options) *nn.Snapshot {
 	meta := env.MetaFor(test, opts.Seed+1000)
 	snap, _ := transfer.MetaTrain(meta, nn.NavNetSpec(), iterations, opts)
 	return snap
-}
-
-// Deploy installs a transferred snapshot into a new agent frozen per cfg.
-//
-// Deprecated: use New(WithTopology(cfg), ...).Deploy(snapshot), which
-// validates the options and checks the snapshot's architecture and version.
-func Deploy(snapshot *nn.Snapshot, cfg Config, opts rl.Options) (*rl.Agent, error) {
-	return transferDeploy(snapshot, cfg, opts)
-}
-
-// transferDeploy is the shared deployment path of Deploy and Spec.Deploy.
-func transferDeploy(snapshot *nn.Snapshot, cfg Config, opts rl.Options) (*rl.Agent, error) {
-	return transfer.Deploy(snapshot, nn.NavNetSpec(), cfg, opts)
 }

@@ -3,6 +3,7 @@ package dronerl
 import (
 	"testing"
 
+	"dronerl/internal/env"
 	"dronerl/internal/rl"
 )
 
@@ -19,20 +20,30 @@ func TestFacadeHardware(t *testing.T) {
 }
 
 func TestFacadeAgentAndEnvs(t *testing.T) {
-	envs := TestEnvironments(1)
-	if len(envs) != 4 {
-		t.Fatalf("%d environments", len(envs))
+	spec, err := New(WithTopology(L3), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := NewAgent(L3, rl.Options{Seed: 5})
+	if names := spec.ScenarioNames(); len(names) != 4 {
+		t.Fatalf("%d environments", len(names))
+	}
+	a, err := spec.Agent()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a == nil || a.Net == nil {
 		t.Fatal("agent not built")
 	}
 }
 
 func TestFacadeTransferRoundTrip(t *testing.T) {
-	envs := TestEnvironments(2)
-	snap := MetaTrain(envs[0], 40, rl.Options{Seed: 7, BatchSize: 2, EpsDecaySteps: 20})
-	agent, err := Deploy(snap, L2, rl.Options{Seed: 8})
+	world := env.IndoorApartment(3)
+	snap := MetaTrain(world, 40, rl.Options{Seed: 7, BatchSize: 2, EpsDecaySteps: 20})
+	spec, err := New(WithTopology(L2), WithSeed(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent, err := spec.Deploy(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dronerl"
+	"dronerl/internal/env"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
 )
@@ -32,9 +33,17 @@ func ExampleNewHardwareModel_memoryPlan() {
 	// SRAM: 29.4 MB, STT-MRAM: 99.8 MB
 }
 
-// ExampleTestEnvironments lists the four evaluation worlds.
-func ExampleTestEnvironments() {
-	for _, w := range dronerl.TestEnvironments(1) {
+// ExampleSpec_ScenarioNames lists the four evaluation worlds a default Spec
+// flies; the engine builds scenario i with seed base+1+i.
+func ExampleSpec_ScenarioNames() {
+	spec, err := dronerl.New(dronerl.WithSeed(1))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for i, name := range spec.ScenarioNames() {
+		sc, _ := env.LookupScenario(name)
+		w := sc.Build(spec.Scale().Seed + 1 + int64(i))
 		fmt.Printf("%s (d_min %.1f m)\n", w.Name, w.DMin)
 	}
 	// Output:
@@ -44,13 +53,18 @@ func ExampleTestEnvironments() {
 	// outdoor town (d_min 4.0 m)
 }
 
-// ExampleDeploy shows the transfer-learning pipeline: meta-train, download
-// the snapshot into a drone whose online training touches only the last
-// two FC layers.
-func ExampleDeploy() {
-	world := dronerl.TestEnvironments(7)[0]
+// ExampleSpec_Deploy shows the transfer-learning pipeline: meta-train,
+// download the snapshot into a drone whose online training touches only the
+// last two FC layers.
+func ExampleSpec_Deploy() {
+	world := env.IndoorApartment(8)
 	snap := dronerl.MetaTrain(world, 50, rl.Options{Seed: 7, BatchSize: 2, EpsDecaySteps: 25})
-	agent, err := dronerl.Deploy(snap, dronerl.L2, rl.Options{Seed: 8})
+	spec, err := dronerl.New(dronerl.WithTopology(dronerl.L2), dronerl.WithSeed(8))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	agent, err := spec.Deploy(snap)
 	if err != nil {
 		fmt.Println(err)
 		return

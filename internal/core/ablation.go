@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"dronerl/internal/env"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
@@ -129,18 +127,6 @@ func (e *RicherMetaExperiment) Phases() []Phase {
 	}
 }
 
-// RunRicherMetaAblation runs the richer-meta comparison.
-//
-// Deprecated: build a RicherMetaExperiment and execute it with Run for
-// cancellation and progress streaming. Output is bit-identical.
-func RunRicherMetaAblation(scale FlightScale) (RicherMetaResult, error) {
-	e := NewRicherMetaExperiment(scale)
-	if err := Run(context.Background(), e, WithWorkers(scale.Workers)); err != nil {
-		return RicherMetaResult{}, err
-	}
-	return e.Result(), nil
-}
-
 // StereoAblationResult compares learning with ideal depth against the
 // quantized/noisy stereo model, isolating the cost of the paper's
 // disparity-based sensing.
@@ -217,16 +203,4 @@ func (e *StereoExperiment) Phases() []Phase {
 			},
 		},
 	}
-}
-
-// RunStereoAblation runs the stereo-sensing comparison.
-//
-// Deprecated: build a StereoExperiment and execute it with Run for
-// cancellation and progress streaming. Output is bit-identical.
-func RunStereoAblation(scale FlightScale) (StereoAblationResult, error) {
-	e := NewStereoExperiment(scale)
-	if err := Run(context.Background(), e, WithWorkers(scale.Workers)); err != nil {
-		return StereoAblationResult{}, err
-	}
-	return e.Result(), nil
 }

@@ -12,20 +12,18 @@ func ablationScale(seed int64) FlightScale {
 }
 
 func TestRicherMetaAblationRuns(t *testing.T) {
-	res, err := RunRicherMetaAblation(ablationScale(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewRicherMetaExperiment(ablationScale(5))
+	runExp(t, e, 0)
+	res := e.Result()
 	if res.TownSFDStandard <= 0 || res.TownSFDRich <= 0 {
 		t.Errorf("ablation produced non-positive SFDs: %+v", res)
 	}
 }
 
 func TestStereoAblationRuns(t *testing.T) {
-	res, err := RunStereoAblation(ablationScale(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewStereoExperiment(ablationScale(6))
+	runExp(t, e, 0)
+	res := e.Result()
 	if res.SFDIdeal <= 0 || res.SFDStereo <= 0 {
 		t.Errorf("ablation produced non-positive SFDs: %+v", res)
 	}

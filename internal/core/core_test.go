@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,11 +18,27 @@ func tinyScale() FlightScale {
 	return FlightScale{MetaIters: 120, OnlineIters: 120, EvalSteps: 120, Seed: 3}
 }
 
-func TestRunFlightExperimentStructure(t *testing.T) {
-	rep, err := RunFlightExperiment(tinyScale())
+// runExp executes e on workers workers and fails the test on error.
+func runExp(t *testing.T, e Experiment, workers int) {
+	t.Helper()
+	if err := Run(context.Background(), e, WithWorkers(workers)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runFlight runs the flight experiment at scale on scale.Workers workers.
+func runFlight(t *testing.T, scale FlightScale) *FlightReport {
+	t.Helper()
+	e, err := NewFlightExperiment(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
+	runExp(t, e, scale.Workers)
+	return e.Report()
+}
+
+func TestRunFlightExperimentStructure(t *testing.T) {
+	rep := runFlight(t, tinyScale())
 	if len(rep.Envs) != 4 {
 		t.Fatalf("%d environments, want 4", len(rep.Envs))
 	}
@@ -54,10 +71,7 @@ func TestNormalizedSFDAgainstE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("duplicates the quick-scale experiment already run by TestRunFlightExperimentStructure")
 	}
-	rep, err := RunFlightExperiment(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runFlight(t, tinyScale())
 	for _, er := range rep.Envs {
 		e2e, _ := er.Run(nn.E2E)
 		if e2e.SFD > 0 && e2e.NormalizedSFD != 1.0 {

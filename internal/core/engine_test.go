@@ -22,14 +22,8 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	parallel := engineScale()
 	parallel.Workers = 4
 
-	repS, err := RunFlightExperiment(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repP, err := RunFlightExperiment(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repS := runFlight(t, serial)
+	repP := runFlight(t, parallel)
 
 	if len(repS.Envs) != len(repP.Envs) {
 		t.Fatalf("env count %d vs %d", len(repS.Envs), len(repP.Envs))
@@ -79,27 +73,17 @@ func TestAblationEnginesMatchSerial(t *testing.T) {
 	parallel := engineScale()
 	parallel.Workers = 3
 
-	rs, err := RunRicherMetaAblation(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := RunRicherMetaAblation(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs != rp {
+	richS, richP := NewRicherMetaExperiment(serial), NewRicherMetaExperiment(parallel)
+	runExp(t, richS, serial.Workers)
+	runExp(t, richP, parallel.Workers)
+	if rs, rp := richS.Result(), richP.Result(); rs != rp {
 		t.Errorf("richer-meta ablation diverges: %+v vs %+v", rs, rp)
 	}
 
-	ss, err := RunStereoAblation(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := RunStereoAblation(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss != sp {
+	stereoS, stereoP := NewStereoExperiment(serial), NewStereoExperiment(parallel)
+	runExp(t, stereoS, serial.Workers)
+	runExp(t, stereoP, parallel.Workers)
+	if ss, sp := stereoS.Result(), stereoP.Result(); ss != sp {
 		t.Errorf("stereo ablation diverges: %+v vs %+v", ss, sp)
 	}
 }
@@ -114,14 +98,8 @@ func TestWorkersDefaultIsParallelSchedule(t *testing.T) {
 	def := engineScale() // Workers == 0
 	two := engineScale()
 	two.Workers = 2
-	repD, err := RunFlightExperiment(def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repT, err := RunFlightExperiment(two)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repD := runFlight(t, def)
+	repT := runFlight(t, two)
 	for i := range repD.Envs {
 		for j := range repD.Envs[i].Runs {
 			d, w := repD.Envs[i].Runs[j], repT.Envs[i].Runs[j]

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"dronerl/internal/env"
@@ -433,24 +432,6 @@ func (e *FlightExperiment) aggregate() *FlightReport {
 		rep.Energy.Merge(l)
 	}
 	return rep
-}
-
-// RunFlightExperiment reproduces Fig. 10 and Fig. 11 across the four test
-// environments and four topologies.
-//
-// Deprecated: build a FlightExperiment (NewFlightExperiment or the root
-// package's Spec.Flight) and execute it with Run, which adds context
-// cancellation, progress streaming and scenario selection. This wrapper
-// remains for the historical call sites and produces bit-identical output.
-func RunFlightExperiment(scale FlightScale) (*FlightReport, error) {
-	e, err := NewFlightExperiment(scale)
-	if err != nil {
-		return nil, err
-	}
-	if err := Run(context.Background(), e, WithWorkers(scale.Workers)); err != nil {
-		return nil, err
-	}
-	return e.Report(), nil
 }
 
 // seedRepeats is the number of independent agent seeds averaged per

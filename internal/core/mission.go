@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"dronerl/internal/env"
@@ -208,20 +207,4 @@ func (e *MissionExperiment) Phases() []Phase {
 			},
 		},
 	}
-}
-
-// CompareMissions runs the same mission under every topology with fresh
-// agents deployed from one snapshot, returning results in nn.Configs order.
-// It quantifies the end-to-end payoff of the co-design: under a fixed
-// compute budget the L-configurations process several times more frames
-// than the E2E baseline.
-//
-// Deprecated: build a MissionExperiment and execute it with Run for
-// cancellation and progress streaming. Output is bit-identical.
-func CompareMissions(seed int64, budgetJ float64, online bool) ([]MissionResult, error) {
-	e := NewMissionExperiment(seed, budgetJ, online)
-	if err := Run(context.Background(), e); err != nil {
-		return nil, err
-	}
-	return e.Results(), nil
 }

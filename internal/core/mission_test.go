@@ -66,14 +66,13 @@ func TestRunMissionInferenceOnlyCheaper(t *testing.T) {
 
 func TestCompareMissionsCoDesignPayoff(t *testing.T) {
 	if testing.Short() {
-		// CompareMissions meta-trains a fixed 800 iterations; the quick
+		// The mission experiment meta-trains a fixed 800 iterations; the quick
 		// mission tests above keep the subsystem covered in short mode.
 		t.Skip("fixed-budget meta training dominates the race job")
 	}
-	results, err := CompareMissions(44, 30, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewMissionExperiment(44, 30, true)
+	runExp(t, e, 0)
+	results := e.Results()
 	if len(results) != 4 {
 		t.Fatalf("%d results", len(results))
 	}

@@ -265,7 +265,7 @@ func (a *actor) fly(ctx context.Context) error {
 		if boundary == 0 {
 			return nil
 		}
-		return a.net.ForwardRange(0, boundary, obs.Clone())
+		return a.net.ForwardRange(0, boundary, obs)
 	}
 	obs := env.DepthImage(w.Depths(), w.Camera.MaxRange)
 	feat := prefix(obs)
@@ -281,7 +281,7 @@ func (a *actor) fly(ctx context.Context) error {
 		case feat != nil:
 			action = a.net.ForwardRange(boundary, last, feat).ArgMax()
 		default:
-			action = a.net.Forward(obs.Clone()).ArgMax()
+			action = a.net.Forward(obs).ArgMax()
 		}
 		res := w.Step(env.Action(action))
 		next := env.DepthImage(res.Depths, w.Camera.MaxRange)

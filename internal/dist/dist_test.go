@@ -202,6 +202,9 @@ func TestDistActorKillRestart(t *testing.T) {
 // own, reclaim their slots, and the resumed learner continues training from
 // the checkpointed clock and replay cursors.
 func TestDistLearnerCrashResume(t *testing.T) {
+	// Long enough that the actors are still flying when the learner returns
+	// (a usable checkpoint shows up some 600 frames in).
+	const steps = 3000
 	f := newFleet(t, 81, nn.L3)
 	ckpt := filepath.Join(t.TempDir(), "learner.ckpt")
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
@@ -209,7 +212,7 @@ func TestDistLearnerCrashResume(t *testing.T) {
 
 	learner1, err := NewLearner(LearnerConfig{
 		Agent: f.agent, Spec: f.spec, Cfg: f.cfg, Listener: f.ln,
-		ActorSlots: 2, TotalSteps: 2400, TrainEvery: 4, SyncEvery: 4,
+		ActorSlots: 2, TotalSteps: 2 * steps, TrainEvery: 4, SyncEvery: 4,
 		HeartbeatEvery: 25 * time.Millisecond,
 		CheckpointPath: ckpt, CheckpointEvery: 4,
 	})
@@ -230,7 +233,7 @@ func TestDistLearnerCrashResume(t *testing.T) {
 	outs := make(chan actorOut, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			cfg := f.actorConfig(82+int64(i), 1200)
+			cfg := f.actorConfig(82+int64(i), steps)
 			cfg.HeartbeatTimeout = 500 * time.Millisecond
 			cfg.DrainTimeout = 10 * time.Second
 			st, err := RunActor(ctx, cfg)
@@ -272,7 +275,7 @@ func TestDistLearnerCrashResume(t *testing.T) {
 	agent2 := rl.NewAgent(f.spec, f.cfg, opts)
 	learner2, err := NewLearner(LearnerConfig{
 		Agent: agent2, Spec: f.spec, Cfg: f.cfg, Listener: ln2,
-		ActorSlots: 2, TotalSteps: 2400 - int(cp.EnvSteps), TrainEvery: 4, SyncEvery: 4,
+		ActorSlots: 2, TotalSteps: 2*steps - int(cp.EnvSteps), TrainEvery: 4, SyncEvery: 4,
 		HeartbeatEvery: 25 * time.Millisecond,
 		CheckpointPath: ckpt, CheckpointEvery: 8,
 		Resume: cp,

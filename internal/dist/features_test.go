@@ -477,8 +477,11 @@ func TestLearnerDoneReleasesActor(t *testing.T) {
 		done <- err
 	}()
 
+	// A mission long enough that the learner finishes its 40 steps well before
+	// the actor has flown (and could have sent) all of its own.
+	const mission = 2000
 	var dials atomic.Int64
-	cfg := f.actorConfig(56, 160)
+	cfg := f.actorConfig(56, mission)
 	cfg.DrainTimeout = 20 * time.Second
 	cfg.Dial = func(ctx context.Context) (net.Conn, error) {
 		dials.Add(1)
@@ -493,8 +496,8 @@ func TestLearnerDoneReleasesActor(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("learner: %v", err)
 	}
-	if st.Steps != 160 || st.Sent < 40 || st.Sent+st.Undelivered+st.Dropped != 160 || st.Undelivered == 0 {
-		t.Errorf("actor stats %+v, want 160 steps flown, at least the learner's 40 sent, the rest undelivered", st)
+	if st.Steps != mission || st.Sent < 40 || st.Sent+st.Undelivered+st.Dropped != mission || st.Undelivered == 0 {
+		t.Errorf("actor stats %+v, want %d steps flown, at least the learner's 40 sent, the rest undelivered", st, mission)
 	}
 	if dials.Load() != 1 {
 		t.Errorf("actor dialed %d times; a finished learner is not to be redialed", dials.Load())

@@ -167,6 +167,10 @@ type Learner struct {
 	// instead of waiting forever for env steps lost with a dropped frame
 	// (delivery is at-most-once by design).
 	fleetDone atomic.Bool
+	// announced flips when the completed run says goodbye: a session that
+	// ends after that is an actor hanging up on the bye, mid-frame or not,
+	// and is not counted as a link fault.
+	announced atomic.Bool
 
 	trackMu sync.Mutex
 
@@ -405,7 +409,11 @@ func (l *Learner) watchIdle(ctx context.Context, clock *rl.Clock) {
 // sessions close right after, and an actor that knows why neither redials a
 // learner that is gone nor waits out a reconnect window to say goodbye to
 // it. A crashed learner announces nothing, and its actors keep redialing.
+// It lingers until the actors hang up on the bye, at most one heartbeat
+// interval: closing under an actor's in-flight writes resets the connection,
+// and a reset discards a bye the actor has not read yet.
 func (l *Learner) announceDone() {
+	l.announced.Store(true)
 	l.connMu.Lock()
 	live := make([]*learnerConn, 0, len(l.conns))
 	for _, lc := range l.conns {
@@ -415,6 +423,15 @@ func (l *Learner) announceDone() {
 	for _, lc := range live {
 		lc.conn.SetWriteDeadline(time.Now().Add(l.cfg.HeartbeatEvery))
 		_ = writeFrame(lc.conn, frameBye, nil) // the close that follows says the same, less precisely
+	}
+	linger := time.NewTimer(l.cfg.HeartbeatEvery)
+	defer linger.Stop()
+	for _, lc := range live {
+		select {
+		case <-lc.closed:
+		case <-linger.C:
+			return
+		}
 	}
 }
 
@@ -685,7 +702,7 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 		lc.conn.SetReadDeadline(time.Now().Add(l.cfg.HeartbeatTimeout))
 		typ, payload, err := readFrame(lc.conn)
 		if err != nil {
-			if err != io.EOF && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
+			if err != io.EOF && ctx.Err() == nil && !l.announced.Load() && !errors.Is(err, net.ErrClosed) {
 				// Dead or corrupt link: drop the session. ErrFrameCorrupt
 				// here means the stream lost sync — the conn cannot be
 				// trusted frame-aligned anymore, so it must die too; the

@@ -9,7 +9,7 @@ import "dronerl/internal/geom"
 // meta-environments." It augments the outdoor meta-world with box-shaped
 // structures (buildings, vehicles) so the meta-model sees town-like
 // geometry during transfer learning. The richer-meta ablation
-// (core.RunRicherMetaAblation, BenchmarkAblationRicherMeta) measures the
+// (core.NewRicherMetaExperiment, BenchmarkAblationRicherMeta) measures the
 // town transfer gap with and without it.
 //
 // Warehouse demonstrates that the environment generator "can be extended to

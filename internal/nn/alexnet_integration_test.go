@@ -29,21 +29,21 @@ func TestModifiedAlexNetFullForwardBackward(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = rng.Float32()
 	}
-	out := net.Forward(x)
+	out := net.ForwardBatch(batchOfOne(x))
 	if out.Len() != 5 {
 		t.Fatalf("output length %d, want 5 Q-values", out.Len())
 	}
 	for i := 0; i < out.Len(); i++ {
-		v := float64(out.At(i))
+		v := float64(out.At(0, i))
 		if v != v { // NaN
 			t.Fatalf("Q[%d] is NaN", i)
 		}
 	}
 
 	// One Q-learning-style backward over the action with max Q.
-	grad := tensor.New(5)
-	grad.Set(1.0, out.ArgMax())
-	net.Backward(grad)
+	grad := tensor.New(1, 5)
+	grad.Set(1.0, 0, out.ArgMax())
+	net.BackwardBatch(grad)
 
 	// Under L4 exactly the last 4 FC layers must have accumulated
 	// gradients: 14,690,309 trainable scalars.

@@ -146,18 +146,17 @@ func NewFloatBackend(net *Network) *FloatBackend { return &FloatBackend{net: net
 // Name implements Backend.
 func (b *FloatBackend) Name() string { return "float" }
 
-// Infer implements Backend: one single-sample forward pass, exactly the
-// computation Agent.Greedy historically ran.
+// Infer implements Backend: one forward pass at batch one, exactly the
+// computation Agent.Greedy runs without a backend.
 func (b *FloatBackend) Infer(obs *tensor.Tensor) []float32 {
-	return b.net.Forward(obs.Clone()).Data()
+	return b.net.Forward(obs).Data()
 }
 
 // InferBatch implements BatchInferrer: one ForwardBatch pass — one GEMM per
-// layer for the whole batch. By the batched path's bit-identity contract
-// every row equals the corresponding single-sample Infer, so a serving
-// batcher can coalesce freely without changing any reply. The returned slice
-// is the final layer's workspace: valid until the network's next batched
-// call.
+// layer for the whole batch. By the layers' row contract every row equals the
+// corresponding single-sample Infer, so a serving batcher can coalesce freely
+// without changing any reply. The returned slice is the final layer's
+// workspace: valid until the network's next pass.
 func (b *FloatBackend) InferBatch(batch *tensor.Tensor) []float32 {
 	return b.net.ForwardBatch(batch).Data()
 }

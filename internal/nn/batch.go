@@ -2,51 +2,71 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"dronerl/internal/tensor"
 )
 
-// This file is the batched minibatch path: every layer processes B stacked
-// samples (leading batch dimension, NCHW for spatial tensors) with a single
-// cache-blocked GEMM per layer instead of B single-sample passes. All
-// intermediate storage lives in per-layer tensor.Arena workspaces, so after
-// the first batch of a given size ("warm-up") a forward/backward pass
-// performs no heap allocation — the software analogue of the accelerator's
-// fixed scratchpad provisioning (paper Section V). (One caveat: with
-// GOMAXPROCS > 1, GEMMs above the parallelFlops threshold fan out
-// goroutines whose closures allocate; the zero-alloc contract is exact on
-// the single-threaded schedule.)
-//
-// One piece of storage outlives a pass: Dense keeps the (In x Out) transpose
-// of its weights, shared by Forward and ForwardBatch, and rebuilds it only
-// when the weights were marked changed. The contract that keeps it fresh:
-// whoever writes Param.W calls MarkChanged.
+// This file is the float layer stack's arithmetic: every layer processes B
+// stacked samples (leading batch dimension, NCHW for spatial tensors) with a
+// single cache-blocked GEMM per layer. A single sample is the batch of one —
+// Network.Forward and ForwardRange reshape to a leading 1 and run these same
+// methods — so there is exactly one forward and one backward per layer.
 //
 // Beyond amortizing per-call overheads, batching is what unlocks SIMD: the
 // stacked layouts (transposed im2col panels, minibatch rows) make the
 // non-reduction axis of every GEMM long and unit-stride, so the layers below
 // run on the vectorized tensor.MatMulAccumVec/MatMulTNAccumVec kernels, whose
-// saxpy row updates span output elements — never the reduction axis — and
-// therefore stay bit-identical to the serial path (see matmul_vec.go).
+// saxpy row updates span output elements — never the reduction axis (see
+// matmul_vec.go).
 //
-// Bit-identity contract: for every output element, the batched kernels run
-// the same single-accumulator, ascending-index reduction the serial path
-// runs, so per-sample results — activations, parameter gradients, input
-// gradients — are bit-identical to B independent Forward/Backward calls.
-// internal/nn and internal/rl tests assert this with exact equality.
+// Row contract: for every output element the kernels run a single-accumulator,
+// ascending-index reduction, and parameter gradients accumulate in sample
+// order, so row s of a batched pass is bit-identical to the same sample run
+// alone, whatever the batch size. The golden hashes in internal/rl, transfer
+// and scen pin the values themselves; scalar references in this package's
+// tests pin each layer.
+//
+// Ownership: all intermediate storage lives in per-layer tensor.Arena
+// workspaces, so at a constant batch size a forward/backward pass performs no
+// heap allocation after the first — the software analogue of the
+// accelerator's fixed scratchpad provisioning (paper Section V). (One caveat:
+// with GOMAXPROCS > 1, GEMMs above the parallelFlops threshold fan out
+// goroutines whose closures allocate; the zero-alloc contract is exact on the
+// single-threaded schedule.) ForwardBatch, ForwardBatchRange and
+// BackwardBatch results are therefore arena-owned: valid until the owning
+// layer's next pass, copy what must survive. Network.Forward and ForwardRange
+// return private copies — callers store them in replay as Transition.Feat.
+// No forward pass reads or writes its input after it returns; Dense and LRN
+// hold a reference to it for BackwardBatch only.
+//
+// One cache per layer: ForwardBatch leaves what BackwardBatch consumes (im2col
+// panel, argmax, mask, denominators, input reference), and any later forward
+// pass through the layer — a Forward is one — overwrites it. Nothing may run
+// between a network's ForwardBatch and the BackwardBatch that pairs with it.
+// BackwardBatch panics when no forward preceded it or when the gradient's
+// shape is not the cached forward's output shape, so a pass of another batch
+// size in between fails loudly instead of indexing another batch's argmax.
+//
+// Arena headers: a slot keeps one tensor header, for the shape it last
+// served. A network that alternates batch sizes (a batch-of-one Forward
+// between TrainSteps at batch 32) re-headers its slots on each switch — two
+// small allocations per layer — while the backing storage is reused.
+//
+// One piece of storage outlives a pass: Dense keeps the (In x Out) transpose
+// of its weights and rebuilds it only when the weights were marked changed.
+// The contract that keeps it fresh: whoever writes Param.W calls MarkChanged.
 
-// BatchLayer is a Layer that can additionally process B stacked samples in
-// one call. ForwardBatch takes a batch-major input ((B, ...) with the same
-// trailing shape Forward expects) and returns a batch-major output owned by
-// the layer's workspace arena: it remains valid only until the layer's next
-// batched call. BackwardBatch mirrors Backward with the same gradient
-// accumulation semantics, consuming the cache left by the latest
-// ForwardBatch. The serial and batched caches are independent — interleaving
-// single-sample Forward calls between ForwardBatch and BackwardBatch is safe.
-type BatchLayer interface {
-	Layer
-	ForwardBatch(in *tensor.Tensor) *tensor.Tensor
-	BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor
+// checkGrad panics unless a ForwardBatch left out behind and grad has its
+// shape.
+func checkGrad(layer string, out, grad *tensor.Tensor) {
+	if out == nil {
+		panic("nn: " + layer + " BackwardBatch before ForwardBatch")
+	}
+	if !slices.Equal(out.Shape(), grad.Shape()) {
+		panic(fmt.Sprintf("nn: %s BackwardBatch gradient %v does not match the latest forward pass's output %v (another pass overwrote the cache)",
+			layer, grad.Shape(), out.Shape()))
+	}
 }
 
 // Arena slots of Conv2D's batched workspace.
@@ -61,29 +81,11 @@ const (
 	convSlotDin
 )
 
-// panel returns storage for an im2col-sized batched workspace: a reusable
-// arena slot normally, or a garbage-collected temporary when
-// DisableColsCaching asks the layer to bound its resident memory — the
-// batched analogue of the serial path dropping lastCols. The panels are by
-// far the largest workspaces (colw x B*np floats each), so releasing just
-// them keeps a very large layer usable at the cost of steady-state
-// allocations.
-// Fixed arity (every panel is rank-2) rather than variadic: forwarding one
-// shape slice into both tensor.New and Arena.Get would force it onto the
-// heap at every call and break the zero-allocation contract.
-func (c *Conv2D) panel(slot, rows, cols int) *tensor.Tensor {
-	if c.DisableColsCaching {
-		return tensor.New(rows, cols)
-	}
-	return c.bArena.Get(slot, rows, cols)
-}
-
-// ForwardBatch implements BatchLayer: one im2col expansion over the whole
-// batch and one GEMM computing all B samples' outputs, against the serial
-// path's 2 kernel launches per sample. The im2col panel is built in the
-// transposed (colw x B*np) layout, which turns the batch GEMM into saxpy row
-// updates over B*np-wide unit-stride rows — the vector kernel's shape — while
-// each output element keeps the serial path's ascending dot-product order.
+// ForwardBatch implements Layer: one im2col expansion over the whole batch
+// and one GEMM computing all B samples' outputs. The im2col panel is built in
+// the transposed (colw x B*np) layout, which turns the batch GEMM into saxpy
+// row updates over B*np-wide unit-stride rows — the vector kernel's shape —
+// while each output element keeps a dot product's ascending order.
 func (c *Conv2D) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 4 || in.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s expects NCHW input with C=%d, got %v", c.LayerName, c.InC, in.Shape()))
@@ -92,29 +94,16 @@ func (c *Conv2D) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
 	np := oh * ow
-	c.bIn = in
-	c.bB, c.bOutH, c.bOutW = b, oh, ow
 	c.bInH, c.bInW = h, w
-	// One GEMM for the whole batch: gemm (OutC x B*np) = W x colsT. Each
-	// output element is the same ascending-index reduction the serial
-	// path's dot product computes, so the scatter back to NCHW below is a
-	// pure copy plus the single bias addition the serial path also performs.
+	// One GEMM for the whole batch: gemm (OutC x B*np) = W x colsT, so the
+	// scatter back to NCHW below is a pure copy plus the bias addition.
 	gemm := c.bArena.Get(convSlotGemm, c.OutC, b*np)
 	gemm.Zero()
-	if c.DisableColsCaching {
-		// Memory-bounded mode never keeps the panel for backward, so don't
-		// build it at all: the fused kernel reads patches straight out of the
-		// NCHW input, bit-identical to the materialized GEMM (the tensor
-		// package's exactness contract). BackwardBatch re-expands from bIn.
-		c.bColsT = nil
-		tensor.ConvGEMMFused(gemm, c.Weight.W, in, c.KH, c.KW, c.Stride, c.Pad)
-	} else {
-		colsT := c.panel(convSlotColsT, c.InC*c.KH*c.KW, b*np)
-		tensor.Im2ColTInto(colsT, in, c.KH, c.KW, c.Stride, c.Pad)
-		c.bColsT = colsT
-		tensor.MatMulAccumVec(gemm, c.Weight.W, colsT)
-	}
+	c.bColsT = c.bArena.Get(convSlotColsT, c.InC*c.KH*c.KW, b*np)
+	tensor.Im2ColTInto(c.bColsT, in, c.KH, c.KW, c.Stride, c.Pad)
+	tensor.MatMulAccumVec(gemm, c.Weight.W, c.bColsT)
 	out := c.bArena.Get(convSlotOut, b, c.OutC, oh, ow)
+	c.bOut = out
 	gd := gemm.Data()
 	od := out.Data()
 	bd := c.Bias.W.Data()
@@ -131,16 +120,14 @@ func (c *Conv2D) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BackwardBatch implements BatchLayer: one GEMM per gradient (dW, dCols)
-// over the whole batch. The reduction order over the stacked (sample, patch)
-// axis is ascending, which is exactly the order the serial path produces by
-// processing samples one after another — hence bit-identical accumulators.
+// BackwardBatch implements Layer: one GEMM per gradient (dW, dCols) over the
+// whole batch. The reduction order over the stacked (sample, patch) axis is
+// ascending, which is the order processing the samples one after another
+// produces.
 func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
-	if c.bIn == nil {
-		panic("nn: Conv2D.BackwardBatch before ForwardBatch")
-	}
-	b := c.bB
-	np := c.bOutH * c.bOutW
+	checkGrad(c.LayerName, c.bOut, grad)
+	b := grad.Dim(0)
+	np := grad.Dim(2) * grad.Dim(3)
 	colw := c.InC * c.KH * c.KW
 	// Regroup the NCHW gradient into channel-major (OutC x B*np) so the
 	// batch GEMMs see the stacked layout; a pure copy.
@@ -156,16 +143,10 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.
 	// GEMM reduces over the stacked patch axis, so it wants the patch-major
 	// im2col layout; recover it from the forward pass's transposed panel
 	// with one tiled copy (far cheaper than the GEMM it feeds).
-	colsT := c.bColsT
-	if colsT == nil {
-		colsT = tensor.New(colw, b*np)
-		tensor.Im2ColTInto(colsT, c.bIn, c.KH, c.KW, c.Stride, c.Pad)
-	}
-	cols := c.panel(convSlotCols, b*np, colw)
-	tensor.TransposeInto(cols, colsT)
+	cols := c.bArena.Get(convSlotCols, b*np, colw)
+	tensor.TransposeInto(cols, c.bColsT)
 	tensor.MatMulAccumVec(c.Weight.G, grad2, cols)
-	// db: per-sample partial sums added in sample order, matching the
-	// serial path's one-accumulator-per-sample bias reduction.
+	// db: one partial sum per sample, added in sample order.
 	gb := c.Bias.G.Data()
 	for oc := 0; oc < c.OutC; oc++ {
 		for s := 0; s < b; s++ {
@@ -183,13 +164,13 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.
 	// transposed (colw x B*np) layout — dColsT += W^T x grad2 — so the
 	// vector kernel's rows span the whole batch axis instead of one colw-wide
 	// patch (tens of saxpy calls rather than tens of thousands), then
-	// transposed back to the patch-major layout Col2ImInto's serial-order
-	// scatter requires. Per element both forms accumulate the same products
+	// transposed back to the patch-major layout Col2ImInto's scatter
+	// requires. Per element both forms accumulate the same products
 	// in the same ascending-OutC order, so the values are bit-identical.
-	dcolsT := c.panel(convSlotDcolsT, colw, b*np)
+	dcolsT := c.bArena.Get(convSlotDcolsT, colw, b*np)
 	dcolsT.Zero()
 	tensor.MatMulTNAccumVec(dcolsT, c.Weight.W, grad2)
-	dcols := c.panel(convSlotDcols, b*np, colw)
+	dcols := c.bArena.Get(convSlotDcols, b*np, colw)
 	tensor.TransposeInto(dcols, dcolsT)
 	din := c.bArena.Get(convSlotDin, b, c.InC, c.bInH, c.bInW)
 	tensor.Col2ImInto(din, dcols, c.KH, c.KW, c.Stride, c.Pad)
@@ -202,8 +183,8 @@ const (
 	denseSlotDin
 )
 
-// ForwardBatch implements BatchLayer: Y (B x Out) = X x W^T + bias in one
-// GEMM, replacing B matrix-vector products. The GEMM reads the layer's cached
+// ForwardBatch implements Layer: Y (B x Out) = X x W^T + bias in one GEMM.
+// The GEMM reads the layer's cached
 // (In x Out) weight layout (Dense.weightT) so it runs as saxpy updates over
 // Out-wide rows — vectorized, with whole rows skipped wherever a ReLU zeroed
 // the activation — while each output element keeps the ascending reduction
@@ -215,8 +196,8 @@ func (d *Dense) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects (B, %d) input, got %v", d.LayerName, d.In, in.Shape()))
 	}
 	b := in.Dim(0)
-	d.bIn = in
 	out := d.bArena.Get(denseSlotOut, b, d.Out)
+	d.bIn, d.bOut = in, out
 	out.Zero()
 	tensor.MatMulAccumVec(out, in, d.weightT())
 	od := out.Data()
@@ -230,13 +211,11 @@ func (d *Dense) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BackwardBatch implements BatchLayer: dW += G^T x X and dX = G x W, one
-// GEMM each, with the batch axis as the ascending reduction so parameter
-// gradients accumulate in serial sample order.
+// BackwardBatch implements Layer: dW += G^T x X and dX = G x W, one GEMM
+// each, with the batch axis as the ascending reduction so parameter gradients
+// accumulate in sample order.
 func (d *Dense) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
-	if d.bIn == nil {
-		panic("nn: Dense.BackwardBatch before ForwardBatch")
-	}
+	checkGrad(d.LayerName, d.bOut, grad)
 	b := grad.Dim(0)
 	tensor.MatMulTNAccumVec(d.Weight.G, grad, d.bIn)
 	gd := grad.Data()
@@ -256,10 +235,9 @@ func (d *Dense) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.T
 	return din
 }
 
-// ForwardBatch implements BatchLayer; the rectifier is elementwise, so the
-// batch path only differs by writing into a reused workspace — with the SIMD
-// kernel, whose tie/NaN semantics match the serial branch bit for bit. No
-// separate mask is kept: the cached output is its own mask, since out > 0
+// ForwardBatch implements Layer: the elementwise rectifier (v > 0 ? v : 0, so
+// NaN and -0 become +0) on the SIMD kernel, written into a reused workspace.
+// No separate mask is kept: the cached output is its own mask, since out > 0
 // exactly when the input was > 0.
 func (r *ReLU) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	out := r.bArena.Get(0, in.Shape()...)
@@ -268,8 +246,9 @@ func (r *ReLU) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (r *ReLU) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
+	checkGrad(r.LayerName, r.bOut, grad)
 	if !needInputGrad {
 		return nil
 	}
@@ -278,9 +257,10 @@ func (r *ReLU) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Te
 	return out
 }
 
-// ForwardBatch implements BatchLayer: the per-sample pooling loops of the
-// serial path, writing into a reused batch workspace. Argmax indices are
-// stored flat into the batch input so BackwardBatch is a single scatter.
+// ForwardBatch implements Layer: per-sample pooling loops writing into a
+// reused batch workspace; the first maximum of a window wins ties. Argmax
+// indices are stored flat into the batch input so BackwardBatch is a single
+// scatter.
 func (m *MaxPool) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", m.LayerName, in.Shape()))
@@ -290,6 +270,7 @@ func (m *MaxPool) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	ow := (w-m.K)/m.Stride + 1
 	m.bShape = [4]int{b, c, h, w}
 	out := m.bArena.Get(0, b, c, oh, ow)
+	m.bOut = out
 	if cap(m.bArgmax) < b*c*oh*ow {
 		m.bArgmax = make([]int, b*c*oh*ow)
 	}
@@ -323,8 +304,9 @@ func (m *MaxPool) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (m *MaxPool) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
+	checkGrad(m.LayerName, m.bOut, grad)
 	if !needInputGrad {
 		return nil
 	}
@@ -338,7 +320,7 @@ func (m *MaxPool) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor
 	return out
 }
 
-// ForwardBatch implements BatchLayer: (B, C, H, W) -> (B, C*H*W) as a view.
+// ForwardBatch implements Layer: (B, C, H, W) -> (B, C*H*W) as a view.
 // The view header is cached so a steady-state pass allocates nothing.
 func (f *Flatten) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 4 {
@@ -353,8 +335,9 @@ func (f *Flatten) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return f.bOut
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (f *Flatten) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
+	checkGrad(f.LayerName, f.bOut, grad)
 	if !needInputGrad {
 		return nil
 	}
@@ -366,8 +349,8 @@ func (f *Flatten) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor
 	return f.bGradOut
 }
 
-// ForwardBatch implements BatchLayer: the serial normalization loops per
-// sample, with denominators cached for the whole batch.
+// ForwardBatch implements Layer: the normalization loops per sample, with
+// denominators cached for the whole batch.
 func (l *LRN) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", l.LayerName, in.Shape()))
@@ -378,7 +361,7 @@ func (l *LRN) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 		l.bDenom = make([]float64, b*c*h*w)
 	}
 	l.bDenom = l.bDenom[:b*c*h*w]
-	l.bIn = in
+	l.bIn, l.bOut = in, out
 	hw := h * w
 	for s := 0; s < b; s++ {
 		id := in.Data()[s*c*hw : (s+1)*c*hw]
@@ -389,8 +372,9 @@ func (l *LRN) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (l *LRN) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
+	checkGrad(l.LayerName, l.bOut, grad)
 	if !needInputGrad {
 		return nil
 	}

@@ -2,12 +2,13 @@ package nn
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dronerl/internal/tensor"
 )
 
-// tinyAlexSpec is a small architecture exercising every batched layer kind:
+// tinyAlexSpec is a small architecture exercising every layer kind:
 // conv with LRN and pooling, conv without, flatten, dense chains with ReLU.
 func tinyAlexSpec() ArchSpec {
 	return ArchSpec{
@@ -43,126 +44,109 @@ func randomBatch(spec ArchSpec, b int, rng *rand.Rand) *tensor.Tensor {
 	return x
 }
 
-// sampleView returns sample s of an NCHW batch as a CHW view.
-func sampleView(batch *tensor.Tensor, s int) *tensor.Tensor {
-	c, h, w := batch.Dim(1), batch.Dim(2), batch.Dim(3)
-	n := c * h * w
-	return tensor.FromSlice(batch.Data()[s*n:(s+1)*n], c, h, w)
-}
-
-// TestForwardBatchMatchesSerial pins the tentpole contract: row b of
-// ForwardBatch equals Forward(sample b) bit for bit, for every architecture
-// and several batch sizes, including repeated batched calls over reused
-// workspaces.
-func TestForwardBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for _, spec := range batchSpecs(t) {
-		net := spec.Build()
-		net.Init(rng)
-		for _, b := range []int{1, 3, 5} {
-			x := randomBatch(spec, b, rng)
-			// Two batched passes: the second runs entirely on warm
-			// workspaces and must be unaffected by their contents.
-			net.ForwardBatch(x)
-			got := net.ForwardBatch(x)
-			actions := got.Dim(1)
-			for s := 0; s < b; s++ {
-				want := net.Forward(sampleView(x, s))
-				row := got.Data()[s*actions : (s+1)*actions]
-				for i, v := range want.Data() {
-					if row[i] != v {
-						t.Fatalf("%s b=%d sample %d q[%d]: batched %v != serial %v",
-							spec.Name, b, s, i, row[i], v)
-					}
-				}
+// TestBackwardBatchRejectsStaleCache pins the one-cache-per-layer contract: a
+// Forward between a ForwardBatch and its BackwardBatch overwrites what the
+// backward pass would read, so the backward pass must refuse, naming a layer,
+// before it touches any gradient. So must a backward pass with no forward
+// pass before it, on every layer kind.
+func TestBackwardBatchRejectsStaleCache(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "BackwardBatch") {
+				t.Errorf("%s: want a panic naming the layer's BackwardBatch, got %q", what, msg)
 			}
-		}
+		}()
+		f()
 	}
-}
-
-// TestBackwardBatchMatchesSerial drives two identically initialized networks
-// through the same minibatch — one with B serial forward/backward passes,
-// one with a single batched pass — and requires bit-identical parameter
-// gradients under both an E2E and a frozen (L2) topology.
-func TestBackwardBatchMatchesSerial(t *testing.T) {
-	for _, cfg := range []Config{E2E, L2} {
-		for _, spec := range batchSpecs(t) {
-			for _, b := range []int{1, 4} {
-				serial := spec.Build()
-				serial.Init(rand.New(rand.NewSource(52)))
-				serial.SetConfig(cfg)
-				batched := spec.Build()
-				batched.Init(rand.New(rand.NewSource(52)))
-				batched.SetConfig(cfg)
-
-				rng := rand.New(rand.NewSource(53))
-				x := randomBatch(spec, b, rng)
-				actions := spec.FCs[len(spec.FCs)-1].Out
-				grad := tensor.New(b, actions)
-				grad.RandN(rng, 1)
-				// RL-style sparsity: most Q-head gradient entries are zero.
-				for i := 0; i < grad.Len(); i++ {
-					if i%actions != i/actions%actions {
-						grad.Data()[i] = 0
-					}
-				}
-
-				for s := 0; s < b; s++ {
-					serial.Forward(sampleView(x, s))
-					serial.Backward(tensor.FromSlice(
-						append([]float32(nil), grad.Data()[s*actions:(s+1)*actions]...), actions))
-				}
-				batched.ForwardBatch(x)
-				batched.BackwardBatch(grad)
-
-				sp, bp := serial.Params(), batched.Params()
-				for i := range sp {
-					if !sp[i].G.Equal(bp[i].G) {
-						t.Errorf("%s cfg=%v b=%d: gradient of %s diverges between serial and batched",
-							spec.Name, cfg, b, sp[i].Name)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBatchAndSerialCachesAreIndependent interleaves a single-sample Forward
-// between ForwardBatch and BackwardBatch; the batched gradients must be
-// unaffected because the two paths keep separate caches.
-func TestBatchAndSerialCachesAreIndependent(t *testing.T) {
 	spec := tinyAlexSpec()
-	mk := func() *Network {
-		n := spec.Build()
-		n.Init(rand.New(rand.NewSource(54)))
-		return n
-	}
+	net := spec.Build()
+	net.Init(rand.New(rand.NewSource(54)))
 	rng := rand.New(rand.NewSource(55))
-	x := randomBatch(spec, 3, rng)
-	grad := tensor.New(3, 3)
+	x := randomBatch(spec, 8, rng)
+	grad := tensor.New(8, 3)
 	grad.RandN(rng, 1)
 
-	clean, dirty := mk(), mk()
-	clean.ForwardBatch(x)
-	clean.BackwardBatch(grad)
-
-	dirty.ForwardBatch(x)
-	dirty.Forward(sampleView(x, 1)) // serial call in between
-	dirty.BackwardBatch(grad)
-
-	cp, dp := clean.Params(), dirty.Params()
-	for i := range cp {
-		if !cp[i].G.Equal(dp[i].G) {
-			t.Errorf("gradient of %s changed when a serial Forward interleaved", cp[i].Name)
+	net.ForwardBatch(x)
+	net.Forward(sampleOf(x, 1))
+	mustPanic("B=8 gradient after a batch-of-one Forward", func() { net.BackwardBatch(grad) })
+	for _, p := range net.Params() {
+		if p.G.SumAbs() != 0 {
+			t.Errorf("rejected backward pass wrote gradient %s", p.Name)
 		}
+	}
+	// The pair run back to back still works on the same network.
+	net.ForwardBatch(x)
+	net.BackwardBatch(grad)
+
+	for _, l := range spec.Build().Layers {
+		mustPanic(l.Name()+" with no forward pass", func() { l.BackwardBatch(grad, true) })
+	}
+	// Every layer kind checks the shape, not only the last one.
+	for i, l := range net.Layers {
+		in := randomBatch(spec, 2, rng)
+		out := net.ForwardBatchRange(0, i+1, in)
+		wrong := tensor.New(append([]int{3}, out.Shape()[1:]...)...)
+		mustPanic(l.Name()+" with a B=3 gradient after a B=2 forward", func() { l.BackwardBatch(wrong, true) })
+	}
+}
+
+// TestForwardResultIsPrivate pins the ownership contract of the per-sample
+// convenience: what Forward and ForwardRange return is the caller's (replay
+// keeps boundary activations as Transition.Feat), they do not write their
+// input, and no later forward pass reads a past input.
+func TestForwardResultIsPrivate(t *testing.T) {
+	spec := NavNetSpec()
+	net := spec.Build()
+	net.Init(rand.New(rand.NewSource(84)))
+	net.SetConfig(L3)
+	boundary := net.TrainFrom()
+	rng := rand.New(rand.NewSource(85))
+	x := sampleOf(randomBatch(spec, 1, rng), 0)
+	before := x.Clone()
+
+	q := net.Forward(x)
+	feat := net.ForwardRange(0, boundary, x)
+	if !x.Equal(before) {
+		t.Fatal("Forward wrote its input")
+	}
+	if q.Rank() != 1 || q.Len() != NavNetActions || feat.Rank() != 1 {
+		t.Fatalf("Forward returned %v and ForwardRange %v, want flat per-sample tensors", q.Shape(), feat.Shape())
+	}
+	qWant, featWant := q.Clone(), feat.Clone()
+
+	// A further Forward, a batch-32 pass and a training step on the same net.
+	net.Forward(sampleOf(randomBatch(spec, 1, rng), 0))
+	batch := randomBatch(spec, 32, rng)
+	grad := tensor.New(32, NavNetActions)
+	grad.RandN(rng, 1)
+	net.ForwardBatch(batch)
+	net.BackwardBatch(grad)
+	net.Step(0.01, 32)
+	if !q.Equal(qWant) || !feat.Equal(featWant) {
+		t.Fatal("a later pass on the same network changed a tensor Forward/ForwardRange returned")
+	}
+
+	// The input is the caller's to reuse: a pass over another frame after x
+	// was overwritten reads nothing of x.
+	y := sampleOf(randomBatch(spec, 1, rng), 0)
+	fresh := spec.Build()
+	if err := fresh.CopyWeightsFrom(net); err != nil {
+		t.Fatal(err)
+	}
+	net.Forward(x)
+	x.Fill(7)
+	if !net.Forward(y).Equal(fresh.Forward(y)) {
+		t.Fatal("a forward pass depends on an input of an earlier pass")
 	}
 }
 
 // TestForwardBatchZeroAllocSteadyState pins the workspace contract: after
 // warm-up, a batched forward pass performs zero heap allocations.
 // (AllocsPerRun runs under GOMAXPROCS(1), so the goroutine fan-out of the
-// large-kernel path is naturally excluded; the serial schedule is exactly
-// what the allocation contract covers.)
+// large-kernel path is naturally excluded; the single-threaded schedule is
+// exactly what the allocation contract covers.)
 func TestForwardBatchZeroAllocSteadyState(t *testing.T) {
 	for _, spec := range batchSpecs(t) {
 		net := spec.Build()
@@ -197,36 +181,5 @@ func TestBackwardBatchZeroAllocSteadyState(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: steady-state forward+backward allocates %v times per call, want 0", spec.Name, avg)
 		}
-	}
-}
-
-// TestConvBatchedHonorsDisableColsCaching pins that the memory-bounding flag
-// produces bit-identical results on the batched path while dropping the
-// retained im2col panel (BackwardBatch re-expands from the cached input).
-func TestConvBatchedHonorsDisableColsCaching(t *testing.T) {
-	build := func(disable bool) *Conv2D {
-		c := NewConv2D("CONV", 3, 4, 3, 3, 2, 1)
-		c.Init(rand.New(rand.NewSource(81)))
-		c.DisableColsCaching = disable
-		return c
-	}
-	cached, bounded := build(false), build(true)
-	in := tensor.New(3, 3, 9, 9)
-	in.RandN(rand.New(rand.NewSource(82)), 1)
-	grad := tensor.New(3, 4, 5, 5)
-	grad.RandN(rand.New(rand.NewSource(83)), 1)
-
-	outC := cached.ForwardBatch(in)
-	outB := bounded.ForwardBatch(in)
-	if !outC.Equal(outB) {
-		t.Fatal("DisableColsCaching changed ForwardBatch output")
-	}
-	dinC := cached.BackwardBatch(grad, true)
-	dinB := bounded.BackwardBatch(grad, true)
-	if !dinC.Equal(dinB) {
-		t.Fatal("DisableColsCaching changed BackwardBatch input gradient")
-	}
-	if !cached.Weight.G.Equal(bounded.Weight.G) || !cached.Bias.G.Equal(bounded.Bias.G) {
-		t.Fatal("DisableColsCaching changed accumulated gradients")
 	}
 }

@@ -36,9 +36,10 @@ func naiveConvForward(c *Conv2D, in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// naiveConvBackward returns (dW, dB, dIn) for the given upstream gradient,
-// reproducing the seed's loop order exactly.
-func naiveConvBackward(c *Conv2D, in, grad *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, *tensor.Tensor) {
+// naiveConvBackward accumulates one sample's dW and dB into dw and db and
+// returns its dIn for the given upstream gradient, reproducing the seed's loop
+// order exactly.
+func naiveConvBackward(c *Conv2D, in, grad, dw, db *tensor.Tensor) *tensor.Tensor {
 	h, w := in.Dim(1), in.Dim(2)
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
@@ -46,8 +47,6 @@ func naiveConvBackward(c *Conv2D, in, grad *tensor.Tensor) (*tensor.Tensor, *ten
 	cols := tensor.Im2Col(in, c.KH, c.KW, c.Stride, c.Pad)
 	colw := cols.Dim(1)
 	gd := grad.Data()
-	dw := tensor.New(c.OutC, colw)
-	db := tensor.New(c.OutC)
 	for oc := 0; oc < c.OutC; oc++ {
 		grow := gd[oc*np : (oc+1)*np]
 		wrow := dw.Data()[oc*colw : (oc+1)*colw]
@@ -79,8 +78,7 @@ func naiveConvBackward(c *Conv2D, in, grad *tensor.Tensor) (*tensor.Tensor, *ten
 			}
 		}
 	}
-	din := tensor.Col2Im(dcols, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad)
-	return dw, db, din
+	return tensor.Col2Im(dcols, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad)
 }
 
 // convCases covers register-block remainders (OutC and np not multiples of
@@ -95,17 +93,26 @@ var convCases = []struct {
 	{8, 6, 3, 3, 1, 1, 5, 6},
 }
 
+// sampleOf returns sample s of a batch-major tensor as a view.
+func sampleOf(batch *tensor.Tensor, s int) *tensor.Tensor {
+	n := batch.Len() / batch.Dim(0)
+	return tensor.FromSlice(batch.Data()[s*n:(s+1)*n], batch.Shape()[1:]...)
+}
+
 func TestConvForwardGEMMMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, cs := range convCases {
-		c := NewConv2D("conv", cs.inC, cs.outC, cs.kh, cs.kw, cs.stride, cs.pad)
-		c.Init(rng)
-		in := tensor.New(cs.inC, cs.h, cs.w)
-		in.RandN(rng, 1)
-		got := c.Forward(in)
-		want := naiveConvForward(c, in)
-		if !got.Equal(want) {
-			t.Errorf("case %+v: GEMM forward diverges from the naive loop", cs)
+		for _, b := range []int{1, 3} {
+			c := NewConv2D("conv", cs.inC, cs.outC, cs.kh, cs.kw, cs.stride, cs.pad)
+			c.Init(rng)
+			in := tensor.New(b, cs.inC, cs.h, cs.w)
+			in.RandN(rng, 1)
+			got := c.ForwardBatch(in)
+			for s := 0; s < b; s++ {
+				if want := naiveConvForward(c, sampleOf(in, s)); !sampleOf(got, s).Equal(want) {
+					t.Errorf("case %+v b=%d sample %d: GEMM forward diverges from the naive loop", cs, b, s)
+				}
+			}
 		}
 	}
 }
@@ -113,28 +120,34 @@ func TestConvForwardGEMMMatchesNaive(t *testing.T) {
 func TestConvBackwardGEMMMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, cs := range convCases {
-		c := NewConv2D("conv", cs.inC, cs.outC, cs.kh, cs.kw, cs.stride, cs.pad)
-		c.Init(rng)
-		in := tensor.New(cs.inC, cs.h, cs.w)
-		in.RandN(rng, 1)
-		out := c.Forward(in)
-		grad := tensor.New(out.Shape()...)
-		grad.RandN(rng, 1)
-		// Zero a few entries so the sparse-gradient skip paths run; RL
-		// gradients at the Q head are mostly zero.
-		for i := 0; i < grad.Len(); i += 3 {
-			grad.Data()[i] = 0
-		}
-		din := c.Backward(grad.Clone(), true)
-		wantDW, wantDB, wantDIn := naiveConvBackward(c, in, grad)
-		if !c.Weight.G.Equal(wantDW) {
-			t.Errorf("case %+v: GEMM dW diverges from the naive loop", cs)
-		}
-		if !c.Bias.G.Equal(wantDB) {
-			t.Errorf("case %+v: GEMM dB diverges from the naive loop", cs)
-		}
-		if !din.Equal(wantDIn) {
-			t.Errorf("case %+v: GEMM dIn diverges from the naive loop", cs)
+		for _, b := range []int{1, 3} {
+			c := NewConv2D("conv", cs.inC, cs.outC, cs.kh, cs.kw, cs.stride, cs.pad)
+			c.Init(rng)
+			in := tensor.New(b, cs.inC, cs.h, cs.w)
+			in.RandN(rng, 1)
+			grad := tensor.New(c.ForwardBatch(in).Shape()...)
+			grad.RandN(rng, 1)
+			// Zero a few entries so the sparse-gradient skip paths run; RL
+			// gradients at the Q head are mostly zero.
+			for i := 0; i < grad.Len(); i += 3 {
+				grad.Data()[i] = 0
+			}
+			din := c.BackwardBatch(grad, true)
+			// The naive loop takes the samples one after another onto the same
+			// accumulators: the order the batched reduction promises.
+			wantDW, wantDB := tensor.New(c.Weight.G.Shape()...), tensor.New(cs.outC)
+			for s := 0; s < b; s++ {
+				wantDIn := naiveConvBackward(c, sampleOf(in, s), sampleOf(grad, s), wantDW, wantDB)
+				if !sampleOf(din, s).Equal(wantDIn) {
+					t.Errorf("case %+v b=%d sample %d: GEMM dIn diverges from the naive loop", cs, b, s)
+				}
+			}
+			if !c.Weight.G.Equal(wantDW) {
+				t.Errorf("case %+v b=%d: GEMM dW diverges from the naive loop", cs, b)
+			}
+			if !c.Bias.G.Equal(wantDB) {
+				t.Errorf("case %+v b=%d: GEMM dB diverges from the naive loop", cs, b)
+			}
 		}
 	}
 }

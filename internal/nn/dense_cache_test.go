@@ -20,7 +20,7 @@ func assertMatchesFreshNetwork(t *testing.T, spec ArchSpec, net *Network) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(77))
-	x := sampleView(randomBatch(spec, 1, rng), 0)
+	x := sampleOf(randomBatch(spec, 1, rng), 0)
 	if !net.Forward(x.Clone()).Equal(fresh.Forward(x.Clone())) {
 		t.Error("Forward reads a stale weight layout")
 	}
@@ -79,7 +79,7 @@ func TestEveryWeightMutatorInvalidatesDenseCache(t *testing.T) {
 			net.Init(rand.New(rand.NewSource(61)))
 			rng := rand.New(rand.NewSource(64))
 			xb := randomBatch(spec, 2, rng)
-			x := sampleView(xb, 0).Clone()
+			x := sampleOf(xb, 0).Clone()
 			net.ForwardBatch(xb)
 			before := net.Forward(x.Clone())
 			m.mutate(t, net)
@@ -117,7 +117,7 @@ func TestDenseTransposesOncePerWeightChange(t *testing.T) {
 	pass := func() {
 		for i := 0; i < 5; i++ {
 			net.ForwardBatch(randomBatch(spec, 1+i, rng))
-			net.Forward(sampleView(randomBatch(spec, 1, rng), 0))
+			net.Forward(sampleOf(randomBatch(spec, 1, rng), 0))
 		}
 	}
 	pass()
@@ -131,29 +131,34 @@ func TestDenseTransposesOncePerWeightChange(t *testing.T) {
 	}
 }
 
-// TestDenseForwardMatchesScalarReference keeps an independent reference now
-// that both forward paths share one kernel: each output is the single-
-// accumulator, ascending-index dot product of a weight row with the input,
-// the bias added last — bit for bit, zero activations included.
+// TestDenseForwardMatchesScalarReference keeps an independent reference for
+// the one forward kernel: each output is the single-accumulator,
+// ascending-index dot product of a weight row with the input row, the bias
+// added last — bit for bit, zero activations included, at every batch size.
 func TestDenseForwardMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	d := NewDense("FC", 203, 37)
 	d.Init(rng)
 	d.Bias.W.RandN(rng, 1)
-	x := tensor.New(203)
-	x.RandN(rng, 1)
-	for i := 0; i < x.Len(); i += 7 {
-		x.Data()[i] = 0
-	}
-	got := d.Forward(x).Data()
-	w, xd := d.Weight.W.Data(), x.Data()
-	for o := 0; o < d.Out; o++ {
-		var s float32
-		for i, v := range xd {
-			s += w[o*d.In+i] * v
+	for _, b := range refBatches {
+		x := tensor.New(b, 203)
+		x.RandN(rng, 1)
+		for i := 0; i < x.Len(); i += 7 {
+			x.Data()[i] = 0
 		}
-		if want := s + d.Bias.W.Data()[o]; got[o] != want {
-			t.Fatalf("output %d = %v, scalar reference %v", o, got[o], want)
+		got := d.ForwardBatch(x).Data()
+		w := d.Weight.W.Data()
+		for s := 0; s < b; s++ {
+			xd := x.Data()[s*d.In : (s+1)*d.In]
+			for o := 0; o < d.Out; o++ {
+				var acc float32
+				for i, v := range xd {
+					acc += w[o*d.In+i] * v
+				}
+				if want := acc + d.Bias.W.Data()[o]; got[s*d.Out+o] != want {
+					t.Fatalf("b=%d sample %d output %d = %v, scalar reference %v", b, s, o, got[s*d.Out+o], want)
+				}
+			}
 		}
 	}
 }

@@ -9,18 +9,23 @@ import (
 )
 
 // Numeric gradient checking: for a scalar loss L(theta) = <out, seed>, the
-// analytic gradient accumulated by Backward must match the central finite
+// analytic gradient accumulated by BackwardBatch must match the central finite
 // difference (L(theta+h) - L(theta-h)) / 2h for every parameter and for the
 // input. This validates the entire backpropagation machinery the paper's
 // online-RL update relies on.
 
+// forwardThrough runs the sample x through the layers as a batch of one.
+func forwardThrough(layers []Layer, x *tensor.Tensor) *tensor.Tensor {
+	y := batchOfOne(x)
+	for _, l := range layers {
+		y = l.ForwardBatch(y)
+	}
+	return y
+}
+
 // lossThrough runs x through the layers and returns <out, seed>.
 func lossThrough(layers []Layer, x, seed *tensor.Tensor) float64 {
-	y := x
-	for _, l := range layers {
-		y = l.Forward(y)
-	}
-	return y.Dot(seed)
+	return forwardThrough(layers, x).Dot(seed)
 }
 
 // checkLayerGradients builds the loss around the given layer stack and
@@ -31,11 +36,7 @@ func checkLayerGradients(t *testing.T, layers []Layer, x *tensor.Tensor, tol flo
 
 	// Forward once to discover the output shape, then fix a random seed
 	// direction for the scalar loss.
-	y := x.Clone()
-	for _, l := range layers {
-		y = l.Forward(y)
-	}
-	seed := tensor.New(y.Shape()...)
+	seed := tensor.New(forwardThrough(layers, x).Shape()...)
 	seed.RandN(rng, 1)
 
 	// Analytic pass.
@@ -44,16 +45,13 @@ func checkLayerGradients(t *testing.T, layers []Layer, x *tensor.Tensor, tol flo
 			p.G.Zero()
 		}
 	}
-	y = x.Clone()
-	for _, l := range layers {
-		y = l.Forward(y)
-	}
+	forwardThrough(layers, x)
 	grad := seed.Clone()
-	var dx *tensor.Tensor
 	for i := len(layers) - 1; i >= 0; i-- {
-		grad = layers[i].Backward(grad, true)
+		grad = layers[i].BackwardBatch(grad, true)
 	}
-	dx = grad
+	// The input gradient is arena-owned and the probes below run more passes.
+	dx := grad.Clone()
 
 	const h = 1e-3
 	// Parameter gradients.
@@ -67,10 +65,10 @@ func checkLayerGradients(t *testing.T, layers []Layer, x *tensor.Tensor, tol flo
 				orig := w[i]
 				w[i] = orig + h
 				p.MarkChanged()
-				lp := lossThrough(layers, x.Clone(), seed)
+				lp := lossThrough(layers, x, seed)
 				w[i] = orig - h
 				p.MarkChanged()
-				lm := lossThrough(layers, x.Clone(), seed)
+				lm := lossThrough(layers, x, seed)
 				w[i] = orig
 				p.MarkChanged()
 				numeric := (lp - lm) / (2 * h)
@@ -89,9 +87,9 @@ func checkLayerGradients(t *testing.T, layers []Layer, x *tensor.Tensor, tol flo
 	for i := 0; i < len(xd); i += stride {
 		orig := xd[i]
 		xd[i] = orig + h
-		lp := lossThrough(layers, x.Clone(), seed)
+		lp := lossThrough(layers, x, seed)
 		xd[i] = orig - h
-		lm := lossThrough(layers, x.Clone(), seed)
+		lm := lossThrough(layers, x, seed)
 		xd[i] = orig
 		numeric := (lp - lm) / (2 * h)
 		analytic := float64(dd[i])
@@ -193,15 +191,15 @@ func TestNavNetGradientSmoke(t *testing.T) {
 
 	target := float32(1.0)
 	loss := func() float64 {
-		out := net.Forward(x.Clone())
+		out := net.Forward(x)
 		d := float64(out.At(0) - target)
 		return 0.5 * d * d
 	}
 	before := loss()
-	out := net.Forward(x.Clone())
-	grad := tensor.New(NavNetActions)
-	grad.Set(out.At(0)-target, 0)
-	net.Backward(grad)
+	out := net.ForwardBatch(batchOfOne(x))
+	grad := tensor.New(1, NavNetActions)
+	grad.Set(out.At(0, 0)-target, 0, 0)
+	net.BackwardBatch(grad)
 	net.Step(1e-4, 1)
 	after := loss()
 	if after >= before {

@@ -2,13 +2,14 @@
 // training procedure of the paper: a modified AlexNet (5 conv + 5 FC layers,
 // Fig. 3(a)) trained by backpropagation over either the whole network (E2E)
 // or only the last few fully-connected layers (the TL configurations L2, L3
-// and L4 of Fig. 3(b)). Gradients are accumulated over a batch of serially
-// processed images and applied in a single update step, mirroring the
-// accelerator's "sum of weight and bias gradients" scratchpad (Section V).
+// and L4 of Fig. 3(b)). Every layer processes a minibatch of B stacked samples
+// with one GEMM (batch.go); a single sample is the batch of one. Gradients are
+// accumulated over the batch in sample order and applied in a single update
+// step, mirroring the accelerator's "sum of weight and bias gradients"
+// scratchpad (Section V).
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -32,44 +33,49 @@ func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
 }
 
-// Layer is one stage of the network. Forward caches whatever it needs for
-// the subsequent Backward call; layers process a single sample at a time,
-// matching the accelerator's serial per-image dataflow.
+// Layer is one stage of the network, processing B stacked samples per call
+// (leading batch dimension, NCHW for spatial tensors). There is one
+// implementation of each layer's arithmetic: a single sample runs through the
+// same methods as a batch of one (Network.Forward). The contracts every layer
+// keeps are stated in batch.go's header.
 type Layer interface {
 	// Name identifies the layer, e.g. "CONV1" or "FC3".
 	Name() string
-	// Forward computes the layer output for one input sample.
-	Forward(in *tensor.Tensor) *tensor.Tensor
-	// Backward consumes the gradient w.r.t. the layer output, accumulates
-	// parameter gradients, and returns the gradient w.r.t. the input.
+	// ForwardBatch computes the layer output for a batch-major input and
+	// caches whatever the subsequent BackwardBatch needs. The result is owned
+	// by the layer's workspace arena and stays valid only until the layer's
+	// next ForwardBatch.
+	ForwardBatch(in *tensor.Tensor) *tensor.Tensor
+	// BackwardBatch consumes the gradient w.r.t. the latest ForwardBatch's
+	// output, accumulates parameter gradients in sample order, and returns
+	// the gradient w.r.t. the input (arena-owned like the forward result).
 	// If needInputGrad is false the layer may skip computing the returned
-	// gradient (backpropagation stops below the last trainable layer).
-	Backward(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor
+	// gradient (backpropagation stops below the last trainable layer). It
+	// panics, naming the layer, when no ForwardBatch preceded it or when the
+	// gradient's shape is not that forward pass's output shape.
+	BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor
 	// Params returns the layer's learnable parameters (possibly empty).
 	Params() []*Param
 }
 
-// Conv2D is a 2-D convolution over CHW tensors, implemented with im2col and
+// BatchLayer is Layer under the name the benchmark harness type-asserts.
+type BatchLayer = Layer
+
+// Conv2D is a 2-D convolution over NCHW tensors, implemented with im2col and
 // matrix products — the same GEMM formulation the paper uses for CONV-layer
 // backpropagation on the PE array (Section V.B).
 type Conv2D struct {
-	LayerName              string
-	InC, OutC              int
-	KH, KW, Stride, Pad    int
-	Weight, Bias           *Param
-	lastIn                 *tensor.Tensor
-	lastCols               *tensor.Tensor
-	lastOutH, lastOutW     int
-	DisableColsCaching     bool // set to bound memory on very large layers
-	lastInH, lastInWidthPx int
+	LayerName           string
+	InC, OutC           int
+	KH, KW, Stride, Pad int
+	Weight, Bias        *Param
 
-	// Batched-path state (see batch.go): reusable workspaces plus the
-	// shapes cached between ForwardBatch and BackwardBatch. bColsT is the
-	// transposed (colw x B*np) im2col panel of the latest ForwardBatch.
-	bArena           tensor.Arena
-	bIn, bColsT      *tensor.Tensor
-	bB, bOutH, bOutW int
-	bInH, bInW       int
+	// Reusable workspaces plus what ForwardBatch leaves for BackwardBatch:
+	// its output (whose shape the gradient must have), the input's spatial
+	// size, and bColsT, the transposed (colw x B*np) im2col panel.
+	bArena       tensor.Arena
+	bOut, bColsT *tensor.Tensor
+	bInH, bInW   int
 }
 
 // NewConv2D creates a convolution layer with zeroed parameters.
@@ -100,91 +106,24 @@ func (c *Conv2D) Init(rng *rand.Rand) {
 	c.Bias.MarkChanged()
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Rank() != 3 || in.Dim(0) != c.InC {
-		panic(fmt.Sprintf("nn: %s expects CHW input with C=%d, got %v", c.LayerName, c.InC, in.Shape()))
-	}
-	h, w := in.Dim(1), in.Dim(2)
-	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
-	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
-	cols := tensor.Im2Col(in, c.KH, c.KW, c.Stride, c.Pad)
-	c.lastIn = in
-	c.lastInH, c.lastInWidthPx = h, w
-	c.lastOutH, c.lastOutW = oh, ow
-	if c.DisableColsCaching {
-		c.lastCols = nil
-	} else {
-		c.lastCols = cols
-	}
-	// GEMM formulation: out (OutC x np) = W (OutC x colw) x cols^T, with the
-	// bias added afterwards. The kernel is cache-blocked and fans across
-	// goroutines on large layers while keeping each output's accumulation
-	// order identical to the per-patch dot-product loop it replaced.
-	np := oh * ow
-	out := tensor.New(c.OutC, oh, ow)
-	tensor.MatMulNTInto(out.Reshape(c.OutC, np), c.Weight.W, cols)
-	od := out.Data()
-	bd := c.Bias.W.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		row := od[oc*np : (oc+1)*np]
-		b := bd[oc]
-		for p := range row {
-			row[p] += b
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
-	if c.lastIn == nil {
-		panic("nn: Conv2D.Backward before Forward")
-	}
-	np := c.lastOutH * c.lastOutW
-	cols := c.lastCols
-	if cols == nil {
-		cols = tensor.Im2Col(c.lastIn, c.KH, c.KW, c.Stride, c.Pad)
-	}
-	colw := cols.Dim(1)
-	gd := grad.Data()
-	gradMat := grad.Reshape(c.OutC, np)
-	// dW += grad (OutC x np) x cols (np x colw); db[oc] += sum_p grad[oc,p].
-	tensor.MatMulAccum(c.Weight.G, gradMat, cols)
-	gb := c.Bias.G.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		var bsum float32
-		for _, g := range gd[oc*np : (oc+1)*np] {
-			bsum += g
-		}
-		gb[oc] += bsum
-	}
-	if !needInputGrad {
-		return nil
-	}
-	// dCols (np x colw) = grad^T x W; dIn = Col2Im(dCols).
-	dcols := tensor.New(np, colw)
-	tensor.MatMulTNAccum(dcols, gradMat, c.Weight.W)
-	return tensor.Col2Im(dcols, c.InC, c.lastInH, c.lastInWidthPx, c.KH, c.KW, c.Stride, c.Pad)
-}
-
-// Dense is a fully-connected layer y = Wx + b over flat vectors.
+// Dense is a fully-connected layer y = Wx + b over (B, In) rows.
 type Dense struct {
 	LayerName string
 	In, Out   int
 	Weight    *Param
 	Bias      *Param
-	lastIn    *tensor.Tensor
 
-	// wT is the (In x Out) transpose of Weight.W that both forward paths
-	// multiply against, wTGen the Weight counter value it was built from and
+	// wT is the (In x Out) transpose of Weight.W that the forward GEMM
+	// multiplies against, wTGen the Weight counter value it was built from and
 	// wTBuilds how many times it was built (see weightT).
 	wT       *tensor.Tensor
 	wTGen    uint64
 	wTBuilds int
 
-	bArena tensor.Arena
-	bIn    *tensor.Tensor
+	// bIn and bOut are the latest ForwardBatch's input (read by
+	// BackwardBatch, never by a later forward pass) and output.
+	bArena    tensor.Arena
+	bIn, bOut *tensor.Tensor
 }
 
 // NewDense creates a fully-connected layer with zeroed parameters.
@@ -231,49 +170,10 @@ func (d *Dense) weightT() *tensor.Tensor {
 	return d.wT
 }
 
-// Forward implements Layer: the batch-of-one case of ForwardBatch's GEMM on
-// the same cached layout.
-func (d *Dense) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Len() != d.In {
-		panic(fmt.Sprintf("nn: %s expects %d inputs, got %v", d.LayerName, d.In, in.Shape()))
-	}
-	d.lastIn = in.Reshape(1, d.In)
-	out := tensor.New(1, d.Out)
-	tensor.MatMulAccumVec(out, d.lastIn, d.weightT())
-	y := out.Data()
-	bd := d.Bias.W.Data()
-	for i := range y {
-		y[i] += bd[i]
-	}
-	return tensor.FromSlice(y, d.Out)
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
-	if d.lastIn == nil {
-		panic("nn: Dense.Backward before Forward")
-	}
-	g := grad.Data()
-	// dW += g ⊗ x (outer product through the PE array, Fig. 8);
-	// db += g.
-	tensor.Outer(d.Weight.G, g, d.lastIn.Data())
-	bg := d.Bias.G.Data()
-	for i, v := range g {
-		bg[i] += v
-	}
-	if !needInputGrad {
-		return nil
-	}
-	// dX = W^T g via the transposed-matrix dataflow.
-	dx := tensor.MatVecT(d.Weight.W, g)
-	return tensor.FromSlice(dx, d.In)
-}
-
 // ReLU is the rectifier activation, executed by the comparator units of each
 // PE in hardware.
 type ReLU struct {
 	LayerName string
-	mask      []bool
 
 	bArena tensor.Arena
 	bOut   *tensor.Tensor // latest ForwardBatch output; doubles as the mask
@@ -288,51 +188,15 @@ func (r *ReLU) Name() string { return r.LayerName }
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
-	out := in.Clone()
-	d := out.Data()
-	if cap(r.mask) < len(d) {
-		r.mask = make([]bool, len(d))
-	}
-	r.mask = r.mask[:len(d)]
-	for i, v := range d {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-			d[i] = 0
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
-	if !needInputGrad {
-		return nil
-	}
-	out := grad.Clone()
-	d := out.Data()
-	for i := range d {
-		if !r.mask[i] {
-			d[i] = 0
-		}
-	}
-	return out
-}
-
-// MaxPool is a 2-D max-pooling layer over CHW tensors.
+// MaxPool is a 2-D max-pooling layer over NCHW tensors.
 type MaxPool struct {
-	LayerName  string
-	K, Stride  int
-	lastShape  []int
-	lastArgmax []int
-	outH, outW int
+	LayerName string
+	K, Stride int
 
 	bArena  tensor.Arena
-	bArgmax []int
-	bShape  [4]int // cached NCHW input shape of the last ForwardBatch
+	bOut    *tensor.Tensor // latest ForwardBatch output
+	bArgmax []int          // flat input index of each output's maximum
+	bShape  [4]int         // NCHW input shape of the latest ForwardBatch
 }
 
 // NewMaxPool creates a max-pooling layer with a square window.
@@ -346,65 +210,13 @@ func (m *MaxPool) Name() string { return m.LayerName }
 // Params implements Layer.
 func (m *MaxPool) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (m *MaxPool) Forward(in *tensor.Tensor) *tensor.Tensor {
-	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	oh := (h-m.K)/m.Stride + 1
-	ow := (w-m.K)/m.Stride + 1
-	m.lastShape = []int{c, h, w}
-	m.outH, m.outW = oh, ow
-	out := tensor.New(c, oh, ow)
-	if cap(m.lastArgmax) < c*oh*ow {
-		m.lastArgmax = make([]int, c*oh*ow)
-	}
-	m.lastArgmax = m.lastArgmax[:c*oh*ow]
-	id := in.Data()
-	od := out.Data()
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				bestIdx := base + oy*m.Stride*w + ox*m.Stride
-				best := id[bestIdx]
-				for ky := 0; ky < m.K; ky++ {
-					for kx := 0; kx < m.K; kx++ {
-						idx := base + (oy*m.Stride+ky)*w + ox*m.Stride + kx
-						if id[idx] > best {
-							best = id[idx]
-							bestIdx = idx
-						}
-					}
-				}
-				o := ch*oh*ow + oy*ow + ox
-				od[o] = best
-				m.lastArgmax[o] = bestIdx
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (m *MaxPool) Backward(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
-	if !needInputGrad {
-		return nil
-	}
-	out := tensor.New(m.lastShape...)
-	od := out.Data()
-	for o, src := range m.lastArgmax {
-		od[src] += grad.Data()[o]
-	}
-	return out
-}
-
-// Flatten reshapes a CHW tensor into a flat vector (the "Flatten" stage
-// between CONV5 and FC1 in Fig. 3(a)).
+// Flatten reshapes each sample's CHW tensor into a flat vector (the "Flatten"
+// stage between CONV5 and FC1 in Fig. 3(a)).
 type Flatten struct {
 	LayerName string
-	lastShape []int
 
-	// Cached reshape views: a Reshape allocates a header, so the batched
-	// path reuses the previous view while its source tensor is unchanged.
+	// Cached reshape views: a Reshape allocates a header, so a pass reuses the
+	// previous view while its source tensor is unchanged.
 	bIn, bOut, bGradIn, bGradOut *tensor.Tensor
 	bShape                       [4]int
 }
@@ -417,17 +229,3 @@ func (f *Flatten) Name() string { return f.LayerName }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (f *Flatten) Forward(in *tensor.Tensor) *tensor.Tensor {
-	f.lastShape = append(f.lastShape[:0], in.Shape()...)
-	return in.Reshape(in.Len())
-}
-
-// Backward implements Layer.
-func (f *Flatten) Backward(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
-	if !needInputGrad {
-		return nil
-	}
-	return grad.Reshape(f.lastShape...)
-}

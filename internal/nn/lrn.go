@@ -19,12 +19,13 @@ type LRN struct {
 	K         float64
 	Alpha     float64
 	Beta      float64
-	lastIn    *tensor.Tensor
-	lastDenom []float64
 
-	bArena tensor.Arena
-	bIn    *tensor.Tensor
-	bDenom []float64
+	// bIn and bOut are the latest ForwardBatch's input (read by
+	// BackwardBatch, never by a later forward pass) and output; bDenom its
+	// cached denominators.
+	bArena    tensor.Arena
+	bIn, bOut *tensor.Tensor
+	bDenom    []float64
 }
 
 // NewLRN creates an LRN layer with AlexNet's constants.
@@ -38,21 +39,8 @@ func (l *LRN) Name() string { return l.LayerName }
 // Params implements Layer.
 func (l *LRN) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (l *LRN) Forward(in *tensor.Tensor) *tensor.Tensor {
-	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	out := tensor.New(c, h, w)
-	if cap(l.lastDenom) < c*h*w {
-		l.lastDenom = make([]float64, c*h*w)
-	}
-	l.lastDenom = l.lastDenom[:c*h*w]
-	l.lastIn = in
-	l.forwardSample(in.Data(), out.Data(), l.lastDenom, c, h*w)
-	return out
-}
-
 // forwardSample normalizes one CHW sample: od and the denominator cache are
-// filled from id. Shared verbatim by the serial and batched paths.
+// filled from id.
 func (l *LRN) forwardSample(id, od []float32, denoms []float64, c, hw int) {
 	half := l.N / 2
 	for p := 0; p < hw; p++ {
@@ -71,21 +59,8 @@ func (l *LRN) forwardSample(id, od []float32, denoms []float64, c, hw int) {
 	}
 }
 
-// Backward implements Layer.
-func (l *LRN) Backward(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
-	if !needInputGrad {
-		return nil
-	}
-	in := l.lastIn
-	c := in.Dim(0)
-	hw := in.Dim(1) * in.Dim(2)
-	out := tensor.New(in.Shape()...)
-	l.backwardSample(in.Data(), grad.Data(), out.Data(), l.lastDenom, c, hw)
-	return out
-}
-
 // backwardSample computes one CHW sample's input gradient from the cached
-// denominators. Shared verbatim by the serial and batched paths.
+// denominators.
 func (l *LRN) backwardSample(id, gd, od []float32, denoms []float64, c, hw int) {
 	half := l.N / 2
 	scale := 2 * l.Alpha * l.Beta / float64(l.N)

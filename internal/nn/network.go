@@ -92,75 +92,63 @@ func (n *Network) Init(rng *rand.Rand) {
 	}
 }
 
-// Forward runs one sample through the network.
+// Forward runs one CHW sample through the network as a batch of one and
+// returns a privately owned copy of the output, the leading 1 dropped.
 func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
-	}
-	return x
+	return n.ForwardRange(0, len(n.Layers), x)
 }
 
 // ForwardBatch runs B stacked samples (leading batch dimension) through the
 // network with one GEMM per layer. The returned (B, out) tensor is a
 // workspace owned by the final layer — copy anything that must survive the
-// next batched call. Per-sample rows are bit-identical to B Forward calls.
+// next pass. Row s is bit-identical to sample s run alone.
 func (n *Network) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range n.Layers {
-		x = n.batchLayer(l).ForwardBatch(x)
-	}
-	return x
+	return n.ForwardBatchRange(0, len(n.Layers), x)
 }
 
-// ForwardRange runs one sample through the layers [from, to) only. Splitting
-// a Forward call into ForwardRange(0, b, x) followed by ForwardRange(b, L, ·)
-// executes exactly the same layer sequence, so the composition is bit-identical
-// to the unsplit pass. The actor/learner pipeline uses the split to cache the
-// frozen prefix's boundary activation — the activation entering the first
-// trainable layer — and re-run only the trainable tail.
+// ForwardRange runs one sample through the layers [from, to) only, as a batch
+// of one, and returns a privately owned copy of the result with the leading 1
+// dropped. Splitting a Forward call into ForwardRange(0, b, x) followed by
+// ForwardRange(b, L, ·) executes exactly the same layer sequence, so the
+// composition is bit-identical to the unsplit pass. The actor/learner
+// pipeline uses the split to cache the frozen prefix's boundary activation —
+// the activation entering the first trainable layer — in replay
+// (Transition.Feat, hence the copy) and re-run only the trainable tail.
 func (n *Network) ForwardRange(from, to int, x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range n.Layers[from:to] {
-		x = l.Forward(x)
-	}
-	return x
+	return sampleCopy(n.ForwardBatchRange(from, to, batchOfOne(x)))
 }
 
-// ForwardBatchRange is the batched counterpart of ForwardRange: it runs B
-// stacked samples through layers [from, to) with one GEMM per layer. Like
-// ForwardBatch, the returned tensor is a layer-owned workspace, and per-sample
-// rows are bit-identical to the single-sample path.
+// batchOfOne views one sample as a batch of one (same storage).
+func batchOfOne(x *tensor.Tensor) *tensor.Tensor {
+	shape := append(make([]int, 0, 1+x.Rank()), 1)
+	return x.Reshape(append(shape, x.Shape()...)...)
+}
+
+// sampleCopy returns a privately owned copy of a batch-of-one result with the
+// leading 1 dropped.
+func sampleCopy(out *tensor.Tensor) *tensor.Tensor {
+	return tensor.FromSlice(append([]float32(nil), out.Data()...), out.Shape()[1:]...)
+}
+
+// ForwardBatchRange runs B stacked samples through layers [from, to) with one
+// GEMM per layer. Like ForwardBatch, the returned tensor is a layer-owned
+// workspace.
 func (n *Network) ForwardBatchRange(from, to int, x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range n.Layers[from:to] {
-		x = n.batchLayer(l).ForwardBatch(x)
+		x = l.ForwardBatch(x)
 	}
 	return x
 }
 
-// BackwardBatch accumulates parameter gradients for a whole batch, given the
-// (B, out) gradient of the loss w.r.t. the batched network output. It must
-// follow a ForwardBatch call on the same batch, and accumulates exactly what
-// B serial Backward calls would, bit for bit.
+// BackwardBatch accumulates parameter gradients for the layers at or above
+// the training boundary, given the (B, out) gradient of the loss w.r.t. the
+// batched network output. It must follow a ForwardBatch call on the same
+// batch with no other pass through the network in between, and accumulates
+// sample by sample in batch order.
 func (n *Network) BackwardBatch(grad *tensor.Tensor) {
 	for i := len(n.Layers) - 1; i >= n.trainFrom; i-- {
 		needInput := i > n.trainFrom
-		grad = n.batchLayer(n.Layers[i]).BackwardBatch(grad, needInput)
-	}
-}
-
-func (n *Network) batchLayer(l Layer) BatchLayer {
-	bl, ok := l.(BatchLayer)
-	if !ok {
-		panic(fmt.Sprintf("nn: layer %s does not implement the batched path", l.Name()))
-	}
-	return bl
-}
-
-// Backward accumulates parameter gradients for the layers at or above the
-// training boundary, given the gradient of the loss w.r.t. the network
-// output. It must follow a Forward call on the same sample.
-func (n *Network) Backward(grad *tensor.Tensor) {
-	for i := len(n.Layers) - 1; i >= n.trainFrom; i-- {
-		needInput := i > n.trainFrom
-		grad = n.Layers[i].Backward(grad, needInput)
+		grad = n.Layers[i].BackwardBatch(grad, needInput)
 	}
 }
 

@@ -52,15 +52,20 @@ func TestSetConfigBoundaries(t *testing.T) {
 	}
 }
 
+// forwardBackwardOne runs one sample forward and backward as a batch of one
+// with every output-gradient entry set to g.
+func forwardBackwardOne(n *Network, x *tensor.Tensor, g float32) {
+	grad := tensor.New(n.ForwardBatch(batchOfOne(x)).Shape()...)
+	grad.Fill(g)
+	n.BackwardBatch(grad)
+}
+
 func TestFrozenLayersDoNotAccumulate(t *testing.T) {
 	n := buildTinyNet(2)
 	n.SetConfig(L2)
 	x := tensor.New(1, 8, 8)
 	x.RandN(rand.New(rand.NewSource(3)), 1)
-	out := n.Forward(x)
-	grad := tensor.New(out.Len())
-	grad.Fill(1)
-	n.Backward(grad)
+	forwardBackwardOne(n, x, 1)
 	for _, l := range n.Layers[:n.TrainFrom()] {
 		for _, p := range l.Params() {
 			if p.G.SumAbs() != 0 {
@@ -90,10 +95,7 @@ func TestStepOnlyTouchesTrainable(t *testing.T) {
 			frozenBefore = append(frozenBefore, append([]float32(nil), p.W.Data()...))
 		}
 	}
-	out := n.Forward(x)
-	grad := tensor.New(out.Len())
-	grad.Fill(1)
-	n.Backward(grad)
+	forwardBackwardOne(n, x, 1)
 	n.Step(0.1, 1)
 
 	i := 0
@@ -122,10 +124,7 @@ func TestStepAveragesOverBatch(t *testing.T) {
 
 	run := func(net *Network, times, batch int) {
 		for i := 0; i < times; i++ {
-			out := net.Forward(x.Clone())
-			g := tensor.New(out.Len())
-			g.Fill(0.5)
-			net.Backward(g)
+			forwardBackwardOne(net, x, 0.5)
 		}
 		net.Step(0.1, batch)
 	}
@@ -159,10 +158,7 @@ func TestZeroGrad(t *testing.T) {
 	n := buildTinyNet(9)
 	x := tensor.New(1, 8, 8)
 	x.RandN(rand.New(rand.NewSource(10)), 1)
-	out := n.Forward(x)
-	g := tensor.New(out.Len())
-	g.Fill(1)
-	n.Backward(g)
+	forwardBackwardOne(n, x, 1)
 	n.ZeroGrad()
 	for _, p := range n.Params() {
 		if p.G.SumAbs() != 0 {
@@ -175,10 +171,7 @@ func TestClipGrad(t *testing.T) {
 	n := buildTinyNet(11)
 	x := tensor.New(1, 8, 8)
 	x.RandN(rand.New(rand.NewSource(12)), 1)
-	out := n.Forward(x)
-	g := tensor.New(out.Len())
-	g.Fill(100)
-	n.Backward(g)
+	forwardBackwardOne(n, x, 100)
 	norm := n.ClipGrad(1.0)
 	if norm <= 1.0 {
 		t.Skip("gradient did not exceed the clip threshold")

@@ -22,17 +22,19 @@ func QuantizeParams(n *Network, f fixed.Format) {
 	}
 }
 
-// QuantizedForward runs one sample through the network, additionally
-// rounding every layer's activations to format f, emulating the 16-bit
-// datapath between PE array and global buffer. Weights are used as stored;
-// quantize them first with QuantizeParams for a full fixed-point emulation.
+// QuantizedForward runs one sample through the network as a batch of one,
+// additionally rounding the input and every layer's activations to format f,
+// emulating the 16-bit datapath between PE array and global buffer. Weights
+// are used as stored; quantize them first with QuantizeParams for a full
+// fixed-point emulation. The result is a private copy; x is not written.
 func QuantizedForward(n *Network, f fixed.Format, x *tensor.Tensor) *tensor.Tensor {
+	x = batchOfOne(x.Clone())
 	quantizeTensor(x, f)
 	for _, l := range n.Layers {
-		x = l.Forward(x)
+		x = l.ForwardBatch(x)
 		quantizeTensor(x, f)
 	}
-	return x
+	return sampleCopy(x)
 }
 
 func quantizeTensor(t *tensor.Tensor, f fixed.Format) {

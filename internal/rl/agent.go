@@ -327,8 +327,7 @@ func (a *Agent) Greedy(obs *tensor.Tensor) int {
 	if a.trainBackend != nil {
 		return argmaxRow(a.trainBackend.Infer(obs))
 	}
-	q := a.Net.Forward(obs.Clone())
-	return q.ArgMax()
+	return a.Net.Forward(obs).ArgMax()
 }
 
 // ActivateEvalBackend builds and installs the evaluation backend named by
@@ -401,8 +400,7 @@ func (a *Agent) EvalCost() nn.BackendCost {
 
 // QValues returns the Q-vector for an observation.
 func (a *Agent) QValues(obs *tensor.Tensor) []float32 {
-	q := a.Net.Forward(obs.Clone())
-	return append([]float32(nil), q.Data()...)
+	return a.Net.Forward(obs).Data()
 }
 
 // Observe stores a transition in the agent's private replay buffer. The
@@ -412,17 +410,15 @@ func (a *Agent) Observe(t Transition) { a.replay.Push(t) }
 // ReplayLen returns the number of transitions in the active sampling source.
 func (a *Agent) ReplayLen() int { return a.source().Len() }
 
-// TrainStep runs one training iteration on the batched path: the N sampled
-// transitions are stacked into batch tensors and pushed through one batched
-// target-network pass (all next-states), one batched online pass — plus one
-// more under Double-DQN for action selection — and one batched backward,
-// followed by a single weight update. This is the batch procedure of
-// Fig. 3(b) with one GEMM per layer per batch instead of ~3N single-sample
-// passes, and it is bit-identical to TrainStepSerial: same rng stream, same
-// per-sample reduction orders, same weights after the update (asserted by
-// the batch equivalence tests). After the first call it allocates nothing.
-// It returns the mean squared TD error, or -1 when the buffer is still
-// shorter than the batch.
+// TrainStep runs one training iteration: the N sampled transitions are
+// stacked into batch tensors and pushed through one batched target-network
+// pass (all next-states), one batched online pass — plus one more under
+// Double-DQN for action selection — and one batched backward, followed by a
+// single weight update. This is the batch procedure of Fig. 3(b) with one GEMM
+// per layer per batch; gradients accumulate in sample order, so the update is
+// what N single-sample passes would leave (TestFloatStackGolden pins it).
+// After the first call it allocates nothing. It returns the mean squared TD
+// error, or -1 when the buffer is still shorter than the batch.
 func (a *Agent) TrainStep() float64 {
 	o := a.opts
 	if a.source().Len() < o.BatchSize {
@@ -447,8 +443,7 @@ func (a *Agent) TrainStep() float64 {
 		}
 	}
 	b := o.BatchSize
-	// Stack observations into (B, C, H, W) views of the agent's workspace;
-	// the per-sample copies replace the serial path's defensive Clones.
+	// Stack observations into (B, C, H, W) views of the agent's workspace.
 	sh := a.batch[0].State.Shape()
 	if len(sh) != 3 {
 		panic("rl: TrainStep expects CHW observations")
@@ -469,9 +464,8 @@ func (a *Agent) TrainStep() float64 {
 			}
 			copy(dst, tr.Next.Data())
 		case tr.Done:
-			// Terminal transitions may omit Next — the serial path never
-			// reads it for Done rows. Feed zeros; the bootstrap row is
-			// computed but ignored (the target is just the reward).
+			// Terminal transitions may omit Next. Feed zeros; the bootstrap
+			// row is computed but ignored (the target is just the reward).
 			for j := range dst {
 				dst[j] = 0
 			}
@@ -479,40 +473,7 @@ func (a *Agent) TrainStep() float64 {
 			panic("rl: TrainStep transition has nil Next but Done is false")
 		}
 	}
-	bootstrap := a.Net
-	if a.Target != nil {
-		bootstrap = a.Target
-	}
-	// TD targets from one batched bootstrap pass over all next-states
-	// (Eq. (1) of the paper): r, plus the discounted bootstrap when the
-	// episode continues. Under DoubleDQN the online network chooses the
-	// bootstrap action and the target network prices it. Rows of finished
-	// episodes are computed too but ignored — the wasted columns cost far
-	// less than per-sample passes would.
-	if cap(a.targets) < b {
-		a.targets = make([]float64, b)
-	}
-	a.targets = a.targets[:b]
-	qn := bootstrap.ForwardBatch(nexts).Data()
-	if o.DoubleDQN && a.Target != nil {
-		qo := a.Net.ForwardBatch(nexts).Data()
-		for i := range a.targets {
-			sel := argmaxRow(qo[i*a.actions : (i+1)*a.actions])
-			a.targets[i] = o.Gamma * float64(qn[i*a.actions+sel])
-		}
-	} else {
-		for i := range a.targets {
-			row := qn[i*a.actions : (i+1)*a.actions]
-			a.targets[i] = o.Gamma * float64(row[argmaxRow(row)])
-		}
-	}
-	for i, tr := range a.batch {
-		if tr.Done {
-			a.targets[i] = tr.Reward
-		} else {
-			a.targets[i] += tr.Reward
-		}
-	}
+	a.tdTargets(0, nexts)
 	// One batched online pass and one batched backward.
 	q := a.Net.ForwardBatch(states).Data()
 	return a.finishBatchedStep(q)
@@ -525,8 +486,7 @@ func (a *Agent) TrainStep() float64 {
 // one batched backward. Transitions without cached features (exploration
 // steps, or next-states sampled before the actor backfilled them) get their
 // features recomputed through the frozen prefix, so the result is
-// bit-identical to the full-network TrainStep on every input mix (asserted
-// by the batch equivalence tests).
+// bit-identical to the full-network TrainStep on every input mix.
 func (a *Agent) trainStepTail(boundary, featDim int) float64 {
 	o := a.opts
 	b := o.BatchSize
@@ -587,21 +547,35 @@ func (a *Agent) trainStepTail(boundary, featDim int) float64 {
 			copy(dst, feats.Data()[i*featDim:(i+1)*featDim])
 		}
 	}
+	// The frozen prefix is shared by construction: the online network never
+	// updates it and target syncs copy it verbatim, so the boundary features
+	// are valid entry points into the online and target tails alike.
+	a.tdTargets(boundary, nexts)
+	q := a.Net.ForwardBatchRange(boundary, len(a.Net.Layers), states).Data()
+	return a.finishBatchedStep(q)
+}
+
+// tdTargets fills a.targets with the sampled batch's TD targets (Eq. (1) of
+// the paper) from one batched bootstrap pass over the stacked next-states,
+// entering the networks at layer from: r, plus the discounted bootstrap when
+// the episode continues. Under DoubleDQN the online network chooses the
+// bootstrap action and the target network prices it. Rows of finished
+// episodes are computed too but ignored — the wasted columns cost far less
+// than per-sample passes would.
+func (a *Agent) tdTargets(from int, nexts *tensor.Tensor) {
+	o := a.opts
+	if cap(a.targets) < o.BatchSize {
+		a.targets = make([]float64, o.BatchSize)
+	}
+	a.targets = a.targets[:o.BatchSize]
 	bootstrap := a.Net
 	if a.Target != nil {
 		bootstrap = a.Target
 	}
-	if cap(a.targets) < b {
-		a.targets = make([]float64, b)
-	}
-	a.targets = a.targets[:b]
 	last := len(a.Net.Layers)
-	// The frozen prefix is shared by construction: the online network never
-	// updates it and target syncs copy it verbatim, so the boundary features
-	// are valid entry points into the online and target tails alike.
-	qn := bootstrap.ForwardBatchRange(boundary, last, nexts).Data()
+	qn := bootstrap.ForwardBatchRange(from, last, nexts).Data()
 	if o.DoubleDQN && a.Target != nil {
-		qo := a.Net.ForwardBatchRange(boundary, last, nexts).Data()
+		qo := a.Net.ForwardBatchRange(from, last, nexts).Data()
 		for i := range a.targets {
 			sel := argmaxRow(qo[i*a.actions : (i+1)*a.actions])
 			a.targets[i] = o.Gamma * float64(qn[i*a.actions+sel])
@@ -619,8 +593,6 @@ func (a *Agent) trainStepTail(boundary, featDim int) float64 {
 			a.targets[i] += tr.Reward
 		}
 	}
-	q := a.Net.ForwardBatchRange(boundary, last, states).Data()
-	return a.finishBatchedStep(q)
 }
 
 // finishBatchedStep turns the batched Q-output into the TD gradient, runs
@@ -721,56 +693,6 @@ func argmaxRow(row []float32) int {
 		}
 	}
 	return best
-}
-
-// TrainStepSerial is the per-sample reference implementation of TrainStep,
-// kept verbatim from before the batched path existed: each sampled
-// transition runs its own forward and backward passes with freshly allocated
-// intermediates. The batch equivalence tests assert TrainStep matches it bit
-// for bit, and the TrainStepSerial/TrainStepBatched benchmarks measure the
-// gap. Serial and batched steps are interchangeable mid-training.
-func (a *Agent) TrainStepSerial() float64 {
-	o := a.opts
-	if a.source().Len() < o.BatchSize {
-		return -1
-	}
-	batch := a.source().SampleInto(make([]Transition, 0, o.BatchSize), o.BatchSize, a.rng)
-	bootstrap := a.Net
-	if a.Target != nil {
-		bootstrap = a.Target
-	}
-	var mse float64
-	for _, tr := range batch {
-		// TD target: r, plus the discounted bootstrap when the episode
-		// continues (Eq. (1) of the paper). Under DoubleDQN the online
-		// network chooses the bootstrap action and the target network
-		// prices it.
-		target := tr.Reward
-		if !tr.Done {
-			qn := bootstrap.Forward(tr.Next.Clone())
-			if o.DoubleDQN && a.Target != nil {
-				sel := a.Net.Forward(tr.Next.Clone()).ArgMax()
-				target += o.Gamma * float64(qn.At(sel))
-			} else {
-				target += o.Gamma * float64(qn.Max())
-			}
-		}
-		q := a.Net.Forward(tr.State.Clone())
-		td := float64(q.At(tr.Action)) - target
-		mse += td * td
-		grad := tensor.New(a.actions)
-		grad.Set(float32(td), tr.Action)
-		a.Net.Backward(grad)
-	}
-	if o.GradClip > 0 {
-		a.Net.ClipGrad(o.GradClip)
-	}
-	a.Net.Step(o.LR, o.BatchSize)
-	ts := a.clock.TickTrain()
-	if a.Target != nil && ts%int64(o.TargetSync) == 0 {
-		a.syncTarget()
-	}
-	return mse / float64(o.BatchSize)
 }
 
 // TrainSteps returns the number of completed weight updates.

@@ -52,7 +52,7 @@ import (
 // schedule: one goroutine interleaving actor and learner exactly like
 // Trainer.Run, sharing the agent's rng stream, so a seeded actors=1 run
 // reproduces the historical online-learning outputs bit for bit (pinned by
-// TestOnlineLoopExactMatchesTrainer and transfer's wrapper test).
+// TestOnlineLoopExactMatchesTrainer and transfer's TestRunOnlineActorsOneGolden).
 
 // OnlineLoop runs online RL for an agent across one or more actors.
 type OnlineLoop struct {
@@ -164,10 +164,10 @@ func (l *OnlineLoop) runExact(ctx context.Context, iters int) (OnlineStats, erro
 			// tail to the Q-values — the same layer sequence Net.Forward
 			// runs, so the action is bit-identical, and the boundary
 			// activation becomes the transition's cached feature.
-			feat = a.Net.ForwardRange(0, boundary, obs.Clone())
+			feat = a.Net.ForwardRange(0, boundary, obs)
 			action = a.Net.ForwardRange(boundary, last, feat).ArgMax()
 		} else {
-			action = a.Net.Forward(obs.Clone()).ArgMax()
+			action = a.Net.Forward(obs).ArgMax()
 		}
 		if feat != nil && prevOrd >= 0 {
 			// This observation is the previous transition's next-state:
@@ -361,7 +361,7 @@ func (l *OnlineLoop) actorLoop(ctx context.Context, s actorState, adoptions *ato
 		case feat != nil:
 			action = s.net.ForwardRange(s.boundary, last, feat).ArgMax()
 		default:
-			action = s.net.Forward(obs.Clone()).ArgMax()
+			action = s.net.Forward(obs).ArgMax()
 		}
 		res := s.world.Step(env.Action(action))
 		next := env.DepthImage(res.Depths, s.world.Camera.MaxRange)

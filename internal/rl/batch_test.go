@@ -33,79 +33,16 @@ func paramsEqual(t *testing.T, label string, x, y *nn.Network) {
 	xp, yp := x.Params(), y.Params()
 	for i := range xp {
 		if !xp[i].W.Equal(yp[i].W) {
-			t.Errorf("%s: weight %s diverges between serial and batched", label, xp[i].Name)
+			t.Errorf("%s: weight %s diverges", label, xp[i].Name)
 		}
 		if !xp[i].G.Equal(yp[i].G) {
-			t.Errorf("%s: gradient %s diverges between serial and batched", label, xp[i].Name)
+			t.Errorf("%s: gradient %s diverges", label, xp[i].Name)
 		}
 	}
 }
 
-// TestTrainStepMatchesSerial is the tentpole acceptance test: the batched
-// TrainStep must match the per-sample reference path bit for bit — same
-// reported MSE every step, same weights and gradients afterwards — across
-// batch sizes 1/8/32, plain DQN and DoubleDQN, and a frozen TL topology.
-func TestTrainStepMatchesSerial(t *testing.T) {
-	cases := []struct {
-		name   string
-		cfg    nn.Config
-		double bool
-	}{
-		{"DQN-E2E", nn.E2E, false},
-		{"DoubleDQN-E2E", nn.E2E, true},
-		{"DQN-L2", nn.L2, false},
-	}
-	for _, tc := range cases {
-		for _, batch := range []int{1, 8, 32} {
-			opts := Options{
-				Seed: 61, BatchSize: batch, LR: 0.01,
-				TargetSync: 2, DoubleDQN: tc.double, EpsDecaySteps: 10,
-			}
-			serial := NewAgent(nn.NavNetSpec(), tc.cfg, opts)
-			batched := NewAgent(nn.NavNetSpec(), tc.cfg, opts)
-			fillReplay(serial, 48, 62)
-			fillReplay(batched, 48, 62)
-			for step := 0; step < 3; step++ {
-				ms := serial.TrainStepSerial()
-				mb := batched.TrainStep()
-				if ms != mb {
-					t.Errorf("%s batch=%d step %d: serial MSE %v != batched MSE %v",
-						tc.name, batch, step, ms, mb)
-				}
-			}
-			paramsEqual(t, tc.name, serial.Net, batched.Net)
-			if serial.Target != nil {
-				paramsEqual(t, tc.name+" (target)", serial.Target, batched.Target)
-			}
-		}
-	}
-}
-
-// TestTrainStepPathsInterchangeable verifies serial and batched steps can be
-// mixed mid-training: they consume the same rng stream and leave the same
-// state, so any interleaving equals the all-serial schedule.
-func TestTrainStepPathsInterchangeable(t *testing.T) {
-	opts := Options{Seed: 63, BatchSize: 8, LR: 0.01, TargetSync: 3}
-	mixed := NewAgent(nn.NavNetSpec(), nn.E2E, opts)
-	pure := NewAgent(nn.NavNetSpec(), nn.E2E, opts)
-	fillReplay(mixed, 32, 64)
-	fillReplay(pure, 32, 64)
-	for step := 0; step < 4; step++ {
-		var mm float64
-		if step%2 == 0 {
-			mm = mixed.TrainStep()
-		} else {
-			mm = mixed.TrainStepSerial()
-		}
-		if mp := pure.TrainStepSerial(); mm != mp {
-			t.Errorf("step %d: mixed MSE %v != serial MSE %v", step, mm, mp)
-		}
-	}
-	paramsEqual(t, "mixed-vs-serial", mixed.Net, pure.Net)
-}
-
-// TestSampleIntoMatchesSample pins the rng-stream contract that makes the
-// two TrainStep paths interchangeable, and the capacity-reuse behavior.
+// TestSampleIntoMatchesSample pins that Sample and SampleInto draw the same
+// rng stream, and the capacity-reuse behavior.
 func TestSampleIntoMatchesSample(t *testing.T) {
 	r := NewReplayBuffer(16)
 	for i := 0; i < 10; i++ {
@@ -144,36 +81,33 @@ func TestTrainStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestTrainStepAcceptsNilNextOnTerminal pins serial/batched interchangeability
-// for terminal transitions stored without a next observation: the serial path
-// never reads Next when Done is set, so the batched path must accept it too
-// and produce the same training trajectory.
+// TestTrainStepAcceptsNilNextOnTerminal pins that a terminal transition's Next
+// is never read: storing terminals without a next observation, or with an
+// arbitrary one, leaves the same training trajectory.
 func TestTrainStepAcceptsNilNextOnTerminal(t *testing.T) {
-	fill := func(a *Agent) {
+	fill := func(a *Agent, terminalNext bool) {
 		rng := rand.New(rand.NewSource(91))
 		for i := 0; i < 24; i++ {
 			s := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
 			s.RandN(rng, 1)
 			tr := Transition{State: s, Action: rng.Intn(nn.NavNetActions), Reward: rng.Float64()*2 - 1}
-			if i%4 == 0 {
-				tr.Done = true // terminal, no Next stored
-			} else {
-				tr.Next = tensor.New(1, nn.NavNetInput, nn.NavNetInput)
-				tr.Next.RandN(rng, 1)
+			next := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
+			next.RandN(rng, 1)
+			if tr.Done = i%4 == 0; !tr.Done || terminalNext {
+				tr.Next = next
 			}
 			a.Observe(tr)
 		}
 	}
 	opts := Options{Seed: 92, BatchSize: 8, LR: 0.01, TargetSync: 2}
-	serial := NewAgent(nn.NavNetSpec(), nn.E2E, opts)
-	batched := NewAgent(nn.NavNetSpec(), nn.E2E, opts)
-	fill(serial)
-	fill(batched)
+	without := NewAgent(nn.NavNetSpec(), nn.E2E, opts)
+	with := NewAgent(nn.NavNetSpec(), nn.E2E, opts)
+	fill(without, false)
+	fill(with, true)
 	for step := 0; step < 3; step++ {
-		ms, mb := serial.TrainStepSerial(), batched.TrainStep()
-		if ms != mb {
-			t.Errorf("step %d: serial MSE %v != batched MSE %v", step, ms, mb)
+		if m0, m1 := without.TrainStep(), with.TrainStep(); m0 != m1 {
+			t.Errorf("step %d: MSE %v without terminal Next != %v with it", step, m0, m1)
 		}
 	}
-	paramsEqual(t, "nil-next", serial.Net, batched.Net)
+	paramsEqual(t, "nil-next", without.Net, with.Net)
 }

@@ -36,28 +36,27 @@ type DroneStats struct {
 // seed and its index, so results depend only on (net, base layout, n,
 // steps, seed) — never on scheduling.
 //
-// With batched=false each drone flies serially through single-row forward
-// passes — the bit-exact reference. With batched=true the fleet flies in
-// lockstep: every tick stacks the n observations into one batch and runs
-// one GEMM per layer across the whole swarm (the actor-fleet batching of
-// the async pipeline, applied to a shared frozen policy), then steps the n
-// worlds concurrently. Both paths return bit-identical stats, pinned by
-// test under -race.
-func FlySwarm(net *nn.Network, base *env.World, n, steps int, seed int64, batched bool) []DroneStats {
-	return FlySwarmBackend(net, nil, base, n, steps, seed, batched)
+// The fleet flies in lockstep: every tick stacks the n observations into one
+// batch and runs one GEMM per layer across the whole swarm (the actor-fleet
+// batching of the async pipeline, applied to a shared frozen policy), then
+// steps the n worlds concurrently. By the layers' row contract each drone
+// flies exactly as it would alone (pinned by a golden hash, under -race).
+func FlySwarm(net *nn.Network, base *env.World, n, steps int, seed int64) []DroneStats {
+	return FlySwarmBackend(nn.NewFloatBackend(net), base, n, steps, seed)
 }
 
 // FlySwarmBackend is FlySwarm with the policy evaluated on a compiled
-// inference backend instead of the float network. A nil backend keeps the
-// float paths (and FlySwarm's bit-identity pin) untouched. With a backend
-// and batched=true the fleet's tick runs through the backend's batched entry
-// — for "quant" that is one int16 GEMM per layer across the whole swarm,
-// charging one MRAM weight stream per layer per tick instead of one per
-// drone; with batched=false each drone flies on per-sample backend.Infer,
-// the serial reference the backend's batched path is pinned against.
-func FlySwarmBackend(net *nn.Network, backend nn.Backend, base *env.World, n, steps int, seed int64, batched bool) []DroneStats {
+// inference backend: the fleet's tick runs through the backend's batched
+// entry — for "quant" that is one int16 GEMM per layer across the whole
+// swarm, charging one MRAM weight stream per layer per tick instead of one
+// per drone.
+func FlySwarmBackend(backend nn.Backend, base *env.World, n, steps int, seed int64) []DroneStats {
 	if n < 1 {
 		panic("scen: swarm needs at least one drone")
+	}
+	bi, ok := backend.(nn.BatchInferrer)
+	if !ok {
+		panic(fmt.Sprintf("scen: backend %q has no batched inference path", backend.Name()))
 	}
 	worlds := make([]*env.World, n)
 	obs := make([]*tensor.Tensor, n)
@@ -74,70 +73,36 @@ func FlySwarmBackend(net *nn.Network, backend nn.Backend, base *env.World, n, st
 		stats[i].Drone = i
 	}
 
-	if batched {
-		var bi nn.BatchInferrer
-		if backend != nil {
-			var ok bool
-			if bi, ok = backend.(nn.BatchInferrer); !ok {
-				panic(fmt.Sprintf("scen: backend %q has no batched inference path", backend.Name()))
-			}
+	row := obs[0].Len()
+	// One stack tensor for the whole mission: inference never retains the
+	// input, so the fleet's tick loop runs allocation-free on the GEMM side.
+	batch := tensor.New(n, 1, env.ImageSize, env.ImageSize)
+	for s := 0; s < steps; s++ {
+		// One batched GEMM per layer across the swarm...
+		bd := batch.Data()
+		for i := range worlds {
+			copy(bd[i*row:(i+1)*row], obs[i].Data())
 		}
-		row := obs[0].Len()
-		// One stack tensor for the whole mission: inference never retains
-		// the input, so the fleet's tick loop runs allocation-free on the
-		// GEMM side.
-		batch := tensor.New(n, 1, env.ImageSize, env.ImageSize)
-		for s := 0; s < steps; s++ {
-			// One batched GEMM per layer across the swarm...
-			bd := batch.Data()
-			for i := range worlds {
-				copy(bd[i*row:(i+1)*row], obs[i].Data())
-			}
-			var q []float32
-			if bi != nil {
-				q = bi.InferBatch(batch)
-			} else {
-				q = net.ForwardBatch(batch).Data()
-			}
-			actions := len(q) / n
-			// ...then every drone steps its own world concurrently; each
-			// goroutine touches only its own index's state.
-			var wg sync.WaitGroup
-			for i := range worlds {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					a := argmaxRow(q[i*actions : (i+1)*actions])
-					res := worlds[i].Step(env.Action(a))
-					rewardSum[i] += res.Reward
-					if res.Crashed {
-						stats[i].Crashes++
-						stats[i].Distance += res.FlightDistance
-					}
-					obs[i] = env.DepthImage(res.Depths, worlds[i].Camera.MaxRange)
-				}(i)
-			}
-			wg.Wait()
-		}
-	} else {
-		for i, w := range worlds {
-			o := obs[i]
-			for s := 0; s < steps; s++ {
-				var a int
-				if backend != nil {
-					a = argmaxRow(backend.Infer(o))
-				} else {
-					a = net.Forward(o.Clone()).ArgMax()
-				}
-				res := w.Step(env.Action(a))
+		q := bi.InferBatch(batch)
+		actions := len(q) / n
+		// ...then every drone steps its own world concurrently; each
+		// goroutine touches only its own index's state.
+		var wg sync.WaitGroup
+		for i := range worlds {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				a := argmaxRow(q[i*actions : (i+1)*actions])
+				res := worlds[i].Step(env.Action(a))
 				rewardSum[i] += res.Reward
 				if res.Crashed {
 					stats[i].Crashes++
 					stats[i].Distance += res.FlightDistance
 				}
-				o = env.DepthImage(res.Depths, w.Camera.MaxRange)
-			}
+				obs[i] = env.DepthImage(res.Depths, worlds[i].Camera.MaxRange)
+			}(i)
 		}
+		wg.Wait()
 	}
 
 	for i, w := range worlds {
@@ -299,7 +264,7 @@ func (e *SwarmExperiment) onlineJob(rc *core.RunContext, _ int) error {
 }
 
 func (e *SwarmExperiment) swarmJob(rc *core.RunContext, _ int) error {
-	var backend nn.Backend
+	var backend nn.Backend = nn.NewFloatBackend(e.agent.Net)
 	if e.Backend != "" {
 		b, err := nn.NewBackendFor(e.Backend, e.agent.Net, nn.NavNetSpec(), e.Topology)
 		if err != nil {
@@ -307,7 +272,7 @@ func (e *SwarmExperiment) swarmJob(rc *core.RunContext, _ int) error {
 		}
 		backend = b
 	}
-	drones := FlySwarmBackend(e.agent.Net, backend, e.world, e.Drones, e.MissionSteps, e.Seed+5000, true)
+	drones := FlySwarmBackend(backend, e.world, e.Drones, e.MissionSteps, e.Seed+5000)
 	rep := &SwarmReport{
 		Env: e.world.Name, Config: e.Topology,
 		Backend: e.Backend, Drones: drones, Training: e.training,

@@ -2,7 +2,12 @@ package scen
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -23,23 +28,47 @@ func swarmNet(t *testing.T) *nn.Network {
 	return rl.NewAgent(nn.NavNetSpec(), nn.L3, rl.Options{Seed: 3}).Net
 }
 
-func TestFlySwarmSerialParallelBitIdentical(t *testing.T) {
+// swarmStatsHash is the SHA-256 of per-drone stats, index order.
+func swarmStatsHash(stats []DroneStats) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, d := range stats {
+		put(uint64(d.Drone))
+		put(uint64(d.Steps))
+		put(uint64(d.Crashes))
+		put(math.Float64bits(d.MeanReward))
+		put(math.Float64bits(d.Distance))
+		put(math.Float64bits(d.SFD))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFlySwarmGoldenAndReproducible pins the lockstep fleet to the stats it
+// left at 2c75f9e, where each drone was also flown alone through single-row
+// forward passes and compared bit for bit (that arm is deleted since; hash
+// captured there), and pins the flight reproducible run to run despite its
+// per-tick goroutines.
+func TestFlySwarmGoldenAndReproducible(t *testing.T) {
 	net := swarmNet(t)
 	base, err := Generate(GenSpec{Kind: Indoor, Corridor: 1.0, Density: 4}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := FlySwarm(net, base, 4, 120, 9, false)
-	batched := FlySwarm(net, base, 4, 120, 9, true)
-	if !reflect.DeepEqual(serial, batched) {
-		t.Fatalf("serial and batched swarm flights diverge:\nserial:  %+v\nbatched: %+v",
-			serial, batched)
+	stats := FlySwarm(net, base, 4, 120, 9)
+	again := FlySwarm(net, base, 4, 120, 9)
+	if !reflect.DeepEqual(stats, again) {
+		t.Fatalf("swarm flight not reproducible:\n%+v\nvs\n%+v", stats, again)
 	}
-	// And the batched path itself is reproducible run to run despite its
-	// per-tick goroutines.
-	again := FlySwarm(net, base, 4, 120, 9, true)
-	if !reflect.DeepEqual(batched, again) {
-		t.Fatalf("batched swarm flight not reproducible:\n%+v\nvs\n%+v", batched, again)
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("float golden hash was captured on amd64; %s rounds differently", runtime.GOARCH)
+	}
+	const want = "0483bad8244667aa89fc12c9ce937650dcc0178d50626f7ab337aec919fe6827"
+	if got := swarmStatsHash(stats); got != want {
+		t.Fatalf("swarm flight moved: stats hash %s, want %s\n%+v", got, want, stats)
 	}
 }
 
@@ -48,7 +77,7 @@ func TestFlySwarmLeavesTheBaseWorldAlone(t *testing.T) {
 	base := env.IndoorApartment(3)
 	pose := base.Drone
 	dist := base.FlightDistance()
-	stats := FlySwarm(net, base, 6, 80, 11, true)
+	stats := FlySwarm(net, base, 6, 80, 11)
 	if base.Drone != pose || base.FlightDistance() != dist {
 		t.Fatal("swarm flight mutated the base world")
 	}
@@ -139,7 +168,36 @@ func TestNewSwarmExperimentValidates(t *testing.T) {
 	}
 }
 
-// TestFlySwarmQuantBackendBitIdentical: a quant fleet flown batched (one
+// flySerial is the per-drone reference flight of the quant-fleet test: each
+// drone flies alone on per-sample backend.Infer, worlds seeded like
+// FlySwarmBackend's.
+func flySerial(backend nn.Backend, base *env.World, n, steps int, seed int64) []DroneStats {
+	stats := make([]DroneStats, n)
+	for i := range stats {
+		w := base.Clone()
+		w.Seed(seed + 97*int64(i))
+		w.Spawn()
+		o := env.DepthImage(w.Depths(), w.Camera.MaxRange)
+		var rewardSum float64
+		d := DroneStats{Drone: i, Steps: steps}
+		for s := 0; s < steps; s++ {
+			res := w.Step(env.Action(argmaxRow(backend.Infer(o))))
+			rewardSum += res.Reward
+			if res.Crashed {
+				d.Crashes++
+				d.Distance += res.FlightDistance
+			}
+			o = env.DepthImage(res.Depths, w.Camera.MaxRange)
+		}
+		d.Distance += w.FlightDistance()
+		d.MeanReward = rewardSum / float64(steps)
+		d.SFD = d.Distance / float64(d.Crashes+1)
+		stats[i] = d
+	}
+	return stats
+}
+
+// TestFlySwarmQuantBackendBitIdentical: a quant fleet flown in lockstep (one
 // int16 GEMM per layer per tick across all drones) must produce exactly the
 // stats of the same backend flown per-drone per-sample — the batched kernel
 // is a scheduling decision, never a numeric one — while streaming the MRAM
@@ -159,9 +217,9 @@ func TestFlySwarmQuantBackendBitIdentical(t *testing.T) {
 		return b
 	}
 	serialB := mkBackend()
-	serial := FlySwarmBackend(net, serialB, base, drones, steps, 9, false)
+	serial := flySerial(serialB, base, drones, steps, 9)
 	batchedB := mkBackend()
-	batched := FlySwarmBackend(net, batchedB, base, drones, steps, 9, true)
+	batched := FlySwarmBackend(batchedB, base, drones, steps, 9)
 	if !reflect.DeepEqual(serial, batched) {
 		t.Fatalf("serial and batched quant swarm flights diverge:\nserial:  %+v\nbatched: %+v",
 			serial, batched)

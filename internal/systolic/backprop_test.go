@@ -25,14 +25,14 @@ func TestConvBackwardGEMMMatchesAutograd(t *testing.T) {
 		w := tensor.New(s.OutC, s.InC, s.K, s.K)
 		w.RandN(rng, 0.5)
 
-		// Reference: the autograd layer.
+		// Reference: the autograd layer, at batch one.
 		layer := nn.NewConv2D(s.Name, s.InC, s.OutC, s.K, s.K, s.Stride, s.Pad)
 		copy(layer.Weight.W.Data(), w.Data())
 		layer.Weight.MarkChanged()
-		out := layer.Forward(in.Clone())
-		grad := tensor.New(out.Shape()...)
+		out := layer.ForwardBatch(in.Reshape(1, s.InC, s.InH, s.InW))
+		grad := tensor.New(out.Shape()[1:]...)
 		grad.RandN(rng, 1)
-		wantDX := layer.Backward(grad, true)
+		wantDX := layer.BackwardBatch(grad.Reshape(out.Shape()...), true)
 		wantDW := layer.Weight.G
 
 		// Array GEMM path.

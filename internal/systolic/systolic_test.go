@@ -211,7 +211,10 @@ func TestFCTransposedMatchesMatVecT(t *testing.T) {
 	}
 	arr := New(DefaultArray())
 	got := arr.FCTransposed(w, g)
-	want := tensor.MatVecT(w, g)
+	// Reference: W^T g as a (33 x 1) transposed GEMM.
+	wantT := tensor.New(33, 1)
+	tensor.MatMulTNAccum(wantT, w, tensor.FromSlice(g, 50, 1))
+	want := wantT.Data()
 	for i := range want {
 		if math.Abs(float64(got[i]-want[i])) > 1e-3 {
 			t.Fatalf("FCTransposed[%d] = %v, want %v", i, got[i], want[i])

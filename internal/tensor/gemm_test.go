@@ -151,11 +151,9 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 	serialMM := MatMul(a, b)
 	serialNT := New(64, 64)
 	MatMulNTInto(serialNT, a, bt)
-	u := make([]float32, 64)
-	for i := range u {
-		u[i] = float32(rng.NormFloat64())
-	}
-	serialMVT := MatVecT(a, u)
+	at := randTensor(rng, 96, 64)
+	serialTN := New(64, 64)
+	MatMulTNAccum(serialTN, at, b)
 	withGOMAXPROCS(t, 8, func() {
 		if got := MatMul(a, b); !got.Equal(serialMM) {
 			t.Error("parallel MatMul diverges from serial")
@@ -165,11 +163,10 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 		if !got.Equal(serialNT) {
 			t.Error("parallel MatMulNTInto diverges from serial")
 		}
-		gotMVT := MatVecT(a, u)
-		for i := range gotMVT {
-			if gotMVT[i] != serialMVT[i] {
-				t.Fatalf("parallel MatVecT diverges from serial at %d", i)
-			}
+		got = New(64, 64)
+		MatMulTNAccum(got, at, b)
+		if !got.Equal(serialTN) {
+			t.Error("parallel MatMulTNAccum diverges from serial")
 		}
 	})
 }

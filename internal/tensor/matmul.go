@@ -235,70 +235,3 @@ func tnRows(cd, ad, bd []float32, r, m, n, lo, hi int) {
 		}
 	}
 }
-
-// MatVecT computes y = A^T x v for a 2-D tensor A (m x k) and a length-m
-// vector, returning a length-k vector. This is the vector-transposed-matrix
-// product the PE array performs during FC backpropagation (paper Fig. 8)
-// without materializing the transpose; parallel chunks partition the output
-// columns so every y[j] is reduced by one goroutine in ascending row order.
-func MatVecT(a *Tensor, v []float32) []float32 {
-	if a.Rank() != 2 {
-		panic("tensor: MatVecT requires a rank-2 tensor")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	if len(v) != m {
-		panic(fmt.Sprintf("tensor: MatVecT length mismatch %d vs %d", len(v), m))
-	}
-	y := make([]float32, k)
-	ad := a.data
-	if serialRows(k, m*k) {
-		matVecTCols(y, ad, v, m, k, 0, k)
-	} else {
-		parallelRows(k, func(lo, hi int) { matVecTCols(y, ad, v, m, k, lo, hi) })
-	}
-	return y
-}
-
-// matVecTCols reduces the output columns [lo, hi) of the A^T*v kernel.
-func matVecTCols(y, ad, v []float32, m, k, lo, hi int) {
-	yseg := y[lo:hi]
-	for i := 0; i < m; i++ {
-		s := v[i]
-		if s == 0 {
-			continue
-		}
-		row := ad[i*k+lo : i*k+hi]
-		for j, w := range row {
-			yseg[j] += s * w
-		}
-	}
-}
-
-// Outer accumulates the outer product dst += a ⊗ b where dst is len(a) x
-// len(b). This is the weight-gradient primitive of FC backpropagation.
-func Outer(dst *Tensor, a, b []float32) {
-	if dst.Rank() != 2 || dst.Dim(0) != len(a) || dst.Dim(1) != len(b) {
-		panic("tensor: Outer shape mismatch")
-	}
-	n := len(b)
-	dd := dst.data
-	if serialRows(len(a), len(a)*n) {
-		outerRows(dd, a, b, n, 0, len(a))
-	} else {
-		parallelRows(len(a), func(lo, hi int) { outerRows(dd, a, b, n, lo, hi) })
-	}
-}
-
-// outerRows accumulates the dst rows [lo, hi) of the outer-product kernel.
-func outerRows(dd, a, b []float32, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		av := a[i]
-		if av == 0 {
-			continue
-		}
-		row := dd[i*n : (i+1)*n]
-		for j, bv := range b {
-			row[j] += av * bv
-		}
-	}
-}

@@ -14,12 +14,12 @@ import "fmt"
 // accumulator: the results are bit-identical to the scalar kernels (asserted
 // by exact-equality tests in gemm_vec_test.go).
 //
-// This is why only the batched path can be vectorized: its operand layouts
-// (transposed im2col panels, stacked minibatch rows) put the batch/spatial
-// axis contiguous in memory, giving saxpyRow long unit-stride rows. The
-// serial per-sample path reduces along the contiguous axis of both operands
-// (dot products), where any SIMD split of the accumulator would reorder the
-// additions and break the bit-identity contract.
+// This is why the layers stack their operands the way they do (transposed
+// im2col panels, minibatch rows): the batch/spatial axis lies contiguous in
+// memory, giving saxpyRow long unit-stride rows. A dot-product formulation
+// reduces along the contiguous axis of both operands, where any SIMD split of
+// the accumulator would reorder the additions and break the bit-identity
+// contract.
 
 // MatMulAccumVec accumulates dst += A x B exactly like MatMulAccum — same
 // shapes, same per-element reduction order, bit-identical results — with the

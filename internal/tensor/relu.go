@@ -3,8 +3,8 @@ package tensor
 // ReluInto writes the rectifier dst[i] = max(src[i], 0) elementwise. The
 // result is bit-identical to the scalar branch `if v > 0 { dst[i] = v } else
 // { dst[i] = 0 }` for every input, including -0 and NaN (both map to +0), so
-// the batched layers can use the SIMD kernel while matching the serial path
-// exactly. Lengths must match; dst and src may alias.
+// the layers can use the SIMD kernel and still match a scalar loop exactly.
+// Lengths must match; dst and src may alias.
 func ReluInto(dst, src *Tensor) {
 	if len(dst.data) != len(src.data) {
 		panic("tensor: ReluInto length mismatch")

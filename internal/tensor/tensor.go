@@ -222,11 +222,6 @@ func (t *Tensor) ArgMax() int {
 	return best
 }
 
-// Max returns the maximum element value.
-func (t *Tensor) Max() float32 {
-	return t.data[t.ArgMax()]
-}
-
 // String renders a compact description, not the full contents.
 func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor%v", t.shape)

@@ -55,17 +55,16 @@ func TestRunOnlineRemoteActors(t *testing.T) {
 
 // TestRunOnlineRemoteZeroUntouched pins the guarantee that leaving Remote
 // at 0 selects exactly the in-process pipeline: a run with rl.WithRemote(0)
-// semantics reproduces the serial reference bit for bit, so the distributed
-// subsystem is invisible until asked for.
+// semantics leaves the trackers the single-actor schedule left at 2c75f9e
+// (hash captured there, where the run was also compared with the since
+// deleted synchronous wrapper), so the distributed subsystem is invisible
+// until asked for.
 func TestRunOnlineRemoteZeroUntouched(t *testing.T) {
+	skipOffAMD64(t)
 	spec := nn.NavNetSpec()
 	meta := env.IndoorMeta(61)
 	snap, _ := MetaTrain(meta, spec, 40, fastOpts(61))
 
-	serial, err := RunOnlineSerial(snap, env.IndoorApartment(62), spec, nn.L3, 160, 80, fastOpts(63))
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := fastOpts(63)
 	opts.Remote = 0
 	piped, err := RunOnline(snap, env.IndoorApartment(62), spec, nn.L3, 160, 80, opts)
@@ -75,16 +74,8 @@ func TestRunOnlineRemoteZeroUntouched(t *testing.T) {
 	if piped.Remote != 0 || piped.Reconnects != 0 {
 		t.Errorf("remote fields leaked into an in-process run: %+v", piped)
 	}
-	a, b := serial.Training.RewardSeries(), piped.Training.RewardSeries()
-	if len(a) != len(b) {
-		t.Fatalf("training lengths %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("training reward diverges at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if serial.SFD() != piped.SFD() {
-		t.Errorf("SFD: serial %v, remote=0 %v", serial.SFD(), piped.SFD())
+	const want = "ed1f5ceaf3d31c9d43d39afba90779e39f4cc52b5072ef9538b5a2825ddf14f0"
+	if got := onlineRunHash(piped); got != want {
+		t.Errorf("remote=0 run moved: trackers hash %s, want %s", got, want)
 	}
 }

@@ -110,11 +110,11 @@ func (r Result) SFD() float64 {
 // RunOnline deploys the snapshot into a test world under cfg, trains online
 // for onlineIters through the actor/learner pipeline and then evaluates
 // greedily for evalSteps. The actor count comes from the options
-// (rl.WithActors): 1 — the default — runs the deterministic serial schedule,
-// bit-identical to the historical loop (and to RunOnlineSerial); more actors
-// run concurrently on cloned worlds, with the learner publishing policy
-// snapshots whose memory-write energy is charged per publish
-// (hw.Model.SnapshotPublishTraffic). When the options select an evaluation
+// (rl.WithActors): 1 — the default — runs the deterministic serial schedule
+// (one act→store→train interleaving on one goroutine, pinned by
+// TestRunOnlineActorsOneGolden); more actors run concurrently on cloned
+// worlds, with the learner publishing policy snapshots whose memory-write
+// energy is charged per publish (hw.Model.SnapshotPublishTraffic). When the options select an evaluation
 // backend it is activated at the training / evaluation hand-off — after the
 // final policy state is in place — so the greedy flight runs on the
 // deployment substrate while training stays on the float reference.
@@ -309,39 +309,6 @@ func runOnlineDistributed(ctx context.Context, agent *rl.Agent, test *env.World,
 	res.PublishMJ = ledger.TotalEnergyPJ() / 1e9
 	if err := finishEval(agent, test, evalSteps, &res); err != nil {
 		return Result{}, err
-	}
-	return res, nil
-}
-
-// RunOnlineSerial is the pre-pipeline implementation of RunOnline, kept
-// verbatim as the serial reference: one synchronous act→store→train loop on
-// the caller's world. The wrapper test pins RunOnline at actors=1 to this
-// path bit for bit.
-//
-// Deprecated: use RunOnline (or RunOnlineContext), which runs the
-// actor/learner pipeline and reproduces this function exactly when the
-// options leave the actor count at 1.
-func RunOnlineSerial(snapshot *nn.Snapshot, test *env.World, spec nn.ArchSpec, cfg nn.Config,
-	onlineIters, evalSteps int, opts rl.Options) (Result, error) {
-
-	agent, err := Deploy(snapshot, spec, cfg, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	trainer := rl.NewTrainer(test, agent, onlineIters)
-	training := trainer.Run(onlineIters)
-	res := Result{Env: test.Name, Config: cfg, Training: training, Actors: 1}
-	if tb := agent.TrainBackend(); tb != nil {
-		res.TrainBackend = tb.Name()
-		res.TrainCost = agent.TrainCost()
-	}
-	if err := agent.ActivateEvalBackend(); err != nil {
-		return Result{}, err
-	}
-	res.Eval = trainer.Evaluate(evalSteps)
-	if b := agent.EvalBackend(); b != nil {
-		res.Backend = b.Name()
-		res.EvalCost = agent.EvalCost()
 	}
 	return res, nil
 }
