@@ -9,9 +9,16 @@ import "dronerl/internal/tensor"
 // must not contribute a bootstrap term.
 type TrainBatch struct {
 	States, Nexts *tensor.Tensor
-	Actions       []int
-	Rewards       []float64
-	Done          []bool
+	// Feats and NextFeats optionally replace the frames with what the
+	// backend's own BoundaryFeatures returned for them: B×F words row-major,
+	// F the fan-in of the first trainable layer. When Feats is non-nil every
+	// row has features, States and Nexts may be nil, and NextFeats rows whose
+	// Done flag is set are ignored, as Nexts rows are. Features never outlive
+	// the backend that made them: a rebuilt one must not be handed them.
+	Feats, NextFeats []int16
+	Actions          []int
+	Rewards          []float64
+	Done             []bool
 	// Gamma is the discount factor and LR the learning rate of this update
 	// (passed per batch so schedule changes need no backend rebuild).
 	Gamma, LR float64
@@ -35,4 +42,12 @@ type TrainableBackend interface {
 	// SyncTarget copies the online parameters into the backend's bootstrap
 	// target network, on the agent's TargetSync cadence.
 	SyncTarget()
+}
+
+// BoundaryFeaturizer is the optional hook of a TrainableBackend that freezes
+// a prefix: the activation of one CHW observation at the training boundary,
+// in the backend's own arithmetic, for TrainBatch.Feats. The result is
+// privately owned by the caller and nil when nothing is frozen.
+type BoundaryFeaturizer interface {
+	BoundaryFeatures(obs *tensor.Tensor) []int16
 }

@@ -36,6 +36,15 @@ import (
 // LSB — most late-training updates — where the stochastic round is correct
 // in expectation, so small gradients keep accumulating across steps.
 //
+// Row independence. A forward pass is exact integer arithmetic per row: each
+// output word is one wrap-around int32 sum of that row's own products and one
+// narrow64, and ReLU and pooling never look across rows, so the words a
+// sample leaves at any layer do not depend on the batch it rode in. Frozen
+// words never change after CompileTrainable, so a frame's activation at the
+// training boundary, computed once at batch one when the frame is captured
+// (TrainBackend.BoundaryFeatures), stands in bit for bit for the prefix pass
+// of every minibatch that samples it (TestTrainBackendFeaturesBitIdentical).
+//
 // Format plan (defaults): activations Q7.8, weights Q2.13, activation
 // gradients Q7.8, learning-rate scale 2^16. Accumulator scales follow from
 // the products: forward 2^(8+13), weight gradients 2^(8+8), input

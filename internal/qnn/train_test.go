@@ -721,40 +721,60 @@ func TestTrainAccumulatorHeadroom(t *testing.T) {
 	}
 }
 
-// TestTrainBackendRejectsMalformedBatch asserts a malformed TD minibatch is
-// refused up front, by name, with nothing mutated: the gradient scratchpads
-// the next Train would apply stay all-zero, no step is counted and no energy
-// is charged.
-func TestTrainBackendRejectsMalformedBatch(t *testing.T) {
-	net := trainedNavNet(37)
-	net.SetConfig(nn.L3)
-	b, err := NewTrainBackend(net, TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
+// featureTwin rebuilds a frame batch the way the online loop hands it over:
+// every row featurized alone, at batch one, by b itself, and no frames.
+// Terminal rows' NextFeats hold junk, which Train must ignore.
+func featureTwin(b *TrainBackend, tb nn.TrainBatch) nn.TrainBatch {
+	sh := tb.States.Shape()
+	chw := sh[1] * sh[2] * sh[3]
+	row := func(t *tensor.Tensor, s int) []int16 {
+		return b.BoundaryFeatures(tensor.FromSlice(t.Data()[s*chw:(s+1)*chw], sh[1], sh[2], sh[3]))
 	}
+	out := tb
+	out.States, out.Nexts = nil, nil
+	for s, done := range tb.Done {
+		feat := row(tb.States, s)
+		out.Feats = append(out.Feats, feat...)
+		if done {
+			for range feat {
+				out.NextFeats = append(out.NextFeats, math.MaxInt16)
+			}
+		} else {
+			out.NextFeats = append(out.NextFeats, row(tb.Nexts, s)...)
+		}
+	}
+	return out
+}
+
+// TestTrainBackendRejectsMalformedBatch asserts a malformed TD minibatch —
+// frames or boundary features — is refused up front, by name, with nothing
+// mutated: the gradient scratchpads the next Train would apply stay all-zero,
+// the rounding stream has not advanced, no step is counted and no energy is
+// charged.
+func TestTrainBackendRejectsMalformedBatch(t *testing.T) {
+	compile := func(cfg nn.Config) *TrainBackend {
+		net := trainedNavNet(37)
+		net.SetConfig(cfg)
+		b, err := NewTrainBackend(net, TrainOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := compile(nn.L3)
 	good := func() nn.TrainBatch {
 		return goldenBatchAt(rand.New(rand.NewSource(38)), [][]float32{depthImage(39).Data(), depthImage(40).Data()})
 	}
-	for _, tc := range []struct {
-		field   string
-		corrupt func(*nn.TrainBatch)
-	}{
-		{"States", func(tb *nn.TrainBatch) { tb.States = tensor.New(goldenBatch, env.ImageSize*env.ImageSize) }},
-		{"States", func(tb *nn.TrainBatch) { tb.States = tensor.New(goldenBatch-1, 1, env.ImageSize, env.ImageSize) }},
-		{"Nexts", func(tb *nn.TrainBatch) { tb.Nexts = tensor.New(goldenBatch, 1, env.ImageSize, env.ImageSize/2) }},
-		{"Nexts", func(tb *nn.TrainBatch) { tb.Nexts = nil }},
-		{"Rewards", func(tb *nn.TrainBatch) { tb.Rewards = tb.Rewards[:goldenBatch-1] }},
-		{"Done", func(tb *nn.TrainBatch) { tb.Done = tb.Done[:goldenBatch/2] }},
-		{"Actions", func(tb *nn.TrainBatch) { tb.Actions[goldenBatch-1] = nn.NavNetActions }},
-		{"Actions", func(tb *nn.TrainBatch) { tb.Actions[5] = -1 }},
-	} {
-		tb := good()
-		tc.corrupt(&tb)
+	goodFeats := func() nn.TrainBatch { return featureTwin(b, good()) }
+	f := b.featDim()
+	refused := func(b *TrainBackend, field string, tb nn.TrainBatch) {
+		t.Helper()
+		sr := *b.online.sr
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if want := "qnn: TrainBatch " + tc.field; !strings.HasPrefix(msg, want) {
-					t.Errorf("%s: panic %q, want prefix %q", tc.field, msg, want)
+				if want := "qnn: TrainBatch " + field; !strings.HasPrefix(msg, want) {
+					t.Errorf("%s: panic %q, want prefix %q", field, msg, want)
 				}
 			}()
 			b.Train(tb)
@@ -769,18 +789,139 @@ func TestTrainBackendRejectsMalformedBatch(t *testing.T) {
 			}
 			for _, v := range append(gw[:len(gw):len(gw)], gb...) {
 				if v != 0 {
-					t.Fatalf("%s: rejected batch left a gradient in layer %d's scratchpad", tc.field, i)
+					t.Fatalf("%s: rejected batch left a gradient in layer %d's scratchpad", field, i)
 				}
 			}
 		}
+		if *b.online.sr != sr {
+			t.Fatalf("%s: rejected batch advanced the rounding stream", field)
+		}
 		if b.Steps() != 0 || b.Cost() != (nn.BackendCost{}) {
-			t.Fatalf("%s: rejected batch was counted: steps %d, cost %+v", tc.field, b.Steps(), b.Cost())
+			t.Fatalf("%s: rejected batch was counted: steps %d, cost %+v", field, b.Steps(), b.Cost())
 		}
 	}
+	for _, tc := range []struct {
+		field   string
+		good    func() nn.TrainBatch
+		corrupt func(*nn.TrainBatch)
+	}{
+		{"States", good, func(tb *nn.TrainBatch) { tb.States = tensor.New(goldenBatch, env.ImageSize*env.ImageSize) }},
+		{"States", good, func(tb *nn.TrainBatch) { tb.States = tensor.New(goldenBatch-1, 1, env.ImageSize, env.ImageSize) }},
+		{"States", good, func(tb *nn.TrainBatch) { tb.States = nil }},
+		{"Nexts", good, func(tb *nn.TrainBatch) { tb.Nexts = tensor.New(goldenBatch, 1, env.ImageSize, env.ImageSize/2) }},
+		{"Nexts", good, func(tb *nn.TrainBatch) { tb.Nexts = nil }},
+		{"Rewards", good, func(tb *nn.TrainBatch) { tb.Rewards = tb.Rewards[:goldenBatch-1] }},
+		{"Done", good, func(tb *nn.TrainBatch) { tb.Done = tb.Done[:goldenBatch/2] }},
+		{"Actions", good, func(tb *nn.TrainBatch) { tb.Actions[goldenBatch-1] = nn.NavNetActions }},
+		{"Actions", good, func(tb *nn.TrainBatch) { tb.Actions[5] = -1 }},
+		{"Feats", goodFeats, func(tb *nn.TrainBatch) { tb.Feats = tb.Feats[:len(tb.Feats)-1] }},
+		// Rows of another boundary's width: L2's features offered to L3.
+		{"Feats", goodFeats, func(tb *nn.TrainBatch) {
+			tb.Feats, tb.NextFeats = make([]int16, goldenBatch*(f+1)), make([]int16, goldenBatch*(f+1))
+		}},
+		{"NextFeats", goodFeats, func(tb *nn.TrainBatch) { tb.NextFeats = nil }},
+		{"NextFeats", goodFeats, func(tb *nn.TrainBatch) { tb.NextFeats = tb.NextFeats[:f] }},
+		{"Rewards", goodFeats, func(tb *nn.TrainBatch) { tb.Rewards = tb.Rewards[:goldenBatch-1] }},
+		{"Actions", goodFeats, func(tb *nn.TrainBatch) { tb.Actions[0] = nn.NavNetActions }},
+	} {
+		tb := tc.good()
+		tc.corrupt(&tb)
+		refused(b, tc.field, tb)
+	}
+	// Nothing is frozen under E2E, so there is no boundary to enter at.
+	refused(compile(nn.E2E), "Feats", goodFeats())
 	// The well-formed twin of every case above trains.
 	if mse := b.Train(good()); math.IsNaN(mse) || b.Steps() != 1 {
 		t.Fatalf("well-formed batch: mse %v, steps %d", mse, b.Steps())
 	}
+	if mse := b.Train(goodFeats()); math.IsNaN(mse) || b.Steps() != 2 {
+		t.Fatalf("well-formed feature batch: mse %v, steps %d", mse, b.Steps())
+	}
+}
+
+// TestTrainBackendFeaturesBitIdentical holds the claim the boundary-feature
+// cache rests on. Row independence: a frame's BoundaryFeatures, computed at
+// batch one, are the words row k of a 1-, 8- and 64-row stack containing it
+// leaves at the boundary. And therefore: the golden schedule fed as
+// Feats/NextFeats leaves the weight words, MSE bits, Q-values, Cost() and
+// Steps() that the same schedule leaves fed as States/Nexts, under L2 and L3.
+// Under E2E there is no boundary: no features, and a batch carrying some is
+// refused.
+func TestTrainBackendFeaturesBitIdentical(t *testing.T) {
+	g := goldenInit()
+	compile := func(cfg nn.Config) *TrainBackend {
+		net := g.net()
+		net.SetConfig(cfg)
+		b, err := NewTrainBackend(net, TrainOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	frame := func(i int) *tensor.Tensor { return tensor.FromSlice(g.pool[i], 1, env.ImageSize, env.ImageSize) }
+	for _, cfg := range []nn.Config{nn.L2, nn.L3} {
+		frames, feats := compile(cfg), compile(cfg)
+
+		on := frames.online
+		chw := len(g.pool[0])
+		for _, rows := range []int{1, 8, 64} {
+			stack := make([]int16, rows*chw)
+			for r := 0; r < rows; r++ {
+				on.quantize(stack[r*chw:(r+1)*chw], g.pool[r])
+			}
+			out, _ := on.forwardLayers(0, on.trainFrom, stack, rows, [3]int{1, env.ImageSize, env.ImageSize})
+			out = slices.Clone(out)
+			f := frames.featDim()
+			for _, k := range []int{0, rows / 2, rows - 1} {
+				if !slices.Equal(frames.BoundaryFeatures(frame(k)), out[k*f:(k+1)*f]) {
+					t.Fatalf("%s: BoundaryFeatures of frame %d differ from row %d of a %d-row stack", cfg, k, k, rows)
+				}
+			}
+		}
+
+		rngA, rngB := rand.New(rand.NewSource(80)), rand.New(rand.NewSource(80))
+		for step := 1; step <= goldenSteps; step++ {
+			a := frames.Train(goldenBatchAt(rngA, g.pool))
+			b := feats.Train(featureTwin(feats, goldenBatchAt(rngB, g.pool)))
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s step %d: MSE %v from frames, %v from features", cfg, step, a, b)
+			}
+			if step%goldenSync == 0 {
+				frames.SyncTarget()
+				feats.SyncTarget()
+			}
+		}
+		for i := range on.layers {
+			aw, ab := layerWeights(on.layers[i])
+			bw, bb := layerWeights(feats.online.layers[i])
+			if !slices.Equal(aw, bw) || !slices.Equal(ab, bb) {
+				t.Errorf("%s: layer %d's words differ between the frame-fed and the feature-fed run", cfg, i)
+			}
+		}
+		qa := slices.Clone(frames.Infer(frame(0)))
+		for i, q := range feats.Infer(frame(0)) {
+			if math.Float32bits(q) != math.Float32bits(qa[i]) {
+				t.Errorf("%s: Q[%d] is %v from frames, %v from features", cfg, i, qa[i], q)
+			}
+		}
+		if frames.Cost() != feats.Cost() || frames.Steps() != feats.Steps() {
+			t.Errorf("%s: frames cost %+v in %d steps, features %+v in %d: featurizing must charge nothing",
+				cfg, frames.Cost(), frames.Steps(), feats.Cost(), feats.Steps())
+		}
+	}
+
+	e2e := compile(nn.E2E)
+	if feat := e2e.BoundaryFeatures(frame(0)); feat != nil {
+		t.Fatalf("E2E: %d boundary words with nothing frozen, want nil", len(feat))
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "qnn: TrainBatch Feats") {
+			t.Errorf("E2E: Train with Feats panicked %q, want a refusal naming Feats", msg)
+		}
+	}()
+	tb := goldenBatchAt(rand.New(rand.NewSource(80)), g.pool)
+	tb.Feats, tb.NextFeats = make([]int16, goldenBatch), make([]int16, goldenBatch)
+	e2e.Train(tb)
 }
 
 // TestTrainBackendSharedPrefix asserts the frozen prefix is one set of words,
@@ -839,7 +980,8 @@ func TestTrainBackendSharedPrefix(t *testing.T) {
 
 // TestQuantTrainStepZeroAlloc asserts the steady-state allocation contract of
 // the batched TD step — the twin of TestQuantForwardBatchZeroAlloc: after one
-// warm-up Train at batch 32, every panel comes from the workspace. Pinned on
+// warm-up Train at batch 32, fed frames or boundary features, every panel
+// comes from the workspace. Pinned on
 // the single-threaded schedule, as there: above the flops threshold the
 // GEMM's row fan-out allocates goroutine closures.
 func TestQuantTrainStepZeroAlloc(t *testing.T) {
@@ -856,6 +998,19 @@ func TestQuantTrainStepZeroAlloc(t *testing.T) {
 		b.Train(tb) // warm-up sizes every slot
 		if allocs := testing.AllocsPerRun(5, func() { b.Train(tb) }); allocs != 0 {
 			t.Errorf("%s: steady-state Train allocates %v times per call, want 0", cfg, allocs)
+		}
+		if cfg == nn.E2E {
+			continue
+		}
+		// The feature-fed step, and the featurizer's one allocation per
+		// frame: the private copy replay keeps.
+		ft := featureTwin(b, tb)
+		if allocs := testing.AllocsPerRun(5, func() { b.Train(ft) }); allocs != 0 {
+			t.Errorf("%s: steady-state Train from features allocates %v times per call, want 0", cfg, allocs)
+		}
+		obs := tensor.FromSlice(g.pool[0], 1, env.ImageSize, env.ImageSize)
+		if allocs := testing.AllocsPerRun(5, func() { b.BoundaryFeatures(obs) }); allocs != 1 {
+			t.Errorf("%s: BoundaryFeatures allocates %v times per frame, want 1", cfg, allocs)
 		}
 	}
 }

@@ -17,12 +17,18 @@ import (
 // weight update.
 //
 // Cost model, all at Table 1 STT-MRAM timing/energy against the backend's
-// ledger: every forward pass (online, target bootstrap, and Infer) streams
-// the full weight store as reads; every backward pass re-reads the
-// trainable layers' weights; every Update writes the trainable weight words
-// back; every target sync writes the full target store. The train-side
-// tallies are what EXPERIMENTS.md's train-energy-per-step table reports
-// against the paper's E2E column.
+// ledger. What is priced is the modeled chip's serial per-image dataflow
+// (Fig. 3(b)), not this host code: every image the chip forwards (each state
+// and live next-state of a TD step, each Infer) streams the full weight store
+// as reads; every image's backward pass re-reads the trainable layers'
+// weights; every Update writes the trainable weight words back; every target
+// sync writes the full target store. The host computes less: the frozen
+// prefix runs once per captured frame (BoundaryFeatures, which charges
+// nothing) and a Train fed TrainBatch.Feats enters at the training boundary,
+// yet is charged what the same batch costs as frames, so Cost() and every
+// modeled number read the same to the last bit whichever way the rows
+// arrive. The train-side tallies are what EXPERIMENTS.md's
+// train-energy-per-step table reports against the paper's E2E column.
 type TrainBackend struct {
 	online *TrainNetwork
 	target *TrainNetwork
@@ -37,8 +43,8 @@ type TrainBackend struct {
 	// gradClip mirrors the float path's default L-infinity clip.
 	gradClip float64
 
-	// stack is the quantized [States; live Nexts] input of one TD step and
-	// grad its stacked output-gradient words; both grow once.
+	// stack is the [state rows; live next rows] input of one TD step (frame
+	// or boundary-feature words) and grad its stacked output-gradient words.
 	stack []int16
 	grad  []int16
 }
@@ -92,21 +98,64 @@ func (b *TrainBackend) Infer(obs *tensor.Tensor) []float32 {
 	return q
 }
 
+// featDim is the width of one boundary-feature row: the fan-in of the first
+// trainable layer, or 0 when nothing is frozen below it.
+func (b *TrainBackend) featDim() int {
+	if on := b.online; on.trainFrom > 0 {
+		if d, ok := on.layers[on.trainFrom].(*tDense); ok {
+			return d.in
+		}
+	}
+	return 0
+}
+
+// BoundaryFeatures implements nn.BoundaryFeaturizer: the Q7.8 (ActFmt) words
+// one CHW observation leaves at the training boundary, from a batch of one —
+// by row independence (train.go) the row any stack holding the frame would
+// produce. It charges nothing (cost model above) and allocates once per
+// frame: the private copy the caller keeps. Nil when nothing is frozen.
+func (b *TrainBackend) BoundaryFeatures(obs *tensor.Tensor) []int16 {
+	if b.featDim() == 0 {
+		return nil
+	}
+	on := b.online
+	qin := grow16(&on.qin, obs.Len())
+	on.quantize(qin, obs.Data())
+	feat, _ := on.forwardLayers(0, on.trainFrom, qin, 1, obsShape(obs))
+	return slices.Clone(feat)
+}
+
 // checkBatch validates every field of a TD minibatch before Train touches
 // any state, so a malformed batch leaves the gradient scratchpads, the
-// rounding stream and the ledger exactly as they were. It returns the
-// per-sample CHW shape.
+// rounding stream and the ledger exactly as they were. It returns the shape
+// of one stacked row: the CHW frame, or (F, 1, 1) for boundary features.
 func (b *TrainBackend) checkBatch(batch nn.TrainBatch) [3]int {
 	n := len(batch.Actions)
-	if batch.States == nil || batch.States.Rank() != 4 {
-		panic(fmt.Sprintf("qnn: TrainBatch States must be NCHW, got %v", shapeOf(batch.States)))
-	}
-	sh := batch.States.Shape()
-	if sh[0] != n {
-		panic(fmt.Sprintf("qnn: TrainBatch States stacks %d rows for %d Actions", sh[0], n))
-	}
-	if nsh := shapeOf(batch.Nexts); !slices.Equal(nsh, sh) {
-		panic(fmt.Sprintf("qnn: TrainBatch Nexts shape %v differs from States %v", nsh, sh))
+	var shape [3]int
+	if batch.Feats != nil {
+		f := b.featDim()
+		if f == 0 {
+			panic("qnn: TrainBatch Feats offered to a backend that freezes no prefix")
+		}
+		if len(batch.Feats) != n*f {
+			panic(fmt.Sprintf("qnn: TrainBatch Feats has %d words, want %d rows of the first trainable layer's %d inputs", len(batch.Feats), n, f))
+		}
+		if len(batch.NextFeats) != n*f {
+			panic(fmt.Sprintf("qnn: TrainBatch NextFeats has %d words for Feats' %d", len(batch.NextFeats), n*f))
+		}
+		shape = [3]int{f, 1, 1}
+	} else {
+		if batch.States == nil || batch.States.Rank() != 4 {
+			panic(fmt.Sprintf("qnn: TrainBatch States must be NCHW (or Feats set), got %v", shapeOf(batch.States)))
+		}
+		sh := batch.States.Shape()
+		if sh[0] != n {
+			panic(fmt.Sprintf("qnn: TrainBatch States stacks %d rows for %d Actions", sh[0], n))
+		}
+		if nsh := shapeOf(batch.Nexts); !slices.Equal(nsh, sh) {
+			panic(fmt.Sprintf("qnn: TrainBatch Nexts shape %v differs from States %v", nsh, sh))
+		}
+		shape = [3]int{sh[1], sh[2], sh[3]}
 	}
 	if len(batch.Rewards) != n {
 		panic(fmt.Sprintf("qnn: TrainBatch Rewards has %d entries for %d Actions", len(batch.Rewards), n))
@@ -120,7 +169,7 @@ func (b *TrainBackend) checkBatch(batch nn.TrainBatch) [3]int {
 			panic(fmt.Sprintf("qnn: TrainBatch Actions[%d] = %d outside the %d-action output", s, a, actions))
 		}
 	}
-	return [3]int{sh[1], sh[2], sh[3]}
+	return shape
 }
 
 func shapeOf(t *tensor.Tensor) []int {
@@ -131,23 +180,24 @@ func shapeOf(t *tensor.Tensor) []int {
 }
 
 // Train implements nn.TrainableBackend: one minibatch TD(0) update with one
-// batched kernel per layer. States and the live (non-terminal) Nexts are
-// quantized into a single stack and the frozen prefix runs over it *once* —
-// the online and target prefixes are the same words (TrainNetwork.Clone) —
-// then the target tail bootstraps from the next-rows, the online tail scores
-// the state-rows, the TD errors are rounded into gradient words in sample
-// order, and one batched backward and one stochastically-rounded Update
-// finish the step. The ledger still charges the accelerator's serial
-// per-image dataflow (Fig. 3(b)): one full weight stream per image per
-// forward pass, one trainable-weight re-read per image for backward.
-// Returns the batch-mean squared TD error.
+// batched kernel per layer. The states and the live (non-terminal) nexts
+// form a single stack at the training boundary — copied from Feats/NextFeats
+// when the batch carries them, else quantized from States/Nexts and run
+// through the frozen prefix *once*: the online and target prefixes are the
+// same words (TrainNetwork.Clone). Then the target tail bootstraps from the
+// next-rows, the online tail scores the state-rows, the TD errors are rounded
+// into gradient words in sample order, and one batched backward and one
+// stochastically-rounded Update finish the step. Either way the ledger
+// charges the accelerator's serial per-image dataflow (Fig. 3(b)): one full
+// weight stream per image per forward pass, one trainable-weight re-read per
+// image for backward. Returns the batch-mean squared TD error.
 func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 	n := len(batch.Actions)
 	if n == 0 {
 		return 0
 	}
 	shape := b.checkBatch(batch)
-	chw := shape[0] * shape[1] * shape[2]
+	rowLen := shape[0] * shape[1] * shape[2]
 	live := 0
 	for _, done := range batch.Done {
 		if !done {
@@ -155,18 +205,31 @@ func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 		}
 	}
 	on := b.online
-	stack := grow16(&b.stack, (n+live)*chw)
-	on.quantize(stack[:n*chw], batch.States.Data())
-	nd := batch.Nexts.Data()
+	cached := batch.Feats != nil
+	stack := grow16(&b.stack, (n+live)*rowLen)
+	if cached {
+		copy(stack, batch.Feats)
+	} else {
+		on.quantize(stack[:n*rowLen], batch.States.Data())
+	}
 	for s, row := 0, n; s < n; s++ {
-		if !batch.Done[s] {
-			on.quantize(stack[row*chw:(row+1)*chw], nd[s*chw:(s+1)*chw])
-			row++
+		if batch.Done[s] {
+			continue
 		}
+		dst := stack[row*rowLen : (row+1)*rowLen]
+		if cached {
+			copy(dst, batch.NextFeats[s*rowLen:(s+1)*rowLen])
+		} else {
+			on.quantize(dst, batch.Nexts.Data()[s*rowLen:(s+1)*rowLen])
+		}
+		row++
 	}
 
 	last := len(on.layers)
-	feat, fshape := on.forwardLayers(0, on.trainFrom, stack, n+live, shape)
+	feat, fshape := stack, shape
+	if !cached {
+		feat, fshape = on.forwardLayers(0, on.trainFrom, stack, n+live, shape)
+	}
 	flen := len(feat) / (n + live)
 	var qn []int16
 	if live > 0 {

@@ -178,6 +178,9 @@ type Agent struct {
 	tbActions []int
 	tbRewards []float64
 	tbDone    []bool
+	// Reusable gathered QFeat/QNextFeat rows of the same minibatch.
+	tbFeats, tbNextFeats []int16
+	prefixRows           int // see PrefixRows
 
 	// Reusable training-step buffers: the sampled minibatch, the stacked
 	// state/next-state/gradient tensors and the per-sample TD targets.
@@ -442,14 +445,23 @@ func (a *Agent) TrainStep() float64 {
 			return a.trainStepTail(boundary, d.In)
 		}
 	}
-	b := o.BatchSize
-	// Stack observations into (B, C, H, W) views of the agent's workspace.
+	states, nexts := a.stackFrames()
+	a.tdTargets(0, nexts)
+	// One batched online pass and one batched backward.
+	q := a.Net.ForwardBatch(states).Data()
+	return a.finishBatchedStep(q)
+}
+
+// stackFrames stacks the sampled batch's observations into (B, C, H, W)
+// views of the agent's workspace.
+func (a *Agent) stackFrames() (states, nexts *tensor.Tensor) {
+	b := a.opts.BatchSize
 	sh := a.batch[0].State.Shape()
 	if len(sh) != 3 {
 		panic("rl: TrainStep expects CHW observations")
 	}
-	states := a.bArena.Get(agentSlotStates, b, sh[0], sh[1], sh[2])
-	nexts := a.bArena.Get(agentSlotNexts, b, sh[0], sh[1], sh[2])
+	states = a.bArena.Get(agentSlotStates, b, sh[0], sh[1], sh[2])
+	nexts = a.bArena.Get(agentSlotNexts, b, sh[0], sh[1], sh[2])
 	n := a.batch[0].State.Len()
 	for i, tr := range a.batch {
 		if tr.State.Len() != n {
@@ -473,10 +485,7 @@ func (a *Agent) TrainStep() float64 {
 			panic("rl: TrainStep transition has nil Next but Done is false")
 		}
 	}
-	a.tdTargets(0, nexts)
-	// One batched online pass and one batched backward.
-	q := a.Net.ForwardBatch(states).Data()
-	return a.finishBatchedStep(q)
+	return states, nexts
 }
 
 // trainStepTail is TrainStep's frozen-prefix path: the sampled batch enters
@@ -527,6 +536,7 @@ func (a *Agent) trainStepTail(boundary, featDim int) float64 {
 	// path's stacked prefix, per the ForwardBatch row contract). Fully
 	// cached batches — the async pipeline's steady state — skip it.
 	if m := len(a.missObs); m > 0 {
+		a.prefixRows += m
 		sh := a.missObs[0].Shape()
 		if len(sh) != 3 {
 			panic("rl: TrainStep expects CHW observations")
@@ -622,57 +632,48 @@ func (a *Agent) finishBatchedStep(q []float32) float64 {
 }
 
 // trainStepBackend is TrainStep's trainable-backend path: the sampled batch
-// is stacked into the agent's workspace tensors exactly like the float path
-// (Done rows of the next-state stack hold zeros and contribute no bootstrap)
-// and handed to the backend as one nn.TrainBatch. The backend runs the whole
-// TD(0) update in its own arithmetic; the agent keeps only the clock and the
-// target-sync cadence.
+// is handed to the backend as one nn.TrainBatch — gathered from QFeat and
+// QNextFeat when every sampled transition carries the backend's own boundary
+// features, otherwise stacked into the agent's workspace tensors exactly like
+// the float path (Done rows of the next-state stack hold zeros and contribute
+// no bootstrap). The backend runs the whole TD(0) update in its own
+// arithmetic; the agent keeps only the clock and the target-sync cadence.
 func (a *Agent) trainStepBackend() float64 {
 	o := a.opts
 	b := o.BatchSize
-	sh := a.batch[0].State.Shape()
-	if len(sh) != 3 {
-		panic("rl: TrainStep expects CHW observations")
-	}
-	states := a.bArena.Get(agentSlotStates, b, sh[0], sh[1], sh[2])
-	nexts := a.bArena.Get(agentSlotNexts, b, sh[0], sh[1], sh[2])
-	n := a.batch[0].State.Len()
 	if cap(a.tbActions) < b {
 		a.tbActions = make([]int, b)
 		a.tbRewards = make([]float64, b)
 		a.tbDone = make([]bool, b)
 	}
 	actions, rewards, done := a.tbActions[:b], a.tbRewards[:b], a.tbDone[:b]
+	f, live := len(a.batch[0].QFeat), 0
 	for i, tr := range a.batch {
-		if tr.State.Len() != n {
-			panic("rl: TrainStep batch mixes observation shapes")
-		}
-		copy(states.Data()[i*n:(i+1)*n], tr.State.Data())
-		dst := nexts.Data()[i*n : (i+1)*n]
-		switch {
-		case tr.Next != nil:
-			if tr.Next.Len() != n {
-				panic("rl: TrainStep batch mixes observation shapes")
-			}
-			copy(dst, tr.Next.Data())
-		case tr.Done:
-			for j := range dst {
-				dst[j] = 0
-			}
-		default:
-			panic("rl: TrainStep transition has nil Next but Done is false")
-		}
 		actions[i], rewards[i], done[i] = tr.Action, tr.Reward, tr.Done
+		if !tr.Done {
+			live++
+		}
+		if len(tr.QFeat) != f || !tr.Done && len(tr.QNextFeat) != f {
+			f = 0
+		}
 	}
-	mse := a.trainBackend.Train(nn.TrainBatch{
-		States:  states,
-		Nexts:   nexts,
-		Actions: actions,
-		Rewards: rewards,
-		Done:    done,
-		Gamma:   o.Gamma,
-		LR:      o.LR,
-	})
+	batch := nn.TrainBatch{Actions: actions, Rewards: rewards, Done: done, Gamma: o.Gamma, LR: o.LR}
+	if f > 0 {
+		if cap(a.tbFeats) < b*f {
+			a.tbFeats, a.tbNextFeats = make([]int16, b*f), make([]int16, b*f)
+		}
+		batch.Feats, batch.NextFeats = a.tbFeats[:b*f], a.tbNextFeats[:b*f]
+		for i, tr := range a.batch {
+			copy(batch.Feats[i*f:(i+1)*f], tr.QFeat)
+			if !tr.Done {
+				copy(batch.NextFeats[i*f:(i+1)*f], tr.QNextFeat)
+			}
+		}
+	} else {
+		batch.States, batch.Nexts = a.stackFrames()
+		a.prefixRows += b + live
+	}
+	mse := a.trainBackend.Train(batch)
 	ts := a.clock.TickTrain()
 	if o.TargetSync > 0 && ts%int64(o.TargetSync) == 0 {
 		a.trainBackend.SyncTarget()
@@ -682,6 +683,13 @@ func (a *Agent) trainStepBackend() float64 {
 	}
 	return mse
 }
+
+// PrefixRows counts the rows TrainStep has run from the frame instead of
+// from cached boundary features: the float tail path's cache misses, and
+// every state and live next-state row of a train-backend step that had to
+// stack frames (under E2E all of them: nothing is frozen, nothing cached). A
+// frozen-topology run that caches features at capture reads 0 on any machine.
+func (a *Agent) PrefixRows() int { return a.prefixRows }
 
 // argmaxRow returns the index of the maximum value with ties resolving to
 // the lowest index, matching tensor.ArgMax.

@@ -96,6 +96,9 @@ type OnlineStats struct {
 	// boundary; both are zero in the single-actor deterministic mode,
 	// where actor and learner share one network.
 	Publishes, Adoptions int
+	// PrefixRows is the run's share of Agent.PrefixRows: rows the learner
+	// ran from the frame instead of from cached boundary features.
+	PrefixRows int
 }
 
 // Run executes the loop for the given number of total environment steps,
@@ -145,10 +148,19 @@ func (l *OnlineLoop) runExact(ctx context.Context, iters int) (OnlineStats, erro
 	defer a.SetReplaySource(nil)
 
 	stats := OnlineStats{Actors: 1}
-	envStart, trainStart := a.clock.EnvSteps(), a.clock.TrainSteps()
+	envStart, trainStart, rowsStart := a.clock.EnvSteps(), a.clock.TrainSteps(), a.prefixRows
 	boundary := a.Net.TrainFrom()
 	last := len(a.Net.Layers)
 	obs := env.DepthImage(w.Depths(), w.Camera.MaxRange)
+	// A train backend that freezes a prefix runs every captured frame through
+	// it once, here, exploration steps included: the words are this
+	// transition's QNextFeat and the next one's QFeat, so every transition is
+	// pushed fully cached.
+	qfeat := func(*tensor.Tensor) []int16 { return nil }
+	if fz, ok := a.trainBackend.(nn.BoundaryFeaturizer); ok {
+		qfeat = fz.BoundaryFeatures
+	}
+	qobs := qfeat(obs)
 	prevOrd := int64(-1)
 	for i := 0; i < iters; i++ {
 		if err := ctx.Err(); err != nil {
@@ -176,18 +188,21 @@ func (l *OnlineLoop) runExact(ctx context.Context, iters int) (OnlineStats, erro
 		}
 		res := w.Step(env.Action(action))
 		next := env.DepthImage(res.Depths, w.Camera.MaxRange)
+		qnext := qfeat(next)
 		prevOrd = shards.PushTo(0, Transition{
 			State: obs, Action: action, Reward: res.Reward,
 			Next: next, Done: res.Crashed, Feat: feat,
+			QFeat: qobs, QNextFeat: qnext,
 		})
 		l.track(res.Reward, res.Crashed, res.FlightDistance)
 		if i%l.TrainEvery == 0 {
 			a.TrainStep()
 		}
-		obs = next
+		obs, qobs = next, qnext
 	}
 	stats.EnvSteps = int(a.clock.EnvSteps() - envStart)
 	stats.TrainSteps = int(a.clock.TrainSteps() - trainStart)
+	stats.PrefixRows = a.prefixRows - rowsStart
 	return stats, nil
 }
 
@@ -200,7 +215,7 @@ func (l *OnlineLoop) runAsync(ctx context.Context, iters int) (OnlineStats, erro
 	boundary := a.Net.TrainFrom()
 	clock := a.clock
 	stats := OnlineStats{Actors: n}
-	envStart, trainStart := clock.EnvSteps(), clock.TrainSteps()
+	envStart, trainStart, rowsStart := clock.EnvSteps(), clock.TrainSteps(), a.prefixRows
 
 	shards := NewReplayShards(n, a.opts.ReplayCapacity)
 	a.SetReplaySource(shards)
@@ -312,6 +327,7 @@ func (l *OnlineLoop) runAsync(ctx context.Context, iters int) (OnlineStats, erro
 
 	stats.EnvSteps = int(clock.EnvSteps() - envStart)
 	stats.TrainSteps = int(clock.TrainSteps() - trainStart)
+	stats.PrefixRows = a.prefixRows - rowsStart
 	stats.Adoptions = int(adoptions.Load())
 	if e := firstErr.Load(); e != nil {
 		return stats, *e

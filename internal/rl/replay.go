@@ -28,6 +28,17 @@ type Transition struct {
 	// nil means "not computed"; the learner recomputes missing features
 	// itself, bit-identically, so the cache is purely an optimization.
 	Feat, NextFeat *tensor.Tensor
+
+	// QFeat and QNextFeat are the same activations in an active train
+	// backend's own arithmetic (nn.BoundaryFeaturizer: Q7.8 words from the
+	// integer prefix), so its TD step enters at the boundary too. The
+	// single-actor OnlineLoop fills both at capture; a frame's slice is
+	// shared by the transitions it ends and starts and is never written. They
+	// must not outlive the backend that made them: the loop keeps them in a
+	// replay store built per Run, and nothing rebuilds the backend (SetConfig,
+	// AdoptPolicy) inside a Run. The multi-actor fleet, the distributed
+	// learner and Trainer.Run leave them nil: the backend takes the frames.
+	QFeat, QNextFeat []int16
 }
 
 // ReplayBuffer is a fixed-capacity ring buffer of transitions with uniform

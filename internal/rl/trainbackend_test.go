@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"dronerl/internal/nn"
@@ -97,5 +99,75 @@ func TestWithTrainBackendValidation(t *testing.T) {
 	merged := Options{}.Merge(o)
 	if merged.TrainBackend != "quant-train" {
 		t.Fatalf("Merge dropped TrainBackend: %q", merged.TrainBackend)
+	}
+}
+
+// TestTrainStepRoutesFeaturesToTrainBackend asserts the boundary-feature arm
+// of the trainable-backend path: an agent whose replay carries the backend's
+// own QFeat/QNextFeat trains bit for bit like its twin fed frames (MSE, float
+// mirror, STT-MRAM cost), gathers without allocating, and counts no prefix
+// rows — while the twin counts every state and live next-state row, the float
+// tail path counts its cache misses, and a batch with one row uncached falls
+// back to frames visibly.
+func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the GEMM's row fan-out allocates
+	build := func(backend string) *Agent {
+		a := NewAgent(nn.NavNetSpec(), nn.L3, Options{
+			Seed: 83, BatchSize: 32, LR: 0.01, TargetSync: 2, TrainBackend: backend,
+		})
+		if err := a.ActivateTrainBackend(); err != nil {
+			t.Fatal(err)
+		}
+		fillReplay(a, 48, 84)
+		return a
+	}
+	stored := func(a *Agent) []Transition { return a.replay.buf[:a.replay.size] }
+	rowsOf := func(a *Agent) int {
+		rows := len(a.batch)
+		for _, tr := range a.batch {
+			if !tr.Done {
+				rows++
+			}
+		}
+		return rows
+	}
+	frames, feats, float := build("quant-train"), build("quant-train"), build("")
+	fz := feats.TrainBackend().(nn.BoundaryFeaturizer)
+	for i := range stored(feats) {
+		tr := &stored(feats)[i]
+		tr.QFeat, tr.QNextFeat = fz.BoundaryFeatures(tr.State), fz.BoundaryFeatures(tr.Next)
+	}
+	wantRows := 0
+	for step := 0; step < 4; step++ {
+		m0, m1 := frames.TrainStep(), feats.TrainStep()
+		if math.Float64bits(m0) != math.Float64bits(m1) {
+			t.Fatalf("step %d: MSE %v from frames, %v from features", step, m0, m1)
+		}
+		wantRows += rowsOf(frames)
+		float.TrainStep()
+	}
+	paramsEqual(t, "features vs frames", frames.Net, feats.Net)
+	if frames.TrainCost() != feats.TrainCost() {
+		t.Errorf("frames cost %+v, features %+v: the modeled device must not see the cache", frames.TrainCost(), feats.TrainCost())
+	}
+	// The three agents share a seed, hence every sampled batch.
+	if frames.PrefixRows() != wantRows || feats.PrefixRows() != 0 || float.PrefixRows() != wantRows {
+		t.Errorf("prefix rows: frames %d, uncached float tail %d, want %d; features %d, want 0",
+			frames.PrefixRows(), float.PrefixRows(), wantRows, feats.PrefixRows())
+	}
+	if allocs := testing.AllocsPerRun(5, func() { feats.TrainStep() }); allocs != 0 {
+		t.Errorf("steady-state TrainStep from features allocates %v times per call, want 0", allocs)
+	}
+	if feats.PrefixRows() != 0 {
+		t.Errorf("feature-fed steps counted %d prefix rows", feats.PrefixRows())
+	}
+	for i := range stored(feats) {
+		if tr := &stored(feats)[i]; !tr.Done {
+			tr.QNextFeat = nil
+		}
+	}
+	feats.TrainStep()
+	if got, want := feats.PrefixRows(), rowsOf(feats); got != want {
+		t.Errorf("a batch with uncached rows ran %d rows from the frame, want all %d", got, want)
 	}
 }

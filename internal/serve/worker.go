@@ -182,6 +182,9 @@ func (w *worker) run() {
 	version := w.version
 	w.mu.Unlock()
 
+	// Counted before the replies go out: a client that reads Stats() right
+	// after its answer must find its batch there.
+	w.s.stats.batchDone(b, batchedKernel, delta)
 	for i, r := range w.batch {
 		q := append([]float32(nil), out[i*w.s.actions:(i+1)*w.s.actions]...)
 		r.reply <- result{rep: Reply{
@@ -192,7 +195,6 @@ func (w *worker) run() {
 		}}
 		w.batch[i] = nil // let the request go as soon as it is answered
 	}
-	w.s.stats.batchDone(b, batchedKernel, delta)
 }
 
 // mergeLedgerLocked folds the outgoing backend's device traffic into the
