@@ -58,6 +58,11 @@ func main() {
 	}
 
 	base := "http://" + *addr
+	// One keep-alive connection per client plus the reloader's:
+	// http.DefaultClient keeps two idle connections per host and would
+	// redial on almost every request at -c 8, timing connect(2) instead of
+	// the daemon.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *c + 1}}
 	spec := nn.NavNetSpec()
 	obsLen := spec.InputC * spec.InputH * spec.InputW
 
@@ -103,7 +108,7 @@ func main() {
 				failed.Add(1)
 				return
 			}
-			resp, err := http.Post(base+"/v1/policy", "application/octet-stream", &buf)
+			resp, err := client.Post(base+"/v1/policy", "application/octet-stream", &buf)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "serveload: reload POST:", err)
 				failed.Add(1)
@@ -113,7 +118,9 @@ func main() {
 			var rv struct {
 				PolicyVersion uint64 `json:"policy_version"`
 			}
-			if err := json.NewDecoder(resp.Body).Decode(&rv); err != nil || resp.StatusCode != http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&rv)
+			io.Copy(io.Discard, resp.Body) // drained, the connection goes back to the pool
+			if err != nil || resp.StatusCode != http.StatusOK {
 				fmt.Fprintf(os.Stderr, "serveload: reload rejected: status %d err %v\n", resp.StatusCode, err)
 				failed.Add(1)
 				return
@@ -177,7 +184,7 @@ func main() {
 		go func(stream [][]float32) {
 			defer wg.Done()
 			for _, obs := range stream {
-				if err := fire(base, obs, &retries); err != nil {
+				if err := fire(client, base, obs, &retries); err != nil {
 					fmt.Fprintln(os.Stderr, "serveload:", err)
 					failed.Add(1)
 					continue
@@ -267,14 +274,15 @@ func assertHealthy(base string) error {
 }
 
 // fire sends one act request, retrying bounded times on 429 backpressure.
-func fire(base string, obs []float32, retries *atomic.Int64) error {
+// Every reply is read to its end before Close, so the connection is reused.
+func fire(client *http.Client, base string, obs []float32, retries *atomic.Int64) error {
 	body, err := json.Marshal(map[string]any{"obs": obs})
 	if err != nil {
 		return err
 	}
 	backoff := time.Millisecond
 	for attempt := 0; attempt < 50; attempt++ {
-		resp, err := http.Post(base+"/v1/act", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(base+"/v1/act", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}

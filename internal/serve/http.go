@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"dronerl/internal/nn"
@@ -23,7 +23,8 @@ const maxActBody = 16 << 20
 // Handler returns the HTTP API:
 //
 //	POST /v1/act     {"obs":[...]} → {"action","q","policy_version","batch"}
-//	                 400 malformed/mis-shaped, 429 queue full, 503 closed
+//	                 400 malformed/mis-shaped, 408 body stalled, 413 body
+//	                 over 16 MB, 429 queue full, 503 closed
 //	POST /v1/policy  gob nn.Snapshot body → {"policy_version"}
 //	                 400 undecodable/wrong layout version, 409 wrong arch or
 //	                 parameter topology
@@ -47,14 +48,12 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleAct(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Obs []float32 `json:"obs"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxActBody)).Decode(&req); err != nil {
-		writeError(w, bodyErrStatus(err), fmt.Errorf("decoding request: %w", err))
+	obs, err := s.decodeAct(w, r)
+	if err != nil {
+		writeError(w, bodyErrStatus(err), err)
 		return
 	}
-	rep, err := s.Infer(r.Context(), req.Obs)
+	rep, err := s.Infer(r.Context(), obs)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, rep)
@@ -100,12 +99,15 @@ func (s *Server) handlePolicyPost(w http.ResponseWriter, r *http.Request) {
 }
 
 // bodyErrStatus distinguishes a request body the server refused to read
-// further (413, from http.MaxBytesReader) from one that was malformed or
-// truncated (400).
+// further (413, from http.MaxBytesReader) and one that stalled past its read
+// deadline (408) from one that was malformed, truncated or mis-shaped (400).
 func bodyErrStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		return http.StatusRequestEntityTooLarge
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return http.StatusRequestTimeout
 	}
 	return http.StatusBadRequest
 }
@@ -129,7 +131,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler: s.Handler(),
 		// A client that connects and never finishes its headers, or an
-		// idle keep-alive connection, must not hold a socket forever.
+		// idle keep-alive connection, must not hold a socket forever. Bodies
+		// are bounded per route: /v1/act sets its own read deadline
+		// (actBodyTimeout), /v1/policy legitimately uploads for minutes.
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}

@@ -99,6 +99,22 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("short obs: %d, want 400", resp.StatusCode)
 	}
+
+	// The door says how it is used: both posts so far were the canonical
+	// shape, so neither went through encoding/json; an upper-case key is
+	// still accepted, by the fallback, and is counted.
+	if st := s.Stats(); st.ActDecoded != 2 || st.ActFallbacks != 0 || st.ActDecodeUsMean <= 0 {
+		t.Errorf("after two canonical posts: act_decoded %d act_fallbacks %d act_decode_us_mean %v, want 2, 0, > 0",
+			st.ActDecoded, st.ActFallbacks, st.ActDecodeUsMean)
+	}
+	resp, body = postJSON(t, base+"/v1/act", map[string]any{"OBS": randObs(rng)})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("upper-case key: %d %s, want 200", resp.StatusCode, body)
+	}
+	if st := s.Stats(); st.ActDecoded != 3 || st.ActFallbacks != 1 {
+		t.Errorf("after one {\"OBS\":[...]}: act_decoded %d act_fallbacks %d, want 3 and 1", st.ActDecoded, st.ActFallbacks)
+	}
+
 	r2, err := http.Post(base+"/v1/act", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +185,11 @@ func TestHTTPEndpoints(t *testing.T) {
 	r6.Body.Close()
 	if st.Served < 2 || st.PolicyVersion != 2 || st.Reloads != 1 {
 		t.Errorf("stats %+v", st)
+	}
+	// Five act bodies arrived whole; the upper-case key and "{nope" were not
+	// the canonical shape.
+	if st.ActDecoded != 5 || st.ActFallbacks != 2 {
+		t.Errorf("/statsz act_decoded %d act_fallbacks %d, want 5 and 2", st.ActDecoded, st.ActFallbacks)
 	}
 	if st.Backend != "float" || st.Workers != 2 || st.QueueCap != 256 {
 		t.Errorf("config echo wrong: %+v", st)

@@ -200,8 +200,7 @@ func (s *Server) Close() {
 // /v1/act and the path the HTTP handler itself uses.
 func (s *Server) Infer(ctx context.Context, obs []float32) (Reply, error) {
 	if len(obs) != s.obsLen {
-		return Reply{}, fmt.Errorf("%w: got %d values, want %d (%dx%dx%d)",
-			ErrBadObservation, len(obs), s.obsLen, s.spec.InputC, s.spec.InputH, s.spec.InputW)
+		return Reply{}, s.errObsLen(len(obs))
 	}
 	select {
 	case <-s.quit:
@@ -229,6 +228,12 @@ func (s *Server) Infer(ctx context.Context, obs []float32) (Reply, error) {
 		// it and it is collected with the request.
 		return Reply{}, ctx.Err()
 	}
+}
+
+// errObsLen is the refusal of an observation carrying n values.
+func (s *Server) errObsLen(n int) error {
+	return fmt.Errorf("%w: got %d values, want %d (%dx%dx%d)",
+		ErrBadObservation, n, s.obsLen, s.spec.InputC, s.spec.InputH, s.spec.InputW)
 }
 
 // Reload validates a new snapshot and publishes it as the serving policy

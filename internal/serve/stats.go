@@ -3,6 +3,7 @@ package serve
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dronerl/internal/mem"
@@ -33,6 +34,12 @@ type stats struct {
 	lat           []time.Duration // ring buffer of recent request latencies
 	latNext       int
 	latFull       bool
+
+	// The /v1/act decode counters are atomics outside mu: every request
+	// adds to them before it reaches the queue.
+	actDecodes   atomic.Int64 // bodies read in full and decoded, accepted or not
+	actFallbacks atomic.Int64 // of those, the ones the single pass handed to encoding/json
+	actDecodeNS  atomic.Int64 // time decoding them, body read excluded
 }
 
 func newStats(maxBatch int) *stats {
@@ -51,6 +58,15 @@ func (st *stats) observe(d time.Duration) {
 	st.latFull = true
 	st.lat[st.latNext] = d
 	st.latNext = (st.latNext + 1) % latWindow
+}
+
+// actDecoded records one /v1/act body decode.
+func (st *stats) actDecoded(d time.Duration, fellBack bool) {
+	st.actDecodes.Add(1)
+	st.actDecodeNS.Add(int64(d))
+	if fellBack {
+		st.actFallbacks.Add(1)
+	}
 }
 
 // reject counts one queue-full rejection.
@@ -127,6 +143,14 @@ type Stats struct {
 	SerialBatches  int64   `json:"serial_batches"`
 	P50Ms          float64 `json:"p50_ms"`
 	P99Ms          float64 `json:"p99_ms"`
+	// ActDecoded counts POST /v1/act bodies read in full and decoded,
+	// accepted or refused; ActFallbacks those among them that were not the
+	// canonical {"obs":[numbers]} shape and went through encoding/json — zero
+	// when every client sends what the load generators send. ActDecodeUsMean
+	// is the mean decode time per body, the read off the socket excluded.
+	ActDecoded      int64   `json:"act_decoded"`
+	ActFallbacks    int64   `json:"act_fallbacks"`
+	ActDecodeUsMean float64 `json:"act_decode_us_mean"`
 	// Backend-modeled inference cost (zero for the float backend).
 	Inferences       int64   `json:"inferences"`
 	ModeledEnergyMJ  float64 `json:"modeled_energy_mj"`
@@ -186,6 +210,12 @@ func (s *Server) Stats() Stats {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		out.P50Ms = float64(lats[len(lats)/2].Microseconds()) / 1e3
 		out.P99Ms = float64(lats[len(lats)*99/100].Microseconds()) / 1e3
+	}
+
+	out.ActDecoded = st.actDecodes.Load()
+	out.ActFallbacks = st.actFallbacks.Load()
+	if out.ActDecoded > 0 {
+		out.ActDecodeUsMean = float64(st.actDecodeNS.Load()) / 1e3 / float64(out.ActDecoded)
 	}
 
 	out.Devices = map[string]DeviceTotal{}
