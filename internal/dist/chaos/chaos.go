@@ -2,8 +2,9 @@
 // wraps connections (on either side of the wire) with fault injectors that
 // kill links after a random number of bytes — truncating whatever frame is
 // in flight — and delay individual reads and writes, and it supervises
-// whole components (actors, the learner) through randomized kill/restart
-// cycles. The dist package's fault-injection tests run entirely on these
+// whole components (actors) through randomized kill/restart cycles clocked
+// by the bytes they have written, not by the wall. The dist package's
+// fault-injection tests run entirely on these
 // primitives, under the race detector.
 //
 // Faults are seeded and therefore reproducible: the same Config and seed
@@ -15,6 +16,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -63,7 +65,7 @@ func (cfg Config) wrap(conn net.Conn, seed int64) net.Conn {
 
 // WrapDial makes a dialer whose connections carry injected faults; it plugs
 // straight into dist.ActorConfig.Dial.
-func WrapDial(dial func(ctx context.Context) (net.Conn, error), cfg Config) func(ctx context.Context) (net.Conn, error) {
+func WrapDial(dial Dial, cfg Config) Dial {
 	seeds := &counterSeed{seed: cfg.Seed}
 	return func(ctx context.Context) (net.Conn, error) {
 		conn, err := dial(ctx)
@@ -75,7 +77,7 @@ func WrapDial(dial func(ctx context.Context) (net.Conn, error), cfg Config) func
 }
 
 // Dialer makes a fault-injecting dialer for a plain network address.
-func Dialer(network, addr string, cfg Config) func(ctx context.Context) (net.Conn, error) {
+func Dialer(network, addr string, cfg Config) Dial {
 	return WrapDial(func(ctx context.Context) (net.Conn, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, network, addr)
@@ -186,28 +188,75 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Supervise runs task through kills randomized kill/restart cycles, then
-// once more uninterrupted, and returns that final run's error. Each killed
-// round receives a context that cancels after a uniform random up-time in
-// [minUp, maxUp]; a round that finishes before its kill ends the chaos
-// early (the task is done). The task must be resumable across invocations —
-// a learner restarting from its checkpoint, an actor reclaiming its slot.
-func Supervise(ctx context.Context, kills int, minUp, maxUp time.Duration, seed int64, task func(context.Context) error) error {
+// Dial is the dialer shape dist.ActorConfig.Dial takes.
+type Dial = func(ctx context.Context) (net.Conn, error)
+
+// Kill records one supervised kill: the byte budget the round drew, and how
+// many bytes the round had written at the moment its context was cancelled —
+// the budget plus whatever remained of the write that crossed it.
+type Kill struct{ Budget, Written int64 }
+
+// Supervise runs task through kills randomized kill/restart cycles, then once
+// more uninterrupted, and returns the kills that fired and that final run's
+// error. The clock is progress, not time: each killed round hands the task a
+// dialer that counts the bytes written through its connections, and cancels
+// the round's context once a uniform random budget in [minBytes, maxBytes]
+// has been written — the currency the byte-budget links already use — so a
+// faster program or a slower box moves the kill in wall-clock time and not in
+// the mission. A round that finishes before its kill ends the chaos early
+// (the task is done). The task must be resumable across invocations — an
+// actor reclaiming its slot — and must dial only through the dialer it is
+// handed.
+func Supervise(ctx context.Context, kills int, minBytes, maxBytes, seed int64, dial Dial, task func(context.Context, Dial) error) ([]Kill, error) {
 	rng := rand.New(rand.NewSource(seed))
+	var fired []Kill
 	for i := 0; i < kills; i++ {
-		up := minUp
-		if span := int64(maxUp - minUp); span > 0 {
-			up += time.Duration(rng.Int63n(span + 1))
+		budget := minBytes
+		if span := maxBytes - minBytes; span > 0 {
+			budget += rng.Int63n(span + 1)
 		}
-		runCtx, cancel := context.WithTimeout(ctx, up)
-		err := task(runCtx)
+		runCtx, cancel := context.WithCancel(ctx)
+		m := &meter{budget: budget, cancel: cancel}
+		err := task(runCtx, func(ctx context.Context) (net.Conn, error) {
+			conn, err := dial(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return meteredConn{conn, m}, nil
+		})
 		cancel()
 		if err == nil {
-			return nil
+			return fired, nil
 		}
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return fired, ctx.Err()
+		}
+		if at := m.killedAt.Load(); at > 0 {
+			fired = append(fired, Kill{Budget: budget, Written: at})
 		}
 	}
-	return task(ctx)
+	return fired, task(ctx, dial)
+}
+
+// meter is one round's byte clock, shared by every connection the round
+// dials (writes and redials run on different goroutines).
+type meter struct {
+	budget   int64
+	cancel   context.CancelFunc
+	written  atomic.Int64
+	killedAt atomic.Int64
+}
+
+type meteredConn struct {
+	net.Conn
+	m *meter
+}
+
+func (c meteredConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if now := c.m.written.Add(int64(n)); now >= c.m.budget && now-int64(n) < c.m.budget {
+		c.m.killedAt.Store(now)
+		c.m.cancel()
+	}
+	return n, err
 }

@@ -133,7 +133,11 @@ func TestDistributedRunTrains(t *testing.T) {
 
 // TestDistActorKillRestart kills an actor mid-run (twice) and restarts it
 // with its assigned ID: each restart must reclaim the same shard slot and
-// the learner must finish cleanly on the experience that survived.
+// the learner must finish cleanly on the experience that survived. The kills
+// are clocked by the bytes the actor has written (3-5 MB a round, of the
+// ~18 MB the 2000-step mission sends), so they land a few hundred steps into
+// a round however fast the actor flies — a wall-clock kill was outrun once
+// the mission shrank to a fifth of a second.
 func TestDistActorKillRestart(t *testing.T) {
 	f := newFleet(t, 71, nn.L3)
 	learner, err := NewLearner(LearnerConfig{
@@ -158,12 +162,13 @@ func TestDistActorKillRestart(t *testing.T) {
 	var id uint64
 	remaining := 2000
 	restarts := 0
-	task := func(runCtx context.Context) error {
+	task := func(runCtx context.Context, dial chaos.Dial) error {
 		if remaining <= 0 {
 			return nil
 		}
 		cfg := f.actorConfig(72+int64(restarts), remaining)
 		cfg.ActorID = id
+		cfg.Dial = dial
 		restarts++
 		st, err := RunActor(runCtx, cfg)
 		remaining -= st.Steps
@@ -178,8 +183,24 @@ func TestDistActorKillRestart(t *testing.T) {
 		}
 		return err
 	}
-	if err := chaos.Supervise(ctx, 2, 150*time.Millisecond, 350*time.Millisecond, 73, task); err != nil {
+	dial := func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", f.addr)
+	}
+	const minBytes, maxBytes = 3 << 20, 5 << 20
+	kills, err := chaos.Supervise(ctx, 2, minBytes, maxBytes, 73, dial, task)
+	if err != nil {
 		t.Fatalf("supervised actor: %v", err)
+	}
+	if len(kills) != 2 || restarts != 3 {
+		t.Errorf("supervisor killed %d rounds and ran the actor %d times, want 2 kills and 3 runs", len(kills), restarts)
+	}
+	for i, k := range kills {
+		// The write that crosses the budget is one transitions frame at most
+		// (FlushEvery steps, ~74 KB): the kill lands within one of the budget.
+		if k.Budget < minBytes || k.Budget > maxBytes || k.Written < k.Budget || k.Written-k.Budget >= 128<<10 {
+			t.Errorf("kill %d fired at %d bytes written for a budget of %d in [%d, %d]", i, k.Written, k.Budget, minBytes, maxBytes)
+		}
 	}
 
 	st := <-learnerCh
@@ -192,8 +213,8 @@ func TestDistActorKillRestart(t *testing.T) {
 	if st.EnvSteps < 100 {
 		t.Errorf("learner received only %d env steps across restarts", st.EnvSteps)
 	}
-	if restarts < 2 {
-		t.Errorf("supervisor ran the actor %d times, expected kills", restarts)
+	if remaining > 0 {
+		t.Errorf("%d steps were never flown", remaining)
 	}
 }
 

@@ -1,6 +1,7 @@
 package qnn
 
 import (
+	"dronerl/internal/fixed"
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
@@ -8,7 +9,8 @@ import (
 
 // Backend is the nn.Backend over the integer inference engine: the float
 // network is Compiled once into 16-bit fixed-point layers, and every Infer
-// runs entirely in the accelerator's integer arithmetic. The Q-values it
+// runs entirely in the accelerator's integer arithmetic (a lone frame is the
+// batch of one of InferBatch's kernels). The Q-values it
 // returns are the dequantized output words, so the greedy argmax is exactly
 // the decision the deployed PE datapath would take — including the
 // near-tie flips the 16-bit quantization introduces.
@@ -46,28 +48,18 @@ func NewBackend(src *nn.Network) (*Backend, error) {
 func (b *Backend) Name() string { return "quant" }
 
 // Infer implements nn.Backend: quantize the observation, run the integer
-// pipeline, dequantize the Q-value words. The returned slice is reused by
-// the next call.
+// pipeline as a batch of one, dequantize the Q-value words. The returned
+// slice is reused by the next call; a lone frame allocates nothing in steady
+// state.
 func (b *Backend) Infer(obs *tensor.Tensor) []float32 {
-	words, outFmt := b.net.Forward(obs)
-	if cap(b.out) < len(words) {
-		b.out = make([]float32, len(words))
-	}
-	b.out = b.out[:len(words)]
-	for i, w := range words {
-		b.out[i] = float32(outFmt.ToFloat(w))
-	}
-	rec := b.ledger.Record(b.mram, mem.Read, b.weightBits)
-	b.cost.Inferences++
-	b.cost.EnergyMJ += rec.PJ / 1e9
-	b.cost.LatencyMS += rec.TimeNS / 1e6
-	return b.out
+	words, outFmt := b.net.forwardOne(obs)
+	return b.finish(words, outFmt, 1)
 }
 
-// InferBatch implements nn.BatchInferrer: one batched integer pass — one
-// int16 GEMM per weighted layer for the B stacked observations — with every
-// row bit-identical to the corresponding single-sample Infer (the batched
-// path's pinned contract), dequantized into the reusable output slice.
+// InferBatch implements nn.BatchInferrer: one integer pass — one kernel call
+// per layer for the B stacked observations — with every row bit-identical to
+// the corresponding single-sample Infer, dequantized into the reusable
+// output slice.
 //
 // The energy model is where batching pays beyond throughput: the stack
 // streams each layer's weights once for the whole batch, so the ledger is
@@ -76,6 +68,12 @@ func (b *Backend) Infer(obs *tensor.Tensor) []float32 {
 // weight-stream latency fall as 1/B.
 func (b *Backend) InferBatch(batch *tensor.Tensor) []float32 {
 	words, outFmt := b.net.ForwardBatch(batch)
+	return b.finish(words, outFmt, batch.Dim(0))
+}
+
+// finish is the tail Infer and InferBatch share: dequantize the pass's words
+// and charge it — one weight stream, rows inferences.
+func (b *Backend) finish(words fixed.Vec, outFmt fixed.Format, rows int) []float32 {
 	if cap(b.out) < len(words) {
 		b.out = make([]float32, len(words))
 	}
@@ -84,7 +82,7 @@ func (b *Backend) InferBatch(batch *tensor.Tensor) []float32 {
 		b.out[i] = float32(outFmt.ToFloat(w))
 	}
 	rec := b.ledger.Record(b.mram, mem.Read, b.weightBits)
-	b.cost.Inferences += int64(batch.Dim(0))
+	b.cost.Inferences += int64(rows)
 	b.cost.EnergyMJ += rec.PJ / 1e9
 	b.cost.LatencyMS += rec.TimeNS / 1e6
 	return b.out

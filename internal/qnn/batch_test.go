@@ -1,6 +1,9 @@
 package qnn
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -35,10 +38,12 @@ func scenarioObs(t *testing.T, name string, count int, seed int64) []*tensor.Ten
 	return obs
 }
 
-// TestQuantInferBatchBitIdentical asserts the batched integer path returns,
-// word for word, exactly what the per-sample path returns — on every builtin
-// scenario's observations, across batch sizes {1, 8, 32}. This pins the
-// wrap-around-GEMM vs saturating-MAC accumulation argument (batch.go) on
+// TestQuantInferBatchBitIdentical asserts the engine returns, word for word,
+// exactly what the PE datapath's scalar loops (serial_test.go: one sample at
+// a time, saturating at every MAC) return — on every builtin scenario's
+// observations, across batch sizes {1, 8, 32}, and for the lone-frame entry
+// points Forward and Infer as for ForwardBatch and InferBatch. This pins the
+// wrap-around-kernel vs saturating-MAC accumulation argument (batch.go) on
 // real depth images, and the backend-level float rows with it.
 func TestQuantInferBatchBitIdentical(t *testing.T) {
 	spec := nn.NavNetSpec()
@@ -59,17 +64,24 @@ func TestQuantInferBatchBitIdentical(t *testing.T) {
 			for s := 0; s < bsz; s++ {
 				copy(stack.Data()[s*row:(s+1)*row], obs[s].Data())
 			}
-			// Snapshot the per-sample answers first: the batched pass reuses
-			// workspaces, the serial pass allocates fresh tensors.
 			wantWords := make([][]int16, bsz)
 			wantQ := make([][]float32, bsz)
 			for s := 0; s < bsz; s++ {
-				words, _ := qnet.Forward(obs[s])
+				words := serialForward(qnet, obs[s])
+				one, outFmt := qnet.Forward(obs[s])
+				oneQ := b.Infer(obs[s])
 				wantWords[s] = make([]int16, len(words))
+				wantQ[s] = make([]float32, len(words))
 				for i, w := range words {
 					wantWords[s][i] = int16(w)
+					wantQ[s][i] = float32(outFmt.ToFloat(w))
 				}
-				wantQ[s] = append([]float32(nil), b.Infer(obs[s])...)
+				for i, w := range words {
+					if one[i] != w || oneQ[i] != wantQ[s][i] {
+						t.Fatalf("%s sample %d: lone frame word[%d] = %d (Q %v), scalar reference %d (Q %v)",
+							name, s, i, one[i], oneQ[i], w, wantQ[s][i])
+					}
+				}
 			}
 			gotWords, _ := qnet.ForwardBatch(stack)
 			if len(gotWords) != bsz*actions {
@@ -149,19 +161,21 @@ func TestQuantInferBatchLedgerAmortized(t *testing.T) {
 }
 
 // TestQuantForwardBatchZeroAlloc asserts the steady-state allocation
-// contract of the batched integer pass: after warm-up, ForwardBatch touches
-// only the workspace. Pinned on the single-threaded schedule — above the
-// flops threshold the GEMM's row fan-out allocates goroutine closures, the
-// same caveat the float arena documents.
+// contract of the integer pass: after warm-up, ForwardBatch touches only the
+// workspace, and so does a lone frame through Backend.Infer, the batch of
+// one. Pinned on the single-threaded schedule — above the flops threshold the
+// GEMM's row fan-out allocates goroutine closures, the same caveat the float
+// arena documents.
 func TestQuantForwardBatchZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := nn.NavNetSpec()
 	net := spec.Build()
 	net.Init(rand.New(rand.NewSource(51)))
-	qnet, err := Compile(net, Options{})
+	b, err := NewBackend(net)
 	if err != nil {
 		t.Fatal(err)
 	}
+	qnet := b.net
 	stack := tensor.New(8, 1, env.ImageSize, env.ImageSize)
 	stack.RandUniform(rand.New(rand.NewSource(52)), 1)
 	qnet.ForwardBatch(stack) // warm-up sizes every slot
@@ -169,5 +183,86 @@ func TestQuantForwardBatchZeroAlloc(t *testing.T) {
 		qnet.ForwardBatch(stack)
 	}); allocs != 0 {
 		t.Errorf("steady-state ForwardBatch allocates %v times per call, want 0", allocs)
+	}
+	one := tensor.New(1, env.ImageSize, env.ImageSize)
+	one.RandUniform(rand.New(rand.NewSource(53)), 1)
+	b.Infer(one)
+	if allocs := testing.AllocsPerRun(10, func() { b.Infer(one) }); allocs != 0 {
+		t.Errorf("steady-state Infer allocates %v times per lone frame, want 0", allocs)
+	}
+}
+
+// inferGolden hashes what Backend.Infer answers, frame by frame, for 16
+// frames of every builtin scenario and 32 dense uniform frames (the serving
+// benchmark's kind): start covers the compiled words and the frames' float
+// bits, final every Q-value's float bits.
+func inferGolden(t *testing.T, net *nn.Network) (start, final string) {
+	b, err := NewBackend(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []*tensor.Tensor
+	for si, name := range env.ScenarioNames() {
+		frames = append(frames, scenarioObs(t, name, 16, int64(300+si))...)
+	}
+	rng := rand.New(rand.NewSource(301))
+	for i := 0; i < 32; i++ {
+		f := tensor.New(1, env.ImageSize, env.ImageSize)
+		for j := range f.Data() {
+			f.Data()[j] = rng.Float32()
+		}
+		frames = append(frames, f)
+	}
+	hs, hf := sha256.New(), sha256.New()
+	for _, l := range b.net.Layers {
+		switch l := l.(type) {
+		case *Conv2D:
+			hashWords(hs, l.W)
+			hashWords(hs, l.B)
+		case *Dense:
+			hashWords(hs, l.W)
+			hashWords(hs, l.B)
+		}
+	}
+	for _, f := range frames {
+		for _, v := range f.Data() {
+			hashU64(hs, uint64(math.Float32bits(v)))
+		}
+		for _, q := range b.Infer(f) {
+			hashU64(hf, uint64(math.Float32bits(q)))
+		}
+	}
+	return hex.EncodeToString(hs.Sum(nil)), hex.EncodeToString(hf.Sum(nil))
+}
+
+// TestQuantInferGolden pins Backend.Infer bit for bit to what the per-sample,
+// per-MAC-saturating engine answered at fd6fe34 (hashes captured there,
+// before Infer became the batch of one of the wrap-around kernels), on a
+// fresh-init and on the meta-trained NavNet. As in TestTrainBackendGolden,
+// the meta start is float work and is excused where the compiler fuses
+// multiply-adds; scenario frames come out of float ray casting, so the init
+// pin is guarded by its start hash the same way.
+func TestQuantInferGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		net         *nn.Network
+		start, want string
+	}{
+		{"init", trainedNavNet(79), "b2524c1da6efd71cdb372f28ed019efb196ff0e17c59d23ab51bfc4c043fdf07", "9e339f5cd030930ff6bdd8a8640ed1f3fe98ccad24a84758840c42aadd6e8f51"},
+		{"meta", metaTrainedNavNet()(), "1b5d3fe1ead36789742c74cb499a4cddd6cde12ecde51e40732f52b85311ba1d", "c6b0826792e4031ce57b3b07de6cb6b081adb8ac7e22d9c62041cd949a356014"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start, got := inferGolden(t, tc.net)
+			if start != tc.start {
+				if runtime.GOARCH != "amd64" {
+					t.Skipf("float meta-training and ray casting round differently on %s (fused multiply-add): start %s, pinned %s",
+						runtime.GOARCH, start, tc.start)
+				}
+				t.Fatalf("the frames or the quantizer moved, not the engine: start %s, pinned %s", start, tc.start)
+			}
+			if got != tc.want {
+				t.Fatalf("Infer is no longer bit-identical to the pinned per-sample engine: got %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

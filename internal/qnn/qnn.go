@@ -1,18 +1,23 @@
 // Package qnn is the deployable integer inference engine: the forward path
 // of a trained network executed entirely in the accelerator's 16-bit
-// fixed-point arithmetic (internal/fixed) with 32-bit accumulators — the
-// numeric behaviour of the PE datapath, bit for bit, rather than a float
-// emulation of it.
+// fixed-point arithmetic (internal/fixed) with 32-bit accumulators, rather
+// than a float emulation of it.
 //
 // A float network trained by internal/nn is Compiled once (weights
 // quantized into each layer's format) and then evaluated with integer MACs
 // only. This is the artifact that would actually be downloaded into the
 // STT-MRAM stack: the paper stores "16 bit fixed point" weights (Fig. 4(b))
 // and performs inference reads from the stack.
+//
+// There is one engine: the batched kernels of batch.go. This file holds the
+// layer types and the single-sample entry points — Layer.Forward,
+// Network.Forward, Greedy — which are the batch of one of those kernels. The
+// PE datapath's per-MAC-saturating loops survive as the scalar reference in
+// serial_test.go, which the engine is held to word for word on real frames.
 package qnn
 
 import (
-	"fmt"
+	"slices"
 
 	"dronerl/internal/fixed"
 	"dronerl/internal/tensor"
@@ -32,7 +37,9 @@ func (q QTensor) Len() int { return len(q.Data) }
 type Layer interface {
 	// Name identifies the layer.
 	Name() string
-	// Forward consumes and produces format-tagged integer tensors.
+	// Forward consumes and produces format-tagged integer tensors: one
+	// unbatched sample in, a freshly allocated output (or, for a pure
+	// reshape, a view of the input) out.
 	Forward(in QTensor) QTensor
 	// WeightBits returns the read traffic this layer generates against
 	// the weight store, in bits.
@@ -48,10 +55,10 @@ type Conv2D struct {
 	B                   fixed.Vec
 	WFmt, InFmt, OutFmt fixed.Format
 
-	// Batched-path caches (batch.go): the weight image re-typed for the
-	// int16 GEMM kernel, the bias rescaled into OutFmt, and the reusable
+	// Kernel caches (batch.go): the weight image packed for the direct int16
+	// convolution, the bias rescaled into OutFmt, and the reusable
 	// output-shape header.
-	wGemm  []int16
+	direct *tensor.Conv16
 	bOut   fixed.Vec
 	bShape []int
 }
@@ -62,41 +69,8 @@ func (c *Conv2D) Name() string { return c.LayerName }
 // WeightBits implements Layer.
 func (c *Conv2D) WeightBits() int64 { return int64(len(c.W)+len(c.B)) * 16 }
 
-// Forward implements Layer. Products accumulate in 32-bit (as in the PE
-// MAC units) and are narrowed once per output pixel.
-func (c *Conv2D) Forward(in QTensor) QTensor {
-	h, w := in.Shape[1], in.Shape[2]
-	oh := (h+2*c.Pad-c.K)/c.Stride + 1
-	ow := (w+2*c.Pad-c.K)/c.Stride + 1
-	out := QTensor{Shape: []int{c.OutC, oh, ow}, Data: make(fixed.Vec, c.OutC*oh*ow), Fmt: c.OutFmt}
-	colw := c.InC * c.K * c.K
-	for oc := 0; oc < c.OutC; oc++ {
-		wrow := c.W[oc*colw : (oc+1)*colw]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var acc fixed.Acc
-				p := 0
-				for ic := 0; ic < c.InC; ic++ {
-					base := ic * h * w
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								acc = fixed.MAC(acc, in.Data[base+iy*w+ix], wrow[p])
-							}
-							p++
-						}
-					}
-				}
-				word := narrowMixed(acc, c.InFmt, c.WFmt, c.OutFmt)
-				word = fixed.SatAdd(word, rescale(c.B[oc], c.WFmt, c.OutFmt))
-				out.Data[oc*oh*ow+oy*ow+ox] = word
-			}
-		}
-	}
-	return out
-}
+// Forward implements Layer.
+func (c *Conv2D) Forward(in QTensor) QTensor { return batchOfOne(c, in) }
 
 // Dense is an integer fully-connected layer.
 type Dense struct {
@@ -106,7 +80,7 @@ type Dense struct {
 	B                   fixed.Vec
 	WFmt, InFmt, OutFmt fixed.Format
 
-	// Batched-path caches, as on Conv2D.
+	// Kernel caches, as on Conv2D; the GEMM reads W re-typed, as is.
 	wGemm  []int16
 	bOut   fixed.Vec
 	bShape []int
@@ -119,19 +93,7 @@ func (d *Dense) Name() string { return d.LayerName }
 func (d *Dense) WeightBits() int64 { return int64(len(d.W)+len(d.B)) * 16 }
 
 // Forward implements Layer.
-func (d *Dense) Forward(in QTensor) QTensor {
-	if in.Len() != d.In {
-		panic(fmt.Sprintf("qnn: %s expects %d inputs, got %d", d.LayerName, d.In, in.Len()))
-	}
-	out := QTensor{Shape: []int{d.Out}, Data: make(fixed.Vec, d.Out), Fmt: d.OutFmt}
-	for j := 0; j < d.Out; j++ {
-		row := d.W[j*d.In : (j+1)*d.In]
-		acc := fixed.DotAcc(in.Data, row)
-		word := narrowMixed(acc, d.InFmt, d.WFmt, d.OutFmt)
-		out.Data[j] = fixed.SatAdd(word, rescale(d.B[j], d.WFmt, d.OutFmt))
-	}
-	return out
-}
+func (d *Dense) Forward(in QTensor) QTensor { return batchOfOne(d, in) }
 
 // ReLU is the integer rectifier (a comparator against zero).
 type ReLU struct{ LayerName string }
@@ -142,13 +104,8 @@ func (r *ReLU) Name() string { return r.LayerName }
 // WeightBits implements Layer.
 func (r *ReLU) WeightBits() int64 { return 0 }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(in QTensor) QTensor {
-	out := QTensor{Shape: in.Shape, Data: make(fixed.Vec, in.Len()), Fmt: in.Fmt}
-	copy(out.Data, in.Data)
-	fixed.ReLUVec(out.Data)
-	return out
-}
+// Forward implements Layer. The input is not mutated.
+func (r *ReLU) Forward(in QTensor) QTensor { return batchOfOne(r, in) }
 
 // MaxPool is the integer max-pooling layer (comparators only).
 type MaxPool struct {
@@ -165,28 +122,7 @@ func (m *MaxPool) Name() string { return m.LayerName }
 func (m *MaxPool) WeightBits() int64 { return 0 }
 
 // Forward implements Layer.
-func (m *MaxPool) Forward(in QTensor) QTensor {
-	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh := (h-m.K)/m.Stride + 1
-	ow := (w-m.K)/m.Stride + 1
-	out := QTensor{Shape: []int{c, oh, ow}, Data: make(fixed.Vec, c*oh*ow), Fmt: in.Fmt}
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := in.Data[base+oy*m.Stride*w+ox*m.Stride]
-				for ky := 0; ky < m.K; ky++ {
-					for kx := 0; kx < m.K; kx++ {
-						v := in.Data[base+(oy*m.Stride+ky)*w+ox*m.Stride+kx]
-						best = fixed.Max2(best, v)
-					}
-				}
-				out.Data[ch*oh*ow+oy*ow+ox] = best
-			}
-		}
-	}
-	return out
-}
+func (m *MaxPool) Forward(in QTensor) QTensor { return batchOfOne(m, in) }
 
 // Flatten reshapes without touching data.
 type Flatten struct {
@@ -202,8 +138,17 @@ func (f *Flatten) Name() string { return f.LayerName }
 func (f *Flatten) WeightBits() int64 { return 0 }
 
 // Forward implements Layer.
-func (f *Flatten) Forward(in QTensor) QTensor {
-	return QTensor{Shape: []int{in.Len()}, Data: in.Data, Fmt: in.Fmt}
+func (f *Flatten) Forward(in QTensor) QTensor { return batchOfOne(f, in) }
+
+// batchOfOne is Layer.Forward for every builtin layer: the unbatched sample
+// gains a leading batch dimension of one, runs through the layer's batched
+// kernel over a private workspace — so the output is the caller's to keep —
+// and loses the dimension again.
+func batchOfOne(l batchLayer, in QTensor) QTensor {
+	in.Shape = append([]int{1}, in.Shape...)
+	out := l.forwardBatch(in, &batchWorkspace{}, 0)
+	out.Shape = slices.Clone(out.Shape[1:])
+	return out
 }
 
 // Network is a compiled integer network.
@@ -212,26 +157,30 @@ type Network struct {
 	// InFmt is the expected input activation format.
 	InFmt fixed.Format
 
-	// ws is the batched path's workspace (batch.go), built on first use.
-	ws *batchWorkspace
+	// ws is the kernels' workspace (batch.go) and one the reusable
+	// (1, C, H, W) shape header of a lone frame.
+	ws  batchWorkspace
+	one []int
 }
 
 // Forward quantizes a float CHW image into the input format and runs the
-// integer pipeline, returning the Q-value words and their format.
+// integer pipeline as a batch of one, returning a private copy of the
+// Q-value words and their format.
 func (n *Network) Forward(img *tensor.Tensor) (fixed.Vec, fixed.Format) {
-	q := QTensor{Shape: append([]int(nil), img.Shape()...), Data: make(fixed.Vec, img.Len()), Fmt: n.InFmt}
-	for i, v := range img.Data() {
-		q.Data[i] = n.InFmt.FromFloat(float64(v))
-	}
-	for _, l := range n.Layers {
-		q = l.Forward(q)
-	}
-	return q.Data, q.Fmt
+	words, f := n.forwardOne(img)
+	return slices.Clone(words), f
+}
+
+// forwardOne is Forward without the copy: the words alias the workspace and
+// stay valid until the network's next pass.
+func (n *Network) forwardOne(img *tensor.Tensor) (fixed.Vec, fixed.Format) {
+	n.one = append(append(n.one[:0], 1), img.Shape()...)
+	return n.forward(img.Data(), n.one)
 }
 
 // Greedy returns the argmax action of the integer Q-values.
 func (n *Network) Greedy(img *tensor.Tensor) int {
-	q, _ := n.Forward(img)
+	q, _ := n.forwardOne(img)
 	best := 0
 	for i, w := range q {
 		if w > q[best] {

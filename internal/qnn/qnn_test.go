@@ -3,6 +3,7 @@ package qnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dronerl/internal/env"
@@ -202,5 +203,40 @@ func TestConvIntegerKnownValues(t *testing.T) {
 	got := fixed.Q78.ToFloat(out.Data[0])
 	if math.Abs(got-1.0) > 2*fixed.Q78.Eps() {
 		t.Errorf("conv sum = %v, want 1.0", got)
+	}
+}
+
+// TestLayerForwardMatchesScalarReference holds the exported per-layer Forward
+// — the batch of one of each layer's kernel — to the scalar reference layer
+// by layer down NavNet on a real frame (and on a pooling layer NavNet does
+// not have), shapes included, and checks the output is the caller's to keep:
+// a second call does not overwrite the first.
+func TestLayerForwardMatchesScalarReference(t *testing.T) {
+	q, err := Compile(trainedNavNet(7), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := append([]Layer{&MaxPool{LayerName: "pool", K: 3, Stride: 2}}, q.Layers...)
+	obs := scenarioObs(t, "indoor-apartment", 2, 9)
+	frame := func(o *tensor.Tensor) QTensor {
+		return QTensor{Shape: o.Shape(), Data: quantize(o.Data(), q.InFmt), Fmt: q.InFmt}
+	}
+	in, other := frame(obs[0]), frame(obs[1])
+	for i, l := range layers {
+		want := serialLayer(l, in)
+		got := l.Forward(in)
+		if !slices.Equal(got.Shape, want.Shape) || !slices.Equal(got.Data, want.Data) || got.Fmt != want.Fmt {
+			t.Fatalf("layer %d (%s): Forward differs from the scalar reference (shape %v vs %v)", i, l.Name(), got.Shape, want.Shape)
+		}
+		if _, view := l.(*Flatten); !view {
+			l.Forward(other)
+			if !slices.Equal(got.Data, want.Data) {
+				t.Fatalf("layer %d (%s): a later Forward overwrote an earlier result", i, l.Name())
+			}
+		}
+		if i == 0 {
+			continue // the pooling layer is a side branch: NavNet starts from the frame
+		}
+		in, other = want, serialLayer(l, other)
 	}
 }

@@ -11,13 +11,14 @@ import (
 // Fixed-point training engine: forward, backward and weight update executed
 // in the accelerator's integer arithmetic, the regime Roy et al. study for
 // MRAM training scratchpads (PAPERS.md). Every kernel is batched — one
-// int16 GEMM (tensor.MatMul16T) per weighted layer per minibatch, conv
-// through the im2col panel it shares with the inference engine (batch.go) —
-// and a single sample is a batch of one.
+// int16 GEMM (tensor.MatMul16T) per weighted layer per minibatch, a trainable
+// conv through the im2col panel its backward pass reads back, a frozen conv
+// through the inference engine's direct kernel (tensor.Conv16Batch) — and a
+// single sample is a batch of one.
 //
-// Accumulation. Where the serial inference engine (qnn.go) saturates every
-// MAC — the PE datapath's behaviour — every forward pass here, Dense *and*
-// Conv, follows the int16 GEMM kernels' contract (tensor/int16.go): products
+// Accumulation. Where the PE datapath saturates every MAC, every forward
+// pass here, Dense *and* Conv, follows the int16 kernels' contract
+// (tensor/int16.go), as the inference engine does (batch.go): products
 // widen into wrap-around int32 accumulators and saturate exactly once, at
 // the final narrow, after the bias has joined the sum in 64 bits. That
 // equals a 64-bit accumulation on every output word as long as the true sum
@@ -133,7 +134,7 @@ type tLayer interface {
 // Workspace panels per layer slot: the int16 pool holds four kinds per
 // layer, the int64 pool two.
 const (
-	wsPanel   = iota // conv im2col panel
+	wsPanel   = iota // conv im2col panel (frozen conv: the padded sample)
 	wsWeights        // conv weight image at the panel's row stride
 	wsOut            // forward output words
 	wsGin            // narrowed input gradient
@@ -146,11 +147,80 @@ const (
 	ws64Kinds
 )
 
+// gemmRowLen is the conv panels' row stride: the receptive-field width colw
+// rounded up to the int16 dot kernel's 16-lane step, the tail filled with
+// zero words on both GEMM operands. Zero products add nothing to a
+// wrap-around sum, so every output word is unchanged; what changes is that
+// NavNet's 25- and 72-tap reductions run wholly in the vector loop instead
+// of finishing 9 and 8 taps one by one (about half the cost of a dot product
+// that short). The scalar fallback pays the extra taps, 11-28 % more conv
+// MACs on non-AVX2 hosts.
+func gemmRowLen(colw int) int { return (colw + 15) &^ 15 }
+
+// padRows copies the (rows x colw) row-major matrix src into dst at row
+// stride rowLen, zeroing each row's tail: the weight-side twin of the
+// im2col panel layout.
+func padRows(dst, src []int16, colw, rowLen int) {
+	for r := 0; r*colw < len(src); r++ {
+		row := dst[r*rowLen : (r+1)*rowLen]
+		copy(row, src[r*colw:(r+1)*colw])
+		clear(row[colw:])
+	}
+}
+
+// im2colPatchMajor expands bsz stacked CHW samples into the patch-major int16
+// GEMM panel a trainable convolution forwards through and reads back in its
+// backward pass (inference and frozen layers convolve directly, without a
+// panel): row s*np+p, at stride gemmRowLen, holds output pixel p of
+// sample s's receptive field in the serial loop's (ic, ky, kx) order, with
+// padding taps and the row tail materialized as zero words. Each (ic, ky)
+// line of a patch is one contiguous run of a source row, so the expansion is
+// a clipped copy per line rather than a bounds test per tap.
+func im2colPatchMajor(panel, src []int16, bsz, inC, h, w, k, stride, pad int) {
+	oh := (h+2*pad-k)/stride + 1
+	ow := (w+2*pad-k)/stride + 1
+	colw := inC * k * k
+	rowLen := gemmRowLen(colw)
+	chw := inC * h * w
+	for s := 0; s < bsz; s++ {
+		img := src[s*chw : (s+1)*chw]
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*stride - pad
+			kyLo, kyHi := max(0, -iy0), min(k, h-iy0)
+			for ox := 0; ox < ow; ox++ {
+				ix0 := ox*stride - pad
+				kxLo, kxHi := max(0, -ix0), min(k, w-ix0)
+				row := panel[:rowLen]
+				panel = panel[rowLen:]
+				// Taps [kyLo,kyHi) x [kxLo,kxHi) of every channel fall
+				// inside the image; a clipped patch starts from all zeros.
+				n := kxHi - kxLo
+				if n == k && kyHi-kyLo == k {
+					clear(row[colw:])
+				} else {
+					clear(row)
+				}
+				if n <= 0 {
+					continue
+				}
+				for ic := 0; ic < inC; ic++ {
+					for ky := kyLo; ky < kyHi; ky++ {
+						copy(row[(ic*k+ky)*k+kxLo:][:n], img[(ic*h+iy0+ky)*w+ix0+kxLo:])
+					}
+				}
+			}
+		}
+	}
+}
+
 // tConv is the fixed-point trainable convolution (CHW, square kernel). Its
 // forward pass is one im2col expansion and one int16 GEMM for the whole
-// batch, over the same patch-major panel the inference engine builds
-// (batch.go); the panel is kept for the backward pass, whose 64-bit
-// accumulation reads it back row by row.
+// batch; the patch-major panel is kept for the backward pass,
+// whose 64-bit accumulation reads it back row by row. A layer below the
+// training boundary has no backward pass and no writer — Update and
+// CopyWeightsFrom start at the boundary, Clone shares its words — so it
+// carries its weights packed once for the direct convolution instead, and
+// the sums are the same words either way (tensor/conv16.go).
 type tConv struct {
 	layerName           string
 	inC, outC           int
@@ -160,6 +230,7 @@ type tConv struct {
 	aFrac, wFrac, gFrac uint
 	bsz, inH, inW       int
 	panel               []int16
+	frozen              *tensor.Conv16 // nil above the training boundary
 }
 
 func (c *tConv) name() string      { return c.layerName }
@@ -173,19 +244,25 @@ func (c *tConv) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspa
 	c.bsz, c.inH, c.inW = bsz, shape[1], shape[2]
 	oh, ow := c.outHW()
 	np := oh * ow
-	colw := c.inC * c.k * c.k
-	rowLen := gemmRowLen(colw)
-	c.panel = ws.get16(slot*ws16Kinds+wsPanel, bsz*np*rowLen)
-	im2colPatchMajor(c.panel, in, bsz, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
-	// The weight image at the panel's row stride is rebuilt every pass — a
-	// few hundred words — because Update and CopyWeightsFrom rewrite c.w.
-	wGemm := ws.get16(slot*ws16Kinds+wsWeights, c.outC*rowLen)
-	padRows(wGemm, c.w, colw, rowLen)
 	// acc (B*np x outC) = panel x Wᵀ, then one narrow per output word with
 	// the bias joined at the 2^(a+w) product scale, scattered from
 	// patch-major back to per-sample CHW.
 	acc := ws.get32(slot, bsz*np*c.outC)
-	tensor.MatMul16T(acc, c.panel, wGemm, bsz*np, rowLen, c.outC)
+	if c.frozen != nil {
+		scratch := ws.get16(slot*ws16Kinds+wsPanel, c.frozen.ScratchLen(c.inH, c.inW))
+		tensor.Conv16Batch(c.frozen, acc, scratch, in, bsz, c.inH, c.inW)
+	} else {
+		colw := c.inC * c.k * c.k
+		rowLen := gemmRowLen(colw)
+		c.panel = ws.get16(slot*ws16Kinds+wsPanel, bsz*np*rowLen)
+		im2colPatchMajor(c.panel, in, bsz, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
+		// The weight image at the panel's row stride is rebuilt every pass —
+		// a few hundred words — because Update and CopyWeightsFrom rewrite
+		// c.w.
+		wGemm := ws.get16(slot*ws16Kinds+wsWeights, c.outC*rowLen)
+		padRows(wGemm, c.w, colw, rowLen)
+		tensor.MatMul16T(acc, c.panel, wGemm, bsz*np, rowLen, c.outC)
+	}
 	out := ws.get16(slot*ws16Kinds+wsOut, bsz*c.outC*np)
 	for s := 0; s < bsz; s++ {
 		for oc := 0; oc < c.outC; oc++ {
@@ -577,7 +654,7 @@ func CompileTrainable(src *nn.Network, opts TrainOptions) (*TrainNetwork, error)
 			if t.KH != t.KW {
 				return nil, fmt.Errorf("qnn: %s has non-square kernel %dx%d", t.LayerName, t.KH, t.KW)
 			}
-			tn.layers = append(tn.layers, &tConv{
+			c := &tConv{
 				layerName: t.LayerName,
 				inC:       t.InC, outC: t.OutC,
 				k: t.KH, stride: t.Stride, pad: t.Pad,
@@ -586,7 +663,11 @@ func CompileTrainable(src *nn.Network, opts TrainOptions) (*TrainNetwork, error)
 				gw:    scratch(t.Weight.W.Len()),
 				gb:    scratch(t.Bias.W.Len()),
 				aFrac: aFrac, wFrac: wFrac, gFrac: gFrac,
-			})
+			}
+			if i < tn.trainFrom {
+				c.frozen = tensor.NewConv16(c.w, c.inC, c.outC, c.k, c.stride, c.pad)
+			}
+			tn.layers = append(tn.layers, c)
 		case *nn.Dense:
 			tn.layers = append(tn.layers, &tDense{
 				layerName: t.LayerName,
@@ -826,10 +907,10 @@ func dequantize16(dst []float32, src []int16, f fixed.Format) {
 
 // Clone builds the bootstrap target: a fresh instance with its own copy of
 // every trainable weight word, its own gradient scratchpads, workspace and
-// rounding stream — and the *same* frozen-prefix weight slices as tn. The
-// sharing is safe because nothing ever writes a frozen word: Update and
-// CopyWeightsFrom start at the training boundary, which is fixed at compile
-// time. It makes "the online and target prefixes compute the same features"
+// rounding stream — and the *same* frozen-prefix weight slices (and packed
+// conv images) as tn. The sharing is safe because nothing ever writes a
+// frozen word: Update and CopyWeightsFrom start at the training boundary,
+// which is fixed at compile time. It makes "the online and target prefixes compute the same features"
 // a fact the batched TD step can rely on rather than a coincidence of two
 // copies never diverging.
 func (tn *TrainNetwork) Clone() *TrainNetwork {
@@ -856,6 +937,7 @@ func (tn *TrainNetwork) Clone() *TrainNetwork {
 				gw:    make([]int64, len(t.gw)),
 				gb:    make([]int64, len(t.gb)),
 				aFrac: t.aFrac, wFrac: t.wFrac, gFrac: t.gFrac,
+				frozen: t.frozen,
 			})
 		case *tDense:
 			out.layers = append(out.layers, &tDense{

@@ -354,7 +354,7 @@ func goldenInit() goldenNet {
 	return goldenNet{net: func() *nn.Network { return trainedNavNet(79) }, pool: noise}
 }
 
-func hashWords(h hash.Hash, ws []int16) {
+func hashWords[T ~int16](h hash.Hash, ws []T) {
 	var buf [2]byte
 	for _, w := range ws {
 		binary.LittleEndian.PutUint16(buf[:], uint16(w))
@@ -929,6 +929,12 @@ func TestTrainBackendFeaturesBitIdentical(t *testing.T) {
 // target's frozen weight slices still alias the online ones, its trainable
 // tail owns its memory and equals the online tail as of the last sync, and
 // SyncTarget still charges the full-store write the hardware model prices.
+// A frozen conv's packed weight image rides the same contract: it exists
+// exactly below the boundary, online, target and a fresh Clone hold the one
+// image, and after every Update, SyncTarget, CopyWeightsFrom and WriteBack of
+// the schedule it is still the image of the layer's words — the panel GEMM,
+// which rebuilds its operand from the words each pass, agrees with it word
+// for word on a real frame.
 func TestTrainBackendSharedPrefix(t *testing.T) {
 	g := goldenInit()
 	net := g.net()
@@ -975,6 +981,39 @@ func TestTrainBackendSharedPrefix(t *testing.T) {
 	}
 	if !moved {
 		t.Error("an update after the sync left the online tail equal to the target: the tails share memory")
+	}
+
+	clone := on.Clone()
+	x, shape := make([]int16, len(g.pool[0])), [3]int{1, env.ImageSize, env.ImageSize}
+	on.quantize(x, g.pool[0])
+	for i, l := range on.layers {
+		if c, ok := l.(*tConv); ok {
+			if frozen := i < on.trainFrom; (c.frozen != nil) != frozen {
+				t.Errorf("layer %d (%s): packed image present %v, frozen %v", i, c.layerName, c.frozen != nil, frozen)
+			}
+			if tc, cc := tg.layers[i].(*tConv), clone.layers[i].(*tConv); tc.frozen != c.frozen || cc.frozen != c.frozen {
+				t.Errorf("layer %d (%s): target or clone holds its own packed image", i, c.layerName)
+			}
+			panel := *c
+			panel.frozen = nil
+			want, _ := panel.forwardBatch(x, 1, shape, &batchWorkspace{}, 0)
+			got, _ := c.forwardBatch(x, 1, shape, &batchWorkspace{}, 0)
+			if !slices.Equal(got, want) {
+				t.Errorf("layer %d (%s): packed image is stale: direct convolution differs from the panel GEMM over the layer's words", i, c.layerName)
+			}
+		}
+		x, shape = l.forwardBatch(x, 1, shape, &on.ws, i)
+	}
+	e2e := g.net()
+	e2e.SetConfig(nn.E2E)
+	tn, err := CompileTrainable(e2e, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range tn.layers {
+		if c, ok := l.(*tConv); ok && c.frozen != nil {
+			t.Errorf("E2E layer %d (%s) is trainable but carries a packed image no Update would refresh", i, c.layerName)
+		}
 	}
 }
 

@@ -42,7 +42,8 @@ func fillBatch(w *worker, b int, rng *rand.Rand) {
 // TestWorkerStackZeroAlloc pins the satellite fix for the per-batch staging
 // allocation: once each batch size's arena slot is warm, stacking a batch —
 // any size, in any order — allocates nothing, and neither does running the
-// stacked batch through the quant backend's batched kernel.
+// stacked batch through the quant backend's batched kernel, nor the lone
+// frame worker.run hands to Infer when nothing coalesced.
 func TestWorkerStackZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // keep GEMMs on the serial schedule
 	s := allocTestServer(t, "quant", 32)
@@ -69,6 +70,18 @@ func TestWorkerStackZeroAlloc(t *testing.T) {
 		bi.InferBatch(w.stack(b))
 	}); allocs != 0 {
 		t.Errorf("stack+InferBatch allocates %v/op after warm-up, want 0", allocs)
+	}
+	// The batch of one, staged as worker.run stages it.
+	fillBatch(w, 1, rng)
+	sp := s.spec
+	lone := func() {
+		obs := w.arena.Get(s.cfg.MaxBatch, sp.InputC, sp.InputH, sp.InputW)
+		copy(obs.Data(), w.batch[0].obs)
+		w.backend.Infer(obs)
+	}
+	lone()
+	if allocs := testing.AllocsPerRun(12, lone); allocs != 0 {
+		t.Errorf("lone-frame stage+Infer allocates %v/op after warm-up, want 0", allocs)
 	}
 }
 

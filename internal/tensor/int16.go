@@ -1,30 +1,33 @@
 package tensor
 
-// Int16 GEMM kernels for the quantized training and batched inference paths.
+// Int16 kernels for the quantized training and inference engines: the Dot16
+// GEMM here and the direct convolution in conv16.go.
 //
-// Accumulation contract — deliberately different from the inference kernels
-// in internal/fixed: products are widened to int32 and summed with
+// Accumulation contract — deliberately different from the PE-datapath
+// primitives in internal/fixed: products are widened to int32 and summed with
 // two's-complement wrap-around, and saturation (if the caller wants any)
 // happens exactly once when the caller narrows the finished accumulator.
 // Wrap-around addition mod 2^32 is associative and commutative, so the AVX2
-// kernel's lane order (VPMADDWD pairs, then a tree reduction) is
-// bit-identical to the scalar left-to-right loop — the property the
-// unconditional asm-vs-scalar identity tests assert. Per-step saturating
-// accumulation (fixed.MAC) has no such reordering freedom, which is why the
-// serial inference path (qnn.go) cannot be vectorized this way; the training
-// layers and the batched inference path use these kernels instead.
+// kernels' lane orders (VPMADDWD pairs, then a tree reduction here; one
+// accumulator lane per output channel in the convolution) are bit-identical
+// to the scalar left-to-right loop — the property the unconditional
+// asm-vs-scalar identity tests assert. Per-step saturating accumulation
+// (fixed.MAC) has no such reordering freedom, so nothing saturating can be
+// vectorized this way; qnn keeps that loop as a test-only reference and runs
+// every engine — training, batched inference and the lone frame — on these
+// kernels.
 //
 // The range discipline callers must uphold: the wrapped int32 equals the
 // true sum exactly when the true sum fits int32 (intermediate wraps cancel).
 // With Q7.8 activations and Q2.13 weights every product is < 2^30, so a row
 // needs ~2^2 terms to overflow in the worst case but > 2^17 terms under the
 // trained-weight magnitudes the qnn package bounds. Every forward reduction
-// of the quantized engines now runs under this contract — Dense and, since
-// the training engine's convolution moved from a scalar int64 loop onto
-// MatMul16T, Conv too, in training as in batched inference — and qnn states
-// the precondition as a test rather than a comment:
-// TestTrainAccumulatorHeadroom measures the true 64-bit sums of every layer
-// on real frames and holds them 8 bits under the int32 horizon.
+// of the quantized engines runs under this contract, Dense and Conv, in
+// training as in inference, and qnn states the precondition as tests rather
+// than a comment: TestTrainAccumulatorHeadroom measures the true 64-bit sums
+// of every layer on real frames and holds them 8 bits under the int32
+// horizon, and TestQuantInferBatchBitIdentical holds the inference engine to
+// the saturating loop word for word.
 
 // Dot16 returns the dot product of a and b widened to int32 with
 // wrap-around accumulation. b must be at least as long as a; extra elements

@@ -25,3 +25,19 @@ func dot16(a, b []int16) int32 {
 	}
 	return dot16Scalar(a, b)
 }
+
+// conv16RowAVX2 convolves n horizontally adjacent output pixels for 8 output
+// channels; the instruction-level contract is in int16_amd64.s.
+//
+//go:noescape
+func conv16RowAVX2(dst *int32, x, w *int16, n, ocBytes, xStep, inC, planeBytes, k, rowBytes, pairs int)
+
+func conv16Row(c *Conv16, dst []int32, x []int16, ow, rowLen, plane int) {
+	if !hasAVX2 || c.outC%8 != 0 {
+		conv16RowGo(c, dst, x, ow, rowLen, plane)
+		return
+	}
+	for g := 0; g < c.outC; g += 8 {
+		conv16RowAVX2(&dst[g], &x[0], &c.w[2*g], ow, c.outC*4, c.stride*2, c.inC, plane*2, c.k, rowLen*2, (c.k+1)/2)
+	}
+}

@@ -3,3 +3,7 @@
 package tensor
 
 func dot16(a, b []int16) int32 { return dot16Scalar(a, b) }
+
+func conv16Row(c *Conv16, dst []int32, x []int16, ow, rowLen, plane int) {
+	conv16RowGo(c, dst, x, ow, rowLen, plane)
+}
