@@ -348,9 +348,10 @@ const (
 	// Quant evaluates on the 16-bit fixed-point integer engine, the
 	// numeric behaviour of the PE datapath (internal/qnn).
 	Quant = core.QuantBackendName
-	// Systolic evaluates on the PE-array emulation priced by the
-	// analytical hardware model, charging every inference's memory
-	// traffic to a per-run energy ledger (internal/hw).
+	// Systolic evaluates on the same 16-bit integer engine as Quant — its
+	// replies are bit-equal — priced by the analytical hardware model,
+	// which charges every inference's memory traffic to a per-run energy
+	// ledger (internal/hw).
 	Systolic = core.SystolicBackendName
 )
 

@@ -24,7 +24,6 @@ import (
 	"dronerl/internal/rl"
 	"dronerl/internal/scen"
 	"dronerl/internal/serve"
-	"dronerl/internal/systolic"
 	"dronerl/internal/tensor"
 	"dronerl/internal/transfer"
 )
@@ -658,19 +657,6 @@ func BenchmarkDepthScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Depths()
-	}
-}
-
-// BenchmarkSystolicConvMapped measures the functional row-stationary
-// emulation against its CONV2-like workload.
-func BenchmarkSystolicConvMapped(b *testing.B) {
-	shape := systolic.ConvShape{Name: "bench", InC: 32, OutC: 16, K: 3, Stride: 1, Pad: 1, InH: 16, InW: 16}
-	in := tensor.New(shape.InC, shape.InH, shape.InW)
-	w := tensor.New(shape.OutC, shape.InC, shape.K, shape.K)
-	arr := systolic.New(systolic.DefaultArray())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arr.Conv(in, w, shape)
 	}
 }
 

@@ -121,9 +121,9 @@ func main() {
 			*envName, strings.Join(env.ScenarioNames(), ", "))
 		os.Exit(2)
 	}
-	cfg, ok := pickConfig(*cfgName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown config %q\n", *cfgName)
+	cfg, err := nn.ParseConfig(*cfgName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *showMap {
@@ -317,18 +317,4 @@ func pickEnv(name string, seed int64) *env.World {
 		return nil
 	}
 	return s.Build(seed + aliasSeedOffset[key])
-}
-
-func pickConfig(name string) (nn.Config, bool) {
-	switch strings.ToUpper(name) {
-	case "L2":
-		return nn.L2, true
-	case "L3":
-		return nn.L3, true
-	case "L4":
-		return nn.L4, true
-	case "E2E":
-		return nn.E2E, true
-	}
-	return 0, false
 }

@@ -32,7 +32,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -57,9 +56,9 @@ func main() {
 	idle := flag.Duration("idle", 0, "end the run after the whole fleet has been absent this long (0: wait forever)")
 	flag.Parse()
 
-	cfg, ok := pickConfig(*cfgName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "dronerl-learner: unknown config %q\n", *cfgName)
+	cfg, err := nn.ParseConfig(*cfgName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dronerl-learner:", err)
 		os.Exit(2)
 	}
 
@@ -155,18 +154,4 @@ func buildAgent(spec nn.ArchSpec, cfg nn.Config, model string, seed int64) (*rl.
 		return nil, err
 	}
 	return transfer.Deploy(snap, spec, cfg, opts)
-}
-
-func pickConfig(name string) (nn.Config, bool) {
-	switch strings.ToUpper(name) {
-	case "L2":
-		return nn.L2, true
-	case "L3":
-		return nn.L3, true
-	case "L4":
-		return nn.L4, true
-	case "E2E":
-		return nn.E2E, true
-	}
-	return 0, false
 }

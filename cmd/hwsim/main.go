@@ -4,13 +4,20 @@
 //
 // Usage:
 //
-//	hwsim [-sweep batch|writelat|device]
+//	hwsim [-sweep batch|writelat|device|timeline|breakdown|backend]
+//	      [-config L2|L3|L4|E2E] [-batch N] [-frames N]
+//
+// A bad flag, an unknown sweep or config, or -frames below 1 exits 2 with
+// usage on stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"strings"
 
 	"dronerl/internal/hw"
 	"dronerl/internal/mem"
@@ -20,28 +27,61 @@ import (
 )
 
 func main() {
-	sweep := flag.String("sweep", "batch", "batch, writelat, device, timeline, breakdown or backend")
-	cfgName := flag.String("config", "L4", "topology for -sweep timeline (L2, L3, L4, E2E)")
-	batch := flag.Int("batch", 4, "batch size for -sweep timeline")
-	frames := flag.Int("frames", 32, "training frames to charge for -sweep backend")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// sweeps lists the -sweep values in the order the usage names them.
+var sweeps = []string{"batch", "writelat", "device", "timeline", "breakdown", "backend"}
+
+// run is the whole command: it parses args, prints the chosen sweep to
+// stdout and returns the exit status — 2 with usage on stderr for a bad
+// flag, an unknown sweep or config, or fewer than one frame.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hwsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sweep := fs.String("sweep", "batch", strings.Join(sweeps, ", "))
+	cfgName := fs.String("config", "L4", "topology for -sweep timeline (L2, L3, L4, E2E)")
+	batch := fs.Int("batch", 4, "batch size for -sweep timeline")
+	frames := fs.Int("frames", 32, "training frames to charge for -sweep backend (at least 1)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "hwsim: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q", fs.Args())
+	}
+	cfg, err := nn.ParseConfig(*cfgName)
+	if err != nil {
+		return usage("%v", err)
+	}
+	if *frames < 1 {
+		return usage("-frames %d: need at least one frame", *frames)
+	}
 
 	switch *sweep {
 	case "batch":
-		sweepBatch()
+		sweepBatch(stdout)
 	case "writelat":
-		sweepWriteLatency()
+		sweepWriteLatency(stdout)
 	case "device":
-		sweepDevice()
+		sweepDevice(stdout)
 	case "timeline":
-		showTimeline(*cfgName, *batch)
+		fmt.Fprintln(stdout, hw.NewModel().BuildTimeline(cfg, *batch).Render(60))
 	case "breakdown":
-		showBreakdown()
+		showBreakdown(stdout)
 	case "backend":
-		showBackendBreakdown(*frames)
+		if err := showBackendBreakdown(stdout, *frames); err != nil {
+			fmt.Fprintln(stderr, "hwsim:", err)
+			return 1
+		}
 	default:
-		fmt.Println("unknown sweep; use batch, writelat, device, timeline, breakdown or backend")
+		return usage("unknown sweep %q; use %s", *sweep, strings.Join(sweeps, ", "))
 	}
+	return 0
 }
 
 // showBackendBreakdown runs the systolic inference backend over the scaled
@@ -51,10 +91,7 @@ func main() {
 // ledger. This is the ledger-accounted counterpart of -sweep breakdown
 // (which prices the paper's full AlexNet analytically): the NVM-write
 // column again vanishes for every L-topology.
-func showBackendBreakdown(frames int) {
-	if frames < 1 {
-		frames = 1
-	}
+func showBackendBreakdown(w io.Writer, frames int) error {
 	spec := nn.NavNetSpec()
 	t := report.New(fmt.Sprintf("NavNet per-frame energy by sink, systolic backend (mJ, %d frames)", frames),
 		"Config", "PE compute", "MRAM reads", "NVM writes", "DDR link", "total", "Mcycles/frame")
@@ -64,8 +101,7 @@ func showBackendBreakdown(frames int) {
 		net.SetConfig(cfg)
 		b, err := hw.NewSystolicBackend(net, spec, cfg)
 		if err != nil {
-			fmt.Println("backend:", err)
-			return
+			return err
 		}
 		obs := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
 		rng := rand.New(rand.NewSource(2))
@@ -79,32 +115,13 @@ func showBackendBreakdown(frames int) {
 		t.Addf(cfg.String(), br.ComputeMJ/n, br.MRAMReadMJ/n, br.NVMWriteMJ/n,
 			br.LinkMJ/n, br.TotalMJ()/n, float64(b.Cost().Cycles)/n/1e6)
 	}
-	fmt.Println(t.String())
-	fmt.Println("ledger and breakdown agree by construction; see internal/hw/backend_test.go")
-}
-
-// showTimeline prints the per-phase schedule of one training frame.
-func showTimeline(cfgName string, batch int) {
-	var cfg nn.Config
-	switch cfgName {
-	case "L2":
-		cfg = nn.L2
-	case "L3":
-		cfg = nn.L3
-	case "L4":
-		cfg = nn.L4
-	case "E2E":
-		cfg = nn.E2E
-	default:
-		fmt.Printf("unknown config %q\n", cfgName)
-		return
-	}
-	m := hw.NewModel()
-	fmt.Println(m.BuildTimeline(cfg, batch).Render(60))
+	fmt.Fprintln(w, t.String())
+	fmt.Fprintln(w, "ledger and breakdown agree by construction; see internal/hw/backend_test.go")
+	return nil
 }
 
 // showBreakdown attributes per-iteration energy to its physical sinks.
-func showBreakdown() {
+func showBreakdown(w io.Writer) {
 	m := hw.NewModel()
 	t := report.New("per-iteration energy by sink (mJ)",
 		"Config", "PE compute", "MRAM reads", "NVM writes", "DDR link", "total")
@@ -112,11 +129,11 @@ func showBreakdown() {
 		b := m.Breakdown(cfg)
 		t.Addf(cfg.String(), b.ComputeMJ, b.MRAMReadMJ, b.NVMWriteMJ, b.LinkMJ, b.TotalMJ())
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }
 
 // sweepBatch extends Fig. 13(a) to a wide batch range.
-func sweepBatch() {
+func sweepBatch(w io.Writer) {
 	m := hw.NewModel()
 	t := report.New("sustainable FPS vs batch size", "Config", "b=1", "b=2", "b=4", "b=8", "b=16", "b=32", "b=64")
 	for _, cfg := range nn.Configs {
@@ -126,13 +143,13 @@ func sweepBatch() {
 		}
 		t.Addf(cells...)
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }
 
 // sweepWriteLatency shows how the E2E baseline degrades as NVM write
 // latency grows — the sensitivity behind the paper's claim that *all* NVM
 // technologies (not just STT-MRAM) need the proposed co-design.
-func sweepWriteLatency() {
+func sweepWriteLatency(w io.Writer) {
 	t := report.New("E2E iteration latency vs NVM write latency (L4 shown for contrast)",
 		"write ns/row", "E2E fwd+bwd ms", "L4 fwd+bwd ms", "L4 advantage")
 	for _, wl := range []float64{10, 30, 50, 100, 200, 500} {
@@ -142,12 +159,12 @@ func sweepWriteLatency() {
 		l4 := m.ForwardLatencyMS() + m.BackwardLatencyMS(nn.L4)
 		t.Addf(wl, e2e, l4, e2e/l4)
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }
 
 // sweepDevice compares the proposed hybrid against hypothetical all-SRAM
 // (no density advantage, huge die) and naive all-NVM platforms.
-func sweepDevice() {
+func sweepDevice(w io.Writer) {
 	t := report.New("per-iteration cost by platform (L4 topology)",
 		"Platform", "Latency ms", "Energy mJ", "Note")
 
@@ -183,5 +200,5 @@ func sweepDevice() {
 	t.Addf("all-SRAM (hypothetical)", sram.ForwardLatencyMS()+sram.BackwardLatencyMS(nn.L4),
 		sram.ForwardEnergyMJ()+sram.BackwardEnergyMJ(nn.L4), "needs ~112MB on-die SRAM: not viable")
 
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }

@@ -9,8 +9,9 @@
 //     online RL over only the last few fully-connected layers
 //     (internal/nn, internal/rl, internal/env, internal/transfer).
 //   - The hardware: a 32x32 systolic PE array with an on-die SRAM buffer
-//     and a 3D-stacked STT-MRAM holding the frozen weights, priced by an
-//     analytical latency/energy model (internal/systolic, internal/mem,
+//     and a 3D-stacked STT-MRAM holding the frozen weights. Its 16-bit
+//     datapath is the integer engine (internal/qnn); an analytical
+//     latency/energy model prices it (internal/systolic, internal/mem,
 //     internal/hw).
 //
 // Experiments compose from four first-class concepts (see api.go): a

@@ -12,9 +12,10 @@ import (
 
 // The experiment drivers select inference backends by registry name. The
 // implementations live where their substrate lives — the float reference in
-// internal/nn, the 16-bit integer engine in internal/qnn, the priced
-// PE-array emulation in internal/hw — and register themselves; importing
-// them here guarantees every driver binary links all three.
+// internal/nn, the 16-bit integer engine in internal/qnn, and the
+// accelerator's price list over that engine in internal/hw — and register
+// themselves; importing them here guarantees every binary built on core
+// links all three.
 
 // Backend names understood by every driver (and listed by nn.BackendNames).
 const (
@@ -23,8 +24,8 @@ const (
 	FloatBackendName = "float"
 	// QuantBackendName is the 16-bit fixed-point integer engine.
 	QuantBackendName = "quant"
-	// SystolicBackendName is the PE-array emulation with per-run energy
-	// ledgers.
+	// SystolicBackendName is the 16-bit engine's replies priced on the
+	// modeled PE array and memory stack, with per-run energy ledgers.
 	SystolicBackendName = "systolic"
 	// QuantTrainBackendName is the trainable 16-bit fixed-point engine:
 	// integer forward/backward and stochastically-rounded weight updates,

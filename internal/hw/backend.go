@@ -5,17 +5,20 @@ import (
 
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
+	"dronerl/internal/qnn"
 	"dronerl/internal/systolic"
 	"dronerl/internal/tensor"
 )
 
-// SystolicBackend is the nn.Backend that executes inference through the
-// paper's accelerator: the functional word-level emulation of the 32x32 PE
-// array (internal/systolic) computes the Q-values through the row-stationary
-// conv and tiled FC dataflows, while the analytical performance model prices
-// every pass — weight streams from the STT-MRAM stack at Table 1 timing,
-// global-buffer broadcast traffic, camera-frame transfers — and charges the
-// memory traffic to a mem.EnergyLedger at the devices' per-bit energies.
+// SystolicBackend is the nn.Backend that prices inference on the paper's
+// accelerator. The chip computes on a 16-bit datapath, so its replies are
+// the int16 engine's (internal/qnn) dequantized words — bit-equal to the
+// "quant" backend — while the analytical performance model prices every
+// pass: weight streams from the STT-MRAM stack at Table 1 timing,
+// global-buffer broadcast traffic from the row-stationary conv plans and the
+// cycle-stepped FC tiles (internal/systolic), and camera-frame transfers,
+// all charged to a mem.EnergyLedger at the devices' per-bit energies. Every
+// charge is fixed at construction; nothing the engine computes moves it.
 //
 // Accounting has two mutually consistent views:
 //
@@ -32,9 +35,10 @@ import (
 type SystolicBackend struct {
 	model *Model
 	cfg   nn.Config
-	arr   *systolic.Array
+	// engine answers every inference; its own weight-stream ledger is
+	// never read — this backend's ledger prices the chip.
+	engine *qnn.Backend
 
-	stages []sysStage
 	ledger *mem.EnergyLedger
 	cost   nn.BackendCost
 
@@ -55,11 +59,6 @@ type SystolicBackend struct {
 	fillDrainCycles int64   // FC tile-pass skew + drain cycles per inference
 	mramStreamNS    float64 // stack read time of one full weight stream
 
-	// Batched staging (InferBatch): per-sample input copy and stacked
-	// Q-row output, grown once.
-	batchArena tensor.Arena
-	batchOut   []float32
-
 	// Per-train-step charges under cfg (one backward propagation).
 	trainLatencyMS    float64
 	trainComputeMJ    float64
@@ -73,75 +72,29 @@ type SystolicBackend struct {
 	trainOps  int64
 }
 
-// sysStage is one executable inference stage.
-type sysStage struct {
-	conv    *nn.Conv2D
-	shape   systolic.ConvShape
-	weight4 *tensor.Tensor // (OutC, InC, K, K) view of the conv weights
-	dense   *nn.Dense
-	pool    *nn.MaxPool
-	relu    bool
-	flatten bool
-}
-
-// NewSystolicBackend maps a trained network onto the accelerator model. The
-// spec prices the layers (it must describe net's architecture) and cfg
-// fixes which layers are SRAM-resident — the trained ones — versus
-// MRAM-resident, which is what decides whether training writes the stack.
+// NewSystolicBackend compiles a trained network into the int16 engine and
+// maps it onto the accelerator model. The spec prices the layers (it must
+// describe net's architecture) and cfg fixes which layers are SRAM-resident
+// — the trained ones — versus MRAM-resident, which is what decides whether
+// training writes the stack.
 func NewSystolicBackend(net *nn.Network, spec nn.ArchSpec, cfg nn.Config) (*SystolicBackend, error) {
+	engine, err := qnn.NewBackend(net)
+	if err != nil {
+		return nil, fmt.Errorf("hw: %w", err)
+	}
 	m := NewModelFor(spec)
 	b := &SystolicBackend{
 		model:   m,
 		cfg:     cfg,
-		arr:     systolic.New(m.Array),
+		engine:  engine,
 		ledger:  mem.NewCompactLedger(),
 		mramDev: m.MRAM,
 		sramDev: m.SRAM,
 		dramDev: mem.DRAM(),
 	}
-	if err := b.buildStages(net, spec); err != nil {
-		return nil, err
-	}
 	b.priceInference(spec)
 	b.priceTrainStep()
 	return b, nil
-}
-
-// buildStages compiles the layer stack into executable stages, tracking the
-// live spatial dimensions for the conv mappings.
-func (b *SystolicBackend) buildStages(net *nn.Network, spec nn.ArchSpec) error {
-	h, w := spec.InputH, spec.InputW
-	for _, l := range net.Layers {
-		switch t := l.(type) {
-		case *nn.Conv2D:
-			if t.KH != t.KW {
-				return fmt.Errorf("hw: %s has non-square kernel %dx%d", t.LayerName, t.KH, t.KW)
-			}
-			s := systolic.ConvShape{
-				Name: t.LayerName, InC: t.InC, OutC: t.OutC,
-				K: t.KH, Stride: t.Stride, Pad: t.Pad,
-				InH: h, InW: w,
-			}
-			b.stages = append(b.stages, sysStage{
-				conv: t, shape: s,
-				weight4: t.Weight.W.Reshape(t.OutC, t.InC, t.KH, t.KW),
-			})
-			h, w = s.OutH(), s.OutW()
-		case *nn.Dense:
-			b.stages = append(b.stages, sysStage{dense: t})
-		case *nn.ReLU:
-			b.stages = append(b.stages, sysStage{relu: true})
-		case *nn.MaxPool:
-			b.stages = append(b.stages, sysStage{pool: t})
-			h = (h-t.K)/t.Stride + 1
-			w = (w-t.K)/t.Stride + 1
-		case *nn.Flatten:
-			b.stages = append(b.stages, sysStage{flatten: true})
-		default:
-			return fmt.Errorf("hw: layer %s (%T) is not mappable onto the PE array", l.Name(), l)
-		}
-	}
-	return nil
 }
 
 // priceInference fixes the per-inference charges from the forward cost
@@ -152,6 +105,7 @@ func (b *SystolicBackend) buildStages(net *nn.Network, spec nn.ArchSpec) error {
 // broadcast-bound pass latency at the array clock.
 func (b *SystolicBackend) priceInference(spec nn.ArchSpec) {
 	m := b.model
+	arr := systolic.New(m.Array)
 	shapes := m.convShapes()
 	for i, s := range shapes {
 		c := m.ConvForwardCost(i)
@@ -170,7 +124,7 @@ func (b *SystolicBackend) priceInference(spec nn.ArchSpec) {
 		readPJ := m.MRAM.EnergyPJ(mem.Read, words*m.wordBits())
 		b.inferLatencyMS += c.LatencyMS
 		b.inferComputeMJ += c.EnergyMJ - readPJ/1e9
-		sim := b.arr.SimulateFC(f.Out, f.In)
+		sim := arr.SimulateFC(f.Out, f.In)
 		b.inferCycles += sim.Cycles
 		b.fillDrainCycles += sim.FillDrainCycles
 		b.mramBits += words * m.wordBits()
@@ -216,62 +170,19 @@ func (b *SystolicBackend) priceTrainStep() {
 // Name implements nn.Backend.
 func (b *SystolicBackend) Name() string { return "systolic" }
 
-// Infer implements nn.Backend: the observation flows through the mapped
-// dataflows — row-stationary convolution, tiled vector-matrix FC — and the
-// inference's memory traffic is charged to the ledger.
+// Infer implements nn.Backend: the int16 engine's Q-values for one
+// observation, with one inference's memory traffic charged to the ledger.
+// It is the batch of one of InferBatch, in replies and in charges.
 func (b *SystolicBackend) Infer(obs *tensor.Tensor) []float32 {
-	x := b.forward(obs.Clone())
-	// Accumulate the memory energy from the records themselves — summing
-	// the whole ledger per frame would walk (and sort) the device map in
-	// the hot loop.
-	var pj float64
-	pj += b.ledger.Record(b.mramDev, mem.Read, b.mramBits).PJ
-	pj += b.ledger.Record(b.sramDev, mem.Read, b.sramReadBits).PJ
-	pj += b.ledger.Record(b.sramDev, mem.Write, b.sramWriteBits).PJ
-	pj += b.ledger.Record(b.dramDev, mem.Read, b.frameBits).PJ
-	b.computeMJ += b.inferComputeMJ
-	b.cost.Inferences++
-	b.cost.LatencyMS += b.inferLatencyMS
-	b.cost.Cycles += b.inferCycles
-	b.cost.EnergyMJ += b.inferComputeMJ + pj/1e9
-	return x.Data()
+	q := b.engine.Infer(obs)
+	b.charge(1)
+	return q
 }
 
-// forward runs one observation through the functional emulation without
-// charging anything; x is consumed (the stage pipeline mutates it in place).
-func (b *SystolicBackend) forward(x *tensor.Tensor) *tensor.Tensor {
-	for i := range b.stages {
-		s := &b.stages[i]
-		switch {
-		case s.conv != nil:
-			out := b.arr.Conv(x, s.weight4, s.shape)
-			np := s.shape.OutH() * s.shape.OutW()
-			od := out.Data()
-			for oc, bias := range s.conv.Bias.W.Data() {
-				row := od[oc*np : (oc+1)*np]
-				for p := range row {
-					row[p] += bias
-				}
-			}
-			x = out
-		case s.dense != nil:
-			y := b.arr.FCForward(s.dense.Weight.W, x.Data(), s.dense.Bias.W.Data())
-			x = tensor.FromSlice(y, len(y))
-		case s.relu:
-			b.arr.ReLUMaxpool(x)
-		case s.pool != nil:
-			x = b.maxpool(s.pool, x)
-		case s.flatten:
-			x = x.Reshape(x.Len())
-		}
-	}
-	return x
-}
-
-// InferBatch implements nn.BatchInferrer: B passes through the functional
-// emulation — word-exact either way, so every Q-row is bit-identical to the
-// corresponding Infer — priced as one pipelined run over the PE array
-// instead of B cold starts. Two charges amortize across the batch:
+// InferBatch implements nn.BatchInferrer: the int16 engine's batched pass,
+// every row bit-identical to the corresponding Infer, priced as one
+// pipelined run over the PE array instead of B cold starts. Two charges
+// amortize across the batch:
 //
 //   - the stack streams each layer's weights once for the whole batch (one
 //     MRAM read record per InferBatch, not one per sample), and
@@ -282,25 +193,15 @@ func (b *SystolicBackend) forward(x *tensor.Tensor) *tensor.Tensor {
 // Per-sample traffic that genuinely scales with B — global-buffer broadcast,
 // output writeback, camera frames, PE compute — is charged B times.
 func (b *SystolicBackend) InferBatch(batch *tensor.Tensor) []float32 {
-	if batch.Rank() != 4 {
-		panic(fmt.Sprintf("hw: InferBatch expects a (B, C, H, W) batch, got %v", batch.Shape()))
-	}
-	bsz := batch.Dim(0)
-	row := batch.Len() / bsz
-	var actions int
-	for s := 0; s < bsz; s++ {
-		in := b.batchArena.Get(0, batch.Dim(1), batch.Dim(2), batch.Dim(3))
-		copy(in.Data(), batch.Data()[s*row:(s+1)*row])
-		q := b.forward(in).Data()
-		if actions == 0 {
-			actions = len(q)
-			if cap(b.batchOut) < bsz*actions {
-				b.batchOut = make([]float32, bsz*actions)
-			}
-			b.batchOut = b.batchOut[:bsz*actions]
-		}
-		copy(b.batchOut[s*actions:(s+1)*actions], q)
-	}
+	q := b.engine.InferBatch(batch)
+	b.charge(batch.Dim(0))
+	return q
+}
+
+// charge records one pipelined run of bsz inferences. Memory energy comes
+// from the records themselves — summing the whole ledger per frame would
+// walk (and sort) the device map in the hot loop.
+func (b *SystolicBackend) charge(bsz int) {
 	var pj float64
 	pj += b.ledger.Record(b.mramDev, mem.Read, b.mramBits).PJ
 	pj += b.ledger.Record(b.sramDev, mem.Read, int64(bsz)*b.sramReadBits).PJ
@@ -311,7 +212,6 @@ func (b *SystolicBackend) InferBatch(batch *tensor.Tensor) []float32 {
 	b.cost.LatencyMS += b.batchLatencyMS(bsz)
 	b.cost.Cycles += b.inferCycles + int64(bsz-1)*(b.inferCycles-b.fillDrainCycles)
 	b.cost.EnergyMJ += float64(bsz)*b.inferComputeMJ + pj/1e9
-	return b.batchOut
 }
 
 // batchLatencyMS is the modeled wall time of a pipelined batch: the first
@@ -324,35 +224,6 @@ func (b *SystolicBackend) batchLatencyMS(bsz int) float64 {
 		marginalMS = 0
 	}
 	return b.inferLatencyMS + float64(bsz-1)*marginalMS
-}
-
-// maxpool executes pooling through the PE comparators, counting the
-// buffer round-trip like ReLUMaxpool does.
-func (b *SystolicBackend) maxpool(p *nn.MaxPool, in *tensor.Tensor) *tensor.Tensor {
-	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	oh := (h-p.K)/p.Stride + 1
-	ow := (w-p.K)/p.Stride + 1
-	out := tensor.New(c, oh, ow)
-	id, od := in.Data(), out.Data()
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := id[base+oy*p.Stride*w+ox*p.Stride]
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						if v := id[base+(oy*p.Stride+ky)*w+ox*p.Stride+kx]; v > best {
-							best = v
-						}
-					}
-				}
-				od[ch*oh*ow+oy*ow+ox] = best
-			}
-		}
-	}
-	b.arr.Counters.GBReadWords += int64(in.Len())
-	b.arr.Counters.GBWriteWords += int64(out.Len())
-	return out
 }
 
 // ChargeTrainStep charges one backward propagation (the Fig. 12(b) event)
@@ -380,10 +251,6 @@ func (b *SystolicBackend) Cost() nn.BackendCost { return b.cost }
 
 // Ledger exposes the per-device traffic totals.
 func (b *SystolicBackend) Ledger() *mem.EnergyLedger { return b.ledger }
-
-// Counters exposes the functional emulation's work tallies (MACs, passes,
-// buffer words) accumulated across every inference.
-func (b *SystolicBackend) Counters() systolic.Counters { return b.arr.Counters }
 
 // TrainSteps returns the number of charged backward propagations.
 func (b *SystolicBackend) TrainSteps() int64 { return b.trainOps }

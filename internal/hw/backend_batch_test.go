@@ -12,9 +12,9 @@ import (
 var _ nn.BatchInferrer = (*SystolicBackend)(nil)
 
 // TestSystolicInferBatchBitIdentical asserts the batched entry returns, row
-// for row, exactly what B single-sample Infer calls return — the functional
-// emulation is word-exact either way — while charging one stack weight
-// stream for the whole batch and a pipelined (sub-linear) latency.
+// for row, exactly what B single-sample Infer calls return — the int16
+// engine is word-exact either way — while charging one stack weight stream
+// for the whole batch and a pipelined (sub-linear) latency.
 func TestSystolicInferBatchBitIdentical(t *testing.T) {
 	spec := nn.NavNetSpec()
 	net := spec.Build()

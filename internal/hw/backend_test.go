@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"dronerl/internal/env"
 	"dronerl/internal/nn"
+	"dronerl/internal/rl"
 	"dronerl/internal/tensor"
 )
 
@@ -22,31 +24,92 @@ func newTestBackend(t *testing.T, cfg nn.Config, seed int64) (*SystolicBackend, 
 	return b, net
 }
 
-// TestSystolicBackendNumericFidelity: the Q-values computed through the
-// row-stationary and tiled-FC dataflows must match the float reference up
-// to float32 reassociation noise.
-func TestSystolicBackendNumericFidelity(t *testing.T) {
-	b, net := newTestBackend(t, nn.L3, 21)
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 5; trial++ {
-		obs := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
-		obs.RandUniform(rng, 1)
-		want := net.Forward(obs.Clone()).Data()
-		got := b.Infer(obs)
-		if len(got) != len(want) {
-			t.Fatalf("got %d Q-values, want %d", len(got), len(want))
+// metaTrainedNavNet is a NavNet after a short seeded end-to-end
+// meta-training run on the indoor meta-environment — the weights a deployed
+// drone starts from, as opposed to a fresh initialization.
+func metaTrainedNavNet() *nn.Network {
+	const seed, iters = 5, 100
+	agent := rl.NewAgent(nn.NavNetSpec(), nn.E2E, rl.Options{Seed: seed, BatchSize: 4, EpsDecaySteps: iters / 2})
+	rl.NewTrainer(env.IndoorMeta(seed), agent, iters).Run(iters)
+	return agent.Net
+}
+
+// replyFrames returns 8 depth frames from every builtin scenario, flown
+// with seeded random actions, followed by 16 dense uniform frames.
+func replyFrames() []*tensor.Tensor {
+	var frames []*tensor.Tensor
+	for si, sc := range env.Scenarios() {
+		w := sc.Build(int64(400 + si))
+		w.Spawn()
+		rng := rand.New(rand.NewSource(int64(500 + si)))
+		frames = append(frames, env.DepthImage(w.Depths(), w.Camera.MaxRange))
+		for len(frames)%8 != 0 {
+			res := w.Step(env.Action(rng.Intn(env.NumActions)))
+			frames = append(frames, env.DepthImage(res.Depths, w.Camera.MaxRange))
 		}
-		for i := range got {
-			diff := math.Abs(float64(got[i] - want[i]))
-			if diff > 1e-3 {
-				t.Errorf("trial %d: Q[%d] = %v vs float %v (diff %g)", trial, i, got[i], want[i], diff)
+	}
+	rng := rand.New(rand.NewSource(600))
+	for i := 0; i < 16; i++ {
+		f := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
+		f.RandUniform(rng, 1)
+		frames = append(frames, f)
+	}
+	return frames
+}
+
+// TestSystolicRepliesAreQuantWords: the accelerator computes on a 16-bit
+// datapath, so the systolic backend's Q-values are the int16 engine's
+// dequantized words — bit-equal to the "quant" backend's, frame by frame
+// through Infer and batch by batch through InferBatch — on a seeded-init
+// and on a meta-trained NavNet.
+func TestSystolicRepliesAreQuantWords(t *testing.T) {
+	spec := nn.NavNetSpec()
+	initNet := spec.Build()
+	initNet.Init(rand.New(rand.NewSource(21)))
+	frames := replyFrames()
+	n := nn.NavNetInput * nn.NavNetInput
+	for _, tc := range []struct {
+		name string
+		net  *nn.Network
+	}{{"init", initNet}, {"meta", metaTrainedNavNet()}} {
+		sys, err := NewSystolicBackend(tc.net, spec, nn.L3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quant, err := nn.NewBackendFor("quant", tc.net, spec, nn.L3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frames {
+			want := quant.Infer(f)
+			if got := sys.Infer(f); !bitEqual(got, want) {
+				t.Fatalf("%s frame %d: systolic Infer %v, quant %v", tc.name, i, got, want)
+			}
+		}
+		const bsz = 8
+		batch := tensor.New(bsz, 1, nn.NavNetInput, nn.NavNetInput)
+		for lo := 0; lo+bsz <= len(frames); lo += bsz {
+			for s := 0; s < bsz; s++ {
+				copy(batch.Data()[s*n:(s+1)*n], frames[lo+s].Data())
+			}
+			want := quant.(nn.BatchInferrer).InferBatch(batch)
+			if got := sys.InferBatch(batch); !bitEqual(got, want) {
+				t.Fatalf("%s frames %d..%d: systolic InferBatch %v, quant %v", tc.name, lo, lo+bsz-1, got, want)
 			}
 		}
 	}
-	c := b.Counters()
-	if c.MACs == 0 || c.GBReadWords == 0 {
-		t.Errorf("functional emulation reported no work: %+v", c)
+}
+
+func bitEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSystolicBackendBreakdownConsistency is the pinned accounting test:
@@ -141,7 +204,8 @@ func TestSystolicBackendTrainStepWriteAsymmetry(t *testing.T) {
 	}
 }
 
-// TestSystolicBackendRejectsUnmappableLayers: LRN has no PE-array mapping.
+// TestSystolicBackendRejectsUnmappableLayers: LRN has no int16 kernel and no
+// PE-array mapping.
 func TestSystolicBackendRejectsUnmappableLayers(t *testing.T) {
 	net := nn.NewNetwork(nn.NewLRN("lrn"))
 	if _, err := NewSystolicBackend(net, nn.NavNetSpec(), nn.L3); err == nil {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -166,6 +167,21 @@ func TestConfigStrings(t *testing.T) {
 	}
 	if Config(99).String() == "" {
 		t.Error("unknown config must still render")
+	}
+}
+
+func TestParseConfig(t *testing.T) {
+	for _, c := range Configs {
+		for _, name := range []string{c.String(), strings.ToLower(c.String())} {
+			if got, err := ParseConfig(name); err != nil || got != c {
+				t.Errorf("ParseConfig(%q) = %v, %v; want %v", name, got, err, c)
+			}
+		}
+	}
+	for _, name := range []string{"", "L9", "Config(99)", " L3", "l3 "} {
+		if c, err := ParseConfig(name); err == nil {
+			t.Errorf("ParseConfig(%q) = %v, want an error", name, c)
+		}
 	}
 }
 

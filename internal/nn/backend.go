@@ -13,9 +13,10 @@ import (
 // substrates. The paper's co-design argument is exactly that the same
 // policy costs wildly different energy and latency depending on the
 // substrate: float math on a host CPU, 16-bit fixed-point arithmetic
-// (internal/qnn), or the STT-MRAM-backed systolic array (internal/systolic
-// priced through internal/hw). Backends make that choice a first-class,
-// per-experiment selection instead of a hardwired code path.
+// (internal/qnn), or that same arithmetic priced on the STT-MRAM-backed
+// systolic array (internal/systolic through internal/hw). Backends make that
+// choice a first-class, per-experiment selection instead of a hardwired code
+// path.
 //
 // Implementations register themselves by name (RegisterBackend); the float
 // reference lives here, the quantized engine in internal/qnn and the
@@ -119,8 +120,8 @@ func BackendNames() []string {
 }
 
 // NewBackendFor builds the named backend over a trained network. Build it
-// after training: backends that compile weights (quant) or place them into
-// the memory hierarchy (systolic) capture the weights as they are now.
+// after training: backends that compile weights (quant, and systolic, which
+// prices quant's engine) capture the weights as they are now.
 func NewBackendFor(name string, net *Network, spec ArchSpec, cfg Config) (Backend, error) {
 	backendRegistry.RLock()
 	build := backendRegistry.m[name]

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"dronerl/internal/fixed"
 	"dronerl/internal/tensor"
 )
 
@@ -71,7 +70,6 @@ func TestEveryWeightMutatorInvalidatesDenseCache(t *testing.T) {
 				t.Fatalf("Adopt = (changed %v, %v)", changed, err)
 			}
 		}},
-		{"QuantizeParams", func(t *testing.T, net *Network) { QuantizeParams(net, fixed.Q78) }},
 	}
 	for _, m := range mutators {
 		t.Run(m.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"dronerl/internal/tensor"
 )
@@ -41,6 +42,17 @@ func (c Config) String() string {
 		return "L4"
 	}
 	return fmt.Sprintf("Config(%d)", int(c))
+}
+
+// ParseConfig is the case-insensitive inverse of String over Configs: "l3"
+// and "L3" both name L3. Any other name is an error listing the four.
+func ParseConfig(name string) (Config, error) {
+	for _, c := range Configs {
+		if strings.EqualFold(name, c.String()) {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("nn: unknown config %q (want one of %v)", name, Configs)
 }
 
 // TrainedFCLayers returns how many trailing FC layers the configuration

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dronerl/internal/fixed"
 	"dronerl/internal/tensor"
 )
 
@@ -230,27 +229,6 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	other := BuildNavNet()
 	if err := s.Restore(other); err == nil {
 		t.Error("expected error restoring into a different architecture")
-	}
-}
-
-func TestQuantizedForwardClose(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	n := BuildNavNet()
-	n.Init(rng)
-	x := tensor.New(1, NavNetInput, NavNetInput)
-	// Depth images are in [0,1].
-	for i := range x.Data() {
-		x.Data()[i] = rng.Float32()
-	}
-	ref := n.Forward(x.Clone())
-	QuantizeParams(n, fixed.Q78)
-	q := QuantizedForward(n, fixed.Q78, x.Clone())
-	// Q-values must stay close and the greedy action identical for a
-	// comfortable margin case.
-	for i := 0; i < ref.Len(); i++ {
-		if math.Abs(float64(ref.At(i)-q.At(i))) > 0.15 {
-			t.Errorf("Q[%d] drifted: float %.4f vs fixed %.4f", i, ref.At(i), q.At(i))
-		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
 	"dronerl/internal/tensor"
-	"dronerl/internal/transfer"
 )
 
 // tinyNet is a small trainable stack for fast regression tests: the input is
@@ -316,8 +315,9 @@ type goldenNet struct {
 var metaTrainedNavNet = sync.OnceValue(func() func() *nn.Network {
 	const seed, iters = 5, 150
 	spec := nn.NavNetSpec()
-	snap, _ := transfer.MetaTrain(env.IndoorMeta(seed), spec, iters,
-		rl.Options{Seed: seed, BatchSize: 4, EpsDecaySteps: iters / 2})
+	agent := rl.NewAgent(spec, nn.E2E, rl.Options{Seed: seed, BatchSize: 4, EpsDecaySteps: iters / 2})
+	rl.NewTrainer(env.IndoorMeta(seed), agent, iters).Run(iters)
+	snap := nn.TakeSnapshot(agent.Net, spec.Name)
 	return func() *nn.Network {
 		net := spec.Build()
 		if err := snap.Restore(net); err != nil {

@@ -40,9 +40,10 @@ type Options struct {
 	// EvalBackend names the compute backend used for greedy evaluation and
 	// deployment once ActivateEvalBackend is called: "float" (the GEMM
 	// reference, bit-identical to the backend-less path), "quant" (16-bit
-	// fixed-point inference) or "systolic" (the PE-array emulation with
-	// energy accounting), resolved through the nn backend registry. Empty —
-	// the default — keeps the historical direct float path.
+	// fixed-point inference) or "systolic" (the same 16-bit replies priced
+	// on the modeled PE array, with energy accounting), resolved through the
+	// nn backend registry. Empty — the default — keeps the historical direct
+	// float path.
 	EvalBackend string
 	// TrainBackend names a trainable compute backend ("quant-train", the
 	// 16-bit fixed-point engine with stochastic rounding) that takes over
@@ -288,8 +289,8 @@ func (a *Agent) source() ReplaySource {
 // agent's online network when it is newer than the last adopted version,
 // reporting whether anything changed. When an evaluation backend is active
 // it is rebuilt over the fresh weights: the backend captured the weights as
-// they were at activation (the quant backend compiled them, the systolic
-// backend placed them into the modeled memory hierarchy), so a policy swap
+// they were at activation (the quant and systolic backends compiled them
+// into the int16 engine), so a policy swap
 // hands off to a backend built over the new ones. This is the
 // deployment-side counterpart of the pipeline's in-fleet adoption — a
 // deployed drone refreshing its compiled policy between missions; see
@@ -317,7 +318,7 @@ func (a *Agent) AdoptPolicy(board *nn.PolicyBoard) (bool, error) {
 
 // Greedy returns argmax_a Q(obs, a) without exploration. With an activated
 // evaluation backend the Q-values come from that backend — the 16-bit
-// integer engine or the priced PE-array emulation — otherwise from the
+// integer engine, priced on the modeled PE array or not — otherwise from the
 // float network directly (and the "float" backend is bit-identical to the
 // direct path, ties included).
 func (a *Agent) Greedy(obs *tensor.Tensor) int {
@@ -336,8 +337,8 @@ func (a *Agent) Greedy(obs *tensor.Tensor) int {
 // ActivateEvalBackend builds and installs the evaluation backend named by
 // the options for subsequent Greedy calls. Call it after training, at the
 // hand-off into a greedy evaluation or deployment phase: backends capture
-// the weights as they are now (the quant backend compiles them, the
-// systolic backend places them into the modeled memory hierarchy). It is a
+// the weights as they are now (the quant and systolic backends compile them
+// into the int16 engine). It is a
 // no-op when the options name no backend or one is already active.
 func (a *Agent) ActivateEvalBackend() error {
 	if a.opts.EvalBackend == "" || a.evalBackend != nil {

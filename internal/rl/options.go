@@ -193,7 +193,8 @@ func WithGradClip(limit float64) Option {
 }
 
 // WithEvalBackend selects the compute backend for greedy evaluation and
-// deployment by registry name ("float", "quant", "systolic"). The name is
+// deployment by registry name: "float", "quant", or "systolic" (quant's
+// replies, priced on the modeled PE array). The name is
 // checked against the nn backend registry by Validate, so a typo — or a
 // backend whose implementing package is not linked into the binary — fails
 // loudly instead of silently evaluating on the float path.

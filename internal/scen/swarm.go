@@ -165,8 +165,9 @@ type SwarmExperiment struct {
 	Topology nn.Config
 	// Backend, when set, names the registry backend the mission phase
 	// flies on ("quant", "systolic"); the lockstep fleet then runs its
-	// batched inference entry, so quant swarms get one integer GEMM per
-	// layer per tick. Empty keeps the float network (bit-identity pin).
+	// batched inference entry, so quant and systolic swarms (the same
+	// integer engine, priced or not) get one integer pass per layer per
+	// tick. Empty keeps the float network (bit-identity pin).
 	Backend string
 	// Seed drives every stream.
 	Seed int64

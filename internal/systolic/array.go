@@ -1,205 +1,12 @@
 package systolic
 
-import (
-	"fmt"
-
-	"dronerl/internal/tensor"
-)
-
-// Counters accumulate the work performed by the functional emulation.
-type Counters struct {
-	// MACs is the number of multiply-accumulates executed.
-	MACs int64
-	// RowConvs counts 1-D row-convolution operations (one PE, one pass).
-	RowConvs int64
-	// PsumHops counts PE-to-PE partial-sum transfers.
-	PsumHops int64
-	// GBReadWords / GBWriteWords count global-buffer traffic in words.
-	GBReadWords, GBWriteWords int64
-	// Passes counts mapping passes executed.
-	Passes int64
-}
-
-// Add merges another counter set.
-func (c *Counters) Add(o Counters) {
-	c.MACs += o.MACs
-	c.RowConvs += o.RowConvs
-	c.PsumHops += o.PsumHops
-	c.GBReadWords += o.GBReadWords
-	c.GBWriteWords += o.GBWriteWords
-	c.Passes += o.Passes
-}
-
-// Array is the functional PE-array emulator. It executes the paper's
-// dataflows at word level — row-stationary convolution and the two FC
-// dataflows — and tallies the implied data movement. Arithmetic is float32
-// (the numeric fidelity of the 16-bit datapath is characterized separately
-// in internal/nn and internal/fixed).
+// Array is the PE-array model: the cycle simulators (SimulateFC,
+// SimulateConv) step the paper's dataflows over it and report what they
+// cost. It computes no values — the accelerator's arithmetic is the int16
+// engine of internal/qnn.
 type Array struct {
-	Cfg      ArrayConfig
-	Counters Counters
+	Cfg ArrayConfig
 }
 
-// New creates an emulator over the given array configuration.
+// New creates a model over the given array configuration.
 func New(cfg ArrayConfig) *Array { return &Array{Cfg: cfg} }
-
-// Conv executes a convolution through the row-stationary mapping planned
-// by PlanConv: the input is CHW, weights are (OutC, InC, K, K), and the
-// result is (OutC, OutH, OutW). Padding is applied logically.
-func (a *Array) Conv(in *tensor.Tensor, w *tensor.Tensor, shape ConvShape) *tensor.Tensor {
-	if in.Dim(0) != shape.InC || in.Dim(1) != shape.InH || in.Dim(2) != shape.InW {
-		panic(fmt.Sprintf("systolic: input %v does not match shape %+v", in.Shape(), shape))
-	}
-	if w.Dim(0) != shape.OutC || w.Dim(1) != shape.InC || w.Dim(2) != shape.K || w.Dim(3) != shape.K {
-		panic(fmt.Sprintf("systolic: weights %v do not match shape %+v", w.Shape(), shape))
-	}
-	m := PlanConv(a.Cfg, shape)
-	outH, outW := shape.OutH(), shape.OutW()
-	out := tensor.New(shape.OutC, outH, outW)
-
-	ocPerPass := m.OCPerSeg * m.Segments
-	if ocPerPass > shape.OutC {
-		ocPerPass = shape.OutC
-	}
-	slice := shape.InC / m.InChSplit
-	if slice < 1 {
-		slice = 1
-	}
-
-	// Iterate the mapping's pass structure. Each pass covers a group of
-	// output channels (spread over segments), a group of output rows
-	// (spread over PE columns) and a slice of input channels (spread
-	// over sets for Type III, sequential otherwise).
-	for ocRound := 0; ocRound < m.OCRounds; ocRound++ {
-		for rowRound := 0; rowRound < m.RowRounds; rowRound++ {
-			for splitRound := 0; splitRound < m.SplitRounds; splitRound++ {
-				a.Counters.Passes++
-				a.convPass(in, w, shape, m, out, ocRound, rowRound, splitRound, ocPerPass, slice)
-			}
-		}
-	}
-	// Account output writeback once.
-	a.Counters.GBWriteWords += int64(out.Len())
-	tr := m.Traffic(shape)
-	a.Counters.GBReadWords += tr.WeightWords + tr.InputWords
-	return out
-}
-
-// convPass executes one mapping pass.
-func (a *Array) convPass(in, w *tensor.Tensor, shape ConvShape, m ConvMapping,
-	out *tensor.Tensor, ocRound, rowRound, splitRound, ocPerPass, slice int) {
-
-	outW := shape.OutW()
-	ocBase := ocRound * ocPerPass
-	// Sets process input-channel slices in parallel; the split rounds
-	// serialize any remaining slices.
-	for set := 0; set < m.Sets; set++ {
-		icBase := (splitRound*m.Sets + set) * slice
-		if icBase >= shape.InC {
-			continue
-		}
-		icEnd := icBase + slice
-		if m.InChSplit == 1 {
-			icEnd = shape.InC
-		}
-		if icEnd > shape.InC {
-			icEnd = shape.InC
-		}
-		for seg := 0; seg < m.Segments; seg++ {
-			// Output channels resident in this segment.
-			for oci := 0; oci < m.OCPerSeg; oci++ {
-				oc := ocBase + seg*m.OCPerSeg + oci
-				if oc >= shape.OutC || oc >= ocBase+ocPerPass {
-					break
-				}
-				// Each PE column produces one output row.
-				for col := 0; col < m.SegCols; col++ {
-					oy := rowRound*m.SegCols + col
-					if oy >= shape.OutH() {
-						break
-					}
-					// PE rows hold the K filter rows; vertical psum
-					// accumulation merges them (Fig. 6 step 4).
-					for ky := 0; ky < shape.K; ky++ {
-						a.rowConv(in, w, shape, out, oc, oy, ky, icBase, icEnd)
-						if ky > 0 {
-							a.Counters.PsumHops += int64(outW)
-						}
-					}
-				}
-			}
-		}
-	}
-	// Type III: results of set 2 hop to set 1 before the final add
-	// ("the output from PE at 14th column must be transferred to the PE
-	// in the 1st column in set 1").
-	if m.Sets > 1 {
-		a.Counters.PsumHops += int64(outW * m.SegCols)
-	}
-}
-
-// rowConv is the primitive one PE executes: a 1-D convolution of one
-// filter row against one input row for one output row, accumulated into
-// the output (the pSUM register semantics). The loops index the backing
-// slices directly — the variadic At/Set accessors dominated the emulation's
-// profile — preserving the accumulation order bit for bit.
-func (a *Array) rowConv(in, w *tensor.Tensor, shape ConvShape, out *tensor.Tensor,
-	oc, oy, ky, icBase, icEnd int) {
-
-	a.Counters.RowConvs++
-	iy := oy*shape.Stride - shape.Pad + ky
-	if iy < 0 || iy >= shape.InH {
-		return // padding row: contributes zero
-	}
-	outW := shape.OutW()
-	id, wd, od := in.Data(), w.Data(), out.Data()
-	inRowStride := shape.InH * shape.InW
-	kk := shape.K * shape.K
-	outRow := od[oc*shape.OutH()*outW+oy*outW:]
-	var macs int64
-	for ox := 0; ox < outW; ox++ {
-		var acc float32
-		xBase := ox*shape.Stride - shape.Pad
-		for ic := icBase; ic < icEnd; ic++ {
-			inRow := id[ic*inRowStride+iy*shape.InW:]
-			wRow := wd[(oc*shape.InC+ic)*kk+ky*shape.K:]
-			for kx := 0; kx < shape.K; kx++ {
-				ix := xBase + kx
-				if ix < 0 || ix >= shape.InW {
-					continue
-				}
-				acc += inRow[ix] * wRow[kx]
-				macs++
-			}
-		}
-		outRow[ox] += acc
-	}
-	a.Counters.MACs += macs
-}
-
-// DirectConv is the reference convolution used to validate the mapped
-// dataflow.
-func DirectConv(in, w *tensor.Tensor, shape ConvShape) *tensor.Tensor {
-	out := tensor.New(shape.OutC, shape.OutH(), shape.OutW())
-	for oc := 0; oc < shape.OutC; oc++ {
-		for oy := 0; oy < shape.OutH(); oy++ {
-			for ox := 0; ox < shape.OutW(); ox++ {
-				var acc float32
-				for ic := 0; ic < shape.InC; ic++ {
-					for ky := 0; ky < shape.K; ky++ {
-						for kx := 0; kx < shape.K; kx++ {
-							iy := oy*shape.Stride - shape.Pad + ky
-							ix := ox*shape.Stride - shape.Pad + kx
-							if iy < 0 || iy >= shape.InH || ix < 0 || ix >= shape.InW {
-								continue
-							}
-							acc += in.At(ic, iy, ix) * w.At(oc, ic, ky, kx)
-						}
-					}
-				}
-				out.Set(acc, oc, oy, ox)
-			}
-		}
-	}
-	return out
-}

@@ -1,10 +1,11 @@
 // Package systolic models the paper's 32x32 processing-element array: the
 // row-stationary convolution dataflow (Fig. 6, mapping Types I-III), the
 // vector-matrix FC dataflow (Fig. 7), and the vector-transposed-matrix
-// dataflow used by FC backpropagation (Fig. 8). A functional word-level
-// emulation validates the mappings against direct convolution; a mapping
-// planner exposes the pass structure the analytical performance model
-// (internal/hw) prices.
+// dataflow used by FC backpropagation (Fig. 8). A mapping planner exposes
+// the pass structure the analytical performance model (internal/hw)
+// prices, and cycle simulators step the FC and conv dataflows over the
+// array. The package computes no values: the accelerator's 16-bit
+// arithmetic is internal/qnn's.
 package systolic
 
 // ArrayConfig captures the system parameters of Fig. 4(b).

@@ -3,10 +3,10 @@ package systolic
 import "fmt"
 
 // Cycle-level simulation of the PE array for the FC dataflows. Where the
-// functional emulation (array.go) validates *what* the dataflows compute
-// and the planner (mapping.go) prices *how much* they move, this model
+// planner (mapping.go) prices *how much* the dataflows move, this model
 // steps the array cycle by cycle and reports utilization, the quantity the
-// paper's active-PE and power columns are really about.
+// paper's active-PE and power columns are really about. What the dataflows
+// compute is the int16 engine's business (internal/qnn), not this model's.
 //
 // The simulated machine: a Rows x Cols grid. Each PE holds a weight tile in
 // its register file, one input operand register, and one partial-sum
@@ -63,9 +63,8 @@ func (s CycleStats) EffectiveMACsPerCycle() float64 {
 //   - after the wavefront drains, partial sums ripple down each column to
 //     the accumulation row, one hop per cycle.
 //
-// The function returns the cycle statistics; the numerical result is the
-// business of FCForward (the two are cross-checked in tests via the MAC
-// count).
+// The function returns the cycle statistics; tests check the simulated MAC
+// count against out x in for arbitrary shapes.
 func (a *Array) SimulateFC(out, in int) CycleStats {
 	if out <= 0 || in <= 0 {
 		panic(fmt.Sprintf("systolic: SimulateFC with dimensions %dx%d", out, in))

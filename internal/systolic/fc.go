@@ -1,17 +1,11 @@
 package systolic
 
-import (
-	"fmt"
-
-	"dronerl/internal/tensor"
-)
-
 // FC dataflows. Forward propagation (Fig. 7): the weight matrix is tiled
 // onto the PE grid, the input vector propagates row-wise, partial sums
-// accumulate vertically. Backpropagation (Fig. 8): the same resident tiles
-// serve the vector-TRANSPOSED-matrix product — the gradient vector
-// propagates down the columns and partial sums accumulate row-wise —
-// "without transposing the matrix itself".
+// accumulate vertically (stepped by SimulateFC). Backpropagation (Fig. 8):
+// the same resident tiles serve the vector-TRANSPOSED-matrix product — the
+// gradient vector propagates down the columns and partial sums accumulate
+// row-wise — "without transposing the matrix itself".
 
 // FCActivePEs returns the paper's active-PE accounting for an FC layer of
 // the given output width: all 32 PE rows are busy, and the number of active
@@ -23,146 +17,4 @@ func FCActivePEs(a ArrayConfig, out int) int {
 		cols = out
 	}
 	return cols * a.Rows
-}
-
-// FCForward computes y = Wx + b through the tiled dataflow. W is (out, in),
-// x has length in, b length out (pass nil to skip bias).
-func (a *Array) FCForward(w *tensor.Tensor, x, b []float32) []float32 {
-	out, in := w.Dim(0), w.Dim(1)
-	if len(x) != in {
-		panic(fmt.Sprintf("systolic: FCForward input length %d, want %d", len(x), in))
-	}
-	if b != nil && len(b) != out {
-		panic(fmt.Sprintf("systolic: FCForward bias length %d, want %d", len(b), out))
-	}
-	y := make([]float32, out)
-	wd := w.Data()
-	rt, ct := a.Cfg.Rows, a.Cfg.Cols
-	// Tile the matrix: PE(r,c) holds block rows [i0,i1) x cols [j0,j1).
-	// Row tiles cover the input dimension, column tiles the output.
-	rowTiles := ceilDiv(in, rt)
-	colTiles := ceilDiv(out, ct)
-	a.Counters.Passes += int64(rowTiles * colTiles)
-	for rb := 0; rb < rowTiles; rb++ {
-		for cb := 0; cb < colTiles; cb++ {
-			for r := 0; r < rt; r++ {
-				i := rb*rt + r
-				if i >= in {
-					break
-				}
-				xi := x[i]
-				if xi == 0 {
-					continue
-				}
-				for c := 0; c < ct; c++ {
-					j := cb*ct + c
-					if j >= out {
-						break
-					}
-					y[j] += wd[j*in+i] * xi
-					a.Counters.MACs++
-				}
-			}
-			// Vertical psum accumulation down each active column.
-			active := ct
-			if cb == colTiles-1 && out%ct != 0 {
-				active = out % ct
-			}
-			a.Counters.PsumHops += int64((rt - 1) * active)
-		}
-	}
-	a.Counters.GBReadWords += int64(in*out) + int64(in)
-	a.Counters.GBWriteWords += int64(out)
-	if b != nil {
-		for j := range y {
-			y[j] += b[j]
-		}
-	}
-	return y
-}
-
-// FCTransposed computes dX = W^T g through the Fig. 8 dataflow. W is
-// (out, in) and g has length out; the result has length in.
-func (a *Array) FCTransposed(w *tensor.Tensor, g []float32) []float32 {
-	out, in := w.Dim(0), w.Dim(1)
-	if len(g) != out {
-		panic(fmt.Sprintf("systolic: FCTransposed gradient length %d, want %d", len(g), out))
-	}
-	dx := make([]float32, in)
-	wd := w.Data()
-	rt, ct := a.Cfg.Rows, a.Cfg.Cols
-	rowTiles := ceilDiv(in, rt)
-	colTiles := ceilDiv(out, ct)
-	a.Counters.Passes += int64(rowTiles * colTiles)
-	for rb := 0; rb < rowTiles; rb++ {
-		for cb := 0; cb < colTiles; cb++ {
-			// Gradient elements propagate down columns; psums
-			// accumulate along rows (transposed access, same tiles).
-			for c := 0; c < ct; c++ {
-				j := cb*ct + c
-				if j >= out {
-					break
-				}
-				gj := g[j]
-				if gj == 0 {
-					continue
-				}
-				for r := 0; r < rt; r++ {
-					i := rb*rt + r
-					if i >= in {
-						break
-					}
-					dx[i] += wd[j*in+i] * gj
-					a.Counters.MACs++
-				}
-			}
-			active := rt
-			if rb == rowTiles-1 && in%rt != 0 {
-				active = in % rt
-			}
-			a.Counters.PsumHops += int64((ct - 1) * active)
-		}
-	}
-	a.Counters.GBReadWords += int64(in*out) + int64(out)
-	a.Counters.GBWriteWords += int64(in)
-	return dx
-}
-
-// FCOuter accumulates the weight gradient dW += g (outer) x through the
-// array: "the results of multiplication of each PE are directly
-// transferred to global buffer" (no psum accumulation). dW is (out, in).
-func (a *Array) FCOuter(dw *tensor.Tensor, g, x []float32) {
-	out, in := dw.Dim(0), dw.Dim(1)
-	if len(g) != out || len(x) != in {
-		panic("systolic: FCOuter dimension mismatch")
-	}
-	for j := 0; j < out; j++ {
-		gj := g[j]
-		if gj == 0 {
-			continue
-		}
-		for i := 0; i < in; i++ {
-			dw.Set(dw.At(j, i)+gj*x[i], j, i)
-			a.Counters.MACs++
-		}
-	}
-	// Every product goes straight to the buffer as a gradient-sum
-	// read-modify-write.
-	a.Counters.GBReadWords += int64(in * out)
-	a.Counters.GBWriteWords += int64(in * out)
-	a.Counters.Passes++
-}
-
-// ReLUMaxpool applies rectification through the PE comparators (counted,
-// not timed — it shares passes with the producing layer in the paper's
-// tables).
-func (a *Array) ReLUMaxpool(t *tensor.Tensor) {
-	d := t.Data()
-	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		}
-	}
-	a.Counters.GBReadWords += int64(len(d))
-	a.Counters.GBWriteWords += int64(len(d))
 }

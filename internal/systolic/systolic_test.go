@@ -2,10 +2,9 @@ package systolic
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"dronerl/internal/tensor"
+	"dronerl/internal/nn"
 )
 
 // paperConvShapes returns the five conv layers of the modified AlexNet.
@@ -123,151 +122,132 @@ func TestConvShapeArithmetic(t *testing.T) {
 	}
 }
 
-// TestMappedConvMatchesDirect is the core dataflow-correctness property:
-// the row-stationary emulation must reproduce direct convolution exactly
-// for every mapping type.
-func TestMappedConvMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+// specConvShapes derives the conv layers of an architecture with their live
+// input sizes, the way internal/hw feeds them to the planner.
+func specConvShapes(spec nn.ArchSpec) []ConvShape {
+	var out []ConvShape
+	h, inC := spec.InputH, spec.InputC
+	for i, c := range spec.Convs {
+		out = append(out, ConvShape{
+			Name: spec.Name + "/" + c.Name, InC: inC, OutC: c.OutC,
+			K: c.K, Stride: c.Stride, Pad: c.Pad, InH: h, InW: h,
+		})
+		_, h = spec.ConvOut(i)
+		inC = c.OutC
+	}
+	return out
+}
+
+// walkShapes are the shapes the pass walk covers: scaled-down instances
+// triggering each mapping type, a strided and an unpadded layer, and the
+// conv layers of the scaled NavNet and of the paper's modified AlexNet.
+func walkShapes() []ConvShape {
 	shapes := []ConvShape{
-		// Scaled-down instances triggering each mapping type.
 		{Name: "t1", InC: 3, OutC: 7, K: 11, Stride: 4, Pad: 0, InH: 59, InW: 59},
 		{Name: "t2", InC: 96, OutC: 9, K: 5, Stride: 1, Pad: 2, InH: 27, InW: 27},
 		{Name: "t3", InC: 256, OutC: 8, K: 3, Stride: 1, Pad: 1, InH: 13, InW: 13},
 		{Name: "stride2", InC: 4, OutC: 5, K: 3, Stride: 2, Pad: 1, InH: 16, InW: 16},
 		{Name: "nopad", InC: 2, OutC: 3, K: 3, Stride: 1, Pad: 0, InH: 10, InW: 10},
 	}
-	arr := New(DefaultArray())
-	for _, s := range shapes {
-		in := tensor.New(s.InC, s.InH, s.InW)
-		in.RandN(rng, 1)
-		w := tensor.New(s.OutC, s.InC, s.K, s.K)
-		w.RandN(rng, 0.3)
-		got := arr.Conv(in, w, s)
-		want := DirectConv(in, w, s)
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: size %d vs %d", s.Name, got.Len(), want.Len())
-		}
-		for i := range got.Data() {
-			g, r := float64(got.Data()[i]), float64(want.Data()[i])
-			if math.Abs(g-r) > 1e-3*(1+math.Abs(r)) {
-				t.Fatalf("%s: output[%d] = %v, want %v", s.Name, i, g, r)
+	shapes = append(shapes, specConvShapes(nn.NavNetSpec())...)
+	return append(shapes, specConvShapes(nn.ModifiedAlexNetSpec())...)
+}
+
+// walkPasses steps PlanConv's pass structure — OCRounds x RowRounds x
+// SplitRounds x Sets x Segments x OCPerSeg x SegCols x K, the loop nest the
+// row-stationary dataflow runs — and calls visit once per PE row
+// convolution: filter row ky of output channel oc against output row oy,
+// over the input-channel slice [icBase, icEnd).
+func walkPasses(m ConvMapping, s ConvShape, visit func(oc, oy, ky, icBase, icEnd int)) {
+	ocPerPass := m.OCPerSeg * m.Segments
+	if ocPerPass > s.OutC {
+		ocPerPass = s.OutC
+	}
+	slice := s.InC / m.InChSplit
+	if slice < 1 {
+		slice = 1
+	}
+	for ocRound := 0; ocRound < m.OCRounds; ocRound++ {
+		ocBase := ocRound * ocPerPass
+		for rowRound := 0; rowRound < m.RowRounds; rowRound++ {
+			for splitRound := 0; splitRound < m.SplitRounds; splitRound++ {
+				for set := 0; set < m.Sets; set++ {
+					icBase := (splitRound*m.Sets + set) * slice
+					if icBase >= s.InC {
+						continue
+					}
+					icEnd := icBase + slice
+					if m.InChSplit == 1 || icEnd > s.InC {
+						icEnd = s.InC
+					}
+					for seg := 0; seg < m.Segments; seg++ {
+						for oci := 0; oci < m.OCPerSeg; oci++ {
+							oc := ocBase + seg*m.OCPerSeg + oci
+							if oc >= s.OutC || oc >= ocBase+ocPerPass {
+								break
+							}
+							for col := 0; col < m.SegCols; col++ {
+								oy := rowRound*m.SegCols + col
+								if oy >= s.OutH() {
+									break
+								}
+								for ky := 0; ky < s.K; ky++ {
+									visit(oc, oy, ky, icBase, icEnd)
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}
 }
 
+// TestMappedConvCoversEveryRow is the dataflow-correctness property of the
+// planner: the passes PlanConv lays out visit every (output channel, output
+// row, input channel, filter row) of the convolution exactly once, so the
+// mapped dataflow computes the whole layer and nothing twice.
+func TestMappedConvCoversEveryRow(t *testing.T) {
+	a := DefaultArray()
+	for _, s := range walkShapes() {
+		m := PlanConv(a, s)
+		outH := s.OutH()
+		seen := make([]uint8, s.OutC*outH*s.InC*s.K)
+		walkPasses(m, s, func(oc, oy, ky, icBase, icEnd int) {
+			for ic := icBase; ic < icEnd; ic++ {
+				seen[((oc*outH+oy)*s.InC+ic)*s.K+ky]++
+			}
+		})
+		for i, n := range seen {
+			if n != 1 {
+				ky := i % s.K
+				ic := i / s.K % s.InC
+				oy := i / (s.K * s.InC) % outH
+				oc := i / (s.K * s.InC * outH)
+				t.Fatalf("%s (%v): (oc %d, oy %d, ic %d, ky %d) visited %d times, want once",
+					s.Name, m.Type, oc, oy, ic, ky, n)
+			}
+		}
+	}
+}
+
+// TestConvCountsAllMACs: the row convolutions of the planned passes issue
+// exactly the layer's multiply-accumulates — each one a K-tap filter row
+// slid across OutW outputs for every channel of its slice, padding taps
+// issued against zeros — and that is the count SimulateConv prices.
 func TestConvCountsAllMACs(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	s := ConvShape{Name: "c", InC: 2, OutC: 3, K: 3, Stride: 1, Pad: 0, InH: 8, InW: 8}
-	in := tensor.New(s.InC, s.InH, s.InW)
-	in.RandN(rng, 1)
-	w := tensor.New(s.OutC, s.InC, s.K, s.K)
-	w.RandN(rng, 1)
 	arr := New(DefaultArray())
-	arr.Conv(in, w, s)
-	if arr.Counters.MACs != s.MACs() {
-		t.Errorf("emulation executed %d MACs, shape says %d", arr.Counters.MACs, s.MACs())
-	}
-	if arr.Counters.Passes == 0 || arr.Counters.RowConvs == 0 {
-		t.Error("counters not tracking passes/row convolutions")
-	}
-}
-
-func TestFCForwardMatchesMatVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	w := tensor.New(40, 70)
-	w.RandN(rng, 1)
-	x := make([]float32, 70)
-	b := make([]float32, 40)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	for i := range b {
-		b[i] = float32(rng.NormFloat64())
-	}
-	arr := New(DefaultArray())
-	got := arr.FCForward(w, x, b)
-	want := tensor.MatMul(w, tensor.FromSlice(x, 70, 1)).Data()
-	for i := range want {
-		want[i] += b[i]
-	}
-	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-3 {
-			t.Fatalf("FCForward[%d] = %v, want %v", i, got[i], want[i])
+	for _, s := range walkShapes() {
+		var macs int64
+		walkPasses(PlanConv(arr.Cfg, s), s, func(oc, oy, ky, icBase, icEnd int) {
+			macs += int64(s.OutW()) * int64(s.K) * int64(icEnd-icBase)
+		})
+		if macs != s.MACs() {
+			t.Errorf("%s: passes issue %d MACs, the layer has %d", s.Name, macs, s.MACs())
 		}
-	}
-	if arr.Counters.MACs == 0 || arr.Counters.GBReadWords == 0 {
-		t.Error("FCForward counters empty")
-	}
-}
-
-func TestFCTransposedMatchesMatVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	w := tensor.New(50, 33)
-	w.RandN(rng, 1)
-	g := make([]float32, 50)
-	for i := range g {
-		g[i] = float32(rng.NormFloat64())
-	}
-	arr := New(DefaultArray())
-	got := arr.FCTransposed(w, g)
-	// Reference: W^T g as a (33 x 1) transposed GEMM.
-	wantT := tensor.New(33, 1)
-	tensor.MatMulTNAccum(wantT, w, tensor.FromSlice(g, 50, 1))
-	want := wantT.Data()
-	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-3 {
-			t.Fatalf("FCTransposed[%d] = %v, want %v", i, got[i], want[i])
+		if sim := arr.SimulateConv(s).MACs; sim != macs {
+			t.Errorf("%s: SimulateConv prices %d MACs, the passes issue %d", s.Name, sim, macs)
 		}
-	}
-}
-
-func TestFCAdjointProperty(t *testing.T) {
-	// <FCForward(W, x, nil), g> == <x, FCTransposed(W, g)>: the Fig. 7
-	// and Fig. 8 dataflows are exact adjoints, which is what makes
-	// in-place backpropagation on the resident tiles legal.
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 10; trial++ {
-		out, in := 1+rng.Intn(64), 1+rng.Intn(64)
-		w := tensor.New(out, in)
-		w.RandN(rng, 1)
-		x := make([]float32, in)
-		g := make([]float32, out)
-		for i := range x {
-			x[i] = float32(rng.NormFloat64())
-		}
-		for i := range g {
-			g[i] = float32(rng.NormFloat64())
-		}
-		arr := New(DefaultArray())
-		y := arr.FCForward(w, x, nil)
-		dx := arr.FCTransposed(w, g)
-		var lhs, rhs float64
-		for i := range y {
-			lhs += float64(y[i]) * float64(g[i])
-		}
-		for i := range dx {
-			rhs += float64(dx[i]) * float64(x[i])
-		}
-		if math.Abs(lhs-rhs) > 1e-2*(1+math.Abs(lhs)) {
-			t.Fatalf("adjoint violated: %v vs %v", lhs, rhs)
-		}
-	}
-}
-
-func TestFCOuterAccumulates(t *testing.T) {
-	arr := New(DefaultArray())
-	dw := tensor.New(2, 3)
-	arr.FCOuter(dw, []float32{1, 2}, []float32{3, 4, 5})
-	arr.FCOuter(dw, []float32{1, 0}, []float32{1, 1, 1})
-	want := []float32{4, 5, 6, 6, 8, 10}
-	for i, v := range want {
-		if dw.Data()[i] != v {
-			t.Fatalf("dW[%d] = %v, want %v", i, dw.Data()[i], v)
-		}
-	}
-	if arr.Counters.GBWriteWords == 0 {
-		t.Error("outer product must write gradient sums to the buffer")
 	}
 }
 
@@ -310,13 +290,4 @@ func TestPlanConvRejectsTooTallFilter(t *testing.T) {
 		}
 	}()
 	PlanConv(DefaultArray(), ConvShape{InC: 1, OutC: 1, K: 40, Stride: 1, InH: 64, InW: 64})
-}
-
-func TestCountersAdd(t *testing.T) {
-	a := Counters{MACs: 1, RowConvs: 2, PsumHops: 3, GBReadWords: 4, GBWriteWords: 5, Passes: 6}
-	b := a
-	a.Add(b)
-	if a.MACs != 2 || a.Passes != 12 || a.GBWriteWords != 10 {
-		t.Errorf("Add wrong: %+v", a)
-	}
 }
