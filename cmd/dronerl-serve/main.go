@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -47,21 +48,37 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	backend := flag.String("backend", "float", "inference backend: float, quant or systolic")
-	workers := flag.Int("workers", 2, "inference workers (each owns a policy replica)")
-	maxBatch := flag.Int("maxbatch", 32, "largest coalesced batch (1 = single-flight)")
-	window := flag.Duration("window", 2*time.Millisecond, "how long to hold an under-filled batch open")
-	queue := flag.Int("queue", 256, "admission queue depth; beyond it requests get 429")
-	model := flag.String("model", "", "serve this snapshot file (default: random-init from -seed)")
-	seed := flag.Int64("seed", 1, "weight init seed when no -model is given")
-	pprofAddr := flag.String("pprof", "", "mount net/http/pprof on this separate debug listener (off when empty)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole command: it serves until ctx is cancelled, drains, prints
+// the summary line and the final stats as JSON to stdout, and returns the
+// exit status — 2 for a bad flag, an unreadable -model, a configuration
+// serve.New refuses (an unknown -backend names the registry) or an address
+// it cannot listen on, 1 if serving fails.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dronerl-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
+	backend := fs.String("backend", "float", "inference backend: float, quant or systolic")
+	workers := fs.Int("workers", 2, "inference workers (each owns a policy replica)")
+	maxBatch := fs.Int("maxbatch", 32, "largest coalesced batch (1 = single-flight)")
+	window := fs.Duration("window", 2*time.Millisecond, "how long to hold an under-filled batch open")
+	queue := fs.Int("queue", 256, "admission queue depth; beyond it requests get 429")
+	model := fs.String("model", "", "serve this snapshot file (default: random-init from -seed)")
+	seed := fs.Int64("seed", 1, "weight init seed when no -model is given")
+	pprofAddr := fs.String("pprof", "", "mount net/http/pprof on this separate debug listener (off when empty)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	snap, err := loadPolicy(*model, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-serve:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "dronerl-serve:", err)
+		return 2
 	}
 
 	s, err := serve.New(serve.Config{
@@ -74,23 +91,24 @@ func main() {
 		Snapshot:    snap,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-serve:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "dronerl-serve:", err)
+		return 2
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-serve:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "dronerl-serve:", err)
+		return 2
 	}
-	fmt.Printf("dronerl-serve: listening on http://%s (backend=%s workers=%d maxbatch=%d window=%v queue=%d)\n",
+	fmt.Fprintf(stdout, "dronerl-serve: listening on http://%s (backend=%s workers=%d maxbatch=%d window=%v queue=%d)\n",
 		ln.Addr(), *backend, *workers, *maxBatch, *window, *queue)
 
 	if *pprofAddr != "" {
 		dln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dronerl-serve: pprof listener:", err)
-			os.Exit(2)
+			ln.Close()
+			fmt.Fprintln(stderr, "dronerl-serve: pprof listener:", err)
+			return 2
 		}
 		// A dedicated mux: the debug listener serves only the profiler, the
 		// serving mux never learns the /debug/pprof/ routes.
@@ -100,29 +118,28 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		fmt.Printf("dronerl-serve: pprof on http://%s/debug/pprof/\n", dln.Addr())
+		fmt.Fprintf(stdout, "dronerl-serve: pprof on http://%s/debug/pprof/\n", dln.Addr())
 		go func() {
 			if err := http.Serve(dln, dmux); err != nil {
-				fmt.Fprintln(os.Stderr, "dronerl-serve: pprof:", err)
+				fmt.Fprintln(stderr, "dronerl-serve: pprof:", err)
 			}
 		}()
 		defer dln.Close()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	if err := s.Serve(ctx, ln); err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-serve:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dronerl-serve:", err)
+		return 1
 	}
 
 	st := s.Stats()
-	fmt.Printf("dronerl-serve: drained; served=%d rejected=%d reloads=%d batches=%d mean_batch=%.2f p50=%.3fms p99=%.3fms energy=%.3fmJ\n",
+	fmt.Fprintf(stdout, "dronerl-serve: drained; served=%d rejected=%d reloads=%d batches=%d mean_batch=%.2f p50=%.3fms p99=%.3fms energy=%.3fmJ\n",
 		st.Served, st.Rejected, st.Reloads, st.Batches, st.MeanBatch, st.P50Ms, st.P99Ms, st.TotalEnergyMJ)
-	if err := json.NewEncoder(os.Stdout).Encode(st); err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-serve:", err)
-		os.Exit(1)
+	if err := json.NewEncoder(stdout).Encode(st); err != nil {
+		fmt.Fprintln(stderr, "dronerl-serve:", err)
+		return 1
 	}
+	return 0
 }
 
 // loadPolicy reads the snapshot file, or fabricates a seeded random policy

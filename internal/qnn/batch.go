@@ -2,6 +2,7 @@ package qnn
 
 import (
 	"fmt"
+	"math"
 
 	"dronerl/internal/fixed"
 	"dronerl/internal/tensor"
@@ -16,6 +17,12 @@ import (
 // in a grow-only per-network workspace, so after the first batch of a given
 // size a pass performs no heap allocation, mirroring the float path's arena
 // contract (nn/batch.go) and the accelerator's fixed scratchpad provisioning.
+//
+// Epilogue. A weighted layer's int32 sums become words in one tensor.Narrow16
+// pass (the PE's round-half-up narrow, the saturating bias add, a clamp at lo)
+// and a conv's then move to CHW planes (tensor.PixelsToPlanes16). Alone a layer
+// clamps nothing (lo = math.MinInt16); Network.forward passes lo = 0 — the
+// ReLU's max(word, 0) word for word — when a ReLU follows, and skips its pass.
 //
 // Accumulation contract. The PE datapath saturates its 32-bit accumulator at
 // every MAC (fixed.MAC; the scalar reference in serial_test.go). The kernels
@@ -108,50 +115,59 @@ type batchLayer interface {
 }
 
 // ensureKernel packs the conv layer's weights for the direct convolution and
-// rescales the bias into the output format, once: compiled weights are
-// immutable (a policy reload compiles a fresh backend).
+// builds the bias row, once: compiled weights are immutable (a policy reload
+// compiles a fresh backend).
 func (c *Conv2D) ensureKernel() {
 	if c.direct != nil {
 		return
 	}
 	c.direct = tensor.NewConv16(c.W, c.InC, c.OutC, c.K, c.Stride, c.Pad)
-	c.bOut = rescaleVec(c.B, c.WFmt, c.OutFmt)
+	c.bRow = biasRow(c.B, c.WFmt, c.OutFmt)
 }
 
-func rescaleVec(b fixed.Vec, from, to fixed.Format) fixed.Vec {
-	out := make(fixed.Vec, len(b))
-	for i, w := range b {
-		out[i] = rescale(w, from, to)
+// biasRow is b in the output format, repeated to whole 16-word blocks.
+func biasRow(b fixed.Vec, from, to fixed.Format) []int16 {
+	var row []int16
+	for _, w := range b {
+		row = append(row, int16(rescale(w, from, to)))
 	}
-	return out
+	for len(row)%16 != 0 {
+		row = append(row, row[:len(b)]...)
+	}
+	return row
 }
 
-// forwardBatch implements batchLayer: the direct convolution leaves every
-// output pixel's wrap-around sums in (pixel, oc) order — the reduction the
-// scalar MAC loop runs, with padding taps as zero words — then one narrow +
-// bias add per output word, scattered back to batch-major CHW.
+// clampLayer is a weighted layer whose epilogue can fold in a following ReLU.
+type clampLayer interface {
+	forwardClamped(in QTensor, ws *batchWorkspace, slot int, lo int16) QTensor
+}
+
 func (c *Conv2D) forwardBatch(in QTensor, ws *batchWorkspace, slot int) QTensor {
+	return c.forwardClamped(in, ws, slot, math.MinInt16)
+}
+
+// forwardClamped implements clampLayer: the direct convolution leaves each
+// output pixel's wrap-around sums in (pixel, oc) order (padding taps as zero
+// words), narrowed into the then-free padded-sample scratch and moved to CHW.
+func (c *Conv2D) forwardClamped(in QTensor, ws *batchWorkspace, slot int, lo int16) QTensor {
+	if len(in.Shape) != 4 || in.Shape[1] != c.InC {
+		panic(fmt.Sprintf("qnn: %s expects (B, %d, H, W) samples, got shape %v", c.LayerName, c.InC, in.Shape))
+	}
 	bsz, h, w := in.Shape[0], in.Shape[2], in.Shape[3]
 	c.ensureKernel()
 	oh, ow := c.direct.OutHW(h, w)
-	np := oh * ow
-	acc := ws.get32(slot, bsz*np*c.OutC)
-	tensor.Conv16Batch(c.direct, acc, ws.get16(slot, c.direct.ScratchLen(h, w)), in.Data, bsz, h, w)
+	np, n := oh*ow, oh*ow*c.OutC
+	acc := ws.get32(slot, bsz*n)
+	words := ws.get16(slot, max(c.direct.ScratchLen(h, w), bsz*n))
+	tensor.Conv16Batch(c.direct, acc, words, in.Data, bsz, h, w)
+	tensor.Narrow16(words, acc, c.bRow, int(c.InFmt.Frac+c.WFmt.Frac)-int(c.OutFmt.Frac), lo)
 	if len(c.bShape) != 4 {
 		c.bShape = make([]int, 4)
 	}
 	c.bShape[0], c.bShape[1], c.bShape[2], c.bShape[3] = bsz, c.OutC, oh, ow
-	out := QTensor{Shape: c.bShape, Data: ws.getWords(slot, bsz*c.OutC*np), Fmt: c.OutFmt}
+	out := QTensor{Shape: c.bShape, Data: ws.getWords(slot, bsz*n), Fmt: c.OutFmt}
 	for s := 0; s < bsz; s++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			dst := out.Data[(s*c.OutC+oc)*np : (s*c.OutC+oc+1)*np]
-			bias := c.bOut[oc]
-			arow := acc[s*np*c.OutC:]
-			for p := range dst {
-				word := narrowMixed(fixed.Acc(arow[p*c.OutC+oc]), c.InFmt, c.WFmt, c.OutFmt)
-				dst[p] = fixed.SatAdd(word, bias)
-			}
-		}
+		tensor.PixelsToPlanes16(out.Data[s*n:], words[s*n:], np, c.OutC)
 	}
 	return out
 }
@@ -167,13 +183,17 @@ func (d *Dense) ensureKernel() {
 	for i, w := range d.W {
 		d.wGemm[i] = int16(w)
 	}
-	d.bOut = rescaleVec(d.B, d.WFmt, d.OutFmt)
+	d.bRow = biasRow(d.B, d.WFmt, d.OutFmt)
 }
 
-// forwardBatch implements batchLayer: Y (B x Out) = X x Wᵀ in one integer
-// GEMM — the layer's weights stream through the kernel once for the whole
-// batch — followed by one narrow and bias add per element.
 func (d *Dense) forwardBatch(in QTensor, ws *batchWorkspace, slot int) QTensor {
+	return d.forwardClamped(in, ws, slot, math.MinInt16)
+}
+
+// forwardClamped implements clampLayer: Y (B x Out) = X x Wᵀ in one integer
+// GEMM — the layer's weights stream through the kernel once for the whole
+// batch — and one epilogue pass over the row-major result.
+func (d *Dense) forwardClamped(in QTensor, ws *batchWorkspace, slot int, lo int16) QTensor {
 	bsz := in.Shape[0]
 	if in.Len()/bsz != d.In {
 		panic(fmt.Sprintf("qnn: %s expects %d inputs per sample, got %d", d.LayerName, d.In, in.Len()/bsz))
@@ -190,13 +210,7 @@ func (d *Dense) forwardBatch(in QTensor, ws *batchWorkspace, slot int) QTensor {
 	}
 	d.bShape[0], d.bShape[1] = bsz, d.Out
 	out := QTensor{Shape: d.bShape, Data: ws.getWords(slot, bsz*d.Out), Fmt: d.OutFmt}
-	for s := 0; s < bsz; s++ {
-		row := out.Data[s*d.Out : (s+1)*d.Out]
-		for j := range row {
-			word := narrowMixed(fixed.Acc(acc[s*d.Out+j]), d.InFmt, d.WFmt, d.OutFmt)
-			row[j] = fixed.SatAdd(word, d.bOut[j])
-		}
-	}
+	tensor.Narrow16(out.Data, acc, d.bRow, int(d.InFmt.Frac+d.WFmt.Frac)-int(d.OutFmt.Frac), lo)
 	return out
 }
 
@@ -277,10 +291,17 @@ func (n *Network) forward(data []float32, shape []int) (fixed.Vec, fixed.Format)
 		ws.in[i] = n.InFmt.FromFloat(float64(v))
 	}
 	q := QTensor{Shape: shape, Data: ws.in, Fmt: n.InFmt}
-	for i, l := range n.Layers {
-		bl, ok := l.(batchLayer)
+	for i := 0; i < len(n.Layers); i++ {
+		if cl, ok := n.Layers[i].(clampLayer); ok && i+1 < len(n.Layers) {
+			if _, relu := n.Layers[i+1].(*ReLU); relu {
+				q = cl.forwardClamped(q, ws, i, 0)
+				i++ // the ReLU ran in the epilogue
+				continue
+			}
+		}
+		bl, ok := n.Layers[i].(batchLayer)
 		if !ok {
-			panic(fmt.Sprintf("qnn: layer %s (%T) has no kernel", l.Name(), l))
+			panic(fmt.Sprintf("qnn: layer %s (%T) has no kernel", n.Layers[i].Name(), n.Layers[i]))
 		}
 		q = bl.forwardBatch(q, ws, i)
 	}

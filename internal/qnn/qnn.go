@@ -56,10 +56,10 @@ type Conv2D struct {
 	WFmt, InFmt, OutFmt fixed.Format
 
 	// Kernel caches (batch.go): the weight image packed for the direct int16
-	// convolution, the bias rescaled into OutFmt, and the reusable
-	// output-shape header.
+	// convolution, the bias rescaled into OutFmt as the epilogue's row, and
+	// the reusable output-shape header.
 	direct *tensor.Conv16
-	bOut   fixed.Vec
+	bRow   []int16
 	bShape []int
 }
 
@@ -82,7 +82,7 @@ type Dense struct {
 
 	// Kernel caches, as on Conv2D; the GEMM reads W re-typed, as is.
 	wGemm  []int16
-	bOut   fixed.Vec
+	bRow   []int16
 	bShape []int
 }
 
@@ -197,27 +197,6 @@ func (n *Network) WeightBits() int64 {
 		total += l.WeightBits()
 	}
 	return total
-}
-
-// narrowMixed converts an accumulator whose operands had inFmt and wFmt
-// fractional bits into outFmt with rounding and saturation.
-func narrowMixed(acc fixed.Acc, inFmt, wFmt, outFmt fixed.Format) fixed.Word {
-	shift := int(inFmt.Frac+wFmt.Frac) - int(outFmt.Frac)
-	v := int64(acc)
-	switch {
-	case shift > 0:
-		half := int64(1) << uint(shift) >> 1
-		v = (v + half) >> uint(shift)
-	case shift < 0:
-		v <<= uint(-shift)
-	}
-	if v > 32767 {
-		v = 32767
-	}
-	if v < -32768 {
-		v = -32768
-	}
-	return fixed.Word(v)
 }
 
 // rescale converts a word from one format to another.

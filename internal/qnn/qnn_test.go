@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"dronerl/internal/env"
@@ -203,6 +204,35 @@ func TestConvIntegerKnownValues(t *testing.T) {
 	got := fixed.Q78.ToFloat(out.Data[0])
 	if math.Abs(got-1.0) > 2*fixed.Q78.Eps() {
 		t.Errorf("conv sum = %v, want 1.0", got)
+	}
+}
+
+// TestConvRejectsWrongChannels: a convolution handed samples with another
+// channel count panics naming the layer, as Dense does for a wrong width,
+// rather than reading channel 0 alone (a lone sample) or splitting one
+// sample's channels into several samples (a batch).
+func TestConvRejectsWrongChannels(t *testing.T) {
+	c := &Conv2D{
+		LayerName: "CONVX", InC: 1, OutC: 8, K: 3, Stride: 1, Pad: 1,
+		W: make(fixed.Vec, 8*9), B: make(fixed.Vec, 8),
+		WFmt: fixed.Format{Frac: 13}, InFmt: fixed.Q78, OutFmt: fixed.Q78,
+	}
+	net := &Network{Layers: []Layer{c}, InFmt: fixed.Q78}
+	for name, call := range map[string]func(){
+		"sample": func() { c.Forward(QTensor{Shape: []int{2, 8, 8}, Data: make(fixed.Vec, 2*8*8), Fmt: fixed.Q78}) },
+		"batch":  func() { net.ForwardBatch(tensor.New(2, 2, 8, 8)) },
+		"rank":   func() { c.Forward(QTensor{Shape: []int{8, 8}, Data: make(fixed.Vec, 8*8), Fmt: fixed.Q78}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "CONVX") {
+					t.Errorf("%s: panic %q does not name the layer", name, msg)
+				}
+			}()
+			call()
+			t.Errorf("%s: a wrong channel count was accepted", name)
+		}()
 	}
 }
 

@@ -115,3 +115,25 @@ func serialForward(n *Network, img *tensor.Tensor) fixed.Vec {
 	}
 	return q.Data
 }
+
+// narrowMixed converts an accumulator whose operands had inFmt and wFmt
+// fractional bits into outFmt with rounding and saturation: the PE's narrow,
+// one word at a time, that the engine's tensor.Narrow16 runs as its first step.
+func narrowMixed(acc fixed.Acc, inFmt, wFmt, outFmt fixed.Format) fixed.Word {
+	shift := int(inFmt.Frac+wFmt.Frac) - int(outFmt.Frac)
+	v := int64(acc)
+	switch {
+	case shift > 0:
+		half := int64(1) << uint(shift) >> 1
+		v = (v + half) >> uint(shift)
+	case shift < 0:
+		v <<= uint(-shift)
+	}
+	if v > 32767 {
+		v = 32767
+	}
+	if v < -32768 {
+		v = -32768
+	}
+	return fixed.Word(v)
+}

@@ -1,0 +1,164 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// narrowRef is the epilogue spelled out one word at a time the way the
+// integer engine defined it before Narrow16: qnn's narrowMixed (round half
+// up in int64, then clamp to int16), fixed.SatAdd with the channel's bias,
+// then the clamp at lo (the ReLU comparator at 0).
+func narrowRef(acc int32, bias int16, shift int, lo int16) int16 {
+	v := int64(acc)
+	switch {
+	case shift > 0:
+		half := int64(1) << uint(shift) >> 1
+		v = (v + half) >> uint(shift)
+	case shift < 0:
+		v <<= uint(-shift)
+	}
+	v = max(min(v, 32767), -32768)
+	s := max(min(v+int64(bias), 32767), -32768)
+	return int16(max(s, int64(lo)))
+}
+
+const canary16 = 0x5a5a
+
+// checkNarrow16 runs acc through the dispatched Narrow16 and the portable
+// twin alone, each into a buffer with canaries past len(acc), and holds both
+// to narrowRef word for word.
+func checkNarrow16(t *testing.T, acc []int32, bias []int16, shift int, lo int16) {
+	t.Helper()
+	n := len(acc)
+	got := make([]int16, n+3)
+	twin := make([]int16, n+3)
+	for i := n; i < n+3; i++ {
+		got[i], twin[i] = canary16, canary16
+	}
+	Narrow16(got, acc, bias, shift, lo)
+	narrow16Go(twin[:n], acc, bias, shift, lo)
+	for i, a := range acc {
+		want := narrowRef(a, bias[i%len(bias)], shift, lo)
+		if got[i] != want || twin[i] != want {
+			t.Fatalf("n %d bias period %d shift %d lo %d: word %d (acc %d, bias %d) = %d dispatched, %d portable, want %d",
+				n, len(bias), shift, lo, i, a, bias[i%len(bias)], got[i], twin[i], want)
+		}
+	}
+	for i := n; i < n+3; i++ {
+		if got[i] != canary16 || twin[i] != canary16 {
+			t.Fatalf("n %d bias period %d shift %d: wrote past the end (%d, %d)", n, len(bias), shift, got[i], twin[i])
+		}
+	}
+}
+
+// TestNarrow16MatchesReference sweeps the epilogue over shifts -2..16 (the
+// vector body takes 1..15, the twin the rest), both clamps, every length from
+// one word to past four 16-word blocks plus lengths around whole rows of the
+// longest bias, and bias periods that the vector body takes (16, 128) and
+// leaves to the twin (8, 25). Accumulators mix the int32 edges, the rounding
+// boundaries of the shift, values whose narrow lands inside int16 and
+// full-range noise; biases include both int16 extremes.
+func TestNarrow16MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	lengths := []int{127, 128, 129, 255, 256, 300, 400}
+	for n := 1; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for shift := -2; shift <= 16; shift++ {
+		s := max(shift, 1)
+		edges := []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32, math.MaxInt32 - 1, 0, 1, -1,
+			1 << (s - 1), -(1 << (s - 1)), 1<<(s-1) - 1, -(1<<(s-1) + 1), 32767 << s, -32768 << (s - 1)}
+		for _, period := range []int{8, 16, 25, 128} {
+			bias := randInt16s(rng, period)
+			bias[0], bias[1], bias[period-1] = math.MaxInt16, math.MinInt16, math.MinInt16+1
+			for _, lo := range []int16{math.MinInt16, 0} {
+				for _, n := range lengths {
+					acc := make([]int32, n)
+					for i := range acc {
+						switch rng.Intn(3) {
+						case 0:
+							acc[i] = edges[rng.Intn(len(edges))]
+						case 1:
+							acc[i] = int32(rng.Int63n(1<<(s+16)) - 1<<(s+15))
+						default:
+							acc[i] = int32(rng.Uint32())
+						}
+					}
+					checkNarrow16(t, acc, bias, shift, lo)
+				}
+			}
+		}
+	}
+}
+
+// FuzzNarrow16 holds the dispatched epilogue and its twin to narrowRef on
+// arbitrary accumulators and biases, both as given (the bias period the
+// input happens to have) and repeated to whole 16-word blocks, the row shape
+// the vector body takes.
+func FuzzNarrow16(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f}, []byte{0xff, 0x7f, 0, 0x80}, uint8(15), true)
+	f.Add(make([]byte, 4*37), []byte{1, 0, 2, 0, 3, 0}, uint8(3), false)
+	f.Fuzz(func(t *testing.T, accBytes, biasBytes []byte, shift uint8, relu bool) {
+		if len(biasBytes) < 2 {
+			return
+		}
+		acc := make([]int32, len(accBytes)/4)
+		for i := range acc {
+			acc[i] = int32(binary.LittleEndian.Uint32(accBytes[4*i:]))
+		}
+		bias := make([]int16, len(biasBytes)/2)
+		for i := range bias {
+			bias[i] = int16(binary.LittleEndian.Uint16(biasBytes[2*i:]))
+		}
+		lo := int16(math.MinInt16)
+		if relu {
+			lo = 0
+		}
+		s := int(shift%19) - 2
+		checkNarrow16(t, acc, bias, s, lo)
+		row := bias
+		for len(row)%16 != 0 {
+			row = append(row, bias...)
+		}
+		checkNarrow16(t, acc, row, s, lo)
+	})
+}
+
+// TestPixelsToPlanes16 checks the CHW transpose against the obvious loop on
+// pixel counts below, at and past whole 16-pixel blocks (3025 is AlexNet
+// CONV1's 55×55) and channel counts the vector body takes (multiples of 8)
+// and leaves to the portable loop, with canaries past the last plane. Below
+// 16 pixels, off the multiples of 8 and in every ragged tail the portable
+// loop runs alone; GOARCH=386 runs it everywhere.
+func TestPixelsToPlanes16(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, np := range []int{1, 15, 16, 64, 256, 3025} {
+		for _, oc := range []int{1, 5, 8, 16, 24, 96} {
+			src := randInt16s(rng, np*oc)
+			want := make([]int16, np*oc)
+			for p := 0; p < np; p++ {
+				for c := 0; c < oc; c++ {
+					want[c*np+p] = src[p*oc+c]
+				}
+			}
+			got := make([]int16, np*oc+5)
+			for i := np * oc; i < len(got); i++ {
+				got[i] = canary16
+			}
+			PixelsToPlanes16(got, src, np, oc)
+			for i, w := range want {
+				if got[i] != w {
+					t.Fatalf("np %d oc %d: word %d (channel %d, pixel %d) = %d, want %d", np, oc, i, i/np, i%np, got[i], w)
+				}
+			}
+			for i := np * oc; i < len(got); i++ {
+				if got[i] != canary16 {
+					t.Fatalf("np %d oc %d: wrote past the last plane", np, oc)
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package tensor
 
 // Int16 kernels for the quantized training and inference engines: the Dot16
-// GEMM here and the direct convolution in conv16.go.
+// GEMM here, the direct convolution in conv16.go and its epilogue (narrow,
+// bias, clamp, CHW transpose) in epilogue16.go.
 //
 // Accumulation contract — deliberately different from the PE-datapath
 // primitives in internal/fixed: products are widened to int32 and summed with

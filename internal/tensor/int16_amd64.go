@@ -41,3 +41,29 @@ func conv16Row(c *Conv16, dst []int32, x []int16, ow, rowLen, plane int) {
 		conv16RowAVX2(&dst[g], &x[0], &c.w[2*g], ow, c.outC*4, c.stride*2, c.inC, plane*2, c.k, rowLen*2, (c.k+1)/2)
 	}
 }
+
+//go:noescape
+func narrow16AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, shift, lo int)
+
+//go:noescape
+func planes16AVX2(dst, src *int16, blocks, groups, ocBytes, npBytes int)
+
+// narrow16Vec and planes16Vec run the epilogue's AVX2 bodies over whole bias
+// rows (16-pixel blocks) and return how many words (pixels) are done.
+func narrow16Vec(dst []int16, acc []int32, bias []int16, shift int, lo int16) int {
+	if !hasAVX2 || len(bias) == 0 || len(bias)%16 != 0 || len(acc) < len(bias) || shift < 1 || shift > 15 {
+		return 0
+	}
+	n := len(acc) - len(acc)%len(bias)
+	narrow16AVX2(&dst[0], &acc[0], &bias[0], n/16, len(bias), shift, int(lo))
+	return n
+}
+
+func planes16Vec(dst, src []int16, np, oc int) int {
+	n := np &^ 15
+	if !hasAVX2 || n == 0 || oc%8 != 0 {
+		return 0
+	}
+	planes16AVX2(&dst[0], &src[0], n/16, oc/8, oc*2, np*2)
+	return n
+}

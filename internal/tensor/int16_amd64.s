@@ -2,6 +2,12 @@
 
 #include "textflag.h"
 
+// Every hot loop below starts on a 32-byte boundary (PCALIGN $32). The
+// linker places functions 32-byte aligned but not 64-byte aligned, so
+// without it a loop body could straddle a cache line in one binary and not
+// in the next: conv16RowAVX2's tap-pair loop did, and serve-fleet-quant
+// moved ~10 % between two builds that differed only in unrelated Go code.
+
 // func dot16AVX2(a, b *int16, n int) int32
 // Wrap-around int32 dot product of two int16 vectors. 16 elements per
 // VPMADDWD+VPADDD step; all additions are mod 2^32 so any accumulation
@@ -15,6 +21,7 @@ TEXT ·dot16AVX2(SB), NOSPLIT, $0-28
 	SHRQ  $4, BX             // 16-element blocks
 	JZ    reduce
 
+	PCALIGN $32
 loop16:
 	VMOVDQU  (SI), Y1
 	VPMADDWD (DI), Y1, Y1
@@ -97,6 +104,7 @@ row:
 	MOVQ R13, AX
 	MOVQ pairs+80(FP), R11
 
+	PCALIGN $32
 pair:
 	VPBROADCASTD (AX), Y1
 	VPMADDWD     (DX), Y1, Y1
@@ -119,6 +127,182 @@ pair:
 	ADDQ    xStep+40(FP), SI
 	DECQ    CX
 	JNZ     pixel
+
+	VZEROUPPER
+	RET
+
+// func narrow16AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, shift, lo int)
+// Narrow16's body (epilogue16.go) over blocks × 16 words, for 1 <= shift <=
+// 15. Round half up as (a >> s) + ((a >> (s-1)) & 1), which equals
+// (a + 2^(s-1)) >> s for every int32 a and cannot overflow; VPACKSSDW
+// clamps to int16 (VPERMQ undoes its per-lane interleave), VPADDSW is the
+// saturating bias add, VPMAXSW the clamp at lo. The bias cursor walks the
+// biasLen-word row (a multiple of 16) 32 bytes per block and wraps at its
+// end.
+TEXT ·narrow16AVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ acc+8(FP), SI
+	MOVQ bias+16(FP), R8
+	MOVQ blocks+24(FP), CX
+	MOVQ biasLen+32(FP), R9
+	LEAQ (R8)(R9*2), R9        // end of the bias row
+	MOVQ R8, DX                // bias cursor
+	MOVQ shift+40(FP), AX
+	MOVQ AX, X13               // s
+	DECQ AX
+	MOVQ AX, X14               // s-1
+	MOVQ $1, AX
+	MOVQ AX, X15
+	VPBROADCASTD X15, Y15      // 1 in every dword
+	MOVQ lo+48(FP), AX
+	MOVQ AX, X12
+	VPBROADCASTW X12, Y12      // lo in every word
+
+	PCALIGN $32
+block:
+	VMOVDQU   (SI), Y0
+	VMOVDQU   32(SI), Y1
+	VPSRAD    X14, Y0, Y2
+	VPSRAD    X14, Y1, Y3
+	VPSRAD    X13, Y0, Y0
+	VPSRAD    X13, Y1, Y1
+	VPAND     Y15, Y2, Y2
+	VPAND     Y15, Y3, Y3
+	VPADDD    Y2, Y0, Y0
+	VPADDD    Y3, Y1, Y1
+	VPACKSSDW Y1, Y0, Y0       // quads: a0-3 a8-11 a4-7 a12-15
+	VPERMQ    $0xD8, Y0, Y0    // quads: a0-3 a4-7 a8-11 a12-15
+	VPADDSW   (DX), Y0, Y0
+	VPMAXSW   Y12, Y0, Y0
+	VMOVDQU   Y0, (DI)
+	ADDQ      $64, SI
+	ADDQ      $32, DI
+	ADDQ      $32, DX
+	CMPQ      DX, R9
+	JNE       next
+	MOVQ      R8, DX
+
+next:
+	DECQ CX
+	JNZ  block
+
+	VZEROUPPER
+	RET
+
+// func planes16AVX2(dst, src *int16, blocks, groups, ocBytes, npBytes int)
+// PixelsToPlanes16's body (epilogue16.go) over blocks × 16 pixels of every
+// group of 8 channels. src points at pixel 0's first word, pixels ocBytes
+// apart; dst at plane 0, planes npBytes apart. Per block of one group, Yi
+// holds pixel i's 8 words in its low lane and pixel i+8's in its high lane;
+// three unpack stages (words, dwords, qwords) transpose both 8×8 lanes at
+// once, leaving channel c's 16 pixels in one register, stored as 32 bytes
+// into plane c. The next group starts 16 bytes on in src and 8 planes on in
+// dst.
+TEXT ·planes16AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ groups+24(FP), R12
+	MOVQ ocBytes+32(FP), BX
+	MOVQ npBytes+40(FP), DX
+	MOVQ BX, R9
+	SHLQ $4, R9                // 16 pixels of src
+
+group:
+	MOVQ blocks+16(FP), CX
+	MOVQ SI, R13               // this group's first pixel block
+	MOVQ DI, R14               // this group's first plane
+
+	PCALIGN $32
+pblock:
+	MOVQ        R13, R10
+	LEAQ        (R13)(BX*8), R11
+	VMOVDQU     (R10), X0
+	VINSERTI128 $1, (R11), Y0, Y0
+	ADDQ        BX, R10
+	ADDQ        BX, R11
+	VMOVDQU     (R10), X1
+	VINSERTI128 $1, (R11), Y1, Y1
+	ADDQ        BX, R10
+	ADDQ        BX, R11
+	VMOVDQU     (R10), X2
+	VINSERTI128 $1, (R11), Y2, Y2
+	ADDQ        BX, R10
+	ADDQ        BX, R11
+	VMOVDQU     (R10), X3
+	VINSERTI128 $1, (R11), Y3, Y3
+	ADDQ        BX, R10
+	ADDQ        BX, R11
+	VMOVDQU     (R10), X4
+	VINSERTI128 $1, (R11), Y4, Y4
+	ADDQ        BX, R10
+	ADDQ        BX, R11
+	VMOVDQU     (R10), X5
+	VINSERTI128 $1, (R11), Y5, Y5
+	ADDQ        BX, R10
+	ADDQ        BX, R11
+	VMOVDQU     (R10), X6
+	VINSERTI128 $1, (R11), Y6, Y6
+	ADDQ        BX, R10
+	ADDQ        BX, R11
+	VMOVDQU     (R10), X7
+	VINSERTI128 $1, (R11), Y7, Y7
+
+	// Words: pairs of pixels, channel by channel.
+	VPUNPCKLWD Y1, Y0, Y8
+	VPUNPCKHWD Y1, Y0, Y9
+	VPUNPCKLWD Y3, Y2, Y10
+	VPUNPCKHWD Y3, Y2, Y11
+	VPUNPCKLWD Y5, Y4, Y12
+	VPUNPCKHWD Y5, Y4, Y13
+	VPUNPCKLWD Y7, Y6, Y14
+	VPUNPCKHWD Y7, Y6, Y15
+
+	// Dwords: two channels of four pixels each.
+	VPUNPCKLDQ Y10, Y8, Y0
+	VPUNPCKHDQ Y10, Y8, Y1
+	VPUNPCKLDQ Y11, Y9, Y2
+	VPUNPCKHDQ Y11, Y9, Y3
+	VPUNPCKLDQ Y14, Y12, Y4
+	VPUNPCKHDQ Y14, Y12, Y5
+	VPUNPCKLDQ Y15, Y13, Y6
+	VPUNPCKHDQ Y15, Y13, Y7
+
+	// Qwords: one channel of eight pixels per lane, channels 0-7.
+	VPUNPCKLQDQ Y4, Y0, Y8
+	VPUNPCKHQDQ Y4, Y0, Y9
+	VPUNPCKLQDQ Y5, Y1, Y10
+	VPUNPCKHQDQ Y5, Y1, Y11
+	VPUNPCKLQDQ Y6, Y2, Y12
+	VPUNPCKHQDQ Y6, Y2, Y13
+	VPUNPCKLQDQ Y7, Y3, Y14
+	VPUNPCKHQDQ Y7, Y3, Y15
+
+	MOVQ    R14, R10
+	VMOVDQU Y8, (R10)
+	ADDQ    DX, R10
+	VMOVDQU Y9, (R10)
+	ADDQ    DX, R10
+	VMOVDQU Y10, (R10)
+	ADDQ    DX, R10
+	VMOVDQU Y11, (R10)
+	ADDQ    DX, R10
+	VMOVDQU Y12, (R10)
+	ADDQ    DX, R10
+	VMOVDQU Y13, (R10)
+	ADDQ    DX, R10
+	VMOVDQU Y14, (R10)
+	ADDQ    DX, R10
+	VMOVDQU Y15, (R10)
+
+	ADDQ R9, R13
+	ADDQ $32, R14
+	DECQ CX
+	JNZ  pblock
+
+	ADDQ $16, SI
+	LEAQ (DI)(DX*8), DI
+	DECQ R12
+	JNZ  group
 
 	VZEROUPPER
 	RET

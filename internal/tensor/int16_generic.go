@@ -7,3 +7,7 @@ func dot16(a, b []int16) int32 { return dot16Scalar(a, b) }
 func conv16Row(c *Conv16, dst []int32, x []int16, ow, rowLen, plane int) {
 	conv16RowGo(c, dst, x, ow, rowLen, plane)
 }
+
+func narrow16Vec([]int16, []int32, []int16, int, int16) int { return 0 }
+
+func planes16Vec(_, _ []int16, _, _ int) int { return 0 }
