@@ -694,30 +694,12 @@ func onlineBenchOpts(actors int) rl.Options {
 	}
 }
 
-// BenchmarkOnlineLearningSerial is the "before" baseline: the synchronous
-// act→store→train loop (rl.Trainer.Run).
-func BenchmarkOnlineLearningSerial(b *testing.B) {
-	snap := onlineBenchSnapshot(b)
-	spec := nn.NavNetSpec()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		agent, err := transfer.Deploy(snap, spec, nn.L3, onlineBenchOpts(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		w := env.IndoorApartment(1003)
-		w.Seed(1004)
-		w.Spawn()
-		trainer := rl.NewTrainer(w, agent, onlineBenchIters)
-		b.StartTimer()
-		trainer.Run(onlineBenchIters)
-	}
-	b.ReportMetric(float64(onlineBenchIters*b.N)/b.Elapsed().Seconds(), "steps/s")
-}
+// BenchmarkOnlineLearningSerial runs the one-actor schedule: the
+// synchronous act→store→train loop.
+func BenchmarkOnlineLearningSerial(b *testing.B) { benchmarkOnlineLearningActors(b, 1) }
 
-// benchmarkOnlineLearningActors measures the async pipeline at a given
-// fleet size on the serial benchmark's exact workload.
+// benchmarkOnlineLearningActors measures the online loop at a given fleet
+// size, one workload for every size.
 func benchmarkOnlineLearningActors(b *testing.B, actors int) {
 	snap := onlineBenchSnapshot(b)
 	spec := nn.NavNetSpec()

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -32,24 +33,43 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9090", "learner address")
-	envName := flag.String("env", "indoor-apartment", "scenario to fly (see droneflight -list)")
-	steps := flag.Int("steps", 2000, "env steps to fly")
-	seed := flag.Int64("seed", 2, "world + exploration seed")
-	id := flag.Uint64("id", 0, "actor ID to reclaim (0: ask for a fresh slot)")
-	flush := flag.Int("flush", 8, "transitions per experience frame")
-	buffer := flag.Int("buffer", 4096, "local ring capacity while disconnected")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
+// run is the whole command: it flies until the steps are done or ctx is
+// cancelled, prints the summary line and the stats as JSON to stdout, and
+// returns the exit status — 2 with usage for a bad flag, an empty -addr or
+// an unknown -env, 1 if the actor fails.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dronerl-actor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:9090", "learner address")
+	envName := fs.String("env", "indoor-apartment", "scenario to fly (see droneflight -list)")
+	steps := fs.Int("steps", 2000, "env steps to fly")
+	seed := fs.Int64("seed", 2, "world + exploration seed")
+	id := fs.Uint64("id", 0, "actor ID to reclaim (0: ask for a fresh slot)")
+	flush := fs.Int("flush", 8, "transitions per experience frame")
+	buffer := fs.Int("buffer", 4096, "local ring capacity while disconnected")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "dronerl-actor: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	if *addr == "" {
+		return usage("-addr is empty: name the learner to connect to")
+	}
 	scenario, ok := env.LookupScenario(*envName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "dronerl-actor: unknown scenario %q (droneflight -list shows the catalog)\n", *envName)
-		os.Exit(2)
+		return usage("unknown scenario %q (droneflight -list shows the catalog)", *envName)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	fmt.Printf("dronerl-actor: flying %s for %d steps against %s\n", *envName, *steps, *addr)
+	fmt.Fprintf(stdout, "dronerl-actor: flying %s for %d steps against %s\n", *envName, *steps, *addr)
 	start := time.Now()
 	st, err := dist.RunActor(ctx, dist.ActorConfig{
 		Addr:       *addr,
@@ -62,14 +82,15 @@ func main() {
 		BufferCap:  *buffer,
 	})
 	if err != nil && ctx.Err() == nil {
-		fmt.Fprintln(os.Stderr, "dronerl-actor:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dronerl-actor:", err)
+		return 1
 	}
-	fmt.Printf("dronerl-actor: done in %v; id=%d steps=%d sent=%d undelivered=%d dropped=%d connects=%d adoptions=%d\n",
+	fmt.Fprintf(stdout, "dronerl-actor: done in %v; id=%d steps=%d sent=%d undelivered=%d dropped=%d connects=%d adoptions=%d\n",
 		time.Since(start).Round(time.Millisecond), st.ActorID, st.Steps, st.Sent,
 		st.Undelivered, st.Dropped, st.Connects, st.Adoptions)
-	if err := json.NewEncoder(os.Stdout).Encode(st); err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-actor:", err)
-		os.Exit(1)
+	if err := json.NewEncoder(stdout).Encode(st); err != nil {
+		fmt.Fprintln(stderr, "dronerl-actor:", err)
+		return 1
 	}
+	return 0
 }

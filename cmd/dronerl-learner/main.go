@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -43,30 +44,56 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9090", "listen address for actor connections")
-	cfgName := flag.String("config", "L3", "training topology: L2, L3, L4 or E2E")
-	slots := flag.Int("slots", 2, "actor slots (one replay shard each)")
-	steps := flag.Int("steps", 4000, "fleet env steps to train through")
-	trainEvery := flag.Int("train-every", 4, "env steps per weight update")
-	syncEvery := flag.Int("sync-every", 8, "weight updates per policy publish")
-	ckptPath := flag.String("checkpoint", "", "resumable checkpoint file (resumed when present)")
-	ckptEvery := flag.Int("checkpoint-every", 32, "weight updates per checkpoint save")
-	model := flag.String("model", "", "start from this meta-model snapshot (default: random-init from -seed)")
-	seed := flag.Int64("seed", 1, "weight init seed when no -model is given")
-	idle := flag.Duration("idle", 0, "end the run after the whole fleet has been absent this long (0: wait forever)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
+// run is the whole command: it trains until the fleet has flown -steps or
+// ctx is cancelled, prints the summary line and the stats as JSON to stdout,
+// and returns the exit status — 2 with usage for a bad flag, an empty -addr
+// or an unknown -config, 2 for a model or learner configuration it cannot
+// use, 1 for a corrupt checkpoint, an address it cannot listen on or a
+// failed run.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dronerl-learner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:9090", "listen address for actor connections (port 0 picks a free port)")
+	cfgName := fs.String("config", "L3", "training topology: L2, L3, L4 or E2E")
+	slots := fs.Int("slots", 2, "actor slots (one replay shard each)")
+	steps := fs.Int("steps", 4000, "fleet env steps to train through")
+	trainEvery := fs.Int("train-every", 4, "env steps per weight update")
+	syncEvery := fs.Int("sync-every", 8, "weight updates per policy publish")
+	ckptPath := fs.String("checkpoint", "", "resumable checkpoint file (resumed when present)")
+	ckptEvery := fs.Int("checkpoint-every", 32, "weight updates per checkpoint save")
+	model := fs.String("model", "", "start from this meta-model snapshot (default: random-init from -seed)")
+	seed := fs.Int64("seed", 1, "weight init seed when no -model is given")
+	idle := fs.Duration("idle", 0, "end the run after the whole fleet has been absent this long (0: wait forever)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "dronerl-learner:", err)
+		return code
+	}
+	usage := func(err error) int {
+		fail(2, err)
+		fs.Usage()
+		return 2
+	}
+	if *addr == "" {
+		return usage(errors.New("-addr is empty: name the address to listen on"))
+	}
 	cfg, err := nn.ParseConfig(*cfgName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-learner:", err)
-		os.Exit(2)
+		return usage(err)
 	}
 
 	spec := nn.NavNetSpec()
 	agent, err := buildAgent(spec, cfg, *model, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-learner:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	var resume *dist.Checkpoint
@@ -75,23 +102,20 @@ func main() {
 		switch {
 		case err == nil:
 			resume = cp
-			fmt.Printf("dronerl-learner: resuming %s (env=%d train=%d actors=%d)\n",
+			fmt.Fprintf(stdout, "dronerl-learner: resuming %s (env=%d train=%d actors=%d)\n",
 				*ckptPath, cp.EnvSteps, cp.TrainSteps, len(cp.Slots))
 		case os.IsNotExist(err):
 			// Fresh run; the path is where checkpoints will go.
 		case errors.Is(err, dist.ErrCheckpointCorrupt):
-			fmt.Fprintf(os.Stderr, "dronerl-learner: %s is corrupt: %v (delete it to start over)\n", *ckptPath, err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("%s is corrupt: %w (delete it to start over)", *ckptPath, err))
 		default:
-			fmt.Fprintln(os.Stderr, "dronerl-learner:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-learner:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 
 	ledger := mem.NewCompactLedger()
@@ -110,29 +134,26 @@ func main() {
 		Tracker:         tracker,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-learner:", err)
-		os.Exit(2)
+		ln.Close()
+		return fail(2, err)
 	}
-	fmt.Printf("dronerl-learner: listening on %s (config=%s slots=%d steps=%d)\n",
+	fmt.Fprintf(stdout, "dronerl-learner: listening on %s (config=%s slots=%d steps=%d)\n",
 		ln.Addr(), cfg, *slots, *steps)
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	start := time.Now()
 	st, err := learner.Run(ctx)
 	if err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "dronerl-learner:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
-	fmt.Printf("dronerl-learner: done in %v; env=%d train=%d publishes=%d checkpoints=%d "+
+	fmt.Fprintf(stdout, "dronerl-learner: done in %v; env=%d train=%d publishes=%d checkpoints=%d "+
 		"connects=%d resumes=%d disconnects=%d drops=%+v sfd=%.2f checkpoint_energy=%.3fmJ\n",
 		time.Since(start).Round(time.Millisecond), st.EnvSteps, st.TrainSteps, st.Publishes,
 		st.Checkpoints, st.Connects, st.Resumes, st.Disconnects, st.DropReasons,
 		tracker.SafeFlightDistance(), ledger.TotalEnergyPJ()/1e9)
-	if err := json.NewEncoder(os.Stdout).Encode(st); err != nil {
-		fmt.Fprintln(os.Stderr, "dronerl-learner:", err)
-		os.Exit(1)
+	if err := json.NewEncoder(stdout).Encode(st); err != nil {
+		return fail(1, err)
 	}
+	return 0
 }
 
 // buildAgent deploys the meta-model snapshot when given, or initializes

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,10 +65,14 @@ func main() {
 	board := nn.NewPolicyBoard()
 	t := report.New("continuous deployment: learn → publish → adopt → fly",
 		"round", "policy version", "adopted", "mission SFD (m)", "mission crashes")
-	trainer := rl.NewTrainer(trainWorld, learner, rounds*chunkIters)
+	// One loop for every round: each Run continues the flight with the
+	// replay collected so far.
+	loop := &rl.OnlineLoop{Agent: learner, Worlds: []*env.World{trainWorld}, Tracker: rl.TrackerFor(rounds * chunkIters)}
 	for round := 1; round <= rounds; round++ {
 		// The learner trains another chunk and publishes the L3 tail.
-		trainer.Run(chunkIters)
+		if _, err := loop.Run(context.Background(), chunkIters); err != nil {
+			log.Fatal(err)
+		}
 		version := board.Publish(learner.Net, spec.Name)
 
 		// The deployed drone picks the snapshot up between missions; the
@@ -78,7 +83,7 @@ func main() {
 		}
 		droneWorld.Seed(int64(100 * round))
 		droneWorld.Spawn()
-		mission := (&rl.Trainer{World: droneWorld, Agent: drone}).Evaluate(flySteps)
+		mission := rl.Evaluate(droneWorld, drone, flySteps)
 		t.Addf(round, int(version), fmt.Sprint(adopted),
 			mission.SafeFlightDistance(), mission.Crashes())
 	}

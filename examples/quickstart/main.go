@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,10 +54,12 @@ func main() {
 		world.Name, agent.Net.TrainableWeightCount(), agent.Net.WeightCount())
 
 	// 5. Online RL in the deployed world.
-	trainer := rl.NewTrainer(world, agent, 600)
-	before := trainer.Evaluate(400)
-	trainer.Run(600)
-	after := trainer.Evaluate(400)
+	before := rl.Evaluate(world, agent, 400)
+	loop := &rl.OnlineLoop{Agent: agent, Worlds: []*env.World{world}, Tracker: rl.TrackerFor(600)}
+	if _, err := loop.Run(context.Background(), 600); err != nil {
+		log.Fatal(err)
+	}
+	after := rl.Evaluate(world, agent, 400)
 
 	fmt.Printf("\nsafe flight distance before online RL: %s\n", sfd(before, world.DFrame, 400))
 	fmt.Printf("safe flight distance after  online RL: %s\n", sfd(after, world.DFrame, 400))

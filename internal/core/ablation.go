@@ -2,6 +2,7 @@ package core
 
 import (
 	"dronerl/internal/env"
+	"dronerl/internal/metrics"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
 	"dronerl/internal/transfer"
@@ -91,8 +92,10 @@ func (e *RicherMetaExperiment) Phases() []Phase {
 				if err != nil {
 					return err
 				}
-				trainer := rl.NewTrainer(town, agent, scale.OnlineIters)
-				training := trainer.Run(scale.OnlineIters)
+				training, err := learnOnline(rc, town, agent, scale.OnlineIters)
+				if err != nil {
+					return err
+				}
 				sfd, _ := evaluateSFD(town, agent, scale, 400+r)
 				e.sfds[idx] = sfd
 				rc.Emit(Event{
@@ -184,8 +187,10 @@ func (e *StereoExperiment) Phases() []Phase {
 				if err != nil {
 					return err
 				}
-				trainer := rl.NewTrainer(world, agent, scale.OnlineIters)
-				training := trainer.Run(scale.OnlineIters)
+				training, err := learnOnline(rc, world, agent, scale.OnlineIters)
+				if err != nil {
+					return err
+				}
 				e.sfds[k], _ = evaluateSFD(world, agent, scale, 500)
 				rc.Emit(Event{
 					Env: world.Name, Config: nn.L3, Run: k,
@@ -203,4 +208,12 @@ func (e *StereoExperiment) Phases() []Phase {
 			},
 		},
 	}
+}
+
+// learnOnline flies agent's serial online loop in w for iters steps and
+// returns the loop's flight tracker.
+func learnOnline(rc *RunContext, w *env.World, agent *rl.Agent, iters int) (*metrics.FlightTracker, error) {
+	loop := &rl.OnlineLoop{Agent: agent, Worlds: []*env.World{w}, Tracker: rl.TrackerFor(iters)}
+	_, err := loop.Run(rc.Context(), iters)
+	return loop.Tracker, err
 }

@@ -462,8 +462,7 @@ func evaluateSFD(w *env.World, agent *rl.Agent, scale FlightScale, envIdx int) (
 		// Same layout, independent spawn stream.
 		w.Seed(scale.Seed + int64(1000*(e+1)+envIdx))
 		w.Spawn()
-		trainer := &rl.Trainer{World: w, Agent: agent}
-		tr := trainer.Evaluate(steps)
+		tr := rl.Evaluate(w, agent, steps)
 		dist += float64(tr.Steps()) * w.DFrame
 		crashes += tr.Crashes()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"dronerl/internal/env"
@@ -82,32 +83,23 @@ func RunMission(w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfi
 	fps := model.Iteration(cfg.Config, cfg.Batch).FPS()
 
 	res := MissionResult{Config: cfg.Config, FPS: fps}
-	obs := env.DepthImage(w.Depths(), w.Camera.MaxRange)
+	// The budget fixes the frame count before the first frame flies.
 	for res.Frames < cfg.MaxFrames && res.EnergySpentJ+perFrameJ <= cfg.ComputeBudgetJ {
-		var action int
-		if cfg.Online {
-			action = agent.SelectAction(obs)
-		} else {
-			action = agent.Greedy(obs)
-		}
-		step := w.Step(env.Action(action))
-		next := env.DepthImage(step.Depths, w.Camera.MaxRange)
-		if cfg.Online {
-			agent.Observe(rl.Transition{
-				State: obs, Action: action, Reward: step.Reward,
-				Next: next, Done: step.Crashed,
-			})
-			if res.Frames%cfg.Batch == 0 {
-				agent.TrainStep()
-			}
-		}
-		obs = next
 		res.Frames++
 		res.DistanceM += w.DFrame
 		res.EnergySpentJ += perFrameJ
-		if step.Crashed {
-			res.Crashes++
+	}
+	if cfg.Online {
+		// Learning on the mission is the serial online loop, one TD step
+		// every Batch frames. One world and no deadline: it cannot fail.
+		loop := &rl.OnlineLoop{
+			Agent: agent, Worlds: []*env.World{w},
+			Tracker: rl.TrackerFor(res.Frames), TrainEvery: cfg.Batch,
 		}
+		_, _ = loop.Run(context.TODO(), res.Frames)
+		res.Crashes = loop.Tracker.Crashes()
+	} else {
+		res.Crashes = rl.Evaluate(w, agent, res.Frames).Crashes()
 	}
 	res.WallClockS = float64(res.Frames) / fps
 	return res

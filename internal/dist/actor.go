@@ -15,7 +15,6 @@ import (
 	"dronerl/internal/env"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
-	"dronerl/internal/tensor"
 )
 
 // ActorConfig assembles a remote actor. Spec, World and Steps are required;
@@ -250,50 +249,22 @@ func (a *actor) snapshotStats() ActorStats {
 	return st
 }
 
-// fly is the stepping loop: epsilon-greedy action on the local policy,
-// world step, ring push, opportunistic flush, episode-boundary adoption.
-// Under a transfer topology the forward splits at the training boundary like
-// rl.OnlineLoop.runExact: the frozen prefix runs once per captured frame —
-// right after the step that produced it, exploration steps included — and
-// its activation serves three times: the greedy action's tail pass, this
-// transition's NextFeat, the next transition's Feat. This drone is the only
-// place the prefix of its frames is ever evaluated.
+// fly is the stepping loop: rl.Actor's act → step → capture, ring push,
+// opportunistic flush, episode-boundary adoption. Under a transfer topology
+// each transition carries the float boundary features of its frames, which
+// the actor computes once per frame: this drone is the only place the prefix
+// of its frames is ever evaluated.
 func (a *actor) fly(ctx context.Context) error {
-	w := a.cfg.World
-	boundary, last := a.net.TrainFrom(), len(a.net.Layers)
-	prefix := func(obs *tensor.Tensor) *tensor.Tensor {
-		if boundary == 0 {
-			return nil
-		}
-		return a.net.ForwardRange(0, boundary, obs)
+	act := &rl.Actor{
+		Net: a.net, World: a.cfg.World, Rng: a.rng, Schedule: a.schedule,
+		Actions: a.actions(), FloatFeatures: true,
 	}
-	obs := env.DepthImage(w.Depths(), w.Camera.MaxRange)
-	feat := prefix(obs)
 	for k := 0; k < a.cfg.Steps; k++ {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		t := a.globalEnv.Add(1)
-		var action int
-		switch {
-		case a.rng.Float64() < a.schedule.EpsilonAt(t):
-			action = a.rng.Intn(a.actions())
-		case feat != nil:
-			action = a.net.ForwardRange(boundary, last, feat).ArgMax()
-		default:
-			action = a.net.Forward(obs).ArgMax()
-		}
-		res := w.Step(env.Action(action))
-		next := env.DepthImage(res.Depths, w.Camera.MaxRange)
-		nextFeat := prefix(next)
-		a.push(Experience{
-			T: rl.Transition{
-				State: obs, Action: action, Reward: res.Reward,
-				Next: next, Done: res.Crashed,
-				Feat: feat, NextFeat: nextFeat,
-			},
-			Dist: res.FlightDistance,
-		})
+		tr, res := act.Step(a.globalEnv.Add(1))
+		a.push(Experience{T: tr, Dist: res.FlightDistance})
 		a.stats.Steps++
 		a.maybeFlush(false)
 		if res.Crashed && a.adoptPending() {
@@ -302,9 +273,8 @@ func (a *actor) fly(ctx context.Context) error {
 			for i := a.ringHead; i < len(a.ring); i++ {
 				a.ring[i].T.Feat, a.ring[i].T.NextFeat = nil, nil
 			}
-			nextFeat = prefix(next)
+			act.Recapture()
 		}
-		obs, feat = next, nextFeat
 	}
 	return nil
 }

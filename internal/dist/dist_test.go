@@ -221,26 +221,38 @@ func TestDistActorKillRestart(t *testing.T) {
 // TestDistLearnerCrashResume crashes the learner mid-run and restarts it
 // from its checkpoint on the same address: the actors reconnect on their
 // own, reclaim their slots, and the resumed learner continues training from
-// the checkpointed clock and replay cursors.
+// the checkpointed clock and replay cursors. The crash is clocked by the
+// learner's progress, not by wall time: its first publish after a checkpoint
+// that has seen both actors and real training cancels it.
 func TestDistLearnerCrashResume(t *testing.T) {
-	// Long enough that the actors are still flying when the learner returns
-	// (a usable checkpoint shows up some 600 frames in).
-	const steps = 3000
+	// Both actors must still be flying when the crash lands. It landed at
+	// fleet env step 16–752 over 20 runs each at GOMAXPROCS 1 and 2 (the
+	// learner lags the actors by its checkpoint writes), so each actor flies
+	// twice the worst of that.
+	const steps = 1500
 	f := newFleet(t, 81, nn.L3)
 	ckpt := filepath.Join(t.TempDir(), "learner.ckpt")
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 
+	l1ctx, l1cancel := context.WithCancel(ctx)
+	defer l1cancel()
 	learner1, err := NewLearner(LearnerConfig{
 		Agent: f.agent, Spec: f.spec, Cfg: f.cfg, Listener: f.ln,
-		ActorSlots: 2, TotalSteps: 2 * steps, TrainEvery: 4, SyncEvery: 4,
+		ActorSlots: 2, TotalSteps: 2 * steps, TrainEvery: 4, SyncEvery: 2,
 		HeartbeatEvery: 25 * time.Millisecond,
 		CheckpointPath: ckpt, CheckpointEvery: 4,
+		// Where a publish and a checkpoint fall on one train step the
+		// publish goes first, so the checkpoint read here is an earlier one.
+		OnPublish: func(uint64) {
+			if c, err := LoadCheckpoint(ckpt); err == nil && c.TrainSteps >= 4 && len(c.Slots) == 2 {
+				l1cancel()
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1ctx, l1cancel := context.WithCancel(ctx)
 	l1done := make(chan error, 1)
 	go func() {
 		_, err := learner1.Run(l1ctx)
@@ -262,31 +274,20 @@ func TestDistLearnerCrashResume(t *testing.T) {
 		}(i)
 	}
 
-	// Wait for a checkpoint that has seen both actors and real training,
-	// then crash the learner.
-	var cp *Checkpoint
-	for {
-		c, err := LoadCheckpoint(ckpt)
-		if err == nil && c.TrainSteps >= 8 && len(c.Slots) == 2 {
-			cp = c
-			break
-		}
-		select {
-		case <-ctx.Done():
-			t.Fatalf("no usable checkpoint before timeout (last: %+v, %v)", c, err)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	l1cancel()
 	if err := <-l1done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("crashed learner reported %v, want context.Canceled", err)
 	}
 
 	// Resume: fresh process state, same address, checkpointed everything.
-	cp, err = LoadCheckpoint(ckpt)
+	cp, err := LoadCheckpoint(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cp.EnvSteps >= 2*steps || cp.TrainSteps < 4 || len(cp.Slots) != 2 {
+		t.Fatalf("the crash did not land mid-mission: checkpoint at env %d train %d with %d actors, of %d env steps",
+			cp.EnvSteps, cp.TrainSteps, len(cp.Slots), 2*steps)
+	}
+	t.Logf("crash checkpoint at env %d of %d", cp.EnvSteps, 2*steps)
 	ln2, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -334,8 +335,8 @@ func TestDistLearnerCrashResume(t *testing.T) {
 	if st2.Resumes < 2 {
 		t.Errorf("resumed learner re-admitted %d actors by ID, want 2", st2.Resumes)
 	}
-	if st2.TrainSteps < 1 {
-		t.Errorf("resumed learner trained %d steps", st2.TrainSteps)
+	if st2.EnvSteps < 1 || st2.TrainSteps < 1 {
+		t.Errorf("resumed learner received %d env steps and trained %d", st2.EnvSteps, st2.TrainSteps)
 	}
 	if got := agent2.Clock().TrainSteps(); got <= cp.TrainSteps {
 		t.Errorf("cumulative train steps %d did not advance past checkpoint %d", got, cp.TrainSteps)

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,7 +31,7 @@ func newTestBackend(t *testing.T, cfg nn.Config, seed int64) (*SystolicBackend, 
 func metaTrainedNavNet() *nn.Network {
 	const seed, iters = 5, 100
 	agent := rl.NewAgent(nn.NavNetSpec(), nn.E2E, rl.Options{Seed: seed, BatchSize: 4, EpsDecaySteps: iters / 2})
-	rl.NewTrainer(env.IndoorMeta(seed), agent, iters).Run(iters)
+	(&rl.OnlineLoop{Agent: agent, Worlds: []*env.World{env.IndoorMeta(seed)}}).Run(context.Background(), iters)
 	return agent.Net
 }
 

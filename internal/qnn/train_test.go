@@ -1,6 +1,7 @@
 package qnn
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -316,7 +317,7 @@ var metaTrainedNavNet = sync.OnceValue(func() func() *nn.Network {
 	const seed, iters = 5, 150
 	spec := nn.NavNetSpec()
 	agent := rl.NewAgent(spec, nn.E2E, rl.Options{Seed: seed, BatchSize: 4, EpsDecaySteps: iters / 2})
-	rl.NewTrainer(env.IndoorMeta(seed), agent, iters).Run(iters)
+	(&rl.OnlineLoop{Agent: agent, Worlds: []*env.World{env.IndoorMeta(seed)}}).Run(context.Background(), iters)
 	snap := nn.TakeSnapshot(agent.Net, spec.Name)
 	return func() *nn.Network {
 		net := spec.Build()

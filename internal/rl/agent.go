@@ -73,16 +73,6 @@ type Options struct {
 	// learner server; remote actors stream replay over sockets and survive
 	// disconnects with local buffering and reconnect/backoff.
 	Remote int
-	// PrefixBackend names the compute backend the async pipeline's
-	// frozen-prefix server evaluates the shared feature extractor through
-	// ("quant" routes the fleet's boundary features through the batched
-	// 16-bit integer engine — one int16 GEMM per frozen layer per fleet
-	// tick, with the prefix weight stream amortized across the actors).
-	// Empty — the default — keeps the float prefix, bit-identical to the
-	// serial schedule. A non-float prefix trades that bit-identity for the
-	// deployed artifact's integer features: actors train against the
-	// activations the embedded accelerator would actually produce.
-	PrefixBackend string
 	// Seed fixes the agent's private RNG.
 	Seed int64
 
@@ -181,7 +171,6 @@ type Agent struct {
 	tbDone    []bool
 	// Reusable gathered QFeat/QNextFeat rows of the same minibatch.
 	tbFeats, tbNextFeats []int16
-	prefixRows           int // see PrefixRows
 
 	// Reusable training-step buffers: the sampled minibatch, the stacked
 	// state/next-state/gradient tensors and the per-sample TD targets.
@@ -537,7 +526,6 @@ func (a *Agent) trainStepTail(boundary, featDim int) float64 {
 	// path's stacked prefix, per the ForwardBatch row contract). Fully
 	// cached batches — the async pipeline's steady state — skip it.
 	if m := len(a.missObs); m > 0 {
-		a.prefixRows += m
 		sh := a.missObs[0].Shape()
 		if len(sh) != 3 {
 			panic("rl: TrainStep expects CHW observations")
@@ -648,12 +636,9 @@ func (a *Agent) trainStepBackend() float64 {
 		a.tbDone = make([]bool, b)
 	}
 	actions, rewards, done := a.tbActions[:b], a.tbRewards[:b], a.tbDone[:b]
-	f, live := len(a.batch[0].QFeat), 0
+	f := len(a.batch[0].QFeat)
 	for i, tr := range a.batch {
 		actions[i], rewards[i], done[i] = tr.Action, tr.Reward, tr.Done
-		if !tr.Done {
-			live++
-		}
 		if len(tr.QFeat) != f || !tr.Done && len(tr.QNextFeat) != f {
 			f = 0
 		}
@@ -672,7 +657,6 @@ func (a *Agent) trainStepBackend() float64 {
 		}
 	} else {
 		batch.States, batch.Nexts = a.stackFrames()
-		a.prefixRows += b + live
 	}
 	mse := a.trainBackend.Train(batch)
 	ts := a.clock.TickTrain()
@@ -684,13 +668,6 @@ func (a *Agent) trainStepBackend() float64 {
 	}
 	return mse
 }
-
-// PrefixRows counts the rows TrainStep has run from the frame instead of
-// from cached boundary features: the float tail path's cache misses, and
-// every state and live next-state row of a train-backend step that had to
-// stack frames (under E2E all of them: nothing is frozen, nothing cached). A
-// frozen-topology run that caches features at capture reads 0 on any machine.
-func (a *Agent) PrefixRows() int { return a.prefixRows }
 
 // argmaxRow returns the index of the maximum value with ties resolving to
 // the lowest index, matching tensor.ArgMax.

@@ -2,7 +2,6 @@ package rl
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -10,49 +9,37 @@ import (
 	"dronerl/internal/env"
 	"dronerl/internal/metrics"
 	"dronerl/internal/nn"
-	"dronerl/internal/tensor"
 )
 
-// This file is the asynchronous actor/learner online-learning pipeline, the
-// concurrent rebuild of the serial act→store→train loop in trainer.go.
+// This file is the online-learning loop: one or more Actors feeding replay,
+// one learner training on it.
 //
-//	          ┌─────────────┐   boundary features    ┌──────────────┐
-//	obs ────▶ │ prefix      │ ──────────────────────▶│ actor 0..N-1 │──▶ act
-//	(batched) │ server      │     (one GEMM per      │ (own FC tail,│
-//	          │ (frozen     │      layer for all     │  own world,  │
-//	          │  conv+FC)   │      actors' obs)      │  own rng)    │
-//	          └─────────────┘                        └──────┬───────┘
-//	                 ▲ snapshot swap at episode boundary    │ transitions
-//	          ┌──────┴──────┐      ┌───────────────┐        ▼
-//	          │ PolicyBoard │ ◀────│    learner    │◀── ReplayShards
-//	          └─────────────┘ pub  │ (batched      │    (per-actor,
-//	                               │  TrainStep)   │     lock-aware)
-//	                               └───────────────┘
+//	┌──────────────┐  transitions   ┌───────────────┐   ┌───────────────┐
+//	│ actor 0..N-1 │ ─────────────▶ │ ReplayShards  │──▶│    learner    │
+//	│ (Actor.Step: │                │ (one shard    │   │ (batched      │
+//	│  own world,  │                │  per actor)   │   │  TrainStep)   │
+//	│  own rng)    │                └───────────────┘   └───────┬───────┘
+//	└──────┬───────┘                                            │ publish
+//	       ▲        snapshot swap at episode boundary   ┌───────▼───────┐
+//	       └─────────────────────────────────────────── │  PolicyBoard  │
+//	                                                    └───────────────┘
 //
-// N actors step private environment copies concurrently and push experience
-// into per-actor replay shards; the single learner samples across the shards
-// (deterministic interleave) and runs the existing batched TrainStep,
-// publishing the trainable weights through atomic double-buffered
-// nn.Snapshot swaps that actors pick up at episode boundaries. Epsilon and
-// target-sync schedules key off the shared monotonic Clock, so behaviour is
-// well-defined no matter how the goroutines interleave.
+// With one world the loop is the deterministic serial schedule: one Actor
+// flying the agent's own network with the agent's rng, TrainStep called
+// inline every TrainEvery steps — the paper's on-drone loop, and the
+// historical online-learning outputs bit for bit (pinned by transfer's
+// TestRunOnlineActorsOneGolden).
 //
-// Under the transfer topologies (L2/L3/L4) the layers below the training
-// boundary are frozen, which the pipeline exploits twice: a prefix server
-// evaluates the frozen feature extractor for every actor's observation in
-// one batched pass (one GEMM per layer for all actors — in the modeled
-// hardware, one weight stream from the STT-MRAM stack serving the whole
-// actor fleet), and the boundary features ride along with each transition so
-// the learner's TrainStep re-runs only the trainable FC tail. Under E2E
-// nothing is frozen: every actor runs full private forward passes and every
-// published snapshot carries the whole network — the expensive baseline the
-// paper's co-design argument is built on.
-//
-// With a single actor the pipeline collapses to the deterministic serial
-// schedule: one goroutine interleaving actor and learner exactly like
-// Trainer.Run, sharing the agent's rng stream, so a seeded actors=1 run
-// reproduces the historical online-learning outputs bit for bit (pinned by
-// TestOnlineLoopExactMatchesTrainer and transfer's TestRunOnlineActorsOneGolden).
+// With N worlds, N actors step private environment copies concurrently, each
+// flying a private policy replica that runs its own frozen prefix, and push
+// experience into per-actor replay shards; the learner on the calling
+// goroutine samples across the shards (deterministic interleave), runs the
+// batched TrainStep on the shared clock's cadence and publishes the trainable
+// weights through atomic double-buffered nn.Snapshot swaps that actors pick
+// up at episode boundaries. Epsilon and target-sync schedules key off the
+// shared monotonic Clock, so behaviour is well-defined no matter how the
+// goroutines interleave. Under E2E every published snapshot carries the whole
+// network — the expensive baseline the paper's co-design argument is built on.
 
 // OnlineLoop runs online RL for an agent across one or more actors.
 type OnlineLoop struct {
@@ -82,6 +69,15 @@ type OnlineLoop struct {
 	OnPublish func(version uint64)
 
 	trackMu sync.Mutex
+	// shards is the replay the loop's actors feed. It outlives a Run, so a
+	// loop run again keeps learning from what it already collected — while
+	// the agent keeps the training boundary and train backend it was
+	// collected under: a transition's cached features are void under any
+	// other, so a new one (SetConfig, ActivateTrainBackend, an AdoptPolicy
+	// that rebuilds the backend) starts an empty replay.
+	shards       *ReplayShards
+	shardsFrom   int
+	shardsEngine nn.TrainableBackend
 }
 
 // OnlineStats summarizes one OnlineLoop run.
@@ -96,17 +92,16 @@ type OnlineStats struct {
 	// boundary; both are zero in the single-actor deterministic mode,
 	// where actor and learner share one network.
 	Publishes, Adoptions int
-	// PrefixRows is the run's share of Agent.PrefixRows: rows the learner
-	// ran from the frame instead of from cached boundary features.
-	PrefixRows int
 }
 
 // Run executes the loop for the given number of total environment steps,
 // split evenly across the actors. It returns once every actor has finished
 // its share and the learner has drained every due train step, or when ctx is
 // cancelled (reported as ctx.Err(); in-flight steps finish, every goroutine
-// exits before Run returns).
+// exits before Run returns). Running a loop again continues the flight from
+// each world's current pose, with the replay collected so far (see shards).
 func (l *OnlineLoop) Run(ctx context.Context, iters int) (OnlineStats, error) {
+	a := l.Agent
 	if len(l.Worlds) == 0 {
 		panic("rl: OnlineLoop needs at least one world")
 	}
@@ -114,112 +109,85 @@ func (l *OnlineLoop) Run(ctx context.Context, iters int) (OnlineStats, error) {
 		l.TrainEvery = 4
 	}
 	if l.SyncEvery <= 0 {
-		l.SyncEvery = l.Agent.opts.SyncEvery
+		l.SyncEvery = a.opts.SyncEvery
 	}
 	if l.SyncEvery <= 0 {
 		l.SyncEvery = 8
 	}
-	if len(l.Worlds) == 1 {
-		return l.runExact(ctx, iters)
+	if l.shards == nil || l.shards.Shards() != len(l.Worlds) ||
+		l.shardsFrom != a.Net.TrainFrom() || l.shardsEngine != a.trainBackend {
+		l.shards = NewReplayShards(len(l.Worlds), a.opts.ReplayCapacity)
+		l.shardsFrom, l.shardsEngine = a.Net.TrainFrom(), a.trainBackend
 	}
-	return l.runAsync(ctx, iters)
+	a.SetReplaySource(l.shards)
+	defer a.SetReplaySource(nil)
+	if len(l.Worlds) == 1 {
+		return l.runSerial(ctx, iters)
+	}
+	return l.runFleet(ctx, iters)
 }
 
 // track serializes tracker updates across actors.
-func (l *OnlineLoop) track(reward float64, crashed bool, dist float64) {
+func (l *OnlineLoop) track(res env.StepResult) {
 	if l.Tracker == nil {
 		return
 	}
 	l.trackMu.Lock()
-	l.Tracker.Step(reward, crashed, dist)
+	l.Tracker.Step(res.Reward, res.Crashed, res.FlightDistance)
 	l.trackMu.Unlock()
 }
 
-// runExact is the deterministic single-actor schedule: the exact serial
-// act→store→train interleaving of Trainer.Run on one goroutine, with the
-// actor and learner sharing the agent's network and rng stream — but flowing
-// through the pipeline's components (shards, clock, cached boundary
-// features), which are stream-equivalent by construction.
-func (l *OnlineLoop) runExact(ctx context.Context, iters int) (OnlineStats, error) {
-	a := l.Agent
-	w := l.Worlds[0]
-	shards := NewReplayShards(1, a.opts.ReplayCapacity)
-	a.SetReplaySource(shards)
-	defer a.SetReplaySource(nil)
-
-	stats := OnlineStats{Actors: 1}
-	envStart, trainStart, rowsStart := a.clock.EnvSteps(), a.clock.TrainSteps(), a.prefixRows
-	boundary := a.Net.TrainFrom()
-	last := len(a.Net.Layers)
-	obs := env.DepthImage(w.Depths(), w.Camera.MaxRange)
-	// A train backend that freezes a prefix runs every captured frame through
-	// it once, here, exploration steps included: the words are this
-	// transition's QNextFeat and the next one's QFeat, so every transition is
-	// pushed fully cached.
-	qfeat := func(*tensor.Tensor) []int16 { return nil }
-	if fz, ok := a.trainBackend.(nn.BoundaryFeaturizer); ok {
-		qfeat = fz.BoundaryFeatures
+// actor builds an Actor flying net in w with the agent's schedule. It
+// captures what the agent's TrainStep reads: the train backend's integer
+// boundary words when it can make them and the actor flies the agent's own
+// network (BoundaryFeatures is not goroutine-safe); nothing otherwise under
+// a train backend, which then stacks frames; float boundary features for the
+// float learner.
+func (a *Agent) actor(net *nn.Network, w *env.World, rng *rand.Rand) *Actor {
+	act := &Actor{Net: net, World: w, Rng: rng, Schedule: a.opts, Actions: a.actions}
+	switch fz, ok := a.trainBackend.(nn.BoundaryFeaturizer); {
+	case ok && net == a.Net:
+		act.QFeatures = fz
+	case a.trainBackend == nil:
+		act.FloatFeatures = true
 	}
-	qobs := qfeat(obs)
-	prevOrd := int64(-1)
+	return act
+}
+
+// runSerial is the deterministic single-actor schedule: one Actor flying the
+// agent's own network with the agent's rng and clock, TrainStep called inline
+// every TrainEvery steps.
+func (l *OnlineLoop) runSerial(ctx context.Context, iters int) (OnlineStats, error) {
+	a := l.Agent
+	stats := OnlineStats{Actors: 1}
+	envStart, trainStart := a.clock.EnvSteps(), a.clock.TrainSteps()
+	act := a.actor(a.Net, l.Worlds[0], a.rng)
+	var err error
 	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return stats, err
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		t := a.clock.TickEnv()
-		var feat *tensor.Tensor
-		var action int
-		if a.rng.Float64() < a.opts.EpsilonAt(t) {
-			action = a.rng.Intn(a.actions)
-		} else if boundary > 0 {
-			// Split greedy pass: frozen prefix to the boundary, trainable
-			// tail to the Q-values — the same layer sequence Net.Forward
-			// runs, so the action is bit-identical, and the boundary
-			// activation becomes the transition's cached feature.
-			feat = a.Net.ForwardRange(0, boundary, obs)
-			action = a.Net.ForwardRange(boundary, last, feat).ArgMax()
-		} else {
-			action = a.Net.Forward(obs).ArgMax()
-		}
-		if feat != nil && prevOrd >= 0 {
-			// This observation is the previous transition's next-state:
-			// backfill its cached features for the learner.
-			shards.SetNextFeat(0, prevOrd, feat)
-		}
-		res := w.Step(env.Action(action))
-		next := env.DepthImage(res.Depths, w.Camera.MaxRange)
-		qnext := qfeat(next)
-		prevOrd = shards.PushTo(0, Transition{
-			State: obs, Action: action, Reward: res.Reward,
-			Next: next, Done: res.Crashed, Feat: feat,
-			QFeat: qobs, QNextFeat: qnext,
-		})
-		l.track(res.Reward, res.Crashed, res.FlightDistance)
+		tr, res := act.Step(a.clock.TickEnv())
+		l.shards.PushTo(0, tr)
+		l.track(res)
 		if i%l.TrainEvery == 0 {
 			a.TrainStep()
 		}
-		obs, qobs = next, qnext
 	}
 	stats.EnvSteps = int(a.clock.EnvSteps() - envStart)
 	stats.TrainSteps = int(a.clock.TrainSteps() - trainStart)
-	stats.PrefixRows = a.prefixRows - rowsStart
-	return stats, nil
+	return stats, err
 }
 
-// runAsync is the concurrent schedule: one goroutine per actor, a prefix
-// server when the topology freezes a prefix, and the learner on the calling
+// runFleet is the concurrent schedule: one goroutine per actor, each flying
+// a private replica with a private rng, and the learner on the calling
 // goroutine.
-func (l *OnlineLoop) runAsync(ctx context.Context, iters int) (OnlineStats, error) {
+func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, error) {
 	a := l.Agent
 	n := len(l.Worlds)
-	boundary := a.Net.TrainFrom()
 	clock := a.clock
 	stats := OnlineStats{Actors: n}
-	envStart, trainStart, rowsStart := clock.EnvSteps(), clock.TrainSteps(), a.prefixRows
-
-	shards := NewReplayShards(n, a.opts.ReplayCapacity)
-	a.SetReplaySource(shards)
-	defer a.SetReplaySource(nil)
+	envStart, trainStart := clock.EnvSteps(), clock.TrainSteps()
 
 	board := nn.NewPolicyBoard()
 	initial := board.Publish(a.Net, a.spec.Name)
@@ -227,28 +195,14 @@ func (l *OnlineLoop) runAsync(ctx context.Context, iters int) (OnlineStats, erro
 	// Each actor flies its own policy replica; the frozen prefix of every
 	// replica is identical for the whole run, only the trainable tail is
 	// refreshed through the board.
-	nets := make([]*nn.Network, n)
-	for i := range nets {
+	actors := make([]*Actor, n)
+	for i := range actors {
 		net := a.spec.Build()
 		net.SetConfig(a.cfg)
 		if err := net.CopyWeightsFrom(a.Net); err != nil {
 			return stats, err
 		}
-		nets[i] = net
-	}
-	var srv *prefixServer
-	if boundary > 0 {
-		srvNet := a.spec.Build()
-		if err := srvNet.CopyWeightsFrom(a.Net); err != nil {
-			return stats, err
-		}
-		srv = newPrefixServer(srvNet, boundary, n)
-		if a.opts.PrefixBackend != "" {
-			if err := srv.useBackend(a.opts.PrefixBackend, a.spec, a.cfg); err != nil {
-				return stats, err
-			}
-		}
-		go srv.run()
+		actors[i] = a.actor(net, l.Worlds[i], rand.New(rand.NewSource(a.opts.Seed+7919*int64(i+1))))
 	}
 
 	// Cancellation plumbing: an actor error cancels the run; any
@@ -270,24 +224,34 @@ func (l *OnlineLoop) runAsync(ctx context.Context, iters int) (OnlineStats, erro
 
 	var adoptions atomic.Int64
 	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
+	for id, act := range actors {
 		share := iters / n
 		if id < iters%n {
 			share++
 		}
 		wg.Add(1)
-		go func(id, share int) {
+		go func() {
 			defer wg.Done()
-			if srv != nil {
-				defer srv.depart()
+			lastSeen := initial
+			for k := 0; k < share && runCtx.Err() == nil; k++ {
+				tr, res := act.Step(clock.TickEnv())
+				l.shards.PushTo(id, tr)
+				l.track(res)
+				if !res.Crashed {
+					continue
+				}
+				// Episode boundary: pick up the latest published policy.
+				v, changed, err := board.Adopt(act.Net, lastSeen)
+				if err != nil {
+					fail(err)
+					return
+				}
+				lastSeen = v
+				if changed {
+					adoptions.Add(1)
+				}
 			}
-			l.actorLoop(runCtx, actorState{
-				id: id, steps: share, net: nets[id], world: l.Worlds[id],
-				boundary: boundary, shards: shards, srv: srv, board: board,
-				lastSeen: initial,
-				rng:      rand.New(rand.NewSource(a.opts.Seed + 7919*int64(id+1))),
-			}, &adoptions, fail)
-		}(id, share)
+		}()
 	}
 
 	// The learner: the k-th weight update becomes due once the actor fleet
@@ -319,212 +283,14 @@ func (l *OnlineLoop) runAsync(ctx context.Context, iters int) (OnlineStats, erro
 		}
 	}
 	wg.Wait()
-	if srv != nil {
-		<-srv.done
-	}
 	cancel()
 	<-wake
 
 	stats.EnvSteps = int(clock.EnvSteps() - envStart)
 	stats.TrainSteps = int(clock.TrainSteps() - trainStart)
-	stats.PrefixRows = a.prefixRows - rowsStart
 	stats.Adoptions = int(adoptions.Load())
 	if e := firstErr.Load(); e != nil {
 		return stats, *e
 	}
 	return stats, ctx.Err()
-}
-
-// actorState bundles one actor's private state.
-type actorState struct {
-	id, steps int
-	net       *nn.Network
-	world     *env.World
-	boundary  int
-	shards    *ReplayShards
-	srv       *prefixServer
-	board     *nn.PolicyBoard
-	lastSeen  uint64
-	rng       *rand.Rand
-}
-
-// actorLoop steps one actor: request boundary features from the prefix
-// server (batched with the other actors), pick an epsilon-greedy action on
-// the private policy tail, step the private world, push the transition to
-// the actor's shard, and adopt the latest published policy at episode
-// boundaries.
-func (l *OnlineLoop) actorLoop(ctx context.Context, s actorState, adoptions *atomic.Int64, fail func(error)) {
-	a := l.Agent
-	last := len(s.net.Layers)
-	obs := env.DepthImage(s.world.Depths(), s.world.Camera.MaxRange)
-	prevOrd := int64(-1)
-	for k := 0; k < s.steps; k++ {
-		if ctx.Err() != nil {
-			return
-		}
-		t := a.clock.TickEnv()
-		var feat *tensor.Tensor
-		if s.srv != nil {
-			feat = s.srv.infer(s.id, obs)
-		}
-		if feat != nil && prevOrd >= 0 {
-			s.shards.SetNextFeat(s.id, prevOrd, feat)
-		}
-		var action int
-		switch {
-		case s.rng.Float64() < a.opts.EpsilonAt(t):
-			action = s.rng.Intn(a.actions)
-		case feat != nil:
-			action = s.net.ForwardRange(s.boundary, last, feat).ArgMax()
-		default:
-			action = s.net.Forward(obs).ArgMax()
-		}
-		res := s.world.Step(env.Action(action))
-		next := env.DepthImage(res.Depths, s.world.Camera.MaxRange)
-		prevOrd = s.shards.PushTo(s.id, Transition{
-			State: obs, Action: action, Reward: res.Reward,
-			Next: next, Done: res.Crashed, Feat: feat,
-		})
-		l.track(res.Reward, res.Crashed, res.FlightDistance)
-		if res.Crashed {
-			// Episode boundary: pick up the latest published policy.
-			v, changed, err := s.board.Adopt(s.net, s.lastSeen)
-			if err != nil {
-				fail(err)
-				return
-			}
-			s.lastSeen = v
-			if changed {
-				adoptions.Add(1)
-			}
-		}
-		obs = next
-	}
-}
-
-// featReq asks the prefix server for the boundary features of one actor's
-// observation.
-type featReq struct {
-	obs   *tensor.Tensor
-	reply chan *tensor.Tensor
-}
-
-// prefixServer evaluates the frozen feature extractor for the whole actor
-// fleet: it collects one outstanding request per live actor and runs them as
-// a single batched pass — one GEMM per frozen layer for all actors, the
-// software image of streaming each MRAM-resident weight once per fleet step
-// instead of once per actor.
-type prefixServer struct {
-	net      *nn.Network
-	boundary int
-	reqs     chan featReq
-	leave    chan struct{}
-	done     chan struct{}
-	alive    int
-	replies  []chan *tensor.Tensor
-
-	// batched, when set, evaluates the frozen prefix instead of the float
-	// ForwardBatchRange: a backend compiled over the prefix layers only
-	// (see useBackend). The quant engine here is the paper's deployment
-	// story applied to online learning — the fleet's shared feature
-	// extractor runs as one integer GEMM per layer per tick, streaming the
-	// MRAM-resident prefix weights once per fleet step.
-	batched nn.BatchInferrer
-}
-
-// useBackend compiles the server's frozen prefix into the named registry
-// backend and routes every flush through its batched-inference hook. The
-// prefix sub-network shares the server replica's layers, so the compiled
-// backend captures exactly the weights the float path would read.
-func (s *prefixServer) useBackend(name string, spec nn.ArchSpec, cfg nn.Config) error {
-	prefix := &nn.Network{Layers: s.net.Layers[:s.boundary]}
-	b, err := nn.NewBackendFor(name, prefix, spec, cfg)
-	if err != nil {
-		return fmt.Errorf("rl: building %q prefix backend: %w", name, err)
-	}
-	bi, ok := b.(nn.BatchInferrer)
-	if !ok {
-		return fmt.Errorf("rl: prefix backend %q has no batched inference path", name)
-	}
-	s.batched = bi
-	return nil
-}
-
-func newPrefixServer(net *nn.Network, boundary, actors int) *prefixServer {
-	s := &prefixServer{
-		net:      net,
-		boundary: boundary,
-		reqs:     make(chan featReq, actors),
-		leave:    make(chan struct{}, actors),
-		done:     make(chan struct{}),
-		alive:    actors,
-		replies:  make([]chan *tensor.Tensor, actors),
-	}
-	for i := range s.replies {
-		s.replies[i] = make(chan *tensor.Tensor, 1)
-	}
-	return s
-}
-
-// infer requests the boundary features of obs and blocks until the batched
-// pass containing it completes. The returned tensor is freshly allocated and
-// owned by the caller.
-func (s *prefixServer) infer(actor int, obs *tensor.Tensor) *tensor.Tensor {
-	s.reqs <- featReq{obs: obs, reply: s.replies[actor]}
-	return <-s.replies[actor]
-}
-
-// depart tells the server one actor has finished.
-func (s *prefixServer) depart() { s.leave <- struct{}{} }
-
-// run is the server loop: gather one request per live actor, flush the
-// batch, repeat until every actor departed.
-func (s *prefixServer) run() {
-	defer close(s.done)
-	var arena tensor.Arena
-	pending := make([]featReq, 0, s.alive)
-	for s.alive > 0 {
-		select {
-		case r := <-s.reqs:
-			pending = append(pending, r)
-		case <-s.leave:
-			s.alive--
-		}
-		if len(pending) > 0 && len(pending) >= s.alive {
-			s.flush(&arena, pending)
-			pending = pending[:0]
-		}
-	}
-}
-
-// flush stacks the pending observations, runs one batched frozen-prefix
-// pass and replies with a private copy of each row.
-func (s *prefixServer) flush(arena *tensor.Arena, pending []featReq) {
-	b := len(pending)
-	sh := pending[0].obs.Shape()
-	if len(sh) != 3 {
-		panic("rl: prefix server expects CHW observations")
-	}
-	batch := arena.Get(0, b, sh[0], sh[1], sh[2])
-	n := pending[0].obs.Len()
-	for i, r := range pending {
-		copy(batch.Data()[i*n:(i+1)*n], r.obs.Data())
-	}
-	var od []float32
-	if s.batched != nil {
-		od = s.batched.InferBatch(batch)
-	} else {
-		od = s.net.ForwardBatchRange(0, s.boundary, batch).Data()
-	}
-	f := len(od) / b
-	for i, r := range pending {
-		r.reply <- tensor.FromSlice(append([]float32(nil), od[i*f:(i+1)*f]...), f)
-	}
-}
-
-// TrackerFor builds the flight tracker the online loop feeds, sized for
-// runs of the given iteration count exactly like rl.NewTrainer sizes its
-// tracker (smoothing windows scale with the run length).
-func TrackerFor(iterations int) *metrics.FlightTracker {
-	return metrics.NewFlightTracker(max(iterations/4, 10), 10, max(1, iterations/200))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dronerl/internal/env"
+	"dronerl/internal/metrics"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
 
@@ -36,11 +37,31 @@ func seriesEqual(t *testing.T, label string, a, b []float64) {
 	}
 }
 
-// TestOnlineLoopExactMatchesTrainer is the determinism pin of the tentpole:
-// the actor/learner pipeline at actors=1 with a fixed seed must reproduce
-// the serial Trainer.Run loop bit for bit — same tracker series, same
-// crashes, same weights after training — for a frozen topology (which takes
-// the cached-feature path) and for E2E (which takes the full path).
+// serialTrainer is the plain act→store→train loop written against the
+// agent's public API: SelectAction, Observe into its private replay,
+// TrainStep every fourth step.
+func serialTrainer(w *env.World, a *Agent, iters int) *metrics.FlightTracker {
+	tracker := TrackerFor(iters)
+	obs := env.DepthImage(w.Depths(), w.Camera.MaxRange)
+	for i := 0; i < iters; i++ {
+		action := a.SelectAction(obs)
+		res := w.Step(env.Action(action))
+		next := env.DepthImage(res.Depths, w.Camera.MaxRange)
+		a.Observe(Transition{State: obs, Action: action, Reward: res.Reward, Next: next, Done: res.Crashed})
+		tracker.Step(res.Reward, res.Crashed, res.FlightDistance)
+		if i%4 == 0 {
+			a.TrainStep()
+		}
+		obs = next
+	}
+	return tracker
+}
+
+// TestOnlineLoopExactMatchesTrainer is the determinism pin of the one-actor
+// schedule: the online loop over one world with a fixed seed must reproduce
+// the plain serial loop (serialTrainer) bit for bit — same tracker series,
+// same crashes, same weights after training — for a frozen topology (which
+// takes the cached-feature path) and for E2E (which takes the full path).
 func TestOnlineLoopExactMatchesTrainer(t *testing.T) {
 	for _, cfg := range []nn.Config{nn.L3, nn.E2E} {
 		t.Run(cfg.String(), func(t *testing.T) {
@@ -51,8 +72,7 @@ func TestOnlineLoopExactMatchesTrainer(t *testing.T) {
 			serialWorld := env.IndoorApartment(7)
 			serialWorld.Seed(21)
 			serialWorld.Spawn()
-			trainer := NewTrainer(serialWorld, serialAgent, iters)
-			serialTracker := trainer.Run(iters)
+			serialTracker := serialTrainer(serialWorld, serialAgent, iters)
 
 			loopAgent := NewAgent(spec, cfg, asyncTestOpts(11, 1))
 			loopWorld := env.IndoorApartment(7)
@@ -91,8 +111,8 @@ func TestOnlineLoopExactMatchesTrainer(t *testing.T) {
 }
 
 // TestOnlineLoopAsyncRuns exercises the concurrent pipeline at 4 and 8
-// actors under a frozen topology (prefix server + cached features) and E2E
-// (full private forwards): the full step budget executes, the learner drains
+// actors under a frozen topology (each actor's own prefix pass + cached
+// features) and E2E (full private forwards): the full step budget executes, the learner drains
 // every due train step, snapshots are published and adopted, and the agent
 // still learns on a real workload. Run with -race this is the pipeline's
 // concurrency test.
@@ -146,8 +166,8 @@ func TestOnlineLoopAsyncRuns(t *testing.T) {
 	}
 }
 
-// TestOnlineLoopCancellation: cancelling the context stops actors, prefix
-// server and learner promptly and reports ctx.Err; a restarted loop on fresh
+// TestOnlineLoopCancellation: cancelling the context stops actors and
+// learner promptly and reports ctx.Err; a restarted loop on fresh
 // state completes normally (no poisoned shared state).
 func TestOnlineLoopCancellation(t *testing.T) {
 	const iters = 100000 // far more than the cancelled run will take
@@ -238,40 +258,6 @@ func TestReplayShardsInterleave(t *testing.T) {
 	for i := range got {
 		if got[i].Action != got2[i].Action {
 			t.Errorf("draw %d not reproducible: %d vs %d", i, got[i].Action, got2[i].Action)
-		}
-	}
-}
-
-// TestReplayShardsSetNextFeat: the backfill lands on the right entry and is
-// silently dropped once the ring has evicted it.
-func TestReplayShardsSetNextFeat(t *testing.T) {
-	sh := NewReplayShards(2, 8) // 4 slots per shard
-	feat := tensor.FromSlice([]float32{1, 2}, 2)
-	ord := sh.PushTo(1, Transition{Action: 1})
-	sh.PushTo(1, Transition{Action: 2})
-	sh.SetNextFeat(1, ord, feat)
-	got := sh.SampleInto(nil, 8, rand.New(rand.NewSource(1)))
-	found := false
-	for _, tr := range got {
-		if tr.Action == 1 && tr.NextFeat == feat {
-			found = true
-		}
-		if tr.Action == 2 && tr.NextFeat != nil {
-			t.Error("backfill touched the wrong entry")
-		}
-	}
-	if !found {
-		t.Error("backfilled NextFeat not visible in samples")
-	}
-	// Evict the entry (capacity 4 per shard), then backfill must be a no-op.
-	for i := 0; i < 4; i++ {
-		sh.PushTo(1, Transition{Action: 10 + i})
-	}
-	sh.SetNextFeat(1, ord, feat) // must not panic or corrupt anything
-	got = sh.SampleInto(nil, 8, rand.New(rand.NewSource(2)))
-	for _, tr := range got {
-		if tr.Action >= 10 && tr.NextFeat != nil {
-			t.Error("stale backfill corrupted a newer entry")
 		}
 	}
 }
@@ -380,36 +366,25 @@ func TestAdoptPolicyRebuildsEvalBackend(t *testing.T) {
 	}
 }
 
-// TestOnlineLoopQuantPrefix runs the fleet with the frozen prefix compiled
-// into the 16-bit integer engine: every boundary-feature flush is one int16
-// GEMM per prefix layer for all actors' observations. The loop must complete
-// and train normally on the quantized features (this path deliberately
-// trades bit-identity with the float prefix for the deployed-artifact
-// integer features, so only liveness and bookkeeping are pinned here; the
-// word-exact batched-vs-serial contract lives in qnn's own tests).
-func TestOnlineLoopQuantPrefix(t *testing.T) {
-	const iters, actors = 240, 4
-	spec := nn.NavNetSpec()
-	opts := asyncTestOpts(19, actors)
-	opts.PrefixBackend = "quant"
-	agent := NewAgent(spec, nn.L3, opts)
-	worlds := make([]*env.World, actors)
-	base := env.IndoorApartment(13)
-	for i := range worlds {
-		w := base.Clone()
-		w.Seed(53 + int64(i))
-		w.Spawn()
-		worlds[i] = w
-	}
-	loop := &OnlineLoop{Agent: agent, Worlds: worlds, Tracker: TrackerFor(iters)}
-	stats, err := loop.Run(context.Background(), iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.EnvSteps != iters {
-		t.Errorf("env steps = %d, want %d", stats.EnvSteps, iters)
-	}
-	if stats.TrainSteps == 0 {
-		t.Error("quant-prefix run never trained")
+// TestOnlineLoopReplayOutlivesRun: a loop run again samples what it already
+// collected, unless the agent's training boundary changed in between, which
+// voids the cached features and so starts an empty replay.
+func TestOnlineLoopReplayOutlivesRun(t *testing.T) {
+	a := NewAgent(nn.NavNetSpec(), nn.E2E, Options{Seed: 23, BatchSize: 4})
+	loop := &OnlineLoop{Agent: a, Worlds: []*env.World{env.IndoorApartment(23)}}
+	// Eight steps train at steps 0 and 4: on a fresh replay only the second
+	// finds a batch, on a carried-over one both do.
+	for i, tc := range []struct {
+		cfg  nn.Config
+		want int
+	}{{nn.E2E, 1}, {nn.E2E, 2}, {nn.L3, 1}, {nn.L3, 2}} {
+		a.SetConfig(tc.cfg)
+		stats, err := loop.Run(context.Background(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.TrainSteps != tc.want {
+			t.Errorf("run %d under %v: %d train steps, want %d", i, tc.cfg, stats.TrainSteps, tc.want)
+		}
 	}
 }

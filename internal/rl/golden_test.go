@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -36,7 +37,7 @@ const (
 var goldenMeta = sync.OnceValue(func() goldenStart {
 	const seed, iters = 5, 150
 	a := NewAgent(nn.NavNetSpec(), nn.E2E, Options{Seed: seed, BatchSize: 4, EpsDecaySteps: iters / 2})
-	NewTrainer(env.IndoorMeta(seed), a, iters).Run(iters)
+	(&OnlineLoop{Agent: a, Worlds: []*env.World{env.IndoorMeta(seed)}}).Run(context.Background(), iters)
 	w := env.IndoorApartment(77)
 	rng := rand.New(rand.NewSource(78))
 	pool := []*tensor.Tensor{env.DepthImage(w.Depths(), w.Camera.MaxRange)}

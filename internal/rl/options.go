@@ -36,7 +36,6 @@ const (
 	fieldSyncEvery
 	fieldRemote
 	fieldTrainBackend
-	fieldPrefixBackend
 )
 
 // isSet reports whether a field was set through a functional option.
@@ -278,27 +277,6 @@ func WithTrainBackend(name string) Option {
 	}
 }
 
-// WithPrefixBackend selects the compute backend the async pipeline's
-// frozen-prefix server runs the shared feature extractor through. "quant"
-// compiles the frozen prefix into the batched 16-bit integer engine, so the
-// actor fleet's boundary features cost one int16 GEMM per frozen layer per
-// tick and one prefix weight stream per fleet step. Unlike the float prefix
-// this is deliberately not bit-identical to the serial schedule — the
-// features are the integer words the deployed accelerator would produce.
-// The name is checked against the nn backend registry by Validate, and the
-// resolved backend must batch (nn.BatchInferrer, checked when the pipeline
-// builds the server).
-func WithPrefixBackend(name string) Option {
-	return func(o *Options) error {
-		if name == "" {
-			return fmt.Errorf("rl: prefix backend name is empty (registered: %v)", nn.BackendNames())
-		}
-		o.PrefixBackend = name
-		o.mark(fieldPrefixBackend)
-		return nil
-	}
-}
-
 // WithSeed fixes the agent's private RNG. An explicit 0 is a valid seed
 // (the struct-literal path historically replaced it with 1).
 func WithSeed(seed int64) Option {
@@ -365,10 +343,6 @@ func (o Options) Validate() error {
 			errs = append(errs, errors.New("rl: DoubleDQN is not supported with a train backend (the backend owns the TD update)"))
 		}
 	}
-	if r.PrefixBackend != "" && !nn.HasBackend(r.PrefixBackend) {
-		errs = append(errs, fmt.Errorf("rl: unknown prefix backend %q (registered: %v)",
-			r.PrefixBackend, nn.BackendNames()))
-	}
 	if r.Actors < 1 {
 		errs = append(errs, fmt.Errorf("rl: actor count %d must be >= 1", r.Actors))
 	}
@@ -434,9 +408,6 @@ func (o Options) Merge(over Options) Options {
 	}
 	if over.isSet(fieldTrainBackend) {
 		out.TrainBackend = over.TrainBackend
-	}
-	if over.isSet(fieldPrefixBackend) {
-		out.PrefixBackend = over.PrefixBackend
 	}
 	out.explicit |= over.explicit
 	return out

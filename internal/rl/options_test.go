@@ -210,33 +210,3 @@ func TestExplicitGradClipZeroDisablesClipping(t *testing.T) {
 		t.Fatal("train step did not run")
 	}
 }
-
-// TestPrefixBackendOption mirrors TestEvalBackendOption for the frozen-prefix
-// server's backend selection: registered names resolve, unknown or empty
-// names fail loudly, and Merge carries an explicit choice onto a template.
-func TestPrefixBackendOption(t *testing.T) {
-	o, err := NewOptions(WithPrefixBackend("float"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.PrefixBackend != "float" {
-		t.Errorf("PrefixBackend %q", o.PrefixBackend)
-	}
-	if _, err := NewOptions(WithPrefixBackend("antigravity")); err == nil {
-		t.Error("unknown backend name must fail validation")
-	}
-	if _, err := NewOptions(WithPrefixBackend("")); err == nil {
-		t.Error("empty backend name must fail")
-	}
-	if err := (Options{PrefixBackend: "nope"}).Validate(); err == nil {
-		t.Error("struct-literal unknown backend must fail Validate")
-	}
-	template := Options{Seed: 1, BatchSize: 4}
-	m := template.Merge(o)
-	if m.PrefixBackend != "float" {
-		t.Errorf("merge dropped the backend: %+v", m)
-	}
-	if got := template.Merge(Options{}); got.PrefixBackend != "" {
-		t.Errorf("empty merge invented a backend: %+v", got)
-	}
-}

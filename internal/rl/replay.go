@@ -34,10 +34,11 @@ type Transition struct {
 	// integer prefix), so its TD step enters at the boundary too. The
 	// single-actor OnlineLoop fills both at capture; a frame's slice is
 	// shared by the transitions it ends and starts and is never written. They
-	// must not outlive the backend that made them: the loop keeps them in a
-	// replay store built per Run, and nothing rebuilds the backend (SetConfig,
-	// AdoptPolicy) inside a Run. The multi-actor fleet, the distributed
-	// learner and Trainer.Run leave them nil: the backend takes the frames.
+	// must not outlive the backend that made them: the loop starts an empty
+	// replay when the agent's backend changed since the last Run, and nothing
+	// rebuilds the backend (SetConfig, AdoptPolicy) inside a Run. The
+	// multi-actor fleet and the distributed learner leave them nil: the
+	// backend takes the frames.
 	QFeat, QNextFeat []int16
 }
 

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,32 +198,36 @@ func TestAgentDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestTrainerRunsAndTracks(t *testing.T) {
+func TestOnlineLoopRunsAndTracks(t *testing.T) {
 	w := env.IndoorApartment(21)
 	a := NewAgent(nn.NavNetSpec(), nn.E2E, Options{Seed: 21, BatchSize: 2, EpsDecaySteps: 50})
-	tr := NewTrainer(w, a, 100)
-	tracker := tr.Run(100)
+	loop := &OnlineLoop{Agent: a, Worlds: []*env.World{w}, Tracker: TrackerFor(100)}
+	stats, err := loop.Run(context.Background(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker := loop.Tracker
 	if tracker.Steps() != 100 {
 		t.Errorf("tracked %d steps, want 100", tracker.Steps())
 	}
-	if a.EnvSteps() != 100 {
-		t.Errorf("agent saw %d steps", a.EnvSteps())
+	if a.EnvSteps() != 100 || stats.EnvSteps != 100 {
+		t.Errorf("agent saw %d steps, loop reports %d", a.EnvSteps(), stats.EnvSteps)
 	}
-	if a.ReplayLen() == 0 {
-		t.Error("replay buffer empty after run")
+	// One TD step every 4th step; the first finds the replay below a batch.
+	if stats.TrainSteps != 24 {
+		t.Errorf("%d train steps, want 24", stats.TrainSteps)
 	}
 	if len(tracker.RewardSeries()) == 0 {
 		t.Error("no reward series recorded")
 	}
 }
 
-func TestTrainerEvaluateDoesNotLearn(t *testing.T) {
+func TestEvaluateDoesNotLearn(t *testing.T) {
 	w := env.IndoorApartment(22)
 	a := NewAgent(nn.NavNetSpec(), nn.E2E, Options{Seed: 22})
-	tr := NewTrainer(w, a, 50)
 	trainStepsBefore := a.TrainSteps()
 	weights := append([]float32(nil), a.Net.Params()[0].W.Data()...)
-	tracker := tr.Evaluate(50)
+	tracker := Evaluate(w, a, 50)
 	if a.TrainSteps() != trainStepsBefore {
 		t.Error("Evaluate must not train")
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-
-	"dronerl/internal/tensor"
 )
 
 // ReplaySource is the sampling side of an experience store. ReplayBuffer
@@ -29,8 +27,8 @@ type ReplaySource interface {
 type ReplayShards struct {
 	shards []*ReplayBuffer
 	mus    []sync.Mutex
-	// pushes counts lifetime pushes per shard, so SetNextFeat can tell
-	// whether an earlier push is still resident in the ring.
+	// pushes counts lifetime pushes per shard, part of the interleave
+	// state a checkpoint persists (see Cursors).
 	pushes []int64
 	cursor int
 }
@@ -59,35 +57,12 @@ func NewReplayShards(n, capacity int) *ReplayShards {
 // Shards returns the shard count.
 func (s *ReplayShards) Shards() int { return len(s.shards) }
 
-// PushTo appends a transition to the given actor's shard and returns the
-// push's ordinal within that shard (for SetNextFeat). Each shard must have a
-// single pusher — its actor — which is what makes the ordinal meaningful.
-func (s *ReplayShards) PushTo(shard int, t Transition) int64 {
+// PushTo appends a transition to the given actor's shard.
+func (s *ReplayShards) PushTo(shard int, t Transition) {
 	s.mus[shard].Lock()
 	s.shards[shard].Push(t)
 	s.pushes[shard]++
-	ord := s.pushes[shard]
 	s.mus[shard].Unlock()
-	return ord
-}
-
-// SetNextFeat backfills the cached next-state boundary features of an
-// earlier push, identified by the ordinal PushTo returned. The actor learns
-// the features of observation o(t+1) one step after pushing the transition
-// whose Next it is; the backfill is skipped silently when the ring has
-// already evicted the entry. Samples drawn before the backfill simply carry
-// a nil NextFeat and the learner recomputes the features itself.
-func (s *ReplayShards) SetNextFeat(shard int, ord int64, feat *tensor.Tensor) {
-	s.mus[shard].Lock()
-	defer s.mus[shard].Unlock()
-	b := s.shards[shard]
-	age := s.pushes[shard] - ord // 0 = the most recent push
-	if age < 0 || age >= int64(b.size) {
-		return
-	}
-	idx := b.next - 1 - int(age)
-	idx = ((idx % len(b.buf)) + len(b.buf)) % len(b.buf)
-	b.buf[idx].NextFeat = feat
 }
 
 // Len returns the total number of stored transitions across all shards.
@@ -105,9 +80,8 @@ func (s *ReplayShards) Len() int {
 // push counts — the replay-interleave state a resumable checkpoint persists.
 // Restoring them into a fresh ReplayShards (RestoreCursors) makes the
 // restarted learner's round-robin shard walk continue where the checkpointed
-// one stopped, and keeps push ordinals monotonic across the restart so a
-// stale SetNextFeat ordinal from before the crash can never alias a
-// post-restart entry.
+// one stopped, and keeps the lifetime push counts monotonic across the
+// restart.
 func (s *ReplayShards) Cursors() (cursor int, pushes []int64) {
 	out := make([]int64, len(s.shards))
 	for i := range s.shards {
@@ -121,7 +95,7 @@ func (s *ReplayShards) Cursors() (cursor int, pushes []int64) {
 // RestoreCursors installs checkpointed interleave state taken by Cursors.
 // The shard count must match the checkpointed one; the shards themselves
 // start empty (replay contents are not durable — actors refill them on
-// reconnect) but the walk order and ordinals carry over.
+// reconnect) but the walk order and push counts carry over.
 func (s *ReplayShards) RestoreCursors(cursor int, pushes []int64) error {
 	if len(pushes) != len(s.shards) {
 		return fmt.Errorf("rl: checkpoint has %d replay shards, store has %d", len(pushes), len(s.shards))

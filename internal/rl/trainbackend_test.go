@@ -102,18 +102,36 @@ func TestWithTrainBackendValidation(t *testing.T) {
 	}
 }
 
+// frameTap counts the state and live next-state rows a train backend was
+// handed as frames rather than as boundary features.
+type frameTap struct {
+	nn.TrainableBackend
+	frameRows int
+}
+
+func (b *frameTap) Train(batch nn.TrainBatch) float64 {
+	if batch.States != nil {
+		for _, done := range batch.Done {
+			b.frameRows++
+			if !done {
+				b.frameRows++
+			}
+		}
+	}
+	return b.TrainableBackend.Train(batch)
+}
+
 // TestTrainStepRoutesFeaturesToTrainBackend asserts the boundary-feature arm
 // of the trainable-backend path: an agent whose replay carries the backend's
 // own QFeat/QNextFeat trains bit for bit like its twin fed frames (MSE, float
-// mirror, STT-MRAM cost), gathers without allocating, and counts no prefix
-// rows — while the twin counts every state and live next-state row, the float
-// tail path counts its cache misses, and a batch with one row uncached falls
-// back to frames visibly.
+// mirror, STT-MRAM cost), gathers without allocating, and hands the backend
+// no frame — while the twin hands it every state and live next-state row, and
+// a batch with one row uncached falls back to frames visibly.
 func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the GEMM's row fan-out allocates
-	build := func(backend string) *Agent {
+	build := func() *Agent {
 		a := NewAgent(nn.NavNetSpec(), nn.L3, Options{
-			Seed: 83, BatchSize: 32, LR: 0.01, TargetSync: 2, TrainBackend: backend,
+			Seed: 83, BatchSize: 32, LR: 0.01, TargetSync: 2, TrainBackend: "quant-train",
 		})
 		if err := a.ActivateTrainBackend(); err != nil {
 			t.Fatal(err)
@@ -131,12 +149,15 @@ func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
 		}
 		return rows
 	}
-	frames, feats, float := build("quant-train"), build("quant-train"), build("")
+	frames, feats := build(), build()
 	fz := feats.TrainBackend().(nn.BoundaryFeaturizer)
 	for i := range stored(feats) {
 		tr := &stored(feats)[i]
 		tr.QFeat, tr.QNextFeat = fz.BoundaryFeatures(tr.State), fz.BoundaryFeatures(tr.Next)
 	}
+	framesTap := &frameTap{TrainableBackend: frames.trainBackend}
+	featsTap := &frameTap{TrainableBackend: feats.trainBackend}
+	frames.trainBackend, feats.trainBackend = framesTap, featsTap
 	wantRows := 0
 	for step := 0; step < 4; step++ {
 		m0, m1 := frames.TrainStep(), feats.TrainStep()
@@ -144,22 +165,21 @@ func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
 			t.Fatalf("step %d: MSE %v from frames, %v from features", step, m0, m1)
 		}
 		wantRows += rowsOf(frames)
-		float.TrainStep()
 	}
 	paramsEqual(t, "features vs frames", frames.Net, feats.Net)
 	if frames.TrainCost() != feats.TrainCost() {
 		t.Errorf("frames cost %+v, features %+v: the modeled device must not see the cache", frames.TrainCost(), feats.TrainCost())
 	}
-	// The three agents share a seed, hence every sampled batch.
-	if frames.PrefixRows() != wantRows || feats.PrefixRows() != 0 || float.PrefixRows() != wantRows {
-		t.Errorf("prefix rows: frames %d, uncached float tail %d, want %d; features %d, want 0",
-			frames.PrefixRows(), float.PrefixRows(), wantRows, feats.PrefixRows())
+	// The two agents share a seed, hence every sampled batch.
+	if framesTap.frameRows != wantRows || featsTap.frameRows != 0 {
+		t.Errorf("frame rows: frames %d, want %d; features %d, want 0",
+			framesTap.frameRows, wantRows, featsTap.frameRows)
 	}
 	if allocs := testing.AllocsPerRun(5, func() { feats.TrainStep() }); allocs != 0 {
 		t.Errorf("steady-state TrainStep from features allocates %v times per call, want 0", allocs)
 	}
-	if feats.PrefixRows() != 0 {
-		t.Errorf("feature-fed steps counted %d prefix rows", feats.PrefixRows())
+	if featsTap.frameRows != 0 {
+		t.Errorf("feature-fed steps handed the backend %d frame rows", featsTap.frameRows)
 	}
 	for i := range stored(feats) {
 		if tr := &stored(feats)[i]; !tr.Done {
@@ -167,7 +187,7 @@ func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
 		}
 	}
 	feats.TrainStep()
-	if got, want := feats.PrefixRows(), rowsOf(feats); got != want {
-		t.Errorf("a batch with uncached rows ran %d rows from the frame, want all %d", got, want)
+	if got, want := featsTap.frameRows, rowsOf(feats); got != want {
+		t.Errorf("a batch with uncached rows handed the backend %d frame rows, want all %d", got, want)
 	}
 }

@@ -31,9 +31,10 @@ import (
 // configurable number of iterations (see DESIGN.md on scaling).
 func MetaTrain(meta *env.World, spec nn.ArchSpec, iterations int, opts rl.Options) (*nn.Snapshot, *metrics.FlightTracker) {
 	agent := rl.NewAgent(spec, nn.E2E, opts)
-	trainer := rl.NewTrainer(meta, agent, iterations)
-	tracker := trainer.Run(iterations)
-	return nn.TakeSnapshot(agent.Net, spec.Name), tracker
+	loop := &rl.OnlineLoop{Agent: agent, Worlds: []*env.World{meta}, Tracker: rl.TrackerFor(iterations)}
+	// One world and no deadline: the serial schedule cannot fail.
+	_, _ = loop.Run(context.TODO(), iterations)
+	return nn.TakeSnapshot(agent.Net, spec.Name), loop.Tracker
 }
 
 // Deploy builds an online agent whose weights start from the transferred
@@ -203,7 +204,7 @@ func finishEval(agent *rl.Agent, test *env.World, evalSteps int, res *Result) er
 	if err := agent.ActivateEvalBackend(); err != nil {
 		return err
 	}
-	res.Eval = (&rl.Trainer{World: test, Agent: agent}).Evaluate(evalSteps)
+	res.Eval = rl.Evaluate(test, agent, evalSteps)
 	if b := agent.EvalBackend(); b != nil {
 		res.Backend = b.Name()
 		res.EvalCost = agent.EvalCost()
