@@ -327,16 +327,6 @@ func WithActors(n int) Option { return agentOption(rl.WithActors(n)) }
 // accounting, under L2/L3/L4 only cheap SRAM buffer traffic.
 func WithSyncEvery(steps int) Option { return agentOption(rl.WithSyncEvery(steps)) }
 
-// WithRemote runs the online phase through the distributed actor/learner
-// pipeline (internal/dist): a learner serving the agent on a loopback
-// listener and n >= 1 wire-protocol actor clients streaming experience to
-// it — the crash-tolerant path the dronerl-learner and dronerl-actor
-// commands run across machines, here exercised in one process. The default
-// 0 keeps everything in-process (see WithActors). Like multi-actor runs,
-// distributed learning results depend on scheduling and are not
-// reproducible run to run.
-func WithRemote(n int) Option { return agentOption(rl.WithRemote(n)) }
-
 // Inference backends selectable with WithBackend. Training always runs on
 // the float reference; the backend is the substrate the trained policy is
 // deployed onto for the greedy evaluation and deployment phases, which is

@@ -20,8 +20,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -57,132 +59,53 @@ var aliasSeedOffset = map[string]int64{
 }
 
 func main() {
-	envName := flag.String("env", "apartment", "scenario name (see -list) or a short alias")
-	cfgName := flag.String("config", "L3", "L2, L3, L4 or E2E")
-	metaIters := flag.Int("meta", 1000, "meta-environment training iterations")
-	onlineIters := flag.Int("online", 800, "online RL iterations in the test environment")
-	evalSteps := flag.Int("eval", 600, "greedy evaluation steps")
-	seed := flag.Int64("seed", 1, "experiment seed")
-	backend := flag.String("backend", "", "inference backend for the greedy evaluation: "+
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it prints the experiment's tables to stdout and
+// returns the exit status — 2 with usage for a bad flag, an unknown
+// -config, -backend, -train-backend or -env, or an impossible -actors /
+// -swarm combination; 1 for a run that fails (or a curriculum that does not
+// complete).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("droneflight", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	envName := fs.String("env", "apartment", "scenario name (see -list) or a short alias")
+	cfgName := fs.String("config", "L3", "L2, L3, L4 or E2E")
+	metaIters := fs.Int("meta", 1000, "meta-environment training iterations")
+	onlineIters := fs.Int("online", 800, "online RL iterations in the test environment")
+	evalSteps := fs.Int("eval", 600, "greedy evaluation steps")
+	seed := fs.Int64("seed", 1, "experiment seed")
+	backend := fs.String("backend", "", "inference backend for the greedy evaluation: "+
 		strings.Join(nn.BackendNames(), ", ")+" (default: the direct float path)")
-	trainBackend := flag.String("train-backend", "", "trainable backend for the online phase "+
+	trainBackend := fs.String("train-backend", "", "trainable backend for the online phase "+
 		"(quant-train runs every TD update in 16-bit fixed point with stochastic rounding; "+
 		"default: the float training path)")
-	actors := flag.Int("actors", 1, "concurrent actors for the online-learning phase "+
+	actors := fs.Int("actors", 1, "concurrent actors for the online-learning phase "+
 		"(1 = the deterministic serial schedule)")
-	curriculum := flag.Bool("curriculum", false, "train through the staged curriculum ladder "+
+	curriculum := fs.Bool("curriculum", false, "train through the staged curriculum ladder "+
 		"matching the scenario's kind instead of a single world")
-	swarm := flag.Int("swarm", 0, "fly N policy-sharing drone clones after online adaptation "+
+	swarm := fs.Int("swarm", 0, "fly N policy-sharing drone clones after online adaptation "+
 		"(0 = single-drone experiment)")
-	showMap := flag.Bool("map", false, "print the environment map")
-	list := flag.Bool("list", false, "list the scenario catalog and exit")
-	saveModel := flag.String("save", "", "write the meta-model snapshot to this file after meta-training")
-	loadModel := flag.String("load", "", "skip meta-training and load a snapshot from this file")
-	flag.Parse()
+	showMap := fs.Bool("map", false, "print the environment map")
+	list := fs.Bool("list", false, "list the scenario catalog and exit")
+	saveModel := fs.String("save", "", "write the meta-model snapshot to this file after meta-training")
+	loadModel := fs.String("load", "", "skip meta-training and load a snapshot from this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, err)
+		return code
+	}
+	usage := func(err error) int {
+		fail(2, err)
+		fs.Usage()
+		return 2
+	}
 
 	// Validate name-shaped flags before any training runs, so a typo fails
 	// in milliseconds instead of after minutes of meta-training.
-	if *backend != "" && !nn.HasBackend(*backend) {
-		fmt.Fprintf(os.Stderr, "unknown backend %q: registered backends are %s\n",
-			*backend, strings.Join(nn.BackendNames(), ", "))
-		os.Exit(2)
-	}
-	if *trainBackend != "" && !nn.HasBackend(*trainBackend) {
-		fmt.Fprintf(os.Stderr, "unknown train backend %q: registered backends are %s\n",
-			*trainBackend, strings.Join(nn.BackendNames(), ", "))
-		os.Exit(2)
-	}
-	if *actors < 1 {
-		fmt.Fprintf(os.Stderr, "-actors %d: need at least one actor\n", *actors)
-		os.Exit(2)
-	}
-	if *swarm < 0 {
-		fmt.Fprintf(os.Stderr, "-swarm %d: need at least one drone\n", *swarm)
-		os.Exit(2)
-	}
-	if *curriculum && *swarm > 0 {
-		fmt.Fprintln(os.Stderr, "-curriculum and -swarm are separate modes; pick one")
-		os.Exit(2)
-	}
-
-	if *list {
-		t := report.New("scenario catalog", "name", "kind", "description")
-		for _, s := range env.Scenarios() {
-			t.Add(s.Name, s.Kind, s.Description)
-		}
-		fmt.Println(t.String())
-		return
-	}
-
-	key := resolveName(*envName)
-	world := pickEnv(*envName, *seed)
-	if world == nil {
-		fmt.Fprintf(os.Stderr, "unknown scenario %q: registered scenarios are %s\n",
-			*envName, strings.Join(env.ScenarioNames(), ", "))
-		os.Exit(2)
-	}
-	cfg, err := nn.ParseConfig(*cfgName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *showMap {
-		fmt.Println(world.Render(72, 24))
-	}
-
-	if *curriculum {
-		runCurriculum(world.Kind, cfg, *seed, *metaIters, *onlineIters)
-		return
-	}
-	if *swarm > 0 {
-		runSwarm(key, *swarm, cfg, *seed, *metaIters, *onlineIters, *evalSteps)
-		return
-	}
-
-	spec := nn.NavNetSpec()
-	var snap *nn.Snapshot
-	if *loadModel != "" {
-		f, err := os.Open(*loadModel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		snap, err = nn.ReadSnapshot(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("loaded meta-model %q from %s\n", snap.Arch, *loadModel)
-	} else {
-		meta := env.MetaFor(world, *seed+1000)
-		fmt.Printf("meta-training E2E on %q for %d iterations...\n", meta.Name, *metaIters)
-		var metaTracker *metrics.FlightTracker
-		snap, metaTracker = transfer.MetaTrain(meta, spec, *metaIters, rl.Options{
-			Seed: *seed, BatchSize: 4, EpsDecaySteps: *metaIters / 2,
-		})
-		fmt.Printf("meta model: cumulative reward %.3f, SFD %.1f m over %d crashes\n",
-			metaTracker.CumulativeReward(), metaTracker.SafeFlightDistance(), metaTracker.Crashes())
-	}
-	if *saveModel != "" {
-		f, err := os.Create(*saveModel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := snap.Encode(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("meta-model written to %s\n", *saveModel)
-	}
-
-	fmt.Printf("deploying to %q under %v (%d/%d trainable weights) and learning online...\n",
-		world.Name, cfg, spec.TrainedWeights(cfg), spec.TotalWeights())
-	opts := rl.Options{
-		Seed: *seed + 1, BatchSize: 4, EpsStart: 0.5, EpsDecaySteps: *onlineIters / 2,
-	}
 	var extra []rl.Option
 	if *backend != "" {
 		extra = append(extra, rl.WithEvalBackend(*backend))
@@ -190,21 +113,96 @@ func main() {
 	if *trainBackend != "" {
 		extra = append(extra, rl.WithTrainBackend(*trainBackend))
 	}
-	if *actors > 1 {
+	if *actors != 1 {
 		extra = append(extra, rl.WithActors(*actors))
 	}
-	if len(extra) > 0 {
-		withExtra, err := rl.NewOptions(extra...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts = opts.Merge(withExtra)
-	}
-	res, err := transfer.RunOnline(snap, world, spec, cfg, *onlineIters, *evalSteps, opts)
+	withExtra, err := rl.NewOptions(extra...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return usage(err)
+	}
+	if *swarm < 0 {
+		return usage(fmt.Errorf("-swarm %d: need at least one drone", *swarm))
+	}
+	if *curriculum && *swarm > 0 {
+		return usage(errors.New("-curriculum and -swarm are separate modes; pick one"))
+	}
+
+	if *list {
+		t := report.New("scenario catalog", "name", "kind", "description")
+		for _, s := range env.Scenarios() {
+			t.Add(s.Name, s.Kind, s.Description)
+		}
+		fmt.Fprintln(stdout, t.String())
+		return 0
+	}
+
+	key := resolveName(*envName)
+	world := pickEnv(*envName, *seed)
+	if world == nil {
+		return usage(fmt.Errorf("unknown scenario %q: registered scenarios are %s",
+			*envName, strings.Join(env.ScenarioNames(), ", ")))
+	}
+	cfg, err := nn.ParseConfig(*cfgName)
+	if err != nil {
+		return usage(err)
+	}
+	if *showMap {
+		fmt.Fprintln(stdout, world.Render(72, 24))
+	}
+
+	if *curriculum {
+		return runCurriculum(ctx, stdout, stderr, world.Kind, cfg, *seed, *metaIters, *onlineIters)
+	}
+	if *swarm > 0 {
+		return runSwarm(ctx, stdout, stderr, key, *swarm, cfg, *seed, *metaIters, *onlineIters, *evalSteps)
+	}
+
+	spec := nn.NavNetSpec()
+	var snap *nn.Snapshot
+	if *loadModel != "" {
+		f, err := os.Open(*loadModel)
+		if err != nil {
+			return fail(1, err)
+		}
+		snap, err = nn.ReadSnapshot(f)
+		f.Close()
+		if err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stdout, "loaded meta-model %q from %s\n", snap.Arch, *loadModel)
+	} else {
+		meta := env.MetaFor(world, *seed+1000)
+		fmt.Fprintf(stdout, "meta-training E2E on %q for %d iterations...\n", meta.Name, *metaIters)
+		var metaTracker *metrics.FlightTracker
+		snap, metaTracker = transfer.MetaTrain(meta, spec, *metaIters, rl.Options{
+			Seed: *seed, BatchSize: 4, EpsDecaySteps: *metaIters / 2,
+		})
+		fmt.Fprintf(stdout, "meta model: cumulative reward %.3f, SFD %.1f m over %d crashes\n",
+			metaTracker.CumulativeReward(), metaTracker.SafeFlightDistance(), metaTracker.Crashes())
+	}
+	if *saveModel != "" {
+		f, err := os.Create(*saveModel)
+		if err != nil {
+			return fail(1, err)
+		}
+		if err := snap.Encode(f); err != nil {
+			f.Close()
+			return fail(1, err)
+		}
+		if err := f.Close(); err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stdout, "meta-model written to %s\n", *saveModel)
+	}
+
+	fmt.Fprintf(stdout, "deploying to %q under %v (%d/%d trainable weights) and learning online...\n",
+		world.Name, cfg, spec.TrainedWeights(cfg), spec.TotalWeights())
+	opts := rl.Options{
+		Seed: *seed + 1, BatchSize: 4, EpsStart: 0.5, EpsDecaySteps: *onlineIters / 2,
+	}.Merge(withExtra)
+	res, err := transfer.RunOnlineContext(ctx, snap, world, spec, cfg, *onlineIters, *evalSteps, opts)
+	if err != nil {
+		return fail(1, err)
 	}
 
 	t := report.New("online learning ("+world.Name+", "+cfg.String()+")", "metric", "value")
@@ -232,25 +230,27 @@ func main() {
 			t.Add("eval latency (ms)", report.Num(res.EvalCost.LatencyMS))
 		}
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(stdout, t.String())
+	return 0
 }
 
 // runCurriculum trains through the staged ladder for the scenario's kind
 // and prints the promotion trace.
-func runCurriculum(kind string, cfg nn.Config, seed int64, metaIters, onlineIters int) {
+func runCurriculum(ctx context.Context, stdout, stderr io.Writer, kind string, cfg nn.Config,
+	seed int64, metaIters, onlineIters int) int {
 	c, err := scen.NewCurriculum(scen.DefaultLadder(kind), cfg, seed, metaIters, onlineIters)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	fmt.Printf("curriculum: %d %s stages under %v (meta %d, per-stage %d iterations)\n",
+	fmt.Fprintf(stdout, "curriculum: %d %s stages under %v (meta %d, per-stage %d iterations)\n",
 		len(c.Stages()), kind, cfg, metaIters, onlineIters)
-	if err := core.Run(context.Background(), c, core.WithProgress(func(ev core.Event) {
-		fmt.Printf("  [%s] %s: reward %.3f after %d iterations\n",
+	if err := core.Run(ctx, c, core.WithProgress(func(ev core.Event) {
+		fmt.Fprintf(stdout, "  [%s] %s: reward %.3f after %d iterations\n",
 			ev.Phase, ev.Env, ev.Reward, ev.Iteration)
 	})); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	rep := c.Report()
 	t := report.New("curriculum ("+kind+", "+cfg.String()+")",
@@ -259,32 +259,33 @@ func runCurriculum(kind string, cfg nn.Config, seed int64, metaIters, onlineIter
 		t.Add(rec.Stage, fmt.Sprint(rec.Attempt+1), fmt.Sprint(rec.Iters),
 			report.Num(rec.Reward), report.Num(rec.SFD), fmt.Sprint(rec.Promoted))
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(stdout, t.String())
 	if !rep.Completed {
-		fmt.Printf("curriculum stopped at stage %q\n", rep.FailedStage)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "curriculum stopped at stage %q\n", rep.FailedStage)
+		return 1
 	}
-	fmt.Println("curriculum completed: every stage promoted")
+	fmt.Fprintln(stdout, "curriculum completed: every stage promoted")
+	return 0
 }
 
 // runSwarm meta-trains and adapts one policy in the scenario, then flies a
 // fleet of clones sharing it and prints the per-drone mission stats.
-func runSwarm(scenario string, drones int, cfg nn.Config, seed int64,
-	metaIters, onlineIters, missionSteps int) {
+func runSwarm(ctx context.Context, stdout, stderr io.Writer, scenario string, drones int,
+	cfg nn.Config, seed int64, metaIters, onlineIters, missionSteps int) int {
 
 	e, err := scen.NewSwarmExperiment(scenario, drones, cfg, seed, metaIters, onlineIters, missionSteps)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	fmt.Printf("swarm: %d drones in %q under %v (meta %d, online %d, mission %d steps)\n",
+	fmt.Fprintf(stdout, "swarm: %d drones in %q under %v (meta %d, online %d, mission %d steps)\n",
 		drones, scenario, cfg, metaIters, onlineIters, missionSteps)
-	if err := core.Run(context.Background(), e, core.WithProgress(func(ev core.Event) {
-		fmt.Printf("  [%s] %s: reward %.3f after %d iterations\n",
+	if err := core.Run(ctx, e, core.WithProgress(func(ev core.Event) {
+		fmt.Fprintf(stdout, "  [%s] %s: reward %.3f after %d iterations\n",
 			ev.Phase, ev.Env, ev.Reward, ev.Iteration)
 	})); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	rep := e.Report()
 	t := report.New("swarm mission ("+rep.Env+", "+cfg.String()+")",
@@ -295,7 +296,8 @@ func runSwarm(scenario string, drones int, cfg nn.Config, seed int64,
 	}
 	t.Add("fleet", fmt.Sprint(rep.TotalSteps), fmt.Sprint(rep.TotalCrashes),
 		report.Num(rep.MeanReward), report.Num(rep.TotalDistance), report.Num(rep.MeanSFD))
-	fmt.Println(t.String())
+	fmt.Fprintln(stdout, t.String())
+	return 0
 }
 
 // resolveName lowers a scenario name and expands the historical short

@@ -387,7 +387,7 @@ func (a *actor) adoptPending() (prefixReplaced bool) {
 		}
 	}
 	if p.tail != nil {
-		if err := installTrainable(a.net, p.tail); err != nil {
+		if err := p.tail.RestoreTrainable(a.net); err != nil {
 			return p.full != nil
 		}
 	}

@@ -322,24 +322,3 @@ func tensorFromBytes(b []byte, shape []int) *tensor.Tensor {
 	}
 	return tensor.FromSlice(data, shape...)
 }
-
-// installTrainable writes a trainable-region snapshot (a PolicyBoard-style
-// publish that travelled the wire) into net's trainable parameters, matched
-// by name and size exactly like nn.PolicyBoard.Adopt.
-func installTrainable(net *nn.Network, s *nn.Snapshot) error {
-	ps := net.TrainableParams()
-	if len(ps) != len(s.Names) {
-		return fmt.Errorf("dist: policy has %d trainable params, network has %d", len(s.Names), len(ps))
-	}
-	for i, p := range ps {
-		if p.Name != s.Names[i] {
-			return fmt.Errorf("dist: policy param %d is %q, network expects %q", i, s.Names[i], p.Name)
-		}
-		if len(s.Data[i]) != p.W.Len() {
-			return fmt.Errorf("dist: policy param %q has %d values, want %d", p.Name, len(s.Data[i]), p.W.Len())
-		}
-		copy(p.W.Data(), s.Data[i])
-		p.MarkChanged()
-	}
-	return nil
-}

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,14 +63,18 @@ func (f *testFleet) actorConfig(seed int64, steps int) ActorConfig {
 }
 
 // TestDistributedRunTrains is the happy path: two remote actors feed a
-// learner over loopback TCP; every transition arrives, the learner trains
-// and publishes, the actors adopt.
+// learner over loopback TCP; every transition arrives, the learner trains on
+// the in-process cadence and publishes, reporting every publish, and the
+// actors adopt.
 func TestDistributedRunTrains(t *testing.T) {
+	const actors, steps, trainEvery, syncEvery = 2, 240, 4, 4
 	f := newFleet(t, 61, nn.L3)
+	var reported atomic.Int64
 	learner, err := NewLearner(LearnerConfig{
 		Agent: f.agent, Spec: f.spec, Cfg: f.cfg, Listener: f.ln,
-		ActorSlots: 2, TotalSteps: 240, TrainEvery: 4, SyncEvery: 4,
+		ActorSlots: actors, TotalSteps: steps, TrainEvery: trainEvery, SyncEvery: syncEvery,
 		HeartbeatEvery: 25 * time.Millisecond,
+		OnPublish:      func(uint64) { reported.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +127,19 @@ func TestDistributedRunTrains(t *testing.T) {
 	if st.EnvSteps != 240 {
 		t.Errorf("learner received %d env steps, want 240", st.EnvSteps)
 	}
-	if st.TrainSteps < 40 {
-		t.Errorf("learner trained %d steps, want >= 40", st.TrainSteps)
+	// One update per trainEvery env steps, less the start-up attempts on a
+	// replay below one batch; each actor may be a step ahead of or behind
+	// its pushes when the learner looks.
+	due := (steps + trainEvery - 1) / trainEvery
+	idle := f.agent.BatchSize() / trainEvery
+	if st.TrainSteps < due-idle-actors || st.TrainSteps > due {
+		t.Errorf("learner trained %d steps, cadence wants %d..%d", st.TrainSteps, due-idle-actors, due)
 	}
-	if st.Publishes < 1 {
-		t.Errorf("learner published %d policies, want >= 1", st.Publishes)
+	if st.Publishes != st.TrainSteps/syncEvery || st.Publishes < 1 {
+		t.Errorf("learner published %d policies for %d updates, want one per %d", st.Publishes, st.TrainSteps, syncEvery)
+	}
+	if got := reported.Load(); got != int64(st.Publishes) {
+		t.Errorf("OnPublish fired %d times for %d publishes", got, st.Publishes)
 	}
 	if st.Connects != 2 || st.Resumes != 0 {
 		t.Errorf("learner sessions %+v, want 2 fresh connects", st)
@@ -455,5 +470,66 @@ func TestDistChaosLinks(t *testing.T) {
 	}
 	if st.Disconnects < 1 {
 		t.Errorf("chaos produced no disconnects (budgets too large?)")
+	}
+}
+
+// TestActorRefusesNonFiniteTail: a tail publish with a NaN in its last
+// parameter is refused at the episode boundary, and the actor keeps flying
+// every bit of the policy it had.
+func TestActorRefusesNonFiniteTail(t *testing.T) {
+	spec := nn.NavNetSpec()
+	a := newActor(ActorConfig{Spec: spec, World: env.IndoorApartment(1), Steps: 1})
+	a.net.SetConfig(nn.L3)
+	learner := spec.Build()
+	learner.Init(rand.New(rand.NewSource(2)))
+	learner.SetConfig(nn.L3)
+	board := nn.NewPolicyBoard()
+	board.Publish(learner, spec.Name)
+	tail, _ := board.Snapshot()
+	last := tail.Data[len(tail.Data)-1]
+	last[len(last)-1] = float32(math.NaN())
+
+	before := nn.TakeSnapshot(a.net, spec.Name)
+	a.pending.Store(&pendingPolicy{tail: tail})
+	if a.adoptPending() || a.stats.Adoptions != 0 {
+		t.Fatalf("a non-finite tail was adopted (%d adoptions)", a.stats.Adoptions)
+	}
+	for i, p := range a.net.Params() {
+		if !bytes.Equal(f32bytes(p.W.Data()), f32bytes(before.Data[i])) {
+			t.Fatalf("a refused tail wrote %s", p.Name)
+		}
+	}
+}
+
+// TestNewLearnerRefusesForeignSpecOrCfg: the welcome tells every actor what
+// to freeze, so a LearnerConfig whose Spec or Cfg is not its agent's — Cfg
+// left at its zero value, E2E, included — is refused with both named.
+func TestNewLearnerRefusesForeignSpecOrCfg(t *testing.T) {
+	f := newFleet(t, 111, nn.L3)
+	defer f.ln.Close()
+	other := f.spec
+	other.Name = "OtherNet"
+	for _, tc := range []struct {
+		name string
+		spec nn.ArchSpec
+		cfg  nn.Config
+		want []string
+	}{
+		{"Cfg unset", f.spec, 0, []string{"E2E", "L3"}},
+		{"Cfg mismatched", f.spec, nn.L2, []string{"L2", "L3"}},
+		{"Spec mismatched", other, nn.L3, []string{"OtherNet", "NavNet"}},
+	} {
+		_, err := NewLearner(LearnerConfig{
+			Agent: f.agent, Spec: tc.spec, Cfg: tc.cfg, Listener: f.ln, TotalSteps: 8,
+		})
+		if err == nil {
+			t.Errorf("%s: NewLearner accepted it", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, w)
+			}
+		}
 	}
 }

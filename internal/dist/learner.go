@@ -43,9 +43,8 @@ type LearnerConfig struct {
 	// ceil(TotalSteps/TrainEvery) train steps, each becoming due as the
 	// fleet's transitions arrive, then shuts down cleanly.
 	TotalSteps int
-	// TrainEvery is the training cadence in env steps (default 4) and
-	// SyncEvery the publish cadence in completed train steps (default the
-	// agent's option).
+	// TrainEvery is the training cadence in env steps and SyncEvery the
+	// publish cadence in completed train steps, with rl.Learner's defaults.
 	TrainEvery, SyncEvery int
 	// HeartbeatEvery is the learner's heartbeat interval per connection
 	// (default 250ms); a connection silent for HeartbeatTimeout (default
@@ -86,20 +85,18 @@ func (c *LearnerConfig) withDefaults() error {
 	if c.Spec.Name == "" {
 		return errors.New("dist: LearnerConfig needs the served Spec")
 	}
+	// The welcome tells every actor what to fly and freeze: a Spec or Cfg
+	// other than the agent's would have them freeze the wrong prefix and
+	// refuse every tail publish.
+	if a := c.Agent; c.Spec.Name != a.Spec().Name || c.Cfg != a.Config() {
+		return fmt.Errorf("dist: LearnerConfig serves %s under %v, its agent is a %s under %v",
+			c.Spec.Name, c.Cfg, a.Spec().Name, a.Config())
+	}
 	if c.ActorSlots <= 0 {
 		c.ActorSlots = 1
 	}
 	if c.TotalSteps <= 0 {
 		return errors.New("dist: LearnerConfig.TotalSteps must be positive")
-	}
-	if c.TrainEvery <= 0 {
-		c.TrainEvery = 4
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = c.Agent.SyncEvery()
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 8
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 250 * time.Millisecond
@@ -140,19 +137,21 @@ type DropReasons struct {
 // Learner is the distributed pipeline's central trainer: it accepts actor
 // connections, demultiplexes their experience streams into per-actor replay
 // shards (the same deterministic interleave the in-process pipeline
-// samples), trains on the existing batched TrainStep path, broadcasts
-// policy publishes, and checkpoints durably. A dead actor costs nothing but
-// its stream: training continues on the live shards, and the slot waits for
-// a reconnect.
+// samples), trains them with the in-process fleet's rl.Learner, broadcasts
+// its publishes, and checkpoints durably. A dead actor costs nothing but its
+// stream: training continues on the live shards, and the slot waits for a
+// reconnect.
 type Learner struct {
 	cfg    LearnerConfig
 	shards *rl.ReplayShards
-	board  *nn.PolicyBoard
 	mram   *mem.Device
+	learn  rl.Learner
 
-	// netMu serializes every access to the agent's networks: training,
-	// snapshot-taking for welcomes, publishes and checkpoints.
+	// netMu keeps the welcome's and the checkpoint's reads of the agent's
+	// networks off the weights a TrainStep is writing.
 	netMu sync.Mutex
+	// checkpoints counts this run's saves (learner goroutine only).
+	checkpoints int
 
 	// connMu guards the session table; slots maps actor ID → shard index;
 	// departed records actors that sent a clean bye.
@@ -172,9 +171,6 @@ type Learner struct {
 	// and is not counted as a link fault.
 	announced atomic.Bool
 
-	trackMu sync.Mutex
-
-	envRecv     atomic.Int64
 	connects    atomic.Int64
 	disconnects atomic.Int64
 	resumes     atomic.Int64
@@ -221,13 +217,17 @@ func NewLearner(cfg LearnerConfig) (*Learner, error) {
 	l := &Learner{
 		cfg:      cfg,
 		shards:   rl.NewReplayShards(cfg.ActorSlots, cfg.Agent.Options().ReplayCapacity),
-		board:    nn.NewPolicyBoard(),
 		mram:     mem.STTMRAM(),
 		conns:    make(map[uint64]*learnerConn),
 		slots:    make(map[uint64]int),
 		departed: make(map[uint64]bool),
 		obsShape: []int{cfg.Spec.InputC, cfg.Spec.InputH, cfg.Spec.InputW},
 		actions:  cfg.Spec.FCs[len(cfg.Spec.FCs)-1].Out,
+	}
+	l.learn = rl.Learner{
+		Agent: cfg.Agent, Replay: l.shards, Board: nn.NewPolicyBoard(), Tracker: cfg.Tracker,
+		TrainEvery: cfg.TrainEvery, SyncEvery: cfg.SyncEvery, Lock: &l.netMu,
+		OnPublish: l.publish, AfterUpdate: l.afterUpdate, Stop: l.fleetDone.Load,
 	}
 	if net := cfg.Agent.Net; net.TrainFrom() > 0 {
 		if d, ok := net.Layers[net.TrainFrom()].(*nn.Dense); ok {
@@ -255,22 +255,11 @@ func NewLearner(cfg LearnerConfig) (*Learner, error) {
 // recovery points). On the clean path a final checkpoint is saved before
 // returning.
 func (l *Learner) Run(ctx context.Context) (LearnerStats, error) {
-	a := l.cfg.Agent
-	clock := a.Clock()
-	stats := LearnerStats{}
+	clock := l.cfg.Agent.Clock()
 	envStart, trainStart := clock.EnvSteps(), clock.TrainSteps()
-
-	a.SetReplaySource(l.shards)
-	defer a.SetReplaySource(nil)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	wake := make(chan struct{})
-	go func() {
-		<-runCtx.Done()
-		clock.Wake()
-		close(wake)
-	}()
 
 	// Accept loop: handshake every connection on its own goroutine so a
 	// slow (or chaotic) client cannot stall admission of the others.
@@ -297,72 +286,35 @@ func (l *Learner) Run(ctx context.Context) (LearnerStats, error) {
 		go l.watchIdle(runCtx, clock)
 	}
 
-	// The training loop: the k-th weight update becomes due once the fleet
-	// has delivered k*TrainEvery env steps — the same clock-driven cadence
-	// as the in-process pipeline, so a learner that lags the fleet drains
-	// the backlog instead of skipping it.
-	totalTrain := (l.cfg.TotalSteps + l.cfg.TrainEvery - 1) / l.cfg.TrainEvery
-	giveUp := func() bool { return runCtx.Err() != nil || l.fleetDone.Load() }
-	trained := 0
-	for k := 0; k < totalTrain; k++ {
-		due := envStart + int64(k*l.cfg.TrainEvery) + 1
-		clock.WaitEnv(due, giveUp)
-		if runCtx.Err() != nil {
-			break
-		}
-		if clock.EnvSteps() < due {
-			// Every actor departed cleanly and the remaining env steps were
-			// lost in flight (at-most-once delivery): the run is over, the
-			// learner trained on everything that arrived.
-			break
-		}
-		l.netMu.Lock()
-		ok := a.TrainStep() >= 0
-		l.netMu.Unlock()
-		if !ok {
-			continue // replay below one batch: nothing updated
-		}
-		trained++
-		if trained%l.cfg.SyncEvery == 0 {
-			l.publish(&stats)
-		}
-		if l.cfg.CheckpointPath != "" && trained%l.cfg.CheckpointEvery == 0 {
-			if err := l.checkpoint(&stats); err != nil {
-				cancel()
-				l.shutdown(&acceptWG)
-				return l.finish(stats, envStart, trainStart), err
-			}
-		}
-	}
-
-	err := runCtx.Err()
+	// Training is rl.Learner's: a learner that lags the fleet drains the
+	// backlog, and one whose whole fleet departed cleanly (fleetDone) ends
+	// with what arrived — delivery is at-most-once, so steps lost in flight
+	// never come.
+	publishes, err := l.learn.Run(runCtx, envStart, l.cfg.TotalSteps)
 	if err == nil && l.cfg.CheckpointPath != "" {
 		// Clean completion: leave a final resume point behind.
-		err = l.checkpoint(&stats)
+		err = l.checkpoint(publishes)
 	}
 	if err == nil {
 		l.announceDone()
 	}
 	cancel()
 	l.shutdown(&acceptWG)
-	<-wake
-	return l.finish(stats, envStart, trainStart), err
-}
-
-func (l *Learner) finish(stats LearnerStats, envStart, trainStart int64) LearnerStats {
-	clock := l.cfg.Agent.Clock()
-	stats.EnvSteps = int(clock.EnvSteps() - envStart)
-	stats.TrainSteps = int(clock.TrainSteps() - trainStart)
-	stats.Connects = int(l.connects.Load())
-	stats.Disconnects = int(l.disconnects.Load())
-	stats.Resumes = int(l.resumes.Load())
-	stats.DropReasons = DropReasons{
-		Timeout:            int(l.dropTimeout.Load()),
-		Truncated:          int(l.dropTruncated.Load()),
-		Corrupt:            int(l.dropCorrupt.Load()),
-		RejectedExperience: int(l.dropRejected.Load()),
-	}
-	return stats
+	return LearnerStats{
+		EnvSteps:    int(clock.EnvSteps() - envStart),
+		TrainSteps:  int(clock.TrainSteps() - trainStart),
+		Publishes:   publishes,
+		Checkpoints: l.checkpoints,
+		Connects:    int(l.connects.Load()),
+		Disconnects: int(l.disconnects.Load()),
+		Resumes:     int(l.resumes.Load()),
+		DropReasons: DropReasons{
+			Timeout:            int(l.dropTimeout.Load()),
+			Truncated:          int(l.dropTruncated.Load()),
+			Corrupt:            int(l.dropCorrupt.Load()),
+			RejectedExperience: int(l.dropRejected.Load()),
+		},
+	}, err
 }
 
 // watchIdle flips fleetDone when the fleet has been fully absent and silent
@@ -447,17 +399,13 @@ func (l *Learner) shutdown(acceptWG *sync.WaitGroup) {
 	acceptWG.Wait()
 }
 
-// publish snapshots the trainable weights onto the board and broadcasts the
-// result to every live actor.
-func (l *Learner) publish(stats *LearnerStats) {
-	l.netMu.Lock()
-	v := l.board.Publish(l.cfg.Agent.Net, l.cfg.Spec.Name)
-	l.netMu.Unlock()
-	stats.Publishes++
+// publish reports a policy the training loop put on the board and
+// broadcasts it to every live actor.
+func (l *Learner) publish(v uint64) {
 	if l.cfg.OnPublish != nil {
 		l.cfg.OnPublish(v)
 	}
-	snap, version := l.board.Snapshot()
+	snap, version := l.learn.Board.Snapshot()
 	payload, err := encodeSnapshotFrame(snap, version, false)
 	if err != nil {
 		return // cannot happen with a freshly taken snapshot
@@ -475,12 +423,20 @@ func (l *Learner) publish(stats *LearnerStats) {
 	}
 }
 
+// afterUpdate saves a checkpoint every CheckpointEvery completed updates.
+func (l *Learner) afterUpdate(trained, publishes int) error {
+	if l.cfg.CheckpointPath == "" || trained%l.cfg.CheckpointEvery != 0 {
+		return nil
+	}
+	return l.checkpoint(publishes)
+}
+
 // checkpoint saves a durable resume point and charges the NVM write.
-func (l *Learner) checkpoint(stats *LearnerStats) error {
+func (l *Learner) checkpoint(publishes int) error {
 	l.netMu.Lock()
 	cp := TakeCheckpoint(l.cfg.Agent, l.cfg.Spec.Name, l.shards)
-	cp.Publishes = stats.Publishes
 	l.netMu.Unlock()
+	cp.Publishes = publishes
 	l.connMu.Lock()
 	cp.Slots = make(map[uint64]int, len(l.slots))
 	for id, shard := range l.slots {
@@ -492,7 +448,7 @@ func (l *Learner) checkpoint(stats *LearnerStats) error {
 	if err != nil {
 		return err
 	}
-	stats.Checkpoints++
+	l.checkpoints++
 	if l.cfg.Ledger != nil {
 		l.cfg.Ledger.Record(l.mram, mem.Write, size*8)
 	}
@@ -557,7 +513,7 @@ func (l *Learner) handshake(ctx context.Context, conn net.Conn) {
 	}
 	l.netMu.Lock()
 	full := nn.TakeSnapshot(l.cfg.Agent.Net, l.cfg.Spec.Name)
-	version := l.board.Version()
+	version := l.learn.Board.Version()
 	l.netMu.Unlock()
 	snapPayload, err := encodeSnapshotFrame(full, version, true)
 	if err != nil {
@@ -727,11 +683,7 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 			for _, e := range batch {
 				l.shards.PushTo(lc.shard, e.T)
 				clock.TickEnv()
-				if l.cfg.Tracker != nil {
-					l.trackMu.Lock()
-					l.cfg.Tracker.Step(e.T.Reward, e.T.Done, e.Dist)
-					l.trackMu.Unlock()
-				}
+				l.learn.Track(e.T.Reward, e.T.Done, e.Dist)
 			}
 		case frameHeartbeat:
 			// Liveness only; the deadline reset above is the effect.

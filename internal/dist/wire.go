@@ -3,9 +3,10 @@
 // 2). Remote actors — separate goroutines, processes or machines — step
 // private worlds and stream their experience to a central learner over
 // TCP or unix sockets; the learner merges the streams into the existing
-// rl.ReplayShards deterministic interleave, trains on the batched TrainStep
-// path and broadcasts policy snapshots back through the same versioned
-// nn.Snapshot encoding the rest of the repo uses.
+// rl.ReplayShards deterministic interleave, trains them with the in-process
+// fleet's own learner loop (rl.Learner) and broadcasts its policy snapshots
+// back through the same versioned nn.Snapshot encoding the rest of the repo
+// uses.
 //
 // The regime is the paper's: resource-constrained edge actors (drones)
 // feeding a central learner over an unreliable link (Anwar & Raychowdhury,
@@ -55,9 +56,9 @@
 // that kill and restart whole actors or the learner mid-run. The package
 // tests run that harness under -race.
 //
-// With rl.Options.Remote == 0 none of this engages: online learning stays
-// the in-process rl.OnlineLoop, bit-identical to the single-process
-// pipeline.
+// Nothing in-process engages any of this: rl.OnlineLoop never opens a
+// socket. A distributed run is NewLearner + RunActor, as the dronerl-learner
+// and dronerl-actor commands wire them.
 package dist
 
 import (

@@ -325,48 +325,3 @@ func TestSnapshotFrameTruncated(t *testing.T) {
 		t.Fatalf("header-short snapshot: %v, want ErrFrameCorrupt", err)
 	}
 }
-
-// TestEveryWeightMutatorInvalidatesDenseCache is this package's case of the
-// internal/nn test of the same name: installTrainable writes the FC tail an
-// actor's nn.Dense layers have a cached transpose of, so after it both
-// forward paths must equal a freshly built network restored from the same
-// weights.
-func TestEveryWeightMutatorInvalidatesDenseCache(t *testing.T) {
-	spec := nn.NavNetSpec()
-	build := func(seed int64) *nn.Network {
-		n := spec.Build()
-		n.Init(rand.New(rand.NewSource(seed)))
-		n.SetConfig(nn.L3)
-		return n
-	}
-	net, learner := build(41), build(42)
-	xb := tensor.New(32, spec.InputC, spec.InputH, spec.InputW)
-	xb.RandN(rand.New(rand.NewSource(43)), 1)
-	frame := spec.InputC * spec.InputH * spec.InputW
-	x := tensor.FromSlice(append([]float32(nil), xb.Data()[:frame]...), spec.InputC, spec.InputH, spec.InputW)
-	net.ForwardBatch(xb)
-	before := net.Forward(x.Clone())
-
-	board := nn.NewPolicyBoard()
-	board.Publish(learner, spec.Name)
-	tail, _ := board.Snapshot()
-	if err := installTrainable(net, tail); err != nil {
-		t.Fatal(err)
-	}
-	if net.Forward(x.Clone()).Equal(before) {
-		t.Fatal("installTrainable left the output unchanged: the case proves nothing")
-	}
-	fresh := spec.Build()
-	if err := nn.TakeSnapshot(net, spec.Name).Restore(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if !net.Forward(x.Clone()).Equal(fresh.Forward(x.Clone())) {
-		t.Error("Forward reads a stale weight layout after installTrainable")
-	}
-	for _, b := range []int{1, 2, 32} {
-		in := tensor.FromSlice(xb.Data()[:b*frame], b, spec.InputC, spec.InputH, spec.InputW)
-		if !net.ForwardBatch(in).Equal(fresh.ForwardBatch(in)) {
-			t.Errorf("ForwardBatch(batch %d) reads a stale weight layout after installTrainable", b)
-		}
-	}
-}

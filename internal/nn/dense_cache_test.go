@@ -35,8 +35,8 @@ func assertMatchesFreshNetwork(t *testing.T, spec ArchSpec, net *Network) {
 // cached transpose of its weights, so every writer of Param.W must call
 // MarkChanged. Each case warms the cache on both forward paths, runs one
 // writer, and compares against a network that never had a cache. (The
-// writers outside this package, dist.installTrainable and
-// qnn.TrainNetwork.WriteBack, have the same test beside them.)
+// writer outside this package, qnn.TrainNetwork.WriteBack, has the same test
+// beside it.)
 func TestEveryWeightMutatorInvalidatesDenseCache(t *testing.T) {
 	spec := tinyAlexSpec()
 	other := spec.Build()
@@ -68,6 +68,19 @@ func TestEveryWeightMutatorInvalidatesDenseCache(t *testing.T) {
 			b.Publish(other, spec.Name)
 			if _, changed, err := b.Adopt(net, 0); err != nil || !changed {
 				t.Fatalf("Adopt = (changed %v, %v)", changed, err)
+			}
+		}},
+		// A tail publish that travelled the wire, as the dist actor adopts it.
+		{"Snapshot.RestoreTrainable", func(t *testing.T, net *Network) {
+			learner := spec.Build()
+			learner.Init(rand.New(rand.NewSource(69)))
+			learner.SetConfig(L2)
+			net.SetConfig(L2)
+			b := NewPolicyBoard()
+			b.Publish(learner, spec.Name)
+			tail, _ := b.Snapshot()
+			if err := tail.RestoreTrainable(net); err != nil {
+				t.Fatal(err)
 			}
 		}},
 	}

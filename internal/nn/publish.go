@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -94,9 +93,10 @@ func (b *PolicyBoard) Version() uint64 {
 // Adopt installs the latest published policy into dst's trainable
 // parameters when a version newer than lastSeen is available, returning the
 // version now installed and whether anything was copied. dst must share the
-// publisher's architecture and trainable topology. Adoption never blocks the
-// publisher's next publish — only a publish trying to recycle the very
-// buffer being read — and always installs one consistent published set,
+// publisher's architecture and trainable topology, and a policy holding a
+// NaN or ±Inf is refused whole (Snapshot.RestoreTrainable). Adoption never
+// blocks the publisher's next publish — only a publish trying to recycle the
+// very buffer being read — and always installs one consistent published set,
 // never a torn mix.
 func (b *PolicyBoard) Adopt(dst *Network, lastSeen uint64) (uint64, bool, error) {
 	e := b.cur.Load()
@@ -111,22 +111,8 @@ func (b *PolicyBoard) Adopt(dst *Network, lastSeen uint64) (uint64, bool, error)
 	if e.version == lastSeen {
 		return lastSeen, false, nil
 	}
-	ps := dst.TrainableParams()
-	if len(ps) != len(e.snap.Names) {
-		return lastSeen, false, fmt.Errorf("nn: policy has %d trainable params, network has %d",
-			len(e.snap.Names), len(ps))
-	}
-	for i, p := range ps {
-		if p.Name != e.snap.Names[i] {
-			return lastSeen, false, fmt.Errorf("nn: policy param %d is %q, network expects %q",
-				i, e.snap.Names[i], p.Name)
-		}
-		if len(e.snap.Data[i]) != p.W.Len() {
-			return lastSeen, false, fmt.Errorf("nn: policy param %q has %d values, want %d",
-				p.Name, len(e.snap.Data[i]), p.W.Len())
-		}
-		copy(p.W.Data(), e.snap.Data[i])
-		p.MarkChanged()
+	if err := e.snap.RestoreTrainable(dst); err != nil {
+		return lastSeen, false, err
 	}
 	return e.version, true, nil
 }

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -222,5 +224,30 @@ func TestPolicyBoardConcurrentPublishers(t *testing.T) {
 
 	if got, want := b.Version(), uint64(publishers*roundsPerPublish); got != want {
 		t.Errorf("board version %d after %d publishes", got, want)
+	}
+}
+
+// TestAdoptRejectsNonFinite: a published policy with a NaN in its last
+// trainable parameter — the one a check-while-copying install would reach
+// last — is refused whole, and the adopter keeps every bit it flew before.
+func TestAdoptRejectsNonFinite(t *testing.T) {
+	pub, sub := buildTestNets(t, L3)
+	ps := pub.TrainableParams()
+	last := ps[len(ps)-1].W.Data()
+	last[len(last)-1] = float32(math.NaN())
+	b := NewPolicyBoard()
+	b.Publish(pub, "NavNet")
+
+	before := TakeSnapshot(sub, "NavNet")
+	v, changed, err := b.Adopt(sub, 0)
+	if !errors.Is(err, ErrSnapshotNonFinite) || changed || v != 0 {
+		t.Fatalf("Adopt = (%d, %v, %v), want a refusal with ErrSnapshotNonFinite", v, changed, err)
+	}
+	for i, p := range sub.Params() {
+		for j, w := range p.W.Data() {
+			if math.Float32bits(w) != math.Float32bits(before.Data[i][j]) {
+				t.Fatalf("a refused adoption wrote %s[%d]", p.Name, j)
+			}
+		}
 	}
 }

@@ -63,8 +63,14 @@ func TakeSnapshot(n *Network, arch string) *Snapshot {
 // match by name and size and every value must be finite; everything is
 // checked before anything is written, so an error leaves n untouched, never
 // a partly restored network.
-func (s *Snapshot) Restore(n *Network) error {
-	ps := n.Params()
+func (s *Snapshot) Restore(n *Network) error { return s.install(n.Params()) }
+
+// RestoreTrainable writes a trainable-region snapshot — what PolicyBoard
+// publishes, locally or over the wire — into n's trainable parameters, with
+// Restore's checks: names, sizes and finiteness, all before any write.
+func (s *Snapshot) RestoreTrainable(n *Network) error { return s.install(n.TrainableParams()) }
+
+func (s *Snapshot) install(ps []*Param) error {
 	if len(ps) != len(s.Names) || len(ps) != len(s.Data) {
 		return fmt.Errorf("nn: snapshot has %d params (%d data rows), network has %d", len(s.Names), len(s.Data), len(ps))
 	}

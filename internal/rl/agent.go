@@ -67,12 +67,6 @@ type Options struct {
 	// snapshot of the trainable weights, which actors adopt at their next
 	// episode boundary. It has no effect with a single actor.
 	SyncEvery int
-	// Remote is the number of remote actor slots of the distributed
-	// pipeline (default 0, fully in-process — see rl.WithRemote and
-	// internal/dist). With Remote > 0 the online phase runs a wire-protocol
-	// learner server; remote actors stream replay over sockets and survive
-	// disconnects with local buffering and reconnect/backoff.
-	Remote int
 	// Seed fixes the agent's private RNG.
 	Seed int64
 
@@ -694,14 +688,13 @@ func (a *Agent) BatchSize() int { return a.opts.BatchSize }
 // Actors exposes the configured actor count of the online pipeline.
 func (a *Agent) Actors() int { return a.opts.Actors }
 
-// Remote exposes the configured remote-actor slot count of the distributed
-// pipeline (0 = fully in-process).
-func (a *Agent) Remote() int { return a.opts.Remote }
-
 // Options returns a copy of the agent's resolved options — the distributed
 // learner reads the schedules (epsilon, replay capacity) from it to hand
 // them to remote actors over the wire.
 func (a *Agent) Options() Options { return a.opts }
 
-// SyncEvery exposes the configured policy-publish interval in train steps.
-func (a *Agent) SyncEvery() int { return a.opts.SyncEvery }
+// Spec returns the architecture the agent was built for.
+func (a *Agent) Spec() nn.ArchSpec { return a.spec }
+
+// Config returns the training topology the agent's network is frozen at.
+func (a *Agent) Config() nn.Config { return a.cfg }

@@ -32,8 +32,9 @@ import (
 //
 // With N worlds, N actors step private environment copies concurrently, each
 // flying a private policy replica that runs its own frozen prefix, and push
-// experience into per-actor replay shards; the learner on the calling
-// goroutine samples across the shards (deterministic interleave), runs the
+// experience into per-actor replay shards; the Learner on the calling
+// goroutine (the loop internal/dist's network learner runs too) samples
+// across the shards (deterministic interleave), runs the
 // batched TrainStep on the shared clock's cadence and publishes the trainable
 // weights through atomic double-buffered nn.Snapshot swaps that actors pick
 // up at episode boundaries. Epsilon and target-sync schedules key off the
@@ -68,7 +69,6 @@ type OnlineLoop struct {
 	// It is called from the learner goroutine.
 	OnPublish func(version uint64)
 
-	trackMu sync.Mutex
 	// shards is the replay the loop's actors feed. It outlives a Run, so a
 	// loop run again keeps learning from what it already collected — while
 	// the agent keeps the training boundary and train backend it was
@@ -105,36 +105,16 @@ func (l *OnlineLoop) Run(ctx context.Context, iters int) (OnlineStats, error) {
 	if len(l.Worlds) == 0 {
 		panic("rl: OnlineLoop needs at least one world")
 	}
-	if l.TrainEvery <= 0 {
-		l.TrainEvery = 4
-	}
-	if l.SyncEvery <= 0 {
-		l.SyncEvery = a.opts.SyncEvery
-	}
-	if l.SyncEvery <= 0 {
-		l.SyncEvery = 8
-	}
+	l.TrainEvery, l.SyncEvery = a.cadence(l.TrainEvery, l.SyncEvery)
 	if l.shards == nil || l.shards.Shards() != len(l.Worlds) ||
 		l.shardsFrom != a.Net.TrainFrom() || l.shardsEngine != a.trainBackend {
 		l.shards = NewReplayShards(len(l.Worlds), a.opts.ReplayCapacity)
 		l.shardsFrom, l.shardsEngine = a.Net.TrainFrom(), a.trainBackend
 	}
-	a.SetReplaySource(l.shards)
-	defer a.SetReplaySource(nil)
 	if len(l.Worlds) == 1 {
 		return l.runSerial(ctx, iters)
 	}
 	return l.runFleet(ctx, iters)
-}
-
-// track serializes tracker updates across actors.
-func (l *OnlineLoop) track(res env.StepResult) {
-	if l.Tracker == nil {
-		return
-	}
-	l.trackMu.Lock()
-	l.Tracker.Step(res.Reward, res.Crashed, res.FlightDistance)
-	l.trackMu.Unlock()
 }
 
 // actor builds an Actor flying net in w with the agent's schedule. It
@@ -161,6 +141,8 @@ func (l *OnlineLoop) runSerial(ctx context.Context, iters int) (OnlineStats, err
 	a := l.Agent
 	stats := OnlineStats{Actors: 1}
 	envStart, trainStart := a.clock.EnvSteps(), a.clock.TrainSteps()
+	a.SetReplaySource(l.shards)
+	defer a.SetReplaySource(nil)
 	act := a.actor(a.Net, l.Worlds[0], a.rng)
 	var err error
 	for i := 0; i < iters; i++ {
@@ -169,7 +151,9 @@ func (l *OnlineLoop) runSerial(ctx context.Context, iters int) (OnlineStats, err
 		}
 		tr, res := act.Step(a.clock.TickEnv())
 		l.shards.PushTo(0, tr)
-		l.track(res)
+		if l.Tracker != nil {
+			l.Tracker.Step(res.Reward, res.Crashed, res.FlightDistance)
+		}
 		if i%l.TrainEvery == 0 {
 			a.TrainStep()
 		}
@@ -180,7 +164,7 @@ func (l *OnlineLoop) runSerial(ctx context.Context, iters int) (OnlineStats, err
 }
 
 // runFleet is the concurrent schedule: one goroutine per actor, each flying
-// a private replica with a private rng, and the learner on the calling
+// a private replica with a private rng, and the Learner on the calling
 // goroutine.
 func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, error) {
 	a := l.Agent
@@ -189,8 +173,11 @@ func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, erro
 	stats := OnlineStats{Actors: n}
 	envStart, trainStart := clock.EnvSteps(), clock.TrainSteps()
 
-	board := nn.NewPolicyBoard()
-	initial := board.Publish(a.Net, a.spec.Name)
+	learner := &Learner{
+		Agent: a, Replay: l.shards, Board: nn.NewPolicyBoard(), Tracker: l.Tracker,
+		TrainEvery: l.TrainEvery, SyncEvery: l.SyncEvery, OnPublish: l.OnPublish,
+	}
+	initial := learner.Board.Publish(a.Net, a.spec.Name)
 
 	// Each actor flies its own policy replica; the frozen prefix of every
 	// replica is identical for the whole run, only the trainable tail is
@@ -205,8 +192,7 @@ func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, erro
 		actors[i] = a.actor(net, l.Worlds[i], rand.New(rand.NewSource(a.opts.Seed+7919*int64(i+1))))
 	}
 
-	// Cancellation plumbing: an actor error cancels the run; any
-	// cancellation wakes the learner out of its clock wait.
+	// An actor error cancels the run.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var firstErr atomic.Pointer[error]
@@ -215,12 +201,6 @@ func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, erro
 		firstErr.CompareAndSwap(nil, &e)
 		cancel()
 	}
-	wake := make(chan struct{})
-	go func() {
-		<-runCtx.Done()
-		clock.Wake()
-		close(wake)
-	}()
 
 	var adoptions atomic.Int64
 	var wg sync.WaitGroup
@@ -236,12 +216,12 @@ func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, erro
 			for k := 0; k < share && runCtx.Err() == nil; k++ {
 				tr, res := act.Step(clock.TickEnv())
 				l.shards.PushTo(id, tr)
-				l.track(res)
+				learner.Track(res.Reward, res.Crashed, res.FlightDistance)
 				if !res.Crashed {
 					continue
 				}
 				// Episode boundary: pick up the latest published policy.
-				v, changed, err := board.Adopt(act.Net, lastSeen)
+				v, changed, err := learner.Board.Adopt(act.Net, lastSeen)
 				if err != nil {
 					fail(err)
 					return
@@ -254,37 +234,10 @@ func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, erro
 		}()
 	}
 
-	// The learner: the k-th weight update becomes due once the actor fleet
-	// has taken k*TrainEvery env steps together — the serial cadence on the
-	// shared clock. If the learner lags the fleet it drains the remaining
-	// due steps after the actors finish, so the total training work is the
-	// same as the serial schedule's regardless of interleaving.
-	totalTrain := (iters + l.TrainEvery - 1) / l.TrainEvery
-	giveUp := func() bool { return runCtx.Err() != nil }
-	trained := 0
-	for k := 0; k < totalTrain; k++ {
-		clock.WaitEnv(envStart+int64(k*l.TrainEvery)+1, giveUp)
-		if giveUp() {
-			break
-		}
-		if a.TrainStep() < 0 {
-			continue // replay still below one batch: no update, nothing to publish
-		}
-		trained++
-		if trained%l.SyncEvery == 0 {
-			// Publish cadence counts completed weight updates only, so a
-			// snapshot (and its charged NVM/SRAM write) always carries new
-			// weights.
-			v := board.Publish(a.Net, a.spec.Name)
-			stats.Publishes++
-			if l.OnPublish != nil {
-				l.OnPublish(v)
-			}
-		}
-	}
+	// The learner's only error is runCtx's: reported below as the actor
+	// failure that cancelled it, or as ctx's own.
+	stats.Publishes, _ = learner.Run(runCtx, envStart, iters)
 	wg.Wait()
-	cancel()
-	<-wake
 
 	stats.EnvSteps = int(clock.EnvSteps() - envStart)
 	stats.TrainSteps = int(clock.TrainSteps() - trainStart)

@@ -2,6 +2,8 @@ package rl
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -386,5 +388,37 @@ func TestOnlineLoopReplayOutlivesRun(t *testing.T) {
 		if stats.TrainSteps != tc.want {
 			t.Errorf("run %d under %v: %d train steps, want %d", i, tc.cfg, stats.TrainSteps, tc.want)
 		}
+	}
+}
+
+// TestOnlineLoopRefusesNonFinitePolicy: once the learner's weights go
+// non-finite (here a NaN written into its last trainable parameter), the
+// policies it publishes cannot be installed, and a fleet run ends with that
+// error instead of flying them.
+func TestOnlineLoopRefusesNonFinitePolicy(t *testing.T) {
+	const actors = 4
+	agent := NewAgent(nn.NavNetSpec(), nn.L3, asyncTestOpts(19, actors))
+	worlds := make([]*env.World, actors)
+	base := env.IndoorApartment(19)
+	for i := range worlds {
+		w := base.Clone()
+		w.Seed(51 + int64(i))
+		w.Spawn()
+		worlds[i] = w
+	}
+	loop := &OnlineLoop{Agent: agent, Worlds: worlds, OnPublish: func(v uint64) {
+		if v == 2 { // the learner goroutine owns agent.Net here
+			ps := agent.Net.TrainableParams()
+			p := ps[len(ps)-1]
+			p.W.Data()[p.W.Len()-1] = float32(math.NaN())
+			p.MarkChanged()
+		}
+	}}
+	stats, err := loop.Run(context.Background(), 20000)
+	if !errors.Is(err, nn.ErrSnapshotNonFinite) {
+		t.Fatalf("fleet run returned %v, want nn.ErrSnapshotNonFinite", err)
+	}
+	if stats.EnvSteps >= 20000 {
+		t.Errorf("the run flew its whole budget (%d steps) after the refusal", stats.EnvSteps)
 	}
 }

@@ -34,7 +34,6 @@ const (
 	fieldEvalBackend
 	fieldActors
 	fieldSyncEvery
-	fieldRemote
 	fieldTrainBackend
 )
 
@@ -224,25 +223,6 @@ func WithActors(n int) Option {
 	}
 }
 
-// WithRemote sets the number of remote actors of the distributed
-// actor/learner pipeline (internal/dist): actors running as wire-protocol
-// clients — in-process goroutines, other processes or other machines —
-// streaming their replay shards to the learner over a socket and adopting
-// policy snapshots it broadcasts. 0 (the default) keeps online learning
-// entirely in-process: the WithActors pipeline, bit-identical to today's
-// behaviour. With n > 0 the online phase runs the crash-tolerant distributed
-// pipeline with n remote actor slots instead.
-func WithRemote(n int) Option {
-	return func(o *Options) error {
-		if n < 0 {
-			return fmt.Errorf("rl: remote actor count %d must be >= 0", n)
-		}
-		o.Remote = n
-		o.mark(fieldRemote)
-		return nil
-	}
-}
-
 // WithSyncEvery sets the learner's policy-publish interval in training
 // steps (must be >= 1). Smaller intervals keep actors fresher at the cost
 // of more snapshot traffic — and, under E2E on the modeled hardware, more
@@ -349,9 +329,6 @@ func (o Options) Validate() error {
 	if r.SyncEvery < 1 {
 		errs = append(errs, fmt.Errorf("rl: policy sync interval %d must be >= 1", r.SyncEvery))
 	}
-	if r.Remote < 0 {
-		errs = append(errs, fmt.Errorf("rl: remote actor count %d must be >= 0", r.Remote))
-	}
 	return errors.Join(errs...)
 }
 
@@ -402,9 +379,6 @@ func (o Options) Merge(over Options) Options {
 	}
 	if over.isSet(fieldSyncEvery) {
 		out.SyncEvery = over.SyncEvery
-	}
-	if over.isSet(fieldRemote) {
-		out.Remote = over.Remote
 	}
 	if over.isSet(fieldTrainBackend) {
 		out.TrainBackend = over.TrainBackend

@@ -287,3 +287,23 @@ func TestDeployMismatchedArchSpec(t *testing.T) {
 		t.Errorf("arch-mismatch error must be distinct from the gob and version errors: %v", err)
 	}
 }
+
+// TestRunOnlineInProcessGolden pins a seeded single-actor L3 run through
+// RunOnline: it leaves the trackers the single-actor schedule left at
+// 2c75f9e (hash captured there, where the run was also compared with the
+// since deleted synchronous wrapper).
+func TestRunOnlineInProcessGolden(t *testing.T) {
+	skipOffAMD64(t)
+	spec := nn.NavNetSpec()
+	meta := env.IndoorMeta(61)
+	snap, _ := MetaTrain(meta, spec, 40, fastOpts(61))
+
+	res, err := RunOnline(snap, env.IndoorApartment(62), spec, nn.L3, 160, 80, fastOpts(63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ed1f5ceaf3d31c9d43d39afba90779e39f4cc52b5072ef9538b5a2825ddf14f0"
+	if got := onlineRunHash(res); got != want {
+		t.Errorf("in-process run moved: trackers hash %s, want %s", got, want)
+	}
+}

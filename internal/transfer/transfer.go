@@ -14,9 +14,7 @@ package transfer
 import (
 	"context"
 	"fmt"
-	"net"
 
-	"dronerl/internal/dist"
 	"dronerl/internal/env"
 	"dronerl/internal/hw"
 	"dronerl/internal/mem"
@@ -92,12 +90,6 @@ type Result struct {
 	// PublishLedger itemizes the publish traffic per device (nil when no
 	// publish happened).
 	PublishLedger *mem.EnergyLedger
-	// Remote is the number of remote actors of a distributed run (0 for the
-	// in-process pipeline), and Reconnects how many extra actor sessions the
-	// learner accepted beyond the initial handshakes — nonzero only when
-	// links died and the fleet recovered.
-	Remote     int
-	Reconnects int
 }
 
 // SFD returns the run's evaluated safe flight distance.
@@ -172,9 +164,6 @@ func RunOnlineContext(ctx context.Context, snapshot *nn.Snapshot, test *env.Worl
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Remote > 0 {
-		return runOnlineDistributed(ctx, agent, test, spec, cfg, onlineIters, evalSteps, opts)
-	}
 	loop, ledger := BuildOnlineLoop(agent, test, spec, cfg, onlineIters, opts.Seed+7700)
 	res := Result{Env: test.Name, Config: cfg, Actors: agent.Actors(), PublishLedger: ledger}
 	stats, err := loop.Run(ctx, onlineIters)
@@ -186,130 +175,20 @@ func RunOnlineContext(ctx context.Context, snapshot *nn.Snapshot, test *env.Worl
 	if res.PublishLedger != nil {
 		res.PublishMJ = res.PublishLedger.TotalEnergyPJ() / 1e9
 	}
-	if err := finishEval(agent, test, evalSteps, &res); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// finishEval runs the greedy evaluation flight at the training/evaluation
-// hand-off, activating the configured backend first.
-func finishEval(agent *rl.Agent, test *env.World, evalSteps int, res *Result) error {
-	// Capture the training backend's tallies before evaluation: the online
-	// phase is over, so the cost recorded now is exactly the training cost.
+	// The training/evaluation hand-off. Capture the training backend's
+	// tallies first: the online phase is over, so the cost recorded now is
+	// exactly the training cost.
 	if tb := agent.TrainBackend(); tb != nil {
 		res.TrainBackend = tb.Name()
 		res.TrainCost = agent.TrainCost()
 	}
 	if err := agent.ActivateEvalBackend(); err != nil {
-		return err
+		return Result{}, err
 	}
 	res.Eval = rl.Evaluate(test, agent, evalSteps)
 	if b := agent.EvalBackend(); b != nil {
 		res.Backend = b.Name()
 		res.EvalCost = agent.EvalCost()
-	}
-	return nil
-}
-
-// runOnlineDistributed is the opts.Remote > 0 arm of RunOnlineContext: the
-// learner serves the deployed agent on a loopback listener and opts.Remote
-// wire-protocol actors fly private worlds against it — the same crash-
-// tolerant path the dronerl-learner and dronerl-actor commands run across
-// machines, exercised here in one process. Actor 0 flies the caller's test
-// world (which the evaluation flight then reuses); extra actors fly clones
-// with private spawn streams, seeded exactly like the in-process fleet's.
-// Every policy publish charges its snapshot write traffic to the compact
-// ledger, and the learner's flight tracker becomes the training metrics.
-func runOnlineDistributed(ctx context.Context, agent *rl.Agent, test *env.World,
-	spec nn.ArchSpec, cfg nn.Config, onlineIters, evalSteps int, opts rl.Options) (Result, error) {
-
-	remote := opts.Remote
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return Result{}, fmt.Errorf("transfer: distributed listener: %w", err)
-	}
-	ledger := mem.NewCompactLedger()
-	traffic := hw.NewModelFor(spec).SnapshotPublishTraffic(cfg)
-	tracker := rl.TrackerFor(onlineIters)
-	learner, err := dist.NewLearner(dist.LearnerConfig{
-		Agent: agent, Spec: spec, Cfg: cfg, Listener: ln,
-		ActorSlots: remote,
-		TotalSteps: onlineIters,
-		// One weight update per fleet env step: the cadence of the serial
-		// and in-process pipelines.
-		TrainEvery: 1,
-		SyncEvery:  agent.SyncEvery(),
-		Tracker:    tracker,
-		OnPublish: func(uint64) {
-			for _, t := range traffic {
-				ledger.Record(t.Device, mem.Write, t.Bits)
-			}
-		},
-	})
-	if err != nil {
-		ln.Close()
-		return Result{}, err
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	learnerStats := make(chan dist.LearnerStats, 1)
-	learnerErr := make(chan error, 1)
-	go func() {
-		st, err := learner.Run(runCtx)
-		learnerStats <- st
-		learnerErr <- err
-	}()
-
-	worlds := make([]*env.World, remote)
-	worlds[0] = test
-	for i := 1; i < remote; i++ {
-		w := test.Clone()
-		w.Seed(opts.Seed + 7700 + 97*int64(i))
-		w.Spawn()
-		worlds[i] = w
-	}
-	steps := onlineIters / remote
-	actorErrs := make(chan error, remote)
-	for i := 0; i < remote; i++ {
-		n := steps
-		if i == 0 {
-			n += onlineIters % remote
-		}
-		go func(i, n int) {
-			_, err := dist.RunActor(runCtx, dist.ActorConfig{
-				Addr:  ln.Addr().String(),
-				Spec:  spec,
-				World: worlds[i],
-				Steps: n,
-				Seed:  opts.Seed + 8800 + 131*int64(i),
-			})
-			actorErrs <- err
-		}(i, n)
-	}
-	for i := 0; i < remote; i++ {
-		if aerr := <-actorErrs; aerr != nil && err == nil {
-			err = aerr
-		}
-	}
-	stats := <-learnerStats
-	if lerr := <-learnerErr; lerr != nil && err == nil {
-		err = lerr
-	}
-	if err != nil {
-		return Result{}, err
-	}
-
-	res := Result{
-		Env: test.Name, Config: cfg, Actors: 1, Remote: remote,
-		Training: tracker, Publishes: stats.Publishes,
-		Reconnects:    stats.Connects - remote,
-		PublishLedger: ledger,
-	}
-	res.PublishMJ = ledger.TotalEnergyPJ() / 1e9
-	if err := finishEval(agent, test, evalSteps, &res); err != nil {
-		return Result{}, err
 	}
 	return res, nil
 }
