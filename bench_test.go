@@ -276,7 +276,8 @@ func naiveConvForward(c *nn.Conv2D, in *tensor.Tensor) *tensor.Tensor {
 	h, w := in.Dim(1), in.Dim(2)
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
-	cols := tensor.Im2Col(in, c.KH, c.KW, c.Stride, c.Pad)
+	cols := tensor.New(oh*ow, c.InC*c.KH*c.KW)
+	tensor.Im2ColInto(cols, in.Reshape(1, c.InC, h, w), c.KH, c.KW, c.Stride, c.Pad)
 	out := tensor.New(c.OutC, oh, ow)
 	od := out.Data()
 	wd := c.Weight.W
@@ -572,8 +573,8 @@ func alexConv2Batch() (*nn.Conv2D, *tensor.Tensor) {
 }
 
 // BenchmarkConvForwardBatchGEMM runs the AlexNet-sized CONV2 forward over
-// convBatch stacked samples: one batched im2col + one GEMM over the stacked
-// patches, writing into reused workspaces.
+// convBatch stacked samples: the implicit GEMM over each sample's staged
+// stride-phase planes, writing into reused workspaces.
 func BenchmarkConvForwardBatchGEMM(b *testing.B) {
 	c, batch := alexConv2Batch()
 	c.ForwardBatch(batch)

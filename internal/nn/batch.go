@@ -14,11 +14,12 @@ import (
 // methods — so there is exactly one forward and one backward per layer.
 //
 // Beyond amortizing per-call overheads, batching is what unlocks SIMD: the
-// stacked layouts (transposed im2col panels, minibatch rows) make the
+// stacked layouts (stride-phase input planes, minibatch rows) make the
 // non-reduction axis of every GEMM long and unit-stride, so the layers below
-// run on the vectorized tensor.MatMulAccumVec/MatMulTNAccumVec kernels, whose
-// saxpy row updates span output elements — never the reduction axis (see
-// matmul_vec.go).
+// run on the vectorized panel kernels (tensor.ConvInto, MatMulAccumVec,
+// MatMulTNAccumVec), whose saxpy row updates span output elements — never
+// the reduction axis (see matmul_vec.go). As in the paper (Section V.B), only
+// conv backprop builds an im2col panel; its forward is an implicit GEMM.
 //
 // Row contract: for every output element the kernels run a single-accumulator,
 // ascending-index reduction, and parameter gradients accumulate in sample
@@ -37,11 +38,11 @@ import (
 // BackwardBatch results are therefore arena-owned: valid until the owning
 // layer's next pass, copy what must survive. Network.Forward and ForwardRange
 // return private copies — callers store them in replay as Transition.Feat.
-// No forward pass reads or writes its input after it returns; Dense and LRN
-// hold a reference to it for BackwardBatch only.
+// No forward pass reads or writes its input after it returns; Conv2D, Dense
+// and LRN hold a reference to it for BackwardBatch only.
 //
-// One cache per layer: ForwardBatch leaves what BackwardBatch consumes (im2col
-// panel, argmax, mask, denominators, input reference), and any later forward
+// One cache per layer: ForwardBatch leaves what BackwardBatch consumes (input
+// reference, argmax, mask, denominators), and any later forward
 // pass through the layer — a Forward is one — overwrites it. Nothing may run
 // between a network's ForwardBatch and the BackwardBatch that pairs with it.
 // BackwardBatch panics when no forward preceded it or when the gradient's
@@ -53,9 +54,9 @@ import (
 // between TrainSteps at batch 32) re-headers its slots on each switch — two
 // small allocations per layer — while the backing storage is reused.
 //
-// One piece of storage outlives a pass: Dense keeps the (In x Out) transpose
-// of its weights and rebuilds it only when the weights were marked changed.
-// The contract that keeps it fresh: whoever writes Param.W calls MarkChanged.
+// Conv2D keeps the tap-offset table of its input size across passes, and
+// Dense the (In x Out) transpose of its weights, rebuilt only when the
+// weights were marked changed: whoever writes Param.W calls MarkChanged.
 
 // checkGrad panics unless a ForwardBatch left out behind and grad has its
 // shape.
@@ -69,23 +70,19 @@ func checkGrad(layer string, out, grad *tensor.Tensor) {
 	}
 }
 
-// Arena slots of Conv2D's batched workspace.
+// Arena slots of Conv2D's backward workspace.
 const (
-	convSlotColsT = iota
+	convSlotOut = iota
 	convSlotCols
-	convSlotGemm
-	convSlotOut
 	convSlotGrad2
 	convSlotDcolsT
-	convSlotDcols
 	convSlotDin
 )
 
-// ForwardBatch implements Layer: one im2col expansion over the whole batch
-// and one GEMM computing all B samples' outputs. The im2col panel is built in
-// the transposed (colw x B*np) layout, which turns the batch GEMM into saxpy
-// row updates over B*np-wide unit-stride rows — the vector kernel's shape —
-// while each output element keeps a dot product's ascending order.
+// ForwardBatch implements Layer: an implicit GEMM over the whole batch
+// (tensor.ConvInto). Each sample is staged once into the layer's stride-phase
+// planes and the weights multiply them in place, so no im2col panel is
+// built; each output element keeps a dot product's ascending order.
 func (c *Conv2D) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	if in.Rank() != 4 || in.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s expects NCHW input with C=%d, got %v", c.LayerName, c.InC, in.Shape()))
@@ -93,30 +90,13 @@ func (c *Conv2D) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	b, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
-	np := oh * ow
-	c.bInH, c.bInW = h, w
-	// One GEMM for the whole batch: gemm (OutC x B*np) = W x colsT, so the
-	// scatter back to NCHW below is a pure copy plus the bias addition.
-	gemm := c.bArena.Get(convSlotGemm, c.OutC, b*np)
-	gemm.Zero()
-	c.bColsT = c.bArena.Get(convSlotColsT, c.InC*c.KH*c.KW, b*np)
-	tensor.Im2ColTInto(c.bColsT, in, c.KH, c.KW, c.Stride, c.Pad)
-	tensor.MatMulAccumVec(gemm, c.Weight.W, c.bColsT)
-	out := c.bArena.Get(convSlotOut, b, c.OutC, oh, ow)
-	c.bOut = out
-	gd := gemm.Data()
-	od := out.Data()
-	bd := c.Bias.W.Data()
-	for s := 0; s < b; s++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			src := gd[oc*b*np+s*np : oc*b*np+(s+1)*np]
-			dst := od[(s*c.OutC+oc)*np : (s*c.OutC+oc+1)*np]
-			bias := bd[oc]
-			for p, v := range src {
-				dst[p] = v + bias
-			}
-		}
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("nn: %s input %v is smaller than its %dx%d kernel with padding %d",
+			c.LayerName, in.Shape(), c.KH, c.KW, c.Pad))
 	}
+	out := c.bArena.Get(convSlotOut, b, c.OutC, oh, ow)
+	tensor.ConvInto(out, in, c.Weight.W, c.Bias.W, c.KH, c.KW, c.Stride, c.Pad, &c.fwd)
+	c.bIn, c.bOut = in, out
 	return out
 }
 
@@ -140,11 +120,11 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.
 		}
 	}
 	// dW += grad2 (OutC x B*np) x cols (B*np x colw). The weight-gradient
-	// GEMM reduces over the stacked patch axis, so it wants the patch-major
-	// im2col layout; recover it from the forward pass's transposed panel
-	// with one tiled copy (far cheaper than the GEMM it feeds).
+	// GEMM reduces over the stacked patch axis, so it reads the patch-major
+	// im2col panel of the forward pass's input — the one panel the layer
+	// builds.
 	cols := c.bArena.Get(convSlotCols, b*np, colw)
-	tensor.TransposeInto(cols, c.bColsT)
+	tensor.Im2ColInto(cols, c.bIn, c.KH, c.KW, c.Stride, c.Pad)
 	tensor.MatMulAccumVec(c.Weight.G, grad2, cols)
 	// db: one partial sum per sample, added in sample order.
 	gb := c.Bias.G.Data()
@@ -161,19 +141,17 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.
 		return nil
 	}
 	// dCols = grad2^T x W, then per-sample col2im scatter. Computed in the
-	// transposed (colw x B*np) layout — dColsT += W^T x grad2 — so the
+	// channel-major (colw x B*np) layout — dColsT += W^T x grad2 — so the
 	// vector kernel's rows span the whole batch axis instead of one colw-wide
-	// patch (tens of saxpy calls rather than tens of thousands), then
-	// transposed back to the patch-major layout Col2ImInto's scatter
-	// requires. Per element both forms accumulate the same products
-	// in the same ascending-OutC order, so the values are bit-identical.
+	// patch (tens of saxpy calls rather than tens of thousands), and
+	// scattered from that layout directly. Per element both forms accumulate
+	// the same products in the same ascending-OutC order, so the values are
+	// bit-identical.
 	dcolsT := c.bArena.Get(convSlotDcolsT, colw, b*np)
 	dcolsT.Zero()
 	tensor.MatMulTNAccumVec(dcolsT, c.Weight.W, grad2)
-	dcols := c.bArena.Get(convSlotDcols, b*np, colw)
-	tensor.TransposeInto(dcols, dcolsT)
-	din := c.bArena.Get(convSlotDin, b, c.InC, c.bInH, c.bInW)
-	tensor.Col2ImInto(din, dcols, c.KH, c.KW, c.Stride, c.Pad)
+	din := c.bArena.Get(convSlotDin, b, c.InC, c.bIn.Dim(2), c.bIn.Dim(3))
+	tensor.Col2ImInto(din, dcolsT, c.KH, c.KW, c.Stride, c.Pad)
 	return din
 }
 

@@ -143,22 +143,26 @@ func TestForwardResultIsPrivate(t *testing.T) {
 }
 
 // TestForwardBatchZeroAllocSteadyState pins the workspace contract: after
-// warm-up, a batched forward pass performs zero heap allocations.
-// (AllocsPerRun runs under GOMAXPROCS(1), so the goroutine fan-out of the
-// large-kernel path is naturally excluded; the single-threaded schedule is
-// exactly what the allocation contract covers.)
+// warm-up, a batched forward pass performs zero heap allocations — at batch
+// 8, and at batch 1, where the conv layers' stride-phase planes and
+// tap-offset tables are built once and reused. (AllocsPerRun runs under
+// GOMAXPROCS(1), so the goroutine fan-out of the large-kernel path is
+// naturally excluded; the single-threaded schedule is exactly what the
+// allocation contract covers.)
 func TestForwardBatchZeroAllocSteadyState(t *testing.T) {
 	for _, spec := range batchSpecs(t) {
-		net := spec.Build()
-		net.Init(rand.New(rand.NewSource(56)))
-		x := randomBatch(spec, 8, rand.New(rand.NewSource(57)))
-		net.ForwardBatch(x) // warm-up
-		if avg := testing.AllocsPerRun(10, func() { net.ForwardBatch(x) }); avg != 0 {
-			t.Errorf("%s: steady-state ForwardBatch allocates %v times per call, want 0", spec.Name, avg)
-		}
-		// Dense's cached weight layout is rebuilt in place after an update.
-		if avg := testing.AllocsPerRun(10, func() { net.Step(1e-3, 8); net.ForwardBatch(x) }); avg != 0 {
-			t.Errorf("%s: ForwardBatch after a Step allocates %v times per call, want 0", spec.Name, avg)
+		for _, b := range []int{1, 8} {
+			net := spec.Build()
+			net.Init(rand.New(rand.NewSource(56)))
+			x := randomBatch(spec, b, rand.New(rand.NewSource(57)))
+			net.ForwardBatch(x) // warm-up
+			if avg := testing.AllocsPerRun(10, func() { net.ForwardBatch(x) }); avg != 0 {
+				t.Errorf("%s: steady-state ForwardBatch at batch %d allocates %v times per call, want 0", spec.Name, b, avg)
+			}
+			// Dense's cached weight layout is rebuilt in place after an update.
+			if avg := testing.AllocsPerRun(10, func() { net.Step(1e-3, b); net.ForwardBatch(x) }); avg != 0 {
+				t.Errorf("%s: ForwardBatch at batch %d after a Step allocates %v times per call, want 0", spec.Name, b, avg)
+			}
 		}
 	}
 }
@@ -182,4 +186,18 @@ func TestBackwardBatchZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("%s: steady-state forward+backward allocates %v times per call, want 0", spec.Name, avg)
 		}
 	}
+}
+
+// TestConvForwardRejectsInputSmallerThanKernel: an input the kernel does not
+// fit must panic naming the layer and the input's shape, not deep in the
+// workspace allocator.
+func TestConvForwardRejectsInputSmallerThanKernel(t *testing.T) {
+	c := NewConv2D("CONVX", 2, 4, 5, 5, 1, 0)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "CONVX") || !strings.Contains(msg, "[1 2 3 7]") {
+			t.Errorf("want a panic naming CONVX and the input shape [1 2 3 7], got %q", msg)
+		}
+	}()
+	c.ForwardBatch(tensor.New(1, 2, 3, 7))
 }

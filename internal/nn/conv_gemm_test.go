@@ -12,11 +12,20 @@ import (
 // same single-accumulator, ascending-index reductions, so these comparisons
 // use exact equality rather than tolerances.
 
+// im2col is one CHW sample's patch-major im2col matrix.
+func im2col(c *Conv2D, in *tensor.Tensor) *tensor.Tensor {
+	oh := tensor.ConvOutDim(in.Dim(1), c.KH, c.Stride, c.Pad)
+	ow := tensor.ConvOutDim(in.Dim(2), c.KW, c.Stride, c.Pad)
+	cols := tensor.New(oh*ow, c.InC*c.KH*c.KW)
+	tensor.Im2ColInto(cols, in.Reshape(1, in.Dim(0), in.Dim(1), in.Dim(2)), c.KH, c.KW, c.Stride, c.Pad)
+	return cols
+}
+
 func naiveConvForward(c *Conv2D, in *tensor.Tensor) *tensor.Tensor {
 	h, w := in.Dim(1), in.Dim(2)
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
-	cols := tensor.Im2Col(in, c.KH, c.KW, c.Stride, c.Pad)
+	cols := im2col(c, in)
 	out := tensor.New(c.OutC, oh, ow)
 	od := out.Data()
 	wd := c.Weight.W
@@ -44,7 +53,7 @@ func naiveConvBackward(c *Conv2D, in, grad, dw, db *tensor.Tensor) *tensor.Tenso
 	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
 	np := oh * ow
-	cols := tensor.Im2Col(in, c.KH, c.KW, c.Stride, c.Pad)
+	cols := im2col(c, in)
 	colw := cols.Dim(1)
 	gd := grad.Data()
 	for oc := 0; oc < c.OutC; oc++ {
@@ -78,7 +87,11 @@ func naiveConvBackward(c *Conv2D, in, grad, dw, db *tensor.Tensor) *tensor.Tenso
 			}
 		}
 	}
-	return tensor.Col2Im(dcols, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad)
+	dcolsT := tensor.New(colw, np)
+	tensor.TransposeInto(dcolsT, dcols)
+	din := tensor.New(1, c.InC, h, w)
+	tensor.Col2ImInto(din, dcolsT, c.KH, c.KW, c.Stride, c.Pad)
+	return din.Reshape(c.InC, h, w)
 }
 
 // convCases covers register-block remainders (OutC and np not multiples of

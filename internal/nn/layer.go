@@ -61,21 +61,23 @@ type Layer interface {
 // BatchLayer is Layer under the name the benchmark harness type-asserts.
 type BatchLayer = Layer
 
-// Conv2D is a 2-D convolution over NCHW tensors, implemented with im2col and
-// matrix products — the same GEMM formulation the paper uses for CONV-layer
-// backpropagation on the PE array (Section V.B).
+// Conv2D is a 2-D convolution over NCHW tensors. The forward pass is an
+// implicit GEMM over the input (tensor.ConvInto); backpropagation expands the
+// input with im2col and runs matrix products — the same GEMM formulation the
+// paper uses for CONV-layer backpropagation on the PE array (Section V.B).
 type Conv2D struct {
 	LayerName           string
 	InC, OutC           int
 	KH, KW, Stride, Pad int
 	Weight, Bias        *Param
 
-	// Reusable workspaces plus what ForwardBatch leaves for BackwardBatch:
-	// its output (whose shape the gradient must have), the input's spatial
-	// size, and bColsT, the transposed (colw x B*np) im2col panel.
-	bArena       tensor.Arena
-	bOut, bColsT *tensor.Tensor
-	bInH, bInW   int
+	// fwd holds the forward's stride-phase planes and tap-offset table,
+	// bArena the backward's panels. bIn and bOut are the latest
+	// ForwardBatch's input (read by BackwardBatch, never by a later forward
+	// pass) and output (whose shape the gradient must have).
+	fwd       tensor.ConvScratch
+	bArena    tensor.Arena
+	bIn, bOut *tensor.Tensor
 }
 
 // NewConv2D creates a convolution layer with zeroed parameters.

@@ -2,9 +2,9 @@
 
 #include "textflag.h"
 
-// func axpyPanel4AVX(dst, a, b *float32, aRow, aCol, k, n int)
+// func axpyPanel4AVX(dst, a, b *float32, offs *int, aRow, aCol, k, n int)
 // Four-destination-row panel: for r in 0..3, j < n,
-//   dst[r*n+j] += sum_{p<k} a[r*aRow + p*aCol] * b[p*n+j]
+//   dst[r*n+j] += sum_{p<k} a[r*aRow + p*aCol] * b[offs[p]+j]
 // Each destination row owns its accumulators, so per element the products
 // still arrive in ascending p order with one VMULPS and one VADDPS rounding
 // per step — bit-identical to four axpyPanelAVX calls — while every b row is
@@ -12,21 +12,23 @@
 // kernel exists). Zero coefficients are not special-cased here: adding the
 // exact +-0 products is the reference semantics the skip elsewhere shortcuts.
 //
-// Register map: DI=dst SI=a DX=b R14=aRow*4 R10=aCol*4 CX=k R8=n R9=j
-//               R15=n*4 R11=a cursor R12=b cursor R13=p countdown
-//               BX=dst row0+j ptr AX=scratch
+// Register map: DI=dst SI=a DX=b R14=aRow*4 R10=aCol*4 CX=offs end R8=n
+//               R9=j R15=n*4 R11=a cursor R12=b+j R13=p-k (counts up to 0)
+//               BX=dst row0+j ptr, then offs[p] in the p loop AX=scratch
 // Accumulators: rows 0..3 = (Y1,Y2) (Y5,Y6) (Y7,Y8) (Y9,Y10); b=Y3,Y4;
 //               coefficient broadcast Y0; products Y11,Y12.
-TEXT ·axpyPanel4AVX(SB), NOSPLIT, $0-56
+TEXT ·axpyPanel4AVX(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ aRow+24(FP), R14
+	MOVQ aRow+32(FP), R14
 	SHLQ $2, R14
-	MOVQ aCol+32(FP), R10
+	MOVQ aCol+40(FP), R10
 	SHLQ $2, R10
-	MOVQ k+40(FP), CX
-	MOVQ n+48(FP), R8
+	MOVQ offs+24(FP), CX
+	MOVQ k+48(FP), AX
+	LEAQ (CX)(AX*8), CX
+	MOVQ n+56(FP), R8
 	MOVQ R8, R15
 	SHLQ $2, R15
 	XORQ R9, R9
@@ -48,11 +50,14 @@ j16:
 	VMOVUPS 32(AX)(R15*1), Y10
 	MOVQ    SI, R11
 	LEAQ    (DX)(R9*4), R12
-	MOVQ    CX, R13
+	MOVQ    k+48(FP), R13
+	NEGQ    R13
 
+	PCALIGN $32
 p16:
-	VMOVUPS      (R12), Y3
-	VMOVUPS      32(R12), Y4
+	MOVQ         (CX)(R13*8), BX
+	VMOVUPS      (R12)(BX*4), Y3
+	VMOVUPS      32(R12)(BX*4), Y4
 	VBROADCASTSS (R11), Y0
 	VMULPS       Y0, Y3, Y11
 	VADDPS       Y11, Y1, Y1
@@ -75,8 +80,7 @@ p16:
 	VMULPS       Y0, Y4, Y12
 	VADDPS       Y12, Y10, Y10
 	ADDQ         R10, R11
-	ADDQ         R15, R12
-	DECQ         R13
+	INCQ         R13
 	JNZ          p16
 	LEAQ    (DI)(R9*4), BX
 	VMOVUPS Y1, (BX)
@@ -104,10 +108,12 @@ j8:
 	VMOVUPS (AX)(R15*1), Y9
 	MOVQ    SI, R11
 	LEAQ    (DX)(R9*4), R12
-	MOVQ    CX, R13
+	MOVQ    k+48(FP), R13
+	NEGQ    R13
 
 p8:
-	VMOVUPS      (R12), Y3
+	MOVQ         (CX)(R13*8), BX
+	VMOVUPS      (R12)(BX*4), Y3
 	VBROADCASTSS (R11), Y0
 	VMULPS       Y0, Y3, Y11
 	VADDPS       Y11, Y1, Y1
@@ -122,8 +128,7 @@ p8:
 	VMULPS       Y0, Y3, Y11
 	VADDPS       Y11, Y9, Y9
 	ADDQ         R10, R11
-	ADDQ         R15, R12
-	DECQ         R13
+	INCQ         R13
 	JNZ          p8
 	LEAQ    (DI)(R9*4), BX
 	VMOVUPS Y1, (BX)
@@ -144,10 +149,12 @@ jscalar:
 	VMOVSS (AX)(R15*1), X9
 	MOVQ   SI, R11
 	LEAQ   (DX)(R9*4), R12
-	MOVQ   CX, R13
+	MOVQ   k+48(FP), R13
+	NEGQ   R13
 
 pscalar:
-	VMOVSS (R12), X3
+	MOVQ   (CX)(R13*8), BX
+	VMOVSS (R12)(BX*4), X3
 	VMOVSS (R11), X0
 	VMULSS X0, X3, X11
 	VADDSS X11, X1, X1
@@ -162,8 +169,7 @@ pscalar:
 	VMULSS X0, X3, X11
 	VADDSS X11, X9, X9
 	ADDQ   R10, R11
-	ADDQ   R15, R12
-	DECQ   R13
+	INCQ   R13
 	JNZ    pscalar
 	LEAQ   (DI)(R9*4), BX
 	VMOVSS X1, (BX)

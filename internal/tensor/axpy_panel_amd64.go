@@ -2,26 +2,33 @@
 
 package tensor
 
-// useAxpyPanelAsm selects the AVX panel kernel; without AVX the portable
-// saxpyRow loop in axpyPanel covers amd64 via the SSE saxpy.
-var useAxpyPanelAsm = hasAVX
+// useFloatAVX selects the AVX panel and transpose kernels; without AVX the
+// portable twins cover amd64 (axpyPanel's loop via the SSE saxpy).
+var useFloatAVX = hasAVX
 
-// axpyPanelAVX accumulates dst[j] += sum_{p<k} a[p*sa] * b[p*n+j] for j < n.
-// Per output element the products arrive in ascending p order, each as a
-// VMULPS followed by a VADDPS (two roundings, never FMA), so the result is
+// axpyPanelAVX accumulates dst[j] += sum_{p<k} a[p*sa] * b[offs[p]+j] for
+// j < n. Per output element the products arrive in ascending p order, each
+// as a VMULPS followed by a VADDPS (two roundings, never FMA), so the result is
 // bit-identical to k sequential saxpyRow calls — but the accumulator lives in
 // a register across the whole panel, loading and storing dst once per column
 // block instead of once per p. Rows of b whose a coefficient is ±0 are
 // skipped, matching the scalar kernels' zero-skip contract.
 //
 //go:noescape
-func axpyPanelAVX(dst, a, b *float32, sa, k, n int)
+func axpyPanelAVX(dst, a, b *float32, offs *int, sa, k, n int)
 
 // axpyPanel4AVX is the four-destination-row variant: dst[r*n+j] +=
-// sum_{p<k} a[r*aRow + p*aCol] * b[p*n+j] for r in 0..3. Identical
+// sum_{p<k} a[r*aRow + p*aCol] * b[offs[p]+j] for r in 0..3. Identical
 // per-element semantics to four axpyPanelAVX calls (each row has its own
 // accumulators, ascending p, two roundings per step) with each b row loaded
 // once for all four destinations.
 //
 //go:noescape
-func axpyPanel4AVX(dst, a, b *float32, aRow, aCol, k, n int)
+func axpyPanel4AVX(dst, a, b *float32, offs *int, aRow, aCol, k, n int)
+
+// transpose8AVX writes the transpose of the 8x8 block at src (row stride
+// lds) to dst (row stride ldd): pure data movement, so bit-identical to the
+// portable block in transposeInto.
+//
+//go:noescape
+func transpose8AVX(dst *float32, ldd int, src *float32, lds int)

@@ -2,22 +2,25 @@
 
 #include "textflag.h"
 
-// func axpyPanelAVX(dst, a, b *float32, sa, k, n int)
-// dst[j] += sum_{p<k} a[p*sa] * b[p*n+j] for j < n, ascending p per element,
+// func axpyPanelAVX(dst, a, b *float32, offs *int, sa, k, n int)
+// dst[j] += sum_{p<k} a[p*sa] * b[offs[p]+j] for j < n, ascending p per element,
 // one VMULPS and one VADDPS rounding per step (no FMA). Coefficients whose
 // bits are ±0 skip their b row. Column blocks of 16, then 8, then scalars;
 // the accumulator stays in registers across the whole k reduction.
 //
-// Register map: DI=dst SI=a DX=b R10=sa*4 CX=k R8=n R9=j
-//               R11=a cursor R12=b cursor R13=p countdown
-TEXT ·axpyPanelAVX(SB), NOSPLIT, $0-48
+// Register map: DI=dst SI=a DX=b R10=sa*4 CX=offs end R14=-k R8=n R9=j
+//               R11=a cursor R12=b+j R13=p-k (counts up to 0) BX=offs[p]
+TEXT ·axpyPanelAVX(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ sa+24(FP), R10
+	MOVQ sa+32(FP), R10
 	SHLQ $2, R10
-	MOVQ k+32(FP), CX
-	MOVQ n+40(FP), R8
+	MOVQ offs+24(FP), CX
+	MOVQ k+40(FP), R14
+	LEAQ (CX)(R14*8), CX
+	NEGQ R14
+	MOVQ n+48(FP), R8
 	XORQ R9, R9
 
 j16:
@@ -29,15 +32,17 @@ j16:
 	VMOVUPS 32(DI)(R9*4), Y2
 	MOVQ    SI, R11
 	LEAQ    (DX)(R9*4), R12
-	MOVQ    CX, R13
+	MOVQ    R14, R13
 
+	PCALIGN $32
 p16:
 	MOVL (R11), AX
 	ADDL AX, AX              // ±0 coefficient: bits<<1 == 0
 	JZ   p16next
+	MOVQ         (CX)(R13*8), BX
 	VBROADCASTSS (R11), Y0
-	VMOVUPS      (R12), Y3
-	VMOVUPS      32(R12), Y4
+	VMOVUPS      (R12)(BX*4), Y3
+	VMOVUPS      32(R12)(BX*4), Y4
 	VMULPS       Y0, Y3, Y3
 	VMULPS       Y0, Y4, Y4
 	VADDPS       Y3, Y1, Y1
@@ -45,8 +50,7 @@ p16:
 
 p16next:
 	ADDQ R10, R11
-	LEAQ (R12)(R8*4), R12
-	DECQ R13
+	INCQ R13
 	JNZ  p16
 	VMOVUPS Y1, (DI)(R9*4)
 	VMOVUPS Y2, 32(DI)(R9*4)
@@ -61,21 +65,21 @@ j8:
 	VMOVUPS (DI)(R9*4), Y1
 	MOVQ    SI, R11
 	LEAQ    (DX)(R9*4), R12
-	MOVQ    CX, R13
+	MOVQ    R14, R13
 
 p8:
 	MOVL (R11), AX
 	ADDL AX, AX
 	JZ   p8next
+	MOVQ         (CX)(R13*8), BX
 	VBROADCASTSS (R11), Y0
-	VMOVUPS      (R12), Y3
+	VMOVUPS      (R12)(BX*4), Y3
 	VMULPS       Y0, Y3, Y3
 	VADDPS       Y3, Y1, Y1
 
 p8next:
 	ADDQ R10, R11
-	LEAQ (R12)(R8*4), R12
-	DECQ R13
+	INCQ R13
 	JNZ  p8
 	VMOVUPS Y1, (DI)(R9*4)
 	ADDQ    $8, R9
@@ -86,21 +90,21 @@ jscalar:
 	VMOVSS (DI)(R9*4), X1
 	MOVQ   SI, R11
 	LEAQ   (DX)(R9*4), R12
-	MOVQ   CX, R13
+	MOVQ   R14, R13
 
 pscalar:
 	MOVL (R11), AX
 	ADDL AX, AX
 	JZ   pscalarnext
+	MOVQ   (CX)(R13*8), BX
 	VMOVSS (R11), X0
-	VMOVSS (R12), X3
+	VMOVSS (R12)(BX*4), X3
 	VMULSS X0, X3, X3
 	VADDSS X3, X1, X1
 
 pscalarnext:
 	ADDQ R10, R11
-	LEAQ (R12)(R8*4), R12
-	DECQ R13
+	INCQ R13
 	JNZ  pscalar
 	VMOVSS X1, (DI)(R9*4)
 	INCQ   R9

@@ -2,16 +2,21 @@
 
 package tensor
 
-// useAxpyPanelAsm is false off amd64: axpyPanel runs the portable
-// saxpyRow-per-coefficient loop, which is the kernel's reference semantics.
-const useAxpyPanelAsm = false
+// useFloatAVX is false off amd64: the portable twins run, axpyPanel's
+// saxpyRow loop being the kernels' reference semantics. A variable, as on
+// amd64, so tests switch the same way on every arch.
+var useFloatAVX = false
 
-// axpyPanelAVX and axpyPanel4AVX exist only so their callers compile
-// everywhere; the guard above keeps them unreachable off amd64.
-func axpyPanelAVX(dst, a, b *float32, sa, k, n int) {
+// axpyPanelAVX, axpyPanel4AVX and transpose8AVX exist only so their callers
+// compile everywhere; the guard above keeps them unreachable off amd64.
+func axpyPanelAVX(dst, a, b *float32, offs *int, sa, k, n int) {
 	panic("tensor: axpyPanelAVX without amd64")
 }
 
-func axpyPanel4AVX(dst, a, b *float32, aRow, aCol, k, n int) {
+func axpyPanel4AVX(dst, a, b *float32, offs *int, aRow, aCol, k, n int) {
 	panic("tensor: axpyPanel4AVX without amd64")
+}
+
+func transpose8AVX(dst *float32, ldd int, src *float32, lds int) {
+	panic("tensor: transpose8AVX without amd64")
 }

@@ -17,7 +17,7 @@ func refMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += float32(a.At(i, p) * b.At(p, j))
 			}
 			c.Set(s, i, j)
 		}
@@ -32,7 +32,7 @@ func refMatMulNT(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(j, p)
+				s += float32(a.At(i, p) * b.At(j, p))
 			}
 			c.Set(s, i, j)
 		}
@@ -47,7 +47,7 @@ func refMatMulTN(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			var s float32
 			for t := 0; t < r; t++ {
-				s += a.At(t, i) * b.At(t, j)
+				s += float32(a.At(t, i) * b.At(t, j))
 			}
 			c.Set(s, i, j)
 		}
@@ -107,7 +107,7 @@ func TestMatMulAccumAddsOnTop(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		for p := 0; p < 20; p++ {
 			for j := 0; j < 5; j++ {
-				want.Set(want.At(i, j)+a.At(i, p)*b.At(p, j), i, j)
+				want.Set(want.At(i, j)+float32(a.At(i, p)*b.At(p, j)), i, j)
 			}
 		}
 	}

@@ -1,28 +1,14 @@
 package tensor
 
-// Im2Col expands a CHW input tensor into the 2-D matrix used by GEMM-based
-// convolution: each output row corresponds to one (oy, ox) output position
-// and holds the kh*kw*c input patch feeding it, with zero padding applied.
-// The paper uses this expansion for CONV-layer backpropagation (Section V.B,
-// "we use GEMM [16] ... and expands the inputs to each CONV layers in a 2D
-// matrix").
-func Im2Col(in *Tensor, kh, kw, stride, pad int) *Tensor {
-	if in.Rank() != 3 {
-		panic("tensor: Im2Col requires a CHW rank-3 tensor")
-	}
-	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	out := New(oh*ow, c*kh*kw)
-	im2colSample(out.data, in.data, c, h, w, kh, kw, stride, pad)
-	return out
-}
-
-// Im2ColInto expands a batch of NCHW inputs into dst, the stacked im2col
-// matrix of shape (B*oh*ow, c*kh*kw): rows of sample b occupy the contiguous
-// block [b*oh*ow, (b+1)*oh*ow). Every element of dst is written — padding
-// positions are set to zero explicitly — so a reused workspace needs no
-// clearing. Per sample the expansion is identical to Im2Col.
+// Im2ColInto expands a batch of NCHW inputs into dst, the stacked matrix
+// used by GEMM-based convolution backprop, of shape (B*oh*ow, c*kh*kw): row
+// b*oh*ow + oy*ow + ox holds the kh*kw*c input patch feeding output (oy, ox)
+// of sample b, zero padding applied. Every element of dst is written, so a
+// reused workspace needs no clearing. As in the paper, the expansion serves
+// backpropagation only (Section V.B, "we use GEMM [16] ... and expands the
+// inputs to each CONV layers in a 2D matrix"): the forward pass convolves in
+// place (ConvInto), and the weight gradient is the one GEMM that reads this
+// panel.
 func Im2ColInto(dst, in *Tensor, kh, kw, stride, pad int) {
 	if in.Rank() != 4 {
 		panic("tensor: Im2ColInto requires an NCHW rank-4 tensor")
@@ -41,105 +27,45 @@ func Im2ColInto(dst, in *Tensor, kh, kw, stride, pad int) {
 	}
 }
 
-// Im2ColTInto expands a batch of NCHW inputs into dst in the transposed
-// (channel-major) layout the vectorized batched GEMM consumes: dst has shape
-// (c*kh*kw, B*oh*ow), row q = (ch*kh+ky)*kw+kx holds input element
-// (ch, oy*stride-pad+ky, ox*stride-pad+kx) at column s*oh*ow + oy*ow + ox.
-// Element-for-element it is the transpose of Im2ColInto's output — pure data
-// movement, so per-sample convolution results are unchanged — but each
-// (ch, ky, kx) row is written as long unit-stride runs (plain copies when
-// stride is 1), which is both faster to fill and the exact row layout
-// MatMulAccumVec's saxpy update wants. Every element is written — padding
-// positions are zeroed explicitly — so a reused workspace needs no clearing.
-func Im2ColTInto(dst, in *Tensor, kh, kw, stride, pad int) {
-	if in.Rank() != 4 {
-		panic("tensor: Im2ColTInto requires an NCHW rank-4 tensor")
-	}
-	b, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	colw := c * kh * kw
-	np := oh * ow
-	if dst.Rank() != 2 || dst.Dim(0) != colw || dst.Dim(1) != b*np {
-		panic("tensor: Im2ColTInto destination shape mismatch")
-	}
-	dd, id := dst.data, in.data
-	for ch := 0; ch < c; ch++ {
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				q := (ch*kh+ky)*kw + kx
-				qrow := dd[q*b*np : (q+1)*b*np]
-				// ix = ox*stride - pad + kx stays in [0, w) exactly for
-				// ox in [lo, hi): the in-bounds run is one copy (stride 1)
-				// or one branch-free gather, with zeroed fringes.
-				lo := 0
-				if d := pad - kx; d > 0 {
-					lo = (d + stride - 1) / stride
-				}
-				lo = min(lo, ow)
-				hi := w - 1 + pad - kx
-				if hi < 0 {
-					hi = 0
-				} else {
-					hi = hi/stride + 1
-				}
-				hi = max(min(hi, ow), lo)
-				for s := 0; s < b; s++ {
-					src := id[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
-					for oy := 0; oy < oh; oy++ {
-						drow := qrow[s*np+oy*ow : s*np+(oy+1)*ow]
-						iy := oy*stride - pad + ky
-						if iy < 0 || iy >= h {
-							for i := range drow {
-								drow[i] = 0
-							}
-							continue
-						}
-						srow := src[iy*w : (iy+1)*w]
-						for i := 0; i < lo; i++ {
-							drow[i] = 0
-						}
-						if stride == 1 {
-							copy(drow[lo:hi], srow[lo-pad+kx:])
-						} else {
-							ix := lo*stride - pad + kx
-							for i := lo; i < hi; i++ {
-								drow[i] = srow[ix]
-								ix += stride
-							}
-						}
-						for i := hi; i < ow; i++ {
-							drow[i] = 0
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // im2colSample writes the im2col expansion of one CHW sample into od, which
-// must hold oh*ow*c*kh*kw values. Every element is written.
+// must hold oh*ow*c*kh*kw values. Every element is written. It walks one
+// output row and one input row at a time, so a patch's (ch, ky) kx-run is a
+// plain copy wherever it lies inside the input; only the padding fringes
+// test each tap.
 func im2colSample(od, id []float32, c, h, w, kh, kw, stride, pad int) {
 	oh := (h+2*pad-kh)/stride + 1
 	ow := (w+2*pad-kw)/stride + 1
 	colw := c * kh * kw
 	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			row := od[(oy*ow+ox)*colw : (oy*ow+ox+1)*colw]
-			p := 0
-			for ch := 0; ch < c; ch++ {
-				base := ch * h * w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							row[p] = id[base+iy*w+ix]
-						} else {
-							row[p] = 0
+		rows := od[oy*ow*colw : (oy+1)*ow*colw]
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < kh; ky++ {
+				q := (ch*kh + ky) * kw
+				iy := oy*stride - pad + ky
+				if iy < 0 || iy >= h {
+					for ox := 0; ox < ow; ox++ {
+						clear(rows[ox*colw+q : ox*colw+q+kw])
+					}
+					continue
+				}
+				src := id[(ch*h+iy)*w : (ch*h+iy+1)*w]
+				for ox := 0; ox < ow; ox++ {
+					ix := ox*stride - pad
+					if ix >= 0 && ix+kw <= w {
+						run := src[ix : ix+kw]
+						dst := rows[ox*colw+q:][:len(run)]
+						for kx, v := range run {
+							dst[kx] = v
 						}
-						p++
+						continue
+					}
+					dst := rows[ox*colw+q:][:kw]
+					for kx := range dst {
+						if ix+kx >= 0 && ix+kx < w {
+							dst[kx] = src[ix+kx]
+						} else {
+							dst[kx] = 0
+						}
 					}
 				}
 			}
@@ -147,64 +73,48 @@ func im2colSample(od, id []float32, c, h, w, kh, kw, stride, pad int) {
 	}
 }
 
-// Col2Im scatters the gradient of an im2col matrix back into a CHW input
-// gradient, summing overlapping contributions. It is the adjoint of Im2Col
-// and implements dL/dInput for GEMM-based convolution backprop.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	colw := c * kh * kw
-	if cols.Rank() != 2 || cols.Dim(0) != oh*ow || cols.Dim(1) != colw {
-		panic("tensor: Col2Im shape mismatch")
-	}
-	out := New(c, h, w)
-	col2imSample(out.data, cols.data, c, h, w, kh, kw, stride, pad)
-	return out
-}
-
-// Col2ImInto scatters a stacked im2col gradient (B*oh*ow, c*kh*kw) back into
-// the NCHW destination, zeroing dst first. Per sample the scatter visits
-// overlapping contributions in the same order as Col2Im, so each sample's
-// gradient is bit-identical to the per-sample path.
+// Col2ImInto scatters a stacked im2col gradient back into the NCHW
+// destination, zeroing dst first. cols is channel-major, (c*kh*kw, B*oh*ow),
+// the layout the conv input-gradient GEMM produces: the transpose of an
+// Im2ColInto matrix, to which the scatter is the adjoint (dL/dInput). Every
+// input element receives its contributions in ascending patch order.
 func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 	if dst.Rank() != 4 {
 		panic("tensor: Col2ImInto requires an NCHW rank-4 destination")
 	}
 	b, c, h, w := dst.Dim(0), dst.Dim(1), dst.Dim(2), dst.Dim(3)
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	colw := c * kh * kw
-	if cols.Rank() != 2 || cols.Dim(0) != b*oh*ow || cols.Dim(1) != colw {
+	np := ConvOutDim(h, kh, stride, pad) * ConvOutDim(w, kw, stride, pad)
+	if cols.Rank() != 2 || cols.Dim(0) != c*kh*kw || cols.Dim(1) != b*np {
 		panic("tensor: Col2ImInto shape mismatch")
 	}
 	dst.Zero()
-	np := oh * ow
 	for s := 0; s < b; s++ {
-		col2imSample(dst.data[s*c*h*w:(s+1)*c*h*w], cols.data[s*np*colw:(s+1)*np*colw],
-			c, h, w, kh, kw, stride, pad)
+		col2imSample(dst.data[s*c*h*w:(s+1)*c*h*w], cols.data[s*np:], b*np, c, h, w, kh, kw, stride, pad)
 	}
 }
 
 // col2imSample accumulates one sample's im2col gradient into od, which must
-// be pre-zeroed (or hold a running sum to extend).
-func col2imSample(od, cd []float32, c, h, w, kh, kw, stride, pad int) {
+// be pre-zeroed (or hold a running sum to extend): tap q of patch p is
+// cd[q*qs+p]. Every input element receives its contributions in ascending
+// patch order.
+func col2imSample(od, cd []float32, qs, c, h, w, kh, kw, stride, pad int) {
 	oh := (h+2*pad-kh)/stride + 1
 	ow := (w+2*pad-kw)/stride + 1
-	colw := c * kh * kw
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			row := cd[(oy*ow+ox)*colw : (oy*ow+ox+1)*colw]
-			p := 0
+			p := oy*ow + ox
 			for ch := 0; ch < c; ch++ {
-				base := ch * h * w
 				for ky := 0; ky < kh; ky++ {
 					iy := oy*stride - pad + ky
+					if iy < 0 || iy >= h {
+						continue
+					}
+					row := od[(ch*h+iy)*w : (ch*h+iy+1)*w]
+					q := (ch*kh+ky)*kw*qs + p
 					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							od[base+iy*w+ix] += row[p]
+						if ix := ox*stride - pad + kx; ix >= 0 && ix < w {
+							row[ix] += cd[q+kx*qs]
 						}
-						p++
 					}
 				}
 			}

@@ -9,6 +9,9 @@ import "fmt"
 // lets the parallel experiment engine (internal/core) promise results equal
 // to the serial schedule.
 //
+// Every product is converted to float32 before its add, so no architecture
+// fuses the pair into one rounding (arm64 would).
+//
 // Each kernel's row loop is a named function dispatched through runRows:
 // small kernels call it directly on the calling goroutine with no closure in
 // sight, so the steady-state training path performs zero heap allocations
@@ -48,19 +51,33 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // transposeInto writes the n x m transpose of the row-major m x n src into
-// dst, tiled so both sides stay cache resident.
+// dst in 8x8 blocks, each written as eight eight-wide dst row runs — in
+// registers on AVX (transpose8AVX) — then the ragged edges.
 func transposeInto(dst, src []float32, m, n int) {
-	const tile = 32
-	for i0 := 0; i0 < m; i0 += tile {
-		i1 := min(i0+tile, m)
-		for j0 := 0; j0 < n; j0 += tile {
-			j1 := min(j0+tile, n)
-			for i := i0; i < i1; i++ {
-				row := src[i*n : (i+1)*n]
-				for j := j0; j < j1; j++ {
-					dst[j*m+i] = row[j]
+	i := 0
+	for ; i+8 <= m; i += 8 {
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			if useFloatAVX {
+				transpose8AVX(&dst[j*m+i], m, &src[i*n+j], n)
+				continue
+			}
+			for t := j; t < j+8; t++ {
+				d := (*[8]float32)(dst[t*m+i:])
+				for u := range d {
+					d[u] = src[(i+u)*n+t]
 				}
 			}
+		}
+		for ; j < n; j++ {
+			for t := i; t < i+8; t++ {
+				dst[j*m+t] = src[t*n+j]
+			}
+		}
+	}
+	for ; i < m; i++ {
+		for j, v := range src[i*n : (i+1)*n] {
+			dst[j*m+i] = v
 		}
 	}
 }
@@ -105,7 +122,7 @@ func accumRows(cd, ad, bd []float32, k, n, lo, hi int) {
 				}
 				brow := bd[p*n : (p+1)*n]
 				for j, bv := range brow {
-					crow[j] += av * bv
+					crow[j] += float32(av * bv)
 				}
 			}
 		}
@@ -148,10 +165,10 @@ func ntCols(cd, ad, bd []float32, m, k, n, lo, hi int) {
 				brow := bd[j*k : (j+1)*k]
 				var s0, s1, s2, s3 float32
 				for t, bv := range brow {
-					s0 += a0[t] * bv
-					s1 += a1[t] * bv
-					s2 += a2[t] * bv
-					s3 += a3[t] * bv
+					s0 += float32(a0[t] * bv)
+					s1 += float32(a1[t] * bv)
+					s2 += float32(a2[t] * bv)
+					s3 += float32(a3[t] * bv)
 				}
 				cd[i*n+j] = s0
 				cd[(i+1)*n+j] = s1
@@ -165,7 +182,7 @@ func ntCols(cd, ad, bd []float32, m, k, n, lo, hi int) {
 				brow := bd[j*k : (j+1)*k]
 				var s float32
 				for t, bv := range brow {
-					s += arow[t] * bv
+					s += float32(arow[t] * bv)
 				}
 				cd[i*n+j] = s
 			}
@@ -214,10 +231,10 @@ func tnRows(cd, ad, bd []float32, r, m, n, lo, hi int) {
 			}
 			brow := bd[t*n : (t+1)*n]
 			for q, bv := range brow {
-				d0[q] += g0 * bv
-				d1[q] += g1 * bv
-				d2[q] += g2 * bv
-				d3[q] += g3 * bv
+				d0[q] += float32(g0 * bv)
+				d1[q] += float32(g1 * bv)
+				d2[q] += float32(g2 * bv)
+				d3[q] += float32(g3 * bv)
 			}
 		}
 	}
@@ -230,7 +247,7 @@ func tnRows(cd, ad, bd []float32, r, m, n, lo, hi int) {
 			}
 			brow := bd[t*n : (t+1)*n]
 			for q, bv := range brow {
-				drow[q] += g * bv
+				drow[q] += float32(g * bv)
 			}
 		}
 	}

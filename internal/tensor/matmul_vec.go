@@ -14,9 +14,9 @@ import "fmt"
 // accumulator: the results are bit-identical to the scalar kernels (asserted
 // by exact-equality tests in gemm_vec_test.go).
 //
-// This is why the layers stack their operands the way they do (transposed
-// im2col panels, minibatch rows): the batch/spatial axis lies contiguous in
-// memory, giving saxpyRow long unit-stride rows. A dot-product formulation
+// This is why the layers stack their operands the way they do (stride-phase
+// planes, minibatch rows): the batch/spatial axis lies contiguous in memory,
+// giving saxpyRow long unit-stride rows. A dot-product formulation
 // reduces along the contiguous axis of both operands, where any SIMD split of
 // the accumulator would reorder the additions and break the bit-identity
 // contract.
@@ -36,52 +36,67 @@ func MatMulAccumVec(dst, a, b *Tensor) {
 	n := b.Dim(1)
 	cd, ad, bd := dst.data, a.data, b.data
 	if serialRows(m, m*k*n) {
-		accumRowsVec(cd, ad, bd, k, n, 0, m)
+		accumRowsVec(cd, ad, k, 1, bd, k, n, 0, m)
 	} else {
-		parallelRows(m, func(lo, hi int) { accumRowsVec(cd, ad, bd, k, n, lo, hi) })
+		parallelRows(m, func(lo, hi int) { accumRowsVec(cd, ad, k, 1, bd, k, n, lo, hi) })
 	}
 }
 
-// accumRowsVec is accumRows with each (row, reduction-panel) pair issued as
-// one axpyPanel call: per output element the products still arrive in
+// accumRowsVec accumulates dst rows [lo, hi) of dst += A x B for a dense
+// (k x n) B, A's coefficient p of row i being ad[i*aRow+p*aCol] (aRow=k,
+// aCol=1 walks A's rows, aRow=1, aCol=m its columns — the A^T x B form).
+// Each gemmBlockK-row panel of B goes to panelRowsVec, its rows addressed
+// through a p·n table. Per output element the products still arrive in
 // ascending p order through a single accumulator — in a register within a
-// panel, carried through the destination between panels, exactly the blocked
-// scalar kernel's schedule — so the result is bit-identical to the scalar
-// kernel (and to the naive triple loop).
-func accumRowsVec(cd, ad, bd []float32, k, n, lo, hi int) {
+// panel, carried through the destination between panels, exactly the
+// blocked scalar kernels' schedule — so the result is bit-identical to them
+// (and to the naive triple loop).
+func accumRowsVec(cd, ad []float32, aRow, aCol int, bd []float32, k, n, lo, hi int) {
+	var offs [gemmBlockK]int
+	for p := range min(k, gemmBlockK) {
+		offs[p] = p * n
+	}
 	for p0 := 0; p0 < k; p0 += gemmBlockK {
-		p1 := min(p0+gemmBlockK, k)
-		i := lo
-		if useAxpyPanelAsm {
-			for ; i+3 < hi; i += 4 {
-				axpyPanel4AVX(&cd[i*n], &ad[i*k+p0], &bd[p0*n], k, 1, p1-p0, n)
-			}
-		}
-		for ; i < hi; i++ {
-			axpyPanel(cd[i*n:(i+1)*n], ad[i*k+p0:], 1, bd[p0*n:], p1-p0, n)
-		}
+		panelRowsVec(cd[lo*n:], ad[lo*aRow+p0*aCol:], aRow, aCol, bd[p0*n:], offs[:min(gemmBlockK, k-p0)], n, hi-lo)
 	}
 }
 
-// axpyPanel accumulates dst[j] += sum_{p<k} a[p*sa] * b[p*n+j] for j < n:
+// panelRowsVec accumulates one reduction panel into m destination rows,
+// cd[i*n+j] += sum_p ad[i*aRow+p*aCol] * bd[offs[p]+j] for j < n: B's rows
+// are wherever offs says — a dense B's p·n rows, or a convolution tap's run
+// over stride-phase planes (ConvInto). Four rows at a time run on
+// axpyPanel4AVX, the rest on axpyPanel.
+func panelRowsVec(cd, ad []float32, aRow, aCol int, bd []float32, offs []int, n, m int) {
+	i := 0
+	if useFloatAVX {
+		for ; i+3 < m; i += 4 {
+			axpyPanel4AVX(&cd[i*n], &ad[i*aRow], &bd[0], &offs[0], aRow, aCol, len(offs), n)
+		}
+	}
+	for ; i < m; i++ {
+		axpyPanel(cd[i*n:(i+1)*n], ad[i*aRow:], aCol, bd, offs, n)
+	}
+}
+
+// axpyPanel accumulates dst[j] += sum_p a[p*sa] * b[offs[p]+j] for j < n:
 // the inner panel of every vectorized GEMM. The coefficient stride sa lets
 // the same kernel walk a row of A (sa=1, the A x B form) or a column of A
 // (sa=m, the A^T x B form). Rows whose coefficient is ±0 are skipped — the
 // scalar kernels' zero-skip contract.
-func axpyPanel(dst, a []float32, sa int, b []float32, k, n int) {
-	if k <= 0 || n <= 0 {
+func axpyPanel(dst, a []float32, sa int, b []float32, offs []int, n int) {
+	if len(offs) == 0 || n <= 0 {
 		return
 	}
-	if useAxpyPanelAsm {
-		axpyPanelAVX(&dst[0], &a[0], &b[0], sa, k, n)
+	if useFloatAVX {
+		axpyPanelAVX(&dst[0], &a[0], &b[0], &offs[0], sa, len(offs), n)
 		return
 	}
-	for p := 0; p < k; p++ {
+	for p, o := range offs {
 		av := a[p*sa]
 		if av == 0 {
 			continue
 		}
-		saxpyRow(dst[:n], b[p*n:p*n+n], av)
+		saxpyRow(dst[:n], b[o:o+n], av)
 	}
 }
 
@@ -100,36 +115,16 @@ func MatMulTNAccumVec(dst, a, b *Tensor) {
 	n := b.Dim(1)
 	ad, bd, cd := a.data, b.data, dst.data
 	if serialRows(m, r*m*n) {
-		tnRowsVec(cd, ad, bd, r, m, n, 0, m)
+		accumRowsVec(cd, ad, 1, m, bd, r, n, 0, m)
 	} else {
-		parallelRows(m, func(lo, hi int) { tnRowsVec(cd, ad, bd, r, m, n, lo, hi) })
-	}
-}
-
-// tnRowsVec accumulates the dst rows [lo, hi) of the A^T*B kernel, one
-// axpyPanel call per (row, reduction-panel) with the coefficients strided
-// down a column of A. The reduction index t stays ascending per output
-// element — the serial sample order of the batched gradient contract.
-func tnRowsVec(cd, ad, bd []float32, r, m, n, lo, hi int) {
-	for t0 := 0; t0 < r; t0 += gemmBlockK {
-		t1 := min(t0+gemmBlockK, r)
-		i := lo
-		if useAxpyPanelAsm {
-			for ; i+3 < hi; i += 4 {
-				axpyPanel4AVX(&cd[i*n], &ad[t0*m+i], &bd[t0*n], 1, m, t1-t0, n)
-			}
-		}
-		for ; i < hi; i++ {
-			axpyPanel(cd[i*n:(i+1)*n], ad[t0*m+i:], m, bd[t0*n:], t1-t0, n)
-		}
+		parallelRows(m, func(lo, hi int) { accumRowsVec(cd, ad, 1, m, bd, r, n, lo, hi) })
 	}
 }
 
 // TransposeInto writes the transpose of the rank-2 src into the rank-2 dst
-// (dst must be src.Dim(1) x src.Dim(0)), tiled so both sides stay cache
-// resident. Pure data movement: the batched path uses it to keep both the
-// patch-major and channel-major im2col layouts, and to feed Dense forward
-// passes the (In x Out) weight layout the vector kernel needs.
+// (dst must be src.Dim(1) x src.Dim(0)). Pure data movement: the batched
+// path uses it to feed Dense forward passes the (In x Out) weight layout the
+// vector kernel needs.
 func TransposeInto(dst, src *Tensor) {
 	if dst.Rank() != 2 || src.Rank() != 2 || dst.Dim(0) != src.Dim(1) || dst.Dim(1) != src.Dim(0) {
 		panic(fmt.Sprintf("tensor: TransposeInto shape mismatch %v vs %v", dst.shape, src.shape))

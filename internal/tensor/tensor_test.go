@@ -182,6 +182,24 @@ func TestMatVecAndTransposedConsistency(t *testing.T) {
 	}
 }
 
+// Im2Col is one CHW sample's patch-major im2col matrix, (oh*ow, c*kh*kw).
+func Im2Col(in *Tensor, kh, kw, stride, pad int) *Tensor {
+	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
+	out := New(ConvOutDim(h, kh, stride, pad)*ConvOutDim(w, kw, stride, pad), c*kh*kw)
+	im2colSample(out.data, in.data, c, h, w, kh, kw, stride, pad)
+	return out
+}
+
+// Col2Im scatters one sample's patch-major im2col gradient back into a CHW
+// input gradient: the adjoint of Im2Col.
+func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
+	colsT := New(cols.Dim(1), cols.Dim(0))
+	TransposeInto(colsT, cols)
+	out := New(c, h, w)
+	col2imSample(out.data, colsT.data, cols.Dim(0), c, h, w, kh, kw, stride, pad)
+	return out
+}
+
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1, no pad: im2col is just a reshape.
 	in := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)

@@ -70,7 +70,7 @@ func TestAddScaledMatchesScalarLoop(t *testing.T) {
 			got := ref.Clone()
 			rd, sd := ref.Data(), src.Data()
 			for i, v := range sd {
-				rd[i] += s * v
+				rd[i] += float32(s * v)
 			}
 			got.AddScaled(src, s)
 			requireSameBits(t, "AddScaled", ref, got)
@@ -78,45 +78,24 @@ func TestAddScaledMatchesScalarLoop(t *testing.T) {
 	}
 }
 
+// TestTransposeInto covers whole 8x8 blocks, ragged edges and rows or
+// columns shorter than a block, on the AVX block and its portable twin.
 func TestTransposeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
-	for _, s := range []struct{ m, n int }{{1, 1}, {3, 5}, {32, 33}, {70, 129}} {
-		src := randTensor(rng, s.m, s.n)
-		dst := New(s.n, s.m)
-		TransposeInto(dst, src)
-		for i := 0; i < s.m; i++ {
-			for j := 0; j < s.n; j++ {
-				if dst.At(j, i) != src.At(i, j) {
-					t.Fatalf("transpose (%d,%d): %v vs %v", i, j, dst.At(j, i), src.At(i, j))
+	forEachFloatKernel(t, func(kernel string) {
+		for _, s := range []struct{ m, n int }{{1, 1}, {3, 5}, {8, 8}, {5, 16}, {16, 3}, {32, 33}, {70, 129}} {
+			src := randTensor(rng, s.m, s.n)
+			dst := New(s.n, s.m)
+			TransposeInto(dst, src)
+			for i := 0; i < s.m; i++ {
+				for j := 0; j < s.n; j++ {
+					if math.Float32bits(dst.At(j, i)) != math.Float32bits(src.At(i, j)) {
+						t.Fatalf("%s %dx%d transpose (%d,%d): %v vs %v", kernel, s.m, s.n, i, j, dst.At(j, i), src.At(i, j))
+					}
 				}
 			}
 		}
-	}
-}
-
-func TestIm2ColTIntoIsTransposeOfIm2ColInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	cases := []struct{ b, c, h, w, kh, kw, stride, pad int }{
-		{1, 1, 5, 5, 3, 3, 1, 0},
-		{2, 3, 8, 8, 3, 3, 1, 1},
-		{3, 2, 9, 7, 5, 3, 2, 2},
-		{2, 1, 11, 11, 5, 5, 3, 1},
-		{2, 2, 6, 6, 3, 3, 2, 0},
-	}
-	for _, tc := range cases {
-		in := randTensor(rng, tc.b, tc.c, tc.h, tc.w)
-		oh := ConvOutDim(tc.h, tc.kh, tc.stride, tc.pad)
-		ow := ConvOutDim(tc.w, tc.kw, tc.stride, tc.pad)
-		colw := tc.c * tc.kh * tc.kw
-		cols := New(tc.b*oh*ow, colw)
-		Im2ColInto(cols, in, tc.kh, tc.kw, tc.stride, tc.pad)
-		colsT := New(colw, tc.b*oh*ow)
-		colsT.Fill(99) // every element must be overwritten
-		Im2ColTInto(colsT, in, tc.kh, tc.kw, tc.stride, tc.pad)
-		want := New(colw, tc.b*oh*ow)
-		TransposeInto(want, cols)
-		requireSameBits(t, "Im2ColTInto", want, colsT)
-	}
+	})
 }
 
 func TestReluIntoMatchesScalarBranch(t *testing.T) {
