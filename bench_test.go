@@ -586,8 +586,8 @@ func BenchmarkConvForwardBatchGEMM(b *testing.B) {
 	convGFLOPS(b, c, 27, 27, b.Elapsed().Seconds()/convBatch)
 }
 
-// BenchmarkConvBackwardBatchGEMM measures the batched backward: one dW GEMM
-// and one dCols GEMM for the whole batch.
+// BenchmarkConvBackwardBatchGEMM measures the batched backward: the dW GEMM
+// over the forward's stride-phase planes and one dCols GEMM per sample.
 func BenchmarkConvBackwardBatchGEMM(b *testing.B) {
 	c, batch := alexConv2Batch()
 	out := c.ForwardBatch(batch)

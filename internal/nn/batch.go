@@ -18,8 +18,10 @@ import (
 // non-reduction axis of every GEMM long and unit-stride, so the layers below
 // run on the vectorized panel kernels (tensor.ConvInto, MatMulAccumVec,
 // MatMulTNAccumVec), whose saxpy row updates span output elements — never
-// the reduction axis (see matmul_vec.go). As in the paper (Section V.B), only
-// conv backprop builds an im2col panel; its forward is an implicit GEMM.
+// the reduction axis (see matmul_vec.go). No layer builds an im2col panel:
+// where the paper expands CONV inputs into a 2D matrix for backpropagation
+// (Section V.B), both conv passes work in place on stride-phase planes
+// (tensor.ConvInto, tensor.ConvBackward).
 //
 // Row contract: for every output element the kernels run a single-accumulator,
 // ascending-index reduction, and parameter gradients accumulate in sample
@@ -38,11 +40,12 @@ import (
 // BackwardBatch results are therefore arena-owned: valid until the owning
 // layer's next pass, copy what must survive. Network.Forward and ForwardRange
 // return private copies — callers store them in replay as Transition.Feat.
-// No forward pass reads or writes its input after it returns; Conv2D, Dense
-// and LRN hold a reference to it for BackwardBatch only.
+// No forward pass reads or writes its input after it returns; Dense and LRN
+// hold a reference to it for BackwardBatch only, and Conv2D keeps its
+// stride-phase planes, a copy, instead.
 //
 // One cache per layer: ForwardBatch leaves what BackwardBatch consumes (input
-// reference, argmax, mask, denominators), and any later forward
+// reference or planes, argmax, mask, denominators), and any later forward
 // pass through the layer — a Forward is one — overwrites it. Nothing may run
 // between a network's ForwardBatch and the BackwardBatch that pairs with it.
 // BackwardBatch panics when no forward preceded it or when the gradient's
@@ -70,15 +73,6 @@ func checkGrad(layer string, out, grad *tensor.Tensor) {
 	}
 }
 
-// Arena slots of Conv2D's backward workspace.
-const (
-	convSlotOut = iota
-	convSlotCols
-	convSlotGrad2
-	convSlotDcolsT
-	convSlotDin
-)
-
 // ForwardBatch implements Layer: an implicit GEMM over the whole batch
 // (tensor.ConvInto). Each sample is staged once into the layer's stride-phase
 // planes and the weights multiply them in place, so no im2col panel is
@@ -94,65 +88,20 @@ func (c *Conv2D) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s input %v is smaller than its %dx%d kernel with padding %d",
 			c.LayerName, in.Shape(), c.KH, c.KW, c.Pad))
 	}
-	out := c.bArena.Get(convSlotOut, b, c.OutC, oh, ow)
-	tensor.ConvInto(out, in, c.Weight.W, c.Bias.W, c.KH, c.KW, c.Stride, c.Pad, &c.fwd)
-	c.bIn, c.bOut = in, out
+	out := c.bArena.Get(0, b, c.OutC, oh, ow)
+	tensor.ConvInto(out, in, c.Weight.W, c.Bias.W, c.KH, c.KW, c.Stride, c.Pad, &c.ws)
+	c.bOut = out
 	return out
 }
 
-// BackwardBatch implements Layer: one GEMM per gradient (dW, dCols) over the
-// whole batch. The reduction order over the stacked (sample, patch) axis is
-// ascending, which is the order processing the samples one after another
-// produces.
+// BackwardBatch implements Layer: dW, db and dX from the stride-phase planes
+// the forward pass left in the layer's workspace (tensor.ConvBackward), so no
+// im2col panel is built and no col2im scatter runs. Each gradient element
+// keeps the ascending (sample, patch) order that processing the samples one
+// after another produces.
 func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
 	checkGrad(c.LayerName, c.bOut, grad)
-	b := grad.Dim(0)
-	np := grad.Dim(2) * grad.Dim(3)
-	colw := c.InC * c.KH * c.KW
-	// Regroup the NCHW gradient into channel-major (OutC x B*np) so the
-	// batch GEMMs see the stacked layout; a pure copy.
-	grad2 := c.bArena.Get(convSlotGrad2, c.OutC, b*np)
-	gd := grad.Data()
-	g2 := grad2.Data()
-	for s := 0; s < b; s++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			copy(g2[oc*b*np+s*np:oc*b*np+(s+1)*np], gd[(s*c.OutC+oc)*np:(s*c.OutC+oc+1)*np])
-		}
-	}
-	// dW += grad2 (OutC x B*np) x cols (B*np x colw). The weight-gradient
-	// GEMM reduces over the stacked patch axis, so it reads the patch-major
-	// im2col panel of the forward pass's input — the one panel the layer
-	// builds.
-	cols := c.bArena.Get(convSlotCols, b*np, colw)
-	tensor.Im2ColInto(cols, c.bIn, c.KH, c.KW, c.Stride, c.Pad)
-	tensor.MatMulAccumVec(c.Weight.G, grad2, cols)
-	// db: one partial sum per sample, added in sample order.
-	gb := c.Bias.G.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		for s := 0; s < b; s++ {
-			var bsum float32
-			for _, g := range g2[oc*b*np+s*np : oc*b*np+(s+1)*np] {
-				bsum += g
-			}
-			gb[oc] += bsum
-		}
-	}
-	if !needInputGrad {
-		return nil
-	}
-	// dCols = grad2^T x W, then per-sample col2im scatter. Computed in the
-	// channel-major (colw x B*np) layout — dColsT += W^T x grad2 — so the
-	// vector kernel's rows span the whole batch axis instead of one colw-wide
-	// patch (tens of saxpy calls rather than tens of thousands), and
-	// scattered from that layout directly. Per element both forms accumulate
-	// the same products in the same ascending-OutC order, so the values are
-	// bit-identical.
-	dcolsT := c.bArena.Get(convSlotDcolsT, colw, b*np)
-	dcolsT.Zero()
-	tensor.MatMulTNAccumVec(dcolsT, c.Weight.W, grad2)
-	din := c.bArena.Get(convSlotDin, b, c.InC, c.bIn.Dim(2), c.bIn.Dim(3))
-	tensor.Col2ImInto(din, dcolsT, c.KH, c.KW, c.Stride, c.Pad)
-	return din
+	return tensor.ConvBackward(c.Weight.G, c.Bias.G, grad, c.Weight.W, &c.ws, needInputGrad)
 }
 
 // Arena slots of Dense's batched workspace.
@@ -244,6 +193,9 @@ func (m *MaxPool) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", m.LayerName, in.Shape()))
 	}
 	b, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
+	if h < m.K || w < m.K {
+		panic(fmt.Sprintf("nn: %s input %v is smaller than its %dx%d window", m.LayerName, in.Shape(), m.K, m.K))
+	}
 	oh := (h-m.K)/m.Stride + 1
 	ow := (w-m.K)/m.Stride + 1
 	m.bShape = [4]int{b, c, h, w}

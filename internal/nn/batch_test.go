@@ -168,22 +168,25 @@ func TestForwardBatchZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestBackwardBatchZeroAllocSteadyState extends the contract to the batched
-// backward pass (including gradient accumulation and input gradients).
+// backward pass (including gradient accumulation and input gradients), at
+// batch 1 and 8: the conv layers' gradient planes and grids are arena-owned.
 func TestBackwardBatchZeroAllocSteadyState(t *testing.T) {
 	for _, spec := range batchSpecs(t) {
-		net := spec.Build()
-		net.Init(rand.New(rand.NewSource(58)))
-		x := randomBatch(spec, 8, rand.New(rand.NewSource(59)))
-		grad := tensor.New(8, spec.FCs[len(spec.FCs)-1].Out)
-		grad.Fill(0.25)
-		net.ForwardBatch(x)
-		net.BackwardBatch(grad) // warm-up
-		avg := testing.AllocsPerRun(10, func() {
+		for _, b := range []int{1, 8} {
+			net := spec.Build()
+			net.Init(rand.New(rand.NewSource(58)))
+			x := randomBatch(spec, b, rand.New(rand.NewSource(59)))
+			grad := tensor.New(b, spec.FCs[len(spec.FCs)-1].Out)
+			grad.Fill(0.25)
 			net.ForwardBatch(x)
-			net.BackwardBatch(grad)
-		})
-		if avg != 0 {
-			t.Errorf("%s: steady-state forward+backward allocates %v times per call, want 0", spec.Name, avg)
+			net.BackwardBatch(grad) // warm-up
+			avg := testing.AllocsPerRun(10, func() {
+				net.ForwardBatch(x)
+				net.BackwardBatch(grad)
+			})
+			if avg != 0 {
+				t.Errorf("%s: steady-state forward+backward at batch %d allocates %v times per call, want 0", spec.Name, b, avg)
+			}
 		}
 	}
 }
@@ -200,4 +203,18 @@ func TestConvForwardRejectsInputSmallerThanKernel(t *testing.T) {
 		}
 	}()
 	c.ForwardBatch(tensor.New(1, 2, 3, 7))
+}
+
+// TestMaxPoolRejectsInputSmallerThanWindow: a window wider than its input
+// must panic naming the layer and the input's shape instead of reading the
+// next channel's values as this one's maximum.
+func TestMaxPoolRejectsInputSmallerThanWindow(t *testing.T) {
+	m := NewMaxPool("POOLX", 3, 2)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "POOLX") || !strings.Contains(msg, "[1 2 2 2]") {
+			t.Errorf("want a panic naming POOLX and the input shape [1 2 2 2], got %q", msg)
+		}
+	}()
+	m.ForwardBatch(tensor.New(1, 2, 2, 2))
 }

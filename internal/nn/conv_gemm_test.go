@@ -7,91 +7,97 @@ import (
 	"dronerl/internal/tensor"
 )
 
-// The seed implementation's nested-loop convolution, kept verbatim as the
-// reference the GEMM path must reproduce bit for bit: the kernels promise the
-// same single-accumulator, ascending-index reductions, so these comparisons
-// use exact equality rather than tolerances.
+// Scalar seven-loop references the conv layer must reproduce bit for bit:
+// the kernels promise the same single-accumulator, ascending-index
+// reductions, so these comparisons use exact equality rather than
+// tolerances. Nothing here runs the code under test.
 
-// im2col is one CHW sample's patch-major im2col matrix.
-func im2col(c *Conv2D, in *tensor.Tensor) *tensor.Tensor {
-	oh := tensor.ConvOutDim(in.Dim(1), c.KH, c.Stride, c.Pad)
-	ow := tensor.ConvOutDim(in.Dim(2), c.KW, c.Stride, c.Pad)
-	cols := tensor.New(oh*ow, c.InC*c.KH*c.KW)
-	tensor.Im2ColInto(cols, in.Reshape(1, in.Dim(0), in.Dim(1), in.Dim(2)), c.KH, c.KW, c.Stride, c.Pad)
-	return cols
+// inputAt is CHW sample in at (ch, iy, ix), zero in the padding.
+func inputAt(in *tensor.Tensor, ch, iy, ix int) float32 {
+	h, w := in.Dim(1), in.Dim(2)
+	if iy < 0 || iy >= h || ix < 0 || ix >= w {
+		return 0
+	}
+	return in.Data()[(ch*h+iy)*w+ix]
 }
 
 func naiveConvForward(c *Conv2D, in *tensor.Tensor) *tensor.Tensor {
-	h, w := in.Dim(1), in.Dim(2)
-	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
-	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
-	cols := im2col(c, in)
+	oh := tensor.ConvOutDim(in.Dim(1), c.KH, c.Stride, c.Pad)
+	ow := tensor.ConvOutDim(in.Dim(2), c.KW, c.Stride, c.Pad)
 	out := tensor.New(c.OutC, oh, ow)
-	od := out.Data()
-	wd := c.Weight.W
-	bd := c.Bias.W.Data()
-	np := oh * ow
-	for p := 0; p < np; p++ {
-		patch := cols.Data()[p*cols.Dim(1) : (p+1)*cols.Dim(1)]
-		for oc := 0; oc < c.OutC; oc++ {
-			row := wd.Data()[oc*wd.Dim(1) : (oc+1)*wd.Dim(1)]
-			var s float32
-			for k, v := range patch {
-				s += row[k] * v
+	wd, bd := c.Weight.W.Data(), c.Bias.W.Data()
+	for oc := 0; oc < c.OutC; oc++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				var s float32
+				for ch := 0; ch < c.InC; ch++ {
+					for ky := 0; ky < c.KH; ky++ {
+						for kx := 0; kx < c.KW; kx++ {
+							x := inputAt(in, ch, oy*c.Stride-c.Pad+ky, ox*c.Stride-c.Pad+kx)
+							s += float32(wd[((oc*c.InC+ch)*c.KH+ky)*c.KW+kx] * x)
+						}
+					}
+				}
+				out.Data()[(oc*oh+oy)*ow+ox] = s + bd[oc]
 			}
-			od[oc*np+p] = s + bd[oc]
 		}
 	}
 	return out
 }
 
 // naiveConvBackward accumulates one sample's dW and dB into dw and db and
-// returns its dIn for the given upstream gradient, reproducing the seed's loop
-// order exactly.
+// returns its dIn for the given upstream gradient: dW one product per output
+// position in ascending order onto the running value, dB the sample's sum
+// added once, and each dIn element the ascending-patch sum of its taps'
+// patch gradients, each an ascending-OutC dot product.
 func naiveConvBackward(c *Conv2D, in, grad, dw, db *tensor.Tensor) *tensor.Tensor {
 	h, w := in.Dim(1), in.Dim(2)
-	oh := tensor.ConvOutDim(h, c.KH, c.Stride, c.Pad)
-	ow := tensor.ConvOutDim(w, c.KW, c.Stride, c.Pad)
-	np := oh * ow
-	cols := im2col(c, in)
-	colw := cols.Dim(1)
-	gd := grad.Data()
+	oh, ow := grad.Dim(1), grad.Dim(2)
+	gd, wd := grad.Data(), c.Weight.W.Data()
+	colw := c.InC * c.KH * c.KW
 	for oc := 0; oc < c.OutC; oc++ {
-		grow := gd[oc*np : (oc+1)*np]
-		wrow := dw.Data()[oc*colw : (oc+1)*colw]
+		for ch := 0; ch < c.InC; ch++ {
+			for ky := 0; ky < c.KH; ky++ {
+				for kx := 0; kx < c.KW; kx++ {
+					q := oc*colw + (ch*c.KH+ky)*c.KW + kx
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							x := inputAt(in, ch, oy*c.Stride-c.Pad+ky, ox*c.Stride-c.Pad+kx)
+							dw.Data()[q] += float32(gd[(oc*oh+oy)*ow+ox] * x)
+						}
+					}
+				}
+			}
+		}
 		var bsum float32
-		for p, g := range grow {
-			if g == 0 {
-				continue
-			}
+		for _, g := range gd[oc*oh*ow : (oc+1)*oh*ow] {
 			bsum += g
-			patch := cols.Data()[p*colw : (p+1)*colw]
-			for k, v := range patch {
-				wrow[k] += g * v
-			}
 		}
 		db.Data()[oc] += bsum
 	}
-	dcols := tensor.New(np, colw)
-	wd := c.Weight.W
-	for oc := 0; oc < c.OutC; oc++ {
-		grow := gd[oc*np : (oc+1)*np]
-		wrow := wd.Data()[oc*colw : (oc+1)*colw]
-		for p, g := range grow {
-			if g == 0 {
-				continue
-			}
-			drow := dcols.Data()[p*colw : (p+1)*colw]
-			for k, wv := range wrow {
-				drow[k] += g * wv
+	din := tensor.New(c.InC, h, w)
+	for ch := 0; ch < c.InC; ch++ {
+		for iy := 0; iy < h; iy++ {
+			for ix := 0; ix < w; ix++ {
+				var acc float32
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						ky, kx := iy+c.Pad-oy*c.Stride, ix+c.Pad-ox*c.Stride
+						if ky < 0 || ky >= c.KH || kx < 0 || kx >= c.KW {
+							continue
+						}
+						var dcol float32
+						for oc := 0; oc < c.OutC; oc++ {
+							dcol += float32(wd[oc*colw+(ch*c.KH+ky)*c.KW+kx] * gd[(oc*oh+oy)*ow+ox])
+						}
+						acc += dcol
+					}
+				}
+				din.Data()[(ch*h+iy)*w+ix] = acc
 			}
 		}
 	}
-	dcolsT := tensor.New(colw, np)
-	tensor.TransposeInto(dcolsT, dcols)
-	din := tensor.New(1, c.InC, h, w)
-	tensor.Col2ImInto(din, dcolsT, c.KH, c.KW, c.Stride, c.Pad)
-	return din.Reshape(c.InC, h, w)
+	return din
 }
 
 // convCases covers register-block remainders (OutC and np not multiples of

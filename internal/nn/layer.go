@@ -61,23 +61,23 @@ type Layer interface {
 // BatchLayer is Layer under the name the benchmark harness type-asserts.
 type BatchLayer = Layer
 
-// Conv2D is a 2-D convolution over NCHW tensors. The forward pass is an
-// implicit GEMM over the input (tensor.ConvInto); backpropagation expands the
-// input with im2col and runs matrix products — the same GEMM formulation the
-// paper uses for CONV-layer backpropagation on the PE array (Section V.B).
+// Conv2D is a 2-D convolution over NCHW tensors. Both passes are GEMMs over
+// the input's stride-phase planes (tensor.ConvInto, tensor.ConvBackward) —
+// the paper's GEMM formulation of CONV layers on the PE array (Section V.B)
+// without its im2col expansion.
 type Conv2D struct {
 	LayerName           string
 	InC, OutC           int
 	KH, KW, Stride, Pad int
 	Weight, Bias        *Param
 
-	// fwd holds the forward's stride-phase planes and tap-offset table,
-	// bArena the backward's panels. bIn and bOut are the latest
-	// ForwardBatch's input (read by BackwardBatch, never by a later forward
-	// pass) and output (whose shape the gradient must have).
-	fwd       tensor.ConvScratch
-	bArena    tensor.Arena
-	bIn, bOut *tensor.Tensor
+	// ws holds the stride-phase planes of the latest ForwardBatch's input,
+	// which BackwardBatch reads in its place, the tap-offset table and the
+	// backward's gradient panels; bArena the output. bOut is the latest
+	// ForwardBatch's output, whose shape the gradient must have.
+	ws     tensor.ConvScratch
+	bArena tensor.Arena
+	bOut   *tensor.Tensor
 }
 
 // NewConv2D creates a convolution layer with zeroed parameters.

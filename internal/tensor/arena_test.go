@@ -85,30 +85,3 @@ func TestIm2ColIntoMatchesPerSample(t *testing.T) {
 		}
 	}
 }
-
-// TestCol2ImIntoMatchesPerSample checks the batched scatter from the
-// channel-major panel against B independent Col2Im calls on each sample's
-// patch-major block.
-func TestCol2ImIntoMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const b, c, h, w, kh, kw, stride, pad = 3, 2, 7, 6, 3, 3, 2, 1
-	oh := ConvOutDim(h, kh, stride, pad)
-	ow := ConvOutDim(w, kw, stride, pad)
-	np := oh * ow
-	colw := c * kh * kw
-	colsT := New(colw, b*np)
-	colsT.RandN(rng, 1)
-	cols := New(b*np, colw)
-	TransposeInto(cols, colsT)
-	dst := New(b, c, h, w)
-	dst.Fill(-5) // dirty: Into zeroes before scattering
-	Col2ImInto(dst, colsT, kh, kw, stride, pad)
-	for s := 0; s < b; s++ {
-		sample := FromSlice(cols.Data()[s*np*colw:(s+1)*np*colw], np, colw)
-		want := Col2Im(sample, c, h, w, kh, kw, stride, pad)
-		got := FromSlice(dst.Data()[s*c*h*w:(s+1)*c*h*w], c, h, w)
-		if !got.Equal(want) {
-			t.Fatalf("sample %d: batched col2im diverges from per-sample Col2Im", s)
-		}
-	}
-}

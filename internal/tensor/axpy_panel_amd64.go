@@ -18,13 +18,14 @@ var useFloatAVX = hasAVX
 func axpyPanelAVX(dst, a, b *float32, offs *int, sa, k, n int)
 
 // axpyPanel4AVX is the four-destination-row variant: dst[r*n+j] +=
-// sum_{p<k} a[r*aRow + p*aCol] * b[offs[p]+j] for r in 0..3. Identical
-// per-element semantics to four axpyPanelAVX calls (each row has its own
-// accumulators, ascending p, two roundings per step) with each b row loaded
-// once for all four destinations.
+// sum_{p<k} a[rows[r] + p*aCol] * b[offs[p]+j] for r in 0..3, A's rows being
+// wherever rows says — a dense A's r·aRow, or a convolution tap's run over
+// stride-phase planes (ConvGradInto). Identical per-element semantics to four
+// axpyPanelAVX calls (each row has its own accumulators, ascending p, two
+// roundings per step) with each b row loaded once for all four destinations.
 //
 //go:noescape
-func axpyPanel4AVX(dst, a, b *float32, offs *int, aRow, aCol, k, n int)
+func axpyPanel4AVX(dst, a, b *float32, rows, offs *int, aCol, k, n int)
 
 // transpose8AVX writes the transpose of the 8x8 block at src (row stride
 // lds) to dst (row stride ldd): pure data movement, so bit-identical to the

@@ -13,7 +13,7 @@ func axpyPanelAVX(dst, a, b *float32, offs *int, sa, k, n int) {
 	panic("tensor: axpyPanelAVX without amd64")
 }
 
-func axpyPanel4AVX(dst, a, b *float32, offs *int, aRow, aCol, k, n int) {
+func axpyPanel4AVX(dst, a, b *float32, rows, offs *int, aCol, k, n int) {
 	panic("tensor: axpyPanel4AVX without amd64")
 }
 

@@ -1,14 +1,14 @@
 package tensor
 
-// Im2ColInto expands a batch of NCHW inputs into dst, the stacked matrix
-// used by GEMM-based convolution backprop, of shape (B*oh*ow, c*kh*kw): row
+// Im2ColInto expands a batch of NCHW inputs into dst, the stacked matrix of
+// shape (B*oh*ow, c*kh*kw) that GEMM-based convolution multiplies: row
 // b*oh*ow + oy*ow + ox holds the kh*kw*c input patch feeding output (oy, ox)
 // of sample b, zero padding applied. Every element of dst is written, so a
-// reused workspace needs no clearing. As in the paper, the expansion serves
-// backpropagation only (Section V.B, "we use GEMM [16] ... and expands the
-// inputs to each CONV layers in a 2D matrix"): the forward pass convolves in
-// place (ConvInto), and the weight gradient is the one GEMM that reads this
-// panel.
+// reused workspace needs no clearing. The paper's accelerator expands its
+// CONV inputs this way for backpropagation (Section V.B, "we use GEMM [16]
+// ... and expands the inputs to each CONV layers in a 2D matrix"); the float
+// layers do not: both passes work in place on stride-phase planes (ConvInto,
+// ConvBackward). The expansion stays as a reference and benchmark probe.
 func Im2ColInto(dst, in *Tensor, kh, kw, stride, pad int) {
 	if in.Rank() != 4 {
 		panic("tensor: Im2ColInto requires an NCHW rank-4 tensor")
@@ -65,55 +65,6 @@ func im2colSample(od, id []float32, c, h, w, kh, kw, stride, pad int) {
 							dst[kx] = src[ix+kx]
 						} else {
 							dst[kx] = 0
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Col2ImInto scatters a stacked im2col gradient back into the NCHW
-// destination, zeroing dst first. cols is channel-major, (c*kh*kw, B*oh*ow),
-// the layout the conv input-gradient GEMM produces: the transpose of an
-// Im2ColInto matrix, to which the scatter is the adjoint (dL/dInput). Every
-// input element receives its contributions in ascending patch order.
-func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
-	if dst.Rank() != 4 {
-		panic("tensor: Col2ImInto requires an NCHW rank-4 destination")
-	}
-	b, c, h, w := dst.Dim(0), dst.Dim(1), dst.Dim(2), dst.Dim(3)
-	np := ConvOutDim(h, kh, stride, pad) * ConvOutDim(w, kw, stride, pad)
-	if cols.Rank() != 2 || cols.Dim(0) != c*kh*kw || cols.Dim(1) != b*np {
-		panic("tensor: Col2ImInto shape mismatch")
-	}
-	dst.Zero()
-	for s := 0; s < b; s++ {
-		col2imSample(dst.data[s*c*h*w:(s+1)*c*h*w], cols.data[s*np:], b*np, c, h, w, kh, kw, stride, pad)
-	}
-}
-
-// col2imSample accumulates one sample's im2col gradient into od, which must
-// be pre-zeroed (or hold a running sum to extend): tap q of patch p is
-// cd[q*qs+p]. Every input element receives its contributions in ascending
-// patch order.
-func col2imSample(od, cd []float32, qs, c, h, w, kh, kw, stride, pad int) {
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			p := oy*ow + ox
-			for ch := 0; ch < c; ch++ {
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					row := od[(ch*h+iy)*w : (ch*h+iy+1)*w]
-					q := (ch*kh+ky)*kw*qs + p
-					for kx := 0; kx < kw; kx++ {
-						if ix := ox*stride - pad + kx; ix >= 0 && ix < w {
-							row[ix] += cd[q+kx*qs]
 						}
 					}
 				}

@@ -44,40 +44,41 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %d vs %d", k, k2))
 	}
 	bt := New(n, k)
-	transposeInto(bt.data, b.data, k, n)
+	transposeInto(bt.data, k, b.data, n, k, n)
 	c := New(m, n)
 	MatMulNTInto(c, a, bt)
 	return c
 }
 
-// transposeInto writes the n x m transpose of the row-major m x n src into
-// dst in 8x8 blocks, each written as eight eight-wide dst row runs — in
+// transposeInto writes the n x m transpose of the m x n src, whose rows lie
+// lds apart, into dst, whose rows lie ldd apart: dst[j*ldd+i] = src[i*lds+j].
+// It goes in 8x8 blocks, each written as eight eight-wide dst row runs — in
 // registers on AVX (transpose8AVX) — then the ragged edges.
-func transposeInto(dst, src []float32, m, n int) {
+func transposeInto(dst []float32, ldd int, src []float32, lds, m, n int) {
 	i := 0
 	for ; i+8 <= m; i += 8 {
 		j := 0
 		for ; j+8 <= n; j += 8 {
 			if useFloatAVX {
-				transpose8AVX(&dst[j*m+i], m, &src[i*n+j], n)
+				transpose8AVX(&dst[j*ldd+i], ldd, &src[i*lds+j], lds)
 				continue
 			}
 			for t := j; t < j+8; t++ {
-				d := (*[8]float32)(dst[t*m+i:])
+				d := (*[8]float32)(dst[t*ldd+i:])
 				for u := range d {
-					d[u] = src[(i+u)*n+t]
+					d[u] = src[(i+u)*lds+t]
 				}
 			}
 		}
 		for ; j < n; j++ {
 			for t := i; t < i+8; t++ {
-				dst[j*m+t] = src[t*n+j]
+				dst[j*ldd+t] = src[t*lds+j]
 			}
 		}
 	}
 	for ; i < m; i++ {
-		for j, v := range src[i*n : (i+1)*n] {
-			dst[j*m+i] = v
+		for j, v := range src[i*lds : i*lds+n] {
+			dst[j*ldd+i] = v
 		}
 	}
 }

@@ -52,13 +52,19 @@ func MatMulAccumVec(dst, a, b *Tensor) {
 // blocked scalar kernels' schedule — so the result is bit-identical to them
 // (and to the naive triple loop).
 func accumRowsVec(cd, ad []float32, aRow, aCol int, bd []float32, k, n, lo, hi int) {
-	var offs [gemmBlockK]int
-	for p := range min(k, gemmBlockK) {
-		offs[p] = p * n
-	}
+	offs := panelOffs(n, k)
 	for p0 := 0; p0 < k; p0 += gemmBlockK {
 		panelRowsVec(cd[lo*n:], ad[lo*aRow+p0*aCol:], aRow, aCol, bd[p0*n:], offs[:min(gemmBlockK, k-p0)], n, hi-lo)
 	}
+}
+
+// panelOffs is the row-offset table p·n of a dense panel, n wide and
+// min(k, gemmBlockK) rows deep.
+func panelOffs(n, k int) (offs [gemmBlockK]int) {
+	for p := range min(k, gemmBlockK) {
+		offs[p] = p * n
+	}
+	return offs
 }
 
 // panelRowsVec accumulates one reduction panel into m destination rows,
@@ -69,8 +75,9 @@ func accumRowsVec(cd, ad []float32, aRow, aCol int, bd []float32, k, n, lo, hi i
 func panelRowsVec(cd, ad []float32, aRow, aCol int, bd []float32, offs []int, n, m int) {
 	i := 0
 	if useFloatAVX {
+		rows := [4]int{0, aRow, 2 * aRow, 3 * aRow}
 		for ; i+3 < m; i += 4 {
-			axpyPanel4AVX(&cd[i*n], &ad[i*aRow], &bd[0], &offs[0], aRow, aCol, len(offs), n)
+			axpyPanel4AVX(&cd[i*n], &ad[i*aRow], &bd[0], &rows[0], &offs[0], aCol, len(offs), n)
 		}
 	}
 	for ; i < m; i++ {
@@ -129,5 +136,5 @@ func TransposeInto(dst, src *Tensor) {
 	if dst.Rank() != 2 || src.Rank() != 2 || dst.Dim(0) != src.Dim(1) || dst.Dim(1) != src.Dim(0) {
 		panic(fmt.Sprintf("tensor: TransposeInto shape mismatch %v vs %v", dst.shape, src.shape))
 	}
-	transposeInto(dst.data, src.data, src.Dim(0), src.Dim(1))
+	transposeInto(dst.data, src.Dim(0), src.data, src.Dim(1), src.Dim(0), src.Dim(1))
 }

@@ -193,10 +193,17 @@ func Im2Col(in *Tensor, kh, kw, stride, pad int) *Tensor {
 // Col2Im scatters one sample's patch-major im2col gradient back into a CHW
 // input gradient: the adjoint of Im2Col.
 func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	colsT := New(cols.Dim(1), cols.Dim(0))
-	TransposeInto(colsT, cols)
+	ow := ConvOutDim(w, kw, stride, pad)
 	out := New(c, h, w)
-	col2imSample(out.data, colsT.data, cols.Dim(0), c, h, w, kh, kw, stride, pad)
+	for p := 0; p < cols.Dim(0); p++ {
+		for q, v := range cols.data[p*cols.Dim(1) : (p+1)*cols.Dim(1)] {
+			ch, ky, kx := q/(kh*kw), q/kw%kh, q%kw
+			iy, ix := p/ow*stride-pad+ky, p%ow*stride-pad+kx
+			if iy >= 0 && iy < h && ix >= 0 && ix < w {
+				out.data[(ch*h+iy)*w+ix] += v
+			}
+		}
+	}
 	return out
 }
 
