@@ -73,7 +73,9 @@ func (s *SR) Round(v int64, shift uint) int64 {
 // range), where FromFloat's round-to-nearest would bias every sub-LSB value
 // to the same neighbour.
 func (f Format) FromFloatStochastic(x float64, s *SR) Word {
-	scaled := x * float64(int32(1)<<f.Frac)
+	// Rounded by the conversion, so scaled - floor below cannot fuse into a
+	// multiply-subtract on targets that have one.
+	scaled := float64(x * float64(int32(1)<<f.Frac))
 	floor := math.Floor(scaled)
 	frac := scaled - floor
 	v := int64(floor)

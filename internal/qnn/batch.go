@@ -228,6 +228,9 @@ func (r *ReLU) forwardBatch(in QTensor, ws *batchWorkspace, slot int) QTensor {
 // into the layer's workspace slot.
 func (m *MaxPool) forwardBatch(in QTensor, ws *batchWorkspace, slot int) QTensor {
 	bsz, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	if h < m.K || w < m.K {
+		panic(fmt.Sprintf("qnn: %s input %v is smaller than its %dx%d window", m.LayerName, in.Shape, m.K, m.K))
+	}
 	oh := (h-m.K)/m.Stride + 1
 	ow := (w-m.K)/m.Stride + 1
 	if len(m.bShape) != 4 {

@@ -174,6 +174,34 @@ func TestMaxPoolInteger(t *testing.T) {
 	}
 }
 
+// TestMaxPoolRejectsInputSmallerThanWindow: in both integer engines a window
+// wider than its input must panic naming the layer and the input's shape,
+// instead of reading the next channel's words as this one's maximum and then
+// running off the end of the batch.
+func TestMaxPoolRejectsInputSmallerThanWindow(t *testing.T) {
+	for name, pool := range map[string]func(){
+		"POOLQ": func() {
+			m := &MaxPool{LayerName: "POOLQ", K: 3, Stride: 2}
+			in := QTensor{Shape: []int{1, 2, 2, 2}, Data: make(fixed.Vec, 8), Fmt: fixed.Q78}
+			m.forwardBatch(in, &batchWorkspace{}, 0)
+		},
+		"POOLT": func() {
+			m := &tPool{layerName: "POOLT", k: 3, stride: 2}
+			m.forwardBatch(make([]int16, 8), 1, [3]int{2, 2, 2}, &batchWorkspace{}, 0)
+		},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "[1 2 2 2]") {
+					t.Errorf("want a panic naming %s and the input shape [1 2 2 2], got %q", name, msg)
+				}
+			}()
+			pool()
+		}()
+	}
+}
+
 func TestReLUInteger(t *testing.T) {
 	r := &ReLU{LayerName: "relu"}
 	in := QTensor{Shape: []int{3}, Data: fixed.Vec{-7, 0, 9}, Fmt: fixed.Q78}

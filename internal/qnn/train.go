@@ -20,18 +20,22 @@ import (
 // pass here, Dense *and* Conv, follows the int16 kernels' contract
 // (tensor/int16.go), as the inference engine does (batch.go): products
 // widen into wrap-around int32 accumulators and saturate exactly once, at
-// the final narrow, after the bias has joined the sum in 64 bits. That
-// equals a 64-bit accumulation on every output word as long as the true sum
-// of products fits int32. The precondition is asserted, not assumed:
+// the final narrow, after the bias has joined the sum in 64 bits
+// (tensor.Narrow64; the inference engine's Narrow16 adds the bias after the
+// narrow, a different function). That equals a 64-bit accumulation on every
+// output word as long as the true sum of products fits int32. The
+// precondition is asserted, not assumed:
 // TestTrainAccumulatorHeadroom shadows every conv and dense accumulator in
 // 64 bits over real depth frames on the meta-trained NavNet and holds the
 // largest |sum| 8 bits under the horizon, TestTrainConvMatchesScalarReference
-// compares the GEMM convolution with the scalar int64 loops it replaced word
-// for word, and TestTrainBackendGolden pins whole TD schedules to hashes that
-// loop produced. Gradients are the other direction: they accumulate in
-// 64-bit Q-format scratchpads (the "sum of weight and bias gradients"
-// scratchpad of Section V, widened so batch accumulation cannot wrap) with
-// plain 64-bit loops, so their sums are exact in any order. The weight
+// and TestTrainDenseMatchesScalarReference compare both weighted layers with
+// the scalar int64 loops they replaced word for word, and
+// TestTrainBackendGolden pins whole TD schedules to hashes those loops
+// produced. Gradients are the other direction: they accumulate in 64-bit
+// Q-format scratchpads (the "sum of weight and bias gradients" scratchpad of
+// Section V, widened so batch accumulation cannot wrap) through one kernel
+// for every layer and both gradients, tensor.AxpyPanel16, whose int64 sums
+// are exact in any order. The weight
 // update applies lr·grad with *stochastic* rounding (fixed.SR): a
 // deterministic round would silently drop every update below half a weight
 // LSB — most late-training updates — where the stochastic round is correct
@@ -131,11 +135,12 @@ type tLayer interface {
 	weightBits() int64
 }
 
-// Workspace panels per layer slot: the int16 pool holds four kinds per
+// Workspace panels per layer slot: the int16 pool holds five kinds per
 // layer, the int64 pool two.
 const (
 	wsPanel   = iota // conv im2col panel (frozen conv: the padded sample)
 	wsWeights        // conv weight image at the panel's row stride
+	wsPix            // conv output words, pixel-major, before the CHW move
 	wsOut            // forward output words
 	wsGin            // narrowed input gradient
 	ws16Kinds
@@ -166,6 +171,15 @@ func padRows(dst, src []int16, colw, rowLen int) {
 		copy(row, src[r*colw:(r+1)*colw])
 		clear(row[colw:])
 	}
+}
+
+// strided fills offs with the table {0, step, 2·step, …} the gradient kernel
+// reads its b rows through.
+func strided(offs []int, step int) []int {
+	for p := range offs {
+		offs[p] = p * step
+	}
+	return offs
 }
 
 // im2colPatchMajor expands bsz stacked CHW samples into the patch-major int16
@@ -215,8 +229,8 @@ func im2colPatchMajor(panel, src []int16, bsz, inC, h, w, k, stride, pad int) {
 
 // tConv is the fixed-point trainable convolution (CHW, square kernel). Its
 // forward pass is one im2col expansion and one int16 GEMM for the whole
-// batch; the patch-major panel is kept for the backward pass,
-// whose 64-bit accumulation reads it back row by row. A layer below the
+// batch; the patch-major panel is kept for the backward pass, whose
+// gradient kernel reads it back row by row. A layer below the
 // training boundary has no backward pass and no writer — Update and
 // CopyWeightsFrom start at the boundary, Clone shares its words — so it
 // carries its weights packed once for the direct convolution instead, and
@@ -230,6 +244,7 @@ type tConv struct {
 	aFrac, wFrac, gFrac uint
 	bsz, inH, inW       int
 	panel               []int16
+	offs                []int          // the gradient kernel's row offsets
 	frozen              *tensor.Conv16 // nil above the training boundary
 }
 
@@ -245,9 +260,10 @@ func (c *tConv) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspa
 	oh, ow := c.outHW()
 	np := oh * ow
 	// acc (B*np x outC) = panel x Wᵀ, then one narrow per output word with
-	// the bias joined at the 2^(a+w) product scale, scattered from
-	// patch-major back to per-sample CHW.
-	acc := ws.get32(slot, bsz*np*c.outC)
+	// the bias joined at the 2^(a+w) product scale, pixel-major, then moved
+	// to per-sample CHW.
+	n := np * c.outC
+	acc := ws.get32(slot, bsz*n)
 	if c.frozen != nil {
 		scratch := ws.get16(slot*ws16Kinds+wsPanel, c.frozen.ScratchLen(c.inH, c.inW))
 		tensor.Conv16Batch(c.frozen, acc, scratch, in, bsz, c.inH, c.inW)
@@ -263,16 +279,11 @@ func (c *tConv) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspa
 		padRows(wGemm, c.w, colw, rowLen)
 		tensor.MatMul16T(acc, c.panel, wGemm, bsz*np, rowLen, c.outC)
 	}
-	out := ws.get16(slot*ws16Kinds+wsOut, bsz*c.outC*np)
+	pix := ws.get16(slot*ws16Kinds+wsPix, bsz*n)
+	tensor.Narrow64(pix, acc, c.b, c.aFrac, c.wFrac)
+	out := ws.get16(slot*ws16Kinds+wsOut, bsz*n)
 	for s := 0; s < bsz; s++ {
-		for oc := 0; oc < c.outC; oc++ {
-			bias := int64(c.b[oc]) << c.aFrac
-			dst := out[(s*c.outC+oc)*np : (s*c.outC+oc+1)*np]
-			arow := acc[s*np*c.outC+oc:]
-			for p := range dst {
-				dst[p] = narrow64(int64(arow[p*c.outC])+bias, c.wFrac)
-			}
-		}
+		tensor.PixelsToPlanes16(out[s*n:], pix[s*n:], np, c.outC)
 	}
 	return out, [3]int{c.outC, oh, ow}
 }
@@ -284,6 +295,8 @@ func (c *tConv) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slo
 	colw := c.inC * c.k * c.k
 	rowLen := gemmRowLen(colw)
 	chw := c.inC * h * w
+	offs := grow(&c.offs, np+c.outC)
+	pixOffs, ocOffs := strided(offs[:np], rowLen), strided(offs[np:], colw)
 	var ginW []int16
 	var gin, gcol []int64
 	if needInput {
@@ -293,41 +306,30 @@ func (c *tConv) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slo
 	}
 	for s := 0; s < c.bsz; s++ {
 		gs := g[s*c.outC*np : (s+1)*c.outC*np]
-		clear(gin)
-		for pix := 0; pix < np; pix++ {
-			// The panel row is this pixel's receptive field, padding taps as
-			// zero words: they add nothing to the weight gradient.
-			patch := c.panel[(s*np+pix)*rowLen:][:colw]
-			touched := false
-			for oc := 0; oc < c.outC; oc++ {
-				gv := int64(gs[oc*np+pix])
-				if gv == 0 {
-					continue
-				}
-				c.gb[oc] += gv
-				grow := c.gw[oc*colw : (oc+1)*colw]
-				for p, x := range patch {
-					grow[p] += gv * int64(x)
-				}
-				if needInput {
-					if !touched {
-						clear(gcol)
-						touched = true
-					}
-					for p, wv := range c.w[oc*colw : (oc+1)*colw] {
-						gcol[p] += gv * int64(wv)
-					}
-				}
-			}
-			if touched {
-				c.col2im(gin, gcol, pix/ow, pix%ow)
+		// dW[oc] += Σ_pix g[oc][pix]·patch(pix): panel row pix is the pixel's
+		// receptive field, padding taps as zero words that add nothing.
+		panel := c.panel[s*np*rowLen:]
+		for oc := 0; oc < c.outC; oc++ {
+			grad := gs[oc*np : (oc+1)*np]
+			tensor.AxpyPanel16(c.gw[oc*colw:(oc+1)*colw], grad, 1, panel, pixOffs)
+			for _, gv := range grad {
+				c.gb[oc] += int64(gv)
 			}
 		}
-		if needInput {
-			dst := ginW[s*chw : (s+1)*chw]
-			for i, v := range gin {
-				dst[i] = narrow64(v, c.wFrac) // scale g+w -> g
-			}
+		if !needInput {
+			continue
+		}
+		clear(gin)
+		for pix := 0; pix < np; pix++ {
+			// gcol = Σ_oc g[oc][pix]·W[oc], added back over the pixel's
+			// receptive field.
+			clear(gcol)
+			tensor.AxpyPanel16(gcol, gs[pix:], np, c.w, ocOffs)
+			c.col2im(gin, gcol, pix/ow, pix%ow)
+		}
+		dst := ginW[s*chw : (s+1)*chw]
+		for i, v := range gin {
+			dst[i] = narrow64(v, c.wFrac) // scale g+w -> g
 		}
 	}
 	return ginW
@@ -379,6 +381,7 @@ type tDense struct {
 	aFrac, wFrac, gFrac uint
 	bsz                 int
 	x                   []int16
+	offs                []int // the gradient kernel's row offsets
 }
 
 func (d *tDense) name() string      { return d.layerName }
@@ -392,29 +395,21 @@ func (d *tDense) forwardBatch(in []int16, bsz int, _ [3]int, ws *batchWorkspace,
 	acc := ws.get32(slot, bsz*d.out)
 	tensor.MatMul16T(acc, in, d.w, bsz, d.in, d.out)
 	out := ws.get16(slot*ws16Kinds+wsOut, bsz*d.out)
-	for s := 0; s < bsz; s++ {
-		for j, a := range acc[s*d.out : (s+1)*d.out] {
-			out[s*d.out+j] = narrow64(int64(a)+int64(d.b[j])<<d.aFrac, d.wFrac)
-		}
-	}
+	tensor.Narrow64(out, acc, d.b, d.aFrac, d.wFrac)
 	return out, [3]int{d.out, 1, 1}
 }
 
 func (d *tDense) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slot int) []int16 {
-	// Weight gradients one output row at a time, so each 64-bit scratchpad
-	// row stays hot while the batch's activations stream past it.
+	// Both products read rows in-words apart: the batch's activations for
+	// dW, the weight rows for dX.
+	offs := strided(grow(&d.offs, max(d.bsz, d.out)), d.in)
+	// dW[j] += Σ_s g[s][j]·x[s], one output row at a time, so each 64-bit
+	// scratchpad row stays in registers while the batch streams past it.
 	for j := 0; j < d.out; j++ {
-		grow := d.gw[j*d.in : (j+1)*d.in]
-		for s := 0; s < d.bsz; s++ {
-			gv := int64(g[s*d.out+j])
-			if gv == 0 {
-				continue
-			}
-			d.gb[j] += gv
-			for i, xv := range d.x[s*d.in : (s+1)*d.in] {
-				grow[i] += gv * int64(xv)
-			}
-		}
+		tensor.AxpyPanel16(d.gw[j*d.in:(j+1)*d.in], g[j:], d.out, d.x, offs[:d.bsz])
+	}
+	for i, gv := range g[:d.bsz*d.out] {
+		d.gb[i%d.out] += int64(gv)
 	}
 	if !needInput {
 		return nil
@@ -422,16 +417,9 @@ func (d *tDense) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, sl
 	ginW := ws.get16(slot*ws16Kinds+wsGin, d.bsz*d.in)
 	gin := ws.get64(slot*ws64Kinds+wsGin64, d.in)
 	for s := 0; s < d.bsz; s++ {
+		// dX[s] = Σ_j g[s][j]·W[j].
 		clear(gin)
-		for j, gw := range g[s*d.out : (s+1)*d.out] {
-			if gw == 0 {
-				continue
-			}
-			gv := int64(gw)
-			for i, wv := range d.w[j*d.in : (j+1)*d.in] {
-				gin[i] += gv * int64(wv)
-			}
-		}
+		tensor.AxpyPanel16(gin, g[s*d.out:], 1, d.w, offs[:d.out])
 		dst := ginW[s*d.in : (s+1)*d.in]
 		for i, v := range gin {
 			dst[i] = narrow64(v, d.wFrac)
@@ -514,6 +502,9 @@ func (m *tPool) weightBits() int64 { return 0 }
 
 func (m *tPool) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
 	c, h, w := shape[0], shape[1], shape[2]
+	if h < m.k || w < m.k {
+		panic(fmt.Sprintf("qnn: %s input %v is smaller than its %dx%d window", m.layerName, [4]int{bsz, c, h, w}, m.k, m.k))
+	}
 	oh := (h-m.k)/m.stride + 1
 	ow := (w-m.k)/m.stride + 1
 	m.bsz, m.inLen = bsz, c*h*w
@@ -701,10 +692,10 @@ func quantize16(xs []float32, f fixed.Format) []int16 {
 	return out
 }
 
-// grow16 reslices *buf to n words, reallocating only when it must grow.
-func grow16(buf *[]int16, n int) []int16 {
+// grow reslices *buf to n elements, reallocating only when it must grow.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int16, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -754,7 +745,7 @@ func (tn *TrainNetwork) backward(g []int16) {
 // batch of one caching per-layer state for Backward, and returns the
 // dequantized Q-values. The returned slice is reused by the next call.
 func (tn *TrainNetwork) Forward(data []float32, shape [3]int) []float32 {
-	qin := grow16(&tn.qin, len(data))
+	qin := grow(&tn.qin, len(data))
 	tn.quantize(qin, data)
 	x, _ := tn.forwardLayers(0, len(tn.layers), qin, 1, shape)
 	if cap(tn.outF) < len(x) {
@@ -771,7 +762,7 @@ func (tn *TrainNetwork) Forward(data []float32, shape [3]int) []float32 {
 // backpropagates it down to the training boundary. Must follow a Forward
 // call on the same sample.
 func (tn *TrainNetwork) Backward(gradF []float32) {
-	g := grow16(&tn.gq, len(gradF))
+	g := grow(&tn.gq, len(gradF))
 	for i, v := range gradF {
 		g[i] = tn.quantizeGrad(v)
 	}
@@ -799,7 +790,9 @@ func (tn *TrainNetwork) Update(lr float64, batch int, clip float64) {
 			}
 		}
 	}
-	lrFixed := int64(lr/float64(batch)*float64(int64(1)<<tn.opts.LRFrac) + 0.5)
+	// The conversion rounds the product before the +0.5, so no target fuses
+	// the two into one multiply-add (the Go spec's rule for conversions).
+	lrFixed := int64(float64(lr/float64(batch)*float64(int64(1)<<tn.opts.LRFrac)) + 0.5)
 	for i := tn.trainFrom; i < len(tn.layers); i++ {
 		tn.layers[i].update(lrFixed, tn.opts.LRFrac, tn.sr)
 	}

@@ -651,6 +651,121 @@ func TestTrainConvMatchesScalarReference(t *testing.T) {
 	}
 }
 
+// refDense is the parent engine's scalar tDense — one int64 product at a
+// time, no kernel — kept as the reference the vector training path is
+// compared against, word for word.
+type refDense struct{ *tDense }
+
+// forward returns one sample's output words and the largest |product sum|
+// any output reached before the bias joined it.
+func (d refDense) forward(x []int16) (out []int16, maxAbs int64) {
+	out = make([]int16, d.out)
+	for j := range out {
+		var acc int64
+		for i, xv := range x {
+			acc += int64(d.w[j*d.in+i]) * int64(xv)
+		}
+		maxAbs = max(maxAbs, acc, -acc)
+		out[j] = narrow64(acc+int64(d.b[j])<<d.aFrac, d.wFrac)
+	}
+	return out, maxAbs
+}
+
+// backward accumulates one sample's weight and bias gradients into gw, gb
+// and returns its narrowed input gradient.
+func (d refDense) backward(x, g []int16, gw, gb []int64) []int16 {
+	gin := make([]int64, d.in)
+	for j, gv := range g {
+		gb[j] += int64(gv)
+		for i := range gin {
+			gw[j*d.in+i] += int64(gv) * int64(x[i])
+			gin[i] += int64(gv) * int64(d.w[j*d.in+i])
+		}
+	}
+	out := make([]int16, d.in)
+	for i, v := range gin {
+		out[i] = narrow64(v, d.wFrac)
+	}
+	return out
+}
+
+// edgeWords sets every period-th word of ws to ±32768 / 32767 in turn.
+func edgeWords(ws []int16, period int) []int16 {
+	for i := 0; i < len(ws); i += period {
+		ws[i] = []int16{math.MinInt16, math.MaxInt16}[i/period%2]
+	}
+	return ws
+}
+
+// TestTrainDenseMatchesScalarReference holds the dense layer's vector path —
+// the int16 GEMM, the Narrow64 epilogue and the AxpyPanel16 gradients —
+// to the scalar int64 reference word for word, at batch 1, 8 and 32, on
+// NavNet's FC2 and FC4 shapes and an odd one that leaves every kernel a
+// tail. Activations reach ±32768. The forward weights stay within the range
+// where the wrap-around int32 sums are exact (asserted); the backward, a
+// function of the gradient, the cached rows and the current weights, then
+// runs on weights that reach ±32768 too, with gradients at both int16 edges,
+// sparse zeros and whole zero rows (a sample the TD target masked out).
+func TestTrainDenseMatchesScalarReference(t *testing.T) {
+	for _, geo := range []struct {
+		name    string
+		in, out int
+	}{
+		{"FC2", 128, 64},
+		{"FC4", 32, 5},
+		{"odd", 37, 19},
+	} {
+		rng := rand.New(rand.NewSource(93))
+		d := &tDense{
+			layerName: geo.name, in: geo.in, out: geo.out,
+			b:     edgeWords(randWords(rng, geo.out, 4096), 3),
+			gw:    make([]int64, geo.out*geo.in),
+			gb:    make([]int64, geo.out),
+			aFrac: 8, wFrac: 13, gFrac: 8,
+		}
+		ref := refDense{d}
+		for _, bsz := range []int{1, 8, 32} {
+			var ws batchWorkspace
+			d.w = randWords(rng, geo.out*geo.in, 4096)
+			in := edgeWords(randWords(rng, bsz*geo.in, 512), 5)
+			out, _ := d.forwardBatch(in, bsz, [3]int{geo.in, 1, 1}, &ws, 0)
+			for s := 0; s < bsz; s++ {
+				want, maxAbs := ref.forward(in[s*geo.in : (s+1)*geo.in])
+				if maxAbs >= 1<<31 {
+					t.Fatalf("%s batch %d sample %d: |sum| %d leaves int32; the forward check needs smaller words", geo.name, bsz, s, maxAbs)
+				}
+				for j, v := range want {
+					if out[s*geo.out+j] != v {
+						t.Fatalf("%s batch %d sample %d: out[%d] = %d, reference %d", geo.name, bsz, s, j, out[s*geo.out+j], v)
+					}
+				}
+			}
+			d.w = edgeWords(randWords(rng, geo.out*geo.in, 32767), 7)
+			g := edgeWords(randWords(rng, bsz*geo.out, 32767), 2)
+			for i := range g {
+				if s := i / geo.out; s%3 == 1 || i%5 == 0 {
+					g[i] = 0 // whole zero rows, and the sparse words ReLU masks leave
+				}
+			}
+			gin := d.backwardBatch(g, true, &ws, 0)
+			wantGW, wantGB := make([]int64, len(d.gw)), make([]int64, len(d.gb))
+			for s := 0; s < bsz; s++ {
+				wantGin := ref.backward(in[s*geo.in:(s+1)*geo.in], g[s*geo.out:(s+1)*geo.out], wantGW, wantGB)
+				for i, v := range wantGin {
+					if gin[s*geo.in+i] != v {
+						t.Fatalf("%s batch %d sample %d: gin[%d] = %d, reference %d", geo.name, bsz, s, i, gin[s*geo.in+i], v)
+					}
+				}
+			}
+			if !slices.Equal(d.gw, wantGW) || !slices.Equal(d.gb, wantGB) {
+				t.Fatalf("%s batch %d: weight or bias gradients differ from the reference", geo.name, bsz)
+			}
+			clear(d.gw)
+			clear(d.gb)
+		}
+	}
+}
+
 // TestTrainAccumulatorHeadroom states the precondition the GEMM forward
 // rests on instead of assuming it: the int16 kernels accumulate in
 // wrap-around int32, which equals the int64 sum exactly when that sum fits.

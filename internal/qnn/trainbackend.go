@@ -119,7 +119,7 @@ func (b *TrainBackend) BoundaryFeatures(obs *tensor.Tensor) []int16 {
 		return nil
 	}
 	on := b.online
-	qin := grow16(&on.qin, obs.Len())
+	qin := grow(&on.qin, obs.Len())
 	on.quantize(qin, obs.Data())
 	feat, _ := on.forwardLayers(0, on.trainFrom, qin, 1, obsShape(obs))
 	return slices.Clone(feat)
@@ -206,7 +206,7 @@ func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 	}
 	on := b.online
 	cached := batch.Feats != nil
-	stack := grow16(&b.stack, (n+live)*rowLen)
+	stack := grow(&b.stack, (n+live)*rowLen)
 	if cached {
 		copy(stack, batch.Feats)
 	} else {
@@ -238,7 +238,7 @@ func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 	q, _ := on.forwardLayers(on.trainFrom, last, feat[:n*flen], n, fshape)
 
 	actions := len(q) / n
-	grad := grow16(&b.grad, n*actions)
+	grad := grow(&b.grad, n*actions)
 	clear(grad)
 	var mse float64
 	for s, row := 0, 0; s < n; s++ {

@@ -30,6 +30,34 @@ func narrow16Go(dst []int16, acc []int32, bias []int16, shift int, lo int16) {
 	}
 }
 
+// Narrow64 is the training engine's epilogue (qnn/train.go): for every
+// i < len(acc),
+//
+//	dst[i] = sat16(round((acc[i] + bias[i mod len(bias)]·2^bshift) / 2^shift))
+//
+// with round half up: the bias joins the sum in 64 bits and the word
+// saturates once. Narrow16, which narrows before a saturating bias add, is a
+// different function; each engine's golden words are its own. An AVX2 body
+// takes whole 16-word blocks when len(bias) is a multiple of 4, 1 ≤ shift ≤ 32
+// and bshift ≤ 15; a portable twin the rest.
+func Narrow64(dst []int16, acc []int32, bias []int16, bshift, shift uint) {
+	d := dst[:len(acc)]
+	done := narrow64Vec(d, acc, bias, bshift, shift)
+	narrow64Go(d[done:], acc[done:], bias, done%max(len(bias), 1), bshift, shift)
+}
+
+// narrow64Go is Narrow64's twin, starting at bias word j.
+func narrow64Go(dst []int16, acc []int32, bias []int16, j int, bshift, shift uint) {
+	half := int64(1) << shift >> 1
+	for i, a := range acc {
+		v := (int64(a) + int64(bias[j])<<bshift + half) >> shift
+		dst[i] = int16(min(max(v, -1<<15), 1<<15-1))
+		if j++; j == len(bias) {
+			j = 0
+		}
+	}
+}
+
 // PixelsToPlanes16 writes dst[c·np+p] = src[p·oc+c]: a convolution's
 // (pixel, oc) words as oc CHW planes of np words. An AVX2 body takes whole
 // 16-pixel blocks when oc is a multiple of 8; a portable loop the rest.

@@ -1,8 +1,9 @@
 package tensor
 
 // Int16 kernels for the quantized training and inference engines: the Dot16
-// GEMM here, the direct convolution in conv16.go and its epilogue (narrow,
-// bias, clamp, CHW transpose) in epilogue16.go.
+// GEMM and the training engine's int64 gradient kernel AxpyPanel16 here, the
+// direct convolution in conv16.go, and in epilogue16.go the CHW transpose and
+// the inference (Narrow16) and training (Narrow64) epilogues.
 //
 // Accumulation contract — deliberately different from the PE-datapath
 // primitives in internal/fixed: products are widened to int32 and summed with
@@ -81,6 +82,41 @@ func mul16TRows(dst []int32, a, bT []int16, k, n, lo, hi int) {
 		drow := dst[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			drow[j] = Dot16(arow, bT[j*k:(j+1)*k])
+		}
+	}
+}
+
+// AxpyPanel16 is the int16 training engine's gradient kernel, the integer
+// counterpart of the float GEMMs' axpyPanel: for every j < len(dst),
+//
+//	dst[j] += Σ_{p < len(offs)} int64(a[p·sa]) · int64(b[offs[p]+j])
+//
+// skipping every p whose coefficient is zero. An int16 product is exact in
+// int64, and so is any sum of fewer than 2^33 of them, so every order gives
+// the same words: the AVX2 body takes whole 16-column blocks, the portable
+// twin the rest, and they agree bit for bit.
+func AxpyPanel16(dst []int64, a []int16, sa int, b []int16, offs []int) {
+	n := len(dst)
+	if n == 0 || len(offs) == 0 {
+		return
+	}
+	// The asm reads unchecked: every coefficient and every b row must exist.
+	_ = a[(len(offs)-1)*sa]
+	for _, o := range offs {
+		_ = b[o : o+n]
+	}
+	if done := axpyPanel16Vec(dst, a, sa, b, offs); done < n {
+		axpyPanel16Go(dst[done:], a, sa, b[done:], offs)
+	}
+}
+
+// axpyPanel16Go is AxpyPanel16's twin.
+func axpyPanel16Go(dst []int64, a []int16, sa int, b []int16, offs []int) {
+	for p, o := range offs {
+		if av := int64(a[p*sa]); av != 0 {
+			for j, bv := range b[o : o+len(dst)] {
+				dst[j] += av * int64(bv)
+			}
 		}
 	}
 }

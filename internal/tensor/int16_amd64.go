@@ -67,3 +67,29 @@ func planes16Vec(dst, src []int16, np, oc int) int {
 	planes16AVX2(&dst[0], &src[0], n/16, oc/8, oc*2, np*2)
 	return n
 }
+
+//go:noescape
+func narrow64AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, bshift, shift int)
+
+//go:noescape
+func axpyPanel16AVX2(dst *int64, a, b *int16, offs *int, sa, k, n int)
+
+// narrow64Vec and axpyPanel16Vec run the AVX2 bodies over whole 16-word
+// (16-column) blocks and return how many words (columns) are done.
+func narrow64Vec(dst []int16, acc []int32, bias []int16, bshift, shift uint) int {
+	n := len(acc) &^ 15
+	if !hasAVX2 || n == 0 || len(bias) == 0 || len(bias)%4 != 0 || shift < 1 || shift > 32 || bshift > 15 {
+		return 0
+	}
+	narrow64AVX2(&dst[0], &acc[0], &bias[0], n/16, len(bias), int(bshift), int(shift))
+	return n
+}
+
+func axpyPanel16Vec(dst []int64, a []int16, sa int, b []int16, offs []int) int {
+	n := len(dst) &^ 15
+	if !hasAVX2 || n == 0 {
+		return 0
+	}
+	axpyPanel16AVX2(&dst[0], &a[0], &b[0], &offs[0], sa, len(offs), n)
+	return n
+}

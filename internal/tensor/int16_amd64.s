@@ -7,6 +7,11 @@
 // without it a loop body could straddle a cache line in one binary and not
 // in the next: conv16RowAVX2's tap-pair loop did, and serve-fleet-quant
 // moved ~10 % between two builds that differed only in unrelated Go code.
+//
+// A function that touches a Y register writes X registers with VEX forms only
+// (VMOVQ, not MOVQ AX, X0): after a 256-bit write each legacy-SSE instruction
+// pays a state transition; one such MOVQ in a YMM loop made a whole training
+// run 2.5x slower (TestAsmNoLegacySSEInAVX).
 
 // func dot16AVX2(a, b *int16, n int) int32
 // Wrap-around int32 dot product of two int16 vectors. 16 elements per
@@ -148,14 +153,14 @@ TEXT ·narrow16AVX2(SB), NOSPLIT, $0-56
 	LEAQ (R8)(R9*2), R9        // end of the bias row
 	MOVQ R8, DX                // bias cursor
 	MOVQ shift+40(FP), AX
-	MOVQ AX, X13               // s
+	VMOVQ AX, X13              // s
 	DECQ AX
-	MOVQ AX, X14               // s-1
+	VMOVQ AX, X14              // s-1
 	MOVQ $1, AX
-	MOVQ AX, X15
+	VMOVQ AX, X15
 	VPBROADCASTD X15, Y15      // 1 in every dword
 	MOVQ lo+48(FP), AX
-	MOVQ AX, X12
+	VMOVQ AX, X12
 	VPBROADCASTW X12, Y12      // lo in every word
 
 	PCALIGN $32
@@ -303,6 +308,152 @@ pblock:
 	LEAQ (DI)(DX*8), DI
 	DECQ R12
 	JNZ  group
+
+	VZEROUPPER
+	RET
+
+// func narrow64AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, bshift, shift int)
+// Narrow64's body (epilogue16.go) over blocks × 16 words, for 1 <= s =
+// shift <= 32 and bshift <= 15: v = acc + (bias << bshift + 2^(s-1)) in
+// int64 lanes, then VPSRLQ by s. |acc| <= 2^31 and |bias << bshift| <= 2^30
+// keep |v| < 2^(31+s), so v >> s fits int32, and for s <= 32 a logical shift
+// leaves an arithmetic one's low dword: the exact rounded words. VSHUFPS
+// gathers them, VPACKSSDW is sat16, VPERMD restores the order. The bias
+// cursor moves 4 words at a time and wraps at the end of the biasLen row.
+TEXT ·narrow64AVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         acc+8(FP), SI
+	MOVQ         bias+16(FP), R8
+	MOVQ         biasLen+32(FP), R9
+	LEAQ         (R8)(R9*2), R9             // end of the bias row
+	MOVQ         R8, DX                     // bias cursor
+	MOVQ         bshift+40(FP), AX
+	VMOVQ        AX, X14                    // bias shift
+	MOVQ         shift+48(FP), CX
+	VMOVQ        CX, X13                    // s
+	DECQ         CX
+	MOVQ         $1, BX
+	SHLQ         CX, BX
+	VMOVQ        BX, X15
+	VPBROADCASTQ X15, Y15                   // 2^(s-1) in every qword
+	MOVQ         $0x0703060205010400, AX
+	VMOVQ        AX, X12
+	VPMOVZXBD    X12, Y12                   // dword order 0 4 1 5 2 6 3 7
+	MOVQ         blocks+24(FP), CX
+
+	PCALIGN $32
+n64block:
+	VPMOVSXWQ (DX), Y4
+	ADDQ      $8, DX
+	CMPQ      DX, R9
+	CMOVQEQ   R8, DX
+	VPMOVSXWQ (DX), Y5
+	ADDQ      $8, DX
+	CMPQ      DX, R9
+	CMOVQEQ   R8, DX
+	VPMOVSXWQ (DX), Y6
+	ADDQ      $8, DX
+	CMPQ      DX, R9
+	CMOVQEQ   R8, DX
+	VPMOVSXWQ (DX), Y7
+	ADDQ      $8, DX
+	CMPQ      DX, R9
+	CMOVQEQ   R8, DX
+	VPSLLQ    X14, Y4, Y4
+	VPSLLQ    X14, Y5, Y5
+	VPSLLQ    X14, Y6, Y6
+	VPSLLQ    X14, Y7, Y7
+	VPADDQ    Y15, Y4, Y4
+	VPADDQ    Y15, Y5, Y5
+	VPADDQ    Y15, Y6, Y6
+	VPADDQ    Y15, Y7, Y7
+	VPMOVSXDQ (SI), Y0
+	VPMOVSXDQ 16(SI), Y1
+	VPMOVSXDQ 32(SI), Y2
+	VPMOVSXDQ 48(SI), Y3
+	VPADDQ    Y4, Y0, Y0
+	VPADDQ    Y5, Y1, Y1
+	VPADDQ    Y6, Y2, Y2
+	VPADDQ    Y7, Y3, Y3
+	VPSRLQ    X13, Y0, Y0
+	VPSRLQ    X13, Y1, Y1
+	VPSRLQ    X13, Y2, Y2
+	VPSRLQ    X13, Y3, Y3
+	VSHUFPS   $0x88, Y1, Y0, Y0             // words 0 1 4 5 | 2 3 6 7
+	VSHUFPS   $0x88, Y3, Y2, Y2             // words 8 9 12 13 | 10 11 14 15
+	VPACKSSDW Y2, Y0, Y0                    // pairs 01 45 89 CD | 23 67 AB EF
+	VPERMD    Y0, Y12, Y0                   // pairs 01 23 45 67 89 AB CD EF
+	VMOVDQU   Y0, (DI)
+	ADDQ      $64, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       n64block
+
+	VZEROUPPER
+	RET
+
+// func axpyPanel16AVX2(dst *int64, a, b *int16, offs *int, sa, k, n int)
+// AxpyPanel16's body (int16.go) for n a positive multiple of 16, four int64
+// accumulators per 16 columns. VPMOVSXWQ widens b words to qwords, VPMULDQ
+// multiplies their low dwords by the broadcast coefficient, signed 32x32 ->
+// 64, exact; a zero coefficient skips its row.
+//
+// Register map: DI=dst SI=a DX=b R10=sa*2 CX=offs end R14=-k R8=n R9=j
+//               R11=a cursor R12=b+2j R13=p-k (counts up to 0) BX=offs[p]
+TEXT ·axpyPanel16AVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ offs+24(FP), CX
+	MOVQ sa+32(FP), R10
+	SHLQ $1, R10
+	MOVQ k+40(FP), R14
+	LEAQ (CX)(R14*8), CX
+	NEGQ R14
+	MOVQ n+48(FP), R8
+	XORQ R9, R9
+
+g16:
+	VMOVDQU (DI)(R9*8), Y1
+	VMOVDQU 32(DI)(R9*8), Y2
+	VMOVDQU 64(DI)(R9*8), Y3
+	VMOVDQU 96(DI)(R9*8), Y4
+	MOVQ    SI, R11
+	LEAQ    (DX)(R9*2), R12
+	MOVQ    R14, R13
+
+	PCALIGN $32
+p16:
+	MOVWQSX      (R11), AX
+	TESTQ        AX, AX
+	JZ           p16next
+	VMOVQ        AX, X0
+	VPBROADCASTQ X0, Y0
+	MOVQ         (CX)(R13*8), BX
+	VPMOVSXWQ    (R12)(BX*2), Y5
+	VPMOVSXWQ    8(R12)(BX*2), Y6
+	VPMOVSXWQ    16(R12)(BX*2), Y7
+	VPMOVSXWQ    24(R12)(BX*2), Y8
+	VPMULDQ      Y0, Y5, Y5
+	VPMULDQ      Y0, Y6, Y6
+	VPMULDQ      Y0, Y7, Y7
+	VPMULDQ      Y0, Y8, Y8
+	VPADDQ       Y5, Y1, Y1
+	VPADDQ       Y6, Y2, Y2
+	VPADDQ       Y7, Y3, Y3
+	VPADDQ       Y8, Y4, Y4
+
+p16next:
+	ADDQ    R10, R11
+	INCQ    R13
+	JNZ     p16
+	VMOVDQU Y1, (DI)(R9*8)
+	VMOVDQU Y2, 32(DI)(R9*8)
+	VMOVDQU Y3, 64(DI)(R9*8)
+	VMOVDQU Y4, 96(DI)(R9*8)
+	ADDQ    $16, R9
+	CMPQ    R9, R8
+	JLT     g16
 
 	VZEROUPPER
 	RET

@@ -11,3 +11,7 @@ func conv16Row(c *Conv16, dst []int32, x []int16, ow, rowLen, plane int) {
 func narrow16Vec([]int16, []int32, []int16, int, int16) int { return 0 }
 
 func planes16Vec(_, _ []int16, _, _ int) int { return 0 }
+
+func narrow64Vec([]int16, []int32, []int16, uint, uint) int { return 0 }
+
+func axpyPanel16Vec([]int64, []int16, int, []int16, []int) int { return 0 }
