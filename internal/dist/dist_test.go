@@ -241,10 +241,12 @@ func TestDistActorKillRestart(t *testing.T) {
 // that has seen both actors and real training cancels it.
 func TestDistLearnerCrashResume(t *testing.T) {
 	// Both actors must still be flying when the crash lands. It landed at
-	// fleet env step 16–752 over 20 runs each at GOMAXPROCS 1 and 2 (the
-	// learner lags the actors by its checkpoint writes), so each actor flies
-	// twice the worst of that.
-	const steps = 1500
+	// fleet env step 16–752 over 20 runs each at GOMAXPROCS 1 and 2, but an
+	// actor that outpaces the learner could finish first. So each actor's
+	// first connection holds its writes past about half its steps (one
+	// frame per FlushEvery steps, written from the stepping loop) until the
+	// crashed learner's Run has returned: the crash lands by construction.
+	const steps, flushEvery = 1500, 8
 	f := newFleet(t, 81, nn.L3)
 	ckpt := filepath.Join(t.TempDir(), "learner.ckpt")
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
@@ -268,9 +270,10 @@ func TestDistLearnerCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1done := make(chan error, 1)
+	l1done, crashed := make(chan error, 1), make(chan struct{})
 	go func() {
 		_, err := learner1.Run(l1ctx)
+		close(crashed)
 		l1done <- err
 	}()
 
@@ -282,6 +285,17 @@ func TestDistLearnerCrashResume(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			cfg := f.actorConfig(82+int64(i), steps)
+			cfg.FlushEvery = flushEvery
+			dialed := false // the first dial returns before any redial starts
+			cfg.Dial = func(dctx context.Context) (net.Conn, error) {
+				var d net.Dialer
+				c, err := d.DialContext(dctx, "tcp", f.addr)
+				if err != nil || dialed {
+					return c, err
+				}
+				dialed = true
+				return &heldConn{Conn: c, writes: steps / 2 / flushEvery, release: crashed, ctx: ctx}, nil
+			}
 			cfg.HeartbeatTimeout = 500 * time.Millisecond
 			cfg.DrainTimeout = 10 * time.Second
 			st, err := RunActor(ctx, cfg)
@@ -356,6 +370,25 @@ func TestDistLearnerCrashResume(t *testing.T) {
 	if got := agent2.Clock().TrainSteps(); got <= cp.TrainSteps {
 		t.Errorf("cumulative train steps %d did not advance past checkpoint %d", got, cp.TrainSteps)
 	}
+}
+
+// heldConn passes its first writes through, then holds each later Write
+// until release closes (or ctx ends).
+type heldConn struct {
+	net.Conn
+	writes  int
+	release <-chan struct{}
+	ctx     context.Context
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	if c.writes--; c.writes < 0 {
+		select {
+		case <-c.release:
+		case <-c.ctx.Done():
+		}
+	}
+	return c.Conn.Write(p)
 }
 
 // TestDistChaosLinks runs the fleet over links that randomly die mid-frame

@@ -2,8 +2,8 @@
 
 package tensor
 
-// useFloatAVX selects the AVX panel and transpose kernels; without AVX the
-// portable twins cover amd64 (axpyPanel's loop via the SSE saxpy).
+// useFloatAVX selects every AVX float kernel; without AVX the portable twins
+// cover amd64 (axpyPanel's loop via the SSE saxpy).
 var useFloatAVX = hasAVX
 
 // axpyPanelAVX accumulates dst[j] += sum_{p<k} a[p*sa] * b[offs[p]+j] for
@@ -11,7 +11,7 @@ var useFloatAVX = hasAVX
 // as a VMULPS followed by a VADDPS (two roundings, never FMA), so the result is
 // bit-identical to k sequential saxpyRow calls — but the accumulator lives in
 // a register across the whole panel, loading and storing dst once per column
-// block instead of once per p. Rows of b whose a coefficient is ±0 are
+// block (64, 16, 8 or one wide) instead of once per p. Rows of b whose a coefficient is ±0 are
 // skipped, matching the scalar kernels' zero-skip contract.
 //
 //go:noescape
@@ -33,3 +33,18 @@ func axpyPanel4AVX(dst, a, b *float32, rows, offs *int, aCol, k, n int)
 //
 //go:noescape
 func transpose8AVX(dst *float32, ldd int, src *float32, lds int)
+
+// The elementwise bodies take whole 8-wide blocks, their callers the rest
+// on the portable loop. maxAbsAVX returns max |x[i]| for i < n, ignoring NaN
+// (Tensor.MaxAbs); scaleAVX multiplies x[i] by s (Tensor.Scale); biasRowsAVX
+// writes dst[r*w+j] = src[r*ld+j] + b for r < rows, j < w (ConvInto's bias
+// epilogue, one output channel).
+
+//go:noescape
+func maxAbsAVX(x *float32, n int) float32
+
+//go:noescape
+func scaleAVX(x *float32, n int, s float32)
+
+//go:noescape
+func biasRowsAVX(dst, src *float32, rows, w, ld int, b float32)

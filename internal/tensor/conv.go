@@ -8,11 +8,12 @@ import "fmt"
 // py+s, … and columns px, px+s, … — so on a grid as wide as a plane (wq)
 // each tap (ch, ky, kx) reads one contiguous run of the planes. panelRowsVec,
 // the panel body of every dense GEMM, reads those runs through a tap-offset
-// table in place of p·n; the bias scatter drops each grid row's columns past
-// ow. Per output element the products arrive in ascending (ch, ky, kx) order
-// through one accumulator, padding taps add w·(+0), gemmBlockK panel splits
-// store and reload exactly, and the bias comes last: the im2col-panel GEMM's
-// schedule, so its bits (TestConvForwardMatchesNaive).
+// table in place of p·n; the bias scatter (biasRowsAVX where ow is whole
+// 8-wide blocks) drops each grid row's columns past ow. Per output element
+// the products arrive in ascending (ch, ky, kx) order through one
+// accumulator, padding taps add w·(+0), gemmBlockK panel splits store and
+// reload exactly, and the bias comes last: the im2col-panel GEMM's schedule,
+// so its bits (TestConvForwardMatchesNaive).
 //
 // The backward pass reads the same planes, so it builds no im2col panel
 // either (TestConvBackwardMatchesNaive). Each sample's output gradient goes
@@ -107,6 +108,10 @@ func (ws *ConvScratch) samples(out, in, weight, bias *Tensor, lo, hi int) {
 			dst := out.data[(s*outC+oc)*oh*ow : (s*outC+oc+1)*oh*ow]
 			sums := g[oc*n : (oc+1)*n]
 			bv := bias.data[oc]
+			if useFloatAVX && ow%8 == 0 {
+				biasRowsAVX(&dst[0], &sums[0], oh, ow, wq, bv)
+				continue
+			}
 			for oy := 0; oy < oh; oy++ {
 				src := sums[oy*wq : oy*wq+ow]
 				d := dst[oy*ow:][:len(src)]

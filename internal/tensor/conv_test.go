@@ -71,8 +71,23 @@ func checkConv(t *testing.T, label string, in, weight, bias *Tensor, kh, kw, str
 // TestConvForwardMatchesNaive sweeps the implicit forward across strides,
 // paddings, kernels and channel counts — K 11 over 8 channels crosses the
 // gemmBlockK panel split, OutC 5 leaves a row below the 4-row kernel — on
-// both panel kernels, at batch 1, 3 and 32 and odd spatial sizes.
+// both panel kernels, at batch 1, 3 and 32 and odd spatial sizes. Output
+// widths that are whole 8-wide blocks (NavNet's 16 and 8, and 24 on a grid
+// wider than the output) take the vector bias epilogue; the rest its loop.
 func TestConvForwardMatchesNaive(t *testing.T) {
+	forEachFloatKernel(t, func(kernel string) {
+		rng := rand.New(rand.NewSource(80))
+		var ws ConvScratch
+		for _, g := range []struct{ c, outC, h, w, k, stride, pad int }{
+			{1, 8, 32, 32, 5, 2, 2}, {8, 16, 16, 16, 3, 2, 1}, {3, 5, 7, 24, 3, 1, 1},
+			{2, 4, 9, 26, 3, 1, 0}, {1, 3, 5, 17, 3, 2, 1},
+		} {
+			in := randTensor(rng, 2, g.c, g.h, g.w)
+			weight, bias := randTensor(rng, g.outC, g.c*g.k*g.k), randTensor(rng, g.outC)
+			label := fmt.Sprintf("%s c%d %dx%d outC%d k%d stride%d pad%d", kernel, g.c, g.h, g.w, g.outC, g.k, g.stride, g.pad)
+			checkConv(t, label, in, weight, bias, g.k, g.k, g.stride, g.pad, &ws)
+		}
+	})
 	rng := rand.New(rand.NewSource(81))
 	outCs, batches, extras := []int{8, 16, 5}, []int{1, 3, 32}, []int{0, 3, 6}
 	i := 0

@@ -85,11 +85,11 @@ func panelRowsVec(cd, ad []float32, aRow, aCol int, bd []float32, offs []int, n,
 	}
 }
 
-// axpyPanel accumulates dst[j] += sum_p a[p*sa] * b[offs[p]+j] for j < n:
-// the inner panel of every vectorized GEMM. The coefficient stride sa lets
-// the same kernel walk a row of A (sa=1, the A x B form) or a column of A
-// (sa=m, the A^T x B form). Rows whose coefficient is ±0 are skipped — the
-// scalar kernels' zero-skip contract.
+// axpyPanel accumulates dst[j] += sum_p a[p*sa] * b[offs[p]+j] for j < n,
+// skipping rows whose coefficient is ±0 (the scalar kernels' contract): the
+// single-row panel, all of a batch-1 GEMV, on axpyPanelAVX's 64/16/8/1-wide
+// column blocks. The coefficient stride walks a row of A (sa=1, the A x B
+// form) or a column of A (sa=m, the A^T x B form).
 func axpyPanel(dst, a []float32, sa int, b []float32, offs []int, n int) {
 	if len(offs) == 0 || n <= 0 {
 		return

@@ -121,10 +121,16 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Scale multiplies every element by s in place.
+// Scale multiplies every element by s in place. scaleAVX takes whole
+// 8-wide blocks: one VMULPS per element, the loop's one rounding.
 func (t *Tensor) Scale(s float32) {
-	for i := range t.data {
-		t.data[i] *= s
+	d := t.data
+	if n := len(d) &^ 7; useFloatAVX && n > 0 {
+		scaleAVX(&d[0], n, s)
+		d = d[n:]
+	}
+	for i := range d {
+		d[i] *= s
 	}
 }
 
@@ -149,7 +155,7 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 	}
 	var s float64
 	for i, v := range t.data {
-		s += float64(v) * float64(o.data[i])
+		s += float64(float64(v) * float64(o.data[i])) // rounded, so never fused
 	}
 	return s
 }
@@ -163,10 +169,18 @@ func (t *Tensor) SumAbs() float64 {
 	return s
 }
 
-// MaxAbs returns the L-infinity norm of the tensor.
+// MaxAbs returns the L-infinity norm of the tensor. NaN elements are
+// ignored, ±Inf counts, and -0 reads as 0. maxAbsAVX takes whole 8-wide
+// blocks: abs and max are exact, and max is order-free on non-NaN values,
+// so its float32 max widened is the loop's float64 max.
 func (t *Tensor) MaxAbs() float64 {
+	d := t.data
 	var m float64
-	for _, v := range t.data {
+	if n := len(d) &^ 7; useFloatAVX && n > 0 {
+		m = float64(maxAbsAVX(&d[0], n))
+		d = d[n:]
+	}
+	for _, v := range d {
 		if a := math.Abs(float64(v)); a > m {
 			m = a
 		}
@@ -185,7 +199,7 @@ func (t *Tensor) RandN(rng *rand.Rand, stddev float64) {
 // RandUniform fills the tensor with uniform noise in [-limit, limit].
 func (t *Tensor) RandUniform(rng *rand.Rand, limit float64) {
 	for i := range t.data {
-		t.data[i] = float32((rng.Float64()*2 - 1) * limit)
+		t.data[i] = float32((float64(rng.Float64())*2 - 1) * limit) // rounded draw: never fused
 	}
 }
 
