@@ -13,9 +13,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"dronerl/internal/core"
 	"dronerl/internal/env"
@@ -25,90 +28,122 @@ import (
 )
 
 func main() {
-	artifact := flag.String("artifact", "all", "which artifact to regenerate")
-	scaleFlag := flag.String("scale", "quick", "flight experiment scale: quick or full")
-	csvDir := flag.String("csv", "", "also write machine-readable CSVs for the hardware artifacts into this directory")
-	progress := flag.Bool("progress", false, "stream per-run progress of the flight experiment to stderr")
-	flag.Parse()
+	// Ctrl-C cancels the flight experiment cleanly at the next run boundary
+	// instead of killing the process mid-write.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	scale := core.QuickScale()
-	if *scaleFlag == "full" {
-		scale = core.FullScale()
+// artifacts lists the -artifact values in the order the usage names them.
+var artifacts = []string{"all", "fig1", "fig3", "fig4", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "table1"}
+
+// scales maps each -scale value to its flight experiment scale.
+var scales = map[string]func() core.FlightScale{"quick": core.QuickScale, "full": core.FullScale}
+
+// run is the whole command: it prints the chosen artifacts to stdout and
+// returns the exit status — 2 with usage on stderr for a bad flag, an
+// unknown artifact or scale; 1 for a flight experiment that fails or a CSV
+// that cannot be written.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	artifact := fs.String("artifact", "all", "which artifact to regenerate: "+strings.Join(artifacts, ", "))
+	scaleFlag := fs.String("scale", "quick", "flight experiment scale: quick or full")
+	csvDir := fs.String("csv", "", "also write machine-readable CSVs for the hardware artifacts into this directory")
+	progress := fs.Bool("progress", false, "stream per-run progress of the flight experiment to stderr")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "figures: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q", fs.Args())
+	}
+	if !slices.Contains(artifacts, *artifact) {
+		return usage("unknown artifact %q; use %s", *artifact, strings.Join(artifacts, ", "))
+	}
+	newScale, ok := scales[*scaleFlag]
+	if !ok {
+		return usage("unknown scale %q; use quick or full", *scaleFlag)
+	}
+	scale := newScale()
+	fail := func(what string, err error) int {
+		fmt.Fprintf(stderr, "figures: %s: %v\n", what, err)
+		return 1
 	}
 
-	needsFlight := map[string]bool{"all": true, "fig10": true, "fig11": true}
+	show := func(name string) bool { return *artifact == "all" || *artifact == name }
+
 	var flight *core.FlightReport
-	if needsFlight[*artifact] {
-		fmt.Fprintf(os.Stderr, "running flight experiment (%d meta + 4x4x%d online iterations)...\n",
+	if show("fig10") || show("fig11") {
+		fmt.Fprintf(stderr, "running flight experiment (%d meta + 4x4x%d online iterations)...\n",
 			scale.MetaIters, scale.OnlineIters)
-		// Ctrl-C cancels cleanly at the next run boundary instead of
-		// killing the process mid-write.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		exp, err := core.NewFlightExperiment(scale)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "flight experiment failed:", err)
-			os.Exit(1)
+			return fail("flight experiment", err)
 		}
 		var runOpts []core.RunOption
 		if *progress {
 			runOpts = append(runOpts, core.WithProgress(func(ev core.Event) {
-				fmt.Fprintln(os.Stderr, ev)
+				fmt.Fprintln(stderr, ev)
 			}))
 		}
-		err = core.Run(ctx, exp, runOpts...)
-		stop()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flight experiment failed:", err)
-			os.Exit(1)
+		if err := core.Run(ctx, exp, runOpts...); err != nil {
+			return fail("flight experiment", err)
 		}
 		flight = exp.Report()
 	}
 	hwrep := core.RunHardwareExperiment()
 
-	show := func(name string) bool { return *artifact == "all" || *artifact == name }
-
 	if show("fig1") {
-		fmt.Println(hwrep.MinFPSTable())
+		fmt.Fprintln(stdout, hwrep.MinFPSTable())
 	}
 	if show("fig3") {
-		printFig3()
+		printFig3(stdout)
 	}
 	if show("fig4") {
-		printFig4(hwrep)
+		printFig4(stdout, hwrep)
 	}
 	if show("table1") {
-		printTable1()
+		printTable1(stdout)
 	}
 	if show("fig5") {
-		fmt.Println(hwrep.MemoryPlanTable(nn.L3))
+		fmt.Fprintln(stdout, hwrep.MemoryPlanTable(nn.L3))
 	}
 	if show("fig9") {
-		printFig9(scale.Seed)
+		printFig9(stdout, scale.Seed)
 	}
 	if show("fig10") {
-		printFig10(flight)
+		printFig10(stdout, flight)
 	}
 	if show("fig11") {
-		printFig11(flight)
+		printFig11(stdout, flight)
 	}
 	if show("fig12") {
-		fmt.Println(hwrep.ForwardTable())
-		fmt.Println(hwrep.BackwardTable())
+		fmt.Fprintln(stdout, hwrep.ForwardTable())
+		fmt.Fprintln(stdout, hwrep.BackwardTable())
 	}
 	if show("fig13") {
-		fmt.Println(hwrep.FPSTable())
-		fmt.Println(hwrep.SummaryTable())
+		fmt.Fprintln(stdout, hwrep.FPSTable())
+		fmt.Fprintln(stdout, hwrep.SummaryTable())
 	}
 	if *csvDir != "" {
 		if flight != nil {
-			writeFlightCSVs(*csvDir, flight)
+			if err := writeFlightCSVs(*csvDir, flight); err != nil {
+				return fail("writing CSVs", err)
+			}
 		}
 		if err := writeCSVs(*csvDir, hwrep); err != nil {
-			fmt.Fprintln(os.Stderr, "writing CSVs:", err)
-			os.Exit(1)
+			return fail("writing CSVs", err)
 		}
-		fmt.Fprintf(os.Stderr, "CSV artifacts written to %s\n", *csvDir)
+		fmt.Fprintf(stderr, "CSV artifacts written to %s\n", *csvDir)
 	}
+	return 0
 }
 
 // writeCSVs dumps the hardware tables as CSV files for plotting tools.
@@ -132,10 +167,9 @@ func writeCSVs(dir string, hwrep *core.HardwareReport) error {
 }
 
 // writeFlightCSVs dumps the Fig. 10 learning curves and the Fig. 11 rows.
-func writeFlightCSVs(dir string, flight *core.FlightReport) {
+func writeFlightCSVs(dir string, flight *core.FlightReport) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
+		return err
 	}
 	curves := report.New("", "env", "config", "point", "cumulative_reward", "return")
 	fig11 := report.New("", "env", "config", "sfd_m", "normalized_sfd", "crashes")
@@ -156,12 +190,13 @@ func writeFlightCSVs(dir string, flight *core.FlightReport) {
 		"fig11_sfd.csv":    fig11.CSV(),
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			return err
 		}
 	}
+	return nil
 }
 
-func printFig3() {
+func printFig3(w io.Writer) {
 	spec := nn.ModifiedAlexNetSpec()
 	t := report.New("Fig. 3(a) — modified AlexNet weight census",
 		"Layer", "#neurons", "#weights", "% total", "% cumulative")
@@ -173,7 +208,7 @@ func printFig3() {
 		t.Addf(r.Layer, r.Neurons, r.Weights, r.PctTotal, r.PctCumulative)
 	}
 	t.Addf("sum", spec.NeuronSum(), spec.FCWeights(), "", "")
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 
 	t2 := report.New("Fig. 3(b) — online-trained weight fraction per topology",
 		"Config", "Trained FC layers", "Trained weights", "% of total")
@@ -185,10 +220,10 @@ func printFig3() {
 		}
 		t2.Addf(cfg.String(), kd, spec.TrainedWeights(cfg), 100*spec.TrainedFraction(cfg))
 	}
-	fmt.Println(t2.String())
+	fmt.Fprintln(w, t2.String())
 }
 
-func printFig4(hwrep *core.HardwareReport) {
+func printFig4(w io.Writer, hwrep *core.HardwareReport) {
 	p := hwrep.Params
 	t := report.New("Fig. 4(b) — system parameters", "Parameter", "Value")
 	t.Add("Technology", p.Technology)
@@ -201,28 +236,28 @@ func printFig4(hwrep *core.HardwareReport) {
 	t.Add("Arithmetic precision", p.Precision)
 	t.Add("Bandwidth between PEs", fmt.Sprintf("%d bit", p.PEBandwidthBit))
 	t.Add("MRAM stack I/O", fmt.Sprintf("%d IOs x %.0f Gbit/s", p.HBMIOs, p.HBMGbpsPerIO))
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }
 
-func printTable1() {
+func printTable1(w io.Writer) {
 	d := mem.STTMRAM()
 	t := report.New("Table 1 — STT-MRAM parameters", "Write latency", "Read latency", "Write energy", "Read energy")
 	t.Add(fmt.Sprintf("%.0fns", d.WriteLatencyNS), fmt.Sprintf("%.0fns", d.ReadLatencyNS),
 		fmt.Sprintf("%.1fpJ/bit", d.WriteEnergyPJPerBit), fmt.Sprintf("%.1fpJ/bit", d.ReadEnergyPJPerBit))
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }
 
-func printFig9(seed int64) {
-	fmt.Println("Fig. 9 — test environments (top-down maps)")
-	for _, w := range env.TestEnvironments(seed) {
-		fmt.Println(w.Render(72, 24))
+func printFig9(w io.Writer, seed int64) {
+	fmt.Fprintln(w, "Fig. 9 — test environments (top-down maps)")
+	for _, world := range env.TestEnvironments(seed) {
+		fmt.Fprintln(w, world.Render(72, 24))
 	}
 }
 
-func printFig10(flight *core.FlightReport) {
-	fmt.Println("Fig. 10 — cumulative reward and return during online RL")
+func printFig10(w io.Writer, flight *core.FlightReport) {
+	fmt.Fprintln(w, "Fig. 10 — cumulative reward and return during online RL")
 	for _, er := range flight.Envs {
-		fmt.Printf("\n(%s)\n", er.Env)
+		fmt.Fprintf(w, "\n(%s)\n", er.Env)
 		t := report.New("", "Config", "cumulative reward (start->end)", "final", "return curve", "final")
 		for _, run := range er.Runs {
 			t.Add(run.Config.String(),
@@ -231,11 +266,11 @@ func printFig10(flight *core.FlightReport) {
 				report.Sparkline(run.ReturnSeries, 40),
 				report.Num(last(run.ReturnSeries)))
 		}
-		fmt.Println(t.String())
+		fmt.Fprintln(w, t.String())
 	}
 }
 
-func printFig11(flight *core.FlightReport) {
+func printFig11(w io.Writer, flight *core.FlightReport) {
 	t := report.New("Fig. 11 — normalized safe flight distance (vs E2E)",
 		"Environment", "L2", "L3", "L4", "E2E", "worst Li degradation %")
 	for _, er := range flight.Envs {
@@ -247,7 +282,7 @@ func printFig11(flight *core.FlightReport) {
 		cells = append(cells, er.WorstLiDegradationPct)
 		t.Addf(cells...)
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 
 	t2 := report.New("raw safe flight distance (m) and total eval crashes",
 		"Environment", "L2 m", "(crash)", "L3 m", "(crash)", "L4 m", "(crash)", "E2E m", "(crash)")
@@ -259,7 +294,7 @@ func printFig11(flight *core.FlightReport) {
 		}
 		t2.Addf(cells...)
 	}
-	fmt.Println(t2.String())
+	fmt.Fprintln(w, t2.String())
 }
 
 func last(s []float64) float64 {

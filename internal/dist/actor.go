@@ -639,10 +639,7 @@ func (a *actor) readLoop(s *session) {
 		switch typ {
 		case frameHeartbeat:
 			if len(payload) == 8 {
-				g := int64(uint64(payload[0])<<56 | uint64(payload[1])<<48 |
-					uint64(payload[2])<<40 | uint64(payload[3])<<32 |
-					uint64(payload[4])<<24 | uint64(payload[5])<<16 |
-					uint64(payload[6])<<8 | uint64(payload[7]))
+				g := int64(binary.BigEndian.Uint64(payload))
 				if g > a.globalEnv.Load() {
 					a.globalEnv.Store(g)
 				}

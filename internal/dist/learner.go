@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -410,7 +411,10 @@ func (l *Learner) publish(v uint64) {
 	if err != nil {
 		return // cannot happen with a freshly taken snapshot
 	}
-	frame := frameBytes(frameSnapshot, payload)
+	frame, err := frameBytes(frameSnapshot, payload)
+	if err != nil {
+		return // a snapshot past maxFrame: nothing to send
+	}
 	l.connMu.Lock()
 	defer l.connMu.Unlock()
 	for _, lc := range l.conns {
@@ -453,20 +457,6 @@ func (l *Learner) checkpoint(publishes int) error {
 		l.cfg.Ledger.Record(l.mram, mem.Write, size*8)
 	}
 	return nil
-}
-
-// frameBytes pre-encodes a frame for fan-out, so a broadcast encodes once.
-func frameBytes(typ byte, payload []byte) []byte {
-	var buf frameBuffer
-	writeFrame(&buf, typ, payload)
-	return buf.b
-}
-
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
 }
 
 // handshake runs one connection's hello/welcome exchange and, on success,
@@ -545,7 +535,7 @@ func (l *Learner) handshake(ctx context.Context, conn net.Conn) {
 				}
 			case <-ticker.C:
 				var hb [8]byte
-				putUint64(hb[:], uint64(l.cfg.Agent.Clock().EnvSteps()))
+				binary.BigEndian.PutUint64(hb[:], uint64(l.cfg.Agent.Clock().EnvSteps()))
 				if err := writeFrame(conn, frameHeartbeat, hb[:]); err != nil {
 					l.drop(lc)
 					return
@@ -751,11 +741,5 @@ func (l *Learner) disconnectReason(err error) {
 		l.dropCorrupt.Add(1)
 	default:
 		l.dropTruncated.Add(1)
-	}
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
 	}
 }

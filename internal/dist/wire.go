@@ -147,12 +147,17 @@ func endFrame(buf []byte) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[4:], crcTable)), nil
 }
 
+// frameBytes encodes one frame into a fresh buffer, so a broadcast encodes
+// once for every receiver.
+func frameBytes(typ byte, payload []byte) ([]byte, error) {
+	return endFrame(append(beginFrame(make([]byte, 0, 4+1+len(payload)+4), typ), payload...))
+}
+
 // writeFrame emits one frame. Writes go out in one buffer so a concurrent
 // writer on the same connection cannot interleave (callers still serialize
 // writers per conn).
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := beginFrame(make([]byte, 0, 4+1+len(payload)+4), typ)
-	buf, err := endFrame(append(buf, payload...))
+	buf, err := frameBytes(typ, payload)
 	if err != nil {
 		return err
 	}

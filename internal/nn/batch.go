@@ -16,9 +16,9 @@ import (
 // Beyond amortizing per-call overheads, batching is what unlocks SIMD: the
 // stacked layouts (stride-phase input planes, minibatch rows) make the
 // non-reduction axis of every GEMM long and unit-stride, so the layers below
-// run on the vectorized panel kernels (tensor.ConvInto, MatMulAccumVec,
-// MatMulTNAccumVec), whose saxpy row updates span output elements — never
-// the reduction axis (see matmul_vec.go). No layer builds an im2col panel:
+// run on the vectorized panel kernels (tensor.ConvInto, MatMulAccum,
+// MatMulTNAccum), whose row updates span output elements — never the
+// reduction axis (see matmul_vec.go). No layer builds an im2col panel:
 // where the paper expands CONV inputs into a 2D matrix for backpropagation
 // (Section V.B), both conv passes work in place on stride-phase planes
 // (tensor.ConvInto, tensor.ConvBackward).
@@ -126,7 +126,7 @@ func (d *Dense) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 	out := d.bArena.Get(denseSlotOut, b, d.Out)
 	d.bIn, d.bOut = in, out
 	out.Zero()
-	tensor.MatMulAccumVec(out, in, d.weightT())
+	tensor.MatMulAccum(out, in, d.weightT())
 	od := out.Data()
 	bd := d.Bias.W.Data()
 	for s := 0; s < b; s++ {
@@ -144,7 +144,7 @@ func (d *Dense) ForwardBatch(in *tensor.Tensor) *tensor.Tensor {
 func (d *Dense) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.Tensor {
 	checkGrad(d.LayerName, d.bOut, grad)
 	b := grad.Dim(0)
-	tensor.MatMulTNAccumVec(d.Weight.G, grad, d.bIn)
+	tensor.MatMulTNAccum(d.Weight.G, grad, d.bIn)
 	gd := grad.Data()
 	bg := d.Bias.G.Data()
 	for s := 0; s < b; s++ {
@@ -158,7 +158,7 @@ func (d *Dense) BackwardBatch(grad *tensor.Tensor, needInputGrad bool) *tensor.T
 	}
 	din := d.bArena.Get(denseSlotDin, b, d.In)
 	din.Zero()
-	tensor.MatMulAccumVec(din, grad, d.Weight.W)
+	tensor.MatMulAccum(din, grad, d.Weight.W)
 	return din
 }
 

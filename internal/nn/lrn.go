@@ -50,9 +50,9 @@ func (l *LRN) forwardSample(id, od []float32, denoms []float64, c, hw int) {
 			var ss float64
 			for j := lo; j <= hi; j++ {
 				v := float64(id[j*hw+p])
-				ss += v * v
+				ss += float64(v * v) // rounded, so never fused
 			}
-			denom := l.K + l.Alpha/float64(l.N)*ss
+			denom := l.K + float64(l.Alpha/float64(l.N)*ss)
 			denoms[ch*hw+p] = denom
 			od[ch*hw+p] = id[ch*hw+p] * float32(math.Pow(denom, -l.Beta))
 		}
@@ -75,9 +75,9 @@ func (l *LRN) backwardSample(id, gd, od []float32, denoms []float64, c, hw int) 
 			var cross float64
 			for i := lo; i <= hi; i++ {
 				denomI := denoms[i*hw+p]
-				cross += float64(gd[i*hw+p]) * float64(id[i*hw+p]) * math.Pow(denomI, -(l.Beta+1))
+				cross += float64(float64(gd[i*hw+p]) * float64(id[i*hw+p]) * math.Pow(denomI, -(l.Beta+1)))
 			}
-			od[j*hw+p] = float32(direct - scale*float64(id[j*hw+p])*cross)
+			od[j*hw+p] = float32(float64(direct) - float64(scale*float64(id[j*hw+p])*cross)) // rounded, so never fused
 		}
 	}
 }

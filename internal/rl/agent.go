@@ -127,7 +127,7 @@ func (o Options) EpsilonAt(n int64) float64 {
 		return o.EpsEnd
 	}
 	frac := float64(n) / float64(o.EpsDecaySteps)
-	return o.EpsStart + (o.EpsEnd-o.EpsStart)*frac
+	return o.EpsStart + float64((o.EpsEnd-o.EpsStart)*frac) // rounded, so never fused
 }
 
 // Agent is a deep Q-learning agent over a discrete action space.
@@ -599,7 +599,7 @@ func (a *Agent) finishBatchedStep(q []float32) float64 {
 	var mse float64
 	for i, tr := range a.batch {
 		td := float64(q[i*a.actions+tr.Action]) - a.targets[i]
-		mse += td * td
+		mse += float64(td * td)
 		gd[i*a.actions+tr.Action] = float32(td)
 	}
 	a.Net.BackwardBatch(grad)

@@ -9,8 +9,9 @@
 // still arrive in ascending p order with one VMULPS and one VADDPS rounding
 // per step — bit-identical to four axpyPanelAVX calls — while every b row is
 // loaded once for all four destinations (4x less b traffic, the reason this
-// kernel exists). Zero coefficients are not special-cased here: adding the
-// exact +-0 products is the reference semantics the skip elsewhere shortcuts.
+// kernel exists). Zero coefficients are not special-cased here: the +-0
+// products leave every sum as the GEMMs' +-0 skip would for a finite b and a
+// dst without -0 (matmul.go).
 //
 // Register map: DI=dst R10=aCol*4 CX=offs end R8=n R9=j R15=n*4
 //               SI R14 AX DX = a+rows[0..3]*4 R11=coefficient cursor

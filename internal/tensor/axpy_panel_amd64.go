@@ -2,8 +2,8 @@
 
 package tensor
 
-// useFloatAVX selects every AVX float kernel; without AVX the portable twins
-// cover amd64 (axpyPanel's loop via the SSE saxpy).
+// useFloatAVX selects every AVX float kernel; without AVX each kernel's
+// portable twin runs, the loop every other arch runs.
 var useFloatAVX = hasAVX
 
 // axpyPanelAVX accumulates dst[j] += sum_{p<k} a[p*sa] * b[offs[p]+j] for
@@ -11,8 +11,8 @@ var useFloatAVX = hasAVX
 // as a VMULPS followed by a VADDPS (two roundings, never FMA), so the result is
 // bit-identical to k sequential saxpyRow calls — but the accumulator lives in
 // a register across the whole panel, loading and storing dst once per column
-// block (64, 16, 8 or one wide) instead of once per p. Rows of b whose a coefficient is ±0 are
-// skipped, matching the scalar kernels' zero-skip contract.
+// block (64, 16, 8 or one wide) instead of once per p. Rows of b whose a
+// coefficient is ±0 are skipped, the GEMMs' ±0 contract.
 //
 //go:noescape
 func axpyPanelAVX(dst, a, b *float32, offs *int, sa, k, n int)

@@ -51,15 +51,6 @@ func dot16Scalar(a, b []int16) int32 {
 	return acc
 }
 
-// MatVec16 computes dst[r] = Dot16(w[r], x) for every row r of the
-// row-major (len(dst) × len(x)) matrix w.
-func MatVec16(dst []int32, w, x []int16) {
-	n := len(x)
-	for r := range dst {
-		dst[r] = Dot16(w[r*n:(r+1)*n], x)
-	}
-}
-
 // MatMul16T computes the row-major (m × n) product dst = a × bᵀ where a is
 // row-major (m × k) and bT is the row-major (n × k) *transpose* of b, so
 // every output element is a dot product of two contiguous rows. Rows of dst

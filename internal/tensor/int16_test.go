@@ -63,20 +63,6 @@ func TestDot16Wraparound(t *testing.T) {
 	}
 }
 
-func TestMatVec16(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const rows, n = 9, 37
-	w := randInt16s(rng, rows*n)
-	x := randInt16s(rng, n)
-	dst := make([]int32, rows)
-	MatVec16(dst, w, x)
-	for r := 0; r < rows; r++ {
-		if want := dot16Scalar(w[r*n:(r+1)*n], x); dst[r] != want {
-			t.Errorf("row %d: %d, want %d", r, dst[r], want)
-		}
-	}
-}
-
 // TestMatMul16TMatchesScalar checks the parallel row schedule against a
 // direct triple loop, at a size above the parallel threshold.
 func TestMatMul16TMatchesScalar(t *testing.T) {

@@ -22,3 +22,35 @@ func ReluGradInto(dst, grad, ref *Tensor) {
 	}
 	reluGradRow(dst.data, grad.data, ref.data)
 }
+
+// reluRow writes dst[i] = src[i] if src[i] > 0 else +0, for i < len(dst);
+// src must be at least as long as dst.
+func reluRow(dst, src []float32) {
+	if useFloatAVX && len(dst) > 0 {
+		reluPtrAVX(&dst[0], &src[0], len(dst))
+		return
+	}
+	for i, v := range src[:len(dst)] {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// reluGradRow writes dst[i] = grad[i] if ref[i] > 0 else +0, for
+// i < len(dst); grad and ref must be at least as long as dst.
+func reluGradRow(dst, grad, ref []float32) {
+	if useFloatAVX && len(dst) > 0 {
+		reluGradPtrAVX(&dst[0], &grad[0], &ref[0], len(dst))
+		return
+	}
+	for i, r := range ref[:len(dst)] {
+		if r > 0 {
+			dst[i] = grad[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}

@@ -2,7 +2,7 @@
 
 package tensor
 
-// SIMD rectifier kernels for the batched path. Bit-identity with the scalar
+// The AVX bodies of reluRow and reluGradRow. Bit-identity with the scalar
 // branches is an instruction-semantics argument rather than a rounding one:
 //
 //   - reluPtrAVX computes dst[i] = MAXPS(src[i], +0). MAXPS returns its
@@ -19,41 +19,3 @@ func reluPtrAVX(dst, src *float32, n int)
 
 //go:noescape
 func reluGradPtrAVX(dst, grad, ref *float32, n int)
-
-// reluRow writes dst[i] = src[i] if src[i] > 0 else +0, for i < len(dst);
-// src must be at least as long as dst.
-func reluRow(dst, src []float32) {
-	if len(dst) == 0 {
-		return
-	}
-	if hasAVX {
-		reluPtrAVX(&dst[0], &src[0], len(dst))
-		return
-	}
-	for i, v := range src[:len(dst)] {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
-		}
-	}
-}
-
-// reluGradRow writes dst[i] = grad[i] if ref[i] > 0 else +0, for
-// i < len(dst); grad and ref must be at least as long as dst.
-func reluGradRow(dst, grad, ref []float32) {
-	if len(dst) == 0 {
-		return
-	}
-	if hasAVX {
-		reluGradPtrAVX(&dst[0], &grad[0], &ref[0], len(dst))
-		return
-	}
-	for i, r := range ref[:len(dst)] {
-		if r > 0 {
-			dst[i] = grad[i]
-		} else {
-			dst[i] = 0
-		}
-	}
-}

@@ -2,35 +2,13 @@
 
 package tensor
 
-// SIMD saxpy: the one vector primitive behind every batched-path kernel.
-// Both implementations compute dst[i] += a*src[i] as an elementwise multiply
-// followed by an elementwise add (VMULPS/VADDPS, never VFMADD): each lane
-// performs exactly the two IEEE-754 roundings the scalar Go expression
-// `dst[i] += a * src[i]` performs, so the vector kernels are bit-identical
-// to the portable loop — the property the whole bit-identity contract of
-// this package rests on. Fused multiply-add would round once instead of
-// twice and is deliberately avoided.
-
+// saxpyPtrAVX is saxpyRow's AVX body: dst[i] += a*src[i] for i < n.
+//
 //go:noescape
 func saxpyPtrAVX(dst, src *float32, n int, a float32)
 
-//go:noescape
-func saxpyPtrSSE(dst, src *float32, n int, a float32)
-
 func cpuHasAVXAsm() bool
 
-// hasAVX reports AVX support by both the CPU and the OS (XGETBV).
+// hasAVX reports AVX support by both the CPU and the OS (XGETBV). It only
+// initialises useFloatAVX and hasAVX2.
 var hasAVX = cpuHasAVXAsm()
-
-// saxpyRow accumulates dst[i] += a * src[i] for i < len(dst); src must be at
-// least as long as dst.
-func saxpyRow(dst, src []float32, a float32) {
-	if len(dst) == 0 {
-		return
-	}
-	if hasAVX {
-		saxpyPtrAVX(&dst[0], &src[0], len(dst), a)
-	} else {
-		saxpyPtrSSE(&dst[0], &src[0], len(dst), a)
-	}
-}

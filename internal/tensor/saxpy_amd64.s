@@ -70,47 +70,6 @@ done8:
 	VZEROUPPER
 	RET
 
-// func saxpyPtrSSE(dst, src *float32, n int, a float32)
-// Baseline kernel for amd64 without AVX: 4 lanes per MULPS+ADDPS pair.
-TEXT ·saxpyPtrSSE(SB), NOSPLIT, $0-28
-	MOVQ   dst+0(FP), DI
-	MOVQ   src+8(FP), SI
-	MOVQ   n+16(FP), CX
-	MOVSS  a+24(FP), X0
-	SHUFPS $0, X0, X0
-	MOVQ   CX, BX
-	SHRQ   $2, BX
-	JZ     tail4
-
-loop4:
-	MOVUPS (SI), X1
-	MULPS  X0, X1
-	MOVUPS (DI), X2
-	ADDPS  X1, X2
-	MOVUPS X2, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	DECQ   BX
-	JNZ    loop4
-
-tail4:
-	ANDQ $3, CX
-	JZ   done4
-
-tailloop4:
-	MOVSS (SI), X1
-	MULSS X0, X1
-	MOVSS (DI), X2
-	ADDSS X1, X2
-	MOVSS X2, (DI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  CX
-	JNZ   tailloop4
-
-done4:
-	RET
-
 // func cpuHasAVXAsm() bool
 // CPUID.1:ECX must report OSXSAVE (bit 27) and AVX (bit 28), and XCR0 must
 // have the SSE and AVX state bits enabled by the OS.

@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// The vectorized batched-path kernels must be bit-identical to the scalar
-// reference kernels for every shape — including the SIMD fringe widths (64,
-// 16, 8, scalar tails) and reduction panels crossing gemmBlockK — and for every
-// 4-row/remainder row grouping. These tests sweep those boundaries with
-// exact float32 bit comparison.
+// The float kernels, on their AVX bodies and on their portable twins, must
+// be bit-identical to naive loops for every shape — including the SIMD
+// fringe widths (64, 16, 8, scalar tails) and reduction panels crossing
+// gemmBlockK — and for every 4-row/remainder row grouping. These tests sweep
+// those boundaries with exact float32 bit comparison.
 
 func requireSameBits(t *testing.T, label string, want, got *Tensor) {
 	t.Helper()
@@ -42,37 +42,64 @@ var vecShapes = []struct{ m, k, n int }{
 	{9, 5, 63}, {9, 40, 64}, {9, 17, 65}, {9, 9, 127}, {9, 33, 192},
 }
 
-func TestMatMulAccumVecMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for _, s := range vecShapes {
-		a := randTensor(rng, s.m, s.k)
-		b := randTensor(rng, s.k, s.n)
-		ref := randTensor(rng, s.m, s.n)
-		got := ref.Clone()
-		MatMulAccum(ref, a, b)
-		MatMulAccumVec(got, a, b)
-		requireSameBits(t, "MatMulAccumVec", ref, got)
+// accumRef is the naive accumulate loop both GEMMs answer to: dst[i][j] +=
+// coef(i, p)·b[p][j] onto dst's own value, p ascending, a ±0 coefficient
+// skipping its row of B.
+func accumRef(dst *Tensor, coef func(i, p int) float32, b *Tensor) *Tensor {
+	want := dst.Clone()
+	m, k, n := dst.Dim(0), b.Dim(0), dst.Dim(1)
+	wd, bd := want.Data(), b.Data()
+	for i := range m {
+		for p := range k {
+			av := coef(i, p)
+			if av == 0 {
+				continue
+			}
+			for j, bv := range bd[p*n : (p+1)*n] {
+				wd[i*n+j] += float32(av * bv)
+			}
+		}
 	}
+	return want
 }
 
+// TestMatMulAccumVecMatchesScalar holds MatMulAccum (dst += A·B), on the
+// vector kernel and its portable twin, to the scalar loop accumRef.
+func TestMatMulAccumVecMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	forEachFloatKernel(t, func(kernel string) {
+		for _, s := range vecShapes {
+			a := randTensor(rng, s.m, s.k)
+			b, dst := randTensor(rng, s.k, s.n), randTensor(rng, s.m, s.n)
+			want := accumRef(dst, func(i, p int) float32 { return a.At(i, p) }, b)
+			got := dst.Clone()
+			MatMulAccum(got, a, b)
+			requireSameBits(t, fmt.Sprintf("%s MatMulAccum %dx%dx%d", kernel, s.m, s.k, s.n), want, got)
+		}
+	})
+}
+
+// TestMatMulTNAccumVecMatchesScalar holds MatMulTNAccum (dst += Aᵀ·B), on
+// the vector kernel and its portable twin, to the scalar loop accumRef.
 func TestMatMulTNAccumVecMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	for _, s := range vecShapes {
-		a := randTensor(rng, s.k, s.m)
-		b := randTensor(rng, s.k, s.n)
-		ref := randTensor(rng, s.m, s.n)
-		got := ref.Clone()
-		MatMulTNAccum(ref, a, b)
-		MatMulTNAccumVec(got, a, b)
-		requireSameBits(t, "MatMulTNAccumVec", ref, got)
-	}
+	forEachFloatKernel(t, func(kernel string) {
+		for _, s := range vecShapes {
+			aT := randTensor(rng, s.k, s.m)
+			b, dst := randTensor(rng, s.k, s.n), randTensor(rng, s.m, s.n)
+			want := accumRef(dst, func(i, p int) float32 { return aT.At(p, i) }, b)
+			got := dst.Clone()
+			MatMulTNAccum(got, aT, b)
+			requireSameBits(t, fmt.Sprintf("%s MatMulTNAccum %dx%dx%d", kernel, s.m, s.k, s.n), want, got)
+		}
+	})
 }
 
 // TestPanelRowSkipsZeroCoefficients pins the single-row panel's ±0 skip on
 // both kernels: for p ≡ 2 (mod 5), every row's coefficient p is +0 or -0
 // and B's row p holds ±Inf and NaN, which only the skip keeps out of the
-// sums. m stays below 4, the rows axpyPanel serves: the 4-row kernel adds
-// the ±0 products instead, as the reference does for finite B.
+// sums. m stays below 4, the rows axpyPanel serves: the 4-row AVX block
+// adds the ±0 products instead, equal to the skip for finite B.
 func TestPanelRowSkipsZeroCoefficients(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	poison := []float32{float32(math.Inf(1)), float32(math.NaN()), float32(math.Inf(-1))}
@@ -90,35 +117,37 @@ func TestPanelRowSkipsZeroCoefficients(t *testing.T) {
 			}
 			aT := New(s.k, m)
 			TransposeInto(aT, a)
-			ref := randTensor(rng, m, s.n)
-			want, got := ref.Clone(), ref.Clone()
-			MatMulAccum(want, a, b)
-			MatMulAccumVec(got, a, b)
-			requireSameBits(t, fmt.Sprintf("%s MatMulAccumVec %dx%dx%d", kernel, m, s.k, s.n), want, got)
-			want, got = ref.Clone(), ref.Clone()
-			MatMulTNAccum(want, aT, b)
-			MatMulTNAccumVec(got, aT, b)
-			requireSameBits(t, fmt.Sprintf("%s MatMulTNAccumVec %dx%dx%d", kernel, m, s.k, s.n), want, got)
+			dst := randTensor(rng, m, s.n)
+			want := accumRef(dst, func(i, p int) float32 { return a.At(i, p) }, b)
+			got := dst.Clone()
+			MatMulAccum(got, a, b)
+			requireSameBits(t, fmt.Sprintf("%s MatMulAccum %dx%dx%d", kernel, m, s.k, s.n), want, got)
+			got = dst.Clone()
+			MatMulTNAccum(got, aT, b)
+			requireSameBits(t, fmt.Sprintf("%s MatMulTNAccum %dx%dx%d", kernel, m, s.k, s.n), want, got)
 		}
 	})
 }
 
 func TestAddScaledMatchesScalarLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	// Lengths cross the saxpy kernel's 32-wide, 8-wide and scalar tails.
-	for _, n := range []int{1, 2, 7, 8, 9, 31, 32, 33, 63, 100} {
-		for _, s := range []float32{0, 1, -0.37, float32(math.Inf(1))} {
-			src := randTensor(rng, n)
-			ref := randTensor(rng, n)
-			got := ref.Clone()
-			rd, sd := ref.Data(), src.Data()
-			for i, v := range sd {
-				rd[i] += float32(s * v)
+	coefs := []float32{0, float32(math.Copysign(0, -1)), 1, -0.37, float32(math.Inf(1)), float32(math.NaN())}
+	forEachFloatKernel(t, func(kernel string) {
+		// Lengths cross the AVX body's 32-wide, 8-wide and scalar tails.
+		for _, n := range []int{1, 2, 7, 8, 9, 31, 32, 33, 39, 40, 41, 63, 64, 71, 100} {
+			for _, s := range coefs {
+				src := randTensor(rng, n)
+				ref := randTensor(rng, n)
+				got := ref.Clone()
+				rd, sd := ref.Data(), src.Data()
+				for i, v := range sd {
+					rd[i] += float32(s * v)
+				}
+				got.AddScaled(src, s)
+				requireSameBits(t, fmt.Sprintf("%s AddScaled n=%d s=%v", kernel, n, s), ref, got)
 			}
-			got.AddScaled(src, s)
-			requireSameBits(t, "AddScaled", ref, got)
 		}
-	}
+	})
 }
 
 // TestTransposeInto covers whole 8x8 blocks, ragged edges and rows or
@@ -141,6 +170,33 @@ func TestTransposeInto(t *testing.T) {
 	})
 }
 
+// reluRef and reluGradRef are the rectifier's scalar branches.
+func reluRef(src []float32) *Tensor {
+	want := New(len(src))
+	wd := want.Data()
+	for i, v := range src {
+		if v > 0 {
+			wd[i] = v
+		} else {
+			wd[i] = 0
+		}
+	}
+	return want
+}
+
+func reluGradRef(grad, ref []float32) *Tensor {
+	want := New(len(grad))
+	wd := want.Data()
+	for i, r := range ref {
+		if r > 0 {
+			wd[i] = grad[i]
+		} else {
+			wd[i] = 0
+		}
+	}
+	return want
+}
+
 func TestReluIntoMatchesScalarBranch(t *testing.T) {
 	// Includes the special values whose handling the SIMD kernel's
 	// instruction semantics must reproduce: -0 and NaN both map to +0.
@@ -149,53 +205,33 @@ func TestReluIntoMatchesScalarBranch(t *testing.T) {
 		float32(math.Inf(1)), float32(math.Inf(-1)), 1e-38, -1e-38,
 		3, -3, 0.25, -0.25, 7, -7, 42, -42, 0.5,
 	}, 18)
-	want := New(18)
-	wd, sd := want.Data(), src.Data()
-	for i, v := range sd {
-		if v > 0 {
-			wd[i] = v
-		} else {
-			wd[i] = 0
-		}
-	}
-	got := New(18)
-	ReluInto(got, src)
-	requireSameBits(t, "ReluInto", want, got)
-
 	grad := FromSlice([]float32{
 		1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, float32(math.NaN()), 16, 17, 18,
 	}, 18)
-	wantG := New(18)
-	wg, gd := wantG.Data(), grad.Data()
-	for i, r := range got.Data() {
-		if r > 0 {
-			wg[i] = gd[i]
-		} else {
-			wg[i] = 0
-		}
-	}
-	gotG := New(18)
-	ReluGradInto(gotG, grad, got)
-	requireSameBits(t, "ReluGradInto", wantG, gotG)
+	forEachFloatKernel(t, func(kernel string) {
+		got := New(18)
+		ReluInto(got, src)
+		requireSameBits(t, kernel+" ReluInto", reluRef(src.Data()), got)
+		gotG := New(18)
+		ReluGradInto(gotG, grad, got)
+		requireSameBits(t, kernel+" ReluGradInto", reluGradRef(grad.Data(), got.Data()), gotG)
+	})
 }
 
+// TestReluIntoLongRows crosses the AVX bodies' 8-wide and scalar tails.
 func TestReluIntoLongRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
-	for _, n := range []int{1, 7, 8, 9, 64, 100} {
-		src := randTensor(rng, n)
-		want := New(n)
-		wd := want.Data()
-		for i, v := range src.Data() {
-			if v > 0 {
-				wd[i] = v
-			} else {
-				wd[i] = 0
-			}
+	forEachFloatKernel(t, func(kernel string) {
+		for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 64, 100} {
+			src, grad := randTensor(rng, n), randTensor(rng, n)
+			got := New(n)
+			ReluInto(got, src)
+			requireSameBits(t, fmt.Sprintf("%s ReluInto n=%d", kernel, n), reluRef(src.Data()), got)
+			gotG := New(n)
+			ReluGradInto(gotG, grad, src)
+			requireSameBits(t, fmt.Sprintf("%s ReluGradInto n=%d", kernel, n), reluGradRef(grad.Data(), src.Data()), gotG)
 		}
-		got := New(n)
-		ReluInto(got, src)
-		requireSameBits(t, "ReluInto", want, got)
-	}
+	})
 }
 
 // specials are the values whose handling the elementwise kernels' instruction
@@ -293,8 +329,7 @@ func vector(x []float32) *Tensor {
 }
 
 // FuzzPanelRow holds the batch-1 GEMV dst += a·B — the single-row panel —
-// on both kernels to a scalar loop with the ±0 skip, on FuzzConvForward's
-// ±0-heavy palette.
+// on both kernels to accumRef, on FuzzConvForward's ±0-heavy palette.
 func FuzzPanelRow(f *testing.F) {
 	f.Add(uint64(0), []byte{0, 1, 2, 3})
 	f.Add(uint64(1023*301+127), []byte{9, 8, 1, 0, 200, 17})
@@ -306,19 +341,10 @@ func FuzzPanelRow(f *testing.F) {
 		n, k := 1+int(geom%300), 1+int(geom/300%1100)
 		fill := paletteFill(data)
 		a, b, dst := fill(New(1, k)), fill(New(k, n)), fill(New(1, n))
-		want := dst.Clone()
-		wd := want.Data()
-		for p, av := range a.Data() {
-			if av == 0 {
-				continue
-			}
-			for j, bv := range b.Data()[p*n : (p+1)*n] {
-				wd[j] += float32(av * bv)
-			}
-		}
+		want := accumRef(dst, func(_, p int) float32 { return a.At(0, p) }, b)
 		forEachFloatKernel(t, func(kernel string) {
 			got := dst.Clone()
-			MatMulAccumVec(got, a, b)
+			MatMulAccum(got, a, b)
 			requireSameBits(t, fmt.Sprintf("%s 1x%dx%d", kernel, k, n), want, got)
 		})
 	})
