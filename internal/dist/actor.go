@@ -111,11 +111,14 @@ type ActorStats struct {
 	Connects, Adoptions int
 }
 
-// session is one live learner connection from the actor's side.
+// session is one live learner connection from the actor's side. features
+// is the welcome's word on what the learner trains on: boundary features
+// (ship them instead of frames) or frames.
 type session struct {
-	conn net.Conn
-	dead chan struct{}
-	once sync.Once
+	conn     net.Conn
+	dead     chan struct{}
+	once     sync.Once
+	features bool
 }
 
 func (s *session) kill() {
@@ -331,7 +334,7 @@ func (a *actor) maybeFlush(force bool) {
 		}
 		var err error
 		a.frame, err = appendExperience(beginFrame(a.frame, frameTransitions),
-			a.ring[a.ringHead:a.ringHead+n], a.prefixTrusted())
+			a.ring[a.ringHead:a.ringHead+n], s.features && a.prefixTrusted())
 		if err != nil {
 			// Unencodable experience is a programming error on this side;
 			// drop the batch rather than wedge the ring forever.
@@ -347,10 +350,10 @@ func (a *actor) maybeFlush(force bool) {
 	}
 }
 
-// prefixTrusted reports whether boundary features may go out: not while a
-// reconnect's full snapshot waits for adoption. Until it is installed this
-// actor's prefix may not be the one the learner holds, so the learner gets
-// frames only and recomputes.
+// prefixTrusted reports whether boundary features may go out to a learner
+// that wants them: not while a reconnect's full snapshot waits for adoption.
+// Until it is installed this actor's prefix may not be the one the learner
+// holds, so the learner gets frames only and recomputes.
 func (a *actor) prefixTrusted() bool {
 	p := a.pending.Load()
 	return p == nil || p.full == nil
@@ -542,7 +545,7 @@ func (a *actor) dialOnce(ctx context.Context) error {
 		return err
 	}
 
-	hello, err := encodeGob(helloMsg{Proto: protoVersion, Arch: a.cfg.Spec.Name, ActorID: a.id})
+	hello, err := appendHello(nil, helloMsg{Arch: a.cfg.Spec.Name, ActorID: a.id})
 	if err != nil {
 		conn.Close()
 		return err
@@ -565,8 +568,8 @@ func (a *actor) dialOnce(ctx context.Context) error {
 		}
 		return err
 	}
-	var welcome welcomeMsg
-	if err := decodeGob(payload, &welcome); err != nil {
+	welcome, err := decodeWelcome(payload)
+	if err != nil {
 		conn.Close()
 		return err
 	}
@@ -616,7 +619,7 @@ func (a *actor) dialOnce(ctx context.Context) error {
 		}
 	}
 
-	s := &session{conn: conn, dead: make(chan struct{})}
+	s := &session{conn: conn, dead: make(chan struct{}), features: welcome.Features}
 	a.sess.Store(s)
 	a.connects.Add(1)
 	go a.readLoop(s)

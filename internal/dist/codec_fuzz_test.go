@@ -2,10 +2,12 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
 
+	"dronerl/internal/nn"
 	"dronerl/internal/rl"
 	"dronerl/internal/tensor"
 )
@@ -84,9 +86,20 @@ func FuzzExperienceDecode(f *testing.F) {
 	truncCount := append([]byte(nil), valid...)
 	truncCount[0] = 0xff // count promises far more transitions than exist
 	f.Add(truncCount)
+	widthAt := 2 + 1 + 4*int(valid[2]) // after count, ndims and the dims
 	zeroWidth := append([]byte(nil), valid...)
-	copy(zeroWidth[2+1+3*4:], []byte{0, 0, 0, 0}) // feature flags under width 0
+	copy(zeroWidth[widthAt:], []byte{0, 0, 0, 0}) // feature flags under width 0
 	f.Add(zeroWidth)
+	// v4 seeds: a row that travels as its features alone, and the same row
+	// flagging its next state as both frame and feature.
+	featOnly, err := appendExperience(nil, batch[:1], true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(featOnly)
+	both := append([]byte(nil), featOnly...)
+	both[2+1+4] |= expFlagHasNext // flags of the one row, after the empty shape and width
+	f.Add(both)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		batch, err := decodeExperience(payload)
@@ -98,6 +111,47 @@ func FuzzExperienceDecode(f *testing.F) {
 		}
 		if _, err := appendExperience(nil, batch, true); err != nil {
 			t.Fatalf("decoded batch failed to re-encode: %v", err)
+		}
+	})
+}
+
+// FuzzHandshakeDecode throws arbitrary payloads at the hello and welcome
+// decoders, the first bytes a learner reads from an unauthenticated peer and
+// an actor from whatever answered its dial. Garbage must surface
+// ErrFrameCorrupt without panic, and an accepted payload must re-encode to
+// exactly its own bytes: the fixed layouts have one encoding per message.
+func FuzzHandshakeDecode(f *testing.F) {
+	hello, err := appendHello(nil, helloMsg{Arch: "navnet", ActorID: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	welcome := appendWelcome(nil, welcomeMsg{
+		ActorID: 7, EnvSteps: 1234, EpsStart: 1, EpsEnd: 0.1, EpsDecaySteps: 500,
+		Config: nn.L3, Resumed: true, Features: true,
+	})
+	f.Add(hello)
+	f.Add(welcome)
+	f.Add(hello[:len(hello)-1])
+	f.Add(welcome[:len(welcome)-1])
+	stale := append([]byte(nil), hello...)
+	binary.LittleEndian.PutUint32(stale, 3)
+	f.Add(stale)
+	f.Add([]byte{0x2e, 0xff, 0x81, 0x03}) // the opening of a gob stream
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if h, err := decodeHello(payload); err != nil {
+			if !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("hello: unexpected error class: %v", err)
+			}
+		} else if back, err := appendHello(nil, h); err != nil || !bytes.Equal(back, payload) {
+			t.Fatalf("accepted hello %+v re-encodes to %x (%v), was %x", h, back, err, payload)
+		}
+		if w, err := decodeWelcome(payload); err != nil {
+			if !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("welcome: unexpected error class: %v", err)
+			}
+		} else if back := appendWelcome(nil, w); !bytes.Equal(back, payload) {
+			t.Fatalf("accepted welcome %+v re-encodes to %x, was %x", w, back, payload)
 		}
 	})
 }

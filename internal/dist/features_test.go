@@ -2,8 +2,11 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -14,6 +17,7 @@ import (
 
 	"dronerl/internal/env"
 	"dronerl/internal/nn"
+	_ "dronerl/internal/qnn" // registers the quant-train backend
 	"dronerl/internal/rl"
 	"dronerl/internal/tensor"
 )
@@ -128,28 +132,32 @@ func (discardConn) Close() error                { return nil }
 
 // TestMaybeFlushZeroAlloc pins the one-buffer flush: once the actor's frame
 // buffer has grown to a flush's size, encoding, framing, checksumming and
-// writing FlushEvery transitions — or a heartbeat — allocates nothing.
+// writing FlushEvery transitions — as frames or as boundary features — or a
+// heartbeat allocates nothing.
 func TestMaybeFlushZeroAlloc(t *testing.T) {
 	cfg := ActorConfig{Spec: nn.NavNetSpec(), World: env.IndoorApartment(1), Steps: 1, Addr: "unused"}
 	if err := cfg.withDefaults(); err != nil {
 		t.Fatal(err)
 	}
 	a := newActor(cfg)
-	a.sess.Store(&session{conn: discardConn{}, dead: make(chan struct{})})
 	for i := 0; i < cfg.FlushEvery; i++ {
 		a.push(Experience{T: rl.Transition{
 			State: tensor.New(1, 32, 32), Next: tensor.New(1, 32, 32), Action: i % 3,
 			Feat: featTensor(int64(i), 128), NextFeat: featTensor(int64(i)+100, 128),
 		}})
 	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		a.ringHead = 0
-		a.maybeFlush(false)
-	}); allocs != 0 {
-		t.Errorf("flushing %d transitions allocates %.0f times", cfg.FlushEvery, allocs)
-	}
-	if a.stats.Sent != 21*cfg.FlushEvery {
-		t.Fatalf("sent %d transitions, want %d", a.stats.Sent, 21*cfg.FlushEvery)
+	for _, features := range []bool{false, true} {
+		a.sess.Store(&session{conn: discardConn{}, dead: make(chan struct{}), features: features})
+		a.stats.Sent = 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			a.ringHead = 0
+			a.maybeFlush(false)
+		}); allocs != 0 {
+			t.Errorf("flushing %d transitions (features %v) allocates %.0f times", cfg.FlushEvery, features, allocs)
+		}
+		if a.stats.Sent != 21*cfg.FlushEvery {
+			t.Fatalf("sent %d transitions, want %d", a.stats.Sent, 21*cfg.FlushEvery)
+		}
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		a.lastWrite = time.Time{}
@@ -168,7 +176,7 @@ func rawSession(t *testing.T, f *testFleet) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	hello, err := encodeGob(helloMsg{Proto: protoVersion, Arch: f.spec.Name})
+	hello, err := appendHello(nil, helloMsg{Arch: f.spec.Name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +258,13 @@ func TestLearnerRejectsBadExperience(t *testing.T) {
 			mutate(func(e *Experience) { e.T.Reward = math.Inf(-1) }), DropReasons{RejectedExperience: 1}},
 		{"NaN flight distance", nn.L3,
 			mutate(func(e *Experience) { e.Dist = math.NaN() }), DropReasons{RejectedExperience: 1}},
+		{"NaN boundary feature", nn.L3,
+			mutate(func(e *Experience) { e.T.NextFeat.Data()[77] = float32(math.NaN()) }), DropReasons{RejectedExperience: 1}},
+		// Without its feature the state travels as its frame.
+		{"+Inf frame", nn.L3, mutate(func(e *Experience) {
+			e.T.Feat = nil
+			e.T.State.Data()[5] = float32(math.Inf(1))
+		}), DropReasons{RejectedExperience: 1}},
 		{"wrong feature width", nn.L3, func(t *testing.T, conn net.Conn) {
 			e := good()
 			e.T.Feat, e.T.NextFeat = featTensor(3, 64), featTensor(4, 64)
@@ -288,10 +303,18 @@ func TestLearnerRejectsBadExperience(t *testing.T) {
 		}, DropReasons{Truncated: 1}},
 		{"silence past the heartbeat timeout", nn.L3,
 			func(*testing.T, net.Conn) {}, DropReasons{Timeout: 1}},
+		// The rows travel as features only, and this learner reads frames.
+		{"frameless row for a learner that reads frames", nn.L3,
+			mutate(func(*Experience) {}), DropReasons{RejectedExperience: 1}},
 	}
+	// The learner of a case named here trains on that backend.
+	backend := map[string]string{"frameless row for a learner that reads frames": "quant-train"}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFleet(t, 41, tc.cfg)
+			if b := backend[tc.name]; b != "" {
+				f.trainOn(t, b)
+			}
 			learner, err := NewLearner(LearnerConfig{
 				Agent: f.agent, Spec: f.spec, Cfg: f.cfg, Listener: f.ln,
 				ActorSlots: 2, TotalSteps: goodSteps, TrainEvery: 4, SyncEvery: 4,
@@ -344,8 +367,8 @@ func TestLearnerRejectsBadExperience(t *testing.T) {
 // announce an older wire protocol.
 type helloDowngrade struct {
 	net.Conn
-	proto uint32
-	sent  bool
+	rewrite func(hello helloMsg) ([]byte, error)
+	sent    bool
 }
 
 func (c *helloDowngrade) Write(p []byte) (int, error) {
@@ -357,29 +380,53 @@ func (c *helloDowngrade) Write(p []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var hello helloMsg
-	if err := decodeGob(payload, &hello); err != nil {
+	hello, err := decodeHello(payload)
+	if err != nil {
 		return 0, err
 	}
-	hello.Proto = c.proto
-	if payload, err = encodeGob(hello); err != nil {
+	if payload, err = c.rewrite(hello); err != nil {
 		return 0, err
 	}
 	return len(p), writeFrame(c.Conn, frameHello, payload)
 }
 
-// TestProtoOneHelloRefused: a proto-1 peer would frame transitions without
-// the width word and a proto-2 peer sends gob snapshots, so neither may get
-// past the handshake. The learner answers the hello with a clean close and
-// no welcome; the actor reads that as a refusal and gives up after three,
-// instead of retrying forever or mis-parsing anything.
-func TestProtoOneHelloRefused(t *testing.T) {
-	for _, proto := range []uint32{1, 2} {
-		t.Run(fmt.Sprint(proto), func(t *testing.T) { testOldHelloRefused(t, proto) })
+// withProto is the hello's fixed layout under another proto word.
+func withProto(proto uint32) func(helloMsg) ([]byte, error) {
+	return func(hello helloMsg) ([]byte, error) {
+		payload, err := appendHello(nil, hello)
+		if err == nil {
+			binary.LittleEndian.PutUint32(payload, proto)
+		}
+		return payload, err
 	}
 }
 
-func testOldHelloRefused(t *testing.T, proto uint32) {
+// gobHelloV3 is the hello as revisions 1 to 3 sent it: gob-encoded.
+func gobHelloV3(hello helloMsg) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(struct {
+		Proto   uint32
+		Arch    string
+		ActorID uint64
+	}{3, hello.Arch, hello.ActorID})
+	return buf.Bytes(), err
+}
+
+// TestProtoOneHelloRefused: a proto-1 peer would frame transitions without
+// the width word, a proto-2 peer sends gob snapshots and a proto-3 peer
+// sends a state frame beside every boundary feature, so none may get past
+// the handshake — in the fixed layout under an old proto word, or as the
+// gob hello a revision-3 build really sends. The learner answers the hello
+// with a clean close and no welcome; the actor reads that as a refusal and
+// gives up after three, instead of retrying forever or mis-parsing anything.
+func TestProtoOneHelloRefused(t *testing.T) {
+	for _, proto := range []uint32{1, 2, 3} {
+		t.Run(fmt.Sprint(proto), func(t *testing.T) { testOldHelloRefused(t, fmt.Sprint(proto), withProto(proto)) })
+	}
+	t.Run("gob-3", func(t *testing.T) { testOldHelloRefused(t, "gob-3", gobHelloV3) })
+}
+
+func testOldHelloRefused(t *testing.T, proto string, rewrite func(helloMsg) ([]byte, error)) {
 	f := newFleet(t, 51, nn.L3)
 	learner, err := NewLearner(LearnerConfig{
 		Agent: f.agent, Spec: f.spec, Cfg: f.cfg, Listener: f.ln,
@@ -405,21 +452,21 @@ func testOldHelloRefused(t *testing.T, proto uint32) {
 		if err != nil {
 			return nil, err
 		}
-		return &helloDowngrade{Conn: conn, proto: proto}, nil
+		return &helloDowngrade{Conn: conn, rewrite: rewrite}, nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	st, err := RunActor(ctx, cfg)
 	if !errors.Is(err, errRefused) {
-		t.Fatalf("proto-%d actor: %v, want errRefused", proto, err)
+		t.Fatalf("proto-%s actor: %v, want errRefused", proto, err)
 	}
 	if dials.Load() != 3 || st.Steps != 0 || st.Connects != 0 {
-		t.Errorf("proto-%d actor dialed %d times, flew %d steps on %d sessions; want 3 refusals and nothing else",
+		t.Errorf("proto-%s actor dialed %d times, flew %d steps on %d sessions; want 3 refusals and nothing else",
 			proto, dials.Load(), st.Steps, st.Connects)
 	}
 	lcancel()
 	if lst := <-done; lst.Connects != 0 || lst.EnvSteps != 0 {
-		t.Errorf("learner admitted a proto-%d peer: %+v", proto, lst)
+		t.Errorf("learner admitted a proto-%s peer: %+v", proto, lst)
 	}
 }
 
@@ -459,6 +506,111 @@ func (c *featureTap) Write(p []byte) (int, error) {
 		}
 	}
 	return c.Conn.Write(p)
+}
+
+// rowTap counts what one actor's transitions frames carry: rows whose
+// state and next state travel as frames, and rows that carry no frame.
+type rowTap struct {
+	net.Conn
+	t                 *testing.T
+	framed, frameless *atomic.Int64
+}
+
+func (c *rowTap) Write(p []byte) (int, error) {
+	// The actor writes whole frames, one per Write.
+	if typ, payload, err := readFrame(bytes.NewReader(p)); err == nil && typ == frameTransitions {
+		batch, err := decodeExperience(payload)
+		if err != nil {
+			c.t.Errorf("actor wrote an undecodable batch: %v", err)
+		}
+		for _, e := range batch {
+			switch {
+			case e.T.State != nil && (e.T.Next != nil || e.T.Done) && e.T.Feat == nil && e.T.NextFeat == nil:
+				c.framed.Add(1)
+			case e.T.State == nil && e.T.Next == nil:
+				c.frameless.Add(1)
+			default:
+				c.t.Errorf("transition carries frames and features: state %v feat %v next %v next-feat %v",
+					e.T.State != nil, e.T.Feat != nil, e.T.Next != nil, e.T.NextFeat != nil)
+			}
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+// TestDistQuantTrainLearnerGetsFrames: the welcome tells the actor what the
+// learner reads. A quant-train learner's backend stacks frames and runs its
+// own integer prefix, so at L3 it is sent frames and no features, and trains
+// to the end rejecting nothing; a float L3 learner trains the FC tail on
+// boundary features and is sent no frame at all.
+func TestDistQuantTrainLearnerGetsFrames(t *testing.T) {
+	const steps = 64
+	for _, tc := range []struct {
+		backend string
+		framed  bool
+	}{{"quant-train", true}, {"", false}} {
+		t.Run(cmp.Or(tc.backend, "float"), func(t *testing.T) {
+			f := newFleet(t, 57, nn.L3)
+			if tc.backend != "" {
+				f.trainOn(t, tc.backend)
+			}
+			learner, err := NewLearner(LearnerConfig{
+				Agent: f.agent, Spec: f.spec, Cfg: f.cfg, Listener: f.ln,
+				ActorSlots: 1, TotalSteps: steps, TrainEvery: 4, SyncEvery: 4,
+				HeartbeatEvery: 25 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			type result struct {
+				st  LearnerStats
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				st, err := learner.Run(ctx)
+				done <- result{st, err}
+			}()
+
+			var framed, frameless atomic.Int64
+			cfg := f.actorConfig(58, steps)
+			cfg.Dial = func(ctx context.Context) (net.Conn, error) {
+				var d net.Dialer
+				conn, err := d.DialContext(ctx, "tcp", f.addr)
+				if err != nil {
+					return nil, err
+				}
+				return &rowTap{Conn: conn, t: t, framed: &framed, frameless: &frameless}, nil
+			}
+			ast, err := RunActor(ctx, cfg)
+			if err != nil {
+				t.Fatalf("actor: %v", err)
+			}
+			r := <-done
+			if r.err != nil {
+				t.Fatalf("learner: %v", r.err)
+			}
+			if ast.Sent != steps || r.st.EnvSteps != steps || r.st.DropReasons != (DropReasons{}) {
+				t.Errorf("actor sent %d, learner took in %d with drops %+v; want all %d, none dropped",
+					ast.Sent, r.st.EnvSteps, r.st.DropReasons, steps)
+			}
+			if r.st.TrainSteps < steps/4-1 {
+				t.Errorf("learner trained %d steps on %d env steps", r.st.TrainSteps, steps)
+			}
+			want, other := &frameless, &framed
+			if tc.framed {
+				want, other = &framed, &frameless
+			}
+			if want.Load() != steps || other.Load() != 0 {
+				t.Errorf("%d rows framed, %d frameless; want all %d framed %v", framed.Load(), frameless.Load(), steps, tc.framed)
+			}
+			if tc.framed && f.agent.TrainCost().EnergyMJ == 0 {
+				t.Error("the quant-train backend trained nothing")
+			}
+		})
+	}
 }
 
 // TestLearnerDoneReleasesActor: a learner that completes its run says so

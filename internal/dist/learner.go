@@ -184,6 +184,9 @@ type Learner struct {
 	obsShape  []int
 	actions   int
 	featWidth int
+	// wantFeatures: TrainStep reads boundary features, so actors ship them
+	// instead of frames. Without it every transition must carry its frames.
+	wantFeatures bool
 }
 
 // learnerConn is one live actor session.
@@ -235,6 +238,9 @@ func NewLearner(cfg LearnerConfig) (*Learner, error) {
 			l.featWidth = d.In
 		}
 	}
+	// A train backend (quant-train) runs its own prefix on stacked frames,
+	// so only the float tail path can train on features alone.
+	l.wantFeatures = l.featWidth > 0 && cfg.Agent.Options().TrainBackend == ""
 	if cfg.Resume != nil {
 		if err := cfg.Resume.RestoreInto(cfg.Agent, cfg.Spec.Name, l.shards); err != nil {
 			return nil, err
@@ -468,9 +474,8 @@ func (l *Learner) handshake(ctx context.Context, conn net.Conn) {
 		conn.Close()
 		return
 	}
-	var hello helloMsg
-	if err := decodeGob(payload, &hello); err != nil || hello.Proto != protoVersion ||
-		(hello.Arch != "" && hello.Arch != l.cfg.Spec.Name) {
+	hello, err := decodeHello(payload)
+	if err != nil || (hello.Arch != "" && hello.Arch != l.cfg.Spec.Name) {
 		conn.Close()
 		return
 	}
@@ -488,7 +493,7 @@ func (l *Learner) handshake(ctx context.Context, conn net.Conn) {
 	// Welcome: slot, global clock, exploration schedule — then the full
 	// current policy, taken under the training lock so it is never torn.
 	opts := l.cfg.Agent.Options()
-	welcome, err := encodeGob(welcomeMsg{
+	welcome := appendWelcome(nil, welcomeMsg{
 		ActorID:       lc.id,
 		EnvSteps:      l.cfg.Agent.Clock().EnvSteps(),
 		EpsStart:      opts.EpsStart,
@@ -496,11 +501,8 @@ func (l *Learner) handshake(ctx context.Context, conn net.Conn) {
 		EpsDecaySteps: opts.EpsDecaySteps,
 		Config:        l.cfg.Cfg,
 		Resumed:       resumed,
+		Features:      l.wantFeatures,
 	})
-	if err != nil {
-		l.drop(lc)
-		return
-	}
 	l.netMu.Lock()
 	full := nn.TakeSnapshot(l.cfg.Agent.Net, l.cfg.Spec.Name)
 	version := l.learn.Board.Version()
@@ -701,13 +703,17 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 var errRejected = fmt.Errorf("%w: experience rejected", ErrFrameCorrupt)
 
 // validate checks a decoded batch against what TrainStep will assume of it:
-// observations of the served shape, actions inside the Q row, finite reward
-// and distance, boundary features of the trainable tail's input length. The
-// CRC vouches for the bytes, not for the peer's arithmetic; any of these let
-// through would panic the training loop or poison the weights.
+// the frames present when this learner reads frames, observations of the
+// served shape, actions inside the Q row, boundary features of the trainable
+// tail's input length, and every value finite. The CRC vouches for the
+// bytes, not for the peer's arithmetic; any of these let through would panic
+// the training loop or poison the weights.
 func (l *Learner) validate(batch []Experience) error {
 	for i := range batch {
 		e := &batch[i]
+		if !l.wantFeatures && (e.T.State == nil || e.T.Next == nil && !e.T.Done) {
+			return fmt.Errorf("%w: transition without its frames, and this learner trains on frames", errRejected)
+		}
 		for _, obs := range [2]*tensor.Tensor{e.T.State, e.T.Next} {
 			if obs != nil && !slices.Equal(obs.Shape(), l.obsShape) {
 				return fmt.Errorf("%w: observation shape %v, serving %v", errRejected, obs.Shape(), l.obsShape)
@@ -722,6 +728,16 @@ func (l *Learner) validate(batch []Experience) error {
 		for _, f := range [2]*tensor.Tensor{e.T.Feat, e.T.NextFeat} {
 			if f != nil && f.Len() != l.featWidth {
 				return fmt.Errorf("%w: boundary feature of %d values, training boundary takes %d", errRejected, f.Len(), l.featWidth)
+			}
+		}
+		for _, row := range [4]*tensor.Tensor{e.T.State, e.T.Next, e.T.Feat, e.T.NextFeat} {
+			if row == nil {
+				continue
+			}
+			for _, v := range row.Data() {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					return fmt.Errorf("%w: non-finite value %v in a frame or boundary feature", errRejected, v)
+				}
 			}
 		}
 	}

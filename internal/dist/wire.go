@@ -15,10 +15,13 @@
 // training boundary is frozen, so the boundary activation of a camera frame
 // is a constant: the drone that captured the frame runs the frozen prefix on
 // it once — it needs the result to pick its own action anyway — and ships
-// the activation beside the frame. The learner trains the FC tail on what
-// arrives and never evaluates the prefix at all (rl.Agent.TrainStep's fully
-// cached path), bit-identical to recomputing it from the frames, which is
-// what it still does for any transition that arrives without features.
+// the activation instead of the frame, an eighth of the bytes at L3. The
+// learner trains the FC tail on what arrives and never evaluates the prefix
+// at all (rl.Agent.TrainStep's fully cached path), bit-identical to
+// recomputing it from the frames, which is what it still does for any
+// transition that arrives with frames instead. The learner says in its
+// welcome whether it trains on features; one whose train backend stacks
+// frames (quant-train) is sent frames.
 //
 // Failure is the design center, not an afterthought:
 //
@@ -29,8 +32,9 @@
 //     half-restored policy.
 //   - Validation. The CRC vouches for the bytes, not for the peer. The
 //     learner checks every decoded transition against the served network —
-//     observation shape, action range, finite reward, boundary-feature
-//     length — before it enters a shard; a violation drops the session
+//     observation shape, action range, boundary-feature length, every value
+//     finite, and the frames present when this learner reads frames —
+//     before it enters a shard; a violation drops the session
 //     (ErrFrameCorrupt, counted in LearnerStats.DropReasons) instead of
 //     panicking the training loop or poisoning the weights.
 //   - Feature provenance. A feature is only worth shipping if the learner's
@@ -74,7 +78,8 @@ const (
 	// architecture name and the actor's previously assigned ID (0 = new).
 	frameHello byte = 1 + iota
 	// frameWelcome answers a hello (learner → actor): assigned actor ID,
-	// the learner's global env-step count and the exploration schedule.
+	// the learner's global env-step count, the exploration schedule, the
+	// training topology and whether the learner trains on boundary features.
 	frameWelcome
 	// frameSnapshot carries a policy (learner → actor): a full-weight
 	// snapshot right after welcome, trainable-region snapshots on every
@@ -96,10 +101,12 @@ const (
 
 // protoVersion is the wire-protocol revision: 2 added boundary features to
 // the transition batch and the learner's run-complete bye, 3 replaced the
-// gob snapshot payload with the nn weight image. Hellos carrying
-// any other value are rejected at handshake so incompatible builds fail
-// loudly instead of mis-framing each other's streams.
-const protoVersion = 3
+// gob snapshot payload with the nn weight image, 4 sends a row's boundary
+// features instead of its frames when the learner's welcome asks for them
+// and replaced the gob hello and welcome with fixed little-endian layouts.
+// Hellos carrying any other value are rejected at handshake so incompatible
+// builds fail loudly instead of mis-framing each other's streams.
+const protoVersion = 4
 
 // maxFrame bounds a single frame. The largest legitimate frame is a full
 // E2E policy snapshot (~tens of MB for the paper's network); 256 MB leaves

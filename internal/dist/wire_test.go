@@ -167,9 +167,19 @@ func TestExperienceCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s: decoded %d transitions, want %d", name, len(got), len(batch))
 			}
 			for i, e := range got {
+				// A boundary feature travels instead of its frame; without
+				// features only the frames go out.
 				want := batch[i]
-				if !features {
+				switch {
+				case !features:
 					want.T.Feat, want.T.NextFeat = nil, nil
+				default:
+					if want.T.Feat != nil {
+						want.T.State = nil
+					}
+					if want.T.NextFeat != nil {
+						want.T.Next = nil
+					}
 				}
 				if e.T.Action != want.T.Action || e.T.Reward != want.T.Reward ||
 					e.T.Done != want.T.Done || e.Dist != want.Dist {
@@ -214,12 +224,16 @@ func TestExperienceCodecRejectsDamage(t *testing.T) {
 		}
 	}
 
-	// The header of these payloads is count(2) ndims(1) dims(3*4) width(4);
-	// the first transition's flags byte follows.
-	const widthAt, flagsAt = 2 + 1 + 3*4, 2 + 1 + 3*4 + 4
+	// The header of this payload is count(2) ndims(1) width(4): its one row
+	// travels as features only, so no dims follow ndims 0. The row's flags
+	// byte comes next.
+	const widthAt, flagsAt = 2 + 1, 2 + 1 + 4
 	featured, err := appendExperience(nil, codecBatches()["features"][:1], true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if featured[2] != 0 || featured[flagsAt] != expFlagHasFeat|expFlagHasNextFeat {
+		t.Fatalf("featured row: ndims %d, flags %#x; want a frameless row", featured[2], featured[flagsAt])
 	}
 	damage := map[string]func(p []byte){
 		// A feature flag under width 0 promises a row of nothing.
@@ -232,6 +246,10 @@ func TestExperienceCodecRejectsDamage(t *testing.T) {
 		"unknown flag bit":  func(p []byte) { p[flagsAt] |= 0x80 },
 		// Dropping a feature flag orphans its row.
 		"feature row without its flag": func(p []byte) { p[flagsAt] &^= expFlagHasNextFeat },
+		// Without has-feat the state is a frame, and the shape is empty.
+		"frame under an empty shape": func(p []byte) { p[flagsAt] &^= expFlagHasFeat },
+		// The next state travels one way, never both.
+		"next state as frame and feature": func(p []byte) { p[flagsAt] |= expFlagHasNext },
 	}
 	for name, hurt := range damage {
 		p := append([]byte(nil), featured...)
@@ -241,10 +259,13 @@ func TestExperienceCodecRejectsDamage(t *testing.T) {
 		}
 	}
 
-	// What must not encode: a live transition without a next state, feature
-	// rows of two widths in one batch.
+	// What must not encode: a live transition without a next state, one
+	// without a state, feature rows of two widths in one batch.
 	if _, err := appendExperience(nil, []Experience{{T: rl.Transition{State: obsTensor(8)}}}, true); err == nil {
 		t.Error("encoded live transition with nil Next")
+	}
+	if _, err := appendExperience(nil, []Experience{{T: rl.Transition{Next: obsTensor(8), NextFeat: featTensor(8, 6)}}}, true); err == nil {
+		t.Error("encoded a transition with neither a state nor its feature")
 	}
 	twoWidths := codecBatches()["features"]
 	twoWidths[1].T.Feat = featTensor(30, 5)
@@ -256,10 +277,11 @@ func TestExperienceCodecRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestTransitionsFrameGoldenBytes pins one whole v2 transitions frame, from
-// length prefix to CRC, and that the in-place builder the actor flushes
-// through emits the same bytes writeFrame does for the same payload — the
-// encoder changed how the frame is assembled, not what is on the wire.
+// TestTransitionsFrameGoldenBytes pins one whole revision-4 transitions
+// frame with boundary features, from length prefix to CRC — the features
+// travel instead of the frames, so the shape is empty — and that the
+// in-place builder the actor flushes through emits the same bytes
+// writeFrame does for the same payload.
 func TestTransitionsFrameGoldenBytes(t *testing.T) {
 	batch := []Experience{{
 		T: rl.Transition{
@@ -269,12 +291,11 @@ func TestTransitionsFrameGoldenBytes(t *testing.T) {
 		},
 		Dist: 2,
 	}}
-	const golden = "00000043" + "04" + // length, frameTransitions
-		"0100" + "03" + "01000000" + "01000000" + "02000000" + "01000000" + // count, ndims, 1x1x2, width 1
-		"0e" + "0300" + "000000000000e03f" + "0000000000000040" + // has-next|feat|next-feat, action 3, 0.5, 2.0
-		"0000803f" + "000000c0" + "0000803e" + "00008040" + // state, next
+	const golden = "00000027" + "04" + // length, frameTransitions
+		"0100" + "00" + "01000000" + // count, ndims 0 (no frame travels), width 1
+		"0c" + "0300" + "000000000000e03f" + "0000000000000040" + // has-feat|next-feat, action 3, 0.5, 2.0
 		"00000041" + "000000bf" + // feat, next-feat
-		"8778a00e" // CRC-32 (IEEE) of type + payload, checked against zlib
+		"ac9c8725" // CRC-32 (IEEE) of type + payload, checked against zlib
 	frame, err := appendExperience(beginFrame(nil, frameTransitions), batch, true)
 	if err != nil {
 		t.Fatal(err)
@@ -299,6 +320,83 @@ func TestTransitionsFrameGoldenBytes(t *testing.T) {
 	typ, back, err := readFrame(bytes.NewReader(frame))
 	if err != nil || typ != frameTransitions || !bytes.Equal(back, payload) {
 		t.Fatalf("readFrame of the golden frame: type %d, err %v", typ, err)
+	}
+}
+
+// TestTransitionsFrameGoldenBytesFrameOnly pins a frame-only transitions
+// frame: features withheld (an E2E learner, or the span between a reconnect
+// and its snapshot's adoption), the state and next-state frames travel and
+// the width word is 0. These bytes are the revision-3 encoding of the row,
+// which every later revision keeps.
+func TestTransitionsFrameGoldenBytesFrameOnly(t *testing.T) {
+	batch := []Experience{{
+		T: rl.Transition{
+			State: tensor.FromSlice([]float32{1, -2}, 1, 1, 2), Action: 3, Reward: 0.5,
+			Next: tensor.FromSlice([]float32{0.25, 4}, 1, 1, 2),
+			Feat: tensor.FromSlice([]float32{8}, 1), NextFeat: tensor.FromSlice([]float32{-0.5}, 1),
+		},
+		Dist: 2,
+	}}
+	const golden = "0000003b" + "04" + // length, frameTransitions
+		"0100" + "03" + "01000000" + "01000000" + "02000000" + "00000000" + // count, ndims, 1x1x2, width 0
+		"02" + "0300" + "000000000000e03f" + "0000000000000040" + // has-next, action 3, 0.5, 2.0
+		"0000803f" + "000000c0" + "0000803e" + "00008040" + // state, next
+		"3ec30fb3" // CRC-32 (IEEE) of type + payload, checked against zlib
+	frame, err := appendExperience(beginFrame(nil, frameTransitions), batch, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame, err = endFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(frame); got != golden {
+		t.Fatalf("frame bytes\n got %s\nwant %s", got, golden)
+	}
+}
+
+// TestWireBytesPerTransition sizes one L3 NavNet transition on the wire.
+// With boundary features it is the fixed fields and two feature rows, and
+// at most 1 100 bytes; revision 3 sent the same transition as its two
+// frames plus the two feature rows, over eight times as many bytes. A
+// frame-only row is the fixed fields and the two frames.
+func TestWireBytesPerTransition(t *testing.T) {
+	spec := nn.NavNetSpec()
+	net := spec.Build()
+	net.SetConfig(nn.L3)
+	width := net.Layers[net.TrainFrom()].(*nn.Dense).In
+	frame := func() *tensor.Tensor { return tensor.New(spec.InputC, spec.InputH, spec.InputW) }
+	e := Experience{T: rl.Transition{
+		State: frame(), Next: frame(), Action: 1, Reward: 0.5,
+		Feat: featTensor(1, width), NextFeat: featTensor(2, width),
+	}, Dist: 1}
+	// encoded returns the payload of one transition and what each further
+	// one adds to a batch: the row alone, without the batch header.
+	encoded := func(features bool) (single, row int) {
+		one, err := appendExperience(nil, []Experience{e}, features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		two, err := appendExperience(nil, []Experience{e, e}, features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(one), len(two) - len(one)
+	}
+	single, featured := encoded(true)
+	_, frames := encoded(false)
+	n := e.T.State.Len()
+	revision3 := frames + 2*4*width
+	t.Logf("L3 NavNet transition: %d bytes with features (%d as a one-row batch), %d with frames only, %d in revision 3",
+		featured, single, frames, revision3)
+	if featured != expFixedLen+2*4*width || frames != expFixedLen+2*4*n {
+		t.Fatalf("rows of %d and %d bytes, want %d with features and %d with frames",
+			featured, frames, expFixedLen+2*4*width, expFixedLen+2*4*n)
+	}
+	if single > 1100 || featured > 1100 {
+		t.Errorf("a featured transition takes %d bytes (%d as a batch of one), want at most 1100", featured, single)
+	}
+	if 8*featured > revision3 {
+		t.Errorf("a featured transition takes %d bytes, over an eighth of revision 3's %d", featured, revision3)
 	}
 }
 
