@@ -22,6 +22,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,6 +31,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,17 +47,48 @@ type actReply struct {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "dronerl-serve address")
-	n := flag.Int("n", 200, "total requests")
-	c := flag.Int("c", 8, "concurrent clients")
-	reload := flag.Bool("reload", false, "hot-reload a fresh policy after n/2 responses")
-	chaos := flag.Bool("chaos", false, "abort raw connections mid-request alongside the burst")
-	seed := flag.Int64("seed", 1, "observation and reload-policy seed")
-	flag.Parse()
-	if *n < 1 || *c < 1 {
-		fmt.Fprintln(os.Stderr, "serveload: -n and -c must be at least 1")
-		os.Exit(2)
+	// Ctrl-C abandons the requests in flight instead of killing the process
+	// mid-report.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// syncWriter serializes the writes of the burst's goroutines.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
+// run is the whole command: it fires the burst, prints the report to stdout
+// and returns the exit status — 2 with usage on stderr for a bad flag or
+// argument, 1 if any request is lost or malformed, the reload does not take
+// effect or the daemon is unhealthy after chaos.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("serveload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8080", "dronerl-serve address")
+	n := fs.Int("n", 200, "total requests")
+	c := fs.Int("c", 8, "concurrent clients")
+	reload := fs.Bool("reload", false, "hot-reload a fresh policy after n/2 responses")
+	chaos := fs.Bool("chaos", false, "abort raw connections mid-request alongside the burst")
+	seed := fs.Int64("seed", 1, "observation and reload-policy seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	if *n < 1 || *c < 1 || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "serveload: -n and -c must be at least 1, and no arguments follow the flags")
+		fs.Usage()
+		return 2
+	}
+	stdout, stderr = &syncWriter{w: stdout}, &syncWriter{w: stderr}
 
 	base := "http://" + *addr
 	// One keep-alive connection per client plus the reloader's:
@@ -63,6 +96,9 @@ func main() {
 	// redial on almost every request at -c 8, timing connect(2) instead of
 	// the daemon.
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *c + 1}}
+	// Hang up when done: a connection the transport dialed but never used
+	// would otherwise hold a draining daemon for its new-connection grace.
+	defer client.CloseIdleConnections()
 	spec := nn.NavNetSpec()
 	obsLen := spec.InputC * spec.InputH * spec.InputW
 
@@ -91,26 +127,32 @@ func main() {
 	}
 
 	// The mid-burst reloader: waits for half the responses, then publishes
-	// a fresh policy and records the version the daemon assigned.
+	// a fresh policy and records the version the daemon assigned. A burst
+	// that ends first leaves the reload undone, reported below.
 	var reloadWG sync.WaitGroup
+	burstOver := make(chan struct{})
 	if *reload {
 		reloadWG.Add(1)
 		go func() {
 			defer reloadWG.Done()
 			for done.Load() < int64(*n)/2 {
-				time.Sleep(time.Millisecond)
+				select {
+				case <-burstOver:
+					return
+				case <-time.After(time.Millisecond):
+				}
 			}
 			net := spec.Build()
 			net.Init(rand.New(rand.NewSource(*seed + 1000)))
 			var buf bytes.Buffer
 			if err := nn.TakeSnapshot(net, spec.Name).Encode(&buf); err != nil {
-				fmt.Fprintln(os.Stderr, "serveload: encoding reload snapshot:", err)
+				fmt.Fprintln(stderr, "serveload: encoding reload snapshot:", err)
 				failed.Add(1)
 				return
 			}
-			resp, err := client.Post(base+"/v1/policy", "application/octet-stream", &buf)
+			resp, err := post(ctx, client, base+"/v1/policy", "application/octet-stream", &buf)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "serveload: reload POST:", err)
+				fmt.Fprintln(stderr, "serveload: reload POST:", err)
 				failed.Add(1)
 				return
 			}
@@ -121,12 +163,12 @@ func main() {
 			err = json.NewDecoder(resp.Body).Decode(&rv)
 			io.Copy(io.Discard, resp.Body) // drained, the connection goes back to the pool
 			if err != nil || resp.StatusCode != http.StatusOK {
-				fmt.Fprintf(os.Stderr, "serveload: reload rejected: status %d err %v\n", resp.StatusCode, err)
+				fmt.Fprintf(stderr, "serveload: reload rejected: status %d err %v\n", resp.StatusCode, err)
 				failed.Add(1)
 				return
 			}
 			reloadedV.Store(rv.PolicyVersion)
-			fmt.Printf("serveload: mid-burst reload published policy version %d\n", rv.PolicyVersion)
+			fmt.Fprintf(stdout, "serveload: mid-burst reload published policy version %d\n", rv.PolicyVersion)
 		}()
 	}
 
@@ -143,8 +185,8 @@ func main() {
 	if *chaos {
 		body, err := json.Marshal(map[string]any{"obs": streams[0][0]})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "serveload:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "serveload:", err)
+			return 1
 		}
 		full := fmt.Sprintf("POST /v1/act HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
 			*addr, len(body), body)
@@ -184,8 +226,8 @@ func main() {
 		go func(stream [][]float32) {
 			defer wg.Done()
 			for _, obs := range stream {
-				if err := fire(client, base, obs, &retries); err != nil {
-					fmt.Fprintln(os.Stderr, "serveload:", err)
+				if err := fire(ctx, client, base, obs, &retries); err != nil {
+					fmt.Fprintln(stderr, "serveload:", err)
 					failed.Add(1)
 					continue
 				}
@@ -194,51 +236,71 @@ func main() {
 		}(streams[i])
 	}
 	wg.Wait()
+	close(burstOver)
 	close(sabStop)
 	sabWG.Wait()
 	reloadWG.Wait()
 	elapsed := time.Since(start)
 
 	ok := done.Load()
-	fmt.Printf("serveload: %d/%d ok, %d retried-429, %d failed in %v (%.0f req/s)\n",
+	fmt.Fprintf(stdout, "serveload: %d/%d ok, %d retried-429, %d failed in %v (%.0f req/s)\n",
 		ok, *n, retries.Load(), failed.Load(), elapsed.Round(time.Millisecond),
 		float64(ok)/elapsed.Seconds())
 
 	// Attribute the burst to a kernel: the gate log should show whether the
 	// coalesced batches actually hit the backend's batched entry or fell
 	// back to per-sample execution.
-	if err := printBatchSource(base); err != nil {
-		fmt.Fprintln(os.Stderr, "serveload:", err)
+	if err := printBatchSource(ctx, client, base, stdout); err != nil {
+		fmt.Fprintln(stderr, "serveload:", err)
 		failed.Add(1)
 	}
 
 	if *reload {
 		v := reloadedV.Load()
 		if v < 2 {
-			fmt.Fprintln(os.Stderr, "serveload: reload never took effect")
+			fmt.Fprintln(stderr, "serveload: reload never took effect")
 			failed.Add(1)
-		} else if err := assertVersion(base, v); err != nil {
-			fmt.Fprintln(os.Stderr, "serveload:", err)
+		} else if err := assertVersion(ctx, client, base, v); err != nil {
+			fmt.Fprintln(stderr, "serveload:", err)
 			failed.Add(1)
 		}
 	}
 	if *chaos {
-		fmt.Printf("serveload: chaos aborted %d connections mid-request\n", sabotaged.Load())
-		if err := assertHealthy(base); err != nil {
-			fmt.Fprintln(os.Stderr, "serveload:", err)
+		fmt.Fprintf(stdout, "serveload: chaos aborted %d connections mid-request\n", sabotaged.Load())
+		if err := assertHealthy(ctx, client, base); err != nil {
+			fmt.Fprintln(stderr, "serveload:", err)
 			failed.Add(1)
 		}
 	}
 	if failed.Load() > 0 || ok != int64(*n) {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// get and post are http.Client's Get and Post under ctx.
+func get(ctx context.Context, client *http.Client, url string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	return client.Do(req)
+}
+
+func post(ctx context.Context, client *http.Client, url, contentType string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	return client.Do(req)
 }
 
 // printBatchSource reads /statsz and reports which kernel served the burst's
 // batches — e.g. "quant/InferBatch" with the counts of batches that ran the
 // batched kernel versus the per-sample fallback, and the size histogram.
-func printBatchSource(base string) error {
-	resp, err := http.Get(base + "/statsz")
+func printBatchSource(ctx context.Context, client *http.Client, base string, stdout io.Writer) error {
+	resp, err := get(ctx, client, base+"/statsz")
 	if err != nil {
 		return fmt.Errorf("statsz after burst: %w", err)
 	}
@@ -254,15 +316,15 @@ func printBatchSource(base string) error {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("statsz after burst: status %d err %v", resp.StatusCode, err)
 	}
-	fmt.Printf("serveload: batches served by %s: %d batched-kernel, %d per-sample (mean batch %.2f, hist %v)\n",
+	fmt.Fprintf(stdout, "serveload: batches served by %s: %d batched-kernel, %d per-sample (mean batch %.2f, hist %v)\n",
 		st.BatchSource, st.BatchedBatches, st.SerialBatches, st.MeanBatch, st.BatchHist)
 	return nil
 }
 
 // assertHealthy checks the daemon still answers /healthz — the post-chaos
 // "is anybody home" probe.
-func assertHealthy(base string) error {
-	resp, err := http.Get(base + "/healthz")
+func assertHealthy(ctx context.Context, client *http.Client, base string) error {
+	resp, err := get(ctx, client, base+"/healthz")
 	if err != nil {
 		return fmt.Errorf("healthz after chaos: %w", err)
 	}
@@ -275,14 +337,14 @@ func assertHealthy(base string) error {
 
 // fire sends one act request, retrying bounded times on 429 backpressure.
 // Every reply is read to its end before Close, so the connection is reused.
-func fire(client *http.Client, base string, obs []float32, retries *atomic.Int64) error {
+func fire(ctx context.Context, client *http.Client, base string, obs []float32, retries *atomic.Int64) error {
 	body, err := json.Marshal(map[string]any{"obs": obs})
 	if err != nil {
 		return err
 	}
 	backoff := time.Millisecond
 	for attempt := 0; attempt < 50; attempt++ {
-		resp, err := client.Post(base+"/v1/act", "application/json", bytes.NewReader(body))
+		resp, err := post(ctx, client, base+"/v1/act", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
@@ -314,8 +376,8 @@ func fire(client *http.Client, base string, obs []float32, retries *atomic.Int64
 
 // assertVersion checks the daemon reports (at least) the expected policy
 // version and that a fresh request is answered under it.
-func assertVersion(base string, want uint64) error {
-	resp, err := http.Get(base + "/v1/policy")
+func assertVersion(ctx context.Context, client *http.Client, base string, want uint64) error {
+	resp, err := get(ctx, client, base+"/v1/policy")
 	if err != nil {
 		return err
 	}

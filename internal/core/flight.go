@@ -463,7 +463,7 @@ func evaluateSFD(w *env.World, agent *rl.Agent, scale FlightScale, envIdx int) (
 		w.Seed(scale.Seed + int64(1000*(e+1)+envIdx))
 		w.Spawn()
 		tr := rl.Evaluate(w, agent, steps)
-		dist += float64(tr.Steps()) * w.DFrame
+		dist += float64(float64(tr.Steps()) * w.DFrame)
 		crashes += tr.Crashes()
 	}
 	return dist / float64(crashes+1), crashes

@@ -207,11 +207,11 @@ func (b *SystolicBackend) charge(bsz int) {
 	pj += b.ledger.Record(b.sramDev, mem.Read, int64(bsz)*b.sramReadBits).PJ
 	pj += b.ledger.Record(b.sramDev, mem.Write, int64(bsz)*b.sramWriteBits).PJ
 	pj += b.ledger.Record(b.dramDev, mem.Read, int64(bsz)*b.frameBits).PJ
-	b.computeMJ += float64(bsz) * b.inferComputeMJ
+	b.computeMJ += float64(float64(bsz) * b.inferComputeMJ)
 	b.cost.Inferences += int64(bsz)
 	b.cost.LatencyMS += b.batchLatencyMS(bsz)
 	b.cost.Cycles += b.inferCycles + int64(bsz-1)*(b.inferCycles-b.fillDrainCycles)
-	b.cost.EnergyMJ += float64(bsz)*b.inferComputeMJ + pj/1e9
+	b.cost.EnergyMJ += float64(float64(bsz)*b.inferComputeMJ) + pj/1e9
 }
 
 // batchLatencyMS is the modeled wall time of a pipelined batch: the first
@@ -223,7 +223,7 @@ func (b *SystolicBackend) batchLatencyMS(bsz int) float64 {
 	if marginalMS < 0 {
 		marginalMS = 0
 	}
-	return b.inferLatencyMS + float64(bsz-1)*marginalMS
+	return b.inferLatencyMS + float64(float64(bsz-1)*marginalMS)
 }
 
 // ChargeTrainStep charges one backward propagation (the Fig. 12(b) event)

@@ -75,7 +75,7 @@ func NewModelFor(arch nn.ArchSpec) *Model {
 
 // PowerMW returns modeled power at the given active-PE count.
 func (m *Model) PowerMW(activePEs int) float64 {
-	return m.PbaseMW + m.PpeMW*float64(activePEs)
+	return m.PbaseMW + float64(m.PpeMW*float64(activePEs))
 }
 
 // LayerCost is one row of a Fig. 12-style table.
@@ -153,7 +153,7 @@ func (m *Model) ConvForwardCost(i int) LayerCost {
 		lat = compute
 	}
 	// Output writeback over the 4096-bit GB port.
-	lat += float64(tr.OutputWords*m.wordBits()) / float64(m.Array.GBBroadcastBits) * 1e-6
+	lat += float64(float64(tr.OutputWords*m.wordBits()) / float64(m.Array.GBBroadcastBits) * 1e-6)
 	power := m.PowerMW(plan.ActivePEs)
 	energy := power * lat / 1e3 // mW x ms = uJ -> mJ
 	// Weight reads from the stack (first fill) at Table 1 read energy.
@@ -170,7 +170,7 @@ func (m *Model) FCForwardCost(i int) LayerCost {
 	f := m.Arch.FCs[i]
 	words := int64(f.Weights())
 	lat := m.streamMS(words, mem.Read)
-	lat += float64(int64(f.In)*m.wordBits()) / float64(m.Array.GBBroadcastBits) * 1e-6
+	lat += float64(float64(int64(f.In)*m.wordBits()) / float64(m.Array.GBBroadcastBits) * 1e-6)
 	active := systolic.FCActivePEs(m.Array, f.Out)
 	power := m.PowerMW(active)
 	energy := power*lat/1e3 + m.MRAM.EnergyPJ(mem.Read, words*m.wordBits())/1e9

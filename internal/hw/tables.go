@@ -46,8 +46,8 @@ func TableTotals(rows []LayerCost) LayerCost {
 	for _, r := range rows {
 		t.LatencyMS += r.LatencyMS
 		t.EnergyMJ += r.EnergyMJ
-		peWeighted += float64(r.ActivePEs) * r.LatencyMS
-		powerWeighted += r.PowerMW * r.LatencyMS
+		peWeighted += float64(float64(r.ActivePEs) * r.LatencyMS)
+		powerWeighted += float64(r.PowerMW * r.LatencyMS)
 		t.NVMWrite = t.NVMWrite || r.NVMWrite
 	}
 	if t.LatencyMS > 0 {

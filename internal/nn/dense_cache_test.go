@@ -35,7 +35,7 @@ func assertMatchesFreshNetwork(t *testing.T, spec ArchSpec, net *Network) {
 // cached transpose of its weights, so every writer of Param.W must call
 // MarkChanged. Each case warms the cache on both forward paths, runs one
 // writer, and compares against a network that never had a cache. (The
-// writer outside this package, qnn.TrainNetwork.WriteBack, has the same test
+// writer outside this package, qnn.Network.WriteBack, has the same test
 // beside it.)
 func TestEveryWeightMutatorInvalidatesDenseCache(t *testing.T) {
 	spec := tinyAlexSpec()

@@ -1,19 +1,20 @@
 package qnn
 
 import (
-	"dronerl/internal/fixed"
+	"fmt"
+
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
 )
 
-// Backend is the nn.Backend over the integer inference engine: the float
-// network is Compiled once into 16-bit fixed-point layers, and every Infer
-// runs entirely in the accelerator's integer arithmetic (a lone frame is the
-// batch of one of InferBatch's kernels). The Q-values it
-// returns are the dequantized output words, so the greedy argmax is exactly
-// the decision the deployed PE datapath would take — including the
-// near-tie flips the 16-bit quantization introduces.
+// Backend is the nn.Backend over the int16 engine with nothing trainable:
+// the float network is Compiled once, and every Infer runs the walk the
+// quant-train backend trains through, entirely in the accelerator's integer
+// arithmetic (a lone frame is the batch of one of InferBatch's kernels). The
+// Q-values it returns are the dequantized output words, so the greedy argmax
+// is exactly the decision the deployed PE datapath would take — including
+// the near-tie flips the 16-bit quantization introduces.
 //
 // Cost model: the quantized network is the artifact stored in the STT-MRAM
 // stack, so each inference is charged one full weight stream from the stack
@@ -26,10 +27,9 @@ type Backend struct {
 	cost   nn.BackendCost
 	// weightBits is the read traffic of one inference.
 	weightBits int64
-	out        []float32
 }
 
-// NewBackend compiles a trained float network into the integer engine with
+// NewBackend compiles a trained float network into the int16 engine with
 // the default formats (Q2.13 weights, Q7.8 activations).
 func NewBackend(src *nn.Network) (*Backend, error) {
 	qnet, err := Compile(src, Options{})
@@ -47,13 +47,11 @@ func NewBackend(src *nn.Network) (*Backend, error) {
 // Name implements nn.Backend.
 func (b *Backend) Name() string { return "quant" }
 
-// Infer implements nn.Backend: quantize the observation, run the integer
-// pipeline as a batch of one, dequantize the Q-value words. The returned
-// slice is reused by the next call; a lone frame allocates nothing in steady
-// state.
+// Infer implements nn.Backend: quantize the observation, run the walk as a
+// batch of one, dequantize the Q-value words. The returned slice is reused
+// by the next call; a lone frame allocates nothing in steady state.
 func (b *Backend) Infer(obs *tensor.Tensor) []float32 {
-	words, outFmt := b.net.forwardOne(obs)
-	return b.finish(words, outFmt, 1)
+	return b.charge(b.net.forward(obs.Data(), 1, obsShape(obs)), 1)
 }
 
 // InferBatch implements nn.BatchInferrer: one integer pass — one kernel call
@@ -67,25 +65,21 @@ func (b *Backend) Infer(obs *tensor.Tensor) []float32 {
 // the amortized weight-reuse regime — and the per-request modeled energy and
 // weight-stream latency fall as 1/B.
 func (b *Backend) InferBatch(batch *tensor.Tensor) []float32 {
-	words, outFmt := b.net.ForwardBatch(batch)
-	return b.finish(words, outFmt, batch.Dim(0))
+	sh := batch.Shape()
+	if len(sh) != 4 {
+		panic(fmt.Sprintf("qnn: InferBatch expects a (B, C, H, W) batch, got %v", sh))
+	}
+	return b.charge(b.net.forward(batch.Data(), sh[0], [3]int{sh[1], sh[2], sh[3]}), sh[0])
 }
 
-// finish is the tail Infer and InferBatch share: dequantize the pass's words
-// and charge it — one weight stream, rows inferences.
-func (b *Backend) finish(words fixed.Vec, outFmt fixed.Format, rows int) []float32 {
-	if cap(b.out) < len(words) {
-		b.out = make([]float32, len(words))
-	}
-	b.out = b.out[:len(words)]
-	for i, w := range words {
-		b.out[i] = float32(outFmt.ToFloat(w))
-	}
+// charge is the tail Infer and InferBatch share: one weight stream for the
+// pass, rows inferences.
+func (b *Backend) charge(q []float32, rows int) []float32 {
 	rec := b.ledger.Record(b.mram, mem.Read, b.weightBits)
 	b.cost.Inferences += int64(rows)
 	b.cost.EnergyMJ += rec.PJ / 1e9
 	b.cost.LatencyMS += rec.TimeNS / 1e6
-	return b.out
+	return q
 }
 
 // Cost implements nn.CostReporter.

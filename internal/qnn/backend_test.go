@@ -2,8 +2,10 @@ package qnn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"dronerl/internal/env"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
 )
@@ -36,7 +38,7 @@ func TestQuantBackendMatchesIntegerEngine(t *testing.T) {
 				got = i
 			}
 		}
-		if want := ref.Greedy(obs); got != want {
+		if want := greedy(ref, obs); got != want {
 			t.Errorf("trial %d: backend greedy %d, integer engine %d", trial, got, want)
 		}
 	}
@@ -70,5 +72,64 @@ func TestQuantBackendRegistered(t *testing.T) {
 	}
 	if _, ok := b.(nn.CostReporter); !ok {
 		t.Error("quant backend must report costs")
+	}
+}
+
+// sameWords requires qb and tb to answer every frame with the same Q-value
+// bits — the same output words, since dequantization is exact and
+// injective — and returns tb's answers.
+func sameWords(t *testing.T, state string, qb *Backend, tb *TrainBackend, frames []*tensor.Tensor) [][]float32 {
+	t.Helper()
+	var out [][]float32
+	for i, f := range frames {
+		want := slices.Clone(tb.Infer(f))
+		if got := qb.Infer(f); !slices.Equal(got, want) {
+			t.Fatalf("%s: frame %d: quant answers %v, quant-train %v", state, i, got, want)
+		}
+		out = append(out, want)
+	}
+	return out
+}
+
+// TestServeAnswersWhatTheDroneTrainsOn holds the one-engine claim: compiled
+// from one meta-trained NavNet, the quant backend (what the daemon serves)
+// and the quant-train backend (what the drone trains) answer every catalog
+// scenario's frames in identical Q words, at L3 and at E2E — as compiled,
+// and again after Train steps have rewritten the trainable words, once the
+// written-back float net is compiled afresh into quant, as a policy publish
+// does. (internal/serve carries the third state: that snapshot reloaded into
+// a running quant daemon.)
+func TestServeAnswersWhatTheDroneTrainsOn(t *testing.T) {
+	var frames []*tensor.Tensor
+	for si, name := range env.ScenarioNames() {
+		frames = append(frames, scenarioObs(t, name, 6, int64(500+si))...)
+	}
+	pool := goldenMeta(t).pool
+	for _, cfg := range []nn.Config{nn.L3, nn.E2E} {
+		t.Run(cfg.String(), func(t *testing.T) {
+			net := metaTrainedNavNet()()
+			net.SetConfig(cfg)
+			tb, err := NewTrainBackend(net, TrainOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			qb, err := NewBackend(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := sameWords(t, "as compiled", qb, tb, frames)
+
+			rng := rand.New(rand.NewSource(82))
+			for step := 0; step < 6; step++ {
+				tb.Train(goldenBatchAt(rng, pool)) // writes back into net
+			}
+			if qb, err = NewBackend(net); err != nil {
+				t.Fatal(err)
+			}
+			after := sameWords(t, "after Train and write-back", qb, tb, frames)
+			if slices.EqualFunc(before, after, slices.Equal) {
+				t.Fatal("six Train steps moved no Q word: the second state proves nothing")
+			}
+		})
 	}
 }

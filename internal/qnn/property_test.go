@@ -41,13 +41,13 @@ func TestDenseQuantizationErrorBound(t *testing.T) {
 			x.Data()[i] = r.Float32() // activations in [0,1]
 		}
 		ref := net.Forward(x.Clone())
-		words, f := q.Forward(x)
+		qs := q.Forward(x.Data(), [3]int{in, 1, 1})
 		// Analytic bound.
 		epsW := opts.WeightFmt.Eps()
 		epsX := opts.ActFmt.Eps()
-		bound := float64(in)*(1.0*epsW+2.5*epsX+epsW*epsX) + f.Eps()
-		for j := range words {
-			diff := math.Abs(f.ToFloat(words[j]) - float64(ref.At(j)))
+		bound := float64(in)*(1.0*epsW+2.5*epsX+epsW*epsX) + epsX
+		for j, v := range qs {
+			diff := math.Abs(float64(v) - float64(ref.At(j)))
 			if diff > bound {
 				t.Logf("in=%d out=%d diff=%v bound=%v", in, out, diff, bound)
 				return false
@@ -84,9 +84,9 @@ func TestIntegerOutputsAlwaysInRange(t *testing.T) {
 		for i := range x.Data() {
 			x.Data()[i] = rng.Float32() * 4 // out-of-normal-range inputs
 		}
-		words, f := q.Forward(x)
-		for _, w := range words {
-			v := f.ToFloat(w)
+		f := q.InFmt
+		for _, qv := range q.Forward(x.Data(), [3]int{1, nn.NavNetInput, nn.NavNetInput}) {
+			v := float64(qv)
 			if v > f.Max() || v < f.Min() || math.IsNaN(v) {
 				t.Fatalf("decoded Q-value %v escapes the format range", v)
 			}

@@ -20,6 +20,19 @@ func trainedNavNet(seed int64) *nn.Network {
 	return n
 }
 
+// greedy is the argmax action of q's integer Q-values for one CHW frame.
+func greedy(q *Network, x *tensor.Tensor) int {
+	sh := x.Shape()
+	vs := q.Forward(x.Data(), [3]int{sh[0], sh[1], sh[2]})
+	best := 0
+	for i, v := range vs {
+		if v > vs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
 func depthImage(seed int64) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	x := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
@@ -59,12 +72,12 @@ func TestIntegerForwardMatchesFloat(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		x := depthImage(100 + seed)
 		ref := net.Forward(x.Clone())
-		words, fmtOut := q.Forward(x)
-		if len(words) != ref.Len() {
-			t.Fatalf("q output %d values, float %d", len(words), ref.Len())
+		qs := q.Forward(x.Data(), [3]int{1, nn.NavNetInput, nn.NavNetInput})
+		if len(qs) != ref.Len() {
+			t.Fatalf("q output %d values, float %d", len(qs), ref.Len())
 		}
-		for i := range words {
-			got := fmtOut.ToFloat(words[i])
+		for i, v := range qs {
+			got := float64(v)
 			want := float64(ref.At(i))
 			if math.Abs(got-want) > 0.08 {
 				t.Errorf("seed %d Q[%d]: integer %.4f vs float %.4f", seed, i, got, want)
@@ -85,7 +98,7 @@ func TestIntegerGreedyAgreement(t *testing.T) {
 	agree, total := 0, 60
 	for seed := int64(0); seed < int64(total); seed++ {
 		x := depthImage(200 + seed)
-		if q.Greedy(x) == net.Forward(x.Clone()).ArgMax() {
+		if greedy(q, x) == net.Forward(x.Clone()).ArgMax() {
 			agree++
 		}
 	}
@@ -101,12 +114,10 @@ func TestIntegerForwardDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := depthImage(5)
-	a, _ := q.Forward(x)
-	b, _ := q.Forward(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("integer inference must be bit-exact deterministic")
-		}
+	shape := [3]int{1, nn.NavNetInput, nn.NavNetInput}
+	a := slices.Clone(q.Forward(x.Data(), shape))
+	if b := q.Forward(x.Data(), shape); !slices.Equal(a, b) {
+		t.Fatal("integer inference must be bit-exact deterministic")
 	}
 }
 
@@ -134,7 +145,7 @@ func TestEndToEndFlightWithIntegerPolicy(t *testing.T) {
 	agreements, steps := 0, 60
 	for i := 0; i < steps; i++ {
 		obs := env.DepthImage(w.Depths(), w.Camera.MaxRange)
-		qa := q.Greedy(obs)
+		qa := greedy(q, obs)
 		fa := net.Forward(obs.Clone()).ArgMax()
 		if qa == fa {
 			agreements++
@@ -148,12 +159,11 @@ func TestEndToEndFlightWithIntegerPolicy(t *testing.T) {
 
 func TestSaturationOnExtremeWeights(t *testing.T) {
 	// A dense layer with huge weights must saturate, not wrap.
-	d := &Dense{
-		LayerName: "sat", In: 2, Out: 1,
-		W:    fixed.Vec{32767, 32767},
-		B:    fixed.Vec{0},
-		WFmt: fixed.Format{Frac: 13}, InFmt: fixed.Q78, OutFmt: fixed.Q78,
-	}
+	d := &stage{tLayer: &tDense{
+		layerName: "sat", in: 2, out: 1,
+		w: []int16{32767, 32767}, b: []int16{0},
+		aFrac: 8, wFrac: 13,
+	}, fmt: fixed.Q78}
 	in := QTensor{Shape: []int{2}, Data: fixed.Vec{32767, 32767}, Fmt: fixed.Q78}
 	out := d.Forward(in)
 	if out.Data[0] != 32767 {
@@ -162,7 +172,7 @@ func TestSaturationOnExtremeWeights(t *testing.T) {
 }
 
 func TestMaxPoolInteger(t *testing.T) {
-	m := &MaxPool{LayerName: "pool", K: 2, Stride: 2}
+	m := &stage{tLayer: &tPool{layerName: "pool", k: 2, stride: 2}, fmt: fixed.Q78}
 	in := QTensor{
 		Shape: []int{1, 2, 2},
 		Data:  fixed.Vec{1, 5, 3, 2},
@@ -174,16 +184,15 @@ func TestMaxPoolInteger(t *testing.T) {
 	}
 }
 
-// TestMaxPoolRejectsInputSmallerThanWindow: in both integer engines a window
-// wider than its input must panic naming the layer and the input's shape,
-// instead of reading the next channel's words as this one's maximum and then
-// running off the end of the batch.
+// TestMaxPoolRejectsInputSmallerThanWindow: a window wider than its input
+// must panic naming the layer and the input's shape, through a stage's
+// Forward as through the walk, instead of reading the next channel's words as
+// this one's maximum and then running off the end of the batch.
 func TestMaxPoolRejectsInputSmallerThanWindow(t *testing.T) {
 	for name, pool := range map[string]func(){
 		"POOLQ": func() {
-			m := &MaxPool{LayerName: "POOLQ", K: 3, Stride: 2}
-			in := QTensor{Shape: []int{1, 2, 2, 2}, Data: make(fixed.Vec, 8), Fmt: fixed.Q78}
-			m.forwardBatch(in, &batchWorkspace{}, 0)
+			m := &stage{tLayer: &tPool{layerName: "POOLQ", k: 3, stride: 2}, fmt: fixed.Q78}
+			m.Forward(QTensor{Shape: []int{2, 2, 2}, Data: make(fixed.Vec, 8), Fmt: fixed.Q78})
 		},
 		"POOLT": func() {
 			m := &tPool{layerName: "POOLT", k: 3, stride: 2}
@@ -203,7 +212,7 @@ func TestMaxPoolRejectsInputSmallerThanWindow(t *testing.T) {
 }
 
 func TestReLUInteger(t *testing.T) {
-	r := &ReLU{LayerName: "relu"}
+	r := &stage{tLayer: &tReLU{layerName: "relu"}, fmt: fixed.Q78}
 	in := QTensor{Shape: []int{3}, Data: fixed.Vec{-7, 0, 9}, Fmt: fixed.Q78}
 	out := r.Forward(in)
 	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 9 {
@@ -218,13 +227,12 @@ func TestReLUInteger(t *testing.T) {
 func TestConvIntegerKnownValues(t *testing.T) {
 	// 1x1x2x2 input, 1 channel, 2x2 kernel of ones, no pad: output =
 	// sum of inputs.
-	wf := fixed.Format{Frac: 13}
-	c := &Conv2D{
-		LayerName: "c", InC: 1, OutC: 1, K: 2, Stride: 1, Pad: 0,
-		W:    fixed.Vec{wf.One(), wf.One(), wf.One(), wf.One()},
-		B:    fixed.Vec{0},
-		WFmt: wf, InFmt: fixed.Q78, OutFmt: fixed.Q78,
-	}
+	one := int16(fixed.Format{Frac: 13}.One())
+	c := &stage{tLayer: &tConv{
+		layerName: "c", inC: 1, outC: 1, k: 2, stride: 1, pad: 0,
+		w: []int16{one, one, one, one}, b: []int16{0},
+		aFrac: 8, wFrac: 13,
+	}, fmt: fixed.Q78}
 	in := QTensor{Shape: []int{1, 2, 2}, Fmt: fixed.Q78,
 		Data: fixed.Vec{fixed.Q78.FromFloat(0.5), fixed.Q78.FromFloat(0.25),
 			fixed.Q78.FromFloat(0.125), fixed.Q78.FromFloat(0.125)}}
@@ -240,15 +248,14 @@ func TestConvIntegerKnownValues(t *testing.T) {
 // rather than reading channel 0 alone (a lone sample) or splitting one
 // sample's channels into several samples (a batch).
 func TestConvRejectsWrongChannels(t *testing.T) {
-	c := &Conv2D{
-		LayerName: "CONVX", InC: 1, OutC: 8, K: 3, Stride: 1, Pad: 1,
-		W: make(fixed.Vec, 8*9), B: make(fixed.Vec, 8),
-		WFmt: fixed.Format{Frac: 13}, InFmt: fixed.Q78, OutFmt: fixed.Q78,
+	b, err := NewBackend(nn.NewNetwork(nn.NewConv2D("CONVX", 1, 8, 3, 3, 1, 1)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	net := &Network{Layers: []Layer{c}, InFmt: fixed.Q78}
+	c := b.net.Layers[0]
 	for name, call := range map[string]func(){
 		"sample": func() { c.Forward(QTensor{Shape: []int{2, 8, 8}, Data: make(fixed.Vec, 2*8*8), Fmt: fixed.Q78}) },
-		"batch":  func() { net.ForwardBatch(tensor.New(2, 2, 8, 8)) },
+		"batch":  func() { b.InferBatch(tensor.New(2, 2, 8, 8)) },
 		"rank":   func() { c.Forward(QTensor{Shape: []int{8, 8}, Data: make(fixed.Vec, 8*8), Fmt: fixed.Q78}) },
 	} {
 		func() {
@@ -265,32 +272,27 @@ func TestConvRejectsWrongChannels(t *testing.T) {
 }
 
 // TestLayerForwardMatchesScalarReference holds the exported per-layer Forward
-// — the batch of one of each layer's kernel — to the scalar reference layer
-// by layer down NavNet on a real frame (and on a pooling layer NavNet does
-// not have), shapes included, and checks the output is the caller's to keep:
-// a second call does not overwrite the first.
+// — the batch of one of each stage's kernel, a folded ReLU's clamp included —
+// to the scalar reference layer by layer down NavNet on a real frame (and on
+// a pooling layer NavNet does not have), shapes included, and checks the
+// output is the caller's to keep: a second call does not overwrite the first.
 func TestLayerForwardMatchesScalarReference(t *testing.T) {
 	q, err := Compile(trainedNavNet(7), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	layers := append([]Layer{&MaxPool{LayerName: "pool", K: 3, Stride: 2}}, q.Layers...)
+	layers := append([]Layer{&stage{tLayer: &tPool{layerName: "pool", k: 3, stride: 2}, fmt: q.InFmt}}, q.Layers...)
 	obs := scenarioObs(t, "indoor-apartment", 2, 9)
-	frame := func(o *tensor.Tensor) QTensor {
-		return QTensor{Shape: o.Shape(), Data: quantize(o.Data(), q.InFmt), Fmt: q.InFmt}
-	}
-	in, other := frame(obs[0]), frame(obs[1])
+	in, other := frameOf(q, obs[0]), frameOf(q, obs[1])
 	for i, l := range layers {
 		want := serialLayer(l, in)
 		got := l.Forward(in)
 		if !slices.Equal(got.Shape, want.Shape) || !slices.Equal(got.Data, want.Data) || got.Fmt != want.Fmt {
 			t.Fatalf("layer %d (%s): Forward differs from the scalar reference (shape %v vs %v)", i, l.Name(), got.Shape, want.Shape)
 		}
-		if _, view := l.(*Flatten); !view {
-			l.Forward(other)
-			if !slices.Equal(got.Data, want.Data) {
-				t.Fatalf("layer %d (%s): a later Forward overwrote an earlier result", i, l.Name())
-			}
+		l.Forward(other)
+		if !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("layer %d (%s): a later Forward overwrote an earlier result", i, l.Name())
 		}
 		if i == 0 {
 			continue // the pooling layer is a side branch: NavNet starts from the frame

@@ -7,133 +7,96 @@ import (
 	"dronerl/internal/tensor"
 )
 
-// The PE datapath's scalar semantics, kept as the reference the engine is
-// compared against: one sample at a time, one saturating fixed.MAC per tap
-// (the 32-bit accumulator clamps at every step, where the engine's kernels
-// wrap and saturate once at the narrow), padding taps skipped rather than
-// materialized as zeros. These are the loops that were qnn.go's
-// Layer.Forward bodies until Forward became the batch of one.
+// The engine's scalar reference: one sample at a time, each weighted output
+// word one int64 sum with the bias joined at the product scale and one
+// saturation (refConv and refDense, train_test.go), padding taps skipped
+// rather than read as zero words, and a folded ReLU's clamp applied where the
+// walk applies it; ReLU and pooling are comparator loops. The walk is held to
+// it word for word on real frames.
 
-func serialConv(c *Conv2D, in QTensor) QTensor {
-	h, w := in.Shape[1], in.Shape[2]
-	oh := (h+2*c.Pad-c.K)/c.Stride + 1
-	ow := (w+2*c.Pad-c.K)/c.Stride + 1
-	out := QTensor{Shape: []int{c.OutC, oh, ow}, Data: make(fixed.Vec, c.OutC*oh*ow), Fmt: c.OutFmt}
-	colw := c.InC * c.K * c.K
-	for oc := 0; oc < c.OutC; oc++ {
-		wrow := c.W[oc*colw : (oc+1)*colw]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var acc fixed.Acc
-				p := 0
-				for ic := 0; ic < c.InC; ic++ {
-					base := ic * h * w
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								acc = fixed.MAC(acc, in.Data[base+iy*w+ix], wrow[p])
-							}
-							p++
-						}
-					}
-				}
-				word := narrowMixed(acc, c.InFmt, c.WFmt, c.OutFmt)
-				word = fixed.SatAdd(word, rescale(c.B[oc], c.WFmt, c.OutFmt))
-				out.Data[oc*oh*ow+oy*ow+ox] = word
-			}
-		}
+// serialLayer runs one sample through l's scalar reference.
+func serialLayer(l Layer, in QTensor) QTensor {
+	x := make([]int16, len(in.Data))
+	for i, w := range in.Data {
+		x[i] = int16(w)
+	}
+	var y []int16
+	var shape []int
+	switch l := l.(*stage).tLayer.(type) {
+	case *tConv:
+		h, w := in.Shape[1], in.Shape[2]
+		y, _ = refConv{l}.forward(x, h, w)
+		shape = []int{l.outC, (h+2*l.pad-l.k)/l.stride + 1, (w+2*l.pad-l.k)/l.stride + 1}
+		clampAt(y, floor(l.relu))
+	case *tDense:
+		y, _ = refDense{l}.forward(x)
+		shape = []int{l.out}
+		clampAt(y, floor(l.relu))
+	case *tReLU:
+		y, shape = clampAt(x, 0), in.Shape
+	case *tPool:
+		y, shape = serialPool(l, x, in.Shape)
+	case *tFlatten:
+		y, shape = x, []int{len(x)}
+	default:
+		panic(fmt.Sprintf("qnn: no scalar reference for %T", l))
+	}
+	out := QTensor{Shape: shape, Data: make(fixed.Vec, len(y)), Fmt: in.Fmt}
+	for i, w := range y {
+		out.Data[i] = fixed.Word(w)
 	}
 	return out
 }
 
-func serialDense(d *Dense, in QTensor) QTensor {
-	out := QTensor{Shape: []int{d.Out}, Data: make(fixed.Vec, d.Out), Fmt: d.OutFmt}
-	for j := 0; j < d.Out; j++ {
-		acc := fixed.DotAcc(in.Data, d.W[j*d.In:(j+1)*d.In])
-		word := narrowMixed(acc, d.InFmt, d.WFmt, d.OutFmt)
-		out.Data[j] = fixed.SatAdd(word, rescale(d.B[j], d.WFmt, d.OutFmt))
+// clampAt raises every word of ws below lo to lo, in place.
+func clampAt(ws []int16, lo int16) []int16 {
+	for i, w := range ws {
+		ws[i] = max(w, lo)
 	}
-	return out
+	return ws
 }
 
-func serialReLU(in QTensor) QTensor {
-	out := QTensor{Shape: in.Shape, Data: append(fixed.Vec(nil), in.Data...), Fmt: in.Fmt}
-	fixed.ReLUVec(out.Data)
-	return out
-}
-
-func serialPool(m *MaxPool, in QTensor) QTensor {
-	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh := (h-m.K)/m.Stride + 1
-	ow := (w-m.K)/m.Stride + 1
-	out := QTensor{Shape: []int{c, oh, ow}, Data: make(fixed.Vec, c*oh*ow), Fmt: in.Fmt}
+func serialPool(m *tPool, in []int16, sh []int) ([]int16, []int) {
+	c, h, w := sh[0], sh[1], sh[2]
+	oh := (h-m.k)/m.stride + 1
+	ow := (w-m.k)/m.stride + 1
+	out := make([]int16, c*oh*ow)
 	for ch := 0; ch < c; ch++ {
 		base := ch * h * w
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				best := in.Data[base+oy*m.Stride*w+ox*m.Stride]
-				for ky := 0; ky < m.K; ky++ {
-					for kx := 0; kx < m.K; kx++ {
-						best = fixed.Max2(best, in.Data[base+(oy*m.Stride+ky)*w+ox*m.Stride+kx])
+				best := in[base+oy*m.stride*w+ox*m.stride]
+				for ky := 0; ky < m.k; ky++ {
+					for kx := 0; kx < m.k; kx++ {
+						best = max(best, in[base+(oy*m.stride+ky)*w+ox*m.stride+kx])
 					}
 				}
-				out.Data[ch*oh*ow+oy*ow+ox] = best
+				out[ch*oh*ow+oy*ow+ox] = best
 			}
 		}
 	}
-	return out
+	return out, []int{c, oh, ow}
 }
 
-// serialLayer runs one sample through l's scalar reference.
-func serialLayer(l Layer, in QTensor) QTensor {
-	switch l := l.(type) {
-	case *Conv2D:
-		return serialConv(l, in)
-	case *Dense:
-		return serialDense(l, in)
-	case *ReLU:
-		return serialReLU(in)
-	case *MaxPool:
-		return serialPool(l, in)
-	case *Flatten:
-		return QTensor{Shape: []int{in.Len()}, Data: in.Data, Fmt: in.Fmt}
-	}
-	panic(fmt.Sprintf("qnn: no scalar reference for %T", l))
-}
-
-// serialForward is the whole scalar pipeline: quantize a float image, run
-// every layer's reference, return the Q-value words.
-func serialForward(n *Network, img *tensor.Tensor) fixed.Vec {
+// frameOf quantizes a float CHW image into n's input format.
+func frameOf(n *Network, img *tensor.Tensor) QTensor {
 	q := QTensor{Shape: img.Shape(), Data: make(fixed.Vec, img.Len()), Fmt: n.InFmt}
 	for i, v := range img.Data() {
 		q.Data[i] = n.InFmt.FromFloat(float64(v))
 	}
+	return q
+}
+
+// serialForward is the whole scalar pipeline: quantize a float image, run
+// every layer's reference, return the Q-values the output words decode to.
+func serialForward(n *Network, img *tensor.Tensor) []float32 {
+	q := frameOf(n, img)
 	for _, l := range n.Layers {
 		q = serialLayer(l, q)
 	}
-	return q.Data
-}
-
-// narrowMixed converts an accumulator whose operands had inFmt and wFmt
-// fractional bits into outFmt with rounding and saturation: the PE's narrow,
-// one word at a time, that the engine's tensor.Narrow16 runs as its first step.
-func narrowMixed(acc fixed.Acc, inFmt, wFmt, outFmt fixed.Format) fixed.Word {
-	shift := int(inFmt.Frac+wFmt.Frac) - int(outFmt.Frac)
-	v := int64(acc)
-	switch {
-	case shift > 0:
-		half := int64(1) << uint(shift) >> 1
-		v = (v + half) >> uint(shift)
-	case shift < 0:
-		v <<= uint(-shift)
+	out := make([]float32, len(q.Data))
+	for i, w := range q.Data {
+		out[i] = float32(q.Fmt.ToFloat(w))
 	}
-	if v > 32767 {
-		v = 32767
-	}
-	if v < -32768 {
-		v = -32768
-	}
-	return fixed.Word(v)
+	return out
 }

@@ -2,51 +2,60 @@ package qnn
 
 import (
 	"fmt"
+	"math"
 
 	"dronerl/internal/fixed"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
 )
 
-// Fixed-point training engine: forward, backward and weight update executed
-// in the accelerator's integer arithmetic, the regime Roy et al. study for
-// MRAM training scratchpads (PAPERS.md). Every kernel is batched — one
-// int16 GEMM (tensor.MatMul16T) per weighted layer per minibatch, a trainable
-// conv through the im2col panel its backward pass reads back, a frozen conv
-// through the inference engine's direct kernel (tensor.Conv16Batch) — and a
-// single sample is a batch of one.
+// The int16 engine: forward, backward and weight update executed in the
+// accelerator's integer arithmetic, the regime Roy et al. study for MRAM
+// training scratchpads (PAPERS.md), and the one layer walk that serving runs
+// too: Compile is this walk with nothing trainable. Every kernel is batched —
+// one int16 GEMM (tensor.MatMul16T) per weighted layer per minibatch, a
+// trainable conv through the im2col panel its backward pass reads back, a
+// frozen conv through the direct kernel (tensor.Conv16Batch) — and a single
+// sample is a batch of one.
 //
 // Accumulation. Where the PE datapath saturates every MAC, every forward
 // pass here, Dense *and* Conv, follows the int16 kernels' contract
-// (tensor/int16.go), as the inference engine does (batch.go): products
-// widen into wrap-around int32 accumulators and saturate exactly once, at
-// the final narrow, after the bias has joined the sum in 64 bits
-// (tensor.Narrow64; the inference engine's Narrow16 adds the bias after the
-// narrow, a different function). That equals a 64-bit accumulation on every
-// output word as long as the true sum of products fits int32. The
-// precondition is asserted, not assumed:
+// (tensor/int16.go): products widen into wrap-around int32 accumulators and
+// saturate exactly once, at the final narrow, after the bias has joined the
+// sum in 64 bits (tensor.Narrow64, the engine's one epilogue). That equals a
+// 64-bit accumulation on every output word as long as the true sum of
+// products fits int32. The precondition is asserted, not assumed:
 // TestTrainAccumulatorHeadroom shadows every conv and dense accumulator in
 // 64 bits over real depth frames on the meta-trained NavNet and holds the
 // largest |sum| 8 bits under the horizon, TestTrainConvMatchesScalarReference
 // and TestTrainDenseMatchesScalarReference compare both weighted layers with
 // the scalar int64 loops they replaced word for word, and
 // TestTrainBackendGolden pins whole TD schedules to hashes those loops
-// produced. Gradients are the other direction: they accumulate in 64-bit
-// Q-format scratchpads (the "sum of weight and bias gradients" scratchpad of
-// Section V, widened so batch accumulation cannot wrap) through one kernel
-// for every layer and both gradients, tensor.AxpyPanel16, whose int64 sums
-// are exact in any order. The weight
+// produced. A snapshot whose true sums do leave int32 (hostile or diverged
+// weights) is answered by the wrap-around kernels, whatever batch its request
+// rides in, and its outputs still saturate at the narrow
+// (TestIntegerOutputsAlwaysInRange). Gradients are the other direction: they
+// accumulate in 64-bit Q-format scratchpads (the "sum of weight and bias
+// gradients" scratchpad of Section V, widened so batch accumulation cannot
+// wrap) through one kernel for every layer and both gradients,
+// tensor.AxpyPanel16, whose int64 sums are exact in any order. The weight
 // update applies lr·grad with *stochastic* rounding (fixed.SR): a
 // deterministic round would silently drop every update below half a weight
 // LSB — most late-training updates — where the stochastic round is correct
 // in expectation, so small gradients keep accumulating across steps.
 //
+// ReLU folding. A ReLU directly after a weighted layer runs in that layer's
+// epilogue — Narrow64 clamps at 0 — and its own forward passes the words
+// through. Its backward still masks the gradient by its cached input, now the
+// folded output, and out > 0 exactly when the unfolded input is, so folding
+// moves no word of training.
+//
 // Row independence. A forward pass is exact integer arithmetic per row: each
 // output word is one wrap-around int32 sum of that row's own products and one
-// narrow64, and ReLU and pooling never look across rows, so the words a
-// sample leaves at any layer do not depend on the batch it rode in. Frozen
-// words never change after CompileTrainable, so a frame's activation at the
-// training boundary, computed once at batch one when the frame is captured
+// narrow, and ReLU and pooling never look across rows, so the words a sample
+// leaves at any layer do not depend on the batch it rode in. Frozen words
+// never change after compilation, so a frame's activation at the training
+// boundary, computed once at batch one when the frame is captured
 // (TrainBackend.BoundaryFeatures), stands in bit for bit for the prefix pass
 // of every minibatch that samples it (TestTrainBackendFeaturesBitIdentical).
 //
@@ -55,12 +64,14 @@ import (
 // the products: forward 2^(8+13), weight gradients 2^(8+8), input
 // gradients 2^(8+13).
 
-// TrainOptions configures CompileTrainable. Zero values select the
-// documented defaults.
+// TrainOptions configures CompileTrainable and Compile. Zero values select
+// the documented defaults.
 type TrainOptions struct {
-	// WeightFmt encodes weights and biases (default Q2.13, as Compile).
+	// WeightFmt encodes weights and biases (default Q2.13: CNN weights are
+	// small, so spending bits on fraction preserves accuracy).
 	WeightFmt fixed.Format
-	// ActFmt encodes activations (default Q7.8, as Compile).
+	// ActFmt encodes activations (default Q7.8, matching the accelerator's
+	// activation range).
 	ActFmt fixed.Format
 	// GradFmt encodes activation gradients flowing backward (default Q7.8).
 	GradFmt fixed.Format
@@ -112,7 +123,40 @@ func narrow64(v int64, shift uint) int16 {
 	return sat16(v)
 }
 
-// tLayer is one stage of the fixed-point training pipeline. Every kernel is
+// floor is a weighted layer's epilogue clamp: 0 when it folds the ReLU after
+// it, none otherwise.
+func floor(relu bool) int16 {
+	if relu {
+		return 0
+	}
+	return math.MinInt16
+}
+
+// batchWorkspace is the grow-only slot pool behind the walk: int16 panels,
+// int32 accumulator panels and int64 gradient accumulators, indexed by slot
+// (several kinds per layer, below). Slices are resliced, never shrunk, so
+// steady-state batches of any size allocate nothing — the float path's arena
+// contract (nn/batch.go) and the accelerator's fixed scratchpad provisioning.
+type batchWorkspace struct {
+	i16 [][]int16
+	i32 [][]int32
+	i64 [][]int64
+}
+
+func (ws *batchWorkspace) get16(slot, n int) []int16 { return slotOf(&ws.i16, slot, n) }
+func (ws *batchWorkspace) get32(slot, n int) []int32 { return slotOf(&ws.i32, slot, n) }
+func (ws *batchWorkspace) get64(slot, n int) []int64 { return slotOf(&ws.i64, slot, n) }
+
+// slotOf returns pool slot slot resliced to n elements, growing the pool and
+// the slot as needed.
+func slotOf[T any](pool *[][]T, slot, n int) []T {
+	for slot >= len(*pool) {
+		*pool = append(*pool, nil)
+	}
+	return grow(&(*pool)[slot], n)
+}
+
+// tLayer is one stage of the int16 walk. Every kernel is
 // batched: forwardBatch runs bsz stacked samples (row-major, one CHW block
 // per sample) and caches whatever backwardBatch needs for the same rows;
 // backwardBatch accumulates the gradient scratchpads over the whole batch
@@ -246,6 +290,7 @@ type tConv struct {
 	panel               []int16
 	offs                []int          // the gradient kernel's row offsets
 	frozen              *tensor.Conv16 // nil above the training boundary
+	relu                bool           // the next layer is a ReLU run in this epilogue
 }
 
 func (c *tConv) name() string      { return c.layerName }
@@ -256,6 +301,9 @@ func (c *tConv) outHW() (int, int) {
 }
 
 func (c *tConv) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
+	if shape[0] != c.inC {
+		panic(fmt.Sprintf("qnn: %s expects %d-channel samples, got shape %v", c.layerName, c.inC, shape))
+	}
 	c.bsz, c.inH, c.inW = bsz, shape[1], shape[2]
 	oh, ow := c.outHW()
 	np := oh * ow
@@ -280,7 +328,7 @@ func (c *tConv) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspa
 		tensor.MatMul16T(acc, c.panel, wGemm, bsz*np, rowLen, c.outC)
 	}
 	pix := ws.get16(slot*ws16Kinds+wsPix, bsz*n)
-	tensor.Narrow64(pix, acc, c.b, c.aFrac, c.wFrac)
+	tensor.Narrow64(pix, acc, c.b, c.aFrac, c.wFrac, floor(c.relu))
 	out := ws.get16(slot*ws16Kinds+wsOut, bsz*n)
 	for s := 0; s < bsz; s++ {
 		tensor.PixelsToPlanes16(out[s*n:], pix[s*n:], np, c.outC)
@@ -382,6 +430,7 @@ type tDense struct {
 	bsz                 int
 	x                   []int16
 	offs                []int // the gradient kernel's row offsets
+	relu                bool  // as tConv's
 }
 
 func (d *tDense) name() string      { return d.layerName }
@@ -395,7 +444,7 @@ func (d *tDense) forwardBatch(in []int16, bsz int, _ [3]int, ws *batchWorkspace,
 	acc := ws.get32(slot, bsz*d.out)
 	tensor.MatMul16T(acc, in, d.w, bsz, d.in, d.out)
 	out := ws.get16(slot*ws16Kinds+wsOut, bsz*d.out)
-	tensor.Narrow64(out, acc, d.b, d.aFrac, d.wFrac)
+	tensor.Narrow64(out, acc, d.b, d.aFrac, d.wFrac, floor(d.relu))
 	return out, [3]int{d.out, 1, 1}
 }
 
@@ -455,9 +504,12 @@ func applySR(w []int16, g []int64, lrFixed int64, shift uint, sr *fixed.SR) {
 }
 
 // tReLU is the integer rectifier; backward masks by the cached input sign.
+// Folded, its comparator ran in the weighted layer before it, and the input
+// it caches and passes on is that layer's clamped output.
 type tReLU struct {
 	layerName string
 	in        []int16
+	folded    bool
 }
 
 func (r *tReLU) name() string      { return r.layerName }
@@ -465,6 +517,9 @@ func (r *tReLU) weightBits() int64 { return 0 }
 
 func (r *tReLU) forwardBatch(in []int16, _ int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
 	r.in = in
+	if r.folded {
+		return in, shape
+	}
 	out := ws.get16(slot*ws16Kinds+wsOut, len(in))
 	for i, v := range in {
 		out[i] = max(v, 0)
@@ -603,10 +658,17 @@ func scaleInts(vs []int64, sFixed int64) {
 	}
 }
 
-// TrainNetwork is a compiled fixed-point *trainable* network: the
-// counterpart of Network whose weights are mutable integer words updated in
-// place by the quantized TD step.
-type TrainNetwork struct {
+// Network is a compiled int16 network: the layer walk, its weights as
+// integer words, and — above the training boundary — the gradient
+// scratchpads the quantized TD step updates them through. A Network is not
+// safe for concurrent use: the workspace is shared across calls, so each
+// goroutine gets its own, as the serving workers and swarm fleets do.
+type Network struct {
+	// Layers lists the walk's stages in order, each runnable alone.
+	Layers []Layer
+	// InFmt is the input activation format (TrainOptions.ActFmt).
+	InFmt fixed.Format
+
 	layers    []tLayer
 	trainFrom int
 	opts      TrainOptions
@@ -620,15 +682,24 @@ type TrainNetwork struct {
 	outF []float32
 }
 
-// CompileTrainable converts a float network into the fixed-point training
-// engine, quantizing current weights and inheriting the network's training
-// boundary (SetConfig topology): frozen layers run forward only and are
-// never updated. Supported layers match Compile (LRN rejected).
-func CompileTrainable(src *nn.Network, opts TrainOptions) (*TrainNetwork, error) {
+// CompileTrainable converts a float network into the int16 engine,
+// quantizing current weights and inheriting the network's training boundary
+// (SetConfig topology): frozen layers run forward only and are never
+// updated. LRN is rejected (the deployable NavNet does not use it — the full
+// AlexNet keeps the float path).
+func CompileTrainable(src *nn.Network, opts TrainOptions) (*Network, error) {
+	return compile(src, opts, src.TrainFrom())
+}
+
+// compile builds the walk with layers [trainFrom, len) trainable: below the
+// boundary a conv is packed once for the direct convolution and no layer
+// carries a gradient scratchpad.
+func compile(src *nn.Network, opts TrainOptions, trainFrom int) (*Network, error) {
 	opts.setDefaults()
-	tn := &TrainNetwork{
+	tn := &Network{
+		InFmt:     opts.ActFmt,
 		opts:      opts,
-		trainFrom: src.TrainFrom(),
+		trainFrom: trainFrom,
 		sr:        fixed.NewSR(opts.Seed),
 	}
 	aFrac, wFrac, gFrac := opts.ActFmt.Frac, opts.WeightFmt.Frac, opts.GradFmt.Frac
@@ -681,7 +752,27 @@ func CompileTrainable(src *nn.Network, opts TrainOptions) (*TrainNetwork, error)
 			return nil, fmt.Errorf("qnn: unsupported layer type %T", l)
 		}
 	}
+	tn.link()
 	return tn, nil
+}
+
+// link folds every ReLU that directly follows a weighted layer into that
+// layer's epilogue and lists the stages as Layers.
+func (tn *Network) link() {
+	tn.Layers = make([]Layer, len(tn.layers))
+	for i, l := range tn.layers {
+		tn.Layers[i] = &stage{tLayer: l, fmt: tn.InFmt}
+		r, ok := l.(*tReLU)
+		if !ok || i == 0 {
+			continue
+		}
+		switch w := tn.layers[i-1].(type) {
+		case *tConv:
+			w.relu, r.folded = true, true
+		case *tDense:
+			w.relu, r.folded = true, true
+		}
+	}
 }
 
 func quantize16(xs []float32, f fixed.Format) []int16 {
@@ -701,22 +792,22 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// quantize encodes float activations into ActFmt words, round to nearest.
-func (tn *TrainNetwork) quantize(dst []int16, src []float32) {
+// quantize encodes float activations into InFmt words, round to nearest.
+func (tn *Network) quantize(dst []int16, src []float32) {
 	for i, v := range src {
-		dst[i] = int16(tn.opts.ActFmt.FromFloat(float64(v)))
+		dst[i] = int16(tn.InFmt.FromFloat(float64(v)))
 	}
 }
 
-// dequantize decodes one ActFmt word.
-func (tn *TrainNetwork) dequantize(w int16) float32 {
-	return float32(tn.opts.ActFmt.ToFloat(fixed.Word(w)))
+// dequantize decodes one InFmt word.
+func (tn *Network) dequantize(w int16) float32 {
+	return float32(tn.InFmt.ToFloat(fixed.Word(w)))
 }
 
 // quantizeGrad encodes one float output gradient into GradFmt
 // *stochastically* — so TD errors below the gradient format's half-LSB still
 // inject signal in expectation. Zero draws nothing from the rounding stream.
-func (tn *TrainNetwork) quantizeGrad(v float32) int16 {
+func (tn *Network) quantizeGrad(v float32) int16 {
 	if v == 0 {
 		return 0
 	}
@@ -725,7 +816,7 @@ func (tn *TrainNetwork) quantizeGrad(v float32) int16 {
 
 // forwardLayers runs bsz stacked samples through layers [from, to), one
 // batched kernel per layer, caching per-layer state for backward.
-func (tn *TrainNetwork) forwardLayers(from, to int, x []int16, bsz int, shape [3]int) ([]int16, [3]int) {
+func (tn *Network) forwardLayers(from, to int, x []int16, bsz int, shape [3]int) ([]int16, [3]int) {
 	for i := from; i < to; i++ {
 		x, shape = tn.layers[i].forwardBatch(x, bsz, shape, &tn.ws, i)
 	}
@@ -735,7 +826,7 @@ func (tn *TrainNetwork) forwardLayers(from, to int, x []int16, bsz int, shape [3
 // backward backpropagates the stacked GradFmt output gradient of the rows
 // last run through forwardLayers down to the training boundary, accumulating
 // the integer gradient scratchpads.
-func (tn *TrainNetwork) backward(g []int16) {
+func (tn *Network) backward(g []int16) {
 	for i := len(tn.layers) - 1; i >= tn.trainFrom; i-- {
 		g = tn.layers[i].backwardBatch(g, i > tn.trainFrom, &tn.ws, i)
 	}
@@ -744,24 +835,28 @@ func (tn *TrainNetwork) backward(g []int16) {
 // Forward quantizes a float CHW observation, runs the integer pipeline as a
 // batch of one caching per-layer state for Backward, and returns the
 // dequantized Q-values. The returned slice is reused by the next call.
-func (tn *TrainNetwork) Forward(data []float32, shape [3]int) []float32 {
+func (tn *Network) Forward(data []float32, shape [3]int) []float32 {
+	return tn.forward(data, 1, shape)
+}
+
+// forward is Forward for bsz stacked samples of the given CHW shape: their
+// Q-values, row-major, in the reused output slice. A sample's words do not
+// depend on the batch it rides in (row independence).
+func (tn *Network) forward(data []float32, bsz int, shape [3]int) []float32 {
 	qin := grow(&tn.qin, len(data))
 	tn.quantize(qin, data)
-	x, _ := tn.forwardLayers(0, len(tn.layers), qin, 1, shape)
-	if cap(tn.outF) < len(x) {
-		tn.outF = make([]float32, len(x))
-	}
-	tn.outF = tn.outF[:len(x)]
+	x, _ := tn.forwardLayers(0, len(tn.layers), qin, bsz, shape)
+	out := grow(&tn.outF, len(x))
 	for i, w := range x {
-		tn.outF[i] = tn.dequantize(w)
+		out[i] = tn.dequantize(w)
 	}
-	return tn.outF
+	return out
 }
 
 // Backward quantizes the float output gradient stochastically and
 // backpropagates it down to the training boundary. Must follow a Forward
 // call on the same sample.
-func (tn *TrainNetwork) Backward(gradF []float32) {
+func (tn *Network) Backward(gradF []float32) {
 	g := grow(&tn.gq, len(gradF))
 	for i, v := range gradF {
 		g[i] = tn.quantizeGrad(v)
@@ -772,7 +867,7 @@ func (tn *TrainNetwork) Backward(gradF []float32) {
 // Update clips the accumulated gradients to the given L-infinity limit
 // (clip <= 0 disables), applies one stochastically-rounded SGD step
 // w -= lr/batch · g to every trainable layer, and clears the scratchpads.
-func (tn *TrainNetwork) Update(lr float64, batch int, clip float64) {
+func (tn *Network) Update(lr float64, batch int, clip float64) {
 	if batch <= 0 {
 		panic("qnn: Update with non-positive batch size")
 	}
@@ -800,7 +895,7 @@ func (tn *TrainNetwork) Update(lr float64, batch int, clip float64) {
 
 // OutDim returns the network's output width (the action count): the last
 // Dense layer's fan-out.
-func (tn *TrainNetwork) OutDim() int {
+func (tn *Network) OutDim() int {
 	for i := len(tn.layers) - 1; i >= 0; i-- {
 		if d, ok := tn.layers[i].(*tDense); ok {
 			return d.out
@@ -811,7 +906,7 @@ func (tn *TrainNetwork) OutDim() int {
 
 // WeightBits is the full weight-store footprint in bits; one forward pass
 // streams this many bits from the stack.
-func (tn *TrainNetwork) WeightBits() int64 {
+func (tn *Network) WeightBits() int64 {
 	var total int64
 	for _, l := range tn.layers {
 		total += l.weightBits()
@@ -822,7 +917,7 @@ func (tn *TrainNetwork) WeightBits() int64 {
 // TrainableWeightBits is the footprint of the layers above the training
 // boundary — the bits rewritten by every Update and re-read by every
 // Backward.
-func (tn *TrainNetwork) TrainableWeightBits() int64 {
+func (tn *Network) TrainableWeightBits() int64 {
 	var total int64
 	for i := tn.trainFrom; i < len(tn.layers); i++ {
 		total += tn.layers[i].weightBits()
@@ -846,7 +941,7 @@ func layerWeights(l tLayer) (w, b []int16) {
 // identically-compiled network — the target-sync primitive. Frozen layers
 // are skipped: a Clone shares their words with its source (see Clone), and
 // Update never writes them, so there is nothing to copy.
-func (tn *TrainNetwork) CopyWeightsFrom(src *TrainNetwork) {
+func (tn *Network) CopyWeightsFrom(src *Network) {
 	if len(tn.layers) != len(src.layers) || tn.trainFrom != src.trainFrom {
 		panic("qnn: CopyWeightsFrom across different architectures")
 	}
@@ -862,7 +957,7 @@ func (tn *TrainNetwork) CopyWeightsFrom(src *TrainNetwork) {
 // float network, so snapshots, policy publishes and float-side evaluation
 // all see what the integer engine learned. Frozen layers are left alone —
 // they still hold the transferred float weights at full precision.
-func (tn *TrainNetwork) WriteBack(dst *nn.Network) error {
+func (tn *Network) WriteBack(dst *nn.Network) error {
 	if len(dst.Layers) != len(tn.layers) {
 		return fmt.Errorf("qnn: WriteBack across different architectures (%d vs %d layers)", len(dst.Layers), len(tn.layers))
 	}
@@ -906,8 +1001,9 @@ func dequantize16(dst []float32, src []int16, f fixed.Format) {
 // which is fixed at compile time. It makes "the online and target prefixes compute the same features"
 // a fact the batched TD step can rely on rather than a coincidence of two
 // copies never diverging.
-func (tn *TrainNetwork) Clone() *TrainNetwork {
-	out := &TrainNetwork{
+func (tn *Network) Clone() *Network {
+	out := &Network{
+		InFmt:     tn.InFmt,
 		opts:      tn.opts,
 		trainFrom: tn.trainFrom,
 		sr:        fixed.NewSR(tn.opts.Seed + 0x5DEECE66D),
@@ -950,5 +1046,6 @@ func (tn *TrainNetwork) Clone() *TrainNetwork {
 			out.layers = append(out.layers, &tFlatten{layerName: t.layerName})
 		}
 	}
+	out.link()
 	return out
 }

@@ -107,7 +107,7 @@ func TestTrainNetworkRegression(t *testing.T) {
 // engines compiled from the same float network with the same TrainOptions
 // produce bit-identical weight words after an identical training schedule.
 func TestTrainNetworkBitReproducible(t *testing.T) {
-	run := func() *TrainNetwork {
+	run := func() *Network {
 		tn, err := CompileTrainable(tinyNet(9), TrainOptions{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
@@ -370,7 +370,7 @@ func hashU64(h hash.Hash, v uint64) {
 }
 
 // hashOnline folds every online weight and bias word, in layer order.
-func hashOnline(h hash.Hash, tn *TrainNetwork) {
+func hashOnline(h hash.Hash, tn *Network) {
 	for _, l := range tn.layers {
 		w, b := layerWeights(l)
 		hashWords(h, w)

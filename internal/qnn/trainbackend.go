@@ -30,8 +30,8 @@ import (
 // arrive. The train-side tallies are what EXPERIMENTS.md's
 // train-energy-per-step table reports against the paper's E2E column.
 type TrainBackend struct {
-	online *TrainNetwork
-	target *TrainNetwork
+	online *Network
+	target *Network
 	// float is the agent's float network, kept mirrored via WriteBack so
 	// snapshots/publishes/eval backends see the integer engine's weights.
 	float *nn.Network
@@ -73,7 +73,7 @@ func (b *TrainBackend) Name() string { return "quant-train" }
 func obsShape(obs *tensor.Tensor) [3]int {
 	sh := obs.Shape()
 	if len(sh) != 3 {
-		panic(fmt.Sprintf("qnn: TrainBackend expects CHW observations, got %v", sh))
+		panic(fmt.Sprintf("qnn: expects CHW observations, got %v", sh))
 	}
 	return [3]int{sh[0], sh[1], sh[2]}
 }
@@ -184,7 +184,7 @@ func shapeOf(t *tensor.Tensor) []int {
 // form a single stack at the training boundary — copied from Feats/NextFeats
 // when the batch carries them, else quantized from States/Nexts and run
 // through the frozen prefix *once*: the online and target prefixes are the
-// same words (TrainNetwork.Clone). Then the target tail bootstraps from the
+// same words (Network.Clone). Then the target tail bootstraps from the
 // next-rows, the online tail scores the state-rows, the TD errors are rounded
 // into gradient words in sample order, and one batched backward and one
 // stochastically-rounded Update finish the step. Either way the ledger
@@ -291,7 +291,7 @@ func (b *TrainBackend) Ledger() *mem.EnergyLedger { return b.ledger }
 func (b *TrainBackend) Steps() int64 { return b.steps }
 
 // Online exposes the integer training network (tests and reports).
-func (b *TrainBackend) Online() *TrainNetwork { return b.online }
+func (b *TrainBackend) Online() *Network { return b.online }
 
 func init() {
 	if err := nn.RegisterBackend("quant-train", func(net *nn.Network, _ nn.ArchSpec, _ nn.Config) (nn.Backend, error) {

@@ -7,141 +7,24 @@ import (
 	"testing"
 )
 
-// narrowRef is the epilogue spelled out one word at a time the way the
-// integer engine defined it before Narrow16: qnn's narrowMixed (round half
-// up in int64, then clamp to int16), fixed.SatAdd with the channel's bias,
-// then the clamp at lo (the ReLU comparator at 0).
-func narrowRef(acc int32, bias int16, shift int, lo int16) int16 {
-	v := int64(acc)
-	switch {
-	case shift > 0:
-		half := int64(1) << uint(shift) >> 1
-		v = (v + half) >> uint(shift)
-	case shift < 0:
-		v <<= uint(-shift)
-	}
-	v = max(min(v, 32767), -32768)
-	s := max(min(v+int64(bias), 32767), -32768)
-	return int16(max(s, int64(lo)))
-}
-
 const canary16 = 0x5a5a
-
-// checkNarrow16 runs acc through the dispatched Narrow16 and the portable
-// twin alone, each into a buffer with canaries past len(acc), and holds both
-// to narrowRef word for word.
-func checkNarrow16(t *testing.T, acc []int32, bias []int16, shift int, lo int16) {
-	t.Helper()
-	n := len(acc)
-	got := make([]int16, n+3)
-	twin := make([]int16, n+3)
-	for i := n; i < n+3; i++ {
-		got[i], twin[i] = canary16, canary16
-	}
-	Narrow16(got, acc, bias, shift, lo)
-	narrow16Go(twin[:n], acc, bias, shift, lo)
-	for i, a := range acc {
-		want := narrowRef(a, bias[i%len(bias)], shift, lo)
-		if got[i] != want || twin[i] != want {
-			t.Fatalf("n %d bias period %d shift %d lo %d: word %d (acc %d, bias %d) = %d dispatched, %d portable, want %d",
-				n, len(bias), shift, lo, i, a, bias[i%len(bias)], got[i], twin[i], want)
-		}
-	}
-	for i := n; i < n+3; i++ {
-		if got[i] != canary16 || twin[i] != canary16 {
-			t.Fatalf("n %d bias period %d shift %d: wrote past the end (%d, %d)", n, len(bias), shift, got[i], twin[i])
-		}
-	}
-}
-
-// TestNarrow16MatchesReference sweeps the epilogue over shifts -2..16 (the
-// vector body takes 1..15, the twin the rest), both clamps, every length from
-// one word to past four 16-word blocks plus lengths around whole rows of the
-// longest bias, and bias periods that the vector body takes (16, 128) and
-// leaves to the twin (8, 25). Accumulators mix the int32 edges, the rounding
-// boundaries of the shift, values whose narrow lands inside int16 and
-// full-range noise; biases include both int16 extremes.
-func TestNarrow16MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	lengths := []int{127, 128, 129, 255, 256, 300, 400}
-	for n := 1; n <= 70; n++ {
-		lengths = append(lengths, n)
-	}
-	for shift := -2; shift <= 16; shift++ {
-		s := max(shift, 1)
-		edges := []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32, math.MaxInt32 - 1, 0, 1, -1,
-			1 << (s - 1), -(1 << (s - 1)), 1<<(s-1) - 1, -(1<<(s-1) + 1), 32767 << s, -32768 << (s - 1)}
-		for _, period := range []int{8, 16, 25, 128} {
-			bias := randInt16s(rng, period)
-			bias[0], bias[1], bias[period-1] = math.MaxInt16, math.MinInt16, math.MinInt16+1
-			for _, lo := range []int16{math.MinInt16, 0} {
-				for _, n := range lengths {
-					acc := make([]int32, n)
-					for i := range acc {
-						switch rng.Intn(3) {
-						case 0:
-							acc[i] = edges[rng.Intn(len(edges))]
-						case 1:
-							acc[i] = int32(rng.Int63n(1<<(s+16)) - 1<<(s+15))
-						default:
-							acc[i] = int32(rng.Uint32())
-						}
-					}
-					checkNarrow16(t, acc, bias, shift, lo)
-				}
-			}
-		}
-	}
-}
-
-// FuzzNarrow16 holds the dispatched epilogue and its twin to narrowRef on
-// arbitrary accumulators and biases, both as given (the bias period the
-// input happens to have) and repeated to whole 16-word blocks, the row shape
-// the vector body takes.
-func FuzzNarrow16(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f}, []byte{0xff, 0x7f, 0, 0x80}, uint8(15), true)
-	f.Add(make([]byte, 4*37), []byte{1, 0, 2, 0, 3, 0}, uint8(3), false)
-	f.Fuzz(func(t *testing.T, accBytes, biasBytes []byte, shift uint8, relu bool) {
-		if len(biasBytes) < 2 {
-			return
-		}
-		acc := make([]int32, len(accBytes)/4)
-		for i := range acc {
-			acc[i] = int32(binary.LittleEndian.Uint32(accBytes[4*i:]))
-		}
-		bias := make([]int16, len(biasBytes)/2)
-		for i := range bias {
-			bias[i] = int16(binary.LittleEndian.Uint16(biasBytes[2*i:]))
-		}
-		lo := int16(math.MinInt16)
-		if relu {
-			lo = 0
-		}
-		s := int(shift%19) - 2
-		checkNarrow16(t, acc, bias, s, lo)
-		row := bias
-		for len(row)%16 != 0 {
-			row = append(row, bias...)
-		}
-		checkNarrow16(t, acc, row, s, lo)
-	})
-}
 
 // narrow64Ref is Narrow64 one word at a time the way the training engine
 // wrote it before the kernel existed: qnn's narrow64 of the 64-bit sum with
-// the bias at product scale — round half up, then one clamp to int16.
-func narrow64Ref(acc int32, bias int16, bshift, shift uint) int16 {
+// the bias at product scale — round half up, then one clamp to int16 — and
+// then the ReLU comparator at lo.
+func narrow64Ref(acc int32, bias int16, bshift, shift uint, lo int16) int16 {
 	v := int64(acc) + int64(bias)<<bshift
 	if shift > 0 {
 		v = (v + int64(1)<<(shift-1)) >> shift
 	}
-	return int16(max(min(v, 32767), -32768))
+	return max(int16(max(min(v, 32767), -32768)), lo)
 }
 
 // checkNarrow64 runs acc through the dispatched Narrow64 and the portable
 // twin alone, each into a buffer with canaries past len(acc), and holds both
 // to narrow64Ref word for word.
-func checkNarrow64(t *testing.T, acc []int32, bias []int16, bshift, shift uint) {
+func checkNarrow64(t *testing.T, acc []int32, bias []int16, bshift, shift uint, lo int16) {
 	t.Helper()
 	n := len(acc)
 	got := make([]int16, n+3)
@@ -149,13 +32,13 @@ func checkNarrow64(t *testing.T, acc []int32, bias []int16, bshift, shift uint) 
 	for i := n; i < n+3; i++ {
 		got[i], twin[i] = canary16, canary16
 	}
-	Narrow64(got, acc, bias, bshift, shift)
-	narrow64Go(twin[:n], acc, bias, 0, bshift, shift)
+	Narrow64(got, acc, bias, bshift, shift, lo)
+	narrow64Go(twin[:n], acc, bias, 0, bshift, shift, lo)
 	for i, a := range acc {
-		want := narrow64Ref(a, bias[i%len(bias)], bshift, shift)
+		want := narrow64Ref(a, bias[i%len(bias)], bshift, shift, lo)
 		if got[i] != want || twin[i] != want {
-			t.Fatalf("n %d bias period %d bshift %d shift %d: word %d (acc %d, bias %d) = %d dispatched, %d portable, want %d",
-				n, len(bias), bshift, shift, i, a, bias[i%len(bias)], got[i], twin[i], want)
+			t.Fatalf("n %d bias period %d bshift %d shift %d lo %d: word %d (acc %d, bias %d) = %d dispatched, %d portable, want %d",
+				n, len(bias), bshift, shift, lo, i, a, bias[i%len(bias)], got[i], twin[i], want)
 		}
 	}
 	for i := n; i < n+3; i++ {
@@ -165,14 +48,15 @@ func checkNarrow64(t *testing.T, acc []int32, bias []int16, bshift, shift uint) 
 	}
 }
 
-// TestNarrow64MatchesReference sweeps the training epilogue over shifts
-// 0..34 (the vector body takes 1..32, the twin the rest), bias shifts 0..17
-// (the body takes up to 15), lengths from one word to past four 16-word
-// blocks, and bias periods the body takes (4, 8, 16, 64: rows that wrap
-// inside a block and across blocks) and leaves to the twin (5, 25).
-// Accumulators mix the int32 edges, the rounding boundaries of the shift and
-// full-range noise; biases include both int16 extremes, so the sum reaches
-// both ends of the range the body's exactness argument covers.
+// TestNarrow64MatchesReference sweeps the epilogue over shifts 0..34 (the
+// vector body takes 1..29, the twin the rest), bias shifts 0..17 (the body
+// takes up to 15), lengths from one word to past four 16-word blocks, bias
+// periods the body takes (8, 16, 64, 128: rows that wrap inside a block and
+// across blocks) and leaves to the twin (4, 5, 25), and three clamps: none
+// (math.MinInt16), the folded ReLU (0) and a random floor. Accumulators mix
+// the int32 edges, the rounding boundaries of the shift and full-range noise;
+// biases include both int16 extremes, so the sum reaches both ends of the
+// range the body's exactness argument covers.
 func TestNarrow64MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	lengths := []int{127, 128, 129, 256, 300}
@@ -186,7 +70,7 @@ func TestNarrow64MatchesReference(t *testing.T) {
 			edges = append(edges, 1<<(s-1), -(1 << (s - 1)), 1<<(s-1)-1, -(1<<(s-1) + 1))
 		}
 		for _, bshift := range []uint{0, 8, 15, 17} {
-			for _, period := range []int{4, 5, 8, 16, 25, 64} {
+			for _, period := range []int{4, 5, 8, 16, 25, 64, 128} {
 				bias := randInt16s(rng, period)
 				bias[0], bias[1], bias[period-1] = math.MaxInt16, math.MinInt16, math.MinInt16+1
 				for _, n := range lengths {
@@ -198,22 +82,25 @@ func TestNarrow64MatchesReference(t *testing.T) {
 							acc[i] = int32(rng.Uint32())
 						}
 					}
-					checkNarrow64(t, acc, bias, bshift, shift)
+					for _, lo := range []int16{math.MinInt16, 0, int16(rng.Uint32())} {
+						checkNarrow64(t, acc, bias, bshift, shift, lo)
+					}
 				}
 			}
 		}
 	}
 }
 
-// FuzzNarrow64 holds the dispatched training epilogue and its twin to
-// narrow64Ref on arbitrary int32 accumulators and int16 biases, every shift
-// and bias shift the training formats can ask for, both with the bias period
-// the input happens to have and repeated to a multiple of 4 words, the row
-// shape the vector body takes.
+// FuzzNarrow64 holds the dispatched epilogue and its twin to narrow64Ref on
+// arbitrary int32 accumulators and int16 biases, every shift and bias shift
+// the engine's formats can ask for, and the clamp at the fuzzed floor as well
+// as at none and at the folded ReLU's 0, both with the bias period the input
+// happens to have and repeated to a multiple of 8 words, the row shape the
+// vector body takes.
 func FuzzNarrow64(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f}, []byte{0xff, 0x7f, 0, 0x80}, uint8(8), uint8(13))
-	f.Add(make([]byte, 4*37), []byte{1, 0, 2, 0, 3, 0}, uint8(15), uint8(32))
-	f.Fuzz(func(t *testing.T, accBytes, biasBytes []byte, bshift, shift uint8) {
+	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f}, []byte{0xff, 0x7f, 0, 0x80}, uint8(8), uint8(13), int16(0))
+	f.Add(make([]byte, 4*37), []byte{1, 0, 2, 0, 3, 0}, uint8(15), uint8(32), int16(-300))
+	f.Fuzz(func(t *testing.T, accBytes, biasBytes []byte, bshift, shift uint8, lo int16) {
 		if len(biasBytes) < 2 {
 			return
 		}
@@ -226,12 +113,14 @@ func FuzzNarrow64(f *testing.F) {
 			bias[i] = int16(binary.LittleEndian.Uint16(biasBytes[2*i:]))
 		}
 		bs, s := uint(bshift%18), uint(shift%35)
-		checkNarrow64(t, acc, bias, bs, s)
 		row := bias
-		for len(row)%4 != 0 {
+		for len(row)%8 != 0 {
 			row = append(row, bias...)
 		}
-		checkNarrow64(t, acc, row, bs, s)
+		for _, lo := range []int16{lo, math.MinInt16, 0} {
+			checkNarrow64(t, acc, bias, bs, s, lo)
+			checkNarrow64(t, acc, row, bs, s, lo)
+		}
 	})
 }
 

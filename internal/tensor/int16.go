@@ -1,9 +1,9 @@
 package tensor
 
-// Int16 kernels for the quantized training and inference engines: the Dot16
-// GEMM and the training engine's int64 gradient kernel AxpyPanel16 here, the
-// direct convolution in conv16.go, and in epilogue16.go the CHW transpose and
-// the inference (Narrow16) and training (Narrow64) epilogues.
+// Int16 kernels for the quantized engine (internal/qnn), which serves and
+// trains on one datapath: the Dot16 GEMM and the int64 gradient kernel
+// AxpyPanel16 here, the direct convolution in conv16.go, and in epilogue16.go
+// the CHW transpose and the one epilogue, Narrow64.
 //
 // Accumulation contract — deliberately different from the PE-datapath
 // primitives in internal/fixed: products are widened to int32 and summed with
@@ -15,21 +15,20 @@ package tensor
 // to the scalar left-to-right loop — the property the unconditional
 // asm-vs-scalar identity tests assert. Per-step saturating accumulation
 // (fixed.MAC) has no such reordering freedom, so nothing saturating can be
-// vectorized this way; qnn keeps that loop as a test-only reference and runs
-// every engine — training, batched inference and the lone frame — on these
-// kernels.
+// vectorized this way; qnn runs its one walk — training, batched inference
+// and the lone frame — on these kernels.
 //
 // The range discipline callers must uphold: the wrapped int32 equals the
 // true sum exactly when the true sum fits int32 (intermediate wraps cancel).
 // With Q7.8 activations and Q2.13 weights every product is < 2^30, so a row
 // needs ~2^2 terms to overflow in the worst case but > 2^17 terms under the
 // trained-weight magnitudes the qnn package bounds. Every forward reduction
-// of the quantized engines runs under this contract, Dense and Conv, in
-// training as in inference, and qnn states the precondition as tests rather
-// than a comment: TestTrainAccumulatorHeadroom measures the true 64-bit sums
-// of every layer on real frames and holds them 8 bits under the int32
-// horizon, and TestQuantInferBatchBitIdentical holds the inference engine to
-// the saturating loop word for word.
+// of the quantized engine runs under this contract, Dense and Conv, and qnn
+// states the precondition as tests rather than a comment:
+// TestTrainAccumulatorHeadroom measures the true 64-bit sums of every layer
+// on real frames and holds them 8 bits under the int32 horizon, and
+// TestQuantInferBatchBitIdentical holds the walk to a scalar int64 loop word
+// for word.
 
 // Dot16 returns the dot product of a and b widened to int32 with
 // wrap-around accumulation. b must be at least as long as a; extra elements

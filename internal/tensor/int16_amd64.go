@@ -43,22 +43,10 @@ func conv16Row(c *Conv16, dst []int32, x []int16, ow, rowLen, plane int) {
 }
 
 //go:noescape
-func narrow16AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, shift, lo int)
-
-//go:noescape
 func planes16AVX2(dst, src *int16, blocks, groups, ocBytes, npBytes int)
 
-// narrow16Vec and planes16Vec run the epilogue's AVX2 bodies over whole bias
-// rows (16-pixel blocks) and return how many words (pixels) are done.
-func narrow16Vec(dst []int16, acc []int32, bias []int16, shift int, lo int16) int {
-	if !hasAVX2 || len(bias) == 0 || len(bias)%16 != 0 || len(acc) < len(bias) || shift < 1 || shift > 15 {
-		return 0
-	}
-	n := len(acc) - len(acc)%len(bias)
-	narrow16AVX2(&dst[0], &acc[0], &bias[0], n/16, len(bias), shift, int(lo))
-	return n
-}
-
+// planes16Vec runs the CHW transpose's AVX2 body over whole 16-pixel blocks
+// and returns how many pixels are done.
 func planes16Vec(dst, src []int16, np, oc int) int {
 	n := np &^ 15
 	if !hasAVX2 || n == 0 || oc%8 != 0 {
@@ -69,19 +57,19 @@ func planes16Vec(dst, src []int16, np, oc int) int {
 }
 
 //go:noescape
-func narrow64AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, bshift, shift int)
+func narrow64AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, bshift, shift, lo int)
 
 //go:noescape
 func axpyPanel16AVX2(dst *int64, a, b *int16, offs *int, sa, k, n int)
 
 // narrow64Vec and axpyPanel16Vec run the AVX2 bodies over whole 16-word
 // (16-column) blocks and return how many words (columns) are done.
-func narrow64Vec(dst []int16, acc []int32, bias []int16, bshift, shift uint) int {
+func narrow64Vec(dst []int16, acc []int32, bias []int16, bshift, shift uint, lo int16) int {
 	n := len(acc) &^ 15
-	if !hasAVX2 || n == 0 || len(bias) == 0 || len(bias)%4 != 0 || shift < 1 || shift > 32 || bshift > 15 {
+	if !hasAVX2 || n == 0 || len(bias) == 0 || len(bias)%8 != 0 || shift < 1 || shift > 29 || bshift > 15 {
 		return 0
 	}
-	narrow64AVX2(&dst[0], &acc[0], &bias[0], n/16, len(bias), int(bshift), int(shift))
+	narrow64AVX2(&dst[0], &acc[0], &bias[0], n/16, len(bias), int(bshift), int(shift), int(lo))
 	return n
 }
 

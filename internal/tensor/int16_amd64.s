@@ -136,64 +136,6 @@ pair:
 	VZEROUPPER
 	RET
 
-// func narrow16AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, shift, lo int)
-// Narrow16's body (epilogue16.go) over blocks × 16 words, for 1 <= shift <=
-// 15. Round half up as (a >> s) + ((a >> (s-1)) & 1), which equals
-// (a + 2^(s-1)) >> s for every int32 a and cannot overflow; VPACKSSDW
-// clamps to int16 (VPERMQ undoes its per-lane interleave), VPADDSW is the
-// saturating bias add, VPMAXSW the clamp at lo. The bias cursor walks the
-// biasLen-word row (a multiple of 16) 32 bytes per block and wraps at its
-// end.
-TEXT ·narrow16AVX2(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ acc+8(FP), SI
-	MOVQ bias+16(FP), R8
-	MOVQ blocks+24(FP), CX
-	MOVQ biasLen+32(FP), R9
-	LEAQ (R8)(R9*2), R9        // end of the bias row
-	MOVQ R8, DX                // bias cursor
-	MOVQ shift+40(FP), AX
-	VMOVQ AX, X13              // s
-	DECQ AX
-	VMOVQ AX, X14              // s-1
-	MOVQ $1, AX
-	VMOVQ AX, X15
-	VPBROADCASTD X15, Y15      // 1 in every dword
-	MOVQ lo+48(FP), AX
-	VMOVQ AX, X12
-	VPBROADCASTW X12, Y12      // lo in every word
-
-	PCALIGN $32
-block:
-	VMOVDQU   (SI), Y0
-	VMOVDQU   32(SI), Y1
-	VPSRAD    X14, Y0, Y2
-	VPSRAD    X14, Y1, Y3
-	VPSRAD    X13, Y0, Y0
-	VPSRAD    X13, Y1, Y1
-	VPAND     Y15, Y2, Y2
-	VPAND     Y15, Y3, Y3
-	VPADDD    Y2, Y0, Y0
-	VPADDD    Y3, Y1, Y1
-	VPACKSSDW Y1, Y0, Y0       // quads: a0-3 a8-11 a4-7 a12-15
-	VPERMQ    $0xD8, Y0, Y0    // quads: a0-3 a4-7 a8-11 a12-15
-	VPADDSW   (DX), Y0, Y0
-	VPMAXSW   Y12, Y0, Y0
-	VMOVDQU   Y0, (DI)
-	ADDQ      $64, SI
-	ADDQ      $32, DI
-	ADDQ      $32, DX
-	CMPQ      DX, R9
-	JNE       next
-	MOVQ      R8, DX
-
-next:
-	DECQ CX
-	JNZ  block
-
-	VZEROUPPER
-	RET
-
 // func planes16AVX2(dst, src *int16, blocks, groups, ocBytes, npBytes int)
 // PixelsToPlanes16's body (epilogue16.go) over blocks × 16 pixels of every
 // group of 8 channels. src points at pixel 0's first word, pixels ocBytes
@@ -312,15 +254,16 @@ pblock:
 	VZEROUPPER
 	RET
 
-// func narrow64AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, bshift, shift int)
+// func narrow64AVX2(dst *int16, acc *int32, bias *int16, blocks, biasLen, bshift, shift, lo int)
 // Narrow64's body (epilogue16.go) over blocks × 16 words, for 1 <= s =
-// shift <= 32 and bshift <= 15: v = acc + (bias << bshift + 2^(s-1)) in
-// int64 lanes, then VPSRLQ by s. |acc| <= 2^31 and |bias << bshift| <= 2^30
-// keep |v| < 2^(31+s), so v >> s fits int32, and for s <= 32 a logical shift
-// leaves an arithmetic one's low dword: the exact rounded words. VSHUFPS
-// gathers them, VPACKSSDW is sat16, VPERMD restores the order. The bias
-// cursor moves 4 words at a time and wraps at the end of the biasLen row.
-TEXT ·narrow64AVX2(SB), NOSPLIT, $0-56
+// shift <= 29 and bshift <= 15, in int32 lanes. With A = acc split as
+// q·2^s + r (q = A >> s arithmetic, r = A & (2^s - 1)) and B = bias << bshift
+// + 2^(s-1), the exact floor((A + B) / 2^s) is q + ((r + B) >> s): |B| <
+// 2^30 + 2^28 and r < 2^29 keep r + B inside int32, and the sum of the two
+// shifted terms inside it too. VPACKSSDW is sat16 (VPERMQ undoes its
+// per-lane interleave) and VPMAXSW clamps at lo. The bias cursor moves 8
+// words at a time and wraps at the end of the biasLen row (a multiple of 8).
+TEXT ·narrow64AVX2(SB), NOSPLIT, $0-64
 	MOVQ         dst+0(FP), DI
 	MOVQ         acc+8(FP), SI
 	MOVQ         bias+16(FP), R8
@@ -331,58 +274,50 @@ TEXT ·narrow64AVX2(SB), NOSPLIT, $0-56
 	VMOVQ        AX, X14                    // bias shift
 	MOVQ         shift+48(FP), CX
 	VMOVQ        CX, X13                    // s
+	MOVQ         $1, BX
+	SHLQ         CX, BX
+	DECQ         BX
+	VMOVQ        BX, X10
+	VPBROADCASTD X10, Y10                   // 2^s - 1 in every dword
 	DECQ         CX
 	MOVQ         $1, BX
 	SHLQ         CX, BX
 	VMOVQ        BX, X15
-	VPBROADCASTQ X15, Y15                   // 2^(s-1) in every qword
-	MOVQ         $0x0703060205010400, AX
-	VMOVQ        AX, X12
-	VPMOVZXBD    X12, Y12                   // dword order 0 4 1 5 2 6 3 7
+	VPBROADCASTD X15, Y15                   // 2^(s-1) in every dword
+	MOVQ         lo+56(FP), AX
+	VMOVQ        AX, X11
+	VPBROADCASTW X11, Y11                   // lo in every word
 	MOVQ         blocks+24(FP), CX
 
 	PCALIGN $32
 n64block:
-	VPMOVSXWQ (DX), Y4
-	ADDQ      $8, DX
+	VPMOVSXWD (DX), Y4
+	ADDQ      $16, DX
 	CMPQ      DX, R9
 	CMOVQEQ   R8, DX
-	VPMOVSXWQ (DX), Y5
-	ADDQ      $8, DX
+	VPMOVSXWD (DX), Y5
+	ADDQ      $16, DX
 	CMPQ      DX, R9
 	CMOVQEQ   R8, DX
-	VPMOVSXWQ (DX), Y6
-	ADDQ      $8, DX
-	CMPQ      DX, R9
-	CMOVQEQ   R8, DX
-	VPMOVSXWQ (DX), Y7
-	ADDQ      $8, DX
-	CMPQ      DX, R9
-	CMOVQEQ   R8, DX
-	VPSLLQ    X14, Y4, Y4
-	VPSLLQ    X14, Y5, Y5
-	VPSLLQ    X14, Y6, Y6
-	VPSLLQ    X14, Y7, Y7
-	VPADDQ    Y15, Y4, Y4
-	VPADDQ    Y15, Y5, Y5
-	VPADDQ    Y15, Y6, Y6
-	VPADDQ    Y15, Y7, Y7
-	VPMOVSXDQ (SI), Y0
-	VPMOVSXDQ 16(SI), Y1
-	VPMOVSXDQ 32(SI), Y2
-	VPMOVSXDQ 48(SI), Y3
-	VPADDQ    Y4, Y0, Y0
-	VPADDQ    Y5, Y1, Y1
-	VPADDQ    Y6, Y2, Y2
-	VPADDQ    Y7, Y3, Y3
-	VPSRLQ    X13, Y0, Y0
-	VPSRLQ    X13, Y1, Y1
-	VPSRLQ    X13, Y2, Y2
-	VPSRLQ    X13, Y3, Y3
-	VSHUFPS   $0x88, Y1, Y0, Y0             // words 0 1 4 5 | 2 3 6 7
-	VSHUFPS   $0x88, Y3, Y2, Y2             // words 8 9 12 13 | 10 11 14 15
-	VPACKSSDW Y2, Y0, Y0                    // pairs 01 45 89 CD | 23 67 AB EF
-	VPERMD    Y0, Y12, Y0                   // pairs 01 23 45 67 89 AB CD EF
+	VPSLLD    X14, Y4, Y4
+	VPSLLD    X14, Y5, Y5
+	VPADDD    Y15, Y4, Y4                   // B, words 0-7
+	VPADDD    Y15, Y5, Y5                   // B, words 8-15
+	VMOVDQU   (SI), Y0
+	VMOVDQU   32(SI), Y1
+	VPAND     Y10, Y0, Y2                   // r
+	VPAND     Y10, Y1, Y3
+	VPADDD    Y4, Y2, Y2
+	VPADDD    Y5, Y3, Y3
+	VPSRAD    X13, Y2, Y2                   // (r + B) >> s
+	VPSRAD    X13, Y3, Y3
+	VPSRAD    X13, Y0, Y0                   // q
+	VPSRAD    X13, Y1, Y1
+	VPADDD    Y2, Y0, Y0
+	VPADDD    Y3, Y1, Y1
+	VPACKSSDW Y1, Y0, Y0                    // quads: 0-3 8-11 4-7 12-15
+	VPERMQ    $0xD8, Y0, Y0                 // quads: 0-3 4-7 8-11 12-15
+	VPMAXSW   Y11, Y0, Y0
 	VMOVDQU   Y0, (DI)
 	ADDQ      $64, SI
 	ADDQ      $32, DI
