@@ -17,13 +17,13 @@ func (v Vec2) Add(o Vec2) Vec2 { return Vec2{v.X + o.X, v.Y + o.Y} }
 func (v Vec2) Sub(o Vec2) Vec2 { return Vec2{v.X - o.X, v.Y - o.Y} }
 
 // Scale returns s*v.
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{s * v.X, s * v.Y} }
+func (v Vec2) Scale(s float64) Vec2 { return Vec2{float64(s * v.X), float64(s * v.Y)} }
 
 // Dot returns the dot product.
-func (v Vec2) Dot(o Vec2) float64 { return v.X*o.X + v.Y*o.Y }
+func (v Vec2) Dot(o Vec2) float64 { return float64(v.X*o.X) + float64(v.Y*o.Y) }
 
 // Cross returns the scalar cross product (z-component).
-func (v Vec2) Cross(o Vec2) float64 { return v.X*o.Y - v.Y*o.X }
+func (v Vec2) Cross(o Vec2) float64 { return float64(v.X*o.Y) - float64(v.Y*o.X) }
 
 // Len returns the Euclidean norm.
 func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
@@ -44,7 +44,7 @@ func (v Vec2) Unit() Vec2 {
 // Rotate returns v rotated by the angle in radians (counterclockwise).
 func (v Vec2) Rotate(rad float64) Vec2 {
 	s, c := math.Sincos(rad)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
+	return Vec2{float64(v.X*c) - float64(v.Y*s), float64(v.X*s) + float64(v.Y*c)}
 }
 
 // FromAngle returns the unit vector at the given heading in radians.
@@ -79,8 +79,8 @@ func (c Circle) Distance(p Vec2) float64 { return p.Dist(c.C) - c.R }
 func IntersectRayCircle(r Ray, c Circle) (float64, bool) {
 	oc := r.O.Sub(c.C)
 	b := oc.Dot(r.D)
-	q := oc.Dot(oc) - c.R*c.R
-	disc := b*b - q
+	q := oc.Dot(oc) - float64(c.R*c.R)
+	disc := float64(b*b) - q
 	if disc < 0 {
 		return 0, false
 	}

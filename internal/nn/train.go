@@ -45,9 +45,17 @@ type TrainableBackend interface {
 }
 
 // BoundaryFeaturizer is the optional hook of a TrainableBackend that freezes
-// a prefix: the activation of one CHW observation at the training boundary,
-// in the backend's own arithmetic, for TrainBatch.Feats. The result is
-// privately owned by the caller and nil when nothing is frozen.
+// a prefix: an actor computes each frame's boundary words once and both acts
+// and trains on them, so the frozen prefix runs once per frame in the
+// backend's own arithmetic and never on the float mirror.
 type BoundaryFeaturizer interface {
+	// BoundaryFeatures returns the activation of one CHW observation at the
+	// training boundary, for TrainBatch.Feats. The result is privately owned
+	// by the caller and nil when nothing is frozen.
 	BoundaryFeatures(obs *tensor.Tensor) []int16
+	// GreedyFrom runs the online trainable tail over one row BoundaryFeatures
+	// returned and gives the greedy action: the argmax of the Q-values, ties
+	// to the lowest index, so the frame's Backend.Infer row would pick the
+	// same. It leaves feat as it found it.
+	GreedyFrom(feat []int16) int
 }

@@ -1040,6 +1040,80 @@ func TestTrainBackendFeaturesBitIdentical(t *testing.T) {
 	e2e.Train(tb)
 }
 
+// TestTrainBackendGreedyFrom pins the actor's integer greedy step: under L2
+// and L3, after a few updates, GreedyFrom over a frame's boundary
+// words picks Infer's argmax for that frame (ties to the lowest index, as
+// rl's argmax), on every frame of the pool, with at least two distinct
+// actions among them. It leaves the words replay keeps as they were and
+// charges nothing. A row of the wrong width is refused by the first
+// trainable layer, by name; under E2E there is no boundary to start from.
+func TestTrainBackendGreedyFrom(t *testing.T) {
+	g := goldenMeta(t)
+	frame := func(i int) *tensor.Tensor { return tensor.FromSlice(g.pool[i], 1, env.ImageSize, env.ImageSize) }
+	compile := func(cfg nn.Config) *TrainBackend {
+		net := g.net()
+		net.SetConfig(cfg)
+		b, err := NewTrainBackend(net, TrainOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, cfg := range []nn.Config{nn.L2, nn.L3} {
+		b := compile(cfg)
+		// No sync: the target keeps the compiled tail, so a GreedyFrom that
+		// read it instead of the trained online tail would show.
+		rng := rand.New(rand.NewSource(81))
+		for step := 1; step <= goldenSteps; step++ {
+			b.Train(featureTwin(b, goldenBatchAt(rng, g.pool)))
+		}
+		seen := map[int]bool{}
+		for i := range g.pool {
+			feat := b.BoundaryFeatures(frame(i))
+			kept := slices.Clone(feat)
+			cost := b.Cost()
+			got := b.GreedyFrom(feat)
+			if b.Cost() != cost {
+				t.Fatalf("%s frame %d: GreedyFrom moved the cost %+v to %+v", cfg, i, cost, b.Cost())
+			}
+			if !slices.Equal(feat, kept) {
+				t.Fatalf("%s frame %d: GreedyFrom rewrote the caller's boundary words", cfg, i)
+			}
+			q := b.Infer(frame(i))
+			want := 0
+			for a, v := range q {
+				if v > q[want] {
+					want = a
+				}
+			}
+			if got != want {
+				t.Fatalf("%s frame %d: GreedyFrom picks %d, Infer's argmax is %d (Q %v)", cfg, i, got, want, q)
+			}
+			seen[got] = true
+		}
+		if len(seen) < 2 {
+			t.Errorf("%s: every frame picks the same action: the pin proves nothing", cfg)
+		}
+
+		feat := b.BoundaryFeatures(frame(0))
+		name := b.online.layers[b.online.trainFrom].name()
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, name) {
+					t.Errorf("%s: GreedyFrom of a short row panicked %q, want a refusal naming %s", cfg, msg, name)
+				}
+			}()
+			b.GreedyFrom(feat[:len(feat)-1])
+		}()
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "freezes no prefix") {
+			t.Errorf("E2E: GreedyFrom panicked %q, want a refusal", msg)
+		}
+	}()
+	compile(nn.E2E).GreedyFrom(make([]int16, 8))
+}
+
 // TestTrainBackendSharedPrefix asserts the frozen prefix is one set of words,
 // not two that happen to agree: after 12 updates and 3 syncs under L3 the
 // target's frozen weight slices still alias the online ones, its trainable
@@ -1136,7 +1210,8 @@ func TestTrainBackendSharedPrefix(t *testing.T) {
 // TestQuantTrainStepZeroAlloc asserts the steady-state allocation contract of
 // the batched TD step — the twin of TestQuantForwardBatchZeroAlloc: after one
 // warm-up Train at batch 32, fed frames or boundary features, every panel
-// comes from the workspace. Pinned on
+// comes from the workspace, and so does the actor's greedy step from
+// boundary words. Pinned on
 // the single-threaded schedule, as there: above the flops threshold the
 // GEMM's row fan-out allocates goroutine closures.
 func TestQuantTrainStepZeroAlloc(t *testing.T) {
@@ -1166,6 +1241,10 @@ func TestQuantTrainStepZeroAlloc(t *testing.T) {
 		obs := tensor.FromSlice(g.pool[0], 1, env.ImageSize, env.ImageSize)
 		if allocs := testing.AllocsPerRun(5, func() { b.BoundaryFeatures(obs) }); allocs != 1 {
 			t.Errorf("%s: BoundaryFeatures allocates %v times per frame, want 1", cfg, allocs)
+		}
+		feat := b.BoundaryFeatures(obs)
+		if allocs := testing.AllocsPerRun(5, func() { b.GreedyFrom(feat) }); allocs != 0 {
+			t.Errorf("%s: GreedyFrom allocates %v times per step, want 0", cfg, allocs)
 		}
 	}
 }

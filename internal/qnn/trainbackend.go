@@ -27,8 +27,11 @@ import (
 // nothing) and a Train fed TrainBatch.Feats enters at the training boundary,
 // yet is charged what the same batch costs as frames, so Cost() and every
 // modeled number read the same to the last bit whichever way the rows
-// arrive. The train-side tallies are what EXPERIMENTS.md's
-// train-energy-per-step table reports against the paper's E2E column.
+// arrive. An actor's greedy step from those words (GreedyFrom) charges
+// nothing either: the weight reads of acting are not priced yet, and will
+// be once one price list covers every pass. The train-side tallies are what
+// EXPERIMENTS.md's train-energy-per-step table reports against the paper's
+// E2E column.
 type TrainBackend struct {
 	online *Network
 	target *Network
@@ -123,6 +126,20 @@ func (b *TrainBackend) BoundaryFeatures(obs *tensor.Tensor) []int16 {
 	on.quantize(qin, obs.Data())
 	feat, _ := on.forwardLayers(0, on.trainFrom, qin, 1, obsShape(obs))
 	return slices.Clone(feat)
+}
+
+// GreedyFrom implements nn.BoundaryFeaturizer: the online tail over one row
+// of boundary words, argmax over the output words with ties to the lowest
+// index. Dequantization is monotone, so this is Infer's argmax over the
+// frame the row came from. Like BoundaryFeatures it charges nothing (cost
+// model above) and allocates nothing.
+func (b *TrainBackend) GreedyFrom(feat []int16) int {
+	if b.featDim() == 0 {
+		panic("qnn: GreedyFrom on a backend that freezes no prefix")
+	}
+	on := b.online
+	q, _ := on.forwardLayers(on.trainFrom, len(on.layers), feat, 1, [3]int{len(feat), 1, 1})
+	return slices.Index(q, slices.Max(q))
 }
 
 // checkBatch validates every field of a TD minibatch before Train touches

@@ -37,9 +37,11 @@ type Actor struct {
 	// captured there.
 	FloatFeatures bool
 	// QFeatures, when set, makes transitions carry a train backend's Q7.8
-	// boundary words (QFeat/QNextFeat) instead, with no float prefix pass
-	// for capture. BoundaryFeatures is not goroutine-safe: only the actor
-	// flying the backend's own agent may set it.
+	// boundary words (QFeat/QNextFeat) instead, and greedy actions take the
+	// backend's integer tail over them (GreedyFrom): the actor acts on the
+	// words it trains, and never reads Net while it flies. The featurizer is
+	// not goroutine-safe: only the actor flying the backend's own agent may
+	// set it.
 	QFeatures nn.BoundaryFeaturizer
 
 	obs   *tensor.Tensor // the frame in hand, nil before the first Step
@@ -48,10 +50,11 @@ type Actor struct {
 }
 
 // Step takes one environment step at shared-clock time t: an ε(t)-greedy
-// action — the greedy one through the split forward, entering the trainable
-// tail from the frame's cached features when there are any — then
-// World.Step and the next frame's render and features. It returns the
-// transition and the world's step result.
+// action — the greedy one through the trainable tail over the frame's cached
+// features when there are any (the train backend's integer tail over its
+// words, else Net's tail over the float activation), through all of Net
+// otherwise — then World.Step and the next frame's render and features. It
+// returns the transition and the world's step result.
 func (a *Actor) Step(t int64) (Transition, env.StepResult) {
 	if a.obs == nil {
 		a.obs = env.DepthImage(a.World.Depths(), a.World.Camera.MaxRange)
@@ -61,6 +64,8 @@ func (a *Actor) Step(t int64) (Transition, env.StepResult) {
 	switch {
 	case a.Rng.Float64() < a.Schedule.EpsilonAt(t):
 		action = a.Rng.Intn(a.Actions)
+	case a.qfeat != nil:
+		action = a.QFeatures.GreedyFrom(a.qfeat)
 	case a.feat != nil:
 		action = a.Net.ForwardRange(a.Net.TrainFrom(), len(a.Net.Layers), a.feat).ArgMax()
 	default:

@@ -9,12 +9,18 @@ import (
 	"dronerl/internal/tensor"
 )
 
-// countingFeaturizer hands out a fresh word slice per call and counts calls.
-type countingFeaturizer struct{ calls int }
+// countingFeaturizer hands out a fresh word slice per call and counts the
+// captures and the greedy steps taken from them.
+type countingFeaturizer struct{ calls, greedy int }
 
 func (c *countingFeaturizer) BoundaryFeatures(*tensor.Tensor) []int16 {
 	c.calls++
 	return make([]int16, 4)
+}
+
+func (c *countingFeaturizer) GreedyFrom([]int16) int {
+	c.greedy++
+	return 0
 }
 
 // flyActor takes n steps and returns the transitions.
@@ -75,12 +81,34 @@ func TestActorCapturesFloatFeaturesOncePerFrame(t *testing.T) {
 }
 
 // TestActorCapturesQFeaturesOncePerFrame: with a featurizer the actor asks it
-// once per frame — n steps see n+1 frames — and makes no float capture.
+// once per frame — n steps see n+1 frames — and makes no float capture, and
+// takes every greedy action from it, one GreedyFrom per greedy step and none
+// per exploring one.
 func TestActorCapturesQFeaturesOncePerFrame(t *testing.T) {
 	act := newTestActor(t, nn.L3, 42)
 	fz := &countingFeaturizer{}
 	act.QFeatures = fz
-	trs := flyActor(act, 16)
+	// A twin of the actor's exploration stream: one Float64 per step, one
+	// Intn more when the step explores (Actor.Rng).
+	twin := rand.New(rand.NewSource(42))
+	trs := make([]Transition, 16)
+	explored := 0
+	for i := range trs {
+		before := fz.greedy
+		trs[i], _ = act.Step(int64(i + 1))
+		want := 1
+		if twin.Float64() < 0.5 {
+			twin.Intn(env.NumActions)
+			want = 0
+			explored++
+		}
+		if got := fz.greedy - before; got != want {
+			t.Fatalf("step %d: %d GreedyFrom calls, want %d", i, got, want)
+		}
+	}
+	if explored == 0 || explored == len(trs) {
+		t.Fatalf("%d of %d steps explored: the schedule does not mix both kinds", explored, len(trs))
+	}
 	if fz.calls != len(trs)+1 {
 		t.Errorf("featurizer called %d times for %d frames", fz.calls, len(trs)+1)
 	}

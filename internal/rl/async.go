@@ -120,9 +120,11 @@ func (l *OnlineLoop) Run(ctx context.Context, iters int) (OnlineStats, error) {
 // actor builds an Actor flying net in w with the agent's schedule. It
 // captures what the agent's TrainStep reads: the train backend's integer
 // boundary words when it can make them and the actor flies the agent's own
-// network (BoundaryFeatures is not goroutine-safe); nothing otherwise under
-// a train backend, which then stacks frames; float boundary features for the
-// float learner.
+// network (the featurizer is not goroutine-safe), and the actor then also
+// takes its greedy actions from those words through the backend's integer
+// tail; nothing otherwise under a train backend, which then stacks frames
+// while the actor acts on its float network; float boundary features for
+// the float learner.
 func (a *Agent) actor(net *nn.Network, w *env.World, rng *rand.Rand) *Actor {
 	act := &Actor{Net: net, World: w, Rng: rng, Schedule: a.opts, Actions: a.actions}
 	switch fz, ok := a.trainBackend.(nn.BoundaryFeaturizer); {

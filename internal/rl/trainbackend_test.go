@@ -3,8 +3,10 @@ package rl
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
+	"dronerl/internal/env"
 	"dronerl/internal/nn"
 
 	_ "dronerl/internal/qnn" // register the quant-train backend
@@ -189,5 +191,93 @@ func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
 	feats.TrainStep()
 	if got, want := featsTap.frameRows, rowsOf(feats); got != want {
 		t.Errorf("a batch with uncached rows handed the backend %d frame rows, want all %d", got, want)
+	}
+}
+
+// quantTrainFlight flies runSerial's schedule — the agent's own actor, rng
+// and clock, TrainStep every trainEvery steps — greedily for the given
+// number of frames, from the meta-trained NavNet under cfg on the
+// quant-train backend. Before the step trains, each action is checked
+// against Agent.Greedy on the state it was taken in, which answers through
+// TrainBackend.Infer: the flight returns its actions and the number of
+// frames where the two differ. poison first overwrites the float mirror's
+// frozen CONV1 weights with NaN, which any float pass would read.
+func quantTrainFlight(t *testing.T, cfg nn.Config, w *env.World, frames int, poison bool) ([]int, int) {
+	t.Helper()
+	const trainEvery = 4
+	opts, err := NewOptions(WithSeed(101), WithBatchSize(8), WithEpsilon(0, 0), WithEpsDecaySteps(1),
+		WithReplayCapacity(256), WithTargetSync(16), WithTrainBackend("quant-train"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAgent(nn.NavNetSpec(), cfg, opts)
+	if err := goldenMeta().weights.Restore(a.Net); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ActivateTrainBackend(); err != nil {
+		t.Fatal(err)
+	}
+	if poison {
+		obs := goldenMeta().pool[0] // w.Depths would draw on the world's noise stream
+		clean := a.Net.Forward(obs).Clone()
+		conv1 := a.Net.Params()[0]
+		for i := range conv1.W.Data() {
+			conv1.W.Data()[i] = float32(math.NaN())
+		}
+		conv1.MarkChanged()
+		if q := a.Net.Forward(obs); q.Equal(clean) {
+			t.Fatalf("%s: the poisoned mirror still answers %v", cfg, q.Data())
+		}
+	}
+	shards := NewReplayShards(1, opts.ReplayCapacity)
+	a.SetReplaySource(shards)
+	act := a.actor(a.Net, w, a.rng)
+	if act.QFeatures == nil {
+		t.Fatalf("%s: the serial actor captures no integer boundary words", cfg)
+	}
+	actions, disagree := make([]int, frames), 0
+	for i := range actions {
+		tr, _ := act.Step(a.clock.TickEnv())
+		actions[i] = tr.Action
+		if tr.Action != a.Greedy(tr.State) {
+			disagree++
+		}
+		shards.PushTo(0, tr)
+		if i%trainEvery == 0 {
+			a.TrainStep()
+		}
+	}
+	if a.TrainSteps() < 2*opts.TargetSync {
+		t.Fatalf("%s: %d train steps, too few to sync the target", cfg, a.TrainSteps())
+	}
+	return actions, disagree
+}
+
+// TestQuantTrainActorActsOnTrainedWords: under a frozen prefix the one-actor
+// quant-train loop takes every greedy action from the integer words it trains
+// — each equals Agent.Greedy, the backend's Infer, on the frame it was taken
+// in — and no float pass is left on the acting path: a twin flight whose
+// float mirror has NaN for its frozen CONV1 weights takes the same actions.
+func TestQuantTrainActorActsOnTrainedWords(t *testing.T) {
+	const frames = 2000
+	for _, cfg := range []nn.Config{nn.L2, nn.L3} {
+		for _, name := range []string{"indoor-apartment", "indoor-easy"} {
+			scen, ok := env.LookupScenario(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			actions, disagree := quantTrainFlight(t, cfg, scen.Build(102), frames, false)
+			t.Logf("%s %s: %d of %d greedy actions differ from Agent.Greedy", cfg, name, disagree, frames)
+			if disagree != 0 {
+				t.Errorf("%s %s: the actor does not act on the policy it trains", cfg, name)
+			}
+			if name != "indoor-apartment" {
+				continue
+			}
+			poisoned, _ := quantTrainFlight(t, cfg, scen.Build(102), frames, true)
+			if !slices.Equal(poisoned, actions) {
+				t.Errorf("%s %s: a NaN float mirror moves the actions: the actor still reads it", cfg, name)
+			}
+		}
 	}
 }

@@ -94,7 +94,11 @@ func init() {
 // flight tracker, per-step MSE bits, TrainCost, OnlineStats, float mirror,
 // integer weight words and final Q-values it left at 7746eab, where every
 // step still quantized its frames and ran the frozen prefix over the whole
-// stack. Hashes were captured there, under L2, L3 and E2E.
+// stack. The E2E hash was captured there. L2 and L3 were re-captured once,
+// when the actor began taking its greedy actions from the backend's integer
+// tail over its boundary words instead of a float pass on the mirror: the
+// two disagree on near-tie frames, so the flights part ways there. E2E
+// freezes nothing and still acts on the mirror.
 func TestRunOnlineQuantTrainGolden(t *testing.T) {
 	skipOffAMD64(t)
 	const steps = 480
@@ -104,8 +108,8 @@ func TestRunOnlineQuantTrainGolden(t *testing.T) {
 		cfg  nn.Config
 		want string
 	}{
-		{nn.L2, "f6ff9118f47a50cd32bebdb2776abcd56fc8962013c867d457fed8e90516f40f"},
-		{nn.L3, "0f92967d8774f8dad9b693b9fc9f2b50baec649102391bbd17eee61df898713f"},
+		{nn.L2, "ecc1ddcb75ca06504d237388d353e3442add272ba2bdde9c1f04f4ad57281674"},
+		{nn.L3, "3123c317d6ac349684da2f1a9e0aab7a86842884b1e008a4d3ac36f5333cb003"},
 		{nn.E2E, "ac79c97cd5b38bb5894d357fc338aa95580c697c101e139a3851820576eea630"},
 	} {
 		t.Run(tc.cfg.String(), func(t *testing.T) {
@@ -167,6 +171,9 @@ func TestRunOnlineQuantTrainGolden(t *testing.T) {
 			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 				t.Errorf("quant-train online run moved: hash %s, want %s", got, tc.want)
 			}
+			tr := loop.Tracker
+			t.Logf("%s: %d crashes in %d steps, smoothed reward %.4f, safe flight distance %.3f m",
+				tc.cfg, tr.Crashes(), tr.Steps(), tr.CumulativeReward(), tr.SafeFlightDistance())
 			// Not in the hash: 7746eab had no such counter (the constants were
 			// captured there with this block cut). With a prefix frozen every
 			// step must arrive as boundary features; under E2E there are none
