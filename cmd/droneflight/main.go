@@ -36,10 +36,9 @@ import (
 	"dronerl/internal/scen"
 	"dronerl/internal/transfer"
 
-	// Linked for their backend registrations, so -backend can name the
+	// Linked for its backend registrations, so -backend can name the
 	// quant and systolic substrates.
 	_ "dronerl/internal/hw"
-	_ "dronerl/internal/qnn"
 )
 
 // aliases maps the historical short names (with their historical seed

@@ -41,10 +41,9 @@ import (
 	"dronerl/internal/nn"
 	"dronerl/internal/serve"
 
-	// Linked for their backend registrations, so -backend can name the
+	// Linked for its backend registrations, so -backend can name the
 	// quant and systolic substrates.
 	_ "dronerl/internal/hw"
-	_ "dronerl/internal/qnn"
 )
 
 func main() {

@@ -11,7 +11,7 @@ import (
 	"dronerl/internal/nn"
 	"dronerl/internal/serve"
 
-	_ "dronerl/internal/qnn" // register the quant backend
+	_ "dronerl/internal/hw" // register the quant backend
 )
 
 // TestRunRejectsBadInput: a bad flag, a zero count and a stray argument exit

@@ -25,7 +25,7 @@ import (
 
 	// Linked for its backend registration: the deployed drone flies on the
 	// 16-bit integer engine.
-	_ "dronerl/internal/qnn"
+	_ "dronerl/internal/hw"
 )
 
 func main() {

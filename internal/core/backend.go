@@ -4,18 +4,17 @@ import (
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
 
-	// Linked for their backend registrations: the drivers resolve "quant"
-	// and "systolic" through the nn registry, so every binary built on
-	// core must carry the implementations.
-	_ "dronerl/internal/qnn"
+	// Linked for its backend registrations: the drivers resolve "quant",
+	// "quant-train" and "systolic" through the nn registry, so every binary
+	// built on core must carry the implementations.
+	_ "dronerl/internal/hw"
 )
 
 // The experiment drivers select inference backends by registry name. The
-// implementations live where their substrate lives — the float reference in
-// internal/nn, the 16-bit integer engine in internal/qnn, and the
-// accelerator's price list over that engine in internal/hw — and register
-// themselves; importing them here guarantees every binary built on core
-// links all three.
+// float reference lives and registers in internal/nn. The 16-bit integer
+// engine (internal/qnn) computes words only; internal/hw prices them and
+// registers "quant", "quant-train" and "systolic" over it, so importing hw
+// here guarantees every binary built on core links them all.
 
 // Backend names understood by every driver (and listed by nn.BackendNames).
 const (
@@ -36,7 +35,7 @@ const (
 // backendLedger extracts a backend's per-device energy ledger, nil for
 // backends without one (the float path). Any backend — including
 // caller-registered ones — participates by exposing the Ledger method, the
-// way hw.SystolicBackend and qnn.Backend do.
+// way every backend internal/hw registers does.
 func backendLedger(b nn.Backend) *mem.EnergyLedger {
 	if t, ok := b.(interface{ Ledger() *mem.EnergyLedger }); ok {
 		return t.Ledger()

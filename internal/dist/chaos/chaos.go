@@ -84,26 +84,6 @@ func Dialer(network, addr string, cfg Config) Dial {
 	}, cfg)
 }
 
-// WrapListener makes a listener whose accepted connections carry injected
-// faults — the learner-side counterpart of WrapDial.
-func WrapListener(ln net.Listener, cfg Config) net.Listener {
-	return &faultListener{Listener: ln, cfg: cfg, seeds: &counterSeed{seed: cfg.Seed}}
-}
-
-type faultListener struct {
-	net.Listener
-	cfg   Config
-	seeds *counterSeed
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.cfg.wrap(conn, l.seeds.next()), nil
-}
-
 // faultConn spends a byte budget across reads and writes and dies abruptly
 // when it runs out. Reads and writes run on different goroutines, so the
 // budget and rng sit behind a mutex.

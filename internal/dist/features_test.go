@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"dronerl/internal/env"
+	_ "dronerl/internal/hw" // registers the quant-train backend
 	"dronerl/internal/nn"
-	_ "dronerl/internal/qnn" // registers the quant-train backend
 	"dronerl/internal/rl"
 	"dronerl/internal/tensor"
 )

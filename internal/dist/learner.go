@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dronerl/internal/hw"
 	"dronerl/internal/mem"
 	"dronerl/internal/metrics"
 	"dronerl/internal/nn"
@@ -145,7 +146,6 @@ type DropReasons struct {
 type Learner struct {
 	cfg    LearnerConfig
 	shards *rl.ReplayShards
-	mram   *mem.Device
 	learn  rl.Learner
 
 	// netMu keeps the welcome's and the checkpoint's reads of the agent's
@@ -221,7 +221,6 @@ func NewLearner(cfg LearnerConfig) (*Learner, error) {
 	l := &Learner{
 		cfg:      cfg,
 		shards:   rl.NewReplayShards(cfg.ActorSlots, cfg.Agent.Options().ReplayCapacity),
-		mram:     mem.STTMRAM(),
 		conns:    make(map[uint64]*learnerConn),
 		slots:    make(map[uint64]int),
 		departed: make(map[uint64]bool),
@@ -460,7 +459,8 @@ func (l *Learner) checkpoint(publishes int) error {
 	}
 	l.checkpoints++
 	if l.cfg.Ledger != nil {
-		l.cfg.Ledger.Record(l.mram, mem.Write, size*8)
+		t := hw.CheckpointTraffic(size)
+		l.cfg.Ledger.Record(t.Device, t.Kind, t.Bits)
 	}
 	return nil
 }

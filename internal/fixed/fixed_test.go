@@ -169,79 +169,6 @@ func TestMax2(t *testing.T) {
 	}
 }
 
-func TestDotAgainstFloatReference(t *testing.T) {
-	f := Q78
-	xs := []float64{0.5, -1.25, 2, 0.125}
-	ys := []float64{1, 0.5, -0.75, 8}
-	a := EncodeVec(f, xs)
-	b := EncodeVec(f, ys)
-	want := 0.5*1 + -1.25*0.5 + 2*-0.75 + 0.125*8
-	got := f.ToFloat(Dot(f, a, b))
-	if math.Abs(got-want) > 4*f.Eps() {
-		t.Errorf("Dot = %v, want %v", got, want)
-	}
-}
-
-func TestDotLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	Dot(Q78, Vec{1, 2}, Vec{1})
-}
-
-func TestAXPYWeightUpdate(t *testing.T) {
-	f := Q114
-	// y -= lr*g with lr=0.25 encoded as scale=-0.25
-	y := EncodeVec(f, []float64{1.0, -0.5})
-	g := EncodeVec(f, []float64{0.5, 1.0})
-	AXPY(f, f.FromFloat(-0.25), g, y)
-	want := []float64{1.0 - 0.25*0.5, -0.5 - 0.25*1.0}
-	got := DecodeVec(f, y)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 2*f.Eps() {
-			t.Errorf("AXPY[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestReLUVecAndMaxVec(t *testing.T) {
-	v := Vec{-3, 5, -1, 2}
-	ReLUVec(v)
-	if v[0] != 0 || v[2] != 0 || v[1] != 5 || v[3] != 2 {
-		t.Errorf("ReLUVec = %v", v)
-	}
-	if MaxVec(v) != 5 {
-		t.Errorf("MaxVec = %d, want 5", MaxVec(v))
-	}
-}
-
-func TestMaxVecEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on empty vector")
-		}
-	}()
-	MaxVec(nil)
-}
-
-func TestSumAcc(t *testing.T) {
-	v := Vec{100, -50, 25}
-	if got := SumAcc(v); got != 75 {
-		t.Errorf("SumAcc = %d, want 75", got)
-	}
-}
-
-func TestDotAccNoNarrowing(t *testing.T) {
-	a := Vec{256, 256} // 1.0, 1.0 in Q7.8
-	b := Vec{256, 256}
-	acc := DotAcc(a, b)
-	if acc != 2*256*256 {
-		t.Errorf("DotAcc = %d, want %d", acc, 2*256*256)
-	}
-}
-
 func TestQuantizeIdempotent(t *testing.T) {
 	err := quick.Check(func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) {

@@ -2,93 +2,3 @@ package fixed
 
 // Vec is a slice of fixed-point words sharing one format.
 type Vec []Word
-
-// EncodeVec quantizes a float64 slice into format f.
-func EncodeVec(f Format, xs []float64) Vec {
-	out := make(Vec, len(xs))
-	for i, x := range xs {
-		out[i] = f.FromFloat(x)
-	}
-	return out
-}
-
-// DecodeVec expands a fixed-point vector back to float64.
-func DecodeVec(f Format, v Vec) []float64 {
-	out := make([]float64, len(v))
-	for i, w := range v {
-		out[i] = f.ToFloat(w)
-	}
-	return out
-}
-
-// Dot computes the dot product of a and b in the 32-bit accumulator and
-// narrows the result back to format f. Both inputs must share format f.
-// This is the vector-matrix primitive executed row-wise by the PE array
-// during FC forward propagation (paper Fig. 7).
-func Dot(f Format, a, b Vec) Word {
-	if len(a) != len(b) {
-		panic("fixed: Dot length mismatch")
-	}
-	var acc Acc
-	for i := range a {
-		acc = MAC(acc, a[i], b[i])
-	}
-	return f.Narrow(acc)
-}
-
-// DotAcc computes the dot product without narrowing, for callers that
-// accumulate partial sums (pSUMs) across PEs before the final narrow.
-func DotAcc(a, b Vec) Acc {
-	if len(a) != len(b) {
-		panic("fixed: DotAcc length mismatch")
-	}
-	var acc Acc
-	for i := range a {
-		acc = MAC(acc, a[i], b[i])
-	}
-	return acc
-}
-
-// AXPY computes y[i] = sat(y[i] + scale*x[i]) elementwise, the weight-update
-// primitive w -= lr*grad executed against the SRAM-resident layers.
-func AXPY(f Format, scale Word, x, y Vec) {
-	if len(x) != len(y) {
-		panic("fixed: AXPY length mismatch")
-	}
-	for i := range x {
-		p := Mul(scale, x[i])
-		y[i] = SatAdd(y[i], f.Narrow(p))
-	}
-}
-
-// ReLUVec rectifies v in place.
-func ReLUVec(v Vec) {
-	for i, w := range v {
-		if w < 0 {
-			v[i] = 0
-		}
-	}
-}
-
-// MaxVec returns the maximum word in v; it panics on an empty vector.
-func MaxVec(v Vec) Word {
-	if len(v) == 0 {
-		panic("fixed: MaxVec of empty vector")
-	}
-	m := v[0]
-	for _, w := range v[1:] {
-		if w > m {
-			m = w
-		}
-	}
-	return m
-}
-
-// SumAcc adds all elements into the 32-bit accumulator with saturation.
-func SumAcc(v Vec) Acc {
-	var acc Acc
-	for _, w := range v {
-		acc = satAcc(int64(acc) + int64(w))
-	}
-	return acc
-}

@@ -5,7 +5,6 @@ import (
 
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
-	"dronerl/internal/qnn"
 	"dronerl/internal/systolic"
 	"dronerl/internal/tensor"
 )
@@ -33,25 +32,18 @@ import (
 // until ChargeTrainStep is called under a topology whose trained layers are
 // MRAM-resident (the E2E baseline) — the asymmetry the co-design exploits.
 type SystolicBackend struct {
-	model *Model
+	// QuantBackend is the engine, and the price list and ledger every
+	// charge below reads: each pass records quant's forward stream.
+	QuantBackend
 	cfg   nn.Config
-	// engine answers every inference; its own weight-stream ledger is
-	// never read — this backend's ledger prices the chip.
-	engine *qnn.Backend
-
-	ledger *mem.EnergyLedger
-	cost   nn.BackendCost
-
-	mramDev, sramDev, dramDev *mem.Device
+	frame Traffic // camera frame per inference
 
 	// Per-inference charges, fixed at construction.
 	inferLatencyMS float64
 	inferComputeMJ float64 // affine PE power over busy time + SRAM traffic
 	inferCycles    int64
-	mramBits       int64 // weight stream per inference
 	sramReadBits   int64 // GB broadcast traffic per inference
 	sramWriteBits  int64 // output writeback per inference
-	frameBits      int64 // camera frame per inference
 
 	// Per-batch amortizable share of the inference charges: samples after
 	// the first reuse the resident weights (no second stack stream) and
@@ -59,12 +51,11 @@ type SystolicBackend struct {
 	fillDrainCycles int64   // FC tile-pass skew + drain cycles per inference
 	mramStreamNS    float64 // stack read time of one full weight stream
 
-	// Per-train-step charges under cfg (one backward propagation).
-	trainLatencyMS    float64
-	trainComputeMJ    float64
-	trainCycles       int64
-	trainMRAMReadBits int64
-	trainNVMWriteBits int64
+	// Per-train-step charges under cfg (one backward propagation); its
+	// stack traffic is the price list's backward read and update write.
+	trainLatencyMS float64
+	trainComputeMJ float64
+	trainCycles    int64
 
 	// Accumulated breakdown components (the ledger holds the memory side;
 	// compute is not a memory access, so it accumulates here).
@@ -78,92 +69,59 @@ type SystolicBackend struct {
 // — the trained ones — versus MRAM-resident, which is what decides whether
 // training writes the stack.
 func NewSystolicBackend(net *nn.Network, spec nn.ArchSpec, cfg nn.Config) (*SystolicBackend, error) {
-	engine, err := qnn.NewBackend(net)
+	quant, err := NewQuantBackend(net, spec, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("hw: %w", err)
 	}
-	m := NewModelFor(spec)
-	b := &SystolicBackend{
-		model:   m,
-		cfg:     cfg,
-		engine:  engine,
-		ledger:  mem.NewCompactLedger(),
-		mramDev: m.MRAM,
-		sramDev: m.SRAM,
-		dramDev: mem.DRAM(),
-	}
-	b.priceInference(spec)
+	b := &SystolicBackend{QuantBackend: *quant, cfg: cfg, frame: FrameTraffic(spec)}
+	b.priceInference()
 	b.priceTrainStep()
 	return b, nil
 }
 
 // priceInference fixes the per-inference charges from the forward cost
-// tables: latency and PE power from the Fig. 12(a) mechanisms, weight
-// streams against the stack, broadcast traffic against the global buffer,
-// and the camera frame against the off-chip DRAM buffer. FC cycle counts
-// come from the cycle-accurate array simulation, conv cycles from the
-// broadcast-bound pass latency at the array clock.
-func (b *SystolicBackend) priceInference(spec nn.ArchSpec) {
+// tables: latency and PE power from the Fig. 12(a) mechanisms, broadcast
+// traffic against the global buffer, and — as in Model.Breakdown — each
+// layer's energy less its price-list weight stream as compute. FC cycle
+// counts come from the cycle-accurate array simulation, conv cycles from
+// the broadcast-bound pass latency at the array clock.
+func (b *SystolicBackend) priceInference() {
 	m := b.model
 	arr := systolic.New(m.Array)
 	shapes := m.convShapes()
-	for i, s := range shapes {
-		c := m.ConvForwardCost(i)
-		readPJ := m.MRAM.EnergyPJ(mem.Read, s.WeightWords()*m.wordBits())
+	for i, c := range m.ForwardTable() {
 		b.inferLatencyMS += c.LatencyMS
-		b.inferComputeMJ += c.EnergyMJ - readPJ/1e9
-		b.inferCycles += int64(c.LatencyMS * 1e6 * m.Array.ClockGHz)
-		b.mramBits += s.WeightWords() * m.wordBits()
-		tr := systolic.PlanConv(m.Array, s).Traffic(s)
-		b.sramReadBits += (tr.WeightWords + tr.InputWords) * m.wordBits()
-		b.sramWriteBits += tr.OutputWords * m.wordBits()
-	}
-	for i, f := range m.Arch.FCs {
-		c := m.FCForwardCost(i)
-		words := int64(f.Weights())
-		readPJ := m.MRAM.EnergyPJ(mem.Read, words*m.wordBits())
-		b.inferLatencyMS += c.LatencyMS
-		b.inferComputeMJ += c.EnergyMJ - readPJ/1e9
+		b.inferComputeMJ += c.EnergyMJ - m.MRAM.EnergyPJ(mem.Read, b.traffic.Forward[i])/1e9
+		if i < len(shapes) {
+			s := shapes[i]
+			b.inferCycles += int64(c.LatencyMS * 1e6 * m.Array.ClockGHz)
+			tr := systolic.PlanConv(m.Array, s).Traffic(s)
+			b.sramReadBits += (tr.WeightWords + tr.InputWords) * m.wordBits()
+			b.sramWriteBits += tr.OutputWords * m.wordBits()
+			continue
+		}
+		f := m.Arch.FCs[i-len(shapes)]
 		sim := arr.SimulateFC(f.Out, f.In)
 		b.inferCycles += sim.Cycles
 		b.fillDrainCycles += sim.FillDrainCycles
-		b.mramBits += words * m.wordBits()
 		b.sramReadBits += int64(f.In) * m.wordBits()
 		b.sramWriteBits += int64(f.Out) * m.wordBits()
 	}
-	b.mramStreamNS = m.MRAM.AccessTimeNS(mem.Read, b.mramBits)
-	// Global-buffer traffic is charged through the ledger at the SRAM
-	// device's per-bit energy and folded back into the breakdown's compute
-	// component (the affine power model covers the PE array; the explicit
-	// SRAM accesses cover the buffers).
-	b.frameBits = mem.FrameBytes(spec.InputH, spec.InputC) * 8
+	b.mramStreamNS = m.MRAM.AccessTimeNS(mem.Read, b.traffic.ForwardBits)
 }
 
 // priceTrainStep fixes the per-backward-propagation charges under the
-// backend's topology from the Fig. 12(b) mechanisms. The decomposition
-// mirrors Model.Breakdown: FC rows re-stream weights twice (dX + dW), rows
-// flagged NVMWrite pay the Table 1 write-back, and the remainder of each
-// row's energy is compute.
+// backend's topology from the Fig. 12(b) mechanisms, as Model.Breakdown
+// does: the price list's backward read and update write are the stack
+// traffic, and the remainder of each row's energy is compute.
 func (b *SystolicBackend) priceTrainStep() {
 	m := b.model
-	for _, row := range m.BackwardTable(b.cfg) {
-		name := trimSuffixes(row.Layer)
-		words := m.layerWeightWords(name)
-		readBits := 2 * words * m.wordBits()
-		if isConvLayer(name) {
-			readBits = 0 // conv backward rows price staging+compute only
-		}
-		var writeBits int64
-		if row.NVMWrite {
-			writeBits = words * m.wordBits()
-		}
-		readMJ := m.MRAM.EnergyPJ(mem.Read, readBits) / 1e9
-		writeMJ := m.MRAM.EnergyPJ(mem.Write, writeBits) / 1e9
+	for i, row := range m.BackwardTable(b.cfg) {
+		readMJ := m.MRAM.EnergyPJ(mem.Read, b.traffic.Backward[i]) / 1e9
+		writeMJ := m.MRAM.EnergyPJ(mem.Write, b.traffic.Update[i]) / 1e9
 		b.trainLatencyMS += row.LatencyMS
 		b.trainComputeMJ += row.EnergyMJ - readMJ - writeMJ
 		b.trainCycles += int64(row.LatencyMS * 1e6 * m.Array.ClockGHz)
-		b.trainMRAMReadBits += readBits
-		b.trainNVMWriteBits += writeBits
 	}
 }
 
@@ -174,7 +132,7 @@ func (b *SystolicBackend) Name() string { return "systolic" }
 // observation, with one inference's memory traffic charged to the ledger.
 // It is the batch of one of InferBatch, in replies and in charges.
 func (b *SystolicBackend) Infer(obs *tensor.Tensor) []float32 {
-	q := b.engine.Infer(obs)
+	q := b.Backend.Infer(obs)
 	b.charge(1)
 	return q
 }
@@ -193,7 +151,7 @@ func (b *SystolicBackend) Infer(obs *tensor.Tensor) []float32 {
 // Per-sample traffic that genuinely scales with B — global-buffer broadcast,
 // output writeback, camera frames, PE compute — is charged B times.
 func (b *SystolicBackend) InferBatch(batch *tensor.Tensor) []float32 {
-	q := b.engine.InferBatch(batch)
+	q := b.Backend.InferBatch(batch)
 	b.charge(batch.Dim(0))
 	return q
 }
@@ -202,13 +160,12 @@ func (b *SystolicBackend) InferBatch(batch *tensor.Tensor) []float32 {
 // from the records themselves — summing the whole ledger per frame would
 // walk (and sort) the device map in the hot loop.
 func (b *SystolicBackend) charge(bsz int) {
-	var pj float64
-	pj += b.ledger.Record(b.mramDev, mem.Read, b.mramBits).PJ
-	pj += b.ledger.Record(b.sramDev, mem.Read, int64(bsz)*b.sramReadBits).PJ
-	pj += b.ledger.Record(b.sramDev, mem.Write, int64(bsz)*b.sramWriteBits).PJ
-	pj += b.ledger.Record(b.dramDev, mem.Read, int64(bsz)*b.frameBits).PJ
-	b.computeMJ += float64(float64(bsz) * b.inferComputeMJ)
 	b.cost.Inferences += int64(bsz)
+	pj := b.ledger.Record(b.model.MRAM, mem.Read, b.traffic.ForwardBits).PJ
+	pj += b.ledger.Record(b.model.SRAM, mem.Read, int64(bsz)*b.sramReadBits).PJ
+	pj += b.ledger.Record(b.model.SRAM, mem.Write, int64(bsz)*b.sramWriteBits).PJ
+	pj += b.ledger.Record(b.frame.Device, b.frame.Kind, int64(bsz)*b.frame.Bits).PJ
+	b.computeMJ += float64(float64(bsz) * b.inferComputeMJ)
 	b.cost.LatencyMS += b.batchLatencyMS(bsz)
 	b.cost.Cycles += b.inferCycles + int64(bsz-1)*(b.inferCycles-b.fillDrainCycles)
 	b.cost.EnergyMJ += float64(float64(bsz)*b.inferComputeMJ) + pj/1e9
@@ -232,25 +189,14 @@ func (b *SystolicBackend) batchLatencyMS(bsz int) float64 {
 // the NVM write-back of updated weights. Training forward passes ride on
 // the inference accounting.
 func (b *SystolicBackend) ChargeTrainStep() {
-	var pj float64
-	if b.trainMRAMReadBits > 0 {
-		pj += b.ledger.Record(b.mramDev, mem.Read, b.trainMRAMReadBits).PJ
-	}
-	if b.trainNVMWriteBits > 0 {
-		pj += b.ledger.Record(b.mramDev, mem.Write, b.trainNVMWriteBits).PJ
-	}
+	pj := b.ledger.Record(b.model.MRAM, mem.Read, b.traffic.BackwardBits).PJ +
+		b.ledger.Record(b.model.MRAM, mem.Write, b.traffic.UpdateBits).PJ
 	b.computeMJ += b.trainComputeMJ
 	b.trainOps++
 	b.cost.LatencyMS += b.trainLatencyMS
 	b.cost.Cycles += b.trainCycles
 	b.cost.EnergyMJ += b.trainComputeMJ + pj/1e9
 }
-
-// Cost implements nn.CostReporter.
-func (b *SystolicBackend) Cost() nn.BackendCost { return b.cost }
-
-// Ledger exposes the per-device traffic totals.
-func (b *SystolicBackend) Ledger() *mem.EnergyLedger { return b.ledger }
 
 // TrainSteps returns the number of charged backward propagations.
 func (b *SystolicBackend) TrainSteps() int64 { return b.trainOps }
@@ -262,20 +208,13 @@ func (b *SystolicBackend) TrainSteps() int64 { return b.trainOps }
 // the components sum to the backend's total cost by construction and the
 // ledger cross-checks the breakdown record for record.
 func (b *SystolicBackend) Breakdown() EnergyBreakdown {
-	mram := b.ledger.Total(b.mramDev.Name)
+	m := b.model
+	mram := b.ledger.Total(m.MRAM.Name)
 	return EnergyBreakdown{
 		Config:     b.cfg,
-		ComputeMJ:  b.computeMJ + b.ledger.Total(b.sramDev.Name).EnergyPJ/1e9,
-		MRAMReadMJ: b.mramDev.EnergyPJ(mem.Read, mram.ReadBits) / 1e9,
-		NVMWriteMJ: b.mramDev.EnergyPJ(mem.Write, mram.WriteBits) / 1e9,
-		LinkMJ:     b.ledger.Total(b.dramDev.Name).EnergyPJ / 1e9,
-	}
-}
-
-func init() {
-	if err := nn.RegisterBackend("systolic", func(net *nn.Network, spec nn.ArchSpec, cfg nn.Config) (nn.Backend, error) {
-		return NewSystolicBackend(net, spec, cfg)
-	}); err != nil {
-		panic(err)
+		ComputeMJ:  b.computeMJ + b.ledger.Total(m.SRAM.Name).EnergyPJ/1e9,
+		MRAMReadMJ: m.MRAM.EnergyPJ(mem.Read, mram.ReadBits) / 1e9,
+		NVMWriteMJ: m.MRAM.EnergyPJ(mem.Write, mram.WriteBits) / 1e9,
+		LinkMJ:     b.ledger.Total(b.frame.Device.Name).EnergyPJ / 1e9,
 	}
 }

@@ -18,12 +18,17 @@ import (
 // Captured at 171c5ea, while the backend still computed its replies through
 // a float emulation of the PE array: the price list is a function of the
 // plan fixed at construction, so it must not move when the replies' engine
-// does. Not to be re-captured for an engine change.
+// does. Not to be re-captured for an engine change. Re-captured once, on the
+// parent 209932f, when the backend began charging from StackTraffic: the
+// forward stream gained NavNet's 24 conv-bias words (143 077 words, as quant
+// streams) and conv compute became each layer's energy less that stream, as
+// in Model.Breakdown. Before: L2 d6c22ce4…, L3 e4d92ca2…, L4 0509be6b…, E2E
+// 86a779b7….
 var systolicCostGolden = map[nn.Config]string{
-	nn.L2:  "d6c22ce441df5013c5c81141c7f8fc4e3af1082c64f452457a6ec67dac19950f",
-	nn.L3:  "e4d92ca2acc42ccb5826ca3aa66f333ef8845c2e1e7fb5e0bb9c8bee670d7777",
-	nn.L4:  "0509be6b16b03789beb4f4a155411df9421579a1ebacfa789aa2b1e8f7b035f4",
-	nn.E2E: "86a779b75b08350a42024bce6083d2eac0f0206f95a1b5e818f5466e822a4f68",
+	nn.L2:  "9f30e37ccce693acf5c80c44d73a7ec1f106e0b2ccd9a1362b8eee6541cac7c7",
+	nn.L3:  "0870997931344e061b6cf34cb0e6d9ef3aee94ba816dcf59cc4f7830d5325a4f",
+	nn.L4:  "22e550a8e409743e045b5cc8048c15b36766a2332671ad56788063104d2d5a86",
+	nn.E2E: "4850d9fe5ae6c201fb1d95351891795f53918cb3bbe75f10d1f3363849c6357d",
 }
 
 // TestSystolicCostGolden pins the systolic backend's accounting bit for bit:

@@ -29,56 +29,29 @@ func (b EnergyBreakdown) TotalMJ() float64 {
 	return b.ComputeMJ + b.MRAMReadMJ + b.NVMWriteMJ + b.LinkMJ
 }
 
-// Breakdown decomposes the per-iteration energy for a topology.
+// Breakdown decomposes the per-iteration energy for a topology: the stack
+// traffic of one image is StackTraffic(cfg)'s (every layer streams its
+// weights once forward; trained FC layers re-stream theirs twice backward,
+// and NVM-resident ones pay the write-back), and the rest of each layer's
+// cost is compute.
 func (m *Model) Breakdown(cfg nn.Config) EnergyBreakdown {
 	b := EnergyBreakdown{Config: cfg}
-
-	// Forward: every layer streams its weights once from the stack.
-	for i := range m.Arch.Convs {
-		c := m.ConvForwardCost(i)
-		read := m.MRAM.EnergyPJ(mem.Read, int64(m.Arch.Convs[i].Weights())*m.wordBits()) / 1e9
+	t := m.StackTraffic(cfg)
+	for i, row := range m.ForwardTable() {
+		read := m.MRAM.EnergyPJ(mem.Read, t.Forward[i]) / 1e9
 		b.MRAMReadMJ += read
-		b.ComputeMJ += c.EnergyMJ - read
+		b.ComputeMJ += row.EnergyMJ - read
 	}
-	for i := range m.Arch.FCs {
-		c := m.FCForwardCost(i)
-		read := m.MRAM.EnergyPJ(mem.Read, int64(m.Arch.FCs[i].Weights())*m.wordBits()) / 1e9
-		b.MRAMReadMJ += read
-		b.ComputeMJ += c.EnergyMJ - read
-	}
-
-	// Backward: trained layers re-stream weights twice (dX + dW) and
-	// NVM-resident ones pay the write-back.
-	for _, row := range m.BackwardTable(cfg) {
-		name := trimSuffixes(row.Layer)
-		words := m.layerWeightWords(name)
-		read := m.MRAM.EnergyPJ(mem.Read, 2*words*m.wordBits()) / 1e9
-		var write float64
-		if row.NVMWrite {
-			write = m.MRAM.EnergyPJ(mem.Write, words*m.wordBits()) / 1e9
-		}
-		// Conv backward rows price only staging+compute plus the write;
-		// their cost function does not include explicit reads.
-		if isConvLayer(name) {
-			read = 0
-		}
+	for i, row := range m.BackwardTable(cfg) {
+		read := m.MRAM.EnergyPJ(mem.Read, t.Backward[i]) / 1e9
+		write := m.MRAM.EnergyPJ(mem.Write, t.Update[i]) / 1e9
 		b.MRAMReadMJ += read
 		b.NVMWriteMJ += write
 		b.ComputeMJ += row.EnergyMJ - read - write
 	}
-
 	frame := mem.FrameBytes(m.Arch.InputH, m.Arch.InputC)
 	b.LinkMJ = m.Link.TransferEnergyPJ(frame) / 1e9
 	return b
-}
-
-func trimSuffixes(layer string) string {
-	for i := 0; i < len(layer); i++ {
-		if layer[i] == '+' {
-			return layer[:i]
-		}
-	}
-	return layer
 }
 
 func isConvLayer(name string) bool {

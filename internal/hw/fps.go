@@ -40,15 +40,10 @@ func (m *Model) Iteration(cfg nn.Config, batch int) IterationCost {
 	}
 	fwd := m.ForwardLatencyMS()
 	bwd := m.BackwardLatencyMS(cfg)
-	// Update pass: read weight + gradient sum, write weight, through
-	// the SRAM's wide rows.
-	var updBits int64
-	for _, name := range m.TrainedLayerNames(cfg) {
-		if !m.LayerInMRAM(name, cfg) {
-			updBits += m.layerWeightWords(name) * m.wordBits() * 3
-		}
-	}
-	upd := m.SRAM.AccessTimeNS(mem.Write, updBits) / 1e6 / float64(batch)
+	// Update pass: read weight + gradient sum, write weight, through the
+	// SRAM's wide rows, for every trained word the stack does not keep.
+	sramBits := int64(m.Arch.TrainedWeights(cfg))*m.wordBits() - m.StackTraffic(cfg).UpdateBits
+	upd := m.SRAM.AccessTimeNS(mem.Write, 3*sramBits) / 1e6 / float64(batch)
 	return IterationCost{
 		Config: cfg, Batch: batch,
 		InferenceMS: fwd, TrainForwardMS: fwd, TrainBackwardMS: bwd,

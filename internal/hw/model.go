@@ -303,12 +303,6 @@ func (m *Model) TrainedLayerNames(cfg nn.Config) []string {
 	return names
 }
 
-// PublishTraffic is one device's share of a policy-snapshot publish.
-type PublishTraffic struct {
-	Device *mem.Device
-	Bits   int64
-}
-
 // SnapshotPublishTraffic prices one policy publish of the actor/learner
 // online-learning pipeline under cfg: the learner writes the snapshot of the
 // trainable weights into the double-buffered policy store the actors adopt
@@ -317,24 +311,17 @@ type PublishTraffic struct {
 // a publish is cheap on-die buffer traffic; under E2E the conv and early FC
 // layers live in the STT-MRAM stack and pay the Table 1 NVM write while the
 // buffer-resident FC tail stays at SRAM prices — the per-layer split of
-// Fig. 5, not a flat worst-case charge. Callers record one Write per entry
-// to their ledger per publish.
-func (m *Model) SnapshotPublishTraffic(cfg nn.Config) []PublishTraffic {
-	var mramBits, sramBits int64
-	for _, name := range m.TrainedLayerNames(cfg) {
-		bits := m.layerWeightWords(name) * m.wordBits()
-		if m.LayerInMRAM(name, cfg) {
-			mramBits += bits
-		} else {
-			sramBits += bits
-		}
-	}
-	var out []PublishTraffic
+// Fig. 5, whose stack share is StackTraffic's update write. Callers record
+// every entry to their ledger per publish.
+func (m *Model) SnapshotPublishTraffic(cfg nn.Config) []Traffic {
+	mramBits := m.StackTraffic(cfg).UpdateBits
+	sramBits := int64(m.Arch.TrainedWeights(cfg))*m.wordBits() - mramBits
+	var out []Traffic
 	if mramBits > 0 {
-		out = append(out, PublishTraffic{Device: m.MRAM, Bits: mramBits})
+		out = append(out, Traffic{Device: m.MRAM, Kind: mem.Write, Bits: mramBits})
 	}
 	if sramBits > 0 {
-		out = append(out, PublishTraffic{Device: m.SRAM, Bits: sramBits})
+		out = append(out, Traffic{Device: m.SRAM, Kind: mem.Write, Bits: sramBits})
 	}
 	return out
 }

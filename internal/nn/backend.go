@@ -19,9 +19,10 @@ import (
 // path.
 //
 // Implementations register themselves by name (RegisterBackend); the float
-// reference lives here, the quantized engine in internal/qnn and the
-// systolic array in internal/hw, so the higher layers select backends
-// without depending on any particular implementation.
+// reference lives here, and internal/hw registers the quantized engine of
+// internal/qnn ("quant", "quant-train") and the systolic array, all priced
+// off one price list, so the higher layers select backends without
+// depending on any particular implementation.
 type Backend interface {
 	// Name identifies the backend ("float", "quant", "systolic").
 	Name() string

@@ -11,8 +11,7 @@ import (
 )
 
 // TestQuantBackendMatchesIntegerEngine asserts the backend's greedy argmax
-// is exactly the compiled integer network's decision, and that every Infer
-// charges one full weight stream against the STT-MRAM ledger.
+// is exactly the compiled integer network's decision.
 func TestQuantBackendMatchesIntegerEngine(t *testing.T) {
 	spec := nn.NavNetSpec()
 	net := spec.Build()
@@ -41,37 +40,6 @@ func TestQuantBackendMatchesIntegerEngine(t *testing.T) {
 		if want := greedy(ref, obs); got != want {
 			t.Errorf("trial %d: backend greedy %d, integer engine %d", trial, got, want)
 		}
-	}
-
-	cost := b.Cost()
-	if cost.Inferences != trials {
-		t.Errorf("cost counted %d inferences, want %d", cost.Inferences, trials)
-	}
-	if cost.EnergyMJ <= 0 || cost.LatencyMS <= 0 {
-		t.Errorf("cost %+v must price the weight stream", cost)
-	}
-	mram := b.Ledger().Total("STT-MRAM")
-	if want := trials * ref.WeightBits(); mram.ReadBits != want {
-		t.Errorf("ledger read %d bits, want %d (one weight stream per inference)", mram.ReadBits, want)
-	}
-	if mram.WriteBits != 0 {
-		t.Errorf("inference wrote %d bits to the stack", mram.WriteBits)
-	}
-}
-
-func TestQuantBackendRegistered(t *testing.T) {
-	spec := nn.NavNetSpec()
-	net := spec.Build()
-	net.Init(rand.New(rand.NewSource(3)))
-	b, err := nn.NewBackendFor("quant", net, spec, nn.L3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name() != "quant" {
-		t.Errorf("name %q", b.Name())
-	}
-	if _, ok := b.(nn.CostReporter); !ok {
-		t.Error("quant backend must report costs")
 	}
 }
 

@@ -85,57 +85,6 @@ func TestQuantInferBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQuantInferBatchLedgerAmortized asserts the batched path's energy
-// accounting: one InferBatch call charges exactly one weight stream — every
-// layer's weights read from the stack once — no matter how many requests the
-// batch carries, while the per-sample path charges one stream per request.
-func TestQuantInferBatchLedgerAmortized(t *testing.T) {
-	spec := nn.NavNetSpec()
-	net := spec.Build()
-	net.Init(rand.New(rand.NewSource(41)))
-	b, err := NewBackend(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := b.net.WeightBits()
-	if stream <= 0 {
-		t.Fatal("compiled network reports no weight traffic")
-	}
-
-	const bsz = 8
-	stack := tensor.New(bsz, 1, env.ImageSize, env.ImageSize)
-	stack.RandUniform(rand.New(rand.NewSource(42)), 1)
-
-	b.InferBatch(stack)
-	mram := b.Ledger().Total("STT-MRAM")
-	if mram.ReadBits != stream {
-		t.Errorf("batch of %d read %d bits, want %d (one stream per layer, not one per request)",
-			bsz, mram.ReadBits, stream)
-	}
-	if got := b.Cost().Inferences; got != bsz {
-		t.Errorf("batch of %d counted %d inferences", bsz, got)
-	}
-	batchMJ := b.Cost().EnergyMJ
-
-	// The per-sample path pays bsz streams for the same work.
-	for s := 0; s < bsz; s++ {
-		obs := tensor.FromSlice(append([]float32(nil), stack.Data()[s*stack.Len()/bsz:(s+1)*stack.Len()/bsz]...),
-			1, env.ImageSize, env.ImageSize)
-		b.Infer(obs)
-	}
-	mram = b.Ledger().Total("STT-MRAM")
-	if want := (1 + bsz) * stream; mram.ReadBits != want {
-		t.Errorf("after %d serial Infers ledger reads %d bits, want %d", bsz, mram.ReadBits, want)
-	}
-	serialMJ := b.Cost().EnergyMJ - batchMJ
-	if batchMJ >= serialMJ {
-		t.Errorf("batched energy %v mJ not below serial %v mJ: weight stream is not amortized", batchMJ, serialMJ)
-	}
-	if mram.WriteBits != 0 {
-		t.Errorf("inference wrote %d bits to the stack", mram.WriteBits)
-	}
-}
-
 // TestQuantForwardBatchZeroAlloc asserts the steady-state allocation
 // contract of the integer pass: after warm-up, InferBatch touches only the
 // workspace, and so does a lone frame through Infer, the batch of one. Pinned on the single-threaded schedule — above the flops threshold the

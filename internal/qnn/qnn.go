@@ -3,7 +3,8 @@
 // accumulators, rather than a float emulation of it — served by Backend (the
 // quant and systolic backends, the serving daemon) and trained by
 // TrainBackend (quant-train) on one datapath, as the paper's PE array runs
-// both (Section V.B, Fig. 3(b)).
+// both (Section V.B, Fig. 3(b)). The package computes words only: every
+// charge is internal/hw's, which registers those backends.
 //
 // A float network is compiled once, its weights quantized into 16-bit words:
 // the artifact that would be downloaded into the STT-MRAM stack, which the

@@ -904,23 +904,12 @@ func (tn *Network) OutDim() int {
 	return 0
 }
 
-// WeightBits is the full weight-store footprint in bits; one forward pass
-// streams this many bits from the stack.
+// WeightBits is the full weight-store footprint in bits, weights and biases:
+// what hw's price list streams from the stack per forward pass.
 func (tn *Network) WeightBits() int64 {
 	var total int64
 	for _, l := range tn.layers {
 		total += l.weightBits()
-	}
-	return total
-}
-
-// TrainableWeightBits is the footprint of the layers above the training
-// boundary — the bits rewritten by every Update and re-read by every
-// Backward.
-func (tn *Network) TrainableWeightBits() int64 {
-	var total int64
-	for i := tn.trainFrom; i < len(tn.layers); i++ {
-		total += tn.layers[i].weightBits()
 	}
 	return total
 }

@@ -4,34 +4,16 @@ import (
 	"fmt"
 	"slices"
 
-	"dronerl/internal/mem"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
 )
 
 // TrainBackend is the nn.TrainableBackend over the fixed-point training
 // engine: the online and bootstrap-target networks both live as integer
-// words in the modeled STT-MRAM stack, and every TD step is executed in the
-// accelerator's arithmetic — quantized forward passes for the bootstrap and
-// the online Q-values, integer backprop, and a stochastically-rounded
-// weight update.
-//
-// Cost model, all at Table 1 STT-MRAM timing/energy against the backend's
-// ledger. What is priced is the modeled chip's serial per-image dataflow
-// (Fig. 3(b)), not this host code: every image the chip forwards (each state
-// and live next-state of a TD step, each Infer) streams the full weight store
-// as reads; every image's backward pass re-reads the trainable layers'
-// weights; every Update writes the trainable weight words back; every target
-// sync writes the full target store. The host computes less: the frozen
-// prefix runs once per captured frame (BoundaryFeatures, which charges
-// nothing) and a Train fed TrainBatch.Feats enters at the training boundary,
-// yet is charged what the same batch costs as frames, so Cost() and every
-// modeled number read the same to the last bit whichever way the rows
-// arrive. An actor's greedy step from those words (GreedyFrom) charges
-// nothing either: the weight reads of acting are not priced yet, and will
-// be once one price list covers every pass. The train-side tallies are what
-// EXPERIMENTS.md's train-energy-per-step table reports against the paper's
-// E2E column.
+// words, and every TD step is executed in the accelerator's arithmetic —
+// quantized forward passes for the bootstrap and the online Q-values,
+// integer backprop, and a stochastically-rounded weight update. It computes
+// words only: internal/hw's "quant-train" backend prices every pass.
 type TrainBackend struct {
 	online *Network
 	target *Network
@@ -39,10 +21,7 @@ type TrainBackend struct {
 	// snapshots/publishes/eval backends see the integer engine's weights.
 	float *nn.Network
 
-	mram   *mem.Device
-	ledger *mem.EnergyLedger
-	cost   nn.BackendCost
-	steps  int64
+	steps int64
 	// gradClip mirrors the float path's default L-infinity clip.
 	gradClip float64
 
@@ -64,8 +43,6 @@ func NewTrainBackend(src *nn.Network, opts TrainOptions) (*TrainBackend, error) 
 		online:   online,
 		target:   online.Clone(),
 		float:    src,
-		mram:     mem.STTMRAM(),
-		ledger:   mem.NewCompactLedger(),
 		gradClip: 1,
 	}, nil
 }
@@ -81,24 +58,10 @@ func obsShape(obs *tensor.Tensor) [3]int {
 	return [3]int{sh[0], sh[1], sh[2]}
 }
 
-// charge records one aggregated access and folds it into the cost tallies.
-func (b *TrainBackend) charge(kind mem.AccessKind, bits int64) {
-	if bits <= 0 {
-		return
-	}
-	rec := b.ledger.Record(b.mram, kind, bits)
-	b.cost.EnergyMJ += rec.PJ / 1e9
-	b.cost.LatencyMS += rec.TimeNS / 1e6
-}
-
 // Infer implements nn.Backend: one quantized forward pass through the
-// online network, charged as a full weight-stream read. The returned slice
-// is reused by the next call.
+// online network. The returned slice is reused by the next call.
 func (b *TrainBackend) Infer(obs *tensor.Tensor) []float32 {
-	q := b.online.Forward(obs.Data(), obsShape(obs))
-	b.charge(mem.Read, b.online.WeightBits())
-	b.cost.Inferences++
-	return q
+	return b.online.Forward(obs.Data(), obsShape(obs))
 }
 
 // featDim is the width of one boundary-feature row: the fan-in of the first
@@ -115,8 +78,8 @@ func (b *TrainBackend) featDim() int {
 // BoundaryFeatures implements nn.BoundaryFeaturizer: the Q7.8 (ActFmt) words
 // one CHW observation leaves at the training boundary, from a batch of one —
 // by row independence (train.go) the row any stack holding the frame would
-// produce. It charges nothing (cost model above) and allocates once per
-// frame: the private copy the caller keeps. Nil when nothing is frozen.
+// produce. It allocates once per frame: the private copy the caller keeps.
+// Nil when nothing is frozen.
 func (b *TrainBackend) BoundaryFeatures(obs *tensor.Tensor) []int16 {
 	if b.featDim() == 0 {
 		return nil
@@ -131,8 +94,7 @@ func (b *TrainBackend) BoundaryFeatures(obs *tensor.Tensor) []int16 {
 // GreedyFrom implements nn.BoundaryFeaturizer: the online tail over one row
 // of boundary words, argmax over the output words with ties to the lowest
 // index. Dequantization is monotone, so this is Infer's argmax over the
-// frame the row came from. Like BoundaryFeatures it charges nothing (cost
-// model above) and allocates nothing.
+// frame the row came from. Like BoundaryFeatures it allocates nothing.
 func (b *TrainBackend) GreedyFrom(feat []int16) int {
 	if b.featDim() == 0 {
 		panic("qnn: GreedyFrom on a backend that freezes no prefix")
@@ -143,8 +105,8 @@ func (b *TrainBackend) GreedyFrom(feat []int16) int {
 }
 
 // checkBatch validates every field of a TD minibatch before Train touches
-// any state, so a malformed batch leaves the gradient scratchpads, the
-// rounding stream and the ledger exactly as they were. It returns the shape
+// any state, so a malformed batch leaves the gradient scratchpads and the
+// rounding stream exactly as they were. It returns the shape
 // of one stacked row: the CHW frame, or (F, 1, 1) for boundary features.
 func (b *TrainBackend) checkBatch(batch nn.TrainBatch) [3]int {
 	n := len(batch.Actions)
@@ -204,10 +166,8 @@ func shapeOf(t *tensor.Tensor) []int {
 // same words (Network.Clone). Then the target tail bootstraps from the
 // next-rows, the online tail scores the state-rows, the TD errors are rounded
 // into gradient words in sample order, and one batched backward and one
-// stochastically-rounded Update finish the step. Either way the ledger
-// charges the accelerator's serial per-image dataflow (Fig. 3(b)): one full
-// weight stream per image per forward pass, one trainable-weight re-read per
-// image for backward. Returns the batch-mean squared TD error.
+// stochastically-rounded Update finish the step. Returns the batch-mean
+// squared TD error.
 func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 	n := len(batch.Actions)
 	if n == 0 {
@@ -275,13 +235,7 @@ func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 		grad[s*actions+a] = on.quantizeGrad(float32(td))
 	}
 	on.backward(grad)
-
-	full, trainable := on.WeightBits(), on.TrainableWeightBits()
-	b.charge(mem.Read, int64(n+live)*full+int64(n)*trainable)
 	on.Update(batch.LR, n, b.gradClip)
-	// The weight update is the paper's expensive direction: every trainable
-	// word rewritten at Table 1 STT-MRAM write cost.
-	b.charge(mem.Write, trainable)
 	b.steps++
 	if err := on.WriteBack(b.float); err != nil {
 		panic("qnn: TrainBackend write-back failed: " + err.Error())
@@ -290,30 +244,14 @@ func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 }
 
 // SyncTarget implements nn.TrainableBackend: the online weight words are
-// copied into the target store, charged as a full-store write — the
-// hardware model's target is a whole second image in the stack, even though
-// the host copy only moves the trainable words (the frozen ones are shared).
+// copied into the target store. Only the trainable words move: the frozen
+// ones are shared.
 func (b *TrainBackend) SyncTarget() {
 	b.target.CopyWeightsFrom(b.online)
-	b.charge(mem.Write, b.target.WeightBits())
 }
-
-// Cost implements nn.CostReporter.
-func (b *TrainBackend) Cost() nn.BackendCost { return b.cost }
-
-// Ledger exposes the backend's STT-MRAM traffic ledger (totals only).
-func (b *TrainBackend) Ledger() *mem.EnergyLedger { return b.ledger }
 
 // Steps returns the number of completed Train calls (weight updates).
 func (b *TrainBackend) Steps() int64 { return b.steps }
 
 // Online exposes the integer training network (tests and reports).
 func (b *TrainBackend) Online() *Network { return b.online }
-
-func init() {
-	if err := nn.RegisterBackend("quant-train", func(net *nn.Network, _ nn.ArchSpec, _ nn.Config) (nn.Backend, error) {
-		return NewTrainBackend(net, TrainOptions{})
-	}); err != nil {
-		panic(err)
-	}
-}

@@ -394,9 +394,6 @@ func (a *Agent) QValues(obs *tensor.Tensor) []float32 {
 // async pipeline bypasses it — actors push straight into their own shard.
 func (a *Agent) Observe(t Transition) { a.replay.Push(t) }
 
-// ReplayLen returns the number of transitions in the active sampling source.
-func (a *Agent) ReplayLen() int { return a.source().Len() }
-
 // TrainStep runs one training iteration: the N sampled transitions are
 // stacked into batch tensors and pushed through one batched target-network
 // pass (all next-states), one batched online pass — plus one more under

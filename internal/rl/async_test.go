@@ -16,7 +16,7 @@ import (
 
 	// Linked for its backend registration: the policy-swap test flies on
 	// the compiled 16-bit backend, where a missed rebuild is observable.
-	_ "dronerl/internal/qnn"
+	_ "dronerl/internal/hw"
 )
 
 // asyncTestOpts returns a small but realistic option set for pipeline tests.

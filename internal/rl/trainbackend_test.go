@@ -9,7 +9,7 @@ import (
 	"dronerl/internal/env"
 	"dronerl/internal/nn"
 
-	_ "dronerl/internal/qnn" // register the quant-train backend
+	_ "dronerl/internal/hw" // register the quant-train backend
 )
 
 // TestTrainStepRoutesToTrainBackend asserts the trainable-backend wiring:

@@ -18,7 +18,7 @@ import (
 
 	// Linked for its backend registration: the quant-fleet tests resolve
 	// "quant" through the registry.
-	_ "dronerl/internal/qnn"
+	_ "dronerl/internal/hw"
 )
 
 // swarmNet builds a small untrained policy net — greedy flight needs a

@@ -9,10 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"dronerl/internal/mem"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
 
-	_ "dronerl/internal/qnn" // register the quant backend
+	_ "dronerl/internal/hw" // register the quant backend
 )
 
 // freshPolicy builds a NavNet, initializes it from seed, and returns its
@@ -265,6 +266,47 @@ func TestQuantBackendServes(t *testing.T) {
 	if st.BatchedBatches != 0 || st.SerialBatches != st.Batches {
 		t.Errorf("kernel attribution batched=%d serial=%d of %d batches, want all serial",
 			st.BatchedBatches, st.SerialBatches, st.Batches)
+	}
+}
+
+// TestEachFrameChargedOnce: every admitted request's camera frame appears
+// once in the /statsz ledger, whichever backend answers it — the server
+// charges it at admission, or the systolic backend with its link line —
+// across concurrent batches and a hot reload that retires every worker's
+// backend ledger.
+func TestEachFrameChargedOnce(t *testing.T) {
+	const requests = 10
+	want := requests * mem.FrameBytes(nn.NavNetInput, 1) * 8
+	for _, backend := range []string{"float", "quant", "systolic"} {
+		snap, _ := freshPolicy(t, 13)
+		s, err := New(Config{Snapshot: snap, Backend: backend, Workers: 2, MaxBatch: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		rng := rand.New(rand.NewSource(14))
+		var wg sync.WaitGroup
+		for i := range requests {
+			obs := randObs(rng)
+			if i == requests/2 {
+				wg.Wait()
+				if _, err := s.Reload(snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Infer(context.Background(), obs); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		s.Close()
+		if got := s.Stats().Devices["DRAM"].ReadBits; got != want {
+			t.Errorf("%s: %d requests charged %d DRAM read bits, want %d (one frame each)", backend, requests, got, want)
+		}
 	}
 }
 

@@ -67,11 +67,12 @@ type Server struct {
 	board    *nn.PolicyBoard
 	reloadMu sync.Mutex
 
-	// publishTraffic prices one policy publish (per-device snapshot write);
-	// frameBits prices one request's camera frame on the off-chip link.
-	publishTraffic []hw.PublishTraffic
-	frameBits      int64
-	dram           *mem.Device
+	// publishTraffic prices one policy publish (per-device snapshot write)
+	// and frame one request's camera frame. Admission charges the frame
+	// unless the backend charges every frame it answers (chargeFrames).
+	publishTraffic []hw.Traffic
+	frame          hw.Traffic
+	chargeFrames   bool
 	ledger         *mem.SyncLedger
 
 	queue     chan *request
@@ -95,18 +96,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	spec := cfg.Spec
 	s := &Server{
-		cfg:       cfg,
-		spec:      spec,
-		obsLen:    spec.InputC * spec.InputH * spec.InputW,
-		actions:   spec.FCs[len(spec.FCs)-1].Out,
-		board:     nn.NewPolicyBoard(),
-		frameBits: mem.FrameBytes(spec.InputH, spec.InputC) * 8,
-		dram:      mem.DRAM(),
-		ledger:    mem.NewSyncLedger(),
-		queue:     make(chan *request, cfg.QueueDepth),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-		stats:     newStats(cfg.MaxBatch),
+		cfg:     cfg,
+		spec:    spec,
+		obsLen:  spec.InputC * spec.InputH * spec.InputW,
+		actions: spec.FCs[len(spec.FCs)-1].Out,
+		board:   nn.NewPolicyBoard(),
+		frame:   hw.FrameTraffic(spec),
+		ledger:  mem.NewSyncLedger(),
+		queue:   make(chan *request, cfg.QueueDepth),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
+		stats:   newStats(cfg.MaxBatch),
 	}
 	s.publishTraffic = hw.NewModelFor(spec).SnapshotPublishTraffic(nn.E2E)
 
@@ -125,6 +125,10 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.workers = append(s.workers, w)
 	}
+	// The systolic backend prices the chip's camera link with every frame it
+	// answers; charging admission as well would count each frame twice.
+	_, linked := s.workers[0].backend.(*hw.SystolicBackend)
+	s.chargeFrames = !linked
 	return s, nil
 }
 
@@ -141,7 +145,7 @@ func (s *Server) installSnapshot(snap *nn.Snapshot) error {
 	s.board.Publish(s.master, s.spec.Name)
 	// Every publish pays the per-device snapshot write of the policy store.
 	for _, t := range s.publishTraffic {
-		s.ledger.Record(t.Device, mem.Write, t.Bits)
+		s.ledger.Record(t.Device, t.Kind, t.Bits)
 	}
 	return nil
 }
@@ -215,7 +219,9 @@ func (s *Server) Infer(ctx context.Context, obs []float32) (Reply, error) {
 		return Reply{}, ErrQueueFull
 	}
 	// The admitted frame crossed the off-chip link: charge it.
-	s.ledger.Record(s.dram, mem.Read, s.frameBits)
+	if s.chargeFrames {
+		s.ledger.Record(s.frame.Device, s.frame.Kind, s.frame.Bits)
+	}
 	select {
 	case res := <-r.reply:
 		if res.err != nil {

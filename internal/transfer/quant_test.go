@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"dronerl/internal/env"
+	"dronerl/internal/hw"
 	"dronerl/internal/nn"
-	"dronerl/internal/qnn"
 	"dronerl/internal/rl"
 )
 
@@ -57,32 +57,43 @@ func TestQuantTrainConvergesNearFloat(t *testing.T) {
 }
 
 // trainTap is the quant-train backend with a tap on Train: it records each
-// step's MSE, which OnlineLoop.Run discards, and the state and live
-// next-state rows of every step that arrived as frames.
+// step's MSE, which OnlineLoop.Run discards, the state and live next-state
+// rows of every step that arrived as frames, and what the price list
+// charges for: forward and backward images, and target syncs.
 type trainTap struct {
-	*qnn.TrainBackend
-	mse       []float64
-	frameRows int
+	*hw.QuantTrainBackend
+	mse                  []float64
+	frameRows            int
+	fwdImages, bwdImages int64
+	syncs                int64
 }
 
 func (b *trainTap) Train(batch nn.TrainBatch) float64 {
-	if batch.States != nil {
-		for _, done := range batch.Done {
-			b.frameRows++
-			if !done {
-				b.frameRows++
-			}
+	n, live := len(batch.Done), 0
+	for _, done := range batch.Done {
+		if !done {
+			live++
 		}
 	}
-	mse := b.TrainBackend.Train(batch)
+	b.fwdImages += int64(n + live)
+	b.bwdImages += int64(n)
+	if batch.States != nil {
+		b.frameRows += n + live
+	}
+	mse := b.QuantTrainBackend.Train(batch)
 	b.mse = append(b.mse, mse)
 	return mse
 }
 
+func (b *trainTap) SyncTarget() {
+	b.syncs++
+	b.QuantTrainBackend.SyncTarget()
+}
+
 func init() {
-	if err := nn.RegisterBackend("quant-train-tap", func(net *nn.Network, _ nn.ArchSpec, _ nn.Config) (nn.Backend, error) {
-		b, err := qnn.NewTrainBackend(net, qnn.TrainOptions{})
-		return &trainTap{TrainBackend: b}, err
+	if err := nn.RegisterBackend("quant-train-tap", func(net *nn.Network, spec nn.ArchSpec, cfg nn.Config) (nn.Backend, error) {
+		b, err := hw.NewQuantTrainBackend(net, spec, cfg)
+		return &trainTap{QuantTrainBackend: b}, err
 	}); err != nil {
 		panic(err)
 	}
@@ -91,14 +102,16 @@ func init() {
 // TestRunOnlineQuantTrainGolden pins the single-actor online loop on the
 // quant-train backend: Deploy + BuildOnlineLoop + Run for 480 seeded steps
 // (ring replay wrapping, seven target syncs, crashes) must leave exactly the
-// flight tracker, per-step MSE bits, TrainCost, OnlineStats, float mirror,
-// integer weight words and final Q-values it left at 7746eab, where every
-// step still quantized its frames and ran the frozen prefix over the whole
-// stack. The E2E hash was captured there. L2 and L3 were re-captured once,
-// when the actor began taking its greedy actions from the backend's integer
-// tail over its boundary words instead of a float pass on the mirror: the
-// two disagree on near-tie frames, so the flights part ways there. E2E
-// freezes nothing and still acts on the mirror.
+// flight tracker, per-step MSE bits, OnlineStats, float mirror, integer
+// weight words and final Q-values it left at 7746eab, where every step still
+// quantized its frames and ran the frozen prefix over the whole stack. The
+// E2E hash was captured there. L2 and L3 were re-captured once, when the
+// actor began taking its greedy actions from the backend's integer tail over
+// its boundary words instead of a float pass on the mirror: the two disagree
+// on near-tie frames, so the flights part ways there. E2E freezes nothing and
+// still acts on the mirror. All three were re-captured at 209932f with the
+// train cost cut from the hash, which moved when internal/hw took over
+// pricing; the cost is checked against hw's price list instead.
 func TestRunOnlineQuantTrainGolden(t *testing.T) {
 	skipOffAMD64(t)
 	const steps = 480
@@ -108,9 +121,9 @@ func TestRunOnlineQuantTrainGolden(t *testing.T) {
 		cfg  nn.Config
 		want string
 	}{
-		{nn.L2, "ecc1ddcb75ca06504d237388d353e3442add272ba2bdde9c1f04f4ad57281674"},
-		{nn.L3, "3123c317d6ac349684da2f1a9e0aab7a86842884b1e008a4d3ac36f5333cb003"},
-		{nn.E2E, "ac79c97cd5b38bb5894d357fc338aa95580c697c101e139a3851820576eea630"},
+		{nn.L2, "9a9b7685f573a9602f08e7562e420acfd675cd5a10beee0c1041382659dd1bac"},
+		{nn.L3, "dc19a1e1d9640706ccaa904d4746b3cba50dd9d05403458befa28e795b27e6f3"},
+		{nn.E2E, "6cec96ec145c4907564a722ae2426a4df9e1397d0287b184296ef118122e8a0d"},
 	} {
 		t.Run(tc.cfg.String(), func(t *testing.T) {
 			opts := rl.Options{Seed: 63, BatchSize: 8, EpsDecaySteps: 200, ReplayCapacity: 256,
@@ -144,15 +157,30 @@ func TestRunOnlineQuantTrainGolden(t *testing.T) {
 					}
 				}
 			}
+			// The stack traffic is the price list's, image for image: Train
+			// reads n+live forward and n backward images and writes one
+			// update, Infer reads one forward image, a sync is a publish.
+			traffic := hw.NewModelFor(spec).StackTraffic(tc.cfg)
+			var syncBits int64
+			for _, tr := range hw.NewModelFor(spec).SnapshotPublishTraffic(tc.cfg) {
+				if tr.Device.Name == "STT-MRAM" {
+					syncBits += tr.Bits
+				}
+			}
+			mram := tap.Ledger().Total("STT-MRAM")
+			reads := (tap.fwdImages+tap.Cost().Inferences)*traffic.ForwardBits + tap.bwdImages*traffic.BackwardBits
+			writes := int64(stats.TrainSteps)*traffic.UpdateBits + tap.syncs*syncBits
+			if mram.ReadBits != reads || mram.WriteBits != writes || tap.syncs == 0 {
+				t.Errorf("stack traffic read %d / wrote %d bits in %d syncs, the price list says %d / %d",
+					mram.ReadBits, mram.WriteBits, tap.syncs, reads, writes)
+			}
+			if cost := agent.TrainCost(); cost != tap.Cost() || cost.EnergyMJ <= 0 {
+				t.Errorf("agent reports train cost %+v, backend %+v", cost, tap.Cost())
+			}
 			hashTracker(h, loop.Tracker)
 			for _, mse := range tap.mse {
 				put(math.Float64bits(mse))
 			}
-			cost := agent.TrainCost()
-			put(uint64(cost.Inferences))
-			put(math.Float64bits(cost.EnergyMJ))
-			put(math.Float64bits(cost.LatencyMS))
-			put(uint64(cost.Cycles))
 			for _, v := range []int{stats.Actors, stats.EnvSteps, stats.TrainSteps, stats.Publishes, stats.Adoptions} {
 				put(uint64(v))
 			}

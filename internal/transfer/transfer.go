@@ -148,7 +148,7 @@ func BuildOnlineLoop(agent *rl.Agent, test *env.World, spec nn.ArchSpec, cfg nn.
 		ledger = mem.NewCompactLedger()
 		loop.OnPublish = func(uint64) {
 			for _, t := range traffic {
-				ledger.Record(t.Device, mem.Write, t.Bits)
+				ledger.Record(t.Device, t.Kind, t.Bits)
 			}
 		}
 	}
