@@ -3,23 +3,27 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dronerl/internal/nn"
-	"dronerl/internal/rl"
 )
 
 // This file is the unified experiment engine. Flight, ablation and mission
 // drivers all describe themselves as an Experiment — an ordered list of
 // phases, each a fixed set of independent indexed jobs — and one engine
-// executes them: fan the jobs of each phase across an rl.Pool, stream a
-// progress event per completed run, and stop handing out jobs the moment
-// the context is cancelled.
+// executes them: fan the jobs of each phase across a bounded worker pool
+// (forEach), stream a progress event per completed run, and stop handing out
+// jobs the moment the context is cancelled.
 //
-// The determinism contract of rl.Pool carries over verbatim: every job
-// derives its RNG streams from its own indices, so worker count and
-// cancellation cannot change a single bit of a completed experiment, and a
-// cancelled-then-restarted experiment reproduces the uninterrupted result.
+// Determinism contract: every job derives its RNG streams from its own
+// indices — the flight engine folds each job's (env, topology, repeat)
+// indices into the experiment seed — never from worker identity or
+// scheduling order, and writes only state it owns. So worker count and
+// cancellation cannot change a single bit of a completed experiment
+// (TestParallelEngineMatchesSerial), and a cancelled-then-restarted
+// experiment reproduces the uninterrupted result.
 
 // Event is one streaming progress report, emitted when a run (one job of
 // one phase) completes. Events from parallel schedules arrive in completion
@@ -163,8 +167,6 @@ func Run(ctx context.Context, exp Experiment, opts ...RunOption) error {
 	for _, opt := range opts {
 		opt(&ro)
 	}
-	pool := rl.Pool{Workers: ro.workers}
-
 	// Serialize the progress stream so ProgressFunc implementations are
 	// free of locking concerns.
 	var emit func(Event)
@@ -179,9 +181,54 @@ func Run(ctx context.Context, exp Experiment, opts ...RunOption) error {
 
 	for _, ph := range exp.Phases() {
 		rc := &RunContext{ctx: ctx, emit: emit, exp: exp.Name(), phase: ph.Name, jobs: ph.Jobs}
-		err := pool.ForEachCtxErr(ctx, ph.Jobs, func(i int) error {
+		err := forEach(ctx, ro.workers, ph.Jobs, func(i int) error {
 			return ph.Job(rc, i)
 		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forEach runs job(0) .. job(n-1) on at most workers goroutines (0 selects
+// GOMAXPROCS, 1 the serial loop), handing indices out in order from a shared
+// counter, and returns once every started job has returned. Once ctx is done
+// no new job starts, in-flight ones finish, and forEach reports ctx.Err() —
+// a cancelled phase's job errors are partial. Otherwise it reports the error
+// of the lowest-indexed job that failed, as the serial loop would have; every
+// job runs regardless, keeping the schedule that of the error-free case.
+func forEach(ctx context.Context, workers, n int, job func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	errs := make([]error, n)
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			errs[i] = job(i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					errs[i] = job(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}

@@ -353,7 +353,7 @@ func (a *actor) maybeFlush(force bool) {
 // prefixTrusted reports whether boundary features may go out to a learner
 // that wants them: not while a reconnect's full snapshot waits for adoption.
 // Until it is installed this actor's prefix may not be the one the learner
-// holds, so the learner gets frames only and recomputes.
+// holds, so the learner gets frames only and featurizes them itself.
 func (a *actor) prefixTrusted() bool {
 	p := a.pending.Load()
 	return p == nil || p.full == nil

@@ -176,8 +176,9 @@ func decodeSnapshotFrame(payload []byte) (s *nn.Snapshot, version uint64, full b
 // frames: the learner's TrainStep runs the trainable FC tail only and never
 // reads a frame it has the feature of. A row without features — E2E, a
 // learner whose train backend stacks frames, or a backlog whose features
-// were withheld after a reconnect — carries its frames, and the learner
-// recomputes the features from them, bit-identically.
+// were withheld after a reconnect — carries its frames; a learner that trains
+// on features computes them from those frames at admission, bit-identically,
+// and keeps no frame.
 type Experience struct {
 	T    rl.Transition
 	Dist float64

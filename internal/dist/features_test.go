@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -62,13 +63,12 @@ func recordFlight(t *testing.T, spec nn.ArchSpec, cfg nn.Config, policy *nn.Snap
 	return a.ring
 }
 
-// TestWireFeaturesBitIdentical pins the tentpole's exactness claim across
-// the wire: one recorded experience stream trains two identical agents, once
-// arriving with the actor's boundary features (TrainStep runs the FC tail
-// only) and once stripped to frames (TrainStep recomputes every feature in
-// its own batched prefix pass). Per-sample ForwardRange rows equal
-// ForwardBatchRange rows by the nn row contract, so every weight must end
-// bit-equal.
+// TestWireFeaturesBitIdentical pins the exactness claim across the wire: one
+// recorded experience stream trains two identical agents, once arriving with
+// the actor's boundary features (TrainStep runs the FC tail only) and once
+// stripped to frames (TrainStep runs the whole network on them). Per-sample
+// ForwardRange rows equal ForwardBatchRange rows by the nn row contract, so
+// every weight must end bit-equal.
 func TestWireFeaturesBitIdentical(t *testing.T) {
 	const steps, flushEvery, trainEvery = 200, 8, 4
 	spec := nn.NavNetSpec()
@@ -120,6 +120,78 @@ func TestWireFeaturesBitIdentical(t *testing.T) {
 				t.Fatalf("weights diverge: %x with wire features, %x recomputed from frames", with[:6], without[:6])
 			}
 		})
+	}
+}
+
+// TestLearnerFeaturizesFrameRows pins the learner's admission: one recorded
+// L3 stream goes through two float learners' read path, once all as boundary
+// features and once with every third flush as frames (what an actor sends
+// while a reconnect's full snapshot waits for adoption). The second learner
+// computes those rows' features from its own prefix and keeps no frame, so
+// its replay holds one representation and both end with the same weights,
+// bit for bit.
+func TestLearnerFeaturizesFrameRows(t *testing.T) {
+	const steps, flushEvery, trainEvery = 200, 8, 4
+	spec := nn.NavNetSpec()
+	opts := rl.Options{Seed: 31, BatchSize: 8, ReplayCapacity: 128, TargetSync: 8}
+	var learners [2]*Learner
+	for i := range learners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.Close() // the read path is driven directly; nothing dials in
+		learners[i], err = NewLearner(LearnerConfig{
+			Agent: rl.NewAgent(spec, nn.L3, opts), Spec: spec, Cfg: nn.L3, Listener: ln, TotalSteps: steps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := weightHash(learners[0].cfg.Agent)
+	stream := recordFlight(t, spec, nn.L3, nn.TakeSnapshot(learners[0].cfg.Agent.Net, spec.Name), steps, 32)
+	frameRows := 0
+	for i, l := range learners {
+		a := l.cfg.Agent
+		a.SetReplaySource(l.shards)
+		pushed := 0
+		for at := 0; at < len(stream); at += flushEvery {
+			features := i == 0 || at/flushEvery%3 != 1
+			if !features {
+				frameRows += flushEvery
+			}
+			payload, err := appendExperience(nil, stream[at:at+flushEvery], features)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.receive(0, payload); err != nil {
+				t.Fatal(err)
+			}
+			for range flushEvery {
+				if pushed++; pushed%trainEvery == 0 {
+					a.TrainStep()
+				}
+			}
+		}
+		if got := a.Clock().EnvSteps(); got != steps {
+			t.Fatalf("learner %d: %d env steps admitted, want %d", i, got, steps)
+		}
+		for _, tr := range l.shards.SampleInto(nil, 4*opts.ReplayCapacity, rand.New(rand.NewSource(1))) {
+			if tr.State != nil || tr.Next != nil || tr.Feat == nil || tr.NextFeat == nil && !tr.Done {
+				t.Fatalf("learner %d keeps a row with frames %v/%v and features %v/%v",
+					i, tr.State != nil, tr.Next != nil, tr.Feat != nil, tr.NextFeat != nil)
+			}
+		}
+	}
+	if frameRows == 0 {
+		t.Fatal("no flush travelled as frames")
+	}
+	with, mixed := weightHash(learners[0].cfg.Agent), weightHash(learners[1].cfg.Agent)
+	if with == start {
+		t.Fatal("training left the weights untouched")
+	}
+	if with != mixed {
+		t.Fatalf("weights diverge: %x from features, %x with %d rows admitted as frames", with[:6], mixed[:6], frameRows)
 	}
 }
 

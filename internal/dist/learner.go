@@ -642,7 +642,6 @@ func (l *Learner) drop(lc *learnerConn) {
 // session; the learner keeps training on whatever the live shards hold.
 func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 	defer l.drop(lc)
-	clock := l.cfg.Agent.Clock()
 	for {
 		if ctx.Err() != nil {
 			return
@@ -662,20 +661,11 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 		lc.acked.Store(true)
 		switch typ {
 		case frameTransitions:
-			batch, err := decodeExperience(payload)
-			if err == nil {
-				err = l.validate(batch)
-			}
-			if err != nil {
+			if err := l.receive(lc.shard, payload); err != nil {
 				// Nothing of a bad frame enters the shard, and the session
 				// that sent it is not to be trusted with the next one.
 				l.disconnectReason(err)
 				return
-			}
-			for _, e := range batch {
-				l.shards.PushTo(lc.shard, e.T)
-				clock.TickEnv()
-				l.learn.Track(e.T.Reward, e.T.Done, e.Dist)
 			}
 		case frameHeartbeat:
 			// Liveness only; the deadline reset above is the effect.
@@ -686,7 +676,7 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 			l.connMu.Unlock()
 			if done {
 				l.fleetDone.Store(true)
-				clock.Wake()
+				l.cfg.Agent.Clock().Wake()
 			}
 			return
 		default:
@@ -694,6 +684,57 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 			l.disconnectReason(fmt.Errorf("%w: unexpected frame %d from actor", ErrFrameCorrupt, typ))
 			return
 		}
+	}
+}
+
+// receive admits one frameTransitions payload into shard: decoded, validated
+// (all of it or none of it enters), featurized, then pushed, each transition
+// ticking the fleet clock and the tracker.
+func (l *Learner) receive(shard int, payload []byte) error {
+	batch, err := decodeExperience(payload)
+	if err == nil {
+		err = l.validate(batch)
+	}
+	if err != nil {
+		return err
+	}
+	l.featurize(batch)
+	clock := l.cfg.Agent.Clock()
+	for _, e := range batch {
+		l.shards.PushTo(shard, e.T)
+		clock.TickEnv()
+		l.learn.Track(e.T.Reward, e.T.Done, e.Dist)
+	}
+	return nil
+}
+
+// featurize keeps a replay that trains on features free of frames: a row
+// that arrived with a frame instead of its boundary feature (an actor sends
+// frames while a reconnect's full snapshot waits for adoption) gets the
+// feature from this learner's own frozen prefix and leaves its frames behind.
+// The prefix never trains, so this is the feature the actor would have sent,
+// bit for bit by the row contract. The pass runs under netMu: it shares the
+// network's layer workspaces with TrainStep. A learner that trains on frames
+// keeps them.
+func (l *Learner) featurize(batch []Experience) {
+	if !l.wantFeatures {
+		return
+	}
+	net := l.cfg.Agent.Net
+	for i := range batch {
+		t := &batch[i].T
+		if t.State == nil && t.Next == nil {
+			continue
+		}
+		l.netMu.Lock()
+		if t.State != nil {
+			t.Feat = net.ForwardRange(0, net.TrainFrom(), t.State)
+		}
+		if t.Next != nil && !t.Done {
+			t.NextFeat = net.ForwardRange(0, net.TrainFrom(), t.Next)
+		}
+		l.netMu.Unlock()
+		t.State, t.Next = nil, nil
 	}
 }
 

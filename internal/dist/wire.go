@@ -16,12 +16,13 @@
 // is a constant: the drone that captured the frame runs the frozen prefix on
 // it once — it needs the result to pick its own action anyway — and ships
 // the activation instead of the frame, an eighth of the bytes at L3. The
-// learner trains the FC tail on what arrives and never evaluates the prefix
-// at all (rl.Agent.TrainStep's fully cached path), bit-identical to
-// recomputing it from the frames, which is what it still does for any
-// transition that arrives with frames instead. The learner says in its
-// welcome whether it trains on features; one whose train backend stacks
-// frames (quant-train) is sent frames.
+// learner trains the FC tail on what arrives (rl.Agent.TrainStep entered at
+// the boundary), bit-identical to running the whole network on the frames.
+// A transition that arrives with frames instead gets its features from the
+// learner's own frozen prefix at admission and leaves its frames behind, so
+// the replay holds features only. The learner says in its welcome whether
+// it trains on features; one whose train backend stacks frames (quant-train)
+// is sent frames.
 //
 // Failure is the design center, not an afterthought:
 //
@@ -41,7 +42,7 @@
 //     prefix would have computed the same bits. After a reconnect hands the
 //     actor a fresh full snapshot, it sends frames only until that snapshot
 //     is installed, so no feature ever comes from a prefix the learner did
-//     not send.
+//     not send; the learner featurizes those frames itself.
 //   - Actor resilience. Actors keep flying when the learner is unreachable:
 //     transitions buffer into a bounded local ring and replay on reconnect,
 //     and reconnection runs exponential backoff with jitter so a rebooting

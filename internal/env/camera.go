@@ -43,7 +43,7 @@ func (c DepthCamera) Scan(w *World, pose Pose) []float64 {
 		if c.Rays > 1 {
 			frac = float64(i) / float64(c.Rays-1)
 		}
-		ang := pose.Heading - fov/2 + frac*fov
+		ang := pose.Heading - float64(fov/2) + float64(frac*fov)
 		out[i] = w.RayDepth(geom.Ray{O: pose.Pos, D: geom.FromAngle(ang)})
 	}
 	return out
@@ -91,7 +91,7 @@ func (s *StereoModel) Apply(z, maxRange float64, rng *rand.Rand) float64 {
 		return 0
 	}
 	fb := s.FocalPx * s.BaselineM
-	d := fb/z + rng.NormFloat64()*s.NoisePx
+	d := fb/z + float64(rng.NormFloat64()*s.NoisePx)
 	d = math.Round(d)
 	if d < 1 {
 		// Below one pixel of disparity the match fails: report far.

@@ -21,8 +21,13 @@ import (
 // environment and test environments show large disparities ... and shows
 // the largest degradation".
 
-// builder accumulates obstacles while enforcing the d_min spacing rule.
-type builder struct {
+// Placer scatters obstacles under the d_min spacing rule: every new one keeps
+// at least d_min of free surface-to-surface space from the ones already
+// placed and from the outer wall, so a corridor always exists. Every random
+// decision comes from the caller's stream, so a world built on it is a pure
+// function of that stream's seed. The catalog's worlds and internal/scen's
+// generated families both place through it.
+type Placer struct {
 	rng    *rand.Rand
 	bounds geom.Rect
 	dmin   float64
@@ -32,20 +37,29 @@ type builder struct {
 	anchors []geom.Circle
 }
 
-func newBuilder(seed int64, bounds geom.Rect, dmin float64) *builder {
-	return &builder{rng: rand.New(rand.NewSource(seed)), bounds: bounds, dmin: dmin}
+// NewPlacer starts an empty placement inside bounds with spacing dmin,
+// drawing from rng.
+func NewPlacer(rng *rand.Rand, bounds geom.Rect, dmin float64) *Placer {
+	return &Placer{rng: rng, bounds: bounds, dmin: dmin}
 }
 
-func (b *builder) randPoint(margin float64) geom.Vec2 {
+func newPlacer(seed int64, bounds geom.Rect, dmin float64) *Placer {
+	return NewPlacer(rand.New(rand.NewSource(seed)), bounds, dmin)
+}
+
+// Obstacles returns what has been placed so far.
+func (b *Placer) Obstacles() []Obstacle { return b.obs }
+
+func (b *Placer) randPoint(margin float64) geom.Vec2 {
 	return geom.Vec2{
-		X: b.bounds.Min.X + margin + b.rng.Float64()*(b.bounds.Max.X-b.bounds.Min.X-2*margin),
-		Y: b.bounds.Min.Y + margin + b.rng.Float64()*(b.bounds.Max.Y-b.bounds.Min.Y-2*margin),
+		X: b.bounds.Min.X + margin + float64(b.rng.Float64()*(b.bounds.Max.X-b.bounds.Min.X-float64(2*margin))),
+		Y: b.bounds.Min.Y + margin + float64(b.rng.Float64()*(b.bounds.Max.Y-b.bounds.Min.Y-float64(2*margin))),
 	}
 }
 
 // fits reports whether a new obstacle approximated by (c, r) keeps at least
 // d_min of free surface-to-surface space from all existing obstacles.
-func (b *builder) fits(c geom.Vec2, r float64) bool {
+func (b *Placer) fits(c geom.Vec2, r float64) bool {
 	for _, a := range b.anchors {
 		if c.Dist(a.C) < r+a.R+b.dmin {
 			return false
@@ -60,10 +74,11 @@ func (b *builder) fits(c geom.Vec2, r float64) bool {
 	return true
 }
 
-// circles scatters n discs with radii in [rmin, rmax].
-func (b *builder) circles(n int, rmin, rmax float64) {
+// Circles scatters n discs with radii in [rmin, rmax]; it gives up after
+// 200n draws when nothing more fits.
+func (b *Placer) Circles(n int, rmin, rmax float64) {
 	for placed, tries := 0, 0; placed < n && tries < n*200; tries++ {
-		r := rmin + b.rng.Float64()*(rmax-rmin)
+		r := rmin + float64(b.rng.Float64()*(rmax-rmin))
 		c := b.randPoint(r + b.dmin)
 		if !b.fits(c, r) {
 			continue
@@ -74,20 +89,20 @@ func (b *builder) circles(n int, rmin, rmax float64) {
 	}
 }
 
-// rects scatters n axis-aligned boxes with sides in [smin, smax] x
-// [tmin, tmax].
-func (b *builder) rects(n int, smin, smax, tmin, tmax float64) {
+// Rects scatters n axis-aligned boxes with sides in [smin, smax] x
+// [tmin, tmax], under the same budget as Circles.
+func (b *Placer) Rects(n int, smin, smax, tmin, tmax float64) {
 	for placed, tries := 0, 0; placed < n && tries < n*200; tries++ {
-		w := smin + b.rng.Float64()*(smax-smin)
-		h := tmin + b.rng.Float64()*(tmax-tmin)
-		r := 0.5 * geom.Vec2{X: w, Y: h}.Len() // bounding radius
+		w := smin + float64(b.rng.Float64()*(smax-smin))
+		h := tmin + float64(b.rng.Float64()*(tmax-tmin))
+		r := float64(0.5 * geom.Vec2{X: w, Y: h}.Len()) // bounding radius
 		c := b.randPoint(r + b.dmin)
 		if !b.fits(c, r) {
 			continue
 		}
 		rect := geom.Rect{
-			Min: geom.Vec2{X: c.X - w/2, Y: c.Y - h/2},
-			Max: geom.Vec2{X: c.X + w/2, Y: c.Y + h/2},
+			Min: geom.Vec2{X: c.X - float64(w/2), Y: c.Y - float64(h/2)},
+			Max: geom.Vec2{X: c.X + float64(w/2), Y: c.Y + float64(h/2)},
 		}
 		b.obs = append(b.obs, RectObstacle{rect})
 		b.anchors = append(b.anchors, geom.Circle{C: c, R: r})
@@ -95,16 +110,16 @@ func (b *builder) rects(n int, smin, smax, tmin, tmax float64) {
 	}
 }
 
-// wall adds a straight interior wall between two points with a centred
-// door gap of the given width, split into two segments.
-func (b *builder) wall(from, to geom.Vec2, gapWidth float64) {
+// Wall adds a straight interior wall between two points with a door gap of
+// the given width somewhere in its middle half, split into two segments.
+func (b *Placer) Wall(from, to geom.Vec2, gapWidth float64) {
 	dir := to.Sub(from)
 	length := dir.Len()
 	if length <= gapWidth {
 		return
 	}
 	u := dir.Unit()
-	gapCenter := 0.3 + b.rng.Float64()*0.4 // somewhere in the middle half
+	gapCenter := 0.3 + float64(b.rng.Float64()*0.4)
 	gc := from.Add(u.Scale(length * gapCenter))
 	g0 := gc.Sub(u.Scale(gapWidth / 2))
 	g1 := gc.Add(u.Scale(gapWidth / 2))
@@ -112,7 +127,7 @@ func (b *builder) wall(from, to geom.Vec2, gapWidth float64) {
 	b.obs = append(b.obs, WallObstacle{geom.Segment{A: g1, B: to}})
 }
 
-func (b *builder) world(name, kind string, dframe, collision float64, cam DepthCamera) *World {
+func (b *Placer) world(name, kind string, dframe, collision float64, cam DepthCamera) *World {
 	w := &World{
 		Name: name, Kind: kind,
 		Bounds: b.bounds, Obstacles: b.obs,
@@ -138,21 +153,21 @@ const (
 // furniture-scale obstacles (d_min = 0.7 m, the tightest environment of
 // Fig. 1(c)).
 func IndoorApartment(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 20, Y: 20}}, 0.7)
-	b.wall(geom.Vec2{X: 10, Y: 0}, geom.Vec2{X: 10, Y: 20}, 2.2)
-	b.wall(geom.Vec2{X: 0, Y: 12}, geom.Vec2{X: 20, Y: 12}, 2.2)
-	b.circles(22, 0.20, 0.45)
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 20, Y: 20}}, 0.7)
+	b.Wall(geom.Vec2{X: 10, Y: 0}, geom.Vec2{X: 10, Y: 20}, 2.2)
+	b.Wall(geom.Vec2{X: 0, Y: 12}, geom.Vec2{X: 20, Y: 12}, 2.2)
+	b.Circles(22, 0.20, 0.45)
 	return b.world("indoor apartment", "indoor", indoorDFrame, indoorCollision, DefaultIndoorCamera())
 }
 
 // IndoorHouse generates the "indoor house" test world: larger rooms,
 // mixed round and boxy furniture, d_min = 1.0 m.
 func IndoorHouse(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 24, Y: 24}}, 1.0)
-	b.wall(geom.Vec2{X: 12, Y: 0}, geom.Vec2{X: 12, Y: 24}, 2.6)
-	b.wall(geom.Vec2{X: 0, Y: 8}, geom.Vec2{X: 12, Y: 8}, 2.6)
-	b.circles(14, 0.25, 0.50)
-	b.rects(6, 0.6, 1.4, 0.6, 1.4)
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 24, Y: 24}}, 1.0)
+	b.Wall(geom.Vec2{X: 12, Y: 0}, geom.Vec2{X: 12, Y: 24}, 2.6)
+	b.Wall(geom.Vec2{X: 0, Y: 8}, geom.Vec2{X: 12, Y: 8}, 2.6)
+	b.Circles(14, 0.25, 0.50)
+	b.Rects(6, 0.6, 1.4, 0.6, 1.4)
 	return b.world("indoor house", "indoor", indoorDFrame, indoorCollision, DefaultIndoorCamera())
 }
 
@@ -162,8 +177,8 @@ func IndoorHouse(seed int64) *World {
 // short online run reaches a stable reward, which is what the quantized-vs-
 // float training parity tests need.
 func IndoorEasy(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 22, Y: 22}}, 1.3)
-	b.circles(8, 0.25, 0.45)
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 22, Y: 22}}, 1.3)
+	b.Circles(8, 0.25, 0.45)
 	return b.world("indoor easy", "indoor", indoorDFrame, indoorCollision, DefaultIndoorCamera())
 }
 
@@ -171,20 +186,20 @@ func IndoorEasy(seed int64) *World {
 // learning: a larger, more varied interior spanning the full indoor d_min
 // range (0.7–1.3 m) with walls, round and boxy clutter.
 func IndoorMeta(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 30, Y: 30}}, 0.9)
-	b.wall(geom.Vec2{X: 10, Y: 0}, geom.Vec2{X: 10, Y: 30}, 2.4)
-	b.wall(geom.Vec2{X: 20, Y: 0}, geom.Vec2{X: 20, Y: 30}, 2.4)
-	b.wall(geom.Vec2{X: 0, Y: 15}, geom.Vec2{X: 30, Y: 15}, 2.4)
-	b.circles(30, 0.20, 0.55)
-	b.rects(8, 0.6, 1.5, 0.6, 1.5)
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 30, Y: 30}}, 0.9)
+	b.Wall(geom.Vec2{X: 10, Y: 0}, geom.Vec2{X: 10, Y: 30}, 2.4)
+	b.Wall(geom.Vec2{X: 20, Y: 0}, geom.Vec2{X: 20, Y: 30}, 2.4)
+	b.Wall(geom.Vec2{X: 0, Y: 15}, geom.Vec2{X: 30, Y: 15}, 2.4)
+	b.Circles(30, 0.20, 0.55)
+	b.Rects(8, 0.6, 1.5, 0.6, 1.5)
 	return b.world("indoor meta", "indoor", indoorDFrame, indoorCollision, DefaultIndoorCamera())
 }
 
 // OutdoorForest generates the "outdoor forest" test world: cylindrical
 // trunks with d_min = 3 m spacing.
 func OutdoorForest(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 80, Y: 80}}, 3.0)
-	b.circles(90, 0.40, 1.00)
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 80, Y: 80}}, 3.0)
+	b.Circles(90, 0.40, 1.00)
 	return b.world("outdoor forest", "outdoor", outdoorDFrame, outdoorCollision, DefaultOutdoorCamera())
 }
 
@@ -193,10 +208,10 @@ func OutdoorForest(seed int64) *World {
 // diverge from the outdoor meta-environment (boxes vs cylinders), which is
 // why transfer learning degrades most here, as in the paper.
 func OutdoorTown(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 80, Y: 80}}, 4.0)
-	b.rects(14, 5, 10, 5, 10)       // houses
-	b.rects(12, 1.8, 2.2, 4.2, 5.0) // parked cars
-	b.circles(6, 0.4, 0.8)          // a few street trees
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 80, Y: 80}}, 4.0)
+	b.Rects(14, 5, 10, 5, 10)       // houses
+	b.Rects(12, 1.8, 2.2, 4.2, 5.0) // parked cars
+	b.Circles(6, 0.4, 0.8)          // a few street trees
 	return b.world("outdoor town", "outdoor", outdoorDFrame, outdoorCollision, DefaultOutdoorCamera())
 }
 
@@ -204,9 +219,9 @@ func OutdoorTown(seed int64) *World {
 // landscape, mostly vegetation-like cylinders across the full outdoor
 // d_min range (3–5 m) with a few structures.
 func OutdoorMeta(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 100, Y: 100}}, 3.5)
-	b.circles(110, 0.40, 1.40)
-	b.rects(6, 4, 8, 4, 8)
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 100, Y: 100}}, 3.5)
+	b.Circles(110, 0.40, 1.40)
+	b.Rects(6, 4, 8, 4, 8)
 	return b.world("outdoor meta", "outdoor", outdoorDFrame, outdoorCollision, DefaultOutdoorCamera())
 }
 

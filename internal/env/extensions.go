@@ -20,10 +20,10 @@ import "dronerl/internal/geom"
 // (cylinders) and built structures (boxes), unlike OutdoorMeta's
 // cylinder-dominated landscape.
 func OutdoorMetaRich(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 100, Y: 100}}, 3.5)
-	b.circles(60, 0.40, 1.40)
-	b.rects(16, 5, 10, 5, 10)       // buildings, town-scale
-	b.rects(10, 1.8, 2.2, 4.2, 5.0) // vehicles
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 100, Y: 100}}, 3.5)
+	b.Circles(60, 0.40, 1.40)
+	b.Rects(16, 5, 10, 5, 10)       // buildings, town-scale
+	b.Rects(10, 1.8, 2.2, 4.2, 5.0) // vehicles
 	w := b.world("outdoor meta rich", "outdoor", outdoorDFrame, outdoorCollision, DefaultOutdoorCamera())
 	return w
 }
@@ -32,16 +32,16 @@ func OutdoorMetaRich(seed int64) *World {
 // with regular aisles, plus scattered pallets. d_min follows the indoor
 // regime of Fig. 1(c).
 func Warehouse(seed int64) *World {
-	b := newBuilder(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 30, Y: 30}}, 1.2)
+	b := newPlacer(seed, geom.Rect{Min: geom.Vec2{}, Max: geom.Vec2{X: 30, Y: 30}}, 1.2)
 	// Shelving rows: aligned rectangles with aisles between them. Placed
-	// manually (not via rects) so rows stay parallel; the builder's
+	// manually (not via Rects) so rows stay parallel; the placer's
 	// anchors still record them for spacing of later clutter.
 	for i := 0; i < 4; i++ {
-		y := 5.0 + float64(i)*6.5
+		y := 5.0 + float64(float64(i)*6.5)
 		row := geom.Rect{Min: geom.Vec2{X: 4, Y: y}, Max: geom.Vec2{X: 26, Y: y + 1.2}}
 		b.obs = append(b.obs, RectObstacle{row})
 		b.anchors = append(b.anchors, geom.Circle{C: row.Center(), R: 11})
 	}
-	b.circles(8, 0.3, 0.5) // pallets and drums in the aisles
+	b.Circles(8, 0.3, 0.5) // pallets and drums in the aisles
 	return b.world("warehouse", "indoor", indoorDFrame, indoorCollision, DefaultIndoorCamera())
 }

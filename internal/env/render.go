@@ -35,8 +35,8 @@ func (w *World) Render(cols, rows int) string {
 	for y := 0; y < rows; y++ {
 		for x := 0; x < cols; x++ {
 			p := geom.Vec2{
-				X: w.Bounds.Min.X + (float64(x)+0.5)/float64(cols)*size.X,
-				Y: w.Bounds.Min.Y + (float64(y)+0.5)/float64(rows)*size.Y,
+				X: w.Bounds.Min.X + float64((float64(x)+0.5)/float64(cols)*size.X),
+				Y: w.Bounds.Min.Y + float64((float64(y)+0.5)/float64(rows)*size.Y),
 			}
 			cell := byte(' ')
 			// Cell footprint radius in world units.

@@ -253,16 +253,16 @@ func (w *World) Reward(depths []float64) float64 {
 // generous clearance and resets the flight-distance counter.
 func (w *World) Spawn() {
 	rng := w.ensureRNG()
-	margin := w.CollisionRadius + w.DMin/2
+	margin := w.CollisionRadius + float64(w.DMin/2)
 	for try := 0; try < 10000; try++ {
 		p := geom.Vec2{
-			X: w.Bounds.Min.X + rng.Float64()*(w.Bounds.Max.X-w.Bounds.Min.X),
-			Y: w.Bounds.Min.Y + rng.Float64()*(w.Bounds.Max.Y-w.Bounds.Min.Y),
+			X: w.Bounds.Min.X + float64(rng.Float64()*(w.Bounds.Max.X-w.Bounds.Min.X)),
+			Y: w.Bounds.Min.Y + float64(rng.Float64()*(w.Bounds.Max.Y-w.Bounds.Min.Y)),
 		}
 		if w.Clearance(p) < margin {
 			continue
 		}
-		w.Drone = Pose{Pos: p, Heading: rng.Float64() * 2 * math.Pi}
+		w.Drone = Pose{Pos: p, Heading: float64(rng.Float64()) * 2 * math.Pi}
 		w.flightDistance = 0
 		return
 	}

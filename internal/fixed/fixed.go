@@ -1,9 +1,10 @@
-// Package fixed implements the 16-bit fixed-point arithmetic used by the
-// paper's embedded accelerator ("Arithmetic precision: 16 bit fixed-point",
-// Fig. 4(b)). Values are stored as int16 in Qm.n format where n fractional
-// bits are chosen per tensor. Multiply-accumulate uses a 32-bit accumulator,
-// matching the MAC units inside each processing element, and converts back
-// with saturation, which is how the hardware clamps on overflow.
+// Package fixed holds the 16-bit fixed-point encoding used by the paper's
+// embedded accelerator ("Arithmetic precision: 16 bit fixed-point",
+// Fig. 4(b)): a Word is an int16 in a Qm.n Format whose n fractional bits
+// are chosen per tensor, encoded with round-to-nearest (FromFloat) or
+// stochastic rounding (SR) and saturated at the format's range, which is how
+// the hardware clamps on overflow. The arithmetic on words lives in
+// internal/tensor's int16 kernels, which internal/qnn runs.
 package fixed
 
 import (
@@ -14,10 +15,6 @@ import (
 // Word is a 16-bit fixed-point value. Its numeric meaning depends on the
 // Format it was encoded with.
 type Word int16
-
-// Acc is the 32-bit accumulator type used during multiply-accumulate chains,
-// mirroring the widened datapath inside a PE's MAC unit.
-type Acc int32
 
 // Format describes a Qm.n fixed-point encoding with n fractional bits.
 // The total width is always 16 bits (1 sign, 15-n integer, n fractional).
@@ -34,12 +31,6 @@ var Q78 = Format{Frac: 8}
 // Q114 is a high-resolution format for gradients and learning rates:
 // Q1.14 covers [-2, 2) with resolution 1/16384.
 var Q114 = Format{Frac: 14}
-
-// MaxFrac is the largest legal number of fractional bits.
-const MaxFrac = 15
-
-// Valid reports whether the format is representable in 16 bits.
-func (f Format) Valid() bool { return f.Frac <= MaxFrac }
 
 // String returns the Qm.n name of the format, e.g. "Q7.8".
 func (f Format) String() string {
@@ -76,87 +67,6 @@ func (f Format) ToFloat(w Word) float64 {
 	return float64(w) * f.Eps()
 }
 
-// Quantize rounds x to the nearest representable value, i.e. the combined
-// effect of FromFloat followed by ToFloat.
-func (f Format) Quantize(x float64) float64 { return f.ToFloat(f.FromFloat(x)) }
-
-// SatAdd adds two words with saturation.
-func SatAdd(a, b Word) Word {
-	s := int32(a) + int32(b)
-	return saturate16(s)
-}
-
-// SatSub subtracts b from a with saturation.
-func SatSub(a, b Word) Word {
-	s := int32(a) - int32(b)
-	return saturate16(s)
-}
-
-// Mul multiplies two words of the same format and returns the full-precision
-// 32-bit product, still scaled by 2^(2*Frac). Use Format.Narrow to bring it
-// back to 16 bits.
-func Mul(a, b Word) Acc {
-	return Acc(int32(a) * int32(b))
-}
-
-// MAC performs acc + a*b in the 32-bit accumulator with saturation, the
-// primitive executed by each of a PE's eight MAC units per cycle.
-func MAC(acc Acc, a, b Word) Acc {
-	return satAcc(int64(acc) + int64(a)*int64(b))
-}
-
-// Narrow converts a 32-bit accumulator holding a 2^(2*Frac)-scaled product
-// back to the 16-bit format with rounding and saturation.
-func (f Format) Narrow(a Acc) Word {
-	// Round to nearest by adding half an LSB before the arithmetic shift.
-	half := int64(1) << f.Frac >> 1
-	v := (int64(a) + half) >> f.Frac
-	return saturate16From64(v)
-}
-
-// NarrowTo converts an accumulator produced with inputs in format f into a
-// word in format out. The accumulator carries 2*f.Frac fractional bits.
-func (f Format) NarrowTo(a Acc, out Format) Word {
-	shift := int(2*f.Frac) - int(out.Frac)
-	v := int64(a)
-	switch {
-	case shift > 0:
-		half := int64(1) << uint(shift) >> 1
-		v = (v + half) >> uint(shift)
-	case shift < 0:
-		v <<= uint(-shift)
-	}
-	return saturate16From64(v)
-}
-
-// ReLU clamps negative words to zero, matching the comparator units that
-// implement rectification in each PE.
-func ReLU(w Word) Word {
-	if w < 0 {
-		return 0
-	}
-	return w
-}
-
-// Max2 returns the larger of a and b, the comparator primitive used by
-// maxpool.
-func Max2(a, b Word) Word {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func saturate16(v int32) Word {
-	switch {
-	case v > math.MaxInt16:
-		return math.MaxInt16
-	case v < math.MinInt16:
-		return math.MinInt16
-	}
-	return Word(v)
-}
-
 func saturate16From64(v int64) Word {
 	switch {
 	case v > math.MaxInt16:
@@ -165,14 +75,4 @@ func saturate16From64(v int64) Word {
 		return math.MinInt16
 	}
 	return Word(v)
-}
-
-func satAcc(v int64) Acc {
-	switch {
-	case v > math.MaxInt32:
-		return Acc(math.MaxInt32)
-	case v < math.MinInt32:
-		return Acc(math.MinInt32)
-	}
-	return Acc(v)
 }

@@ -172,10 +172,6 @@ type Agent struct {
 	batch   []Transition
 	bArena  tensor.Arena
 	targets []float64
-	// Tail-path cache-miss queues: observations lacking cached boundary
-	// features and the feature rows they fill (see trainStepTail).
-	missObs []*tensor.Tensor
-	missDst [][]float32
 }
 
 // Arena slots of the agent's batched training workspace.
@@ -183,9 +179,6 @@ const (
 	agentSlotStates = iota
 	agentSlotNexts
 	agentSlotGrad
-	// agentSlotMissing stacks the observations whose boundary features
-	// were not cached, for the tail path's batched prefix recompute.
-	agentSlotMissing
 )
 
 // NewAgent builds an agent for the given architecture and training
@@ -401,6 +394,12 @@ func (a *Agent) Observe(t Transition) { a.replay.Push(t) }
 // single weight update. This is the batch procedure of Fig. 3(b) with one GEMM
 // per layer per batch; gradients accumulate in sample order, so the update is
 // what N single-sample passes would leave (TestFloatStackGolden pins it).
+//
+// Where the batch enters the network is one rule for both arithmetics
+// (featured): at the training boundary when every sampled row carries the
+// boundary features its arm reads, so only the trainable tail runs;
+// otherwise at the frames, through the whole network. The two are
+// bit-identical: the boundary rows are the values the frozen prefix computes.
 // After the first call it allocates nothing. It returns the mean squared TD
 // error, or -1 when the buffer is still shorter than the batch.
 func (a *Agent) TrainStep() float64 {
@@ -410,33 +409,102 @@ func (a *Agent) TrainStep() float64 {
 	}
 	a.batch = a.source().SampleInto(a.batch[:0], o.BatchSize, a.rng)
 	// A trainable backend owns the whole TD update — quantized forward,
-	// integer backprop, stochastically-rounded weight write — including the
-	// frozen-prefix handling (its compiler freezes the layers below the
-	// training boundary), so it bypasses the float tail path entirely.
+	// integer backprop, stochastically-rounded weight write — in its own
+	// arithmetic, including the frozen prefix (its compiler freezes the
+	// layers below the training boundary).
 	if a.trainBackend != nil {
 		return a.trainStepBackend()
 	}
-	// Frozen-prefix fast path: under a transfer topology the layers below
-	// the training boundary never change, so the batch can enter the
-	// network at the boundary from cached (or lazily recomputed) features
-	// and only the trainable FC tail runs. Bit-identical to the full pass —
-	// the boundary rows are the same values the full pass would compute.
-	if boundary := a.Net.TrainFrom(); boundary > 0 {
-		if d, ok := a.Net.Layers[boundary].(*nn.Dense); ok {
-			return a.trainStepTail(boundary, d.In)
-		}
+	var states, nexts *tensor.Tensor
+	from := a.Net.TrainFrom()
+	if w := a.boundaryWidth(); w > 0 && featured(a.batch, w, floatRows) {
+		states = a.bArena.Get(agentSlotStates, o.BatchSize, w)
+		nexts = a.bArena.Get(agentSlotNexts, o.BatchSize, w)
+		gatherRows(a.batch, w, states.Data(), nexts.Data(), floatRows)
+	} else {
+		from = 0
+		states, nexts = a.stackFrames()
 	}
-	states, nexts := a.stackFrames()
-	a.tdTargets(0, nexts)
-	// One batched online pass and one batched backward.
-	q := a.Net.ForwardBatch(states).Data()
+	// The frozen prefix is shared by construction: the online network never
+	// updates it and target syncs copy it verbatim, so the boundary features
+	// are valid entry points into the online and target tails alike.
+	a.tdTargets(from, nexts)
+	q := a.Net.ForwardBatchRange(from, len(a.Net.Layers), states).Data()
 	return a.finishBatchedStep(q)
 }
 
+// boundaryWidth is the length of one boundary-feature row — the fan-in of
+// the first trainable layer — or 0 when nothing is frozen (E2E).
+func (a *Agent) boundaryWidth() int {
+	if boundary := a.Net.TrainFrom(); boundary > 0 {
+		if d, ok := a.Net.Layers[boundary].(*nn.Dense); ok {
+			return d.In
+		}
+	}
+	return 0
+}
+
+// floatRows and wordRows read a transition's boundary rows as the float
+// learner and a train backend read them; nil where the row carries none.
+func floatRows(tr *Transition) (state, next []float32) {
+	if tr.Feat != nil {
+		state = tr.Feat.Data()
+	}
+	if tr.NextFeat != nil {
+		next = tr.NextFeat.Data()
+	}
+	return state, next
+}
+
+func wordRows(tr *Transition) (state, next []int16) { return tr.QFeat, tr.QNextFeat }
+
+// featured is TrainStep's one rule, for both arms: the step enters at the
+// training boundary only when every sampled row carries the width-long
+// boundary rows its arm reads (rows) — the state's, and the next state's
+// unless the episode ended. A batch short of one row runs whole from its
+// frames. A row whose boundary feature has another width panics, naming it.
+func featured[T float32 | int16](batch []Transition, width int, rows func(*Transition) (state, next []T)) bool {
+	ok := true
+	for i := range batch {
+		s, n := rows(&batch[i])
+		for _, r := range [2][]T{s, n} {
+			if r != nil && len(r) != width {
+				panic(fmt.Sprintf("rl: TrainStep row %d carries a boundary feature of %d values, the training boundary takes %d", i, len(r), width))
+			}
+		}
+		ok = ok && s != nil && (n != nil || batch[i].Done)
+	}
+	return ok
+}
+
+// gatherRows stacks a featured batch's boundary rows into states and nexts.
+// A finished episode's next-state row is zeroed: its bootstrap is computed
+// but never read (the target is just the reward).
+func gatherRows[T float32 | int16](batch []Transition, width int, states, nexts []T, rows func(*Transition) (state, next []T)) {
+	for i := range batch {
+		s, n := rows(&batch[i])
+		copy(states[i*width:(i+1)*width], s)
+		if dst := nexts[i*width : (i+1)*width]; batch[i].Done {
+			clear(dst)
+		} else {
+			copy(dst, n)
+		}
+	}
+}
+
 // stackFrames stacks the sampled batch's observations into (B, C, H, W)
-// views of the agent's workspace.
+// views of the agent's workspace. A row missing a frame it needs has lost it
+// to a replay that keeps only features, so it panics, naming the row.
 func (a *Agent) stackFrames() (states, nexts *tensor.Tensor) {
 	b := a.opts.BatchSize
+	for i, tr := range a.batch {
+		switch {
+		case tr.State == nil:
+			panic(fmt.Sprintf("rl: TrainStep row %d carries neither its state's boundary features nor its frame", i))
+		case tr.Next == nil && !tr.Done:
+			panic(fmt.Sprintf("rl: TrainStep row %d carries neither its next state's boundary features nor its frame, and Done is false", i))
+		}
+	}
 	sh := a.batch[0].State.Shape()
 	if len(sh) != 3 {
 		panic("rl: TrainStep expects CHW observations")
@@ -445,104 +513,19 @@ func (a *Agent) stackFrames() (states, nexts *tensor.Tensor) {
 	nexts = a.bArena.Get(agentSlotNexts, b, sh[0], sh[1], sh[2])
 	n := a.batch[0].State.Len()
 	for i, tr := range a.batch {
-		if tr.State.Len() != n {
+		if tr.State.Len() != n || tr.Next != nil && tr.Next.Len() != n {
 			panic("rl: TrainStep batch mixes observation shapes")
 		}
 		copy(states.Data()[i*n:(i+1)*n], tr.State.Data())
-		dst := nexts.Data()[i*n : (i+1)*n]
-		switch {
-		case tr.Next != nil:
-			if tr.Next.Len() != n {
-				panic("rl: TrainStep batch mixes observation shapes")
-			}
+		if dst := nexts.Data()[i*n : (i+1)*n]; tr.Next != nil {
 			copy(dst, tr.Next.Data())
-		case tr.Done:
-			// Terminal transitions may omit Next. Feed zeros; the bootstrap
+		} else {
+			// A terminal transition may omit Next. Feed zeros; the bootstrap
 			// row is computed but ignored (the target is just the reward).
-			for j := range dst {
-				dst[j] = 0
-			}
-		default:
-			panic("rl: TrainStep transition has nil Next but Done is false")
+			clear(dst)
 		}
 	}
 	return states, nexts
-}
-
-// trainStepTail is TrainStep's frozen-prefix path: the sampled batch enters
-// the network at the training boundary (layer index boundary, a Dense with
-// featDim inputs) from cached boundary features, and only the trainable tail
-// runs — forward over the bootstrap next-states, forward over the states,
-// one batched backward. Transitions without cached features (exploration
-// steps, or next-states sampled before the actor backfilled them) get their
-// features recomputed through the frozen prefix, so the result is
-// bit-identical to the full-network TrainStep on every input mix.
-func (a *Agent) trainStepTail(boundary, featDim int) float64 {
-	o := a.opts
-	b := o.BatchSize
-	states := a.bArena.Get(agentSlotStates, b, featDim)
-	nexts := a.bArena.Get(agentSlotNexts, b, featDim)
-	// First pass: copy cached feature rows, queue the cache misses.
-	a.missObs, a.missDst = a.missObs[:0], a.missDst[:0]
-	gather := func(dst []float32, feat, obs *tensor.Tensor) {
-		if feat != nil {
-			if feat.Len() != featDim {
-				panic("rl: TrainStep boundary features have the wrong length")
-			}
-			copy(dst, feat.Data())
-			return
-		}
-		a.missObs = append(a.missObs, obs)
-		a.missDst = append(a.missDst, dst)
-	}
-	for i, tr := range a.batch {
-		gather(states.Data()[i*featDim:(i+1)*featDim], tr.Feat, tr.State)
-		dst := nexts.Data()[i*featDim : (i+1)*featDim]
-		switch {
-		case tr.Done:
-			// The bootstrap row of a finished episode is computed but
-			// ignored (the target is just the reward) — feed zeros, like
-			// the full path does for terminals stored without a Next.
-			for j := range dst {
-				dst[j] = 0
-			}
-		case tr.Next != nil || tr.NextFeat != nil:
-			gather(dst, tr.NextFeat, tr.Next)
-		default:
-			panic("rl: TrainStep transition has nil Next but Done is false")
-		}
-	}
-	// Second pass: recompute every missing row through the frozen prefix in
-	// one batched pass (bit-identical to the per-row pass and to the full
-	// path's stacked prefix, per the ForwardBatch row contract). Fully
-	// cached batches — the async pipeline's steady state — skip it.
-	if m := len(a.missObs); m > 0 {
-		sh := a.missObs[0].Shape()
-		if len(sh) != 3 {
-			panic("rl: TrainStep expects CHW observations")
-		}
-		stack := a.bArena.Get(agentSlotMissing, m, sh[0], sh[1], sh[2])
-		n := a.missObs[0].Len()
-		for i, obs := range a.missObs {
-			if obs.Len() != n {
-				panic("rl: TrainStep batch mixes observation shapes")
-			}
-			copy(stack.Data()[i*n:(i+1)*n], obs.Data())
-		}
-		feats := a.Net.ForwardBatchRange(0, boundary, stack)
-		if feats.Len() != m*featDim {
-			panic("rl: TrainStep boundary features have the wrong length")
-		}
-		for i, dst := range a.missDst {
-			copy(dst, feats.Data()[i*featDim:(i+1)*featDim])
-		}
-	}
-	// The frozen prefix is shared by construction: the online network never
-	// updates it and target syncs copy it verbatim, so the boundary features
-	// are valid entry points into the online and target tails alike.
-	a.tdTargets(boundary, nexts)
-	q := a.Net.ForwardBatchRange(boundary, len(a.Net.Layers), states).Data()
-	return a.finishBatchedStep(q)
 }
 
 // tdTargets fills a.targets with the sampled batch's TD targets (Eq. (1) of
@@ -612,12 +595,10 @@ func (a *Agent) finishBatchedStep(q []float32) float64 {
 }
 
 // trainStepBackend is TrainStep's trainable-backend path: the sampled batch
-// is handed to the backend as one nn.TrainBatch — gathered from QFeat and
-// QNextFeat when every sampled transition carries the backend's own boundary
-// features, otherwise stacked into the agent's workspace tensors exactly like
-// the float path (Done rows of the next-state stack hold zeros and contribute
-// no bootstrap). The backend runs the whole TD(0) update in its own
-// arithmetic; the agent keeps only the clock and the target-sync cadence.
+// is handed to the backend as one nn.TrainBatch — its QFeat/QNextFeat rows
+// when the batch is featured in the backend's words, its frames otherwise.
+// The backend runs the whole TD(0) update in its own arithmetic; the agent
+// keeps only the clock and the target-sync cadence.
 func (a *Agent) trainStepBackend() float64 {
 	o := a.opts
 	b := o.BatchSize
@@ -627,25 +608,16 @@ func (a *Agent) trainStepBackend() float64 {
 		a.tbDone = make([]bool, b)
 	}
 	actions, rewards, done := a.tbActions[:b], a.tbRewards[:b], a.tbDone[:b]
-	f := len(a.batch[0].QFeat)
 	for i, tr := range a.batch {
 		actions[i], rewards[i], done[i] = tr.Action, tr.Reward, tr.Done
-		if len(tr.QFeat) != f || !tr.Done && len(tr.QNextFeat) != f {
-			f = 0
-		}
 	}
 	batch := nn.TrainBatch{Actions: actions, Rewards: rewards, Done: done, Gamma: o.Gamma, LR: o.LR}
-	if f > 0 {
-		if cap(a.tbFeats) < b*f {
-			a.tbFeats, a.tbNextFeats = make([]int16, b*f), make([]int16, b*f)
+	if w := a.boundaryWidth(); w > 0 && featured(a.batch, w, wordRows) {
+		if cap(a.tbFeats) < b*w {
+			a.tbFeats, a.tbNextFeats = make([]int16, b*w), make([]int16, b*w)
 		}
-		batch.Feats, batch.NextFeats = a.tbFeats[:b*f], a.tbNextFeats[:b*f]
-		for i, tr := range a.batch {
-			copy(batch.Feats[i*f:(i+1)*f], tr.QFeat)
-			if !tr.Done {
-				copy(batch.NextFeats[i*f:(i+1)*f], tr.QNextFeat)
-			}
-		}
+		batch.Feats, batch.NextFeats = a.tbFeats[:b*w], a.tbNextFeats[:b*w]
+		gatherRows(a.batch, w, batch.Feats, batch.NextFeats, wordRows)
 	} else {
 		batch.States, batch.Nexts = a.stackFrames()
 	}

@@ -136,6 +136,18 @@ func (a *Agent) actor(net *nn.Network, w *env.World, rng *rand.Rand) *Actor {
 	return act
 }
 
+// featuresOnly is what a loop's replay keeps of an actor's transition: the
+// boundary features its learner reads, when the actor captured them (the
+// actor captures exactly those, for both frames), and then no frame —
+// TrainStep enters at the boundary and never reads one. Under E2E, or a train
+// backend the actor cannot featurize for, the frames stay.
+func featuresOnly(tr Transition) Transition {
+	if tr.Feat != nil || tr.QFeat != nil {
+		tr.State, tr.Next = nil, nil
+	}
+	return tr
+}
+
 // runSerial is the deterministic single-actor schedule: one Actor flying the
 // agent's own network with the agent's rng and clock, TrainStep called inline
 // every TrainEvery steps.
@@ -152,7 +164,7 @@ func (l *OnlineLoop) runSerial(ctx context.Context, iters int) (OnlineStats, err
 			break
 		}
 		tr, res := act.Step(a.clock.TickEnv())
-		l.shards.PushTo(0, tr)
+		l.shards.PushTo(0, featuresOnly(tr))
 		if l.Tracker != nil {
 			l.Tracker.Step(res.Reward, res.Crashed, res.FlightDistance)
 		}
@@ -217,7 +229,7 @@ func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, erro
 			lastSeen := initial
 			for k := 0; k < share && runCtx.Err() == nil; k++ {
 				tr, res := act.Step(clock.TickEnv())
-				l.shards.PushTo(id, tr)
+				l.shards.PushTo(id, featuresOnly(tr))
 				learner.Track(res.Reward, res.Crashed, res.FlightDistance)
 				if !res.Crashed {
 					continue

@@ -2,6 +2,7 @@ package rl
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dronerl/internal/nn"
@@ -110,4 +111,22 @@ func TestTrainStepAcceptsNilNextOnTerminal(t *testing.T) {
 		}
 	}
 	paramsEqual(t, "nil-next", without.Net, with.Net)
+}
+
+// TestTrainStepNamesARowWithNeitherFeaturesNorFrames: once a replay keeps
+// features only, a row that lost them too cannot train. TrainStep panics
+// naming the row rather than stacking a nil frame.
+func TestTrainStepNamesARowWithNeitherFeaturesNorFrames(t *testing.T) {
+	a := NewAgent(nn.NavNetSpec(), nn.L3, Options{Seed: 93, BatchSize: 4, ReplayCapacity: 4})
+	width := a.boundaryWidth()
+	for i := 0; i < 4; i++ {
+		a.Observe(Transition{Action: 1, NextFeat: tensor.New(width)}) // the state's rows are lost
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "row 0") || !strings.Contains(msg, "neither") {
+			t.Fatalf("TrainStep on a row with neither features nor frames: panic %q", msg)
+		}
+	}()
+	a.TrainStep()
 }

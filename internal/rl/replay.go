@@ -12,7 +12,14 @@ import (
 	"dronerl/internal/tensor"
 )
 
-// Transition is one experience tuple (s_t, a_t, r_t, s_t+1, done).
+// Transition is one experience tuple (s_t, a_t, r_t, s_t+1, done). Each
+// state is held either as its frame (State, Next) or as the boundary
+// features its learner reads (Feat/NextFeat, QFeat/QNextFeat); a replay that
+// trains on features keeps no frame (OnlineLoop, dist's learner). Next and
+// its features may be nil when Done: a finished episode has no bootstrap.
+// TrainStep enters at the training boundary only when every sampled row
+// carries its arm's features, and runs the whole network from the frames
+// otherwise; a row with neither panics.
 type Transition struct {
 	State  *tensor.Tensor
 	Action int
@@ -20,13 +27,12 @@ type Transition struct {
 	Next   *tensor.Tensor
 	Done   bool
 
-	// Feat and NextFeat optionally cache the frozen-prefix boundary
-	// activations of State and Next — the activation entering the first
-	// trainable layer under a transfer topology. Actors fill them from the
-	// batched inference pass they run anyway, and the learner's TrainStep
-	// then re-runs only the trainable FC tail instead of the whole network.
-	// nil means "not computed"; the learner recomputes missing features
-	// itself, bit-identically, so the cache is purely an optimization.
+	// Feat and NextFeat are the frozen-prefix boundary activations of the
+	// two states — the activation entering the first trainable layer under a
+	// transfer topology — as the float learner reads them. Actors compute
+	// them once per frame (they need them to act), and TrainStep then runs
+	// only the trainable FC tail. Under E2E nothing is frozen and they stay
+	// nil.
 	Feat, NextFeat *tensor.Tensor
 
 	// QFeat and QNextFeat are the same activations in an active train

@@ -26,20 +26,20 @@ func Generate(spec GenSpec, seed int64) (*env.World, error) {
 	d := kindDefaults[v.Kind]
 	rng := rand.New(rand.NewSource(seed))
 	bounds := geom.Rect{Max: geom.Vec2{X: v.Size, Y: v.Size}}
-	p := &placer{rng: rng, bounds: bounds, dmin: v.Corridor}
+	p := env.NewPlacer(rng, bounds, v.Corridor)
 
 	// Interior walls first (they consume no spacing anchors), alternating
 	// vertical and horizontal, each with a door gap three corridors wide so
 	// the drone can always pass.
 	gap := 3 * v.Corridor
 	for i := 0; i < v.Walls; i++ {
-		frac := 0.25 + rng.Float64()*0.5
+		frac := 0.25 + float64(rng.Float64()*0.5)
 		if i%2 == 0 {
-			x := bounds.Min.X + frac*v.Size
-			p.wall(geom.Vec2{X: x, Y: bounds.Min.Y}, geom.Vec2{X: x, Y: bounds.Max.Y}, gap)
+			x := bounds.Min.X + float64(frac*v.Size)
+			p.Wall(geom.Vec2{X: x, Y: bounds.Min.Y}, geom.Vec2{X: x, Y: bounds.Max.Y}, gap)
 		} else {
-			y := bounds.Min.Y + frac*v.Size
-			p.wall(geom.Vec2{X: bounds.Min.X, Y: y}, geom.Vec2{X: bounds.Max.X, Y: y}, gap)
+			y := bounds.Min.Y + float64(frac*v.Size)
+			p.Wall(geom.Vec2{X: bounds.Min.X, Y: y}, geom.Vec2{X: bounds.Max.X, Y: y}, gap)
 		}
 	}
 
@@ -47,114 +47,28 @@ func Generate(spec GenSpec, seed int64) (*env.World, error) {
 	// enforces the corridor spacing and saturates when nothing more fits.
 	total := int(math.Round(v.Density * v.Size * v.Size / 100))
 	boxes := int(math.Round(float64(total) * v.BoxFrac))
-	p.circles(total-boxes, d.circleRMin, d.circleRMax)
-	p.rects(boxes, d.boxMin, d.boxMax, d.boxMin, d.boxMax)
+	p.Circles(total-boxes, d.circleRMin, d.circleRMax)
+	p.Rects(boxes, d.boxMin, d.boxMax, d.boxMin, d.boxMax)
 
 	// Turbulence degrades stereo matching; payload slows the frame advance
 	// and fattens the collision body.
 	stereo := env.DefaultStereo()
-	stereo.NoisePx *= 1 + 3*v.Turbulence
+	stereo.NoisePx *= 1 + float64(3*v.Turbulence)
 	cam := env.DefaultIndoorCamera()
 	if v.Kind == Outdoor {
 		cam = env.DefaultOutdoorCamera()
 	}
 	w := &env.World{
 		Name: v.FamilyName(), Kind: v.Kind,
-		Bounds: bounds, Obstacles: p.obs,
+		Bounds: bounds, Obstacles: p.Obstacles(),
 		DMin:            v.Corridor,
-		DFrame:          d.dframe * (1 - 0.4*v.Payload),
-		CollisionRadius: d.collision * (1 + 0.3*v.Payload),
+		DFrame:          d.dframe * (1 - float64(0.4*v.Payload)),
+		CollisionRadius: d.collision * (1 + float64(0.3*v.Payload)),
 		Camera:          cam, Stereo: stereo,
 	}
 	w.Seed(rng.Int63())
 	w.Spawn()
 	return w, nil
-}
-
-// placer accumulates obstacles while enforcing the corridor spacing rule —
-// the generated-world sibling of the env catalog's builder, kept here so
-// the generator's placement policy can evolve without touching the pinned
-// builtin worlds.
-type placer struct {
-	rng    *rand.Rand
-	bounds geom.Rect
-	dmin   float64
-	obs    []env.Obstacle
-	// anchors approximates each placed obstacle by centre+radius for the
-	// spacing test.
-	anchors []geom.Circle
-}
-
-func (p *placer) randPoint(margin float64) geom.Vec2 {
-	return geom.Vec2{
-		X: p.bounds.Min.X + margin + p.rng.Float64()*(p.bounds.Max.X-p.bounds.Min.X-2*margin),
-		Y: p.bounds.Min.Y + margin + p.rng.Float64()*(p.bounds.Max.Y-p.bounds.Min.Y-2*margin),
-	}
-}
-
-// fits reports whether a new obstacle approximated by (c, r) keeps at least
-// one corridor of free surface-to-surface space from every existing
-// obstacle and the outer wall.
-func (p *placer) fits(c geom.Vec2, r float64) bool {
-	for _, a := range p.anchors {
-		if c.Dist(a.C) < r+a.R+p.dmin {
-			return false
-		}
-	}
-	for _, e := range p.bounds.Edges() {
-		if e.Distance(c) < r+p.dmin {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *placer) circles(n int, rmin, rmax float64) {
-	for placed, tries := 0, 0; placed < n && tries < n*200; tries++ {
-		r := rmin + p.rng.Float64()*(rmax-rmin)
-		c := p.randPoint(r + p.dmin)
-		if !p.fits(c, r) {
-			continue
-		}
-		p.obs = append(p.obs, env.CircleObstacle{Circle: geom.Circle{C: c, R: r}})
-		p.anchors = append(p.anchors, geom.Circle{C: c, R: r})
-		placed++
-	}
-}
-
-func (p *placer) rects(n int, smin, smax, tmin, tmax float64) {
-	for placed, tries := 0, 0; placed < n && tries < n*200; tries++ {
-		w := smin + p.rng.Float64()*(smax-smin)
-		h := tmin + p.rng.Float64()*(tmax-tmin)
-		r := 0.5 * geom.Vec2{X: w, Y: h}.Len()
-		c := p.randPoint(r + p.dmin)
-		if !p.fits(c, r) {
-			continue
-		}
-		rect := geom.Rect{
-			Min: geom.Vec2{X: c.X - w/2, Y: c.Y - h/2},
-			Max: geom.Vec2{X: c.X + w/2, Y: c.Y + h/2},
-		}
-		p.obs = append(p.obs, env.RectObstacle{Rect: rect})
-		p.anchors = append(p.anchors, geom.Circle{C: c, R: r})
-		placed++
-	}
-}
-
-// wall adds a straight interior wall between two points with a door gap of
-// the given width somewhere in its middle half, split into two segments.
-func (p *placer) wall(from, to geom.Vec2, gapWidth float64) {
-	dir := to.Sub(from)
-	length := dir.Len()
-	if length <= gapWidth {
-		return
-	}
-	u := dir.Unit()
-	gc := from.Add(u.Scale(length * (0.3 + p.rng.Float64()*0.4)))
-	g0 := gc.Sub(u.Scale(gapWidth / 2))
-	g1 := gc.Add(u.Scale(gapWidth / 2))
-	p.obs = append(p.obs, env.WallObstacle{Segment: geom.Segment{A: from, B: g0}})
-	p.obs = append(p.obs, env.WallObstacle{Segment: geom.Segment{A: g1, B: to}})
 }
 
 // WorldHash digests everything observable about a world — metadata, camera

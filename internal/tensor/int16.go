@@ -5,18 +5,17 @@ package tensor
 // AxpyPanel16 here, the direct convolution in conv16.go, and in epilogue16.go
 // the CHW transpose and the one epilogue, Narrow64.
 //
-// Accumulation contract — deliberately different from the PE-datapath
-// primitives in internal/fixed: products are widened to int32 and summed with
-// two's-complement wrap-around, and saturation (if the caller wants any)
-// happens exactly once when the caller narrows the finished accumulator.
-// Wrap-around addition mod 2^32 is associative and commutative, so the AVX2
-// kernels' lane orders (VPMADDWD pairs, then a tree reduction here; one
-// accumulator lane per output channel in the convolution) are bit-identical
-// to the scalar left-to-right loop — the property the unconditional
-// asm-vs-scalar identity tests assert. Per-step saturating accumulation
-// (fixed.MAC) has no such reordering freedom, so nothing saturating can be
-// vectorized this way; qnn runs its one walk — training, batched inference
-// and the lone frame — on these kernels.
+// Accumulation contract — deliberately not a MAC unit that saturates after
+// every step: products are widened to int32 and summed with two's-complement
+// wrap-around, and saturation (if the caller wants any) happens exactly once
+// when the caller narrows the finished accumulator. Wrap-around addition mod
+// 2^32 is associative and commutative, so the AVX2 kernels' lane orders
+// (VPMADDWD pairs, then a tree reduction here; one accumulator lane per
+// output channel in the convolution) are bit-identical to the scalar
+// left-to-right loop — the property the unconditional asm-vs-scalar identity
+// tests assert. Per-step saturating accumulation has no such reordering
+// freedom, so nothing saturating can be vectorized this way; qnn runs its one
+// walk — training, batched inference and the lone frame — on these kernels.
 //
 // The range discipline callers must uphold: the wrapped int32 equals the
 // true sum exactly when the true sum fits int32 (intermediate wraps cancel).
