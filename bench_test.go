@@ -167,7 +167,7 @@ func BenchmarkFig10Learning(b *testing.B) {
 			Seed: 31, BatchSize: 4, EpsDecaySteps: 150,
 		})
 		world := env.IndoorApartment(32)
-		res, err := transfer.RunOnline(snap, world, spec, nn.L3, 300, 200, rl.Options{
+		res, err := transfer.RunOnline(context.Background(), snap, world, spec, nn.L3, 300, 200, rl.Options{
 			Seed: 33, BatchSize: 4, EpsStart: 0.5, EpsDecaySteps: 150,
 		})
 		if err != nil {

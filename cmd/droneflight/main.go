@@ -199,7 +199,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opts := rl.Options{
 		Seed: *seed + 1, BatchSize: 4, EpsStart: 0.5, EpsDecaySteps: *onlineIters / 2,
 	}.Merge(withExtra)
-	res, err := transfer.RunOnlineContext(ctx, snap, world, spec, cfg, *onlineIters, *evalSteps, opts)
+	res, err := transfer.RunOnline(ctx, snap, world, spec, cfg, *onlineIters, *evalSteps, opts)
 	if err != nil {
 		return fail(1, err)
 	}

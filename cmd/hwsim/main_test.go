@@ -48,7 +48,10 @@ func TestRunEverySweep(t *testing.T) {
 // TestSweepBackendGolden pins -sweep backend's output to the bytes captured
 // at 171c5ea, while the systolic backend still answered through a float
 // emulation of the PE array: the per-frame price list must not move with
-// the engine behind the replies.
+// the engine behind the replies. Its Mcycles/frame column was re-captured
+// once, alone, when a cycle became what the backend's latency charges
+// (L2 0.00604 → 0.028, L3 0.00865 → 0.031, L4 0.050 → 0.072,
+// E2E 0.225 → 0.247).
 func TestSweepBackendGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/sweep_backend.golden")
 	if err != nil {

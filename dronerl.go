@@ -11,8 +11,7 @@
 //   - The hardware: a 32x32 systolic PE array with an on-die SRAM buffer
 //     and a 3D-stacked STT-MRAM holding the frozen weights. Its 16-bit
 //     datapath is the integer engine (internal/qnn); an analytical
-//     latency/energy model prices it (internal/systolic, internal/mem,
-//     internal/hw).
+//     latency/energy model prices it (internal/hw, internal/mem).
 //
 // Experiments compose from four first-class concepts (see api.go): a
 // scenario catalog (Scenarios, RegisterScenario), a validated Spec built

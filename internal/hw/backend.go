@@ -2,10 +2,10 @@ package hw
 
 import (
 	"fmt"
+	"math"
 
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
-	"dronerl/internal/systolic"
 	"dronerl/internal/tensor"
 )
 
@@ -15,9 +15,11 @@ import (
 // "quant" backend — while the analytical performance model prices every
 // pass: weight streams from the STT-MRAM stack at Table 1 timing,
 // global-buffer broadcast traffic from the row-stationary conv plans and the
-// cycle-stepped FC tiles (internal/systolic), and camera-frame transfers,
-// all charged to a mem.EnergyLedger at the devices' per-bit energies. Every
-// charge is fixed at construction; nothing the engine computes moves it.
+// FC input vectors, and camera-frame transfers, all charged to a
+// mem.EnergyLedger at the devices' per-bit energies. Every charge is fixed at
+// construction; nothing the engine computes moves it. Time has one source,
+// the forward and backward tables: each charge's cycles are its latency at
+// the array clock, rounded once.
 //
 // Accounting has two mutually consistent views:
 //
@@ -41,21 +43,19 @@ type SystolicBackend struct {
 	// Per-inference charges, fixed at construction.
 	inferLatencyMS float64
 	inferComputeMJ float64 // affine PE power over busy time + SRAM traffic
-	inferCycles    int64
-	sramReadBits   int64 // GB broadcast traffic per inference
-	sramWriteBits  int64 // output writeback per inference
+	sramReadBits   int64   // GB broadcast traffic per inference
+	sramWriteBits  int64   // output writeback per inference
 
-	// Per-batch amortizable share of the inference charges: samples after
-	// the first reuse the resident weights (no second stack stream) and
-	// overlap their array fill with the previous sample's drain.
-	fillDrainCycles int64   // FC tile-pass skew + drain cycles per inference
-	mramStreamNS    float64 // stack read time of one full weight stream
+	// batchSavedMS is the per-sample latency a pipelined batch amortizes:
+	// samples after the first reuse the resident weights (no second stack
+	// stream) and overlap their FC tile passes' fill with the previous
+	// sample's drain.
+	batchSavedMS float64
 
 	// Per-train-step charges under cfg (one backward propagation); its
 	// stack traffic is the price list's backward read and update write.
 	trainLatencyMS float64
 	trainComputeMJ float64
-	trainCycles    int64
 
 	// Accumulated breakdown components (the ledger holds the memory side;
 	// compute is not a memory access, so it accumulates here).
@@ -82,32 +82,30 @@ func NewSystolicBackend(net *nn.Network, spec nn.ArchSpec, cfg nn.Config) (*Syst
 // priceInference fixes the per-inference charges from the forward cost
 // tables: latency and PE power from the Fig. 12(a) mechanisms, broadcast
 // traffic against the global buffer, and — as in Model.Breakdown — each
-// layer's energy less its price-list weight stream as compute. FC cycle
-// counts come from the cycle-accurate array simulation, conv cycles from
-// the broadcast-bound pass latency at the array clock.
+// layer's energy less its price-list weight stream as compute. A batch
+// saves one stack stream and the FC tile plans' fill/drain per sample after
+// the first.
 func (b *SystolicBackend) priceInference() {
 	m := b.model
-	arr := systolic.New(m.Array)
 	shapes := m.convShapes()
+	var fillDrain int64
 	for i, c := range m.ForwardTable() {
 		b.inferLatencyMS += c.LatencyMS
 		b.inferComputeMJ += c.EnergyMJ - m.MRAM.EnergyPJ(mem.Read, b.traffic.Forward[i])/1e9
 		if i < len(shapes) {
 			s := shapes[i]
-			b.inferCycles += int64(c.LatencyMS * 1e6 * m.Array.ClockGHz)
-			tr := systolic.PlanConv(m.Array, s).Traffic(s)
+			tr := planConv(m.array, s).traffic(s)
 			b.sramReadBits += (tr.WeightWords + tr.InputWords) * m.wordBits()
 			b.sramWriteBits += tr.OutputWords * m.wordBits()
 			continue
 		}
 		f := m.Arch.FCs[i-len(shapes)]
-		sim := arr.SimulateFC(f.Out, f.In)
-		b.inferCycles += sim.Cycles
-		b.fillDrainCycles += sim.FillDrainCycles
+		fillDrain += fcFillDrainCycles(m.array, f.Out, f.In)
 		b.sramReadBits += int64(f.In) * m.wordBits()
 		b.sramWriteBits += int64(f.Out) * m.wordBits()
 	}
-	b.mramStreamNS = m.MRAM.AccessTimeNS(mem.Read, b.traffic.ForwardBits)
+	b.batchSavedMS = m.MRAM.AccessTimeNS(mem.Read, b.traffic.ForwardBits)/1e6 +
+		m.array.CyclesToNS(float64(fillDrain))/1e6
 }
 
 // priceTrainStep fixes the per-backward-propagation charges under the
@@ -121,7 +119,6 @@ func (b *SystolicBackend) priceTrainStep() {
 		writeMJ := m.MRAM.EnergyPJ(mem.Write, b.traffic.Update[i]) / 1e9
 		b.trainLatencyMS += row.LatencyMS
 		b.trainComputeMJ += row.EnergyMJ - readMJ - writeMJ
-		b.trainCycles += int64(row.LatencyMS * 1e6 * m.Array.ClockGHz)
 	}
 }
 
@@ -166,8 +163,7 @@ func (b *SystolicBackend) charge(bsz int) {
 	pj += b.ledger.Record(b.model.SRAM, mem.Write, int64(bsz)*b.sramWriteBits).PJ
 	pj += b.ledger.Record(b.frame.Device, b.frame.Kind, int64(bsz)*b.frame.Bits).PJ
 	b.computeMJ += float64(float64(bsz) * b.inferComputeMJ)
-	b.cost.LatencyMS += b.batchLatencyMS(bsz)
-	b.cost.Cycles += b.inferCycles + int64(bsz-1)*(b.inferCycles-b.fillDrainCycles)
+	b.chargeLatency(b.batchLatencyMS(bsz))
 	b.cost.EnergyMJ += float64(float64(bsz)*b.inferComputeMJ) + pj/1e9
 }
 
@@ -175,12 +171,18 @@ func (b *SystolicBackend) charge(bsz int) {
 // sample pays the full cold-start latency, each further sample the marginal
 // latency with the weight stream and the array fill/drain already hidden.
 func (b *SystolicBackend) batchLatencyMS(bsz int) float64 {
-	savedMS := b.mramStreamNS/1e6 + b.model.Array.CyclesToNS(float64(b.fillDrainCycles))/1e6
-	marginalMS := b.inferLatencyMS - savedMS
+	marginalMS := b.inferLatencyMS - b.batchSavedMS
 	if marginalMS < 0 {
 		marginalMS = 0
 	}
 	return b.inferLatencyMS + float64(float64(bsz-1)*marginalMS)
+}
+
+// chargeLatency adds one charge's modeled time: its latency, and the same
+// latency in array cycles, rounded once.
+func (b *SystolicBackend) chargeLatency(ms float64) {
+	b.cost.LatencyMS += ms
+	b.cost.Cycles += int64(math.Round(ms * 1e6 * b.model.array.ClockGHz))
 }
 
 // ChargeTrainStep charges one backward propagation (the Fig. 12(b) event)
@@ -193,8 +195,7 @@ func (b *SystolicBackend) ChargeTrainStep() {
 		b.ledger.Record(b.model.MRAM, mem.Write, b.traffic.UpdateBits).PJ
 	b.computeMJ += b.trainComputeMJ
 	b.trainOps++
-	b.cost.LatencyMS += b.trainLatencyMS
-	b.cost.Cycles += b.trainCycles
+	b.chargeLatency(b.trainLatencyMS)
 	b.cost.EnergyMJ += b.trainComputeMJ + pj/1e9
 }
 

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,5 +225,40 @@ func TestSystolicBackendRegistered(t *testing.T) {
 	}
 	if b.Name() != "systolic" {
 		t.Errorf("name %q", b.Name())
+	}
+}
+
+// TestSystolicCyclesAreChargedLatency holds the backend to one timing model:
+// every charge — each Infer, each pipelined InferBatch, each ChargeTrainStep
+// — adds the cycles of the latency it adds, at the array clock, to the
+// nearest cycle.
+func TestSystolicCyclesAreChargedLatency(t *testing.T) {
+	for _, cfg := range nn.Configs {
+		b, _ := newTestBackend(t, cfg, 81)
+		clock := b.model.array.ClockGHz
+		check := func(what string, charge func()) {
+			before := b.Cost()
+			charge()
+			after := b.Cost()
+			cycles := after.Cycles - before.Cycles
+			want := (after.LatencyMS - before.LatencyMS) * 1e6 * clock
+			// Half a cycle, plus the rounding of the running latency sum
+			// the delta is read back from.
+			if math.Abs(float64(cycles)-want) > 0.5+1e-6 {
+				t.Errorf("%v %s: charged %d cycles for %.1f cycles of latency", cfg, what, cycles, want)
+			}
+		}
+		rng := rand.New(rand.NewSource(82))
+		obs := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
+		for i := 0; i < 2; i++ {
+			obs.RandUniform(rng, 1)
+			check("Infer", func() { b.Infer(obs) })
+		}
+		for _, bsz := range []int{1, 4, 8, 32} {
+			batch := tensor.New(bsz, 1, nn.NavNetInput, nn.NavNetInput)
+			batch.RandUniform(rng, 1)
+			check(fmt.Sprintf("InferBatch(%d)", bsz), func() { b.InferBatch(batch) })
+			check("ChargeTrainStep", b.ChargeTrainStep)
+		}
 	}
 }

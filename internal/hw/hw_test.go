@@ -487,7 +487,7 @@ func TestPublishImageMatchesModeledTraffic(t *testing.T) {
 		}
 		charged := map[string]int64{}
 		for _, tr := range m.SnapshotPublishTraffic(cfg) {
-			charged[tr.Device.Name] = tr.Bits / int64(m.Array.WordBits)
+			charged[tr.Device.Name] = tr.Bits / int64(m.array.WordBits)
 		}
 		if !maps.Equal(words, charged) {
 			t.Errorf("%v: image words per device %v, model charges %v", cfg, words, charged)

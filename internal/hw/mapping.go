@@ -1,9 +1,13 @@
-package systolic
+package hw
 
 import "fmt"
 
-// ConvShape describes one convolution layer instance.
-type ConvShape struct {
+// The row-stationary convolution dataflow of Fig. 6: a planner that places
+// each conv layer on the array (mapping Types I-III) and counts the words
+// its passes stream from the global buffer — the traffic mechanism 2 prices.
+
+// convShape describes one convolution layer instance.
+type convShape struct {
 	Name           string
 	InC, OutC      int
 	K, Stride, Pad int
@@ -11,59 +15,43 @@ type ConvShape struct {
 }
 
 // OutH returns the output height.
-func (c ConvShape) OutH() int { return (c.InH+2*c.Pad-c.K)/c.Stride + 1 }
+func (c convShape) OutH() int { return (c.InH+2*c.Pad-c.K)/c.Stride + 1 }
 
 // OutW returns the output width.
-func (c ConvShape) OutW() int { return (c.InW+2*c.Pad-c.K)/c.Stride + 1 }
+func (c convShape) OutW() int { return (c.InW+2*c.Pad-c.K)/c.Stride + 1 }
 
 // MACs returns the multiply-accumulate count of the layer.
-func (c ConvShape) MACs() int64 {
+func (c convShape) MACs() int64 {
 	return int64(c.OutH()) * int64(c.OutW()) * int64(c.OutC) * int64(c.InC) * int64(c.K) * int64(c.K)
 }
 
 // WeightWords returns the filter size in 16-bit words (no bias).
-func (c ConvShape) WeightWords() int64 {
+func (c convShape) WeightWords() int64 {
 	return int64(c.OutC) * int64(c.InC) * int64(c.K) * int64(c.K)
 }
 
-// InputWords returns the input activation volume in words.
-func (c ConvShape) InputWords() int64 { return int64(c.InC) * int64(c.InH) * int64(c.InW) }
-
 // OutputWords returns the output activation volume in words.
-func (c ConvShape) OutputWords() int64 { return int64(c.OutC) * int64(c.OutH()) * int64(c.OutW()) }
+func (c convShape) OutputWords() int64 { return int64(c.OutC) * int64(c.OutH()) * int64(c.OutW()) }
 
-// MappingType identifies the three row-stationary data mappings of Fig. 6.
-type MappingType int
+// mappingType identifies the three row-stationary data mappings of Fig. 6.
+type mappingType int
 
 // The mapping types of Fig. 6.
 const (
-	// TypeI: whole input rows (all channels) fit in the RF; segments
+	// typeI: whole input rows (all channels) fit in the RF; segments
 	// stacked over PE rows, full 32-column row groups (CONV1).
-	TypeI MappingType = iota + 1
-	// TypeII: input channels split to fit the RF, a single set of
+	typeI mappingType = iota + 1
+	// typeII: input channels split to fit the RF, a single set of
 	// segments, one PE column per output row (CONV2).
-	TypeII
-	// TypeIII: small filters allow multiple sets side by side, each set
+	typeII
+	// typeIII: small filters allow multiple sets side by side, each set
 	// processing half the input channels (CONV3-5).
-	TypeIII
+	typeIII
 )
 
-// String implements fmt.Stringer.
-func (t MappingType) String() string {
-	switch t {
-	case TypeI:
-		return "Type I"
-	case TypeII:
-		return "Type II"
-	case TypeIII:
-		return "Type III"
-	}
-	return fmt.Sprintf("MappingType(%d)", int(t))
-}
-
-// ConvMapping is the planned placement of one conv layer on the PE array.
-type ConvMapping struct {
-	Type MappingType
+// convMapping is the planned placement of one conv layer on the PE array.
+type convMapping struct {
+	Type mappingType
 	// SegRows is the PE-row height of one segment (= filter height K).
 	SegRows int
 	// SegCols is the PE columns used per segment; each column produces
@@ -91,13 +79,10 @@ type ConvMapping struct {
 	ActivePEs int
 }
 
-// Passes returns the total pass count.
-func (m ConvMapping) Passes() int { return m.OCRounds * m.RowRounds * m.SplitRounds }
-
 // ocPerSegHint reproduces the output-channels-per-segment choices published
 // in Fig. 6 for the paper's filter sizes, with an RF-derived fallback for
 // other shapes.
-func ocPerSegHint(a ArrayConfig, c ConvShape, inCEff int) int {
+func ocPerSegHint(a arrayConfig, c convShape, inCEff int) int {
 	switch c.K {
 	case 11:
 		return 24 // Fig. 6(a): "x24 ... x2 = 48 output ch."
@@ -122,12 +107,12 @@ func ocPerSegHint(a ArrayConfig, c ConvShape, inCEff int) int {
 	return oc
 }
 
-// PlanConv places a convolution on the array following Fig. 6.
-func PlanConv(a ArrayConfig, c ConvShape) ConvMapping {
+// planConv places a convolution on the array following Fig. 6.
+func planConv(a arrayConfig, c convShape) convMapping {
 	if c.K > a.Rows {
-		panic(fmt.Sprintf("systolic: filter height %d exceeds array rows %d", c.K, a.Rows))
+		panic(fmt.Sprintf("hw: filter height %d exceeds array rows %d", c.K, a.Rows))
 	}
-	m := ConvMapping{SegRows: c.K}
+	m := convMapping{SegRows: c.K}
 	segments := a.Rows / c.K
 	if segments < 1 {
 		segments = 1
@@ -159,7 +144,7 @@ func PlanConv(a ArrayConfig, c ConvShape) ConvMapping {
 	case split == 1 && c.K*segments <= a.Rows && outW > a.Cols/2:
 		// Whole channels fit and the output is wide: Type I, full
 		// 32-column row groups (CONV1).
-		m.Type = TypeI
+		m.Type = typeI
 		m.SegCols = a.Cols
 		m.Segments = segments
 		m.Sets = 1
@@ -167,7 +152,7 @@ func PlanConv(a ArrayConfig, c ConvShape) ConvMapping {
 	case 2*outW <= a.Cols && split >= 2:
 		// Narrow output and split channels: two sets side by side,
 		// each set working one channel slice (CONV3-5).
-		m.Type = TypeIII
+		m.Type = typeIII
 		m.SegCols = outW
 		m.Segments = segments
 		m.Sets = 2
@@ -176,7 +161,7 @@ func PlanConv(a ArrayConfig, c ConvShape) ConvMapping {
 		m.SplitRounds = (split + 1) / 2
 	default:
 		// One set, channels split sequentially (CONV2).
-		m.Type = TypeII
+		m.Type = typeII
 		m.SegCols = segCols
 		m.Segments = segments
 		m.Sets = 1
@@ -203,27 +188,20 @@ func PlanConv(a ArrayConfig, c ConvShape) ConvMapping {
 	return m
 }
 
-func ceilDiv(a, b int) int {
-	if b <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
-}
-
-// ConvTraffic summarizes the words streamed from the global buffer over a
+// convTraffic summarizes the words streamed from the global buffer over a
 // full forward pass of the layer under the mapping: filters are re-sent
 // every row round, input rows every output-channel round. This streaming
 // traffic, at one word per cycle on the broadcast bus, is what dominates
-// the measured conv-layer latencies (see internal/hw).
-type ConvTraffic struct {
+// the measured conv-layer latencies (mechanism 2).
+type convTraffic struct {
 	WeightWords int64
 	InputWords  int64
 	OutputWords int64
 }
 
-// Traffic computes the streamed word counts for a forward pass.
-func (m ConvMapping) Traffic(c ConvShape) ConvTraffic {
-	var t ConvTraffic
+// traffic computes the streamed word counts for a forward pass.
+func (m convMapping) traffic(c convShape) convTraffic {
+	var t convTraffic
 	// Filters: the whole filter set is distributed once per row round
 	// (each row group needs every filter again).
 	t.WeightWords = c.WeightWords() * int64(m.RowRounds)

@@ -1,15 +1,14 @@
-package systolic
+package hw
 
 import (
-	"math"
 	"testing"
 
 	"dronerl/internal/nn"
 )
 
 // paperConvShapes returns the five conv layers of the modified AlexNet.
-func paperConvShapes() []ConvShape {
-	return []ConvShape{
+func paperConvShapes() []convShape {
+	return []convShape{
 		{Name: "CONV1", InC: 3, OutC: 96, K: 11, Stride: 4, Pad: 0, InH: 227, InW: 227},
 		{Name: "CONV2", InC: 96, OutC: 256, K: 5, Stride: 1, Pad: 2, InH: 27, InW: 27},
 		{Name: "CONV3", InC: 256, OutC: 384, K: 3, Stride: 1, Pad: 1, InH: 13, InW: 13},
@@ -19,7 +18,7 @@ func paperConvShapes() []ConvShape {
 }
 
 func TestDefaultArrayMatchesFig4b(t *testing.T) {
-	a := DefaultArray()
+	a := defaultArray()
 	if a.PEs() != 1024 {
 		t.Errorf("PEs = %d, want 1024", a.PEs())
 	}
@@ -44,11 +43,11 @@ func TestDefaultArrayMatchesFig4b(t *testing.T) {
 }
 
 func TestPlanConvTypesMatchFig6(t *testing.T) {
-	a := DefaultArray()
+	a := defaultArray()
 	shapes := paperConvShapes()
-	wantType := []MappingType{TypeI, TypeII, TypeIII, TypeIII, TypeIII}
+	wantType := []mappingType{typeI, typeII, typeIII, typeIII, typeIII}
 	for i, s := range shapes {
-		m := PlanConv(a, s)
+		m := planConv(a, s)
 		if m.Type != wantType[i] {
 			t.Errorf("%s: mapping %v, want %v", s.Name, m.Type, wantType[i])
 		}
@@ -57,7 +56,7 @@ func TestPlanConvTypesMatchFig6(t *testing.T) {
 
 func TestPlanConvCONV1(t *testing.T) {
 	// Fig. 6(a): 2 segments of 11x32 PEs, 24 output channels each.
-	m := PlanConv(DefaultArray(), paperConvShapes()[0])
+	m := planConv(defaultArray(), paperConvShapes()[0])
 	if m.Segments != 2 || m.SegRows != 11 || m.SegCols != 32 {
 		t.Errorf("CONV1 mapping %+v", m)
 	}
@@ -76,7 +75,7 @@ func TestPlanConvCONV1(t *testing.T) {
 func TestPlanConvCONV2(t *testing.T) {
 	// Fig. 6(b): 6 segments of 5x27, input channels split in two,
 	// 14 output channels per segment.
-	m := PlanConv(DefaultArray(), paperConvShapes()[1])
+	m := planConv(defaultArray(), paperConvShapes()[1])
 	if m.Segments != 6 || m.SegRows != 5 || m.SegCols != 27 {
 		t.Errorf("CONV2 mapping %+v", m)
 	}
@@ -94,7 +93,7 @@ func TestPlanConvCONV2(t *testing.T) {
 func TestPlanConvCONV3(t *testing.T) {
 	// Fig. 6(c): 2 sets of 10 segments of 3x13, 19 output channels per
 	// segment, input channels split across the sets.
-	m := PlanConv(DefaultArray(), paperConvShapes()[2])
+	m := planConv(defaultArray(), paperConvShapes()[2])
 	if m.Sets != 2 || m.Segments != 10 || m.SegRows != 3 || m.SegCols != 13 {
 		t.Errorf("CONV3 mapping %+v", m)
 	}
@@ -122,35 +121,19 @@ func TestConvShapeArithmetic(t *testing.T) {
 	}
 }
 
-// specConvShapes derives the conv layers of an architecture with their live
-// input sizes, the way internal/hw feeds them to the planner.
-func specConvShapes(spec nn.ArchSpec) []ConvShape {
-	var out []ConvShape
-	h, inC := spec.InputH, spec.InputC
-	for i, c := range spec.Convs {
-		out = append(out, ConvShape{
-			Name: spec.Name + "/" + c.Name, InC: inC, OutC: c.OutC,
-			K: c.K, Stride: c.Stride, Pad: c.Pad, InH: h, InW: h,
-		})
-		_, h = spec.ConvOut(i)
-		inC = c.OutC
-	}
-	return out
-}
-
 // walkShapes are the shapes the pass walk covers: scaled-down instances
 // triggering each mapping type, a strided and an unpadded layer, and the
 // conv layers of the scaled NavNet and of the paper's modified AlexNet.
-func walkShapes() []ConvShape {
-	shapes := []ConvShape{
+func walkShapes() []convShape {
+	shapes := []convShape{
 		{Name: "t1", InC: 3, OutC: 7, K: 11, Stride: 4, Pad: 0, InH: 59, InW: 59},
 		{Name: "t2", InC: 96, OutC: 9, K: 5, Stride: 1, Pad: 2, InH: 27, InW: 27},
 		{Name: "t3", InC: 256, OutC: 8, K: 3, Stride: 1, Pad: 1, InH: 13, InW: 13},
 		{Name: "stride2", InC: 4, OutC: 5, K: 3, Stride: 2, Pad: 1, InH: 16, InW: 16},
 		{Name: "nopad", InC: 2, OutC: 3, K: 3, Stride: 1, Pad: 0, InH: 10, InW: 10},
 	}
-	shapes = append(shapes, specConvShapes(nn.NavNetSpec())...)
-	return append(shapes, specConvShapes(nn.ModifiedAlexNetSpec())...)
+	shapes = append(shapes, NewModelFor(nn.NavNetSpec()).convShapes()...)
+	return append(shapes, NewModel().convShapes()...)
 }
 
 // walkPasses steps PlanConv's pass structure — OCRounds x RowRounds x
@@ -158,7 +141,7 @@ func walkShapes() []ConvShape {
 // row-stationary dataflow runs — and calls visit once per PE row
 // convolution: filter row ky of output channel oc against output row oy,
 // over the input-channel slice [icBase, icEnd).
-func walkPasses(m ConvMapping, s ConvShape, visit func(oc, oy, ky, icBase, icEnd int)) {
+func walkPasses(m convMapping, s convShape, visit func(oc, oy, ky, icBase, icEnd int)) {
 	ocPerPass := m.OCPerSeg * m.Segments
 	if ocPerPass > s.OutC {
 		ocPerPass = s.OutC
@@ -208,9 +191,9 @@ func walkPasses(m ConvMapping, s ConvShape, visit func(oc, oy, ky, icBase, icEnd
 // row, input channel, filter row) of the convolution exactly once, so the
 // mapped dataflow computes the whole layer and nothing twice.
 func TestMappedConvCoversEveryRow(t *testing.T) {
-	a := DefaultArray()
+	a := defaultArray()
 	for _, s := range walkShapes() {
-		m := PlanConv(a, s)
+		m := planConv(a, s)
 		outH := s.OutH()
 		seen := make([]uint8, s.OutC*outH*s.InC*s.K)
 		walkPasses(m, s, func(oc, oy, ky, icBase, icEnd int) {
@@ -234,52 +217,44 @@ func TestMappedConvCoversEveryRow(t *testing.T) {
 // TestConvCountsAllMACs: the row convolutions of the planned passes issue
 // exactly the layer's multiply-accumulates — each one a K-tap filter row
 // slid across OutW outputs for every channel of its slice, padding taps
-// issued against zeros — and that is the count SimulateConv prices.
+// issued against zeros — and that is the count simulateConv prices.
 func TestConvCountsAllMACs(t *testing.T) {
-	arr := New(DefaultArray())
+	a := defaultArray()
 	for _, s := range walkShapes() {
 		var macs int64
-		walkPasses(PlanConv(arr.Cfg, s), s, func(oc, oy, ky, icBase, icEnd int) {
+		walkPasses(planConv(a, s), s, func(oc, oy, ky, icBase, icEnd int) {
 			macs += int64(s.OutW()) * int64(s.K) * int64(icEnd-icBase)
 		})
 		if macs != s.MACs() {
 			t.Errorf("%s: passes issue %d MACs, the layer has %d", s.Name, macs, s.MACs())
 		}
-		if sim := arr.SimulateConv(s).MACs; sim != macs {
-			t.Errorf("%s: SimulateConv prices %d MACs, the passes issue %d", s.Name, sim, macs)
+		if sim := simulateConv(a, s).MACs; sim != macs {
+			t.Errorf("%s: simulateConv prices %d MACs, the passes issue %d", s.Name, sim, macs)
 		}
 	}
 }
 
 func TestFCActivePEs(t *testing.T) {
-	a := DefaultArray()
+	a := defaultArray()
 	// Fig. 12: FC1-FC4 use all 1024 PEs, FC5 (5 outputs) only 160.
-	if got := FCActivePEs(a, 4096); got != 1024 {
+	if got := fcActivePEs(a, 4096); got != 1024 {
 		t.Errorf("FC1 active = %d, want 1024", got)
 	}
-	if got := FCActivePEs(a, 5); got != 160 {
+	if got := fcActivePEs(a, 5); got != 160 {
 		t.Errorf("FC5 active = %d, want 160", got)
 	}
 }
 
 func TestTrafficScalesWithRounds(t *testing.T) {
-	a := DefaultArray()
+	a := defaultArray()
 	s := paperConvShapes()[0]
-	m := PlanConv(a, s)
-	tr := m.Traffic(s)
+	m := planConv(a, s)
+	tr := m.traffic(s)
 	if tr.WeightWords != s.WeightWords()*int64(m.RowRounds) {
 		t.Errorf("weight traffic %d, want weights x rowRounds", tr.WeightWords)
 	}
 	if tr.InputWords <= 0 || tr.OutputWords != s.OutputWords() {
 		t.Errorf("traffic %+v implausible", tr)
-	}
-}
-
-func TestPeakTOPS(t *testing.T) {
-	a := DefaultArray()
-	// 1024 PEs x 8 MACs x 2 ops x 1 GHz = 16.4 TOPS.
-	if math.Abs(a.PeakTOPS()-16.384) > 1e-9 {
-		t.Errorf("peak = %v TOPS", a.PeakTOPS())
 	}
 }
 
@@ -289,5 +264,5 @@ func TestPlanConvRejectsTooTallFilter(t *testing.T) {
 			t.Error("expected panic for filter taller than the array")
 		}
 	}()
-	PlanConv(DefaultArray(), ConvShape{InC: 1, OutC: 1, K: 40, Stride: 1, InH: 64, InW: 64})
+	planConv(defaultArray(), convShape{InC: 1, OutC: 1, K: 40, Stride: 1, InH: 64, InW: 64})
 }

@@ -111,17 +111,17 @@ type SystemParams struct {
 func (m *Model) Params() SystemParams {
 	return SystemParams{
 		Technology:     "NanGate 15nm FreePDK",
-		PEs:            m.Array.PEs(),
-		ArrayRows:      m.Array.Rows,
-		ArrayCols:      m.Array.Cols,
+		PEs:            m.array.PEs(),
+		ArrayRows:      m.array.Rows,
+		ArrayCols:      m.array.Cols,
 		GlobalBufferMB: 30,
 		ScratchpadMB:   scratchpadMB,
-		RFPerPEKB:      float64(m.Array.RFBytes) / 1024,
+		RFPerPEKB:      float64(m.array.RFBytes) / 1024,
 		VoltageV:       0.8,
-		ClockGHz:       m.Array.ClockGHz,
+		ClockGHz:       m.array.ClockGHz,
 		PeakTOPSperW:   1.5,
-		Precision:      fmt.Sprintf("%d bit fixed-point", m.Array.WordBits),
-		PEBandwidthBit: m.Array.LinkBits,
+		Precision:      fmt.Sprintf("%d bit fixed-point", m.array.WordBits),
+		PEBandwidthBit: m.array.LinkBits,
 		HBMIOs:         m.HBM.IOs,
 		HBMGbpsPerIO:   m.HBM.GbpsPerIO,
 	}

@@ -1,7 +1,7 @@
 // Package hw is the analytical performance model of the paper's embedded
-// platform. It combines the systolic-array mapping plans (internal/systolic)
-// with the memory device models (internal/mem) to price every layer's
-// forward and backward propagation, reproducing the paper's evaluation
+// platform. It combines the mapping plans of the 32x32 systolic PE array
+// (Figs. 6-8) with the memory device models (internal/mem) to price every
+// layer's forward and backward propagation, reproducing the paper's evaluation
 // artifacts: the per-layer tables of Fig. 12, the FPS-vs-batch and
 // latency/energy summaries of Fig. 13, the minimum-FPS table of Fig. 1 and
 // the weight-to-memory mapping of Fig. 5.
@@ -23,6 +23,9 @@
 //     write latency (30 ns per 1024-bit row) and energy (4.5 pJ/bit) —
 //     the asymmetry the whole co-design is built around.
 //
+// The tables are the package's one timing source: a cycle the systolic
+// backend reports is a slice of the latency it charges, at the array clock.
+//
 // Power is modeled affinely in active PEs, P = Pbase + Ppe x activePEs,
 // with the two constants fitted to the paper's own FC1/FC5 rows
 // (6799 mW @ 1024 PEs, 1910 mW @ 160 PEs => Pbase ~ 1 W, Ppe ~ 5.66 mW).
@@ -33,12 +36,11 @@ import (
 
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
-	"dronerl/internal/systolic"
 )
 
 // Model prices the paper's network on the paper's platform.
 type Model struct {
-	Array systolic.ArrayConfig
+	array arrayConfig
 	MRAM  *mem.Device
 	SRAM  *mem.Device
 	HBM   mem.HBMInterface
@@ -62,7 +64,7 @@ func NewModel() *Model {
 // published tables price the full AlexNet.
 func NewModelFor(arch nn.ArchSpec) *Model {
 	return &Model{
-		Array:   systolic.DefaultArray(),
+		array:   defaultArray(),
 		MRAM:    mem.STTMRAM(),
 		SRAM:    mem.SRAM(30 << 20),
 		HBM:     mem.DefaultHBM(),
@@ -95,14 +97,14 @@ type LayerCost struct {
 	NVMWrite bool
 }
 
-// convShapes derives systolic.ConvShape instances (with live input sizes)
-// from the architecture.
-func (m *Model) convShapes() []systolic.ConvShape {
-	var out []systolic.ConvShape
+// convShapes derives the conv layers' shapes (with live input sizes) from
+// the architecture.
+func (m *Model) convShapes() []convShape {
+	var out []convShape
 	h := m.Arch.InputH
 	inC := m.Arch.InputC
 	for i, c := range m.Arch.Convs {
-		s := systolic.ConvShape{
+		s := convShape{
 			Name: c.Name, InC: inC, OutC: c.OutC,
 			K: c.K, Stride: c.Stride, Pad: c.Pad,
 			InH: h, InW: h,
@@ -126,7 +128,7 @@ func (m *Model) convLabel(i int) string {
 }
 
 // wordBits is the fixed-point width.
-func (m *Model) wordBits() int64 { return int64(m.Array.WordBits) }
+func (m *Model) wordBits() int64 { return int64(m.array.WordBits) }
 
 // streamMS prices a row-granular weight stream through the 1024-bit
 // interface (mechanism 1).
@@ -137,23 +139,23 @@ func (m *Model) streamMS(words int64, kind mem.AccessKind) float64 {
 // broadcastMS prices word streaming from the global buffer at one word per
 // cycle (mechanism 2).
 func (m *Model) broadcastMS(words int64) float64 {
-	return m.Array.CyclesToNS(float64(words)) / 1e6
+	return m.array.CyclesToNS(float64(words)) / 1e6
 }
 
 // ConvForwardCost prices conv stage i (including its ReLU/pool, which share
 // the pass).
 func (m *Model) ConvForwardCost(i int) LayerCost {
 	s := m.convShapes()[i]
-	plan := systolic.PlanConv(m.Array, s)
-	tr := plan.Traffic(s)
+	plan := planConv(m.array, s)
+	tr := plan.traffic(s)
 	stream := m.broadcastMS(tr.WeightWords + tr.InputWords)
-	compute := m.Array.CyclesToNS(float64(s.MACs())/float64(plan.ActivePEs*m.Array.MACsPerPE)) / 1e6
+	compute := m.array.CyclesToNS(float64(s.MACs())/float64(plan.ActivePEs*m.array.MACsPerPE)) / 1e6
 	lat := stream
 	if compute > lat {
 		lat = compute
 	}
 	// Output writeback over the 4096-bit GB port.
-	lat += float64(float64(tr.OutputWords*m.wordBits()) / float64(m.Array.GBBroadcastBits) * 1e-6)
+	lat += float64(float64(tr.OutputWords*m.wordBits()) / float64(m.array.GBBroadcastBits) * 1e-6)
 	power := m.PowerMW(plan.ActivePEs)
 	energy := power * lat / 1e3 // mW x ms = uJ -> mJ
 	// Weight reads from the stack (first fill) at Table 1 read energy.
@@ -170,8 +172,8 @@ func (m *Model) FCForwardCost(i int) LayerCost {
 	f := m.Arch.FCs[i]
 	words := int64(f.Weights())
 	lat := m.streamMS(words, mem.Read)
-	lat += float64(float64(int64(f.In)*m.wordBits()) / float64(m.Array.GBBroadcastBits) * 1e-6)
-	active := systolic.FCActivePEs(m.Array, f.Out)
+	lat += float64(float64(int64(f.In)*m.wordBits()) / float64(m.array.GBBroadcastBits) * 1e-6)
+	active := fcActivePEs(m.array, f.Out)
 	power := m.PowerMW(active)
 	energy := power*lat/1e3 + m.MRAM.EnergyPJ(mem.Read, words*m.wordBits())/1e9
 	return LayerCost{
@@ -201,7 +203,7 @@ func (m *Model) FCBackwardCost(i int, cfg nn.Config) LayerCost {
 		// SRAM-resident update: wide-row writes at 1 ns.
 		lat += m.SRAM.AccessTimeNS(mem.Write, words*m.wordBits()) / 1e6
 	}
-	active := systolic.FCActivePEs(m.Array, f.Out)
+	active := fcActivePEs(m.array, f.Out)
 	power := m.PowerMW(active)
 	energy := power*lat/1e3 + m.MRAM.EnergyPJ(mem.Read, 2*words*m.wordBits())/1e9 + nvmWriteEnergy
 	return LayerCost{
@@ -247,14 +249,14 @@ func (m *Model) ConvBackwardCost(i int, cfg nn.Config) LayerCost {
 // post-synthesis counts (208-432 for CONV5..CONV2) differ somewhat; only
 // the reported power column depends on this.
 func (m *Model) convBackwardActivePEs(outPositions int64) int {
-	rows := (outPositions + int64(m.Array.Cols) - 1) / int64(m.Array.Cols)
-	if rows > int64(m.Array.Rows) {
-		rows = int64(m.Array.Rows)
+	rows := (outPositions + int64(m.array.Cols) - 1) / int64(m.array.Cols)
+	if rows > int64(m.array.Rows) {
+		rows = int64(m.array.Rows)
 	}
 	if rows < 1 {
 		rows = 1
 	}
-	return int(rows) * m.Array.Cols
+	return int(rows) * m.array.Cols
 }
 
 // LayerInMRAM reports whether the named layer's weights reside in the
@@ -329,5 +331,5 @@ func (m *Model) SnapshotPublishTraffic(cfg nn.Config) []Traffic {
 // String summarizes the model.
 func (m *Model) String() string {
 	return fmt.Sprintf("hw.Model{%s on %dx%d PEs, MRAM %s}",
-		m.Arch.Name, m.Array.Rows, m.Array.Cols, m.MRAM.Name)
+		m.Arch.Name, m.array.Rows, m.array.Cols, m.MRAM.Name)
 }

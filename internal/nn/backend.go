@@ -14,9 +14,8 @@ import (
 // policy costs wildly different energy and latency depending on the
 // substrate: float math on a host CPU, 16-bit fixed-point arithmetic
 // (internal/qnn), or that same arithmetic priced on the STT-MRAM-backed
-// systolic array (internal/systolic through internal/hw). Backends make that
-// choice a first-class, per-experiment selection instead of a hardwired code
-// path.
+// systolic array (internal/hw). Backends make that choice a first-class,
+// per-experiment selection instead of a hardwired code path.
 //
 // Implementations register themselves by name (RegisterBackend); the float
 // reference lives here, and internal/hw registers the quantized engine of

@@ -87,13 +87,17 @@ func hashParams(h hash.Hash, net *nn.Network) {
 
 // goldenRun restores the start into a fresh agent under cfg, fills its replay
 // from the pool (consecutive frames as state and next, every seventh
-// transition terminal and stored without a Next; under a frozen topology
-// every third transition carries its cached boundary feature and every fifth
-// its next-state feature, so the tail path sees hits and misses) and runs the
-// schedule. It returns the hash of what the schedule starts from and of what
-// it leaves: per-step MSE bits, every online weight and bias word, the
-// Q-values of a fixed frame, and Forward / split ForwardRange outputs.
-func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch int) (start, final string) {
+// transition terminal and stored without a Next) and runs the schedule. Under
+// a frozen topology the transitions carry cached boundary features in one of
+// two arms. Sparse: every third carries its feature and every fifth its
+// next-state feature, so nearly every sampled batch holds a row without
+// features and TrainStep runs the whole network from the frames. Featured:
+// every transition carries its feature and, unless terminal, its next-state
+// feature, so every batch enters at the training boundary. It returns the
+// hash of what the schedule starts from and of what it leaves: per-step MSE
+// bits, every online weight and bias word, the Q-values of a fixed frame,
+// and Forward / split ForwardRange outputs.
+func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch int, featured bool) (start, final string) {
 	a := NewAgent(nn.NavNetSpec(), cfg, Options{
 		Seed: 81, BatchSize: batch, LR: 0.01, TargetSync: goldenSync, DoubleDQN: double,
 	})
@@ -121,10 +125,10 @@ func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch in
 			tr.Next = g.pool[i+1]
 		}
 		if boundary > 0 {
-			if i%3 == 0 {
+			if featured || i%3 == 0 {
 				tr.Feat = a.Net.ForwardRange(0, boundary, g.pool[i])
 			}
-			if i%5 == 0 && !tr.Done {
+			if (featured || i%5 == 0) && !tr.Done {
 				tr.NextFeat = a.Net.ForwardRange(0, boundary, g.pool[i+1])
 			}
 		}
@@ -160,7 +164,9 @@ func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch in
 // MSE bits and Forward / ForwardRange outputs they left at 2c75f9e, the last
 // commit that carried a per-sample Forward/Backward beside the batched one
 // (and tests pinning the two equal). Hashes were captured there, before the
-// per-sample stack was cut. Float results move where the compiler fuses
+// per-sample stack was cut. L2 and L3 run goldenRun's sparse and featured
+// arms, so the whole-network step and the boundary tail step are each held
+// to the same hash. Float results move where the compiler fuses
 // multiply-adds, so the pins hold on amd64 only.
 func TestFloatStackGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -219,13 +225,20 @@ func TestFloatStackGolden(t *testing.T) {
 					}
 					name := fmt.Sprintf("%s/%s/%s/b%d", net, cfg, algo, batch)
 					t.Run(name, func(t *testing.T) {
-						start, got := goldenRun(t, starts[net], cfg, double, batch)
-						if start != startHash[net] {
-							t.Fatalf("the schedule's starting point moved (meta-training, ray casting or init, not the TD step): start %s, pinned %s",
-								start, startHash[net])
+						arms := []bool{false}
+						if cfg != nn.E2E {
+							arms = append(arms, true)
 						}
-						if got != want[name] {
-							t.Fatalf("float stack is no longer bit-identical to the pinned one: got %s, want %s", got, want[name])
+						for _, featured := range arms {
+							start, got := goldenRun(t, starts[net], cfg, double, batch, featured)
+							if start != startHash[net] {
+								t.Fatalf("the schedule's starting point moved (meta-training, ray casting or init, not the TD step): start %s, pinned %s",
+									start, startHash[net])
+							}
+							if got != want[name] {
+								t.Fatalf("float stack (featured %v) is no longer bit-identical to the pinned one: got %s, want %s",
+									featured, got, want[name])
+							}
 						}
 					})
 				}

@@ -74,7 +74,7 @@ func TestRunOnlineActorsOneGolden(t *testing.T) {
 		{nn.E2E, "bd43ae233272656fefa0ae4c6062732944b9d29f075aee22d3ba4799b8567f31", "b188caae974655f330343c545c83b53604a928a0cbebf60fc0f0c34aa859534c"},
 	} {
 		t.Run(tc.cfg.String(), func(t *testing.T) {
-			res, err := RunOnline(snap, env.IndoorApartment(52), spec, tc.cfg, 160, 80, fastOpts(53))
+			res, err := RunOnline(context.Background(), snap, env.IndoorApartment(52), spec, tc.cfg, 160, 80, fastOpts(53))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestRunOnlineAsyncActors(t *testing.T) {
 	} {
 		t.Run(tc.cfg.String(), func(t *testing.T) {
 			world := env.IndoorApartment(56)
-			res, err := RunOnline(snap, world, spec, tc.cfg, 240, 60, opts)
+			res, err := RunOnline(context.Background(), snap, world, spec, tc.cfg, 240, 60, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func TestRunOnlineContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before it starts: the loop must notice immediately
 	world := env.IndoorApartment(58)
-	if _, err := RunOnlineContext(ctx, snap, world, spec, nn.L3, 10000, 10, opts); err != context.Canceled {
+	if _, err := RunOnline(ctx, snap, world, spec, nn.L3, 10000, 10, opts); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }
@@ -294,7 +294,7 @@ func TestRunOnlineInProcessGolden(t *testing.T) {
 	meta := env.IndoorMeta(61)
 	snap, _ := MetaTrain(meta, spec, 40, fastOpts(61))
 
-	res, err := RunOnline(snap, env.IndoorApartment(62), spec, nn.L3, 160, 80, fastOpts(63))
+	res, err := RunOnline(context.Background(), snap, env.IndoorApartment(62), spec, nn.L3, 160, 80, fastOpts(63))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestQuantTrainConvergesNearFloat(t *testing.T) {
 	run := func(backend string) float64 {
 		opts := rl.Options{Seed: 92, BatchSize: 4, EpsDecaySteps: 150, ReplayCapacity: 512}
 		opts.TrainBackend = backend
-		res, err := RunOnline(snap, scen.Build(93), spec, nn.L2, 400, 50, opts)
+		res, err := RunOnline(context.Background(), snap, scen.Build(93), spec, nn.L2, 400, 50, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,22 +100,6 @@ func (r Result) SFD() float64 {
 	return r.Eval.SafeFlightDistance()
 }
 
-// RunOnline deploys the snapshot into a test world under cfg, trains online
-// for onlineIters through the actor/learner pipeline and then evaluates
-// greedily for evalSteps. The actor count comes from the options
-// (rl.WithActors): 1 — the default — runs the deterministic serial schedule
-// (one act→store→train interleaving on one goroutine, pinned by
-// TestRunOnlineActorsOneGolden); more actors run concurrently on cloned
-// worlds, with the learner publishing policy snapshots whose memory-write
-// energy is charged per publish (hw.Model.SnapshotPublishTraffic). When the options select an evaluation
-// backend it is activated at the training / evaluation hand-off — after the
-// final policy state is in place — so the greedy flight runs on the
-// deployment substrate while training stays on the float reference.
-func RunOnline(snapshot *nn.Snapshot, test *env.World, spec nn.ArchSpec, cfg nn.Config,
-	onlineIters, evalSteps int, opts rl.Options) (Result, error) {
-	return RunOnlineContext(context.Background(), snapshot, test, spec, cfg, onlineIters, evalSteps, opts)
-}
-
 // BuildOnlineLoop assembles the actor/learner loop for one online-learning
 // run: actor 0 flies the caller's world as-is (which is what keeps the
 // single-actor path identical to the serial loop), extra actors fly clones
@@ -155,9 +139,20 @@ func BuildOnlineLoop(agent *rl.Agent, test *env.World, spec nn.ArchSpec, cfg nn.
 	return loop, ledger
 }
 
-// RunOnlineContext is RunOnline with cancellation: cancelling ctx stops the
-// actors and the learner within one environment step and reports ctx.Err().
-func RunOnlineContext(ctx context.Context, snapshot *nn.Snapshot, test *env.World,
+// RunOnline deploys the snapshot into a test world under cfg, trains online
+// for onlineIters through the actor/learner pipeline and then evaluates
+// greedily for evalSteps. The actor count comes from the options
+// (rl.WithActors): 1 — the default — runs the deterministic serial schedule
+// (one act→store→train interleaving on one goroutine, pinned by
+// TestRunOnlineActorsOneGolden); more actors run concurrently on cloned
+// worlds, with the learner publishing policy snapshots whose memory-write
+// energy is charged per publish (hw.Model.SnapshotPublishTraffic). When
+// the options select an evaluation backend it is activated at the training /
+// evaluation hand-off — after the final policy state is in place — so the
+// greedy flight runs on the deployment substrate while training stays on the
+// float reference. Cancelling ctx stops the actors and the learner within
+// one environment step and reports ctx.Err().
+func RunOnline(ctx context.Context, snapshot *nn.Snapshot, test *env.World,
 	spec nn.ArchSpec, cfg nn.Config, onlineIters, evalSteps int, opts rl.Options) (Result, error) {
 
 	agent, err := Deploy(snapshot, spec, cfg, opts)

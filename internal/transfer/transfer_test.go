@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 	meta := env.IndoorMeta(36)
 	snap, _ := MetaTrain(meta, spec, 40, fastOpts(36))
 	test := env.IndoorApartment(37)
-	res, err := RunOnline(snap, test, spec, nn.L3, 80, 40, fastOpts(37))
+	res, err := RunOnline(context.Background(), snap, test, spec, nn.L3, 80, 40, fastOpts(37))
 	if err != nil {
 		t.Fatal(err)
 	}
