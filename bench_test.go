@@ -504,10 +504,10 @@ func BenchmarkQuantTrainStepL3(b *testing.B) {
 const quantInferBatch = 32
 
 // BenchmarkQuantInferBatch measures the fixed-point engine's batched
-// inference kernel: one int16 GEMM per layer (AVX2 Dot16 inner loop) for a
-// 32-observation stack, with the activation panels reused from the layer
-// arena — 0 allocs/op at steady state — and one MRAM weight stream charged
-// per batch. Per-row outputs are bit-identical to 32 Infer calls (pinned in
+// inference kernel: one int16 GEMM per layer (register-blocked AVX2 tiles)
+// for a 32-observation stack, with the activation panels reused from the
+// layer arena — 0 allocs/op at steady state — and one MRAM weight stream
+// charged per batch. Per-row outputs are bit-identical to 32 Infer calls (pinned in
 // internal/qnn); compare against BenchmarkQuantInferSerial for the kernel
 // gain the serving batcher banks.
 func BenchmarkQuantInferBatch(b *testing.B) {
@@ -866,7 +866,7 @@ func BenchmarkServeQPSQuantSingleFlight(b *testing.B) { benchmarkServeQPS(b, "qu
 
 // BenchmarkServeQPSQuantBatched coalesces on the fixed-point engine: the
 // whole batch runs through qnn's batched kernel, one int16 GEMM per layer
-// (Dot16 inner loop) instead of per-item execution, with one MRAM weight
+// (register-blocked tiles) instead of per-item execution, with one MRAM weight
 // stream charged per batch. Acceptance target: >= 2x over
 // ServeQPSQuantSingleFlight at 8 clients, gated in the bench trajectory.
 func BenchmarkServeQPSQuantBatched(b *testing.B) { benchmarkServeQPS(b, "quant", 32) }

@@ -425,7 +425,7 @@ func goldenRun(t *testing.T, g goldenNet, cfg nn.Config) (start, final string) {
 // were re-captured once, at 209932f, when the cost moved out of the engine
 // and out of the hash; internal/hw pins the cost. Everything between the start hash and the final
 // hash is integer arithmetic plus float operations that cannot contract, so
-// the pins hold on every architecture and on the generic Dot16 as on AVX2;
+// the pins hold on every architecture and on the portable kernels as on AVX2;
 // the "meta" start itself is float work and is excused, loudly, where the
 // compiler fuses multiply-adds.
 func TestTrainBackendGolden(t *testing.T) {

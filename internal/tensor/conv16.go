@@ -6,14 +6,17 @@ package tensor
 // once as [ic][ky][kx-pair][oc][2], and an output pixel is, for every pair of
 // horizontally adjacent taps, acc[oc] += x0·w0[oc] + x1·w1[oc] in wrap-around
 // int32 — on amd64 one VPBROADCASTD of the two taps, one VPMADDWD against 8
-// output channels' weight pairs and one VPADDD. An odd kernel pairs its last
-// tap with a zero weight, so that pair reads one word past the k-th tap:
-// slack (one word per row when k is odd) makes the buffer own that word, and
-// the zero weight makes its value irrelevant. Padding taps are zero words, as
-// in the panel. Addition mod 2^32 is associative and commutative, so every
-// accumulator is the word the panel GEMM (im2col rows through Dot16) leaves,
-// whatever the order: TestConv16MatchesPanelGEMM sweeps asm, portable and
-// panel against each other.
+// output channels' weight pairs and one VPADDD. The asm runs four adjacent
+// output pixels per pass, so one load of a weight pair serves four pixels
+// (four broadcasts, four VPMADDWDs, four accumulators); the ow%4 pixels
+// left run one at a time. An odd kernel pairs its last tap with a zero
+// weight, so that pair reads one word past the k-th tap: slack (one word per
+// row when k is odd) makes the buffer own that word, and the zero weight
+// makes its value irrelevant. Padding taps are zero words, as in the panel.
+// Addition mod 2^32 is associative and commutative, so every accumulator is
+// the word the panel GEMM (im2col rows reduced against the weight rows)
+// leaves, whatever the order: TestConv16MatchesPanelGEMM sweeps asm,
+// portable and panel against each other.
 
 // Conv16 is one convolution layer's geometry (CHW, square kernel) and packed
 // weight image. It is immutable after NewConv16 and may be shared.
@@ -23,7 +26,7 @@ type Conv16 struct {
 }
 
 // NewConv16 packs the (outC, inC·k·k) row-major weight matrix w.
-func NewConv16[T ~int16](w []T, inC, outC, k, stride, pad int) *Conv16 {
+func NewConv16(w []int16, inC, outC, k, stride, pad int) *Conv16 {
 	pairs := (k + 1) / 2
 	c := &Conv16{inC: inC, outC: outC, k: k, stride: stride, pad: pad,
 		w: make([]int16, inC*k*pairs*outC*2)}
@@ -31,7 +34,7 @@ func NewConv16[T ~int16](w []T, inC, outC, k, stride, pad int) *Conv16 {
 		for ic := 0; ic < inC; ic++ {
 			for ky := 0; ky < k; ky++ {
 				for kx := 0; kx < k; kx++ {
-					c.w[(((ic*k+ky)*pairs+kx/2)*outC+oc)*2+kx%2] = int16(w[((oc*inC+ic)*k+ky)*k+kx])
+					c.w[(((ic*k+ky)*pairs+kx/2)*outC+oc)*2+kx%2] = w[((oc*inC+ic)*k+ky)*k+kx]
 				}
 			}
 		}
@@ -54,7 +57,7 @@ func (c *Conv16) ScratchLen(h, w int) int { return c.inC * (h + 2*c.pad) * c.row
 // scratch (at least ScratchLen words; contents overwritten), and leaves
 // acc[(s·oh·ow+p)·outC+oc] = Σ x·w over output pixel p's receptive field —
 // the (pixel, oc) layout MatMul16T over a patch-major panel produces.
-func Conv16Batch[T ~int16](c *Conv16, acc []int32, scratch []int16, src []T, bsz, h, w int) {
+func Conv16Batch(c *Conv16, acc []int32, scratch, src []int16, bsz, h, w int) {
 	oh, ow := c.OutHW(h, w)
 	if oh <= 0 || ow <= 0 {
 		return
@@ -69,7 +72,7 @@ func Conv16Batch[T ~int16](c *Conv16, acc []int32, scratch []int16, src []T, bsz
 
 // padCHW writes one CHW sample into dst as [ic][h+2·pad][rowLen] with zero
 // borders (and zero slack), overwriting every word.
-func padCHW[T ~int16](dst []int16, src []T, inC, h, w, pad, rowLen int) {
+func padCHW(dst, src []int16, inC, h, w, pad, rowLen int) {
 	hp := h + 2*pad
 	for ic := 0; ic < inC; ic++ {
 		plane := dst[ic*hp*rowLen : (ic+1)*hp*rowLen]
@@ -79,10 +82,7 @@ func padCHW[T ~int16](dst []int16, src []T, inC, h, w, pad, rowLen int) {
 			row := plane[(pad+y)*rowLen : (pad+y+1)*rowLen]
 			clear(row[:pad])
 			clear(row[pad+w:])
-			body := row[pad : pad+w]
-			for i, v := range src[(ic*h+y)*w:][:w] {
-				body[i] = int16(v)
-			}
+			copy(row[pad:pad+w], src[(ic*h+y)*w:][:w])
 		}
 	}
 }

@@ -1,21 +1,24 @@
 package tensor
 
 // Int16 kernels for the quantized engine (internal/qnn), which serves and
-// trains on one datapath: the Dot16 GEMM and the int64 gradient kernel
-// AxpyPanel16 here, the direct convolution in conv16.go, and in epilogue16.go
-// the CHW transpose and the one epilogue, Narrow64.
+// trains on one datapath: the register-blocked GEMM MatMul16T and the int64
+// gradient kernel AxpyPanel16 here, the direct convolution in conv16.go, and
+// in epilogue16.go the CHW transpose and the one epilogue, Narrow64.
 //
 // Accumulation contract — deliberately not a MAC unit that saturates after
 // every step: products are widened to int32 and summed with two's-complement
 // wrap-around, and saturation (if the caller wants any) happens exactly once
 // when the caller narrows the finished accumulator. Wrap-around addition mod
-// 2^32 is associative and commutative, so the AVX2 kernels' lane orders
-// (VPMADDWD pairs, then a tree reduction here; one accumulator lane per
-// output channel in the convolution) are bit-identical to the scalar
-// left-to-right loop — the property the unconditional asm-vs-scalar identity
-// tests assert. Per-step saturating accumulation has no such reordering
-// freedom, so nothing saturating can be vectorized this way; qnn runs its one
-// walk — training, batched inference and the lone frame — on these kernels.
+// 2^32 is associative and commutative, so the AVX2 kernels' lane orders are
+// bit-identical to the scalar left-to-right loop — the property the
+// unconditional asm-vs-scalar identity tests and fuzzers assert. Here a GEMM
+// word is VPMADDWD pairs summed in 8 lanes per 16-word block, the lanes
+// folded with VPHADDD across the tile's four words at once, the k%16 words
+// after that added left to right; in the convolution each output channel
+// owns one accumulator lane per pixel. Per-step saturating accumulation has
+// no such reordering freedom, so nothing saturating can be vectorized this
+// way; qnn runs its one walk — training, batched inference and the lone
+// frame — on these kernels.
 //
 // The range discipline callers must uphold: the wrapped int32 equals the
 // true sum exactly when the true sum fits int32 (intermediate wraps cancel).
@@ -28,16 +31,6 @@ package tensor
 // on real frames and holds them 8 bits under the int32 horizon, and
 // TestQuantInferBatchBitIdentical holds the walk to a scalar int64 loop word
 // for word.
-
-// Dot16 returns the dot product of a and b widened to int32 with
-// wrap-around accumulation. b must be at least as long as a; extra elements
-// of b are ignored.
-func Dot16(a, b []int16) int32 {
-	if len(a) == 0 {
-		return 0
-	}
-	return dot16(a, b[:len(a)])
-}
 
 // dot16Scalar is the portable reference kernel: the asm paths must match it
 // bit for bit on every input.
@@ -55,7 +48,18 @@ func dot16Scalar(a, b []int16) int32 {
 // are independent and the kernel parallelizes over them above the same
 // flops threshold as the float GEMMs; per-element results are identical
 // either way.
+//
+// The kernel is register-blocked: a tile is one row of a against four rows
+// of bT, so each loaded block of a feeds four accumulators, and one fold
+// stores the tile's four words (the AVX2 body takes two rows of a per tile
+// where it can, loading each bT block once for both). The asm covers the
+// first k&^15 words of every whole tile; the tile's portable twin,
+// mul16T4Go, adds the k%16 words left (or, without AVX2, computes the whole
+// tile), and the n%4 columns past the last tile are one dot16 each.
 func MatMul16T(dst []int32, a, bT []int16, m, k, n int) {
+	if len(a) < m*k || len(bT) < n*k || len(dst) < m*n {
+		panic("tensor: MatMul16T operands shorter than m×k, n×k and m×n")
+	}
 	// Branch before constructing the parallel closure (the serialRows
 	// contract): the serial schedule must allocate nothing.
 	if serialRows(m, m*n*k) {
@@ -66,13 +70,43 @@ func MatMul16T(dst []int32, a, bT []int16, m, k, n int) {
 }
 
 func mul16TRows(dst []int32, a, bT []int16, k, n, lo, hi int) {
+	n4 := n &^ 3
+	done := mul16TVec(dst[lo*n:hi*n], a[lo*k:hi*k], bT, hi-lo, k, n)
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			drow[j] = Dot16(arow, bT[j*k:(j+1)*k])
+		// done == k > 0: the asm left nothing of the tiles to do.
+		if done == 0 || done < k {
+			for j := 0; j < n4; j += 4 {
+				mul16T4Go(drow[j:j+4], arow, bT[j*k:(j+4)*k], done)
+			}
+		}
+		for j := n4; j < n; j++ {
+			drow[j] = dot16(arow, bT[j*k:(j+1)*k])
 		}
 	}
+}
+
+// mul16T4Go is the tile's portable twin: the four words d[q] = Σ_p
+// a[p]·b[q·k+p] of one row of a against four consecutive rows of bT (k =
+// len(a)), or, for from > 0, d[q] += the same sum over p ≥ from only.
+func mul16T4Go(d []int32, a, b []int16, from int) {
+	k := len(a)
+	var s0, s1, s2, s3 int32
+	if from > 0 {
+		s0, s1, s2, s3 = d[0], d[1], d[2], d[3]
+	}
+	a = a[from:]
+	n := len(a)
+	b0, b1, b2, b3 := b[from:][:n], b[k+from:][:n], b[2*k+from:][:n], b[3*k+from:][:n]
+	for p, av := range a {
+		x := int32(av)
+		s0 += x * int32(b0[p])
+		s1 += x * int32(b1[p])
+		s2 += x * int32(b2[p])
+		s3 += x * int32(b3[p])
+	}
+	d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 }
 
 // AxpyPanel16 is the int16 training engine's gradient kernel, the integer

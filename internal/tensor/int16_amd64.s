@@ -14,9 +14,10 @@
 // run 2.5x slower (TestAsmNoLegacySSEInAVX).
 
 // func dot16AVX2(a, b *int16, n int) int32
-// Wrap-around int32 dot product of two int16 vectors. 16 elements per
-// VPMADDWD+VPADDD step; all additions are mod 2^32 so any accumulation
-// order gives the scalar loop's exact result.
+// Wrap-around int32 dot product of two int16 vectors, MatMul16T's n%4 tail
+// (one output word per call). 16 elements per VPMADDWD+VPADDD step; all
+// additions are mod 2^32 so any accumulation order gives the scalar loop's
+// exact result.
 TEXT ·dot16AVX2(SB), NOSPLIT, $0-28
 	MOVQ  a+0(FP), SI
 	MOVQ  b+8(FP), DI
@@ -62,6 +63,151 @@ done:
 	MOVL AX, ret+24(FP)
 	RET
 
+// func mul16TAVX2(dst *int32, a, bT *int16, rows, blocks, kBytes, tiles, dstBytes int)
+// MatMul16T's tile kernel (int16.go) over rows rows of a (kBytes apart) and
+// tiles × 4 rows of bT (kBytes apart), reading the first 16·blocks words of
+// every row; dst rows are dstBytes apart and each tile stores its four
+// words 16 bytes on from the last. Rows go two at a time: a 2×4 tile loads
+// each 16-word block of its two a rows and four bT rows once and feeds eight
+// accumulators (Y0-Y3 for the first a row, Y4-Y7 for the second) with one
+// VPMADDWD each; an odd last row runs the 1×4 tile, one a block against four
+// bT blocks. The fold: VPHADDD twice leaves each bT row's lane pairs and
+// quads summed within each 128-bit half, a third puts one partial sum per bT
+// row in each half's four dwords, and one VPADDD of the halves leaves the
+// tile's four words in order (the 2×4 tile joins its two a rows' halves with
+// VPERM2I128, one row per half). All sums are mod 2^32, so the lane order
+// and the fold give the scalar loop's words. rows, blocks, tiles >= 1.
+//
+// Register map: DI=dst row SI=a row R8=bT tile R9=kBytes R10=3·kBytes
+//               R11=dstBytes R12=rows left R13=tiles left R14=dst tile
+//               BX=blocks CX=blocks left AX=a cursor DX=bT cursor
+TEXT ·mul16TAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ rows+24(FP), R12
+	MOVQ blocks+32(FP), BX
+	MOVQ kBytes+40(FP), R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ dstBytes+56(FP), R11
+	CMPQ R12, $2
+	JLT  row1
+
+row2:
+	MOVQ bT+16(FP), R8
+	MOVQ DI, R14
+	MOVQ tiles+48(FP), R13
+
+tile2:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	MOVQ  SI, AX
+	MOVQ  R8, DX
+	MOVQ  BX, CX
+
+	PCALIGN $32
+blk2:
+	VMOVDQU  (AX), Y8
+	VMOVDQU  (AX)(R9*1), Y9
+	VMOVDQU  (DX), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPMADDWD Y10, Y9, Y12
+	VPADDD   Y11, Y0, Y0
+	VPADDD   Y12, Y4, Y4
+	VMOVDQU  (DX)(R9*1), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPMADDWD Y10, Y9, Y12
+	VPADDD   Y11, Y1, Y1
+	VPADDD   Y12, Y5, Y5
+	VMOVDQU  (DX)(R9*2), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPMADDWD Y10, Y9, Y12
+	VPADDD   Y11, Y2, Y2
+	VPADDD   Y12, Y6, Y6
+	VMOVDQU  (DX)(R10*1), Y10
+	VPMADDWD Y10, Y8, Y11
+	VPMADDWD Y10, Y9, Y12
+	VPADDD   Y11, Y3, Y3
+	VPADDD   Y12, Y7, Y7
+	ADDQ     $32, AX
+	ADDQ     $32, DX
+	DECQ     CX
+	JNZ      blk2
+
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0         // first a row: [4 words | 4 words]
+	VPHADDD      Y5, Y4, Y4
+	VPHADDD      Y7, Y6, Y6
+	VPHADDD      Y6, Y4, Y4         // second a row
+	VPERM2I128   $0x20, Y4, Y0, Y8  // low halves: first row | second row
+	VPERM2I128   $0x31, Y4, Y0, Y9  // high halves
+	VPADDD       Y9, Y8, Y8
+	VMOVDQU      X8, (R14)
+	VEXTRACTI128 $1, Y8, (R14)(R11*1)
+	ADDQ $16, R14
+	LEAQ (R8)(R9*4), R8
+	DECQ R13
+	JNZ  tile2
+
+	LEAQ (SI)(R9*2), SI
+	LEAQ (DI)(R11*2), DI
+	SUBQ $2, R12
+	CMPQ R12, $2
+	JGE  row2
+
+row1:
+	TESTQ R12, R12
+	JZ    mdone
+	MOVQ  bT+16(FP), R8
+	MOVQ  DI, R14
+	MOVQ  tiles+48(FP), R13
+
+tile1:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	MOVQ  SI, AX
+	MOVQ  R8, DX
+	MOVQ  BX, CX
+
+	PCALIGN $32
+blk1:
+	VMOVDQU  (AX), Y8
+	VPMADDWD (DX), Y8, Y4
+	VPMADDWD (DX)(R9*1), Y8, Y5
+	VPMADDWD (DX)(R9*2), Y8, Y6
+	VPMADDWD (DX)(R10*1), Y8, Y7
+	VPADDD   Y4, Y0, Y0
+	VPADDD   Y5, Y1, Y1
+	VPADDD   Y6, Y2, Y2
+	VPADDD   Y7, Y3, Y3
+	ADDQ     $32, AX
+	ADDQ     $32, DX
+	DECQ     CX
+	JNZ      blk1
+
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VMOVDQU      X0, (R14)
+	ADDQ $16, R14
+	LEAQ (R8)(R9*4), R8
+	DECQ R13
+	JNZ  tile1
+
+mdone:
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX2Asm() bool
 // CPUID.7.0:EBX bit 5. OS state support is checked separately via hasAVX.
 TEXT ·cpuHasAVX2Asm(SB), NOSPLIT, $0-1
@@ -82,18 +228,89 @@ noavx2:
 // channels (conv16.go). x points at the first pixel's top-left tap in the
 // padded [ic][row][col] sample, w at the group's first weight pair in the
 // [ic][ky][pair][oc][2] image, dst at the group's lane of the first pixel's
-// (pixel, oc) int32 row. Per pixel: Y0 = 0; for every channel (planeBytes
-// apart), kernel row (rowBytes apart) and tap pair (4 bytes apart), Y0 +=
-// VPMADDWD(broadcast of the two int16 taps, 8 channels' weight pairs) — the
-// weights are walked linearly, ocBytes (= 4*outC) per pair; then Y0 is
-// stored, dst moves ocBytes and x moves xStep (2*stride). All sums are mod
-// 2^32. Reads stay inside the padded sample: the last pair of an odd kernel
-// reads the row's slack word, against a zero weight. n, inC, k, pairs >= 1.
+// (pixel, oc) int32 row. Pixels go four at a time: Y0-Y3 = 0; for every
+// channel (planeBytes apart), kernel row (rowBytes apart) and tap pair (4
+// bytes apart), one load of 8 channels' weight pairs feeds four VPMADDWDs,
+// each against the broadcast tap pair of one pixel (xStep = 2*stride bytes
+// apart), into that pixel's accumulator — the weights are walked linearly,
+// ocBytes (= 4*outC) per pair; then the four are stored ocBytes apart, dst
+// moves 4*ocBytes and x 4*xStep. The n%4 pixels left run the same walk one
+// at a time into Y0. All sums are mod 2^32. Reads stay inside the padded
+// sample: the last pair of an odd kernel reads the row's slack word, against
+// a zero weight. n, inC, k, pairs >= 1.
+//
+// Register map: DI=dst SI=x BX=ocBytes R8=xStep R14=3*xStep CX=pixels or
+//               quads left DX=w cursor R12=plane R9=channels left R13=row
+//               R10=rows left AX=tap cursor R11=pairs left
 TEXT ·conv16RowAVX2(SB), NOSPLIT, $0-88
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ n+24(FP), CX
 	MOVQ ocBytes+32(FP), BX
+	MOVQ xStep+40(FP), R8
+	LEAQ (R8)(R8*2), R14
+	SHRQ $2, CX
+	JZ   tail
+
+quad:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	MOVQ  w+16(FP), DX
+	MOVQ  SI, R12
+	MOVQ  inC+48(FP), R9
+
+qplane:
+	MOVQ R12, R13
+	MOVQ k+64(FP), R10
+
+qrow:
+	MOVQ R13, AX
+	MOVQ pairs+80(FP), R11
+
+	PCALIGN $32
+qpair:
+	VMOVDQU      (DX), Y4
+	VPBROADCASTD (AX), Y5
+	VPBROADCASTD (AX)(R8*1), Y6
+	VPBROADCASTD (AX)(R8*2), Y7
+	VPBROADCASTD (AX)(R14*1), Y8
+	VPMADDWD     Y4, Y5, Y5
+	VPMADDWD     Y4, Y6, Y6
+	VPMADDWD     Y4, Y7, Y7
+	VPMADDWD     Y4, Y8, Y8
+	VPADDD       Y5, Y0, Y0
+	VPADDD       Y6, Y1, Y1
+	VPADDD       Y7, Y2, Y2
+	VPADDD       Y8, Y3, Y3
+	ADDQ         $4, AX
+	ADDQ         BX, DX
+	DECQ         R11
+	JNZ          qpair
+
+	ADDQ rowBytes+72(FP), R13
+	DECQ R10
+	JNZ  qrow
+
+	ADDQ planeBytes+56(FP), R12
+	DECQ R9
+	JNZ  qplane
+
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y1, (DI)(BX*1)
+	VMOVDQU Y2, (DI)(BX*2)
+	LEAQ    (DI)(BX*2), DI
+	VMOVDQU Y3, (DI)(BX*1)
+	LEAQ    (DI)(BX*2), DI
+	LEAQ    (SI)(R8*4), SI
+	DECQ    CX
+	JNZ     quad
+
+tail:
+	MOVQ n+24(FP), CX
+	ANDQ $3, CX
+	JZ   cdone
 
 pixel:
 	VPXOR Y0, Y0, Y0
@@ -129,10 +346,11 @@ pair:
 
 	VMOVDQU Y0, (DI)
 	ADDQ    BX, DI
-	ADDQ    xStep+40(FP), SI
+	ADDQ    R8, SI
 	DECQ    CX
 	JNZ     pixel
 
+cdone:
 	VZEROUPPER
 	RET
 

@@ -2,7 +2,12 @@
 
 package tensor
 
+// useInt16AVX2 is false off amd64: every int16 kernel runs its portable twin.
+var useInt16AVX2 = false
+
 func dot16(a, b []int16) int32 { return dot16Scalar(a, b) }
+
+func mul16TVec([]int32, []int16, []int16, int, int, int) int { return 0 }
 
 func conv16Row(c *Conv16, dst []int32, x []int16, ow, rowLen, plane int) {
 	conv16RowGo(c, dst, x, ow, rowLen, plane)

@@ -15,19 +15,32 @@ func randInt16s(rng *rand.Rand, n int) []int16 {
 	return v
 }
 
+// forEachInt16Kernel runs f under the AVX2 int16 kernels (where this build
+// and CPU have them) and under their portable twins.
+func forEachInt16Kernel(t *testing.T, f func(kernel string)) {
+	t.Helper()
+	asm := useInt16AVX2
+	defer func() { useInt16AVX2 = asm }()
+	if asm {
+		f("asm")
+	}
+	useInt16AVX2 = false
+	f("portable")
+}
+
 // TestDot16MatchesScalar is the unconditional bit-identity gate for the
-// dispatched kernel: wrap-around accumulation is associative mod 2^32, so
-// the AVX2 lane order must reproduce the scalar loop exactly on every
-// input, including lengths that exercise the 16-wide blocks, the scalar
-// tail, and both together.
+// dispatched single-output kernel (MatMul16T's n%4 tail): wrap-around
+// accumulation is associative mod 2^32, so the AVX2 lane order must
+// reproduce the scalar loop exactly on every input, including lengths that
+// exercise the 16-wide blocks, the scalar tail, and both together.
 func TestDot16MatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{0, 1, 2, 7, 15, 16, 17, 31, 32, 33, 48, 100, 255, 256, 1000} {
 		a := randInt16s(rng, n)
 		b := randInt16s(rng, n)
 		want := dot16Scalar(a, b)
-		if got := Dot16(a, b); got != want {
-			t.Errorf("n=%d: Dot16 = %d, scalar = %d", n, got, want)
+		if got := dot16(a, b); got != want {
+			t.Errorf("n=%d: dot16 = %d, scalar = %d", n, got, want)
 		}
 	}
 }
@@ -40,8 +53,8 @@ func TestDot16Wraparound(t *testing.T) {
 	a := []int16{math.MinInt16, math.MinInt16, math.MinInt16}
 	b := []int16{math.MinInt16, math.MinInt16, math.MinInt16}
 	want := int32(-(1 << 30))
-	if got := Dot16(a, b); got != want {
-		t.Fatalf("Dot16 wraparound = %d, want %d", got, want)
+	if got := dot16(a, b); got != want {
+		t.Fatalf("dot16 wraparound = %d, want %d", got, want)
 	}
 	if got := dot16Scalar(a, b); got != want {
 		t.Fatalf("scalar wraparound = %d, want %d", got, want)
@@ -55,34 +68,143 @@ func TestDot16Wraparound(t *testing.T) {
 	a = append(a, make([]int16, 12)...)
 	b = append(b, make([]int16, 12)...)
 	want = int32(math.MinInt32 + 15)
-	if got := Dot16(a, b); got != want {
-		t.Fatalf("Dot16 VPMADDWD edge = %d, want %d", got, want)
+	if got := dot16(a, b); got != want {
+		t.Fatalf("dot16 VPMADDWD edge = %d, want %d", got, want)
 	}
 	if got := dot16Scalar(a, b); got != want {
 		t.Fatalf("scalar VPMADDWD edge = %d, want %d", got, want)
 	}
 }
 
-// TestMatMul16TMatchesScalar checks the parallel row schedule against a
-// direct triple loop, at a size above the parallel threshold.
-func TestMatMul16TMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const m, k, n = 64, 80, 70 // m*n*k > parallelFlops
-	a := randInt16s(rng, m*k)
-	bT := randInt16s(rng, n*k)
+// mul16TRef is MatMul16T one word at a time: the true sum in int64, wrapped
+// to int32 once at the end — the definition every schedule is held to.
+func mul16TRef(a, bT []int16, m, k, n int) []int32 {
 	dst := make([]int32, m*n)
-	MatMul16T(dst, a, bT, m, k, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			var acc int32
+			var acc int64
 			for p := 0; p < k; p++ {
-				acc += int32(a[i*k+p]) * int32(bT[j*k+p])
+				acc += int64(a[i*k+p]) * int64(bT[j*k+p])
 			}
-			if dst[i*n+j] != acc {
-				t.Fatalf("dst[%d,%d] = %d, want %d", i, j, dst[i*n+j], acc)
+			dst[i*n+j] = int32(acc)
+		}
+	}
+	return dst
+}
+
+// checkMatMul16T runs MatMul16T and the split row schedule (parallelRows
+// over mul16TRows, whatever the size, so chunks can start on odd rows)
+// under the asm and the portable kernels, each into a destination with
+// canaries past m×n, and holds every word to mul16TRef.
+func checkMatMul16T(t *testing.T, a, bT []int16, m, k, n int) {
+	t.Helper()
+	want := mul16TRef(a, bT, m, k, n)
+	const canary = int32(0x5a5a5a5a)
+	forEachInt16Kernel(t, func(kernel string) {
+		for _, sched := range []string{"MatMul16T", "parallelRows"} {
+			got := make([]int32, m*n+2)
+			for i := range got {
+				got[i] = canary
+			}
+			dst := got[:m*n]
+			if sched == "MatMul16T" {
+				MatMul16T(dst, a, bT, m, k, n)
+			} else {
+				parallelRows(m, func(lo, hi int) { mul16TRows(dst, a, bT, k, n, lo, hi) })
+			}
+			for i, w := range want {
+				if got[i] != w {
+					t.Fatalf("%s %s m%d k%d n%d: dst[%d,%d] = %d, want %d", kernel, sched, m, k, n, i/n, i%n, got[i], w)
+				}
+			}
+			if got[m*n] != canary || got[m*n+1] != canary {
+				t.Fatalf("%s %s m%d k%d n%d: wrote past dst", kernel, sched, m, k, n)
+			}
+		}
+	})
+}
+
+// TestMatMul16TMatchesScalar sweeps the tile GEMM over row counts that give
+// the asm's 2×4 tiles alone, with a 1×4 row after them and as 1×4 only;
+// every column count from 0 to 70, so every n%4 tail occurs beside 0 to 17
+// tiles; and depths with no 16-word block, blocks alone and blocks with
+// every kind of k%16 tail, up to FC1's 1024. Words are full-range with one
+// in four set to -32768, so VPMADDWD's edge pair (two -32768 products)
+// lands inside tiles as well as in the tails.
+func TestMatMul16TMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	edgy := func(n int) []int16 {
+		v := randInt16s(rng, n)
+		for i := range v {
+			if rng.Intn(4) == 0 {
+				v[i] = math.MinInt16
+			}
+		}
+		return v
+	}
+	for _, m := range []int{1, 2, 3, 5, 32} {
+		for _, k := range []int{0, 1, 15, 16, 17, 32, 80, 128, 1024} {
+			for n := 0; n <= 70; n++ {
+				checkMatMul16T(t, edgy(m*k), edgy(n*k), m, k, n)
 			}
 		}
 	}
+	// One tile of nothing but the edge: every pair is (-32768)·(-32768)
+	// twice, 2^31 per VPMADDWD lane, so each word is 16·2^30 mod 2^32 = 0
+	// only if no lane saturates.
+	a := make([]int16, 2*16)
+	for i := range a {
+		a[i] = math.MinInt16
+	}
+	checkMatMul16T(t, a, append(append([]int16(nil), a...), a...), 2, 16, 4)
+}
+
+// TestMatMul16TRejectsShortOperands holds the bounds the asm relies on: an
+// operand shorter than its shape panics before any word is read.
+func TestMatMul16TRejectsShortOperands(t *testing.T) {
+	for name, call := range map[string]func(){
+		"short a":   func() { MatMul16T(make([]int32, 8), make([]int16, 31), make([]int16, 64), 2, 16, 4) },
+		"short bT":  func() { MatMul16T(make([]int32, 8), make([]int16, 32), make([]int16, 63), 2, 16, 4) },
+		"short dst": func() { MatMul16T(make([]int32, 7), make([]int16, 32), make([]int16, 64), 2, 16, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzMatMul16T holds MatMul16T, under the asm and the portable kernels and
+// on both row schedules, to the int64 reference on arbitrary shapes (up to
+// 9 rows, 40 columns, 200 deep) and words taken from the input bytes, so
+// both int16 extremes and the VPMADDWD edge are reachable.
+func FuzzMatMul16T(f *testing.F) {
+	f.Add(uint8(2), uint8(16), uint8(4), []byte{0, 0x80, 0, 0x80, 0xff, 0x7f})
+	f.Add(uint8(5), uint8(33), uint8(7), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(1), uint8(0), uint8(3), []byte{})
+	f.Fuzz(func(t *testing.T, m8, k8, n8 uint8, data []byte) {
+		m, k, n := int(m8%9)+1, int(k8)%201, int(n8%41)
+		word := func(i int) int16 {
+			if len(data) < 2 {
+				return 0
+			}
+			j := 2 * i % (len(data) - 1)
+			return int16(binary.LittleEndian.Uint16(data[j:]))
+		}
+		a := make([]int16, m*k)
+		for i := range a {
+			a[i] = word(i)
+		}
+		bT := make([]int16, n*k)
+		for i := range bT {
+			bT[i] = word(len(a) + 7*i)
+		}
+		checkMatMul16T(t, a, bT, m, k, n)
+	})
 }
 
 // axpyPanel16Ref is AxpyPanel16 one word at a time, in int64, with no zero

@@ -10,5 +10,5 @@ func saxpyPtrAVX(dst, src *float32, n int, a float32)
 func cpuHasAVXAsm() bool
 
 // hasAVX reports AVX support by both the CPU and the OS (XGETBV). It only
-// initialises useFloatAVX and hasAVX2.
+// initialises useFloatAVX and useInt16AVX2.
 var hasAVX = cpuHasAVXAsm()
