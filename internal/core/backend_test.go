@@ -94,9 +94,11 @@ func TestExplicitFloatBackendBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := withFloat.SetAgentOptions(rl.WithEvalBackend(FloatBackendName)); err != nil {
+	overrides, err := rl.NewOptions(rl.WithEvalBackend(FloatBackendName))
+	if err != nil {
 		t.Fatal(err)
 	}
+	withFloat.SetAgentOverrides(overrides)
 	if err := Run(context.Background(), withFloat, WithWorkers(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +134,11 @@ func TestSystolicBackendFlightAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SetAgentOptions(rl.WithEvalBackend(SystolicBackendName)); err != nil {
+		overrides, err := rl.NewOptions(rl.WithEvalBackend(SystolicBackendName))
+		if err != nil {
 			t.Fatal(err)
 		}
+		e.SetAgentOverrides(overrides)
 		opts := []RunOption{WithWorkers(workers)}
 		if progress != nil {
 			opts = append(opts, WithProgress(progress))

@@ -85,25 +85,6 @@ func TestNormalizedSFDAgainstE2E(t *testing.T) {
 	}
 }
 
-func TestConvergedHelper(t *testing.T) {
-	up := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1, 1}
-	if !Converged(up, 0.9) {
-		t.Error("rising curve must count as converged")
-	}
-	down := []float64{1, 1, 1, 0.9, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.01}
-	if Converged(down, 0.9) {
-		t.Error("collapsing curve must not count as converged")
-	}
-	short := []float64{1, 2}
-	if !Converged(short, 0.9) {
-		t.Error("too-short series defaults to converged")
-	}
-	fromZero := []float64{0, 0, 0, 0, 0.1, 0.2, 0.2, 0.2}
-	if !Converged(fromZero, 0.9) {
-		t.Error("zero-start rising curve must converge")
-	}
-}
-
 func TestHardwareReportComplete(t *testing.T) {
 	rep := RunHardwareExperiment()
 	if len(rep.Forward) != 10 || len(rep.Backward) != 10 {

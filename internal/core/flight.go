@@ -189,19 +189,6 @@ func NewFlightExperiment(scale FlightScale, scenarioNames ...string) (*FlightExp
 	return e, nil
 }
 
-// SetAgentOptions layers functional rl options over the experiment's
-// built-in per-phase training templates: explicitly-set fields (e.g.
-// rl.WithGamma(0.9), rl.WithDoubleDQN(true)) apply to the meta-training and
-// online agents alike, everything else keeps the paper's values.
-func (e *FlightExperiment) SetAgentOptions(opts ...rl.Option) error {
-	o, err := rl.NewOptions(opts...)
-	if err != nil {
-		return err
-	}
-	e.agentOverrides = o
-	return nil
-}
-
 // SetAgentOverrides installs an already-built override set (see
 // rl.NewOptions); only explicitly-set fields take effect.
 func (e *FlightExperiment) SetAgentOverrides(o rl.Options) { e.agentOverrides = o }
@@ -467,29 +454,4 @@ func evaluateSFD(w *env.World, agent *rl.Agent, scale FlightScale, envIdx int) (
 		crashes += tr.Crashes()
 	}
 	return dist / float64(crashes+1), crashes
-}
-
-// Converged reports whether a learning curve is not collapsing: the mean of
-// its last quarter is at least frac of the mean of its first quarter. With
-// transferred weights the early reward is already high, so this guards
-// against catastrophic forgetting rather than demanding monotone growth.
-func Converged(series []float64, frac float64) bool {
-	n := len(series)
-	if n < 8 {
-		return true
-	}
-	q := n / 4
-	var head, tail float64
-	for _, v := range series[:q] {
-		head += v
-	}
-	for _, v := range series[n-q:] {
-		tail += v
-	}
-	head /= float64(q)
-	tail /= float64(q)
-	if head <= 0 {
-		return tail >= 0
-	}
-	return tail >= frac*head
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -81,7 +82,7 @@ func (c *ActorConfig) withDefaults() error {
 		c.BackoffMin = 50 * time.Millisecond
 	}
 	if c.BackoffMax < c.BackoffMin {
-		c.BackoffMax = 2 * time.Second
+		c.BackoffMax = max(2*time.Second, c.BackoffMin)
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 250 * time.Millisecond
@@ -111,14 +112,11 @@ type ActorStats struct {
 	Connects, Adoptions int
 }
 
-// session is one live learner connection from the actor's side. features
-// is the welcome's word on what the learner trains on: boundary features
-// (ship them instead of frames) or frames.
+// session is one live learner connection from the actor's side.
 type session struct {
-	conn     net.Conn
-	dead     chan struct{}
-	once     sync.Once
-	features bool
+	conn net.Conn
+	dead chan struct{}
+	once sync.Once
 }
 
 func (s *session) kill() {
@@ -128,15 +126,12 @@ func (s *session) kill() {
 	})
 }
 
-// pendingPolicy is the policy received and not yet installed: full is a
-// full-weight snapshot (a reconnect's handshake policy), tail the newest
-// trainable-region publish that followed it. Adoption installs full, then
-// tail. A publish replaces tail but never drops a staged full: while one
-// waits, the actor's frozen prefix is not known to be the learner's, and
-// maybeFlush withholds boundary features.
-type pendingPolicy struct {
-	full, tail *nn.Snapshot
-}
+// ErrLearnerChanged ends RunActor when a reconnect's handshake disagrees
+// with the first one on the training topology, on whether the learner
+// trains on boundary features, or on a frozen-prefix word: the first fixed
+// what the actor's rows carry for the whole run, and no row goes to a
+// learner that would read them differently.
+var ErrLearnerChanged = errors.New("dist: learner changed across a reconnect")
 
 // actor is the running state of RunActor.
 type actor struct {
@@ -149,13 +144,20 @@ type actor struct {
 
 	id uint64 // assigned by the first welcome, reused on reconnect
 	// initialized flips after the first completed handshake of this
-	// process; set during the blocking first connect, before the stepping
-	// and reconnect goroutines exist.
+	// process, which fixes the fields below it for the run; both happen
+	// before the stepping and reconnect goroutines exist. frozen counts the
+	// frozen prefix's parameters; their words in net stay the first
+	// handshake's, since adoption never writes one.
 	initialized bool
 	schedule    rl.Options
+	config      nn.Config
+	features    bool
+	frozen      int
 
-	sess    atomic.Pointer[session]
-	pending atomic.Pointer[pendingPolicy]
+	sess atomic.Pointer[session]
+	// pending is the newest trainable region received and not yet adopted
+	// (at an episode boundary), from a publish or a reconnect's handshake.
+	pending atomic.Pointer[nn.Snapshot]
 	// learnerDone flips when the learner announces its run complete (a bye
 	// from its side): there is nothing left to reconnect to, deliver to or
 	// say goodbye to.
@@ -210,8 +212,8 @@ func newActor(cfg ActorConfig) *actor {
 
 // run is RunActor on a built actor; tests build their own to watch its state.
 func (a *actor) run(ctx context.Context) (ActorStats, error) {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
 	// First connection is blocking: nothing can fly without the welcome.
 	if err := a.connect(runCtx); err != nil {
@@ -219,14 +221,18 @@ func (a *actor) run(ctx context.Context) (ActorStats, error) {
 	}
 	// From here on, reconnects run in the background while the actor keeps
 	// flying; reconnectLoop exits when its context cancels — with the run,
-	// or as soon as the bye is on the wire.
+	// or as soon as the bye is on the wire — or ends the run with
+	// ErrLearnerChanged.
 	reconnCtx, stopReconnect := context.WithCancel(runCtx)
 	defer stopReconnect()
-	go a.reconnectLoop(reconnCtx)
+	go a.reconnectLoop(reconnCtx, cancel)
 
 	err := a.fly(runCtx)
 	if err == nil {
 		err = a.drain(runCtx)
+	}
+	if err != nil {
+		err = context.Cause(runCtx)
 	}
 	// The bye announces a *clean* departure: mission flown, backlog drained
 	// (or drain timed out). A cancelled actor is a crash from the learner's
@@ -236,7 +242,7 @@ func (a *actor) run(ctx context.Context) (ActorStats, error) {
 	if err == nil {
 		a.sendBye(runCtx, stopReconnect)
 	}
-	cancel()
+	cancel(nil)
 	if s := a.sess.Load(); s != nil {
 		s.kill()
 	}
@@ -253,14 +259,14 @@ func (a *actor) snapshotStats() ActorStats {
 }
 
 // fly is the stepping loop: rl.Actor's act → step → capture, ring push,
-// opportunistic flush, episode-boundary adoption. Under a transfer topology
-// each transition carries the float boundary features of its frames, which
-// the actor computes once per frame: this drone is the only place the prefix
-// of its frames is ever evaluated.
+// opportunistic flush, episode-boundary adoption. When the first welcome
+// asked for features, each transition carries the float boundary features
+// of its frames instead of the frames, computed once per frame: this drone
+// is the only place the prefix of its frames is ever evaluated.
 func (a *actor) fly(ctx context.Context) error {
 	act := &rl.Actor{
 		Net: a.net, World: a.cfg.World, Rng: a.rng, Schedule: a.schedule,
-		Actions: a.actions(), FloatFeatures: true,
+		Actions: a.actions(), FloatFeatures: a.features,
 	}
 	for k := 0; k < a.cfg.Steps; k++ {
 		if ctx.Err() != nil {
@@ -270,13 +276,8 @@ func (a *actor) fly(ctx context.Context) error {
 		a.push(Experience{T: tr, Dist: res.FlightDistance})
 		a.stats.Steps++
 		a.maybeFlush(false)
-		if res.Crashed && a.adoptPending() {
-			// A full snapshot replaced the prefix: what the old one computed
-			// is void, in the backlog and for the frame in hand.
-			for i := a.ringHead; i < len(a.ring); i++ {
-				a.ring[i].T.Feat, a.ring[i].T.NextFeat = nil, nil
-			}
-			act.Recapture()
+		if res.Crashed {
+			a.adoptPending()
 		}
 	}
 	return nil
@@ -334,7 +335,7 @@ func (a *actor) maybeFlush(force bool) {
 		}
 		var err error
 		a.frame, err = appendExperience(beginFrame(a.frame, frameTransitions),
-			a.ring[a.ringHead:a.ringHead+n], s.features && a.prefixTrusted())
+			a.ring[a.ringHead:a.ringHead+n], a.features)
 		if err != nil {
 			// Unencodable experience is a programming error on this side;
 			// drop the batch rather than wedge the ring forever.
@@ -348,15 +349,6 @@ func (a *actor) maybeFlush(force bool) {
 		a.ringHead += n
 		a.stats.Sent += n
 	}
-}
-
-// prefixTrusted reports whether boundary features may go out to a learner
-// that wants them: not while a reconnect's full snapshot waits for adoption.
-// Until it is installed this actor's prefix may not be the one the learner
-// holds, so the learner gets frames only and featurizes them itself.
-func (a *actor) prefixTrusted() bool {
-	p := a.pending.Load()
-	return p == nil || p.full == nil
 }
 
 // send seals the frame begun in a.frame and writes it to the session,
@@ -374,28 +366,13 @@ func (a *actor) send(s *session) bool {
 	return true
 }
 
-// adoptPending installs the staged policy, if any, and reports whether a
-// full snapshot went in — the only adoption that can change the frozen
-// prefix. A full snapshot that fails to install stays staged (features stay
-// withheld) unless a newer policy arrived meanwhile.
-func (a *actor) adoptPending() (prefixReplaced bool) {
-	p := a.pending.Swap(nil)
-	if p == nil {
-		return false
+// adoptPending installs the staged policy, if any, into the trainable
+// region. One that does not install (a NaN, a foreign layout) is refused
+// whole: the actor keeps flying every bit of the policy it had.
+func (a *actor) adoptPending() {
+	if p := a.pending.Swap(nil); p != nil && p.RestoreTrainable(a.net) == nil {
+		a.stats.Adoptions++
 	}
-	if p.full != nil {
-		if err := p.full.Restore(a.net); err != nil {
-			a.pending.CompareAndSwap(nil, p)
-			return false
-		}
-	}
-	if p.tail != nil {
-		if err := p.tail.RestoreTrainable(a.net); err != nil {
-			return p.full != nil
-		}
-	}
-	a.stats.Adoptions++
-	return p.full != nil
 }
 
 // drain delivers the final backlog: keep flushing (and waiting for
@@ -466,14 +443,15 @@ func (a *actor) sendBye(ctx context.Context, stopReconnect func()) {
 // exponential backoff and jitter between attempts. A hello answered by an
 // immediate clean close three times in a row gives up: the learner is
 // refusing this actor (wrong protocol, wrong architecture, or no free
-// slot), and retrying cannot fix that.
+// slot), and retrying cannot fix that; nor ErrLearnerChanged, which gives
+// up at once.
 func (a *actor) connect(ctx context.Context) error {
 	delay := a.cfg.BackoffMin
 	refusals := 0
 	for {
 		err := a.dialOnce(ctx)
-		if err == nil {
-			return nil
+		if err == nil || errors.Is(err, ErrLearnerChanged) {
+			return err
 		}
 		if errors.Is(err, errRefused) {
 			if refusals++; refusals >= 3 {
@@ -498,8 +476,9 @@ func (a *actor) connect(ctx context.Context) error {
 	}
 }
 
-// reconnectLoop watches the live session and replaces it when it dies.
-func (a *actor) reconnectLoop(ctx context.Context) {
+// reconnectLoop watches the live session and replaces it when it dies. A
+// learner that changed ends the run: abort cancels it with the cause.
+func (a *actor) reconnectLoop(ctx context.Context, abort context.CancelCauseFunc) {
 	for {
 		s := a.sess.Load()
 		if s == nil {
@@ -507,6 +486,9 @@ func (a *actor) reconnectLoop(ctx context.Context) {
 				return
 			}
 			if err := a.connect(ctx); err != nil {
+				if errors.Is(err, ErrLearnerChanged) {
+					abort(err)
+				}
 				return
 			}
 			continue
@@ -593,8 +575,14 @@ func (a *actor) dialOnce(ctx context.Context) error {
 
 	if !a.initialized {
 		// The first handshake runs before the stepping goroutine exists, so
-		// these unsynchronized writes are safe; reconnects must not touch
-		// them (the welcome repeats the same values anyway).
+		// these unsynchronized writes are safe; reconnects only read them.
+		a.net.SetConfig(welcome.Config)
+		// The handshake policy is the starting point; later ones are
+		// adopted only at episode boundaries.
+		if err := snap.Restore(a.net); err != nil {
+			conn.Close()
+			return err
+		}
 		a.initialized = true
 		a.id = welcome.ActorID
 		a.schedule = rl.Options{
@@ -602,34 +590,68 @@ func (a *actor) dialOnce(ctx context.Context) error {
 			EpsEnd:        welcome.EpsEnd,
 			EpsDecaySteps: welcome.EpsDecaySteps,
 		}
-		a.net.SetConfig(welcome.Config)
+		a.config, a.features = welcome.Config, welcome.Features
+		a.frozen = len(a.net.Params()) - len(a.net.TrainableParams())
 		a.globalEnv.Store(welcome.EnvSteps)
-		// The handshake policy is the starting point; later ones are
-		// adopted only at episode boundaries.
-		if err := snap.Restore(a.net); err != nil {
+	} else {
+		// Reconnect mid-flight to the learner the run was fixed against: its
+		// policy's trainable region replaces anything staged.
+		if err := a.sameLearner(welcome, snap); err != nil {
 			conn.Close()
 			return err
 		}
-	} else {
-		// Reconnect mid-flight: stage the fresh policy, superseding anything
-		// older, to be installed at the next episode boundary.
-		a.pending.Store(&pendingPolicy{full: snap})
+		tail := *snap
+		tail.Names, tail.Shapes, tail.Data = snap.Names[a.frozen:], snap.Shapes[a.frozen:], snap.Data[a.frozen:]
+		a.pending.Store(&tail)
 		if welcome.EnvSteps > a.globalEnv.Load() {
 			a.globalEnv.Store(welcome.EnvSteps)
 		}
 	}
 
-	s := &session{conn: conn, dead: make(chan struct{}), features: welcome.Features}
+	s := &session{conn: conn, dead: make(chan struct{})}
 	a.sess.Store(s)
 	a.connects.Add(1)
 	go a.readLoop(s)
 	return nil
 }
 
+// sameLearner checks a reconnect's handshake against what the first one
+// fixed for the run: topology, features word and frozen-prefix words.
+func (a *actor) sameLearner(w welcomeMsg, snap *nn.Snapshot) error {
+	switch {
+	case w.Config != a.config:
+		return fmt.Errorf("%w: training topology %v, the run was fixed at %v", ErrLearnerChanged, w.Config, a.config)
+	case w.Features != a.features:
+		return fmt.Errorf("%w: trains on boundary features %v, the run was fixed at %v", ErrLearnerChanged, w.Features, a.features)
+	case !a.samePrefix(snap):
+		return fmt.Errorf("%w: its frozen-prefix words differ from the first handshake's", ErrLearnerChanged)
+	}
+	return nil
+}
+
+// samePrefix reports whether a full snapshot's frozen-prefix rows hold the
+// actor's own frozen words, bit for bit; only a reconnect pays for it.
+func (a *actor) samePrefix(snap *nn.Snapshot) bool {
+	if len(snap.Data) < a.frozen {
+		return false
+	}
+	for i, p := range a.net.Params()[:a.frozen] {
+		if len(snap.Data[i]) != p.W.Len() {
+			return false
+		}
+		for j, v := range p.W.Data() {
+			if math.Float32bits(v) != math.Float32bits(snap.Data[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // readLoop consumes learner frames on one session: heartbeats re-base the
-// global step estimate, snapshots stage for episode-boundary adoption. Any
-// error — timeout, truncation, corruption — kills the session; the
-// reconnect loop takes it from there.
+// global step estimate, publishes stage for episode-boundary adoption. Any
+// error — timeout, truncation, corruption, a full snapshot outside a
+// handshake — kills the session; the reconnect loop takes it from there.
 func (a *actor) readLoop(s *session) {
 	defer s.kill()
 	var lastVersion uint64
@@ -649,27 +671,14 @@ func (a *actor) readLoop(s *session) {
 			}
 		case frameSnapshot:
 			snap, version, full, err := decodeSnapshotFrame(payload)
-			if err != nil {
-				return // truncated/corrupt policy: the conn lost sync, drop it
+			if err != nil || full {
+				return // truncated/corrupt policy, or a full one outside a handshake
 			}
 			if version < lastVersion {
 				continue
 			}
 			lastVersion = version
-			if full {
-				a.pending.Store(&pendingPolicy{full: snap})
-				continue
-			}
-			for {
-				prev := a.pending.Load()
-				next := &pendingPolicy{tail: snap}
-				if prev != nil {
-					next.full = prev.full
-				}
-				if a.pending.CompareAndSwap(prev, next) {
-					break
-				}
-			}
+			a.pending.Store(snap)
 		case frameBye:
 			a.learnerDone.Store(true)
 			return

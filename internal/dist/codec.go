@@ -169,16 +169,12 @@ func decodeSnapshotFrame(payload []byte) (s *nn.Snapshot, version uint64, full b
 }
 
 // Experience is one environment step as it travels the wire: the replay
-// transition plus the flight distance the learner's tracker wants. Under a
-// transfer topology T.Feat and T.NextFeat carry the frozen prefix's boundary
-// activations of the two frames, computed once on the actor that captured
-// them, and when the learner trains on them they travel instead of the
-// frames: the learner's TrainStep runs the trainable FC tail only and never
-// reads a frame it has the feature of. A row without features — E2E, a
-// learner whose train backend stacks frames, or a backlog whose features
-// were withheld after a reconnect — carries its frames; a learner that trains
-// on features computes them from those frames at admission, bit-identically,
-// and keeps no frame.
+// transition plus the flight distance the learner's tracker wants. When the
+// learner trains on boundary features, T.Feat and T.NextFeat carry the
+// frozen prefix's activations of the two frames, computed once on the actor
+// that captured them, instead of the frames, and TrainStep runs the
+// trainable FC tail only. Otherwise (E2E, or a train backend that stacks
+// frames) the row carries its frames.
 type Experience struct {
 	T    rl.Transition
 	Dist float64

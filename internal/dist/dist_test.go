@@ -407,10 +407,10 @@ func (c *heldConn) Write(p []byte) (int, error) {
 // and delay every operation. The run must keep making progress through the
 // reconnect storm and never corrupt a transition (the CRC, the structural
 // checks and the learner's validation drop the connection instead). Every
-// reconnect stages a full snapshot, so the storm is also where the feature
-// safety rule earns its keep: a tap on each actor's link asserts that what
-// leaves between a reconnect and the adoption of its snapshot is frames
-// only, and that features flow otherwise.
+// reconnect hands the actor a full snapshot of the same frozen prefix, so
+// nothing about its rows changes: a tap on each actor's link asserts that
+// every row an L3 float actor writes carries its boundary features and no
+// frame, reconnects included.
 func TestDistChaosLinks(t *testing.T) {
 	f := newFleet(t, 91, nn.L3)
 
@@ -457,28 +457,21 @@ func TestDistChaosLinks(t *testing.T) {
 		err error
 	}
 	outs := make(chan actorOut, 2)
-	var withheld, shipped atomic.Int64
+	var framed, frameless atomic.Int64
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			cfg := f.actorConfig(93+int64(i), 150)
 			cfg.HeartbeatTimeout = 500 * time.Millisecond
 			cfg.DrainTimeout = 2 * time.Second
-			var a *actor
 			dial := chaos.Dialer("tcp", f.addr, faults)
 			cfg.Dial = func(ctx context.Context) (net.Conn, error) {
 				conn, err := dial(ctx)
 				if err != nil {
 					return nil, err
 				}
-				return &featureTap{Conn: conn, t: t, trusted: func() bool { return a.prefixTrusted() },
-					withheld: &withheld, shipped: &shipped}, nil
+				return &rowTap{Conn: conn, t: t, framed: &framed, frameless: &frameless}, nil
 			}
-			if err := cfg.withDefaults(); err != nil {
-				outs <- actorOut{err: err}
-				return
-			}
-			a = newActor(cfg)
-			st, err := a.run(ctx)
+			st, err := RunActor(ctx, cfg)
 			outs <- actorOut{st, err}
 		}(i)
 	}
@@ -497,9 +490,9 @@ func TestDistChaosLinks(t *testing.T) {
 	if reconnects <= 2 {
 		t.Errorf("fleet connected %d times total; chaos should force reconnects", reconnects)
 	}
-	if withheld.Load() == 0 || shipped.Load() == 0 {
-		t.Errorf("%d transitions left without features awaiting an adoption, %d left with them; want both",
-			withheld.Load(), shipped.Load())
+	if framed.Load() != 0 || frameless.Load() == 0 {
+		t.Errorf("%d transitions left as frames, %d as boundary features; want every one as features",
+			framed.Load(), frameless.Load())
 	}
 
 	lcancel()
@@ -535,8 +528,8 @@ func TestActorRefusesNonFiniteTail(t *testing.T) {
 	last[len(last)-1] = float32(math.NaN())
 
 	before := nn.TakeSnapshot(a.net, spec.Name)
-	a.pending.Store(&pendingPolicy{tail: tail})
-	if a.adoptPending() || a.stats.Adoptions != 0 {
+	a.pending.Store(tail)
+	if a.adoptPending(); a.stats.Adoptions != 0 {
 		t.Fatalf("a non-finite tail was adopted (%d adoptions)", a.stats.Adoptions)
 	}
 	for i, p := range a.net.Params() {
@@ -576,5 +569,190 @@ func TestNewLearnerRefusesForeignSpecOrCfg(t *testing.T) {
 				t.Errorf("%s: error %q does not name %s", tc.name, err, w)
 			}
 		}
+	}
+}
+
+// TestActorConfigBackoffMaxDefault: an unset (or shorter) BackoffMax
+// defaults to 2s, or to BackoffMin when that is longer, so the reconnect
+// schedule doubles from min to max and no retry comes sooner than the first.
+func TestActorConfigBackoffMaxDefault(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct{ min, max, want time.Duration }{
+		{0, 0, 2 * time.Second},
+		{10 * ms, 200 * ms, 200 * ms},
+		{10 * ms, 0, 2 * time.Second},
+		{5 * time.Second, 0, 5 * time.Second},
+		{5 * time.Second, time.Second, 5 * time.Second},
+	} {
+		cfg := ActorConfig{
+			Spec: nn.NavNetSpec(), World: env.IndoorApartment(1), Steps: 1, Addr: "unused",
+			BackoffMin: tc.min, BackoffMax: tc.max,
+		}
+		if err := cfg.withDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.BackoffMax != tc.want {
+			t.Errorf("BackoffMin %v, BackoffMax %v: max defaults to %v, want %v", tc.min, tc.max, cfg.BackoffMax, tc.want)
+		}
+	}
+}
+
+// TestIdleTimeoutAfterReleasedSlot: a learner whose only session ever
+// admitted closed before sending anything — its slot released, as for an
+// actor that refuses a changed learner — has still seen an actor connect,
+// so its IdleTimeout ends the run.
+func TestIdleTimeoutAfterReleasedSlot(t *testing.T) {
+	f := newFleet(t, 131, nn.L3)
+	learner, err := NewLearner(LearnerConfig{
+		Agent: f.agent, Spec: f.spec, Cfg: f.cfg, Listener: f.ln, TotalSteps: 64,
+		HeartbeatEvery: 25 * time.Millisecond, IdleTimeout: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := learner.Run(ctx)
+		done <- err
+	}()
+	rawSession(t, f).Close()
+	if err := <-done; err != nil {
+		t.Fatalf("learner: %v, want the idle timeout to end the run", err)
+	}
+}
+
+// TestActorEndsOnChangedLearner crashes the learner once rows flow and
+// restarts it on the same address without a checkpoint, as a learner that
+// matches the first in everything the actor fixed at its first handshake,
+// or one that differs in one of them: a word of the frozen prefix, the
+// training topology, or whether it trains on boundary features. The match
+// gets the rest of the mission. A changed learner ends the actor's run with
+// ErrLearnerChanged naming what changed, not one row reaches it, and the
+// slot the refused actor touched is free for a new actor.
+func TestActorEndsOnChangedLearner(t *testing.T) {
+	const steps = 2000
+	for _, tc := range []struct {
+		name, want string // want is in the error; "" for the matching learner
+		cfg        nn.Config
+		edit       func(t *testing.T, opts *rl.Options, a func() *rl.Agent) *rl.Agent
+	}{
+		{"same learner", "", nn.L3, func(_ *testing.T, _ *rl.Options, a func() *rl.Agent) *rl.Agent { return a() }},
+		{"one frozen word", "frozen-prefix", nn.L3, func(_ *testing.T, _ *rl.Options, a func() *rl.Agent) *rl.Agent {
+			agent := a()
+			conv1 := agent.Net.Params()[0]
+			conv1.W.Data()[0] += 1
+			conv1.MarkChanged()
+			return agent
+		}},
+		{"topology", "topology", nn.L2, func(_ *testing.T, _ *rl.Options, a func() *rl.Agent) *rl.Agent { return a() }},
+		{"features word", "boundary features", nn.L3, func(t *testing.T, opts *rl.Options, a func() *rl.Agent) *rl.Agent {
+			opts.TrainBackend = "quant-train"
+			agent := a()
+			if err := agent.ActivateTrainBackend(); err != nil {
+				t.Fatal(err)
+			}
+			return agent
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t, 121, nn.L3)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			type result struct {
+				st  LearnerStats
+				err error
+			}
+			serve := func(ctx context.Context, cfg LearnerConfig) chan result {
+				cfg.Spec, cfg.ActorSlots, cfg.TotalSteps = f.spec, 1, steps
+				cfg.TrainEvery, cfg.SyncEvery, cfg.HeartbeatEvery = 4, 4, 25*time.Millisecond
+				l, err := NewLearner(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan result, 1)
+				go func() {
+					st, err := l.Run(ctx)
+					done <- result{st, err}
+				}()
+				return done
+			}
+			l1ctx, crash := context.WithCancel(ctx)
+			defer crash()
+			first := serve(l1ctx, LearnerConfig{Agent: f.agent, Cfg: f.cfg, Listener: f.ln})
+
+			type actorOut struct {
+				st  ActorStats
+				err error
+			}
+			// The first connection holds the actor's writes after its hello
+			// and seven flushes until the first learner has crashed, so the
+			// crash lands mid-mission however fast the actor flies.
+			outs, crashed := make(chan actorOut, 1), make(chan struct{})
+			go func() {
+				cfg := f.actorConfig(122, steps)
+				cfg.HeartbeatTimeout = 500 * time.Millisecond
+				cfg.DrainTimeout = 10 * time.Second
+				dialed := false // the first dial returns before any redial starts
+				cfg.Dial = func(dctx context.Context) (net.Conn, error) {
+					var d net.Dialer
+					c, err := d.DialContext(dctx, "tcp", f.addr)
+					if err != nil || dialed {
+						return c, err
+					}
+					dialed = true
+					return &heldConn{Conn: c, writes: 8, release: crashed, ctx: ctx}, nil
+				}
+				st, err := RunActor(ctx, cfg)
+				outs <- actorOut{st, err}
+			}()
+			for f.agent.Clock().EnvSteps() < 16 {
+				if ctx.Err() != nil {
+					t.Fatal("no rows reached the first learner")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			crash()
+			if r := <-first; !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("crashed learner reported %v, want context.Canceled", r.err)
+			}
+			close(crashed)
+
+			opts := f.agent.Options()
+			agent := tc.edit(t, &opts, func() *rl.Agent { return rl.NewAgent(f.spec, tc.cfg, opts) })
+			ln, err := net.Listen("tcp", f.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l2ctx, stop := context.WithCancel(ctx)
+			defer stop()
+			second := serve(l2ctx, LearnerConfig{Agent: agent, Cfg: tc.cfg, Listener: ln})
+
+			out := <-outs
+			if tc.want == "" {
+				if out.err != nil || out.st.Steps != steps {
+					t.Fatalf("actor on a matching learner: %v after %d of %d steps", out.err, out.st.Steps, steps)
+				}
+				if r := <-second; r.err != nil || r.st.EnvSteps == 0 {
+					t.Fatalf("matching learner: %v with %d rows received, want the rest of the mission", r.err, r.st.EnvSteps)
+				}
+				return
+			}
+			if !errors.Is(out.err, ErrLearnerChanged) || !strings.Contains(out.err.Error(), tc.want) {
+				t.Fatalf("actor on a changed learner: %v, want ErrLearnerChanged naming %q", out.err, tc.want)
+			}
+			const fresh = 32
+			if st, err := RunActor(ctx, f.actorConfig(123, fresh)); err != nil || st.Sent != fresh {
+				t.Fatalf("a new actor on the changed learner: %v, sent %d of %d", err, st.Sent, fresh)
+			}
+			r := <-second
+			if r.err != nil || r.st.Connects != 2 {
+				t.Fatalf("changed learner: %v after %d sessions, want the refused actor's and the new one's", r.err, r.st.Connects)
+			}
+			if r.st.EnvSteps != fresh {
+				t.Errorf("the changed learner took in %d rows, want only the new actor's %d", r.st.EnvSteps, fresh)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -41,26 +40,45 @@ func weightHash(a *rl.Agent) [sha256.Size]byte {
 }
 
 // recordFlight flies a sessionless actor on the given policy and returns the
-// experience it would have streamed, boundary features included: with no
-// learner to flush to, the whole mission stays in the ring.
+// experience it would have streamed: with no learner to flush to, the whole
+// mission stays in the ring. It flies twice, once fixed to boundary features
+// and once to frames, as two welcomes would fix it, and joins the two rows of
+// each step — the same step, since the split forward changes no greedy
+// action — so a test can send the stream either way.
 func recordFlight(t *testing.T, spec nn.ArchSpec, cfg nn.Config, policy *nn.Snapshot, steps int, seed int64) []Experience {
 	t.Helper()
-	a := newActor(ActorConfig{
-		Spec: spec, World: env.IndoorApartment(seed), Steps: steps, Seed: seed,
-		FlushEvery: 8, BufferCap: steps,
-	})
-	a.net.SetConfig(cfg)
-	if err := policy.Restore(a.net); err != nil {
-		t.Fatal(err)
+	var flights [2][]Experience
+	for i := range flights {
+		a := newActor(ActorConfig{
+			Spec: spec, World: env.IndoorApartment(seed), Steps: steps, Seed: seed,
+			FlushEvery: 8, BufferCap: steps,
+		})
+		a.net.SetConfig(cfg)
+		if err := policy.Restore(a.net); err != nil {
+			t.Fatal(err)
+		}
+		a.schedule = rl.Options{EpsStart: 1, EpsEnd: 0.1, EpsDecaySteps: steps / 2}
+		a.features = i == 0
+		if err := a.fly(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(a.ring) != steps || a.dropped != 0 {
+			t.Fatalf("recorded %d of %d steps, dropped %d", len(a.ring), steps, a.dropped)
+		}
+		flights[i] = a.ring
 	}
-	a.schedule = rl.Options{EpsStart: 1, EpsEnd: 0.1, EpsDecaySteps: steps / 2}
-	if err := a.fly(context.Background()); err != nil {
-		t.Fatal(err)
+	stream, frames := flights[0], flights[1]
+	for i := range stream {
+		e, f := &stream[i], frames[i]
+		if e.T.Action != f.T.Action || e.T.Reward != f.T.Reward || e.T.Done != f.T.Done || e.Dist != f.Dist {
+			t.Fatalf("step %d: the featured flight and the frames-only one part ways", i)
+		}
+		if e.T.State != nil || e.T.Next != nil || f.T.Feat != nil || f.T.NextFeat != nil {
+			t.Fatalf("step %d: an actor emitted frames beside features", i)
+		}
+		e.T.State, e.T.Next = f.T.State, f.T.Next
 	}
-	if len(a.ring) != steps || a.dropped != 0 {
-		t.Fatalf("recorded %d of %d steps, dropped %d", len(a.ring), steps, a.dropped)
-	}
-	return a.ring
+	return stream
 }
 
 // TestWireFeaturesBitIdentical pins the exactness claim across the wire: one
@@ -123,78 +141,6 @@ func TestWireFeaturesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLearnerFeaturizesFrameRows pins the learner's admission: one recorded
-// L3 stream goes through two float learners' read path, once all as boundary
-// features and once with every third flush as frames (what an actor sends
-// while a reconnect's full snapshot waits for adoption). The second learner
-// computes those rows' features from its own prefix and keeps no frame, so
-// its replay holds one representation and both end with the same weights,
-// bit for bit.
-func TestLearnerFeaturizesFrameRows(t *testing.T) {
-	const steps, flushEvery, trainEvery = 200, 8, 4
-	spec := nn.NavNetSpec()
-	opts := rl.Options{Seed: 31, BatchSize: 8, ReplayCapacity: 128, TargetSync: 8}
-	var learners [2]*Learner
-	for i := range learners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln.Close() // the read path is driven directly; nothing dials in
-		learners[i], err = NewLearner(LearnerConfig{
-			Agent: rl.NewAgent(spec, nn.L3, opts), Spec: spec, Cfg: nn.L3, Listener: ln, TotalSteps: steps,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	start := weightHash(learners[0].cfg.Agent)
-	stream := recordFlight(t, spec, nn.L3, nn.TakeSnapshot(learners[0].cfg.Agent.Net, spec.Name), steps, 32)
-	frameRows := 0
-	for i, l := range learners {
-		a := l.cfg.Agent
-		a.SetReplaySource(l.shards)
-		pushed := 0
-		for at := 0; at < len(stream); at += flushEvery {
-			features := i == 0 || at/flushEvery%3 != 1
-			if !features {
-				frameRows += flushEvery
-			}
-			payload, err := appendExperience(nil, stream[at:at+flushEvery], features)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := l.receive(0, payload); err != nil {
-				t.Fatal(err)
-			}
-			for range flushEvery {
-				if pushed++; pushed%trainEvery == 0 {
-					a.TrainStep()
-				}
-			}
-		}
-		if got := a.Clock().EnvSteps(); got != steps {
-			t.Fatalf("learner %d: %d env steps admitted, want %d", i, got, steps)
-		}
-		for _, tr := range l.shards.SampleInto(nil, 4*opts.ReplayCapacity, rand.New(rand.NewSource(1))) {
-			if tr.State != nil || tr.Next != nil || tr.Feat == nil || tr.NextFeat == nil && !tr.Done {
-				t.Fatalf("learner %d keeps a row with frames %v/%v and features %v/%v",
-					i, tr.State != nil, tr.Next != nil, tr.Feat != nil, tr.NextFeat != nil)
-			}
-		}
-	}
-	if frameRows == 0 {
-		t.Fatal("no flush travelled as frames")
-	}
-	with, mixed := weightHash(learners[0].cfg.Agent), weightHash(learners[1].cfg.Agent)
-	if with == start {
-		t.Fatal("training left the weights untouched")
-	}
-	if with != mixed {
-		t.Fatalf("weights diverge: %x from features, %x with %d rows admitted as frames", with[:6], mixed[:6], frameRows)
-	}
-}
-
 // discardConn accepts every write; the rest of net.Conn is never reached on
 // the flush path.
 type discardConn struct{ net.Conn }
@@ -218,8 +164,9 @@ func TestMaybeFlushZeroAlloc(t *testing.T) {
 			Feat: featTensor(int64(i), 128), NextFeat: featTensor(int64(i)+100, 128),
 		}})
 	}
+	a.sess.Store(&session{conn: discardConn{}, dead: make(chan struct{})})
 	for _, features := range []bool{false, true} {
-		a.sess.Store(&session{conn: discardConn{}, dead: make(chan struct{}), features: features})
+		a.features = features
 		a.stats.Sent = 0
 		if allocs := testing.AllocsPerRun(20, func() {
 			a.ringHead = 0
@@ -294,6 +241,12 @@ func TestLearnerRejectsBadExperience(t *testing.T) {
 			Feat: featTensor(1, 128), NextFeat: featTensor(2, 128),
 		}, Dist: 1}
 	}
+	// framed is the good row as an actor fixed to frames sends it.
+	framed := func() Experience {
+		e := good()
+		e.T.Feat, e.T.NextFeat = nil, nil
+		return e
+	}
 	// send frames a batch as the actor would and writes it.
 	send := func(t *testing.T, conn net.Conn, batch ...Experience) {
 		payload, err := appendExperience(nil, batch, true)
@@ -319,7 +272,7 @@ func TestLearnerRejectsBadExperience(t *testing.T) {
 		misuse func(t *testing.T, conn net.Conn)
 		want   DropReasons
 	}{
-		{"wrong observation shape", nn.L3, func(t *testing.T, conn net.Conn) {
+		{"wrong observation shape", nn.E2E, func(t *testing.T, conn net.Conn) {
 			send(t, conn, Experience{T: rl.Transition{State: obsTensor(1), Next: obsTensor(2)}})
 		}, DropReasons{RejectedExperience: 1}},
 		{"action outside the Q row", nn.L3,
@@ -332,11 +285,12 @@ func TestLearnerRejectsBadExperience(t *testing.T) {
 			mutate(func(e *Experience) { e.Dist = math.NaN() }), DropReasons{RejectedExperience: 1}},
 		{"NaN boundary feature", nn.L3,
 			mutate(func(e *Experience) { e.T.NextFeat.Data()[77] = float32(math.NaN()) }), DropReasons{RejectedExperience: 1}},
-		// Without its feature the state travels as its frame.
-		{"+Inf frame", nn.L3, mutate(func(e *Experience) {
-			e.T.Feat = nil
-			e.T.State.Data()[5] = float32(math.Inf(1))
-		}), DropReasons{RejectedExperience: 1}},
+		// At a learner that reads frames, so the frame's value is what fails.
+		{"+Inf frame", nn.E2E, func(t *testing.T, conn net.Conn) {
+			bad := framed()
+			bad.T.State.Data()[5] = float32(math.Inf(1))
+			send(t, conn, framed(), bad)
+		}, DropReasons{RejectedExperience: 1}},
 		{"wrong feature width", nn.L3, func(t *testing.T, conn net.Conn) {
 			e := good()
 			e.T.Feat, e.T.NextFeat = featTensor(3, 64), featTensor(4, 64)
@@ -378,6 +332,11 @@ func TestLearnerRejectsBadExperience(t *testing.T) {
 		// The rows travel as features only, and this learner reads frames.
 		{"frameless row for a learner that reads frames", nn.L3,
 			mutate(func(*Experience) {}), DropReasons{RejectedExperience: 1}},
+		// The converse: a float L3 learner trains on features, and no learner
+		// recomputes them from frames.
+		{"featureless row rejected at a feature learner", nn.L3, func(t *testing.T, conn net.Conn) {
+			send(t, conn, good(), framed())
+		}, DropReasons{RejectedExperience: 1}},
 	}
 	// The learner of a case named here trains on that backend.
 	backend := map[string]string{"frameless row for a learner that reads frames": "quant-train"}
@@ -540,44 +499,6 @@ func testOldHelloRefused(t *testing.T, proto string, rewrite func(helloMsg) ([]b
 	if lst := <-done; lst.Connects != 0 || lst.EnvSteps != 0 {
 		t.Errorf("learner admitted a proto-%s peer: %+v", proto, lst)
 	}
-}
-
-// featureTap watches what one actor writes: every transitions frame that
-// leaves while a reconnect's full snapshot still waits for adoption must
-// carry frames only.
-type featureTap struct {
-	net.Conn
-	t                 *testing.T
-	trusted           func() bool // the writing actor's prefixTrusted
-	withheld, shipped *atomic.Int64
-}
-
-func (c *featureTap) Write(p []byte) (int, error) {
-	// The actor writes whole frames, one per Write.
-	typ, payload, err := readFrame(bytes.NewReader(p))
-	if err != nil {
-		c.t.Errorf("actor wrote an unreadable frame: %v", err)
-	}
-	if err == nil && typ == frameTransitions {
-		batch, err := decodeExperience(payload)
-		if err != nil {
-			c.t.Errorf("actor wrote an undecodable batch: %v", err)
-		}
-		// Stable here: only the stepping goroutine — the one in this Write —
-		// clears a staged full snapshot, and none is staged on a live session.
-		awaiting := !c.trusted()
-		for _, e := range batch {
-			switch has := e.T.Feat != nil || e.T.NextFeat != nil; {
-			case awaiting && has:
-				c.t.Errorf("boundary features sent between a reconnect and its adoption")
-			case awaiting:
-				c.withheld.Add(1)
-			case has:
-				c.shipped.Add(1)
-			}
-		}
-	}
-	return c.Conn.Write(p)
 }
 
 // rowTap counts what one actor's transitions frames carry: rows whose

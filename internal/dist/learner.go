@@ -178,15 +178,14 @@ type Learner struct {
 	// One counter per DropReasons field.
 	dropTimeout, dropTruncated, dropCorrupt, dropRejected atomic.Int64
 
-	// What every incoming transition must look like: the served observation
-	// shape, the action count, and the boundary-feature length TrainStep's
-	// frozen-prefix path expects (0 when it trains every layer).
-	obsShape  []int
-	actions   int
-	featWidth int
-	// wantFeatures: TrainStep reads boundary features, so actors ship them
-	// instead of frames. Without it every transition must carry its frames.
+	// What every incoming transition must look like. wantFeatures: TrainStep
+	// reads boundary features, so actors ship them instead of frames, and
+	// every row must carry them and no frame; without it, its frames and no
+	// feature. rowShape is the shape of what it reads: the served
+	// observation, or the trainable tail's input. actions is the Q row.
 	wantFeatures bool
+	rowShape     []int
+	actions      int
 }
 
 // learnerConn is one live actor session.
@@ -197,10 +196,10 @@ type learnerConn struct {
 	outbox chan []byte // pre-encoded frames; writer goroutine drains
 	closed chan struct{}
 	once   sync.Once
-	// fresh marks a session whose ID was minted during its own handshake;
+	// fresh marks a session whose slot was reserved in its own handshake;
 	// acked flips once the actor has sent any frame back. A fresh session
-	// that dies un-acked never told its actor the assigned ID, so its slot
-	// reservation is released on drop (the actor redials as a stranger).
+	// that dies un-acked releases the slot on drop: its actor never learned a
+	// minted ID, or refused this learner (ErrLearnerChanged) for good.
 	fresh bool
 	acked atomic.Bool
 }
@@ -224,7 +223,7 @@ func NewLearner(cfg LearnerConfig) (*Learner, error) {
 		conns:    make(map[uint64]*learnerConn),
 		slots:    make(map[uint64]int),
 		departed: make(map[uint64]bool),
-		obsShape: []int{cfg.Spec.InputC, cfg.Spec.InputH, cfg.Spec.InputW},
+		rowShape: []int{cfg.Spec.InputC, cfg.Spec.InputH, cfg.Spec.InputW},
 		actions:  cfg.Spec.FCs[len(cfg.Spec.FCs)-1].Out,
 	}
 	l.learn = rl.Learner{
@@ -232,14 +231,13 @@ func NewLearner(cfg LearnerConfig) (*Learner, error) {
 		TrainEvery: cfg.TrainEvery, SyncEvery: cfg.SyncEvery, Lock: &l.netMu,
 		OnPublish: l.publish, AfterUpdate: l.afterUpdate, Stop: l.fleetDone.Load,
 	}
-	if net := cfg.Agent.Net; net.TrainFrom() > 0 {
-		if d, ok := net.Layers[net.TrainFrom()].(*nn.Dense); ok {
-			l.featWidth = d.In
-		}
-	}
 	// A train backend (quant-train) runs its own prefix on stacked frames,
 	// so only the float tail path can train on features alone.
-	l.wantFeatures = l.featWidth > 0 && cfg.Agent.Options().TrainBackend == ""
+	if net := cfg.Agent.Net; net.TrainFrom() > 0 && cfg.Agent.Options().TrainBackend == "" {
+		if d, ok := net.Layers[net.TrainFrom()].(*nn.Dense); ok {
+			l.wantFeatures, l.rowShape = true, []int{d.In}
+		}
+	}
 	if cfg.Resume != nil {
 		if err := cfg.Resume.RestoreInto(cfg.Agent, cfg.Spec.Name, l.shards); err != nil {
 			return nil, err
@@ -344,7 +342,7 @@ func (l *Learner) watchIdle(ctx context.Context, clock *rl.Clock) {
 		env := clock.EnvSteps()
 		l.connMu.Lock()
 		live := len(l.conns)
-		armed := len(l.slots) > 0
+		armed := len(l.slots) > 0 || l.connects.Load() > 0 // a released slot still counts
 		l.connMu.Unlock()
 		if !armed || live > 0 || env != lastEnv {
 			lastEnv = env
@@ -571,6 +569,7 @@ func (l *Learner) admit(actorID uint64, conn net.Conn) (*learnerConn, bool, erro
 			if actorID > l.nextID {
 				l.nextID = actorID
 			}
+			fresh = true
 		}
 		if old, live := l.conns[actorID]; live {
 			// The actor reconnected before we noticed the old conn die;
@@ -620,9 +619,8 @@ func (l *Learner) freeShard() int {
 
 // drop ends a session and frees its connection. The slot normally stays
 // reserved for the actor's reconnect — except for a fresh session that died
-// before the actor sent anything back: that actor never learned its ID and
-// will redial with ID 0, so keeping the reservation would leak the slot on
-// every failed handshake until the fleet is locked out.
+// before the actor sent anything back: keeping that reservation would leak
+// the slot on every failed handshake until the fleet is locked out.
 func (l *Learner) drop(lc *learnerConn) {
 	l.connMu.Lock()
 	if l.conns[lc.id] == lc {
@@ -688,8 +686,8 @@ func (l *Learner) readLoop(ctx context.Context, lc *learnerConn) {
 }
 
 // receive admits one frameTransitions payload into shard: decoded, validated
-// (all of it or none of it enters), featurized, then pushed, each transition
-// ticking the fleet clock and the tracker.
+// (all of it or none of it enters), then pushed as it arrived, each
+// transition ticking the fleet clock and the tracker.
 func (l *Learner) receive(shard int, payload []byte) error {
 	batch, err := decodeExperience(payload)
 	if err == nil {
@@ -698,7 +696,6 @@ func (l *Learner) receive(shard int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	l.featurize(batch)
 	clock := l.cfg.Agent.Clock()
 	for _, e := range batch {
 		l.shards.PushTo(shard, e.T)
@@ -708,72 +705,41 @@ func (l *Learner) receive(shard int, payload []byte) error {
 	return nil
 }
 
-// featurize keeps a replay that trains on features free of frames: a row
-// that arrived with a frame instead of its boundary feature (an actor sends
-// frames while a reconnect's full snapshot waits for adoption) gets the
-// feature from this learner's own frozen prefix and leaves its frames behind.
-// The prefix never trains, so this is the feature the actor would have sent,
-// bit for bit by the row contract. The pass runs under netMu: it shares the
-// network's layer workspaces with TrainStep. A learner that trains on frames
-// keeps them.
-func (l *Learner) featurize(batch []Experience) {
-	if !l.wantFeatures {
-		return
-	}
-	net := l.cfg.Agent.Net
-	for i := range batch {
-		t := &batch[i].T
-		if t.State == nil && t.Next == nil {
-			continue
-		}
-		l.netMu.Lock()
-		if t.State != nil {
-			t.Feat = net.ForwardRange(0, net.TrainFrom(), t.State)
-		}
-		if t.Next != nil && !t.Done {
-			t.NextFeat = net.ForwardRange(0, net.TrainFrom(), t.Next)
-		}
-		l.netMu.Unlock()
-		t.State, t.Next = nil, nil
-	}
-}
-
 // errRejected marks well-framed experience that does not fit the served
 // network. It is an ErrFrameCorrupt — the session is dropped the same way —
 // with its own count in DropReasons.
 var errRejected = fmt.Errorf("%w: experience rejected", ErrFrameCorrupt)
 
 // validate checks a decoded batch against what TrainStep will assume of it:
-// the frames present when this learner reads frames, observations of the
-// served shape, actions inside the Q row, boundary features of the trainable
-// tail's input length, and every value finite. The CRC vouches for the
-// bytes, not for the peer's arithmetic; any of these let through would panic
-// the training loop or poison the weights.
+// each row carrying what this learner reads and nothing else — the actor
+// decided which when it flew the step, and the learner recomputes neither
+// from the other — in the shape it reads, actions inside the Q row, and
+// every value finite. The CRC vouches for the bytes, not for the peer's
+// arithmetic; any of these let through would panic the training loop or
+// poison the weights.
 func (l *Learner) validate(batch []Experience) error {
 	for i := range batch {
-		e := &batch[i]
-		if !l.wantFeatures && (e.T.State == nil || e.T.Next == nil && !e.T.Done) {
-			return fmt.Errorf("%w: transition without its frames, and this learner trains on frames", errRejected)
+		t := &batch[i].T
+		rows, other := [2]*tensor.Tensor{t.State, t.Next}, [2]*tensor.Tensor{t.Feat, t.NextFeat}
+		if l.wantFeatures {
+			rows, other = other, rows
 		}
-		for _, obs := range [2]*tensor.Tensor{e.T.State, e.T.Next} {
-			if obs != nil && !slices.Equal(obs.Shape(), l.obsShape) {
-				return fmt.Errorf("%w: observation shape %v, serving %v", errRejected, obs.Shape(), l.obsShape)
-			}
+		if rows[0] == nil || rows[1] == nil && !t.Done || other != [2]*tensor.Tensor{} {
+			return fmt.Errorf("%w: transition carries frames %v/%v and boundary features %v/%v, and this learner trains on features %v",
+				errRejected, t.State != nil, t.Next != nil, t.Feat != nil, t.NextFeat != nil, l.wantFeatures)
 		}
-		if e.T.Action >= l.actions {
-			return fmt.Errorf("%w: action %d of %d", errRejected, e.T.Action, l.actions)
+		if t.Action >= l.actions {
+			return fmt.Errorf("%w: action %d of %d", errRejected, t.Action, l.actions)
 		}
-		if math.IsNaN(e.T.Reward) || math.IsInf(e.T.Reward, 0) || math.IsNaN(e.Dist) || math.IsInf(e.Dist, 0) {
-			return fmt.Errorf("%w: reward %v, flight distance %v", errRejected, e.T.Reward, e.Dist)
+		if d := batch[i].Dist; math.IsNaN(t.Reward) || math.IsInf(t.Reward, 0) || math.IsNaN(d) || math.IsInf(d, 0) {
+			return fmt.Errorf("%w: reward %v, flight distance %v", errRejected, t.Reward, d)
 		}
-		for _, f := range [2]*tensor.Tensor{e.T.Feat, e.T.NextFeat} {
-			if f != nil && f.Len() != l.featWidth {
-				return fmt.Errorf("%w: boundary feature of %d values, training boundary takes %d", errRejected, f.Len(), l.featWidth)
-			}
-		}
-		for _, row := range [4]*tensor.Tensor{e.T.State, e.T.Next, e.T.Feat, e.T.NextFeat} {
+		for _, row := range rows {
 			if row == nil {
 				continue
+			}
+			if !slices.Equal(row.Shape(), l.rowShape) {
+				return fmt.Errorf("%w: row of shape %v, this learner reads %v", errRejected, row.Shape(), l.rowShape)
 			}
 			for _, v := range row.Data() {
 				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {

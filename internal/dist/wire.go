@@ -18,11 +18,9 @@
 // the activation instead of the frame, an eighth of the bytes at L3. The
 // learner trains the FC tail on what arrives (rl.Agent.TrainStep entered at
 // the boundary), bit-identical to running the whole network on the frames.
-// A transition that arrives with frames instead gets its features from the
-// learner's own frozen prefix at admission and leaves its frames behind, so
-// the replay holds features only. The learner says in its welcome whether
-// it trains on features; one whose train backend stacks frames (quant-train)
-// is sent frames.
+// The learner says in its welcome whether it trains on features; one whose
+// train backend stacks frames (quant-train) is sent frames. The actor's first
+// welcome fixes which for its whole run.
 //
 // Failure is the design center, not an afterthought:
 //
@@ -39,10 +37,10 @@
 //     (ErrFrameCorrupt, counted in LearnerStats.DropReasons) instead of
 //     panicking the training loop or poisoning the weights.
 //   - Feature provenance. A feature is only worth shipping if the learner's
-//     prefix would have computed the same bits. After a reconnect hands the
-//     actor a fresh full snapshot, it sends frames only until that snapshot
-//     is installed, so no feature ever comes from a prefix the learner did
-//     not send; the learner featurizes those frames itself.
+//     prefix computes the same bits. The prefix never trains, so an actor
+//     keeps its first handshake's, and a reconnect to a learner with
+//     another prefix, topology or features word ends its run
+//     (ErrLearnerChanged) before a row is sent.
 //   - Actor resilience. Actors keep flying when the learner is unreachable:
 //     transitions buffer into a bounded local ring and replay on reconnect,
 //     and reconnection runs exponential backoff with jitter so a rebooting

@@ -41,12 +41,6 @@ func (v Vec2) Unit() Vec2 {
 	return v.Scale(1 / l)
 }
 
-// Rotate returns v rotated by the angle in radians (counterclockwise).
-func (v Vec2) Rotate(rad float64) Vec2 {
-	s, c := math.Sincos(rad)
-	return Vec2{float64(v.X*c) - float64(v.Y*s), float64(v.X*s) + float64(v.Y*c)}
-}
-
 // FromAngle returns the unit vector at the given heading in radians.
 func FromAngle(rad float64) Vec2 {
 	s, c := math.Sincos(rad)

@@ -48,24 +48,6 @@ func TestUnitLength(t *testing.T) {
 	}
 }
 
-func TestRotatePreservesLength(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		v := Vec2{rng.NormFloat64(), rng.NormFloat64()}
-		r := v.Rotate(rng.Float64() * 2 * math.Pi)
-		if !almostEq(v.Len(), r.Len(), 1e-9) {
-			t.Fatalf("rotation changed length: %v -> %v", v.Len(), r.Len())
-		}
-	}
-}
-
-func TestRotateQuarterTurn(t *testing.T) {
-	v := Vec2{1, 0}.Rotate(math.Pi / 2)
-	if !almostEq(v.X, 0, 1e-12) || !almostEq(v.Y, 1, 1e-12) {
-		t.Errorf("quarter turn of (1,0) = %v", v)
-	}
-}
-
 func TestFromAngle(t *testing.T) {
 	v := FromAngle(0)
 	if !almostEq(v.X, 1, 1e-12) || !almostEq(v.Y, 0, 1e-12) {

@@ -122,16 +122,6 @@ func (d *Device) Fits(bytes int64) bool {
 	return d.CapacityBytes == 0 || bytes <= d.CapacityBytes
 }
 
-// StreamBandwidthGbps returns the sustained streaming bandwidth implied by
-// the row-access model, in Gbit/s.
-func (d *Device) StreamBandwidthGbps(kind AccessKind) float64 {
-	lat := d.ReadLatencyNS
-	if kind == Write {
-		lat = d.WriteLatencyNS
-	}
-	return float64(d.RowBits) / lat
-}
-
 // AccessRecord is one ledger entry.
 type AccessRecord struct {
 	Device string
@@ -230,7 +220,7 @@ func (l *EnergyLedger) TotalEnergyPJ() float64 {
 }
 
 // TotalTimeNS sums serialized access time across devices, in sorted device
-// order.
+// order. TestLedgerMergeMatchesSerial pins merged ledgers equal through it.
 func (l *EnergyLedger) TotalTimeNS() float64 {
 	var s float64
 	for _, name := range l.Devices() {

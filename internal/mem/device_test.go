@@ -96,17 +96,6 @@ func TestFitsCapacity(t *testing.T) {
 	}
 }
 
-func TestStreamBandwidth(t *testing.T) {
-	d := STTMRAM()
-	// 1024 bits / 10 ns = 102.4 Gbit/s sustained reads.
-	if got := d.StreamBandwidthGbps(Read); math.Abs(got-102.4) > 1e-9 {
-		t.Errorf("read bandwidth = %v Gbps", got)
-	}
-	if got := d.StreamBandwidthGbps(Write); math.Abs(got-1024.0/30) > 1e-9 {
-		t.Errorf("write bandwidth = %v Gbps", got)
-	}
-}
-
 func TestHBMInterface(t *testing.T) {
 	h := DefaultHBM()
 	if h.PeakBandwidthGbps() != 2048 {

@@ -126,24 +126,6 @@ func (f *FlightTracker) SafeFlightDistance() float64 {
 	return f.totalDistance / float64(f.crashes)
 }
 
-// RecentSafeFlightDistance returns the mean of the last k episode
-// distances, a less history-biased SFD estimate for end-of-training
-// comparisons; with fewer than k crashes it falls back to all of them.
-func (f *FlightTracker) RecentSafeFlightDistance(k int) float64 {
-	n := len(f.distanceSeries)
-	if n == 0 {
-		return 0
-	}
-	if k > n {
-		k = n
-	}
-	var s float64
-	for _, d := range f.distanceSeries[n-k:] {
-		s += d
-	}
-	return s / float64(k)
-}
-
 // Crashes returns the number of completed episodes.
 func (f *FlightTracker) Crashes() int { return f.crashes }
 
@@ -157,4 +139,6 @@ func (f *FlightTracker) RewardSeries() []float64 { return f.rewardSeries }
 func (f *FlightTracker) ReturnSeries() []float64 { return f.returnSeries }
 
 // DistanceSeries returns every completed episode's flight distance.
+// transfer's golden pins (TestRunOnlineActorsOneGolden and its kin, through
+// hashTracker) hash it.
 func (f *FlightTracker) DistanceSeries() []float64 { return f.distanceSeries }

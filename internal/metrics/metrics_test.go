@@ -100,27 +100,11 @@ func TestFlightTrackerEpisodes(t *testing.T) {
 	}
 }
 
-func TestFlightTrackerRecentSFD(t *testing.T) {
-	f := NewFlightTracker(10, 5, 1)
-	for _, d := range []float64{1, 2, 3, 10, 20} {
-		f.Step(0, true, d)
-	}
-	if got := f.RecentSafeFlightDistance(2); got != 15 {
-		t.Errorf("recent SFD(2) = %v, want 15", got)
-	}
-	if got := f.RecentSafeFlightDistance(100); got != 7.2 {
-		t.Errorf("recent SFD(all) = %v, want 7.2", got)
-	}
-}
-
 func TestFlightTrackerNoCrashes(t *testing.T) {
 	f := NewFlightTracker(10, 5, 1)
 	f.Step(1, false, 0)
 	if f.SafeFlightDistance() != 0 {
 		t.Error("SFD with no crash must be 0")
-	}
-	if f.RecentSafeFlightDistance(3) != 0 {
-		t.Error("recent SFD with no crash must be 0")
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 // fleet and the remote actor of internal/dist fly it; they differ only in
 // where the transitions go and who trains on them.
 //
-// Each transition carries exactly the boundary features its learner reads,
-// computed once per frame, exploration steps included: a frame's features are
-// one transition's next-state features and the next one's state features.
+// Each transition carries exactly what its learner reads, decided here once
+// per flight (FloatFeatures, QFeatures): the boundary features captured once
+// per frame, exploration steps included — a frame's features are one
+// transition's next-state features and the next one's state features — and
+// then no frame; or, when it captures none, the frames.
 type Actor struct {
 	// Net is the policy the actor flies: the learner's own network in the
 	// serial loop, a private replica in a fleet.
@@ -54,7 +56,8 @@ type Actor struct {
 // features when there are any (the train backend's integer tail over its
 // words, else Net's tail over the float activation), through all of Net
 // otherwise — then World.Step and the next frame's render and features. It
-// returns the transition and the world's step result.
+// returns the transition, carrying each frame's features or else the frame
+// (row), and the world's step result.
 func (a *Actor) Step(t int64) (Transition, env.StepResult) {
 	if a.obs == nil {
 		a.obs = env.DepthImage(a.World.Depths(), a.World.Camera.MaxRange)
@@ -72,22 +75,21 @@ func (a *Actor) Step(t int64) (Transition, env.StepResult) {
 		action = a.Net.Forward(a.obs).ArgMax()
 	}
 	res := a.World.Step(env.Action(action))
-	tr := Transition{
-		State: a.obs, Action: action, Reward: res.Reward, Done: res.Crashed,
-		Feat: a.feat, QFeat: a.qfeat,
-	}
+	tr := Transition{Action: action, Reward: res.Reward, Done: res.Crashed}
+	tr.State, tr.Feat, tr.QFeat = a.row()
 	a.obs = env.DepthImage(res.Depths, a.World.Camera.MaxRange)
 	a.capture()
-	tr.Next, tr.NextFeat, tr.QNextFeat = a.obs, a.feat, a.qfeat
+	tr.Next, tr.NextFeat, tr.QNextFeat = a.row()
 	return tr, res
 }
 
-// Recapture recomputes the features of the frame in hand. Call it after
-// anything replaced Net's frozen prefix: what the old one computed is void.
-func (a *Actor) Recapture() {
-	if a.obs != nil {
-		a.capture()
+// row is what a transition carries of the frame in hand: the features
+// captured from it and no frame, or the frame when none were captured.
+func (a *Actor) row() (frame, feat *tensor.Tensor, qfeat []int16) {
+	if a.feat != nil || a.qfeat != nil {
+		return nil, a.feat, a.qfeat
 	}
+	return a.obs, nil, nil
 }
 
 // capture computes the features of the frame in hand.

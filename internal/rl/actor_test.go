@@ -49,21 +49,29 @@ func newTestActor(t *testing.T, cfg nn.Config, seed int64) *Actor {
 
 // TestActorCapturesFloatFeaturesOncePerFrame: under a frozen prefix each
 // frame's boundary activation is computed once and shared by the transition
-// it ends and the one it starts, exploration steps included, and equals the
-// prefix pass over that frame; under E2E nothing is captured.
+// it ends and the one it starts, exploration steps included, equals the
+// prefix pass over that frame (as a frames-only twin on the same seed saw
+// it), and travels instead of the frame; under E2E nothing is captured and
+// the frames travel.
 func TestActorCapturesFloatFeaturesOncePerFrame(t *testing.T) {
 	act := newTestActor(t, nn.L3, 41)
 	act.FloatFeatures = true
 	trs := flyActor(act, 24)
+	frames := flyActor(newTestActor(t, nn.L3, 41), 24)
 	boundary := act.Net.TrainFrom()
 	for i, tr := range trs {
-		if tr.Feat == nil || tr.NextFeat == nil || tr.QFeat != nil {
-			t.Fatalf("step %d: Feat %v NextFeat %v QFeat %v", i, tr.Feat != nil, tr.NextFeat != nil, tr.QFeat != nil)
+		if tr.Feat == nil || tr.NextFeat == nil || tr.QFeat != nil || tr.State != nil || tr.Next != nil {
+			t.Fatalf("step %d: Feat %v NextFeat %v QFeat %v State %v Next %v",
+				i, tr.Feat != nil, tr.NextFeat != nil, tr.QFeat != nil, tr.State != nil, tr.Next != nil)
+		}
+		if fr := frames[i]; fr.State == nil || fr.Next == nil || fr.Feat != nil || fr.NextFeat != nil {
+			t.Fatalf("frames-only step %d: State %v Next %v Feat %v NextFeat %v",
+				i, fr.State != nil, fr.Next != nil, fr.Feat != nil, fr.NextFeat != nil)
 		}
 		if i > 0 && trs[i-1].NextFeat != tr.Feat {
 			t.Fatalf("step %d: the frame's features were computed twice", i)
 		}
-		want := act.Net.ForwardRange(0, boundary, tr.State).Data()
+		want := act.Net.ForwardRange(0, boundary, frames[i].State).Data()
 		for j, v := range tr.Feat.Data() {
 			if v != want[j] {
 				t.Fatalf("step %d: Feat[%d] = %v, prefix pass says %v", i, j, v, want[j])
@@ -74,8 +82,9 @@ func TestActorCapturesFloatFeaturesOncePerFrame(t *testing.T) {
 	e2e := newTestActor(t, nn.E2E, 41)
 	e2e.FloatFeatures = true
 	for i, tr := range flyActor(e2e, 8) {
-		if tr.Feat != nil || tr.NextFeat != nil {
-			t.Fatalf("E2E step %d captured features", i)
+		if tr.Feat != nil || tr.NextFeat != nil || tr.State == nil || tr.Next == nil {
+			t.Fatalf("E2E step %d: Feat %v NextFeat %v State %v Next %v",
+				i, tr.Feat != nil, tr.NextFeat != nil, tr.State != nil, tr.Next != nil)
 		}
 	}
 }
@@ -113,8 +122,9 @@ func TestActorCapturesQFeaturesOncePerFrame(t *testing.T) {
 		t.Errorf("featurizer called %d times for %d frames", fz.calls, len(trs)+1)
 	}
 	for i, tr := range trs {
-		if tr.QFeat == nil || tr.QNextFeat == nil || tr.Feat != nil {
-			t.Fatalf("step %d: QFeat %v QNextFeat %v Feat %v", i, tr.QFeat != nil, tr.QNextFeat != nil, tr.Feat != nil)
+		if tr.QFeat == nil || tr.QNextFeat == nil || tr.Feat != nil || tr.State != nil || tr.Next != nil {
+			t.Fatalf("step %d: QFeat %v QNextFeat %v Feat %v State %v Next %v",
+				i, tr.QFeat != nil, tr.QNextFeat != nil, tr.Feat != nil, tr.State != nil, tr.Next != nil)
 		}
 		if i > 0 && &trs[i-1].QNextFeat[0] != &tr.QFeat[0] {
 			t.Fatalf("step %d: the frame's words were computed twice", i)
@@ -124,38 +134,17 @@ func TestActorCapturesQFeaturesOncePerFrame(t *testing.T) {
 
 // TestActorGreedyMatchesFullForward: the greedy action through the cached
 // features' tail pass is the full network's argmax, so the split forward
-// changes no decision.
+// changes no decision: a featured actor and a frames-only twin, which takes
+// every greedy action from the full forward, fly the same steps.
 func TestActorGreedyMatchesFullForward(t *testing.T) {
-	act := newTestActor(t, nn.L3, 43)
+	greedy := Options{EpsStart: 0, EpsEnd: 0, EpsDecaySteps: 1}
+	act, twin := newTestActor(t, nn.L3, 43), newTestActor(t, nn.L3, 43)
 	act.FloatFeatures = true
-	act.Schedule = Options{EpsStart: 0, EpsEnd: 0, EpsDecaySteps: 1}
+	act.Schedule, twin.Schedule = greedy, greedy
+	frames := flyActor(twin, 24)
 	for i, tr := range flyActor(act, 24) {
-		if want := act.Net.Forward(tr.State).ArgMax(); tr.Action != want {
-			t.Fatalf("step %d: action %d, full forward picks %d", i, tr.Action, want)
-		}
-	}
-}
-
-// TestActorRecapture: after the prefix weights change, Recapture replaces
-// the features of the frame in hand, which the next transition starts from.
-func TestActorRecapture(t *testing.T) {
-	act := newTestActor(t, nn.L3, 44)
-	act.FloatFeatures = true
-	last := flyActor(act, 4)[3]
-	conv := act.Net.Params()[0]
-	for j, v := range conv.W.Data() {
-		conv.W.Data()[j] = 2 * v
-	}
-	conv.MarkChanged()
-	act.Recapture()
-	next, _ := act.Step(5)
-	if next.Feat.Equal(last.NextFeat) {
-		t.Fatal("Recapture kept the old prefix's features")
-	}
-	want := act.Net.ForwardRange(0, act.Net.TrainFrom(), next.State).Data()
-	for j, v := range next.Feat.Data() {
-		if v != want[j] {
-			t.Fatalf("Feat[%d] = %v after Recapture, prefix pass says %v", j, v, want[j])
+		if want := twin.Net.Forward(frames[i].State).ArgMax(); tr.Action != want || frames[i].Action != want {
+			t.Fatalf("step %d: featured action %d, frames-only %d, full forward picks %d", i, tr.Action, frames[i].Action, want)
 		}
 	}
 }

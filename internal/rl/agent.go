@@ -378,7 +378,8 @@ func (a *Agent) EvalCost() nn.BackendCost {
 	return nn.BackendCost{}
 }
 
-// QValues returns the Q-vector for an observation.
+// QValues returns the Q-vector for an observation. TestFloatStackGolden
+// hashes it.
 func (a *Agent) QValues(obs *tensor.Tensor) []float32 {
 	return a.Net.Forward(obs).Data()
 }

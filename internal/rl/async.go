@@ -117,14 +117,14 @@ func (l *OnlineLoop) Run(ctx context.Context, iters int) (OnlineStats, error) {
 	return l.runFleet(ctx, iters)
 }
 
-// actor builds an Actor flying net in w with the agent's schedule. It
-// captures what the agent's TrainStep reads: the train backend's integer
-// boundary words when it can make them and the actor flies the agent's own
-// network (the featurizer is not goroutine-safe), and the actor then also
-// takes its greedy actions from those words through the backend's integer
-// tail; nothing otherwise under a train backend, which then stacks frames
-// while the actor acts on its float network; float boundary features for
-// the float learner.
+// actor builds an Actor flying net in w with the agent's schedule, fixing
+// what its transitions carry — and the replay keeps — to what the agent's
+// TrainStep reads: the train backend's integer boundary words when it can
+// make them and the actor flies the agent's own network (the featurizer is
+// not goroutine-safe), and the actor then also takes its greedy actions from
+// those words through the backend's integer tail; frames otherwise under a
+// train backend, which stacks them itself while the actor acts on its float
+// network; float boundary features for the float learner.
 func (a *Agent) actor(net *nn.Network, w *env.World, rng *rand.Rand) *Actor {
 	act := &Actor{Net: net, World: w, Rng: rng, Schedule: a.opts, Actions: a.actions}
 	switch fz, ok := a.trainBackend.(nn.BoundaryFeaturizer); {
@@ -134,18 +134,6 @@ func (a *Agent) actor(net *nn.Network, w *env.World, rng *rand.Rand) *Actor {
 		act.FloatFeatures = true
 	}
 	return act
-}
-
-// featuresOnly is what a loop's replay keeps of an actor's transition: the
-// boundary features its learner reads, when the actor captured them (the
-// actor captures exactly those, for both frames), and then no frame —
-// TrainStep enters at the boundary and never reads one. Under E2E, or a train
-// backend the actor cannot featurize for, the frames stay.
-func featuresOnly(tr Transition) Transition {
-	if tr.Feat != nil || tr.QFeat != nil {
-		tr.State, tr.Next = nil, nil
-	}
-	return tr
 }
 
 // runSerial is the deterministic single-actor schedule: one Actor flying the
@@ -164,7 +152,7 @@ func (l *OnlineLoop) runSerial(ctx context.Context, iters int) (OnlineStats, err
 			break
 		}
 		tr, res := act.Step(a.clock.TickEnv())
-		l.shards.PushTo(0, featuresOnly(tr))
+		l.shards.PushTo(0, tr)
 		if l.Tracker != nil {
 			l.Tracker.Step(res.Reward, res.Crashed, res.FlightDistance)
 		}
@@ -229,7 +217,7 @@ func (l *OnlineLoop) runFleet(ctx context.Context, iters int) (OnlineStats, erro
 			lastSeen := initial
 			for k := 0; k < share && runCtx.Err() == nil; k++ {
 				tr, res := act.Step(clock.TickEnv())
-				l.shards.PushTo(id, featuresOnly(tr))
+				l.shards.PushTo(id, tr)
 				learner.Track(res.Reward, res.Crashed, res.FlightDistance)
 				if !res.Crashed {
 					continue

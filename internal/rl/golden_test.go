@@ -96,8 +96,10 @@ func hashParams(h hash.Hash, net *nn.Network) {
 // feature, so every batch enters at the training boundary. It returns the
 // hash of what the schedule starts from and of what it leaves: per-step MSE
 // bits, every online weight and bias word, the Q-values of a fixed frame,
-// and Forward / split ForwardRange outputs.
-func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch int, featured bool) (start, final string) {
+// and Forward / split ForwardRange outputs; and how many of the steps
+// entered at the boundary, read off each step's sampled batch with
+// TrainStep's own rule.
+func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch int, featuredArm bool) (start, final string, entered int) {
 	a := NewAgent(nn.NavNetSpec(), cfg, Options{
 		Seed: 81, BatchSize: batch, LR: 0.01, TargetSync: goldenSync, DoubleDQN: double,
 	})
@@ -125,10 +127,10 @@ func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch in
 			tr.Next = g.pool[i+1]
 		}
 		if boundary > 0 {
-			if featured || i%3 == 0 {
+			if featuredArm || i%3 == 0 {
 				tr.Feat = a.Net.ForwardRange(0, boundary, g.pool[i])
 			}
-			if (featured || i%5 == 0) && !tr.Done {
+			if (featuredArm || i%5 == 0) && !tr.Done {
 				tr.NextFeat = a.Net.ForwardRange(0, boundary, g.pool[i+1])
 			}
 		}
@@ -138,6 +140,9 @@ func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch in
 	h = sha256.New()
 	for step := 0; step < goldenSteps; step++ {
 		hashU64(h, math.Float64bits(a.TrainStep()))
+		if w := a.boundaryWidth(); w > 0 && featured(a.batch, w, floatRows) {
+			entered++
+		}
 	}
 	hashParams(h, a.Net)
 	hashF32s(h, a.QValues(g.pool[0]))
@@ -155,7 +160,7 @@ func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch in
 		hashF32s(h, mid.Data())
 		hashF32s(h, a.Net.ForwardRange(cut, last, mid).Data())
 	}
-	return start, hex.EncodeToString(h.Sum(nil))
+	return start, hex.EncodeToString(h.Sum(nil)), entered
 }
 
 // TestFloatStackGolden pins the float layer stack bit for bit: 12 TrainSteps
@@ -230,7 +235,7 @@ func TestFloatStackGolden(t *testing.T) {
 							arms = append(arms, true)
 						}
 						for _, featured := range arms {
-							start, got := goldenRun(t, starts[net], cfg, double, batch, featured)
+							start, got, entered := goldenRun(t, starts[net], cfg, double, batch, featured)
 							if start != startHash[net] {
 								t.Fatalf("the schedule's starting point moved (meta-training, ray casting or init, not the TD step): start %s, pinned %s",
 									start, startHash[net])
@@ -238,6 +243,16 @@ func TestFloatStackGolden(t *testing.T) {
 							if got != want[name] {
 								t.Fatalf("float stack (featured %v) is no longer bit-identical to the pinned one: got %s, want %s",
 									featured, got, want[name])
+							}
+							// The hash holds both TrainStep paths to one value only
+							// if the featured arm really takes the boundary one.
+							switch {
+							case cfg == nn.E2E:
+							case featured && 3*entered < goldenSteps:
+								t.Errorf("featured arm entered at the training boundary on %d of %d steps, want at least a third",
+									entered, goldenSteps)
+							case !featured:
+								t.Logf("sparse arm entered at the training boundary on %d of %d steps", entered, goldenSteps)
 							}
 						}
 					})

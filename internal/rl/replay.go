@@ -14,12 +14,14 @@ import (
 
 // Transition is one experience tuple (s_t, a_t, r_t, s_t+1, done). Each
 // state is held either as its frame (State, Next) or as the boundary
-// features its learner reads (Feat/NextFeat, QFeat/QNextFeat); a replay that
-// trains on features keeps no frame (OnlineLoop, dist's learner). Next and
-// its features may be nil when Done: a finished episode has no bootstrap.
-// TrainStep enters at the training boundary only when every sampled row
-// carries its arm's features, and runs the whole network from the frames
-// otherwise; a row with neither panics.
+// features its learner reads (Feat/NextFeat, QFeat/QNextFeat), never both.
+// The Actor that flew the step decides which, once for its whole flight:
+// in-process by Agent.actor, in internal/dist by the first welcome. Replays
+// and the wire keep what it emitted, and dist's learner refuses a row that
+// lacks what it reads. Next and its features may be nil when Done: a
+// finished episode has no bootstrap. TrainStep enters at the training
+// boundary only when every sampled row carries its arm's features, and runs
+// the whole network from the frames otherwise; a row with neither panics.
 type Transition struct {
 	State  *tensor.Tensor
 	Action int
@@ -37,14 +39,12 @@ type Transition struct {
 
 	// QFeat and QNextFeat are the same activations in an active train
 	// backend's own arithmetic (nn.BoundaryFeaturizer: Q7.8 words from the
-	// integer prefix), so its TD step enters at the boundary too. The
-	// single-actor OnlineLoop fills both at capture; a frame's slice is
-	// shared by the transitions it ends and starts and is never written. They
-	// must not outlive the backend that made them: the loop starts an empty
-	// replay when the agent's backend changed since the last Run, and nothing
-	// rebuilds the backend (SetConfig, AdoptPolicy) inside a Run. The
-	// multi-actor fleet and the distributed learner leave them nil: the
-	// backend takes the frames.
+	// integer prefix), so its TD step enters at the boundary too. Only the
+	// single-actor OnlineLoop fills them; a frame's slice is shared by the
+	// transitions it ends and starts and is never written. They must not
+	// outlive the backend that made them: the loop starts an empty replay when
+	// the agent's backend changed since the last Run, and nothing rebuilds the
+	// backend (SetConfig, AdoptPolicy) inside a Run.
 	QFeat, QNextFeat []int16
 }
 
@@ -98,16 +98,4 @@ func (r *ReplayBuffer) SampleInto(dst []Transition, n int, rng *rand.Rand) []Tra
 		dst = append(dst, r.buf[rng.Intn(r.size)])
 	}
 	return dst
-}
-
-// Latest returns the most recently pushed transition. It panics if empty.
-func (r *ReplayBuffer) Latest() Transition {
-	if r.size == 0 {
-		panic("rl: Latest on empty replay buffer")
-	}
-	idx := r.next - 1
-	if idx < 0 {
-		idx = len(r.buf) - 1
-	}
-	return r.buf[idx]
 }

@@ -56,9 +56,8 @@ func liveHeap() uint64 {
 // TestReplayResidentBytes: a serial loop's replay keeps one representation of
 // each state — the boundary features its learner reads under a frozen prefix,
 // the frames under E2E. At equal capacity the float L3 replay holds at least 4x
-// fewer bytes than the frames-plus-features layout a twin loop keeps when it
-// pushes the actor's transitions whole, and a quant-train L3 loop keeps no
-// frame either. The live-heap growth of each loop is logged beside it.
+// fewer bytes than the frames-plus-features layout a twin loop keeps, and a
+// quant-train L3 loop keeps no frame either. The live-heap growth of each loop is logged beside it.
 func TestReplayResidentBytes(t *testing.T) {
 	capacity, steps := *replayCapacity, *replaySteps
 	if steps <= capacity {
@@ -77,14 +76,25 @@ func TestReplayResidentBytes(t *testing.T) {
 		loop = nil
 
 		// The twin flies runSerial's schedule and keeps every frame beside
-		// its features.
+		// its features: its actor emits the frames, and each frame's prefix
+		// pass is added once, shared like the actor shares it. The greedy
+		// actions through the whole network are the featured actor's.
 		heap0 = liveHeap()
 		twin := NewAgent(nn.NavNetSpec(), cfg, opts)
 		shards := NewReplayShards(1, capacity)
 		twin.SetReplaySource(shards)
 		act := twin.actor(twin.Net, env.IndoorApartment(96), twin.rng)
+		act.FloatFeatures = false
+		var last Transition
 		for i := 0; i < steps; i++ {
 			tr, _ := act.Step(twin.clock.TickEnv())
+			if b := twin.Net.TrainFrom(); b > 0 {
+				if tr.Feat = last.NextFeat; tr.State != last.Next {
+					tr.Feat = twin.Net.ForwardRange(0, b, tr.State)
+				}
+				tr.NextFeat = twin.Net.ForwardRange(0, b, tr.Next)
+			}
+			last = tr
 			shards.PushTo(0, tr)
 			if i%4 == 0 {
 				twin.TrainStep()

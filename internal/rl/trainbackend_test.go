@@ -235,11 +235,17 @@ func quantTrainFlight(t *testing.T, cfg nn.Config, w *env.World, frames int, poi
 	if act.QFeatures == nil {
 		t.Fatalf("%s: the serial actor captures no integer boundary words", cfg)
 	}
+	// The transitions carry the words and no frame, so the frame each action
+	// is taken in is read off the actor: its first one rendered here as Step
+	// would render it.
+	act.obs = env.DepthImage(w.Depths(), w.Camera.MaxRange)
+	act.capture()
 	actions, disagree := make([]int, frames), 0
 	for i := range actions {
+		state := act.obs
 		tr, _ := act.Step(a.clock.TickEnv())
 		actions[i] = tr.Action
-		if tr.Action != a.Greedy(tr.State) {
+		if tr.Action != a.Greedy(state) {
 			disagree++
 		}
 		shards.PushTo(0, tr)

@@ -114,7 +114,8 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
+// Fill sets every element to v. nn's TestForwardResultIsPrivate and
+// TestBackwardBatchZeroAllocSteadyState fill their inputs with it.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.data {
 		t.data[i] = v
@@ -160,7 +161,8 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 	return s
 }
 
-// SumAbs returns the L1 norm of the tensor.
+// SumAbs returns the L1 norm of the tensor. nn's TestFrozenLayersDoNotAccumulate
+// and TestZeroGrad read gradients through it.
 func (t *Tensor) SumAbs() float64 {
 	var s float64
 	for _, v := range t.data {
