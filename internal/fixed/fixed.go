@@ -49,11 +49,14 @@ func (f Format) Max() float64 { return float64(math.MaxInt16) * f.Eps() }
 // Min returns the most negative representable value in this format.
 func (f Format) Min() float64 { return float64(math.MinInt16) * f.Eps() }
 
-// FromFloat encodes x, rounding to nearest and saturating at the format's
-// range limits, which is the overflow behaviour of the hardware quantizer.
+// FromFloat encodes x, rounding to nearest (ties to even) and saturating at
+// the format's range limits, which is the overflow behaviour of the hardware
+// quantizer. NaN encodes as 0.
 func (f Format) FromFloat(x float64) Word {
 	scaled := math.RoundToEven(x * float64(int32(1)<<f.Frac))
 	switch {
+	case scaled != scaled:
+		return 0
 	case scaled > math.MaxInt16:
 		return math.MaxInt16
 	case scaled < math.MinInt16:

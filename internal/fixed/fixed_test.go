@@ -38,6 +38,27 @@ func TestFromFloatSaturates(t *testing.T) {
 	}
 }
 
+// TestFromFloatNaNIsZero pins NaN → 0 as a rule of FromFloat rather than of
+// the platform's float-to-int conversion, for quiet and signalling NaNs of
+// both signs (float32 ones widened, as the int16 engine's quantizer sees
+// them) in every format.
+func TestFromFloatNaNIsZero(t *testing.T) {
+	nans := []float64{
+		math.NaN(),
+		math.Float64frombits(0xfff8000000000001),
+		math.Float64frombits(0x7ff0000000000001),
+		float64(math.Float32frombits(0x7fc00123)),
+		float64(math.Float32frombits(0xff800001)),
+	}
+	for frac := uint(0); frac <= 15; frac++ {
+		for _, x := range nans {
+			if got := (Format{Frac: frac}).FromFloat(x); got != 0 {
+				t.Errorf("Q%d.%d FromFloat(%x) = %d, want 0", 15-frac, frac, math.Float64bits(x), got)
+			}
+		}
+	}
+}
+
 func TestRoundTripExactValues(t *testing.T) {
 	// Multiples of the format epsilon must round-trip exactly.
 	for _, f := range []Format{Q78, Q114} {

@@ -777,9 +777,7 @@ func (tn *Network) link() {
 
 func quantize16(xs []float32, f fixed.Format) []int16 {
 	out := make([]int16, len(xs))
-	for i, x := range xs {
-		out[i] = int16(f.FromFloat(float64(x)))
-	}
+	tensor.Quantize16(out, xs, f.Frac)
 	return out
 }
 
@@ -794,9 +792,7 @@ func grow[T any](buf *[]T, n int) []T {
 
 // quantize encodes float activations into InFmt words, round to nearest.
 func (tn *Network) quantize(dst []int16, src []float32) {
-	for i, v := range src {
-		dst[i] = int16(tn.InFmt.FromFloat(float64(v)))
-	}
+	tensor.Quantize16(dst, src, tn.InFmt.Frac)
 }
 
 // dequantize decodes one InFmt word.

@@ -1,18 +1,22 @@
 package tensor
 
 // Direct int16 convolution under int16.go's accumulation contract: no im2col
-// panel and no per-output horizontal reduction. Each sample is copied once
-// into a zero-padded [ic][h+2p][w+2p+slack] buffer, the weights are packed
-// once as [ic][ky][kx-pair][oc][2], and an output pixel is, for every pair of
-// horizontally adjacent taps, acc[oc] += x0·w0[oc] + x1·w1[oc] in wrap-around
-// int32 — on amd64 one VPBROADCASTD of the two taps, one VPMADDWD against 8
-// output channels' weight pairs and one VPADDD. The asm runs four adjacent
-// output pixels per pass, so one load of a weight pair serves four pixels
-// (four broadcasts, four VPMADDWDs, four accumulators); the ow%4 pixels
-// left run one at a time. An odd kernel pairs its last tap with a zero
-// weight, so that pair reads one word past the k-th tap: slack (one word per
-// row when k is odd) makes the buffer own that word, and the zero weight
-// makes its value irrelevant. Padding taps are zero words, as in the panel.
+// panel and no per-output horizontal reduction. Samples are staged through
+// one [ic][h+2p][w+2p+slack] buffer whose borders and slack are zeroed once
+// per batch: each sample then overwrites only the interior rows, one copy
+// per row. The weights are packed once as [ic][ky][kx-pair][oc][2], and an
+// output pixel is, for every pair of horizontally adjacent taps, acc[oc] +=
+// x0·w0[oc] + x1·w1[oc] in wrap-around int32 — on amd64 one VPBROADCASTD of
+// the two taps, one VPMADDWD against 8 output channels' weight pairs and one
+// VPADDD. The asm runs four adjacent output pixels per pass, so one load of
+// a weight pair serves four pixels (four broadcasts, four VPMADDWDs, four
+// accumulators), and it walks a row once per 16 output channels: the four
+// broadcasts feed both 8-channel groups' weight pairs, eight accumulators in
+// all. The ow%4 pixels left run one pixel and one group at a time. An odd
+// kernel pairs its last tap with a zero weight, so that pair reads one word
+// past the k-th tap: slack (one word per row when k is odd) makes the buffer
+// own that word, and the zero weight makes its value irrelevant. Padding
+// taps are zero words, as in the panel.
 // Addition mod 2^32 is associative and commutative, so every accumulator is
 // the word the panel GEMM (im2col rows reduced against the weight rows)
 // leaves, whatever the order: TestConv16MatchesPanelGEMM sweeps asm,
@@ -57,32 +61,31 @@ func (c *Conv16) ScratchLen(h, w int) int { return c.inC * (h + 2*c.pad) * c.row
 // scratch (at least ScratchLen words; contents overwritten), and leaves
 // acc[(s·oh·ow+p)·outC+oc] = Σ x·w over output pixel p's receptive field —
 // the (pixel, oc) layout MatMul16T over a patch-major panel produces.
+// scratch is zeroed once per call and each sample's rows are then copied
+// into its interior: the kernels only read scratch, so the borders and the
+// slack stay zero for every sample.
 func Conv16Batch(c *Conv16, acc []int32, scratch, src []int16, bsz, h, w int) {
 	oh, ow := c.OutHW(h, w)
 	if oh <= 0 || ow <= 0 {
 		return
 	}
 	scratch = scratch[:c.ScratchLen(h, w)]
+	clear(scratch)
 	chw, n := c.inC*h*w, oh*ow*c.outC
 	for s := 0; s < bsz; s++ {
-		padCHW(scratch, src[s*chw:(s+1)*chw], c.inC, h, w, c.pad, c.rowLen(w))
+		c.stage(scratch, src[s*chw:(s+1)*chw], h, w)
 		c.convolve(acc[s*n:(s+1)*n], scratch, h, w)
 	}
 }
 
-// padCHW writes one CHW sample into dst as [ic][h+2·pad][rowLen] with zero
-// borders (and zero slack), overwriting every word.
-func padCHW(dst, src []int16, inC, h, w, pad, rowLen int) {
-	hp := h + 2*pad
-	for ic := 0; ic < inC; ic++ {
-		plane := dst[ic*hp*rowLen : (ic+1)*hp*rowLen]
-		clear(plane[:pad*rowLen])
-		clear(plane[(pad+h)*rowLen:])
+// stage copies one CHW sample's rows into the interior of the padded
+// [ic][h+2·pad][rowLen] buffer dst, leaving its borders and slack as they
+// are.
+func (c *Conv16) stage(dst, src []int16, h, w int) {
+	rowLen, hp := c.rowLen(w), h+2*c.pad
+	for ic := 0; ic < c.inC; ic++ {
 		for y := 0; y < h; y++ {
-			row := plane[(pad+y)*rowLen : (pad+y+1)*rowLen]
-			clear(row[:pad])
-			clear(row[pad+w:])
-			copy(row[pad:pad+w], src[(ic*h+y)*w:][:w])
+			copy(dst[(ic*hp+c.pad+y)*rowLen+c.pad:][:w], src[(ic*h+y)*w:][:w])
 		}
 	}
 }

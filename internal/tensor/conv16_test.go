@@ -70,7 +70,8 @@ func checkConv16(t *testing.T, rng *rand.Rand, k, stride, pad, inC, outC, h, w i
 		want := panelConv16(wts, src[s*inC*h*w:(s+1)*inC*h*w], inC, outC, k, stride, pad, h, w)
 
 		x := scratch[:c.ScratchLen(h, w):c.ScratchLen(h, w)]
-		padCHW(x, src[s*inC*h*w:(s+1)*inC*h*w], inC, h, w, pad, c.rowLen(w))
+		clear(x)
+		c.stage(x, src[s*inC*h*w:(s+1)*inC*h*w], h, w)
 		if k&1 == 1 {
 			for r := 0; r < inC*(h+2*pad); r++ {
 				x[(r+1)*c.rowLen(w)-1] = canary
@@ -98,20 +99,22 @@ func checkConv16(t *testing.T, rng *rand.Rand, k, stride, pad, inC, outC, h, w i
 
 // TestConv16MatchesPanelGEMM is the unconditional identity gate for the
 // direct convolution: the dispatched kernel (VPMADDWD over broadcast tap
-// pairs, four pixels per weight load, where the host has AVX2 and outC is a
-// multiple of 8), the portable kernel and the im2col-panel reduction agree
-// word for word over kernel sizes 1-7, strides 1-3, pads 0-3, 1-9 input
-// channels, 8/16/24 and 5 output channels, on full-range words whose sums
-// wrap, at image sizes from a single output pixel up. Every (k, stride)
-// then sweeps the output width over 1-9 and 16 — whole quads of pixels,
-// every ow%4 tail, and both together — at a random pad.
+// pairs, four pixels per weight load and two 8-channel groups per tap
+// broadcast, where the host has AVX2 and outC is a multiple of 8), the
+// portable kernel and the im2col-panel reduction agree word for word over
+// kernel sizes 1-7, strides 1-3, pads 0-3, 1-9 input channels, 8/16/24/32
+// and 5 output channels (one group, one pass of two, two and one, two
+// passes of two, no asm), on full-range words whose sums wrap, at image
+// sizes from a single output pixel up. Every (k, stride) then sweeps the
+// output width over 1-9 and 16 — whole quads of pixels, every ow%4 tail,
+// and both together — at a random pad.
 func TestConv16MatchesPanelGEMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for k := 1; k <= 7; k++ {
 		for stride := 1; stride <= 3; stride++ {
 			for pad := 0; pad <= 3; pad++ {
 				for inC := 1; inC <= 9; inC++ {
-					for _, outC := range []int{8, 16, 24, 5} {
+					for _, outC := range []int{8, 16, 24, 32, 5} {
 						// The smallest image the kernel fits (one output
 						// pixel when the stride allows no second) and a
 						// ragged larger one.
@@ -123,7 +126,7 @@ func TestConv16MatchesPanelGEMM(t *testing.T) {
 				}
 			}
 			for _, ow := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
-				for _, outC := range []int{8, 16, 5} {
+				for _, outC := range []int{8, 16, 24, 32, 5} {
 					// The narrowest input with this ow; pad may not exceed
 					// what keeps it at least one word wide.
 					pad := rng.Intn(4)
@@ -136,6 +139,47 @@ func TestConv16MatchesPanelGEMM(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConv16BatchDirtyScratch holds Conv16Batch to its "contents
+// overwritten" contract now that it zeroes scratch once per call and stages
+// only each sample's interior: over a scratch left full of 0x7fff or -32768
+// words, three differing samples in one call give, sample for sample, the
+// words of a batch-of-one call on a fresh scratch — for pads 0-2, odd and
+// even kernels and one or two 8-channel groups, under both row kernels.
+func TestConv16BatchDirtyScratch(t *testing.T) {
+	const bsz, inC, h, w = 3, 2, 9, 11
+	rng := rand.New(rand.NewSource(44))
+	src := randInt16s(rng, bsz*inC*h*w)
+	forEachInt16Kernel(t, func(kernel string) {
+		for _, k := range []int{2, 3} {
+			for pad := 0; pad <= 2; pad++ {
+				for _, outC := range []int{8, 16} {
+					c := NewConv16(randInt16s(rng, outC*inC*k*k), inC, outC, k, 1, pad)
+					oh, ow := c.OutHW(h, w)
+					n := oh * ow * outC
+					want := make([]int32, bsz*n)
+					for s := 0; s < bsz; s++ {
+						Conv16Batch(c, want[s*n:(s+1)*n], make([]int16, c.ScratchLen(h, w)), src[s*inC*h*w:], 1, h, w)
+					}
+					for _, dirt := range []int16{math.MaxInt16, math.MinInt16} {
+						scratch := make([]int16, c.ScratchLen(h, w))
+						for i := range scratch {
+							scratch[i] = dirt
+						}
+						got := make([]int32, bsz*n)
+						Conv16Batch(c, got, scratch, src, bsz, h, w)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s k%d p%d outC%d dirt %d: sample %d word %d = %d, fresh scratch %d",
+									kernel, k, pad, outC, dirt, i/n, i%n, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestConv16Wraparound pins the overflow semantics on the direct kernel as
@@ -198,17 +242,18 @@ func conv16Ref(wts, src []int16, inC, outC, k, stride, pad, h, w int) []int32 {
 
 // FuzzConv16 holds Conv16Batch, under the asm and the portable row kernels,
 // to conv16Ref on random geometries (kernel 1-7, stride 1-3, pad 0-3, 1-4
-// input and 1-24 output channels, up to 3 samples, widths that give whole
+// input and 1-32 output channels, up to 3 samples, widths that give whole
 // quads of output pixels and every tail) and on words taken from the input
 // bytes, so both int16 extremes and the VPMADDWD edge pair are reachable.
 func FuzzConv16(f *testing.F) {
 	f.Add(uint64(0), []byte{0, 0x80, 0, 0x80, 3, 0})
 	f.Add(uint64(0x123456789), []byte{9, 8, 1, 0, 200, 17})
 	f.Add(uint64(0xfedcba987654321), []byte{255, 0x7f, 1, 0, 0, 128})
+	f.Add(uint64(1838367), []byte{0, 0x80, 0xff, 0x7f, 7, 0, 0x80, 0xff}) // k3 p1, 32 channels, ow 10
 	f.Fuzz(func(t *testing.T, geom uint64, data []byte) {
 		next := func(m uint64) int { v := int(geom % m); geom /= m; return v }
 		stride, pad, k := 1+next(3), next(4), 1+next(7)
-		inC, outC, bsz := 1+next(4), 1+next(24), 1+next(3)
+		inC, outC, bsz := 1+next(4), 1+next(32), 1+next(3)
 		h, w := max(k-2*pad, 1)+next(6), max(k-2*pad, 1)+next(20)
 		word := func(i int) int16 {
 			if len(data) < 2 {

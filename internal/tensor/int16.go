@@ -2,8 +2,9 @@ package tensor
 
 // Int16 kernels for the quantized engine (internal/qnn), which serves and
 // trains on one datapath: the register-blocked GEMM MatMul16T and the int64
-// gradient kernel AxpyPanel16 here, the direct convolution in conv16.go, and
-// in epilogue16.go the CHW transpose and the one epilogue, Narrow64.
+// gradient kernel AxpyPanel16 here, the input quantizer Quantize16 in
+// quantize16.go, the direct convolution in conv16.go, and in epilogue16.go
+// the CHW transpose and the one epilogue, Narrow64.
 //
 // Accumulation contract — deliberately not a MAC unit that saturates after
 // every step: products are widened to int32 and summed with two's-complement

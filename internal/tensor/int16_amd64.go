@@ -44,19 +44,22 @@ func mul16TVec(dst []int32, a, bT []int16, rows, k, n int) int {
 	return k &^ 15
 }
 
-// conv16RowAVX2 convolves n horizontally adjacent output pixels for 8 output
-// channels; the instruction-level contract is in int16_amd64.s.
+// conv16RowAVX2 convolves n horizontally adjacent output pixels for groups
+// (1 or 2) groups of 8 output channels; the instruction-level contract is in
+// int16_amd64.s.
 //
 //go:noescape
-func conv16RowAVX2(dst *int32, x, w *int16, n, ocBytes, xStep, inC, planeBytes, k, rowBytes, pairs int)
+func conv16RowAVX2(dst *int32, x, w *int16, n, ocBytes, xStep, inC, planeBytes, k, rowBytes, pairs, groups int)
 
+// conv16Row walks the row once per 16 output channels: each broadcast tap
+// pair feeds two 8-channel groups, and an odd last group runs alone.
 func conv16Row(c *Conv16, dst []int32, x []int16, ow, rowLen, plane int) {
 	if !useInt16AVX2 || c.outC%8 != 0 {
 		conv16RowGo(c, dst, x, ow, rowLen, plane)
 		return
 	}
-	for g := 0; g < c.outC; g += 8 {
-		conv16RowAVX2(&dst[g], &x[0], &c.w[2*g], ow, c.outC*4, c.stride*2, c.inC, plane*2, c.k, rowLen*2, (c.k+1)/2)
+	for g := 0; g < c.outC; g += 16 {
+		conv16RowAVX2(&dst[g], &x[0], &c.w[2*g], ow, c.outC*4, c.stride*2, c.inC, plane*2, c.k, rowLen*2, (c.k+1)/2, min(c.outC-g, 16)/8)
 	}
 }
 
@@ -88,6 +91,20 @@ func narrow64Vec(dst []int16, acc []int32, bias []int16, bshift, shift uint, lo 
 		return 0
 	}
 	narrow64AVX2(&dst[0], &acc[0], &bias[0], n/16, len(bias), int(bshift), int(shift), int(lo))
+	return n
+}
+
+//go:noescape
+func quantize16AVX2(dst *int16, src *float32, blocks int, scale float32)
+
+// quantize16Vec runs Quantize16's AVX2 body over whole 16-word blocks and
+// returns how many words are done.
+func quantize16Vec(dst []int16, src []float32, frac uint) int {
+	n := len(src) &^ 15
+	if !useInt16AVX2 || n == 0 {
+		return 0
+	}
+	quantize16AVX2(&dst[0], &src[0], n/16, float32(int32(1)<<frac))
 	return n
 }
 

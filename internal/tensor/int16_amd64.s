@@ -223,26 +223,30 @@ noavx2:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func conv16RowAVX2(dst *int32, x, w *int16, n, ocBytes, xStep, inC, planeBytes, k, rowBytes, pairs int)
-// Direct convolution of n adjacent output pixels for one group of 8 output
-// channels (conv16.go). x points at the first pixel's top-left tap in the
-// padded [ic][row][col] sample, w at the group's first weight pair in the
-// [ic][ky][pair][oc][2] image, dst at the group's lane of the first pixel's
-// (pixel, oc) int32 row. Pixels go four at a time: Y0-Y3 = 0; for every
+// func conv16RowAVX2(dst *int32, x, w *int16, n, ocBytes, xStep, inC, planeBytes, k, rowBytes, pairs, groups int)
+// Direct convolution of n adjacent output pixels for groups (1 or 2)
+// adjacent groups of 8 output channels (conv16.go). x points at the first
+// pixel's top-left tap in the padded [ic][row][col] sample, w at the first
+// group's first weight pair in the [ic][ky][pair][oc][2] image (the second
+// group's pairs sit 32 bytes on), dst at the first group's lane of the
+// first pixel's (pixel, oc) int32 row. Pixels go four at a time: for every
 // channel (planeBytes apart), kernel row (rowBytes apart) and tap pair (4
-// bytes apart), one load of 8 channels' weight pairs feeds four VPMADDWDs,
-// each against the broadcast tap pair of one pixel (xStep = 2*stride bytes
-// apart), into that pixel's accumulator — the weights are walked linearly,
-// ocBytes (= 4*outC) per pair; then the four are stored ocBytes apart, dst
-// moves 4*ocBytes and x 4*xStep. The n%4 pixels left run the same walk one
+// bytes apart), the tap pair of each pixel (xStep = 2*stride bytes apart) is
+// broadcast once and one load of 8 channels' weight pairs per group feeds
+// four VPMADDWDs, one per pixel, into that pixel's accumulator for the group
+// — Y0-Y3 for the first group, Y4-Y7 for the second; the weights are walked
+// linearly, ocBytes (= 4*outC) per pair. Then the accumulators are stored
+// ocBytes apart per pixel, 32 bytes apart per group, dst moves 4*ocBytes and
+// x 4*xStep. The n%4 pixels left run the same walk one pixel and one group
 // at a time into Y0. All sums are mod 2^32. Reads stay inside the padded
 // sample: the last pair of an odd kernel reads the row's slack word, against
 // a zero weight. n, inC, k, pairs >= 1.
 //
-// Register map: DI=dst SI=x BX=ocBytes R8=xStep R14=3*xStep CX=pixels or
-//               quads left DX=w cursor R12=plane R9=channels left R13=row
-//               R10=rows left AX=tap cursor R11=pairs left
-TEXT ·conv16RowAVX2(SB), NOSPLIT, $0-88
+// Register map: DI=dst SI=x BX=ocBytes R8=xStep (tail: groups left)
+//               R14=3*xStep (tail: group's weights) CX=pixels or quads left
+//               DX=w cursor R12=plane R9=channels left R13=row R10=rows left
+//               AX=tap cursor R11=pairs left
+TEXT ·conv16RowAVX2(SB), NOSPLIT, $0-96
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ n+24(FP), CX
@@ -251,6 +255,8 @@ TEXT ·conv16RowAVX2(SB), NOSPLIT, $0-88
 	LEAQ (R8)(R8*2), R14
 	SHRQ $2, CX
 	JZ   tail
+	CMPQ groups+88(FP), $2
+	JEQ  quad2
 
 quad:
 	VPXOR Y0, Y0, Y0
@@ -306,6 +312,79 @@ qpair:
 	LEAQ    (SI)(R8*4), SI
 	DECQ    CX
 	JNZ     quad
+	JMP     tail
+
+quad2:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	MOVQ  w+16(FP), DX
+	MOVQ  SI, R12
+	MOVQ  inC+48(FP), R9
+
+q2plane:
+	MOVQ R12, R13
+	MOVQ k+64(FP), R10
+
+q2row:
+	MOVQ R13, AX
+	MOVQ pairs+80(FP), R11
+
+	PCALIGN $32
+q2pair:
+	VMOVDQU      (DX), Y12
+	VMOVDQU      32(DX), Y13
+	VPBROADCASTD (AX), Y8
+	VPBROADCASTD (AX)(R8*1), Y9
+	VPBROADCASTD (AX)(R8*2), Y10
+	VPBROADCASTD (AX)(R14*1), Y11
+	VPMADDWD     Y12, Y8, Y14
+	VPMADDWD     Y12, Y9, Y15
+	VPADDD       Y14, Y0, Y0
+	VPADDD       Y15, Y1, Y1
+	VPMADDWD     Y12, Y10, Y14
+	VPMADDWD     Y12, Y11, Y15
+	VPADDD       Y14, Y2, Y2
+	VPADDD       Y15, Y3, Y3
+	VPMADDWD     Y13, Y8, Y8
+	VPMADDWD     Y13, Y9, Y9
+	VPMADDWD     Y13, Y10, Y10
+	VPMADDWD     Y13, Y11, Y11
+	VPADDD       Y8, Y4, Y4
+	VPADDD       Y9, Y5, Y5
+	VPADDD       Y10, Y6, Y6
+	VPADDD       Y11, Y7, Y7
+	ADDQ         $4, AX
+	ADDQ         BX, DX
+	DECQ         R11
+	JNZ          q2pair
+
+	ADDQ rowBytes+72(FP), R13
+	DECQ R10
+	JNZ  q2row
+
+	ADDQ planeBytes+56(FP), R12
+	DECQ R9
+	JNZ  q2plane
+
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y4, 32(DI)
+	VMOVDQU Y1, (DI)(BX*1)
+	VMOVDQU Y5, 32(DI)(BX*1)
+	VMOVDQU Y2, (DI)(BX*2)
+	VMOVDQU Y6, 32(DI)(BX*2)
+	LEAQ    (DI)(BX*2), DI
+	VMOVDQU Y3, (DI)(BX*1)
+	VMOVDQU Y7, 32(DI)(BX*1)
+	LEAQ    (DI)(BX*2), DI
+	LEAQ    (SI)(R8*4), SI
+	DECQ    CX
+	JNZ     quad2
 
 tail:
 	MOVQ n+24(FP), CX
@@ -313,8 +392,12 @@ tail:
 	JZ   cdone
 
 pixel:
+	MOVQ w+16(FP), R14
+	MOVQ groups+88(FP), R8
+
+group:
 	VPXOR Y0, Y0, Y0
-	MOVQ  w+16(FP), DX
+	MOVQ  R14, DX
 	MOVQ  SI, R12
 	MOVQ  inC+48(FP), R9
 
@@ -345,10 +428,18 @@ pair:
 	JNZ  plane
 
 	VMOVDQU Y0, (DI)
-	ADDQ    BX, DI
-	ADDQ    R8, SI
-	DECQ    CX
-	JNZ     pixel
+	ADDQ    $32, DI
+	ADDQ    $32, R14
+	DECQ    R8
+	JNZ     group
+
+	MOVQ groups+88(FP), R8
+	SHLQ $5, R8
+	SUBQ R8, DI                // back to this pixel's first group
+	ADDQ BX, DI
+	ADDQ xStep+40(FP), SI
+	DECQ CX
+	JNZ  pixel
 
 cdone:
 	VZEROUPPER
@@ -607,6 +698,49 @@ p16next:
 	ADDQ    $16, R9
 	CMPQ    R9, R8
 	JLT     g16
+
+	VZEROUPPER
+	RET
+
+// func quantize16AVX2(dst *int16, src *float32, blocks int, scale float32)
+// Quantize16's body (quantize16.go) over blocks × 16 words. Per 8 lanes:
+// VMULPS by scale = 2^frac (exact, or ±Inf past float32's range), an
+// ordered compare of the product with itself whose mask zeroes NaN lanes,
+// VROUNDPS $0 (to nearest, ties to even, whatever MXCSR says), VMINPS at
+// 32767 (+Inf included), then VCVTPS2DQ: exact on integers from -2^31 up,
+// and 0x80000000 below that (-Inf included). VPACKSSDW joins two such
+// octets and saturates every lane under -32768 to -32768, so the low end
+// needs no clamp of its own; VPERMQ undoes its per-lane interleave.
+TEXT ·quantize16AVX2(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         blocks+16(FP), CX
+	VBROADCASTSS scale+24(FP), Y15
+	MOVL         $0x46fffe00, AX            // 32767.0
+	VMOVD        AX, X14
+	VBROADCASTSS X14, Y14
+
+	PCALIGN $32
+q16block:
+	VMULPS    (SI), Y15, Y0
+	VMULPS    32(SI), Y15, Y1
+	VCMPPS    $7, Y0, Y0, Y2                // ordered: all ones unless NaN
+	VCMPPS    $7, Y1, Y1, Y3
+	VANDPS    Y2, Y0, Y0
+	VANDPS    Y3, Y1, Y1
+	VROUNDPS  $0, Y0, Y0
+	VROUNDPS  $0, Y1, Y1
+	VMINPS    Y14, Y0, Y0
+	VMINPS    Y14, Y1, Y1
+	VCVTPS2DQ Y0, Y0
+	VCVTPS2DQ Y1, Y1
+	VPACKSSDW Y1, Y0, Y0                    // quads: 0-3 8-11 4-7 12-15
+	VPERMQ    $0xD8, Y0, Y0                 // quads: 0-3 4-7 8-11 12-15
+	VMOVDQU   Y0, (DI)
+	ADDQ      $64, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       q16block
 
 	VZEROUPPER
 	RET

@@ -18,3 +18,5 @@ func planes16Vec(_, _ []int16, _, _ int) int { return 0 }
 func narrow64Vec([]int16, []int32, []int16, uint, uint, int16) int { return 0 }
 
 func axpyPanel16Vec([]int64, []int16, int, []int16, []int) int { return 0 }
+
+func quantize16Vec([]int16, []float32, uint) int { return 0 }
