@@ -98,7 +98,6 @@ type Spec struct {
 	scale     core.FlightScale
 	scenarios []string
 	agentOpts []rl.Option
-	overrides rl.Options
 	swarm     int
 	stages    []Stage
 }
@@ -222,7 +221,8 @@ type Curriculum = scen.Curriculum
 type CurriculumReport = scen.CurriculumReport
 
 // SwarmExperiment is the multi-drone mission driver; build one with
-// Spec.Swarm and execute it with Run.
+// Spec.Swarm and execute it with Run. Its mission phase flies the backend
+// selected with WithBackend, like every other deployment phase.
 type SwarmExperiment = scen.SwarmExperiment
 
 // SwarmReport merges per-drone mission stats in index order.
@@ -274,10 +274,11 @@ func WithCurriculum(stages ...Stage) Option {
 	}
 }
 
-// Agent hyper-parameter options. Each forwards to the rl option layer,
-// which distinguishes explicitly-set values (including meaningful zeros)
-// from unset ones and validates ranges; in flight experiments only the
-// fields set here override the paper's per-phase training templates.
+// Agent hyper-parameter options. Each forwards to the rl option layer: every
+// experiment phase applies them, in order, over its training recipe
+// (transfer.MetaOptions/OnlineOptions, rl.Options.With), so only the
+// fields set here change, explicit zeros included, and Validate checks the
+// combination.
 
 // WithGamma sets the discount factor, in (0, 1].
 func WithGamma(g float64) Option { return agentOption(rl.WithGamma(g)) }
@@ -402,12 +403,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("dronerl: curriculum stage %d: %w", i, err)
 		}
 	}
-	overrides, err := rl.NewOptions(s.agentOpts...)
-	if err != nil {
-		return err
-	}
-	s.overrides = overrides
-	return nil
+	_, err := rl.NewOptions(s.agentOpts...)
+	return err
 }
 
 // Topology returns the Spec's training topology.
@@ -434,7 +431,7 @@ func (s *Spec) Flight() (*FlightExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.SetAgentOverrides(s.overrides)
+	e.SetAgentOverrides(s.agentOpts...)
 	return e, nil
 }
 
@@ -446,7 +443,7 @@ func (s *Spec) Flight() (*FlightExperiment, error) {
 // policy, not a figure-grade one). Execute it with Run.
 func (s *Spec) Missions(budgetJ float64, online bool) *MissionExperiment {
 	e := core.NewMissionExperiment(s.scale.Seed, budgetJ, online)
-	e.SetAgentOverrides(s.overrides)
+	e.SetAgentOverrides(s.agentOpts...)
 	return e
 }
 
@@ -470,14 +467,15 @@ func (s *Spec) Curriculum() (*Curriculum, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SetAgentOverrides(s.overrides)
+	c.SetAgentOverrides(s.agentOpts...)
 	return c, nil
 }
 
 // Swarm builds the multi-drone mission over the Spec's first scenario:
 // meta-train and adapt one policy, then fly the fleet (WithSwarm, default 4)
-// as clones of that world in lockstep, batching the whole swarm's
-// observations into one GEMM per layer. EvalSteps is the mission length.
+// as clones of that world in lockstep on the WithBackend engine, batching
+// the whole swarm's observations into one pass per layer. EvalSteps is the
+// mission length.
 // Execute it with Run.
 func (s *Spec) Swarm() (*SwarmExperiment, error) {
 	drones := s.swarm
@@ -489,15 +487,15 @@ func (s *Spec) Swarm() (*SwarmExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.SetAgentOverrides(s.overrides)
+	e.SetAgentOverrides(s.agentOpts...)
 	return e, nil
 }
 
 // Agent builds a Q-learning agent over the scaled NavNet architecture with
 // the Spec's topology, seed and hyper-parameters.
 func (s *Spec) Agent() (*rl.Agent, error) {
-	opts := rl.Options{Seed: s.scale.Seed}.Merge(s.overrides)
-	if err := opts.Validate(); err != nil {
+	opts, err := rl.Options{Seed: s.scale.Seed}.With(s.agentOpts...)
+	if err != nil {
 		return nil, err
 	}
 	return rl.NewAgent(nn.NavNetSpec(), s.topology, opts), nil
@@ -506,6 +504,9 @@ func (s *Spec) Agent() (*rl.Agent, error) {
 // Deploy installs a transferred snapshot into a new agent frozen per the
 // Spec's topology, with the Spec's hyper-parameters.
 func (s *Spec) Deploy(snapshot *nn.Snapshot) (*rl.Agent, error) {
-	opts := rl.Options{Seed: s.scale.Seed}.Merge(s.overrides)
+	opts, err := rl.Options{Seed: s.scale.Seed}.With(s.agentOpts...)
+	if err != nil {
+		return nil, err
+	}
 	return transfer.Deploy(snapshot, nn.NavNetSpec(), s.topology, opts)
 }

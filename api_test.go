@@ -261,6 +261,34 @@ func TestSpecCurriculumAndSwarm(t *testing.T) {
 	}
 }
 
+// TestSpecSwarmFliesTheSelectedBackend: WithBackend reaches the swarm's
+// mission phase like every other deployment phase, so the fleet flies the
+// integer engine and the report names it and carries its tally.
+func TestSpecSwarmFliesTheSelectedBackend(t *testing.T) {
+	spec, err := dronerl.New(
+		dronerl.WithSeed(5), dronerl.WithBackend(dronerl.Quant), dronerl.WithSwarm(2),
+		dronerl.WithMetaIters(30), dronerl.WithOnlineIters(30), dronerl.WithEvalSteps(20),
+		dronerl.WithScenarios("gen-indoor-sparse"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swarm, err := spec.Swarm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dronerl.Run(context.Background(), swarm); err != nil {
+		t.Fatal(err)
+	}
+	rep := swarm.Report()
+	if rep.Backend != dronerl.Quant {
+		t.Fatalf("swarm flew backend %q, want %q", rep.Backend, dronerl.Quant)
+	}
+	if rep.Cost.Inferences != 2*20 {
+		t.Errorf("backend charged %d inferences, want %d", rep.Cost.Inferences, 2*20)
+	}
+}
+
 func TestWithGeneratedRegistersAndSelects(t *testing.T) {
 	g := dronerl.GenSpec{Kind: "outdoor", Corridor: 4.5, Density: 0.8, Turbulence: 0.2}
 	spec, err := dronerl.New(dronerl.WithGenerated(g))

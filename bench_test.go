@@ -630,7 +630,7 @@ func BenchmarkDenseForwardBatchFC1B32(b *testing.B) { benchmarkDenseForwardBatch
 // BenchmarkNavNetForward measures the software CNN's inference throughput
 // (the quantity the PE array accelerates in hardware).
 func BenchmarkNavNetForward(b *testing.B) {
-	net := nn.BuildNavNet()
+	net := nn.NavNetSpec().Build()
 	x := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

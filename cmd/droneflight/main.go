@@ -115,8 +115,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *actors != 1 {
 		extra = append(extra, rl.WithActors(*actors))
 	}
-	withExtra, err := rl.NewOptions(extra...)
-	if err != nil {
+	if _, err := rl.NewOptions(extra...); err != nil {
 		return usage(err)
 	}
 	if *swarm < 0 {
@@ -150,10 +149,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *curriculum {
-		return runCurriculum(ctx, stdout, stderr, world.Kind, cfg, *seed, *metaIters, *onlineIters)
+		return runCurriculum(ctx, stdout, stderr, world.Kind, cfg, *seed, *metaIters, *onlineIters, extra)
 	}
 	if *swarm > 0 {
-		return runSwarm(ctx, stdout, stderr, key, *swarm, cfg, *seed, *metaIters, *onlineIters, *evalSteps)
+		return runSwarm(ctx, stdout, stderr, key, *swarm, cfg, *seed, *metaIters, *onlineIters, *evalSteps, extra)
 	}
 
 	spec := nn.NavNetSpec()
@@ -172,10 +171,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else {
 		meta := env.MetaFor(world, *seed+1000)
 		fmt.Fprintf(stdout, "meta-training E2E on %q for %d iterations...\n", meta.Name, *metaIters)
+		metaOpts, err := transfer.MetaOptions(*seed, *metaIters)
+		if err != nil {
+			return fail(1, err)
+		}
 		var metaTracker *metrics.FlightTracker
-		snap, metaTracker = transfer.MetaTrain(meta, spec, *metaIters, rl.Options{
-			Seed: *seed, BatchSize: 4, EpsDecaySteps: *metaIters / 2,
-		})
+		snap, metaTracker = transfer.MetaTrain(meta, spec, *metaIters, metaOpts)
 		fmt.Fprintf(stdout, "meta model: cumulative reward %.3f, SFD %.1f m over %d crashes\n",
 			metaTracker.CumulativeReward(), metaTracker.SafeFlightDistance(), metaTracker.Crashes())
 	}
@@ -196,9 +197,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "deploying to %q under %v (%d/%d trainable weights) and learning online...\n",
 		world.Name, cfg, spec.TrainedWeights(cfg), spec.TotalWeights())
-	opts := rl.Options{
+	// Not transfer.OnlineOptions: this online phase keeps the default
+	// learning rate 0.005, with which its printed curves and
+	// testdata/flight.golden were recorded.
+	opts, err := rl.Options{
 		Seed: *seed + 1, BatchSize: 4, EpsStart: 0.5, EpsDecaySteps: *onlineIters / 2,
-	}.Merge(withExtra)
+	}.With(extra...)
+	if err != nil {
+		return fail(1, err)
+	}
 	res, err := transfer.RunOnline(ctx, snap, world, spec, cfg, *onlineIters, *evalSteps, opts)
 	if err != nil {
 		return fail(1, err)
@@ -234,14 +241,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // runCurriculum trains through the staged ladder for the scenario's kind
-// and prints the promotion trace.
+// with the agent options opts and prints the promotion trace.
 func runCurriculum(ctx context.Context, stdout, stderr io.Writer, kind string, cfg nn.Config,
-	seed int64, metaIters, onlineIters int) int {
+	seed int64, metaIters, onlineIters int, opts []rl.Option) int {
 	c, err := scen.NewCurriculum(scen.DefaultLadder(kind), cfg, seed, metaIters, onlineIters)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	c.SetAgentOverrides(opts...)
 	fmt.Fprintf(stdout, "curriculum: %d %s stages under %v (meta %d, per-stage %d iterations)\n",
 		len(c.Stages()), kind, cfg, metaIters, onlineIters)
 	if err := core.Run(ctx, c, core.WithProgress(func(ev core.Event) {
@@ -259,6 +267,9 @@ func runCurriculum(ctx context.Context, stdout, stderr io.Writer, kind string, c
 			report.Num(rec.Reward), report.Num(rec.SFD), fmt.Sprint(rec.Promoted))
 	}
 	fmt.Fprintln(stdout, t.String())
+	if rep.TrainBackend != "" {
+		fmt.Fprintf(stdout, "train backend %s\n", rep.TrainBackend)
+	}
 	if !rep.Completed {
 		fmt.Fprintf(stdout, "curriculum stopped at stage %q\n", rep.FailedStage)
 		return 1
@@ -267,16 +278,18 @@ func runCurriculum(ctx context.Context, stdout, stderr io.Writer, kind string, c
 	return 0
 }
 
-// runSwarm meta-trains and adapts one policy in the scenario, then flies a
-// fleet of clones sharing it and prints the per-drone mission stats.
+// runSwarm meta-trains and adapts one policy in the scenario with the agent
+// options opts, then flies a fleet of clones sharing it and prints the
+// per-drone mission stats.
 func runSwarm(ctx context.Context, stdout, stderr io.Writer, scenario string, drones int,
-	cfg nn.Config, seed int64, metaIters, onlineIters, missionSteps int) int {
+	cfg nn.Config, seed int64, metaIters, onlineIters, missionSteps int, opts []rl.Option) int {
 
 	e, err := scen.NewSwarmExperiment(scenario, drones, cfg, seed, metaIters, onlineIters, missionSteps)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	e.SetAgentOverrides(opts...)
 	fmt.Fprintf(stdout, "swarm: %d drones in %q under %v (meta %d, online %d, mission %d steps)\n",
 		drones, scenario, cfg, metaIters, onlineIters, missionSteps)
 	if err := core.Run(ctx, e, core.WithProgress(func(ev core.Event) {
@@ -296,6 +309,13 @@ func runSwarm(ctx context.Context, stdout, stderr io.Writer, scenario string, dr
 	t.Add("fleet", fmt.Sprint(rep.TotalSteps), fmt.Sprint(rep.TotalCrashes),
 		report.Num(rep.MeanReward), report.Num(rep.TotalDistance), report.Num(rep.MeanSFD))
 	fmt.Fprintln(stdout, t.String())
+	if rep.TrainBackend != "" {
+		fmt.Fprintf(stdout, "train backend %s\n", rep.TrainBackend)
+	}
+	if rep.Backend != "" {
+		fmt.Fprintf(stdout, "eval backend %s: %s mJ over %d inferences\n",
+			rep.Backend, report.Num(rep.Cost.EnergyMJ), rep.Cost.Inferences)
+	}
 	return 0
 }
 

@@ -71,3 +71,26 @@ func TestRunFlightGolden(t *testing.T) {
 		t.Errorf("droneflight %s printed\n%s\nwant\n%s", strings.Join(args, " "), got, want)
 	}
 }
+
+// TestRunModesKeepTheBackendFlags: -swarm and -curriculum fly with the
+// validated -backend / -train-backend options and name the backend that
+// actually ran.
+func TestRunModesKeepTheBackendFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-swarm", "2", "-env", "gen-indoor-sparse", "-backend", "quant"}, "eval backend quant"},
+		{[]string{"-curriculum", "-train-backend", "quant-train"}, "train backend quant-train"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-meta", "20", "-online", "20", "-eval", "20", "-seed", "3"}, tc.args...)
+		// A curriculum that does not promote every stage exits 1 by design.
+		if code := run(context.Background(), args, &stdout, &stderr); code != 0 && code != 1 {
+			t.Fatalf("%q: exit %d, stderr %q", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), tc.want) {
+			t.Errorf("%q: output does not name %q:\n%s", tc.args, tc.want, stdout.String())
+		}
+	}
+}

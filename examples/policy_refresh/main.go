@@ -40,14 +40,17 @@ func main() {
 	// Pre-train a transferable meta-model and deploy it twice: once as the
 	// learner (keeps training online, float reference) and once as the
 	// deployed drone (flies greedily on the quant backend, frozen L3 tail).
-	meta := env.IndoorMeta(1)
-	snap, _ := transfer.MetaTrain(meta, spec, metaIters, rl.Options{
-		Seed: 1, BatchSize: 4, EpsDecaySteps: metaIters / 2,
-	})
+	metaOpts, err := transfer.MetaOptions(1, metaIters)
+	if err != nil {
+		log.Fatal(err)
+	}
+	learnOpts, err := transfer.OnlineOptions(2, rounds*chunkIters)
+	if err != nil {
+		log.Fatal(err)
+	}
+	snap, _ := transfer.MetaTrain(env.IndoorMeta(1), spec, metaIters, metaOpts)
 	trainWorld := env.IndoorApartment(2)
-	learner, err := transfer.Deploy(snap, spec, nn.L3, rl.Options{
-		Seed: 2, BatchSize: 4, EpsStart: 0.5, EpsDecaySteps: rounds * chunkIters / 2, LR: 0.001,
-	})
+	learner, err := transfer.Deploy(snap, spec, nn.L3, learnOpts)
 	if err != nil {
 		log.Fatal(err)
 	}

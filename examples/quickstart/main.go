@@ -18,6 +18,7 @@ import (
 	"dronerl/internal/env"
 	"dronerl/internal/metrics"
 	"dronerl/internal/rl"
+	"dronerl/internal/transfer"
 )
 
 func main() {
@@ -43,7 +44,11 @@ func main() {
 	// 3. A scenario from the catalog (dronerl.Scenarios lists all).
 	world := buildScenario("indoor-apartment", 8)
 	fmt.Printf("meta-training on the %s meta-environment...\n", world.Kind)
-	snap := dronerl.MetaTrain(world, 800, rl.Options{Seed: 7, BatchSize: 4, EpsDecaySteps: 400})
+	metaOpts, err := transfer.MetaOptions(7, 800)
+	if err != nil {
+		log.Fatal(err)
+	}
+	snap := dronerl.MetaTrain(world, 800, metaOpts)
 
 	// 4. Transfer: download the meta-model into an agent frozen per L3.
 	agent, err := spec.Deploy(snap)

@@ -64,10 +64,12 @@ func (e *RicherMetaExperiment) Phases() []Phase {
 			Jobs: len(richerMetaScenarios),
 			Job: func(rc *RunContext, k int) error {
 				s, _ := env.LookupScenario(richerMetaScenarios[k])
+				opts, err := transfer.MetaOptions(scale.Seed+1, scale.MetaIters)
+				if err != nil {
+					return err
+				}
 				meta := s.Build(scale.Seed + 200)
-				snap, tracker := transfer.MetaTrain(meta, spec, scale.MetaIters, rl.Options{
-					Seed: scale.Seed + 1, BatchSize: 4, EpsDecaySteps: scale.MetaIters / 2,
-				})
+				snap, tracker := transfer.MetaTrain(meta, spec, scale.MetaIters, opts)
 				e.snaps[k] = snap
 				rc.Emit(Event{
 					Env: meta.Name, Config: nn.E2E, Run: k,
@@ -85,10 +87,11 @@ func (e *RicherMetaExperiment) Phases() []Phase {
 			Job: func(rc *RunContext, idx int) error {
 				k, r := idx/seedRepeats, idx%seedRepeats
 				town := env.OutdoorTown(scale.Seed + 4)
-				agent, err := transfer.Deploy(e.snaps[k], spec, nn.L3, rl.Options{
-					Seed: scale.Seed + 50 + int64(r), BatchSize: 4,
-					EpsStart: 0.5, EpsDecaySteps: scale.OnlineIters / 2, LR: 0.001,
-				})
+				opts, err := transfer.OnlineOptions(scale.Seed+50+int64(r), scale.OnlineIters)
+				if err != nil {
+					return err
+				}
+				agent, err := transfer.Deploy(e.snaps[k], spec, nn.L3, opts)
 				if err != nil {
 					return err
 				}
@@ -146,7 +149,8 @@ type StereoExperiment struct {
 	result StereoAblationResult
 }
 
-// NewStereoExperiment plans the stereo-sensing ablation.
+// NewStereoExperiment plans the stereo-sensing ablation. TestAblationsGolden
+// pins it.
 func NewStereoExperiment(scale FlightScale) *StereoExperiment {
 	return &StereoExperiment{scale: scale}
 }
@@ -175,15 +179,18 @@ func (e *StereoExperiment) Phases() []Phase {
 			Job: func(rc *RunContext, k int) error {
 				metaScenario, _ := env.LookupScenario(arms[k].meta)
 				testScenario, _ := env.LookupScenario(arms[k].test)
+				metaOpts, err := transfer.MetaOptions(scale.Seed+1, scale.MetaIters)
+				if err != nil {
+					return err
+				}
+				onlineOpts, err := transfer.OnlineOptions(scale.Seed+2, scale.OnlineIters)
+				if err != nil {
+					return err
+				}
 				meta := metaScenario.Build(scale.Seed + 100)
-				snap, _ := transfer.MetaTrain(meta, spec, scale.MetaIters, rl.Options{
-					Seed: scale.Seed + 1, BatchSize: 4, EpsDecaySteps: scale.MetaIters / 2,
-				})
+				snap, _ := transfer.MetaTrain(meta, spec, scale.MetaIters, metaOpts)
 				world := testScenario.Build(scale.Seed + 1)
-				agent, err := transfer.Deploy(snap, spec, nn.L3, rl.Options{
-					Seed: scale.Seed + 2, BatchSize: 4,
-					EpsStart: 0.5, EpsDecaySteps: scale.OnlineIters / 2, LR: 0.001,
-				})
+				agent, err := transfer.Deploy(snap, spec, nn.L3, onlineOpts)
 				if err != nil {
 					return err
 				}

@@ -94,11 +94,7 @@ func TestExplicitFloatBackendBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overrides, err := rl.NewOptions(rl.WithEvalBackend(FloatBackendName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withFloat.SetAgentOverrides(overrides)
+	withFloat.SetAgentOverrides(rl.WithEvalBackend(FloatBackendName))
 	if err := Run(context.Background(), withFloat, WithWorkers(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +130,7 @@ func TestSystolicBackendFlightAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		overrides, err := rl.NewOptions(rl.WithEvalBackend(SystolicBackendName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetAgentOverrides(overrides)
+		e.SetAgentOverrides(rl.WithEvalBackend(SystolicBackendName))
 		opts := []RunOption{WithWorkers(workers)}
 		if progress != nil {
 			opts = append(opts, WithProgress(progress))

@@ -136,11 +136,10 @@ func (r *FlightReport) BuildEnergyTable() *report.Table {
 // result from Report.
 type FlightExperiment struct {
 	scale FlightScale
-	// agentOverrides is layered (rl.Options.Merge) onto the historical
-	// per-phase option templates; only fields set through rl functional
-	// options take effect, so a zero value reproduces the paper pipeline
-	// exactly.
-	agentOverrides rl.Options
+	// agentOpts are applied over the paper's per-phase recipes
+	// (transfer.MetaOptions/OnlineOptions); with none the experiment runs
+	// the paper pipeline exactly.
+	agentOpts []rl.Option
 
 	// Planning state, fixed at construction: the selected scenarios, each
 	// scenario's probed world name and kind, and the distinct kinds in
@@ -189,9 +188,9 @@ func NewFlightExperiment(scale FlightScale, scenarioNames ...string) (*FlightExp
 	return e, nil
 }
 
-// SetAgentOverrides installs an already-built override set (see
-// rl.NewOptions); only explicitly-set fields take effect.
-func (e *FlightExperiment) SetAgentOverrides(o rl.Options) { e.agentOverrides = o }
+// SetAgentOverrides installs the agent options every phase applies over its
+// training recipe; an invalid combination fails the run.
+func (e *FlightExperiment) SetAgentOverrides(opts ...rl.Option) { e.agentOpts = opts }
 
 // Name implements Experiment.
 func (e *FlightExperiment) Name() string { return "flight" }
@@ -221,10 +220,10 @@ func (e *FlightExperiment) Phases() []Phase {
 		Job: func(rc *RunContext, k int) error {
 			kind := e.kinds[k]
 			meta := env.MetaForKind(kind, scale.Seed+metaSeedOffset(kind))
-			opts := rl.Options{
-				Seed: scale.Seed + 1, BatchSize: 4,
-				EpsDecaySteps: scale.MetaIters / 2,
-			}.Merge(e.agentOverrides)
+			opts, err := transfer.MetaOptions(scale.Seed+1, scale.MetaIters, e.agentOpts...)
+			if err != nil {
+				return err
+			}
 			e.snaps[k], e.trackers[k] = transfer.MetaTrain(meta, spec, scale.MetaIters, opts)
 			rc.Emit(Event{
 				Env: meta.Name, Config: nn.E2E, Run: k,
@@ -246,14 +245,11 @@ func (e *FlightExperiment) Phases() []Phase {
 			cfg := nn.Configs[ci]
 			// Fresh world per run so every topology faces the same layout.
 			w := e.scenarios[i].Build(scale.Seed + 1 + int64(i))
-			opts := rl.Options{
-				Seed: scale.Seed + 10 + int64(cfg) + int64(100*r), BatchSize: 4,
-				// Online exploration restarts from a lower epsilon and
-				// learning rate: the transferred model already avoids
-				// obstacles and only fine-tunes.
-				EpsStart: 0.5, EpsDecaySteps: scale.OnlineIters / 2,
-				LR: 0.001,
-			}.Merge(e.agentOverrides)
+			opts, err := transfer.OnlineOptions(scale.Seed+10+int64(cfg)+int64(100*r),
+				scale.OnlineIters, e.agentOpts...)
+			if err != nil {
+				return err
+			}
 			agent, err := transfer.Deploy(e.snaps[e.kindIndex(kind)], spec, cfg, opts)
 			if err != nil {
 				return fmt.Errorf("core: %s under %v: %w", w.Name, cfg, err)

@@ -68,7 +68,7 @@ func TestRunMissionGolden(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s/%s", cfg, mode)
 			t.Run(name, func(t *testing.T) {
-				agent, err := deploySnapshot(snap, spec, cfg, 92, rl.Options{})
+				agent, err := deploySnapshot(snap, spec, cfg, 92)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,6 +8,7 @@ import (
 	"dronerl/internal/hw"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
+	"dronerl/internal/transfer"
 )
 
 // Mission co-simulates the two halves of the paper: every camera frame the
@@ -51,7 +52,9 @@ type MissionResult struct {
 	FPS float64
 	// Backend names the inference backend the mission's greedy decisions
 	// ran on ("" for the direct float path). Only inference-only missions
-	// deploy onto a backend; online missions train the float network.
+	// deploy onto a backend; online missions act on the network they
+	// train (the float one, or the train backend's words under
+	// WithTrainBackend) and leave it empty.
 	Backend string
 	// BackendCost is the backend's own accumulated cost ledger summary
 	// (independent of the budget accounting above, which always uses the
@@ -67,7 +70,7 @@ func (r MissionResult) String() string {
 
 // RunMission flies the agent in the world until the compute budget or the
 // frame bound is exhausted, charging each frame's hardware cost from the
-// performance model.
+// performance model. TestRunMissionGolden pins it bit for bit.
 func RunMission(w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfig) MissionResult {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 4
@@ -105,6 +108,22 @@ func RunMission(w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfi
 	return res
 }
 
+// deploySnapshot installs a snapshot under the given topology for a
+// mission, specialised by opts.
+func deploySnapshot(snap *nn.Snapshot, spec nn.ArchSpec, cfg nn.Config, seed int64, opts ...rl.Option) (*rl.Agent, error) {
+	// Not the online recipe: a mission's length is set by its energy
+	// budget, not an iteration budget, so it keeps a fixed schedule of its
+	// own (exploration from 0.3 over 500 frames).
+	o, err := rl.Options{
+		Seed: seed + 2 + int64(cfg), BatchSize: 4,
+		EpsStart: 0.3, EpsDecaySteps: 500, LR: 0.001,
+	}.With(opts...)
+	if err != nil {
+		return nil, err
+	}
+	return transfer.Deploy(snap, spec, cfg, o)
+}
+
 // MissionExperiment flies the same mission under every topology with fresh
 // agents deployed from one snapshot — the co-design payoff expressed in
 // mission terms. It implements Experiment; results are in nn.Configs order.
@@ -112,10 +131,8 @@ type MissionExperiment struct {
 	seed    int64
 	budgetJ float64
 	online  bool
-	batch   int
-	// overrides layers explicitly-set agent options over the mission's
-	// training templates (see rl.Options.Merge).
-	overrides rl.Options
+	// agentOpts specialise the mission's training templates.
+	agentOpts []rl.Option
 
 	snap    *nn.Snapshot
 	results []MissionResult
@@ -124,18 +141,15 @@ type MissionExperiment struct {
 // NewMissionExperiment plans a topology-comparison mission on the indoor
 // apartment under a fixed compute-energy budget.
 func NewMissionExperiment(seed int64, budgetJ float64, online bool) *MissionExperiment {
-	return &MissionExperiment{seed: seed, budgetJ: budgetJ, online: online, batch: 4}
+	return &MissionExperiment{seed: seed, budgetJ: budgetJ, online: online}
 }
 
-// SetAgentOverrides layers explicitly-set agent options (gamma, learning
-// rate, batch size, ...) over the mission's meta-training and deployment
-// templates; unset fields keep the historical values. An explicit batch
-// size also drives the per-frame training cadence and the hardware model's
-// batch pricing.
-func (e *MissionExperiment) SetAgentOverrides(o rl.Options) {
-	e.overrides = o
-	e.batch = rl.Options{BatchSize: e.batch}.Merge(o).BatchSize
-}
+// SetAgentOverrides installs agent options (gamma, learning rate, batch
+// size, ...) applied over the mission's meta-training and deployment
+// templates; an invalid combination fails the run. The deployed agent's
+// batch size also drives the per-frame training cadence and the hardware
+// model's batch pricing.
+func (e *MissionExperiment) SetAgentOverrides(opts ...rl.Option) { e.agentOpts = opts }
 
 // Name implements Experiment.
 func (e *MissionExperiment) Name() string { return "mission" }
@@ -156,9 +170,16 @@ func (e *MissionExperiment) Phases() []Phase {
 			Name: "meta-train",
 			Jobs: 1,
 			Job: func(rc *RunContext, _ int) error {
+				// A compact meta-model: missions need a reasonable, not a
+				// figure-grade, transferred policy.
+				const iters = 800
+				opts, err := transfer.MetaOptions(e.seed, iters, e.agentOpts...)
+				if err != nil {
+					return err
+				}
 				meta := env.IndoorMeta(e.seed + 100)
-				e.snap, _ = metaTrainQuick(meta, spec, e.seed, e.overrides)
-				rc.Emit(Event{Env: meta.Name, Config: nn.E2E, Run: 0, Iteration: 800})
+				e.snap, _ = transfer.MetaTrain(meta, spec, iters, opts)
+				rc.Emit(Event{Env: meta.Name, Config: nn.E2E, Run: 0, Iteration: iters})
 				return nil
 			},
 		},
@@ -168,7 +189,7 @@ func (e *MissionExperiment) Phases() []Phase {
 			Job: func(rc *RunContext, i int) error {
 				cfg := nn.Configs[i]
 				w := env.IndoorApartment(e.seed + 1)
-				agent, err := deploySnapshot(e.snap, spec, cfg, e.seed, e.overrides)
+				agent, err := deploySnapshot(e.snap, spec, cfg, e.seed, e.agentOpts...)
 				if err != nil {
 					return err
 				}
@@ -181,7 +202,7 @@ func (e *MissionExperiment) Phases() []Phase {
 					}
 				}
 				e.results[i] = RunMission(w, agent, hw.NewModel(), MissionConfig{
-					Config: cfg, Batch: e.batch, ComputeBudgetJ: e.budgetJ, Online: e.online,
+					Config: cfg, Batch: agent.BatchSize(), ComputeBudgetJ: e.budgetJ, Online: e.online,
 				})
 				if b := agent.EvalBackend(); b != nil {
 					e.results[i].Backend = b.Name()

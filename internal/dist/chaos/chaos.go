@@ -63,25 +63,18 @@ func (cfg Config) wrap(conn net.Conn, seed int64) net.Conn {
 	return fc
 }
 
-// WrapDial makes a dialer whose connections carry injected faults; it plugs
-// straight into dist.ActorConfig.Dial.
-func WrapDial(dial Dial, cfg Config) Dial {
+// Dialer makes a fault-injecting dialer for a plain network address; it
+// plugs straight into dist.ActorConfig.Dial.
+func Dialer(network, addr string, cfg Config) Dial {
 	seeds := &counterSeed{seed: cfg.Seed}
 	return func(ctx context.Context) (net.Conn, error) {
-		conn, err := dial(ctx)
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, network, addr)
 		if err != nil {
 			return nil, err
 		}
 		return cfg.wrap(conn, seeds.next()), nil
 	}
-}
-
-// Dialer makes a fault-injecting dialer for a plain network address.
-func Dialer(network, addr string, cfg Config) Dial {
-	return WrapDial(func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, network, addr)
-	}, cfg)
 }
 
 // faultConn spends a byte budget across reads and writes and dies abruptly

@@ -228,33 +228,7 @@ func OutdoorMeta(seed int64) *World {
 // TestEnvironments returns the four test worlds of Fig. 9/10/11 in the
 // paper's plotting order.
 func TestEnvironments(seed int64) []*World {
-	worlds := make([]*World, NumTestEnvironments)
-	for i := range worlds {
-		worlds[i] = TestEnvironment(seed, i)
-	}
-	return worlds
-}
-
-// NumTestEnvironments is the number of worlds TestEnvironments builds.
-const NumTestEnvironments = 4
-
-// TestEnvironment builds only the i'th world of TestEnvironments, with the
-// identical per-world seed. The experiment engine runs one job per
-// (world, topology, repeat) cell and each job needs a private copy of a
-// single world; regenerating all four per job wasted most of the engine's
-// setup time.
-func TestEnvironment(seed int64, i int) *World {
-	switch i {
-	case 0:
-		return IndoorApartment(seed + 1)
-	case 1:
-		return IndoorHouse(seed + 2)
-	case 2:
-		return OutdoorForest(seed + 3)
-	case 3:
-		return OutdoorTown(seed + 4)
-	}
-	panic("env: TestEnvironment index out of range")
+	return []*World{IndoorApartment(seed + 1), IndoorHouse(seed + 2), OutdoorForest(seed + 3), OutdoorTown(seed + 4)}
 }
 
 // MetaFor returns the meta-environment matching a test world's kind — the

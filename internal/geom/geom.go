@@ -22,7 +22,8 @@ func (v Vec2) Scale(s float64) Vec2 { return Vec2{float64(s * v.X), float64(s * 
 // Dot returns the dot product.
 func (v Vec2) Dot(o Vec2) float64 { return float64(v.X*o.X) + float64(v.Y*o.Y) }
 
-// Cross returns the scalar cross product (z-component).
+// Cross returns the scalar cross product (z-component). TestVecBasics pins
+// its sign.
 func (v Vec2) Cross(o Vec2) float64 { return float64(v.X*o.Y) - float64(v.Y*o.X) }
 
 // Len returns the Euclidean norm.

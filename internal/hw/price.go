@@ -161,6 +161,7 @@ type QuantTrainBackend struct {
 // NewQuantTrainBackend compiles net into the training engine, priced for
 // spec under cfg. The network's SetConfig topology decides the frozen
 // prefix; cfg should be that topology.
+// TestRunOnlineQuantTrainGolden's trainTap wraps it.
 func NewQuantTrainBackend(net *nn.Network, spec nn.ArchSpec, cfg nn.Config) (*QuantTrainBackend, error) {
 	engine, err := qnn.NewTrainBackend(net, qnn.TrainOptions{})
 	if err != nil {

@@ -24,7 +24,8 @@ type Phase struct {
 	NVMWrite bool
 }
 
-// DurationMS returns the phase length.
+// DurationMS returns the phase length. TestTimelineE2EDominatedByBackward
+// sums it.
 func (p Phase) DurationMS() float64 { return p.EndMS - p.StartMS }
 
 // Timeline is the ordered schedule of one frame.

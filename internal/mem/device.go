@@ -230,6 +230,7 @@ func (l *EnergyLedger) TotalTimeNS() float64 {
 }
 
 // Records returns the raw access log (nil for compact ledgers).
+// TestLedgerAccumulates and TestLedgerMergeMatchesSerial read it.
 func (l *EnergyLedger) Records() []AccessRecord { return l.records }
 
 // Devices returns the names of every device that appears in the ledger,

@@ -16,7 +16,8 @@ func DefaultHBM() HBMInterface {
 	return HBMInterface{IOs: 1024, GbpsPerIO: 2}
 }
 
-// PeakBandwidthGbps returns the aggregate pin bandwidth.
+// PeakBandwidthGbps returns the aggregate pin bandwidth. TestHBMInterface
+// pins it at 2048 Gbps.
 func (h HBMInterface) PeakBandwidthGbps() float64 {
 	return float64(h.IOs) * h.GbpsPerIO
 }

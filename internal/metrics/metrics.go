@@ -18,6 +18,7 @@ type MovingAverage struct {
 }
 
 // NewMovingAverage creates a moving average over the last n samples.
+// TestMovingAverageMatchesNaive pins it against a recomputed window.
 func NewMovingAverage(n int) *MovingAverage {
 	if n <= 0 {
 		panic("metrics: window must be positive")
@@ -39,7 +40,7 @@ func (m *MovingAverage) Add(x float64) float64 {
 }
 
 // Mean returns the mean of the samples currently in the window; it is 0
-// before any sample arrives.
+// before any sample arrives. TestMovingAverageBasics pins it.
 func (m *MovingAverage) Mean() float64 {
 	if m.filled == 0 {
 		return 0

@@ -83,6 +83,7 @@ func (a ArchSpec) ConvOut(i int) (prePool, postPool int) {
 }
 
 // FlattenDim returns the FC input dimension implied by the conv stack.
+// TestConvChainDimensions pins it at the paper's 9216.
 func (a ArchSpec) FlattenDim() int {
 	if len(a.Convs) == 0 {
 		return a.InputC * a.InputH * a.InputW
@@ -93,6 +94,7 @@ func (a ArchSpec) FlattenDim() int {
 }
 
 // ConvWeights returns the learnable scalar count of all conv stages.
+// TestConvWeightsBreakdown pins it against Fig. 3(a).
 func (a ArchSpec) ConvWeights() int {
 	total := 0
 	for _, c := range a.Convs {

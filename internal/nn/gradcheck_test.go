@@ -183,7 +183,7 @@ func TestNavNetGradientSmoke(t *testing.T) {
 	// Full NavNet forward+backward with E2E config: the loss decreases
 	// after an SGD step in the gradient direction.
 	rng := rand.New(rand.NewSource(9))
-	net := BuildNavNet()
+	net := NavNetSpec().Build()
 	net.Init(rng)
 	net.SetConfig(E2E)
 	x := tensor.New(1, NavNetInput, NavNetInput)

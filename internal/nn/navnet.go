@@ -34,6 +34,3 @@ func NavNetSpec() ArchSpec {
 		PoolK: 3, PoolStride: 2,
 	}
 }
-
-// BuildNavNet allocates a NavNet.
-func BuildNavNet() *Network { return NavNetSpec().Build() }

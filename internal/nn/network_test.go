@@ -226,7 +226,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	a := buildTinyNet(17)
 	s := TakeSnapshot(a, "tiny")
-	other := BuildNavNet()
+	other := NavNetSpec().Build()
 	if err := s.Restore(other); err == nil {
 		t.Error("expected error restoring into a different architecture")
 	}

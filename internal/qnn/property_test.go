@@ -63,7 +63,7 @@ func TestDenseQuantizationErrorBound(t *testing.T) {
 // TestIntegerOutputsAlwaysInRange: whatever the input, integer Q-values
 // decode into the format's representable range (saturation, never wrap).
 func TestIntegerOutputsAlwaysInRange(t *testing.T) {
-	net := nn.BuildNavNet()
+	net := nn.NavNetSpec().Build()
 	net.Init(rand.New(rand.NewSource(92)))
 	// Inflate some weights to provoke saturation.
 	for _, p := range net.Params() {

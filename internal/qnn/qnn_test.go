@@ -15,7 +15,7 @@ import (
 
 func trainedNavNet(seed int64) *nn.Network {
 	rng := rand.New(rand.NewSource(seed))
-	n := nn.BuildNavNet()
+	n := nn.NavNetSpec().Build()
 	n.Init(rng)
 	return n
 }

@@ -902,6 +902,7 @@ func (tn *Network) OutDim() int {
 
 // WeightBits is the full weight-store footprint in bits, weights and biases:
 // what hw's price list streams from the stack per forward pass.
+// TestWeightBitsMatchesModelSize and hw's price tests pin it.
 func (tn *Network) WeightBits() int64 {
 	var total int64
 	for _, l := range tn.layers {

@@ -8,7 +8,8 @@ import (
 	"dronerl/internal/tensor"
 )
 
-// Options configures an Agent. Zero values select the documented defaults.
+// Options configures an Agent. Zero fields of a struct literal select the
+// documented defaults; With resolves them first, so its explicit zeros stay.
 type Options struct {
 	// Gamma is the discount factor of the long-term return (default 0.95).
 	Gamma float64
@@ -70,49 +71,51 @@ type Options struct {
 	// Seed fixes the agent's private RNG.
 	Seed int64
 
-	// explicit records which fields were set through functional options
-	// (see options.go). setDefaults only fills fields whose bit is clear,
-	// so an explicit zero (EpsEnd, GradClip, TargetSync, Seed) survives
-	// where the zero-valued struct literal historically could not express
-	// it.
-	explicit optField
+	// resolved marks options built by With: their defaults are already
+	// filled, so setDefaults leaves every remaining zero alone — an
+	// explicit zero (EpsEnd, GradClip, TargetSync, Seed) survives where the
+	// zero-valued struct literal cannot express it.
+	resolved bool
 }
 
 func (o *Options) setDefaults() {
-	if o.Gamma == 0 && !o.isSet(fieldGamma) {
+	if o.resolved {
+		return
+	}
+	if o.Gamma == 0 {
 		o.Gamma = 0.95
 	}
-	if o.LR == 0 && !o.isSet(fieldLR) {
+	if o.LR == 0 {
 		o.LR = 0.005
 	}
-	if o.BatchSize == 0 && !o.isSet(fieldBatchSize) {
+	if o.BatchSize == 0 {
 		o.BatchSize = 4
 	}
-	if o.ReplayCapacity == 0 && !o.isSet(fieldReplayCapacity) {
+	if o.ReplayCapacity == 0 {
 		o.ReplayCapacity = 4096
 	}
-	if o.EpsStart == 0 && !o.isSet(fieldEpsStart) {
+	if o.EpsStart == 0 {
 		o.EpsStart = 1.0
 	}
-	if o.EpsEnd == 0 && !o.isSet(fieldEpsEnd) {
+	if o.EpsEnd == 0 {
 		o.EpsEnd = 0.05
 	}
-	if o.EpsDecaySteps == 0 && !o.isSet(fieldEpsDecaySteps) {
+	if o.EpsDecaySteps == 0 {
 		o.EpsDecaySteps = 3000
 	}
-	if o.TargetSync == 0 && !o.isSet(fieldTargetSync) {
+	if o.TargetSync == 0 {
 		o.TargetSync = 64
 	}
-	if o.GradClip == 0 && !o.isSet(fieldGradClip) {
+	if o.GradClip == 0 {
 		o.GradClip = 1
 	}
-	if o.Actors == 0 && !o.isSet(fieldActors) {
+	if o.Actors == 0 {
 		o.Actors = 1
 	}
-	if o.SyncEvery == 0 && !o.isSet(fieldSyncEvery) {
+	if o.SyncEvery == 0 {
 		o.SyncEvery = 8
 	}
-	if o.Seed == 0 && !o.isSet(fieldSeed) {
+	if o.Seed == 0 {
 		o.Seed = 1
 	}
 }
@@ -228,7 +231,7 @@ func (a *Agent) syncTarget() {
 }
 
 // Epsilon returns the current exploration rate under the linear schedule,
-// read from the shared clock.
+// read from the shared clock. TestEpsilonSchedule pins it.
 func (a *Agent) Epsilon() float64 {
 	return a.opts.EpsilonAt(a.clock.EnvSteps())
 }

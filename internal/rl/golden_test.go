@@ -51,7 +51,7 @@ var goldenMeta = sync.OnceValue(func() goldenStart {
 // goldenInit is the twin with nothing but math/rand behind it: seeded initial
 // weights and uniform noise frames.
 func goldenInit() goldenStart {
-	net := nn.BuildNavNet()
+	net := nn.NavNetSpec().Build()
 	net.Init(rand.New(rand.NewSource(79)))
 	rng := rand.New(rand.NewSource(78))
 	pool := make([]*tensor.Tensor, goldenPool)

@@ -7,53 +7,30 @@ import (
 	"dronerl/internal/nn"
 )
 
-// This file is the option/validation layer over Options. The historical API
-// was a zero-value-defaulted struct, which cannot tell "the caller left
-// Gamma alone" apart from "the caller asked for Gamma = 0": setDefaults
-// silently replaced every zero with the documented default. The functional
-// options below record which fields were set explicitly, so an explicit
-// zero survives default resolution where it is meaningful (EpsEnd, GradClip,
-// TargetSync, Seed) and is rejected with an error where it is not (Gamma,
-// LR, BatchSize, EpsDecaySteps).
+// This file is the option/validation layer over Options. A zero-valued
+// Options literal cannot tell "the caller left Gamma alone" apart from "the
+// caller asked for Gamma = 0": setDefaults replaces every zero with the
+// documented default. Options built through With resolve the defaults
+// first and apply the functional options after, so an explicit zero
+// survives where it is meaningful (EpsEnd, GradClip, TargetSync, Seed) and
+// fails Validate where it is not (Gamma, LR, BatchSize, EpsDecaySteps).
 
-// optField is a presence bit for one Options field.
-type optField uint32
-
-const (
-	fieldGamma optField = 1 << iota
-	fieldLR
-	fieldBatchSize
-	fieldReplayCapacity
-	fieldEpsStart
-	fieldEpsEnd
-	fieldEpsDecaySteps
-	fieldTargetSync
-	fieldGradClip
-	fieldDoubleDQN
-	fieldSeed
-	fieldEvalBackend
-	fieldActors
-	fieldSyncEvery
-	fieldTrainBackend
-)
-
-// isSet reports whether a field was set through a functional option.
-func (o *Options) isSet(f optField) bool { return o.explicit&f != 0 }
-
-func (o *Options) mark(f optField) { o.explicit |= f }
-
-// Option mutates an Options under construction. Options returned by the
-// With* constructors validate their argument and surface range errors from
-// NewOptions instead of silently substituting a default.
+// Option mutates an Options under construction. Range errors surface from
+// Validate, which With runs after every option has been applied.
 type Option func(*Options) error
 
-// NewOptions builds an Options from functional options, resolves the
-// documented defaults for everything left unset, and validates the result.
-// Unlike a zero-valued struct literal, explicit zeros are honoured: e.g.
-// WithEpsilon(0.3, 0) really anneals to zero exploration and WithGradClip(0)
-// really disables clipping.
-func NewOptions(opts ...Option) (Options, error) {
-	var o Options
+// NewOptions builds an Options from functional options over the documented
+// defaults; it is Options{}.With(opts...).
+func NewOptions(opts ...Option) (Options, error) { return Options{}.With(opts...) }
+
+// With specialises a template: it fills o's zero fields with the documented
+// defaults, applies opts on top, validates the result and marks it
+// resolved, so a later setDefaults (NewAgent's) leaves its explicit zeros
+// alone — WithEpsilon(0.3, 0) really anneals to zero exploration and
+// WithGradClip(0) really disables clipping.
+func (o Options) With(opts ...Option) (Options, error) {
+	o.setDefaults()
+	o.resolved = true
 	for _, fn := range opts {
 		if fn == nil {
 			continue
@@ -65,7 +42,6 @@ func NewOptions(opts ...Option) (Options, error) {
 	if err := o.Validate(); err != nil {
 		return Options{}, err
 	}
-	o.setDefaults()
 	return o, nil
 }
 
@@ -74,11 +50,7 @@ func NewOptions(opts ...Option) (Options, error) {
 // rejected rather than silently replaced by the default.
 func WithGamma(g float64) Option {
 	return func(o *Options) error {
-		if g <= 0 || g > 1 {
-			return fmt.Errorf("rl: gamma %v out of range (0, 1]", g)
-		}
 		o.Gamma = g
-		o.mark(fieldGamma)
 		return nil
 	}
 }
@@ -86,11 +58,7 @@ func WithGamma(g float64) Option {
 // WithLR sets the SGD learning rate (must be > 0).
 func WithLR(lr float64) Option {
 	return func(o *Options) error {
-		if lr <= 0 {
-			return fmt.Errorf("rl: learning rate %v must be positive", lr)
-		}
 		o.LR = lr
-		o.mark(fieldLR)
 		return nil
 	}
 }
@@ -98,11 +66,7 @@ func WithLR(lr float64) Option {
 // WithBatchSize sets the training batch (must be >= 1).
 func WithBatchSize(n int) Option {
 	return func(o *Options) error {
-		if n < 1 {
-			return fmt.Errorf("rl: batch size %d must be >= 1", n)
-		}
 		o.BatchSize = n
-		o.mark(fieldBatchSize)
 		return nil
 	}
 }
@@ -111,11 +75,7 @@ func WithBatchSize(n int) Option {
 // resolved capacity must also cover one batch, checked by Validate).
 func WithReplayCapacity(n int) Option {
 	return func(o *Options) error {
-		if n < 1 {
-			return fmt.Errorf("rl: replay capacity %d must be >= 1", n)
-		}
 		o.ReplayCapacity = n
-		o.mark(fieldReplayCapacity)
 		return nil
 	}
 }
@@ -125,17 +85,7 @@ func WithReplayCapacity(n int) Option {
 // schedule anneals to fully greedy).
 func WithEpsilon(start, end float64) Option {
 	return func(o *Options) error {
-		if start < 0 || start > 1 {
-			return fmt.Errorf("rl: epsilon start %v out of range [0, 1]", start)
-		}
-		if end < 0 || end > 1 {
-			return fmt.Errorf("rl: epsilon end %v out of range [0, 1]", end)
-		}
-		if end > start {
-			return fmt.Errorf("rl: epsilon end %v exceeds start %v", end, start)
-		}
 		o.EpsStart, o.EpsEnd = start, end
-		o.mark(fieldEpsStart | fieldEpsEnd)
 		return nil
 	}
 }
@@ -143,11 +93,7 @@ func WithEpsilon(start, end float64) Option {
 // WithEpsDecaySteps sets the exploration annealing horizon (must be >= 1).
 func WithEpsDecaySteps(n int) Option {
 	return func(o *Options) error {
-		if n < 1 {
-			return fmt.Errorf("rl: epsilon decay steps %d must be >= 1", n)
-		}
 		o.EpsDecaySteps = n
-		o.mark(fieldEpsDecaySteps)
 		return nil
 	}
 }
@@ -157,11 +103,7 @@ func WithEpsDecaySteps(n int) Option {
 // bootstrap); negative intervals are rejected.
 func WithTargetSync(steps int) Option {
 	return func(o *Options) error {
-		if steps < 0 {
-			return fmt.Errorf("rl: target sync interval %d must be >= 0", steps)
-		}
 		o.TargetSync = steps
-		o.mark(fieldTargetSync)
 		return nil
 	}
 }
@@ -172,7 +114,6 @@ func WithTargetSync(steps int) Option {
 func WithDoubleDQN(on bool) Option {
 	return func(o *Options) error {
 		o.DoubleDQN = on
-		o.mark(fieldDoubleDQN)
 		return nil
 	}
 }
@@ -181,11 +122,7 @@ func WithDoubleDQN(on bool) Option {
 // disables clipping; negative limits are rejected.
 func WithGradClip(limit float64) Option {
 	return func(o *Options) error {
-		if limit < 0 {
-			return fmt.Errorf("rl: gradient clip %v must be >= 0", limit)
-		}
 		o.GradClip = limit
-		o.mark(fieldGradClip)
 		return nil
 	}
 }
@@ -202,7 +139,6 @@ func WithEvalBackend(name string) Option {
 			return fmt.Errorf("rl: evaluation backend name is empty (registered: %v)", nn.BackendNames())
 		}
 		o.EvalBackend = name
-		o.mark(fieldEvalBackend)
 		return nil
 	}
 }
@@ -214,11 +150,7 @@ func WithEvalBackend(name string) Option {
 // replay shards.
 func WithActors(n int) Option {
 	return func(o *Options) error {
-		if n < 1 {
-			return fmt.Errorf("rl: actor count %d must be >= 1", n)
-		}
 		o.Actors = n
-		o.mark(fieldActors)
 		return nil
 	}
 }
@@ -229,11 +161,7 @@ func WithActors(n int) Option {
 // NVM writes per published snapshot.
 func WithSyncEvery(steps int) Option {
 	return func(o *Options) error {
-		if steps < 1 {
-			return fmt.Errorf("rl: policy sync interval %d must be >= 1", steps)
-		}
 		o.SyncEvery = steps
-		o.mark(fieldSyncEvery)
 		return nil
 	}
 }
@@ -252,7 +180,6 @@ func WithTrainBackend(name string) Option {
 			return fmt.Errorf("rl: train backend name is empty (registered: %v)", nn.BackendNames())
 		}
 		o.TrainBackend = name
-		o.mark(fieldTrainBackend)
 		return nil
 	}
 }
@@ -262,13 +189,13 @@ func WithTrainBackend(name string) Option {
 func WithSeed(seed int64) Option {
 	return func(o *Options) error {
 		o.Seed = seed
-		o.mark(fieldSeed)
 		return nil
 	}
 }
 
-// Validate checks cross-field consistency on the resolved view of o (the
-// documented defaults applied to every unset field). It is the explicit
+// Validate checks ranges and cross-field consistency on the resolved view of
+// o (an unresolved literal's zero fields read as their defaults). It is the
+// only range check of the option layer, and the explicit
 // alternative to the old behaviour of silently repairing inconsistent
 // combinations.
 func (o Options) Validate() error {
@@ -330,59 +257,4 @@ func (o Options) Validate() error {
 		errs = append(errs, fmt.Errorf("rl: policy sync interval %d must be >= 1", r.SyncEvery))
 	}
 	return errors.Join(errs...)
-}
-
-// Merge returns o with every explicitly-set field of over layered on top.
-// Fields over never touched keep o's values (and o's presence bits), so a
-// template options set can be specialised by a user-supplied override built
-// from functional options.
-func (o Options) Merge(over Options) Options {
-	out := o
-	if over.isSet(fieldGamma) {
-		out.Gamma = over.Gamma
-	}
-	if over.isSet(fieldLR) {
-		out.LR = over.LR
-	}
-	if over.isSet(fieldBatchSize) {
-		out.BatchSize = over.BatchSize
-	}
-	if over.isSet(fieldReplayCapacity) {
-		out.ReplayCapacity = over.ReplayCapacity
-	}
-	if over.isSet(fieldEpsStart) {
-		out.EpsStart = over.EpsStart
-	}
-	if over.isSet(fieldEpsEnd) {
-		out.EpsEnd = over.EpsEnd
-	}
-	if over.isSet(fieldEpsDecaySteps) {
-		out.EpsDecaySteps = over.EpsDecaySteps
-	}
-	if over.isSet(fieldTargetSync) {
-		out.TargetSync = over.TargetSync
-	}
-	if over.isSet(fieldGradClip) {
-		out.GradClip = over.GradClip
-	}
-	if over.isSet(fieldDoubleDQN) {
-		out.DoubleDQN = over.DoubleDQN
-	}
-	if over.isSet(fieldSeed) {
-		out.Seed = over.Seed
-	}
-	if over.isSet(fieldEvalBackend) {
-		out.EvalBackend = over.EvalBackend
-	}
-	if over.isSet(fieldActors) {
-		out.Actors = over.Actors
-	}
-	if over.isSet(fieldSyncEvery) {
-		out.SyncEvery = over.SyncEvery
-	}
-	if over.isSet(fieldTrainBackend) {
-		out.TrainBackend = over.TrainBackend
-	}
-	out.explicit |= over.explicit
-	return out
 }

@@ -56,6 +56,12 @@ func TestExplicitZerosSurviveDefaults(t *testing.T) {
 	if o.Seed != 0 {
 		t.Errorf("explicit Seed=0 replaced by %v", o.Seed)
 	}
+	// NewAgent resolves defaults again; resolved options keep their zeros.
+	again := o
+	again.setDefaults()
+	if again != o {
+		t.Errorf("setDefaults rewrote resolved options: %+v, want %+v", again, o)
+	}
 	// Everything left unset still resolves to the documented default.
 	if o.Gamma != 0.95 || o.BatchSize != 4 {
 		t.Errorf("unset fields lost their defaults: %+v", o)
@@ -108,30 +114,42 @@ func TestValidateReplayHoldsBatch(t *testing.T) {
 	}
 }
 
-// TestMergeLayersExplicitFieldsOnly asserts template options keep their
-// values except where the override was explicitly set.
-func TestMergeLayersExplicitFieldsOnly(t *testing.T) {
+// TestWithLayersOptionsOverTemplate asserts a template keeps its values
+// except where an option was applied, and that an explicit zero applied
+// over a template survives the agent's later default resolution.
+func TestWithLayersOptionsOverTemplate(t *testing.T) {
 	template := Options{Seed: 42, BatchSize: 4, EpsStart: 0.5, EpsDecaySteps: 200, LR: 0.001}
-	over, err := NewOptions(WithGamma(0.9), WithGradClip(0))
+	m, err := template.With(WithGamma(0.9), WithGradClip(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := template.Merge(over)
+	m.setDefaults()
 	if m.Gamma != 0.9 || m.GradClip != 0 {
-		t.Errorf("explicit override fields not applied: %+v", m)
+		t.Errorf("applied options lost: %+v", m)
 	}
 	if m.Seed != 42 || m.BatchSize != 4 || m.EpsStart != 0.5 || m.LR != 0.001 {
-		t.Errorf("unset override fields clobbered the template: %+v", m)
+		t.Errorf("options clobbered untouched template fields: %+v", m)
 	}
-	// The merge of a template with an empty override is the template.
-	if got := template.Merge(Options{}); got != template {
-		t.Errorf("empty merge changed the template: %+v", got)
+	// With no options the template only gains its defaults.
+	got, err := template.With()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := template
+	want.setDefaults()
+	want.resolved = true
+	if got != want {
+		t.Errorf("empty With changed the template: %+v, want %+v", got, want)
+	}
+	// The combination is validated, not each option alone.
+	if _, err := (Options{BatchSize: 32}).With(WithReplayCapacity(16)); err == nil {
+		t.Error("replay capacity below the template's batch accepted")
 	}
 }
 
 // TestEvalBackendOption checks backend selection through the option layer:
-// registered names resolve, unknown or empty names fail loudly, and Merge
-// carries an explicitly-set backend onto a template.
+// registered names resolve, unknown or empty names fail loudly, and With
+// carries a backend onto a template.
 func TestEvalBackendOption(t *testing.T) {
 	o, err := NewOptions(WithEvalBackend("float"))
 	if err != nil {
@@ -150,12 +168,11 @@ func TestEvalBackendOption(t *testing.T) {
 		t.Error("struct-literal unknown backend must fail Validate")
 	}
 	template := Options{Seed: 1, BatchSize: 4}
-	m := template.Merge(o)
-	if m.EvalBackend != "float" {
-		t.Errorf("merge dropped the backend: %+v", m)
+	if m, err := template.With(WithEvalBackend("float")); err != nil || m.EvalBackend != "float" {
+		t.Errorf("With dropped the backend: %+v, %v", m, err)
 	}
-	if got := template.Merge(Options{}); got.EvalBackend != "" {
-		t.Errorf("empty merge invented a backend: %+v", got)
+	if got, err := template.With(); err != nil || got.EvalBackend != "" {
+		t.Errorf("empty With invented a backend: %+v, %v", got, err)
 	}
 }
 

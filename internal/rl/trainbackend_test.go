@@ -98,9 +98,9 @@ func TestWithTrainBackendValidation(t *testing.T) {
 	if o.TrainBackend != "quant-train" {
 		t.Fatalf("TrainBackend %q", o.TrainBackend)
 	}
-	merged := Options{}.Merge(o)
-	if merged.TrainBackend != "quant-train" {
-		t.Fatalf("Merge dropped TrainBackend: %q", merged.TrainBackend)
+	over, err := Options{Seed: 3}.With(WithTrainBackend("quant-train"))
+	if err != nil || over.TrainBackend != "quant-train" {
+		t.Fatalf("With dropped TrainBackend: %q, %v", over.TrainBackend, err)
 	}
 }
 

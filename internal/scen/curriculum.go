@@ -58,6 +58,9 @@ type CurriculumReport struct {
 	FailedStage string
 	// MetaReward is the meta-training phase's final moving-average reward.
 	MetaReward float64
+	// TrainBackend names the trainable backend the stages ran on (""
+	// for the float training path).
+	TrainBackend string
 }
 
 // DefaultLadder returns the builtin three-stage curriculum for a kind:
@@ -94,8 +97,9 @@ func DefaultLadder(kind string) []Stage {
 // on new worlds of the same family otherwise). It implements
 // core.Experiment, so core.Run gives it worker pooling, per-stage events
 // and context cancellation like every other driver; because every phase is
-// a single job on the serial single-actor schedule, a fixed seed reproduces
-// the promotion trace exactly.
+// a single job on the serial single-actor schedule (unless rl.WithActors
+// fans the stages out over cloned worlds), a fixed seed reproduces the
+// promotion trace exactly.
 type Curriculum struct {
 	// Topology is the trainable-region configuration of the deployed agent.
 	Topology nn.Config
@@ -107,7 +111,7 @@ type Curriculum struct {
 	StageIters int
 
 	stages    []Stage
-	overrides rl.Options
+	agentOpts []rl.Option
 
 	agent       *rl.Agent
 	metaReward  float64
@@ -155,10 +159,10 @@ func NewCurriculum(stages []Stage, topology nn.Config, seed int64, metaIters, st
 	}, nil
 }
 
-// SetAgentOverrides installs explicitly-set agent hyper-parameters that
-// override the curriculum's training templates, exactly like the flight
-// driver's.
-func (c *Curriculum) SetAgentOverrides(o rl.Options) { c.overrides = o }
+// SetAgentOverrides installs the agent options applied over the meta and
+// online recipes, exactly like the flight driver's; an invalid combination
+// fails the run.
+func (c *Curriculum) SetAgentOverrides(opts ...rl.Option) { c.agentOpts = opts }
 
 // Stages returns the validated ladder (defaults applied).
 func (c *Curriculum) Stages() []Stage { return append([]Stage(nil), c.stages...) }
@@ -187,6 +191,9 @@ func (c *Curriculum) Phases() []core.Phase {
 			FailedStage: c.failedStage,
 			MetaReward:  c.metaReward,
 		}
+		if tb := c.agent.TrainBackend(); tb != nil {
+			c.report.TrainBackend = tb.Name()
+		}
 		return nil
 	}})
 	return phases
@@ -198,18 +205,16 @@ func (c *Curriculum) metaJob(rc *core.RunContext, _ int) error {
 	kind := c.stages[0].Spec.Kind
 	meta := env.MetaForKind(kind, c.Seed+1000)
 	spec := nn.NavNetSpec()
-	opts := rl.Options{
-		Seed: c.Seed + 1, BatchSize: 4,
-		EpsDecaySteps: c.MetaIters / 2,
-	}.Merge(c.overrides)
+	opts, err := transfer.MetaOptions(c.Seed+1, c.MetaIters, c.agentOpts...)
+	if err != nil {
+		return err
+	}
+	deployOpts, err := transfer.OnlineOptions(c.Seed+2, c.StageIters, c.agentOpts...)
+	if err != nil {
+		return err
+	}
 	snap, tracker := transfer.MetaTrain(meta, spec, c.MetaIters, opts)
 	c.metaReward = tracker.CumulativeReward()
-
-	deployOpts := rl.Options{
-		Seed: c.Seed + 2, BatchSize: 4,
-		EpsStart: 0.5, EpsDecaySteps: c.StageIters / 2,
-		LR: 0.001,
-	}.Merge(c.overrides)
 	agent, err := transfer.Deploy(snap, spec, c.Topology, deployOpts)
 	if err != nil {
 		return fmt.Errorf("scen: deploying curriculum meta-model: %w", err)
@@ -237,15 +242,12 @@ func (c *Curriculum) stageJob(rc *core.RunContext, i int) error {
 		// Fresh member world per attempt: same family, new layout. The
 		// seed depends only on the curriculum seed and the (stage,
 		// attempt) indices, never on earlier outcomes.
-		w, err := Generate(st.Spec, c.Seed+10000*int64(i+1)+101*int64(attempt))
+		seed := c.Seed + 10000*int64(i+1) + 101*int64(attempt)
+		w, err := Generate(st.Spec, seed)
 		if err != nil {
 			return fmt.Errorf("scen: stage %q: %w", st.Name, err)
 		}
-		loop := &rl.OnlineLoop{
-			Agent:   c.agent,
-			Worlds:  []*env.World{w},
-			Tracker: rl.TrackerFor(st.Iters),
-		}
+		loop, _ := transfer.BuildOnlineLoop(c.agent, w, nn.NavNetSpec(), c.Topology, st.Iters, seed+7700)
 		if _, err := loop.Run(rc.Context(), st.Iters); err != nil {
 			return err
 		}

@@ -2,6 +2,10 @@ package scen
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,6 +35,32 @@ func runCurriculum(t *testing.T, stages []Stage, opts ...core.RunOption) *Curric
 	return c
 }
 
+// curriculumHash is the SHA-256 of a curriculum report: every promotion
+// record in order, the outcome and the meta-training reward.
+func curriculumHash(rep *CurriculumReport) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, rec := range rep.Trace {
+		h.Write([]byte(rec.Stage + "|"))
+		put(uint64(rec.Attempt))
+		put(uint64(rec.Iters))
+		put(math.Float64bits(rec.Reward))
+		put(math.Float64bits(rec.SFD))
+		if rec.Promoted {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	h.Write([]byte(rep.FailedStage + "|"))
+	put(math.Float64bits(rep.MetaReward))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func TestCurriculumPromotionTraceDeterministic(t *testing.T) {
 	a := runCurriculum(t, testLadder())
 	b := runCurriculum(t, testLadder())
@@ -54,6 +84,12 @@ func TestCurriculumPromotionTraceDeterministic(t *testing.T) {
 		if rec.Iters != 60 || rec.Attempt != 0 {
 			t.Errorf("record %d = %+v, want attempt 0 at 60 iters", i, rec)
 		}
+	}
+	// The trace is pinned, captured at 942758f before the transfer recipe
+	// moved into internal/transfer.
+	const want = "8bf14c849495145851b1eaa4969a55616c53d91f37201316ab244eda8779b421"
+	if got := curriculumHash(a.Report()); got != want {
+		t.Fatalf("curriculum moved: report hash %s, want %s\n%+v", got, want, a.Report())
 	}
 }
 

@@ -75,7 +75,8 @@ func Generate(spec GenSpec, seed int64) (*env.World, error) {
 // and stereo parameters, every obstacle's exact float64 geometry and the
 // drone's spawn pose — into a hex SHA-256. Two worlds hash equal exactly
 // when they are bit-identical, which is how the generator's determinism
-// contract is pinned in tests and in the CI bench job.
+// contract is pinned: TestBuiltinFamiliesWorldHashPinned and
+// BenchmarkGenerateWorld.
 func WorldHash(w *env.World) string {
 	h := sha256.New()
 	str := func(s string) {

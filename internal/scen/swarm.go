@@ -132,12 +132,15 @@ func argmaxRow(row []float32) int {
 type SwarmReport struct {
 	Env    string
 	Config nn.Config
-	// Backend names the compiled inference engine the mission flew on
-	// ("" = float network), and Cost its accumulated modeled hardware
+	// Backend names the agent's evaluation backend the mission flew on
+	// ("" = the float network), and Cost its accumulated modeled hardware
 	// tally: with the batched quant fleet, the energy reflects one MRAM
 	// weight stream per layer per tick, amortized across all drones.
 	Backend string
 	Cost    nn.BackendCost
+	// TrainBackend names the trainable backend of the online phase (""
+	// for the float training path).
+	TrainBackend string
 	// Drones holds each member's stats, index order.
 	Drones []DroneStats
 	// Aggregates over the fleet.
@@ -152,10 +155,12 @@ type SwarmReport struct {
 
 // SwarmExperiment is the multi-drone mission driver: meta-train for the
 // scenario's kind, deploy and adapt the policy online in the scenario world
-// (the deterministic single-actor schedule), then fly Drones clones of that
-// world in lockstep sharing the adapted policy — one batched GEMM per layer
-// across the fleet — and merge per-drone metrics in index order. It
-// implements core.Experiment.
+// (the deterministic single-actor schedule unless rl.WithActors asks for
+// more), then fly Drones clones of that
+// world in lockstep sharing the adapted policy on the agent's evaluation
+// backend (rl.WithEvalBackend; the float network when none is selected) —
+// one batched pass per layer across the fleet — and merge per-drone
+// metrics in index order. It implements core.Experiment.
 type SwarmExperiment struct {
 	// Scenario names the catalog world the swarm flies.
 	Scenario string
@@ -163,18 +168,12 @@ type SwarmExperiment struct {
 	Drones int
 	// Topology is the deployed agent's trainable region.
 	Topology nn.Config
-	// Backend, when set, names the registry backend the mission phase
-	// flies on ("quant", "systolic"); the lockstep fleet then runs its
-	// batched inference entry, so quant and systolic swarms (the same
-	// integer engine, priced or not) get one integer pass per layer per
-	// tick. Empty keeps the float network (bit-identity pin).
-	Backend string
 	// Seed drives every stream.
 	Seed int64
 	// MetaIters, OnlineIters and MissionSteps are the phase budgets.
 	MetaIters, OnlineIters, MissionSteps int
 
-	overrides rl.Options
+	agentOpts []rl.Option
 	agent     *rl.Agent
 	world     *env.World
 	training  *metrics.FlightTracker
@@ -203,9 +202,11 @@ func NewSwarmExperiment(scenario string, drones int, topology nn.Config, seed in
 	}, nil
 }
 
-// SetAgentOverrides installs explicitly-set agent hyper-parameters that
-// override the training templates.
-func (e *SwarmExperiment) SetAgentOverrides(o rl.Options) { e.overrides = o }
+// SetAgentOverrides installs the agent options applied over the meta and
+// online recipes; an invalid combination fails the run. The evaluation
+// backend they name (rl.WithEvalBackend) is the one the mission phase
+// flies on.
+func (e *SwarmExperiment) SetAgentOverrides(opts ...rl.Option) { e.agentOpts = opts }
 
 // Name implements core.Experiment.
 func (e *SwarmExperiment) Name() string { return "swarm" }
@@ -224,17 +225,15 @@ func (e *SwarmExperiment) metaJob(rc *core.RunContext, _ int) error {
 	e.world = sc.Build(e.Seed + 1)
 	meta := env.MetaForKind(e.world.Kind, e.Seed+1000)
 	spec := nn.NavNetSpec()
-	opts := rl.Options{
-		Seed: e.Seed + 1, BatchSize: 4,
-		EpsDecaySteps: e.MetaIters / 2,
-	}.Merge(e.overrides)
+	opts, err := transfer.MetaOptions(e.Seed+1, e.MetaIters, e.agentOpts...)
+	if err != nil {
+		return err
+	}
+	deployOpts, err := transfer.OnlineOptions(e.Seed+2, e.OnlineIters, e.agentOpts...)
+	if err != nil {
+		return err
+	}
 	snap, tracker := transfer.MetaTrain(meta, spec, e.MetaIters, opts)
-
-	deployOpts := rl.Options{
-		Seed: e.Seed + 2, BatchSize: 4,
-		EpsStart: 0.5, EpsDecaySteps: e.OnlineIters / 2,
-		LR: 0.001,
-	}.Merge(e.overrides)
 	agent, err := transfer.Deploy(snap, spec, e.Topology, deployOpts)
 	if err != nil {
 		return fmt.Errorf("scen: deploying swarm meta-model: %w", err)
@@ -248,11 +247,7 @@ func (e *SwarmExperiment) metaJob(rc *core.RunContext, _ int) error {
 }
 
 func (e *SwarmExperiment) onlineJob(rc *core.RunContext, _ int) error {
-	loop := &rl.OnlineLoop{
-		Agent:   e.agent,
-		Worlds:  []*env.World{e.world},
-		Tracker: rl.TrackerFor(e.OnlineIters),
-	}
+	loop, _ := transfer.BuildOnlineLoop(e.agent, e.world, nn.NavNetSpec(), e.Topology, e.OnlineIters, e.Seed+7700)
 	if _, err := loop.Run(rc.Context(), e.OnlineIters); err != nil {
 		return err
 	}
@@ -265,32 +260,36 @@ func (e *SwarmExperiment) onlineJob(rc *core.RunContext, _ int) error {
 }
 
 func (e *SwarmExperiment) swarmJob(rc *core.RunContext, _ int) error {
-	var backend nn.Backend = nn.NewFloatBackend(e.agent.Net)
-	if e.Backend != "" {
-		b, err := nn.NewBackendFor(e.Backend, e.agent.Net, nn.NavNetSpec(), e.Topology)
-		if err != nil {
-			return fmt.Errorf("scen: building swarm backend: %w", err)
-		}
-		backend = b
+	// The mission is a deployment: it flies the agent's evaluation backend
+	// (the float network when none is selected), whose batched inference
+	// entry gives the lockstep fleet one pass per layer per tick.
+	if err := e.agent.ActivateEvalBackend(); err != nil {
+		return fmt.Errorf("scen: building swarm backend: %w", err)
 	}
-	drones := FlySwarmBackend(backend, e.world, e.Drones, e.MissionSteps, e.Seed+5000)
-	rep := &SwarmReport{
-		Env: e.world.Name, Config: e.Topology,
-		Backend: e.Backend, Drones: drones, Training: e.training,
+	rep := &SwarmReport{Env: e.world.Name, Config: e.Topology, Training: e.training}
+	backend := e.agent.EvalBackend()
+	if backend == nil {
+		backend = nn.NewFloatBackend(e.agent.Net)
+	} else {
+		rep.Backend = backend.Name()
 	}
+	if tb := e.agent.TrainBackend(); tb != nil {
+		rep.TrainBackend = tb.Name()
+	}
+	rep.Drones = FlySwarmBackend(backend, e.world, e.Drones, e.MissionSteps, e.Seed+5000)
 	if cr, ok := backend.(nn.CostReporter); ok {
 		rep.Cost = cr.Cost()
 	}
 	// Merge in index order, like the flight driver's per-run ledgers.
-	for _, d := range drones {
+	for _, d := range rep.Drones {
 		rep.TotalSteps += d.Steps
 		rep.TotalCrashes += d.Crashes
 		rep.TotalDistance += d.Distance
 		rep.MeanReward += d.MeanReward
 		rep.MeanSFD += d.SFD
 	}
-	rep.MeanReward /= float64(len(drones))
-	rep.MeanSFD /= float64(len(drones))
+	rep.MeanReward /= float64(e.Drones)
+	rep.MeanSFD /= float64(e.Drones)
 	e.report = rep
 	rc.Emit(core.Event{
 		Env: e.world.Name, Config: e.Topology,

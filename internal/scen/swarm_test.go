@@ -47,6 +47,32 @@ func swarmStatsHash(stats []DroneStats) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// swarmReportHash is the SHA-256 of a swarm experiment's whole report: the
+// per-drone stats, the fleet aggregates, the backend and its cost tally,
+// and the online phase's tracker.
+func swarmReportHash(rep *SwarmReport) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	h.Write([]byte(swarmStatsHash(rep.Drones)))
+	h.Write([]byte(rep.Env + "|" + rep.Config.String() + "|" + rep.Backend + "|"))
+	put(uint64(rep.Cost.Inferences))
+	put(math.Float64bits(rep.Cost.EnergyMJ))
+	put(math.Float64bits(rep.Cost.LatencyMS))
+	put(uint64(rep.TotalSteps))
+	put(uint64(rep.TotalCrashes))
+	put(math.Float64bits(rep.TotalDistance))
+	put(math.Float64bits(rep.MeanReward))
+	put(math.Float64bits(rep.MeanSFD))
+	put(uint64(rep.Training.Steps()))
+	put(uint64(rep.Training.Crashes()))
+	put(math.Float64bits(rep.Training.CumulativeReward()))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestFlySwarmGoldenAndReproducible pins the lockstep fleet to the stats it
 // left at 2c75f9e, where each drone was also flown alone through single-row
 // forward passes and compared bit for bit (that arm is deleted since; hash
@@ -149,6 +175,12 @@ func TestSwarmExperimentMergesInIndexOrder(t *testing.T) {
 	if !reflect.DeepEqual(rep.Drones, e2.Report().Drones) {
 		t.Fatalf("swarm experiment not reproducible:\n%+v\nvs\n%+v", rep.Drones, e2.Report().Drones)
 	}
+	// The report is pinned, captured at 942758f before the transfer recipe
+	// moved into internal/transfer.
+	const want = "3fe7dde632721391cb39947447f10c2b0d9c159d92eea3bfced8a570656c282e"
+	if got := swarmReportHash(rep); got != want {
+		t.Fatalf("swarm experiment moved: report hash %s, want %s\n%+v", got, want, rep)
+	}
 }
 
 func TestNewSwarmExperimentValidates(t *testing.T) {
@@ -241,15 +273,15 @@ func TestFlySwarmQuantBackendBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSwarmExperimentQuantBackend: the Backend knob threads the compiled
-// quant engine through the mission phase and the report carries its name
-// and amortized cost tally.
+// TestSwarmExperimentQuantBackend: the agent's evaluation backend carries
+// the compiled quant engine through the mission phase and the report
+// carries its name and amortized cost tally.
 func TestSwarmExperimentQuantBackend(t *testing.T) {
 	e, err := NewSwarmExperiment("gen-indoor-sparse", 3, nn.L3, 21, 40, 40, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Backend = "quant"
+	e.SetAgentOverrides(rl.WithEvalBackend("quant"))
 	if err := core.Run(context.Background(), e); err != nil {
 		t.Fatal(err)
 	}
@@ -265,5 +297,11 @@ func TestSwarmExperimentQuantBackend(t *testing.T) {
 	}
 	if rep.Cost.EnergyMJ <= 0 {
 		t.Errorf("backend energy %v mJ, want > 0", rep.Cost.EnergyMJ)
+	}
+	// Captured at 942758f, when the mission backend was a field of the
+	// experiment rather than the agent's evaluation backend.
+	const want = "c4857ef968586b2988c240074858aad4d1a3def56a1c0f85bc9090cbc6d417cc"
+	if got := swarmReportHash(rep); got != want {
+		t.Fatalf("quant swarm experiment moved: report hash %s, want %s\n%+v", got, want, rep)
 	}
 }

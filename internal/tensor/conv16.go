@@ -46,7 +46,8 @@ func NewConv16(w []int16, inC, outC, k, stride, pad int) *Conv16 {
 	return c
 }
 
-// OutHW returns the output height and width for an (h, w) input.
+// OutHW returns the output height and width for an (h, w) input. The
+// Conv16 tests size their references with it (TestConv16MatchesPanelGEMM).
 func (c *Conv16) OutHW(h, w int) (oh, ow int) {
 	return (h+2*c.pad-c.k)/c.stride + 1, (w+2*c.pad-c.k)/c.stride + 1
 }

@@ -23,6 +23,23 @@ import (
 	"dronerl/internal/rl"
 )
 
+// MetaOptions is the paper's meta-training recipe for a run of iterations
+// steps — batch 4, exploration annealed over half the budget — specialised
+// by opts (see rl.Options.With).
+func MetaOptions(seed int64, iterations int, opts ...rl.Option) (rl.Options, error) {
+	return rl.Options{Seed: seed, BatchSize: 4, EpsDecaySteps: iterations / 2}.With(opts...)
+}
+
+// OnlineOptions is the paper's online-learning recipe for a run of
+// iterations steps, specialised by opts: the transferred model already
+// avoids obstacles and only fine-tunes, so exploration restarts from 0.5
+// (annealed over half the budget) at learning rate 0.001, batch 4.
+func OnlineOptions(seed int64, iterations int, opts ...rl.Option) (rl.Options, error) {
+	return rl.Options{
+		Seed: seed, BatchSize: 4, EpsStart: 0.5, EpsDecaySteps: iterations / 2, LR: 0.001,
+	}.With(opts...)
+}
+
 // MetaTrain runs end-to-end RL on a meta-environment and returns the
 // trained meta-model. The paper trains for 60k iterations from
 // ImageNet-initialized weights; this reproduction trains from scratch for a
