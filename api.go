@@ -127,7 +127,8 @@ func New(opts ...Option) (*Spec, error) {
 }
 
 // WithTopology selects the training topology for agents built from the
-// Spec (L2, L3, L4 or E2E). Flight experiments always sweep all four.
+// Spec (L2, L3, L4 or E2E). Read by Swarm, Curriculum, Agent and Deploy;
+// Flight and Missions always compare all four.
 func WithTopology(cfg Config) Option {
 	return func(s *Spec) error {
 		switch cfg {
@@ -139,7 +140,8 @@ func WithTopology(cfg Config) Option {
 	}
 }
 
-// WithSeed sets the experiment seed every RNG derives from.
+// WithSeed sets the experiment seed every RNG derives from. Read by every
+// entry point.
 func WithSeed(seed int64) Option {
 	return func(s *Spec) error {
 		s.scale.Seed = seed
@@ -147,7 +149,9 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithMetaIters sets the meta-environment E2E training budget.
+// WithMetaIters sets the meta-environment E2E training budget. Read by
+// Flight, Swarm and Curriculum; Missions meta-trains a fixed 800
+// iterations.
 func WithMetaIters(n int) Option {
 	return func(s *Spec) error {
 		if n < 1 {
@@ -158,7 +162,9 @@ func WithMetaIters(n int) Option {
 	}
 }
 
-// WithOnlineIters sets the per-scenario online RL budget.
+// WithOnlineIters sets the per-scenario online RL budget. Read by Flight,
+// Swarm and Curriculum (the default per-stage budget); a mission's frame
+// count is set by its energy budget instead.
 func WithOnlineIters(n int) Option {
 	return func(s *Spec) error {
 		if n < 1 {
@@ -169,7 +175,9 @@ func WithOnlineIters(n int) Option {
 	}
 }
 
-// WithEvalSteps sets the greedy evaluation flight length.
+// WithEvalSteps sets the greedy evaluation flight length. Read by Flight
+// and Swarm (the mission length); Curriculum and Missions have no
+// fixed-length evaluation flight.
 func WithEvalSteps(n int) Option {
 	return func(s *Spec) error {
 		if n < 1 {
@@ -181,7 +189,8 @@ func WithEvalSteps(n int) Option {
 }
 
 // WithScale installs a whole iteration budget at once (QuickScale,
-// FullScale, or a custom one).
+// FullScale, or a custom one): WithSeed, WithMetaIters, WithOnlineIters
+// and WithEvalSteps together, read where each of those is.
 func WithScale(scale FlightScale) Option {
 	return func(s *Spec) error {
 		s.scale = scale
@@ -190,7 +199,9 @@ func WithScale(scale FlightScale) Option {
 }
 
 // WithScenarios selects the worlds a flight experiment sweeps, by catalog
-// name and in the given order. Unknown names fail Validate.
+// name and in the given order. Unknown names fail Validate. Read by Flight
+// (every name), Swarm (the first) and Curriculum (the first one's kind
+// picks the default ladder); Missions always fly the indoor apartment.
 func WithScenarios(names ...string) Option {
 	return func(s *Spec) error {
 		if len(names) == 0 {
@@ -239,7 +250,7 @@ func DefaultCurriculum(kind string) []Stage { return scen.DefaultLadder(kind) }
 // WithGenerated registers the spec's scenario family in the catalog (under
 // its canonical FamilyName; re-registering the same spec is a no-op) and
 // appends it to the Spec's scenario list, so flight experiments sweep the
-// generated world alongside any named ones.
+// generated world alongside any named ones. Read where WithScenarios is.
 func WithGenerated(g GenSpec) Option {
 	return func(s *Spec) error {
 		name, err := scen.RegisterSpec(g)
@@ -252,6 +263,7 @@ func WithGenerated(g GenSpec) Option {
 }
 
 // WithSwarm sets the fleet size Spec.Swarm flies (>= 1; the default 4).
+// Read by Swarm only.
 func WithSwarm(n int) Option {
 	return func(s *Spec) error {
 		if n < 1 {
@@ -263,7 +275,8 @@ func WithSwarm(n int) Option {
 }
 
 // WithCurriculum installs a custom stage ladder for Spec.Curriculum in place
-// of the kind's default one. Stage specs are validated by Validate.
+// of the kind's default one. Stage specs are validated by Validate. Read by
+// Curriculum only.
 func WithCurriculum(stages ...Stage) Option {
 	return func(s *Spec) error {
 		if len(stages) == 0 {
@@ -278,42 +291,52 @@ func WithCurriculum(stages ...Stage) Option {
 // experiment phase applies them, in order, over its training recipe
 // (transfer.MetaOptions/OnlineOptions, rl.Options.With), so only the
 // fields set here change, explicit zeros included, and Validate checks the
-// combination.
+// combination. Unless its doc says otherwise, an agent option is read by
+// every entry point: Flight, Missions (online and inference-only, whose
+// meta-training reads it), Swarm, Curriculum, Agent and Deploy. An entry
+// point that does not read an option refuses it with an error naming the
+// option, so no option is silently dropped.
 
-// WithGamma sets the discount factor, in (0, 1].
+// WithGamma sets the discount factor, in (0, 1]. Read by every entry point.
 func WithGamma(g float64) Option { return agentOption(rl.WithGamma(g)) }
 
-// WithLR sets the SGD learning rate (> 0). In a flight experiment it
-// overrides both the meta-training and online learning rates.
+// WithLR sets the SGD learning rate (> 0). It overrides both the
+// meta-training and online learning rates. Read by every entry point.
 func WithLR(lr float64) Option { return agentOption(rl.WithLR(lr)) }
 
-// WithBatchSize sets the training batch (>= 1).
+// WithBatchSize sets the training batch (>= 1). Read by every entry point;
+// Missions also price the hardware model's frame rate at it.
 func WithBatchSize(n int) Option { return agentOption(rl.WithBatchSize(n)) }
 
-// WithReplayCapacity bounds the experience buffer (>= batch size).
+// WithReplayCapacity bounds the experience buffer (>= batch size). Read by
+// every entry point.
 func WithReplayCapacity(n int) Option { return agentOption(rl.WithReplayCapacity(n)) }
 
 // WithEpsilon sets the exploration schedule's endpoints; an explicit end of
-// 0 anneals to fully greedy.
+// 0 anneals to fully greedy. Read by every entry point.
 func WithEpsilon(start, end float64) Option { return agentOption(rl.WithEpsilon(start, end)) }
 
-// WithEpsDecaySteps sets the exploration annealing horizon (>= 1).
+// WithEpsDecaySteps sets the exploration annealing horizon (>= 1). Read by
+// every entry point.
 func WithEpsDecaySteps(n int) Option { return agentOption(rl.WithEpsDecaySteps(n)) }
 
 // WithTargetSync sets the target-network refresh interval; an explicit 0
-// disables the target network.
+// disables the target network. Read by every entry point.
 func WithTargetSync(steps int) Option { return agentOption(rl.WithTargetSync(steps)) }
 
 // WithDoubleDQN toggles Double-DQN bootstrapping; it requires a target
-// network, so combining it with WithTargetSync(0) fails validation.
+// network, so combining it with WithTargetSync(0) fails validation. Read by
+// every entry point.
 func WithDoubleDQN(on bool) Option { return agentOption(rl.WithDoubleDQN(on)) }
 
 // WithGradClip bounds the per-batch gradient norm; an explicit 0 disables
-// clipping.
+// clipping. Read by every entry point.
 func WithGradClip(limit float64) Option { return agentOption(rl.WithGradClip(limit)) }
 
 // WithActors sets the number of concurrent actors of the online-learning
-// phases (>= 1). The default 1 runs the deterministic serial schedule,
+// phases (>= 1). Read by Flight, Swarm, Curriculum, Agent and Deploy;
+// Missions refuses n > 1, since the energy budget fixes the frame count and
+// one drone flies it. The default 1 runs the deterministic serial schedule,
 // bit-identical to the historical loop; higher counts run the asynchronous
 // actor/learner pipeline — actors step cloned worlds and feed per-actor
 // replay shards while the learner trains concurrently and publishes policy
@@ -323,9 +346,11 @@ func WithGradClip(limit float64) Option { return agentOption(rl.WithGradClip(lim
 func WithActors(n int) Option { return agentOption(rl.WithActors(n)) }
 
 // WithSyncEvery sets the learner's policy-publish interval in training
-// steps (>= 1, default 8). Only meaningful with WithActors(n > 1); under
-// E2E every publish pays an STT-MRAM snapshot write in the energy
-// accounting, under L2/L3/L4 only cheap SRAM buffer traffic.
+// steps (>= 1, default 8). Read by Flight, Swarm and Curriculum together
+// with WithActors(n > 1), and by Agent and Deploy; every experiment refuses
+// it without a fleet, since a single actor publishes nothing. Under E2E
+// every publish pays an STT-MRAM snapshot write in the energy accounting,
+// under L2/L3/L4 only cheap SRAM buffer traffic.
 func WithSyncEvery(steps int) Option { return agentOption(rl.WithSyncEvery(steps)) }
 
 // Inference backends selectable with WithBackend. Training always runs on
@@ -351,7 +376,10 @@ const (
 // nn.RegisterBackend). Runs on cost-reporting backends stream per-phase
 // energy/latency/cycle events, the flight report accumulates a merged
 // per-device energy ledger, and FlightReport.BuildEnergyTable renders the
-// paper-style cost table. Unknown names fail Validate.
+// paper-style cost table. Unknown names fail Validate. Read by Flight,
+// Swarm, inference-only Missions, Agent and Deploy; an online mission
+// (which acts on the network it trains) and Curriculum (which has no
+// evaluation phase) refuse it.
 func WithBackend(name string) Option { return agentOption(rl.WithEvalBackend(name)) }
 
 // QuantTrain is the trainable 16-bit fixed-point backend selectable with
@@ -364,10 +392,13 @@ const QuantTrain = core.QuantTrainBackendName
 // onto a trainable backend (QuantTrain, or any nn.TrainableBackend
 // registered with nn.RegisterBackend): every TD update runs quantized —
 // fixed-point forward, integer backprop, stochastically-rounded weight
-// write — and the flight report gains the measured train-energy-per-step
-// tallies. The default keeps training on the float reference, with
+// write. The swarm, curriculum and mission reports name the backend
+// (TrainBackend); the flight report does not carry it yet. The default
+// keeps training on the float reference, with
 // backends only serving evaluation (WithBackend). Unknown or
-// non-trainable names fail Validate or activation respectively.
+// non-trainable names fail Validate or activation respectively. Read by
+// Flight, Swarm, Curriculum, online Missions, Agent and Deploy;
+// inference-only Missions refuse it.
 func WithTrainBackend(name string) Option { return agentOption(rl.WithTrainBackend(name)) }
 
 func agentOption(o rl.Option) Option {
@@ -385,9 +416,6 @@ func agentOption(o rl.Option) Option {
 func (s *Spec) Validate() error {
 	if s.scale.MetaIters < 1 || s.scale.OnlineIters < 1 || s.scale.EvalSteps < 1 {
 		return fmt.Errorf("dronerl: iteration budget %+v must be positive in every dimension", s.scale)
-	}
-	if s.scale.Workers < 0 {
-		return fmt.Errorf("dronerl: worker count %d must be >= 0", s.scale.Workers)
 	}
 	for _, name := range s.scenarios {
 		if _, ok := env.LookupScenario(name); !ok {
@@ -424,35 +452,45 @@ func (s *Spec) ScenarioNames() []string {
 
 // Flight builds the Fig. 10/11 flight experiment over the Spec's scenarios:
 // meta-train one model per environment kind, deploy into every scenario
-// under all four topologies, learn online, evaluate greedily. Execute it
-// with Run.
+// under all four topologies, learn online, evaluate greedily. It fails on
+// WithSyncEvery without WithActors(n > 1). Execute it with Run.
 func (s *Spec) Flight() (*FlightExperiment, error) {
 	e, err := core.NewFlightExperiment(s.scale, s.scenarios...)
 	if err != nil {
 		return nil, err
 	}
-	e.SetAgentOverrides(s.agentOpts...)
+	if err := e.SetAgentOverrides(s.agentOpts...); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
 // Missions builds the co-design mission comparison: every topology flies
-// the same world under a fixed compute-energy budget, priced by the
-// hardware model. The Spec's agent hyper-parameters (gamma, learning rate,
-// batch size, ...) override the mission's training templates; the compact
-// meta-training budget is fixed by design (missions need a reasonable
-// policy, not a figure-grade one). Execute it with Run.
-func (s *Spec) Missions(budgetJ float64, online bool) *MissionExperiment {
+// the indoor apartment under a fixed compute-energy budget, priced by the
+// hardware model. The Spec's seed and agent hyper-parameters (gamma,
+// learning rate, batch size, ...) override the mission's training
+// templates; the world and the compact 800-iteration meta-training budget
+// are fixed by design (missions need a reasonable policy, not a
+// figure-grade one), so the Spec's scenarios and iteration budgets are not
+// read. It fails on an agent option a mission does not read: WithActors(n >
+// 1), WithBackend when online, WithTrainBackend when inference-only, and
+// WithSyncEvery. Execute it with Run.
+func (s *Spec) Missions(budgetJ float64, online bool) (*MissionExperiment, error) {
 	e := core.NewMissionExperiment(s.scale.Seed, budgetJ, online)
-	e.SetAgentOverrides(s.agentOpts...)
-	return e
+	if err := e.SetAgentOverrides(s.agentOpts...); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Curriculum builds the staged-training experiment: meta-train once for the
 // ladder's kind, then adapt the policy online through each generated stage,
 // promoting on the Spec's moving-average reward and safe-flight-distance
 // thresholds. The ladder is the one installed with WithCurriculum, or the
-// kind-default ladder matching the Spec's first scenario. Execute it with
-// Run; with a fixed seed the promotion trace is reproducible run to run.
+// kind-default ladder matching the Spec's first scenario. It fails on
+// WithBackend (the curriculum has no evaluation phase) and on WithSyncEvery
+// without WithActors(n > 1). Execute it with Run; with a fixed seed the
+// promotion trace is reproducible run to run.
 func (s *Spec) Curriculum() (*Curriculum, error) {
 	stages := s.stages
 	if len(stages) == 0 {
@@ -467,7 +505,9 @@ func (s *Spec) Curriculum() (*Curriculum, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SetAgentOverrides(s.agentOpts...)
+	if err := c.SetAgentOverrides(s.agentOpts...); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -475,7 +515,7 @@ func (s *Spec) Curriculum() (*Curriculum, error) {
 // meta-train and adapt one policy, then fly the fleet (WithSwarm, default 4)
 // as clones of that world in lockstep on the WithBackend engine, batching
 // the whole swarm's observations into one pass per layer. EvalSteps is the
-// mission length.
+// mission length. It fails on WithSyncEvery without WithActors(n > 1).
 // Execute it with Run.
 func (s *Spec) Swarm() (*SwarmExperiment, error) {
 	drones := s.swarm
@@ -487,7 +527,9 @@ func (s *Spec) Swarm() (*SwarmExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.SetAgentOverrides(s.agentOpts...)
+	if err := e.SetAgentOverrides(s.agentOpts...); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 

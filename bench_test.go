@@ -182,7 +182,7 @@ func BenchmarkFig10Learning(b *testing.B) {
 func BenchmarkFig11SafeFlight(b *testing.B) {
 	scale := core.FlightScale{MetaIters: 250, OnlineIters: 200, EvalSteps: 200, Seed: 5}
 	for i := 0; i < b.N; i++ {
-		forest := runFlightBench(b, scale).Envs[2]
+		forest := runFlightBench(b, scale, 0).Envs[2]
 		if run, ok := forest.Run(nn.L2); ok {
 			b.ReportMetric(run.NormalizedSFD, "L2-normSFD")
 		}
@@ -377,28 +377,28 @@ func BenchmarkGEMMBlocked(b *testing.B) {
 }
 
 // flightBenchScale is a reduced Fig. 10/11 budget for engine benchmarks.
-func flightBenchScale(workers int) core.FlightScale {
-	return core.FlightScale{MetaIters: 60, OnlineIters: 60, EvalSteps: 60, Seed: 7, Workers: workers}
+func flightBenchScale() core.FlightScale {
+	return core.FlightScale{MetaIters: 60, OnlineIters: 60, EvalSteps: 60, Seed: 7}
 }
 
-// runFlightBench runs the flight experiment at scale on scale.Workers workers.
-func runFlightBench(b *testing.B, scale core.FlightScale) *core.FlightReport {
+// runFlightBench runs the flight experiment at scale on workers workers.
+func runFlightBench(b *testing.B, scale core.FlightScale, workers int) *core.FlightReport {
 	b.Helper()
 	e, err := core.NewFlightExperiment(scale)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := core.Run(context.Background(), e, core.WithWorkers(scale.Workers)); err != nil {
+	if err := core.Run(context.Background(), e, core.WithWorkers(workers)); err != nil {
 		b.Fatal(err)
 	}
 	return e.Report()
 }
 
 // BenchmarkFlightEngineSerial runs the experiment on the serial schedule
-// (Workers = 1).
+// (WithWorkers(1)).
 func BenchmarkFlightEngineSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runFlightBench(b, flightBenchScale(1))
+		runFlightBench(b, flightBenchScale(), 1)
 	}
 }
 
@@ -408,7 +408,7 @@ func BenchmarkFlightEngineSerial(b *testing.B) {
 // scheduling gain (1x on a single-core runner, ~Nx on N cores).
 func BenchmarkFlightEngineParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runFlightBench(b, flightBenchScale(0))
+		runFlightBench(b, flightBenchScale(), 0)
 	}
 }
 

@@ -61,11 +61,27 @@ func main() {
 	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// unreadFlags lists, per mode, the flags that mode does not read and why.
+// run refuses them before any training, as it refuses every flag but -list
+// itself under -list, so a flag never silently changes nothing.
+var unreadFlags = map[string]map[string]string{
+	"curriculum": {
+		"eval":    "the curriculum has no evaluation phase",
+		"backend": "the curriculum has no evaluation phase",
+		"save":    "the curriculum does not write its meta-model",
+		"load":    "the curriculum meta-trains its own model",
+	},
+	"swarm": {
+		"save": "the swarm does not write its meta-model",
+		"load": "the swarm meta-trains its own model",
+	},
+}
+
 // run is the whole command: it prints the experiment's tables to stdout and
-// returns the exit status — 2 with usage for a bad flag, an unknown
-// -config, -backend, -train-backend or -env, or an impossible -actors /
-// -swarm combination; 1 for a run that fails (or a curriculum that does not
-// complete).
+// returns the exit status — 2 with usage for a bad flag, a flag the mode
+// does not read, an unknown -config, -backend, -train-backend or -env, or
+// an impossible -actors / -swarm combination; 1 for a run that fails (or a
+// curriculum that does not complete).
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("droneflight", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -124,8 +140,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *curriculum && *swarm > 0 {
 		return usage(errors.New("-curriculum and -swarm are separate modes; pick one"))
 	}
+	mode := "flight"
+	switch {
+	case *list:
+		mode = "list"
+	case *curriculum:
+		mode = "curriculum"
+	case *swarm > 0:
+		mode = "swarm"
+	}
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		if unread != nil || f.Name == mode {
+			return
+		}
+		if mode == "list" {
+			unread = fmt.Errorf("-%s is not read by -list, which prints the catalog and exits", f.Name)
+		} else if why, ok := unreadFlags[mode][f.Name]; ok {
+			unread = fmt.Errorf("-%s is not read by -%s: %s", f.Name, mode, why)
+		}
+	})
+	if unread != nil {
+		return usage(unread)
+	}
 
-	if *list {
+	if mode == "list" {
 		t := report.New("scenario catalog", "name", "kind", "description")
 		for _, s := range env.Scenarios() {
 			t.Add(s.Name, s.Kind, s.Description)
@@ -148,10 +187,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, world.Render(72, 24))
 	}
 
-	if *curriculum {
+	switch mode {
+	case "curriculum":
 		return runCurriculum(ctx, stdout, stderr, world.Kind, cfg, *seed, *metaIters, *onlineIters, extra)
-	}
-	if *swarm > 0 {
+	case "swarm":
 		return runSwarm(ctx, stdout, stderr, key, *swarm, cfg, *seed, *metaIters, *onlineIters, *evalSteps, extra)
 	}
 
@@ -249,7 +288,10 @@ func runCurriculum(ctx context.Context, stdout, stderr io.Writer, kind string, c
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	c.SetAgentOverrides(opts...)
+	if err := c.SetAgentOverrides(opts...); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	fmt.Fprintf(stdout, "curriculum: %d %s stages under %v (meta %d, per-stage %d iterations)\n",
 		len(c.Stages()), kind, cfg, metaIters, onlineIters)
 	if err := core.Run(ctx, c, core.WithProgress(func(ev core.Event) {
@@ -289,7 +331,10 @@ func runSwarm(ctx context.Context, stdout, stderr io.Writer, scenario string, dr
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	e.SetAgentOverrides(opts...)
+	if err := e.SetAgentOverrides(opts...); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	fmt.Fprintf(stdout, "swarm: %d drones in %q under %v (meta %d, online %d, mission %d steps)\n",
 		drones, scenario, cfg, metaIters, onlineIters, missionSteps)
 	if err := core.Run(ctx, e, core.WithProgress(func(ev core.Event) {

@@ -9,8 +9,9 @@ import (
 	"testing"
 )
 
-// TestRunRejectsBadInput: an unknown -config, -backend or -env and
-// -actors 0 exit 2 with the usage on stderr, before any training runs.
+// TestRunRejectsBadInput: an unknown -config, -backend or -env, -actors 0
+// and a flag the mode does not read exit 2 with the usage on stderr, before
+// any training runs.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -22,6 +23,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{[]string{"-env", "nowhere"}, "nowhere"},
 		{[]string{"-actors", "0"}, "actor count 0"},
 		{[]string{"-bogus"}, "bogus"},
+		{[]string{"-curriculum", "-eval", "40"}, "-eval"},
+		{[]string{"-curriculum", "-backend", "quant"}, "-backend"},
+		{[]string{"-curriculum", "-save", "meta.img"}, "-save"},
+		{[]string{"-curriculum", "-load", "meta.img"}, "-load"},
+		{[]string{"-swarm", "2", "-save", "meta.img"}, "-save"},
+		{[]string{"-swarm", "2", "-load", "meta.img"}, "-load"},
+		{[]string{"-list", "-env", "town"}, "-env"},
+		{[]string{"-list", "-seed", "3"}, "-seed"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), tc.args, &stdout, &stderr); code != 2 {
@@ -80,11 +89,11 @@ func TestRunModesKeepTheBackendFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-swarm", "2", "-env", "gen-indoor-sparse", "-backend", "quant"}, "eval backend quant"},
+		{[]string{"-swarm", "2", "-env", "gen-indoor-sparse", "-eval", "20", "-backend", "quant"}, "eval backend quant"},
 		{[]string{"-curriculum", "-train-backend", "quant-train"}, "train backend quant-train"},
 	} {
 		var stdout, stderr bytes.Buffer
-		args := append([]string{"-meta", "20", "-online", "20", "-eval", "20", "-seed", "3"}, tc.args...)
+		args := append([]string{"-meta", "20", "-online", "20", "-seed", "3"}, tc.args...)
 		// A curriculum that does not promote every stage exits 1 by design.
 		if code := run(context.Background(), args, &stdout, &stderr); code != 0 && code != 1 {
 			t.Fatalf("%q: exit %d, stderr %q", tc.args, code, stderr.String())

@@ -42,10 +42,15 @@ var artifacts = []string{"all", "fig1", "fig3", "fig4", "fig5", "fig9", "fig10",
 // scales maps each -scale value to its flight experiment scale.
 var scales = map[string]func() core.FlightScale{"quick": core.QuickScale, "full": core.FullScale}
 
+// flightFlags are the flags only the flight experiment reads; run refuses
+// them when no selected artifact runs it.
+var flightFlags = []string{"scale", "progress"}
+
 // run is the whole command: it prints the chosen artifacts to stdout and
 // returns the exit status — 2 with usage on stderr for a bad flag, an
-// unknown artifact or scale; 1 for a flight experiment that fails or a CSV
-// that cannot be written.
+// unknown artifact or scale, or -scale / -progress without an artifact
+// that runs the flight experiment; 1 for a flight experiment that fails or
+// a CSV that cannot be written.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -78,9 +83,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	show := func(name string) bool { return *artifact == "all" || *artifact == name }
+	runsFlight := show("fig10") || show("fig11")
+	var unread string
+	fs.Visit(func(f *flag.Flag) {
+		if unread == "" && !runsFlight && slices.Contains(flightFlags, f.Name) {
+			unread = f.Name
+		}
+	})
+	if unread != "" {
+		return usage("-%s is not read by -artifact %s: only fig10 and fig11 run the flight experiment",
+			unread, *artifact)
+	}
 
 	var flight *core.FlightReport
-	if show("fig10") || show("fig11") {
+	if runsFlight {
 		fmt.Fprintf(stderr, "running flight experiment (%d meta + 4x4x%d online iterations)...\n",
 			scale.MetaIters, scale.OnlineIters)
 		exp, err := core.NewFlightExperiment(scale)

@@ -37,14 +37,18 @@ func TestRunFig12(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadInput: an unknown artifact or scale, a bad flag and a
-// stray argument exit 2 with usage on stderr and nothing on stdout.
+// TestRunRejectsBadInput: an unknown artifact or scale, a bad flag, a
+// stray argument and a flight-only flag without a flight artifact exit 2
+// with usage on stderr and nothing on stdout.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{"-artifact", "fig99"},
 		{"-artifact", "fig12", "-scale", "bogus"},
 		{"-no-such-flag"},
 		{"-artifact", "fig12", "extra"},
+		{"-artifact", "fig12", "-scale", "full"},
+		{"-artifact", "table1", "-progress"},
+		{"-artifact", "fig9", "-scale", "quick"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
@@ -61,6 +65,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 	run(context.Background(), []string{"-artifact", "fig99"}, new(bytes.Buffer), &stderr)
 	if !strings.Contains(stderr.String(), "fig12") || !strings.Contains(stderr.String(), "table1") {
 		t.Errorf("unknown artifact: stderr %q does not name the valid set", stderr.String())
+	}
+	stderr.Reset()
+	run(context.Background(), []string{"-artifact", "fig12", "-progress"}, new(bytes.Buffer), &stderr)
+	if !strings.Contains(stderr.String(), "-progress") {
+		t.Errorf("flight-only flag: stderr %q does not name it", stderr.String())
 	}
 }
 

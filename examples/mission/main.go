@@ -26,7 +26,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	exp := spec.Missions(budgetJ, true)
+	exp, err := spec.Missions(budgetJ, true)
+	if err != nil {
+		log.Fatal(err)
+	}
 	err = dronerl.Run(context.Background(), exp,
 		dronerl.WithProgress(func(ev dronerl.Event) {
 			fmt.Printf("  %s\n", ev)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"dronerl/internal/env"
-	"dronerl/internal/metrics"
 	"dronerl/internal/nn"
-	"dronerl/internal/rl"
 	"dronerl/internal/transfer"
 )
 
@@ -95,15 +93,15 @@ func (e *RicherMetaExperiment) Phases() []Phase {
 				if err != nil {
 					return err
 				}
-				training, err := learnOnline(rc, town, agent, scale.OnlineIters)
-				if err != nil {
+				loop, _ := transfer.BuildOnlineLoop(agent, town, spec, nn.L3, scale.OnlineIters, scale.Seed+7700)
+				if _, err := loop.Run(rc.Context(), scale.OnlineIters); err != nil {
 					return err
 				}
 				sfd, _ := evaluateSFD(town, agent, scale, 400+r)
 				e.sfds[idx] = sfd
 				rc.Emit(Event{
 					Env: town.Name, Config: nn.L3, Run: idx,
-					Iteration: scale.OnlineIters, Reward: training.CumulativeReward(),
+					Iteration: scale.OnlineIters, Reward: loop.Tracker.CumulativeReward(),
 				})
 				return nil
 			},
@@ -194,14 +192,14 @@ func (e *StereoExperiment) Phases() []Phase {
 				if err != nil {
 					return err
 				}
-				training, err := learnOnline(rc, world, agent, scale.OnlineIters)
-				if err != nil {
+				loop, _ := transfer.BuildOnlineLoop(agent, world, spec, nn.L3, scale.OnlineIters, scale.Seed+7700)
+				if _, err := loop.Run(rc.Context(), scale.OnlineIters); err != nil {
 					return err
 				}
 				e.sfds[k], _ = evaluateSFD(world, agent, scale, 500)
 				rc.Emit(Event{
 					Env: world.Name, Config: nn.L3, Run: k,
-					Iteration: scale.OnlineIters, Reward: training.CumulativeReward(),
+					Iteration: scale.OnlineIters, Reward: loop.Tracker.CumulativeReward(),
 				})
 				return nil
 			},
@@ -215,12 +213,4 @@ func (e *StereoExperiment) Phases() []Phase {
 			},
 		},
 	}
-}
-
-// learnOnline flies agent's serial online loop in w for iters steps and
-// returns the loop's flight tracker.
-func learnOnline(rc *RunContext, w *env.World, agent *rl.Agent, iters int) (*metrics.FlightTracker, error) {
-	loop := &rl.OnlineLoop{Agent: agent, Worlds: []*env.World{w}, Tracker: rl.TrackerFor(iters)}
-	_, err := loop.Run(rc.Context(), iters)
-	return loop.Tracker, err
 }

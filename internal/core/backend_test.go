@@ -94,7 +94,9 @@ func TestExplicitFloatBackendBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withFloat.SetAgentOverrides(rl.WithEvalBackend(FloatBackendName))
+	if err := withFloat.SetAgentOverrides(rl.WithEvalBackend(FloatBackendName)); err != nil {
+		t.Fatal(err)
+	}
 	if err := Run(context.Background(), withFloat, WithWorkers(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,9 @@ func TestSystolicBackendFlightAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetAgentOverrides(rl.WithEvalBackend(SystolicBackendName))
+		if err := e.SetAgentOverrides(rl.WithEvalBackend(SystolicBackendName)); err != nil {
+			t.Fatal(err)
+		}
 		opts := []RunOption{WithWorkers(workers)}
 		if progress != nil {
 			opts = append(opts, WithProgress(progress))

@@ -26,19 +26,19 @@ func runExp(t *testing.T, e Experiment, workers int) {
 	}
 }
 
-// runFlight runs the flight experiment at scale on scale.Workers workers.
-func runFlight(t *testing.T, scale FlightScale) *FlightReport {
+// runFlight runs the flight experiment at scale on workers workers.
+func runFlight(t *testing.T, scale FlightScale, workers int) *FlightReport {
 	t.Helper()
 	e, err := NewFlightExperiment(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runExp(t, e, scale.Workers)
+	runExp(t, e, workers)
 	return e.Report()
 }
 
 func TestRunFlightExperimentStructure(t *testing.T) {
-	rep := runFlight(t, tinyScale())
+	rep := runFlight(t, tinyScale(), 0)
 	if len(rep.Envs) != 4 {
 		t.Fatalf("%d environments, want 4", len(rep.Envs))
 	}
@@ -71,7 +71,7 @@ func TestNormalizedSFDAgainstE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("duplicates the quick-scale experiment already run by TestRunFlightExperimentStructure")
 	}
-	rep := runFlight(t, tinyScale())
+	rep := runFlight(t, tinyScale(), 0)
 	for _, er := range rep.Envs {
 		e2e, _ := er.Run(nn.E2E)
 		if e2e.SFD > 0 && e2e.NormalizedSFD != 1.0 {

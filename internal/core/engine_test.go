@@ -17,13 +17,8 @@ func engineScale() FlightScale {
 // derives its RNG streams from its own job indices, so the worker count —
 // serial included — cannot change a single bit of the report.
 func TestParallelEngineMatchesSerial(t *testing.T) {
-	serial := engineScale()
-	serial.Workers = 1
-	parallel := engineScale()
-	parallel.Workers = 4
-
-	repS := runFlight(t, serial)
-	repP := runFlight(t, parallel)
+	repS := runFlight(t, engineScale(), 1)
+	repP := runFlight(t, engineScale(), 4)
 
 	if len(repS.Envs) != len(repP.Envs) {
 		t.Fatalf("env count %d vs %d", len(repS.Envs), len(repP.Envs))
@@ -68,38 +63,31 @@ func TestAblationEnginesMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flight-experiment determinism already covered in short mode")
 	}
-	serial := engineScale()
-	serial.Workers = 1
-	parallel := engineScale()
-	parallel.Workers = 3
-
-	richS, richP := NewRicherMetaExperiment(serial), NewRicherMetaExperiment(parallel)
-	runExp(t, richS, serial.Workers)
-	runExp(t, richP, parallel.Workers)
+	scale := engineScale()
+	richS, richP := NewRicherMetaExperiment(scale), NewRicherMetaExperiment(scale)
+	runExp(t, richS, 1)
+	runExp(t, richP, 3)
 	if rs, rp := richS.Result(), richP.Result(); rs != rp {
 		t.Errorf("richer-meta ablation diverges: %+v vs %+v", rs, rp)
 	}
 
-	stereoS, stereoP := NewStereoExperiment(serial), NewStereoExperiment(parallel)
-	runExp(t, stereoS, serial.Workers)
-	runExp(t, stereoP, parallel.Workers)
+	stereoS, stereoP := NewStereoExperiment(scale), NewStereoExperiment(scale)
+	runExp(t, stereoS, 1)
+	runExp(t, stereoP, 3)
 	if ss, sp := stereoS.Result(), stereoP.Result(); ss != sp {
 		t.Errorf("stereo ablation diverges: %+v vs %+v", ss, sp)
 	}
 }
 
-// TestWorkersDefaultIsParallelSchedule pins the Workers semantics: zero must
-// resolve to GOMAXPROCS and still satisfy the determinism contract against
-// an explicit worker count.
+// TestWorkersDefaultIsParallelSchedule pins the WithWorkers semantics: zero
+// must resolve to GOMAXPROCS and still satisfy the determinism contract
+// against an explicit worker count.
 func TestWorkersDefaultIsParallelSchedule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by TestParallelEngineMatchesSerial in short mode")
 	}
-	def := engineScale() // Workers == 0
-	two := engineScale()
-	two.Workers = 2
-	repD := runFlight(t, def)
-	repT := runFlight(t, two)
+	repD := runFlight(t, engineScale(), 0)
+	repT := runFlight(t, engineScale(), 2)
 	for i := range repD.Envs {
 		for j := range repD.Envs[i].Runs {
 			d, w := repD.Envs[i].Runs[j], repT.Envs[i].Runs[j]

@@ -31,11 +31,6 @@ type FlightScale struct {
 	EvalSteps int
 	// Seed drives every RNG in the experiment.
 	Seed int64
-	// Workers bounds the experiment engine's concurrency: 0 selects
-	// GOMAXPROCS, 1 forces the serial schedule. Every run derives its RNGs
-	// from its own indices, so the results are bit-identical for every
-	// worker count (asserted by TestParallelEngineMatchesSerial).
-	Workers int
 }
 
 // FullScale returns the budget used by cmd/figures for the published
@@ -189,8 +184,16 @@ func NewFlightExperiment(scale FlightScale, scenarioNames ...string) (*FlightExp
 }
 
 // SetAgentOverrides installs the agent options every phase applies over its
-// training recipe; an invalid combination fails the run.
-func (e *FlightExperiment) SetAgentOverrides(opts ...rl.Option) { e.agentOpts = opts }
+// training recipe; an invalid combination fails the run. The flight reads
+// every agent option; WithSyncEvery without WithActors(n > 1) is refused
+// (see CheckOverrides).
+func (e *FlightExperiment) SetAgentOverrides(opts ...rl.Option) error {
+	if err := CheckOverrides("core: flight", opts, Unread{}); err != nil {
+		return err
+	}
+	e.agentOpts = opts
+	return nil
+}
 
 // Name implements Experiment.
 func (e *FlightExperiment) Name() string { return "flight" }

@@ -77,7 +77,7 @@ func TestRunMissionGolden(t *testing.T) {
 				// energy bound decides the frame count.
 				budget := 130 * model.EnergyPerFrameMJ(cfg) / 1000
 				res := RunMission(env.IndoorApartment(93), agent, model, MissionConfig{
-					Config: cfg, ComputeBudgetJ: budget, MaxFrames: 400, Online: online,
+					ComputeBudgetJ: budget, MaxFrames: 400, Online: online,
 				})
 				h := sha256.New()
 				hashU64(h, uint64(res.Frames))

@@ -18,12 +18,9 @@ import (
 // far the vehicle gets on a compute-energy budget — which is where the
 // STT-MRAM write asymmetry finally lands.
 
-// MissionConfig parameterizes a co-design mission.
+// MissionConfig parameterizes a co-design mission. The topology flown and
+// the training batch are the agent's (Agent.Config, Agent.BatchSize).
 type MissionConfig struct {
-	// Config is the training topology flown.
-	Config nn.Config
-	// Batch is the training batch size (paper sweeps 4/8/16).
-	Batch int
 	// ComputeBudgetJ is the battery energy allocated to the embedded
 	// computer, in joules.
 	ComputeBudgetJ float64
@@ -60,6 +57,9 @@ type MissionResult struct {
 	// (independent of the budget accounting above, which always uses the
 	// analytical per-frame model).
 	BackendCost nn.BackendCost
+	// TrainBackend names the trainable backend an online mission trained
+	// on ("" for the float training path and for inference-only missions).
+	TrainBackend string
 }
 
 // String renders a one-line mission summary.
@@ -70,22 +70,23 @@ func (r MissionResult) String() string {
 
 // RunMission flies the agent in the world until the compute budget or the
 // frame bound is exhausted, charging each frame's hardware cost from the
-// performance model. TestRunMissionGolden pins it bit for bit.
+// performance model at the agent's topology and batch size. An online
+// mission learns through transfer.BuildOnlineLoop, one TD step every batch
+// of frames; the budget's frame count is split across the agent's actors.
+// TestRunMissionGolden pins it bit for bit.
 func RunMission(w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfig) MissionResult {
-	if cfg.Batch <= 0 {
-		cfg.Batch = 4
-	}
 	if cfg.MaxFrames <= 0 {
 		cfg.MaxFrames = 100000
 	}
-	perFrameJ := model.EnergyPerFrameMJ(cfg.Config) / 1000
+	topo, batch := agent.Config(), agent.BatchSize()
+	perFrameJ := model.EnergyPerFrameMJ(topo) / 1000
 	if !cfg.Online {
 		// Inference only: one forward pass plus the camera link.
 		perFrameJ = model.ForwardEnergyMJ() / 1000
 	}
-	fps := model.Iteration(cfg.Config, cfg.Batch).FPS()
+	fps := model.Iteration(topo, batch).FPS()
 
-	res := MissionResult{Config: cfg.Config, FPS: fps}
+	res := MissionResult{Config: topo, FPS: fps}
 	// The budget fixes the frame count before the first frame flies.
 	for res.Frames < cfg.MaxFrames && res.EnergySpentJ+perFrameJ <= cfg.ComputeBudgetJ {
 		res.Frames++
@@ -93,14 +94,14 @@ func RunMission(w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfi
 		res.EnergySpentJ += perFrameJ
 	}
 	if cfg.Online {
-		// Learning on the mission is the serial online loop, one TD step
-		// every Batch frames. One world and no deadline: it cannot fail.
-		loop := &rl.OnlineLoop{
-			Agent: agent, Worlds: []*env.World{w},
-			Tracker: rl.TrackerFor(res.Frames), TrainEvery: cfg.Batch,
-		}
+		loop, _ := transfer.BuildOnlineLoop(agent, w, agent.Spec(), topo, res.Frames, agent.Options().Seed+7700)
+		loop.TrainEvery = batch
+		// No deadline: the loop cannot fail.
 		_, _ = loop.Run(context.TODO(), res.Frames)
 		res.Crashes = loop.Tracker.Crashes()
+		if tb := agent.TrainBackend(); tb != nil {
+			res.TrainBackend = tb.Name()
+		}
 	} else {
 		res.Crashes = rl.Evaluate(w, agent, res.Frames).Crashes()
 	}
@@ -148,8 +149,22 @@ func NewMissionExperiment(seed int64, budgetJ float64, online bool) *MissionExpe
 // size, ...) applied over the mission's meta-training and deployment
 // templates; an invalid combination fails the run. The deployed agent's
 // batch size also drives the per-frame training cadence and the hardware
-// model's batch pricing.
-func (e *MissionExperiment) SetAgentOverrides(opts ...rl.Option) { e.agentOpts = opts }
+// model's batch pricing. It refuses the options a mission does not read:
+// WithActors(n > 1) always, WithBackend on an online mission and
+// WithTrainBackend on an inference-only one (see CheckOverrides).
+func (e *MissionExperiment) SetAgentOverrides(opts ...rl.Option) error {
+	unread := Unread{Actors: "the energy budget fixes the frame count, and one drone flies it"}
+	if e.online {
+		unread.EvalBackend = "an online mission acts on the network it trains"
+	} else {
+		unread.TrainBackend = "an inference-only mission never trains"
+	}
+	if err := CheckOverrides("core: mission", opts, unread); err != nil {
+		return err
+	}
+	e.agentOpts = opts
+	return nil
+}
 
 // Name implements Experiment.
 func (e *MissionExperiment) Name() string { return "mission" }
@@ -194,15 +209,13 @@ func (e *MissionExperiment) Phases() []Phase {
 					return err
 				}
 				// Inference-only missions are deployments: the policy runs
-				// on the selected backend. Online missions keep training
-				// the float network, so they stay on the float path.
-				if !e.online {
-					if err := agent.ActivateEvalBackend(); err != nil {
-						return fmt.Errorf("core: mission under %v: %w", cfg, err)
-					}
+				// on the selected backend. An online mission has none
+				// (SetAgentOverrides refuses it), so this is a no-op there.
+				if err := agent.ActivateEvalBackend(); err != nil {
+					return fmt.Errorf("core: mission under %v: %w", cfg, err)
 				}
 				e.results[i] = RunMission(w, agent, hw.NewModel(), MissionConfig{
-					Config: cfg, Batch: agent.BatchSize(), ComputeBudgetJ: e.budgetJ, Online: e.online,
+					ComputeBudgetJ: e.budgetJ, Online: e.online,
 				})
 				if b := agent.EvalBackend(); b != nil {
 					e.results[i].Backend = b.Name()

@@ -15,7 +15,7 @@ func TestRunMissionBudgetExhaustion(t *testing.T) {
 	agent := rl.NewAgent(nn.NavNetSpec(), nn.L3, rl.Options{Seed: 41})
 	model := hw.NewModel()
 	res := RunMission(w, agent, model, MissionConfig{
-		Config: nn.L3, ComputeBudgetJ: 5, MaxFrames: 100000, Online: true,
+		ComputeBudgetJ: 5, MaxFrames: 100000, Online: true,
 	})
 	if res.Frames == 0 {
 		t.Fatal("mission flew no frames")
@@ -39,7 +39,7 @@ func TestRunMissionFrameBound(t *testing.T) {
 	w := env.IndoorApartment(42)
 	agent := rl.NewAgent(nn.NavNetSpec(), nn.L2, rl.Options{Seed: 42})
 	res := RunMission(w, agent, hw.NewModel(), MissionConfig{
-		Config: nn.L2, ComputeBudgetJ: 1e9, MaxFrames: 50, Online: false,
+		ComputeBudgetJ: 1e9, MaxFrames: 50, Online: false,
 	})
 	if res.Frames != 50 {
 		t.Errorf("frames = %d, want 50", res.Frames)
@@ -54,7 +54,7 @@ func TestRunMissionInferenceOnlyCheaper(t *testing.T) {
 		w := env.IndoorApartment(43)
 		agent := rl.NewAgent(nn.NavNetSpec(), nn.L4, rl.Options{Seed: 43})
 		return RunMission(w, agent, hw.NewModel(), MissionConfig{
-			Config: nn.L4, ComputeBudgetJ: budget, MaxFrames: 1 << 20, Online: online,
+			ComputeBudgetJ: budget, MaxFrames: 1 << 20, Online: online,
 		})
 	}
 	inf := mkRes(false)

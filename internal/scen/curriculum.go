@@ -161,8 +161,17 @@ func NewCurriculum(stages []Stage, topology nn.Config, seed int64, metaIters, st
 
 // SetAgentOverrides installs the agent options applied over the meta and
 // online recipes, exactly like the flight driver's; an invalid combination
-// fails the run.
-func (c *Curriculum) SetAgentOverrides(opts ...rl.Option) { c.agentOpts = opts }
+// fails the run. It refuses WithBackend, since the curriculum has no
+// evaluation phase, and WithSyncEvery without WithActors(n > 1) (see
+// core.CheckOverrides).
+func (c *Curriculum) SetAgentOverrides(opts ...rl.Option) error {
+	unread := core.Unread{EvalBackend: "the curriculum has no evaluation phase"}
+	if err := core.CheckOverrides("scen: curriculum", opts, unread); err != nil {
+		return err
+	}
+	c.agentOpts = opts
+	return nil
+}
 
 // Stages returns the validated ladder (defaults applied).
 func (c *Curriculum) Stages() []Stage { return append([]Stage(nil), c.stages...) }

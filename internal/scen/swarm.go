@@ -205,8 +205,15 @@ func NewSwarmExperiment(scenario string, drones int, topology nn.Config, seed in
 // SetAgentOverrides installs the agent options applied over the meta and
 // online recipes; an invalid combination fails the run. The evaluation
 // backend they name (rl.WithEvalBackend) is the one the mission phase
-// flies on.
-func (e *SwarmExperiment) SetAgentOverrides(opts ...rl.Option) { e.agentOpts = opts }
+// flies on. The swarm reads every agent option; WithSyncEvery without
+// WithActors(n > 1) is refused (see core.CheckOverrides).
+func (e *SwarmExperiment) SetAgentOverrides(opts ...rl.Option) error {
+	if err := core.CheckOverrides("scen: swarm", opts, core.Unread{}); err != nil {
+		return err
+	}
+	e.agentOpts = opts
+	return nil
+}
 
 // Name implements core.Experiment.
 func (e *SwarmExperiment) Name() string { return "swarm" }

@@ -281,7 +281,9 @@ func TestSwarmExperimentQuantBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetAgentOverrides(rl.WithEvalBackend("quant"))
+	if err := e.SetAgentOverrides(rl.WithEvalBackend("quant")); err != nil {
+		t.Fatal(err)
+	}
 	if err := core.Run(context.Background(), e); err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,9 @@ func OnlineOptions(seed int64, iterations int, opts ...rl.Option) (rl.Options, e
 // MetaTrain runs end-to-end RL on a meta-environment and returns the
 // trained meta-model. The paper trains for 60k iterations from
 // ImageNet-initialized weights; this reproduction trains from scratch for a
-// configurable number of iterations (see DESIGN.md on scaling).
+// configurable number of iterations (see DESIGN.md on scaling). It is the
+// pre-deployment phase, so it builds its own one-world loop rather than
+// calling BuildOnlineLoop: it always runs one actor, on the serial schedule.
 func MetaTrain(meta *env.World, spec nn.ArchSpec, iterations int, opts rl.Options) (*nn.Snapshot, *metrics.FlightTracker) {
 	agent := rl.NewAgent(spec, nn.E2E, opts)
 	loop := &rl.OnlineLoop{Agent: agent, Worlds: []*env.World{meta}, Tracker: rl.TrackerFor(iterations)}
@@ -124,8 +126,9 @@ func (r Result) SFD() float64 {
 // every policy publish charges its snapshot write — SRAM traffic for the
 // frozen-layer topologies, STT-MRAM writes under E2E
 // (hw.Model.SnapshotPublishTraffic) — to the returned compact ledger (nil
-// for single-actor runs). It is the one fleet constructor shared by
-// RunOnline, the core flight driver and the benchmarks.
+// for single-actor runs). It is the one constructor of an online phase's
+// loop: RunOnline, the core flight, mission and ablation drivers, the
+// swarm and curriculum drivers and the benchmarks all call it.
 func BuildOnlineLoop(agent *rl.Agent, test *env.World, spec nn.ArchSpec, cfg nn.Config,
 	onlineIters int, cloneSeed int64) (*rl.OnlineLoop, *mem.EnergyLedger) {
 
