@@ -353,10 +353,10 @@ func WithActors(n int) Option { return agentOption(rl.WithActors(n)) }
 // under L2/L3/L4 only cheap SRAM buffer traffic.
 func WithSyncEvery(steps int) Option { return agentOption(rl.WithSyncEvery(steps)) }
 
-// Inference backends selectable with WithBackend. Training always runs on
-// the float reference; the backend is the substrate the trained policy is
-// deployed onto for the greedy evaluation and deployment phases, which is
-// where the paper's hardware co-design argument lives.
+// Inference backends selectable with WithBackend: the substrate the trained
+// policy is deployed onto for the greedy evaluation and deployment phases,
+// which is where the paper's hardware co-design argument lives. Training
+// runs on the float reference unless WithTrainBackend moves it.
 const (
 	// Float evaluates on the float32 GEMM reference path — the default,
 	// and bit-identical to not selecting a backend at all.
@@ -372,14 +372,15 @@ const (
 )
 
 // WithBackend selects the inference backend for greedy evaluation and
-// deployment phases (Float, Quant, Systolic, or any name registered with
-// nn.RegisterBackend). Runs on cost-reporting backends stream per-phase
-// energy/latency/cycle events, the flight report accumulates a merged
-// per-device energy ledger, and FlightReport.BuildEnergyTable renders the
-// paper-style cost table. Unknown names fail Validate. Read by Flight,
-// Swarm, inference-only Missions, Agent and Deploy; an online mission
-// (which acts on the network it trains) and Curriculum (which has no
-// evaluation phase) refuse it.
+// deployment phases (Float, Quant, Systolic, or any nn.Backend registered
+// with nn.RegisterBackend). Every report of a phase that flies it names it
+// (Backend) beside what it charged there (EvalCost); priced backends
+// stream per-phase energy/latency/cycle events, the flight report
+// accumulates a merged per-device energy ledger, and
+// FlightReport.BuildEnergyTable renders the paper-style cost table. Unknown
+// names fail Validate. Read by Flight, Swarm, inference-only Missions, Agent
+// and Deploy; an online mission (which acts on the network it trains) and
+// Curriculum (which has no evaluation phase) refuse it.
 func WithBackend(name string) Option { return agentOption(rl.WithEvalBackend(name)) }
 
 // QuantTrain is the trainable 16-bit fixed-point backend selectable with
@@ -392,13 +393,13 @@ const QuantTrain = core.QuantTrainBackendName
 // onto a trainable backend (QuantTrain, or any nn.TrainableBackend
 // registered with nn.RegisterBackend): every TD update runs quantized —
 // fixed-point forward, integer backprop, stochastically-rounded weight
-// write. The swarm, curriculum and mission reports name the backend
-// (TrainBackend); the flight report does not carry it yet. The default
-// keeps training on the float reference, with
-// backends only serving evaluation (WithBackend). Unknown or
-// non-trainable names fail Validate or activation respectively. Read by
-// Flight, Swarm, Curriculum, online Missions, Agent and Deploy;
-// inference-only Missions refuse it.
+// write. Every report names it (TrainBackend) beside what it charged before
+// the hand-off to evaluation (TrainCost). Without WithBackend the greedy
+// evaluation and the swarm fly its trained words too, and name and charge
+// them as the evaluation's (Backend, EvalCost). The default keeps training
+// on the float reference. Unknown or non-trainable names fail Validate or
+// activation respectively. Read by Flight, Swarm, Curriculum, online
+// Missions, Agent and Deploy; inference-only Missions refuse it.
 func WithTrainBackend(name string) Option { return agentOption(rl.WithTrainBackend(name)) }
 
 func agentOption(o rl.Option) Option {

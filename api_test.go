@@ -284,8 +284,66 @@ func TestSpecSwarmFliesTheSelectedBackend(t *testing.T) {
 	if rep.Backend != dronerl.Quant {
 		t.Fatalf("swarm flew backend %q, want %q", rep.Backend, dronerl.Quant)
 	}
-	if rep.Cost.Inferences != 2*20 {
-		t.Errorf("backend charged %d inferences, want %d", rep.Cost.Inferences, 2*20)
+	if rep.EvalCost.Inferences != 2*20 {
+		t.Errorf("backend charged %d inferences, want %d", rep.EvalCost.Inferences, 2*20)
+	}
+}
+
+// TestSpecFlightCarriesTheTrainBackend: under WithTrainBackend alone every
+// flight cell names the backend it trained on and what that charged, and
+// its greedy evaluation flies the same words and names them too.
+func TestSpecFlightCarriesTheTrainBackend(t *testing.T) {
+	spec, err := dronerl.New(
+		dronerl.WithSeed(4), dronerl.WithTrainBackend(dronerl.QuantTrain),
+		dronerl.WithMetaIters(20), dronerl.WithOnlineIters(20), dronerl.WithEvalSteps(9),
+		dronerl.WithScenarios("warehouse"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := spec.Flight()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dronerl.Run(context.Background(), exp); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range exp.Report().Envs[0].Runs {
+		if run.TrainBackend != dronerl.QuantTrain || run.TrainCost.EnergyMJ <= 0 {
+			t.Errorf("%v trained on %q for %+v, want a quant-train cost", run.Config, run.TrainBackend, run.TrainCost)
+		}
+		// Five seed repeats, each three evaluation flights of 9/3 steps.
+		if run.Backend != dronerl.QuantTrain || run.EvalCost.Inferences != 5*9 {
+			t.Errorf("%v evaluated on %q for %+v, want 45 quant-train inferences", run.Config, run.Backend, run.EvalCost)
+		}
+	}
+}
+
+// TestSpecSwarmFliesTheTrainedWords: under WithTrainBackend alone the swarm
+// flies the backend the agent's Greedy flies — the trained int16 words, not
+// the float mirror — and charges every drone's every step to it.
+func TestSpecSwarmFliesTheTrainedWords(t *testing.T) {
+	spec, err := dronerl.New(
+		dronerl.WithSeed(5), dronerl.WithTrainBackend(dronerl.QuantTrain), dronerl.WithSwarm(3),
+		dronerl.WithMetaIters(30), dronerl.WithOnlineIters(30), dronerl.WithEvalSteps(20),
+		dronerl.WithScenarios("gen-indoor-sparse"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swarm, err := spec.Swarm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dronerl.Run(context.Background(), swarm); err != nil {
+		t.Fatal(err)
+	}
+	rep := swarm.Report()
+	if rep.Backend != dronerl.QuantTrain || rep.TrainBackend != dronerl.QuantTrain {
+		t.Fatalf("swarm flew %q and trained on %q, want %q for both", rep.Backend, rep.TrainBackend, dronerl.QuantTrain)
+	}
+	if rep.EvalCost.Inferences != 3*20 || rep.EvalCost.EnergyMJ <= 0 {
+		t.Errorf("swarm charged %+v, want %d inferences", rep.EvalCost, 3*20)
 	}
 }
 

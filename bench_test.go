@@ -512,12 +512,11 @@ const quantInferBatch = 32
 // gain the serving batcher banks.
 func BenchmarkQuantInferBatch(b *testing.B) {
 	backend, stack := quantInferWorkload(b)
-	bi := backend.(nn.BatchInferrer)
-	bi.InferBatch(stack) // warm the panels so allocs/op reflects steady state
+	backend.InferBatch(stack) // warm the panels so allocs/op reflects steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bi.InferBatch(stack)
+		backend.InferBatch(stack)
 	}
 	b.ReportMetric(float64(quantInferBatch*b.N)/b.Elapsed().Seconds(), "inf/s")
 }

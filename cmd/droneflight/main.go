@@ -359,7 +359,7 @@ func runSwarm(ctx context.Context, stdout, stderr io.Writer, scenario string, dr
 	}
 	if rep.Backend != "" {
 		fmt.Fprintf(stdout, "eval backend %s: %s mJ over %d inferences\n",
-			rep.Backend, report.Num(rep.Cost.EnergyMJ), rep.Cost.Inferences)
+			rep.Backend, report.Num(rep.EvalCost.EnergyMJ), rep.EvalCost.Inferences)
 	}
 	return 0
 }

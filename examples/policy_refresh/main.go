@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := drone.ActivateEvalBackend(); err != nil {
+	if err := drone.HandOff(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -92,5 +92,5 @@ func main() {
 	}
 	fmt.Println(t.String())
 	fmt.Printf("drone flew %d missions on the %q backend, refreshing its policy from %d publishes\n",
-		rounds, drone.EvalBackend().Name(), board.Version())
+		rounds, drone.Substrate().Backend, board.Version())
 }

@@ -1,20 +1,17 @@
 package core
 
 import (
+	"dronerl/internal/hw"
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
-
-	// Linked for its backend registrations: the drivers resolve "quant",
-	// "quant-train" and "systolic" through the nn registry, so every binary
-	// built on core must carry the implementations.
-	_ "dronerl/internal/hw"
 )
 
 // The experiment drivers select inference backends by registry name. The
 // float reference lives and registers in internal/nn. The 16-bit integer
 // engine (internal/qnn) computes words only; internal/hw prices them and
 // registers "quant", "quant-train" and "systolic" over it, so importing hw
-// here guarantees every binary built on core links them all.
+// here (for hw.Ledgered, and every driver's hw.Model) guarantees every
+// binary built on core links them all.
 
 // Backend names understood by every driver (and listed by nn.BackendNames).
 const (
@@ -33,11 +30,9 @@ const (
 )
 
 // backendLedger extracts a backend's per-device energy ledger, nil for
-// backends without one (the float path). Any backend — including
-// caller-registered ones — participates by exposing the Ledger method, the
-// way every backend internal/hw registers does.
+// backends without one (the float path).
 func backendLedger(b nn.Backend) *mem.EnergyLedger {
-	if t, ok := b.(interface{ Ledger() *mem.EnergyLedger }); ok {
+	if t, ok := b.(hw.Ledgered); ok {
 		return t.Ledger()
 	}
 	return nil

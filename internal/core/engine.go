@@ -47,8 +47,7 @@ type Event struct {
 	// the run used the float network directly).
 	Backend string
 	// EnergyMJ, LatencyMS and Cycles are the run's accumulated modeled
-	// hardware cost, nonzero only for backends with a cost hook (see
-	// nn.CostReporter).
+	// hardware cost, nonzero only for backends with a cost model.
 	EnergyMJ  float64
 	LatencyMS float64
 	Cycles    int64

@@ -55,12 +55,10 @@ type ConfigRun struct {
 	NormalizedSFD float64
 	// Crashes during evaluation.
 	Crashes int
-	// Backend names the inference backend of the greedy evaluation phase
-	// ("" for the direct float path).
-	Backend string
-	// EvalCost is the evaluation phase's accumulated modeled hardware cost,
-	// summed over the seed repeats (zero without a cost-reporting backend).
-	EvalCost nn.BackendCost
+	// Substrate names what the greedy evaluation flew and the online phase
+	// trained on (the first seed's), with both costs summed over the seed
+	// repeats.
+	rl.Substrate
 }
 
 // EnvReport aggregates the four topologies in one test environment.
@@ -92,8 +90,8 @@ type FlightReport struct {
 	// MetaTrackers records the meta-environment training curves, keyed by
 	// kind (indoor, outdoor).
 	MetaTrackers map[string]*metrics.FlightTracker
-	// Energy is the merged per-device traffic ledger of every run's greedy
-	// evaluation phase, nil when every run used the unpriced float path.
+	// Energy is the merged per-device traffic ledger of every run's eval
+	// backend (WithBackend) and policy publishes, nil when no run had either.
 	// Per-run ledgers are merged in run-index order during aggregation, so
 	// the totals are deterministic for every worker count.
 	Energy *mem.EnergyLedger
@@ -276,22 +274,20 @@ func (e *FlightExperiment) Phases() []Phase {
 			// Hand off to the greedy evaluation phase: from here on the
 			// trained policy runs on the selected inference backend (the
 			// deployment substrate), not necessarily the float trainer.
-			if err := agent.ActivateEvalBackend(); err != nil {
+			if err := agent.HandOff(); err != nil {
 				return fmt.Errorf("core: %s under %v: %w", w.Name, cfg, err)
 			}
 			sfd, crashes := evaluateSFD(w, agent, scale, i+100*r)
-			cost := agent.EvalCost()
 			e.cells[idx] = ConfigRun{
 				Config:       cfg,
 				RewardSeries: training.RewardSeries(),
 				ReturnSeries: training.ReturnSeries(),
 				SFD:          sfd,
 				Crashes:      crashes,
-				EvalCost:     cost,
+				Substrate:    agent.Substrate(),
 			}
-			if b := agent.EvalBackend(); b != nil {
-				e.cells[idx].Backend = b.Name()
-				e.ledgers[idx] = backendLedger(b)
+			if agent.Options().EvalBackend != "" {
+				e.ledgers[idx] = backendLedger(agent.Policy())
 			}
 			if publishLedger != nil {
 				if e.ledgers[idx] == nil {
@@ -312,6 +308,7 @@ func (e *FlightExperiment) Phases() []Phase {
 				Reward:    training.CumulativeReward(),
 				Publishes: stats.Publishes,
 			})
+			cost := e.cells[idx].EvalCost
 			rc.Emit(Event{
 				Phase: "evaluate",
 				Env:   w.Name, Config: cfg, Run: idx,
@@ -381,11 +378,10 @@ func (e *FlightExperiment) aggregate() *FlightReport {
 				if r == 0 {
 					agg.RewardSeries = c.RewardSeries
 					agg.ReturnSeries = c.ReturnSeries
-					agg.Backend = c.Backend
 				}
 				agg.SFD += c.SFD
 				agg.Crashes += c.Crashes
-				agg.EvalCost.Add(c.EvalCost)
+				agg.Substrate.Add(c.Substrate)
 			}
 			agg.SFD /= seedRepeats
 			if cfg == nn.E2E {

@@ -76,7 +76,7 @@ func TestRunMissionGolden(t *testing.T) {
 				// A budget that ends the mission before MaxFrames, so the
 				// energy bound decides the frame count.
 				budget := 130 * model.EnergyPerFrameMJ(cfg) / 1000
-				res := RunMission(env.IndoorApartment(93), agent, model, MissionConfig{
+				res := mustMission(t, env.IndoorApartment(93), agent, model, MissionConfig{
 					ComputeBudgetJ: budget, MaxFrames: 400, Online: online,
 				})
 				h := sha256.New()

@@ -47,19 +47,13 @@ type MissionResult struct {
 	WallClockS float64
 	// FPS is the hardware-sustainable frame rate used.
 	FPS float64
-	// Backend names the inference backend the mission's greedy decisions
-	// ran on ("" for the direct float path). Only inference-only missions
-	// deploy onto a backend; online missions act on the network they
-	// train (the float one, or the train backend's words under
-	// WithTrainBackend) and leave it empty.
-	Backend string
-	// BackendCost is the backend's own accumulated cost ledger summary
-	// (independent of the budget accounting above, which always uses the
-	// analytical per-frame model).
-	BackendCost nn.BackendCost
-	// TrainBackend names the trainable backend an online mission trained
-	// on ("" for the float training path and for inference-only missions).
-	TrainBackend string
+	// Substrate is what the mission flew and trained on and the backends'
+	// own cost tallies, independent of the budget accounting above, which
+	// always uses the analytical per-frame model. Only an inference-only
+	// mission hands off, so only it names a Backend; an online mission
+	// acts on the network it trains (the float one, or the TrainBackend's
+	// words) and charges it to TrainCost.
+	rl.Substrate
 }
 
 // String renders a one-line mission summary.
@@ -73,8 +67,10 @@ func (r MissionResult) String() string {
 // performance model at the agent's topology and batch size. An online
 // mission learns through transfer.BuildOnlineLoop, one TD step every batch
 // of frames; the budget's frame count is split across the agent's actors.
+// An inference-only mission is a deployment: the agent hands off first
+// (rl.Agent.HandOff), so it flies the eval backend the options name.
 // TestRunMissionGolden pins it bit for bit.
-func RunMission(w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfig) MissionResult {
+func RunMission(w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfig) (MissionResult, error) {
 	if cfg.MaxFrames <= 0 {
 		cfg.MaxFrames = 100000
 	}
@@ -99,14 +95,15 @@ func RunMission(w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfi
 		// No deadline: the loop cannot fail.
 		_, _ = loop.Run(context.TODO(), res.Frames)
 		res.Crashes = loop.Tracker.Crashes()
-		if tb := agent.TrainBackend(); tb != nil {
-			res.TrainBackend = tb.Name()
-		}
 	} else {
+		if err := agent.HandOff(); err != nil {
+			return MissionResult{}, err
+		}
 		res.Crashes = rl.Evaluate(w, agent, res.Frames).Crashes()
 	}
 	res.WallClockS = float64(res.Frames) / fps
-	return res
+	res.Substrate = agent.Substrate()
+	return res, nil
 }
 
 // deploySnapshot installs a snapshot under the given topology for a
@@ -208,26 +205,20 @@ func (e *MissionExperiment) Phases() []Phase {
 				if err != nil {
 					return err
 				}
-				// Inference-only missions are deployments: the policy runs
-				// on the selected backend. An online mission has none
-				// (SetAgentOverrides refuses it), so this is a no-op there.
-				if err := agent.ActivateEvalBackend(); err != nil {
-					return fmt.Errorf("core: mission under %v: %w", cfg, err)
-				}
-				e.results[i] = RunMission(w, agent, hw.NewModel(), MissionConfig{
+				res, err := RunMission(w, agent, hw.NewModel(), MissionConfig{
 					ComputeBudgetJ: e.budgetJ, Online: e.online,
 				})
-				if b := agent.EvalBackend(); b != nil {
-					e.results[i].Backend = b.Name()
-					e.results[i].BackendCost = agent.EvalCost()
+				if err != nil {
+					return fmt.Errorf("core: mission under %v: %w", cfg, err)
 				}
+				e.results[i] = res
 				rc.Emit(Event{
 					Env: w.Name, Config: cfg, Run: i,
-					Iteration: e.results[i].Frames, Reward: e.results[i].DistanceM,
-					Backend:   e.results[i].Backend,
-					EnergyMJ:  e.results[i].BackendCost.EnergyMJ,
-					LatencyMS: e.results[i].BackendCost.LatencyMS,
-					Cycles:    e.results[i].BackendCost.Cycles,
+					Iteration: res.Frames, Reward: res.DistanceM,
+					Backend:   res.Backend,
+					EnergyMJ:  res.EvalCost.EnergyMJ,
+					LatencyMS: res.EvalCost.LatencyMS,
+					Cycles:    res.EvalCost.Cycles,
 				})
 				return nil
 			},

@@ -10,11 +10,21 @@ import (
 	"dronerl/internal/rl"
 )
 
+// mustMission is RunMission, failing t on an error.
+func mustMission(t *testing.T, w *env.World, agent *rl.Agent, model *hw.Model, cfg MissionConfig) MissionResult {
+	t.Helper()
+	res, err := RunMission(w, agent, model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunMissionBudgetExhaustion(t *testing.T) {
 	w := env.IndoorApartment(41)
 	agent := rl.NewAgent(nn.NavNetSpec(), nn.L3, rl.Options{Seed: 41})
 	model := hw.NewModel()
-	res := RunMission(w, agent, model, MissionConfig{
+	res := mustMission(t, w, agent, model, MissionConfig{
 		ComputeBudgetJ: 5, MaxFrames: 100000, Online: true,
 	})
 	if res.Frames == 0 {
@@ -38,7 +48,7 @@ func TestRunMissionBudgetExhaustion(t *testing.T) {
 func TestRunMissionFrameBound(t *testing.T) {
 	w := env.IndoorApartment(42)
 	agent := rl.NewAgent(nn.NavNetSpec(), nn.L2, rl.Options{Seed: 42})
-	res := RunMission(w, agent, hw.NewModel(), MissionConfig{
+	res := mustMission(t, w, agent, hw.NewModel(), MissionConfig{
 		ComputeBudgetJ: 1e9, MaxFrames: 50, Online: false,
 	})
 	if res.Frames != 50 {
@@ -53,7 +63,7 @@ func TestRunMissionInferenceOnlyCheaper(t *testing.T) {
 	mkRes := func(online bool) MissionResult {
 		w := env.IndoorApartment(43)
 		agent := rl.NewAgent(nn.NavNetSpec(), nn.L4, rl.Options{Seed: 43})
-		return RunMission(w, agent, hw.NewModel(), MissionConfig{
+		return mustMission(t, w, agent, hw.NewModel(), MissionConfig{
 			ComputeBudgetJ: budget, MaxFrames: 1 << 20, Online: online,
 		})
 	}

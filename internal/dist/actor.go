@@ -44,11 +44,11 @@ type ActorConfig struct {
 	// 4096 transitions); when it overflows the oldest experience is
 	// dropped, counted in ActorStats.Dropped.
 	FlushEvery, BufferCap int
-	// DialTimeout bounds one connection attempt (default 2s). BackoffMin
-	// and BackoffMax bound the reconnect schedule (defaults 50ms and 2s):
-	// exponential doubling from min to max with ±50% jitter, so a fleet
-	// orphaned by a learner restart does not reconnect in lockstep.
-	DialTimeout, BackoffMin, BackoffMax time.Duration
+	// BackoffMin and BackoffMax bound the reconnect schedule (defaults
+	// 50ms and 2s): exponential doubling from min to max with ±50% jitter,
+	// so a fleet orphaned by a learner restart does not reconnect in
+	// lockstep.
+	BackoffMin, BackoffMax time.Duration
 	// HeartbeatEvery is the actor's keepalive cadence when no transitions
 	// are flowing (default 250ms); a learner connection silent for
 	// HeartbeatTimeout (default 3s) is declared dead.
@@ -74,9 +74,6 @@ func (c *ActorConfig) withDefaults() error {
 	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = 4096
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
 	}
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = 50 * time.Millisecond
@@ -506,6 +503,9 @@ func (a *actor) reconnectLoop(ctx context.Context, abort context.CancelCauseFunc
 	}
 }
 
+// dialTimeout bounds one connection attempt: the dial and the handshake.
+const dialTimeout = 2 * time.Second
+
 // errRefused marks a handshake answered by an immediate clean close — the
 // learner's way of rejecting a hello it will never accept.
 var errRefused = errors.New("dist: learner refused handshake")
@@ -513,7 +513,7 @@ var errRefused = errors.New("dist: learner refused handshake")
 // dialOnce makes one connection attempt: dial, hello, welcome, policy
 // snapshot, then publish the session and start its reader.
 func (a *actor) dialOnce(ctx context.Context) error {
-	dialCtx, cancel := context.WithTimeout(ctx, a.cfg.DialTimeout)
+	dialCtx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	var conn net.Conn
 	var err error
@@ -532,7 +532,7 @@ func (a *actor) dialOnce(ctx context.Context) error {
 		conn.Close()
 		return err
 	}
-	conn.SetDeadline(time.Now().Add(a.cfg.DialTimeout))
+	conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := writeFrame(conn, frameHello, hello); err != nil {
 		conn.Close()
 		return err

@@ -599,7 +599,7 @@ func TestDistQuantTrainLearnerGetsFrames(t *testing.T) {
 			if want.Load() != steps || other.Load() != 0 {
 				t.Errorf("%d rows framed, %d frameless; want all %d framed %v", framed.Load(), frameless.Load(), steps, tc.framed)
 			}
-			if tc.framed && f.agent.TrainCost().EnergyMJ == 0 {
+			if tc.framed && f.agent.Substrate().TrainCost.EnergyMJ == 0 {
 				t.Error("the quant-train backend trained nothing")
 			}
 		})

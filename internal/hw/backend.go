@@ -134,7 +134,7 @@ func (b *SystolicBackend) Infer(obs *tensor.Tensor) []float32 {
 	return q
 }
 
-// InferBatch implements nn.BatchInferrer: the int16 engine's batched pass,
+// InferBatch implements nn.Backend: the int16 engine's batched pass,
 // every row bit-identical to the corresponding Infer, priced as one
 // pipelined run over the PE array instead of B cold starts. Two charges
 // amortize across the batch:

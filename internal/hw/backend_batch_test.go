@@ -8,9 +8,6 @@ import (
 	"dronerl/internal/tensor"
 )
 
-// Compile-time pin: all three registry backends answer the coalesced path.
-var _ nn.BatchInferrer = (*SystolicBackend)(nil)
-
 // TestSystolicInferBatchBitIdentical asserts the batched entry returns, row
 // for row, exactly what B single-sample Infer calls return — the int16
 // engine is word-exact either way — while charging one stack weight stream
@@ -28,11 +25,6 @@ func TestSystolicInferBatchBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi, ok := nn.Backend(bb).(nn.BatchInferrer)
-	if !ok {
-		t.Fatal("systolic backend must implement BatchInferrer")
-	}
-
 	rng := rand.New(rand.NewSource(62))
 	actions := spec.FCs[len(spec.FCs)-1].Out
 	n := nn.NavNetInput * nn.NavNetInput
@@ -45,7 +37,7 @@ func TestSystolicInferBatchBitIdentical(t *testing.T) {
 				1, nn.NavNetInput, nn.NavNetInput)
 			want[s] = append([]float32(nil), ref.Infer(obs)...)
 		}
-		got := bi.InferBatch(stack)
+		got := bb.InferBatch(stack)
 		if len(got) != bsz*actions {
 			t.Fatalf("batch %d: InferBatch returned %d values, want %d", bsz, len(got), bsz*actions)
 		}

@@ -94,7 +94,7 @@ func TestSystolicRepliesAreQuantWords(t *testing.T) {
 			for s := 0; s < bsz; s++ {
 				copy(batch.Data()[s*n:(s+1)*n], frames[lo+s].Data())
 			}
-			want := quant.(nn.BatchInferrer).InferBatch(batch)
+			want := quant.InferBatch(batch)
 			if got := sys.InferBatch(batch); !bitEqual(got, want) {
 				t.Fatalf("%s frames %d..%d: systolic InferBatch %v, quant %v", tc.name, lo, lo+bsz-1, got, want)
 			}

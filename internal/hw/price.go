@@ -100,11 +100,18 @@ func (p *pricer) stream(rows int) {
 	p.charge(p.model.MRAM, mem.Read, p.traffic.ForwardBits)
 }
 
-// Cost implements nn.CostReporter.
+// Cost implements nn.Backend.
 func (p *pricer) Cost() nn.BackendCost { return p.cost }
 
-// Ledger exposes the per-device traffic totals.
+// Ledger implements Ledgered.
 func (p *pricer) Ledger() *mem.EnergyLedger { return p.ledger }
+
+// Ledgered is a backend that charges its traffic to a per-device energy
+// ledger, as every backend this package registers does. A caller-registered
+// backend takes part in the per-device accounting by implementing it.
+type Ledgered interface {
+	Ledger() *mem.EnergyLedger
+}
 
 // QuantBackend is the "quant" backend: the int16 engine's replies
 // (qnn.Backend), each pass priced as one forward weight stream from the
@@ -133,7 +140,7 @@ func (b *QuantBackend) Infer(obs *tensor.Tensor) []float32 {
 	return q
 }
 
-// InferBatch implements nn.BatchInferrer.
+// InferBatch implements nn.Backend.
 func (b *QuantBackend) InferBatch(batch *tensor.Tensor) []float32 {
 	q := b.Backend.InferBatch(batch)
 	b.stream(batch.Dim(0))
@@ -146,7 +153,8 @@ func (b *QuantBackend) InferBatch(batch *tensor.Tensor) []float32 {
 // What is priced is the modeled chip's serial per-image dataflow (Fig.
 // 3(b)), not the host code: Train(n, live) is n+live forward images, n
 // backward images and one weight update; Infer is one forward image; a
-// target sync is a policy publish. The host computes less — the frozen
+// target sync is a policy publish; InferBatch streams the weights once for
+// the whole batch, as QuantBackend does. The host computes less — the frozen
 // prefix runs once per captured frame, and a Train fed boundary features
 // enters at the training boundary — yet is charged what the same batch
 // costs as frames, so the cost reads the same whichever way rows arrive.
@@ -175,6 +183,13 @@ func NewQuantTrainBackend(net *nn.Network, spec nn.ArchSpec, cfg nn.Config) (*Qu
 func (b *QuantTrainBackend) Infer(obs *tensor.Tensor) []float32 {
 	q := b.TrainBackend.Infer(obs)
 	b.stream(1)
+	return q
+}
+
+// InferBatch implements nn.Backend: one forward weight stream for the batch.
+func (b *QuantTrainBackend) InferBatch(batch *tensor.Tensor) []float32 {
+	q := b.TrainBackend.InferBatch(batch)
+	b.stream(batch.Dim(0))
 	return q
 }
 

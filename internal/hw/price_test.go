@@ -192,51 +192,59 @@ func TestQuantBackendRegistered(t *testing.T) {
 	if b.Name() != "quant" {
 		t.Errorf("name %q", b.Name())
 	}
-	if _, ok := b.(nn.CostReporter); !ok {
-		t.Error("quant backend must report costs")
+	if b.Cost() != (nn.BackendCost{}) {
+		t.Errorf("fresh quant backend charged %+v", b.Cost())
 	}
 }
 
-// TestQuantInferBatchLedgerAmortized asserts the batched path's energy
-// accounting: one InferBatch call charges exactly one weight stream — every
-// layer's weights read from the stack once — no matter how many requests the
-// batch carries, while the per-sample path charges one stream per request.
+// TestQuantInferBatchLedgerAmortized asserts the batched pass of both priced
+// int16 engines: every row is bit-identical to the frame's own Infer, and
+// one InferBatch call charges exactly one weight stream — every layer's
+// weights read from the stack once — no matter how many requests the batch
+// carries, while the per-sample path charges one stream per request.
 func TestQuantInferBatchLedgerAmortized(t *testing.T) {
 	spec := nn.NavNetSpec()
-	b, err := NewQuantBackend(navNet(41, nn.E2E), spec, nn.E2E)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := b.traffic.ForwardBits
+	stream := NewModelFor(spec).StackTraffic(nn.E2E).ForwardBits
 	const bsz = 8
 	stack := tensor.New(bsz, 1, nn.NavNetInput, nn.NavNetInput)
 	stack.RandUniform(rand.New(rand.NewSource(42)), 1)
+	for _, name := range []string{"quant", "quant-train"} {
+		t.Run(name, func(t *testing.T) {
+			b, err := nn.NewBackendFor(name, navNet(41, nn.E2E), spec, nn.E2E)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ledger := b.(Ledgered).Ledger()
+			rows := slices.Clone(b.InferBatch(stack))
+			mram := ledger.Total("STT-MRAM")
+			if mram.ReadBits != stream {
+				t.Errorf("batch of %d read %d bits, want %d (one stream per layer, not one per request)",
+					bsz, mram.ReadBits, stream)
+			}
+			if got := b.Cost().Inferences; got != bsz {
+				t.Errorf("batch of %d counted %d inferences", bsz, got)
+			}
+			batchMJ := b.Cost().EnergyMJ
 
-	b.InferBatch(stack)
-	mram := b.Ledger().Total("STT-MRAM")
-	if mram.ReadBits != stream {
-		t.Errorf("batch of %d read %d bits, want %d (one stream per layer, not one per request)",
-			bsz, mram.ReadBits, stream)
-	}
-	if got := b.Cost().Inferences; got != bsz {
-		t.Errorf("batch of %d counted %d inferences", bsz, got)
-	}
-	batchMJ := b.Cost().EnergyMJ
-
-	// The per-sample path pays bsz streams for the same work.
-	n := stack.Len() / bsz
-	for s := range bsz {
-		b.Infer(tensor.FromSlice(slices.Clone(stack.Data()[s*n:(s+1)*n]), 1, nn.NavNetInput, nn.NavNetInput))
-	}
-	mram = b.Ledger().Total("STT-MRAM")
-	if want := (1 + bsz) * stream; mram.ReadBits != want {
-		t.Errorf("after %d serial Infers ledger reads %d bits, want %d", bsz, mram.ReadBits, want)
-	}
-	if serialMJ := b.Cost().EnergyMJ - batchMJ; batchMJ >= serialMJ {
-		t.Errorf("batched energy %v mJ not below serial %v mJ: weight stream is not amortized", batchMJ, serialMJ)
-	}
-	if mram.WriteBits != 0 {
-		t.Errorf("inference wrote %d bits to the stack", mram.WriteBits)
+			// The per-sample path answers the same rows and pays bsz streams.
+			n, actions := stack.Len()/bsz, len(rows)/bsz
+			for s := range bsz {
+				q := b.Infer(tensor.FromSlice(slices.Clone(stack.Data()[s*n:(s+1)*n]), 1, nn.NavNetInput, nn.NavNetInput))
+				if want := rows[s*actions : (s+1)*actions]; !slices.Equal(q, want) {
+					t.Fatalf("sample %d: Infer %v, InferBatch row %v (must be bit-identical)", s, q, want)
+				}
+			}
+			mram = ledger.Total("STT-MRAM")
+			if want := (1 + bsz) * stream; mram.ReadBits != want {
+				t.Errorf("after %d serial Infers ledger reads %d bits, want %d", bsz, mram.ReadBits, want)
+			}
+			if serialMJ := b.Cost().EnergyMJ - batchMJ; batchMJ >= serialMJ {
+				t.Errorf("batched energy %v mJ not below serial %v mJ: weight stream is not amortized", batchMJ, serialMJ)
+			}
+			if mram.WriteBits != 0 {
+				t.Errorf("inference wrote %d bits to the stack", mram.WriteBits)
+			}
+		})
 	}
 }
 

@@ -28,13 +28,22 @@ type Backend interface {
 	// Infer returns the Q-values for one CHW observation. The returned
 	// slice may be reused by the next Infer call — copy it to keep it.
 	Infer(obs *tensor.Tensor) []float32
+	// InferBatch returns the B*actions Q-values, row-major, of B stacked
+	// observations ((B, C, H, W), the ForwardBatch layout) in one pass per
+	// layer. Every row is bit-identical to the corresponding Infer —
+	// batching is a scheduling decision, never a numeric one — and like
+	// Infer the returned slice may be reused by the next call.
+	InferBatch(batch *tensor.Tensor) []float32
+	// Cost is the accumulated modeled hardware cost of every pass so far;
+	// a backend without a cost model reports the zero value.
+	Cost() BackendCost
 }
 
 // BackendCost is the accumulated modeled hardware cost of a backend's
 // inferences (and, for backends that price training, weight updates).
-// Backends without a cost model report the zero value.
 type BackendCost struct {
-	// Inferences is the number of Infer calls charged.
+	// Inferences is the number of inferences charged (a batch counts its
+	// rows).
 	Inferences int64
 	// EnergyMJ is the total modeled energy in millijoules.
 	EnergyMJ float64
@@ -52,20 +61,13 @@ func (c *BackendCost) Add(o BackendCost) {
 	c.Cycles += o.Cycles
 }
 
-// CostReporter is the optional cost hook of a Backend: backends backed by a
-// hardware model expose their accumulated energy/latency/cycle tallies
-// through it, and the experiment engine streams them as per-phase events.
-type CostReporter interface {
-	Cost() BackendCost
+// Sub returns what was charged between an earlier tally o and c.
+func (c BackendCost) Sub(o BackendCost) BackendCost {
+	return BackendCost{c.Inferences - o.Inferences, c.EnergyMJ - o.EnergyMJ, c.LatencyMS - o.LatencyMS, c.Cycles - o.Cycles}
 }
 
-// BatchInferrer is the optional batched-inference hook of a Backend: given B
-// stacked observations ((B, C, H, W), the ForwardBatch layout) it returns the
-// B*actions Q-values in row-major order, computed with one GEMM per layer
-// instead of B single-sample passes. The serving batcher coalesces in-flight
-// requests into one such call. Per-row results must be bit-identical to B
-// Infer calls — batching is a scheduling decision, never a numeric one — and
-// like Infer the returned slice may be reused by the next call.
+// BatchInferrer is a Backend's batched pass on its own, for callers that
+// hold a value known only to batch.
 type BatchInferrer interface {
 	InferBatch(batch *tensor.Tensor) []float32
 }
@@ -153,7 +155,7 @@ func (b *FloatBackend) Infer(obs *tensor.Tensor) []float32 {
 	return b.net.Forward(obs).Data()
 }
 
-// InferBatch implements BatchInferrer: one ForwardBatch pass — one GEMM per
+// InferBatch implements Backend: one ForwardBatch pass — one GEMM per
 // layer for the whole batch. By the layers' row contract every row equals the
 // corresponding single-sample Infer, so a serving batcher can coalesce freely
 // without changing any reply. The returned slice is the final layer's
@@ -161,6 +163,9 @@ func (b *FloatBackend) Infer(obs *tensor.Tensor) []float32 {
 func (b *FloatBackend) InferBatch(batch *tensor.Tensor) []float32 {
 	return b.net.ForwardBatch(batch).Data()
 }
+
+// Cost implements Backend: the float reference has no cost model.
+func (b *FloatBackend) Cost() BackendCost { return BackendCost{} }
 
 func init() {
 	if err := RegisterBackend("float", func(net *Network, _ ArchSpec, _ Config) (Backend, error) {

@@ -73,8 +73,8 @@ func TestFloatBackendBitIdentical(t *testing.T) {
 		}
 	}
 	// The float backend has no cost model.
-	if _, ok := b.(CostReporter); ok {
-		t.Error("float backend must not report hardware costs")
+	if c := b.Cost(); c != (BackendCost{}) {
+		t.Errorf("float backend charged %+v", c)
 	}
 }
 
@@ -90,10 +90,6 @@ func TestFloatBackendInferBatchBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi, ok := b.(BatchInferrer)
-	if !ok {
-		t.Fatal("float backend must implement BatchInferrer")
-	}
 	rng := rand.New(rand.NewSource(22))
 	actions := spec.FCs[len(spec.FCs)-1].Out
 	for _, batch := range []int{1, 3, 8} {
@@ -108,7 +104,7 @@ func TestFloatBackendInferBatchBitIdentical(t *testing.T) {
 				1, NavNetInput, NavNetInput)
 			want[s] = append([]float32(nil), b.Infer(obs)...)
 		}
-		got := bi.InferBatch(stack)
+		got := b.InferBatch(stack)
 		if len(got) != batch*actions {
 			t.Fatalf("batch %d: InferBatch returned %d values, want %d", batch, len(got), batch*actions)
 		}

@@ -849,6 +849,15 @@ func (tn *Network) forward(data []float32, bsz int, shape [3]int) []float32 {
 	return out
 }
 
+// forwardBatch is forward over a (B, C, H, W) stack of observations.
+func (tn *Network) forwardBatch(batch *tensor.Tensor) []float32 {
+	sh := batch.Shape()
+	if len(sh) != 4 {
+		panic(fmt.Sprintf("qnn: InferBatch expects a (B, C, H, W) batch, got %v", sh))
+	}
+	return tn.forward(batch.Data(), sh[0], [3]int{sh[1], sh[2], sh[3]})
+}
+
 // Backward quantizes the float output gradient stochastically and
 // backpropagates it down to the training boundary. Must follow a Forward
 // call on the same sample.

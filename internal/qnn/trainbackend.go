@@ -8,12 +8,12 @@ import (
 	"dronerl/internal/tensor"
 )
 
-// TrainBackend is the nn.TrainableBackend over the fixed-point training
-// engine: the online and bootstrap-target networks both live as integer
+// TrainBackend is the fixed-point training engine: the online and bootstrap-target networks both live as integer
 // words, and every TD step is executed in the accelerator's arithmetic —
 // quantized forward passes for the bootstrap and the online Q-values,
 // integer backprop, and a stochastically-rounded weight update. It computes
-// words only: internal/hw's "quant-train" backend prices every pass.
+// words only: internal/hw's "quant-train" nn.TrainableBackend wraps it and
+// prices every pass.
 type TrainBackend struct {
 	online *Network
 	target *Network
@@ -47,7 +47,7 @@ func NewTrainBackend(src *nn.Network, opts TrainOptions) (*TrainBackend, error) 
 	}, nil
 }
 
-// Name implements nn.Backend.
+// Name is the registry name of the engine's priced wrapper.
 func (b *TrainBackend) Name() string { return "quant-train" }
 
 func obsShape(obs *tensor.Tensor) [3]int {
@@ -58,10 +58,16 @@ func obsShape(obs *tensor.Tensor) [3]int {
 	return [3]int{sh[0], sh[1], sh[2]}
 }
 
-// Infer implements nn.Backend: one quantized forward pass through the
-// online network. The returned slice is reused by the next call.
+// Infer is one quantized forward pass through the online network. The
+// returned slice is reused by the next call.
 func (b *TrainBackend) Infer(obs *tensor.Tensor) []float32 {
 	return b.online.Forward(obs.Data(), obsShape(obs))
+}
+
+// InferBatch is Infer over B stacked observations in one pass per layer,
+// every row bit-identical to the corresponding Infer (row independence).
+func (b *TrainBackend) InferBatch(batch *tensor.Tensor) []float32 {
+	return b.online.forwardBatch(batch)
 }
 
 // featDim is the width of one boundary-feature row: the fan-in of the first
@@ -158,7 +164,7 @@ func shapeOf(t *tensor.Tensor) []int {
 	return t.Shape()
 }
 
-// Train implements nn.TrainableBackend: one minibatch TD(0) update with one
+// Train is nn.TrainableBackend's step: one minibatch TD(0) update with one
 // batched kernel per layer. The states and the live (non-terminal) nexts
 // form a single stack at the training boundary — copied from Feats/NextFeats
 // when the batch carries them, else quantized from States/Nexts and run
@@ -243,7 +249,7 @@ func (b *TrainBackend) Train(batch nn.TrainBatch) float64 {
 	return mse / float64(n)
 }
 
-// SyncTarget implements nn.TrainableBackend: the online weight words are
+// SyncTarget is nn.TrainableBackend's target sync: the online weight words are
 // copied into the target store. Only the trainable words move: the frozen
 // ones are shared.
 func (b *TrainBackend) SyncTarget() {

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -38,8 +39,8 @@ type Options struct {
 	// (TargetSync > 0) and is off by default — the paper uses the plain
 	// Eq. (1) target.
 	DoubleDQN bool
-	// EvalBackend names the compute backend used for greedy evaluation and
-	// deployment once ActivateEvalBackend is called: "float" (the GEMM
+	// EvalBackend names the compute backend Greedy flies after the
+	// hand-off into evaluation and deployment (HandOff): "float" (the GEMM
 	// reference, bit-identical to the backend-less path), "quant" (16-bit
 	// fixed-point inference) or "systolic" (the same 16-bit replies priced
 	// on the modeled PE array, with energy accounting), resolved through the
@@ -52,8 +53,9 @@ type Options struct {
 	// hands the sampled minibatch to the backend's own integer
 	// forward/backward/update instead of the float network's, and the
 	// backend mirrors its weights back into Net so snapshots, publishes and
-	// evaluation see what was learned. Empty — the default — keeps the
-	// float training path.
+	// eval backends see what was learned. Greedy flies its words too, and
+	// still does after the hand-off unless EvalBackend names another
+	// backend. Empty — the default — keeps the float training path.
 	TrainBackend string
 	// Actors is the number of concurrent actors the online-learning
 	// pipeline runs (default 1, the deterministic serial schedule that
@@ -156,12 +158,17 @@ type Agent struct {
 	// policyVersion is the last PolicyBoard version adopted (AdoptPolicy).
 	policyVersion uint64
 
-	// evalBackend, once activated, serves Greedy instead of the direct
-	// float forward pass (see ActivateEvalBackend).
-	evalBackend nn.Backend
+	// policy, when set, serves Greedy instead of the direct float forward
+	// pass: the train backend once activated, replaced at the hand-off by
+	// the eval backend when the options name one (see Policy).
+	policy nn.Backend
 	// trainBackend, once activated, owns the whole TD update: TrainStep
 	// routes the sampled minibatch here (see ActivateTrainBackend).
 	trainBackend nn.TrainableBackend
+	// handedOff is set by HandOff; trainCost is the train backend's tally
+	// and evalFrom the policy's at that moment (see Substrate).
+	handedOff           bool
+	trainCost, evalFrom nn.BackendCost
 	// Reusable per-sample scalar slices of the train-backend minibatch.
 	tbActions []int
 	tbRewards []float64
@@ -211,14 +218,13 @@ func NewAgent(spec nn.ArchSpec, cfg nn.Config, opts Options) *Agent {
 }
 
 // SetConfig re-freezes the network to a different topology (used when the
-// same transferred weights are evaluated under L2/L3/L4/E2E). Any activated
-// evaluation backend is dropped — the topology decides weight residency in
-// the memory hierarchy, so the backend must be rebuilt.
+// same transferred weights are evaluated under L2/L3/L4/E2E). Every
+// activated backend and the hand-off are dropped — the topology decides
+// weight residency in the memory hierarchy, so the backends must be rebuilt.
 func (a *Agent) SetConfig(cfg nn.Config) {
 	a.Net.SetConfig(cfg)
 	a.cfg = cfg
-	a.evalBackend = nil
-	a.trainBackend = nil
+	a.policy, a.trainBackend, a.handedOff = nil, nil, false
 }
 
 func (a *Agent) syncTarget() {
@@ -266,82 +272,132 @@ func (a *Agent) source() ReplaySource {
 
 // AdoptPolicy installs the latest policy published on board into the
 // agent's online network when it is newer than the last adopted version,
-// reporting whether anything changed. When an evaluation backend is active
-// it is rebuilt over the fresh weights: the backend captured the weights as
-// they were at activation (the quant and systolic backends compiled them
-// into the int16 engine), so a policy swap
-// hands off to a backend built over the new ones. This is the
-// deployment-side counterpart of the pipeline's in-fleet adoption — a
-// deployed drone refreshing its compiled policy between missions; see
-// examples/policy_refresh.
+// reporting whether anything changed. Active backends captured the weights
+// as they were when built (the quant and systolic backends compiled them
+// into the int16 engine), so a policy swap rebuilds them over the new ones
+// — the train backend, and after the hand-off the eval backend — and their
+// tallies restart. This is the deployment-side counterpart of the
+// pipeline's in-fleet adoption — a deployed drone refreshing its compiled
+// policy between missions; see examples/policy_refresh.
 func (a *Agent) AdoptPolicy(board *nn.PolicyBoard) (bool, error) {
 	v, changed, err := board.Adopt(a.Net, a.policyVersion)
 	if err != nil {
 		return false, err
 	}
 	a.policyVersion = v
-	if changed && a.evalBackend != nil {
-		a.evalBackend = nil
-		if err := a.ActivateEvalBackend(); err != nil {
-			return true, err
-		}
+	if !changed {
+		return false, nil
 	}
-	if changed && a.trainBackend != nil {
-		a.trainBackend = nil
+	if a.trainBackend != nil {
+		a.policy, a.trainBackend = nil, nil
 		if err := a.ActivateTrainBackend(); err != nil {
 			return true, err
 		}
 	}
-	return changed, nil
+	if a.handedOff {
+		a.handedOff = false
+		return true, a.HandOff()
+	}
+	return true, nil
 }
 
-// Greedy returns argmax_a Q(obs, a) without exploration. With an activated
-// evaluation backend the Q-values come from that backend — the 16-bit
-// integer engine, priced on the modeled PE array or not — otherwise from the
-// float network directly (and the "float" backend is bit-identical to the
-// direct path, ties included).
+// Greedy returns argmax_a Q(obs, a) without exploration, ties to the lowest
+// index: over the Q-values of Policy — the eval backend after the hand-off,
+// else the train backend's integer words — or of the float network directly
+// (the "float" backend is bit-identical to the direct path).
 func (a *Agent) Greedy(obs *tensor.Tensor) int {
-	if a.evalBackend != nil {
-		return argmaxRow(a.evalBackend.Infer(obs))
-	}
-	// With an active train backend the authoritative weights are its
-	// integer words; acting through it keeps behaviour consistent with what
-	// is being trained (and charges the inference reads to its ledger).
-	if a.trainBackend != nil {
-		return argmaxRow(a.trainBackend.Infer(obs))
+	if a.policy != nil {
+		return tensor.ArgMaxRow(a.policy.Infer(obs))
 	}
 	return a.Net.Forward(obs).ArgMax()
 }
 
-// ActivateEvalBackend builds and installs the evaluation backend named by
-// the options for subsequent Greedy calls. Call it after training, at the
-// hand-off into a greedy evaluation or deployment phase: backends capture
-// the weights as they are now (the quant and systolic backends compile them
-// into the int16 engine). It is a
-// no-op when the options name no backend or one is already active.
-func (a *Agent) ActivateEvalBackend() error {
-	if a.opts.EvalBackend == "" || a.evalBackend != nil {
+// Policy returns the backend Greedy flies, for callers that fly it in
+// batches (a swarm): a float backend over Net when no backend is active.
+func (a *Agent) Policy() nn.Backend {
+	if a.policy != nil {
+		return a.policy
+	}
+	return nn.NewFloatBackend(a.Net)
+}
+
+// HandOff is the training/evaluation hand-off, called once the final
+// policy state is in place and before the greedy flight: the train
+// backend's tally so far is recorded as the training cost, and when the
+// options name an eval backend it is built over the weights as they are now
+// (the quant and systolic backends compile them into the int16 engine) and
+// flies Greedy from here on. Later calls are no-ops.
+func (a *Agent) HandOff() error {
+	if a.handedOff {
 		return nil
 	}
-	b, err := nn.NewBackendFor(a.opts.EvalBackend, a.Net, a.spec, a.cfg)
-	if err != nil {
-		return err
+	if a.trainBackend != nil {
+		a.trainCost = a.trainBackend.Cost()
 	}
-	a.evalBackend = b
+	if name := a.opts.EvalBackend; name != "" {
+		b, err := nn.NewBackendFor(name, a.Net, a.spec, a.cfg)
+		if err != nil {
+			return err
+		}
+		a.policy = b
+	}
+	if a.policy != nil {
+		a.evalFrom = a.policy.Cost()
+	}
+	a.handedOff = true
 	return nil
 }
 
-// EvalBackend returns the active evaluation backend (nil before
-// ActivateEvalBackend, or when the options select the direct float path).
-func (a *Agent) EvalBackend() nn.Backend { return a.evalBackend }
+// Substrate is what an agent flew and trained on and what each charged —
+// the one record every report carries.
+type Substrate struct {
+	// Backend names what Greedy flew after the hand-off: the eval backend,
+	// else the train backend's words ("" for the direct float path, and
+	// before the hand-off). EvalCost is what it charged after the hand-off.
+	Backend  string
+	EvalCost nn.BackendCost
+	// TrainBackend names the trainable backend ("" for the float training
+	// path) and TrainCost what it charged before the hand-off — the
+	// STT-MRAM read/write energy and latency of every quantized TD step and
+	// of the greedy actions that read its words; until the hand-off, all it
+	// charged so far.
+	TrainBackend string
+	TrainCost    nn.BackendCost
+}
+
+// Add sums o's costs into s and takes o's backend names where s has none:
+// the merge of repeated runs of one cell.
+func (s *Substrate) Add(o Substrate) {
+	s.Backend = cmp.Or(s.Backend, o.Backend)
+	s.TrainBackend = cmp.Or(s.TrainBackend, o.TrainBackend)
+	s.EvalCost.Add(o.EvalCost)
+	s.TrainCost.Add(o.TrainCost)
+}
+
+// Substrate reports what the agent flew and trained on so far.
+func (a *Agent) Substrate() Substrate {
+	var s Substrate
+	if tb := a.trainBackend; tb != nil {
+		s.TrainBackend, s.TrainCost = tb.Name(), tb.Cost()
+	}
+	if !a.handedOff {
+		return s
+	}
+	s.TrainCost = a.trainCost
+	if a.policy != nil {
+		s.Backend, s.EvalCost = a.policy.Name(), a.policy.Cost().Sub(a.evalFrom)
+	}
+	return s
+}
 
 // ActivateTrainBackend builds and installs the trainable backend named by
-// the options; subsequent TrainStep calls hand the sampled minibatch to it.
-// Call it before the online phase: the backend captures the weights as they
-// are now (the quantized engine compiles them into fixed-point words), so a
-// transferred policy must be restored first. It is a no-op when the options
-// name no train backend or one is already active, and an error when the
-// registered backend does not implement nn.TrainableBackend.
+// the options; subsequent TrainStep calls hand the sampled minibatch to it,
+// and Greedy flies its words. Call it before the online phase: the backend
+// captures the weights as they are now (the quantized engine compiles them
+// into fixed-point words), so a transferred policy must be restored first.
+// It is a no-op when the options name no train backend or one is already
+// active, and an error when the registered backend does not implement
+// nn.TrainableBackend.
 func (a *Agent) ActivateTrainBackend() error {
 	if a.opts.TrainBackend == "" || a.trainBackend != nil {
 		return nil
@@ -354,32 +410,13 @@ func (a *Agent) ActivateTrainBackend() error {
 	if !ok {
 		return fmt.Errorf("rl: backend %q is not trainable", a.opts.TrainBackend)
 	}
-	a.trainBackend = tb
+	a.trainBackend, a.policy = tb, tb
 	return nil
 }
 
 // TrainBackend returns the active trainable backend (nil before
 // ActivateTrainBackend, or when the options select the float training path).
 func (a *Agent) TrainBackend() nn.TrainableBackend { return a.trainBackend }
-
-// TrainCost returns the active train backend's accumulated hardware cost —
-// the STT-MRAM read/write energy and latency of every quantized TD step —
-// or the zero value when no train backend is active or it reports no cost.
-func (a *Agent) TrainCost() nn.BackendCost {
-	if cr, ok := a.trainBackend.(nn.CostReporter); ok {
-		return cr.Cost()
-	}
-	return nn.BackendCost{}
-}
-
-// EvalCost returns the active backend's accumulated hardware cost; the
-// zero value when no backend is active or it has no cost model.
-func (a *Agent) EvalCost() nn.BackendCost {
-	if cr, ok := a.evalBackend.(nn.CostReporter); ok {
-		return cr.Cost()
-	}
-	return nn.BackendCost{}
-}
 
 // QValues returns the Q-vector for an observation. TestFloatStackGolden
 // hashes it.
@@ -554,13 +591,13 @@ func (a *Agent) tdTargets(from int, nexts *tensor.Tensor) {
 	if o.DoubleDQN && a.Target != nil {
 		qo := a.Net.ForwardBatchRange(from, last, nexts).Data()
 		for i := range a.targets {
-			sel := argmaxRow(qo[i*a.actions : (i+1)*a.actions])
+			sel := tensor.ArgMaxRow(qo[i*a.actions : (i+1)*a.actions])
 			a.targets[i] = o.Gamma * float64(qn[i*a.actions+sel])
 		}
 	} else {
 		for i := range a.targets {
 			row := qn[i*a.actions : (i+1)*a.actions]
-			a.targets[i] = o.Gamma * float64(row[argmaxRow(row)])
+			a.targets[i] = o.Gamma * float64(row[tensor.ArgMaxRow(row)])
 		}
 	}
 	for i, tr := range a.batch {
@@ -634,18 +671,6 @@ func (a *Agent) trainStepBackend() float64 {
 		a.syncTarget()
 	}
 	return mse
-}
-
-// argmaxRow returns the index of the maximum value with ties resolving to
-// the lowest index, matching tensor.ArgMax.
-func argmaxRow(row []float32) int {
-	best := 0
-	for i, v := range row {
-		if v > row[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // TrainSteps returns the number of completed weight updates.

@@ -316,7 +316,7 @@ func TestAdoptPolicyRebuildsEvalBackend(t *testing.T) {
 	if err := flyer.Net.CopyWeightsFrom(learner.Net); err != nil {
 		t.Fatal(err)
 	}
-	if err := flyer.ActivateEvalBackend(); err != nil {
+	if err := flyer.HandOff(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -357,7 +357,7 @@ func TestAdoptPolicyRebuildsEvalBackend(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		o := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
 		o.RandN(rng, 1)
-		got := append([]float32(nil), flyer.EvalBackend().Infer(o)...)
+		got := append([]float32(nil), flyer.Policy().Infer(o)...)
 		want := ref.Infer(o)
 		for j := range want {
 			if got[j] != want[j] {

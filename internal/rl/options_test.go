@@ -176,26 +176,23 @@ func TestEvalBackendOption(t *testing.T) {
 	}
 }
 
-// TestActivateEvalBackendInstallsFloat: the float backend keeps Greedy
-// bit-identical while reporting its presence through EvalBackend.
-func TestActivateEvalBackendInstallsFloat(t *testing.T) {
+// TestHandOffInstallsFloat: the float backend keeps Greedy bit-identical
+// while the substrate names it.
+func TestHandOffInstallsFloat(t *testing.T) {
 	opts, err := NewOptions(WithSeed(3), WithEvalBackend("float"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	withB := NewAgent(nn.NavNetSpec(), nn.L3, opts)
 	plain := NewAgent(nn.NavNetSpec(), nn.L3, Options{Seed: 3})
-	if withB.EvalBackend() != nil {
-		t.Error("backend active before ActivateEvalBackend")
+	if s := withB.Substrate(); s != (Substrate{}) {
+		t.Errorf("substrate %+v before the hand-off", s)
 	}
-	if err := withB.ActivateEvalBackend(); err != nil {
+	if err := withB.HandOff(); err != nil {
 		t.Fatal(err)
 	}
-	if withB.EvalBackend() == nil || withB.EvalBackend().Name() != "float" {
-		t.Fatal("float backend not installed")
-	}
-	if cost := withB.EvalCost(); cost != (nn.BackendCost{}) {
-		t.Errorf("float backend reported costs %+v", cost)
+	if s := withB.Substrate(); s != (Substrate{Backend: "float"}) {
+		t.Fatalf("float backend not installed: substrate %+v", s)
 	}
 	obs := tensor.New(1, nn.NavNetInput, nn.NavNetInput)
 	rng := rand.New(rand.NewSource(17))
@@ -207,8 +204,8 @@ func TestActivateEvalBackendInstallsFloat(t *testing.T) {
 	}
 	// Re-freezing the topology drops the backend (residency changes).
 	withB.SetConfig(nn.L2)
-	if withB.EvalBackend() != nil {
-		t.Error("SetConfig must invalidate the backend")
+	if s := withB.Substrate(); s != (Substrate{}) {
+		t.Errorf("SetConfig must invalidate the backend: substrate %+v", s)
 	}
 }
 

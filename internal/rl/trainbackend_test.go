@@ -47,7 +47,7 @@ func TestTrainStepRoutesToTrainBackend(t *testing.T) {
 	if !changed {
 		t.Fatal("backend training did not update the agent's float mirror")
 	}
-	cost := a.TrainCost()
+	cost := a.Substrate().TrainCost
 	if cost.EnergyMJ <= 0 || cost.LatencyMS <= 0 {
 		t.Fatalf("no STT-MRAM cost accrued: %+v", cost)
 	}
@@ -169,8 +169,8 @@ func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
 		wantRows += rowsOf(frames)
 	}
 	paramsEqual(t, "features vs frames", frames.Net, feats.Net)
-	if frames.TrainCost() != feats.TrainCost() {
-		t.Errorf("frames cost %+v, features %+v: the modeled device must not see the cache", frames.TrainCost(), feats.TrainCost())
+	if frames.Substrate().TrainCost != feats.Substrate().TrainCost {
+		t.Errorf("frames cost %+v, features %+v: the modeled device must not see the cache", frames.Substrate().TrainCost, feats.Substrate().TrainCost)
 	}
 	// The two agents share a seed, hence every sampled batch.
 	if framesTap.frameRows != wantRows || featsTap.frameRows != 0 {

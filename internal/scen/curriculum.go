@@ -58,9 +58,10 @@ type CurriculumReport struct {
 	FailedStage string
 	// MetaReward is the meta-training phase's final moving-average reward.
 	MetaReward float64
-	// TrainBackend names the trainable backend the stages ran on (""
-	// for the float training path).
-	TrainBackend string
+	// Substrate names the trainable backend the stages ran on ("" for the
+	// float training path) and what it charged. The curriculum has no
+	// evaluation phase, so it names no Backend.
+	rl.Substrate
 }
 
 // DefaultLadder returns the builtin three-stage curriculum for a kind:
@@ -199,9 +200,7 @@ func (c *Curriculum) Phases() []core.Phase {
 			Completed:   !c.failed,
 			FailedStage: c.failedStage,
 			MetaReward:  c.metaReward,
-		}
-		if tb := c.agent.TrainBackend(); tb != nil {
-			c.report.TrainBackend = tb.Name()
+			Substrate:   c.agent.Substrate(),
 		}
 		return nil
 	}})

@@ -54,10 +54,6 @@ func FlySwarmBackend(backend nn.Backend, base *env.World, n, steps int, seed int
 	if n < 1 {
 		panic("scen: swarm needs at least one drone")
 	}
-	bi, ok := backend.(nn.BatchInferrer)
-	if !ok {
-		panic(fmt.Sprintf("scen: backend %q has no batched inference path", backend.Name()))
-	}
 	worlds := make([]*env.World, n)
 	obs := make([]*tensor.Tensor, n)
 	for i := range worlds {
@@ -83,7 +79,7 @@ func FlySwarmBackend(backend nn.Backend, base *env.World, n, steps int, seed int
 		for i := range worlds {
 			copy(bd[i*row:(i+1)*row], obs[i].Data())
 		}
-		q := bi.InferBatch(batch)
+		q := backend.InferBatch(batch)
 		actions := len(q) / n
 		// ...then every drone steps its own world concurrently; each
 		// goroutine touches only its own index's state.
@@ -92,7 +88,7 @@ func FlySwarmBackend(backend nn.Backend, base *env.World, n, steps int, seed int
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				a := argmaxRow(q[i*actions : (i+1)*actions])
+				a := tensor.ArgMaxRow(q[i*actions : (i+1)*actions])
 				res := worlds[i].Step(env.Action(a))
 				rewardSum[i] += res.Reward
 				if res.Crashed {
@@ -116,31 +112,16 @@ func FlySwarmBackend(backend nn.Backend, base *env.World, n, steps int, seed int
 	return stats
 }
 
-// argmaxRow returns the index of the maximum value with ties resolving to
-// the lowest index, matching tensor.ArgMax (and the agent's greedy rule).
-func argmaxRow(row []float32) int {
-	best := 0
-	for i, v := range row {
-		if v > row[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // SwarmReport merges per-drone mission stats in index order.
 type SwarmReport struct {
 	Env    string
 	Config nn.Config
-	// Backend names the agent's evaluation backend the mission flew on
-	// ("" = the float network), and Cost its accumulated modeled hardware
-	// tally: with the batched quant fleet, the energy reflects one MRAM
-	// weight stream per layer per tick, amortized across all drones.
-	Backend string
-	Cost    nn.BackendCost
-	// TrainBackend names the trainable backend of the online phase (""
-	// for the float training path).
-	TrainBackend string
+	// Substrate names the backend the mission flew on — the agent's Greedy
+	// backend after the hand-off, "" for the float network — and the online
+	// phase's train backend, with what each charged: with the batched quant
+	// fleet, EvalCost reflects one MRAM weight stream per layer per tick,
+	// amortized across all drones.
+	rl.Substrate
 	// Drones holds each member's stats, index order.
 	Drones []DroneStats
 	// Aggregates over the fleet.
@@ -157,10 +138,10 @@ type SwarmReport struct {
 // scenario's kind, deploy and adapt the policy online in the scenario world
 // (the deterministic single-actor schedule unless rl.WithActors asks for
 // more), then fly Drones clones of that
-// world in lockstep sharing the adapted policy on the agent's evaluation
-// backend (rl.WithEvalBackend; the float network when none is selected) —
-// one batched pass per layer across the fleet — and merge per-drone
-// metrics in index order. It implements core.Experiment.
+// world in lockstep sharing the adapted policy on the backend the agent's
+// Greedy flies after the hand-off (rl.WithEvalBackend, else the train
+// backend's words, else the float network) — one batched pass per layer
+// across the fleet — and merge per-drone metrics in index order. It implements core.Experiment.
 type SwarmExperiment struct {
 	// Scenario names the catalog world the swarm flies.
 	Scenario string
@@ -204,9 +185,10 @@ func NewSwarmExperiment(scenario string, drones int, topology nn.Config, seed in
 
 // SetAgentOverrides installs the agent options applied over the meta and
 // online recipes; an invalid combination fails the run. The evaluation
-// backend they name (rl.WithEvalBackend) is the one the mission phase
-// flies on. The swarm reads every agent option; WithSyncEvery without
-// WithActors(n > 1) is refused (see core.CheckOverrides).
+// backend they name (rl.WithEvalBackend), else their train backend, is the
+// one the mission phase flies on. The swarm reads every agent option;
+// WithSyncEvery without WithActors(n > 1) is refused (see
+// core.CheckOverrides).
 func (e *SwarmExperiment) SetAgentOverrides(opts ...rl.Option) error {
 	if err := core.CheckOverrides("scen: swarm", opts, core.Unread{}); err != nil {
 		return err
@@ -267,26 +249,15 @@ func (e *SwarmExperiment) onlineJob(rc *core.RunContext, _ int) error {
 }
 
 func (e *SwarmExperiment) swarmJob(rc *core.RunContext, _ int) error {
-	// The mission is a deployment: it flies the agent's evaluation backend
-	// (the float network when none is selected), whose batched inference
-	// entry gives the lockstep fleet one pass per layer per tick.
-	if err := e.agent.ActivateEvalBackend(); err != nil {
+	// The mission is a deployment: it flies the backend the agent's Greedy
+	// flies after the hand-off, whose batched pass gives the lockstep fleet
+	// one pass per layer per tick.
+	if err := e.agent.HandOff(); err != nil {
 		return fmt.Errorf("scen: building swarm backend: %w", err)
 	}
 	rep := &SwarmReport{Env: e.world.Name, Config: e.Topology, Training: e.training}
-	backend := e.agent.EvalBackend()
-	if backend == nil {
-		backend = nn.NewFloatBackend(e.agent.Net)
-	} else {
-		rep.Backend = backend.Name()
-	}
-	if tb := e.agent.TrainBackend(); tb != nil {
-		rep.TrainBackend = tb.Name()
-	}
-	rep.Drones = FlySwarmBackend(backend, e.world, e.Drones, e.MissionSteps, e.Seed+5000)
-	if cr, ok := backend.(nn.CostReporter); ok {
-		rep.Cost = cr.Cost()
-	}
+	rep.Drones = FlySwarmBackend(e.agent.Policy(), e.world, e.Drones, e.MissionSteps, e.Seed+5000)
+	rep.Substrate = e.agent.Substrate()
 	// Merge in index order, like the flight driver's per-run ledgers.
 	for _, d := range rep.Drones {
 		rep.TotalSteps += d.Steps

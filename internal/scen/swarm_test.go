@@ -15,6 +15,7 @@ import (
 	"dronerl/internal/env"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
+	"dronerl/internal/tensor"
 
 	// Linked for its backend registration: the quant-fleet tests resolve
 	// "quant" through the registry.
@@ -59,9 +60,9 @@ func swarmReportHash(rep *SwarmReport) string {
 	}
 	h.Write([]byte(swarmStatsHash(rep.Drones)))
 	h.Write([]byte(rep.Env + "|" + rep.Config.String() + "|" + rep.Backend + "|"))
-	put(uint64(rep.Cost.Inferences))
-	put(math.Float64bits(rep.Cost.EnergyMJ))
-	put(math.Float64bits(rep.Cost.LatencyMS))
+	put(uint64(rep.EvalCost.Inferences))
+	put(math.Float64bits(rep.EvalCost.EnergyMJ))
+	put(math.Float64bits(rep.EvalCost.LatencyMS))
 	put(uint64(rep.TotalSteps))
 	put(uint64(rep.TotalCrashes))
 	put(math.Float64bits(rep.TotalDistance))
@@ -213,7 +214,7 @@ func flySerial(backend nn.Backend, base *env.World, n, steps int, seed int64) []
 		var rewardSum float64
 		d := DroneStats{Drone: i, Steps: steps}
 		for s := 0; s < steps; s++ {
-			res := w.Step(env.Action(argmaxRow(backend.Infer(o))))
+			res := w.Step(env.Action(tensor.ArgMaxRow(backend.Infer(o))))
 			rewardSum += res.Reward
 			if res.Crashed {
 				d.Crashes++
@@ -256,18 +257,13 @@ func TestFlySwarmQuantBackendBitIdentical(t *testing.T) {
 		t.Fatalf("serial and batched quant swarm flights diverge:\nserial:  %+v\nbatched: %+v",
 			serial, batched)
 	}
-	sc, ok := serialB.(nn.CostReporter)
-	if !ok {
-		t.Fatal("quant backend reports no cost")
-	}
-	bc := batchedB.(nn.CostReporter)
-	if sc.Cost().Inferences != bc.Cost().Inferences {
-		t.Fatalf("inference counts diverge: serial %d, batched %d",
-			sc.Cost().Inferences, bc.Cost().Inferences)
+	sc, bc := serialB.Cost(), batchedB.Cost()
+	if sc.Inferences != bc.Inferences {
+		t.Fatalf("inference counts diverge: serial %d, batched %d", sc.Inferences, bc.Inferences)
 	}
 	// drones× fewer weight streams: one per tick instead of one per drone
 	// per tick (up to float summation order in the running tally).
-	se, be := sc.Cost().EnergyMJ, bc.Cost().EnergyMJ
+	se, be := sc.EnergyMJ, bc.EnergyMJ
 	if ratio := be * float64(drones) / se; ratio < 1-1e-9 || ratio > 1+1e-9 {
 		t.Errorf("batched fleet energy %v mJ, want serial %v / %d drones", be, se, drones)
 	}
@@ -294,11 +290,11 @@ func TestSwarmExperimentQuantBackend(t *testing.T) {
 	if rep.Backend != "quant" {
 		t.Errorf("report backend %q, want quant", rep.Backend)
 	}
-	if rep.Cost.Inferences != int64(3*30) {
-		t.Errorf("backend charged %d inferences, want %d", rep.Cost.Inferences, 3*30)
+	if rep.EvalCost.Inferences != int64(3*30) {
+		t.Errorf("backend charged %d inferences, want %d", rep.EvalCost.Inferences, 3*30)
 	}
-	if rep.Cost.EnergyMJ <= 0 {
-		t.Errorf("backend energy %v mJ, want > 0", rep.Cost.EnergyMJ)
+	if rep.EvalCost.EnergyMJ <= 0 {
+		t.Errorf("backend energy %v mJ, want > 0", rep.EvalCost.EnergyMJ)
 	}
 	// Captured at 942758f, when the mission backend was a field of the
 	// experiment rather than the agent's evaluation backend.

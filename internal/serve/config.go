@@ -8,7 +8,7 @@
 //   - Dynamic batching. In-flight requests are coalesced — greedily from the
 //     queue, then across a configurable window — into one stacked
 //     ForwardBatch pass, one GEMM per layer for the whole batch
-//     (nn.BatchInferrer). By the batched path's bit-identity contract a
+//     (nn.Backend.InferBatch). By the batched path's bit-identity contract a
 //     coalesced reply equals the single-flight reply exactly, so batching is
 //     purely a throughput decision.
 //   - Zero-downtime hot reload. A POSTed versioned nn.Snapshot is validated
@@ -25,7 +25,7 @@
 // admitted request charges its camera frame to the off-chip link, every
 // policy publish pays the Fig. 5 per-device snapshot write
 // (hw.Model.SnapshotPublishTraffic under E2E — serving swaps the whole
-// network), and cost-reporting backends (quant, systolic) keep charging
+// network), and priced backends (quant, systolic) keep charging
 // their per-inference device traffic. GET /statsz exposes the merged ledger
 // totals next to queue depth, the batch-size histogram and p50/p99 latency.
 package serve

@@ -91,16 +91,16 @@ func (st *stats) adoptFailed() {
 	st.mu.Unlock()
 }
 
-// batchDone records one executed batch, which kernel ran it, and the backend
-// cost it charged.
-func (st *stats) batchDone(size int, batchedKernel bool, delta nn.BackendCost) {
+// batchDone records one executed batch and the backend cost it charged: a
+// batch of more than one ran the backend's batched pass.
+func (st *stats) batchDone(size int, delta nn.BackendCost) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.batches++
 	if size >= 1 && size <= len(st.hist) {
 		st.hist[size-1]++
 	}
-	if batchedKernel {
+	if size > 1 {
 		st.kernelBatches++
 	} else {
 		st.serialBatches++
@@ -133,11 +133,11 @@ type Stats struct {
 	MeanBatch     float64 `json:"mean_batch"`
 	// BatchHist maps batch size → count, sizes with zero count omitted.
 	BatchHist map[int]int64 `json:"batch_hist"`
-	// BatchSource names which kernel serves coalesced batches
-	// ("quant/InferBatch" when the backend has a batched entry,
-	// "float/Infer" when every request runs per-sample), and the two
-	// counters split the histogram between them — the gate log's answer to
-	// "did the burst actually hit the batched kernel?".
+	// BatchSource names the kernel that serves coalesced batches
+	// ("quant/InferBatch": every backend has a batched pass), and the two
+	// counters split the histogram between it and the lone requests that
+	// ran Infer — the gate log's answer to "did the burst actually hit the
+	// batched kernel?".
 	BatchSource    string  `json:"batch_source"`
 	BatchedBatches int64   `json:"batched_batches"`
 	SerialBatches  int64   `json:"serial_batches"`
@@ -186,7 +186,7 @@ func (s *Server) Stats() Stats {
 		QueueCap:         s.cfg.QueueDepth,
 		Batches:          st.batches,
 		BatchHist:        map[int]int64{},
-		BatchSource:      s.batchSource(),
+		BatchSource:      s.cfg.Backend + "/InferBatch",
 		BatchedBatches:   st.kernelBatches,
 		SerialBatches:    st.serialBatches,
 		Inferences:       st.cost.Inferences,

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"dronerl/internal/hw"
 	"dronerl/internal/mem"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
@@ -160,35 +161,27 @@ func (w *worker) run() {
 			}
 		}
 	}
-	before := backendCost(w.backend)
+	before := w.backend.Cost()
 	out := w.out[:b*w.s.actions]
-	batchedKernel := false
-	if bi, ok := w.backend.(nn.BatchInferrer); ok && b > 1 {
-		batchedKernel = true
-		copy(out, bi.InferBatch(w.stack(b)))
+	if b > 1 {
+		copy(out, w.backend.InferBatch(w.stack(b)))
 	} else {
 		sp := w.s.spec
-		for i, r := range w.batch {
-			obs := w.arena.Get(w.s.cfg.MaxBatch, sp.InputC, sp.InputH, sp.InputW)
-			copy(obs.Data(), r.obs)
-			copy(out[i*w.s.actions:(i+1)*w.s.actions], w.backend.Infer(obs))
-		}
+		obs := w.arena.Get(w.s.cfg.MaxBatch, sp.InputC, sp.InputH, sp.InputW)
+		copy(obs.Data(), w.batch[0].obs)
+		copy(out, w.backend.Infer(obs))
 	}
-	delta := backendCost(w.backend)
-	delta.Inferences -= before.Inferences
-	delta.EnergyMJ -= before.EnergyMJ
-	delta.LatencyMS -= before.LatencyMS
-	delta.Cycles -= before.Cycles
+	delta := w.backend.Cost().Sub(before)
 	version := w.version
 	w.mu.Unlock()
 
 	// Counted before the replies go out: a client that reads Stats() right
 	// after its answer must find its batch there.
-	w.s.stats.batchDone(b, batchedKernel, delta)
+	w.s.stats.batchDone(b, delta)
 	for i, r := range w.batch {
 		q := append([]float32(nil), out[i*w.s.actions:(i+1)*w.s.actions]...)
 		r.reply <- result{rep: Reply{
-			Action:        argmax(q),
+			Action:        tensor.ArgMaxRow(q),
 			Q:             q,
 			PolicyVersion: version,
 			Batch:         b,
@@ -201,7 +194,7 @@ func (w *worker) run() {
 // server ledger before the backend is replaced, so a reload never loses the
 // energy already charged. Callers hold w.mu.
 func (w *worker) mergeLedgerLocked() {
-	if lr, ok := w.backend.(interface{ Ledger() *mem.EnergyLedger }); ok {
+	if lr, ok := w.backend.(hw.Ledgered); ok {
 		w.s.ledger.MergeFrom(lr.Ledger())
 	}
 }
@@ -211,42 +204,7 @@ func (w *worker) mergeLedgerLocked() {
 func (w *worker) mergeLedger(dst *mem.EnergyLedger) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if lr, ok := w.backend.(interface{ Ledger() *mem.EnergyLedger }); ok {
+	if lr, ok := w.backend.(hw.Ledgered); ok {
 		dst.Merge(lr.Ledger())
 	}
-}
-
-// batchSource names the kernel that executes coalesced batches on this
-// server's backend, for the /statsz payload.
-func (s *Server) batchSource() string {
-	if len(s.workers) > 0 {
-		w := s.workers[0]
-		w.mu.Lock()
-		_, batched := w.backend.(nn.BatchInferrer)
-		w.mu.Unlock()
-		if batched {
-			return s.cfg.Backend + "/InferBatch"
-		}
-	}
-	return s.cfg.Backend + "/Infer"
-}
-
-// backendCost reads the optional cost tally of a backend.
-func backendCost(b nn.Backend) nn.BackendCost {
-	if cr, ok := b.(nn.CostReporter); ok {
-		return cr.Cost()
-	}
-	return nn.BackendCost{}
-}
-
-// argmax returns the index of the maximal value, first max on ties — the
-// same greedy rule as tensor.ArgMax.
-func argmax(q []float32) int {
-	best := 0
-	for i := 1; i < len(q); i++ {
-		if q[i] > q[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -58,16 +58,15 @@ func TestWorkerStackZeroAlloc(t *testing.T) {
 		}
 	}
 	// End to end through the batched kernel, sizes varying per run.
-	bi := w.backend.(nn.BatchInferrer)
 	for _, b := range sizes {
 		fillBatch(w, b, rng)
-		bi.InferBatch(w.stack(b))
+		w.backend.InferBatch(w.stack(b))
 	}
 	i := 0
 	if allocs := testing.AllocsPerRun(12, func() {
 		b := sizes[i%len(sizes)]
 		i++
-		bi.InferBatch(w.stack(b))
+		w.backend.InferBatch(w.stack(b))
 	}); allocs != 0 {
 		t.Errorf("stack+InferBatch allocates %v/op after warm-up, want 0", allocs)
 	}
@@ -93,12 +92,11 @@ func BenchmarkServeWorkerBatch(b *testing.B) {
 	s := allocTestServer(b, "quant", 32)
 	w := s.workers[0]
 	fillBatch(w, 32, rand.New(rand.NewSource(73)))
-	bi := w.backend.(nn.BatchInferrer)
-	bi.InferBatch(w.stack(32))
+	w.backend.InferBatch(w.stack(32))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bi.InferBatch(w.stack(32))
+		w.backend.InferBatch(w.stack(32))
 	}
 	b.ReportMetric(float64(32*b.N)/b.Elapsed().Seconds(), "inf/s")
 }

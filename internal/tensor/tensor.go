@@ -223,15 +223,23 @@ func (t *Tensor) Equal(o *Tensor) bool {
 	return true
 }
 
-// ArgMax returns the flat index of the maximum element. Ties resolve to the
-// lowest index; it panics on an empty tensor.
+// ArgMax returns the flat index of the maximum element (ArgMaxRow); it
+// panics on an empty tensor.
 func (t *Tensor) ArgMax() int {
 	if len(t.data) == 0 {
 		panic("tensor: ArgMax of empty tensor")
 	}
+	return ArgMaxRow(t.data)
+}
+
+// ArgMaxRow is the greedy rule every policy reads its Q-row with: the index
+// of the first maximum, so ties resolve to the lowest index. A NaN never
+// compares greater, so it is skipped, except at index 0, which then wins
+// (and 0 for an empty row).
+func ArgMaxRow(row []float32) int {
 	best := 0
-	for i, v := range t.data {
-		if v > t.data[best] {
+	for i, v := range row {
+		if v > row[best] {
 			best = i
 		}
 	}

@@ -99,6 +99,38 @@ func init() {
 	}
 }
 
+// TestRunOnlineTrainBackendAloneNamesTheSubstrate: under WithTrainBackend
+// alone the greedy evaluation flies the train backend's words, so the result
+// names it as the evaluation's backend and charges the evaluation's reads to
+// EvalCost, and TrainCost is what the online phase charged before the
+// hand-off — the same as a run that evaluates nothing.
+func TestRunOnlineTrainBackendAloneNamesTheSubstrate(t *testing.T) {
+	spec := nn.NavNetSpec()
+	snap, _ := MetaTrain(env.IndoorMeta(71), spec, 40, fastOpts(71))
+	opts, err := rl.Options{Seed: 73, BatchSize: 4, EpsDecaySteps: 30}.With(rl.WithTrainBackend("quant-train"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(evalSteps int) Result {
+		res, err := RunOnline(context.Background(), snap, env.IndoorApartment(72), spec, nn.L3, 60, evalSteps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const evalSteps = 50
+	res, trainOnly := run(evalSteps), run(0)
+	if res.Backend != "quant-train" || res.TrainBackend != "quant-train" {
+		t.Fatalf("evaluated on %q, trained on %q: want quant-train for both", res.Backend, res.TrainBackend)
+	}
+	if res.EvalCost.Inferences != evalSteps || res.EvalCost.EnergyMJ <= 0 {
+		t.Errorf("evaluation charged %+v, want %d inferences", res.EvalCost, evalSteps)
+	}
+	if res.TrainCost != trainOnly.TrainCost || res.TrainCost.EnergyMJ <= 0 {
+		t.Errorf("train cost %+v, a run that evaluates nothing %+v", res.TrainCost, trainOnly.TrainCost)
+	}
+}
+
 // TestRunOnlineQuantTrainGolden pins the single-actor online loop on the
 // quant-train backend: Deploy + BuildOnlineLoop + Run for 480 seeded steps
 // (ring replay wrapping, seven target syncs, crashes) must leave exactly the
@@ -174,7 +206,7 @@ func TestRunOnlineQuantTrainGolden(t *testing.T) {
 				t.Errorf("stack traffic read %d / wrote %d bits in %d syncs, the price list says %d / %d",
 					mram.ReadBits, mram.WriteBits, tap.syncs, reads, writes)
 			}
-			if cost := agent.TrainCost(); cost != tap.Cost() || cost.EnergyMJ <= 0 {
+			if cost := agent.Substrate().TrainCost; cost != tap.Cost() || cost.EnergyMJ <= 0 {
 				t.Errorf("agent reports train cost %+v, backend %+v", cost, tap.Cost())
 			}
 			hashTracker(h, loop.Tracker)

@@ -87,16 +87,10 @@ type Result struct {
 	Config   nn.Config
 	Training *metrics.FlightTracker
 	Eval     *metrics.FlightTracker
-	// Backend names the inference backend of the evaluation phase ("" for
-	// the direct float path) and EvalCost its accumulated hardware cost.
-	Backend  string
-	EvalCost nn.BackendCost
-	// TrainBackend names the trainable backend the online phase ran on (""
-	// for the float training path) and TrainCost its accumulated hardware
-	// cost — the STT-MRAM read/write energy and latency of every quantized
-	// TD step, the source of EXPERIMENTS.md's train-energy-per-step table.
-	TrainBackend string
-	TrainCost    nn.BackendCost
+	// Substrate names the backends the evaluation flew and the online
+	// phase trained on, with what each charged; its TrainCost is the source
+	// of EXPERIMENTS.md's train-energy-per-step table.
+	rl.Substrate
 	// Actors is the number of concurrent actors the online phase ran
 	// (1 = the deterministic serial schedule).
 	Actors int
@@ -166,11 +160,11 @@ func BuildOnlineLoop(agent *rl.Agent, test *env.World, spec nn.ArchSpec, cfg nn.
 // (one act→store→train interleaving on one goroutine, pinned by
 // TestRunOnlineActorsOneGolden); more actors run concurrently on cloned
 // worlds, with the learner publishing policy snapshots whose memory-write
-// energy is charged per publish (hw.Model.SnapshotPublishTraffic). When
-// the options select an evaluation backend it is activated at the training /
-// evaluation hand-off — after the final policy state is in place — so the
-// greedy flight runs on the deployment substrate while training stays on the
-// float reference. Cancelling ctx stops the actors and the learner within
+// energy is charged per publish (hw.Model.SnapshotPublishTraffic). The
+// agent hands off (rl.Agent.HandOff) after the final policy state is in
+// place, so the greedy flight runs on the deployment substrate the options
+// name — else on the train backend's words — and the result carries what
+// each phase ran on and charged. Cancelling ctx stops the actors and the learner within
 // one environment step and reports ctx.Err().
 func RunOnline(ctx context.Context, snapshot *nn.Snapshot, test *env.World,
 	spec nn.ArchSpec, cfg nn.Config, onlineIters, evalSteps int, opts rl.Options) (Result, error) {
@@ -190,20 +184,10 @@ func RunOnline(ctx context.Context, snapshot *nn.Snapshot, test *env.World,
 	if res.PublishLedger != nil {
 		res.PublishMJ = res.PublishLedger.TotalEnergyPJ() / 1e9
 	}
-	// The training/evaluation hand-off. Capture the training backend's
-	// tallies first: the online phase is over, so the cost recorded now is
-	// exactly the training cost.
-	if tb := agent.TrainBackend(); tb != nil {
-		res.TrainBackend = tb.Name()
-		res.TrainCost = agent.TrainCost()
-	}
-	if err := agent.ActivateEvalBackend(); err != nil {
+	if err := agent.HandOff(); err != nil {
 		return Result{}, err
 	}
 	res.Eval = rl.Evaluate(test, agent, evalSteps)
-	if b := agent.EvalBackend(); b != nil {
-		res.Backend = b.Name()
-		res.EvalCost = agent.EvalCost()
-	}
+	res.Substrate = agent.Substrate()
 	return res, nil
 }
