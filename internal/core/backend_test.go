@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"dronerl/internal/env"
@@ -211,5 +212,42 @@ func TestSystolicBackendFlightAcceptance(t *testing.T) {
 	perInfer := serial.Envs[0].Runs[0].EvalCost.EnergyMJ / float64(serial.Envs[0].Runs[0].EvalCost.Inferences)
 	if perInfer <= 0 || perInfer > 100 {
 		t.Errorf("per-inference energy %v mJ implausible", perInfer)
+	}
+}
+
+// TestTrainBackendCostStaysOutOfEnergy pins what a flight under
+// WithTrainBackend alone reports: the energy table has a row per cell (the
+// greedy evaluation flies the train backend's words) and every cell carries
+// a nonzero TrainCost, but FlightReport.Energy, which merges eval-backend
+// ledgers only, is nil. Merging the train ledger must be a deliberate change
+// to this test.
+func TestTrainBackendCostStaysOutOfEnergy(t *testing.T) {
+	e, err := NewFlightExperiment(FlightScale{MetaIters: 10, OnlineIters: 10, EvalSteps: 10, Seed: 4}, "indoor-apartment")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetAgentOverrides(rl.WithTrainBackend(QuantTrainBackendName)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(context.Background(), e); err != nil {
+		t.Fatal(err)
+	}
+	rep := e.Report()
+	if rep.Energy != nil {
+		t.Errorf("a train backend alone merged a ledger into FlightReport.Energy (%.3g pJ)", rep.Energy.TotalEnergyPJ())
+	}
+	cells := 0
+	for _, env := range rep.Envs {
+		for _, run := range env.Runs {
+			cells++
+			if run.TrainCost.EnergyMJ <= 0 {
+				t.Errorf("%s/%v: TrainCost %+v, want nonzero", env.Env, run.Config, run.TrainCost)
+			}
+		}
+	}
+	if tab := rep.BuildEnergyTable(); tab == nil || !strings.Contains(tab.String(), "training cost: ConfigRun.TrainCost") {
+		t.Fatalf("energy table %v: want one that names where training cost is", tab)
+	} else if len(tab.Rows) != cells {
+		t.Errorf("energy table has %d rows, want one per cell (%d)", len(tab.Rows), cells)
 	}
 }

@@ -92,6 +92,9 @@ type FlightReport struct {
 	MetaTrackers map[string]*metrics.FlightTracker
 	// Energy is the merged per-device traffic ledger of every run's eval
 	// backend (WithBackend) and policy publishes, nil when no run had either.
+	// It covers evaluation only: a train backend's (WithTrainBackend)
+	// traffic is not merged, so a flight with a train backend alone has a nil
+	// Energy, and the training record is each run's ConfigRun.TrainCost.
 	// Per-run ledgers are merged in run-index order during aggregation, so
 	// the totals are deterministic for every worker count.
 	Energy *mem.EnergyLedger
@@ -99,11 +102,12 @@ type FlightReport struct {
 
 // BuildEnergyTable renders the per-run evaluation energy as a paper-style
 // table: one row per (environment, topology) cell with the backend's
-// modeled energy, latency and cycle totals. It returns nil when no run
-// reported costs (the float path).
+// modeled energy, latency and cycle totals (EvalCost). Like Energy it covers
+// evaluation only; what training charged is ConfigRun.TrainCost. It returns
+// nil when no run reported costs (the float path).
 func (r *FlightReport) BuildEnergyTable() *report.Table {
 	any := false
-	t := report.New("evaluation-phase hardware cost by backend",
+	t := report.New("evaluation-phase hardware cost by backend (training cost: ConfigRun.TrainCost)",
 		"Environment", "Config", "Backend", "Inferences", "Energy mJ", "Latency ms", "Mcycles")
 	for _, e := range r.Envs {
 		for _, run := range e.Runs {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -59,8 +60,8 @@ func (s *Server) decodeAct(w http.ResponseWriter, r *http.Request) ([]float32, e
 	_ = rc.SetReadDeadline(time.Time{})
 
 	start := time.Now()
-	obs, n, fellBack, err := decodeActBody(buf.Bytes(), s.obsLen)
-	s.stats.actDecoded(time.Since(start), fellBack)
+	obs, n, slow, fellBack, err := decodeActBody(buf.Bytes(), s.obsLen)
+	s.stats.actDecoded(time.Since(start), slow, fellBack)
 	if err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)
 	}
@@ -75,16 +76,16 @@ func (s *Server) decodeAct(w http.ResponseWriter, r *http.Request) ([]float32, e
 // which alone decides whether it is acceptable and what the error says (first
 // value wins, bytes after it are ignored). n is how many values the body
 // carries and obs the first min(n, obsLen) of them on the single pass, all of
-// them on the fallback.
-func decodeActBody(b []byte, obsLen int) (obs []float32, n int, fellBack bool, err error) {
-	if obs, n, ok := parseAct(b, obsLen); ok {
-		return obs, n, false, nil
+// them on the fallback; slow counts the single pass's values that strconv read.
+func decodeActBody(b []byte, obsLen int) (obs []float32, n, slow int, fellBack bool, err error) {
+	if obs, n, slow, ok := parseAct(b, obsLen); ok {
+		return obs, n, slow, false, nil
 	}
 	var req actRequest
 	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&req); err != nil {
-		return nil, 0, true, err
+		return nil, 0, 0, true, err
 	}
-	return req.Obs, len(req.Obs), true, nil
+	return req.Obs, len(req.Obs), 0, true, nil
 }
 
 // parseAct recognises exactly
@@ -92,33 +93,31 @@ func decodeActBody(b []byte, obsLen int) (obs []float32, n int, fellBack bool, e
 //	ws { ws "obs" ws : ws [ ws number (ws , ws number)* ws ] ws } ws
 //
 // with RFC 8259 whitespace and number grammar and reports ok=false for
-// everything else, valid JSON or not. Each number goes through
-// strconv.ParseFloat(…, 32), the call encoding/json makes, so the float32
-// bits are the ones it would produce. Values past obsLen are checked and
-// counted but not stored: a wrong-sized frame costs its body buffer only.
-func parseAct(b []byte, obsLen int) (obs []float32, n int, ok bool) {
+// everything else, valid JSON or not. Each number is read once, by number,
+// into the float32 strconv.ParseFloat(…, 32) — the call encoding/json makes —
+// would produce; slow counts the values number handed to strconv instead. A
+// value float32 cannot hold is ok=false: json words the refusal. Values past
+// obsLen are checked and counted but not stored: a wrong-sized frame costs
+// its body buffer only.
+func parseAct(b []byte, obsLen int) (obs []float32, n, slow int, ok bool) {
 	i := skipSpace(b, 0)
 	for _, tok := range [...]string{"{", `"obs"`, ":", "["} {
 		if !bytes.HasPrefix(b[i:], []byte(tok)) {
-			return nil, 0, false
+			return nil, 0, 0, false
 		}
 		i = skipSpace(b, i+len(tok))
 	}
 	obs = make([]float32, 0, obsLen)
 	for {
-		end := scanNumber(b, i)
+		f, end, viaStrconv := number(b, i)
 		if end < 0 {
-			return nil, 0, false
+			return nil, 0, 0, false
 		}
-		// No allocation: the string does not escape ParseFloat (it clones
-		// the text into any error), so short ones live on the stack.
-		// TestActDecodeAllocs holds this.
-		f, err := strconv.ParseFloat(string(b[i:end]), 32)
-		if err != nil {
-			return nil, 0, false // out of float32 range: json words the refusal
+		if viaStrconv {
+			slow++
 		}
 		if len(obs) < obsLen {
-			obs = append(obs, float32(f))
+			obs = append(obs, f)
 		}
 		n++
 		i = skipSpace(b, end)
@@ -126,15 +125,15 @@ func parseAct(b []byte, obsLen int) (obs []float32, n int, ok bool) {
 			break
 		}
 		if i == len(b) || b[i] != ',' {
-			return nil, 0, false
+			return nil, 0, 0, false
 		}
 		i = skipSpace(b, i+1)
 	}
 	i = skipSpace(b, i+1)
 	if i == len(b) || b[i] != '}' {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	return obs, n, skipSpace(b, i+1) == len(b)
+	return obs, n, slow, skipSpace(b, i+1) == len(b)
 }
 
 // skipSpace returns the index of the first byte at or after i that is not
@@ -146,47 +145,114 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// scanNumber returns the end of the RFC 8259 number starting at b[i], or -1
-// if there is none: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
-func scanNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
+// exactPow10 are the powers of ten a float64 holds exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// number reads the RFC 8259 number -? (0 | [1-9][0-9]*) (. [0-9]+)?
+// ([eE] [+-]? [0-9]+)? at b[i] in one walk and returns the float32
+// strconv.ParseFloat(…, 32) makes of it and the index past it; end is -1 if
+// there is no number there or float32 cannot hold it.
+//
+// The walk keeps up to 19 significant digits in m and the decimal exponent
+// in e. When m < 2^53, no nonzero digit was dropped, the exponent's digits
+// did not saturate and |e| <= 22, float64(m) and 10^|e| are exact, so their
+// product or quotient is the decimal value
+// rounded once to float64, and float32 of that is the value rounded once to
+// float32 — unless the float64 sits exactly on a float32 midpoint, the one
+// place two roundings differ from one. That case, a float32 subnormal, a
+// value at or past MaxFloat32, and anything outside those bounds go to
+// strconv, and viaStrconv says so.
+func number(b []byte, i int) (f float32, end int, viaStrconv bool) {
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
-	if i == len(b) {
-		return -1
+	if i == len(b) || b[i] < '0' || b[i] > '9' {
+		return 0, -1, false
 	}
-	switch c := b[i]; {
-	case c == '0':
+	var m uint64
+	digits, e := 0, 0 // significant digits in m; decimal exponent of m's last digit
+	dropped := false  // a nonzero digit did not fit in m, or the exponent saturated
+	if b[i] == '0' {
 		i++
-	case '1' <= c && c <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return -1
+	} else {
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if digits < 19 {
+				m = m*10 + uint64(b[i]-'0')
+				digits++
+			} else {
+				e++
+				dropped = dropped || b[i] != '0'
+			}
+		}
 	}
 	if i < len(b) && b[i] == '.' {
-		end := skipDigits(b, i+1)
-		if end == i+1 {
-			return -1
+		i++
+		frac := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if digits < 19 {
+				m = m*10 + uint64(b[i]-'0')
+				e--
+				if m != 0 {
+					digits++ // leading zeros of a fraction are not significant
+				}
+			} else {
+				dropped = dropped || b[i] != '0'
+			}
 		}
-		i = end
+		if i == frac {
+			return 0, -1, false
+		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		expNeg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		end := skipDigits(b, i)
-		if end == i {
-			return -1
+		digs, x := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if x < 1e5 { // clear of int overflow
+				x = x*10 + int(b[i]-'0')
+			} else {
+				// e may carry an offset of any size from the mantissa's
+				// zeros, so a saturated x is strconv's to read.
+				dropped = true
+			}
 		}
-		i = end
+		if i == digs {
+			return 0, -1, false
+		}
+		if expNeg {
+			x = -x
+		}
+		e += x
 	}
-	return i
-}
 
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+	if m < 1<<53 && !dropped && -22 <= e && e <= 22 {
+		v := float64(m)
+		if e < 0 {
+			v /= exactPow10[-e]
+		} else {
+			v *= exactPow10[e]
+		}
+		if math.Float64bits(v)&(1<<29-1) != 1<<28 && (v == 0 || v >= 0x1p-126) && v < math.MaxFloat32 {
+			if neg {
+				v = -v
+			}
+			return float32(v), i, false
+		}
 	}
-	return i
+	// No allocation: the string does not escape ParseFloat (it clones the
+	// text into any error), so short ones live on the stack.
+	// TestActDecodeAllocs holds this.
+	v, err := strconv.ParseFloat(string(b[start:i]), 32)
+	if err != nil {
+		return 0, -1, true
+	}
+	return float32(v), i, true
 }

@@ -90,6 +90,17 @@ var actTableWant = map[string]struct {
 	"short frame 0.000001":                       {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
 	"short frame 1e-7":                           {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
 	"short frame 9.999999e-5":                    {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 7.000000178813934e-01":          {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 7.000000178813933e-01":          {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame -7.000000178813935e-01":         {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 7.0000001788139342e-01":         {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 7.000000178813934326e-01":       {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 1.2345678901234567800":          {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 0e99999":                        {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 1e22":                           {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 1e23":                           {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 1e-22":                          {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
+	"short frame 9007199254740993":               {400, "serve: bad observation: got 1 values, want 1024 (1x32x32)"},
 	"refused number 01":                          {400, "decoding request: invalid character '1' after array element"},
 	"refused number -01":                         {400, "decoding request: invalid character '1' after array element"},
 	"refused number 00":                          {400, "decoding request: invalid character '0' after array element"},
@@ -137,7 +148,7 @@ func refDecode(b []byte) ([]float32, error) {
 func checkActDecode(t *testing.T, b []byte, obsLen int) {
 	t.Helper()
 	want, wantErr := refDecode(b)
-	obs, n, fellBack, err := decodeActBody(b, obsLen)
+	obs, n, _, fellBack, err := decodeActBody(b, obsLen)
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("obsLen %d, body %q: error %v, encoding/json says %v", obsLen, b, err, wantErr)
 	}
@@ -187,7 +198,7 @@ func TestActSeedsTakeTheIntendedPath(t *testing.T) {
 		"one value too many": true, "five thousand values": true,
 	}
 	for _, seed := range actSeeds(1024) {
-		_, _, fellBack, _ := decodeActBody([]byte(seed.body), 1024)
+		_, _, _, fellBack, _ := decodeActBody([]byte(seed.body), 1024)
 		want := !fast[seed.name] && !strings.HasPrefix(seed.name, "short frame ")
 		if fellBack != want {
 			t.Errorf("%s: fell back to encoding/json = %v, want %v", seed.name, fellBack, want)
@@ -254,16 +265,52 @@ func TestActStatusTable(t *testing.T) {
 
 // TestActDecodeAllocs: a canonical frame costs the observation slice and
 // nothing proportional to its 1024 numbers (json.Decoder.Decode over the
-// same body allocates 25 times and 44 KB).
+// same body allocates 25 times and 44 KB). Nor does the edge-number frame:
+// the texts number hands to strconv stay on the stack.
 func TestActDecodeAllocs(t *testing.T) {
-	body := []byte(actSeeds(1024)[0].body)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, n, fellBack, err := decodeActBody(body, 1024); n != 1024 || fellBack || err != nil {
-			t.Fatalf("canonical body: n %d, fell back %v, err %v", n, fellBack, err)
+	seeds := actSeeds(1024)
+	for _, seed := range []actSeed{seeds[0], seeds[2]} {
+		body := []byte(seed.body)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, n, _, fellBack, err := decodeActBody(body, 1024); n != 1024 || fellBack || err != nil {
+				t.Fatalf("%s: n %d, fell back %v, err %v", seed.name, n, fellBack, err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("decoding the %s 1024-float body allocates %.0f times, want at most 2", seed.name, allocs)
 		}
-	})
-	if allocs > 2 {
-		t.Errorf("decoding a canonical 1024-float body allocates %.0f times, want at most 2", allocs)
+	}
+}
+
+// TestActSlowNumbers: /statsz's act_slow_numbers stays 0 over the bodies the
+// benchmark and serveload send — every value rounded in number's one scan —
+// and rises for the edge-number frame, whose long mantissas, large exponents
+// and midpoint go to strconv.
+func TestActSlowNumbers(t *testing.T) {
+	snap, _ := freshPolicy(t, 95)
+	s, err := New(Config{Snapshot: snap, Workers: 1, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Close()
+	post := func(body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/act", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d %s", rec.Code, rec.Body.String())
+		}
+	}
+	seeds := actSeeds(1024)
+	post(seeds[0].body)
+	post(seeds[1].body)
+	if st := s.Stats(); st.ActDecoded != 2 || st.ActSlowNumbers != 0 {
+		t.Fatalf("canonical bodies: act_decoded %d act_slow_numbers %d, want 2 and 0", st.ActDecoded, st.ActSlowNumbers)
+	}
+	post(seeds[2].body)
+	if st := s.Stats(); st.ActFallbacks != 0 || st.ActSlowNumbers == 0 {
+		t.Errorf("edge-number frame: act_fallbacks %d act_slow_numbers %d, want 0 and > 0", st.ActFallbacks, st.ActSlowNumbers)
 	}
 }
 
@@ -289,7 +336,7 @@ func TestActDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, n, ok := parseAct(body, len(obs))
+		got, n, _, ok := parseAct(body, len(obs))
 		if !ok || n != len(obs) {
 			t.Fatalf("frame %d: single pass refused a marshalled frame (ok %v, n %d)", f, ok, n)
 		}
@@ -307,7 +354,7 @@ func TestActDecodeRoundTrip(t *testing.T) {
 // grew before the length check refused it.
 func TestActHostileBodyBounded(t *testing.T) {
 	hostile := func(values int) string { return `{"obs":[` + strings.Repeat("1,", values-1) + "1]}" }
-	obs, n, fellBack, err := decodeActBody([]byte(hostile(100_000)), 1024)
+	obs, n, _, fellBack, err := decodeActBody([]byte(hostile(100_000)), 1024)
 	if n != 100_000 || len(obs) != 1024 || cap(obs) != 1024 || fellBack || err != nil {
 		t.Fatalf("n %d len %d cap %d fell back %v err %v; want 100000 counted, 1024 stored, single pass", n, len(obs), cap(obs), fellBack, err)
 	}

@@ -30,12 +30,18 @@ func frameOf(n int, open, sep, close string, nums ...string) string {
 
 // edgeNumbers are valid RFC 8259 numbers whose float32 bits are easy to get
 // wrong: signed zero, exponent spellings, the denormal and overflow edges,
-// underflow to zero, more digits than a float32 holds, a halfway case.
+// underflow to zero, more digits than a float32 holds, a halfway case; texts
+// next to the float32 midpoint 0.70000001788139343…, one whose float64 is
+// that midpoint and two beside it, and longer ones past 2^53; trailing zeros
+// past 19 digits; and the bounds of number's single scan (10^±22, 2^53+1).
 var edgeNumbers = []string{
 	"-0", "0", "-0.0", "0.0e-00", "1E+2", "1e2", "1.0E-2", "1e-45", "-1e-45", "1e-46",
 	"1.1754944e-38", "1.1754942e-38", "3.4028235e38", "-3.4028235e+38", "3.4028234663852886e38",
 	"1e-400", "123456789012345678901234567890", "0.1", "0.30000001192092896",
 	"16777217", "1.00000017881393432617187500", "8.5", "0.000001", "1e-7", "9.999999e-5",
+	"7.000000178813934e-01", "7.000000178813933e-01", "-7.000000178813935e-01",
+	"7.0000001788139342e-01", "7.000000178813934326e-01", "1.2345678901234567800",
+	"0e99999", "1e22", "1e23", "1e-22", "9007199254740993",
 }
 
 // actSeeds returns the corpus for a server whose observations hold frame

@@ -39,6 +39,7 @@ type stats struct {
 	// adds to them before it reaches the queue.
 	actDecodes   atomic.Int64 // bodies read in full and decoded, accepted or not
 	actFallbacks atomic.Int64 // of those, the ones the single pass handed to encoding/json
+	actSlow      atomic.Int64 // values the single pass handed to strconv
 	actDecodeNS  atomic.Int64 // time decoding them, body read excluded
 }
 
@@ -60,10 +61,14 @@ func (st *stats) observe(d time.Duration) {
 	st.latNext = (st.latNext + 1) % latWindow
 }
 
-// actDecoded records one /v1/act body decode.
-func (st *stats) actDecoded(d time.Duration, fellBack bool) {
+// actDecoded records one /v1/act body decode and how many of its values
+// strconv read.
+func (st *stats) actDecoded(d time.Duration, slow int, fellBack bool) {
 	st.actDecodes.Add(1)
 	st.actDecodeNS.Add(int64(d))
+	if slow > 0 {
+		st.actSlow.Add(int64(slow))
+	}
 	if fellBack {
 		st.actFallbacks.Add(1)
 	}
@@ -148,8 +153,14 @@ type Stats struct {
 	// canonical {"obs":[numbers]} shape and went through encoding/json — zero
 	// when every client sends what the load generators send. ActDecodeUsMean
 	// is the mean decode time per body, the read off the socket excluded.
+	// ActSlowNumbers counts the values of single-pass bodies that the one
+	// scan could not round exactly and handed to strconv.ParseFloat (more
+	// than 2^53 in the digits, an exponent past ±22, a float32 midpoint or
+	// subnormal, MaxFloat32 and beyond) — zero for what the load generators
+	// send.
 	ActDecoded      int64   `json:"act_decoded"`
 	ActFallbacks    int64   `json:"act_fallbacks"`
+	ActSlowNumbers  int64   `json:"act_slow_numbers"`
 	ActDecodeUsMean float64 `json:"act_decode_us_mean"`
 	// Backend-modeled inference cost (zero for the float backend).
 	Inferences       int64   `json:"inferences"`
@@ -214,6 +225,7 @@ func (s *Server) Stats() Stats {
 
 	out.ActDecoded = st.actDecodes.Load()
 	out.ActFallbacks = st.actFallbacks.Load()
+	out.ActSlowNumbers = st.actSlow.Load()
 	if out.ActDecoded > 0 {
 		out.ActDecodeUsMean = float64(st.actDecodeNS.Load()) / 1e3 / float64(out.ActDecoded)
 	}
