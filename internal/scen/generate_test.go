@@ -14,6 +14,7 @@ func TestGenerateDeterministicBitIdentical(t *testing.T) {
 		{Kind: Indoor, Corridor: 0.7, Density: 6.5, BoxFrac: 0.3, Walls: 2},
 		{Kind: Outdoor, Corridor: 3, Density: 1.5, Turbulence: 0.6},
 		{Kind: Outdoor, Corridor: 3.5, Density: 1.2, Payload: 0.6, BoxFrac: 0.5},
+		{Kind: Outdoor, Corridor: 3, Density: 1.5, BoxFrac: 0.3, Turbulence: 0.4},
 	}
 	for _, spec := range specs {
 		for _, seed := range []int64{0, 1, 42, -7} {

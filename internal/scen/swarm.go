@@ -31,26 +31,20 @@ type DroneStats struct {
 }
 
 // FlySwarm flies n independent clones of base greedily for steps actions
-// each, all sharing the one policy net. Drone i's world is a Clone of base
-// (the immutable scene is shared, the flight state private) seeded from
-// seed and its index, so results depend only on (net, base layout, n,
-// steps, seed) — never on scheduling.
+// each, all sharing the one policy backend (nn.NewFloatBackend(net) for a
+// float net). Drone i's world is a Clone of base (the immutable scene is
+// shared, the flight state private) seeded from seed and its index, so
+// results depend only on (policy, base layout, n, steps, seed) — never on
+// scheduling.
 //
 // The fleet flies in lockstep: every tick stacks the n observations into one
-// batch and runs one GEMM per layer across the whole swarm (the actor-fleet
-// batching of the async pipeline, applied to a shared frozen policy), then
-// steps the n worlds concurrently. By the layers' row contract each drone
+// batch and runs the backend's batched entry across the whole swarm (the
+// actor-fleet batching of the async pipeline, applied to a shared frozen
+// policy), then steps the n worlds concurrently. For "quant" that is one
+// int16 GEMM per layer per tick, charging one MRAM weight stream per layer
+// per tick instead of one per drone. By the layers' row contract each drone
 // flies exactly as it would alone (pinned by a golden hash, under -race).
-func FlySwarm(net *nn.Network, base *env.World, n, steps int, seed int64) []DroneStats {
-	return FlySwarmBackend(nn.NewFloatBackend(net), base, n, steps, seed)
-}
-
-// FlySwarmBackend is FlySwarm with the policy evaluated on a compiled
-// inference backend: the fleet's tick runs through the backend's batched
-// entry — for "quant" that is one int16 GEMM per layer across the whole
-// swarm, charging one MRAM weight stream per layer per tick instead of one
-// per drone.
-func FlySwarmBackend(backend nn.Backend, base *env.World, n, steps int, seed int64) []DroneStats {
+func FlySwarm(backend nn.Backend, base *env.World, n, steps int, seed int64) []DroneStats {
 	if n < 1 {
 		panic("scen: swarm needs at least one drone")
 	}
@@ -256,7 +250,7 @@ func (e *SwarmExperiment) swarmJob(rc *core.RunContext, _ int) error {
 		return fmt.Errorf("scen: building swarm backend: %w", err)
 	}
 	rep := &SwarmReport{Env: e.world.Name, Config: e.Topology, Training: e.training}
-	rep.Drones = FlySwarmBackend(e.agent.Policy(), e.world, e.Drones, e.MissionSteps, e.Seed+5000)
+	rep.Drones = FlySwarm(e.agent.Policy(), e.world, e.Drones, e.MissionSteps, e.Seed+5000)
 	rep.Substrate = e.agent.Substrate()
 	// Merge in index order, like the flight driver's per-run ledgers.
 	for _, d := range rep.Drones {

@@ -85,8 +85,8 @@ func TestFlySwarmGoldenAndReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := FlySwarm(net, base, 4, 120, 9)
-	again := FlySwarm(net, base, 4, 120, 9)
+	stats := FlySwarm(nn.NewFloatBackend(net), base, 4, 120, 9)
+	again := FlySwarm(nn.NewFloatBackend(net), base, 4, 120, 9)
 	if !reflect.DeepEqual(stats, again) {
 		t.Fatalf("swarm flight not reproducible:\n%+v\nvs\n%+v", stats, again)
 	}
@@ -104,7 +104,7 @@ func TestFlySwarmLeavesTheBaseWorldAlone(t *testing.T) {
 	base := env.IndoorApartment(3)
 	pose := base.Drone
 	dist := base.FlightDistance()
-	stats := FlySwarm(net, base, 6, 80, 11)
+	stats := FlySwarm(nn.NewFloatBackend(net), base, 6, 80, 11)
 	if base.Drone != pose || base.FlightDistance() != dist {
 		t.Fatal("swarm flight mutated the base world")
 	}
@@ -203,7 +203,7 @@ func TestNewSwarmExperimentValidates(t *testing.T) {
 
 // flySerial is the per-drone reference flight of the quant-fleet test: each
 // drone flies alone on per-sample backend.Infer, worlds seeded like
-// FlySwarmBackend's.
+// FlySwarm's.
 func flySerial(backend nn.Backend, base *env.World, n, steps int, seed int64) []DroneStats {
 	stats := make([]DroneStats, n)
 	for i := range stats {
@@ -252,7 +252,7 @@ func TestFlySwarmQuantBackendBitIdentical(t *testing.T) {
 	serialB := mkBackend()
 	serial := flySerial(serialB, base, drones, steps, 9)
 	batchedB := mkBackend()
-	batched := FlySwarmBackend(batchedB, base, drones, steps, 9)
+	batched := FlySwarm(batchedB, base, drones, steps, 9)
 	if !reflect.DeepEqual(serial, batched) {
 		t.Fatalf("serial and batched quant swarm flights diverge:\nserial:  %+v\nbatched: %+v",
 			serial, batched)

@@ -14,19 +14,30 @@ import (
 	"time"
 
 	"dronerl/internal/nn"
+	"dronerl/internal/tensor"
 )
 
 // TestHotReloadUnderLoad publishes a new policy while concurrent clients are
 // in flight and checks the zero-downtime contract bit for bit: every reply
-// must match a direct forward pass under the policy version it reports — old
-// version, old weights; new version, new weights; never a torn mix — no
-// request may fail, and the pool must converge on the new policy.
+// must match the backend's own answer under the policy version it reports —
+// old version, old weights; new version, new weights; never a torn mix — no
+// request may fail, and the pool must converge on the new policy. The float
+// reference is a direct forward pass; the quant one is the int16 reply of a
+// backend compiled from the same snapshot, so the batched int16 kernel runs
+// under policy adoption with eight clients, which the race job interleaves.
 func TestHotReloadUnderLoad(t *testing.T) {
-	snapA, refA := freshPolicy(t, 20)
-	snapB, refB := freshPolicy(t, 21)
+	for _, backend := range []string{"float", "quant"} {
+		t.Run(backend, func(t *testing.T) { hotReloadUnderLoad(t, backend) })
+	}
+}
+
+func hotReloadUnderLoad(t *testing.T, backend string) {
+	snapA, netA := freshPolicy(t, 20)
+	snapB, netB := freshPolicy(t, 21)
+	refA, refB := replyRef(t, backend, netA), replyRef(t, backend, netB)
 
 	s, err := New(Config{
-		Snapshot: snapA, Workers: 2, MaxBatch: 8,
+		Snapshot: snapA, Backend: backend, Workers: 2, MaxBatch: 8,
 		BatchWindow: 200 * time.Microsecond, QueueDepth: 256,
 	})
 	if err != nil {
@@ -87,7 +98,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	verified := map[uint64]int{}
 	for c := range samples {
 		for i, sm := range samples[c] {
-			var ref *nn.Network
+			var ref func([]float32) []float32
 			switch sm.rep.PolicyVersion {
 			case 1:
 				ref = refA
@@ -96,7 +107,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 			default:
 				t.Fatalf("client %d req %d: impossible policy version %d", c, i, sm.rep.PolicyVersion)
 			}
-			want := forwardQ(ref, sm.obs)
+			want := ref(sm.obs)
 			for j, got := range sm.rep.Q {
 				if got != want[j] {
 					t.Fatalf("client %d req %d (version %d): Q[%d] = %v, want %v — torn or stale weights",
@@ -124,6 +135,22 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	if st := s.Stats(); st.Reloads != 1 || st.PolicyVersion != 2 || st.AdoptFailures != 0 {
 		t.Errorf("stats after reload: reloads %d version %d adopt failures %d",
 			st.Reloads, st.PolicyVersion, st.AdoptFailures)
+	}
+}
+
+// replyRef answers an observation the way backend does for net's policy:
+// a direct forward pass for float, the backend's own Infer otherwise.
+func replyRef(t *testing.T, backend string, net *nn.Network) func([]float32) []float32 {
+	t.Helper()
+	if backend == "float" {
+		return func(obs []float32) []float32 { return forwardQ(net, obs) }
+	}
+	b, err := nn.NewBackendFor(backend, net, nn.NavNetSpec(), nn.E2E)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(obs []float32) []float32 {
+		return b.Infer(tensor.FromSlice(append([]float32(nil), obs...), 1, nn.NavNetInput, nn.NavNetInput))
 	}
 }
 

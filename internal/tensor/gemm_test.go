@@ -86,12 +86,19 @@ var gemmShapes = []struct{ m, k, n int }{
 	{32, 257, 33},
 }
 
+// product is A x B: MatMulAccum onto a fresh m x n tensor.
+func product(a, b *Tensor) *Tensor {
+	c := New(a.Dim(0), b.Dim(1))
+	MatMulAccum(c, a, b)
+	return c
+}
+
 func TestMatMulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, s := range gemmShapes {
 		a, b := randTensor(rng, s.m, s.k), randTensor(rng, s.k, s.n)
-		if got, want := MatMul(a, b), refMatMul(a, b); !got.Equal(want) {
-			t.Errorf("MatMul %dx%dx%d diverges from reference", s.m, s.k, s.n)
+		if got, want := product(a, b), refMatMul(a, b); !got.Equal(want) {
+			t.Errorf("MatMulAccum %dx%dx%d diverges from reference", s.m, s.k, s.n)
 		}
 	}
 }
@@ -148,15 +155,15 @@ func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 	a := randTensor(rng, 64, 96)
 	b := randTensor(rng, 96, 64)
 	bt := randTensor(rng, 64, 96)
-	serialMM := MatMul(a, b)
+	serialMM := product(a, b)
 	serialNT := New(64, 64)
 	MatMulNTInto(serialNT, a, bt)
 	at := randTensor(rng, 96, 64)
 	serialTN := New(64, 64)
 	MatMulTNAccum(serialTN, at, b)
 	withGOMAXPROCS(t, 8, func() {
-		if got := MatMul(a, b); !got.Equal(serialMM) {
-			t.Error("parallel MatMul diverges from serial")
+		if got := product(a, b); !got.Equal(serialMM) {
+			t.Error("parallel MatMulAccum diverges from serial")
 		}
 		got := New(64, 64)
 		MatMulNTInto(got, a, bt)

@@ -2,8 +2,8 @@ package tensor
 
 import "fmt"
 
-// The float GEMMs are one family: MatMul and MatMulNTInto are MatMulAccum
-// onto a zeroed destination, and MatMulAccum and MatMulTNAccum run the panel
+// The float GEMMs are one family: MatMulNTInto is MatMulAccum onto a
+// zeroed destination, and MatMulAccum and MatMulTNAccum run the panel
 // kernels of matmul_vec.go. Every output element is accumulated by a single
 // goroutine, in ascending reduction-index order, through one accumulator, so
 // each kernel is bit-identical to its textbook serial loop for any
@@ -14,20 +14,6 @@ import "fmt"
 // four-row AVX block adds those ±0 products instead, which leaves every sum
 // as the skip would unless B holds a non-finite value or dst a -0 there; no
 // layer feeds either.
-
-// MatMul computes C = A x B for 2-D tensors A (m x k) and B (k x n),
-// writing into a freshly allocated m x n tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	if a.Dim(1) != b.Dim(0) {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %d vs %d", a.Dim(1), b.Dim(0)))
-	}
-	c := New(a.Dim(0), b.Dim(1))
-	MatMulAccum(c, a, b)
-	return c
-}
 
 // MatMulAccum accumulates dst += A x B for A (m x k), B (k x n) and a
 // pre-allocated dst (m x n): the batched Dense forward and input-gradient

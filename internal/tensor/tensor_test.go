@@ -128,11 +128,11 @@ func TestRandNDeterministic(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := product(a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data()[i] != w {
-			t.Fatalf("MatMul[%d] = %v, want %v", i, c.Data()[i], w)
+			t.Fatalf("product[%d] = %v, want %v", i, c.Data()[i], w)
 		}
 	}
 }
@@ -143,13 +143,13 @@ func TestMatMulDimMismatchPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	MatMulAccum(New(2, 3), New(2, 3), New(2, 3))
 }
 
 func TestMatVecAndTransposedConsistency(t *testing.T) {
 	// For any A, v, u: u^T (A v) == (A^T u)^T v. Verifies the transposed
 	// product (A^T x u as an m x 1 MatMulTNAccum) is the true adjoint of the
-	// matrix-vector product (A x v as a k x 1 MatMul), the invariant behind
+	// matrix-vector product (A x v as an m x 1 MatMulAccum), the invariant behind
 	// the systolic transposed-matrix dataflow of paper Fig. 8.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -165,7 +165,7 @@ func TestMatVecAndTransposedConsistency(t *testing.T) {
 		for i := range u {
 			u[i] = float32(rng.NormFloat64())
 		}
-		av := MatMul(a, FromSlice(v, k, 1)).Data()
+		av := product(a, FromSlice(v, k, 1)).Data()
 		atuT := New(k, 1)
 		MatMulTNAccum(atuT, a, FromSlice(u, m, 1))
 		atu := atuT.Data()
