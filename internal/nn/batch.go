@@ -34,10 +34,12 @@ import (
 // workspaces, so at a constant batch size a forward/backward pass performs no
 // heap allocation after the first — the software analogue of the
 // accelerator's fixed scratchpad provisioning (paper Section V). (One caveat:
-// with GOMAXPROCS > 1, GEMMs above the parallelFlops threshold fan out
-// goroutines whose closures allocate; the zero-alloc contract is exact on the
-// single-threaded schedule.) ForwardBatch, ForwardBatchRange and
-// BackwardBatch results are therefore arena-owned: valid until the owning
+// with GOMAXPROCS > 1, a GEMM or conv of at least 1<<20 multiply-adds — FC1
+// from batch 8, the convs at batch 32, the L3 tail's FC2 (B·128·64) only
+// from batch 128 — fans out goroutines whose closures allocate. The contract
+// is exact at any GOMAXPROCS below that size and on the single-threaded
+// schedule above it.) ForwardBatch, ForwardBatchRange and BackwardBatch
+// results are therefore arena-owned: valid until the owning
 // layer's next pass, copy what must survive. Network.Forward and ForwardRange
 // return private copies — callers store them in replay as Transition.Feat.
 // No forward pass reads or writes its input after it returns; Dense and LRN

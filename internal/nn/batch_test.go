@@ -145,10 +145,9 @@ func TestForwardResultIsPrivate(t *testing.T) {
 // TestForwardBatchZeroAllocSteadyState pins the workspace contract: after
 // warm-up, a batched forward pass performs zero heap allocations — at batch
 // 8, and at batch 1, where the conv layers' stride-phase planes and
-// tap-offset tables are built once and reused. (AllocsPerRun runs under
-// GOMAXPROCS(1), so the goroutine fan-out of the large-kernel path is
-// naturally excluded; the single-threaded schedule is exactly what the
-// allocation contract covers.)
+// tap-offset tables are built once and reused. Pinned at GOMAXPROCS 1 only
+// (AllocsPerRun): batch 8's FC1 is 8·1024·128 = 1<<20 multiply-adds, so at
+// GOMAXPROCS 2 it fans out, and the fan-out's goroutines allocate.
 func TestForwardBatchZeroAllocSteadyState(t *testing.T) {
 	for _, spec := range batchSpecs(t) {
 		for _, b := range []int{1, 8} {
@@ -170,6 +169,7 @@ func TestForwardBatchZeroAllocSteadyState(t *testing.T) {
 // TestBackwardBatchZeroAllocSteadyState extends the contract to the batched
 // backward pass (including gradient accumulation and input gradients), at
 // batch 1 and 8: the conv layers' gradient planes and grids are arena-owned.
+// At GOMAXPROCS 1 only, for the forward test's reason: FC1 fans out at batch 8.
 func TestBackwardBatchZeroAllocSteadyState(t *testing.T) {
 	for _, spec := range batchSpecs(t) {
 		for _, b := range []int{1, 8} {

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"dronerl/internal/allocs"
 	"dronerl/internal/env"
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
@@ -1163,11 +1164,8 @@ func TestTrainBackendSharedPrefix(t *testing.T) {
 // the batched TD step — the twin of TestQuantForwardBatchZeroAlloc: after one
 // warm-up Train at batch 32, fed frames or boundary features, every panel
 // comes from the workspace, and so does the actor's greedy step from
-// boundary words. Pinned on
-// the single-threaded schedule, as there: above the flops threshold the
-// GEMM's row fan-out allocates goroutine closures.
+// boundary words. Pinned at GOMAXPROCS 2, as there.
 func TestQuantTrainStepZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := goldenInit()
 	for _, cfg := range []nn.Config{nn.L3, nn.E2E} {
 		net := g.net()
@@ -1178,8 +1176,8 @@ func TestQuantTrainStepZeroAlloc(t *testing.T) {
 		}
 		tb := goldenBatchAt(rand.New(rand.NewSource(95)), g.pool)
 		b.Train(tb) // warm-up sizes every slot
-		if allocs := testing.AllocsPerRun(5, func() { b.Train(tb) }); allocs != 0 {
-			t.Errorf("%s: steady-state Train allocates %v times per call, want 0", cfg, allocs)
+		if avg := allocs.PerRun(5, func() { b.Train(tb) }); avg != 0 {
+			t.Errorf("%s: steady-state Train allocates %v times per call, want 0", cfg, avg)
 		}
 		if cfg == nn.E2E {
 			continue
@@ -1187,16 +1185,16 @@ func TestQuantTrainStepZeroAlloc(t *testing.T) {
 		// The feature-fed step, and the featurizer's one allocation per
 		// frame: the private copy replay keeps.
 		ft := featureTwin(b, tb)
-		if allocs := testing.AllocsPerRun(5, func() { b.Train(ft) }); allocs != 0 {
-			t.Errorf("%s: steady-state Train from features allocates %v times per call, want 0", cfg, allocs)
+		if avg := allocs.PerRun(5, func() { b.Train(ft) }); avg != 0 {
+			t.Errorf("%s: steady-state Train from features allocates %v times per call, want 0", cfg, avg)
 		}
 		obs := tensor.FromSlice(g.pool[0], 1, env.ImageSize, env.ImageSize)
-		if allocs := testing.AllocsPerRun(5, func() { b.BoundaryFeatures(obs) }); allocs != 1 {
-			t.Errorf("%s: BoundaryFeatures allocates %v times per frame, want 1", cfg, allocs)
+		if avg := allocs.PerRun(5, func() { b.BoundaryFeatures(obs) }); avg != 1 {
+			t.Errorf("%s: BoundaryFeatures allocates %v times per frame, want 1", cfg, avg)
 		}
 		feat := b.BoundaryFeatures(obs)
-		if allocs := testing.AllocsPerRun(5, func() { b.GreedyFrom(feat) }); allocs != 0 {
-			t.Errorf("%s: GreedyFrom allocates %v times per step, want 0", cfg, allocs)
+		if avg := allocs.PerRun(5, func() { b.GreedyFrom(feat) }); avg != 0 {
+			t.Errorf("%s: GreedyFrom allocates %v times per step, want 0", cfg, avg)
 		}
 	}
 }

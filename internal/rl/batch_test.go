@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dronerl/internal/allocs"
 	"dronerl/internal/nn"
 	"dronerl/internal/tensor"
 )
@@ -69,7 +70,12 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 
 // TestTrainStepZeroAllocSteadyState pins the headline memory contract: after
 // warm-up a full batched training step — sampling, batching, three network
-// passes, backward, clip, update, target sync — allocates nothing.
+// passes, backward, clip, update, target sync — allocates nothing. The E2E
+// step is pinned at GOMAXPROCS 1 only (AllocsPerRun): its batch-8 FC1 GEMMs
+// are 1<<20 multiply-adds and fan out at GOMAXPROCS 2, whose goroutines
+// allocate. The L3 learner's step from boundary features runs only the FC
+// tail, whose largest GEMM (FC2, B·128·64) stays below 1<<20 at this batch of
+// 32 (it would fan out from batch 128), so it is pinned at GOMAXPROCS 2.
 func TestTrainStepZeroAllocSteadyState(t *testing.T) {
 	a := NewAgent(nn.NavNetSpec(), nn.E2E, Options{
 		Seed: 65, BatchSize: 8, LR: 0.01, TargetSync: 1, DoubleDQN: true,
@@ -79,6 +85,17 @@ func TestTrainStepZeroAllocSteadyState(t *testing.T) {
 	a.TrainStep()
 	if avg := testing.AllocsPerRun(10, func() { a.TrainStep() }); avg != 0 {
 		t.Errorf("steady-state TrainStep allocates %v times per call, want 0", avg)
+	}
+
+	l3 := NewAgent(nn.NavNetSpec(), nn.L3, Options{Seed: 67, BatchSize: 32, LR: 0.01, TargetSync: 1})
+	fillReplay(l3, 64, 68)
+	boundary := l3.Net.TrainFrom()
+	for i := range l3.replay.buf[:l3.replay.size] {
+		tr := &l3.replay.buf[i]
+		tr.Feat, tr.NextFeat = l3.Net.ForwardRange(0, boundary, tr.State), l3.Net.ForwardRange(0, boundary, tr.Next)
+	}
+	if avg := allocs.PerRun(10, func() { l3.TrainStep() }); avg != 0 {
+		t.Errorf("steady-state L3 TrainStep from features allocates %v times per call at GOMAXPROCS 2, want 0", avg)
 	}
 }
 

@@ -2,10 +2,10 @@ package rl
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
+	"dronerl/internal/allocs"
 	"dronerl/internal/env"
 	"dronerl/internal/nn"
 
@@ -126,11 +126,11 @@ func (b *frameTap) Train(batch nn.TrainBatch) float64 {
 // TestTrainStepRoutesFeaturesToTrainBackend asserts the boundary-feature arm
 // of the trainable-backend path: an agent whose replay carries the backend's
 // own QFeat/QNextFeat trains bit for bit like its twin fed frames (MSE, float
-// mirror, STT-MRAM cost), gathers without allocating, and hands the backend
-// no frame — while the twin hands it every state and live next-state row, and
-// a batch with one row uncached falls back to frames visibly.
+// mirror, STT-MRAM cost), gathers without allocating at GOMAXPROCS 2, and
+// hands the backend no frame — while the twin hands it every state and live
+// next-state row, and a batch with one row uncached falls back to frames
+// visibly.
 func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the GEMM's row fan-out allocates
 	build := func() *Agent {
 		a := NewAgent(nn.NavNetSpec(), nn.L3, Options{
 			Seed: 83, BatchSize: 32, LR: 0.01, TargetSync: 2, TrainBackend: "quant-train",
@@ -177,8 +177,8 @@ func TestTrainStepRoutesFeaturesToTrainBackend(t *testing.T) {
 		t.Errorf("frame rows: frames %d, want %d; features %d, want 0",
 			framesTap.frameRows, wantRows, featsTap.frameRows)
 	}
-	if allocs := testing.AllocsPerRun(5, func() { feats.TrainStep() }); allocs != 0 {
-		t.Errorf("steady-state TrainStep from features allocates %v times per call, want 0", allocs)
+	if avg := allocs.PerRun(5, func() { feats.TrainStep() }); avg != 0 {
+		t.Errorf("steady-state TrainStep from features allocates %v times per call, want 0", avg)
 	}
 	if featsTap.frameRows != 0 {
 		t.Errorf("feature-fed steps handed the backend %d frame rows", featsTap.frameRows)

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
+	"dronerl/internal/allocs"
 	"dronerl/internal/nn"
 )
 
@@ -43,9 +43,9 @@ func fillBatch(w *worker, b int, rng *rand.Rand) {
 // allocation: once each batch size's arena slot is warm, stacking a batch —
 // any size, in any order — allocates nothing, and neither does running the
 // stacked batch through the quant backend's batched kernel, nor the lone
-// frame worker.run hands to Infer when nothing coalesced.
+// frame worker.run hands to Infer when nothing coalesced — at GOMAXPROCS 2,
+// as the daemon runs.
 func TestWorkerStackZeroAlloc(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // keep GEMMs on the serial schedule
 	s := allocTestServer(t, "quant", 32)
 	w := s.workers[0]
 	rng := rand.New(rand.NewSource(72))
@@ -53,8 +53,8 @@ func TestWorkerStackZeroAlloc(t *testing.T) {
 	for _, b := range sizes {
 		fillBatch(w, b, rng)
 		w.stack(b) // warm the slot for this size
-		if allocs := testing.AllocsPerRun(10, func() { w.stack(b) }); allocs != 0 {
-			t.Errorf("stack(%d) allocates %v/op after warm-up, want 0", b, allocs)
+		if avg := allocs.PerRun(10, func() { w.stack(b) }); avg != 0 {
+			t.Errorf("stack(%d) allocates %v/op after warm-up, want 0", b, avg)
 		}
 	}
 	// End to end through the batched kernel, sizes varying per run.
@@ -63,12 +63,12 @@ func TestWorkerStackZeroAlloc(t *testing.T) {
 		w.backend.InferBatch(w.stack(b))
 	}
 	i := 0
-	if allocs := testing.AllocsPerRun(12, func() {
+	if avg := allocs.PerRun(12, func() {
 		b := sizes[i%len(sizes)]
 		i++
 		w.backend.InferBatch(w.stack(b))
-	}); allocs != 0 {
-		t.Errorf("stack+InferBatch allocates %v/op after warm-up, want 0", allocs)
+	}); avg != 0 {
+		t.Errorf("stack+InferBatch allocates %v/op after warm-up, want 0", avg)
 	}
 	// The batch of one, staged as worker.run stages it.
 	fillBatch(w, 1, rng)
@@ -79,8 +79,8 @@ func TestWorkerStackZeroAlloc(t *testing.T) {
 		w.backend.Infer(obs)
 	}
 	lone()
-	if allocs := testing.AllocsPerRun(12, lone); allocs != 0 {
-		t.Errorf("lone-frame stage+Infer allocates %v/op after warm-up, want 0", allocs)
+	if avg := allocs.PerRun(12, lone); avg != 0 {
+		t.Errorf("lone-frame stage+Infer allocates %v/op after warm-up, want 0", avg)
 	}
 }
 

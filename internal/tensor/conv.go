@@ -52,8 +52,8 @@ type ConvScratch struct {
 
 // ConvInto writes out (B, outC, oh, ow) = weight (outC, c·kh·kw) ⊛ in
 // (B, c, h, w) + bias (outC), the convolution with the given kernel, stride
-// and zero padding, staging through ws. Batches above parallelFlops fan out
-// over samples.
+// and zero padding, staging through ws. A batch of at least parallelFlops
+// multiply-adds (the E2E learner's batch-32 convs) fans out over samples.
 func ConvInto(out, in, weight, bias *Tensor, kh, kw, stride, pad int, ws *ConvScratch) {
 	if in.Rank() != 4 || weight.Rank() != 2 || out.Rank() != 4 {
 		panic("tensor: ConvInto requires NCHW input and output and a rank-2 weight")

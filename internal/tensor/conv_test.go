@@ -266,14 +266,15 @@ func checkConvBackward(t *testing.T, label string, in, weight, bias, grad, dw0, 
 
 // TestConvBackwardMatchesNaive sweeps the backward over the forward test's
 // grid — strides, paddings, kernels, channel counts, OutC 5 below the 4-row
-// kernel, batch 1, 3 and 32 — then NavNet's two layers, whose first has a
-// grid longer than gemmBlockK, on both panel kernels through one reused
-// workspace, with the gradients starting non-zero and GOMAXPROCS raised so
-// the large cases fan out.
+// kernel, batch 1, 3 and 32 — then NavNet's two layers at the E2E learner's
+// batch 32, whose first has a grid longer than gemmBlockK, on both panel
+// kernels through one reused workspace, with the gradients starting non-zero
+// and GOMAXPROCS raised so the cases of at least parallelFlops (those two)
+// fan out.
 func TestConvBackwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	outCs, batches, extras := []int{8, 16, 5}, []int{1, 3, 32}, []int{0, 3, 6}
-	i := 0
+	i, fanned := 0, 0
 	withGOMAXPROCS(t, 4, func() {
 		forEachFloatKernel(t, func(kernel string) {
 			var ws ConvScratch
@@ -287,6 +288,9 @@ func TestConvBackwardMatchesNaive(t *testing.T) {
 				label := fmt.Sprintf("%s b%d c%d %dx%d outC%d k%d stride%d pad%d",
 					kernel, b, c, h, w, outC, k, stride, pad)
 				checkConvBackward(t, label, in, weight, New(outC), grad, dw0, db0, k, k, stride, pad, &ws)
+				if b*outC*c*k*k*ws.n >= parallelFlops {
+					fanned++
+				}
 			}
 			for _, stride := range []int{1, 2, 4} {
 				for _, pad := range []int{0, 1, 2} {
@@ -304,10 +308,13 @@ func TestConvBackwardMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			check(3, 1, 32, 32, 8, 5, 2, 2)
-			check(3, 8, 16, 16, 16, 3, 2, 1)
+			check(32, 1, 32, 32, 8, 5, 2, 2)
+			check(32, 8, 16, 16, 16, 3, 2, 1)
 		})
 	})
+	if fanned == 0 {
+		t.Fatal("no case clears parallelFlops: the fan-out went unchecked")
+	}
 }
 
 // FuzzConvBackward draws shapes and values from FuzzConvForward's palette,

@@ -66,8 +66,9 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
-// withGOMAXPROCS runs fn under an inflated GOMAXPROCS so parallelRows takes
-// its goroutine fan-out branch even on single-CPU CI runners.
+// withGOMAXPROCS runs fn under GOMAXPROCS n: above 1, kernels of at least
+// parallelFlops take their goroutine fan-out branch even on single-CPU CI
+// runners; at 1 they run the serial loop.
 func withGOMAXPROCS(t *testing.T, n int, fn func()) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)
@@ -151,28 +152,31 @@ func TestMatMulTNAccumMatchesReference(t *testing.T) {
 
 func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	// Large enough that m*k*n clears parallelFlops and the row chunks split.
-	a := randTensor(rng, 64, 96)
-	b := randTensor(rng, 96, 64)
-	bt := randTensor(rng, 64, 96)
-	serialMM := product(a, b)
-	serialNT := New(64, 64)
-	MatMulNTInto(serialNT, a, bt)
-	at := randTensor(rng, 96, 64)
-	serialTN := New(64, 64)
-	MatMulTNAccum(serialTN, at, b)
+	// m*k*n clears parallelFlops, so at GOMAXPROCS 8 every product fans out,
+	// and m = 100 makes 13-row chunks that start on odd rows.
+	const m, k, n = 100, 128, 96
+	if m*k*n < parallelFlops {
+		t.Fatalf("%d multiply-adds stay below parallelFlops %d: nothing fans out", m*k*n, parallelFlops)
+	}
+	a, b := randTensor(rng, m, k), randTensor(rng, k, n)
+	bt, at := randTensor(rng, n, k), randTensor(rng, k, m)
+	run := func() (mm, nt, tn *Tensor) {
+		mm, nt, tn = product(a, b), New(m, n), New(m, n)
+		MatMulNTInto(nt, a, bt)
+		MatMulTNAccum(tn, at, b)
+		return mm, nt, tn
+	}
+	var serialMM, serialNT, serialTN *Tensor
+	withGOMAXPROCS(t, 1, func() { serialMM, serialNT, serialTN = run() })
 	withGOMAXPROCS(t, 8, func() {
-		if got := product(a, b); !got.Equal(serialMM) {
+		mm, nt, tn := run()
+		if !mm.Equal(serialMM) {
 			t.Error("parallel MatMulAccum diverges from serial")
 		}
-		got := New(64, 64)
-		MatMulNTInto(got, a, bt)
-		if !got.Equal(serialNT) {
+		if !nt.Equal(serialNT) {
 			t.Error("parallel MatMulNTInto diverges from serial")
 		}
-		got = New(64, 64)
-		MatMulTNAccum(got, at, b)
-		if !got.Equal(serialTN) {
+		if !tn.Equal(serialTN) {
 			t.Error("parallel MatMulTNAccum diverges from serial")
 		}
 	})

@@ -45,10 +45,12 @@ func dot16Scalar(a, b []int16) int32 {
 
 // MatMul16T computes the row-major (m × n) product dst = a × bᵀ where a is
 // row-major (m × k) and bT is the row-major (n × k) *transpose* of b, so
-// every output element is a dot product of two contiguous rows. Rows of dst
-// are independent and the kernel parallelizes over them above the same
-// flops threshold as the float GEMMs; per-element results are identical
-// either way.
+// every output element is a dot product of two contiguous rows. It runs on
+// the calling goroutine only: on two cores, fanning its rows out above
+// parallelFlops made neither int16 path it was measured on faster end to
+// end (the serve workers, the quant-train L3 loop), and made the quant-train
+// E2E learner, whose batch-32 convs and FC1 are 2.1M–4.2M multiply-adds,
+// 6–8 % slower even with a single actor.
 //
 // The kernel is register-blocked: a tile is one row of a against four rows
 // of bT, so each loaded block of a feeds four accumulators, and one fold
@@ -61,19 +63,9 @@ func MatMul16T(dst []int32, a, bT []int16, m, k, n int) {
 	if len(a) < m*k || len(bT) < n*k || len(dst) < m*n {
 		panic("tensor: MatMul16T operands shorter than m×k, n×k and m×n")
 	}
-	// Branch before constructing the parallel closure (the serialRows
-	// contract): the serial schedule must allocate nothing.
-	if serialRows(m, m*n*k) {
-		mul16TRows(dst, a, bT, k, n, 0, m)
-		return
-	}
-	parallelRows(m, func(lo, hi int) { mul16TRows(dst, a, bT, k, n, lo, hi) })
-}
-
-func mul16TRows(dst []int32, a, bT []int16, k, n, lo, hi int) {
 	n4 := n &^ 3
-	done := mul16TVec(dst[lo*n:hi*n], a[lo*k:hi*k], bT, hi-lo, k, n)
-	for i := lo; i < hi; i++ {
+	done := mul16TVec(dst[:m*n], a[:m*k], bT, m, k, n)
+	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		drow := dst[i*n : (i+1)*n]
 		// done == k > 0: the asm left nothing of the tiles to do.

@@ -92,34 +92,26 @@ func mul16TRef(a, bT []int16, m, k, n int) []int32 {
 	return dst
 }
 
-// checkMatMul16T runs MatMul16T and the split row schedule (parallelRows
-// over mul16TRows, whatever the size, so chunks can start on odd rows)
-// under the asm and the portable kernels, each into a destination with
-// canaries past m×n, and holds every word to mul16TRef.
+// checkMatMul16T runs MatMul16T under the asm and the portable kernels,
+// each into a destination with canaries past m×n, and holds every word to
+// mul16TRef.
 func checkMatMul16T(t *testing.T, a, bT []int16, m, k, n int) {
 	t.Helper()
 	want := mul16TRef(a, bT, m, k, n)
 	const canary = int32(0x5a5a5a5a)
 	forEachInt16Kernel(t, func(kernel string) {
-		for _, sched := range []string{"MatMul16T", "parallelRows"} {
-			got := make([]int32, m*n+2)
-			for i := range got {
-				got[i] = canary
+		got := make([]int32, m*n+2)
+		for i := range got {
+			got[i] = canary
+		}
+		MatMul16T(got[:m*n], a, bT, m, k, n)
+		for i, w := range want {
+			if got[i] != w {
+				t.Fatalf("%s m%d k%d n%d: dst[%d,%d] = %d, want %d", kernel, m, k, n, i/n, i%n, got[i], w)
 			}
-			dst := got[:m*n]
-			if sched == "MatMul16T" {
-				MatMul16T(dst, a, bT, m, k, n)
-			} else {
-				parallelRows(m, func(lo, hi int) { mul16TRows(dst, a, bT, k, n, lo, hi) })
-			}
-			for i, w := range want {
-				if got[i] != w {
-					t.Fatalf("%s %s m%d k%d n%d: dst[%d,%d] = %d, want %d", kernel, sched, m, k, n, i/n, i%n, got[i], w)
-				}
-			}
-			if got[m*n] != canary || got[m*n+1] != canary {
-				t.Fatalf("%s %s m%d k%d n%d: wrote past dst", kernel, sched, m, k, n)
-			}
+		}
+		if got[m*n] != canary || got[m*n+1] != canary {
+			t.Fatalf("%s m%d k%d n%d: wrote past dst", kernel, m, k, n)
 		}
 	})
 }

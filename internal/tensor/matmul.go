@@ -8,7 +8,9 @@ import "fmt"
 // goroutine, in ascending reduction-index order, through one accumulator, so
 // each kernel is bit-identical to its textbook serial loop for any
 // GOMAXPROCS — what lets the parallel experiment engine (internal/core)
-// promise results equal to the serial schedule.
+// promise results equal to the serial schedule. A product of at least
+// parallelFlops multiply-adds splits its rows across goroutines (parallel.go);
+// smaller ones, every GEMM of the L3 tail among them, stay serial.
 //
 // The ±0 contract: a coefficient of A that is ±0 skips its row of B. The
 // four-row AVX block adds those ±0 products instead, which leaves every sum

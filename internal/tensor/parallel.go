@@ -5,18 +5,23 @@ import (
 	"sync"
 )
 
-// parallelFlops is the approximate number of fused multiply-adds below which
-// a kernel runs on the calling goroutine only: fan-out costs more than it
-// saves on the small NavNet matrices, and those run inside experiment workers
-// that are themselves parallel.
-const parallelFlops = 1 << 18
+// parallelFlops is the number of fused multiply-adds below which a float
+// kernel runs on the calling goroutine only. The rule is measured, with one
+// level of parallelism in mind: a kernel fans out only where no outer level
+// (actors, serve workers, experiment workers) already fills the cores. That
+// is the E2E learner's batch-32 convs and FC1, 1.8M–4.2M multiply-adds,
+// where the actors wait on the learner and a core is idle: on two vCPUs the
+// online-e2e workload ran 16 % faster with them fanned out than with no
+// fan-out at all. Everything smaller (the L3 learner's FC tail, whose FC2 is
+// 32·128·64 = 1<<18, and MetaTrain's batch-4 layers) shares its cores with
+// the actors: online-l3 ran 25 % faster with those serial. The int16 GEMM
+// never fans out (MatMul16T).
+const parallelFlops = 1 << 20
 
 // serialRows reports whether a kernel over n rows and the given
 // multiply-add estimate should run on the calling goroutine. Kernel entry
 // points branch on it before constructing the closure parallelRows needs, so
-// the serial schedule — the common case inside experiment workers, and the
-// one the zero-allocation training contract is pinned on — allocates
-// nothing.
+// the serial schedule allocates nothing.
 func serialRows(n, flops int) bool {
 	return n <= 1 || flops < parallelFlops || runtime.GOMAXPROCS(0) <= 1
 }
