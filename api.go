@@ -13,17 +13,17 @@ import (
 	"dronerl/internal/transfer"
 )
 
-// This file is the composable experiment API: a Spec built from functional
-// options (New), a scenario catalog (Scenarios, RegisterScenario), and a
-// unified context-aware engine (Run) that executes any Experiment with
-// bounded concurrency, streaming progress and prompt cancellation.
+// This file is the composable experiment API: one entry point per
+// experiment (Flight, Missions, OnlineMissions, Swarm, Curriculum) and per
+// agent (Agent, Deploy), each taking its own option type; a scenario
+// catalog (Scenarios, RegisterScenario); and a unified context-aware engine
+// (Run) that executes any Experiment with bounded concurrency, streaming
+// progress and prompt cancellation.
 //
-//	spec, err := dronerl.New(
+//	exp, err := dronerl.Flight(
 //		dronerl.WithSeed(7),
-//		dronerl.WithTopology(dronerl.L3),
 //		dronerl.WithScenarios("indoor-apartment", "warehouse"),
 //	)
-//	exp, err := spec.Flight()
 //	err = dronerl.Run(ctx, exp, dronerl.WithWorkers(4),
 //		dronerl.WithProgress(func(ev dronerl.Event) { fmt.Println(ev) }))
 //	report := exp.Report()
@@ -75,7 +75,7 @@ type Scenario = env.Scenario
 func Scenarios() []Scenario { return env.Scenarios() }
 
 // RegisterScenario adds a named world builder to the catalog, making it
-// selectable by Spec.Flight, cmd/droneflight and anything else that names
+// selectable by WithScenarios, cmd/droneflight and anything else that names
 // scenarios. The builder must be a pure function of the seed (identical
 // seeds must yield identical worlds — the engine's determinism relies on
 // it); it is invoked once here to record the world's kind in the catalog
@@ -91,9 +91,10 @@ func RegisterScenario(name string, build func(seed int64) *env.World) error {
 	return env.RegisterScenario(s)
 }
 
-// Spec is a validated experiment configuration assembled by New. The zero
-// value is not usable; every Spec has passed Validate.
-type Spec struct {
+// spec is the one configuration every option writes and every entry point
+// reads. Defaults: the L3 topology, the QuickScale iteration budget with
+// seed 1, the paper's four test scenarios and a fleet of 4.
+type spec struct {
 	topology  nn.Config
 	scale     core.FlightScale
 	scenarios []string
@@ -102,114 +103,237 @@ type Spec struct {
 	stages    []Stage
 }
 
-// Option configures a Spec under construction.
-type Option func(*Spec) error
+// One option interface per entry point. Every With… value implements the
+// interfaces of exactly the entry points that read it, so an option an
+// entry point does not read does not compile there.
+type (
+	// FlightOption configures Flight.
+	FlightOption interface {
+		option
+		flight()
+	}
+	// MissionOption configures Missions, the inference-only mission.
+	MissionOption interface {
+		option
+		missions()
+	}
+	// OnlineMissionOption configures OnlineMissions.
+	OnlineMissionOption interface {
+		option
+		onlineMissions()
+	}
+	// SwarmOption configures Swarm.
+	SwarmOption interface {
+		option
+		swarm()
+	}
+	// CurriculumOption configures Curriculum.
+	CurriculumOption interface {
+		option
+		curriculum()
+	}
+	// AgentOption configures Agent and Deploy.
+	AgentOption interface {
+		option
+		agent()
+	}
+)
 
-// New builds and validates an experiment Spec. Defaults: the L3 topology,
-// the QuickScale iteration budget with seed 1, and the paper's four test
-// scenarios. Inconsistent combinations (a DoubleDQN agent without a target
-// network, an unknown scenario name, a zero iteration budget) are rejected
-// with an error instead of being silently repaired.
-func New(opts ...Option) (*Spec, error) {
-	s := &Spec{topology: nn.L3, scale: core.QuickScale()}
-	for _, opt := range opts {
-		if opt == nil {
+// option is what every With… value does: one write to the shared spec.
+type option interface{ apply(*spec) error }
+
+// setter is an option's write; the option types below add its readers.
+type setter func(*spec) error
+
+func (f setter) apply(s *spec) error { return f(s) }
+
+// The option types, one per set of readers, each with one marker method
+// per entry point that reads it.
+type (
+	// everyEntry: the seed, and the agent hyper-parameters every phase
+	// trains with.
+	everyEntry struct{ setter }
+	// topologyOption: Flight and the missions compare all four topologies.
+	topologyOption struct{ setter }
+	// budgetOption: a mission meta-trains a fixed 800 iterations in the
+	// indoor apartment, and its energy budget sets its frame count.
+	budgetOption struct{ setter }
+	// evalStepsOption: only Flight and Swarm fly a fixed-length evaluation.
+	evalStepsOption  struct{ setter }
+	swarmOption      struct{ setter }
+	curriculumOption struct{ setter }
+	// fleetOption: a mission's energy budget fixes its frame count, and one
+	// drone flies it.
+	fleetOption struct{ setter }
+	// evalBackendOption: an online mission acts on the network it trains,
+	// and the curriculum has no evaluation phase.
+	evalBackendOption struct{ setter }
+	// trainBackendOption: an inference-only mission never trains.
+	trainBackendOption struct{ setter }
+)
+
+func (everyEntry) flight()         {}
+func (everyEntry) missions()       {}
+func (everyEntry) onlineMissions() {}
+func (everyEntry) swarm()          {}
+func (everyEntry) curriculum()     {}
+func (everyEntry) agent()          {}
+
+func (topologyOption) swarm()      {}
+func (topologyOption) curriculum() {}
+func (topologyOption) agent()      {}
+
+func (budgetOption) flight()     {}
+func (budgetOption) swarm()      {}
+func (budgetOption) curriculum() {}
+
+func (evalStepsOption) flight() {}
+func (evalStepsOption) swarm()  {}
+
+func (swarmOption) swarm() {}
+
+func (curriculumOption) curriculum() {}
+
+func (fleetOption) flight()     {}
+func (fleetOption) swarm()      {}
+func (fleetOption) curriculum() {}
+func (fleetOption) agent()      {}
+
+func (evalBackendOption) flight()   {}
+func (evalBackendOption) missions() {}
+func (evalBackendOption) swarm()    {}
+func (evalBackendOption) agent()    {}
+
+func (trainBackendOption) flight()         {}
+func (trainBackendOption) onlineMissions() {}
+func (trainBackendOption) swarm()          {}
+func (trainBackendOption) curriculum()     {}
+func (trainBackendOption) agent()          {}
+
+// newSpec applies opts, in order, over the defaults and validates the
+// result: every scenario name against the catalog, and the agent options'
+// ranges and cross-field consistency (e.g. DoubleDQN without a target
+// network). Inconsistent combinations are rejected with an error instead
+// of being silently repaired.
+func newSpec[O option](opts []O) (*spec, error) {
+	s := &spec{topology: nn.L3, scale: core.QuickScale(), swarm: 4}
+	for _, o := range opts {
+		if any(o) == nil {
 			continue
 		}
-		if err := opt(s); err != nil {
+		if err := o.apply(s); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.Validate(); err != nil {
+	for _, name := range s.scenarios {
+		if _, ok := env.LookupScenario(name); !ok {
+			return nil, fmt.Errorf("dronerl: unknown scenario %q: registered scenarios are %s",
+				name, strings.Join(env.ScenarioNames(), ", "))
+		}
+	}
+	if _, err := rl.NewOptions(s.agentOpts...); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// WithTopology selects the training topology for agents built from the
-// Spec (L2, L3, L4 or E2E). Read by Swarm, Curriculum, Agent and Deploy;
-// Flight and Missions always compare all four.
-func WithTopology(cfg Config) Option {
-	return func(s *Spec) error {
+// newExperiment is newSpec plus the one combination an experiment refuses
+// that its types cannot: WithSyncEvery without WithActors(n > 1), since only
+// an actor fleet publishes policies. An agent reads the interval alone (a
+// network learner publishes to remote actors). The options are applied to a
+// bare rl.Options, so a non-zero field is one an option set.
+func newExperiment[O option](opts []O) (*spec, error) {
+	s, err := newSpec(opts)
+	if err != nil {
+		return nil, err
+	}
+	var set rl.Options
+	for _, o := range s.agentOpts {
+		_ = o(&set)
+	}
+	if set.SyncEvery != 0 && set.Actors <= 1 {
+		return nil, fmt.Errorf("dronerl: WithSyncEvery(%d) needs WithActors(n > 1): "+
+			"only an actor fleet publishes policies", set.SyncEvery)
+	}
+	return s, nil
+}
+
+// scenario is the first selected scenario: the world Swarm flies, and the
+// kind of Curriculum's default ladder.
+func (s *spec) scenario() string {
+	if len(s.scenarios) == 0 {
+		return env.DefaultFlightScenarios()[0]
+	}
+	return s.scenarios[0]
+}
+
+// WithTopology selects the training topology of the agents an entry point
+// builds (L2, L3, L4 or E2E; default L3).
+func WithTopology(cfg Config) topologyOption {
+	return topologyOption{setter: func(s *spec) error {
 		switch cfg {
 		case nn.E2E, nn.L2, nn.L3, nn.L4:
 			s.topology = cfg
 			return nil
 		}
 		return fmt.Errorf("dronerl: unknown topology %v", cfg)
-	}
+	}}
 }
 
-// WithSeed sets the experiment seed every RNG derives from. Read by every
-// entry point.
-func WithSeed(seed int64) Option {
-	return func(s *Spec) error {
+// WithSeed sets the experiment seed every RNG derives from (default 1).
+func WithSeed(seed int64) everyEntry {
+	return everyEntry{setter: func(s *spec) error {
 		s.scale.Seed = seed
 		return nil
-	}
+	}}
 }
 
-// WithMetaIters sets the meta-environment E2E training budget. Read by
-// Flight, Swarm and Curriculum; Missions meta-trains a fixed 800
-// iterations.
-func WithMetaIters(n int) Option {
-	return func(s *Spec) error {
+// WithMetaIters sets the meta-environment E2E training budget (>= 1).
+func WithMetaIters(n int) budgetOption {
+	return budgetOption{setter: func(s *spec) error {
 		if n < 1 {
 			return fmt.Errorf("dronerl: meta iterations %d must be >= 1", n)
 		}
 		s.scale.MetaIters = n
 		return nil
-	}
+	}}
 }
 
-// WithOnlineIters sets the per-scenario online RL budget. Read by Flight,
-// Swarm and Curriculum (the default per-stage budget); a mission's frame
-// count is set by its energy budget instead.
-func WithOnlineIters(n int) Option {
-	return func(s *Spec) error {
+// WithOnlineIters sets the per-scenario online RL budget (>= 1), the
+// curriculum's default per-stage budget.
+func WithOnlineIters(n int) budgetOption {
+	return budgetOption{setter: func(s *spec) error {
 		if n < 1 {
 			return fmt.Errorf("dronerl: online iterations %d must be >= 1", n)
 		}
 		s.scale.OnlineIters = n
 		return nil
-	}
+	}}
 }
 
-// WithEvalSteps sets the greedy evaluation flight length. Read by Flight
-// and Swarm (the mission length); Curriculum and Missions have no
-// fixed-length evaluation flight.
-func WithEvalSteps(n int) Option {
-	return func(s *Spec) error {
+// WithEvalSteps sets the greedy evaluation flight length (>= 1), the
+// swarm's mission length.
+func WithEvalSteps(n int) evalStepsOption {
+	return evalStepsOption{setter: func(s *spec) error {
 		if n < 1 {
 			return fmt.Errorf("dronerl: evaluation steps %d must be >= 1", n)
 		}
 		s.scale.EvalSteps = n
 		return nil
-	}
+	}}
 }
 
-// WithScale installs a whole iteration budget at once (QuickScale,
-// FullScale, or a custom one): WithSeed, WithMetaIters, WithOnlineIters
-// and WithEvalSteps together, read where each of those is.
-func WithScale(scale FlightScale) Option {
-	return func(s *Spec) error {
-		s.scale = scale
-		return nil
-	}
-}
-
-// WithScenarios selects the worlds a flight experiment sweeps, by catalog
-// name and in the given order. Unknown names fail Validate. Read by Flight
-// (every name), Swarm (the first) and Curriculum (the first one's kind
-// picks the default ladder); Missions always fly the indoor apartment.
-func WithScenarios(names ...string) Option {
-	return func(s *Spec) error {
+// WithScenarios selects worlds by catalog name, in the given order: a
+// flight sweeps every one, a swarm flies the first, and the first one's
+// kind picks a curriculum's default ladder. Unknown names are rejected.
+func WithScenarios(names ...string) budgetOption {
+	return budgetOption{setter: func(s *spec) error {
 		if len(names) == 0 {
 			return fmt.Errorf("dronerl: WithScenarios needs at least one name")
 		}
 		s.scenarios = append([]string(nil), names...)
 		return nil
-	}
+	}}
 }
 
 // Procedural scenario generation, curriculum learning and swarm missions
@@ -224,16 +348,16 @@ type GenSpec = scen.GenSpec
 // promotion thresholds the agent must clear to advance.
 type Stage = scen.Stage
 
-// Curriculum drives the engine through progressively harder generated
-// stages; build one with Spec.Curriculum and execute it with Run.
-type Curriculum = scen.Curriculum
+// CurriculumExperiment drives the engine through progressively harder
+// generated stages; build one with Curriculum and execute it with Run.
+type CurriculumExperiment = scen.Curriculum
 
 // CurriculumReport is a finished curriculum's promotion trace and outcome.
 type CurriculumReport = scen.CurriculumReport
 
-// SwarmExperiment is the multi-drone mission driver; build one with
-// Spec.Swarm and execute it with Run. Its mission phase flies the backend
-// selected with WithBackend, like every other deployment phase.
+// SwarmExperiment is the multi-drone mission driver; build one with Swarm
+// and execute it with Run. Its mission phase flies the backend selected
+// with WithBackend, like every other deployment phase.
 type SwarmExperiment = scen.SwarmExperiment
 
 // SwarmReport merges per-drone mission stats in index order.
@@ -249,109 +373,103 @@ func DefaultCurriculum(kind string) []Stage { return scen.DefaultLadder(kind) }
 
 // WithGenerated registers the spec's scenario family in the catalog (under
 // its canonical FamilyName; re-registering the same spec is a no-op) and
-// appends it to the Spec's scenario list, so flight experiments sweep the
-// generated world alongside any named ones. Read where WithScenarios is.
-func WithGenerated(g GenSpec) Option {
-	return func(s *Spec) error {
+// appends it to the scenario list, like a WithScenarios name.
+func WithGenerated(g GenSpec) budgetOption {
+	return budgetOption{setter: func(s *spec) error {
 		name, err := scen.RegisterSpec(g)
 		if err != nil {
 			return fmt.Errorf("dronerl: WithGenerated: %w", err)
 		}
 		s.scenarios = append(s.scenarios, name)
 		return nil
-	}
+	}}
 }
 
-// WithSwarm sets the fleet size Spec.Swarm flies (>= 1; the default 4).
-// Read by Swarm only.
-func WithSwarm(n int) Option {
-	return func(s *Spec) error {
+// WithSwarm sets the fleet size the swarm flies (>= 1; default 4).
+func WithSwarm(n int) swarmOption {
+	return swarmOption{setter: func(s *spec) error {
 		if n < 1 {
 			return fmt.Errorf("dronerl: swarm size %d must be >= 1", n)
 		}
 		s.swarm = n
 		return nil
-	}
+	}}
 }
 
-// WithCurriculum installs a custom stage ladder for Spec.Curriculum in place
-// of the kind's default one. Stage specs are validated by Validate. Read by
-// Curriculum only.
-func WithCurriculum(stages ...Stage) Option {
-	return func(s *Spec) error {
+// WithCurriculum installs a custom stage ladder in place of the kind's
+// default one. Every stage's spec must validate.
+func WithCurriculum(stages ...Stage) curriculumOption {
+	return curriculumOption{setter: func(s *spec) error {
 		if len(stages) == 0 {
 			return fmt.Errorf("dronerl: WithCurriculum needs at least one stage")
 		}
+		for i, st := range stages {
+			if err := st.Spec.Validate(); err != nil {
+				return fmt.Errorf("dronerl: curriculum stage %d: %w", i, err)
+			}
+		}
 		s.stages = append([]Stage(nil), stages...)
 		return nil
-	}
+	}}
 }
 
 // Agent hyper-parameter options. Each forwards to the rl option layer: every
-// experiment phase applies them, in order, over its training recipe
-// (transfer.MetaOptions/OnlineOptions, rl.Options.With), so only the
-// fields set here change, explicit zeros included, and Validate checks the
-// combination. Unless its doc says otherwise, an agent option is read by
-// every entry point: Flight, Missions (online and inference-only, whose
-// meta-training reads it), Swarm, Curriculum, Agent and Deploy. An entry
-// point that does not read an option refuses it with an error naming the
-// option, so no option is silently dropped.
+// phase applies them, in order, over its training recipe
+// (transfer.MetaOptions/OnlineOptions, rl.Options.With), so only the fields
+// set here change, explicit zeros included, and the entry point validates
+// the combination. An inference-only mission's meta-training reads them too.
 
-// WithGamma sets the discount factor, in (0, 1]. Read by every entry point.
-func WithGamma(g float64) Option { return agentOption(rl.WithGamma(g)) }
+// WithGamma sets the discount factor, in (0, 1].
+func WithGamma(g float64) everyEntry { return agentOption(rl.WithGamma(g)) }
 
 // WithLR sets the SGD learning rate (> 0). It overrides both the
-// meta-training and online learning rates. Read by every entry point.
-func WithLR(lr float64) Option { return agentOption(rl.WithLR(lr)) }
+// meta-training and online learning rates.
+func WithLR(lr float64) everyEntry { return agentOption(rl.WithLR(lr)) }
 
-// WithBatchSize sets the training batch (>= 1). Read by every entry point;
-// Missions also price the hardware model's frame rate at it.
-func WithBatchSize(n int) Option { return agentOption(rl.WithBatchSize(n)) }
+// WithBatchSize sets the training batch (>= 1). A mission also prices the
+// hardware model's frame rate at it.
+func WithBatchSize(n int) everyEntry { return agentOption(rl.WithBatchSize(n)) }
 
-// WithReplayCapacity bounds the experience buffer (>= batch size). Read by
-// every entry point.
-func WithReplayCapacity(n int) Option { return agentOption(rl.WithReplayCapacity(n)) }
+// WithReplayCapacity bounds the experience buffer (>= batch size).
+func WithReplayCapacity(n int) everyEntry { return agentOption(rl.WithReplayCapacity(n)) }
 
 // WithEpsilon sets the exploration schedule's endpoints; an explicit end of
-// 0 anneals to fully greedy. Read by every entry point.
-func WithEpsilon(start, end float64) Option { return agentOption(rl.WithEpsilon(start, end)) }
+// 0 anneals to fully greedy.
+func WithEpsilon(start, end float64) everyEntry { return agentOption(rl.WithEpsilon(start, end)) }
 
-// WithEpsDecaySteps sets the exploration annealing horizon (>= 1). Read by
-// every entry point.
-func WithEpsDecaySteps(n int) Option { return agentOption(rl.WithEpsDecaySteps(n)) }
+// WithEpsDecaySteps sets the exploration annealing horizon (>= 1).
+func WithEpsDecaySteps(n int) everyEntry { return agentOption(rl.WithEpsDecaySteps(n)) }
 
 // WithTargetSync sets the target-network refresh interval; an explicit 0
-// disables the target network. Read by every entry point.
-func WithTargetSync(steps int) Option { return agentOption(rl.WithTargetSync(steps)) }
+// disables the target network.
+func WithTargetSync(steps int) everyEntry { return agentOption(rl.WithTargetSync(steps)) }
 
 // WithDoubleDQN toggles Double-DQN bootstrapping; it requires a target
-// network, so combining it with WithTargetSync(0) fails validation. Read by
-// every entry point.
-func WithDoubleDQN(on bool) Option { return agentOption(rl.WithDoubleDQN(on)) }
+// network, so combining it with WithTargetSync(0) fails validation.
+func WithDoubleDQN(on bool) everyEntry { return agentOption(rl.WithDoubleDQN(on)) }
 
 // WithGradClip bounds the per-batch gradient norm; an explicit 0 disables
-// clipping. Read by every entry point.
-func WithGradClip(limit float64) Option { return agentOption(rl.WithGradClip(limit)) }
+// clipping.
+func WithGradClip(limit float64) everyEntry { return agentOption(rl.WithGradClip(limit)) }
 
 // WithActors sets the number of concurrent actors of the online-learning
-// phases (>= 1). Read by Flight, Swarm, Curriculum, Agent and Deploy;
-// Missions refuses n > 1, since the energy budget fixes the frame count and
-// one drone flies it. The default 1 runs the deterministic serial schedule,
+// phases (>= 1). The default 1 runs the deterministic serial schedule,
 // bit-identical to the historical loop; higher counts run the asynchronous
 // actor/learner pipeline — actors step cloned worlds and feed per-actor
 // replay shards while the learner trains concurrently and publishes policy
 // snapshots the actors adopt at episode boundaries. Learning results of
 // multi-actor runs depend on goroutine interleaving and are not
 // reproducible run to run.
-func WithActors(n int) Option { return agentOption(rl.WithActors(n)) }
+func WithActors(n int) fleetOption { return fleetOption{setter: appendAgent(rl.WithActors(n))} }
 
 // WithSyncEvery sets the learner's policy-publish interval in training
-// steps (>= 1, default 8). Read by Flight, Swarm and Curriculum together
-// with WithActors(n > 1), and by Agent and Deploy; every experiment refuses
-// it without a fleet, since a single actor publishes nothing. Under E2E
-// every publish pays an STT-MRAM snapshot write in the energy accounting,
-// under L2/L3/L4 only cheap SRAM buffer traffic.
-func WithSyncEvery(steps int) Option { return agentOption(rl.WithSyncEvery(steps)) }
+// steps (>= 1, default 8). An experiment needs WithActors(n > 1) beside it,
+// since a single actor publishes nothing. Under E2E every publish pays an
+// STT-MRAM snapshot write in the energy accounting, under L2/L3/L4 only
+// cheap SRAM buffer traffic.
+func WithSyncEvery(steps int) fleetOption {
+	return fleetOption{setter: appendAgent(rl.WithSyncEvery(steps))}
+}
 
 // Inference backends selectable with WithBackend: the substrate the trained
 // policy is deployed onto for the greedy evaluation and deployment phases,
@@ -378,10 +496,10 @@ const (
 // stream per-phase energy/latency/cycle events, the flight report
 // accumulates a merged per-device energy ledger, and
 // FlightReport.BuildEnergyTable renders the paper-style cost table. Unknown
-// names fail Validate. Read by Flight, Swarm, inference-only Missions, Agent
-// and Deploy; an online mission (which acts on the network it trains) and
-// Curriculum (which has no evaluation phase) refuse it.
-func WithBackend(name string) Option { return agentOption(rl.WithEvalBackend(name)) }
+// names are rejected.
+func WithBackend(name string) evalBackendOption {
+	return evalBackendOption{setter: appendAgent(rl.WithEvalBackend(name))}
+}
 
 // QuantTrain is the trainable 16-bit fixed-point backend selectable with
 // WithTrainBackend: integer forward/backward passes and stochastically-
@@ -397,159 +515,116 @@ const QuantTrain = core.QuantTrainBackendName
 // the hand-off to evaluation (TrainCost). Without WithBackend the greedy
 // evaluation and the swarm fly its trained words too, and name and charge
 // them as the evaluation's (Backend, EvalCost). The default keeps training
-// on the float reference. Unknown or non-trainable names fail Validate or
-// activation respectively. Read by Flight, Swarm, Curriculum, online
-// Missions, Agent and Deploy; inference-only Missions refuse it.
-func WithTrainBackend(name string) Option { return agentOption(rl.WithTrainBackend(name)) }
+// on the float reference. Unknown or non-trainable names fail validation or
+// activation respectively.
+func WithTrainBackend(name string) trainBackendOption {
+	return trainBackendOption{setter: appendAgent(rl.WithTrainBackend(name))}
+}
 
-func agentOption(o rl.Option) Option {
-	return func(s *Spec) error {
+// agentOption is an agent option every entry point reads.
+func agentOption(o rl.Option) everyEntry { return everyEntry{setter: appendAgent(o)} }
+
+func appendAgent(o rl.Option) setter {
+	return func(s *spec) error {
 		s.agentOpts = append(s.agentOpts, o)
 		return nil
 	}
 }
 
-// Validate checks the Spec end to end: the iteration budget, every scenario
-// name against the catalog, and the agent options (ranges and cross-field
-// consistency, e.g. DoubleDQN without a target network). New calls it; it
-// is exported so callers mutating a FlightScale via WithScale can re-check
-// explicitly.
-func (s *Spec) Validate() error {
-	if s.scale.MetaIters < 1 || s.scale.OnlineIters < 1 || s.scale.EvalSteps < 1 {
-		return fmt.Errorf("dronerl: iteration budget %+v must be positive in every dimension", s.scale)
-	}
-	for _, name := range s.scenarios {
-		if _, ok := env.LookupScenario(name); !ok {
-			return fmt.Errorf("dronerl: unknown scenario %q: registered scenarios are %s",
-				name, strings.Join(env.ScenarioNames(), ", "))
-		}
-	}
-	if s.swarm < 0 {
-		return fmt.Errorf("dronerl: swarm size %d must be >= 1", s.swarm)
-	}
-	for i, st := range s.stages {
-		if err := st.Spec.Validate(); err != nil {
-			return fmt.Errorf("dronerl: curriculum stage %d: %w", i, err)
-		}
-	}
-	_, err := rl.NewOptions(s.agentOpts...)
-	return err
-}
-
-// Topology returns the Spec's training topology.
-func (s *Spec) Topology() Config { return s.topology }
-
-// Scale returns the Spec's iteration budget.
-func (s *Spec) Scale() FlightScale { return s.scale }
-
-// ScenarioNames returns the selected scenario list (the paper's four test
-// worlds when none were chosen).
-func (s *Spec) ScenarioNames() []string {
-	if len(s.scenarios) == 0 {
-		return env.DefaultFlightScenarios()
-	}
-	return append([]string(nil), s.scenarios...)
-}
-
-// Flight builds the Fig. 10/11 flight experiment over the Spec's scenarios:
-// meta-train one model per environment kind, deploy into every scenario
-// under all four topologies, learn online, evaluate greedily. It fails on
-// WithSyncEvery without WithActors(n > 1). Execute it with Run.
-func (s *Spec) Flight() (*FlightExperiment, error) {
-	e, err := core.NewFlightExperiment(s.scale, s.scenarios...)
+// Flight builds the Fig. 10/11 flight experiment over the selected
+// scenarios (the paper's four test worlds by default): meta-train one model
+// per environment kind, deploy into every scenario under all four
+// topologies, learn online, evaluate greedily. Execute it with Run.
+func Flight(opts ...FlightOption) (*FlightExperiment, error) {
+	s, err := newExperiment(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.SetAgentOverrides(s.agentOpts...); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return core.NewFlightExperiment(s.scale, s.scenarios, s.agentOpts...)
 }
 
-// Missions builds the co-design mission comparison: every topology flies
-// the indoor apartment under a fixed compute-energy budget, priced by the
-// hardware model. The Spec's seed and agent hyper-parameters (gamma,
-// learning rate, batch size, ...) override the mission's training
-// templates; the world and the compact 800-iteration meta-training budget
-// are fixed by design (missions need a reasonable policy, not a
-// figure-grade one), so the Spec's scenarios and iteration budgets are not
-// read. It fails on an agent option a mission does not read: WithActors(n >
-// 1), WithBackend when online, WithTrainBackend when inference-only, and
-// WithSyncEvery. Execute it with Run.
-func (s *Spec) Missions(budgetJ float64, online bool) (*MissionExperiment, error) {
-	e := core.NewMissionExperiment(s.scale.Seed, budgetJ, online)
-	if err := e.SetAgentOverrides(s.agentOpts...); err != nil {
+// Missions builds the inference-only co-design mission comparison: every
+// topology flies the indoor apartment greedily under a fixed compute-energy
+// budget, priced by the hardware model. The world and the compact
+// 800-iteration meta-training budget are fixed by design (missions need a
+// reasonable policy, not a figure-grade one). Execute it with Run.
+func Missions(budgetJ float64, opts ...MissionOption) (*MissionExperiment, error) {
+	return missions(budgetJ, false, opts)
+}
+
+// OnlineMissions is Missions with online learning: every frame of the
+// budget also trains the deployed agent, on the network it acts on.
+func OnlineMissions(budgetJ float64, opts ...OnlineMissionOption) (*MissionExperiment, error) {
+	return missions(budgetJ, true, opts)
+}
+
+func missions[O option](budgetJ float64, online bool, opts []O) (*MissionExperiment, error) {
+	s, err := newExperiment(opts)
+	if err != nil {
 		return nil, err
 	}
-	return e, nil
+	return core.NewMissionExperiment(s.scale.Seed, budgetJ, online, s.agentOpts...), nil
 }
 
 // Curriculum builds the staged-training experiment: meta-train once for the
 // ladder's kind, then adapt the policy online through each generated stage,
-// promoting on the Spec's moving-average reward and safe-flight-distance
+// promoting on the stage's moving-average reward and safe-flight-distance
 // thresholds. The ladder is the one installed with WithCurriculum, or the
-// kind-default ladder matching the Spec's first scenario. It fails on
-// WithBackend (the curriculum has no evaluation phase) and on WithSyncEvery
-// without WithActors(n > 1). Execute it with Run; with a fixed seed the
-// promotion trace is reproducible run to run.
-func (s *Spec) Curriculum() (*Curriculum, error) {
+// kind-default ladder matching the first scenario. Execute it with Run;
+// with a fixed seed the promotion trace is reproducible run to run.
+func Curriculum(opts ...CurriculumOption) (*CurriculumExperiment, error) {
+	s, err := newExperiment(opts)
+	if err != nil {
+		return nil, err
+	}
 	stages := s.stages
 	if len(stages) == 0 {
-		sc, ok := env.LookupScenario(s.ScenarioNames()[0])
-		if !ok {
-			return nil, fmt.Errorf("dronerl: unknown scenario %q: registered scenarios are %s",
-				s.ScenarioNames()[0], strings.Join(env.ScenarioNames(), ", "))
-		}
+		sc, _ := env.LookupScenario(s.scenario())
 		stages = scen.DefaultLadder(sc.Kind)
 	}
-	c, err := scen.NewCurriculum(stages, s.topology, s.scale.Seed, s.scale.MetaIters, s.scale.OnlineIters)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.SetAgentOverrides(s.agentOpts...); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return scen.NewCurriculum(stages, s.topology, s.scale.Seed, s.scale.MetaIters, s.scale.OnlineIters,
+		s.agentOpts...)
 }
 
-// Swarm builds the multi-drone mission over the Spec's first scenario:
-// meta-train and adapt one policy, then fly the fleet (WithSwarm, default 4)
-// as clones of that world in lockstep on the WithBackend engine, batching
-// the whole swarm's observations into one pass per layer. EvalSteps is the
-// mission length. It fails on WithSyncEvery without WithActors(n > 1).
-// Execute it with Run.
-func (s *Spec) Swarm() (*SwarmExperiment, error) {
-	drones := s.swarm
-	if drones == 0 {
-		drones = 4
-	}
-	e, err := scen.NewSwarmExperiment(s.ScenarioNames()[0], drones, s.topology,
-		s.scale.Seed, s.scale.MetaIters, s.scale.OnlineIters, s.scale.EvalSteps)
+// Swarm builds the multi-drone mission over the first scenario: meta-train
+// and adapt one policy, then fly the fleet (WithSwarm) as clones of that
+// world in lockstep on the WithBackend engine, batching the whole swarm's
+// observations into one pass per layer. WithEvalSteps is the mission
+// length. Execute it with Run.
+func Swarm(opts ...SwarmOption) (*SwarmExperiment, error) {
+	s, err := newExperiment(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.SetAgentOverrides(s.agentOpts...); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return scen.NewSwarmExperiment(s.scenario(), s.swarm, s.topology,
+		s.scale.Seed, s.scale.MetaIters, s.scale.OnlineIters, s.scale.EvalSteps, s.agentOpts...)
 }
 
 // Agent builds a Q-learning agent over the scaled NavNet architecture with
-// the Spec's topology, seed and hyper-parameters.
-func (s *Spec) Agent() (*rl.Agent, error) {
-	opts, err := rl.Options{Seed: s.scale.Seed}.With(s.agentOpts...)
+// the options' topology, seed and hyper-parameters.
+func Agent(opts ...AgentOption) (*rl.Agent, error) {
+	s, o, err := agentSpec(opts)
 	if err != nil {
 		return nil, err
 	}
-	return rl.NewAgent(nn.NavNetSpec(), s.topology, opts), nil
+	return rl.NewAgent(nn.NavNetSpec(), s.topology, o), nil
 }
 
 // Deploy installs a transferred snapshot into a new agent frozen per the
-// Spec's topology, with the Spec's hyper-parameters.
-func (s *Spec) Deploy(snapshot *nn.Snapshot) (*rl.Agent, error) {
-	opts, err := rl.Options{Seed: s.scale.Seed}.With(s.agentOpts...)
+// options' topology, with their seed and hyper-parameters.
+func Deploy(snapshot *nn.Snapshot, opts ...AgentOption) (*rl.Agent, error) {
+	s, o, err := agentSpec(opts)
 	if err != nil {
 		return nil, err
 	}
-	return transfer.Deploy(snapshot, nn.NavNetSpec(), s.topology, opts)
+	return transfer.Deploy(snapshot, nn.NavNetSpec(), s.topology, o)
+}
+
+func agentSpec(opts []AgentOption) (*spec, rl.Options, error) {
+	s, err := newSpec(opts)
+	if err != nil {
+		return nil, rl.Options{}, err
+	}
+	o, err := rl.Options{Seed: s.scale.Seed}.With(s.agentOpts...)
+	return s, o, err
 }

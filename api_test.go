@@ -17,7 +17,7 @@ import (
 // report (every reward/return series value, SFD, crash count and meta
 // cumulative reward, as 64-bit floats) produced by the pre-redesign
 // RunFlightExperiment implementation, recorded before the engine rewrite.
-// The new Run(ctx, Spec.Flight()) path must reproduce it bit for bit.
+// The Run(ctx, Flight(...)) path must reproduce it bit for bit.
 const quickScaleFingerprint = "4070933c6429043d351959ef1e4f95f4eab2f4e3598b107ec50cbf2b7055dbd6"
 
 func fingerprintReport(rep *dronerl.FlightReport) string {
@@ -50,14 +50,14 @@ func fingerprintReport(rep *dronerl.FlightReport) string {
 }
 
 // TestNewAPIReproducesQuickScaleBitForBit is the redesign's acceptance
-// test: the composable Spec/Run path must regenerate the historical
+// test: the composable Flight/Run path must regenerate the historical
 // QuickScale flight-experiment output exactly — same seeds, same schedule
 // derivations, same floats — under a parallel schedule.
 func TestNewAPIReproducesQuickScaleBitForBit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full QuickScale run takes ~20s; the engine-scale equivalence tests cover short mode")
 	}
-	spec, err := dronerl.New(
+	exp, err := dronerl.Flight(
 		dronerl.WithSeed(1),
 		dronerl.WithMetaIters(500),
 		dronerl.WithOnlineIters(400),
@@ -66,12 +66,8 @@ func TestNewAPIReproducesQuickScaleBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spec.Scale(); got != dronerl.QuickScale() {
-		t.Fatalf("spec scale %+v is not QuickScale %+v", got, dronerl.QuickScale())
-	}
-	exp, err := spec.Flight()
-	if err != nil {
-		t.Fatal(err)
+	if got := exp.Scale(); got != dronerl.QuickScale() {
+		t.Fatalf("flight scale %+v is not QuickScale %+v", got, dronerl.QuickScale())
 	}
 	if err := dronerl.Run(context.Background(), exp); err != nil {
 		t.Fatal(err)
@@ -82,53 +78,68 @@ func TestNewAPIReproducesQuickScaleBitForBit(t *testing.T) {
 	}
 }
 
+// TestNewRejectsInvalidSpecs: every entry point validates the options it
+// is given, and rejects an invalid one or an inconsistent combination.
 func TestNewRejectsInvalidSpecs(t *testing.T) {
+	flight := func(opts ...dronerl.FlightOption) error { _, err := dronerl.Flight(opts...); return err }
 	cases := []struct {
 		name string
-		opts []dronerl.Option
+		err  error
 	}{
-		{"unknown scenario", []dronerl.Option{dronerl.WithScenarios("atlantis")}},
-		{"empty scenario list", []dronerl.Option{dronerl.WithScenarios()}},
-		{"zero meta iters", []dronerl.Option{dronerl.WithMetaIters(0)}},
-		{"zero online iters", []dronerl.Option{dronerl.WithOnlineIters(0)}},
-		{"zero eval steps", []dronerl.Option{dronerl.WithEvalSteps(0)}},
-		{"bad gamma", []dronerl.Option{dronerl.WithGamma(1.5)}},
-		{"bad lr", []dronerl.Option{dronerl.WithLR(-1)}},
-		{"double dqn without target", []dronerl.Option{
-			dronerl.WithDoubleDQN(true), dronerl.WithTargetSync(0),
-		}},
-		{"unknown topology", []dronerl.Option{dronerl.WithTopology(dronerl.Config(42))}},
-		{"zero scale via WithScale", []dronerl.Option{dronerl.WithScale(dronerl.FlightScale{})}},
+		{"unknown scenario", flight(dronerl.WithScenarios("atlantis"))},
+		{"empty scenario list", flight(dronerl.WithScenarios())},
+		{"zero meta iters", flight(dronerl.WithMetaIters(0))},
+		{"zero online iters", flight(dronerl.WithOnlineIters(0))},
+		{"zero eval steps", flight(dronerl.WithEvalSteps(0))},
+		{"bad gamma", flight(dronerl.WithGamma(1.5))},
+		{"bad lr", flight(dronerl.WithLR(-1))},
+		{"double dqn without target", flight(dronerl.WithDoubleDQN(true), dronerl.WithTargetSync(0))},
+		{"sync interval without a fleet", flight(dronerl.WithSyncEvery(3))},
+		{"unknown backend", flight(dronerl.WithBackend("warpdrive"))},
+		{"unknown topology", func() error { _, err := dronerl.Agent(dronerl.WithTopology(dronerl.Config(42))); return err }()},
+		{"mission batch 0", func() error { _, err := dronerl.Missions(30, dronerl.WithBatchSize(0)); return err }()},
+		{"swarm of 0", func() error { _, err := dronerl.Swarm(dronerl.WithSwarm(0)); return err }()},
+		{"empty curriculum", func() error { _, err := dronerl.Curriculum(dronerl.WithCurriculum()); return err }()},
+		{"bad curriculum stage", func() error {
+			_, err := dronerl.Curriculum(dronerl.WithCurriculum(dronerl.Stage{Spec: dronerl.GenSpec{Kind: "nope"}}))
+			return err
+		}()},
 	}
 	for _, c := range cases {
-		if _, err := dronerl.New(c.opts...); err == nil {
-			t.Errorf("%s: New accepted an invalid spec", c.name)
+		if c.err == nil {
+			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }
 
+// TestSpecDefaultsAndAccessors: with no options every entry point builds
+// the L3 topology at the QuickScale budget, over the paper's first test
+// scenario where it flies one, with a fleet of four.
 func TestSpecDefaultsAndAccessors(t *testing.T) {
-	spec, err := dronerl.New()
+	exp, err := dronerl.Flight()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Topology() != dronerl.L3 {
-		t.Errorf("default topology %v, want L3", spec.Topology())
+	if exp.Scale() != dronerl.QuickScale() {
+		t.Errorf("default scale %+v, want QuickScale", exp.Scale())
 	}
-	if spec.Scale() != dronerl.QuickScale() {
-		t.Errorf("default scale %+v, want QuickScale", spec.Scale())
+	swarm, err := dronerl.Swarm()
+	if err != nil {
+		t.Fatal(err)
 	}
-	names := spec.ScenarioNames()
-	want := []string{"indoor-apartment", "indoor-house", "outdoor-forest", "outdoor-town"}
-	if len(names) != len(want) {
-		t.Fatalf("default scenarios %v", names)
+	if swarm.Scenario != "indoor-apartment" || swarm.Drones != 4 || swarm.Topology != dronerl.L3 {
+		t.Errorf("default swarm: %d drones in %q under %v, want 4 in indoor-apartment under L3",
+			swarm.Drones, swarm.Scenario, swarm.Topology)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("default scenario %d = %q, want %q", i, names[i], want[i])
-		}
+	cur, err := dronerl.Curriculum()
+	if err != nil {
+		t.Fatal(err)
 	}
-	agent, err := spec.Agent()
+	if got, want := cur.Stages(), dronerl.DefaultCurriculum("indoor"); cur.Topology != dronerl.L3 || len(got) != len(want) {
+		t.Errorf("default curriculum: %d stages under %v, want the %d-stage indoor ladder under L3",
+			len(got), cur.Topology, len(want))
+	}
+	agent, err := dronerl.Agent()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,15 +181,11 @@ func TestScenarioCatalogFacade(t *testing.T) {
 // TestRunStreamsProgressThroughFacade exercises the root-level progress
 // option end to end on a tiny experiment.
 func TestRunStreamsProgressThroughFacade(t *testing.T) {
-	spec, err := dronerl.New(
+	exp, err := dronerl.Flight(
 		dronerl.WithSeed(23),
 		dronerl.WithMetaIters(6), dronerl.WithOnlineIters(6), dronerl.WithEvalSteps(6),
 		dronerl.WithScenarios("indoor-apartment"),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := spec.Flight()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +204,10 @@ func TestRunStreamsProgressThroughFacade(t *testing.T) {
 }
 
 // TestUnknownScenarioErrorListsTheCatalog pins the fast-fail contract: a
-// typo'd scenario name is rejected at New time with an error that lists
-// every registered name, builtin and generated families alike.
+// typo'd scenario name is rejected before anything runs, with an error that
+// lists every registered name, builtin and generated families alike.
 func TestUnknownScenarioErrorListsTheCatalog(t *testing.T) {
-	_, err := dronerl.New(dronerl.WithScenarios("indoor-aprtment"))
+	_, err := dronerl.Flight(dronerl.WithScenarios("indoor-aprtment"))
 	if err == nil {
 		t.Fatal("misspelled scenario accepted")
 	}
@@ -219,20 +226,15 @@ func TestUnknownScenarioErrorListsTheCatalog(t *testing.T) {
 }
 
 func TestSpecCurriculumAndSwarm(t *testing.T) {
-	spec, err := dronerl.New(
+	cur, err := dronerl.Curriculum(
 		dronerl.WithSeed(5),
-		dronerl.WithMetaIters(40), dronerl.WithOnlineIters(40), dronerl.WithEvalSteps(40),
+		dronerl.WithMetaIters(40), dronerl.WithOnlineIters(40),
 		dronerl.WithScenarios("gen-indoor-sparse"),
-		dronerl.WithSwarm(3),
 		dronerl.WithCurriculum(
 			dronerl.Stage{Name: "a", Spec: dronerl.GenSpec{Kind: "indoor", Corridor: 1.3, Density: 2}},
 			dronerl.Stage{Name: "b", Spec: dronerl.GenSpec{Kind: "indoor", Corridor: 0.9, Density: 4}},
 		),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := spec.Curriculum()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,12 @@ func TestSpecCurriculumAndSwarm(t *testing.T) {
 		}
 	}
 
-	swarm, err := spec.Swarm()
+	swarm, err := dronerl.Swarm(
+		dronerl.WithSeed(5),
+		dronerl.WithMetaIters(40), dronerl.WithOnlineIters(40), dronerl.WithEvalSteps(40),
+		dronerl.WithScenarios("gen-indoor-sparse"),
+		dronerl.WithSwarm(3),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,15 +272,11 @@ func TestSpecCurriculumAndSwarm(t *testing.T) {
 // mission phase like every other deployment phase, so the fleet flies the
 // integer engine and the report names it and carries its tally.
 func TestSpecSwarmFliesTheSelectedBackend(t *testing.T) {
-	spec, err := dronerl.New(
+	swarm, err := dronerl.Swarm(
 		dronerl.WithSeed(5), dronerl.WithBackend(dronerl.Quant), dronerl.WithSwarm(2),
 		dronerl.WithMetaIters(30), dronerl.WithOnlineIters(30), dronerl.WithEvalSteps(20),
 		dronerl.WithScenarios("gen-indoor-sparse"),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swarm, err := spec.Swarm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,15 +296,11 @@ func TestSpecSwarmFliesTheSelectedBackend(t *testing.T) {
 // flight cell names the backend it trained on and what that charged, and
 // its greedy evaluation flies the same words and names them too.
 func TestSpecFlightCarriesTheTrainBackend(t *testing.T) {
-	spec, err := dronerl.New(
+	exp, err := dronerl.Flight(
 		dronerl.WithSeed(4), dronerl.WithTrainBackend(dronerl.QuantTrain),
 		dronerl.WithMetaIters(20), dronerl.WithOnlineIters(20), dronerl.WithEvalSteps(9),
 		dronerl.WithScenarios("warehouse"),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := spec.Flight()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,15 +322,11 @@ func TestSpecFlightCarriesTheTrainBackend(t *testing.T) {
 // flies the backend the agent's Greedy flies — the trained int16 words, not
 // the float mirror — and charges every drone's every step to it.
 func TestSpecSwarmFliesTheTrainedWords(t *testing.T) {
-	spec, err := dronerl.New(
+	swarm, err := dronerl.Swarm(
 		dronerl.WithSeed(5), dronerl.WithTrainBackend(dronerl.QuantTrain), dronerl.WithSwarm(3),
 		dronerl.WithMetaIters(30), dronerl.WithOnlineIters(30), dronerl.WithEvalSteps(20),
 		dronerl.WithScenarios("gen-indoor-sparse"),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swarm, err := spec.Swarm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +344,12 @@ func TestSpecSwarmFliesTheTrainedWords(t *testing.T) {
 
 func TestWithGeneratedRegistersAndSelects(t *testing.T) {
 	g := dronerl.GenSpec{Kind: "outdoor", Corridor: 4.5, Density: 0.8, Turbulence: 0.2}
-	spec, err := dronerl.New(dronerl.WithGenerated(g))
+	swarm, err := dronerl.Swarm(dronerl.WithGenerated(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := spec.ScenarioNames()
-	if len(names) != 1 || names[0] != g.FamilyName() {
-		t.Fatalf("generated family not selected: %v", names)
+	if swarm.Scenario != g.FamilyName() {
+		t.Fatalf("generated family not selected: %q", swarm.Scenario)
 	}
 	found := false
 	for _, s := range dronerl.Scenarios() {
@@ -370,16 +364,10 @@ func TestWithGeneratedRegistersAndSelects(t *testing.T) {
 		t.Fatalf("WithGenerated did not register %q in the catalog", g.FamilyName())
 	}
 	// Same spec again: idempotent, not a duplicate error.
-	if _, err := dronerl.New(dronerl.WithGenerated(g)); err != nil {
+	if _, err := dronerl.Flight(dronerl.WithGenerated(g)); err != nil {
 		t.Fatalf("re-registering the same generated family failed: %v", err)
 	}
-	if _, err := dronerl.New(dronerl.WithGenerated(dronerl.GenSpec{Kind: "nope"})); err == nil {
+	if _, err := dronerl.Flight(dronerl.WithGenerated(dronerl.GenSpec{Kind: "nope"})); err == nil {
 		t.Fatal("invalid generated spec accepted")
-	}
-	if _, err := dronerl.New(dronerl.WithSwarm(0)); err == nil {
-		t.Fatal("zero swarm size accepted")
-	}
-	if _, err := dronerl.New(dronerl.WithCurriculum()); err == nil {
-		t.Fatal("empty curriculum accepted")
 	}
 }

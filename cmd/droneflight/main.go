@@ -283,12 +283,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // with the agent options opts and prints the promotion trace.
 func runCurriculum(ctx context.Context, stdout, stderr io.Writer, kind string, cfg nn.Config,
 	seed int64, metaIters, onlineIters int, opts []rl.Option) int {
-	c, err := scen.NewCurriculum(scen.DefaultLadder(kind), cfg, seed, metaIters, onlineIters)
+	c, err := scen.NewCurriculum(scen.DefaultLadder(kind), cfg, seed, metaIters, onlineIters, opts...)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if err := c.SetAgentOverrides(opts...); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -326,12 +322,8 @@ func runCurriculum(ctx context.Context, stdout, stderr io.Writer, kind string, c
 func runSwarm(ctx context.Context, stdout, stderr io.Writer, scenario string, drones int,
 	cfg nn.Config, seed int64, metaIters, onlineIters, missionSteps int, opts []rl.Option) int {
 
-	e, err := scen.NewSwarmExperiment(scenario, drones, cfg, seed, metaIters, onlineIters, missionSteps)
+	e, err := scen.NewSwarmExperiment(scenario, drones, cfg, seed, metaIters, onlineIters, missionSteps, opts...)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if err := e.SetAgentOverrides(opts...); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}

@@ -99,7 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if runsFlight {
 		fmt.Fprintf(stderr, "running flight experiment (%d meta + 4x4x%d online iterations)...\n",
 			scale.MetaIters, scale.OnlineIters)
-		exp, err := core.NewFlightExperiment(scale)
+		exp, err := core.NewFlightExperiment(scale, nil)
 		if err != nil {
 			return fail("flight experiment", err)
 		}

@@ -14,9 +14,11 @@
 //     latency/energy model prices it (internal/hw, internal/mem).
 //
 // Experiments compose from four first-class concepts (see api.go): a
-// scenario catalog (Scenarios, RegisterScenario), a validated Spec built
-// from functional options (New, WithTopology, WithGamma, ...), a compute
-// backend the trained policy deploys onto for greedy evaluation
+// scenario catalog (Scenarios, RegisterScenario), one entry point per
+// experiment (Flight, Missions, OnlineMissions, Swarm, Curriculum) and per
+// agent (Agent, Deploy), each taking only the options it reads (WithSeed,
+// WithGamma, ...: one passed where it is not read does not compile), a
+// compute backend the trained policy deploys onto for greedy evaluation
 // (WithBackend: Float, Quant or Systolic, the last charging per-run energy
 // ledgers from the hardware model), and a unified context-aware engine
 // (Run, WithWorkers, WithProgress) that executes any Experiment with

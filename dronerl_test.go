@@ -20,14 +20,10 @@ func TestFacadeHardware(t *testing.T) {
 }
 
 func TestFacadeAgentAndEnvs(t *testing.T) {
-	spec, err := New(WithTopology(L3), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := spec.ScenarioNames(); len(names) != 4 {
+	if names := env.DefaultFlightScenarios(); len(names) != 4 {
 		t.Fatalf("%d environments", len(names))
 	}
-	a, err := spec.Agent()
+	a, err := Agent(WithTopology(L3), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +35,7 @@ func TestFacadeAgentAndEnvs(t *testing.T) {
 func TestFacadeTransferRoundTrip(t *testing.T) {
 	world := env.IndoorApartment(3)
 	snap := MetaTrain(world, 40, rl.Options{Seed: 7, BatchSize: 2, EpsDecaySteps: 20})
-	spec, err := New(WithTopology(L2), WithSeed(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := spec.Deploy(snap)
+	agent, err := Deploy(snap, WithTopology(L2), WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,17 +33,17 @@ func ExampleNewHardwareModel_memoryPlan() {
 	// SRAM: 29.4 MB, STT-MRAM: 99.8 MB
 }
 
-// ExampleSpec_ScenarioNames lists the four evaluation worlds a default Spec
-// flies; the engine builds scenario i with seed base+1+i.
-func ExampleSpec_ScenarioNames() {
-	spec, err := dronerl.New(dronerl.WithSeed(1))
+// ExampleFlight lists the four evaluation worlds a Flight without
+// WithScenarios flies; the engine builds scenario i with seed base+1+i.
+func ExampleFlight() {
+	exp, err := dronerl.Flight(dronerl.WithSeed(1))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	for i, name := range spec.ScenarioNames() {
+	for i, name := range env.DefaultFlightScenarios() {
 		sc, _ := env.LookupScenario(name)
-		w := sc.Build(spec.Scale().Seed + 1 + int64(i))
+		w := sc.Build(exp.Scale().Seed + 1 + int64(i))
 		fmt.Printf("%s (d_min %.1f m)\n", w.Name, w.DMin)
 	}
 	// Output:
@@ -53,18 +53,13 @@ func ExampleSpec_ScenarioNames() {
 	// outdoor town (d_min 4.0 m)
 }
 
-// ExampleSpec_Deploy shows the transfer-learning pipeline: meta-train,
-// download the snapshot into a drone whose online training touches only the
-// last two FC layers.
-func ExampleSpec_Deploy() {
+// ExampleDeploy shows the transfer-learning pipeline: meta-train, download
+// the snapshot into a drone whose online training touches only the last two
+// FC layers.
+func ExampleDeploy() {
 	world := env.IndoorApartment(8)
 	snap := dronerl.MetaTrain(world, 50, rl.Options{Seed: 7, BatchSize: 2, EpsDecaySteps: 25})
-	spec, err := dronerl.New(dronerl.WithTopology(dronerl.L2), dronerl.WithSeed(8))
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	agent, err := spec.Deploy(snap)
+	agent, err := dronerl.Deploy(snap, dronerl.WithTopology(dronerl.L2), dronerl.WithSeed(8))
 	if err != nil {
 		fmt.Println(err)
 		return

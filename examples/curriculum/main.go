@@ -21,9 +21,9 @@ func main() {
 	// A custom two-stage ladder; dronerl.DefaultCurriculum("indoor") gives
 	// the stock three-stage one. Every knob of a GenSpec that is left zero
 	// picks a kind-appropriate default.
-	spec, err := dronerl.New(
+	cur, err := dronerl.Curriculum(
 		dronerl.WithSeed(8),
-		dronerl.WithMetaIters(150), dronerl.WithOnlineIters(150), dronerl.WithEvalSteps(100),
+		dronerl.WithMetaIters(150), dronerl.WithOnlineIters(150),
 		dronerl.WithCurriculum(
 			dronerl.Stage{
 				Name: "roomy",
@@ -36,11 +36,6 @@ func main() {
 			},
 		),
 	)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	cur, err := spec.Curriculum()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,16 +57,12 @@ func main() {
 	// evaluations execute on the systolic backend, and read the energy
 	// back from the per-run ledgers the engine merged.
 	fmt.Println("flying a tiny experiment on the systolic backend...")
-	spec, err := dronerl.New(
+	exp, err := dronerl.Flight(
 		dronerl.WithSeed(4),
 		dronerl.WithMetaIters(60), dronerl.WithOnlineIters(60), dronerl.WithEvalSteps(60),
 		dronerl.WithScenarios("indoor-apartment"),
 		dronerl.WithBackend(dronerl.Systolic),
 	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exp, err := spec.Flight()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,17 +20,13 @@ import (
 )
 
 func main() {
-	spec, err := dronerl.New(
+	exp, err := dronerl.Flight(
 		dronerl.WithSeed(11),
 		dronerl.WithScenarios("indoor-apartment"),
 		dronerl.WithMetaIters(1200),
 		dronerl.WithOnlineIters(800),
 		dronerl.WithEvalSteps(600),
 	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exp, err := spec.Flight()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,11 +22,7 @@ func main() {
 	const budgetJ = 60.0 // compute-energy slice of a small drone battery
 	fmt.Printf("flying one mission per topology with a %.0f J compute budget...\n\n", budgetJ)
 
-	spec, err := dronerl.New(dronerl.WithSeed(3))
-	if err != nil {
-		log.Fatal(err)
-	}
-	exp, err := spec.Missions(budgetJ, true)
+	exp, err := dronerl.OnlineMissions(budgetJ, dronerl.WithSeed(3))
 	if err != nil {
 		log.Fatal(err)
 	}

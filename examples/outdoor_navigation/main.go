@@ -22,17 +22,13 @@ import (
 )
 
 func main() {
-	spec, err := dronerl.New(
+	exp, err := dronerl.Flight(
 		dronerl.WithSeed(21),
 		dronerl.WithScenarios("outdoor-forest", "outdoor-town"),
 		dronerl.WithMetaIters(1200),
 		dronerl.WithOnlineIters(800),
 		dronerl.WithEvalSteps(600),
 	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exp, err := spec.Flight()
 	if err != nil {
 		log.Fatal(err)
 	}

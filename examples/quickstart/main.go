@@ -1,10 +1,9 @@
 // Quickstart: the smallest end-to-end use of the library's composable API.
 //
-// It prices the hardware (one table), builds a validated experiment Spec
-// with functional options, picks a scenario from the catalog, meta-trains a
-// small model, deploys it with only the last three FC layers trainable (the
-// paper's L3 topology), and reports how far the drone flies between crashes
-// before and after online learning.
+// It prices the hardware (one table), picks typed agent options and a
+// scenario from the catalog, meta-trains a small model, deploys it with only
+// the last three FC layers trainable (the paper's L3 topology), and reports
+// how far the drone flies between crashes before and after online learning.
 //
 //	go run ./examples/quickstart
 package main
@@ -28,17 +27,16 @@ func main() {
 	fmt.Printf("hardware model: training the last 4 FC layers instead of the whole net\n")
 	fmt.Printf("  cuts per-iteration latency by %.1f%% and energy by %.1f%% (paper: 79.4%%/83.45%%)\n\n", lat, en)
 
-	// 2. A validated Spec: topology, seed and hyper-parameters in one
-	// place. Inconsistent combinations fail here, not mid-flight.
-	spec, err := dronerl.New(
+	// 2. Agent options: topology, seed and hyper-parameters in one place.
+	// Each option is typed by the entry points that read it; these are
+	// AgentOptions, which Agent and Deploy take. Deploy rejects an
+	// inconsistent combination with an error.
+	agentOpts := []dronerl.AgentOption{
 		dronerl.WithTopology(dronerl.L3),
 		dronerl.WithSeed(8),
 		dronerl.WithBatchSize(4),
 		dronerl.WithEpsilon(0.5, 0.05),
 		dronerl.WithEpsDecaySteps(300),
-	)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	// 3. A scenario from the catalog (dronerl.Scenarios lists all).
@@ -51,7 +49,7 @@ func main() {
 	snap := dronerl.MetaTrain(world, 800, metaOpts)
 
 	// 4. Transfer: download the meta-model into an agent frozen per L3.
-	agent, err := spec.Deploy(snap)
+	agent, err := dronerl.Deploy(snap, agentOpts...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	spec, err := dronerl.New(
+	swarm, err := dronerl.Swarm(
 		dronerl.WithSeed(11),
 		dronerl.WithMetaIters(150), dronerl.WithOnlineIters(150), dronerl.WithEvalSteps(120),
 		dronerl.WithGenerated(dronerl.GenSpec{Kind: "outdoor", Corridor: 4.5, Density: 1}),
@@ -29,10 +29,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	swarm, err := spec.Swarm()
-	if err != nil {
-		log.Fatal(err)
-	}
 	err = dronerl.Run(context.Background(), swarm, dronerl.WithProgress(func(ev dronerl.Event) {
 		fmt.Printf("  [%s] %s: reward %.3f\n", ev.Phase, ev.Env, ev.Reward)
 	}))

@@ -84,18 +84,15 @@ func TestFloatAndQuantBackendsAgreeOnBuiltinScenarios(t *testing.T) {
 // must reproduce the backend-less pipeline exactly.
 func TestExplicitFloatBackendBitIdentical(t *testing.T) {
 	scale := backendTestScale()
-	base, err := NewFlightExperiment(scale, "indoor-apartment")
+	base, err := NewFlightExperiment(scale, []string{"indoor-apartment"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Run(context.Background(), base); err != nil {
 		t.Fatal(err)
 	}
-	withFloat, err := NewFlightExperiment(scale, "indoor-apartment")
+	withFloat, err := NewFlightExperiment(scale, []string{"indoor-apartment"}, rl.WithEvalBackend(FloatBackendName))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := withFloat.SetAgentOverrides(rl.WithEvalBackend(FloatBackendName)); err != nil {
 		t.Fatal(err)
 	}
 	if err := Run(context.Background(), withFloat, WithWorkers(3)); err != nil {
@@ -129,11 +126,8 @@ func TestExplicitFloatBackendBitIdentical(t *testing.T) {
 func TestSystolicBackendFlightAcceptance(t *testing.T) {
 	scale := backendTestScale()
 	run := func(workers int, progress ProgressFunc) *FlightReport {
-		e, err := NewFlightExperiment(scale, "indoor-apartment")
+		e, err := NewFlightExperiment(scale, []string{"indoor-apartment"}, rl.WithEvalBackend(SystolicBackendName))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SetAgentOverrides(rl.WithEvalBackend(SystolicBackendName)); err != nil {
 			t.Fatal(err)
 		}
 		opts := []RunOption{WithWorkers(workers)}
@@ -222,11 +216,9 @@ func TestSystolicBackendFlightAcceptance(t *testing.T) {
 // ledgers only, is nil. Merging the train ledger must be a deliberate change
 // to this test.
 func TestTrainBackendCostStaysOutOfEnergy(t *testing.T) {
-	e, err := NewFlightExperiment(FlightScale{MetaIters: 10, OnlineIters: 10, EvalSteps: 10, Seed: 4}, "indoor-apartment")
+	e, err := NewFlightExperiment(FlightScale{MetaIters: 10, OnlineIters: 10, EvalSteps: 10, Seed: 4},
+		[]string{"indoor-apartment"}, rl.WithTrainBackend(QuantTrainBackendName))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetAgentOverrides(rl.WithTrainBackend(QuantTrainBackendName)); err != nil {
 		t.Fatal(err)
 	}
 	if err := Run(context.Background(), e); err != nil {

@@ -22,7 +22,7 @@ func cancelScale() FlightScale {
 // Run reports context.Canceled promptly: in-flight runs finish, nothing new
 // starts, and the experiment's report stays unset.
 func TestRunCancelReturnsWithinRunBoundary(t *testing.T) {
-	exp, err := NewFlightExperiment(cancelScale())
+	exp, err := NewFlightExperiment(cancelScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +48,14 @@ func TestRunCancelReturnsWithinRunBoundary(t *testing.T) {
 func TestRunCancelLeaksNoGoroutines(t *testing.T) {
 	// Warm up: the first experiment initializes lazy runtime state
 	// (GC background work, etc.) that would otherwise skew the count.
-	warm, _ := NewFlightExperiment(cancelScale())
+	warm, _ := NewFlightExperiment(cancelScale(), nil)
 	if err := Run(context.Background(), warm, WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
 
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 3; trial++ {
-		exp, err := NewFlightExperiment(cancelScale())
+		exp, err := NewFlightExperiment(cancelScale(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestRunCancelLeaksNoGoroutines(t *testing.T) {
 func TestRunCancelledThenRestartedReproducesUninterrupted(t *testing.T) {
 	scale := cancelScale()
 
-	reference, err := NewFlightExperiment(scale)
+	reference, err := NewFlightExperiment(scale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRunCancelledThenRestartedReproducesUninterrupted(t *testing.T) {
 
 	// Cancel one attempt partway through...
 	ctx, cancel := context.WithCancel(context.Background())
-	aborted, _ := NewFlightExperiment(scale)
+	aborted, _ := NewFlightExperiment(scale, nil)
 	n := 0
 	_ = Run(ctx, aborted, WithWorkers(3), WithProgress(func(Event) {
 		n++
@@ -112,7 +112,7 @@ func TestRunCancelledThenRestartedReproducesUninterrupted(t *testing.T) {
 	cancel()
 
 	// ...and restart from scratch.
-	restarted, _ := NewFlightExperiment(scale)
+	restarted, _ := NewFlightExperiment(scale, nil)
 	if err := Run(context.Background(), restarted, WithWorkers(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRunCancelledThenRestartedReproducesUninterrupted(t *testing.T) {
 // event per completed run, phases labelled, totals right.
 func TestRunProgressEventsCoverEveryRun(t *testing.T) {
 	scale := cancelScale()
-	exp, err := NewFlightExperiment(scale)
+	exp, err := NewFlightExperiment(scale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRunProgressEventsCoverEveryRun(t *testing.T) {
 
 // TestFlightExperimentUnknownScenario pins the planner's error path.
 func TestFlightExperimentUnknownScenario(t *testing.T) {
-	if _, err := NewFlightExperiment(cancelScale(), "no-such-world"); err == nil {
+	if _, err := NewFlightExperiment(cancelScale(), []string{"no-such-world"}); err == nil {
 		t.Fatal("unknown scenario must fail at planning time")
 	}
 }
@@ -163,7 +163,7 @@ func TestFlightExperimentCustomScenarioList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered structurally by the default-scenario tests in short mode")
 	}
-	exp, err := NewFlightExperiment(cancelScale(), "warehouse", "outdoor-town")
+	exp, err := NewFlightExperiment(cancelScale(), []string{"warehouse", "outdoor-town"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func runExp(t *testing.T, e Experiment, workers int) {
 // runFlight runs the flight experiment at scale on workers workers.
 func runFlight(t *testing.T, scale FlightScale, workers int) *FlightReport {
 	t.Helper()
-	e, err := NewFlightExperiment(scale)
+	e, err := NewFlightExperiment(scale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,13 +157,15 @@ type FlightExperiment struct {
 }
 
 // NewFlightExperiment plans a flight experiment over the named scenarios
-// (the paper's four test environments when none are given). It fails on a
-// name missing from the scenario registry.
-func NewFlightExperiment(scale FlightScale, scenarioNames ...string) (*FlightExperiment, error) {
+// (the paper's four test environments when none are given), with the agent
+// options every phase applies over its training recipe; an invalid
+// combination fails the run. It fails on a name missing from the scenario
+// registry.
+func NewFlightExperiment(scale FlightScale, scenarioNames []string, opts ...rl.Option) (*FlightExperiment, error) {
 	if len(scenarioNames) == 0 {
 		scenarioNames = env.DefaultFlightScenarios()
 	}
-	e := &FlightExperiment{scale: scale}
+	e := &FlightExperiment{scale: scale, agentOpts: opts}
 	seen := map[string]bool{}
 	for i, name := range scenarioNames {
 		s, ok := env.LookupScenario(name)
@@ -183,18 +185,6 @@ func NewFlightExperiment(scale FlightScale, scenarioNames ...string) (*FlightExp
 		}
 	}
 	return e, nil
-}
-
-// SetAgentOverrides installs the agent options every phase applies over its
-// training recipe; an invalid combination fails the run. The flight reads
-// every agent option; WithSyncEvery without WithActors(n > 1) is refused
-// (see CheckOverrides).
-func (e *FlightExperiment) SetAgentOverrides(opts ...rl.Option) error {
-	if err := CheckOverrides("core: flight", opts, Unread{}); err != nil {
-		return err
-	}
-	e.agentOpts = opts
-	return nil
 }
 
 // Name implements Experiment.

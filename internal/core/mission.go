@@ -137,30 +137,13 @@ type MissionExperiment struct {
 }
 
 // NewMissionExperiment plans a topology-comparison mission on the indoor
-// apartment under a fixed compute-energy budget.
-func NewMissionExperiment(seed int64, budgetJ float64, online bool) *MissionExperiment {
-	return &MissionExperiment{seed: seed, budgetJ: budgetJ, online: online}
-}
-
-// SetAgentOverrides installs agent options (gamma, learning rate, batch
-// size, ...) applied over the mission's meta-training and deployment
-// templates; an invalid combination fails the run. The deployed agent's
-// batch size also drives the per-frame training cadence and the hardware
-// model's batch pricing. It refuses the options a mission does not read:
-// WithActors(n > 1) always, WithBackend on an online mission and
-// WithTrainBackend on an inference-only one (see CheckOverrides).
-func (e *MissionExperiment) SetAgentOverrides(opts ...rl.Option) error {
-	unread := Unread{Actors: "the energy budget fixes the frame count, and one drone flies it"}
-	if e.online {
-		unread.EvalBackend = "an online mission acts on the network it trains"
-	} else {
-		unread.TrainBackend = "an inference-only mission never trains"
-	}
-	if err := CheckOverrides("core: mission", opts, unread); err != nil {
-		return err
-	}
-	e.agentOpts = opts
-	return nil
+// apartment under a fixed compute-energy budget. The agent options (gamma,
+// learning rate, batch size, ...) apply over the mission's meta-training and
+// deployment templates; an invalid combination fails the run. The deployed
+// agent's batch size also drives the per-frame training cadence and the
+// hardware model's batch pricing.
+func NewMissionExperiment(seed int64, budgetJ float64, online bool, opts ...rl.Option) *MissionExperiment {
+	return &MissionExperiment{seed: seed, budgetJ: budgetJ, online: online, agentOpts: opts}
 }
 
 // Name implements Experiment.

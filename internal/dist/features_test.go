@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dronerl/internal/allocs"
 	"dronerl/internal/env"
 	_ "dronerl/internal/hw" // registers the quant-train backend
 	"dronerl/internal/nn"
@@ -168,21 +169,22 @@ func TestMaybeFlushZeroAlloc(t *testing.T) {
 	for _, features := range []bool{false, true} {
 		a.features = features
 		a.stats.Sent = 0
-		if allocs := testing.AllocsPerRun(20, func() {
+		if avg := allocs.PerRun(20, func() {
 			a.ringHead = 0
 			a.maybeFlush(false)
-		}); allocs != 0 {
-			t.Errorf("flushing %d transitions (features %v) allocates %.0f times", cfg.FlushEvery, features, allocs)
+		}); avg != 0 {
+			t.Errorf("flushing %d transitions (features %v) allocates %v times", cfg.FlushEvery, features, avg)
 		}
-		if a.stats.Sent != 21*cfg.FlushEvery {
-			t.Fatalf("sent %d transitions, want %d", a.stats.Sent, 21*cfg.FlushEvery)
+		// PerRun calls once to warm up, then three windows of 20.
+		if a.stats.Sent != 61*cfg.FlushEvery {
+			t.Fatalf("sent %d transitions, want %d", a.stats.Sent, 61*cfg.FlushEvery)
 		}
 	}
-	if allocs := testing.AllocsPerRun(20, func() {
+	if avg := allocs.PerRun(20, func() {
 		a.lastWrite = time.Time{}
 		a.maybeFlush(false)
-	}); allocs != 0 {
-		t.Errorf("a heartbeat allocates %.0f times", allocs)
+	}); avg != 0 {
+		t.Errorf("a heartbeat allocates %v times", avg)
 	}
 }
 

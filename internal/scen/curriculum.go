@@ -123,8 +123,11 @@ type Curriculum struct {
 }
 
 // NewCurriculum validates the stage ladder and builds the runner. Every
-// stage spec must validate; metaIters and stageIters must be positive.
-func NewCurriculum(stages []Stage, topology nn.Config, seed int64, metaIters, stageIters int) (*Curriculum, error) {
+// stage spec must validate; metaIters and stageIters must be positive. The
+// agent options apply over the meta and online recipes, exactly like the
+// flight driver's; an invalid combination fails the run.
+func NewCurriculum(stages []Stage, topology nn.Config, seed int64, metaIters, stageIters int,
+	opts ...rl.Option) (*Curriculum, error) {
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("scen: curriculum needs at least one stage")
 	}
@@ -156,22 +159,8 @@ func NewCurriculum(stages []Stage, topology nn.Config, seed int64, metaIters, st
 	return &Curriculum{
 		Topology: topology, Seed: seed,
 		MetaIters: metaIters, StageIters: stageIters,
-		stages: own,
+		stages: own, agentOpts: opts,
 	}, nil
-}
-
-// SetAgentOverrides installs the agent options applied over the meta and
-// online recipes, exactly like the flight driver's; an invalid combination
-// fails the run. It refuses WithBackend, since the curriculum has no
-// evaluation phase, and WithSyncEvery without WithActors(n > 1) (see
-// core.CheckOverrides).
-func (c *Curriculum) SetAgentOverrides(opts ...rl.Option) error {
-	unread := core.Unread{EvalBackend: "the curriculum has no evaluation phase"}
-	if err := core.CheckOverrides("scen: curriculum", opts, unread); err != nil {
-		return err
-	}
-	c.agentOpts = opts
-	return nil
 }
 
 // Stages returns the validated ladder (defaults applied).

@@ -156,9 +156,12 @@ type SwarmExperiment struct {
 }
 
 // NewSwarmExperiment validates the scenario name against the catalog
-// (listing the registered names on a miss) and the budgets.
+// (listing the registered names on a miss) and the budgets. The agent
+// options apply over the meta and online recipes; an invalid combination
+// fails the run. The evaluation backend they name (rl.WithEvalBackend), else
+// their train backend, is the one the mission phase flies on.
 func NewSwarmExperiment(scenario string, drones int, topology nn.Config, seed int64,
-	metaIters, onlineIters, missionSteps int) (*SwarmExperiment, error) {
+	metaIters, onlineIters, missionSteps int, opts ...rl.Option) (*SwarmExperiment, error) {
 
 	if _, ok := env.LookupScenario(scenario); !ok {
 		return nil, fmt.Errorf("scen: unknown scenario %q: registered scenarios are %s",
@@ -174,21 +177,8 @@ func NewSwarmExperiment(scenario string, drones int, topology nn.Config, seed in
 	return &SwarmExperiment{
 		Scenario: scenario, Drones: drones, Topology: topology, Seed: seed,
 		MetaIters: metaIters, OnlineIters: onlineIters, MissionSteps: missionSteps,
+		agentOpts: opts,
 	}, nil
-}
-
-// SetAgentOverrides installs the agent options applied over the meta and
-// online recipes; an invalid combination fails the run. The evaluation
-// backend they name (rl.WithEvalBackend), else their train backend, is the
-// one the mission phase flies on. The swarm reads every agent option;
-// WithSyncEvery without WithActors(n > 1) is refused (see
-// core.CheckOverrides).
-func (e *SwarmExperiment) SetAgentOverrides(opts ...rl.Option) error {
-	if err := core.CheckOverrides("scen: swarm", opts, core.Unread{}); err != nil {
-		return err
-	}
-	e.agentOpts = opts
-	return nil
 }
 
 // Name implements core.Experiment.

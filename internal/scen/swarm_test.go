@@ -273,11 +273,8 @@ func TestFlySwarmQuantBackendBitIdentical(t *testing.T) {
 // the compiled quant engine through the mission phase and the report
 // carries its name and amortized cost tally.
 func TestSwarmExperimentQuantBackend(t *testing.T) {
-	e, err := NewSwarmExperiment("gen-indoor-sparse", 3, nn.L3, 21, 40, 40, 30)
+	e, err := NewSwarmExperiment("gen-indoor-sparse", 3, nn.L3, 21, 40, 40, 30, rl.WithEvalBackend("quant"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetAgentOverrides(rl.WithEvalBackend("quant")); err != nil {
 		t.Fatal(err)
 	}
 	if err := core.Run(context.Background(), e); err != nil {

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dronerl/internal/allocs"
 )
 
 // actTableWant is what POST /v1/act answered to every seed at 0ea6ac4, when
@@ -271,13 +273,13 @@ func TestActDecodeAllocs(t *testing.T) {
 	seeds := actSeeds(1024)
 	for _, seed := range []actSeed{seeds[0], seeds[2]} {
 		body := []byte(seed.body)
-		allocs := testing.AllocsPerRun(100, func() {
+		avg := allocs.PerRun(100, func() {
 			if _, n, _, fellBack, err := decodeActBody(body, 1024); n != 1024 || fellBack || err != nil {
 				t.Fatalf("%s: n %d, fell back %v, err %v", seed.name, n, fellBack, err)
 			}
 		})
-		if allocs > 2 {
-			t.Errorf("decoding the %s 1024-float body allocates %.0f times, want at most 2", seed.name, allocs)
+		if avg > 2 {
+			t.Errorf("decoding the %s 1024-float body allocates %v times, want at most 2", seed.name, avg)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math/rand"
 	"testing"
+
+	"dronerl/internal/allocs"
 )
 
 func TestArenaReusesStorage(t *testing.T) {
@@ -40,7 +42,7 @@ func TestArenaReusesStorage(t *testing.T) {
 func TestArenaGetSteadyStateAllocs(t *testing.T) {
 	var a Arena
 	a.Get(0, 16, 16) // warm-up
-	if avg := testing.AllocsPerRun(100, func() { a.Get(0, 16, 16) }); avg != 0 {
+	if avg := allocs.PerRun(100, func() { a.Get(0, 16, 16) }); avg != 0 {
 		t.Errorf("steady-state Get allocates %v times per call, want 0", avg)
 	}
 }

@@ -4,19 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"testing"
-	"time"
 
 	"dronerl/internal/nn"
 )
 
-// TestServeFacade boots the daemon through the root API on a random port,
-// round-trips one inference and a hot reload over HTTP, and checks ctx
-// cancellation drains cleanly — the facade-level acceptance of the serving
-// subsystem.
+// TestServeFacade serves through the root API on a listener bound to a free
+// port before serving starts, so no request can race the bind and none
+// polls for readiness. It round-trips one inference and a hot reload over
+// HTTP and checks ctx cancellation drains cleanly — the facade-level
+// acceptance of the serving subsystem. The one-call Serve binds its own
+// address: it returns the bind error for a taken one, and nil once
+// cancelled.
 func TestServeFacade(t *testing.T) {
 	spec := nn.NavNetSpec()
 	build := func(seed int64) *nn.Snapshot {
@@ -25,14 +27,27 @@ func TestServeFacade(t *testing.T) {
 		return nn.TakeSnapshot(net, spec.Name)
 	}
 
-	const addr = "127.0.0.1:39857"
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Serve(context.Background(), ServeConfig{Addr: ln.Addr().String(), Snapshot: build(1)}); err == nil {
+		t.Fatal("Serve on a taken address returned nil")
+	}
+	cancelled, cancelNow := context.WithCancel(context.Background())
+	cancelNow()
+	if err := Serve(cancelled, ServeConfig{Addr: "127.0.0.1:0", Snapshot: build(1), Workers: 1}); err != nil {
+		t.Fatalf("Serve returned %v on cancellation, want nil", err)
+	}
+
+	srv, err := NewServer(ServeConfig{Snapshot: build(1), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() {
-		served <- Serve(ctx, ServeConfig{Addr: addr, Snapshot: build(1), Workers: 1})
-	}()
-	base := "http://" + addr
-	waitHealthy(t, base)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	base := "http://" + ln.Addr().String()
 
 	obs := make([]float32, nn.NavNetInput*nn.NavNetInput)
 	body, _ := json.Marshal(map[string]any{"obs": obs})
@@ -79,21 +94,4 @@ func TestServeFacade(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("Serve returned %v on cancellation, want nil", err)
 	}
-}
-
-// waitHealthy polls /healthz until the daemon answers.
-func waitHealthy(t *testing.T, base string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal(fmt.Errorf("daemon never became healthy at %s", base))
 }
