@@ -258,13 +258,19 @@ func newExperiment[O option](opts []O) (*spec, error) {
 	return s, nil
 }
 
-// scenario is the first selected scenario: the world Swarm flies, and the
-// kind of Curriculum's default ladder.
-func (s *spec) scenario() string {
-	if len(s.scenarios) == 0 {
-		return env.DefaultFlightScenarios()[0]
+// scenario is the one selected scenario, or the paper's first test world
+// when none is: the world Swarm flies, and the kind of Curriculum's default
+// ladder. A longer list is refused by name, since those entry points fly
+// one world.
+func (s *spec) scenario(entry string) (string, error) {
+	switch len(s.scenarios) {
+	case 0:
+		return env.DefaultFlightScenarios()[0], nil
+	case 1:
+		return s.scenarios[0], nil
 	}
-	return s.scenarios[0]
+	return "", fmt.Errorf("dronerl: %s flies one scenario, got %d: %s",
+		entry, len(s.scenarios), strings.Join(s.scenarios, ", "))
 }
 
 // WithTopology selects the training topology of the agents an entry point
@@ -324,8 +330,9 @@ func WithEvalSteps(n int) evalStepsOption {
 }
 
 // WithScenarios selects worlds by catalog name, in the given order: a
-// flight sweeps every one, a swarm flies the first, and the first one's
-// kind picks a curriculum's default ladder. Unknown names are rejected.
+// flight sweeps every one. A swarm flies, and a curriculum's default ladder
+// takes its kind from, exactly one, so both refuse a longer list. Unknown
+// names are rejected.
 func WithScenarios(names ...string) budgetOption {
 	return budgetOption{setter: func(s *spec) error {
 		if len(names) == 0 {
@@ -373,7 +380,8 @@ func DefaultCurriculum(kind string) []Stage { return scen.DefaultLadder(kind) }
 
 // WithGenerated registers the spec's scenario family in the catalog (under
 // its canonical FamilyName; re-registering the same spec is a no-op) and
-// appends it to the scenario list, like a WithScenarios name.
+// appends it to the scenario list, like a WithScenarios name: Swarm and
+// Curriculum refuse it beside another scenario.
 func WithGenerated(g GenSpec) budgetOption {
 	return budgetOption{setter: func(s *spec) error {
 		name, err := scen.RegisterSpec(g)
@@ -570,33 +578,41 @@ func missions[O option](budgetJ float64, online bool, opts []O) (*MissionExperim
 // ladder's kind, then adapt the policy online through each generated stage,
 // promoting on the stage's moving-average reward and safe-flight-distance
 // thresholds. The ladder is the one installed with WithCurriculum, or the
-// kind-default ladder matching the first scenario. Execute it with Run;
-// with a fixed seed the promotion trace is reproducible run to run.
+// kind-default ladder matching the one selected scenario. Execute it with
+// Run; with a fixed seed the promotion trace is reproducible run to run.
 func Curriculum(opts ...CurriculumOption) (*CurriculumExperiment, error) {
 	s, err := newExperiment(opts)
 	if err != nil {
 		return nil, err
 	}
+	name, err := s.scenario("Curriculum")
+	if err != nil {
+		return nil, err
+	}
 	stages := s.stages
 	if len(stages) == 0 {
-		sc, _ := env.LookupScenario(s.scenario())
+		sc, _ := env.LookupScenario(name)
 		stages = scen.DefaultLadder(sc.Kind)
 	}
 	return scen.NewCurriculum(stages, s.topology, s.scale.Seed, s.scale.MetaIters, s.scale.OnlineIters,
 		s.agentOpts...)
 }
 
-// Swarm builds the multi-drone mission over the first scenario: meta-train
-// and adapt one policy, then fly the fleet (WithSwarm) as clones of that
-// world in lockstep on the WithBackend engine, batching the whole swarm's
-// observations into one pass per layer. WithEvalSteps is the mission
-// length. Execute it with Run.
+// Swarm builds the multi-drone mission over the one selected scenario:
+// meta-train and adapt one policy, then fly the fleet (WithSwarm) as clones
+// of that world in lockstep on the WithBackend engine, batching the whole
+// swarm's observations into one pass per layer. WithEvalSteps is the
+// mission length. Execute it with Run.
 func Swarm(opts ...SwarmOption) (*SwarmExperiment, error) {
 	s, err := newExperiment(opts)
 	if err != nil {
 		return nil, err
 	}
-	return scen.NewSwarmExperiment(s.scenario(), s.swarm, s.topology,
+	name, err := s.scenario("Swarm")
+	if err != nil {
+		return nil, err
+	}
+	return scen.NewSwarmExperiment(name, s.swarm, s.topology,
 		s.scale.Seed, s.scale.MetaIters, s.scale.OnlineIters, s.scale.EvalSteps, s.agentOpts...)
 }
 

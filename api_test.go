@@ -82,6 +82,7 @@ func TestNewAPIReproducesQuickScaleBitForBit(t *testing.T) {
 // is given, and rejects an invalid one or an inconsistent combination.
 func TestNewRejectsInvalidSpecs(t *testing.T) {
 	flight := func(opts ...dronerl.FlightOption) error { _, err := dronerl.Flight(opts...); return err }
+	outdoor := dronerl.GenSpec{Kind: "outdoor", Corridor: 4.5, Density: 1}
 	cases := []struct {
 		name string
 		err  error
@@ -100,6 +101,14 @@ func TestNewRejectsInvalidSpecs(t *testing.T) {
 		{"mission batch 0", func() error { _, err := dronerl.Missions(30, dronerl.WithBatchSize(0)); return err }()},
 		{"swarm of 0", func() error { _, err := dronerl.Swarm(dronerl.WithSwarm(0)); return err }()},
 		{"empty curriculum", func() error { _, err := dronerl.Curriculum(dronerl.WithCurriculum()); return err }()},
+		{"swarm over two scenarios", func() error {
+			_, err := dronerl.Swarm(dronerl.WithScenarios("indoor-apartment"), dronerl.WithGenerated(outdoor))
+			return err
+		}()},
+		{"curriculum over two scenarios", func() error {
+			_, err := dronerl.Curriculum(dronerl.WithScenarios("indoor-apartment", "outdoor-forest"))
+			return err
+		}()},
 		{"bad curriculum stage", func() error {
 			_, err := dronerl.Curriculum(dronerl.WithCurriculum(dronerl.Stage{Spec: dronerl.GenSpec{Kind: "nope"}}))
 			return err
@@ -108,6 +117,32 @@ func TestNewRejectsInvalidSpecs(t *testing.T) {
 	for _, c := range cases {
 		if c.err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestOneWorldEntriesNameTheRefusedList: Swarm and Curriculum fly one
+// world, so a scenario list of two, however it was built, is refused with
+// an error naming the entry point and both scenarios.
+func TestOneWorldEntriesNameTheRefusedList(t *testing.T) {
+	g := dronerl.GenSpec{Kind: "outdoor", Corridor: 4.5, Density: 1}
+	_, swarmErr := dronerl.Swarm(dronerl.WithScenarios("indoor-apartment"), dronerl.WithGenerated(g))
+	_, curErr := dronerl.Curriculum(dronerl.WithScenarios("indoor-apartment", "outdoor-forest"))
+	for _, c := range []struct {
+		err  error
+		want []string
+	}{
+		{swarmErr, []string{"Swarm", "indoor-apartment", g.FamilyName()}},
+		{curErr, []string{"Curriculum", "indoor-apartment", "outdoor-forest"}},
+	} {
+		if c.err == nil {
+			t.Errorf("%s: a list of two was accepted", c.want[0])
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(c.err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", c.want[0], c.err, w)
+			}
 		}
 	}
 }

@@ -17,14 +17,15 @@
 // scenario catalog (Scenarios, RegisterScenario), one entry point per
 // experiment (Flight, Missions, OnlineMissions, Swarm, Curriculum) and per
 // agent (Agent, Deploy), each taking only the options it reads (WithSeed,
-// WithGamma, ...: one passed where it is not read does not compile), a
-// compute backend the trained policy deploys onto for greedy evaluation
-// (WithBackend: Float, Quant or Systolic, the last charging per-run energy
-// ledgers from the hardware model), and a unified context-aware engine
-// (Run, WithWorkers, WithProgress) that executes any Experiment with
-// deterministic, worker-count-independent results. See README.md for a
-// tour, the MIGRATION section there for the removed one-shot entry points,
-// and EXPERIMENTS.md for the paper-vs-model comparison.
+// WithGamma, ...: one passed to an entry point that cannot read it does
+// not compile), a compute backend the trained policy deploys onto for
+// greedy evaluation (WithBackend: Float, Quant or Systolic, the last
+// charging per-run energy ledgers from the hardware model), and a unified
+// context-aware engine (Run, WithWorkers, WithProgress) that executes any
+// Experiment with deterministic, worker-count-independent results. See
+// README.md for a tour, the MIGRATION section there for the removed
+// one-shot entry points, and EXPERIMENTS.md for the paper-vs-model
+// comparison.
 package dronerl
 
 import (

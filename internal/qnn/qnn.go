@@ -29,8 +29,8 @@ type Options = TrainOptions
 
 // Compile converts a trained float network into the int16 engine with
 // nothing trainable: CompileTrainable with the training boundary after the
-// last layer, so every conv is packed once for the direct convolution and no
-// layer carries a gradient scratchpad.
+// last layer, so no store carries gradient sums and every conv's image is
+// packed once, for the same direct convolution a trainable conv repacks for.
 func Compile(src *nn.Network, opts Options) (*Network, error) {
 	return compile(src, opts, len(src.Layers))
 }

@@ -159,11 +159,10 @@ func TestEndToEndFlightWithIntegerPolicy(t *testing.T) {
 
 func TestSaturationOnExtremeWeights(t *testing.T) {
 	// A dense layer with huge weights must saturate, not wrap.
-	d := &stage{tLayer: &tDense{
-		layerName: "sat", in: 2, out: 1,
+	d := &stage{tLayer: newDense("sat", 2, 1, words{
 		w: []int16{32767, 32767}, b: []int16{0},
 		aFrac: 8, wFrac: 13,
-	}, fmt: fixed.Q78}
+	}), fmt: fixed.Q78}
 	in := QTensor{Shape: []int{2}, Data: fixed.Vec{32767, 32767}, Fmt: fixed.Q78}
 	out := d.Forward(in)
 	if out.Data[0] != 32767 {
@@ -228,11 +227,10 @@ func TestConvIntegerKnownValues(t *testing.T) {
 	// 1x1x2x2 input, 1 channel, 2x2 kernel of ones, no pad: output =
 	// sum of inputs.
 	one := int16(fixed.Format{Frac: 13}.One())
-	c := &stage{tLayer: &tConv{
-		layerName: "c", inC: 1, outC: 1, k: 2, stride: 1, pad: 0,
+	c := &stage{tLayer: newConv("c", 1, 1, 2, 1, 0, words{
 		w: []int16{one, one, one, one}, b: []int16{0},
 		aFrac: 8, wFrac: 13,
-	}, fmt: fixed.Q78}
+	}), fmt: fixed.Q78}
 	in := QTensor{Shape: []int{1, 2, 2}, Fmt: fixed.Q78,
 		Data: fixed.Vec{fixed.Q78.FromFloat(0.5), fixed.Q78.FromFloat(0.25),
 			fixed.Q78.FromFloat(0.125), fixed.Q78.FromFloat(0.125)}}

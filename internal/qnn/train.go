@@ -3,6 +3,7 @@ package qnn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dronerl/internal/fixed"
 	"dronerl/internal/nn"
@@ -12,11 +13,17 @@ import (
 // The int16 engine: forward, backward and weight update executed in the
 // accelerator's integer arithmetic, the regime Roy et al. study for MRAM
 // training scratchpads (PAPERS.md), and the one layer walk that serving runs
-// too: Compile is this walk with nothing trainable. Every kernel is batched —
-// one int16 GEMM (tensor.MatMul16T) per weighted layer per minibatch, a
-// trainable conv through the im2col panel its backward pass reads back, a
-// frozen conv through the direct kernel (tensor.Conv16Batch) — and a single
-// sample is a batch of one.
+// too: Compile is this walk with nothing trainable. Every kernel is batched:
+// a dense layer is one int16 GEMM (tensor.MatMul16T) per minibatch and every
+// conv, trainable or frozen, the direct kernel (tensor.Conv16Batch) over its
+// packed weight image, which a trainable conv repacks from its words each
+// pass. Only a conv's backward pass builds an im2col panel, the one its
+// weight gradient reads. A single sample is a batch of one.
+//
+// Trained words. Both weighted layers keep their words, their 64-bit
+// gradient sums and their formats in one store (words), which owns the
+// update, the clip and the footprint; the Network lists every store in walk
+// order, so Update, CopyWeightsFrom, WriteBack and Clone walk that list.
 //
 // Accumulation. Where the PE datapath saturates every MAC, every forward
 // pass here, Dense *and* Conv, follows the int16 kernels' contract
@@ -159,34 +166,23 @@ func slotOf[T any](pool *[][]T, slot, n int) []T {
 // tLayer is one stage of the int16 walk. Every kernel is
 // batched: forwardBatch runs bsz stacked samples (row-major, one CHW block
 // per sample) and caches whatever backwardBatch needs for the same rows;
-// backwardBatch accumulates the gradient scratchpads over the whole batch
-// and returns the stacked input gradient in GradFmt. Panels are staged in
-// the network's grow-only workspace under the layer's slot and stay valid
-// until the layer's next call. A single sample is a batch of one.
+// backwardBatch accumulates the gradient sums over the whole batch and
+// returns the stacked input gradient in GradFmt. Panels are staged in the
+// network's grow-only workspace under the layer's slot and stay valid until
+// the layer's next call. A single sample is a batch of one.
 type tLayer interface {
 	name() string
 	forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int)
 	backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slot int) []int16
-	// update applies the accumulated gradients with the given fixed-point
-	// learning rate and clears the scratchpads; stateless layers no-op.
-	update(lrFixed int64, lrFrac uint, sr *fixed.SR)
-	// gradMaxAbs returns the largest |gradient| in real units, for clipping.
-	gradMaxAbs() float64
-	// scaleGrads multiplies every gradient scratchpad by sFixed/2^15.
-	scaleGrads(sFixed int64)
-	// weightBits is the layer's weight-store footprint in bits (0 for
-	// stateless layers).
-	weightBits() int64
 }
 
-// Workspace panels per layer slot: the int16 pool holds five kinds per
+// Workspace panels per layer slot: the int16 pool holds four kinds per
 // layer, the int64 pool two.
 const (
-	wsPanel   = iota // conv im2col panel (frozen conv: the padded sample)
-	wsWeights        // conv weight image at the panel's row stride
-	wsPix            // conv output words, pixel-major, before the CHW move
-	wsOut            // forward output words
-	wsGin            // narrowed input gradient
+	wsPanel = iota // conv: the padded sample (forward), the im2col panel (backward)
+	wsPix          // conv output words, pixel-major, before the CHW move
+	wsOut          // forward output words
+	wsGin          // narrowed input gradient
 	ws16Kinds
 )
 
@@ -196,25 +192,62 @@ const (
 	ws64Kinds
 )
 
-// gemmRowLen is the conv panels' row stride: the receptive-field width colw
-// rounded up to the int16 dot kernel's 16-lane step, the tail filled with
-// zero words on both GEMM operands. Zero products add nothing to a
-// wrap-around sum, so every output word is unchanged; what changes is that
-// NavNet's 25- and 72-tap reductions run wholly in the vector loop instead
-// of finishing 9 and 8 taps one by one (about half the cost of a dot product
-// that short). The scalar fallback pays the extra taps, 11-28 % more conv
-// MACs on non-AVX2 hosts.
-func gemmRowLen(colw int) int { return (colw + 15) &^ 15 }
+// words is a weighted layer's trained-word store: its weight and bias words
+// and, above the training boundary, their 64-bit gradient sums (the
+// "sum of weight and bias gradients" scratchpad of Section V); below it gw
+// and gb are nil, since nothing there is trained. The fractions are the
+// formats the layer's words and sums are read in.
+type words struct {
+	w, b                []int16
+	gw, gb              []int64
+	aFrac, wFrac, gFrac uint
+}
 
-// padRows copies the (rows x colw) row-major matrix src into dst at row
-// stride rowLen, zeroing each row's tail: the weight-side twin of the
-// im2col panel layout.
-func padRows(dst, src []int16, colw, rowLen int) {
-	for r := 0; r*colw < len(src); r++ {
-		row := dst[r*rowLen : (r+1)*rowLen]
-		copy(row, src[r*colw:(r+1)*colw])
-		clear(row[colw:])
+// newWords quantizes one weighted layer's float parameters into its store,
+// with gradient sums when the layer is trained.
+func newWords(weight, bias *nn.Param, opts TrainOptions, trained bool) words {
+	s := words{
+		w:     quantize16(weight.W.Data(), opts.WeightFmt),
+		b:     quantize16(bias.W.Data(), opts.WeightFmt),
+		aFrac: opts.ActFmt.Frac, wFrac: opts.WeightFmt.Frac, gFrac: opts.GradFmt.Frac,
 	}
+	if trained {
+		s.gw, s.gb = make([]int64, len(s.w)), make([]int64, len(s.b))
+	}
+	return s
+}
+
+func (s *words) store() *words     { return s }
+func (s *words) trained() bool     { return s.gw != nil }
+func (s *words) weightBits() int64 { return int64(len(s.w)+len(s.b)) * 16 }
+
+// update applies the accumulated gradients with the given fixed-point
+// learning rate and clears the sums.
+func (s *words) update(lrFixed int64, lrFrac uint, sr *fixed.SR) {
+	applySR(s.w, s.gw, lrFixed, s.gFrac+s.aFrac+lrFrac-s.wFrac, sr)
+	applySR(s.b, s.gb, lrFixed, s.gFrac+lrFrac-s.wFrac, sr)
+}
+
+// gradMaxAbs returns the largest |gradient| in real units, for clipping.
+func (s *words) gradMaxAbs() float64 {
+	return maxAbsScaled(s.gw, s.gFrac+s.aFrac, maxAbsScaled(s.gb, s.gFrac, 0))
+}
+
+// scaleGrads multiplies every gradient sum by sFixed/2^15.
+func (s *words) scaleGrads(sFixed int64) {
+	scaleInts(s.gw, sFixed)
+	scaleInts(s.gb, sFixed)
+}
+
+// clone is the store a Clone holds: the same frozen words, or a private
+// copy of trained ones with fresh gradient sums.
+func (s *words) clone() words {
+	c := *s
+	if s.trained() {
+		c.w, c.b = slices.Clone(s.w), slices.Clone(s.b)
+		c.gw, c.gb = make([]int64, len(s.gw)), make([]int64, len(s.gb))
+	}
+	return c
 }
 
 // strided fills offs with the table {0, step, 2·step, …} the gradient kernel
@@ -226,45 +259,37 @@ func strided(offs []int, step int) []int {
 	return offs
 }
 
-// im2colPatchMajor expands bsz stacked CHW samples into the patch-major int16
-// GEMM panel a trainable convolution forwards through and reads back in its
-// backward pass (inference and frozen layers convolve directly, without a
-// panel): row s*np+p, at stride gemmRowLen, holds output pixel p of
-// sample s's receptive field in the serial loop's (ic, ky, kx) order, with
-// padding taps and the row tail materialized as zero words. Each (ic, ky)
-// line of a patch is one contiguous run of a source row, so the expansion is
-// a clipped copy per line rather than a bounds test per tap.
-func im2colPatchMajor(panel, src []int16, bsz, inC, h, w, k, stride, pad int) {
+// im2colPatchMajor expands one CHW sample into the patch-major int16 panel a
+// conv's weight gradient reads (its forward convolves directly, without a
+// panel): row p, inC·k·k words wide, holds output pixel p's receptive field
+// in the serial loop's (ic, ky, kx) order, with padding taps materialized as
+// zero words. Each (ic, ky) line of a patch is one contiguous run of a source
+// row, so the expansion is a clipped copy per line rather than a bounds test
+// per tap.
+func im2colPatchMajor(panel, img []int16, inC, h, w, k, stride, pad int) {
 	oh := (h+2*pad-k)/stride + 1
 	ow := (w+2*pad-k)/stride + 1
 	colw := inC * k * k
-	rowLen := gemmRowLen(colw)
-	chw := inC * h * w
-	for s := 0; s < bsz; s++ {
-		img := src[s*chw : (s+1)*chw]
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*stride - pad
-			kyLo, kyHi := max(0, -iy0), min(k, h-iy0)
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*stride - pad
-				kxLo, kxHi := max(0, -ix0), min(k, w-ix0)
-				row := panel[:rowLen]
-				panel = panel[rowLen:]
-				// Taps [kyLo,kyHi) x [kxLo,kxHi) of every channel fall
-				// inside the image; a clipped patch starts from all zeros.
-				n := kxHi - kxLo
-				if n == k && kyHi-kyLo == k {
-					clear(row[colw:])
-				} else {
-					clear(row)
-				}
-				if n <= 0 {
-					continue
-				}
-				for ic := 0; ic < inC; ic++ {
-					for ky := kyLo; ky < kyHi; ky++ {
-						copy(row[(ic*k+ky)*k+kxLo:][:n], img[(ic*h+iy0+ky)*w+ix0+kxLo:])
-					}
+	for oy := 0; oy < oh; oy++ {
+		iy0 := oy*stride - pad
+		kyLo, kyHi := max(0, -iy0), min(k, h-iy0)
+		for ox := 0; ox < ow; ox++ {
+			ix0 := ox*stride - pad
+			kxLo, kxHi := max(0, -ix0), min(k, w-ix0)
+			row := panel[:colw]
+			panel = panel[colw:]
+			// Taps [kyLo,kyHi) x [kxLo,kxHi) of every channel fall inside
+			// the image; a clipped patch starts from all zeros.
+			n := kxHi - kxLo
+			if n != k || kyHi-kyLo != k {
+				clear(row)
+			}
+			if n <= 0 {
+				continue
+			}
+			for ic := 0; ic < inC; ic++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					copy(row[(ic*k+ky)*k+kxLo:][:n], img[(ic*h+iy0+ky)*w+ix0+kxLo:])
 				}
 			}
 		}
@@ -272,29 +297,31 @@ func im2colPatchMajor(panel, src []int16, bsz, inC, h, w, k, stride, pad int) {
 }
 
 // tConv is the fixed-point trainable convolution (CHW, square kernel). Its
-// forward pass is one im2col expansion and one int16 GEMM for the whole
-// batch; the patch-major panel is kept for the backward pass, whose
-// gradient kernel reads it back row by row. A layer below the
-// training boundary has no backward pass and no writer — Update and
-// CopyWeightsFrom start at the boundary, Clone shares its words — so it
-// carries its weights packed once for the direct convolution instead, and
-// the sums are the same words either way (tensor/conv16.go).
+// forward pass is the direct convolution over its packed weight image for
+// the whole batch, and it caches its input; the backward pass expands each
+// sample into the patch-major panel its weight gradient reads. Below the
+// training boundary the words never change, so the image is packed once and
+// online, target and Clone share it; above it Update and CopyWeightsFrom
+// rewrite the words, so the conv owns its image and repacks it each pass.
 type tConv struct {
-	layerName           string
-	inC, outC           int
-	k, stride, pad      int
-	w, b                []int16
-	gw, gb              []int64
-	aFrac, wFrac, gFrac uint
-	bsz, inH, inW       int
-	panel               []int16
-	offs                []int          // the gradient kernel's row offsets
-	frozen              *tensor.Conv16 // nil above the training boundary
-	relu                bool           // the next layer is a ReLU run in this epilogue
+	words
+	layerName      string
+	inC, outC      int
+	k, stride, pad int
+	img            *tensor.Conv16
+	bsz, inH, inW  int
+	x              []int16 // the input rows, for backward
+	offs           []int   // the gradient kernel's row offsets
+	relu           bool    // the next layer is a ReLU run in this epilogue
 }
 
-func (c *tConv) name() string      { return c.layerName }
-func (c *tConv) weightBits() int64 { return int64(len(c.w)+len(c.b)) * 16 }
+// newConv builds a conv stage over its store, with the weight image packed.
+func newConv(name string, inC, outC, k, stride, pad int, s words) *tConv {
+	return &tConv{words: s, layerName: name, inC: inC, outC: outC, k: k, stride: stride, pad: pad,
+		img: tensor.NewConv16(s.w, inC, outC, k, stride, pad)}
+}
+
+func (c *tConv) name() string { return c.layerName }
 
 func (c *tConv) outHW() (int, int) {
 	return (c.inH+2*c.pad-c.k)/c.stride + 1, (c.inW+2*c.pad-c.k)/c.stride + 1
@@ -304,29 +331,19 @@ func (c *tConv) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspa
 	if shape[0] != c.inC {
 		panic(fmt.Sprintf("qnn: %s expects %d-channel samples, got shape %v", c.layerName, c.inC, shape))
 	}
-	c.bsz, c.inH, c.inW = bsz, shape[1], shape[2]
+	c.x, c.bsz, c.inH, c.inW = in, bsz, shape[1], shape[2]
 	oh, ow := c.outHW()
 	np := oh * ow
-	// acc (B*np x outC) = panel x Wᵀ, then one narrow per output word with
-	// the bias joined at the 2^(a+w) product scale, pixel-major, then moved
-	// to per-sample CHW.
+	if c.trained() {
+		c.img.Pack(c.w)
+	}
+	// acc (B*np x outC) = Σ x·w over each pixel's receptive field, then one
+	// narrow per output word with the bias joined at the 2^(a+w) product
+	// scale, pixel-major, then moved to per-sample CHW.
 	n := np * c.outC
 	acc := ws.get32(slot, bsz*n)
-	if c.frozen != nil {
-		scratch := ws.get16(slot*ws16Kinds+wsPanel, c.frozen.ScratchLen(c.inH, c.inW))
-		tensor.Conv16Batch(c.frozen, acc, scratch, in, bsz, c.inH, c.inW)
-	} else {
-		colw := c.inC * c.k * c.k
-		rowLen := gemmRowLen(colw)
-		c.panel = ws.get16(slot*ws16Kinds+wsPanel, bsz*np*rowLen)
-		im2colPatchMajor(c.panel, in, bsz, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
-		// The weight image at the panel's row stride is rebuilt every pass —
-		// a few hundred words — because Update and CopyWeightsFrom rewrite
-		// c.w.
-		wGemm := ws.get16(slot*ws16Kinds+wsWeights, c.outC*rowLen)
-		padRows(wGemm, c.w, colw, rowLen)
-		tensor.MatMul16T(acc, c.panel, wGemm, bsz*np, rowLen, c.outC)
-	}
+	scratch := ws.get16(slot*ws16Kinds+wsPanel, c.img.ScratchLen(c.inH, c.inW))
+	tensor.Conv16Batch(c.img, acc, scratch, in, bsz, c.inH, c.inW)
 	pix := ws.get16(slot*ws16Kinds+wsPix, bsz*n)
 	tensor.Narrow64(pix, acc, c.b, c.aFrac, c.wFrac, floor(c.relu))
 	out := ws.get16(slot*ws16Kinds+wsOut, bsz*n)
@@ -341,10 +358,11 @@ func (c *tConv) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slo
 	oh, ow := c.outHW()
 	np := oh * ow
 	colw := c.inC * c.k * c.k
-	rowLen := gemmRowLen(colw)
 	chw := c.inC * h * w
-	offs := grow(&c.offs, np+c.outC)
-	pixOffs, ocOffs := strided(offs[:np], rowLen), strided(offs[np:], colw)
+	// Both products read rows colw words apart: the panel's pixels for dW,
+	// the weight rows for the column gradient.
+	offs := strided(grow(&c.offs, max(np, c.outC)), colw)
+	panel := ws.get16(slot*ws16Kinds+wsPanel, np*colw)
 	var ginW []int16
 	var gin, gcol []int64
 	if needInput {
@@ -356,10 +374,10 @@ func (c *tConv) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slo
 		gs := g[s*c.outC*np : (s+1)*c.outC*np]
 		// dW[oc] += Σ_pix g[oc][pix]·patch(pix): panel row pix is the pixel's
 		// receptive field, padding taps as zero words that add nothing.
-		panel := c.panel[s*np*rowLen:]
+		im2colPatchMajor(panel, c.x[s*chw:(s+1)*chw], c.inC, h, w, c.k, c.stride, c.pad)
 		for oc := 0; oc < c.outC; oc++ {
 			grad := gs[oc*np : (oc+1)*np]
-			tensor.AxpyPanel16(c.gw[oc*colw:(oc+1)*colw], grad, 1, panel, pixOffs)
+			tensor.AxpyPanel16(c.gw[oc*colw:(oc+1)*colw], grad, 1, panel, offs[:np])
 			for _, gv := range grad {
 				c.gb[oc] += int64(gv)
 			}
@@ -372,7 +390,7 @@ func (c *tConv) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slo
 			// gcol = Σ_oc g[oc][pix]·W[oc], added back over the pixel's
 			// receptive field.
 			clear(gcol)
-			tensor.AxpyPanel16(gcol, gs[pix:], np, c.w, ocOffs)
+			tensor.AxpyPanel16(gcol, gs[pix:], np, c.w, offs[:c.outC])
 			c.col2im(gin, gcol, pix/ow, pix%ow)
 		}
 		dst := ginW[s*chw : (s+1)*chw]
@@ -404,37 +422,25 @@ func (c *tConv) col2im(gin, gcol []int64, oy, ox int) {
 	}
 }
 
-func (c *tConv) update(lrFixed int64, lrFrac uint, sr *fixed.SR) {
-	applySR(c.w, c.gw, lrFixed, c.gFrac+c.aFrac+lrFrac-c.wFrac, sr)
-	applySR(c.b, c.gb, lrFixed, c.gFrac+lrFrac-c.wFrac, sr)
-}
-
-func (c *tConv) gradMaxAbs() float64 {
-	return maxAbsScaled(c.gw, c.gFrac+c.aFrac, maxAbsScaled(c.gb, c.gFrac, 0))
-}
-
-func (c *tConv) scaleGrads(sFixed int64) {
-	scaleInts(c.gw, sFixed)
-	scaleInts(c.gb, sFixed)
-}
-
 // tDense is the fixed-point trainable fully-connected layer. Its forward
 // pass is one int16 GEMM for the whole batch (wrap-around int32
 // accumulation, AVX2 VPMADDWD on amd64) and a single narrow per output.
 type tDense struct {
-	layerName           string
-	in, out             int
-	w, b                []int16
-	gw, gb              []int64
-	aFrac, wFrac, gFrac uint
-	bsz                 int
-	x                   []int16
-	offs                []int // the gradient kernel's row offsets
-	relu                bool  // as tConv's
+	words
+	layerName string
+	in, out   int
+	bsz       int
+	x         []int16
+	offs      []int // the gradient kernel's row offsets
+	relu      bool  // as tConv's
 }
 
-func (d *tDense) name() string      { return d.layerName }
-func (d *tDense) weightBits() int64 { return int64(len(d.w)+len(d.b)) * 16 }
+// newDense builds a dense stage over its store.
+func newDense(name string, in, out int, s words) *tDense {
+	return &tDense{words: s, layerName: name, in: in, out: out}
+}
+
+func (d *tDense) name() string { return d.layerName }
 
 func (d *tDense) forwardBatch(in []int16, bsz int, _ [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
 	if len(in) != bsz*d.in {
@@ -453,7 +459,7 @@ func (d *tDense) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, sl
 	// dW, the weight rows for dX.
 	offs := strided(grow(&d.offs, max(d.bsz, d.out)), d.in)
 	// dW[j] += Σ_s g[s][j]·x[s], one output row at a time, so each 64-bit
-	// scratchpad row stays in registers while the batch streams past it.
+	// sum row stays in registers while the batch streams past it.
 	for j := 0; j < d.out; j++ {
 		tensor.AxpyPanel16(d.gw[j*d.in:(j+1)*d.in], g[j:], d.out, d.x, offs[:d.bsz])
 	}
@@ -477,23 +483,9 @@ func (d *tDense) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, sl
 	return ginW
 }
 
-func (d *tDense) update(lrFixed int64, lrFrac uint, sr *fixed.SR) {
-	applySR(d.w, d.gw, lrFixed, d.gFrac+d.aFrac+lrFrac-d.wFrac, sr)
-	applySR(d.b, d.gb, lrFixed, d.gFrac+lrFrac-d.wFrac, sr)
-}
-
-func (d *tDense) gradMaxAbs() float64 {
-	return maxAbsScaled(d.gw, d.gFrac+d.aFrac, maxAbsScaled(d.gb, d.gFrac, 0))
-}
-
-func (d *tDense) scaleGrads(sFixed int64) {
-	scaleInts(d.gw, sFixed)
-	scaleInts(d.gb, sFixed)
-}
-
 // applySR is the stochastically-rounded SGD step on one parameter vector:
 // every word with a nonzero gradient moves by Round(g·lr / 2^shift), drawing
-// from the rounding stream in word order, and the scratchpad is cleared.
+// from the rounding stream in word order, and the sums are cleared.
 func applySR(w []int16, g []int64, lrFixed int64, shift uint, sr *fixed.SR) {
 	for i, gv := range g {
 		if gv != 0 {
@@ -512,8 +504,7 @@ type tReLU struct {
 	folded    bool
 }
 
-func (r *tReLU) name() string      { return r.layerName }
-func (r *tReLU) weightBits() int64 { return 0 }
+func (r *tReLU) name() string { return r.layerName }
 
 func (r *tReLU) forwardBatch(in []int16, _ int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
 	r.in = in
@@ -539,10 +530,6 @@ func (r *tReLU) backwardBatch(g []int16, needInput bool, _ *batchWorkspace, _ in
 	return g
 }
 
-func (r *tReLU) update(int64, uint, *fixed.SR) {}
-func (r *tReLU) gradMaxAbs() float64           { return 0 }
-func (r *tReLU) scaleGrads(int64)              {}
-
 // tPool is integer max pooling; backward routes gradients to the cached
 // argmax positions (summed wide where windows overlap, one narrow).
 type tPool struct {
@@ -552,8 +539,7 @@ type tPool struct {
 	bsz, inLen int
 }
 
-func (m *tPool) name() string      { return m.layerName }
-func (m *tPool) weightBits() int64 { return 0 }
+func (m *tPool) name() string { return m.layerName }
 
 func (m *tPool) forwardBatch(in []int16, bsz int, shape [3]int, ws *batchWorkspace, slot int) ([]int16, [3]int) {
 	c, h, w := shape[0], shape[1], shape[2]
@@ -611,16 +597,11 @@ func (m *tPool) backwardBatch(g []int16, needInput bool, ws *batchWorkspace, slo
 	return ginW
 }
 
-func (m *tPool) update(int64, uint, *fixed.SR) {}
-func (m *tPool) gradMaxAbs() float64           { return 0 }
-func (m *tPool) scaleGrads(int64)              {}
-
 // tFlatten is a shape change only: stacked CHW blocks are already flat per
 // sample.
 type tFlatten struct{ layerName string }
 
-func (f *tFlatten) name() string      { return f.layerName }
-func (f *tFlatten) weightBits() int64 { return 0 }
+func (f *tFlatten) name() string { return f.layerName }
 func (f *tFlatten) forwardBatch(in []int16, bsz int, _ [3]int, _ *batchWorkspace, _ int) ([]int16, [3]int) {
 	return in, [3]int{len(in) / bsz, 1, 1}
 }
@@ -630,9 +611,6 @@ func (f *tFlatten) backwardBatch(g []int16, needInput bool, _ *batchWorkspace, _
 	}
 	return g
 }
-func (f *tFlatten) update(int64, uint, *fixed.SR) {}
-func (f *tFlatten) gradMaxAbs() float64           { return 0 }
-func (f *tFlatten) scaleGrads(int64)              {}
 
 func maxAbsScaled(vs []int64, frac uint, cur float64) float64 {
 	var m int64
@@ -669,10 +647,13 @@ type Network struct {
 	// InFmt is the input activation format (TrainOptions.ActFmt).
 	InFmt fixed.Format
 
-	layers    []tLayer
-	trainFrom int
-	opts      TrainOptions
-	sr        *fixed.SR
+	layers []tLayer
+	// stores lists every weighted layer's trained-word store in walk order;
+	// trained is its suffix above the training boundary.
+	stores, trained []*words
+	trainFrom       int
+	opts            TrainOptions
+	sr              *fixed.SR
 	// ws holds every activation and gradient panel, grown on the first
 	// batch of a given size and reused from then on: a steady-state step
 	// allocates nothing.
@@ -692,8 +673,8 @@ func CompileTrainable(src *nn.Network, opts TrainOptions) (*Network, error) {
 }
 
 // compile builds the walk with layers [trainFrom, len) trainable: below the
-// boundary a conv is packed once for the direct convolution and no layer
-// carries a gradient scratchpad.
+// boundary no store carries gradient sums and a conv's image is never
+// repacked.
 func compile(src *nn.Network, opts TrainOptions, trainFrom int) (*Network, error) {
 	opts.setDefaults()
 	tn := &Network{
@@ -702,44 +683,17 @@ func compile(src *nn.Network, opts TrainOptions, trainFrom int) (*Network, error
 		trainFrom: trainFrom,
 		sr:        fixed.NewSR(opts.Seed),
 	}
-	aFrac, wFrac, gFrac := opts.ActFmt.Frac, opts.WeightFmt.Frac, opts.GradFmt.Frac
 	for i, l := range src.Layers {
-		// Frozen layers never see a gradient: no scratchpads.
-		scratch := func(n int) []int64 {
-			if i < tn.trainFrom {
-				return nil
-			}
-			return make([]int64, n)
-		}
 		switch t := l.(type) {
 		case *nn.Conv2D:
 			if t.KH != t.KW {
 				return nil, fmt.Errorf("qnn: %s has non-square kernel %dx%d", t.LayerName, t.KH, t.KW)
 			}
-			c := &tConv{
-				layerName: t.LayerName,
-				inC:       t.InC, outC: t.OutC,
-				k: t.KH, stride: t.Stride, pad: t.Pad,
-				w:     quantize16(t.Weight.W.Data(), opts.WeightFmt),
-				b:     quantize16(t.Bias.W.Data(), opts.WeightFmt),
-				gw:    scratch(t.Weight.W.Len()),
-				gb:    scratch(t.Bias.W.Len()),
-				aFrac: aFrac, wFrac: wFrac, gFrac: gFrac,
-			}
-			if i < tn.trainFrom {
-				c.frozen = tensor.NewConv16(c.w, c.inC, c.outC, c.k, c.stride, c.pad)
-			}
-			tn.layers = append(tn.layers, c)
+			tn.layers = append(tn.layers, newConv(t.LayerName, t.InC, t.OutC, t.KH, t.Stride, t.Pad,
+				newWords(t.Weight, t.Bias, opts, i >= trainFrom)))
 		case *nn.Dense:
-			tn.layers = append(tn.layers, &tDense{
-				layerName: t.LayerName,
-				in:        t.In, out: t.Out,
-				w:     quantize16(t.Weight.W.Data(), opts.WeightFmt),
-				b:     quantize16(t.Bias.W.Data(), opts.WeightFmt),
-				gw:    scratch(t.Weight.W.Len()),
-				gb:    scratch(t.Bias.W.Len()),
-				aFrac: aFrac, wFrac: wFrac, gFrac: gFrac,
-			})
+			tn.layers = append(tn.layers, newDense(t.LayerName, t.In, t.Out,
+				newWords(t.Weight, t.Bias, opts, i >= trainFrom)))
 		case *nn.ReLU:
 			tn.layers = append(tn.layers, &tReLU{layerName: t.LayerName})
 		case *nn.MaxPool:
@@ -756,12 +710,20 @@ func compile(src *nn.Network, opts TrainOptions, trainFrom int) (*Network, error
 	return tn, nil
 }
 
-// link folds every ReLU that directly follows a weighted layer into that
-// layer's epilogue and lists the stages as Layers.
+// link lists the stages as Layers and the weighted ones' stores, and folds
+// every ReLU that directly follows a weighted layer into that layer's
+// epilogue.
 func (tn *Network) link() {
 	tn.Layers = make([]Layer, len(tn.layers))
+	frozen := 0
 	for i, l := range tn.layers {
 		tn.Layers[i] = &stage{tLayer: l, fmt: tn.InFmt}
+		if w, ok := l.(interface{ store() *words }); ok {
+			tn.stores = append(tn.stores, w.store())
+			if i < tn.trainFrom {
+				frozen++
+			}
+		}
 		r, ok := l.(*tReLU)
 		if !ok || i == 0 {
 			continue
@@ -773,6 +735,7 @@ func (tn *Network) link() {
 			w.relu, r.folded = true, true
 		}
 	}
+	tn.trained = tn.stores[frozen:]
 }
 
 func quantize16(xs []float32, f fixed.Format) []int16 {
@@ -878,23 +841,21 @@ func (tn *Network) Update(lr float64, batch int, clip float64) {
 	}
 	if clip > 0 {
 		var m float64
-		for i := tn.trainFrom; i < len(tn.layers); i++ {
-			if v := tn.layers[i].gradMaxAbs(); v > m {
-				m = v
-			}
+		for _, s := range tn.trained {
+			m = max(m, s.gradMaxAbs())
 		}
 		if m > clip {
 			sFixed := int64(clip / m * (1 << 15))
-			for i := tn.trainFrom; i < len(tn.layers); i++ {
-				tn.layers[i].scaleGrads(sFixed)
+			for _, s := range tn.trained {
+				s.scaleGrads(sFixed)
 			}
 		}
 	}
 	// The conversion rounds the product before the +0.5, so no target fuses
 	// the two into one multiply-add (the Go spec's rule for conversions).
 	lrFixed := int64(float64(lr/float64(batch)*float64(int64(1)<<tn.opts.LRFrac)) + 0.5)
-	for i := tn.trainFrom; i < len(tn.layers); i++ {
-		tn.layers[i].update(lrFixed, tn.opts.LRFrac, tn.sr)
+	for _, s := range tn.trained {
+		s.update(lrFixed, tn.opts.LRFrac, tn.sr)
 	}
 }
 
@@ -914,53 +875,36 @@ func (tn *Network) OutDim() int {
 // TestWeightBitsMatchesModelSize and hw's price tests pin it.
 func (tn *Network) WeightBits() int64 {
 	var total int64
-	for _, l := range tn.layers {
-		total += l.weightBits()
+	for _, s := range tn.stores {
+		total += s.weightBits()
 	}
 	return total
 }
 
-// layerWeights returns the mutable weight/bias words of a layer (nil for
-// stateless layers).
-func layerWeights(l tLayer) (w, b []int16) {
-	switch t := l.(type) {
-	case *tConv:
-		return t.w, t.b
-	case *tDense:
-		return t.w, t.b
-	}
-	return nil, nil
-}
-
-// CopyWeightsFrom copies every trainable weight word from an
-// identically-compiled network — the target-sync primitive. Frozen layers
-// are skipped: a Clone shares their words with its source (see Clone), and
-// Update never writes them, so there is nothing to copy.
+// CopyWeightsFrom copies every trained word from an identically-compiled
+// network — the target-sync primitive. Frozen words are skipped: a Clone
+// shares them with its source (see Clone), and Update never writes them, so
+// there is nothing to copy.
 func (tn *Network) CopyWeightsFrom(src *Network) {
 	if len(tn.layers) != len(src.layers) || tn.trainFrom != src.trainFrom {
 		panic("qnn: CopyWeightsFrom across different architectures")
 	}
-	for i := tn.trainFrom; i < len(tn.layers); i++ {
-		w, b := layerWeights(tn.layers[i])
-		sw, sb := layerWeights(src.layers[i])
-		copy(w, sw)
-		copy(b, sb)
+	for k, s := range tn.trained {
+		copy(s.w, src.trained[k].w)
+		copy(s.b, src.trained[k].b)
 	}
 }
 
-// WriteBack dequantizes the trainable layers' weights into the matching
-// float network, so snapshots, policy publishes and float-side evaluation
-// all see what the integer engine learned. Frozen layers are left alone —
-// they still hold the transferred float weights at full precision.
+// WriteBack dequantizes the trained words into the matching float network,
+// so snapshots, policy publishes and float-side evaluation all see what the
+// integer engine learned. Frozen layers are left alone — they still hold
+// the transferred float weights at full precision.
 func (tn *Network) WriteBack(dst *nn.Network) error {
 	if len(dst.Layers) != len(tn.layers) {
 		return fmt.Errorf("qnn: WriteBack across different architectures (%d vs %d layers)", len(dst.Layers), len(tn.layers))
 	}
-	for i := tn.trainFrom; i < len(tn.layers); i++ {
-		w, b := layerWeights(tn.layers[i])
-		if w == nil {
-			continue
-		}
+	stores := tn.trained
+	for i := tn.trainFrom; i < len(dst.Layers); i++ {
 		var weight, bias *nn.Param
 		switch t := dst.Layers[i].(type) {
 		case *nn.Conv2D:
@@ -968,16 +912,19 @@ func (tn *Network) WriteBack(dst *nn.Network) error {
 		case *nn.Dense:
 			weight, bias = t.Weight, t.Bias
 		default:
-			return fmt.Errorf("qnn: WriteBack layer %d type mismatch (%T)", i, dst.Layers[i])
+			continue
 		}
-		pw, pb := weight.W.Data(), bias.W.Data()
-		if len(pw) != len(w) || len(pb) != len(b) {
-			return fmt.Errorf("qnn: WriteBack layer %d size mismatch", i)
+		if len(stores) == 0 || weight.W.Len() != len(stores[0].w) || bias.W.Len() != len(stores[0].b) {
+			return fmt.Errorf("qnn: WriteBack layer %d (%s) does not match the trained words", i, dst.Layers[i].Name())
 		}
-		dequantize16(pw, w, tn.opts.WeightFmt)
-		dequantize16(pb, b, tn.opts.WeightFmt)
+		dequantize16(weight.W.Data(), stores[0].w, tn.opts.WeightFmt)
+		dequantize16(bias.W.Data(), stores[0].b, tn.opts.WeightFmt)
 		weight.MarkChanged()
 		bias.MarkChanged()
+		stores = stores[1:]
+	}
+	if len(stores) != 0 {
+		return fmt.Errorf("qnn: WriteBack target has %d weighted layers too few", len(stores))
 	}
 	return nil
 }
@@ -989,13 +936,13 @@ func dequantize16(dst []float32, src []int16, f fixed.Format) {
 }
 
 // Clone builds the bootstrap target: a fresh instance with its own copy of
-// every trainable weight word, its own gradient scratchpads, workspace and
-// rounding stream — and the *same* frozen-prefix weight slices (and packed
-// conv images) as tn. The sharing is safe because nothing ever writes a
-// frozen word: Update and CopyWeightsFrom start at the training boundary,
-// which is fixed at compile time. It makes "the online and target prefixes compute the same features"
-// a fact the batched TD step can rely on rather than a coincidence of two
-// copies never diverging.
+// every trained word, its own gradient sums, workspace and rounding stream —
+// and the *same* frozen words and packed conv images as tn, while a
+// trainable conv owns the image it repacks. The sharing is safe because
+// nothing ever writes a frozen word: Update and CopyWeightsFrom start at the
+// training boundary, which is fixed at compile time. It makes "the online
+// and target prefixes compute the same features" a fact the batched TD step
+// can rely on rather than a coincidence of two copies never diverging.
 func (tn *Network) Clone() *Network {
 	out := &Network{
 		InFmt:     tn.InFmt,
@@ -1003,43 +950,22 @@ func (tn *Network) Clone() *Network {
 		trainFrom: tn.trainFrom,
 		sr:        fixed.NewSR(tn.opts.Seed + 0x5DEECE66D),
 	}
-	for i, l := range tn.layers {
-		words := func(ws []int16) []int16 {
-			if i < tn.trainFrom {
-				return ws
-			}
-			return append([]int16(nil), ws...)
-		}
+	for _, l := range tn.layers {
 		switch t := l.(type) {
 		case *tConv:
-			out.layers = append(out.layers, &tConv{
-				layerName: t.layerName,
-				inC:       t.inC, outC: t.outC,
-				k: t.k, stride: t.stride, pad: t.pad,
-				w:     words(t.w),
-				b:     words(t.b),
-				gw:    make([]int64, len(t.gw)),
-				gb:    make([]int64, len(t.gb)),
-				aFrac: t.aFrac, wFrac: t.wFrac, gFrac: t.gFrac,
-				frozen: t.frozen,
-			})
+			c := newConv(t.layerName, t.inC, t.outC, t.k, t.stride, t.pad, t.clone())
+			if !t.trained() {
+				c.img = t.img
+			}
+			l = c
 		case *tDense:
-			out.layers = append(out.layers, &tDense{
-				layerName: t.layerName,
-				in:        t.in, out: t.out,
-				w:     words(t.w),
-				b:     words(t.b),
-				gw:    make([]int64, len(t.gw)),
-				gb:    make([]int64, len(t.gb)),
-				aFrac: t.aFrac, wFrac: t.wFrac, gFrac: t.gFrac,
-			})
+			l = newDense(t.layerName, t.in, t.out, t.clone())
 		case *tReLU:
-			out.layers = append(out.layers, &tReLU{layerName: t.layerName})
+			l = &tReLU{layerName: t.layerName}
 		case *tPool:
-			out.layers = append(out.layers, &tPool{layerName: t.layerName, k: t.k, stride: t.stride})
-		case *tFlatten:
-			out.layers = append(out.layers, &tFlatten{layerName: t.layerName})
+			l = &tPool{layerName: t.layerName, k: t.k, stride: t.stride}
 		}
+		out.layers = append(out.layers, l) // a tFlatten holds no state
 	}
 	out.link()
 	return out

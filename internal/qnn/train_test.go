@@ -130,17 +130,16 @@ func TestTrainNetworkBitReproducible(t *testing.T) {
 		return tn
 	}
 	a, b := run(), run()
-	for i := range a.layers {
-		aw, ab := layerWeights(a.layers[i])
-		bw, bb := layerWeights(b.layers[i])
-		for j := range aw {
-			if aw[j] != bw[j] {
-				t.Fatalf("layer %d weight %d: %d vs %d", i, j, aw[j], bw[j])
+	for i, as := range a.stores {
+		bs := b.stores[i]
+		for j := range as.w {
+			if as.w[j] != bs.w[j] {
+				t.Fatalf("store %d weight %d: %d vs %d", i, j, as.w[j], bs.w[j])
 			}
 		}
-		for j := range ab {
-			if ab[j] != bb[j] {
-				t.Fatalf("layer %d bias %d: %d vs %d", i, j, ab[j], bb[j])
+		for j := range as.b {
+			if as.b[j] != bs.b[j] {
+				t.Fatalf("store %d bias %d: %d vs %d", i, j, as.b[j], bs.b[j])
 			}
 		}
 	}
@@ -160,11 +159,13 @@ func TestTrainNetworkFrozenPrefix(t *testing.T) {
 	if tn.trainFrom != net.TrainFrom() {
 		t.Fatalf("trainFrom %d, want %d", tn.trainFrom, net.TrainFrom())
 	}
-	frozenBefore := make([][]int16, tn.trainFrom)
-	for i := 0; i < tn.trainFrom; i++ {
-		if w, _ := layerWeights(tn.layers[i]); w != nil {
-			frozenBefore[i] = append([]int16(nil), w...)
-		}
+	frozen := tn.stores[:len(tn.stores)-len(tn.trained)]
+	if len(frozen) == 0 {
+		t.Fatal("L2 compiled no frozen store")
+	}
+	var frozenBefore [][]int16
+	for _, s := range frozen {
+		frozenBefore = append(frozenBefore, slices.Clone(s.w))
 	}
 	floatFrozen := make([][]float32, tn.trainFrom)
 	for i := 0; i < tn.trainFrom; i++ {
@@ -172,7 +173,7 @@ func TestTrainNetworkFrozenPrefix(t *testing.T) {
 			floatFrozen[i] = append([]float32(nil), c.Weight.W.Data()...)
 		}
 	}
-	lastW, _ := layerWeights(tn.layers[len(tn.layers)-1])
+	lastW := tn.stores[len(tn.stores)-1].w
 	lastBefore := append([]int16(nil), lastW...)
 
 	in := depthImage(17).Data()
@@ -186,14 +187,8 @@ func TestTrainNetworkFrozenPrefix(t *testing.T) {
 		tn.Update(0.05, 1, 1)
 	}
 	for i, before := range frozenBefore {
-		if before == nil {
-			continue
-		}
-		w, _ := layerWeights(tn.layers[i])
-		for j := range before {
-			if w[j] != before[j] {
-				t.Fatalf("frozen layer %d weight %d changed", i, j)
-			}
+		if !slices.Equal(frozen[i].w, before) {
+			t.Fatalf("frozen store %d's weights changed", i)
 		}
 	}
 	changed := false
@@ -342,10 +337,9 @@ func hashU64(h hash.Hash, v uint64) {
 
 // hashOnline folds every online weight and bias word, in layer order.
 func hashOnline(h hash.Hash, tn *Network) {
-	for _, l := range tn.layers {
-		w, b := layerWeights(l)
-		hashWords(h, w)
-		hashWords(h, b)
+	for _, s := range tn.stores {
+		hashWords(h, s.w)
+		hashWords(h, s.b)
 	}
 }
 
@@ -462,7 +456,7 @@ func TestTrainBackendGolden(t *testing.T) {
 
 // refConv is the parent engine's scalar tConv — the six-deep loops with a
 // 64-bit accumulator and a bounds test per tap — kept as the reference the
-// GEMM convolution is compared against, word for word.
+// conv stage is compared against, word for word.
 type refConv struct{ *tConv }
 
 // forward returns one sample's output words and the largest |product sum|
@@ -548,11 +542,12 @@ func randWords(rng *rand.Rand, n, amp int) []int16 {
 	return ws
 }
 
-// TestTrainConvMatchesScalarReference compares the batched GEMM convolution
-// — im2col panel, padded rows, wrap-around int32 accumulation, panel-driven
-// backward with col2im — against the scalar int64 reference, word for word,
-// at batch 1, 8 and 32: NavNet's two shapes plus an off-square one where
-// every border is clipped differently.
+// TestTrainConvMatchesScalarReference compares the trainable conv stage —
+// the direct convolution over the image it repacks from its words,
+// wrap-around int32 accumulation, the panel-driven backward with col2im —
+// against the scalar int64 reference, word for word, at batch 1, 8 and 32:
+// NavNet's two shapes plus an off-square one where every border is clipped
+// differently.
 func TestTrainConvMatchesScalarReference(t *testing.T) {
 	for _, geo := range []struct {
 		name                            string
@@ -564,15 +559,13 @@ func TestTrainConvMatchesScalarReference(t *testing.T) {
 	} {
 		rng := rand.New(rand.NewSource(91))
 		colw := geo.inC * geo.k * geo.k
-		c := &tConv{
-			layerName: geo.name,
-			inC:       geo.inC, outC: geo.outC, k: geo.k, stride: geo.stride, pad: geo.pad,
+		c := newConv(geo.name, geo.inC, geo.outC, geo.k, geo.stride, geo.pad, words{
 			w:     randWords(rng, geo.outC*colw, 4096), // |w| <= 0.5 in Q2.13
 			b:     randWords(rng, geo.outC, 4096),
 			gw:    make([]int64, geo.outC*colw),
 			gb:    make([]int64, geo.outC),
 			aFrac: 8, wFrac: 13, gFrac: 8,
-		}
+		})
 		ref := refConv{c}
 		chw := geo.inC * geo.h * geo.w
 		for _, bsz := range []int{1, 8, 32} {
@@ -683,13 +676,12 @@ func TestTrainDenseMatchesScalarReference(t *testing.T) {
 		{"odd", 37, 19},
 	} {
 		rng := rand.New(rand.NewSource(93))
-		d := &tDense{
-			layerName: geo.name, in: geo.in, out: geo.out,
+		d := newDense(geo.name, geo.in, geo.out, words{
 			b:     edgeWords(randWords(rng, geo.out, 4096), 3),
 			gw:    make([]int64, geo.out*geo.in),
 			gb:    make([]int64, geo.out),
 			aFrac: 8, wFrac: 13, gFrac: 8,
-		}
+		})
 		ref := refDense{d}
 		for _, bsz := range []int{1, 8, 32} {
 			var ws batchWorkspace
@@ -861,17 +853,10 @@ func TestTrainBackendRejectsMalformedBatch(t *testing.T) {
 			}()
 			b.Train(tb)
 		}()
-		for i, l := range b.Online().layers {
-			var gw, gb []int64
-			switch t := l.(type) {
-			case *tConv:
-				gw, gb = t.gw, t.gb
-			case *tDense:
-				gw, gb = t.gw, t.gb
-			}
-			for _, v := range append(gw[:len(gw):len(gw)], gb...) {
+		for i, s := range b.Online().stores {
+			for _, v := range append(s.gw[:len(s.gw):len(s.gw)], s.gb...) {
 				if v != 0 {
-					t.Fatalf("%s: rejected batch left a gradient in layer %d's scratchpad", field, i)
+					t.Fatalf("%s: rejected batch left a gradient in store %d's sums", field, i)
 				}
 			}
 		}
@@ -973,11 +958,10 @@ func TestTrainBackendFeaturesBitIdentical(t *testing.T) {
 				feats.SyncTarget()
 			}
 		}
-		for i := range on.layers {
-			aw, ab := layerWeights(on.layers[i])
-			bw, bb := layerWeights(feats.online.layers[i])
-			if !slices.Equal(aw, bw) || !slices.Equal(ab, bb) {
-				t.Errorf("%s: layer %d's words differ between the frame-fed and the feature-fed run", cfg, i)
+		for i, a := range on.stores {
+			b := feats.online.stores[i]
+			if !slices.Equal(a.w, b.w) || !slices.Equal(a.b, b.b) {
+				t.Errorf("%s: store %d's words differ between the frame-fed and the feature-fed run", cfg, i)
 			}
 		}
 		qa := slices.Clone(frames.Infer(frame(0)))
@@ -1074,88 +1058,146 @@ func TestTrainBackendGreedyFrom(t *testing.T) {
 	compile(nn.E2E).GreedyFrom(make([]int16, 8))
 }
 
-// TestTrainBackendSharedPrefix asserts the frozen prefix is one set of words,
-// not two that happen to agree: after 12 updates and 3 syncs under L3 the
-// target's frozen weight slices still alias the online ones, its trainable
-// tail owns its memory and equals the online tail as of the last sync.
-// A frozen conv's packed weight image rides the same contract: it exists
-// exactly below the boundary, online, target and a fresh Clone hold the one
-// image, and after every Update, SyncTarget, CopyWeightsFrom and WriteBack of
-// the schedule it is still the image of the layer's words — the panel GEMM,
-// which rebuilds its operand from the words each pass, agrees with it word
-// for word on a real frame.
+// TestTrainBackendSharedPrefix asserts the walk's two sharing rules under L3
+// and E2E. Words: after 12 updates and 3 syncs the target's frozen stores
+// alias the online ones, its trained stores own their memory and equal the
+// online ones as of the last sync, and one more update moves the online
+// words only. Conv images: a frozen conv's packed image is one image held by
+// online, target and a fresh Clone, and a trainable conv owns its image in
+// each. And no image is stale: every conv's direct forward — online after
+// the extra Update, target before and after SyncTarget's CopyWeightsFrom,
+// the clone — equals a test-local panel GEMM over that network's words on a
+// real frame.
 func TestTrainBackendSharedPrefix(t *testing.T) {
 	g := goldenInit()
-	net := g.net()
-	net.SetConfig(nn.L3)
-	b, err := NewTrainBackend(net, TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
+	x := make([]int16, len(g.pool[0]))
+	// direct walks the frame through n, checking every conv on its way.
+	direct := func(cfg nn.Config, label string, n *Network) {
+		x, shape := slices.Clone(x), [3]int{1, env.ImageSize, env.ImageSize}
+		for i, l := range n.layers {
+			if c, ok := l.(*tConv); ok {
+				got, _ := c.forwardBatch(x, 1, shape, &batchWorkspace{}, 0)
+				if !slices.Equal(got, panelConv(c, x, shape[1], shape[2])) {
+					t.Errorf("%s %s layer %d (%s): the direct convolution differs from the panel GEMM over the layer's words", cfg, label, i, c.layerName)
+				}
+			}
+			x, shape = l.forwardBatch(x, 1, shape, &n.ws, i)
+		}
 	}
-	rng := rand.New(rand.NewSource(93))
-	for step := 1; step <= goldenSteps; step++ {
+	for _, cfg := range []nn.Config{nn.L3, nn.E2E} {
+		net := g.net()
+		net.SetConfig(cfg)
+		b, err := NewTrainBackend(net, TrainOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(93))
+		for step := 1; step <= goldenSteps; step++ {
+			b.Train(goldenBatchAt(rng, g.pool))
+			if step%goldenSync == 0 {
+				b.SyncTarget()
+			}
+		}
+		on, tg := b.online, b.target
+		for i, s := range on.stores {
+			ts := tg.stores[i]
+			if aliased := &s.w[0] == &ts.w[0] && &s.b[0] == &ts.b[0]; aliased == s.trained() {
+				t.Errorf("%s store %d: aliased %v, trained %v", cfg, i, aliased, s.trained())
+			}
+			if !slices.Equal(s.w, ts.w) || !slices.Equal(s.b, ts.b) {
+				t.Errorf("%s store %d: target differs from online right after a sync", cfg, i)
+			}
+		}
+		// One more update moves the online words only.
 		b.Train(goldenBatchAt(rng, g.pool))
-		if step%goldenSync == 0 {
-			b.SyncTarget()
+		moved := false
+		for i, s := range on.trained {
+			moved = moved || !slices.Equal(s.w, tg.trained[i].w)
 		}
-	}
-	on, tg := b.online, b.target
-	moved := false
-	for i := range on.layers {
-		ow, ob := layerWeights(on.layers[i])
-		tw, tb := layerWeights(tg.layers[i])
-		if ow == nil {
-			continue
+		if !moved {
+			t.Errorf("%s: an update after the sync left the online words equal to the target's: they share memory", cfg)
 		}
-		aliased := &ow[0] == &tw[0] && &ob[0] == &tb[0]
-		if frozen := i < on.trainFrom; aliased != frozen {
-			t.Errorf("layer %d (%s): aliased %v, frozen %v", i, on.layers[i].name(), aliased, frozen)
-		}
-		if !slices.Equal(ow, tw) || !slices.Equal(ob, tb) {
-			t.Errorf("layer %d (%s): target differs from online right after a sync", i, on.layers[i].name())
-		}
-	}
-	// One more update moves the online tail only.
-	b.Train(goldenBatchAt(rng, g.pool))
-	for i := on.trainFrom; i < len(on.layers); i++ {
-		ow, _ := layerWeights(on.layers[i])
-		tw, _ := layerWeights(tg.layers[i])
-		moved = moved || !slices.Equal(ow, tw)
-	}
-	if !moved {
-		t.Error("an update after the sync left the online tail equal to the target: the tails share memory")
-	}
 
-	clone := on.Clone()
-	x, shape := make([]int16, len(g.pool[0])), [3]int{1, env.ImageSize, env.ImageSize}
-	on.quantize(x, g.pool[0])
-	for i, l := range on.layers {
-		if c, ok := l.(*tConv); ok {
-			if frozen := i < on.trainFrom; (c.frozen != nil) != frozen {
-				t.Errorf("layer %d (%s): packed image present %v, frozen %v", i, c.layerName, c.frozen != nil, frozen)
-			}
-			if tc, cc := tg.layers[i].(*tConv), clone.layers[i].(*tConv); tc.frozen != c.frozen || cc.frozen != c.frozen {
-				t.Errorf("layer %d (%s): target or clone holds its own packed image", i, c.layerName)
-			}
-			panel := *c
-			panel.frozen = nil
-			want, _ := panel.forwardBatch(x, 1, shape, &batchWorkspace{}, 0)
-			got, _ := c.forwardBatch(x, 1, shape, &batchWorkspace{}, 0)
-			if !slices.Equal(got, want) {
-				t.Errorf("layer %d (%s): packed image is stale: direct convolution differs from the panel GEMM over the layer's words", i, c.layerName)
+		clone := on.Clone()
+		for i, l := range on.layers {
+			if c, ok := l.(*tConv); ok {
+				tc, cc := tg.layers[i].(*tConv), clone.layers[i].(*tConv)
+				shared := tc.img == c.img && cc.img == c.img
+				owned := tc.img != c.img && cc.img != c.img && tc.img != cc.img
+				if c.trained() && !owned || !c.trained() && !shared {
+					t.Errorf("%s layer %d (%s): trained %v, image shared %v, owned %v", cfg, i, c.layerName, c.trained(), shared, owned)
+				}
 			}
 		}
-		x, shape = l.forwardBatch(x, 1, shape, &on.ws, i)
+		on.quantize(x, g.pool[0])
+		direct(cfg, "online", on)
+		direct(cfg, "target", tg)
+		direct(cfg, "clone", clone)
+		b.SyncTarget()
+		direct(cfg, "synced target", tg)
 	}
-	e2e := g.net()
-	e2e.SetConfig(nn.E2E)
-	tn, err := CompileTrainable(e2e, TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// panelConv is the GEMM convolution trainable convs forwarded through before
+// every conv ran the direct kernel, kept as a test-local reference: each
+// output pixel's receptive field gathered into one panel row (padding taps
+// zero), the panel reduced against the layer's weight rows by the int16
+// GEMM, then the walk's epilogue, a folded ReLU included.
+func panelConv(c *tConv, x []int16, h, w int) []int16 {
+	oh, ow := (h+2*c.pad-c.k)/c.stride+1, (w+2*c.pad-c.k)/c.stride+1
+	np, colw := oh*ow, c.inC*c.k*c.k
+	panel := make([]int16, np*colw)
+	for p := 0; p < np; p++ {
+		for ic := 0; ic < c.inC; ic++ {
+			for ky := 0; ky < c.k; ky++ {
+				for kx := 0; kx < c.k; kx++ {
+					iy, ix := p/ow*c.stride-c.pad+ky, p%ow*c.stride-c.pad+kx
+					if iy >= 0 && iy < h && ix >= 0 && ix < w {
+						panel[p*colw+(ic*c.k+ky)*c.k+kx] = x[(ic*h+iy)*w+ix]
+					}
+				}
+			}
+		}
 	}
-	for i, l := range tn.layers {
-		if c, ok := l.(*tConv); ok && c.frozen != nil {
-			t.Errorf("E2E layer %d (%s) is trainable but carries a packed image no Update would refresh", i, c.layerName)
+	acc := make([]int32, np*c.outC)
+	tensor.MatMul16T(acc, panel, c.w, np, colw, c.outC)
+	pix, out := make([]int16, len(acc)), make([]int16, len(acc))
+	tensor.Narrow64(pix, acc, c.b, c.aFrac, c.wFrac, floor(c.relu))
+	tensor.PixelsToPlanes16(out, pix, np, c.outC)
+	return out
+}
+
+// TestTrainedStoreIsTheTopology holds the trained-word store to the weight
+// census: under L2, L3, L4 and E2E the stores above the training boundary
+// hold exactly nn.NavNetSpec().TrainedWeights(cfg) words (biases included),
+// every word beside a 64-bit gradient sum, and the frozen stores hold no
+// sum. Every store together holds the TotalWeights words WeightBits prices.
+func TestTrainedStoreIsTheTopology(t *testing.T) {
+	spec := nn.NavNetSpec()
+	for _, cfg := range []nn.Config{nn.L2, nn.L3, nn.L4, nn.E2E} {
+		net := trainedNavNet(41)
+		net.SetConfig(cfg)
+		tn, err := CompileTrainable(net, TrainOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trained := 0
+		for i, s := range tn.trained {
+			trained += len(s.w) + len(s.b)
+			if len(s.gw) != len(s.w) || len(s.gb) != len(s.b) {
+				t.Errorf("%s trained store %d: %d+%d words beside %d+%d gradient sums", cfg, i, len(s.w), len(s.b), len(s.gw), len(s.gb))
+			}
+		}
+		if want := spec.TrainedWeights(cfg); trained != want {
+			t.Errorf("%s: the trained stores hold %d words, the census trains %d", cfg, trained, want)
+		}
+		for i, s := range tn.stores[:len(tn.stores)-len(tn.trained)] {
+			if s.gw != nil || s.gb != nil {
+				t.Errorf("%s frozen store %d holds gradient sums", cfg, i)
+			}
+		}
+		if want := 16 * int64(spec.TotalWeights()); tn.WeightBits() != want {
+			t.Errorf("%s: WeightBits %d, the census stores %d bits", cfg, tn.WeightBits(), want)
 		}
 	}
 }

@@ -23,7 +23,8 @@ package tensor
 // portable and panel against each other.
 
 // Conv16 is one convolution layer's geometry (CHW, square kernel) and packed
-// weight image. It is immutable after NewConv16 and may be shared.
+// weight image. Pack rewrites the image in place, so it is shared only below
+// the training boundary, where no one repacks it.
 type Conv16 struct {
 	inC, outC, k, stride, pad int
 	w                         []int16
@@ -31,19 +32,25 @@ type Conv16 struct {
 
 // NewConv16 packs the (outC, inC·k·k) row-major weight matrix w.
 func NewConv16(w []int16, inC, outC, k, stride, pad int) *Conv16 {
-	pairs := (k + 1) / 2
 	c := &Conv16{inC: inC, outC: outC, k: k, stride: stride, pad: pad,
-		w: make([]int16, inC*k*pairs*outC*2)}
-	for oc := 0; oc < outC; oc++ {
-		for ic := 0; ic < inC; ic++ {
-			for ky := 0; ky < k; ky++ {
-				for kx := 0; kx < k; kx++ {
-					c.w[(((ic*k+ky)*pairs+kx/2)*outC+oc)*2+kx%2] = w[((oc*inC+ic)*k+ky)*k+kx]
+		w: make([]int16, inC*k*((k+1)/2)*outC*2)}
+	c.Pack(w)
+	return c
+}
+
+// Pack repacks the image from w, laid out as NewConv16's, without
+// allocating. An odd kernel's zero padding weights are never written.
+func (c *Conv16) Pack(w []int16) {
+	pairs := (c.k + 1) / 2
+	for oc := 0; oc < c.outC; oc++ {
+		for ic := 0; ic < c.inC; ic++ {
+			for ky := 0; ky < c.k; ky++ {
+				for kx := 0; kx < c.k; kx++ {
+					c.w[(((ic*c.k+ky)*pairs+kx/2)*c.outC+oc)*2+kx%2] = w[((oc*c.inC+ic)*c.k+ky)*c.k+kx]
 				}
 			}
 		}
 	}
-	return c
 }
 
 // OutHW returns the output height and width for an (h, w) input. The

@@ -141,6 +141,32 @@ func TestConv16MatchesPanelGEMM(t *testing.T) {
 	}
 }
 
+// TestConv16PackRepacksInPlace: an image built from one set of words and
+// then Packed from another convolves, word for word, as the panel reduction
+// over the new words — the odd kernels' zero pair weights untouched — and
+// Pack allocates nothing.
+func TestConv16PackRepacksInPlace(t *testing.T) {
+	const inC, outC, h, w = 3, 8, 7, 9
+	rng := rand.New(rand.NewSource(45))
+	for k := 1; k <= 4; k++ {
+		n := outC * inC * k * k
+		c, wts := NewConv16(randInt16s(rng, n), inC, outC, k, 1, 1), randInt16s(rng, n)
+		if allocs := testing.AllocsPerRun(3, func() { c.Pack(wts) }); allocs != 0 {
+			t.Errorf("k%d: Pack allocates %v times", k, allocs)
+		}
+		src := randInt16s(rng, inC*h*w)
+		oh, ow := c.OutHW(h, w)
+		got := make([]int32, oh*ow*outC)
+		Conv16Batch(c, got, make([]int16, c.ScratchLen(h, w)), src, 1, h, w)
+		want := panelConv16(wts, src, inC, outC, k, 1, 1, h, w)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k%d word %d: repacked image gives %d, panel over the new words %d", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestConv16BatchDirtyScratch holds Conv16Batch to its "contents
 // overwritten" contract now that it zeroes scratch once per call and stages
 // only each sample's interior: over a scratch left full of 0x7fff or -32768

@@ -167,8 +167,9 @@ var matrixEntries = []matrixEntry{
 		},
 	},
 	{
-		// Swarm and Curriculum take their first scenario from the default
-		// list (the indoor apartment), so a cell's WithGenerated is first.
+		// Swarm and Curriculum fly the indoor apartment unless a cell
+		// selects another world, and refuse a list of two, so a cell's
+		// WithScenarios or WithGenerated is the one scenario.
 		name: "Swarm", entry: "Swarm",
 		run: func(opts []any) (any, error) {
 			e, err := dronerl.Swarm(as([]dronerl.SwarmOption{
