@@ -15,8 +15,10 @@
 // by droneflight -save); without it a fresh NavNet is initialized from
 // -seed. With -checkpoint, a usable checkpoint at that path is resumed
 // automatically — delete the file to start over — and new checkpoints are
-// written there atomically; each save is charged to the energy ledger as an
-// STT-MRAM write. SIGINT/SIGTERM stops the run; with -checkpoint the next
+// written there atomically, each one CRC-sealed weight image; each save is
+// charged to the energy ledger as an STT-MRAM write (checkpoint_energy). A
+// file it cannot read — torn, bit-flipped, or a layout-1 gob checkpoint of
+// an older build — exits 1 saying to delete it. SIGINT/SIGTERM stops the run; with -checkpoint the next
 // invocation resumes it. The exit line and the stats JSON after it break the
 // sessions the learner had to drop down by cause (DropReasons: timeout,
 // truncated, corrupt, rejected experience).

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -37,6 +38,20 @@ func TestRunRejectsBadInput(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.want) || !strings.Contains(stderr.String(), "Usage") {
 			t.Errorf("%q: stderr %q does not name %q with the usage", tc.args, stderr.String(), tc.want)
 		}
+	}
+}
+
+// TestRunRefusesCorruptCheckpoint: a -checkpoint file this build cannot
+// read — here a layout-1 gob checkpoint — exits 1 saying to delete it,
+// before anything listens.
+func TestRunRefusesCorruptCheckpoint(t *testing.T) {
+	old := filepath.Join("..", "..", "internal", "dist", "testdata", "layout1.ckpt")
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-checkpoint", old}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "(delete it to start over)") || stdout.Len() != 0 {
+		t.Fatalf("stdout %q, stderr %q: want only the delete hint on stderr", stdout.String(), stderr.String())
 	}
 }
 

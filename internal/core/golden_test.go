@@ -84,7 +84,7 @@ func TestRunMissionGolden(t *testing.T) {
 				hashU64(h, uint64(res.Crashes))
 				hashF64(h, res.DistanceM, res.EnergySpentJ, res.WallClockS, res.FPS)
 				hashU64(h, uint64(agent.TrainSteps()))
-				hashU64(h, uint64(agent.EnvSteps()))
+				hashU64(h, uint64(agent.Clock().EnvSteps()))
 				var buf [4]byte
 				for _, p := range agent.Net.Params() {
 					for _, v := range p.W.Data() {

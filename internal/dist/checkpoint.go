@@ -1,55 +1,46 @@
 package dist
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 
 	"dronerl/internal/nn"
 	"dronerl/internal/rl"
 )
 
-// CheckpointVersion is the checkpoint layout this build writes and reads;
-// like nn.SnapshotVersion it fails loudly on any other value.
-const CheckpointVersion = 1
+// CheckpointVersion is the checkpoint layout: one nn weight image. Layout 1,
+// a gob stream with no checksum, is refused as ErrCheckpointCorrupt.
+const CheckpointVersion = nn.SnapshotVersion
 
 // ErrCheckpointCorrupt marks a checkpoint file that cannot be restored:
-// truncated (a crash mid-write of a non-atomic copy, a short read) or
-// structurally invalid. The atomic write-rename of Save means the named
-// checkpoint on disk is either a complete old one or a complete new one, so
-// in practice this error indicates external damage.
+// truncated, failing its CRC-32C or its section table, or of another
+// layout. Save's atomic write-rename never leaves a torn file, so in
+// practice this is external damage or an older build's file.
 var ErrCheckpointCorrupt = errors.New("dist: checkpoint corrupt")
 
-// Checkpoint is the learner's durable resume point: the policy weights (and
-// the frozen TD-target copy when one exists), the shared clock, the publish
-// counter and the replay-interleave cursors. On the modeled hardware this is
-// the artifact the MRAM scratchpad makes cheap (Roy et al., PAPERS.md):
-// Save's cost is charged to the energy ledger as NVM writes by the learner.
+// slotsSection is the counts section (nn.AddCounts) Save appends to the
+// learner state: the next actor ID, then each actor ID and its shard.
+const slotsSection = "slots"
+
+// Checkpoint is the learner's durable resume point, the artifact the MRAM
+// scratchpad makes cheap on the modeled hardware (Roy et al., PAPERS.md):
+// the learner charges each Save to its energy ledger as NVM writes.
 //
-// Replay *contents* are deliberately not durable: transitions live with the
-// actors, which resend from their local buffers after a learner restart.
-// Persisting the cursors — not the data — is what keeps the restart safe:
-// the round-robin shard walk resumes where it stopped and push ordinals stay
-// monotonic, so nothing sampled after the restart can alias a pre-crash
-// entry.
+// Replay *contents* are deliberately not durable: actors resend from their
+// local buffers after a learner restart. Persisting the cursors keeps the
+// restart safe: the shard walk resumes where it stopped and push ordinals
+// stay monotonic, so nothing sampled after it aliases a pre-crash entry.
 type Checkpoint struct {
-	Version int
-	Arch    string
-	// Net and Target are full-weight snapshots of the online and target
-	// networks (Target nil when the run trains without one).
-	Net    *nn.Snapshot
-	Target *nn.Snapshot
-	// EnvSteps and TrainSteps restore the shared rl.Clock.
+	// Image is the learner state as rl.Agent.Checkpoint captures it and
+	// rl.Agent.Resume restores it: weights, clock and replay cursors.
+	Image *nn.Snapshot
+	// EnvSteps and TrainSteps are the clock LoadCheckpoint read in Image.
 	EnvSteps, TrainSteps int64
-	// Publishes restores the learner's publish counter (stats continuity).
-	Publishes int
-	// ShardCursor and ShardPushes restore the rl.ReplayShards interleave.
-	ShardCursor int
-	ShardPushes []int64
 	// Slots and NextActorID restore the learner's actor table, so actors
 	// that outlive a learner crash reclaim their shard slots by ID when
 	// they reconnect to the restarted learner.
@@ -57,119 +48,75 @@ type Checkpoint struct {
 	NextActorID uint64
 }
 
-// TakeCheckpoint captures a resumable checkpoint of the learner state. The
-// caller must ensure the agent is quiescent (the distributed learner holds
-// its training lock).
-func TakeCheckpoint(a *rl.Agent, arch string, shards *rl.ReplayShards) *Checkpoint {
-	cp := &Checkpoint{
-		Version:    CheckpointVersion,
-		Arch:       arch,
-		Net:        nn.TakeSnapshot(a.Net, arch),
-		EnvSteps:   a.Clock().EnvSteps(),
-		TrainSteps: a.Clock().TrainSteps(),
-	}
-	if a.Target != nil {
-		cp.Target = nn.TakeSnapshot(a.Target, arch)
-	}
-	if shards != nil {
-		cp.ShardCursor, cp.ShardPushes = shards.Cursors()
-	}
-	return cp
-}
-
-// Save writes the checkpoint durably: gob-encode into a temporary file in
-// the destination directory, fsync, then rename over the destination. A
-// crash at any point leaves either the previous complete checkpoint or the
-// new complete one — never a torn file. It returns the encoded size in
-// bytes so the caller can charge the NVM write to its energy ledger.
+// Save writes the checkpoint as one weight image — Image, then the slots
+// section — into a temporary file beside path, fsyncs it and renames it over
+// path, so a crash leaves the previous complete checkpoint or the new one,
+// never a torn file. It returns the image size in bytes for the ledger.
 func (c *Checkpoint) Save(path string) (int64, error) {
-	if c.Version != CheckpointVersion {
-		return 0, fmt.Errorf("dist: refusing to save checkpoint version %d (this build writes %d)",
-			c.Version, CheckpointVersion)
+	counts := []uint64{c.NextActorID}
+	for _, id := range slices.Sorted(maps.Keys(c.Slots)) {
+		counts = append(counts, id, uint64(c.Slots[id]))
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	img := *c.Image
+	img.Names, img.Shapes, img.Data = slices.Clip(img.Names), slices.Clip(img.Shapes), slices.Clip(img.Data)
+	img.AddCounts(slotsSection, counts)
+
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return 0, fmt.Errorf("dist: creating checkpoint temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := gob.NewEncoder(tmp).Encode(c); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("dist: encoding checkpoint: %w", err)
+	err = img.Encode(tmp)
+	size, serr := tmp.Seek(0, io.SeekCurrent)
+	if err = errors.Join(err, serr); err == nil {
+		err = tmp.Sync()
 	}
-	size, err := tmp.Seek(0, io.SeekCurrent)
+	if err = errors.Join(err, tmp.Close()); err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
 	if err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("dist: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("dist: installing checkpoint: %w", err)
+		return 0, fmt.Errorf("dist: writing checkpoint: %w", err)
 	}
 	return size, nil
 }
 
-// LoadCheckpoint reads a checkpoint written by Save. Truncated or otherwise
-// undecodable files report ErrCheckpointCorrupt (wrapping the cause); a
-// missing file reports the os.IsNotExist-compatible error unchanged so
-// "no checkpoint yet" stays distinguishable from "checkpoint destroyed".
+// LoadCheckpoint reads a checkpoint written by Save. A file that is not one
+// — truncated, corrupt, an older layout — reports ErrCheckpointCorrupt
+// wrapping the cause; a missing file reports the os.IsNotExist-compatible
+// error unchanged so "no checkpoint yet" stays distinguishable from
+// "checkpoint destroyed".
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var c Checkpoint
-	if err := gob.NewDecoder(f).Decode(&c); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-			strings.Contains(err.Error(), "unexpected EOF") {
-			return nil, fmt.Errorf("%w: truncated: %v", ErrCheckpointCorrupt, err)
-		}
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
+	b, err := io.ReadAll(io.LimitReader(f, 1<<30+1)) // nn refuses images over 1 GiB
+	if err != nil {
+		return nil, fmt.Errorf("dist: reading checkpoint: %w", err)
 	}
-	if c.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: layout version %d, this build reads %d",
-			ErrCheckpointCorrupt, c.Version, CheckpointVersion)
-	}
-	if c.Net == nil {
-		return nil, fmt.Errorf("%w: no network snapshot", ErrCheckpointCorrupt)
-	}
-	return &c, nil
+	return readCheckpoint(b)
 }
 
-// RestoreInto installs the checkpoint into a freshly deployed agent and its
-// replay shards: weights (online and target), clock and interleave cursors.
-// Architecture mismatches fail before any state is touched.
-func (c *Checkpoint) RestoreInto(a *rl.Agent, arch string, shards *rl.ReplayShards) error {
-	if c.Arch != "" && arch != "" && c.Arch != arch {
-		return fmt.Errorf("dist: checkpoint is a %q run, resuming %q", c.Arch, arch)
+// readCheckpoint decodes one checkpoint image through nn.DecodeImage; every
+// error wraps ErrCheckpointCorrupt.
+func readCheckpoint(b []byte) (*Checkpoint, error) {
+	img, err := nn.DecodeImage(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCheckpointCorrupt, err)
 	}
-	if err := c.Net.Restore(a.Net); err != nil {
-		return fmt.Errorf("dist: restoring checkpoint weights: %w", err)
+	last := len(img.Names) - 1
+	counts, err := img.Counts(slotsSection)
+	if err != nil || img.Names[last] != slotsSection || len(counts)%2 == 0 {
+		return nil, fmt.Errorf("%w: no actor table of an odd count last (%d counts, %v)", ErrCheckpointCorrupt, len(counts), err)
 	}
-	if a.Target != nil {
-		src := c.Target
-		if src == nil {
-			// The checkpointed run had no target network; seed it from the
-			// restored online weights, the same state a fresh target sync
-			// would produce.
-			src = c.Net
-		}
-		if err := src.Restore(a.Target); err != nil {
-			return fmt.Errorf("dist: restoring checkpoint target weights: %w", err)
-		}
+	c := &Checkpoint{Image: img, NextActorID: counts[0], Slots: make(map[uint64]int, len(counts)/2)}
+	for i := 1; i < len(counts); i += 2 {
+		c.Slots[counts[i]] = int(counts[i+1]) // NewLearner drops shards out of range
 	}
-	if shards != nil && len(c.ShardPushes) > 0 {
-		if err := shards.RestoreCursors(c.ShardCursor, c.ShardPushes); err != nil {
-			return err
-		}
+	img.Names, img.Shapes, img.Data = img.Names[:last], img.Shapes[:last], img.Data[:last]
+	if c.EnvSteps, c.TrainSteps, err = rl.CheckpointClock(img); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCheckpointCorrupt, err)
 	}
-	a.Clock().Restore(c.EnvSteps, c.TrainSteps)
-	return nil
+	return c, nil
 }

@@ -354,8 +354,8 @@ func TestDistLearnerCrashResume(t *testing.T) {
 			agent2.Clock().EnvSteps(), agent2.Clock().TrainSteps(), cp.EnvSteps, cp.TrainSteps)
 	}
 	restored := nn.TakeSnapshot(agent2.Net, f.spec.Name)
-	for i := range cp.Net.Data {
-		if !bytes.Equal(f32bytes(restored.Data[i]), f32bytes(cp.Net.Data[i])) {
+	for i := range restored.Data {
+		if !bytes.Equal(f32bytes(restored.Data[i]), f32bytes(cp.Image.Data[i])) {
 			t.Fatalf("resume did not restore weights of param %d", i)
 		}
 	}

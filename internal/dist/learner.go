@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net"
 	"os"
@@ -66,8 +67,8 @@ type LearnerConfig struct {
 	CheckpointPath  string
 	CheckpointEvery int
 	// Resume, when set, restores a previously saved checkpoint into the
-	// agent before serving: weights, clock and replay cursors. The clock
-	// resuming mid-count means TotalSteps counts only *new* env steps.
+	// agent before serving (rl.Agent.Resume). The clock resuming
+	// mid-count means TotalSteps counts only *new* env steps.
 	Resume *Checkpoint
 	// Ledger, when set, is charged one STT-MRAM write per checkpoint save —
 	// the durable-snapshot cost of the recovery primitive.
@@ -239,8 +240,8 @@ func NewLearner(cfg LearnerConfig) (*Learner, error) {
 		}
 	}
 	if cfg.Resume != nil {
-		if err := cfg.Resume.RestoreInto(cfg.Agent, cfg.Spec.Name, l.shards); err != nil {
-			return nil, err
+		if err := cfg.Agent.Resume(cfg.Resume.Image, l.shards); err != nil {
+			return nil, fmt.Errorf("dist: resuming checkpoint: %w", err)
 		}
 		for id, shard := range cfg.Resume.Slots {
 			if shard >= 0 && shard < cfg.ActorSlots {
@@ -297,7 +298,7 @@ func (l *Learner) Run(ctx context.Context) (LearnerStats, error) {
 	publishes, err := l.learn.Run(runCtx, envStart, l.cfg.TotalSteps)
 	if err == nil && l.cfg.CheckpointPath != "" {
 		// Clean completion: leave a final resume point behind.
-		err = l.checkpoint(publishes)
+		err = l.checkpoint()
 	}
 	if err == nil {
 		l.announceDone()
@@ -431,25 +432,20 @@ func (l *Learner) publish(v uint64) {
 }
 
 // afterUpdate saves a checkpoint every CheckpointEvery completed updates.
-func (l *Learner) afterUpdate(trained, publishes int) error {
+func (l *Learner) afterUpdate(trained int) error {
 	if l.cfg.CheckpointPath == "" || trained%l.cfg.CheckpointEvery != 0 {
 		return nil
 	}
-	return l.checkpoint(publishes)
+	return l.checkpoint()
 }
 
 // checkpoint saves a durable resume point and charges the NVM write.
-func (l *Learner) checkpoint(publishes int) error {
+func (l *Learner) checkpoint() error {
 	l.netMu.Lock()
-	cp := TakeCheckpoint(l.cfg.Agent, l.cfg.Spec.Name, l.shards)
+	cp := &Checkpoint{Image: l.cfg.Agent.Checkpoint(l.shards)}
 	l.netMu.Unlock()
-	cp.Publishes = publishes
 	l.connMu.Lock()
-	cp.Slots = make(map[uint64]int, len(l.slots))
-	for id, shard := range l.slots {
-		cp.Slots[id] = shard
-	}
-	cp.NextActorID = l.nextID
+	cp.Slots, cp.NextActorID = maps.Clone(l.slots), l.nextID
 	l.connMu.Unlock()
 	size, err := cp.Save(l.cfg.CheckpointPath)
 	if err != nil {

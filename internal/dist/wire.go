@@ -49,9 +49,9 @@
 //     the dead ones; training continues on the shards of the live actors. A
 //     periodic checkpoint (atomic write-rename, charged to the energy
 //     ledger as NVM writes — Roy et al.'s MRAM-scratchpad argument makes
-//     durable snapshots cheap on this hardware) captures weights, clock and
-//     replay cursors, and a restarted learner resumes from it with actors
-//     reconnecting on their own.
+//     durable snapshots cheap on this hardware) is one CRC-sealed weight
+//     image (rl.Agent.Checkpoint plus the actor slots); a restarted learner
+//     resumes from it (rl.Agent.Resume) with actors reconnecting on their own.
 //
 // internal/dist/chaos injects the failures the design claims to survive:
 // connections that drop, delay or truncate mid-frame, and harness helpers

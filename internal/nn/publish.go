@@ -51,13 +51,7 @@ func (b *PolicyBoard) Publish(net *Network, arch string) uint64 {
 	ps := net.TrainableParams()
 	e := b.bufs[b.flip]
 	if e == nil {
-		s := &Snapshot{Version: SnapshotVersion, Arch: arch}
-		for _, p := range ps {
-			s.Names = append(s.Names, p.Name)
-			s.Shapes = append(s.Shapes, append([]int(nil), p.W.Shape()...))
-			s.Data = append(s.Data, make([]float32, p.W.Len()))
-		}
-		e = &boardEntry{snap: s}
+		e = &boardEntry{snap: paramSnapshot(ps, arch)}
 		b.bufs[b.flip] = e
 	}
 	if len(e.snap.Names) != len(ps) {

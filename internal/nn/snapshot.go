@@ -76,8 +76,9 @@ type Snapshot struct {
 
 // TakeSnapshot copies the current weights of n into a Snapshot labelled with
 // the architecture name.
-func TakeSnapshot(n *Network, arch string) *Snapshot {
-	ps := n.Params()
+func TakeSnapshot(n *Network, arch string) *Snapshot { return paramSnapshot(n.Params(), arch) }
+
+func paramSnapshot(ps []*Param, arch string) *Snapshot {
 	s := &Snapshot{Version: SnapshotVersion, Arch: arch}
 	for _, p := range ps {
 		s.Names = append(s.Names, p.Name)
@@ -120,6 +121,30 @@ func (s *Snapshot) install(ps []*Param) error {
 		p.MarkChanged()
 	}
 	return nil
+}
+
+// AddCounts appends a section of at least one 64-bit count (a clock, a
+// cursor, an ID) to s as two words each, low half first, bit for bit: state
+// that travels with its weights. Restore refuses a snapshot holding one.
+func (s *Snapshot) AddCounts(name string, counts []uint64) {
+	d := make([]float32, 2*len(counts))
+	for i, c := range counts {
+		d[2*i], d[2*i+1] = math.Float32frombits(uint32(c)), math.Float32frombits(uint32(c>>32))
+	}
+	s.Names, s.Shapes, s.Data = append(s.Names, name), append(s.Shapes, []int{len(counts), 2}), append(s.Data, d)
+}
+
+// Counts returns the counts AddCounts put in s's section name.
+func (s *Snapshot) Counts(name string) ([]uint64, error) {
+	i := slices.Index(s.Names, name)
+	if i < 0 || !slices.Equal(s.Shapes[i], []int{len(s.Data[i]) / 2, 2}) {
+		return nil, fmt.Errorf("nn: snapshot has no counts section %q", name)
+	}
+	out, d := make([]uint64, len(s.Data[i])/2), s.Data[i]
+	for j := range out {
+		out[j] = uint64(math.Float32bits(d[2*j])) | uint64(math.Float32bits(d[2*j+1]))<<32
+	}
+	return out, nil
 }
 
 // Encode writes the snapshot as one weight image.

@@ -265,3 +265,33 @@ func TestDecodeImageRefusesCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestCountsSectionRoundTrip: counts whose 32-bit halves are signalling and
+// quiet NaN, ±Inf and subnormal patterns cross Encode and ReadSnapshot bit
+// for bit, a missing or misshapen section is an error, and Restore refuses a
+// snapshot that carries one.
+func TestCountsSectionRoundTrip(t *testing.T) {
+	counts := []uint64{0, 1, 0x7f800001_ffc00001, 0x7f800000_ff800000, 0x00000001_807fffff, math.MaxUint64}
+	snap := TakeSnapshot(fixtureNet(), "fixture")
+	snap.AddCounts("state", counts)
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := got.Counts("state"); err != nil || !slices.Equal(c, counts) {
+		t.Fatalf("counts %x (%v), want %x", c, err, counts)
+	}
+	if _, err := got.Counts("FC1.bias"); err == nil {
+		t.Fatal("a weight section read as counts")
+	}
+	if _, err := got.Counts("clock"); err == nil {
+		t.Fatal("a missing section read as counts")
+	}
+	if err := got.Restore(fixtureNet()); err == nil {
+		t.Fatal("Restore took a snapshot with a counts section")
+	}
+}

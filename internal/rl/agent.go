@@ -208,7 +208,7 @@ func NewAgent(spec nn.ArchSpec, cfg nn.Config, opts Options) *Agent {
 		actions: spec.FCs[len(spec.FCs)-1].Out,
 		rng:     rng,
 		replay:  NewReplayBuffer(opts.ReplayCapacity),
-		clock:   NewClock(),
+		clock:   newClock(),
 	}
 	if opts.TargetSync > 0 {
 		a.Target = spec.Build()
@@ -234,12 +234,6 @@ func (a *Agent) syncTarget() {
 	if err := a.Target.CopyWeightsFrom(a.Net); err != nil {
 		panic("rl: target network architecture diverged: " + err.Error())
 	}
-}
-
-// Epsilon returns the current exploration rate under the linear schedule,
-// read from the shared clock. TestEpsilonSchedule pins it.
-func (a *Agent) Epsilon() float64 {
-	return a.opts.EpsilonAt(a.clock.EnvSteps())
 }
 
 // SelectAction picks an epsilon-greedy action for the observation and
@@ -288,17 +282,23 @@ func (a *Agent) AdoptPolicy(board *nn.PolicyBoard) (bool, error) {
 	if !changed {
 		return false, nil
 	}
+	return true, a.rebuildBackends()
+}
+
+// rebuildBackends rebuilds the active backends over the weights as they are
+// now: the train backend, and after the hand-off the eval backend.
+func (a *Agent) rebuildBackends() error {
 	if a.trainBackend != nil {
 		a.policy, a.trainBackend = nil, nil
 		if err := a.ActivateTrainBackend(); err != nil {
-			return true, err
+			return err
 		}
 	}
 	if a.handedOff {
 		a.handedOff = false
-		return true, a.HandOff()
+		return a.HandOff()
 	}
-	return true, nil
+	return nil
 }
 
 // Greedy returns argmax_a Q(obs, a) without exploration, ties to the lowest
@@ -417,12 +417,6 @@ func (a *Agent) ActivateTrainBackend() error {
 // TrainBackend returns the active trainable backend (nil before
 // ActivateTrainBackend, or when the options select the float training path).
 func (a *Agent) TrainBackend() nn.TrainableBackend { return a.trainBackend }
-
-// QValues returns the Q-vector for an observation. TestFloatStackGolden
-// hashes it.
-func (a *Agent) QValues(obs *tensor.Tensor) []float32 {
-	return a.Net.Forward(obs).Data()
-}
 
 // Observe stores a transition in the agent's private replay buffer. The
 // async pipeline bypasses it — actors push straight into their own shard.
@@ -675,10 +669,6 @@ func (a *Agent) trainStepBackend() float64 {
 
 // TrainSteps returns the number of completed weight updates.
 func (a *Agent) TrainSteps() int { return int(a.clock.TrainSteps()) }
-
-// EnvSteps returns the number of actions selected so far (the shared
-// clock's env-step count — every actor's steps under the async pipeline).
-func (a *Agent) EnvSteps() int { return int(a.clock.EnvSteps()) }
 
 // BatchSize exposes the configured training batch.
 func (a *Agent) BatchSize() int { return a.opts.BatchSize }

@@ -106,7 +106,7 @@ func (l *OnlineLoop) Run(ctx context.Context, iters int) (OnlineStats, error) {
 		panic("rl: OnlineLoop needs at least one world")
 	}
 	l.TrainEvery, l.SyncEvery = a.cadence(l.TrainEvery, l.SyncEvery)
-	if l.shards == nil || l.shards.Shards() != len(l.Worlds) ||
+	if l.shards == nil || len(l.shards.shards) != len(l.Worlds) ||
 		l.shardsFrom != a.Net.TrainFrom() || l.shardsEngine != a.trainBackend {
 		l.shards = NewReplayShards(len(l.Worlds), a.opts.ReplayCapacity)
 		l.shardsFrom, l.shardsEngine = a.Net.TrainFrom(), a.trainBackend

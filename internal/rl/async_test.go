@@ -267,7 +267,7 @@ func TestReplayShardsInterleave(t *testing.T) {
 // TestClockSchedules: epsilon and target-sync are pure functions of the
 // shared clock, and WaitEnv wakes at the requested tick.
 func TestClockSchedules(t *testing.T) {
-	c := NewClock()
+	c := newClock()
 	if c.EnvSteps() != 0 || c.TrainSteps() != 0 {
 		t.Fatal("fresh clock not at zero")
 	}

@@ -21,8 +21,8 @@ type Clock struct {
 	cond *sync.Cond
 }
 
-// NewClock returns a clock at zero.
-func NewClock() *Clock {
+// newClock returns a clock at zero.
+func newClock() *Clock {
 	c := &Clock{}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -57,19 +57,6 @@ func (c *Clock) WaitEnv(at int64, giveUp func() bool) {
 	for c.env.Load() < at && !giveUp() {
 		c.cond.Wait()
 	}
-}
-
-// Restore sets both counters to absolute values, waking any waiters. It is
-// the checkpoint-resume entry point: a learner restarting from a durable
-// checkpoint restores the clock to the checkpointed step counts so the
-// epsilon schedule, target-sync cadence and train-step due-dates continue
-// where the crashed run left off instead of rewinding to zero.
-func (c *Clock) Restore(envSteps, trainSteps int64) {
-	c.env.Store(envSteps)
-	c.train.Store(trainSteps)
-	c.mu.Lock()
-	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
 // Wake wakes every WaitEnv waiter so it can re-check its give-up condition.

@@ -145,7 +145,7 @@ func goldenRun(t *testing.T, g goldenStart, cfg nn.Config, double bool, batch in
 		}
 	}
 	hashParams(h, a.Net)
-	hashF32s(h, a.QValues(g.pool[0]))
+	hashF32s(h, a.Net.Forward(g.pool[0]).Data())
 	hashF32s(h, a.Net.Forward(g.pool[1]).Data())
 	// Split passes: at a conv-stage boundary (a CHW activation) and, under a
 	// frozen topology, at the training boundary (a flat one).

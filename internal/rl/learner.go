@@ -35,8 +35,8 @@ type Learner struct {
 	// board swap.
 	OnPublish func(version uint64)
 	// AfterUpdate runs after every completed update and its publish, with
-	// the run's update and publish counts so far; an error ends the run.
-	AfterUpdate func(trained, publishes int) error
+	// the run's update count so far; an error ends the run.
+	AfterUpdate func(trained int) error
 	// Stop reports that the env steps still due will never arrive; the loop
 	// then ends at its next wait. Whoever makes it true calls Clock.Wake.
 	Stop func() bool
@@ -115,7 +115,7 @@ func (l *Learner) Run(ctx context.Context, envStart int64, steps int) (publishes
 			}
 		}
 		if l.AfterUpdate != nil {
-			if err := l.AfterUpdate(trained, publishes); err != nil {
+			if err := l.AfterUpdate(trained); err != nil {
 				return publishes, err
 			}
 		}

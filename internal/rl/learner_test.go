@@ -41,9 +41,9 @@ func TestLearnerCadence(t *testing.T) {
 		Agent: agent, Replay: replay, Board: nn.NewPolicyBoard(),
 		TrainEvery: trainEvery, SyncEvery: syncEvery,
 		OnPublish: func(v uint64) { versions = append(versions, v) },
-		AfterUpdate: func(trained, publishes int) error {
-			if publishes != len(versions) {
-				t.Errorf("AfterUpdate(%d, %d) ran before its publish", trained, publishes)
+		AfterUpdate: func(trained int) error {
+			if len(versions) != trained/syncEvery {
+				t.Errorf("AfterUpdate(%d) ran with %d publishes seen, want %d", trained, len(versions), trained/syncEvery)
 			}
 			afterUpdates = append(afterUpdates, trained)
 			return nil

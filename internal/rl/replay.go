@@ -76,9 +76,6 @@ func (r *ReplayBuffer) Push(t Transition) {
 // Len returns the number of stored transitions.
 func (r *ReplayBuffer) Len() int { return r.size }
 
-// Cap returns the buffer capacity.
-func (r *ReplayBuffer) Cap() int { return len(r.buf) }
-
 // Sample draws n transitions uniformly with replacement. It panics if the
 // buffer is empty.
 func (r *ReplayBuffer) Sample(n int, rng *rand.Rand) []Transition {

@@ -20,7 +20,7 @@ func obsOf(v float32) *tensor.Tensor {
 
 func TestReplayBufferRing(t *testing.T) {
 	r := NewReplayBuffer(3)
-	if r.Cap() != 3 || r.Len() != 0 {
+	if len(r.buf) != 3 || r.Len() != 0 {
 		t.Fatal("fresh buffer state wrong")
 	}
 	for i := 0; i < 5; i++ {
@@ -59,21 +59,21 @@ func TestReplaySampleEmptyPanics(t *testing.T) {
 
 func TestEpsilonSchedule(t *testing.T) {
 	a := NewAgent(nn.NavNetSpec(), nn.E2E, Options{EpsStart: 1, EpsEnd: 0.1, EpsDecaySteps: 100, Seed: 2})
-	if got := a.Epsilon(); got != 1 {
+	if got := a.opts.EpsilonAt(a.clock.EnvSteps()); got != 1 {
 		t.Errorf("initial epsilon = %v", got)
 	}
 	obs := obsOf(0.5)
 	for i := 0; i < 50; i++ {
 		a.SelectAction(obs)
 	}
-	mid := a.Epsilon()
+	mid := a.opts.EpsilonAt(a.clock.EnvSteps())
 	if mid >= 1 || mid <= 0.1 {
 		t.Errorf("mid epsilon = %v, want in (0.1, 1)", mid)
 	}
 	for i := 0; i < 100; i++ {
 		a.SelectAction(obs)
 	}
-	if got := a.Epsilon(); got != 0.1 {
+	if got := a.opts.EpsilonAt(a.clock.EnvSteps()); got != 0.1 {
 		t.Errorf("final epsilon = %v, want 0.1", got)
 	}
 }
@@ -81,7 +81,7 @@ func TestEpsilonSchedule(t *testing.T) {
 func TestGreedyMatchesQValues(t *testing.T) {
 	a := NewAgent(nn.NavNetSpec(), nn.E2E, Options{Seed: 3})
 	obs := obsOf(0.3)
-	q := a.QValues(obs)
+	q := a.Net.Forward(obs).Data()
 	best := 0
 	for i, v := range q {
 		if v > q[best] {
@@ -111,12 +111,12 @@ func TestTrainStepLearnsTerminalValue(t *testing.T) {
 	tr := Transition{State: s, Action: 2, Reward: 1, Next: next, Done: true}
 	a.Observe(tr)
 	a.Observe(tr)
-	q0 := float64(a.QValues(s)[2])
+	q0 := float64(a.Net.Forward(s).Data()[2])
 	var lastMSE float64
 	for i := 0; i < 150; i++ {
 		lastMSE = a.TrainStep()
 	}
-	q1 := float64(a.QValues(s)[2])
+	q1 := float64(a.Net.Forward(s).Data()[2])
 	if math.Abs(q1-1) >= math.Abs(q0-1) {
 		t.Errorf("Q did not move toward target: %v -> %v", q0, q1)
 	}
@@ -207,8 +207,8 @@ func TestOnlineLoopRunsAndTracks(t *testing.T) {
 	if tracker.Steps() != 100 {
 		t.Errorf("tracked %d steps, want 100", tracker.Steps())
 	}
-	if a.EnvSteps() != 100 || stats.EnvSteps != 100 {
-		t.Errorf("agent saw %d steps, loop reports %d", a.EnvSteps(), stats.EnvSteps)
+	if a.Clock().EnvSteps() != 100 || stats.EnvSteps != 100 {
+		t.Errorf("agent saw %d steps, loop reports %d", a.Clock().EnvSteps(), stats.EnvSteps)
 	}
 	// One TD step every 4th step; the first finds the replay below a batch.
 	if stats.TrainSteps != 24 {
@@ -274,8 +274,8 @@ func TestDoubleDQNTarget(t *testing.T) {
 		plain.TrainStep()
 		double.TrainStep()
 	}
-	qp := float64(plain.QValues(s)[1])
-	qd := float64(double.QValues(s)[1])
+	qp := float64(plain.Net.Forward(s).Data()[1])
+	qd := float64(double.Net.Forward(s).Data()[1])
 	if qp <= 0 || qd <= 0 {
 		t.Errorf("both variants must raise Q toward the positive target: plain %v double %v", qp, qd)
 	}

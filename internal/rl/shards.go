@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 )
@@ -28,7 +27,7 @@ type ReplayShards struct {
 	shards []*ReplayBuffer
 	mus    []sync.Mutex
 	// pushes counts lifetime pushes per shard, part of the interleave
-	// state a checkpoint persists (see Cursors).
+	// state a checkpoint persists (see Agent.Checkpoint).
 	pushes []int64
 	cursor int
 }
@@ -54,9 +53,6 @@ func NewReplayShards(n, capacity int) *ReplayShards {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *ReplayShards) Shards() int { return len(s.shards) }
-
 // PushTo appends a transition to the given actor's shard.
 func (s *ReplayShards) PushTo(shard int, t Transition) {
 	s.mus[shard].Lock()
@@ -74,42 +70,6 @@ func (s *ReplayShards) Len() int {
 		s.mus[i].Unlock()
 	}
 	return total
-}
-
-// Cursors returns the sampling cursor and a copy of the per-shard lifetime
-// push counts — the replay-interleave state a resumable checkpoint persists.
-// Restoring them into a fresh ReplayShards (RestoreCursors) makes the
-// restarted learner's round-robin shard walk continue where the checkpointed
-// one stopped, and keeps the lifetime push counts monotonic across the
-// restart.
-func (s *ReplayShards) Cursors() (cursor int, pushes []int64) {
-	out := make([]int64, len(s.shards))
-	for i := range s.shards {
-		s.mus[i].Lock()
-		out[i] = s.pushes[i]
-		s.mus[i].Unlock()
-	}
-	return s.cursor, out
-}
-
-// RestoreCursors installs checkpointed interleave state taken by Cursors.
-// The shard count must match the checkpointed one; the shards themselves
-// start empty (replay contents are not durable — actors refill them on
-// reconnect) but the walk order and push counts carry over.
-func (s *ReplayShards) RestoreCursors(cursor int, pushes []int64) error {
-	if len(pushes) != len(s.shards) {
-		return fmt.Errorf("rl: checkpoint has %d replay shards, store has %d", len(pushes), len(s.shards))
-	}
-	if cursor < 0 || cursor > len(s.shards) {
-		return fmt.Errorf("rl: checkpoint replay cursor %d out of range [0, %d]", cursor, len(s.shards))
-	}
-	for i := range s.shards {
-		s.mus[i].Lock()
-		s.pushes[i] = pushes[i]
-		s.mus[i].Unlock()
-	}
-	s.cursor = cursor
-	return nil
 }
 
 // SampleInto draws n transitions, appending to dst and returning the result.
